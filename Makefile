@@ -1,7 +1,7 @@
 PYTHON ?= python
 SCALE ?= medium
 
-.PHONY: install test bench bench-runtime experiments examples clean
+.PHONY: install test bench experiments examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -13,9 +13,6 @@ test:
 
 bench:
 	REPRO_SCALE=$(SCALE) $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-bench-runtime:
-	$(PYTHON) scripts/bench_runtime.py --scale $(SCALE)
 
 experiments:
 	$(PYTHON) scripts/run_all_experiments.py $(SCALE)

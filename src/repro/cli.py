@@ -92,20 +92,13 @@ def cmd_factor(args) -> int:
 def cmd_simulate(args) -> int:
     from repro.experiments.pipeline import prepare_problem
     from repro.fanout import assign_domains, run_fanout
-    from repro.mapping import best_grid, cyclic_map, heuristic_map, square_grid
+    from repro.mapping import named_map
 
     prep = prepare_problem(args.problem, args.scale, args.block_size)
-    try:
-        grid = square_grid(args.P)
-    except ValueError:
-        grid = best_grid(args.P)
     wm = prep.workmodel
+    cmap = named_map(wm, args.P, args.mapping)
+    grid = cmap.grid
     domains = assign_domains(wm, grid.P) if not args.no_domains else None
-    if args.mapping == "cyclic":
-        cmap = cyclic_map(prep.partition.npanels, grid)
-    else:
-        rh, _, ch = args.mapping.partition("/")
-        cmap = heuristic_map(wm, grid, rh.upper(), (ch or "CY").upper())
     res = run_fanout(
         prep.taskgraph, cmap, domains=domains,
         priority_mode=args.priority, factor_ops=prep.factor_ops,
@@ -170,8 +163,8 @@ def cmd_bench_real(args) -> int:
     usable = _usable_cpus()
     oversub = _oversub_note(args.nprocs, usable)
     if oversub is not None:
-        # Same honesty policy as scripts/bench_runtime.py: oversubscribed
-        # wall clocks measure time-slicing, not parallel speedup.
+        # Same honesty policy as the benchmark (bench/README.md):
+        # oversubscribed wall clocks measure time-slicing, not speedup.
         print(oversub, file=sys.stderr)
         if args.require_multicore:
             print(f"--require-multicore: refusing to record "
@@ -865,7 +858,7 @@ def cmd_analyze(args) -> int:
     )
     from repro.experiments.pipeline import prepare_problem
     from repro.fanout import assign_domains, block_owners
-    from repro.mapping import best_grid, heuristic_map, square_grid
+    from repro.mapping import named_map
 
     prep = prepare_problem(args.problem, args.scale, args.block_size)
     stats = tree_statistics(prep.symbolic, args.block_size)
@@ -877,16 +870,12 @@ def cmd_analyze(args) -> int:
     cp = critical_path(prep.taskgraph)
     print(f"  critical path          : {cp.length_seconds * 1e3:.2f} ms "
           f"(max speedup {cp.max_speedup:.1f}x)")
-    try:
-        grid = square_grid(args.P)
-    except ValueError:
-        grid = best_grid(args.P)
     owners = block_owners(
         prep.taskgraph,
-        heuristic_map(prep.workmodel, grid, "ID", "CY"),
-        assign_domains(prep.workmodel, grid.P),
+        named_map(prep.workmodel, args.P, "ID/CY"),
+        assign_domains(prep.workmodel, args.P),
     )
-    mem = memory_usage(prep.taskgraph, owners, grid.P)
+    mem = memory_usage(prep.taskgraph, owners, args.P)
     print(f"  per-node factor storage: max {mem.max_owned / 2**20:.2f} MiB "
           f"(balance {mem.storage_balance:.2f})")
     print(f"  worst-case node memory : {mem.worst_case_bytes / 2**20:.2f} MiB "

@@ -16,6 +16,7 @@ from repro.mapping.heuristics import (
     heuristic_map,
     heuristic_vector,
     greedy_partition,
+    named_map,
 )
 from repro.mapping.balance import BalanceReport, balance_metrics
 from repro.mapping.alternative import processor_aware_row_map
@@ -33,6 +34,7 @@ __all__ = [
     "heuristic_map",
     "heuristic_vector",
     "greedy_partition",
+    "named_map",
     "BalanceReport",
     "balance_metrics",
     "processor_aware_row_map",

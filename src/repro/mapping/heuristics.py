@@ -21,7 +21,8 @@ import numpy as np
 
 from repro.blocks.workmodel import WorkModel
 from repro.mapping.base import CartesianMap
-from repro.mapping.grid import ProcessorGrid
+from repro.mapping.cyclic import cyclic_map
+from repro.mapping.grid import ProcessorGrid, best_grid
 from repro.util.arrays import INDEX_DTYPE
 
 #: Heuristic codes accepted by :func:`heuristic_vector` / :func:`heuristic_map`.
@@ -114,3 +115,20 @@ def heuristic_map(
     return CartesianMap(
         grid, mapI, mapJ, label=f"{row_heuristic}/{col_heuristic}"
     )
+
+
+def named_map(wm: WorkModel, nprocs: int, mapping: str) -> CartesianMap:
+    """The CP map a mapping *name* denotes on ``nprocs`` processors.
+
+    ``mapping`` is ``"cyclic"`` or a ``"<row>/<col>"`` heuristic pair
+    (``DW``, ``IN``, ``DN``, ``ID`` x ``CY``, ...; the column defaults to
+    ``CY``), case-insensitive — the one spelling the CLI, the solver
+    façade, the simulator and the runtime all accept. The grid is the
+    most-square ``Pr x Pc = nprocs``, i.e. the paper's ``sqrt(P)`` square
+    whenever ``nprocs`` is a perfect square.
+    """
+    grid = best_grid(nprocs)
+    if mapping == "cyclic":
+        return cyclic_map(wm.npanels, grid)
+    rh, _, ch = mapping.partition("/")
+    return heuristic_map(wm, grid, rh.upper(), (ch or "CY").upper())

@@ -16,8 +16,10 @@ Layers: :mod:`~repro.runtime.wire` (block serialization, CRC32 integrity),
 :mod:`~repro.runtime.links` (the interconnect stand-in, frame coalescing),
 :mod:`~repro.runtime.scheduler` (per-worker ready queues),
 :mod:`~repro.runtime.worker` (the event loop),
-:mod:`~repro.runtime.engine` (process orchestration),
-:mod:`~repro.runtime.pool` (persistent worker pool for :mod:`repro.service`),
+:mod:`~repro.runtime.pool` (the one process lifecycle: spawn, dispatch,
+collect, reap — for one job or for the resident :mod:`repro.service`),
+:mod:`~repro.runtime.engine` (the one-shot driver over it, and the
+outcome-to-result step every caller shares),
 :mod:`~repro.runtime.faults` (deterministic chaos injection),
 :mod:`~repro.runtime.recovery` (checkpoint/restart + sequential fallback),
 :mod:`~repro.runtime.trace` (always-available structured event tracing),
@@ -53,9 +55,7 @@ from repro.runtime.metrics import RuntimeMetrics, WorkerMetrics
 from repro.runtime.pool import (
     JobOutcome,
     PatternContext,
-    PoolError,
     PoolJob,
-    PoolTimeoutError,
     WorkerPool,
 )
 from repro.runtime.recovery import (
@@ -118,8 +118,6 @@ __all__ = [
     "WorkerResult",
     "JobOutcome",
     "PatternContext",
-    "PoolError",
     "PoolJob",
-    "PoolTimeoutError",
     "WorkerPool",
 ]

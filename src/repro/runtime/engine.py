@@ -1,22 +1,22 @@
-"""Driver for the multiprocess message-passing fan-out runtime.
+"""One-shot driver for the message-passing fan-out runtime.
 
-``run_mp_fanout`` spawns one OS process per logical processor, hands each
-its share of the block map, lets them factor by exchanging real messages
-(:mod:`repro.runtime.worker`), then gathers the owned factor blocks and
-per-worker metrics. ``plan_owners`` turns the mapping names used everywhere
-else in the repo (``"cyclic"``, ``"DW/CY"``, ...) into a block ownership
-array, so the exact configurations studied by the simulator and the balance
-metrics can be executed for real and timed.
+The runtime has one process lifecycle, :class:`repro.runtime.pool.WorkerPool`
+(spawn, link fabric, dispatch, collect, reap). ``run_mp_fanout`` is that
+lifecycle lived once: plan one job, open a pool for it, ``run_batch`` the
+job, close the pool, and turn the :class:`~repro.runtime.pool.JobOutcome`
+into an :class:`MPRuntimeResult` — or into the typed :class:`FanoutError`
+that carries every salvaged ``WorkerResult`` and the ranks the failure is
+attributed to. :func:`outcome_result` is that last step on its own; the
+factorization service assembles its jobs and warm solves through it too.
 
-Robustness: workers that raise broadcast ABORT frames; the driver enforces
-a global deadline, joins every child, and terminates stragglers — no orphan
-processes on success, failure, or deadlock.
+``plan_owners`` turns the mapping names used everywhere else in the repo
+(``"cyclic"``, ``"DW/CY"``, ...) into a block ownership array, so the
+exact configurations studied by the simulator and the balance metrics can
+be executed for real and timed.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import queue as queue_mod
 import time
 from dataclasses import dataclass, field
 
@@ -28,13 +28,19 @@ from repro.fanout.domains import assign_domains
 from repro.fanout.ownership import block_owners
 from repro.fanout.priorities import task_priorities
 from repro.fanout.tasks import TaskGraph
-from repro.mapping import best_grid, cyclic_map, heuristic_map, square_grid
+from repro.mapping import best_grid, named_map
 from repro.numeric.blockfact import BlockCholesky
 from repro.runtime import wire
-from repro.runtime.links import LinkFabric
-from repro.runtime.metrics import RuntimeMetrics, WorkerMetrics
-from repro.runtime.trace import DEFAULT_CAPACITY, RunTrace
-from repro.runtime.worker import worker_main
+from repro.runtime.arena import BlockArena, resolve_transport
+from repro.runtime.metrics import RuntimeMetrics
+from repro.runtime.pool import (
+    START_METHOD,
+    JobOutcome,
+    PatternContext,
+    PoolJob,
+    WorkerPool,
+)
+from repro.runtime.trace import RunTrace, ring_capacity
 
 
 class FanoutError(RuntimeError):
@@ -101,22 +107,10 @@ def plan_owners(
     mapping: str = "DW/CY",
     use_domains: bool = False,
 ) -> tuple[np.ndarray, str]:
-    """Block ownership for ``nprocs`` workers under a named mapping.
-
-    ``mapping`` is ``"cyclic"`` or a ``"<row>/<col>"`` heuristic pair
-    (``DW``, ``IN``, ``DN``, ``ID`` x ``CY``, ...) exactly as accepted by
-    the CLI and :meth:`repro.solver.SparseCholesky.plan_parallel`.
-    """
-    try:
-        grid = square_grid(nprocs)
-    except ValueError:
-        grid = best_grid(nprocs)
-    if mapping == "cyclic":
-        cmap = cyclic_map(tg.npanels, grid)
-    else:
-        rh, _, ch = mapping.partition("/")
-        cmap = heuristic_map(wm, grid, rh.upper(), (ch or "CY").upper())
-    domains = assign_domains(wm, grid.P) if use_domains else None
+    """Block ownership for ``nprocs`` workers under a named mapping
+    (names as :func:`repro.mapping.named_map` spells them)."""
+    cmap = named_map(wm, nprocs, mapping)
+    domains = assign_domains(wm, nprocs) if use_domains else None
     return block_owners(tg, cmap, domains), cmap.name
 
 
@@ -131,11 +125,8 @@ def run_mp_fanout(
     depth: np.ndarray | None = None,
     timeout_s: float = 300.0,
     stall_timeout_s: float = 30.0,
-    poll_s: float = 0.002,
     inject_failure: tuple[int, int] | None = None,
-    record_timeline: bool = True,
     trace: bool | int | None = None,
-    start_method: str | None = None,
     mapping: str = "",
     fault_plan=None,
     recovery: bool | None = None,
@@ -144,7 +135,6 @@ def run_mp_fanout(
     renegotiate_base_s: float = 0.2,
     renegotiate_cap_s: float = 2.0,
     max_renegotiations: int = 8,
-    retransmit_limit: int = 5,
     transport: str = "auto",
     schedule: str = "static",
     steal_seed: int = 0,
@@ -176,9 +166,8 @@ def run_mp_fanout(
     picks shm when the platform supports it and there is more than one
     worker. Logical message/byte accounting is identical across transports
     — only ``wire_bytes`` metrics differ. The arena is unlinked in every
-    exit path; salvaged checkpoint frames carried by a raised
-    :class:`FanoutError` are converted to inline frames first so they
-    outlive the arena.
+    exit path; the gather and any salvaged checkpoint frames carry their
+    payload, so they outlive it.
 
     ``owners[b]`` assigns block ``b`` to a worker (see :func:`plan_owners`).
     ``policy`` is a :mod:`repro.fanout.priorities` name (``"fifo"``,
@@ -196,12 +185,14 @@ def run_mp_fanout(
     DONE linger barrier); it defaults to on exactly when a fault plan is
     given. ``checkpoint`` maps block ids to completed-block wire frames
     from a previous attempt; those blocks are preloaded and their tasks
-    skipped. Raises :class:`WorkerError` if any worker fails,
+    skipped. Raises :class:`WorkerError` if a worker fails,
     :class:`DeadWorkerError` if one dies without reporting (after waiting
     up to ``dead_grace_s`` for surviving workers' checkpoints), and
     :class:`RuntimeTimeoutError` on a global timeout; in every case all
     child processes are reaped before returning or raising, and the raised
     :class:`FanoutError` carries every salvaged ``WorkerResult``.
+    ``failed_ranks`` names the casualties only — a rank that merely
+    stopped because a peer failed is not among them.
     """
     owners = np.asarray(owners)
     if owners.shape[0] != tg.nblocks:
@@ -218,14 +209,7 @@ def run_mp_fanout(
         priorities = task_priorities(tg, policy, depth=depth)
     if recovery is None:
         recovery = fault_plan is not None
-    if trace is None or trace is False:
-        trace_capacity = 0
-    elif trace is True:
-        trace_capacity = DEFAULT_CAPACITY
-    else:
-        trace_capacity = int(trace)
-        if trace_capacity < 0:
-            raise ValueError("trace capacity must be non-negative")
+    trace_capacity = ring_capacity(trace)
 
     if rhs is not None:
         rhs = np.ascontiguousarray(rhs, dtype=np.float64)
@@ -236,160 +220,77 @@ def run_mp_fanout(
                 f"rhs must be ({A.shape[0]}, nrhs), got {rhs.shape}"
             )
 
-    if start_method is None:
-        start_method = (
-            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        )
-    from repro.runtime.arena import BlockArena, resolve_transport
-
+    # The very arrays the task graph's own reference to A holds (no copy
+    # for csc input), so the job pickles them once.
+    A = A.tocsc()
     transport = resolve_transport(transport, nprocs)
     arena = BlockArena.create(tg) if transport == "shm" else None
-    try:
-        return _run(
-            structure, A, tg, owners, nprocs, priorities, timeout_s,
-            stall_timeout_s, poll_s, inject_failure, record_timeline,
-            trace_capacity, start_method, mapping, fault_plan, recovery,
-            checkpoint, dead_grace_s, renegotiate_base_s,
-            renegotiate_cap_s, max_renegotiations, retransmit_limit,
-            transport, arena, schedule, steal_seed, rhs,
-        )
-    except FanoutError as exc:
-        if arena is not None:
-            _inline_results(exc.results, arena)
-        raise
-    finally:
-        if arena is not None:
-            arena.destroy()
-
-
-def _run(
-    structure, A, tg, owners, nprocs, priorities, timeout_s,
-    stall_timeout_s, poll_s, inject_failure, record_timeline,
-    trace_capacity, start_method, mapping, fault_plan, recovery,
-    checkpoint, dead_grace_s, renegotiate_base_s, renegotiate_cap_s,
-    max_renegotiations, retransmit_limit, transport, arena,
-    schedule="static", steal_seed=0, rhs=None,
-) -> MPRuntimeResult:
-    ctx = mp.get_context(start_method)
-    fabric = LinkFabric(nprocs, ctx)
-    result_queue = ctx.Queue()
+    # wall_s counts from before the crew is spawned.
     epoch = time.perf_counter()
-    op_fixed_cost = getattr(tg.workmodel, "op_fixed_cost", 1000)
-
-    procs = []
-    for rank in range(nprocs):
-        kwargs = dict(
-            structure=structure,
-            A=A,
-            tg=tg,
-            owners=owners,
-            fabric=fabric,
-            result_queue=result_queue,
-            priorities=priorities,
-            epoch=epoch,
-            poll_s=poll_s,
-            stall_timeout_s=stall_timeout_s,
-            inject_failure=inject_failure,
-            record_timeline=record_timeline,
+    # One-shot runs keep per-worker timelines; resident service jobs don't.
+    pool = WorkerPool(nprocs, stall_timeout_s, record_timeline=True)
+    try:
+        job = PoolJob(
+            seq=0,
+            pattern_id="one-shot",
+            values=A.data,
+            context=PatternContext(
+                pattern_id="one-shot",
+                structure=structure,
+                tg=tg,
+                owners=owners,
+                priorities=priorities,
+                indptr=A.indptr,
+                indices=A.indices,
+                shape=A.shape,
+                arena_name=None if arena is None else arena.name,
+                op_fixed_cost=getattr(tg.workmodel, "op_fixed_cost", 1000),
+                schedule=schedule,
+                steal_seed=steal_seed,
+            ),
             trace_capacity=trace_capacity,
-            op_fixed_cost=op_fixed_cost,
             fault_plan=fault_plan,
+            rhs=rhs,
             recovery=recovery,
             checkpoint=checkpoint,
+            inject_failure=inject_failure,
             renegotiate_base_s=renegotiate_base_s,
             renegotiate_cap_s=renegotiate_cap_s,
             max_renegotiations=max_renegotiations,
-            retransmit_limit=retransmit_limit,
-            transport=transport,
-            arena_name=arena.name if arena is not None else None,
-            schedule=schedule,
-            steal_seed=steal_seed,
-            rhs=rhs,
         )
-        p = ctx.Process(
-            target=worker_main, args=(rank, kwargs), name=f"repro-mp-{rank}"
-        )
-        p.daemon = True
-        p.start()
-        procs.append(p)
-
-    results: dict[int, object] = {}
-    deadline = time.monotonic() + timeout_s
-    dead_deadline: float | None = None
-    try:
-        while len(results) < nprocs:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise RuntimeTimeoutError(
-                    f"runtime timeout after {timeout_s:.0f}s: "
-                    f"{len(results)}/{nprocs} workers reported",
-                    results=results,
-                    failed_ranks=[
-                        r for r in range(nprocs) if r not in results
-                    ],
-                )
-            try:
-                res = result_queue.get(timeout=min(0.1, remaining))
-                results[res.rank] = res
-            except queue_mod.Empty:
-                dead = [
-                    r for r, p in enumerate(procs)
-                    if not p.is_alive() and p.exitcode not in (0, None)
-                    and r not in results
-                ]
-                if dead and len(results) < nprocs:
-                    # A worker died without reporting (kill/segfault).
-                    # Optionally linger so surviving workers can notice,
-                    # abort, and ship their completed-block checkpoints.
-                    now = time.monotonic()
-                    if dead_deadline is None:
-                        dead_deadline = now + dead_grace_s
-                    survivors_pending = nprocs - len(results) - len(dead)
-                    if now >= dead_deadline or survivors_pending <= 0:
-                        raise DeadWorkerError(
-                            "worker process(es) died without reporting: "
-                            f"{[f'repro-mp-{r}' for r in dead]}",
-                            results=results,
-                            failed_ranks=dead,
-                        )
-        wall_s = time.perf_counter() - epoch
+        pool.start()
+        launch_s = time.perf_counter() - epoch
+        outcome = pool.run_batch([job], timeout_s, dead_grace_s)[0]
+        died = pool.dead_ranks()
     finally:
-        _reap(procs)
-        fabric.shutdown()
-        result_queue.cancel_join_thread()
-        result_queue.close()
+        pool.close()
+        if arena is not None:
+            arena.destroy()
 
-    error_ranks = [
-        r for r in sorted(results) if results[r].metrics.error is not None
-    ]
-    if error_ranks:
-        first = error_ranks[0]
+    if pool.last_error is not None:
+        kind = DeadWorkerError if died else RuntimeTimeoutError
+        raise kind(
+            f"{pool.last_error}; {len(outcome.results)}/{nprocs} workers "
+            "reported",
+            results=outcome.results,
+            failed_ranks=outcome.failed_ranks,
+        )
+    if outcome.failed_ranks:
+        first = outcome.failed_ranks[0]
         raise WorkerError(
             first,
-            results[first].metrics.error,
-            results=results,
-            failed_ranks=error_ranks,
+            outcome.results[first].metrics.error,
+            results=outcome.results,
+            failed_ranks=outcome.failed_ranks,
         )
-
-    factor = _assemble(structure, A, tg, results, arena)
-    metrics = RuntimeMetrics(
-        nprocs=nprocs,
-        wall_s=wall_s,
-        workers=[results[r].metrics for r in sorted(results)],
-        mapping=mapping,
-        transport=transport,
-        schedule=schedule,
+    attempt = int(fault_plan.attempt) if fault_plan is not None else 0
+    factor, solution, metrics, run_trace = outcome_result(
+        outcome, structure, tg, A, rhs,
+        wall_s=launch_s + outcome.wall_s, mapping=mapping,
+        transport=transport, schedule=schedule, attempt=attempt,
     )
-    solution = None
-    if rhs is not None:
-        solution = _assemble_solution(structure, rhs, results)
-    run_trace = None
-    if trace_capacity:
-        nrhs = int(rhs.shape[1]) if rhs is not None else 0
-        run_trace = _merge_trace(results, nprocs, mapping, start_method,
-                                 fault_plan, wall_s, schedule, nrhs)
     meta = {
-        "start_method": start_method,
+        "start_method": START_METHOD,
         "recovery": recovery,
         "checkpoint_blocks": len(checkpoint) if checkpoint else 0,
         "transport": transport,
@@ -411,104 +312,96 @@ def _run(
     )
 
 
-def _runtime_grid(nprocs: int):
-    """The processor grid :func:`plan_owners` would use for ``nprocs``."""
-    try:
-        return square_grid(nprocs)
-    except ValueError:
-        return best_grid(nprocs)
+def outcome_result(
+    outcome: JobOutcome,
+    structure: BlockStructure,
+    tg: TaskGraph,
+    A: sparse.spmatrix | None = None,
+    rhs: np.ndarray | None = None,
+    *,
+    wall_s: float | None = None,
+    mapping: str = "",
+    transport: str = "inline",
+    schedule: str = "static",
+    problem: str = "",
+    attempt: int = 0,
+) -> tuple[BlockCholesky | None, np.ndarray | None, RuntimeMetrics,
+           RunTrace | None]:
+    """Turn a clean :class:`~repro.runtime.pool.JobOutcome` into
+    ``(factor, solution, metrics, trace)`` — the one place a pooled job
+    becomes a result, whoever ran it.
 
-
-def _merge_trace(results, nprocs, mapping, start_method, fault_plan,
-                 wall_s=None, schedule="static", nrhs=0) -> RunTrace:
-    """Merge worker ring snapshots into one :class:`RunTrace`."""
-    grid = _runtime_grid(nprocs)
-    attempt = int(fault_plan.attempt) if fault_plan is not None else 0
-    meta = {
-        "nprocs": nprocs,
-        "mapping": mapping,
-        "grid": [int(grid.Pr), int(grid.Pc)],
-        "start_method": start_method,
-        "attempt": attempt,
-        "schedule": schedule,
-    }
-    if nrhs:
-        meta["nrhs"] = int(nrhs)
-    if wall_s is not None:
-        meta["wall_s"] = wall_s
-    return RunTrace.from_workers(
-        {r: results[r].trace for r in sorted(results)},
-        meta=meta,
-        attempt=attempt,
-    )
-
-
-def _reap(procs, grace_s: float = 5.0) -> None:
-    """Join every child; terminate (then kill) any that linger."""
-    deadline = time.monotonic() + grace_s
-    for p in procs:
-        p.join(timeout=max(0.0, deadline - time.monotonic()))
-    for p in procs:
-        if p.is_alive():
-            p.terminate()
-            p.join(timeout=1.0)
-    for p in procs:
-        if p.is_alive():  # pragma: no cover - last resort
-            p.kill()
-            p.join(timeout=1.0)
-        p.close()
-
-
-def _assemble_solution(structure, rhs, results) -> np.ndarray:
-    """Stack the workers' owned solution panels into the full ``n x nrhs``
-    solution (permuted coordinates; the caller un-permutes)."""
-    ptr = np.asarray(structure.partition.panel_ptr, dtype=np.int64)
-    x = np.empty_like(rhs)
-    seen = 0
-    for res in results.values():
-        for k, panel in (res.solution or {}).items():
-            x[int(ptr[k]) : int(ptr[k + 1])] = panel
-            seen += int(ptr[k + 1] - ptr[k])
-    if seen != rhs.shape[0]:
-        raise FanoutError(
-            f"solve gather incomplete: {seen}/{rhs.shape[0]} rows "
-            "reported", results=results,
-        )
-    return x
-
-
-def _inline_results(results: dict, arena) -> None:
-    """Rewrite ref frames in salvaged results as inline frames (the
-    checkpoint they feed must outlive the arena being destroyed)."""
-    for res in results.values():
-        res.frames = [arena.inline_frame(f) for f in res.frames]
-
-
-def _assemble(structure, A, tg, results, arena=None) -> BlockCholesky:
-    """Overwrite a factor shell with the gathered owned blocks.
-
-    On the shm transport the gather frames are descriptors; the payload is
-    copied out of the (still-live) arena here — the driver's only copy.
+    ``A`` (the job's input, or any matrix of its shape — every block is
+    overwritten) asks for the assembled factor; ``rhs`` (the permuted
+    panel the job solved) asks for the stitched solution; a warm solve
+    job passes only the latter. ``wall_s`` defaults to the job's own
+    (dispatch to last report); a one-shot run adds its launch. The trace
+    is merged whenever the workers shipped one. Raises :class:`FanoutError` when the gathered solution
+    panels do not cover every row.
     """
+    results = outcome.results
+    nprocs = len(results)
+    if wall_s is None:
+        wall_s = outcome.wall_s
+    factor = None if A is None else _assemble(structure, A, tg, results)
+    solution = None
+    if rhs is not None:
+        ptr = np.asarray(structure.partition.panel_ptr, dtype=np.int64)
+        solution = np.empty_like(rhs)
+        seen = 0
+        for res in results.values():
+            for k, panel in (res.solution or {}).items():
+                solution[int(ptr[k]) : int(ptr[k + 1])] = panel
+                seen += int(ptr[k + 1] - ptr[k])
+        if seen != rhs.shape[0]:
+            raise FanoutError(
+                f"solve gather incomplete: {seen}/{rhs.shape[0]} rows "
+                "reported", results=results,
+            )
+    metrics = RuntimeMetrics(
+        nprocs=nprocs,
+        wall_s=wall_s,
+        workers=[res.metrics for res in results.values()],
+        mapping=mapping,
+        problem=problem,
+        transport=transport,
+        schedule=schedule,
+    )
+    trace = None
+    if any(res.trace is not None for res in results.values()):
+        grid = best_grid(nprocs)
+        meta = {
+            "nprocs": nprocs,
+            "mapping": mapping,
+            "grid": [int(grid.Pr), int(grid.Pc)],
+            "start_method": START_METHOD,
+            "attempt": attempt,
+            "schedule": schedule,
+            "wall_s": wall_s,
+        }
+        if rhs is not None:
+            meta["nrhs"] = int(rhs.shape[1])
+        trace = RunTrace.from_workers(
+            {r: results[r].trace for r in sorted(results)},
+            meta=meta,
+            attempt=attempt,
+        )
+    return factor, solution, metrics, trace
+
+
+def _assemble(structure, A, tg, results) -> BlockCholesky:
+    """Overwrite a factor shell with the gathered owned blocks (gather
+    frames carry their payload on every transport)."""
     shell = BlockCholesky(structure, A)
     for res in results.values():
         for frame in res.frames:
             msg = wire.unpack(frame)
             b = msg.block
-            if msg.kind == wire.BLOCK_REF:
-                if arena is None:
-                    raise RuntimeError(
-                        f"gathered a BLOCK_REF frame for block {b} "
-                        "without a live arena"
-                    )
-                payload = arena.read(b)
-            else:
-                payload = msg.payload
             I, J = int(tg.block_I[b]), int(tg.block_J[b])
             if I == J:
-                shell.diag[J] = payload
+                shell.diag[J] = msg.payload
             else:
-                shell.below[J][I] = payload
+                shell.below[J][I] = msg.payload
     shell._factored[:] = True
     return shell
 

@@ -1,11 +1,14 @@
-"""Persistent worker pool: the engine's one-shot lifecycle made resident.
+"""The worker pool: the one process lifecycle of the runtime.
 
-:func:`repro.runtime.engine.run_mp_fanout` pays full job setup for every
-matrix: spawn workers, build links, create an arena, run, tear everything
-down. For a factorization *service* — the paper's own motivating workload
-is repeated numeric factorization inside interior-point LP loops — that
-setup dominates. :class:`WorkerPool` keeps the worker processes and the
-link fabric alive across jobs and ships each job as a small message:
+The paper's block fan-out method has one execution model — P processors
+that own blocks and exchange completed ones — and :class:`WorkerPool` is
+its one implementation: the only code that creates processes, a
+:class:`~repro.runtime.links.LinkFabric`, a result queue, a collect loop
+or a reap. A one-shot :func:`~repro.runtime.engine.run_mp_fanout` is a
+pool that lives for one job; the factorization service
+(:mod:`repro.service`) keeps one alive across jobs, which is the paper's
+own motivating workload (a new numeric factorization per interior-point
+step). Either way a job is a small message to a resident crew:
 
 * **Pattern contexts** travel once. The first job of a sparsity pattern
   carries the block structure, task graph, owner plan, and arena name;
@@ -26,25 +29,32 @@ link fabric alive across jobs and ships each job as a small message:
   same slots. A job that reuses an in-flight arena waits until every rank
   announced completion of the previous job on that arena (DONE control
   frames, 64 bytes each). Inline jobs, and jobs on distinct arenas,
-  pipeline freely. Gather frames are always shipped inline in pool mode
-  (:attr:`Worker.inline_gather`) so the driver never reads a slot that a
-  later job may have overwritten.
+  pipeline freely. Frames bound for the driver — the result gather and
+  abort-time checkpoints — always carry their payload, so the driver
+  never reads a slot that a later job may have overwritten and salvaged
+  frames outlive the arena.
 
 Failure containment: a worker error poisons only its own job — the
 erroring worker broadcasts ABORT for that job's tag, peers abort that job
 and move on to the next one in the batch, and the driver reports the job
-failed while the rest of the batch completes. Dead processes and global
-timeouts tear the pool down and bring up a fresh crew — on ``P - f``
-workers when ``f`` processes died (:meth:`WorkerPool.heal`); pattern
-contexts are re-shipped lazily because ``seen_patterns`` is cleared, and
-the caller re-plans owners for the shrunken crew. Per-job deadlines are
-enforced driver-side: an expired job gets a seq-tagged ABORT injected
-into every inbox, so exactly that job aborts while its batch keeps
-running. Workers heartbeat on the result queue before every job, so the
-driver can tell a stalled crew from a slow one. The pool never runs the
-checkpoint/recovery protocol — that remains the one-shot engine's job —
-but it does thread :class:`~repro.runtime.faults.FaultPlan` injection
-into individual jobs so the service layer above is chaos-testable.
+failed while the rest of the batch completes. A job may run the in-run
+integrity protocol and resume from a checkpoint (``PoolJob.recovery`` /
+``checkpoint``, see :mod:`repro.runtime.recovery`), and
+:class:`~repro.runtime.faults.FaultPlan` injection threads into
+individual jobs so every layer above is chaos-testable. Per-job
+deadlines are enforced driver-side: an expired job gets a seq-tagged
+ABORT injected into every inbox, so exactly that job aborts while its
+batch keeps running. Workers heartbeat on the result queue before every
+job, so the driver can tell a stalled crew from a slow one.
+
+Who heals: :meth:`WorkerPool.run_batch` only *reports*. A dead process
+or a global timeout ends the batch, ABORTs what was still running, and
+is recorded in :attr:`WorkerPool.last_error` and in each unfinished
+job's :attr:`JobOutcome.failed_ranks`; the crew is then in an unknown
+state and the caller decides — the one-job caller closes the pool, the
+service calls :meth:`WorkerPool.heal` for a fresh crew on ``P - f``
+workers (pattern contexts re-ship lazily because ``seen_patterns`` is
+cleared, and the caller re-plans owners for the shrunken crew).
 """
 
 from __future__ import annotations
@@ -52,6 +62,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import queue as queue_mod
 import time
+import traceback
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -59,31 +70,25 @@ import numpy as np
 from scipy import sparse
 
 from repro.runtime import wire
-from repro.runtime.engine import _reap
 from repro.runtime.links import Link, LinkFabric
-from repro.runtime.worker import Worker, WorkerResult
+from repro.runtime.metrics import WorkerMetrics
+from repro.runtime.worker import POLL_S, Worker, WorkerResult
 
 __all__ = [
     "HEARTBEAT_SEQ",
     "PatternContext",
     "PoolJob",
     "JobOutcome",
-    "PoolError",
-    "PoolTimeoutError",
     "WorkerPool",
 ]
 
 
-class PoolError(RuntimeError):
-    """The pool itself failed (dead worker process, protocol breach)."""
-
-
-class PoolTimeoutError(PoolError):
-    """A batch exceeded its global deadline."""
-
-
 #: Result-queue tag used by worker heartbeats (never a valid job seq).
 HEARTBEAT_SEQ = -1
+
+#: ``fork`` shares the parent's imports with the crew for free; platforms
+#: without it get ``spawn``.
+START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
 # ----------------------------------------------------------------------
@@ -128,7 +133,17 @@ class PoolJob:
     ``time.monotonic()`` instant past which the driver aborts the job
     (``time.monotonic`` is system-wide on Linux, so workers and driver
     agree on it). ``fault_plan`` injects deterministic faults into this
-    job's workers — chaos testing for the layers above the pool.
+    job's workers; ``inject_failure=(rank, after_n_tasks)`` is the bare
+    soft-crash hook the shutdown tests use.
+
+    ``recovery`` turns on the in-run integrity protocol (CRC reject +
+    NACK/retransmit under the ``renegotiate_*`` backoff, bounded by
+    ``max_renegotiations``, + duplicate suppression + the DONE linger
+    barrier) and makes erroring/aborted ranks ship their completed blocks
+    home as a checkpoint; ``checkpoint`` maps block ids to such frames
+    from a previous attempt — those blocks are preloaded, their tasks
+    skipped. ``rhs`` on a factor job appends the distributed triangular
+    solve to the factor phase.
 
     ``kind="solve"`` runs the distributed triangular solve against the
     rank's *resident* factor — the :class:`~repro.runtime.worker.Worker`
@@ -150,6 +165,12 @@ class PoolJob:
     fault_plan: object | None = None
     kind: str = "factor"
     rhs: np.ndarray | None = None
+    recovery: bool = False
+    checkpoint: dict[int, bytes] | None = None
+    inject_failure: tuple[int, int] | None = None
+    renegotiate_base_s: float = 0.2
+    renegotiate_cap_s: float = 2.0
+    max_renegotiations: int = 8
 
 
 @dataclass
@@ -162,6 +183,12 @@ class JobOutcome:
     aborted: bool = False
     expired: bool = False
     wall_s: float = 0.0
+    #: The ranks the failure is attributed to: a rank is here iff its
+    #: process died, it never reported before the batch timed out, or it
+    #: was the first to raise. A rank that stopped because a peer failed
+    #: is merely aborted — whatever exception its own teardown then hit —
+    #: so a restart shrinks the crew by the real casualties only.
+    failed_ranks: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -290,13 +317,12 @@ class JobFabric:
 class _PoolWorker:
     """The resident process: runs batches of jobs until told to stop."""
 
-    def __init__(self, rank, fabric, commands, result_queue, poll_s,
+    def __init__(self, rank, fabric, commands, result_queue,
                  stall_timeout_s, record_timeline):
         self.rank = rank
         self.fabric = fabric
         self.commands = commands
         self.result_queue = result_queue
-        self.poll_s = poll_s
         self.stall_timeout_s = stall_timeout_s
         self.record_timeline = record_timeline
         self.router = InboxRouter(fabric.inbox(rank))
@@ -354,61 +380,35 @@ class _PoolWorker:
         self.result_queue.put(
             (HEARTBEAT_SEQ, (self.rank, job.seq, time.monotonic()))
         )
-        if getattr(job, "kind", "factor") == "solve":
-            self._run_solve_job(job)
-            return
-        entry = self.patterns.get(job.pattern_id)
-        if job.context is not None:
-            entry = self._install(job.context)
-        if entry is None:
-            self._report_error(
-                job.seq,
-                f"worker {self.rank} has no context for pattern "
-                f"{job.pattern_id!r} (pool protocol breach)",
-            )
-            return
-        context, arena = entry
-        if job.wait_for is not None:
-            try:
+        fabric = JobFabric(self.fabric, self.router, job.seq)
+        results = _TaggedQueue(self.result_queue, job.seq)
+        try:
+            if job.kind == "solve":
+                worker = self._resident_worker(job)
+            else:
+                worker = self._factor_worker(job, epoch, fabric, results)
+            if job.wait_for is not None:
                 self._await_done(job.wait_for)
-            except RuntimeError:
-                import traceback
-
-                self._report_error(job.seq, traceback.format_exc())
-                return
-        A = sparse.csc_matrix(
-            (job.values, context.indices, context.indptr),
-            shape=tuple(context.shape),
-        )
-        worker = Worker(
-            self.rank,
-            structure=context.structure,
-            A=A,
-            tg=context.tg,
-            owners=context.owners,
-            fabric=JobFabric(self.fabric, self.router, job.seq),
-            result_queue=_TaggedQueue(self.result_queue, job.seq),
-            priorities=context.priorities,
-            epoch=epoch,
-            poll_s=self.poll_s,
-            stall_timeout_s=self.stall_timeout_s,
-            record_timeline=self.record_timeline,
-            trace_capacity=job.trace_capacity,
-            op_fixed_cost=context.op_fixed_cost,
-            transport="shm" if arena is not None else "inline",
-            arena=arena,
-            inline_gather=True,
-            fault_plan=job.fault_plan,
-            schedule=getattr(context, "schedule", "static"),
-            steal_seed=getattr(context, "steal_seed", 0),
-        )
-        worker.run()
-        # Retain the factored worker for warm solve jobs; a failed or
-        # aborted factor invalidates any previous resident factor too.
-        if worker.metrics.error is None and not worker.metrics.aborted:
-            self.resident[job.pattern_id] = worker
+        except RuntimeError:
+            self._report_error(job.seq, traceback.format_exc())
+            return
+        if job.kind == "solve":
+            # Warm solve: only the RHS panel travelled in the job; the
+            # factor blocks are already in this process (arena slots on
+            # shm, local arrays inline).
+            worker.run_solve(
+                job.rhs, fabric, results,
+                trace_capacity=job.trace_capacity,
+                fault_plan=job.fault_plan,
+            )
         else:
-            self.resident.pop(job.pattern_id, None)
+            worker.run()
+            # Retain the factored worker for warm solve jobs; a failed or
+            # aborted factor invalidates any previous resident factor too.
+            if worker.metrics.error is None and not worker.metrics.aborted:
+                self.resident[job.pattern_id] = worker
+            else:
+                self.resident.pop(job.pattern_id, None)
         # DONE announcements consumed mid-job by the Worker count toward
         # this job's barrier.
         if worker.done_peers:
@@ -418,43 +418,56 @@ class _PoolWorker:
         if job.announce:
             self._announce(job.seq)
 
-    def _run_solve_job(self, job: PoolJob) -> None:
-        """Warm solve: re-arm the pattern's resident factored worker.
-
-        Only the RHS panel travelled in the job; the factor blocks are
-        already in this process (arena slots on shm, local arrays
-        inline), so the wire sees RHS fragments and nothing else.
-        """
+    def _resident_worker(self, job: PoolJob) -> Worker:
         worker = self.resident.get(job.pattern_id)
         if worker is None:
-            self._report_error(
-                job.seq,
+            raise RuntimeError(
                 f"worker {self.rank} has no resident factor for pattern "
                 f"{job.pattern_id!r} (factor before solving, and note "
-                f"restarts clear residency)",
+                f"restarts clear residency)"
             )
-            return
-        if job.wait_for is not None:
-            try:
-                self._await_done(job.wait_for)
-            except RuntimeError:
-                import traceback
+        return worker
 
-                self._report_error(job.seq, traceback.format_exc())
-                return
-        worker.run_solve(
-            job.rhs,
-            JobFabric(self.fabric, self.router, job.seq),
-            _TaggedQueue(self.result_queue, job.seq),
-            trace_capacity=job.trace_capacity,
-            fault_plan=job.fault_plan,
-        )
-        if worker.done_peers:
-            self.done_seen.setdefault(job.seq, set()).update(
-                worker.done_peers
+    def _factor_worker(self, job: PoolJob, epoch, fabric, results) -> Worker:
+        entry = self.patterns.get(job.pattern_id)
+        if job.context is not None:
+            entry = self._install(job.context)
+        if entry is None:
+            raise RuntimeError(
+                f"worker {self.rank} has no context for pattern "
+                f"{job.pattern_id!r} (pool protocol breach)"
             )
-        if job.announce:
-            self._announce(job.seq)
+        context, arena = entry
+        A = sparse.csc_matrix(
+            (job.values, context.indices, context.indptr),
+            shape=tuple(context.shape),
+        )
+        return Worker(
+            self.rank,
+            structure=context.structure,
+            A=A,
+            tg=context.tg,
+            owners=context.owners,
+            fabric=fabric,
+            result_queue=results,
+            priorities=context.priorities,
+            epoch=epoch,
+            stall_timeout_s=self.stall_timeout_s,
+            inject_failure=job.inject_failure,
+            record_timeline=self.record_timeline,
+            trace_capacity=job.trace_capacity,
+            op_fixed_cost=context.op_fixed_cost,
+            fault_plan=job.fault_plan,
+            recovery=job.recovery,
+            checkpoint=job.checkpoint,
+            renegotiate_base_s=job.renegotiate_base_s,
+            renegotiate_cap_s=job.renegotiate_cap_s,
+            max_renegotiations=job.max_renegotiations,
+            arena=arena,
+            schedule=context.schedule,
+            steal_seed=context.steal_seed,
+            rhs=job.rhs,
+        )
 
     def _announce(self, seq: int) -> None:
         """Tell every peer this rank is done with job ``seq`` — sent even
@@ -475,7 +488,7 @@ class _PoolWorker:
         deadline = time.monotonic() + self.stall_timeout_s
         while not peers <= seen:
             try:
-                item = self.router.get(seq, timeout=self.poll_s)
+                item = self.router.get(seq, timeout=POLL_S)
             except queue_mod.Empty:
                 if time.monotonic() > deadline:
                     raise RuntimeError(
@@ -492,8 +505,6 @@ class _PoolWorker:
                     seen.add(msg.src)
 
     def _report_error(self, seq: int, text: str) -> None:
-        from repro.runtime.metrics import WorkerMetrics
-
         metrics = WorkerMetrics(rank=self.rank)
         metrics.error = text
         self.result_queue.put(
@@ -509,8 +520,24 @@ def pool_worker_main(rank: int, kwargs: dict) -> None:
 # ----------------------------------------------------------------------
 # Driver side
 # ----------------------------------------------------------------------
+def _reap(procs, grace_s: float = 5.0) -> None:
+    """Join every child; terminate (then kill) any that linger."""
+    deadline = time.monotonic() + grace_s
+    for p in procs:
+        p.join(timeout=max(0.0, deadline - time.monotonic()))
+    for p in procs:
+        if p.is_alive():
+            p.terminate()
+            p.join(timeout=1.0)
+    for p in procs:
+        if p.is_alive():  # pragma: no cover - last resort
+            p.kill()
+            p.join(timeout=1.0)
+        p.close()
+
+
 class WorkerPool:
-    """A long-lived crew of factorization workers.
+    """A crew of factorization workers, for one job or for many.
 
     Usage::
 
@@ -523,13 +550,15 @@ class WorkerPool:
     a job exactly when its pattern is not in that set. :meth:`restart`
     replaces dead processes with a fresh fabric and clears the set, so
     contexts are re-shipped lazily.
+
+    ``record_timeline`` is where the two callers really differ: a
+    one-shot run keeps per-worker busy/comm/idle segments for its
+    metrics, service jobs keep only the totals.
     """
 
     def __init__(
         self,
         nprocs: int,
-        start_method: str | None = None,
-        poll_s: float = 0.002,
         stall_timeout_s: float = 30.0,
         record_timeline: bool = False,
     ):
@@ -540,19 +569,14 @@ class WorkerPool:
         #: :attr:`nprocs` below this after process deaths; :meth:`regrow`
         #: restores it once the crew is quiescent again.
         self.configured_nprocs = nprocs
-        if start_method is None:
-            start_method = (
-                "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            )
-        self.start_method = start_method
-        self.poll_s = poll_s
         self.stall_timeout_s = stall_timeout_s
         self.record_timeline = record_timeline
         self.seen_patterns: set[str] = set()
         self.generation = 0
         #: Why the last :meth:`run_batch` broke the pool (None when it
         #: ran clean). Callers use this to distinguish per-job failures
-        #: from pool-level breakage that warrants retrying jobs.
+        #: from pool-level breakage; after a breakage the crew must be
+        #: replaced (:meth:`heal`) or released (:meth:`close`).
         self.last_error: str | None = None
         #: rank -> last heartbeat instant (``time.monotonic``), updated
         #: as batches run; survives restarts for post-mortem inspection.
@@ -569,7 +593,7 @@ class WorkerPool:
 
     @property
     def alive(self) -> bool:
-        return bool(self._procs) and all(p.is_alive() for p in self._procs)
+        return self.running and not self.dead_ranks()
 
     def dead_ranks(self) -> list[int]:
         """Ranks whose process is no longer alive (empty when healthy)."""
@@ -580,7 +604,7 @@ class WorkerPool:
     def start(self) -> "WorkerPool":
         if self.running:
             return self
-        ctx = mp.get_context(self.start_method)
+        ctx = mp.get_context(START_METHOD)
         self._fabric = LinkFabric(self.nprocs, ctx)
         self._commands = [ctx.Queue() for _ in range(self.nprocs)]
         self._results = ctx.Queue()
@@ -591,7 +615,6 @@ class WorkerPool:
                 fabric=self._fabric,
                 commands=self._commands[rank],
                 result_queue=self._results,
-                poll_s=self.poll_s,
                 stall_timeout_s=self.stall_timeout_s,
                 record_timeline=self.record_timeline,
             )
@@ -694,17 +717,25 @@ class WorkerPool:
             self._fabric.inboxes[dst].put((seq, frame))
 
     def run_batch(
-        self, jobs: list[PoolJob], timeout_s: float = 300.0
+        self,
+        jobs: list[PoolJob],
+        timeout_s: float = 300.0,
+        dead_grace_s: float = 0.0,
     ) -> dict[int, JobOutcome]:
         """Run ``jobs`` back to back on the resident crew.
 
         Returns one :class:`JobOutcome` per job seq. A job whose workers
         errored or aborted is reported failed but does not poison the
         rest of the batch; a job past its ``deadline`` is seq-aborted and
-        reported ``expired``, likewise without poisoning the batch. A
-        dead worker process or a global timeout heals the pool (restart
-        on ``P - f`` workers) and fails every uncollected job;
-        :attr:`last_error` records why.
+        reported ``expired``, likewise without poisoning the batch.
+
+        A dead worker process or the global ``timeout_s`` breaks the
+        batch: every unfinished job is ABORTed and failed, the casualties
+        land in its ``failed_ranks`` (the dead ranks; on a timeout, every
+        rank that never reported) and :attr:`last_error` records why.
+        After a death the loop lingers up to ``dead_grace_s`` so the
+        survivors can abort and ship their completed-block checkpoints.
+        Nothing is restarted here — the caller heals or closes.
         """
         if not jobs:
             return {}
@@ -721,24 +752,41 @@ class WorkerPool:
         outcomes = {
             job.seq: JobOutcome(seq=job.seq) for job in jobs
         }
-        pending = {job.seq: self.nprocs for job in jobs}
+        #: seq -> ranks that have not reported that job yet.
+        pending = {job.seq: set(range(self.nprocs)) for job in jobs}
         job_deadlines = {
             job.seq: job.deadline for job in jobs if job.deadline is not None
         }
-        deadline = t0 + timeout_s
-        broken: str | None = None
+        #: When collecting stops: the global deadline, pulled in to the
+        #: grace window once a process death has broken the batch.
+        stop_at = t0 + timeout_s
+
+        def break_batch(why: str, casualties) -> None:
+            self.last_error = why
+            for seq, waiting in list(pending.items()):
+                out = outcomes[seq]
+                if out.error is None:
+                    out.error = why
+                out.failed_ranks.extend(r for r in casualties if r in waiting)
+                self.abort_job(seq)
+                waiting.difference_update(casualties)
+                if not waiting:
+                    del pending[seq]
+
         while pending:
             now = time.monotonic()
-            if now - t0 > timeout_s:
-                broken = (
-                    f"pool batch timeout after {timeout_s:.0f}s: "
-                    f"{len(pending)} job(s) incomplete"
-                )
+            if now >= stop_at:
+                if self.last_error is None:
+                    break_batch(
+                        f"pool batch timeout after {timeout_s:.0f}s: "
+                        f"{len(pending)} job(s) incomplete",
+                        range(self.nprocs),
+                    )
                 break
             # Per-job deadlines: abort exactly the expired job. Workers
             # that already shipped results for it are unaffected; the
             # outcome stays failed even if stragglers later succeed.
-            wait = min(0.1, deadline - now)
+            wait = min(0.1, stop_at - now)
             for seq in [s for s in job_deadlines if s not in pending]:
                 del job_deadlines[seq]
             for seq, dl in job_deadlines.items():
@@ -756,12 +804,19 @@ class WorkerPool:
             try:
                 seq, res = self._results.get(timeout=max(wait, 0.001))
             except queue_mod.Empty:
-                if not self.alive:
-                    dead = [
-                        p.name for p in self._procs if not p.is_alive()
-                    ]
-                    broken = f"pool worker process(es) died: {dead}"
-                    break
+                dead = [
+                    r for r in self.dead_ranks()
+                    if any(r in waiting for waiting in pending.values())
+                ]
+                if dead:
+                    if self.last_error is None:
+                        stop_at = min(
+                            stop_at, time.monotonic() + dead_grace_s
+                        )
+                    names = [self._procs[r].name for r in dead]
+                    break_batch(
+                        f"pool worker process(es) died: {names}", dead
+                    )
                 continue
             if seq == HEARTBEAT_SEQ:
                 rank, _jseq, t = res
@@ -771,19 +826,18 @@ class WorkerPool:
             if out is None:  # pragma: no cover - stale result
                 continue
             out.results[res.rank] = res
-            if res.metrics.error is not None and out.error is None:
-                out.error = res.metrics.error
+            if res.metrics.error is not None and not out.failed_ranks:
+                # The first failure seen for the job is its cause; errors
+                # that follow are peers' teardown hitting the fallout.
+                out.failed_ranks.append(res.rank)
+                if out.error is None:
+                    out.error = res.metrics.error
             if res.metrics.aborted:
                 out.aborted = True
-            pending[seq] -= 1
-            if pending[seq] == 0:
-                out.wall_s = time.monotonic() - t0
-                del pending[seq]
-        if broken is not None:
-            for seq in pending:
-                out = outcomes[seq]
-                if out.error is None:
-                    out.error = broken
-            self.last_error = broken
-            self.heal()
+            waiting = pending.get(seq)
+            if waiting is not None:
+                waiting.discard(res.rank)
+                if not waiting:
+                    out.wall_s = time.monotonic() - t0
+                    del pending[seq]
         return outcomes

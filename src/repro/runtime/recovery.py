@@ -122,9 +122,8 @@ def _harvest_checkpoint(
     """Fold the completed-block frames salvaged from a failed attempt into
     the running checkpoint (frames are CRC-verified before acceptance).
 
-    On the shm transport the engine already rewrote any ``BLOCK_REF``
-    descriptors as inline frames before destroying the arena, so every
-    salvaged frame here carries its payload and outlives the attempt."""
+    Checkpoint frames carry their payload on every transport, so they
+    outlive the failed attempt's arena."""
     for res in exc.results.values():
         for frame in res.frames:
             try:
@@ -171,8 +170,7 @@ def run_with_recovery(
     Returns an :class:`MPRuntimeResult` whose ``failure_report`` is always
     populated. Raises only if ``fallback_sequential`` is disabled and
     every parallel attempt failed. Extra ``kwargs`` flow to
-    :func:`run_mp_fanout` (timeouts, poll interval, scheduling policy,
-    transport...). ``plan_cache`` memoizes owner plans across calls and
+    :func:`run_mp_fanout` (timeouts, scheduling policy, transport...). ``plan_cache`` memoizes owner plans across calls and
     restarts, keyed on ``(P, mapping, use_domains)`` — pass a dict owned
     by the caller (e.g. :class:`repro.solver.SparseCholesky`) so repeated
     ``factor()`` calls and same-P restarts skip re-planning.

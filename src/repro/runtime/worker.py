@@ -63,6 +63,11 @@ from repro.runtime.trace import TraceRecorder, WorkerTrace
 
 _KIND_NAMES = {BFAC: "BFAC", BDIV: "BDIV", BMOD: "BMOD"}
 
+#: Inbox wait per idle tick; bounds how late a worker notices a frame.
+POLL_S = 0.002
+#: Retransmits of one block to one requester before NACKs are ignored.
+RETRANSMIT_LIMIT = 5
+
 #: Solve-phase task kinds (worker-internal ids; see ``_solve_tid``).
 _FSOLVE, _FUPD, _BSOLVE, _BUPD = 0, 1, 2, 3
 _SOLVE_KIND_NAMES = {_FSOLVE: "FSOLVE", _FUPD: "FUPD",
@@ -91,11 +96,12 @@ class WorkerResult:
 class Worker:
     """One rank of the message-passing runtime.
 
-    Parameters mirror the shared plan built by the engine: the block
-    ``structure`` and input matrix ``A`` (to scatter initial block data —
-    the runtime's stand-in for the host distributing ``A``), the task graph
-    ``tg``, the block ``owners`` array, an optional per-task priority
-    array, and failure-injection / recovery / watchdog knobs.
+    Parameters mirror the job the pool shipped: the block ``structure``
+    and input matrix ``A`` (to scatter initial block data — the runtime's
+    stand-in for the host distributing ``A``), the task graph ``tg``, the
+    block ``owners`` array, an optional per-task priority array, the
+    pattern's attached ``arena`` (shm transport; None means inline), and
+    failure-injection / recovery / watchdog knobs.
     """
 
     def __init__(
@@ -109,7 +115,6 @@ class Worker:
         result_queue,
         priorities: np.ndarray | None = None,
         epoch: float = 0.0,
-        poll_s: float = 0.002,
         stall_timeout_s: float = 30.0,
         inject_failure: tuple[int, int] | None = None,
         record_timeline: bool = True,
@@ -121,11 +126,7 @@ class Worker:
         renegotiate_base_s: float = 0.2,
         renegotiate_cap_s: float = 2.0,
         max_renegotiations: int = 8,
-        retransmit_limit: int = 5,
-        transport: str = "inline",
-        arena_name: str | None = None,
         arena=None,
-        inline_gather: bool = False,
         schedule: str = "static",
         steal_seed: int = 0,
         rhs: np.ndarray | None = None,
@@ -139,7 +140,6 @@ class Worker:
         self.result_queue = result_queue
         self.priorities = priorities
         self.epoch = epoch
-        self.poll_s = poll_s
         self.stall_timeout_s = stall_timeout_s
         self.inject_failure = inject_failure
         self.op_fixed_cost = op_fixed_cost
@@ -149,17 +149,10 @@ class Worker:
         self.renegotiate_base_s = renegotiate_base_s
         self.renegotiate_cap_s = renegotiate_cap_s
         self.max_renegotiations = max_renegotiations
-        self.retransmit_limit = retransmit_limit
-        self.transport = transport
-        self.arena_name = arena_name
-        #: Pre-attached :class:`~repro.runtime.arena.BlockArena` shared by
-        #: the persistent pool (:mod:`repro.runtime.pool`); when given, the
-        #: worker uses it instead of attaching by name, and never closes it.
-        self.shared_arena = arena
-        #: Ship gather frames inline even on the shm transport. The pool
-        #: reuses arena slots across jobs, so the driver cannot defer the
-        #: gather copy until after the next job may have overwritten them.
-        self.inline_gather = inline_gather
+        #: The pattern's :class:`~repro.runtime.arena.BlockArena`, attached
+        #: (and later closed) by the resident process — the shm transport;
+        #: None runs the inline transport.
+        self.arena = arena
         #: ``"static"`` runs the owner-computes map as-is; ``"dynamic"``
         #: adds work stealing on top of it (see :mod:`docs/SCHEDULING.md`):
         #: an idle worker requests a task from a seeded-random busy peer,
@@ -216,15 +209,6 @@ class Worker:
         self.chol = BlockCholesky(self.structure, self.A)
         self.inbox = self.fabric.inbox(self.rank)
         self.links = self.fabric.outgoing(self.rank)
-        self.arena = self.shared_arena
-        if (
-            self.arena is None
-            and self.transport == "shm"
-            and self.arena_name is not None
-        ):
-            from repro.runtime.arena import BlockArena
-
-            self.arena = BlockArena.attach(tg, self.arena_name)
         self.injector = None
         if self.fault_plan is not None and self.fault_plan.active:
             self.injector = FaultInjector(self.fault_plan, self.rank)
@@ -456,7 +440,7 @@ class Worker:
         t0 = self._now()
         cat = "solve_idle" if self._phase == "solve" else "idle"
         try:
-            item = self.inbox.get(timeout=self.poll_s)
+            item = self.inbox.get(timeout=POLL_S)
         except queue_mod.Empty:
             t1 = self._now()
             self.timeline.add(cat, t0, t1)
@@ -653,7 +637,7 @@ class Worker:
         if requester not in self.links or b not in self.have:
             return
         key = (b, requester)
-        if self._resends.get(key, 0) >= self.retransmit_limit:
+        if self._resends.get(key, 0) >= RETRANSMIT_LIMIT:
             return
         self._resends[key] = self._resends.get(key, 0) + 1
         frame = self._frame_for(b)
@@ -1502,11 +1486,14 @@ class Worker:
     # ------------------------------------------------------------------
     # Shutdown
     # ------------------------------------------------------------------
+    # Frames bound for the driver carry their payload on every transport:
+    # arena slots are reused by the pattern's next job and the arena may
+    # be gone before a salvaged checkpoint is read.
+
     def _gather_frames(self) -> list[bytes]:
         """Frames for every block this worker owns (the result gather)."""
-        inline = self.inline_gather
         return [
-            self._frame_for(int(b), inline=inline)
+            self._frame_for(int(b), inline=True)
             for b in np.flatnonzero(self.owners == self.rank)
         ]
 
@@ -1516,7 +1503,7 @@ class Worker:
         workers."""
         if not hasattr(self, "chol"):
             return []
-        return [self._frame_for(b) for b in sorted(self.have)]
+        return [self._frame_for(b, inline=True) for b in sorted(self.have)]
 
     def _broadcast_abort(self) -> None:
         if self.trace is not None:
@@ -1556,8 +1543,3 @@ class Worker:
         if self.trace is not None:
             m.trace_events = len(self.trace.events)
             m.trace_dropped = self.trace.dropped
-
-
-def worker_main(rank: int, kwargs: dict) -> None:
-    """Process entry point (must be a module-level function for spawn)."""
-    Worker(rank, **kwargs).run()

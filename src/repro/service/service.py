@@ -32,7 +32,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.runtime.arena import BlockArena, resolve_transport
-from repro.runtime.engine import _assemble, _merge_trace
+from repro.runtime.engine import FanoutError, outcome_result, plan_owners
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.pool import PoolJob, WorkerPool
 from repro.runtime.recovery import (
@@ -41,6 +41,7 @@ from repro.runtime.recovery import (
     OUTCOME_RECOVERED,
     SEQUENTIAL_MAPPING,
 )
+from repro.runtime.trace import ring_capacity
 from repro.service.admission import JobQueue
 from repro.service.cache import PatternCache, PatternEntry, pattern_digest
 from repro.service.jobs import (
@@ -122,10 +123,8 @@ class FactorService:
         cache_capacity: int = 8,
         validate: bool = False,
         trace: bool | int | None = None,
-        start_method: str | None = None,
         stall_timeout_s: float = 30.0,
         batch_timeout_s: float = 300.0,
-        record_timeline: bool = False,
         default_deadline_s: float | None = None,
         max_job_attempts: int = 2,
         breaker_threshold: int = 3,
@@ -160,20 +159,8 @@ class FactorService:
         self.max_batch = max(1, int(max_batch))
         self.batch_wait_s = float(batch_wait_s)
         self.batch_timeout_s = float(batch_timeout_s)
-        if trace is None or trace is False:
-            self.trace_capacity = 0
-        elif trace is True:
-            from repro.runtime.trace import DEFAULT_CAPACITY
-
-            self.trace_capacity = DEFAULT_CAPACITY
-        else:
-            self.trace_capacity = int(trace)
-        self.pool = WorkerPool(
-            self.nprocs,
-            start_method=start_method,
-            stall_timeout_s=stall_timeout_s,
-            record_timeline=record_timeline,
-        )
+        self.trace_capacity = ring_capacity(trace)
+        self.pool = WorkerPool(self.nprocs, stall_timeout_s)
         self.cache = PatternCache(cache_capacity)
         self.queue = JobQueue(queue_capacity, admission)
         self.metrics = ServiceMetrics()
@@ -443,13 +430,9 @@ class FactorService:
                 outcomes = self.pool.run_batch(
                     [spec], timeout_s=self.batch_timeout_s
                 )
-            out = outcomes[seq]
-            if self.pool.last_error is not None:
-                self.metrics.count_pool_restart()
-                self.breaker.record_failure()
-                entry.resident_generation = -1
-            else:
-                self.breaker.record_success()
+                out = outcomes[seq]
+                if self._after_batch():
+                    entry.resident_generation = -1
             if out.expired:
                 record.status = "expired"
                 record.error = f"deadline of {deadline_s}s exceeded"
@@ -458,19 +441,17 @@ class FactorService:
                     f"solve {job_id!r} missed its {deadline_s}s deadline"
                 )
             if out.ok:
-                x_perm = self._assemble_solution(entry, pb, out)
-                if x_perm is not None:
+                record.run_s = out.wall_s
+                record.batch_size = 1
+                try:
+                    _, x_perm, metrics, trace = self._outcome_result(
+                        out, entry, record, rhs=pb
+                    )
                     outcome_tag = OUTCOME_CLEAN
-                    record.run_s = out.wall_s
-                    record.batch_size = 1
-                    metrics = self._job_metrics(entry, record, out)
-                    if self.trace_capacity:
-                        trace = _merge_trace(
-                            out.results, self.pool.nprocs,
-                            entry.mapping_name, self.pool.start_method,
-                            None, wall_s=out.wall_s,
-                            nrhs=int(pb.shape[1]),
-                        )
+                except FanoutError as exc:
+                    # A panel is missing: fall back rather than release
+                    # a wrong answer.
+                    record.error = str(exc)
             else:
                 record.error = out.error or "aborted"
         if x_perm is None:
@@ -513,21 +494,6 @@ class FactorService:
                 while len(self._completed_solves) > self._dedup_capacity:
                     self._completed_solves.popitem(last=False)
         return result
-
-    def _assemble_solution(self, entry, pb, outcome) -> np.ndarray | None:
-        """Stitch per-rank solution panels into the permuted solution;
-        None when any panel is missing (triggers the sequential
-        fallback rather than releasing a wrong answer)."""
-        ptr = np.asarray(entry.structure.partition.panel_ptr, dtype=np.int64)
-        x = np.empty_like(pb)
-        seen = 0
-        for res in outcome.results.values():
-            for k, panel in (res.solution or {}).items():
-                x[int(ptr[k]):int(ptr[k + 1])] = panel
-                seen += int(ptr[k + 1] - ptr[k])
-        if seen != pb.shape[0]:
-            return None
-        return x
 
     def stats(self) -> dict:
         """Service-level counters + aggregates (JSON-safe)."""
@@ -666,8 +632,9 @@ class FactorService:
             ):
                 self.pool.regrow()
             # Bounded parallel attempts: jobs that fail on a broken pool
-            # are re-dispatched (fresh seqs; contexts re-ship because the
-            # healed pool forgot them; owners re-planned for the crew).
+            # are re-dispatched on the crew ``_after_batch`` healed (fresh
+            # seqs; contexts re-ship because the new crew never saw them;
+            # owners re-planned for its width).
             pending = prepared
             attempt = 0
             while pending and attempt < self.max_job_attempts:
@@ -675,11 +642,7 @@ class FactorService:
                 outcomes = self.pool.run_batch(
                     specs, timeout_s=self.batch_timeout_s
                 )
-                if self.pool.last_error is not None:
-                    self.metrics.count_pool_restart()
-                    self.breaker.record_failure()
-                else:
-                    self.breaker.record_success()
+                self._after_batch()
                 attempt += 1
                 retry = []
                 for p in pending:
@@ -705,6 +668,22 @@ class FactorService:
         for p in pending:
             self._run_sequential(p)
         self._release_evictions()
+
+    def _after_batch(self) -> bool:
+        """Settle accounts with the pool after a ``run_batch`` (call with
+        ``_pool_lock`` held). The pool only reports breakage; the service
+        is the caller that wants a new crew, so it heals here — onto the
+        ``P - f`` survivors — and tells the breaker. Returns whether the
+        batch broke the pool."""
+        if self.pool.last_error is None:
+            self.breaker.record_success()
+            return False
+        # Heal first: the breaker's cooldown counts from when the new
+        # crew is up, not from when the old one broke.
+        self.pool.heal()
+        self.metrics.count_pool_restart()
+        self.breaker.record_failure()
+        return True
 
     def _make_specs(self, pending: list[_Prep], attempt: int) -> list[PoolJob]:
         """Pool specs for one parallel attempt (fresh seqs each time)."""
@@ -752,8 +731,6 @@ class FactorService:
         planned = entry.planned_nprocs or self.nprocs
         if planned == self.pool.nprocs:
             return
-        from repro.runtime.engine import plan_owners
-
         entry.owners, entry.mapping_name = plan_owners(
             entry.tg.workmodel, entry.tg, self.pool.nprocs,
             self.mapping, self.use_domains,
@@ -894,7 +871,6 @@ class FactorService:
         pattern."""
         from repro.blocks import BlockStructure, WorkModel, make_partition
         from repro.fanout import TaskGraph
-        from repro.runtime.engine import plan_owners
         from repro.solver import SparseCholesky
         from repro.symbolic import symbolic_factor
 
@@ -982,8 +958,8 @@ class FactorService:
         record.run_s = outcome.wall_s
         t0 = time.monotonic()
         try:
-            factor = _assemble(
-                entry.structure, entry.empty, entry.tg, outcome.results
+            factor, _, metrics, trace = self._outcome_result(
+                outcome, entry, record, A=entry.empty
             )
             L = factor.to_csc()
             if self.validate:
@@ -1000,13 +976,6 @@ class FactorService:
         # job keep their blocks resident for warm distributed solves.
         entry.last_factor = factor
         entry.resident_generation = self.pool.generation
-        metrics = self._job_metrics(entry, record, outcome)
-        trace = None
-        if self.trace_capacity:
-            trace = _merge_trace(
-                outcome.results, self.nprocs, entry.mapping_name,
-                self.pool.start_method, None, wall_s=outcome.wall_s,
-            )
         result = JobResult(
             job_id=queued.job.job_id,
             pattern_id=entry.pattern_id,
@@ -1046,17 +1015,15 @@ class FactorService:
                 "baseline",
             )
 
-    def _job_metrics(self, entry, record, outcome) -> RuntimeMetrics:
-        metrics = RuntimeMetrics(
-            nprocs=self.nprocs,
-            wall_s=outcome.wall_s,
-            workers=[
-                res.metrics for res in outcome.results.values()
-            ],
+    def _outcome_result(self, outcome, entry, record, A=None, rhs=None):
+        """:func:`~repro.runtime.engine.outcome_result` for a job of
+        ``entry``'s pattern, with the service context on the metrics."""
+        factor, solution, metrics, trace = outcome_result(
+            outcome, entry.structure, entry.tg, A, rhs,
             mapping=entry.mapping_name,
-            problem=entry.pattern_id,
             transport="shm" if entry.arena is not None else "inline",
             schedule=entry.schedule,
+            problem=entry.pattern_id,
         )
         metrics.extra["service"] = {
             "job_id": record.job_id,
@@ -1064,7 +1031,7 @@ class FactorService:
             "batch_size": record.batch_size,
             "queue_wait_s": record.queue_wait_s,
         }
-        return metrics
+        return factor, solution, metrics, trace
 
     def _finish_failed(self, queued, exc, record) -> None:
         self.metrics.add(record)

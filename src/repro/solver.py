@@ -32,7 +32,7 @@ from repro.blocks import BlockStructure, WorkModel, make_partition
 from repro.fanout import TaskGraph, assign_domains, block_owners, run_fanout
 from repro.graph.adjacency import AdjacencyGraph
 from repro.machine.params import PARAGON, MachineParams
-from repro.mapping import best_grid, cyclic_map, heuristic_map, square_grid
+from repro.mapping import named_map
 from repro.mapping.balance import overall_balance_from_owners
 from repro.numeric import BlockCholesky, solve_with_factor
 from repro.ordering import minimum_degree, nested_dissection
@@ -279,6 +279,26 @@ class SparseCholesky:
             )
         return self._plan_cache[key]
 
+    def _run_mp(self, rhs: np.ndarray | None = None):
+        """One launch of the ``"mp"`` runtime under this instance's knobs
+        (``rhs``, already permuted, appends the distributed solve)."""
+        from repro.runtime import run_mp_fanout
+
+        owners, name = self._plan(self.nprocs)
+        return run_mp_fanout(
+            self.structure,
+            self.symbolic.A,
+            self.taskgraph,
+            owners,
+            self.nprocs,
+            mapping=name,
+            trace=self.trace,
+            transport=self.transport,
+            schedule=self.schedule,
+            steal_seed=self.steal_seed,
+            rhs=rhs,
+        )
+
     def factor(self) -> "SparseCholesky":
         """Numerically factor with the configured backend; returns self."""
         if self.backend == "service":
@@ -317,21 +337,7 @@ class SparseCholesky:
                 )
                 self.failure_report = result.failure_report
             else:
-                from repro.runtime import run_mp_fanout
-
-                owners, name = self._plan(self.nprocs)
-                result = run_mp_fanout(
-                    self.structure,
-                    self.symbolic.A,
-                    self.taskgraph,
-                    owners,
-                    self.nprocs,
-                    mapping=name,
-                    trace=self.trace,
-                    transport=self.transport,
-                    schedule=self.schedule,
-                    steal_seed=self.steal_seed,
-                )
+                result = self._run_mp()
             self._numeric = result.factor
             self.runtime_metrics = result.metrics
             self.run_trace = result.trace
@@ -446,24 +452,9 @@ class SparseCholesky:
         launch (used when :meth:`solve` is called before :meth:`factor`):
         the factor stays distributed and only RHS fragments travel."""
         from repro.numeric.solve import _resolve_perm
-        from repro.runtime import run_mp_fanout
 
-        owners, name = self._plan(self.nprocs)
         perm = _resolve_perm(self.symbolic.ordering)
-        pb = b if perm is None else b[perm]
-        result = run_mp_fanout(
-            self.structure,
-            self.symbolic.A,
-            self.taskgraph,
-            owners,
-            self.nprocs,
-            mapping=name,
-            trace=self.trace,
-            transport=self.transport,
-            schedule=self.schedule,
-            steal_seed=self.steal_seed,
-            rhs=pb,
-        )
+        result = self._run_mp(rhs=b if perm is None else b[perm])
         self._numeric = result.factor
         self.runtime_metrics = result.metrics
         self.run_trace = result.trace
@@ -504,16 +495,9 @@ class SparseCholesky:
 
         ``mapping`` is ``"cyclic"`` or a ``"<row>/<col>"`` heuristic pair.
         """
-        try:
-            grid = square_grid(P)
-        except ValueError:
-            grid = best_grid(P)
         wm = self.workmodel
-        if mapping == "cyclic":
-            cmap = cyclic_map(self.partition.npanels, grid)
-        else:
-            rh, _, ch = mapping.partition("/")
-            cmap = heuristic_map(wm, grid, rh.upper(), (ch or "CY").upper())
+        cmap = named_map(wm, P, mapping)
+        grid = cmap.grid
         domains = assign_domains(wm, grid.P) if use_domains else None
         owners = block_owners(self.taskgraph, cmap, domains)
         res = run_fanout(

@@ -2,14 +2,47 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import glob
+import multiprocessing as mp
+import os
+
+# One BLAS thread per process, set before numpy loads its BLAS: the mp
+# suites run P workers on a 2-CPU box, and P multithreaded BLAS pools
+# spinning on 2 cores slow every tile kernel 20-40x, which is what makes
+# the timing-sensitive recovery tests flaky. Workers inherit the setting.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from repro.blocks import BlockPartition, BlockStructure, WorkModel
 from repro.fanout import TaskGraph
 from repro.matrices import grid2d_matrix, random_spd_sparse
 from repro.ordering import order_problem
 from repro.symbolic import symbolic_factor
+
+#: Suites that create worker processes and shared-memory arenas.
+_PROCESS_SUITES = ("test_runtime_", "test_service")
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers_or_shm(request):
+    """After every runtime/service test — passed or failed, returned or
+    raised — no child process is alive and no ``/dev/shm/psm_*`` segment
+    is left behind."""
+    module = request.module.__name__.rpartition(".")[2]
+    if not module.startswith(_PROCESS_SUITES):
+        yield
+        return
+    before = set(glob.glob("/dev/shm/psm_*"))
+    yield
+    for p in mp.active_children():
+        p.join(timeout=5)
+    orphans = [p.name for p in mp.active_children() if p.is_alive()]
+    assert not orphans, f"orphan worker processes: {orphans}"
+    leaked = sorted(set(glob.glob("/dev/shm/psm_*")) - before)
+    assert not leaked, f"leaked shared-memory segments: {leaked}"
 
 
 @pytest.fixture(scope="session")

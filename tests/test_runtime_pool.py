@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from repro.analysis.trace_replay import validate_trace
 from repro.numeric import BlockCholesky
 from repro.ordering import permute_spd
 from repro.runtime import (
@@ -13,10 +14,12 @@ from repro.runtime import (
     PoolJob,
     WorkerPool,
     plan_owners,
+    run_mp_fanout,
     shm_available,
 )
 from repro.runtime.arena import BlockArena
-from repro.runtime.engine import _assemble
+from repro.runtime.engine import _assemble, outcome_result
+from repro.runtime.faults import CrashSpec, FaultPlan
 
 
 @pytest.fixture(scope="module")
@@ -266,3 +269,97 @@ class TestWarmEqualsCold:
         assert np.array_equal(warm.indptr, cold.indptr)
         assert np.array_equal(warm.indices, cold.indices)
         assert np.array_equal(warm.data, cold.data)
+
+
+class TestBrokenBatch:
+    def test_run_batch_reports_and_leaves_healing_to_the_caller(
+        self, pool_problem
+    ):
+        """A hard-killed rank: the batch's jobs come back failed, the
+        pool says why and who, and no process is started behind the
+        caller's back — the crew changes only when the caller heals."""
+        p = pool_problem
+        kill = FaultPlan(seed=0, crash=(CrashSpec(1, 1, hard=True),))
+        pool = WorkerPool(nprocs=2).start()
+        try:
+            crew = list(pool._procs)
+            out = pool.run_batch([
+                PoolJob(seq=0, pattern_id="g", values=p["A_perm"].data,
+                        context=_context(p, "g"), fault_plan=kill),
+                PoolJob(seq=1, pattern_id="g", values=p["A2_perm"].data),
+            ], timeout_s=60)
+            assert not out[0].ok and not out[1].ok
+            assert "died" in pool.last_error
+            assert out[0].failed_ranks == [1]
+            assert out[1].failed_ranks == [1]
+            assert pool.dead_ranks() == [1]
+            assert pool._procs == crew
+            assert (pool.generation, pool.nprocs) == (1, 2)
+
+            pool.heal()
+            assert (pool.generation, pool.nprocs) == (2, 1)
+            assert pool.alive and not pool.seen_patterns
+            solo = _context(p, "g")
+            solo.owners = np.zeros_like(p["owners"])
+            out = pool.run_batch([
+                PoolJob(seq=2, pattern_id="g", values=p["A_perm"].data,
+                        context=solo),
+            ], timeout_s=60)
+            assert pool.last_error is None
+            assert _bitwise(_factor_of(p, out[2]), p["L1"])
+        finally:
+            pool.close()
+
+
+class TestOneShotIsAOneJobPool:
+    """``run_mp_fanout`` is a pool that lives for one job: the same job
+    through a caller-held pool is the same run."""
+
+    @pytest.mark.parametrize("with_rhs", [False, True])
+    @pytest.mark.parametrize("transport", ["inline", "shm"])
+    def test_same_factor_traffic_and_trace(
+        self, pool_problem, transport, with_rhs
+    ):
+        if transport == "shm" and not shm_available():
+            pytest.skip("no POSIX shared memory")
+        p = pool_problem
+        bs, tg, owners, A = p["structure"], p["tg"], p["owners"], p["A_perm"]
+        rhs = None
+        if with_rhs:
+            rhs = np.random.default_rng(5).standard_normal((A.shape[0], 2))
+        one = run_mp_fanout(
+            bs, A, tg, owners, 2, mapping="DW/CY", trace=True,
+            transport=transport, rhs=rhs,
+        )
+
+        arena = BlockArena.create(tg) if transport == "shm" else None
+        try:
+            with WorkerPool(nprocs=2) as pool:
+                out = pool.run_batch([PoolJob(
+                    seq=0, pattern_id="g", values=A.data,
+                    context=_context(
+                        p, "g", None if arena is None else arena.name
+                    ),
+                    trace_capacity=1 << 16, rhs=rhs,
+                )], timeout_s=120)[0]
+            assert out.ok, out.error
+            factor, solution, metrics, trace = outcome_result(
+                out, bs, tg, A, rhs, mapping="DW/CY", transport=transport,
+            )
+        finally:
+            if arena is not None:
+                arena.destroy()
+
+        assert _bitwise(factor.to_csc(), one.to_csc())
+        assert _bitwise(factor.to_csc(), p["L1"])
+        if with_rhs:
+            assert np.array_equal(solution, one.solution)
+        for total in ("messages_total", "bytes_total", "wire_bytes_total"):
+            assert getattr(metrics, total) == getattr(one.metrics, total)
+        for run_trace, run_metrics in (
+            (one.trace, one.metrics), (trace, metrics)
+        ):
+            validate_trace(
+                run_trace, metrics=run_metrics, tg=tg, owners=owners,
+                strict=True,
+            )

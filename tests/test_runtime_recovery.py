@@ -203,6 +203,35 @@ class TestCrashRestart:
         assert payload["attempts"][0]["failed_ranks"] == [1]
 
 
+class TestFailureAttribution:
+    """Only the rank that crashed is failed. Its peer merely stopped, so
+    the restart runs on P - 1 workers and keeps the peer's checkpoint —
+    every time, however the survivor's teardown races the crash."""
+
+    @pytest.mark.parametrize("scenario", ["crash", "crash-hard"])
+    def test_peer_of_a_crashed_rank_is_never_failed(
+        self, grid12_pipeline, scenario
+    ):
+        _, sf, _, bs, wm, tg = grid12_pipeline
+        owners, name = plan_owners(wm, tg, 2, "DW/CY")
+        plan = FaultPlan.scenario(scenario, seed=0)
+        for _ in range(20):
+            with pytest.raises(FanoutError) as info:
+                run_mp_fanout(
+                    bs, sf.A, tg, owners, 2, mapping=name,
+                    fault_plan=plan, recovery=True, **FAST,
+                )
+            exc = info.value
+            assert exc.failed_ranks == [1]
+            # The survivor reports home as aborted, not as a casualty. (A
+            # hard kill can take the survivor's inbox lock to the grave;
+            # it then never reports, and is still not a casualty.)
+            if scenario == "crash" or 0 in exc.results:
+                assert exc.results[0].metrics.aborted
+                assert exc.results[0].metrics.error is None
+        assert _no_orphans()
+
+
 class TestInRunRecovery:
     def test_duplicates_are_suppressed_idempotently(self, grid12_pipeline):
         _, sf, _, bs, _, tg = grid12_pipeline
