@@ -244,7 +244,6 @@ def run_mp_fanout(
                 indices=A.indices,
                 shape=A.shape,
                 arena_name=None if arena is None else arena.name,
-                op_fixed_cost=getattr(tg.workmodel, "op_fixed_cost", 1000),
                 schedule=schedule,
                 steal_seed=steal_seed,
             ),

@@ -67,7 +67,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from repro.runtime import wire
 from repro.runtime.links import Link, LinkFabric
@@ -113,7 +112,6 @@ class PatternContext:
     indices: np.ndarray
     shape: tuple
     arena_name: str | None = None
-    op_fixed_cost: int = 1000
     #: Execution discipline for the pattern's jobs: ``"static"`` or
     #: ``"dynamic"`` (work stealing; see :mod:`repro.runtime.worker`).
     schedule: str = "static"
@@ -384,7 +382,7 @@ class _PoolWorker:
         results = _TaggedQueue(self.result_queue, job.seq)
         try:
             if job.kind == "solve":
-                worker = self._resident_worker(job)
+                worker = self._resident_worker(job, fabric, results)
             else:
                 worker = self._factor_worker(job, epoch, fabric, results)
             if job.wait_for is not None:
@@ -392,17 +390,8 @@ class _PoolWorker:
         except RuntimeError:
             self._report_error(job.seq, traceback.format_exc())
             return
-        if job.kind == "solve":
-            # Warm solve: only the RHS panel travelled in the job; the
-            # factor blocks are already in this process (arena slots on
-            # shm, local arrays inline).
-            worker.run_solve(
-                job.rhs, fabric, results,
-                trace_capacity=job.trace_capacity,
-                fault_plan=job.fault_plan,
-            )
-        else:
-            worker.run()
+        worker.run()
+        if job.kind == "factor":
             # Retain the factored worker for warm solve jobs; a failed or
             # aborted factor invalidates any previous resident factor too.
             if worker.metrics.error is None and not worker.metrics.aborted:
@@ -418,7 +407,11 @@ class _PoolWorker:
         if job.announce:
             self._announce(job.seq)
 
-    def _resident_worker(self, job: PoolJob) -> Worker:
+    def _resident_worker(self, job: PoolJob, fabric, results) -> Worker:
+        """The pattern's retained, already-factored worker, re-armed for
+        a warm solve: only the RHS panel travelled in the job; the factor
+        blocks are already in this process (arena slots on shm, local
+        arrays inline) and ship zero bytes."""
         worker = self.resident.get(job.pattern_id)
         if worker is None:
             raise RuntimeError(
@@ -426,6 +419,7 @@ class _PoolWorker:
                 f"{job.pattern_id!r} (factor before solving, and note "
                 f"restarts clear residency)"
             )
+        worker.arm(job, fabric, results)
         return worker
 
     def _factor_worker(self, job: PoolJob, epoch, fabric, results) -> Worker:
@@ -438,35 +432,9 @@ class _PoolWorker:
                 f"{job.pattern_id!r} (pool protocol breach)"
             )
         context, arena = entry
-        A = sparse.csc_matrix(
-            (job.values, context.indices, context.indptr),
-            shape=tuple(context.shape),
-        )
         return Worker(
-            self.rank,
-            structure=context.structure,
-            A=A,
-            tg=context.tg,
-            owners=context.owners,
-            fabric=fabric,
-            result_queue=results,
-            priorities=context.priorities,
-            epoch=epoch,
-            stall_timeout_s=self.stall_timeout_s,
-            inject_failure=job.inject_failure,
-            record_timeline=self.record_timeline,
-            trace_capacity=job.trace_capacity,
-            op_fixed_cost=context.op_fixed_cost,
-            fault_plan=job.fault_plan,
-            recovery=job.recovery,
-            checkpoint=job.checkpoint,
-            renegotiate_base_s=job.renegotiate_base_s,
-            renegotiate_cap_s=job.renegotiate_cap_s,
-            max_renegotiations=job.max_renegotiations,
-            arena=arena,
-            schedule=context.schedule,
-            steal_seed=context.steal_seed,
-            rhs=job.rhs,
+            self.rank, context, job, arena, fabric, results,
+            epoch, self.stall_timeout_s, self.record_timeline,
         )
 
     def _announce(self, seq: int) -> None:

@@ -1,37 +1,32 @@
-"""The worker event loop: §2.3's fan-out protocol over real processes.
+"""The worker: §2.3's fan-out protocol as one event loop over real processes.
 
 Each worker owns the blocks a :class:`~repro.mapping.base.BlockMap` (via
 ``block_owners``) assigned to it and executes every block operation whose
-destination it owns. Completions trigger real messages:
+destination it owns. A processor does one thing — take a ready block
+operation or an arrived block, run it, fan the result out — and
+:class:`Worker` writes that loop once:
 
-* BFAC(K,K)  -> send ``L_KK`` to every remote worker owning a subdiagonal
-  block of panel K (they need it for BDIV);
-* BDIV(I,K)  -> send ``L_IK`` to every remote worker owning a destination
-  of one of its BMODs;
-* a BMOD becomes ready when both source blocks are present; BFAC/BDIV when
-  the destination has absorbed all its BMODs (BDIV also after the diagonal
-  arrives) — identical bookkeeping to the discrete-event simulator, so the
-  same mapping yields the same message set, now with real wall-clock time.
+* :meth:`Worker.arm` wires a rank to one job — a factor job or a warm
+  solve on a retained worker — and starts its wire-kind → handler table;
+* :meth:`Worker.receive` is the one receive prologue (decode, CRC check,
+  ``BLOCK_REF`` → arena view, reject / NACK), then a lookup in that table;
+* ``_pump`` runs every phase of a job (factor, the DONE linger, solve —
+  see :meth:`Worker.phases`) on the non-blocking :meth:`Worker.step`:
+  drain the inbox, run one ready task, else the phase's idle hook; then
+  wait ``POLL_S`` for a frame, then check for a stall;
+* ``_account`` is the post-task step every executed task passes through,
+  ``_span`` the only timeline / trace-span emitter, ``_block`` / ``_store``
+  the block accessor pair, and :meth:`Worker.run` ends in the one ship-home
+  epilogue: one :class:`WorkerResult`, after an ABORT broadcast on error so
+  peers exit promptly instead of deadlocking.
 
-A worker terminates when it has executed all its tasks; it then ships its
-factored blocks and metrics home on the result queue. On error it
-broadcasts ABORT frames so peers exit promptly instead of deadlocking.
-
-Fault tolerance (``recovery=True``, see :mod:`repro.runtime.faults` and
-:mod:`repro.runtime.recovery`):
-
-* every incoming frame is CRC-checked; corrupt frames are rejected and the
-  presumed sender NACKed for a retransmit;
-* duplicate block frames are suppressed idempotently (a block is applied
-  exactly once, no matter how often it arrives);
-* a worker that stops receiving messages it still needs *renegotiates*:
-  it NACKs the owners of its missing blocks under bounded exponential
-  backoff before giving up;
-* after finishing its own tasks a worker broadcasts DONE and lingers to
-  serve retransmit requests until every peer is done — so late NACKs
-  always find a living sender;
-* on abort/error the worker ships every completed block it holds as a
-  checkpoint, which the driver feeds to the restarted run.
+State and handlers are grouped by *plane* — factor, integrity (the
+``recovery`` protocol), steal (the dynamic schedule), solve — each
+registering its wire kinds when armed; the sections below describe their
+protocols, ``docs/ARCHITECTURE.md`` tabulates *wire kind → plane →
+handler → what it may unblock*. Because ``step`` never blocks, tests drive
+several ranks in one thread over an in-memory fabric (``LinkFabric(P,
+queue)``) and reach every handler without a process.
 """
 
 from __future__ import annotations
@@ -42,8 +37,10 @@ import random
 import time
 import traceback
 from dataclasses import dataclass
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 from repro.numeric.blockfact import BlockCholesky
 from repro.numeric.solve import (
@@ -55,23 +52,20 @@ from repro.numeric.solve import (
 )
 from repro.fanout.tasks import BDIV, BFAC, BMOD
 from repro.runtime import wire
-from repro.runtime.faults import FaultInjector, FaultPlan
+from repro.runtime.faults import FaultInjector
 from repro.runtime.metrics import TimelineRecorder, WorkerMetrics
 from repro.runtime.scheduler import ReadyScheduler
-from repro.runtime.solve_plan import SolvePlan
+from repro.runtime.solve_plan import (
+    BSOLVE, BUPD, FSOLVE, FUPD, SOLVE_KIND_NAMES, SolvePlan,
+)
 from repro.runtime.trace import TraceRecorder, WorkerTrace
 
-_KIND_NAMES = {BFAC: "BFAC", BDIV: "BDIV", BMOD: "BMOD"}
+_KIND_NAMES = ("BFAC", "BDIV", "BMOD")
 
 #: Inbox wait per idle tick; bounds how late a worker notices a frame.
 POLL_S = 0.002
 #: Retransmits of one block to one requester before NACKs are ignored.
 RETRANSMIT_LIMIT = 5
-
-#: Solve-phase task kinds (worker-internal ids; see ``_solve_tid``).
-_FSOLVE, _FUPD, _BSOLVE, _BUPD = 0, 1, 2, 3
-_SOLVE_KIND_NAMES = {_FSOLVE: "FSOLVE", _FUPD: "FUPD",
-                     _BSOLVE: "BSOLVE", _BUPD: "BUPD"}
 
 
 class _Abort(Exception):
@@ -93,159 +87,406 @@ class WorkerResult:
     solution: dict[int, np.ndarray] | None = None
 
 
+class Phase(NamedTuple):
+    """What one run of the pump needs to know: ``left()`` is falsy once
+    the phase is over, else how much of ``what`` is outstanding (the stall
+    error quotes both); ``ready`` / ``run`` are its task queue and runner;
+    ``idle()`` is a non-blocking hook for a step that moved nothing,
+    ``waiting(now, last_progress)`` one for a wait that brought nothing."""
+
+    what: str
+    left: Callable[[], object]
+    ready: object = ()
+    run: Callable[[int], None] | None = None
+    idle: Callable[[], None] | None = None
+    waiting: Callable[[float, float], None] | None = None
+    idle_cat: str = "idle"
+
+
 class Worker:
     """One rank of the message-passing runtime.
 
-    Parameters mirror the job the pool shipped: the block ``structure``
-    and input matrix ``A`` (to scatter initial block data — the runtime's
-    stand-in for the host distributing ``A``), the task graph ``tg``, the
-    block ``owners`` array, an optional per-task priority array, the
-    pattern's attached ``arena`` (shm transport; None means inline), and
-    failure-injection / recovery / watchdog knobs.
+    Takes the job as the pool shipped it: the pattern's
+    :class:`~repro.runtime.pool.PatternContext` (block structure, task
+    graph, owners, priorities, schedule, and the permuted matrix's index
+    arrays — scattering ``job.values`` into initial block data is the
+    runtime's stand-in for the host distributing ``A``), the
+    :class:`~repro.runtime.pool.PoolJob` (values, rhs, and the fault /
+    recovery / checkpoint / trace knobs) and the pattern's attached
+    ``arena`` (shm transport; None means inline).
     """
 
-    def __init__(
-        self,
-        rank: int,
-        structure,
-        A,
-        tg,
-        owners: np.ndarray,
-        fabric,
-        result_queue,
-        priorities: np.ndarray | None = None,
-        epoch: float = 0.0,
-        stall_timeout_s: float = 30.0,
-        inject_failure: tuple[int, int] | None = None,
-        record_timeline: bool = True,
-        trace_capacity: int = 0,
-        op_fixed_cost: int = 1000,
-        fault_plan: FaultPlan | None = None,
-        recovery: bool = False,
-        checkpoint: dict[int, bytes] | None = None,
-        renegotiate_base_s: float = 0.2,
-        renegotiate_cap_s: float = 2.0,
-        max_renegotiations: int = 8,
-        arena=None,
-        schedule: str = "static",
-        steal_seed: int = 0,
-        rhs: np.ndarray | None = None,
-    ):
+    def __init__(self, rank: int, context, job, arena, fabric, result_queue,
+                 epoch: float = 0.0, stall_timeout_s: float = 30.0,
+                 record_timeline: bool = True):
         self.rank = rank
-        self.structure = structure
-        self.A = A
-        self.tg = tg
-        self.owners = np.asarray(owners)
-        self.fabric = fabric
-        self.result_queue = result_queue
-        self.priorities = priorities
+        self.context = context
+        self.tg = context.tg
+        self.owners = np.asarray(context.owners)
+        self.arena = arena
         self.epoch = epoch
         self.stall_timeout_s = stall_timeout_s
-        self.inject_failure = inject_failure
-        self.op_fixed_cost = op_fixed_cost
-        self.fault_plan = fault_plan
-        self.recovery = recovery
-        self.checkpoint = checkpoint or {}
-        self.renegotiate_base_s = renegotiate_base_s
-        self.renegotiate_cap_s = renegotiate_cap_s
-        self.max_renegotiations = max_renegotiations
-        #: The pattern's :class:`~repro.runtime.arena.BlockArena`, attached
-        #: (and later closed) by the resident process — the shm transport;
-        #: None runs the inline transport.
-        self.arena = arena
-        #: ``"static"`` runs the owner-computes map as-is; ``"dynamic"``
-        #: adds work stealing on top of it (see :mod:`docs/SCHEDULING.md`):
-        #: an idle worker requests a task from a seeded-random busy peer,
-        #: executes it against the shipped destination state, and returns
-        #: the result — ownership of the *update* migrates, never the block.
-        self.schedule = schedule
-        self.steal_seed = steal_seed
-        #: Right-hand side panel stack (already permuted, full ``n x nrhs``
-        #: float64). When given, the worker runs the distributed triangular
-        #: solve after the factor phase and ships its owned solution panels
-        #: home in :attr:`WorkerResult.solution`.
-        self.rhs = None if rhs is None else np.ascontiguousarray(
-            rhs, dtype=np.float64
-        )
         self.record_timeline = record_timeline
-        self.metrics = WorkerMetrics(rank=rank)
-        self.timeline = TimelineRecorder(enabled=record_timeline)
-        #: Structured event recorder, or None (tracing off — the hot path
-        #: then pays one identity check per event site, no allocation).
-        self.trace = TraceRecorder(trace_capacity) if trace_capacity else None
+        #: ``"dynamic"`` adds work stealing on top of the owner-computes
+        #: map (see ``docs/SCHEDULING.md``).
+        self.dynamic = context.schedule == "dynamic" and fabric.nprocs > 1
+        #: Blocks whose final factored value is present locally (owned
+        #: completions, received frames, checkpoint preloads). Drives both
+        #: duplicate suppression and the abort-time checkpoint.
+        self.have: set[int] = set()
+        #: The wire-kind → handler table: each plane registers its kinds
+        #: as it is armed; a job that arms no solve refuses solve frames.
+        self.handlers: dict[int, Callable] = {}
+        self.arm(job, fabric, result_queue)
 
-    # ------------------------------------------------------------------
-    def run(self) -> None:
-        """Execute the event loop and ship the result; never raises."""
-        solution = None
-        try:
-            self._setup()
-            self._loop()
-            self._linger()
-            if self.rhs is not None:
-                self._solve_loop()
-                solution = self._solution_panels
-            frames = self._gather_frames()
-        except _Abort:
-            self.metrics.aborted = True
-            frames = self._checkpoint_frames() if self.recovery else []
-        except BaseException:  # noqa: BLE001 - reported to the driver
-            self.metrics.error = traceback.format_exc()
-            frames = self._checkpoint_frames() if self.recovery else []
-            self._broadcast_abort()
-        self._finalize()
-        trace = None if self.trace is None else self.trace.snapshot(self.rank)
-        self.result_queue.put(
-            WorkerResult(self.rank, self.metrics, frames, trace, solution)
-        )
-        if self.metrics.error is not None or self.metrics.aborted:
-            # Don't hang at exit flushing frames to peers that may be gone.
-            for link in getattr(self, "links", {}).values():
-                link.queue.cancel_join_thread()
-
-    # ------------------------------------------------------------------
-    def _setup(self) -> None:
-        tg = self.tg
-        self.chol = BlockCholesky(self.structure, self.A)
-        self.inbox = self.fabric.inbox(self.rank)
-        self.links = self.fabric.outgoing(self.rank)
+    def arm(self, job, fabric, result_queue) -> None:
+        """Wire this rank to one job: fabric, links, inbox, fault injector,
+        fresh metrics and recorders, fresh integrity state. The one routine
+        behind a factor job (from the constructor) and a warm solve on a
+        retained, already-factored worker (the pool calls it, then run)."""
+        self.job = job
+        self.recovery = job.recovery
+        self.result_queue = result_queue
+        self.inbox = fabric.inbox(self.rank)
+        self.links = fabric.outgoing(self.rank)
+        plan = job.fault_plan
         self.injector = None
-        if self.fault_plan is not None and self.fault_plan.active:
-            self.injector = FaultInjector(self.fault_plan, self.rank)
+        if plan is not None and plan.active:
+            self.injector = FaultInjector(plan, self.rank)
             self.links = self.injector.wrap_links(self.links)
         if self.arena is not None:
             # Descriptors are cheap and uniform — batch them per link and
             # ship one queue put per drain instead of one per block.
             for link in self.links.values():
                 link.coalesce = True
-        self._crash_after, self._crash_hard = self._crash_config()
-        self._slow_s = (
-            self.fault_plan.slow_for(self.rank) if self.fault_plan else 0.0
+        spec = plan.crash_for(self.rank) if plan is not None else None
+        self._crash_after, self._crash_hard = None, False
+        hook = job.inject_failure
+        if hook is not None and hook[0] == self.rank:
+            self._crash_after = int(hook[1])
+        elif spec is not None:
+            self._crash_after = int(spec.after_tasks)
+            self._crash_hard = bool(spec.hard)
+        self._slow_s = plan.slow_for(self.rank) if plan is not None else 0.0
+        self.metrics = WorkerMetrics(rank=self.rank)
+        self.timeline = TimelineRecorder(enabled=self.record_timeline)
+        cap = job.trace_capacity
+        #: Structured event recorder, or None (tracing off — the hot path
+        #: then pays one identity check per event site, no allocation).
+        self.trace = TraceRecorder(cap) if cap else None
+        #: Solve-phase task counter (stays 0 on a job without an rhs).
+        self.solve_executed = 0
+        self.handlers.update(dict.fromkeys(wire.SOLVE_KINDS, self._no_rhs))
+        self._arm_integrity()
+
+    # ------------------------------------------------------------------
+    # The job: set up, pump the phases, ship home
+    # ------------------------------------------------------------------
+    def run(self) -> None:
+        """Run the armed job and ship the one result home; never raises."""
+        m = self.metrics
+        factor = self.job.kind == "factor"
+        frames: list[bytes] = []
+        solution = None
+        try:
+            self._setup(factor)
+            for phase in self.phases():
+                self._pump(phase)
+            if factor:
+                frames = self._frames(np.flatnonzero(self.owners == self.rank))
+            if self.job.rhs is not None:
+                solution = self._solution_panels
+        except _Abort:
+            m.aborted = True
+        except BaseException:  # noqa: BLE001 - reported to the driver
+            m.error = traceback.format_exc()
+            self._broadcast_abort()
+        failed = m.aborted or m.error is not None
+        if failed and factor and self.recovery:
+            # The snapshot a restarted attempt resumes from: every
+            # *completed* block held locally.
+            frames = self._frames(sorted(self.have))
+        self._finalize()
+        trace = None if self.trace is None else self.trace.snapshot(self.rank)
+        self.result_queue.put(
+            WorkerResult(self.rank, m, frames, trace, solution)
         )
+        if failed:
+            # Don't hang at exit flushing frames to peers that may be gone.
+            for link in self.links.values():
+                link.queue.cancel_join_thread()
+
+    def _setup(self, factor: bool) -> None:
+        """Arm the planes of this job. A factor job scatters ``A`` and
+        starts factor and steal state afresh; a warm solve keeps the
+        resident factor and arms only a new solve plane."""
+        ctx, job = self.context, self.job
+        if factor:
+            A = sparse.csc_matrix(
+                (job.values, ctx.indices, ctx.indptr), shape=tuple(ctx.shape)
+            )
+            self.chol = BlockCholesky(ctx.structure, A)
+            # Checkpointed blocks are final: skip every task that writes
+            # them, then preload their values.
+            done = [
+                int(b) for b in self.checkpoint
+                if 0 <= int(b) < self.tg.nblocks
+            ]
+            self._arm_factor(done)
+            self._arm_steal()
+            self._load_checkpoint(done)
+            if self.recovery:
+                self.expected = self._expected_blocks()
+        # Armed during factor setup because solve frames may arrive while
+        # this rank is still factoring (a fast peer enters its solve
+        # phase as soon as its own factor tasks are done).
+        if job.rhs is not None:
+            self._arm_solve(job.rhs)
+
+    def phases(self) -> Iterator[Phase]:
+        """The armed job's phases, in order. Advancing the generator
+        *enters* the next phase (the linger broadcasts DONE first)."""
+        if self.job.kind == "factor":
+            yield Phase(
+                "owned tasks to run", lambda: self.n_owned - self.executed,
+                self.scheduler, self._execute,
+                idle=self._request_steal if self.dynamic else None,
+                waiting=self._renegotiate if self.recovery else None,
+            )
+            if (self.recovery or self.dynamic) and self.links:
+                self._announce_done()
+                yield Phase("peers not DONE",
+                            lambda: set(self.links) - self.done_peers)
+        if self.job.rhs is not None:
+            yield Phase(
+                "solve tasks to run",
+                lambda: self.n_solve_owned - self.solve_executed,
+                self.solve_scheduler, self._solve_execute,
+                idle_cat="solve_idle",
+            )
+
+    def step(self, phase: Phase) -> bool:
+        """One non-blocking turn of the pump: handle every queued frame,
+        then run at most one ready task; if nothing moved, give the
+        phase's idle hook a chance. Returns whether anything progressed."""
+        progressed = self._drain_inbox()
+        if phase.ready:
+            phase.run(phase.ready.pop())
+            progressed = True
+            if not phase.ready:
+                # About to go idle (or wait on the inbox): ship any
+                # coalesced descriptor batches so consumers proceed.
+                self._flush_pending()
+        elif not progressed and phase.idle is not None:
+            phase.idle()
+        return progressed
+
+    def _pump(self, phase: Phase) -> None:
+        """The one event loop: step, else wait, else check for a stall —
+        until nothing of the phase is left."""
+        last_progress = self._now()
+        while left := phase.left():
+            progressed = self.step(phase) or self._wait(phase.idle_cat)
+            now = self._now()
+            if progressed:
+                last_progress = now
+            elif now - last_progress > self.stall_timeout_s:
+                raise RuntimeError(
+                    f"worker {self.rank} stalled: {left} {phase.what}, no "
+                    f"messages for {self.stall_timeout_s:.0f}s (deadlock?)"
+                )
+            elif phase.waiting is not None:
+                phase.waiting(now, last_progress)
+        self._flush_pending()
+
+    def _flush_pending(self) -> None:
+        """Ship every link's coalesced batch (does *not* release frames a
+        fault injector is deliberately delaying)."""
+        for link in self.links.values():
+            link.flush_pending()
+
+    def _now(self) -> float:
+        return time.perf_counter() - self.epoch
+
+    def _span(self, seg: str, t0: float, cat: str, name: str,
+              args: dict | None = None, t1: float | None = None) -> None:
+        """End timeline segment ``seg`` begun at ``t0`` (now, unless the
+        caller measured ``t1``) and, when tracing, record it as trace span
+        ``cat``/``name``: the trace mirrors the timeline one for one. Call
+        sites pass a formatted ``name`` and ``args`` as ``self.trace and
+        …``, so neither is built when tracing is off."""
+        if t1 is None:
+            t1 = self._now()
+        self.timeline.add(seg, t0, t1)
+        if self.trace is not None:
+            self.trace.span(cat, name, t0, t1, args)
+
+    def _account(self, seg: str, kind: str, t0: float, t1: float, work: int,
+                 flops: int, name: str, args: dict | None) -> None:
+        """Post-task accounting, the one step every locally executed task
+        passes through — owned and stolen factor tasks (``seg="busy"``),
+        solve tasks (``"solve_busy"``): ledger, busy span, injected faults.
+        The crash trigger counts the tasks this rank completed as owner or
+        solver and fires at the first task run here once it is reached."""
+        m = self.metrics
+        if seg == "busy":
+            m.tasks_executed += 1
+            m.task_counts[kind] += 1
+            m.flops_executed += flops
+            m.work_executed += work
+            self._span(seg, t0, "task", name, args, t1)
+        else:
+            m.solve_tasks_executed += 1
+            m.solve_task_counts[kind] += 1
+            m.solve_work_executed += work
+            self._span(seg, t0, "solve_task", name, args, t1)
+        if self._slow_s > 0.0:
+            if self.injector is not None:
+                self.injector.injected["slow"] += 1
+            if self.trace is not None:
+                self.trace.mark("slow", self._now(), {"s": self._slow_s})
+            time.sleep(self._slow_s)
+        done = self.executed + self.solve_executed
+        if self._crash_after is not None and done >= self._crash_after:
+            if self.trace is not None:
+                self.trace.mark("crash", self._now(), {
+                    "after": done, "hard": self._crash_hard, "seg": seg})
+            if self._crash_hard:
+                # A stand-in for a segfault/OOM kill: vanish without
+                # reporting. The driver notices the dead child.
+                os._exit(17)
+            raise RuntimeError(
+                f"injected failure on worker {self.rank} after {done} tasks"
+            )
+
+    # -- blocks --------------------------------------------------------
+    def _coords(self, b: int) -> tuple[int, int]:
+        """Panel coordinates ``(I, J)`` of block ``b``."""
+        return int(self.tg.block_I[b]), int(self.tg.block_J[b])
+
+    def _block(self, b: int) -> np.ndarray:
+        """Block ``b``'s current local value."""
+        I, J = self._coords(b)
+        return self.chol.diag[J] if I == J else self.chol.below[J][I]
+
+    def _store(self, b: int, array: np.ndarray, final: bool = True) -> None:
+        """Install ``array`` as block ``b`` — the one place a frame,
+        checkpoint or steal payload lands in the factor. ``final=False``
+        installs a migrated task's *partial* destination state."""
+        I, J = self._coords(b)
+        if I != J:
+            self.chol.below[J][I] = array
+        else:
+            self.chol.diag[J] = array
+            if final:
+                self.chol._factored[J] = True
+
+    def _remote(self, target_owners: np.ndarray) -> np.ndarray:
+        """The distinct remote ranks among ``target_owners``."""
+        return np.unique(target_owners[target_owners != self.rank])
+
+    def _logical_nbytes(self, b: int) -> int:
+        """Logical frame bytes for block ``b`` — exactly what the static
+        predictor charges, independent of the transport."""
+        return wire.HEADER_BYTES + 8 * int(self.tg.block_words[b])
+
+    def _frame_for(self, b: int, inline: bool = False) -> bytes:
+        if self.arena is not None and not inline:
+            return self.arena.pack_ref(self.rank, b)
+        return wire.pack_block(self.rank, b, *self._coords(b), self._block(b))
+
+    # ------------------------------------------------------------------
+    # Receiving: one prologue, then the table
+    # ------------------------------------------------------------------
+    def _handle_item(self, item) -> bool:
+        """Process one inbox item: a bare frame or a coalesced batch."""
+        got = False
+        for frame in item if isinstance(item, list) else (item,):
+            got = self.receive(frame) or got
+        return got
+
+    def _drain_inbox(self) -> bool:
+        got = False
+        while True:
+            try:
+                item = self.inbox.get_nowait()
+            except queue_mod.Empty:
+                return got
+            got = self._handle_item(item) or got
+
+    def _wait(self, cat: str) -> bool:
+        """Block up to ``POLL_S`` for one inbox item (an idle span)."""
+        t0 = self._now()
+        try:
+            item = self.inbox.get(timeout=POLL_S)
+        except queue_mod.Empty:
+            item = None
+        self._span(cat, t0, cat, "idle")
+        return item is not None and self._handle_item(item)
+
+    def receive(self, frame: bytes) -> bool:
+        """Take one frame in: decode and CRC-check it, swap a ``BLOCK_REF``
+        descriptor for the read-only arena slot view (a slot-CRC mismatch
+        funnels into the same reject/NACK path as inline payload
+        corruption), then call its kind's handler with ``(msg, len(frame),
+        t0)``. True if it made progress (i.e. could unblock a task)."""
+        t0 = self._now()
+        try:
+            msg = wire.unpack(frame, copy=False)
+            if msg.kind == wire.BLOCK_REF:
+                if self.arena is None:
+                    raise wire.WireError(
+                        "BLOCK_REF descriptor received but no arena is "
+                        "attached (transport mismatch)"
+                    )
+                msg = self.arena.resolve(msg)
+        except wire.WireError as exc:
+            return self._rejected(exc, t0)
+        return self.handlers[msg.kind](msg, len(frame), t0)
+
+    def _no_rhs(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
+        """Handler of every solve kind on a job that armed no solve."""
+        raise RuntimeError(
+            f"worker {self.rank} received a solve frame "
+            f"(kind={msg.kind}) but carries no right-hand side"
+        )
+
+    # ------------------------------------------------------------------
+    # Factor plane: dependency bookkeeping (local mirror of the
+    # simulator's), executing and fanning out
+    # ------------------------------------------------------------------
+    # Completions trigger real messages:
+    #
+    # * BFAC(K,K)  -> send ``L_KK`` to every remote worker owning a
+    #   subdiagonal block of panel K (they need it for BDIV);
+    # * BDIV(I,K)  -> send ``L_IK`` to every remote worker owning a
+    #   destination of one of its BMODs;
+    # * a BMOD becomes ready when both source blocks are present;
+    #   BFAC/BDIV when the destination has absorbed all its BMODs (BDIV
+    #   also after the diagonal arrives) — identical bookkeeping to the
+    #   discrete-event simulator, so the same mapping yields the same
+    #   message set, now with real wall-clock time.
+
+    def _arm_factor(self, done_blocks: list[int]) -> None:
+        tg = self.tg
+        self.handlers.update({wire.BLOCK: self._on_block,
+                              wire.BLOCK_REF: self._on_block})
+        #: §3.2's fixed cost per block operation, from the task graph's
+        #: own work model: executed work equals the model's, unit for unit.
+        self.op_cost = int(tg.workmodel.op_fixed_cost)
         self.task_owner = self.owners[tg.task_block]
         self.mine = self.task_owner == self.rank
         self.n_owned = int(self.mine.sum())
-        self.executed = 0
         self.mods_remaining = tg.nmod.copy()
         self.missing = tg.task_missing_init.copy()
         self.diag_ready = np.zeros(tg.nblocks, dtype=bool)
-        self.scheduler = ReadyScheduler(self.priorities)
-        #: Blocks whose final factored value is present locally (owned
-        #: completions, received frames, checkpoint preloads). Drives both
-        #: duplicate suppression and the abort-time checkpoint.
-        self.have: set[int] = set()
-        self.done_peers: set[int] = set()
-        self._resends: dict[tuple[int, int], int] = {}
-        self._reneg_attempts = 0
-        self._last_reneg = 0.0
-        # Checkpointed blocks are final: skip every task that writes them.
-        done_block = np.zeros(tg.nblocks, dtype=bool)
-        valid_ck = [
-            int(b) for b in self.checkpoint if 0 <= int(b) < tg.nblocks
-        ]
-        done_block[valid_ck] = True
-        self.skip_task = done_block[tg.task_block]
-        self.executed += int((self.mine & self.skip_task).sum())
+        self.scheduler = ReadyScheduler(self.context.priorities)
+        done = np.zeros(tg.nblocks, dtype=bool)
+        done[done_blocks] = True
+        self.skip_task = done[tg.task_block]
+        #: Owned tasks finished: run here, returned by a thief, or skipped
+        #: because a checkpoint supplies their output.
+        self.executed = int((self.mine & self.skip_task).sum())
         # Deterministic accumulation: BMOD updates into a given destination
         # block are applied in ascending task id, regardless of message
         # arrival order. A BMOD whose sources arrive "early" is parked in
@@ -263,91 +504,15 @@ class Worker:
             self._bmod_order, 0
         )
         self._bmod_src_ready: set[int] = set()
-        # Seed: owned diagonal blocks with no incoming BMODs.
         diag = tg.block_I == tg.block_J
+        # Panel -> diagonal block id (BDIV tasks carry src1 == -1, so the
+        # steal path resolves a BDIV's diagonal source through this map).
+        self._diag_block = np.full(tg.npanels, -1, dtype=np.int64)
+        self._diag_block[tg.block_J[diag]] = np.flatnonzero(diag)
+        # Seed: owned diagonal blocks with no incoming BMODs.
         for b in np.flatnonzero(diag & (tg.nmod == 0)):
             if self.owners[b] == self.rank:
                 self._push(int(tg.bfac_task[int(b)]))
-        self._load_checkpoint(valid_ck)
-        self.expected = self._expected_blocks() if self.recovery else set()
-        # --- dynamic-schedule (work stealing) state -------------------
-        self.dynamic = self.schedule == "dynamic" and self.fabric.nprocs > 1
-        #: Tasks granted away and not yet returned: tid -> thief rank.
-        self._stolen_out: dict[int, int] = {}
-        #: Blocks installed via STEAL_SHIP (no dependency bookkeeping);
-        #: the later regular frame re-runs bookkeeping exactly once.
-        self._steal_srcs: set[int] = set()
-        self._steal_round = 0
-        self._steal_victim: int | None = None
-        self._steal_backoff_until = 0.0
-        # Panel -> diagonal block id (BDIV tasks carry src1 == -1, so the
-        # steal path resolves a BDIV's diagonal source through this map).
-        diag_ids = np.flatnonzero(diag)
-        self._diag_block = np.full(tg.npanels, -1, dtype=np.int64)
-        self._diag_block[tg.block_J[diag_ids]] = diag_ids
-        # --- solve-phase state ----------------------------------------
-        # Initialized during factor setup because solve frames may arrive
-        # while this rank is still factoring (a fast peer enters its solve
-        # loop as soon as its own factor tasks are done).
-        self._phase = "factor"
-        if self.rhs is not None:
-            self._solve_init()
-
-    def _crash_config(self) -> tuple[int | None, bool]:
-        if (
-            self.inject_failure is not None
-            and self.rank == self.inject_failure[0]
-        ):
-            return int(self.inject_failure[1]), False
-        if self.fault_plan is not None:
-            spec = self.fault_plan.crash_for(self.rank)
-            if spec is not None:
-                return int(spec.after_tasks), bool(spec.hard)
-        return None, False
-
-    def _load_checkpoint(self, blocks: list[int]) -> None:
-        """Preload final block values snapshotted by a previous attempt."""
-        tg = self.tg
-        for b in blocks:
-            msg = wire.unpack(self.checkpoint[b])
-            I, J = int(tg.block_I[b]), int(tg.block_J[b])
-            self.have.add(b)
-            if self.arena is not None:
-                # Keep the invariant "b in have => slot b is valid": any
-                # held block may later be served to a NACKing peer as a
-                # descriptor. Re-writing the same final bytes from every
-                # preloading worker is benign.
-                self.arena.write(b, msg.payload)
-            self.metrics.checkpoint_blocks_loaded += 1
-            if self.trace is not None:
-                self.trace.mark("checkpoint_load", self._now(),
-                                {"block": b, "I": I, "J": J})
-            if I == J:
-                self.chol.diag[J] = msg.payload
-                self.chol._factored[J] = True
-                self._diag_completed(J)
-            else:
-                self.chol.below[J][I] = msg.payload
-                self._subdiag_completed(b)
-
-    def _expected_blocks(self) -> set[int]:
-        """Remote blocks this worker still needs to receive."""
-        tg = self.tg
-        expected: set[int] = set()
-        diag = tg.block_I == tg.block_J
-        diag_of_panel = np.full(tg.npanels, -1, dtype=np.int64)
-        diag_ids = np.flatnonzero(diag)
-        diag_of_panel[tg.block_J[diag_ids]] = diag_ids
-        own_sub = np.flatnonzero((self.owners == self.rank) & ~diag)
-        d = diag_of_panel[tg.block_J[own_sub]]
-        d = d[d >= 0]
-        expected.update(int(x) for x in d[self.owners[d] != self.rank])
-        mod_mine = (tg.task_kind == BMOD) & self.mine
-        for src in (tg.task_src1, tg.task_src2):
-            s = src[mod_mine]
-            s = s[s >= 0]
-            expected.update(int(x) for x in s[self.owners[s] != self.rank])
-        return expected - self.have
 
     def _push(self, tid: int) -> None:
         """Schedule a task unless a checkpoint already supplies its output
@@ -356,15 +521,12 @@ class Worker:
         canonical order."""
         if self.skip_task[tid]:
             return
-        if int(self.tg.task_kind[tid]) == BMOD and not self._bmod_is_next(tid):
-            self._bmod_src_ready.add(tid)
-            return
+        if int(self.tg.task_kind[tid]) == BMOD:
+            b = int(self.tg.task_block[tid])
+            if self._bmod_order[b][self._bmod_next_idx[b]] != tid:
+                self._bmod_src_ready.add(tid)
+                return
         self.scheduler.push(tid)
-
-    def _bmod_is_next(self, tid: int) -> bool:
-        b = int(self.tg.task_block[tid])
-        order = self._bmod_order[b]
-        return order[self._bmod_next_idx[b]] == tid
 
     def _bmod_advance(self, b: int) -> None:
         """A BMOD into ``b`` just ran: release its successor if its sources
@@ -376,288 +538,299 @@ class Worker:
             self._bmod_src_ready.discard(order[idx])
             self.scheduler.push(order[idx])
 
-    def _now(self) -> float:
-        return time.perf_counter() - self.epoch
+    def _arrived(self, b: int) -> None:
+        """Block ``b``'s final value is available here (computed, received
+        or preloaded). ``L_KK`` wakes the owned BDIVs of panel K; ``L_IK``
+        decrements its owned consumer BMODs."""
+        tg = self.tg
+        I, J = self._coords(b)
+        if I == J:
+            sub = tg.subdiag_blocks[tg.subdiag_ptr[J] : tg.subdiag_ptr[J + 1]]
+            for s in map(int, sub):
+                if self.owners[s] == self.rank:
+                    self.diag_ready[s] = True
+                    if self.mods_remaining[s] == 0:
+                        self._push(int(tg.bdiv_task[s]))
+            return
+        for t in map(int, tg.dep_tasks[tg.dep_ptr[b] : tg.dep_ptr[b + 1]]):
+            if self.task_owner[t] == self.rank:
+                self.missing[t] -= 1
+                if self.missing[t] == 0:
+                    self._push(t)
 
-    def _loop(self) -> None:
-        last_progress = self._now()
-        while self.executed < self.n_owned:
-            progressed = self._drain_inbox()
-            if self.scheduler:
-                tid = self.scheduler.pop()
-                self._execute(tid)
-                progressed = True
-                if not self.scheduler:
-                    # About to go idle (or wait on the inbox): ship any
-                    # coalesced descriptor batches so consumers proceed.
-                    self._flush_pending()
-            elif not progressed:
-                if self.dynamic:
-                    self._maybe_request_steal()
-                progressed = self._wait_for_message()
-            now = self._now()
-            if progressed:
-                last_progress = now
-                self._reneg_attempts = 0
-            elif now - last_progress > self.stall_timeout_s:
-                raise RuntimeError(
-                    f"worker {self.rank} stalled: {self.executed}/"
-                    f"{self.n_owned} tasks done, no messages for "
-                    f"{self.stall_timeout_s:.0f}s (deadlock?)"
-                )
-            elif self.recovery and self.expected:
-                self._maybe_renegotiate(now, last_progress)
-        self._flush_pending()
-
-    def _flush_pending(self) -> None:
-        """Ship every link's coalesced batch (does *not* release frames a
-        fault injector is deliberately delaying)."""
-        for link in self.links.values():
-            link.flush_pending()
-
-    # ------------------------------------------------------------------
-    # Receiving
-    # ------------------------------------------------------------------
-    def _handle_item(self, item) -> bool:
-        """Process one inbox item: a bare frame or a coalesced batch."""
-        if isinstance(item, list):
-            got = False
-            for frame in item:
-                got = self._handle_frame(frame) or got
-            return got
-        return self._handle_frame(item)
-
-    def _drain_inbox(self) -> bool:
-        got = False
-        while True:
-            try:
-                item = self.inbox.get_nowait()
-            except queue_mod.Empty:
-                return got
-            got = self._handle_item(item) or got
-
-    def _wait_for_message(self) -> bool:
-        t0 = self._now()
-        cat = "solve_idle" if self._phase == "solve" else "idle"
-        try:
-            item = self.inbox.get(timeout=POLL_S)
-        except queue_mod.Empty:
-            t1 = self._now()
-            self.timeline.add(cat, t0, t1)
-            if self.trace is not None:
-                self.trace.span(cat, "idle", t0, t1)
-            return False
-        t1 = self._now()
-        self.timeline.add(cat, t0, t1)
-        if self.trace is not None:
-            self.trace.span(cat, "idle", t0, t1)
-        return self._handle_item(item)
-
-    def _handle_frame(self, frame: bytes) -> bool:
-        """Process one incoming frame; returns True if it made progress
-        (i.e. could unblock a task)."""
-        t0 = self._now()
+    def _on_block(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
+        """``BLOCK`` (or a resolved ``BLOCK_REF``): a completed block
+        arrived. Install it once and wake its consumers."""
         m = self.metrics
-        tr = self.trace
-        try:
-            msg = wire.unpack(frame, copy=False)
-            if msg.kind == wire.BLOCK_REF:
-                if self.arena is None:
-                    raise wire.WireError(
-                        "BLOCK_REF descriptor received but no arena is "
-                        "attached (transport mismatch)"
-                    )
-                # Swap the descriptor for the read-only arena slot view;
-                # a slot-CRC mismatch funnels into the same reject/NACK
-                # path as inline payload corruption.
-                msg = self.arena.resolve(msg)
-        except wire.CorruptFrameError as exc:
-            m.frames_rejected += 1
-            if not self.recovery:
-                raise RuntimeError(
-                    f"worker {self.rank} rejected a corrupt frame "
-                    f"(no recovery enabled): {exc}"
-                ) from exc
-            self._nack_corrupt(exc)
-            t1 = self._now()
-            self.timeline.add("comm", t0, t1)
-            if tr is not None:
-                tr.span("comm", "frame_rejected", t0, t1,
-                        {"src": exc.src, "block": exc.block})
-            return False
-        except wire.WireError as exc:
-            m.frames_rejected += 1
-            if not self.recovery:
-                raise RuntimeError(
-                    f"worker {self.rank} received an undecodable frame "
-                    f"(no recovery enabled): {exc}"
-                ) from exc
-            # Unattributable garbage: drop it; renegotiation re-requests
-            # whatever it was supposed to carry.
-            t1 = self._now()
-            self.timeline.add("comm", t0, t1)
-            if tr is not None:
-                tr.span("comm", "undecodable", t0, t1)
-            return False
-        if msg.kind == wire.ABORT:
-            m.control_received += 1
-            if tr is not None:
-                tr.mark("abort_recv", t0, {"src": msg.src})
-            raise _Abort()
-        if msg.kind == wire.DONE:
-            m.control_received += 1
-            self.done_peers.add(msg.src)
-            t1 = self._now()
-            self.timeline.add("comm", t0, t1)
-            if tr is not None:
-                tr.span("comm", "done_recv", t0, t1, {"src": msg.src})
-            return True
-        if msg.kind == wire.NACK:
-            m.control_received += 1
-            m.nacks_received += 1
-            self._serve_nack(msg)
-            t1 = self._now()
-            self.timeline.add("comm", t0, t1)
-            if tr is not None:
-                tr.span("comm", "nack_recv", t0, t1,
-                        {"src": msg.src, "block": msg.block})
-            return False
-        if msg.kind in wire.STEAL_KINDS:
-            m.steal_messages_received += 1
-            m.steal_bytes_received += len(frame)
-            if msg.kind == wire.STEAL_REQ:
-                return self._serve_steal_req(msg, t0)
-            if msg.kind == wire.STEAL_DENY:
-                self._steal_victim = None
-                self._steal_round += 1
-                m.steal_denies_received += 1
-                # Brief backoff: all-busy or all-done peers would
-                # otherwise draw a REQ/DENY ping-pong every poll tick.
-                self._steal_backoff_until = self._now() + 0.01
-                t1 = self._now()
-                self.timeline.add("comm", t0, t1)
-                if tr is not None:
-                    tr.span("steal", "steal_deny_recv", t0, t1,
-                            {"src": msg.src})
-                return False
-            if msg.kind == wire.STEAL_SHIP:
-                self._apply_steal_ship(msg)
-                t1 = self._now()
-                self.timeline.add("comm", t0, t1)
-                if tr is not None:
-                    tr.span("steal", "steal_ship_recv", t0, t1,
-                            {"block": msg.block, "src": msg.src})
-                return False
-            if msg.kind == wire.STEAL_GRANT:
-                self._steal_victim = None
-                self._steal_round += 1
-                return self._handle_steal_grant(msg, t0)
-            return self._handle_steal_result(msg, t0)
-        if msg.kind in wire.SOLVE_KINDS:
-            # Solve plane: its own ledger, fully inline payloads, so
-            # logical bytes == wire bytes by construction.
-            if self.rhs is None:
-                raise RuntimeError(
-                    f"worker {self.rank} received a solve frame "
-                    f"(kind={msg.kind}) but carries no right-hand side"
-                )
-            m.solve_messages_received += 1
-            m.solve_bytes_received += len(frame)
-            return self._handle_solve_msg(msg, len(frame), t0)
         # Logical bytes (what the predictor charges) vs wire bytes (what
         # actually crossed the queue — 64 for a descriptor).
         m.messages_received += 1
         m.bytes_received += msg.nbytes
-        m.wire_bytes_received += len(frame)
+        m.wire_bytes_received += nbytes
         b = msg.block
         if b in self.have:
-            m.duplicates_dropped += 1
-            t1 = self._now()
-            self.timeline.add("comm", t0, t1)
-            if tr is not None:
-                tr.span("recv", "duplicate", t0, t1,
-                        {"block": b, "src": msg.src, "bytes": msg.nbytes,
-                         "wire_bytes": len(frame)})
-            return False
-        self._apply_block(msg)
-        t1 = self._now()
-        self.timeline.add("comm", t0, t1)
-        if tr is not None:
-            tg = self.tg
-            tr.span(
-                "recv",
-                f"recv({int(tg.block_I[b])},{int(tg.block_J[b])})",
-                t0, t1,
-                {"block": b, "src": msg.src, "bytes": msg.nbytes,
-                 "wire_bytes": len(frame)},
-            )
-        return True
-
-    def _apply_block(self, msg: wire.WireMessage) -> None:
-        tg = self.tg
-        b = msg.block
+            return self._duplicate(msg, nbytes, t0)
         self.have.add(b)
         self.expected.discard(b)
-        I, J = int(tg.block_I[b]), int(tg.block_J[b])
-        if I == J:
-            self.chol.diag[J] = msg.payload
-            self.chol._factored[J] = True
-            self._diag_completed(J)
+        self._store(b, msg.payload)
+        self._arrived(b)
+        tr = self.trace
+        self._span(
+            "comm", t0, "recv", tr and "recv(%d,%d)" % self._coords(b),
+            tr and {"block": b, "src": msg.src, "bytes": msg.nbytes,
+                    "wire_bytes": nbytes},
+        )
+        return True
+
+    def _execute(self, tid: int, victim: int | None = None) -> int:
+        """Run task ``tid`` here and account for it; returns its work.
+        An owned task (``victim`` None) then fans out. A *stolen* one
+        counts toward our executed-work metrics (and the stolen tallies)
+        but *not* toward ``executed`` — that is the victim's owned-task
+        counter and ticks when the RESULT lands there."""
+        tg = self.tg
+        t0 = self._now()
+        self.chol.apply_task(tg, tid)
+        t1 = self._now()
+        kind = _KIND_NAMES[int(tg.task_kind[tid])]
+        flops = int(tg.task_flops[tid])
+        work = flops + self.op_cost
+        name = args = None
+        if self.trace is not None:
+            b = int(tg.task_block[tid])
+            name = "%s(%d,%d)" % (kind, *self._coords(b))
+            args = {"tid": tid, "block": b, "flops": flops, "work": work}
+            if victim is not None:
+                args["stolen_from"] = victim
+        if victim is None:
+            self.executed += 1
         else:
-            self.chol.below[J][I] = msg.payload
-            self._subdiag_completed(b)
+            self.metrics.tasks_stolen += 1
+            self.metrics.work_stolen += work
+        self._account("busy", kind, t0, t1, work, flops, name, args)
+        if victim is None:
+            self._completed(tid)
+        return work
 
-    # ------------------------------------------------------------------
-    # Recovery protocol
-    # ------------------------------------------------------------------
-    def _nack_corrupt(self, exc: wire.CorruptFrameError) -> None:
-        """Reject-and-renegotiate: ask the presumed sender to retransmit."""
-        src, b = exc.src, exc.block
-        target = -1
-        if 0 <= src < self.fabric.nprocs and src != self.rank:
-            target = src
-        elif 0 <= b < self.tg.nblocks:
-            owner = int(self.owners[b])
-            if owner != self.rank:
-                target = owner
-        if target >= 0 and 0 <= b < self.tg.nblocks:
-            self.links[target].send_control(wire.pack_nack(self.rank, b))
-            self.metrics.nacks_sent += 1
-            if self.trace is not None:
-                self.trace.mark("nack_sent", self._now(),
-                                {"block": b, "dst": target})
+    def _completed(self, tid: int) -> None:
+        """Owned task ``tid`` is done (here, or at a thief whose RESULT
+        just landed): a BMOD releases its successor and maybe the block's
+        BFAC/BDIV; a BFAC/BDIV publishes the now-final block, fans it out
+        and wakes its local consumers."""
+        tg = self.tg
+        kind = int(tg.task_kind[tid])
+        b = int(tg.task_block[tid])
+        if kind == BMOD:
+            self._bmod_advance(b)
+            self.mods_remaining[b] -= 1
+            if self.mods_remaining[b] == 0:
+                if tg.block_I[b] == tg.block_J[b]:
+                    self._push(int(tg.bfac_task[b]))
+                elif self.diag_ready[b]:
+                    self._push(int(tg.bdiv_task[b]))
+            return
+        # Mark the block final and, on the shm transport, copy it into its
+        # arena slot (the producer's single copy) before any descriptor
+        # for it can be sent — to peers *or* to the driver gather.
+        self.have.add(b)
+        if self.arena is not None:
+            self.arena.write(b, self._block(b))
+        if kind == BFAC:
+            k = int(tg.block_J[b])
+            sub = tg.subdiag_blocks[tg.subdiag_ptr[k] : tg.subdiag_ptr[k + 1]]
+            self._fan_out(b, self.owners[sub])
+        else:
+            deps = tg.dep_tasks[tg.dep_ptr[b] : tg.dep_ptr[b + 1]]
+            self._fan_out(b, self.task_owner[deps])
+        self._arrived(b)
 
-    def _serve_nack(self, msg: wire.WireMessage) -> None:
-        """A peer wants block ``msg.block`` (again). Resend if we hold its
-        final value; otherwise the normal fan-out will deliver it once it
-        completes."""
-        b, requester = msg.block, msg.src
-        if not (0 <= b < self.tg.nblocks) or requester == self.rank:
+    def _fan_out(self, b: int, target_owners: np.ndarray) -> None:
+        """Send completed block ``b`` once to each distinct remote owner."""
+        remote = self._remote(target_owners)
+        if remote.size == 0:
             return
-        if requester not in self.links or b not in self.have:
-            return
-        key = (b, requester)
-        if self._resends.get(key, 0) >= RETRANSMIT_LIMIT:
-            return
-        self._resends[key] = self._resends.get(key, 0) + 1
+        t0 = self._now()
         frame = self._frame_for(b)
         nbytes = self._logical_nbytes(b)
-        self.links[requester].resend(frame, nbytes)
-        self.metrics.retransmits += 1
-        if self.trace is not None:
-            self.trace.mark("retransmit", self._now(),
-                            {"block": b, "dst": requester,
-                             "bytes": nbytes, "wire_bytes": len(frame)})
+        for dst in remote:
+            self.links[int(dst)].send(frame, nbytes)
+        tr = self.trace
+        self._span(
+            "comm", t0, "send", tr and "send(%d,%d)" % self._coords(b),
+            tr and {"block": b, "bytes": nbytes, "wire_bytes": len(frame),
+                    "targets": [int(d) for d in remote]},
+        )
 
-    def _maybe_renegotiate(self, now: float, last_progress: float) -> None:
-        """NACK owners of still-missing blocks under exponential backoff."""
+    # ------------------------------------------------------------------
+    # Integrity plane: the recovery protocol
+    # ------------------------------------------------------------------
+    # Under ``recovery`` (see :mod:`repro.runtime.faults` and
+    # :mod:`repro.runtime.recovery`):
+    #
+    # * every incoming frame is CRC-checked; corrupt frames are rejected
+    #   and the presumed sender NACKed for a retransmit;
+    # * duplicate block frames are suppressed idempotently (a block is
+    #   applied exactly once, no matter how often it arrives);
+    # * a worker that stops receiving messages it still needs
+    #   *renegotiates*: it NACKs the owners of its missing blocks under
+    #   bounded exponential backoff before giving up;
+    # * after finishing its own tasks a worker broadcasts DONE and lingers
+    #   to serve retransmit requests until every peer is done — so late
+    #   NACKs always find a living sender;
+    # * a restarted attempt preloads the completed blocks a failed one
+    #   shipped home as its checkpoint.
+
+    def _arm_integrity(self) -> None:
+        self.handlers.update({wire.ABORT: self._on_abort,
+                              wire.DONE: self._on_done,
+                              wire.NACK: self._on_nack})
+        #: Block id -> completed-block frame from a previous attempt.
+        self.checkpoint: dict[int, bytes] = self.job.checkpoint or {}
+        #: Peers that announced DONE (the pool's arena barrier reads it).
+        self.done_peers: set[int] = set()
+        #: Remote blocks this rank still needs (filled under recovery).
+        self.expected: set[int] = set()
+        self._resends: dict[tuple[int, int], int] = {}
+        self._reneg_attempts = 0
+        self._last_reneg = 0.0
+
+    def _load_checkpoint(self, blocks: list[int]) -> None:
+        """Preload final block values snapshotted by a previous attempt."""
+        for b in blocks:
+            msg = wire.unpack(self.checkpoint[b])
+            self.have.add(b)
+            if self.arena is not None:
+                # Keep the invariant "b in have => slot b is valid": any
+                # held block may later be served to a NACKing peer as a
+                # descriptor. Re-writing the same final bytes from every
+                # preloading worker is benign.
+                self.arena.write(b, msg.payload)
+            self.metrics.checkpoint_blocks_loaded += 1
+            if self.trace is not None:
+                I, J = self._coords(b)
+                self.trace.mark("checkpoint_load", self._now(),
+                                {"block": b, "I": I, "J": J})
+            self._store(b, msg.payload)
+            self._arrived(b)
+
+    def _expected_blocks(self) -> set[int]:
+        """Remote blocks this worker still needs to receive: the diagonals
+        above its subdiagonal blocks and the sources of its BMODs."""
+        tg, owners = self.tg, self.owners
+        own_sub = (owners == self.rank) & (tg.block_I != tg.block_J)
+        mod_mine = (tg.task_kind == BMOD) & self.mine
+        s = np.concatenate([
+            self._diag_block[tg.block_J[own_sub]],
+            tg.task_src1[mod_mine],
+            tg.task_src2[mod_mine],
+        ])
+        s = s[s >= 0]
+        return {int(x) for x in s[owners[s] != self.rank]} - self.have
+
+    def _rejected(self, exc: wire.WireError, t0: float) -> bool:
+        """The receive prologue could not decode a frame. A CRC mismatch
+        still names its (presumed) sender, who is NACKed for a retransmit;
+        unattributable garbage is dropped — renegotiation re-requests
+        whatever it was supposed to carry. Fail-stop without recovery."""
+        self.metrics.frames_rejected += 1
+        corrupt = isinstance(exc, wire.CorruptFrameError)
+        if not self.recovery:
+            what = "rejected a corrupt" if corrupt else "got an undecodable"
+            raise RuntimeError(
+                f"worker {self.rank} {what} frame (no recovery enabled): {exc}"
+            ) from exc
+        if not corrupt:
+            self._span("comm", t0, "comm", "undecodable")
+            return False
+        # Reject-and-renegotiate: ask the presumed sender to retransmit.
+        src, b = exc.src, exc.block
+        if 0 <= b < self.tg.nblocks:
+            if src in self.links:
+                self._nack(src, b)
+            elif int(self.owners[b]) != self.rank:
+                self._nack(int(self.owners[b]), b)
+        self._span("comm", t0, "comm", "frame_rejected",
+                   self.trace and {"src": src, "block": b})
+        return False
+
+    def _nack(self, dst: int, b: int) -> None:
+        self.links[dst].send_control(wire.pack_nack(self.rank, b))
+        self.metrics.nacks_sent += 1
+        if self.trace is not None:
+            self.trace.mark("nack_sent", self._now(),
+                            {"block": b, "dst": dst})
+
+    def _duplicate(self, msg: wire.WireMessage, nbytes: int,
+                   t0: float) -> bool:
+        """A frame for a block already held: count it, change nothing (a
+        block is applied exactly once). The counter cannot tell an injected
+        duplicate from a retransmit of a block that meanwhile arrived (same
+        bytes, no wire flag), and a retransmit passes ``FaultyLink.send``,
+        so it can itself be duplicated, possibly after the receiver left
+        its linger. What always holds per run is ``abs(duplicates_total -
+        injected) <= retransmits_total`` (equality when that is 0)."""
+        self.metrics.duplicates_dropped += 1
+        self._span("comm", t0, "recv", "duplicate",
+                   self.trace and {"block": msg.block, "src": msg.src,
+                                   "bytes": msg.nbytes, "wire_bytes": nbytes})
+        return False
+
+    def _on_abort(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
+        self.metrics.control_received += 1
+        if self.trace is not None:
+            self.trace.mark("abort_recv", t0, {"src": msg.src})
+        raise _Abort()
+
+    def _on_done(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
+        self.metrics.control_received += 1
+        self.done_peers.add(msg.src)
+        self._span("comm", t0, "comm", "done_recv",
+                   self.trace and {"src": msg.src})
+        return True
+
+    def _on_nack(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
+        """A peer wants block ``msg.block`` (again). Resend if we hold its
+        final value — at most ``RETRANSMIT_LIMIT`` times per requester;
+        otherwise the normal fan-out will deliver it once it completes."""
+        m = self.metrics
+        m.control_received += 1
+        m.nacks_received += 1
+        b, requester = msg.block, msg.src
+        key = (b, requester)
+        if (
+            0 <= b < self.tg.nblocks
+            and requester in self.links
+            and b in self.have
+            and self._resends.get(key, 0) < RETRANSMIT_LIMIT
+        ):
+            self._resends[key] = self._resends.get(key, 0) + 1
+            frame = self._frame_for(b)
+            nb = self._logical_nbytes(b)
+            self.links[requester].resend(frame, nb)
+            m.retransmits += 1
+            if self.trace is not None:
+                self.trace.mark("retransmit", self._now(),
+                                {"block": b, "dst": requester,
+                                 "bytes": nb, "wire_bytes": len(frame)})
+        self._span("comm", t0, "comm", "nack_recv",
+                   self.trace and {"src": requester, "block": b})
+        return False
+
+    def _renegotiate(self, now: float, last_progress: float) -> None:
+        """The factor phase's waiting hook: NACK owners of still-missing
+        blocks under exponential backoff; any progress since the last
+        round starts the backoff over."""
+        if not self.expected:
+            return
+        if last_progress > self._last_reneg:
+            self._reneg_attempts = 0
         delay = min(
-            self.renegotiate_base_s * (2.0 ** self._reneg_attempts),
-            self.renegotiate_cap_s,
+            self.job.renegotiate_base_s * (2.0 ** self._reneg_attempts),
+            self.job.renegotiate_cap_s,
         )
         if now - max(last_progress, self._last_reneg) <= delay:
             return
-        if self._reneg_attempts >= self.max_renegotiations:
+        if self._reneg_attempts >= self.job.max_renegotiations:
             missing = sorted(self.expected)[:8]
             raise RuntimeError(
                 f"worker {self.rank} unrecoverable: "
@@ -674,23 +847,16 @@ class Worker:
                              "missing": len(self.expected)})
         for b in sorted(self.expected):
             owner = int(self.owners[b])
-            if owner == self.rank or owner not in self.links:
-                continue
-            self.links[owner].send_control(wire.pack_nack(self.rank, b))
-            self.metrics.nacks_sent += 1
-            if self.trace is not None:
-                self.trace.mark("nack_sent", self._now(),
-                                {"block": b, "dst": owner})
+            if owner != self.rank and owner in self.links:
+                self._nack(owner, b)
 
-    def _linger(self) -> None:
-        """After finishing own tasks under recovery or dynamic schedule:
-        release delayed frames, broadcast DONE, and keep serving peers
-        until every one is done too — so no NACK ever targets a dead
-        sender and no steal GRANT ever targets a dead thief (a finished
-        worker answers STEAL_REQ with DENY but still executes a binding
-        GRANT that raced its DONE)."""
-        if not (self.recovery or self.dynamic) or not self.links:
-            return
+    def _announce_done(self) -> None:
+        """Enter the linger. After finishing own tasks under recovery or
+        dynamic schedule: release delayed frames, broadcast DONE, and keep
+        serving peers until every one is done too — so no NACK ever
+        targets a dead sender and no steal GRANT ever targets a dead thief
+        (a finished worker answers STEAL_REQ with DENY but still executes
+        a binding GRANT that raced its DONE)."""
         for link in self.links.values():
             link.flush()
         done = wire.pack_done(self.rank)
@@ -698,21 +864,213 @@ class Worker:
             link.send_control(done)
         if self.trace is not None:
             self.trace.mark("done_sent", self._now())
-        peers = set(self.links)
-        last_activity = self._now()
-        while not peers <= self.done_peers:
-            if self._wait_for_message():
-                last_activity = self._now()
-            elif self._now() - last_activity > self.stall_timeout_s:
-                waiting = sorted(peers - self.done_peers)
-                raise RuntimeError(
-                    f"worker {self.rank} finished but peers {waiting} "
-                    f"never reported DONE within "
-                    f"{self.stall_timeout_s:.0f}s"
-                )
 
     # ------------------------------------------------------------------
-    # Distributed triangular solve (see docs/SOLVING.md)
+    # Steal plane: work stealing (dynamic schedule)
+    # ------------------------------------------------------------------
+    # Ownership of the *update* migrates, never of the block. The victim
+    # ships the destination block's current partial state in the GRANT;
+    # the thief runs the identical kernel on those identical bytes at the
+    # task's canonical accumulation position and ships the state back in a
+    # RESULT, which the victim swaps in before doing the normal post-task
+    # bookkeeping. Same kernel + same input bytes + same position ==
+    # bitwise-identical factors, whichever rank executed the task.
+    #
+    # Safe-grant invariant: any BMOD in the ready queue is the canonical
+    # next update for its destination block (_push parks the rest), and
+    # BDIV/BFAC only enqueue once mods_remaining hits zero — so at most
+    # one update per destination is ever in flight, and the victim never
+    # touches a granted-out destination until the RESULT returns (the
+    # successor BMOD stays parked, executed < n_owned keeps the pump
+    # alive, and sources are only read once a block is final).
+
+    def _arm_steal(self) -> None:
+        self.handlers.update({wire.STEAL_REQ: self._on_steal_req,
+                              wire.STEAL_DENY: self._on_deny,
+                              wire.STEAL_SHIP: self._on_ship,
+                              wire.STEAL_GRANT: self._on_grant,
+                              wire.STEAL_RESULT: self._on_steal_result})
+        #: Blocks installed as a stolen task's sources (no dependency
+        #: bookkeeping); the later regular frame re-runs bookkeeping
+        #: exactly once.
+        self._steal_srcs: set[int] = set()
+        self._steal_round = 0
+        self._steal_victim: int | None = None
+        self._steal_backoff_until = 0.0
+
+    def _count_steal(self, nbytes: int) -> None:
+        self.metrics.steal_messages_received += 1
+        self.metrics.steal_bytes_received += nbytes
+
+    def _request_steal(self) -> None:
+        """Idle and out of ready work (the factor phase's idle hook): ask
+        one peer for a task. At most one outstanding request; a DENY
+        advances the round and backs off briefly before the next attempt.
+        The victim is a deterministic seeded choice keyed on (seed, round,
+        rank): reproducible given the same knobs, uncorrelated between
+        thieves so they don't dog-pile one victim."""
+        now = self._now()
+        if self._steal_victim is not None or now < self._steal_backoff_until:
+            return
+        peers = sorted(d for d in self.links if d not in self.done_peers)
+        if not peers:
+            return
+        seed = (
+            self.context.steal_seed * 2654435761
+            + self._steal_round * 40503
+            + self.rank
+        ) & 0xFFFFFFFF
+        victim = peers[random.Random(seed).randrange(len(peers))]
+        self._steal_victim = victim  # at most one outstanding request
+        self.metrics.steal_reqs_sent += 1
+        self.links[victim].send_steal(
+            wire.pack_steal_req(self.rank, self._steal_round)
+        )
+        self._span("comm", now, "steal", "steal_req",
+                   self.trace and {"victim": victim,
+                                   "round": self._steal_round})
+
+    def _on_deny(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
+        self._count_steal(nbytes)
+        self._steal_victim = None
+        self._steal_round += 1
+        self.metrics.steal_denies_received += 1
+        # Brief backoff: all-busy or all-done peers would otherwise draw
+        # a REQ/DENY ping-pong every poll tick.
+        self._steal_backoff_until = self._now() + 0.01
+        self._span("comm", t0, "steal", "steal_deny_recv",
+                   self.trace and {"src": msg.src})
+        return False
+
+    def _install_source(self, s: int, array: np.ndarray | None = None) -> None:
+        """Install a stolen task's final source block *without* dependency
+        bookkeeping: the regular fan-out frame for it still arrives later
+        and runs the bookkeeping exactly once (its bytes are identical, so
+        the overwrite is a no-op numerically). ``array`` None reads the
+        arena slot (shm transport)."""
+        if s not in self.have and s not in self._steal_srcs:
+            self._store(s, self.arena.read(s) if array is None else array)
+            self._steal_srcs.add(s)
+
+    def _on_ship(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
+        """Inline transport: a source the victim shipped ahead of a GRANT."""
+        self._count_steal(nbytes)
+        self._install_source(msg.block, msg.payload)
+        self._span("comm", t0, "steal", "steal_ship_recv",
+                   self.trace and {"block": msg.block, "src": msg.src})
+        return False
+
+    def _on_grant(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
+        """A victim granted us task ``msg.block`` (a task id, not a block
+        id) and shipped the destination's partial state. Install sources
+        and state, execute, ship the resulting state back."""
+        self._count_steal(nbytes)
+        self._steal_victim = None
+        self._steal_round += 1
+        tid, victim = msg.block, msg.src
+        b = int(self.tg.task_block[tid])
+        if self.arena is not None:
+            for s in self._task_sources(tid):
+                self._install_source(s)
+        # Writable C-contiguous copy: BDIV solves in place, and the BMOD
+        # fused kernel's fast path requires a writable contiguous dest
+        # (falling off it would round differently and break bitwise
+        # identity with the victim having run the task itself).
+        # No BDIV layout juggling needed: bdiv_kernel canonicalizes L_KK
+        # to C order itself, so our copy of the diagonal (F if we factored
+        # it, C if it came over a link or out of an arena slot) yields
+        # exactly the bits the victim would have computed.
+        self._store(b, np.array(msg.payload), final=False)
+        tr = self.trace
+        self._span("comm", t0, "steal", "steal_grant_recv",
+                   tr and {"tid": tid, "victim": victim})
+        work = self._execute(tid, victim)
+        t2 = self._now()
+        I, J = self._coords(b)
+        self.links[victim].send_steal(
+            wire.pack_steal_result(self.rank, tid, I == J, self._block(b))
+        )
+        self._span("comm", t2, "steal", "steal_result",
+                   tr and {"tid": tid, "victim": victim, "work": work})
+        return True
+
+    def _task_sources(self, tid: int) -> list[int]:
+        """Final source blocks a stolen task reads (BDIV tasks carry
+        ``src1 == -1``; their one source is the panel's diagonal)."""
+        tg = self.tg
+        if int(tg.task_kind[tid]) == BDIV:
+            b = int(tg.task_block[tid])
+            return [int(self._diag_block[int(tg.block_J[b])])]
+        srcs: list[int] = []
+        for s in (int(tg.task_src1[tid]), int(tg.task_src2[tid])):
+            if s >= 0 and s not in srcs:
+                srcs.append(s)
+        return srcs
+
+    def _on_steal_req(self, msg: wire.WireMessage, nbytes: int,
+                      t0: float) -> bool:
+        """Grant the steal-end task of our queue, or DENY. Grants only
+        BMOD/BDIV (BFAC pivots are cheap and fan out locally) and only
+        while we keep at least one ready task for ourselves."""
+        self._count_steal(nbytes)
+        thief = msg.src
+        tg = self.tg
+        tid = None
+        if self.dynamic and thief in self.links and len(self.scheduler) >= 2:
+            tid = self.scheduler.steal(
+                lambda t: int(tg.task_kind[t]) != BFAC
+            )
+        m = self.metrics
+        tr = self.trace
+        if tid is None:
+            m.steal_denies += 1
+            self.links[thief].send_steal(
+                wire.pack_steal_deny(self.rank, msg.block)
+            )
+            self._span("comm", t0, "steal", "steal_deny",
+                       tr and {"thief": thief})
+            return False
+        b = int(tg.task_block[tid])
+        if self.arena is None:
+            # Inline transport: ship the final sources ahead of the grant
+            # (same link, FIFO — they land first). On shm the thief reads
+            # them straight from the arena instead.
+            for s in self._task_sources(tid):
+                self.links[thief].send_steal(wire.pack_steal_ship(
+                    self.rank, s, *self._coords(s), self._block(s)
+                ))
+        I, J = self._coords(b)
+        self.links[thief].send_steal(
+            wire.pack_steal_grant(self.rank, tid, I == J, self._block(b))
+        )
+        work = int(tg.task_flops[tid]) + self.op_cost
+        m.steal_grants += 1
+        m.tasks_shipped += 1
+        m.work_shipped += work
+        self._span("comm", t0, "steal", "steal_grant",
+                   tr and {"tid": tid, "thief": thief, "work": work})
+        return False
+
+    def _on_steal_result(self, msg: wire.WireMessage, nbytes: int,
+                         t0: float) -> bool:
+        """The thief returned the destination state for a task we granted
+        away: swap it in, count it as one of our owned executions, and do
+        the normal post-task bookkeeping (fan-out, wake-ups)."""
+        self._count_steal(nbytes)
+        tid = msg.block
+        b = int(self.tg.task_block[tid])
+        self._store(b, np.array(msg.payload), final=False)
+        self.executed += 1
+        work = int(self.tg.task_flops[tid]) + self.op_cost
+        # Close the comm span before the bookkeeping below: _fan_out times
+        # its own comm segment and must not be double-counted here.
+        self._span("comm", t0, "steal", "steal_result_recv",
+                   self.trace and {"tid": tid, "thief": msg.src, "work": work})
+        self._completed(tid)
+        return True
+
+    # ------------------------------------------------------------------
+    # Solve plane: distributed triangular solve (see docs/SOLVING.md)
     # ------------------------------------------------------------------
     # The factor never moves: FSOLVE/BSOLVE run where the diagonal block
     # lives, FUPD/BUPD run where the subdiagonal block lives, and only
@@ -721,38 +1079,36 @@ class Worker:
     # are applied in ascending source order — exactly the sequential
     # reference's order — so the distributed solution is bitwise the
     # sequential one on every transport, schedule, and process count.
+    # Solve frames have their own ledger and fully inline payloads, so
+    # logical bytes == wire bytes by construction.
 
-    def _solve_tid(self, kind: int, ident: int) -> int:
-        return kind * self.tg.nblocks + ident
-
-    def _push_solve(self, kind: int, ident: int) -> None:
-        self.solve_scheduler.push(self._solve_tid(kind, ident))
-
-    def _solve_init(self) -> None:
-        tg = self.tg
-        if self.rhs.ndim == 1:
-            self.rhs = self.rhs.reshape(-1, 1)
-        self.splan = sp = SolvePlan(self.structure, tg)
+    def _arm_solve(self, rhs: np.ndarray) -> None:
+        """``rhs`` is the right-hand side panel stack (already permuted,
+        full ``n x nrhs``); the owned solution panels it yields ship home
+        in :attr:`WorkerResult.solution`."""
+        self.handlers.update({wire.SOLVE_Y: self._on_y,
+                              wire.SOLVE_X: self._on_x,
+                              wire.SOLVE_FUP: self._on_fup,
+                              wire.SOLVE_BUP: self._on_bup})
+        rhs = np.ascontiguousarray(rhs, dtype=np.float64)
+        if rhs.ndim == 1:
+            rhs = rhs.reshape(-1, 1)
+        self.splan = sp = SolvePlan(self.context.structure, self.tg)
         n = int(sp.panel_ptr[-1])
-        if self.rhs.shape[0] != n:
-            raise ValueError(
-                f"rhs has {self.rhs.shape[0]} rows, matrix has {n}"
-            )
-        self.nrhs = int(self.rhs.shape[1])
-        rank = self.rank
+        if rhs.shape[0] != n:
+            raise ValueError(f"rhs has {rhs.shape[0]} rows, matrix has {n}")
+        self.nrhs = int(rhs.shape[1])
         own_diag = [
-            k
-            for k in range(sp.npanels)
-            if int(self.owners[sp.diag_block[k]]) == rank
+            k for k in range(sp.npanels)
+            if int(self.owners[sp.diag_block[k]]) == self.rank
         ]
-        self._own_diag = set(own_diag)
         #: Forward accumulation buffers for owned panels (start as the
         #: permuted rhs fragment; updates subtract in canonical order;
         #: FSOLVE replaces the buffer with the solved panel).
         self._ypanel = {}
         for k in own_diag:
             c0, c1 = int(sp.panel_ptr[k]), int(sp.panel_ptr[k + 1])
-            self._ypanel[k] = np.array(self.rhs[c0:c1])
+            self._ypanel[k] = np.array(rhs[c0:c1])
         self._fwd_next = dict.fromkeys(own_diag, 0)
         self._fwd_pending: dict[int, dict[int, np.ndarray]] = {
             k: {} for k in own_diag
@@ -772,55 +1128,30 @@ class Worker:
         #: Owned solution panels shipped home in the WorkerResult.
         self._solution_panels: dict[int, np.ndarray] = {}
         self.solve_scheduler = ReadyScheduler(None)
-        self.n_solve_owned = sp.owned_task_count(self.owners, rank)
-        self.solve_executed = 0
+        self.n_solve_owned = sp.owned_task_count(self.owners, self.rank)
         for k in own_diag:
             if sp.fwd_count[k] == 0:
-                self._push_solve(_FSOLVE, k)
+                self._push_solve(FSOLVE, k)
 
-    def _solve_diag_owner(self, panel: int) -> int:
-        return int(self.owners[self.splan.diag_block[panel]])
-
-    def _solve_loop(self) -> None:
-        self._phase = "solve"
-        last_progress = self._now()
-        while self.solve_executed < self.n_solve_owned:
-            progressed = self._drain_inbox()
-            if self.solve_scheduler:
-                stid = self.solve_scheduler.pop()
-                self._solve_execute(stid)
-                progressed = True
-            elif not progressed:
-                progressed = self._wait_for_message()
-            now = self._now()
-            if progressed:
-                last_progress = now
-            elif now - last_progress > self.stall_timeout_s:
-                raise RuntimeError(
-                    f"worker {self.rank} stalled in solve: "
-                    f"{self.solve_executed}/{self.n_solve_owned} solve "
-                    f"tasks done, no messages for "
-                    f"{self.stall_timeout_s:.0f}s (deadlock?)"
-                )
-        self._flush_pending()
+    def _push_solve(self, kind: int, ident: int) -> None:
+        """Solve task ids are ``kind * nblocks + (panel or block) id``."""
+        self.solve_scheduler.push(kind * self.tg.nblocks + ident)
 
     def _y_ready(self, k: int, panel: np.ndarray) -> None:
         """Forward panel ``Y_k`` is final here; wake owned FUPDs of
         column k."""
         self._y_have[k] = panel
-        sp = self.splan
-        for b in sp.col_blocks[k]:
+        for b in self.splan.col_blocks[k]:
             if int(self.owners[int(b)]) == self.rank:
-                self._push_solve(_FUPD, int(b))
+                self._push_solve(FUPD, int(b))
 
     def _x_ready(self, i: int, panel: np.ndarray) -> None:
         """Solution panel ``X_i`` is final here; wake owned BUPDs of
         row i."""
         self._x_have[i] = panel
-        sp = self.splan
-        for b in sp.row_blocks[i]:
+        for b in self.splan.row_blocks[i]:
             if int(self.owners[int(b)]) == self.rank:
-                self._push_solve(_BUPD, int(b))
+                self._push_solve(BUPD, int(b))
 
     def _fwd_deliver(self, i: int, b: int, u: np.ndarray) -> None:
         """Park a forward update into panel ``i`` and apply every parked
@@ -840,676 +1171,152 @@ class Worker:
             idx += 1
         self._fwd_next[i] = idx
         if idx == order.shape[0]:
-            self._push_solve(_FSOLVE, i)
-
-    def _bwd_deliver(self, k: int, b: int, u: np.ndarray) -> None:
-        """Backward mirror of :meth:`_fwd_deliver` (ascending destination
-        order down column ``k``); releases BSOLVE(k) when the buffer has
-        absorbed every update."""
-        self._bwd_pending[k][b] = u
-        self._bwd_drain(k)
+            self._push_solve(FSOLVE, i)
 
     def _bwd_drain(self, k: int) -> None:
+        """Backward mirror of :meth:`_fwd_deliver` (ascending destination
+        order down column ``k``) over the updates parked in
+        ``_bwd_pending[k]``; releases BSOLVE(k) when the buffer has
+        absorbed every update."""
         B = self._xbuf.get(k)
         if B is None:
             # FSOLVE(k) has not run; causally impossible for a remote
             # update, but the drain is re-run right after FSOLVE anyway.
             return
-        sp = self.splan
-        order = sp.col_blocks[k]
+        order = self.splan.col_blocks[k]
         idx = self._bwd_next[k]
         pend = self._bwd_pending[k]
         while idx < order.shape[0]:
-            nxt = int(order[idx])
-            u = pend.pop(nxt, None)
+            u = pend.pop(int(order[idx]), None)
             if u is None:
                 break
             B -= u
             idx += 1
         self._bwd_next[k] = idx
         if idx == order.shape[0] and k in self._fsolve_done:
-            self._push_solve(_BSOLVE, k)
+            self._push_solve(BSOLVE, k)
 
-    def _handle_solve_msg(self, msg: wire.WireMessage, nbytes: int,
-                          t0: float) -> bool:
-        sp = self.splan
-        if msg.kind == wire.SOLVE_Y:
-            k = msg.block
-            self._y_ready(k, np.asarray(msg.payload))
-            name = f"y({k})"
-        elif msg.kind == wire.SOLVE_X:
-            i = msg.block
-            self._x_ready(i, np.asarray(msg.payload))
-            name = f"x({i})"
-        elif msg.kind == wire.SOLVE_FUP:
-            b = msg.block
-            i = int(sp.block_I[b])
-            self._fwd_deliver(i, b, np.asarray(msg.payload))
-            name = f"fup({i},{int(sp.block_J[b])})"
-        else:  # SOLVE_BUP
-            b = msg.block
-            k = int(sp.block_J[b])
-            self._bwd_deliver(k, b, np.asarray(msg.payload))
-            name = f"bup({int(sp.block_I[b])},{k})"
-        t1 = self._now()
-        self.timeline.add("solve_comm", t0, t1)
-        if self.trace is not None:
-            self.trace.span("solve_recv", name, t0, t1,
-                            {"src": msg.src, "bytes": nbytes})
+    def _solve_received(self, msg: wire.WireMessage, nbytes: int, t0: float,
+                        name: str) -> bool:
+        self.metrics.solve_messages_received += 1
+        self.metrics.solve_bytes_received += nbytes
+        self._span("solve_comm", t0, "solve_recv", name,
+                   self.trace and {"src": msg.src, "bytes": nbytes})
         return True
 
-    def _solve_fan_out(self, frame: bytes, target_owners: np.ndarray,
-                       name: str) -> None:
-        """Send one solve frame to each distinct remote owner."""
-        remote = np.unique(target_owners[target_owners != self.rank])
-        if remote.size == 0:
+    def _on_y(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
+        self._y_ready(msg.block, np.asarray(msg.payload))
+        return self._solve_received(msg, nbytes, t0,
+                                    self.trace and f"y({msg.block})")
+
+    def _on_x(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
+        self._x_ready(msg.block, np.asarray(msg.payload))
+        return self._solve_received(msg, nbytes, t0,
+                                    self.trace and f"x({msg.block})")
+
+    def _on_fup(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
+        b = msg.block
+        i, k = int(self.splan.block_I[b]), int(self.splan.block_J[b])
+        self._fwd_deliver(i, b, np.asarray(msg.payload))
+        return self._solve_received(msg, nbytes, t0,
+                                    self.trace and f"fup({i},{k})")
+
+    def _on_bup(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
+        b = msg.block
+        i, k = int(self.splan.block_I[b]), int(self.splan.block_J[b])
+        self._bwd_pending[k][b] = np.asarray(msg.payload)
+        self._bwd_drain(k)
+        return self._solve_received(msg, nbytes, t0,
+                                    self.trace and f"bup({i},{k})")
+
+    def _solve_send(self, frame: bytes, dsts, name: str) -> None:
+        """Send one solve frame to each of the (distinct, remote) ranks."""
+        if len(dsts) == 0:
             return
         t0 = self._now()
-        for dst in remote:
+        for dst in dsts:
             self.links[int(dst)].send_solve(frame)
-        t1 = self._now()
-        self.timeline.add("solve_comm", t0, t1)
-        if self.trace is not None:
-            self.trace.span("solve_send", name, t0, t1,
-                            {"bytes": len(frame),
-                             "targets": [int(d) for d in remote]})
-
-    def _solve_send(self, frame: bytes, dst: int, name: str) -> None:
-        t0 = self._now()
-        self.links[dst].send_solve(frame)
-        t1 = self._now()
-        self.timeline.add("solve_comm", t0, t1)
-        if self.trace is not None:
-            self.trace.span("solve_send", name, t0, t1,
-                            {"bytes": len(frame), "targets": [dst]})
+        self._span("solve_comm", t0, "solve_send", name,
+                   self.trace and {"bytes": len(frame),
+                                   "targets": [int(d) for d in dsts]})
 
     def _solve_execute(self, stid: int) -> None:
-        tg = self.tg
-        sp = self.splan
-        kind, ident = divmod(stid, tg.nblocks)
-        m = self.metrics
+        """Run one solve task, account for it, then deliver its output —
+        locally when this rank owns the consumer, else over the wire."""
+        sp, chol, tr, rank = self.splan, self.chol, self.trace, self.rank
+        kind, ident = divmod(stid, self.tg.nblocks)
+        diag = kind in (FSOLVE, BSOLVE)
+        if diag:
+            k = ident
+            rows = width = int(sp.widths[k])
+            name = tr and f"{SOLVE_KIND_NAMES[kind]}({k})"
+        else:
+            b = ident
+            i, k = int(sp.block_I[b]), int(sp.block_J[b])
+            rows, width = sp.block_rows_count(b), int(sp.widths[k])
+            name = tr and f"{SOLVE_KIND_NAMES[kind]}({i},{k})"
         t0 = self._now()
-        if kind == _FSOLVE:
-            k = ident
-            w = int(sp.widths[k])
-            panel = fsolve_kernel(self.chol.diag[k], self._ypanel[k])
-            self._ypanel[k] = panel
-            t1 = self._now()
-            work = solve_flops(w, w, self.nrhs, diag=True)
-            name = f"FSOLVE({k})"
-        elif kind == _FUPD:
-            b = ident
-            i, k = int(sp.block_I[b]), int(sp.block_J[b])
-            u = fupd_kernel(self.chol.below[k][i], self._y_have[k])
-            t1 = self._now()
-            rows = sp.block_rows_count(b)
-            work = solve_flops(rows, int(sp.widths[k]), self.nrhs,
-                               diag=False)
-            name = f"FUPD({i},{k})"
-        elif kind == _BSOLVE:
-            k = ident
-            w = int(sp.widths[k])
-            panel = bsolve_kernel(self.chol.diag[k], self._xbuf[k])
-            t1 = self._now()
-            work = solve_flops(w, w, self.nrhs, diag=True)
-            name = f"BSOLVE({k})"
-        else:  # _BUPD
-            b = ident
-            i, k = int(sp.block_I[b]), int(sp.block_J[b])
-            u = bupd_kernel(self.chol.below[k][i],
-                            self._x_have[i][sp.block_ridx[b]])
-            t1 = self._now()
-            rows = sp.block_rows_count(b)
-            work = solve_flops(rows, int(sp.widths[k]), self.nrhs,
-                               diag=False)
-            name = f"BUPD({i},{k})"
-        self.timeline.add("solve_busy", t0, t1)
-        m.solve_tasks_executed += 1
-        m.solve_task_counts[_SOLVE_KIND_NAMES[kind]] += 1
-        m.solve_work_executed += work
+        if kind == FSOLVE:
+            out = fsolve_kernel(chol.diag[k], self._ypanel[k])
+            self._ypanel[k] = out
+        elif kind == FUPD:
+            out = fupd_kernel(chol.below[k][i], self._y_have[k])
+        elif kind == BSOLVE:
+            out = bsolve_kernel(chol.diag[k], self._xbuf[k])
+        else:
+            out = bupd_kernel(chol.below[k][i],
+                              self._x_have[i][sp.block_ridx[b]])
+        t1 = self._now()
+        work = solve_flops(rows, width, self.nrhs, diag=diag)
         self.solve_executed += 1
-        if self.trace is not None:
-            self.trace.span("solve_task", name, t0, t1,
-                            {"id": ident, "work": work})
-        if self._slow_s > 0.0:
-            if self.injector is not None:
-                self.injector.injected["slow"] += 1
-            if self.trace is not None:
-                self.trace.mark("slow", self._now(), {"s": self._slow_s})
-            time.sleep(self._slow_s)
-        if (
-            self._crash_after is not None
-            and self.executed + self.solve_executed >= self._crash_after
-        ):
-            if self.trace is not None:
-                self.trace.mark(
-                    "crash", self._now(),
-                    {"after": self.executed + self.solve_executed,
-                     "hard": self._crash_hard, "phase": "solve"},
-                )
-            if self._crash_hard:
-                os._exit(17)
-            raise RuntimeError(
-                f"injected failure on worker {self.rank} after "
-                f"{self.solve_executed} solve tasks"
-            )
+        self._account("solve_busy", SOLVE_KIND_NAMES[kind], t0, t1, work, 0,
+                      name, tr and {"id": ident, "work": work})
         # Post-task bookkeeping and fan-out.
-        if kind == _FSOLVE:
+        if kind == FSOLVE:
             self._fsolve_done.add(k)
-            self._xbuf[k] = panel.copy()
-            self._solve_fan_out(
-                wire.pack_solve_y(self.rank, k, panel),
-                self.owners[sp.col_blocks[k]],
-                f"y({k})",
-            )
-            self._y_ready(k, panel)
+            self._xbuf[k] = out.copy()
+            self._solve_send(wire.pack_solve_y(rank, k, out),
+                             self._remote(self.owners[sp.col_blocks[k]]),
+                             tr and f"y({k})")
+            self._y_ready(k, out)
             self._bwd_drain(k)
-        elif kind == _FUPD:
-            dst = self._solve_diag_owner(i)
-            if dst == self.rank:
-                self._fwd_deliver(i, b, u)
+        elif kind == BSOLVE:
+            self._solution_panels[k] = out
+            self._solve_send(wire.pack_solve_x(rank, k, out),
+                             self._remote(self.owners[sp.row_blocks[k]]),
+                             tr and f"x({k})")
+            self._x_ready(k, out)
+        elif kind == FUPD:
+            dst = int(self.owners[sp.diag_block[i]])
+            if dst == rank:
+                self._fwd_deliver(i, b, out)
             else:
-                self._solve_send(
-                    wire.pack_solve_fup(self.rank, b, u), dst,
-                    f"fup({i},{k})",
-                )
-        elif kind == _BSOLVE:
-            self._solution_panels[k] = panel
-            self._solve_fan_out(
-                wire.pack_solve_x(self.rank, k, panel),
-                self.owners[sp.row_blocks[k]],
-                f"x({k})",
-            )
-            self._x_ready(k, panel)
-        else:  # _BUPD
-            dst = self._solve_diag_owner(k)
-            if dst == self.rank:
-                self._bwd_deliver(k, b, u)
+                self._solve_send(wire.pack_solve_fup(rank, b, out), [dst],
+                                 tr and f"fup({i},{k})")
+        else:
+            dst = int(self.owners[sp.diag_block[k]])
+            if dst == rank:
+                self._bwd_pending[k][b] = out
+                self._bwd_drain(k)
             else:
-                self._solve_send(
-                    wire.pack_solve_bup(self.rank, b, u), dst,
-                    f"bup({i},{k})",
-                )
-
-    def run_solve(self, rhs, fabric, result_queue, trace_capacity: int = 0,
-                  fault_plan: FaultPlan | None = None) -> None:
-        """Re-arm a retained, already-factored worker for one warm solve
-        job (the persistent pool's path): fresh fabric, fresh metrics and
-        trace, only right-hand-side values in and solution panels out —
-        the factor stays resident and ships zero bytes."""
-        self.fabric = fabric
-        self.inbox = fabric.inbox(self.rank)
-        self.links = fabric.outgoing(self.rank)
-        self.result_queue = result_queue
-        self.rhs = np.ascontiguousarray(rhs, dtype=np.float64)
-        self.metrics = WorkerMetrics(rank=self.rank)
-        self.timeline = TimelineRecorder(enabled=self.record_timeline)
-        self.trace = TraceRecorder(trace_capacity) if trace_capacity else None
-        self.done_peers = set()
-        self.fault_plan = fault_plan
-        self.injector = None
-        self._crash_after, self._crash_hard = self._crash_config()
-        self._slow_s = (
-            fault_plan.slow_for(self.rank) if fault_plan else 0.0
-        )
-        solution = None
-        try:
-            self._solve_init()
-            self._solve_loop()
-            solution = self._solution_panels
-        except _Abort:
-            self.metrics.aborted = True
-        except BaseException:  # noqa: BLE001 - reported to the driver
-            self.metrics.error = traceback.format_exc()
-            self._broadcast_abort()
-        self._finalize()
-        trace = None if self.trace is None else self.trace.snapshot(self.rank)
-        self.result_queue.put(
-            WorkerResult(self.rank, self.metrics, [], trace, solution)
-        )
-        if self.metrics.error is not None or self.metrics.aborted:
-            for link in self.links.values():
-                link.queue.cancel_join_thread()
-
-    # ------------------------------------------------------------------
-    # Work stealing (dynamic schedule)
-    # ------------------------------------------------------------------
-    # Ownership of the *update* migrates, never of the block. The victim
-    # ships the destination block's current partial state in the GRANT;
-    # the thief runs the identical kernel on those identical bytes at the
-    # task's canonical accumulation position and ships the state back in a
-    # RESULT, which the victim swaps in before doing the normal post-task
-    # bookkeeping. Same kernel + same input bytes + same position ==
-    # bitwise-identical factors, whichever rank executed the task.
-    #
-    # Safe-grant invariant: any BMOD in the ready queue is the canonical
-    # next update for its destination block (_push parks the rest), and
-    # BDIV/BFAC only enqueue once mods_remaining hits zero — so at most
-    # one update per destination is ever in flight, and the victim never
-    # touches a granted-out destination until the RESULT returns (the
-    # successor BMOD stays parked, executed < n_owned keeps the loop
-    # alive, and sources are only read once a block is final).
-
-    def _pick_victim(self) -> int | None:
-        """Deterministic seeded victim choice keyed on (seed, round,
-        rank): reproducible given the same knobs, uncorrelated between
-        thieves so they don't dog-pile one victim."""
-        peers = sorted(d for d in self.links if d not in self.done_peers)
-        if not peers:
-            return None
-        seed = (
-            self.steal_seed * 2654435761
-            + self._steal_round * 40503
-            + self.rank
-        ) & 0xFFFFFFFF
-        return peers[random.Random(seed).randrange(len(peers))]
-
-    def _maybe_request_steal(self) -> None:
-        """Idle and out of ready work: ask one peer for a task. At most
-        one outstanding request; a DENY advances the round and backs off
-        briefly before the next attempt."""
-        if self._steal_victim is not None:
-            return
-        now = self._now()
-        if now < self._steal_backoff_until:
-            return
-        victim = self._pick_victim()
-        if victim is None:
-            return
-        self._steal_victim = victim
-        self.metrics.steal_reqs_sent += 1
-        self.links[victim].send_steal(
-            wire.pack_steal_req(self.rank, self._steal_round)
-        )
-        t1 = self._now()
-        self.timeline.add("comm", now, t1)
-        if self.trace is not None:
-            self.trace.span("steal", "steal_req", now, t1,
-                            {"victim": victim, "round": self._steal_round})
-
-    def _task_sources(self, tid: int) -> list[int]:
-        """Final source blocks a stolen task reads (BDIV tasks carry
-        ``src1 == -1``; their one source is the panel's diagonal)."""
-        tg = self.tg
-        if int(tg.task_kind[tid]) == BDIV:
-            b = int(tg.task_block[tid])
-            return [int(self._diag_block[int(tg.block_J[b])])]
-        srcs: list[int] = []
-        for s in (int(tg.task_src1[tid]), int(tg.task_src2[tid])):
-            if s >= 0 and s not in srcs:
-                srcs.append(s)
-        return srcs
-
-    def _serve_steal_req(self, msg: wire.WireMessage, t0: float) -> bool:
-        """Grant the steal-end task of our queue, or DENY. Grants only
-        BMOD/BDIV (BFAC pivots are cheap and fan out locally) and only
-        while we keep at least one ready task for ourselves."""
-        thief = msg.src
-        tg = self.tg
-        tid = None
-        if self.dynamic and thief in self.links and len(self.scheduler) >= 2:
-            tid = self.scheduler.steal(
-                lambda t: int(tg.task_kind[t]) != BFAC
-            )
-        m = self.metrics
-        if tid is None:
-            m.steal_denies += 1
-            self.links[thief].send_steal(
-                wire.pack_steal_deny(self.rank, msg.block)
-            )
-            t1 = self._now()
-            self.timeline.add("comm", t0, t1)
-            if self.trace is not None:
-                self.trace.span("steal", "steal_deny", t0, t1,
-                                {"thief": thief})
-            return False
-        b = int(tg.task_block[tid])
-        I, J = int(tg.block_I[b]), int(tg.block_J[b])
-        if self.arena is None:
-            # Inline transport: ship the final sources ahead of the grant
-            # (same link, FIFO — they land first). On shm the thief reads
-            # them straight from the arena instead.
-            for s in self._task_sources(tid):
-                sI, sJ = int(tg.block_I[s]), int(tg.block_J[s])
-                arr = (
-                    self.chol.diag[sJ]
-                    if sI == sJ
-                    else self.chol.below[sJ][sI]
-                )
-                self.links[thief].send_steal(
-                    wire.pack_steal_ship(self.rank, s, sI, sJ, arr)
-                )
-        dest = self.chol.diag[J] if I == J else self.chol.below[J][I]
-        self.links[thief].send_steal(
-            wire.pack_steal_grant(self.rank, tid, I == J, dest)
-        )
-        self._stolen_out[tid] = thief
-        work = int(tg.task_flops[tid]) + self.op_fixed_cost
-        m.steal_grants += 1
-        m.tasks_shipped += 1
-        m.work_shipped += work
-        t1 = self._now()
-        self.timeline.add("comm", t0, t1)
-        if self.trace is not None:
-            self.trace.span("steal", "steal_grant", t0, t1,
-                            {"tid": tid, "thief": thief, "work": work})
-        return False
-
-    def _apply_steal_ship(self, msg: wire.WireMessage) -> None:
-        """Install a steal-shipped final source block *without* dependency
-        bookkeeping: the regular fan-out frame for it still arrives later
-        and runs the bookkeeping exactly once (its bytes are identical, so
-        the overwrite is a no-op numerically)."""
-        b = msg.block
-        if b in self.have or b in self._steal_srcs:
-            return
-        tg = self.tg
-        I, J = int(tg.block_I[b]), int(tg.block_J[b])
-        if I == J:
-            self.chol.diag[J] = msg.payload
-            self.chol._factored[J] = True
-        else:
-            self.chol.below[J][I] = msg.payload
-        self._steal_srcs.add(b)
-
-    def _handle_steal_grant(self, msg: wire.WireMessage, t0: float) -> bool:
-        """A victim granted us task ``msg.block`` (a task id, not a block
-        id) and shipped the destination's partial state. Install sources
-        and state, then execute."""
-        tg = self.tg
-        tid = msg.block
-        victim = msg.src
-        b = int(tg.task_block[tid])
-        I, J = int(tg.block_I[b]), int(tg.block_J[b])
-        if self.arena is not None:
-            for s in self._task_sources(tid):
-                if s in self.have or s in self._steal_srcs:
-                    continue
-                sI, sJ = int(tg.block_I[s]), int(tg.block_J[s])
-                arr = self.arena.read(s)
-                if sI == sJ:
-                    self.chol.diag[sJ] = arr
-                    self.chol._factored[sJ] = True
-                else:
-                    self.chol.below[sJ][sI] = arr
-                self._steal_srcs.add(s)
-        # Writable C-contiguous copy: BDIV solves in place, and the BMOD
-        # fused kernel's fast path requires a writable contiguous dest
-        # (falling off it would round differently and break bitwise
-        # identity with the victim having run the task itself).
-        state = np.array(msg.payload)
-        if I == J:
-            self.chol.diag[J] = state
-        else:
-            self.chol.below[J][I] = state
-        t1 = self._now()
-        self.timeline.add("comm", t0, t1)
-        if self.trace is not None:
-            self.trace.span("steal", "steal_grant_recv", t0, t1,
-                            {"tid": tid, "victim": victim})
-        self._execute_stolen(tid, victim)
-        return True
-
-    def _execute_stolen(self, tid: int, victim: int) -> None:
-        """Run a stolen task and ship the resulting destination state
-        back. Counts toward our executed-work metrics (and the stolen
-        tallies) but *not* toward ``executed`` — that is the victim's
-        owned-task counter and ticks when the RESULT lands there."""
-        tg = self.tg
-        kind = int(tg.task_kind[tid])
-        b = int(tg.task_block[tid])
-        I, J = int(tg.block_I[b]), int(tg.block_J[b])
-        # No BDIV layout juggling needed here: bdiv_kernel canonicalizes
-        # L_KK to C order itself, so our copy of the diagonal (F if we
-        # factored it, C if it came over a link or out of an arena slot)
-        # yields exactly the bits the victim would have computed.
-        t0 = self._now()
-        self.chol.apply_task(tg, tid)
-        t1 = self._now()
-        self.timeline.add("busy", t0, t1)
-        m = self.metrics
-        m.tasks_executed += 1
-        m.task_counts[_KIND_NAMES[kind]] += 1
-        flops = int(tg.task_flops[tid])
-        work = flops + self.op_fixed_cost
-        m.flops_executed += flops
-        m.work_executed += work
-        m.tasks_stolen += 1
-        m.work_stolen += work
-        if self.trace is not None:
-            self.trace.span(
-                "task",
-                f"{_KIND_NAMES[kind]}({I},{J})",
-                t0, t1,
-                {"tid": tid, "block": b, "flops": flops, "work": work,
-                 "stolen_from": victim},
-            )
-        if self._slow_s > 0.0:
-            if self.injector is not None:
-                self.injector.injected["slow"] += 1
-            if self.trace is not None:
-                self.trace.mark("slow", self._now(), {"s": self._slow_s})
-            time.sleep(self._slow_s)
-        dest = self.chol.diag[J] if I == J else self.chol.below[J][I]
-        t2 = self._now()
-        self.links[victim].send_steal(
-            wire.pack_steal_result(self.rank, tid, I == J, dest)
-        )
-        t3 = self._now()
-        self.timeline.add("comm", t2, t3)
-        if self.trace is not None:
-            self.trace.span("steal", "steal_result", t2, t3,
-                            {"tid": tid, "victim": victim, "work": work})
-
-    def _handle_steal_result(self, msg: wire.WireMessage, t0: float) -> bool:
-        """The thief returned the destination state for a task we granted
-        away: swap it in, count it as one of our owned executions, and do
-        the normal post-task bookkeeping (fan-out, wake-ups)."""
-        tg = self.tg
-        tid = msg.block
-        thief = msg.src
-        self._stolen_out.pop(tid, None)
-        kind = int(tg.task_kind[tid])
-        b = int(tg.task_block[tid])
-        I, J = int(tg.block_I[b]), int(tg.block_J[b])
-        state = np.array(msg.payload)
-        if I == J:
-            self.chol.diag[J] = state
-        else:
-            self.chol.below[J][I] = state
-        self.executed += 1
-        work = int(tg.task_flops[tid]) + self.op_fixed_cost
-        # Close the comm span before the dispatch below: _fan_out times
-        # its own comm segment and must not be double-counted here.
-        t1 = self._now()
-        self.timeline.add("comm", t0, t1)
-        if self.trace is not None:
-            self.trace.span("steal", "steal_result_recv", t0, t1,
-                            {"tid": tid, "thief": thief, "work": work})
-        if kind == BMOD:
-            self._bmod_advance(b)
-            self.mods_remaining[b] -= 1
-            if self.mods_remaining[b] == 0:
-                self._block_mods_done(b)
-        else:  # BDIV (BFAC is never granted)
-            self._publish(b)
-            deps = tg.dep_tasks[tg.dep_ptr[b] : tg.dep_ptr[b + 1]]
-            self._fan_out(b, self.task_owner[deps])
-            self._subdiag_completed(b)
-        return True
-
-    # ------------------------------------------------------------------
-    # Dependency bookkeeping (local mirror of the simulator's)
-    # ------------------------------------------------------------------
-    def _diag_completed(self, k: int) -> None:
-        """``L_KK`` is available here; wake owned BDIVs of panel k."""
-        tg = self.tg
-        sub = tg.subdiag_blocks[tg.subdiag_ptr[k] : tg.subdiag_ptr[k + 1]]
-        for b in sub:
-            b = int(b)
-            if self.owners[b] != self.rank:
-                continue
-            self.diag_ready[b] = True
-            if self.mods_remaining[b] == 0:
-                self._push(int(tg.bdiv_task[b]))
-
-    def _subdiag_completed(self, b: int) -> None:
-        """``L_IK`` is available here; decrement owned consumer BMODs."""
-        tg = self.tg
-        for t in tg.dep_tasks[tg.dep_ptr[b] : tg.dep_ptr[b + 1]]:
-            t = int(t)
-            if self.task_owner[t] != self.rank:
-                continue
-            self.missing[t] -= 1
-            if self.missing[t] == 0:
-                self._push(t)
-
-    def _block_mods_done(self, b: int) -> None:
-        tg = self.tg
-        if tg.block_I[b] == tg.block_J[b]:
-            self._push(int(tg.bfac_task[b]))
-        elif self.diag_ready[b]:
-            self._push(int(tg.bdiv_task[b]))
-
-    # ------------------------------------------------------------------
-    # Executing and fanning out
-    # ------------------------------------------------------------------
-    def _execute(self, tid: int) -> None:
-        tg = self.tg
-        t0 = self._now()
-        self.chol.apply_task(tg, tid)
-        t1 = self._now()
-        self.timeline.add("busy", t0, t1)
-
-        kind = int(tg.task_kind[tid])
-        b = int(tg.task_block[tid])
-        m = self.metrics
-        m.tasks_executed += 1
-        m.task_counts[_KIND_NAMES[kind]] += 1
-        flops = int(tg.task_flops[tid])
-        m.flops_executed += flops
-        m.work_executed += flops + self.op_fixed_cost
-        self.executed += 1
-        if self.trace is not None:
-            self.trace.span(
-                "task",
-                f"{_KIND_NAMES[kind]}"
-                f"({int(tg.block_I[b])},{int(tg.block_J[b])})",
-                t0, t1,
-                {"tid": tid, "block": b, "flops": flops,
-                 "work": flops + self.op_fixed_cost},
-            )
-        if self._slow_s > 0.0:
-            if self.injector is not None:
-                self.injector.injected["slow"] += 1
-            if self.trace is not None:
-                self.trace.mark("slow", self._now(), {"s": self._slow_s})
-            time.sleep(self._slow_s)
-        if self._crash_after is not None and self.executed >= self._crash_after:
-            if self.trace is not None:
-                self.trace.mark(
-                    "crash", self._now(),
-                    {"after": self.executed, "hard": self._crash_hard},
-                )
-            if self._crash_hard:
-                # A stand-in for a segfault/OOM kill: vanish without
-                # reporting. The driver notices the dead child.
-                os._exit(17)
-            raise RuntimeError(
-                f"injected failure on worker {self.rank} after "
-                f"{self.executed} tasks"
-            )
-
-        if kind == BMOD:
-            self._bmod_advance(b)
-            self.mods_remaining[b] -= 1
-            if self.mods_remaining[b] == 0:
-                self._block_mods_done(b)
-        elif kind == BFAC:
-            self._publish(b)
-            k = int(tg.block_J[b])
-            sub = tg.subdiag_blocks[tg.subdiag_ptr[k] : tg.subdiag_ptr[k + 1]]
-            self._fan_out(b, self.owners[sub])
-            self._diag_completed(k)
-        else:  # BDIV
-            self._publish(b)
-            deps = tg.dep_tasks[tg.dep_ptr[b] : tg.dep_ptr[b + 1]]
-            self._fan_out(b, self.task_owner[deps])
-            self._subdiag_completed(b)
-
-    def _publish(self, b: int) -> None:
-        """Mark block ``b`` final and, on the shm transport, copy it into
-        its arena slot (the producer's single copy) before any descriptor
-        for it can be sent — to peers *or* to the driver gather."""
-        self.have.add(b)
-        if self.arena is not None:
-            tg = self.tg
-            I, J = int(tg.block_I[b]), int(tg.block_J[b])
-            arr = self.chol.diag[J] if I == J else self.chol.below[J][I]
-            self.arena.write(b, arr)
-
-    def _fan_out(self, b: int, target_owners: np.ndarray) -> None:
-        """Send completed block ``b`` once to each distinct remote owner."""
-        remote = np.unique(target_owners[target_owners != self.rank])
-        if remote.size == 0:
-            return
-        t0 = self._now()
-        frame = self._frame_for(b)
-        nbytes = self._logical_nbytes(b)
-        for dst in remote:
-            self.links[int(dst)].send(frame, nbytes)
-        t1 = self._now()
-        self.timeline.add("comm", t0, t1)
-        if self.trace is not None:
-            tg = self.tg
-            self.trace.span(
-                "send",
-                f"send({int(tg.block_I[b])},{int(tg.block_J[b])})",
-                t0, t1,
-                {"block": b, "bytes": nbytes, "wire_bytes": len(frame),
-                 "targets": [int(d) for d in remote]},
-            )
-
-    def _logical_nbytes(self, b: int) -> int:
-        """Logical frame bytes for block ``b`` — exactly what the static
-        predictor charges, independent of the transport."""
-        return wire.HEADER_BYTES + 8 * int(self.tg.block_words[b])
-
-    def _frame_for(self, b: int, inline: bool = False) -> bytes:
-        if self.arena is not None and not inline:
-            return self.arena.pack_ref(self.rank, b)
-        tg = self.tg
-        I, J = int(tg.block_I[b]), int(tg.block_J[b])
-        arr = self.chol.diag[J] if I == J else self.chol.below[J][I]
-        return wire.pack_block(self.rank, b, I, J, arr)
+                self._solve_send(wire.pack_solve_bup(rank, b, out), [dst],
+                                 tr and f"bup({i},{k})")
 
     # ------------------------------------------------------------------
     # Shutdown
     # ------------------------------------------------------------------
-    # Frames bound for the driver carry their payload on every transport:
-    # arena slots are reused by the pattern's next job and the arena may
-    # be gone before a salvaged checkpoint is read.
-
-    def _gather_frames(self) -> list[bytes]:
-        """Frames for every block this worker owns (the result gather)."""
-        return [
-            self._frame_for(int(b), inline=True)
-            for b in np.flatnonzero(self.owners == self.rank)
-        ]
-
-    def _checkpoint_frames(self) -> list[bytes]:
-        """Frames for every *completed* block held locally — the snapshot
-        a restarted attempt resumes from. Safe on partially-initialized
-        workers."""
-        if not hasattr(self, "chol"):
-            return []
-        return [self._frame_for(b, inline=True) for b in sorted(self.have)]
+    def _frames(self, blocks) -> list[bytes]:
+        """Driver-bound frames for ``blocks`` (the result gather, or the
+        abort-time checkpoint). They carry their payload on every
+        transport: arena slots are reused by the pattern's next job and
+        the arena may be gone before a salvaged checkpoint is read."""
+        return [self._frame_for(int(b), inline=True) for b in blocks]
 
     def _broadcast_abort(self) -> None:
         if self.trace is not None:
             self.trace.mark("abort_sent", self._now())
         frame = wire.pack_abort(self.rank)
-        for link in getattr(self, "links", {}).values():
+        for link in self.links.values():
             try:
                 link.send_control(frame)
             except Exception:  # pragma: no cover - peer already gone
@@ -1517,14 +1324,10 @@ class Worker:
 
     def _finalize(self) -> None:
         m = self.metrics
-        m.busy_s = self.timeline.totals["busy"]
-        m.comm_s = self.timeline.totals["comm"]
-        m.idle_s = self.timeline.totals["idle"]
-        m.solve_busy_s = self.timeline.totals["solve_busy"]
-        m.solve_comm_s = self.timeline.totals["solve_comm"]
-        m.solve_idle_s = self.timeline.totals["solve_idle"]
+        for cat, total in self.timeline.totals.items():
+            setattr(m, f"{cat}_s", total)
         m.timeline = list(self.timeline.segments)
-        for dst, link in getattr(self, "links", {}).items():
+        for dst, link in self.links.items():
             if link.messages:
                 m.links[dst] = [link.messages, link.bytes]
             m.wire_bytes_sent += link.wire_bytes
@@ -1535,10 +1338,9 @@ class Worker:
             m.solve_bytes_sent += link.solve_bytes
         m.messages_sent = sum(v[0] for v in m.links.values())
         m.bytes_sent = sum(v[1] for v in m.links.values())
-        injector = getattr(self, "injector", None)
-        if injector is not None:
+        if self.injector is not None:
             m.faults_injected = {
-                k: v for k, v in injector.injected.items() if v
+                k: v for k, v in self.injector.injected.items() if v
             }
         if self.trace is not None:
             m.trace_events = len(self.trace.events)

@@ -1,0 +1,375 @@
+"""The worker's seams, exercised without a process: ``Worker``s are built
+over an in-memory fabric (``LinkFabric(P, queue)``) and driven by hand —
+the handler table, the non-blocking ``step`` (two ranks interleaved in
+one thread, factor + solve, bitwise vs sequential), each recovery / steal
+handler on its own, and hypothesis-fuzzed input to the receive prologue.
+
+Only the last class spawns processes: it pins that the per-operation
+fixed cost comes from the task graph's own work model on every path."""
+
+import dataclasses
+import queue
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.analysis.comm_volume import (
+    communication_volume,
+    solve_communication_volume,
+)
+from repro.analysis.trace_replay import validate_trace
+from repro.blocks import WorkModel
+from repro.fanout import TaskGraph
+from repro.numeric import BlockCholesky
+from repro.numeric.solve import block_solve_permuted
+from repro.runtime import (
+    LinkFabric,
+    PatternContext,
+    PoolJob,
+    Worker,
+    WorkerPool,
+    plan_owners,
+    run_mp_fanout,
+    wire,
+)
+from repro.runtime.engine import outcome_result
+from repro.runtime.pool import JobOutcome
+from repro.runtime.worker import RETRANSMIT_LIMIT, WorkerResult
+
+KIND_NAMES = (
+    "BLOCK ABORT NACK DONE BLOCK_REF STEAL_REQ STEAL_GRANT STEAL_DENY "
+    "STEAL_SHIP STEAL_RESULT SOLVE_Y SOLVE_FUP SOLVE_X SOLVE_BUP"
+).split()
+
+
+def _context(pipeline, nprocs, schedule="static"):
+    _, sf, _, bs, wm, tg = pipeline
+    owners, _ = plan_owners(wm, tg, nprocs, "DW/CY", False)
+    A = sf.A.tocsc()
+    ctx = PatternContext(
+        pattern_id="t", structure=bs, tg=tg, owners=owners, priorities=None,
+        indptr=A.indptr, indices=A.indices, shape=tuple(A.shape),
+        schedule=schedule,
+    )
+    return ctx, A
+
+
+def _crew(pipeline, nprocs=2, schedule="static", **job):
+    """``nprocs`` set-up Workers of one job over ``queue.Queue`` inboxes."""
+    ctx, A = _context(pipeline, nprocs, schedule)
+    spec = PoolJob(seq=0, pattern_id="t", values=A.data, **job)
+    fabric = LinkFabric(nprocs, queue)
+    workers = [
+        Worker(r, ctx, spec, None, fabric, queue.Queue())
+        for r in range(nprocs)
+    ]
+    for w in workers:
+        w._setup(True)
+    return workers, fabric
+
+
+def _sent(fabric, rank):
+    """Decoded frames queued for ``rank`` (drains its inbox)."""
+    out = []
+    while not fabric.inboxes[rank].empty():
+        out.append(wire.unpack(fabric.inboxes[rank].get_nowait()))
+    return out
+
+
+def _remote_block(w, seq_chol):
+    """A final block frame from rank 1 that rank 0 does not own."""
+    b = int(np.flatnonzero(w.owners == 1)[0])
+    I, J = w._coords(b)
+    arr = seq_chol.diag[J] if I == J else seq_chol.below[J][I]
+    return b, wire.pack_block(1, b, I, J, arr)
+
+
+def _state(w):
+    """Everything a frame could change besides the receive ledger."""
+    return (
+        set(w.have), len(w.scheduler), w.missing.copy(),
+        w.diag_ready.copy(), w.mods_remaining.copy(), w.executed,
+        [d.copy() for d in w.chol.diag],
+    )
+
+
+def _same(a, b):
+    return all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray)
+        else all(map(np.array_equal, x, y)) if isinstance(x, list)
+        else x == y
+        for x, y in zip(a, b)
+    )
+
+
+@pytest.fixture(scope="module")
+def seq_chol(grid12_pipeline):
+    _, sf, _, bs, _, _ = grid12_pipeline
+    return BlockCholesky(bs, sf.A).factor()
+
+
+class TestHandlerTable:
+    def test_every_wire_kind_has_a_handler(self, grid12_pipeline):
+        (w, _), _ = _crew(grid12_pipeline)
+        kinds = {getattr(wire, name) for name in KIND_NAMES}
+        assert kinds == set(
+            wire.DATA_KINDS + wire.CONTROL_KINDS + wire.STEAL_KINDS
+            + wire.SOLVE_KINDS
+        )
+        assert set(w.handlers) == kinds
+        assert all(callable(h) for h in w.handlers.values())
+
+    def test_unarmed_solve_kind_is_refused(self, grid12_pipeline):
+        (w, _), _ = _crew(grid12_pipeline)  # no rhs: no solve plane
+        frame = wire.pack_solve_y(1, 0, np.zeros((8, 1)))
+        with pytest.raises(RuntimeError, match="no right-hand side"):
+            w.receive(frame)
+
+    def test_armed_solve_kinds_are_the_solve_handlers(self, grid12_pipeline):
+        n = grid12_pipeline[1].A.shape[0]
+        (w, _), _ = _crew(grid12_pipeline, rhs=np.ones((n, 1)))
+        assert w.handlers[wire.SOLVE_Y] == w._on_y
+        assert w.handlers[wire.SOLVE_BUP] == w._on_bup
+
+
+class TestInterleavedRanks:
+    """Two ranks stepped alternately in one thread run the whole job."""
+
+    @pytest.mark.parametrize("schedule", ["static", "dynamic"])
+    def test_factor_and_solve_bitwise(self, grid12_pipeline, seq_chol,
+                                      schedule):
+        _, sf, _, bs, _, tg = grid12_pipeline
+        rhs = np.random.default_rng(3).standard_normal((sf.A.shape[0], 2))
+        workers, _ = _crew(grid12_pipeline, 2, schedule, rhs=rhs)
+        gens = [w.phases() for w in workers]
+        nphases = 0
+        while True:
+            phases = [next(g, None) for g in gens]
+            if phases[0] is None:
+                assert phases == [None, None]
+                break
+            nphases += 1
+            for _ in range(200_000):
+                if not any(p.left() for p in phases):
+                    break
+                for w, p in zip(workers, phases):
+                    w.step(p)
+            else:
+                pytest.fail(f"phase {phases[0].what!r} never finished")
+        # factor + solve, plus the DONE linger under the dynamic schedule
+        assert nphases == (3 if schedule == "dynamic" else 2)
+
+        results = {}
+        for w in workers:
+            w._finalize()
+            frames = w._frames(np.flatnonzero(w.owners == w.rank))
+            results[w.rank] = WorkerResult(
+                w.rank, w.metrics, frames, None, w._solution_panels
+            )
+        factor, solution, metrics, _ = outcome_result(
+            JobOutcome(seq=0, results=results), bs, tg, sf.A.tocsc(), rhs,
+            schedule=schedule,
+        )
+        ref = seq_chol.to_csc()
+        L = factor.to_csc()
+        assert np.array_equal(L.indptr, ref.indptr)
+        assert np.array_equal(L.indices, ref.indices)
+        assert np.array_equal(L.data, ref.data)
+        assert np.array_equal(solution, block_solve_permuted(seq_chol, rhs))
+
+        owners = workers[0].owners
+        pred = communication_volume(tg, owners)
+        assert metrics.messages_total == pred.messages
+        assert metrics.bytes_total == pred.bytes
+        spred = solve_communication_volume(tg, owners, nrhs=2)
+        assert metrics.solve_messages_total == spred.messages
+        assert metrics.solve_bytes_total == spred.bytes
+        # Work is the model's, whoever ran it.
+        assert sum(w.work_executed for w in metrics.workers) == int(
+            tg.workmodel.work.sum()
+        )
+        if schedule == "static":
+            assert metrics.steal_reqs_total == 0
+        else:
+            # Single-threaded stepping makes stealing deterministic here.
+            assert metrics.tasks_stolen_total > 0
+
+
+class TestHandlers:
+    def test_duplicate_block_is_counted_and_changes_nothing(
+        self, grid12_pipeline, seq_chol
+    ):
+        (w, _), _ = _crew(grid12_pipeline, recovery=True)
+        b, frame = _remote_block(w, seq_chol)
+        assert w.receive(frame) is True
+        assert b in w.have and w.metrics.duplicates_dropped == 0
+        before = _state(w)
+        assert w.receive(frame) is False
+        assert w.metrics.duplicates_dropped == 1
+        assert w.metrics.messages_received == 2
+        assert _same(before, _state(w))
+
+    def test_corrupt_frame_nacks_its_source_once(
+        self, grid12_pipeline, seq_chol
+    ):
+        (w, _), fabric = _crew(grid12_pipeline, recovery=True)
+        b, frame = _remote_block(w, seq_chol)
+        bad = bytearray(frame)
+        bad[-1] ^= 0x10
+        before = _state(w)
+        assert w.receive(bytes(bad)) is False
+        assert w.metrics.frames_rejected == 1
+        assert w.metrics.nacks_sent == 1
+        assert _same(before, _state(w))
+        (nack,) = _sent(fabric, 1)
+        assert (nack.kind, nack.src, nack.block) == (wire.NACK, 0, b)
+        assert _sent(fabric, 0) == []
+
+    def test_corrupt_frame_without_recovery_raises(
+        self, grid12_pipeline, seq_chol
+    ):
+        (w, _), fabric = _crew(grid12_pipeline)
+        _, frame = _remote_block(w, seq_chol)
+        bad = bytearray(frame)
+        bad[-1] ^= 0x10
+        with pytest.raises(RuntimeError, match="no recovery enabled"):
+            w.receive(bytes(bad))
+        assert w.metrics.frames_rejected == 1
+        assert _sent(fabric, 1) == []
+
+    def test_steal_req_with_under_two_ready_tasks_is_denied(
+        self, grid12_pipeline
+    ):
+        (w, _), fabric = _crew(grid12_pipeline, schedule="dynamic")
+        while len(w.scheduler) > 1:
+            w.scheduler.pop()
+        assert w.receive(wire.pack_steal_req(1, 7)) is False
+        (deny,) = _sent(fabric, 1)
+        assert (deny.kind, deny.src, deny.block) == (wire.STEAL_DENY, 0, 7)
+        assert w.metrics.steal_denies == 1
+        assert w.metrics.steal_grants == 0
+        assert len(w.scheduler) == 1
+
+    def test_nack_retransmits_up_to_the_limit(
+        self, grid12_pipeline, seq_chol
+    ):
+        (w, _), fabric = _crew(grid12_pipeline, recovery=True)
+        b, frame = _remote_block(w, seq_chol)
+        w.receive(frame)
+        w.receive(wire.pack_nack(1, b))
+        (again,) = _sent(fabric, 1)
+        assert again.kind == wire.BLOCK and again.block == b
+        assert np.array_equal(again.payload, wire.unpack(frame).payload)
+        for _ in range(RETRANSMIT_LIMIT + 2):
+            w.receive(wire.pack_nack(1, b))
+        assert len(_sent(fabric, 1)) == RETRANSMIT_LIMIT - 1
+        assert w.metrics.retransmits == RETRANSMIT_LIMIT
+        assert w.metrics.nacks_received == RETRANSMIT_LIMIT + 3
+        # A block this rank does not hold yet is not served at all.
+        other = int(np.flatnonzero(w.owners == 1)[1])
+        w.receive(wire.pack_nack(1, other))
+        assert _sent(fabric, 1) == []
+
+
+# One worker per recovery setting, shared by every hypothesis example
+# (the properties below are about what a frame does *not* change).
+_FUZZ: dict = {}
+
+
+def _fuzz_worker(pipeline, recovery):
+    if recovery not in _FUZZ:
+        (w, _), fabric = _crew(pipeline, recovery=recovery)
+        _FUZZ[recovery] = (w, fabric)
+    return _FUZZ[recovery]
+
+
+def _ledger(w):
+    m = dataclasses.asdict(w.metrics)
+    return {k: v for k, v in m.items()
+            if k not in ("frames_rejected", "nacks_sent")}
+
+
+def _flipped(seq_chol, w, index, bit):
+    """A valid BLOCK frame with one bit flipped where the CRC looks: the
+    header prefix, the CRC field, or the payload."""
+    _, frame = _remote_block(w, seq_chol)
+    covered = [*range(wire.REF_REGION_START),
+               *range(wire.HEADER_BYTES, len(frame))]
+    buf = bytearray(frame)
+    buf[covered[index % len(covered)]] ^= 1 << bit
+    return bytes(buf)
+
+
+class TestReceivePrologueFuzz:
+    """Garbage never gets past the prologue: with recovery it is counted
+    and dropped, without it only the documented RuntimeError escapes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.one_of(
+        st.binary(max_size=200),
+        st.binary(max_size=200).map(lambda b: b"RSB2" + b),
+    ))
+    def test_arbitrary_bytes(self, grid12_pipeline, data):
+        w, _ = _fuzz_worker(grid12_pipeline, True)
+        state, ledger = _state(w), _ledger(w)
+        rejected = w.metrics.frames_rejected
+        assert w.receive(data) is False
+        assert w.metrics.frames_rejected == rejected + 1
+        assert _ledger(w) == ledger and _same(state, _state(w))
+
+        w, _ = _fuzz_worker(grid12_pipeline, False)
+        with pytest.raises(RuntimeError, match="no recovery enabled"):
+            w.receive(data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(index=st.integers(0, 10_000), bit=st.integers(0, 7))
+    def test_bit_flipped_valid_frames(self, grid12_pipeline, seq_chol,
+                                      index, bit):
+        w, fabric = _fuzz_worker(grid12_pipeline, True)
+        bad = _flipped(seq_chol, w, index, bit)
+        state, ledger = _state(w), _ledger(w)
+        rejected, nacks = w.metrics.frames_rejected, w.metrics.nacks_sent
+        assert w.receive(bad) is False
+        assert w.metrics.frames_rejected == rejected + 1
+        assert _ledger(w) == ledger and _same(state, _state(w))
+        # At most one NACK, and only ever a NACK, leaves the worker.
+        out = _sent(fabric, 1)
+        assert len(out) == w.metrics.nacks_sent - nacks <= 1
+        assert all(m.kind == wire.NACK and m.src == 0 for m in out)
+
+        w, _ = _fuzz_worker(grid12_pipeline, False)
+        with pytest.raises(RuntimeError, match="no recovery enabled"):
+            w.receive(bad)
+
+
+class TestWorkCostComesFromTheTaskGraph:
+    """Spawns processes. ``op_fixed_cost`` is the work model's, so a
+    one-shot run and a pooled job of the same task graph execute the same
+    work units — and both equal the model's per-owner shares."""
+
+    def test_one_shot_and_pooled_agree(self, grid12_pipeline):
+        _, sf, _, bs, _, _ = grid12_pipeline
+        wm = WorkModel(bs, op_fixed_cost=250)
+        tg = TaskGraph(wm)
+        ctx, A = _context((None, sf, None, bs, wm, tg), 2)
+        owners = ctx.owners
+        one = run_mp_fanout(bs, A, tg, owners, 2, mapping="DW/CY",
+                            trace=True, transport="inline")
+        with WorkerPool(nprocs=2) as pool:
+            out = pool.run_batch([PoolJob(
+                seq=0, pattern_id="t", values=A.data, context=ctx,
+                trace_capacity=1 << 16,
+            )], timeout_s=120)[0]
+        assert out.ok, out.error
+        _, _, metrics, trace = outcome_result(
+            out, bs, tg, A, mapping="DW/CY",
+        )
+        shares = np.bincount(owners, weights=wm.work, minlength=2)
+        for run_metrics, run_trace in ((one.metrics, one.trace),
+                                       (metrics, trace)):
+            assert [w.work_executed for w in run_metrics.workers] == [
+                int(s) for s in shares
+            ]
+            validate_trace(run_trace, metrics=run_metrics, tg=tg,
+                           owners=owners, strict=True)
