@@ -1,0 +1,242 @@
+"""The numeric plan: everything the numeric phase needs that depends on the
+sparsity pattern alone, compiled once per :class:`BlockStructure`.
+
+Layout. Panel K (width ``w``, ``r`` dense rows below the diagonal block) is
+one row-major ``(w + r) x w`` *slab* of a single float64 store: slab rows
+``0..w-1`` are the diagonal block, slab rows ``w + lo .. w + hi - 1`` the
+subdiagonal block whose rows are ``rows_below[K][lo:hi]``. A block is a
+view of its slab, so every block starts C-contiguous with the shape it
+always had.
+
+From that layout the plan derives, with whole-matrix array operations only:
+
+* the ``A -> store`` scatter map of a CSC pattern (:meth:`scatter_map`),
+* per source panel K and destination panel J, the *relative indices* of a
+  BMOD: where each row of K at or below block J lands inside the
+  destination block of panel J (:attr:`rel`, :attr:`rel_of`),
+* the CSC pattern of ``L`` and the gather out of the slab layout
+  (:meth:`csc_pattern`).
+
+The plan is derived state: :class:`BlockStructure` builds it on demand and
+leaves it out of its pickled form.
+"""
+
+from __future__ import annotations
+
+from itertools import islice
+
+import numpy as np
+
+
+def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + l) for s, l in zip(starts, lengths)])``."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(
+        int(ends[-1]) if ends.size else 0
+    )
+
+
+def _compact(index: np.ndarray, bound: int) -> np.ndarray:
+    """``index`` as int32 when every value below ``bound`` fits."""
+    return index.astype(np.int32 if bound < 2**31 else np.int64)
+
+
+class NumericPlan:
+    """Pattern-only index structure of the block numeric phase.
+
+    Attributes
+    ----------
+    size:
+        Number of float64 words in the packed store.
+    slabs:
+        Per panel ``(w, start, stop)``: its width and slab bounds in the
+        store (Python ints).
+    spans[K]:
+        ``{I: (lo, hi)}`` — slab rows of subdiagonal block ``(I, K)``,
+        in ``block_rows[K]`` order.
+    rel:
+        One int32 vector holding, for every (K, J) with J in
+        ``block_rows[K]``, the destination-block-relative row index of each
+        row of panel K at or below block ``(J, K)``. Rows inside panel J
+        come first; their entries are also the BMOD's destination columns.
+    rel_of[K]:
+        ``{J: (base, cols, cspan)}`` — ``rel[base + lo : base + hi]`` are
+        the destination rows of source block ``spans[K][I] == (lo, hi)``;
+        ``cols`` is the ``1 x c`` open-mesh view of the destination
+        columns and ``cspan`` their ``(c0, c1)`` range when contiguous,
+        else ``None``.
+    """
+
+    def __init__(self, structure):
+        part = structure.partition
+        self.n = n = int(part.symbolic.n)
+        N = part.npanels
+        self._panel_of_col = np.asarray(part.panel_of_col, dtype=np.int64)
+        self._ptr = ptr = np.asarray(part.panel_ptr, dtype=np.int64)
+        self._widths = widths = np.diff(ptr)
+        self._nbelow = nbelow = np.fromiter(
+            (rows.shape[0] for rows in structure.rows_below), np.int64, N
+        )
+        self._slab_ptr = slab_ptr = np.concatenate(
+            [[0], np.cumsum((widths + nbelow) * widths)]
+        )
+        self.size = int(slab_ptr[-1])
+        self.slabs = list(zip(
+            widths.tolist(), slab_ptr[:-1].tolist(), slab_ptr[1:].tolist()
+        ))
+        self._below_ptr = below_ptr = np.concatenate([[0], np.cumsum(nbelow)])
+        # Every panel's rows_below, end to end, and the same rows as keys
+        # ``K * n + row`` — sorted, so one searchsorted locates any
+        # (panel, row) pair of the structure.
+        self._rows = rows_cat = np.concatenate(
+            [np.empty(0, np.int64), *structure.rows_below]
+        )
+        self._below_keys = np.repeat(np.arange(N) * n, nbelow) + rows_cat
+        self.spans = [
+            dict(zip(brows.tolist(), zip(
+                (w + splits[:-1]).tolist(), (w + splits[1:]).tolist()
+            )))
+            for brows, splits, w in zip(
+                structure.block_rows, structure.row_splits, widths.tolist()
+            )
+        ]
+        self._compile_bmod(structure)
+        self._scatter = None
+        self._csc = None
+
+    def _locate(self, panel: np.ndarray, row: np.ndarray) -> np.ndarray | None:
+        """Positions of the ``(panel, row)`` pairs in the end-to-end
+        ``rows_below``; ``None`` when any pair is not in the structure."""
+        keys = self._below_keys
+        if not keys.size:
+            return None
+        key = panel * self.n + row
+        pos = np.minimum(np.searchsorted(keys, key), keys.shape[0] - 1)
+        return pos if np.array_equal(keys[pos], key) else None
+
+    # ------------------------------------------------------------------
+    def _compile_bmod(self, structure) -> None:
+        ptr, below_ptr, rows_cat = self._ptr, self._below_ptr, self._rows
+        N = len(self.slabs)
+        nblk = np.fromiter(
+            (b.shape[0] for b in structure.block_rows), np.int64, N
+        )
+        empty = np.empty(0, np.int64)
+        # One entry per block (I, K): its first row in rows_below[K], its
+        # row count, and — per row of rows_cat — its block's first row.
+        blk_lo = np.concatenate(
+            [empty, *(s[:-1] for s in structure.row_splits)]
+        )
+        blk_cnt = np.concatenate([empty, *structure.block_counts])
+        row_blk_lo = np.repeat(blk_lo, blk_cnt)
+        # One (K, J) pair per block: the tail of rows_below[K] from block
+        # (J, K) down.
+        pair_K = np.repeat(np.arange(N), nblk)
+        pair_J = np.concatenate([empty, *structure.block_rows])
+        pair_len = self._nbelow[pair_K] - blk_lo
+        pair_off = np.cumsum(pair_len) - pair_len
+        rows = rows_cat[_ragged_arange(below_ptr[pair_K] + blk_lo, pair_len)]
+        J = np.repeat(pair_J, pair_len)
+        rel = rows - ptr[J]  # rows inside panel J: diagonal-block relative
+        below = np.flatnonzero(rows >= ptr[J + 1])
+        if below.size:
+            pos = self._locate(J[below], rows[below])
+            if pos is None:
+                raise RuntimeError("BMOD rows missing from destination block")
+            rel[below] = pos - below_ptr[J[below]] - row_blk_lo[pos]
+        self.rel = rel = rel.astype(np.int32)
+        first = rel[pair_off]
+        contiguous = rel[pair_off + blk_cnt - 1] - first == blk_cnt - 1
+        bases = pair_off - self._widths[pair_K] - blk_lo
+        entries = (
+            (j, (base, rel[None, off : off + cnt],
+                 (c0, c0 + cnt) if span else None))
+            for j, base, off, cnt, c0, span in zip(
+                pair_J.tolist(), bases.tolist(), pair_off.tolist(),
+                blk_cnt.tolist(), first.tolist(), contiguous.tolist(),
+            )
+        )
+        self.rel_of = [dict(islice(entries, k)) for k in nblk.tolist()]
+
+    # ------------------------------------------------------------------
+    def scatter_map(
+        self, indptr: np.ndarray, indices: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(src, dest)``: adding ``data[src]`` at ``dest`` scatters the
+        lower triangle of a CSC matrix of this pattern into a zeroed store
+        (diagonal blocks symmetrised; the indices need not be sorted, and
+        duplicate entries share a ``dest``). Cached for the last pattern
+        seen, compared by content. Raises ``ValueError`` when an entry
+        falls outside the symbolic structure."""
+        cached = self._scatter
+        if (
+            cached is not None
+            and np.array_equal(cached[0], indptr)
+            and np.array_equal(cached[1], indices)
+        ):
+            return cached[2], cached[3]
+        n, ptr = self.n, self._ptr
+        cols = np.repeat(np.arange(n), np.diff(indptr))
+        src = np.flatnonzero(indices >= cols)
+        r = indices[src].astype(np.int64)
+        c = cols[src]
+        K = self._panel_of_col[c]
+        w = self._widths[K]
+        local_col = c - ptr[K]
+        dest = self._slab_ptr[K] + (r - ptr[K]) * w + local_col
+        below = np.flatnonzero(r >= ptr[K + 1])
+        if below.size:
+            Kb = K[below]
+            pos = self._locate(Kb, r[below])
+            if pos is None:
+                raise ValueError("matrix entry outside the symbolic structure")
+            dest[below] = (
+                self._slab_ptr[Kb]
+                + (w[below] + pos - self._below_ptr[Kb]) * w[below]
+                + local_col[below]
+            )
+        # Strictly-lower entries of a diagonal block land in its upper
+        # triangle too: dpotrf wants full symmetric storage.
+        mirror = np.flatnonzero((r > c) & (r < ptr[K + 1]))
+        Km = K[mirror]
+        src = np.concatenate([src, src[mirror]])
+        dest = np.concatenate([
+            dest,
+            self._slab_ptr[Km]
+            + local_col[mirror] * w[mirror] + (r[mirror] - ptr[Km]),
+        ])
+        src = _compact(src, indices.shape[0] + 1)
+        dest = _compact(dest, self.size + 1)
+        self._scatter = (indptr.copy(), indices.copy(), src, dest)
+        return src, dest
+
+    # ------------------------------------------------------------------
+    def csc_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, indices, gather)``: the CSC pattern of ``L`` (every
+        structural entry, sorted rows) and, per stored entry, its position
+        in the slab layout. Built on first use."""
+        if self._csc is None:
+            ptr, widths = self._ptr, self._widths
+            K = self._panel_of_col
+            local_col = np.arange(self.n) - ptr[K]
+            length = widths[K] - local_col + self._nbelow[K]
+            indptr = np.concatenate([[0], np.cumsum(length)])
+            slab_row = _ragged_arange(local_col, length)
+            Ke = np.repeat(K, length)
+            we = widths[Ke]
+            gather = (
+                self._slab_ptr[Ke] + slab_row * we
+                + np.repeat(local_col, length)
+            )
+            indices = ptr[Ke] + slab_row
+            below = np.flatnonzero(slab_row >= we)
+            indices[below] = self._rows[
+                (self._below_ptr[Ke] + slab_row - we)[below]
+            ]
+            # The index width scipy itself picks for this shape and nnz.
+            bound = max(self.n, int(indptr[-1])) + 1
+            self._csc = (
+                _compact(indptr, bound), _compact(indices, bound),
+                _compact(gather, self.size + 1),
+            )
+        return self._csc

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.blocks.partition import BlockPartition
+from repro.blocks.plan import NumericPlan
 from repro.util.arrays import INDEX_DTYPE
 
 
@@ -33,6 +34,10 @@ class BlockStructure:
         Offsets into ``rows_below[K]``: block ``(block_rows[K][t], K)`` holds
         rows ``rows_below[K][row_splits[K][t] : row_splits[K][t+1]]``.
     """
+
+    #: The lazily compiled :class:`NumericPlan` — derived state, resident
+    #: where it was built and never pickled.
+    _numeric_plan: NumericPlan | None = None
 
     def __init__(self, partition: BlockPartition):
         self.partition = partition
@@ -81,6 +86,19 @@ class BlockStructure:
         """Global row indices of the t-th below-diagonal block of panel k."""
         s = self.row_splits[k]
         return self.rows_below[k][int(s[t]) : int(s[t + 1])]
+
+    def numeric_plan(self) -> NumericPlan:
+        """The pattern-only index structure of the numeric phase, compiled
+        on first use and kept for the life of this object."""
+        plan = self._numeric_plan
+        if plan is None:
+            plan = self._numeric_plan = NumericPlan(self)
+        return plan
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_numeric_plan", None)
+        return state
 
     def supernodal_nnz(self) -> int:
         """Dense entries stored by the block representation of L."""

@@ -3,6 +3,10 @@
 Storage: the diagonal block of panel K is a full w x w array (lower triangle
 significant after factorization); each subdiagonal block (I, K) is a dense
 r x w array whose rows correspond to ``BlockStructure.block_row_span(K, t)``.
+Where ``A`` lands in them, where a BMOD's rows and columns land in its
+destination and where each entry of ``L`` sits in CSC depend only on the
+sparsity pattern: the structure's ``numeric_plan()`` holds all three, and
+the numeric phase here only moves values through it.
 
 The sequential driver is the right-looking block fan-out order of the
 pseudo-code in §2.1. ``apply_task``/``run_schedule`` replay an arbitrary
@@ -25,69 +29,64 @@ from repro.numeric.dense_kernels import (
 )
 
 
-def _span(idx: np.ndarray) -> tuple[int, int] | None:
-    """``(lo, hi)`` when sorted ``idx`` is the contiguous run
-    ``lo..hi-1``, else None."""
-    lo = int(idx[0])
-    hi = int(idx[-1]) + 1
-    if hi - lo == idx.shape[0]:
-        return lo, hi
-    return None
-
-
 class BlockCholesky:
-    """Numeric factorization state over a :class:`BlockStructure`."""
+    """Numeric factorization state over a :class:`BlockStructure`.
+
+    The blocks start as views of one packed store laid out by the
+    structure's :class:`~repro.blocks.plan.NumericPlan` (compiled on the
+    first construction over a structure, reused by every later one); the
+    kernels return their own outputs, which replace the views.
+    """
 
     def __init__(self, structure: BlockStructure, A: sparse.spmatrix):
-        self.structure = structure
-        part = structure.partition
-        self.partition = part
-        N = part.npanels
+        plan = structure.numeric_plan()
         A = A.tocsc()
-        if A.shape[0] != part.symbolic.n:
+        if A.shape[0] != plan.n:
             raise ValueError("matrix size disagrees with the block structure")
+        src, dest = plan.scatter_map(A.indptr, A.indices)
+        # bincount allocates the zeroed store and adds each entry at its
+        # position in one pass, so duplicate entries of a non-canonical
+        # matrix are summed, as scipy itself reads them.
+        self._adopt(structure, plan, np.bincount(
+            dest, weights=A.data[src], minlength=plan.size
+        ))
 
-        # Allocate blocks and scatter A into them.
+    @classmethod
+    def shell(cls, structure: BlockStructure) -> "BlockCholesky":
+        """Allocated, all-zero blocks with nothing scattered — for a caller
+        that installs every block itself."""
+        self = cls.__new__(cls)
+        plan = structure.numeric_plan()
+        self._adopt(structure, plan, np.zeros(plan.size))
+        return self
+
+    def _adopt(self, structure: BlockStructure, plan, store: np.ndarray) -> None:
+        """Carve the packed ``store`` into the block views."""
+        self.structure = structure
+        self.partition = structure.partition
+        self._plan = plan
         self.diag: list[np.ndarray] = []
         self.below: list[dict[int, np.ndarray]] = []
+        for (w, start, stop), span in zip(plan.slabs, plan.spans):
+            slab = store[start:stop].reshape(-1, w)
+            self.diag.append(slab[:w])
+            self.below.append(
+                {i: slab[lo:hi] for i, (lo, hi) in span.items()}
+            )
         self.flops = 0
-        ptr = part.panel_ptr
-        for k in range(N):
-            c0, c1 = int(ptr[k]), int(ptr[k + 1])
-            w = c1 - c0
-            D = np.zeros((w, w))
-            rows = structure.rows_below[k]
-            blocks: dict[int, np.ndarray] = {}
-            splits = structure.row_splits[k]
-            brows = structure.block_rows[k]
-            for t, bi in enumerate(brows):
-                blocks[int(bi)] = np.zeros((int(splits[t + 1] - splits[t]), w))
-            for j in range(c0, c1):
-                col_rows = A.indices[A.indptr[j] : A.indptr[j + 1]]
-                col_vals = A.data[A.indptr[j] : A.indptr[j + 1]]
-                sel = col_rows >= c0
-                col_rows, col_vals = col_rows[sel], col_vals[sel]
-                in_diag = col_rows < c1
-                D[col_rows[in_diag] - c0, j - c0] = col_vals[in_diag]
-                lower_rows = col_rows[~in_diag]
-                lower_vals = col_vals[~in_diag]
-                if lower_rows.size:
-                    pos = np.searchsorted(rows, lower_rows)
-                    if not np.array_equal(rows[pos], lower_rows):
-                        raise ValueError(
-                            "matrix entry outside the symbolic structure"
-                        )
-                    for p_, v in zip(pos, lower_vals):
-                        t = int(np.searchsorted(splits, p_, side="right")) - 1
-                        blocks[int(brows[t])][p_ - splits[t], j - c0] = v
-            # Symmetrize the diagonal block (only the lower triangle of A
-            # within the block is guaranteed scattered above when A stores
-            # both triangles; with full A both triangles land, so this is a
-            # no-op kept for lower-triangle inputs).
-            D = np.tril(D) + np.tril(D, -1).T
-            self.diag.append(D)
-            self.below.append(blocks)
-        self._factored = np.zeros(N, dtype=bool)
+        self._factored = np.zeros(len(self.diag), dtype=bool)
+
+    def install(self, i: int, j: int, block: np.ndarray,
+                final: bool = True) -> None:
+        """Put ``block`` in as block ``(i, j)`` — computed elsewhere (a
+        gathered frame, a checkpoint, a migrated task's state). ``final``
+        marks a diagonal block as factored."""
+        if i != j:
+            self.below[j][i] = block
+        else:
+            self.diag[j] = block
+            if final:
+                self._factored[j] = True
 
     # ------------------------------------------------------------------
     # Block operations
@@ -107,58 +106,41 @@ class BlockCholesky:
 
     def bmod(self, i: int, j: int, k: int) -> None:
         """Apply ``L_IJ -= L_IK L_JK^T`` with row/column scattering."""
-        L_IK = self.below[k][i]
-        L_JK = self.below[k][j]
-        part = self.partition
-        st = self.structure
-        rows_I = self._block_rows(i, k)
-        rows_J = self._block_rows(j, k)
-        c0_j = int(part.panel_ptr[j])
-        cols = rows_J - c0_j  # destination columns within panel j
-        if i == j:
-            dest = self.diag[j]
-            ridx = rows_I - c0_j
-        else:
-            dest_rows = st.rows_below[j]
-            pos = np.searchsorted(dest_rows, rows_I)
-            if not np.array_equal(dest_rows[pos], rows_I):
-                raise RuntimeError("BMOD rows missing from destination block")
-            splits = st.row_splits[j]
-            t = int(np.searchsorted(st.block_rows[j], i))
-            lo = int(splits[t])
-            dest = self.below[j][i]
-            ridx = pos - lo
-        rs, cs = _span(ridx), _span(cols)
-        if rs is not None and cs is not None:
-            out = dest[rs[0] : rs[1], cs[0] : cs[1]]
-            if out.flags.c_contiguous and out.flags.writeable:
-                # Contiguous destination window (the common dense case):
-                # one fused dgemm, no update temporary, no scatter.
-                self.flops += bmod_kernel_into(L_IK, L_JK, out)
-                return
+        blocks = self.below[k]
+        L_IK = blocks[i]
+        L_JK = blocks[j]
+        plan = self._plan
+        lo, hi = plan.spans[k][i]
+        base, cols, cspan = plan.rel_of[k][j]
+        rel = plan.rel
+        a, b = base + lo, base + hi
+        dest = self.diag[j] if i == j else self.below[j][i]
+        if cspan is not None:
+            r0 = int(rel[a])
+            if int(rel[b - 1]) - r0 == b - a - 1:
+                out = dest[r0 : r0 + b - a, cspan[0] : cspan[1]]
+                if out.flags.c_contiguous and out.flags.writeable:
+                    # Contiguous destination window: one fused dgemm, no
+                    # update temporary, no scatter.
+                    self.flops += bmod_kernel_into(L_IK, L_JK, out)
+                    return
         U, f = bmod_kernel(L_IK, L_JK)
         self.flops += f
-        dest[np.ix_(ridx, cols)] -= U
-
-    def _block_rows(self, i: int, k: int) -> np.ndarray:
-        st = self.structure
-        t = int(np.searchsorted(st.block_rows[k], i))
-        return st.block_row_span(k, t)
+        dest[rel[a:b, None], cols] -= U
 
     # ------------------------------------------------------------------
     # Drivers
     # ------------------------------------------------------------------
     def factor(self) -> "BlockCholesky":
         """Sequential right-looking block fan-out factorization (§2.1)."""
-        st = self.structure
-        for k in range(self.partition.npanels):
+        for k, span in enumerate(self._plan.spans):
             self.bfac(k)
-            brows = st.block_rows[k]
+            brows = list(span)
             for i in brows:
-                self.bdiv(int(i), k)
-            for a in range(brows.shape[0]):
-                for b in range(a + 1):
-                    self.bmod(int(brows[a]), int(brows[b]), k)
+                self.bdiv(i, k)
+            for a, i in enumerate(brows):
+                for j in brows[: a + 1]:
+                    self.bmod(i, j, k)
         return self
 
     def apply_task(self, tg: TaskGraph, tid: int) -> None:
@@ -187,30 +169,18 @@ class BlockCholesky:
     # ------------------------------------------------------------------
     def to_csc(self) -> sparse.csc_matrix:
         """Assemble the factor L as a sparse matrix (explicit zeros kept)."""
-        part = self.partition
-        st = self.structure
-        n = part.symbolic.n
-        rows_l, cols_l, vals_l = [], [], []
-        ptr = part.panel_ptr
-        for k in range(part.npanels):
-            c0, c1 = int(ptr[k]), int(ptr[k + 1])
-            w = c1 - c0
-            tri = np.tril_indices(w)
-            rows_l.append(tri[0] + c0)
-            cols_l.append(tri[1] + c0)
-            vals_l.append(self.diag[k][tri])
-            rows = st.rows_below[k]
-            if rows.size:
-                cols = np.arange(c0, c1)
-                rr, cc = np.meshgrid(rows, cols, indexing="ij")
-                full = np.concatenate(
-                    [self.below[k][int(bi)] for bi in st.block_rows[k]], axis=0
-                )
-                rows_l.append(rr.ravel())
-                cols_l.append(cc.ravel())
-                vals_l.append(full.ravel())
-        L = sparse.coo_matrix(
-            (np.concatenate(vals_l), (np.concatenate(rows_l), np.concatenate(cols_l))),
-            shape=(n, n),
+        plan = self._plan
+        indptr, indices, gather = plan.csc_pattern()
+        packed = np.empty(plan.size)
+        for k, ((w, start, stop), span) in enumerate(
+            zip(plan.slabs, plan.spans)
+        ):
+            blocks = self.below[k]
+            np.concatenate(
+                [self.diag[k], *(blocks[i] for i in span)],
+                out=packed[start:stop].reshape(-1, w),
+            )
+        n = plan.n
+        return sparse.csc_matrix(
+            (packed[gather], indices.copy(), indptr.copy()), shape=(n, n)
         )
-        return L.tocsc()

@@ -284,7 +284,7 @@ def run_mp_fanout(
         )
     attempt = int(fault_plan.attempt) if fault_plan is not None else 0
     factor, solution, metrics, run_trace = outcome_result(
-        outcome, structure, tg, A, rhs,
+        outcome, structure, tg, A, rhs, owners=owners,
         wall_s=launch_s + outcome.wall_s, mapping=mapping,
         transport=transport, schedule=schedule, attempt=attempt,
     )
@@ -318,6 +318,7 @@ def outcome_result(
     A: sparse.spmatrix | None = None,
     rhs: np.ndarray | None = None,
     *,
+    owners: np.ndarray | None = None,
     wall_s: float | None = None,
     mapping: str = "",
     transport: str = "inline",
@@ -330,19 +331,20 @@ def outcome_result(
     ``(factor, solution, metrics, trace)`` — the one place a pooled job
     becomes a result, whoever ran it.
 
-    ``A`` (the job's input, or any matrix of its shape — every block is
-    overwritten) asks for the assembled factor; ``rhs`` (the permuted
-    panel the job solved) asks for the stitched solution; a warm solve
-    job passes only the latter. ``wall_s`` defaults to the job's own
-    (dispatch to last report); a one-shot run adds its launch. The trace
-    is merged whenever the workers shipped one. Raises :class:`FanoutError` when the gathered solution
-    panels do not cover every row.
+    ``A`` not ``None`` asks for the assembled factor (built from the
+    gathered frames alone; ``owners`` lets a gather error name the rank a
+    block was due from); ``rhs`` (the permuted panel the job solved) asks
+    for the stitched solution; a warm solve job passes only the latter.
+    ``wall_s`` defaults to the job's own (dispatch to last report); a
+    one-shot run adds its launch. The trace is merged whenever the workers
+    shipped one. Raises :class:`FanoutError` when the factor frames do not
+    cover every block exactly once or the solution panels every row.
     """
     results = outcome.results
     nprocs = len(results)
     if wall_s is None:
         wall_s = outcome.wall_s
-    factor = None if A is None else _assemble(structure, A, tg, results)
+    factor = None if A is None else _assemble(structure, tg, results, owners)
     solution = None
     if rhs is not None:
         ptr = np.asarray(structure.partition.panel_ptr, dtype=np.int64)
@@ -388,20 +390,27 @@ def outcome_result(
     return factor, solution, metrics, trace
 
 
-def _assemble(structure, A, tg, results) -> BlockCholesky:
-    """Overwrite a factor shell with the gathered owned blocks (gather
-    frames carry their payload on every transport)."""
-    shell = BlockCholesky(structure, A)
-    for res in results.values():
+def _assemble(structure, tg, results, owners=None) -> BlockCholesky:
+    """Fill an empty factor shell with the gathered owned blocks (gather
+    frames carry their payload on every transport). Every block of ``tg``
+    must arrive exactly once: a hole would read as zeros."""
+    shell = BlockCholesky.shell(structure)
+    senders: dict[int, list[int]] = {}
+    for rank, res in results.items():
         for frame in res.frames:
             msg = wire.unpack(frame)
             b = msg.block
-            I, J = int(tg.block_I[b]), int(tg.block_J[b])
-            if I == J:
-                shell.diag[J] = msg.payload
-            else:
-                shell.below[J][I] = msg.payload
-    shell._factored[:] = True
+            shell.install(int(tg.block_I[b]), int(tg.block_J[b]), msg.payload)
+            senders.setdefault(b, []).append(rank)
+    off = [b for b in range(tg.nblocks) if len(senders.get(b, ())) != 1]
+    if off:
+        b = off[0]
+        raise FanoutError(
+            f"factor gather: {len(off)}/{tg.nblocks} blocks did not arrive "
+            f"exactly once; block {b} ({tg.block_I[b]},{tg.block_J[b]})"
+            + ("" if owners is None else f", owned by rank {owners[b]},")
+            + f" came from ranks {senders.get(b, [])}", results=results,
+        )
     return shell
 
 

@@ -171,10 +171,6 @@ class WorkerMetrics:
             + self.checkpoint_blocks_loaded
         )
 
-    @property
-    def span_s(self) -> float:
-        return self.busy_s + self.comm_s + self.idle_s
-
     def to_dict(self) -> dict:
         d = dict(self.__dict__)
         d["links"] = {str(k): list(v) for k, v in self.links.items()}

@@ -373,13 +373,7 @@ class Worker:
         """Install ``array`` as block ``b`` — the one place a frame,
         checkpoint or steal payload lands in the factor. ``final=False``
         installs a migrated task's *partial* destination state."""
-        I, J = self._coords(b)
-        if I != J:
-            self.chol.below[J][I] = array
-        else:
-            self.chol.diag[J] = array
-            if final:
-                self.chol._factored[J] = True
+        self.chol.install(*self._coords(b), array, final)
 
     def _remote(self, target_owners: np.ndarray) -> np.ndarray:
         """The distinct remote ranks among ``target_owners``."""

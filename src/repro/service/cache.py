@@ -78,9 +78,6 @@ class PatternEntry:
     #: factor blocks (-1 = none). Any pool restart/heal/regrow bumps the
     #: generation, so stale residency can never be mistaken for warm.
     resident_generation: int = -1
-    #: All-zero matrix in the pattern's shape — the assembly shell
-    #: (every block is overwritten by gathered frames).
-    _empty: sparse.csc_matrix | None = field(default=None, repr=False)
 
     @property
     def shape(self) -> tuple:
@@ -90,12 +87,6 @@ class PatternEntry:
     def nnz(self) -> int:
         """Nonzeros a values-only submission must provide."""
         return int(self.orig_indptr[-1])
-
-    @property
-    def empty(self) -> sparse.csc_matrix:
-        if self._empty is None:
-            self._empty = sparse.csc_matrix(self.shape)
-        return self._empty
 
     def context(self):
         """The :class:`~repro.runtime.pool.PatternContext` to ship."""

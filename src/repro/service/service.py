@@ -959,14 +959,18 @@ class FactorService:
         t0 = time.monotonic()
         try:
             factor, _, metrics, trace = self._outcome_result(
-                outcome, entry, record, A=entry.empty
+                outcome, entry, record, want_factor=True
             )
             L = factor.to_csc()
             if self.validate:
                 self._validate(queued.job, entry, L)
-        except ValidationFailed as exc:
+        except (ValidationFailed, FanoutError) as exc:
+            # A gather that does not cover every block fails the job like
+            # a failed validation: never release a factor with holes.
             record.status = "failed"
             record.error = str(exc)
+            if isinstance(exc, FanoutError):
+                exc = JobFailed(queued.job.job_id, str(exc))
             self._finish_failed(queued, exc, record)
             return
         record.assemble_s = time.monotonic() - t0
@@ -1015,11 +1019,13 @@ class FactorService:
                 "baseline",
             )
 
-    def _outcome_result(self, outcome, entry, record, A=None, rhs=None):
+    def _outcome_result(self, outcome, entry, record, want_factor=False,
+                        rhs=None):
         """:func:`~repro.runtime.engine.outcome_result` for a job of
         ``entry``'s pattern, with the service context on the metrics."""
         factor, solution, metrics, trace = outcome_result(
-            outcome, entry.structure, entry.tg, A, rhs,
+            outcome, entry.structure, entry.tg, want_factor or None, rhs,
+            owners=entry.owners,
             mapping=entry.mapping_name,
             transport="shm" if entry.arena is not None else "inline",
             schedule=entry.schedule,

@@ -1,11 +1,28 @@
+import copy
+import sys
+
 import numpy as np
 import pytest
+from scipy import sparse
 
-from repro.blocks import BlockPartition, BlockStructure
-from repro.matrices import dense_matrix, grid2d_matrix
+from repro.blocks import BlockPartition, BlockStructure, make_partition
+from repro.matrices import (
+    bcsstk_like_matrix,
+    cube3d_matrix,
+    dense_matrix,
+    fleet_like_matrix,
+    grid2d_matrix,
+)
+from repro.matrices.hb import read_harwell_boeing, write_harwell_boeing
+from repro.matrices.problem import ProblemMatrix
 from repro.numeric import BlockCholesky
 from repro.ordering import order_problem
 from repro.symbolic import symbolic_factor
+from tests.blockfact_oracle import (
+    assert_blocks_equal,
+    oracle_blocks,
+    oracle_to_csc,
+)
 
 
 def factor_and_check(A, sf, B):
@@ -64,3 +81,250 @@ class TestBlockCholesky:
         assert bc.flops == 0
         bc.factor()
         assert bc.flops > 0
+
+
+# ----------------------------------------------------------------------
+# The numeric plan against the interpreted scatter / COO assembly it
+# replaced (tests/blockfact_oracle.py)
+# ----------------------------------------------------------------------
+def _hb_matrix(tmp_path_factory):
+    path = tmp_path_factory.mktemp("hb") / "bcsstk_like.rsa"
+    write_harwell_boeing(
+        path, bcsstk_like_matrix(150, seed=4).A, title="oracle", key="ORC1"
+    )
+    return read_harwell_boeing(path)
+
+
+PROBLEMS = {
+    "grid2d": lambda _: (grid2d_matrix(11).A, "nd"),
+    "cube3d": lambda _: (cube3d_matrix(5).A, "nd"),
+    "fleet_like": lambda _: (fleet_like_matrix(120, seed=1).A, "mmd"),
+    "hb": lambda tmp: (_hb_matrix(tmp), "mmd"),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(PROBLEMS))
+def analysed(request, tmp_path_factory):
+    A, method = PROBLEMS[request.param](tmp_path_factory)
+    problem = ProblemMatrix(request.param, sparse.csc_matrix(A))
+    return symbolic_factor(problem.A, order_problem(problem, method))
+
+
+@pytest.mark.parametrize("policy", ["uniform", "supernodal"])
+@pytest.mark.parametrize("triangles", ["both", "lower"])
+def test_plan_matches_the_interpreted_oracle(analysed, policy, triangles):
+    sf = analysed
+    bs = BlockStructure(make_partition(sf, policy, block_size=8))
+    A = sf.A if triangles == "both" else sparse.tril(sf.A).tocsc()
+    chol = BlockCholesky(bs, A)
+    assert_blocks_equal(chol, *oracle_blocks(bs, A))
+    L = chol.factor().to_csc()
+    ref = oracle_to_csc(chol)
+    assert L.indices.dtype == ref.indices.dtype
+    assert np.array_equal(L.indptr, ref.indptr)
+    assert np.array_equal(L.indices, ref.indices)
+    assert np.array_equal(L.data, ref.data)
+    # A second extraction shares no index array with the first.
+    L.indices[:] = 0
+    assert np.array_equal(chol.to_csc().indices, ref.indices)
+
+
+class TestNonCanonicalInput:
+    """Whatever form the CSC input takes, the blocks are those of the
+    canonical full matrix."""
+
+    @staticmethod
+    def _raw(A, order):
+        """CSC arrays of ``A`` with each column's entries reordered by
+        ``order`` and no canonical-format promise."""
+        A = A.tocsc(copy=True)
+        A.sort_indices()
+        parts = [
+            order(np.arange(A.indptr[j], A.indptr[j + 1]))
+            for j in range(A.shape[1])
+        ]
+        take = np.concatenate(parts)
+        return sparse.csc_matrix(
+            (A.data[take], A.indices[take], A.indptr.copy()), shape=A.shape
+        )
+
+    def test_unsorted_indices(self, grid12_pipeline):
+        _, sf, _, bs, *_ = grid12_pipeline
+        A = self._raw(sf.A, lambda idx: idx[::-1])
+        assert not A.has_sorted_indices
+        assert_blocks_equal(BlockCholesky(bs, A), *oracle_blocks(bs, sf.A))
+
+    @pytest.mark.parametrize("triangles", ["both", "lower"])
+    def test_duplicates_are_summed(self, grid12_pipeline, triangles):
+        _, sf, _, bs, *_ = grid12_pipeline
+        full = sf.A.tocsc(copy=True)
+        full.sort_indices()
+        A = full if triangles == "both" else sparse.tril(full).tocsc()
+        # Every entry twice, as halves: the sum is exact.
+        indptr = 2 * A.indptr
+        counts = np.diff(A.indptr)
+        take = np.concatenate([
+            np.tile(np.arange(A.indptr[j], A.indptr[j + 1]), 2)
+            for j in range(A.shape[1])
+        ])
+        dup = sparse.csc_matrix(
+            (0.5 * A.data[take], A.indices[take], indptr), shape=A.shape
+        )
+        assert dup.nnz == 2 * A.nnz and counts.sum() == A.nnz
+        assert not dup.has_canonical_format
+        chol = BlockCholesky(bs, dup)
+        assert_blocks_equal(chol, *oracle_blocks(bs, full))
+        assert dup.nnz == 2 * A.nnz  # the caller's matrix is untouched
+
+    def test_new_pattern_of_the_same_shape_rebuilds_the_map(
+        self, grid12_pipeline
+    ):
+        """Two patterns with equal nnz and equal-shaped index arrays: the
+        scatter map is keyed on their content."""
+        _, sf, _, bs, *_ = grid12_pipeline
+        full = sf.A.tocoo()
+        upper = np.flatnonzero(full.row < full.col)
+
+        def without(e):
+            keep = np.ones(full.nnz, dtype=bool)
+            keep[upper[e]] = False
+            return sparse.csc_matrix(
+                (full.data[keep], (full.row[keep], full.col[keep])),
+                shape=full.shape,
+            )
+
+        A1, A2 = without(0), without(upper.size - 1)
+        assert A1.indices.shape == A2.indices.shape
+        assert not np.array_equal(A1.indices, A2.indices)
+        want = oracle_blocks(bs, sf.A)
+        for A in (A1, A2, A1):
+            assert_blocks_equal(BlockCholesky(bs, A), *want)
+        # The same arrays, mutated in place, are a new pattern too.
+        A3 = sparse.tril(sf.A).tocsc()
+        scale = sparse.diags(np.linspace(1.0, 2.0, A3.shape[0]))
+        BlockCholesky(bs, A3)
+        moved = (scale @ sf.A @ scale).tocsc()
+        lower = sparse.tril(moved).tocsc()
+        A3.indices[:] = lower.indices
+        A3.data[:] = lower.data
+        assert_blocks_equal(BlockCholesky(bs, A3), *oracle_blocks(bs, moved))
+
+
+class TestTypedFailures:
+    def test_size_mismatch(self, grid12_pipeline):
+        _, sf, _, bs, *_ = grid12_pipeline
+        with pytest.raises(ValueError, match="size disagrees"):
+            BlockCholesky(bs, sparse.identity(sf.A.shape[0] + 1, format="csc"))
+
+    def test_entry_outside_the_structure(self):
+        # Tridiagonal plus a dense last row, natural order: no fill, so
+        # (5, 0) is outside L — between structural rows of its column, and
+        # (n-2, 0) past the last one but the arrow row.
+        n = 12
+        T = sparse.diags(
+            [np.full(n - 1, -1.0), np.full(n, 40.0), np.full(n - 1, -1.0)],
+            [-1, 0, 1], format="lil",
+        )
+        T[n - 1, :] = T[:, n - 1] = -1.0
+        T[n - 1, n - 1] = 40.0
+        bs = BlockStructure(
+            BlockPartition(symbolic_factor(T.tocsc(), None, amalgamate=False), 3)
+        )
+        BlockCholesky(bs, T).factor()
+        for row in (5, n - 2):
+            bad = T.copy()
+            bad[row, 0] = bad[0, row] = 0.5
+            for build in (BlockCholesky, oracle_blocks):
+                with pytest.raises(
+                    ValueError, match="outside the symbolic structure"
+                ):
+                    build(bs, bad.tocsc())
+
+    def test_entry_past_the_last_structural_row(self):
+        """The interpreted loop indexed past ``rows_below`` here and leaked
+        an ``IndexError``; the map says what is wrong."""
+        n = 12
+        T = sparse.diags(
+            [np.full(n - 1, -1.0), np.full(n, 4.0), np.full(n - 1, -1.0)],
+            [-1, 0, 1], format="lil",
+        )
+        bs = BlockStructure(
+            BlockPartition(symbolic_factor(T.tocsc(), None, amalgamate=False), 3)
+        )
+        T[n - 1, 0] = T[0, n - 1] = 0.5
+        with pytest.raises(ValueError, match="outside the symbolic structure"):
+            BlockCholesky(bs, T.tocsc())
+
+    def test_bdiv_before_bfac(self, grid12_pipeline):
+        _, sf, _, bs, *_ = grid12_pipeline
+        k = next(k for k in range(bs.npanels) if bs.block_rows[k].size)
+        with pytest.raises(RuntimeError, match=r"BDIV\(\d+,\d+\) before BFAC"):
+            BlockCholesky(bs, sf.A).bdiv(int(bs.block_rows[k][0]), k)
+
+    def test_bmod_rows_missing_from_destination(self, grid12_pipeline):
+        """A structure whose destination panel lacks a row an update
+        needs is refused when the plan is compiled."""
+        _, sf, _, bs, *_ = grid12_pipeline
+        p_of = bs.partition.panel_of_col
+        # A row r some panel k updates in panel j, and a neighbour of r in
+        # the same block row that panel j does not hold: swap them.
+        found = None
+        for k in range(bs.npanels):
+            if bs.block_rows[k].shape[0] < 2:
+                continue
+            j = int(bs.block_rows[k][0])
+            dest = bs.rows_below[j]
+            for r in bs.rows_below[k][int(bs.row_splits[k][1]):].tolist():
+                for spare in (r - 1, r + 1):
+                    if (
+                        spare < p_of.shape[0] and p_of[spare] == p_of[r]
+                        and spare not in dest
+                    ):
+                        found = (j, int(np.searchsorted(dest, r)), spare)
+        assert found is not None
+        j, at, spare = found
+        broken = copy.deepcopy(bs)
+        broken.rows_below[j][at] = spare
+        with pytest.raises(RuntimeError, match="BMOD rows missing"):
+            BlockCholesky.shell(broken)
+
+
+class TestPlanCost:
+    def test_warm_construction_is_per_panel_not_per_entry(self):
+        """Function-call events of a warm ``BlockCholesky(structure, A)``
+        scale with the panel count: a per-column or per-entry loop, however
+        fast today's box, fails here."""
+        p = grid2d_matrix(16)
+        sf = symbolic_factor(p.A, order_problem(p, "nd"))
+        bs = BlockStructure(BlockPartition(sf, 8))
+        BlockCholesky(bs, sf.A)  # compiles the plan and the scatter map
+        events = [0]
+
+        def count(frame, event, arg):
+            if event in ("call", "c_call"):
+                events[0] += 1
+
+        sys.setprofile(count)
+        try:
+            BlockCholesky(bs, sf.A)
+        finally:
+            sys.setprofile(None)
+        assert events[0] <= 8 * bs.npanels + 64, events[0]
+        assert events[0] < sf.A.shape[0] < sf.A.nnz
+
+    def test_plan_is_compiled_once_per_structure(self, grid12_pipeline):
+        _, sf, _, bs, *_ = grid12_pipeline
+        first = BlockCholesky(bs, sf.A)
+        assert BlockCholesky(bs, sf.A)._plan is first._plan
+        assert BlockCholesky.shell(bs)._plan is bs.numeric_plan()
+
+    def test_shell_is_allocated_and_empty(self, grid12_pipeline):
+        _, sf, _, bs, *_ = grid12_pipeline
+        shell = BlockCholesky.shell(bs)
+        ref = BlockCholesky(bs, sf.A)
+        for k in range(bs.npanels):
+            assert shell.diag[k].shape == ref.diag[k].shape
+            assert not shell.diag[k].any()
+            for i, B in ref.below[k].items():
+                assert shell.below[k][i].shape == B.shape
+                assert not shell.below[k][i].any()

@@ -4,7 +4,6 @@ arena-reuse barriers, failure containment, and restart semantics."""
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from repro.analysis.trace_replay import validate_trace
 from repro.numeric import BlockCholesky
@@ -58,10 +57,7 @@ def _context(p, pattern_id, arena_name=None):
 
 def _factor_of(p, outcome):
     assert outcome.ok, (outcome.error, outcome.aborted)
-    empty = sparse.csc_matrix(p["A_perm"].shape)
-    return _assemble(
-        p["structure"], empty, p["tg"], outcome.results
-    ).to_csc()
+    return _assemble(p["structure"], p["tg"], outcome.results).to_csc()
 
 
 def _bitwise(L, ref):
@@ -261,8 +257,7 @@ class TestWarmEqualsCold:
                             wait_for=0 if arena is not None else None),
                 ], timeout_s=120)
                 assert out[1].ok, out[1].error
-                empty = sparse.csc_matrix(A_perm.shape)
-                warm = _assemble(bs, empty, tg, out[1].results).to_csc()
+                warm = _assemble(bs, tg, out[1].results).to_csc()
         finally:
             if arena is not None:
                 arena.destroy()
