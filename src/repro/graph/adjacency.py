@@ -50,6 +50,20 @@ class AdjacencyGraph:
         """Number of undirected edges."""
         return int(self.indices.shape[0] // 2)
 
+    def neighbors_of(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Adjacency lists of ``vertices`` laid end to end, one gather.
+
+        Returns ``(nbrs, owner)``: ``nbrs[p]`` is a neighbour of
+        ``vertices[owner[p]]``; owners ascend and lists keep their order.
+        """
+        starts = self.indptr[vertices]
+        counts = self.indptr[vertices + 1] - starts
+        owner = np.repeat(np.arange(counts.shape[0], dtype=INDEX_DTYPE), counts)
+        # Entry p is the (p - first entry of its owner)-th of its owner's list.
+        shift = (starts - (np.cumsum(counts) - counts))[owner]
+        at = np.arange(owner.shape[0], dtype=INDEX_DTYPE) + shift
+        return self.indices[at], owner
+
     def subgraph(self, vertices: np.ndarray) -> tuple["AdjacencyGraph", np.ndarray]:
         """Induced subgraph; returns (graph, original-vertex-ids).
 
@@ -57,21 +71,15 @@ class AdjacencyGraph:
         ``vertices[i]`` in the parent graph.
         """
         vertices = np.asarray(vertices, dtype=INDEX_DTYPE)
+        m = vertices.shape[0]
         local = np.full(self.n, -1, dtype=INDEX_DTYPE)
-        local[vertices] = np.arange(vertices.shape[0], dtype=INDEX_DTYPE)
-
-        counts = np.zeros(vertices.shape[0] + 1, dtype=INDEX_DTYPE)
-        chunks = []
-        for i, v in enumerate(vertices):
-            nbrs = local[self.neighbors(v)]
-            nbrs = nbrs[nbrs >= 0]
-            counts[i + 1] = nbrs.shape[0]
-            chunks.append(nbrs)
-        indptr = np.cumsum(counts)
-        indices = (
-            np.concatenate(chunks) if chunks else np.empty(0, dtype=INDEX_DTYPE)
-        )
-        return AdjacencyGraph(indptr, indices), vertices
+        local[vertices] = np.arange(m, dtype=INDEX_DTYPE)
+        nbrs, owner = self.neighbors_of(vertices)
+        nbrs = local[nbrs]
+        inside = nbrs >= 0
+        indptr = np.zeros(m + 1, dtype=INDEX_DTYPE)
+        np.cumsum(np.bincount(owner[inside], minlength=m), out=indptr[1:])
+        return AdjacencyGraph(indptr, nbrs[inside]), vertices
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"AdjacencyGraph(n={self.n}, edges={self.num_edges})"

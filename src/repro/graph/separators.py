@@ -60,13 +60,11 @@ def vertex_separator_from_levels(
     # Shrink the separator: only cut-level vertices adjacent to the lower side
     # must be kept; the rest join the upper part.
     sep_candidates = vertices[in_sep_level[vertices]]
-    keep = np.zeros(sep_candidates.shape[0], dtype=bool)
     lower_mask = np.zeros(graph.n, dtype=bool)
     lower_mask[lower] = True
-    for i, v in enumerate(sep_candidates):
-        nbrs = graph.neighbors(v)
-        if lower_mask[nbrs].any():
-            keep[i] = True
+    nbrs, owner = graph.neighbors_of(sep_candidates)
+    keep = np.zeros(sep_candidates.shape[0], dtype=bool)
+    keep[owner[lower_mask[nbrs]]] = True
     separator = sep_candidates[keep]
     upper = np.concatenate([upper, sep_candidates[~keep]])
     return lower, separator, upper

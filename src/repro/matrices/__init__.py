@@ -15,7 +15,12 @@ from repro.matrices.registry import (
     get_problem,
     problem_names,
 )
-from repro.matrices.spd import is_symmetric_pattern, make_spd, random_spd_sparse
+from repro.matrices.spd import (
+    is_symmetric_pattern,
+    make_spd,
+    random_spd_sparse,
+    symmetric_csc,
+)
 from repro.matrices.synthetic import (
     bcsstk_like_matrix,
     copter_like_matrix,
@@ -33,6 +38,7 @@ __all__ = [
     "fleet_like_matrix",
     "make_spd",
     "random_spd_sparse",
+    "symmetric_csc",
     "is_symmetric_pattern",
     "read_matrix_market",
     "write_matrix_market",

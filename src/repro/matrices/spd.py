@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
+from repro.util.arrays import entry_columns
+
 
 def is_symmetric_pattern(A: sparse.spmatrix, tol: float = 0.0) -> bool:
     """True when ``A`` has a structurally and numerically symmetric pattern."""
@@ -13,6 +15,38 @@ def is_symmetric_pattern(A: sparse.spmatrix, tol: float = 0.0) -> bool:
     if diff.nnz == 0:
         return True
     return bool(np.max(np.abs(diff.data)) <= tol)
+
+
+def symmetric_csc(A: sparse.spmatrix) -> sparse.csc_matrix:
+    """``A`` in CSC form with both triangles of its symmetric pattern stored.
+
+    A structurally symmetric matrix comes back as it is (same arrays when it
+    already is CSC). A strictly lower or upper triangular one is taken as
+    half of a symmetric matrix and mirrored, ``T + T.T - diag(T)``. Anything
+    else — not square, empty, or stored entries whose transposes are not
+    stored — raises ``ValueError``.
+    """
+    A = A.tocsc()
+    n = A.shape[0]
+    if n != A.shape[1]:
+        raise ValueError("matrix must be square")
+    if n == 0:
+        raise ValueError("matrix is empty (0 x 0)")
+    # The CSC form of the transpose comes out of one counting pass with
+    # sorted columns; A's pattern is symmetric when it reads the same.
+    At = A.T.tocsc()
+    As = A if A.has_sorted_indices else At.T.tocsc()
+    if np.array_equal(At.indptr, As.indptr) and np.array_equal(
+        At.indices, As.indices
+    ):
+        return A
+    col = entry_columns(A.indptr)
+    if (A.indices > col).any() and (A.indices < col).any():
+        raise ValueError(
+            "matrix pattern is not symmetric: pass both triangles, or "
+            "exactly one of them"
+        )
+    return (A + At - sparse.diags(A.diagonal())).tocsc()
 
 
 def make_spd(A: sparse.spmatrix, shift: float = 1.0) -> sparse.csc_matrix:

@@ -5,7 +5,12 @@ optimal for grids) and irregular problems with multiple minimum degree; both
 are implemented here, plus natural and RCM baselines.
 """
 
-from repro.ordering.base import Ordering, order_problem, permute_spd
+from repro.ordering.base import (
+    Ordering,
+    order_problem,
+    permute_spd,
+    resolve_ordering,
+)
 from repro.ordering.nested_dissection import nested_dissection
 from repro.ordering.minimum_degree import minimum_degree
 
@@ -13,6 +18,7 @@ __all__ = [
     "Ordering",
     "order_problem",
     "permute_spd",
+    "resolve_ordering",
     "nested_dissection",
     "minimum_degree",
 ]

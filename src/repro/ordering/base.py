@@ -44,29 +44,48 @@ def permute_spd(A: sparse.spmatrix, ordering: Ordering | np.ndarray) -> sparse.c
     return A[perm][:, perm].tocsc()
 
 
-def order_problem(problem, method: str | None = None, **kwargs) -> Ordering:
-    """Compute an ordering for a :class:`ProblemMatrix`.
+def resolve_ordering(
+    A: sparse.spmatrix, method, coords: np.ndarray | None = None, **kwargs
+) -> np.ndarray | None:
+    """The permutation ``method`` gives for SPD matrix ``A`` (None = identity).
 
-    ``method`` defaults to the problem's ``recommended_ordering``:
-    ``"natural"`` (identity), ``"rcm"``, ``"nd"`` (nested dissection,
-    geometric when coordinates are available), or ``"mmd"`` (multiple minimum
-    degree).
+    ``method`` is an explicit permutation (array or list, passed through),
+    ``"natural"``, ``"rcm"``, ``"nd"`` (nested dissection, geometric when
+    ``coords`` are given), ``"mmd"`` (multiple minimum degree), or
+    ``"auto"``: nested dissection when the graph is mesh-like — bounded
+    degree — else minimum degree, mirroring the paper's per-family choices.
+    ``kwargs`` go to the ordering routine chosen.
     """
     # Imported here to avoid an import cycle at package-init time.
     from repro.ordering.minimum_degree import minimum_degree
     from repro.ordering.nested_dissection import nested_dissection
 
-    method = method or problem.recommended_ordering
-    n = problem.n
+    if isinstance(method, (np.ndarray, list)):
+        return np.asarray(method)
     if method == "natural":
-        return Ordering(np.arange(n), method="natural")
-    graph = AdjacencyGraph.from_sparse(problem.A)
+        return None
+    if method not in ("rcm", "nd", "mmd", "auto"):
+        raise KeyError(f"unknown ordering {method!r}")
+    graph = AdjacencyGraph.from_sparse(A)
     if method == "rcm":
-        return Ordering(reverse_cuthill_mckee(graph), method="rcm")
+        return reverse_cuthill_mckee(graph)
+    if method == "auto":
+        deg = graph.degrees
+        mesh_like = deg.size and deg.max() <= max(32, 3 * int(np.median(deg)))
+        method = "nd" if mesh_like else "mmd"
     if method == "nd":
-        perm = nested_dissection(graph, coords=problem.coords, **kwargs)
-        return Ordering(perm, method="nd")
-    if method == "mmd":
-        perm = minimum_degree(graph, **kwargs)
-        return Ordering(perm, method="mmd")
-    raise KeyError(f"unknown ordering method {method!r}")
+        return nested_dissection(graph, coords=coords, **kwargs)
+    return minimum_degree(graph, **kwargs)
+
+
+def order_problem(problem, method: str | None = None, **kwargs) -> Ordering:
+    """Compute an ordering for a :class:`ProblemMatrix`.
+
+    ``method`` defaults to the problem's ``recommended_ordering``; see
+    :func:`resolve_ordering` for the choices.
+    """
+    method = method or problem.recommended_ordering
+    perm = resolve_ordering(problem.A, method, coords=problem.coords, **kwargs)
+    if perm is None:
+        perm = np.arange(problem.n)
+    return Ordering(perm, method=method)

@@ -13,10 +13,17 @@ application) benchmark matrices.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
+from scipy import sparse
 
 from repro.graph.adjacency import AdjacencyGraph
 from repro.util.arrays import INDEX_DTYPE
+
+# Entries of reach sets held at once during an exact degree update (a few
+# tens of MB); bigger rounds are updated in runs of rows.
+_REACH_BUDGET = 1 << 22
 
 
 def minimum_degree(
@@ -36,42 +43,84 @@ def minimum_degree(
     if n == 0:
         return np.empty(0, dtype=INDEX_DTYPE)
 
-    # Quotient graph state. adj_vars[v]/adj_elts[v] exist only for live
-    # supervariable representatives.
-    adj_vars: list[set[int]] = [set(graph.neighbors(v).tolist()) for v in range(n)]
+    # Quotient graph state. adj_vars[v]/adj_elts[v] are sets of plain ints,
+    # meaningful only for live supervariable representatives. An element's
+    # boundary is an index array frozen when the element forms: a
+    # supervariable merged away later stays listed in it, with weight 0 and
+    # ``alive`` False, so it counts for nothing in a degree and is dropped
+    # when the element is absorbed.
+    indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
+    adj_vars: list[set[int]] = [
+        set(indices[indptr[v] : indptr[v + 1]]) for v in range(n)
+    ]
     adj_elts: list[set[int]] = [set() for _ in range(n)]
-    elt_vars: dict[int, set[int]] = {}  # element id -> boundary supervariables
+    elt_vars: dict[int, np.ndarray] = {}  # element id -> boundary supervariables
     weight = np.ones(n, dtype=INDEX_DTYPE)  # columns merged into supervariable
     members: list[list[int]] = [[v] for v in range(n)]  # merged original vertices
     alive = np.ones(n, dtype=bool)
-    degree = np.array([len(a) for a in adj_vars], dtype=INDEX_DTYPE)
+    degree = np.fromiter(map(len, adj_vars), dtype=INDEX_DTYPE, count=n)
+
+    def gather(sets: list[set[int]], rows: list[int]):
+        """The chosen rows of a set-valued adjacency as CSR (indptr, indices)."""
+        ptr = np.zeros(len(rows) + 1, dtype=INDEX_DTYPE)
+        np.cumsum([len(sets[u]) for u in rows], out=ptr[1:])
+        flat = chain.from_iterable(map(sets.__getitem__, rows))
+        return ptr, np.fromiter(flat, dtype=INDEX_DTYPE, count=int(ptr[-1]))
+
+    def external_degrees(rows: list[int]) -> np.ndarray:
+        """External degree (sum of supervariable weights) of each of ``rows``,
+        every one of which is on the boundary of at least one element."""
+        k = len(rows)
+        var_ptr, var_idx = gather(adj_vars, rows)
+        elt_ptr, elt_idx = gather(adj_elts, rows)
+        elts, elt_col = np.unique(elt_idx, return_inverse=True)
+        nelts = np.diff(elt_ptr)
+        # left = [incidence of rows on their elements | I]; right stacks the
+        # element boundaries on the rows' own variable adjacency, so
+        # left @ right lists, with multiplicity, everything a row reaches.
+        left_ptr = elt_ptr + np.arange(k + 1, dtype=INDEX_DTYPE)
+        left_idx = np.empty(int(left_ptr[-1]), dtype=INDEX_DTYPE)
+        own = np.zeros(left_idx.shape[0], dtype=bool)
+        own[left_ptr[1:] - 1] = True
+        left_idx[own] = elts.shape[0] + np.arange(k, dtype=INDEX_DTYPE)
+        left_idx[~own] = elt_col
+        bounds = [elt_vars[e] for e in elts.tolist()]
+        right_ptr = np.zeros(elts.shape[0] + k + 1, dtype=INDEX_DTYPE)
+        right_ptr[1 : elts.shape[0] + 1] = [b.shape[0] for b in bounds]
+        right_ptr[elts.shape[0] + 1 :] = np.diff(var_ptr)
+        np.cumsum(right_ptr, out=right_ptr)
+        right_idx = np.concatenate(bounds + [var_idx])
+        left = sparse.csr_matrix(
+            (np.ones_like(left_idx), left_idx, left_ptr),
+            shape=(k, elts.shape[0] + k),
+        )
+        right = sparse.csr_matrix(
+            (np.ones_like(right_idx), right_idx, right_ptr),
+            shape=(elts.shape[0] + k, n),
+        )
+        own_weight = weight[rows]
+        if approximate:
+            # ADD-style bound: element boundaries counted with multiplicity,
+            # the row itself taken out of each of its elements.
+            return left @ (right @ weight) - nelts * own_weight
+        # Reach sets a run of rows at a time, so the product in flight holds
+        # about _REACH_BUDGET entries at most: a row's reach is no longer
+        # than everything it lists, nor than n.
+        size = np.minimum(left @ np.diff(right_ptr), n)
+        run = np.cumsum(size) // _REACH_BUDGET
+        starts = np.flatnonzero(np.diff(run, prepend=-1)).tolist()
+        reached = np.empty(k, dtype=INDEX_DTYPE)
+        for a, b in zip(starts, starts[1:] + [k]):
+            reach = left[a:b] @ right
+            reach.data[:] = 1
+            reached[a:b] = reach @ weight
+        # A row is on the boundary of each of its elements, so it reaches
+        # itself exactly once after the union.
+        return reached - own_weight
 
     order: list[int] = []
     next_elt = n  # element ids disjoint from vertex ids
-
-    def exact_degree(v: int) -> int:
-        """External degree of supervariable v (sum of supervariable weights)."""
-        if approximate:
-            # ADD-style bound: element boundaries counted with multiplicity.
-            total = sum(weight[u] for u in adj_vars[v])
-            for e in adj_elts[v]:
-                total += sum(weight[u] for u in elt_vars[e] if u != v)
-            return int(total)
-        seen = set(adj_vars[v])
-        for e in adj_elts[v]:
-            seen.update(elt_vars[e])
-        seen.discard(v)
-        return int(sum(weight[u] for u in seen))
-
-    def reachable(v: int) -> set[int]:
-        s = set(adj_vars[v])
-        for e in adj_elts[v]:
-            s.update(elt_vars[e])
-        s.discard(v)
-        return s
-
-    remaining = n
-    while remaining > 0:
+    while len(order) < n:
         live = np.flatnonzero(alive)
         dmin = degree[live].min()
         # Candidates at minimum degree; with multiple elimination take an
@@ -79,70 +128,73 @@ def minimum_degree(
         candidates = live[degree[live] == dmin]
         if not multiple:
             candidates = candidates[:1]
-        eliminated_this_round: list[int] = []
+        pivots: list[int] = []
         blocked: set[int] = set()
-        touched: set[int] = set()
         for v in candidates.tolist():
-            if v in blocked or not alive[v]:
+            if v in blocked:
                 continue
-            boundary = reachable(v)
+            absorbed = adj_elts[v]
+            boundary = adj_vars[v]
+            for e in absorbed:
+                # Absorbed elements disappear into the new one.
+                bound = elt_vars.pop(e)
+                boundary.update(bound[alive[bound]].tolist())
+            boundary.discard(v)
             # --- eliminate v: absorb its elements into a new element -------
             order.extend(members[v])
-            alive[v] = False
-            remaining -= 1
-            eliminated_this_round.append(v)
-            blocked.update(boundary)
-
+            pivots.append(v)
+            blocked |= boundary
             e_new = next_elt
             next_elt += 1
-            elt_vars[e_new] = boundary
-            absorbed = adj_elts[v]
+            elt_vars[e_new] = np.fromiter(
+                boundary, dtype=INDEX_DTYPE, count=len(boundary)
+            )
             for u in boundary:
-                adj_vars[u].discard(v)
-                # Absorbed elements disappear; v's variable adjacency becomes
-                # element adjacency via e_new.
-                adj_elts[u] -= absorbed
-                adj_elts[u].add(e_new)
+                # v's variable adjacency becomes element adjacency via e_new.
                 # Variable-variable edges inside the new element are redundant
                 # (covered by e_new); prune them to keep sets small.
-                adj_vars[u] -= boundary
-                touched.add(u)
-            for e in absorbed:
-                elt_vars.pop(e, None)
-            adj_vars[v] = set()
-            adj_elts[v] = set()
+                # (``a - b`` walks the small side; ``a -= b`` would walk b.)
+                adj_vars[u] = adj_vars[u] - boundary
+                adj_vars[u].discard(v)
+                adj_elts[u] -= absorbed
+                adj_elts[u].add(e_new)
+            adj_vars[v] = adj_elts[v] = None
+        alive[pivots] = False
 
         # --- mass degree update for all supervariables adjacent to any newly
         # formed element, with indistinguishable-variable merging ----------
-        touched = {u for u in touched if alive[u]}
         # Merge indistinguishable supervariables (identical element and
         # variable adjacency). Touched vertices all carry at least one
         # element, so equal adjacency keys imply a shared element, i.e. the
         # two variables are adjacent in the filled graph — the classic
-        # supervariable merge condition.
+        # supervariable merge condition. Ascending order, and each key as
+        # it stands when its vertex is reached, decide who absorbs whom.
         sig: dict[tuple, int] = {}
-        for u in sorted(touched):
-            key = (tuple(sorted(adj_elts[u])), tuple(sorted(adj_vars[u])))
+        kept: list[int] = []
+        merged: list[int] = []
+        into: list[int] = []
+        for u in sorted(blocked):
+            key = (frozenset(adj_elts[u]), frozenset(adj_vars[u]))
             w = sig.get(key)
             if w is None or not adj_elts[u]:
                 sig[key] = u
+                kept.append(u)
                 continue
-            weight[w] += weight[u]
             members[w].extend(members[u])
-            alive[u] = False
-            remaining -= 1
-            for e in adj_elts[u]:
-                elt_vars[e].discard(u)
+            merged.append(u)
+            into.append(w)
             for x in adj_vars[u]:
                 adj_vars[x].discard(u)
                 if x != w:
                     adj_vars[x].add(w)
                     adj_vars[w].add(x)
-            adj_vars[u] = set()
-            adj_elts[u] = set()
-        touched = {u for u in touched if alive[u]}
-        for u in touched:
-            degree[u] = exact_degree(u)
+            adj_vars[u] = adj_elts[u] = None
+        if merged:
+            np.add.at(weight, into, weight[merged])
+            weight[merged] = 0
+            alive[merged] = False
+        if kept:
+            degree[kept] = external_degrees(kept)
 
     perm = np.asarray(order, dtype=INDEX_DTYPE)
     assert perm.shape[0] == n

@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
+from repro.matrices.spd import symmetric_csc
+
 
 # ----------------------------------------------------------------------
 # Typed errors — clients branch on these, never on message text.
@@ -130,9 +132,7 @@ class FactorJob:
         else:
             if self.values is not None:
                 raise ValueError("give either A or values, not both")
-            self.A = self.A.tocsc()
-            if self.A.shape[0] != self.A.shape[1]:
-                raise ValueError("matrix must be square")
+            self.A = symmetric_csc(self.A)  # a lone triangle is mirrored
 
 
 @dataclass

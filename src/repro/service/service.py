@@ -871,10 +871,10 @@ class FactorService:
         pattern."""
         from repro.blocks import BlockStructure, WorkModel, make_partition
         from repro.fanout import TaskGraph
-        from repro.solver import SparseCholesky
+        from repro.ordering import resolve_ordering
         from repro.symbolic import symbolic_factor
 
-        perm = SparseCholesky._resolve_ordering(A, self.ordering)
+        perm = resolve_ordering(A, self.ordering)
         symbolic = symbolic_factor(A, perm)
         structure = BlockStructure(make_partition(
             symbolic,

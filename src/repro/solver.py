@@ -30,12 +30,12 @@ from scipy import sparse
 
 from repro.blocks import BlockStructure, WorkModel, make_partition
 from repro.fanout import TaskGraph, assign_domains, block_owners, run_fanout
-from repro.graph.adjacency import AdjacencyGraph
 from repro.machine.params import PARAGON, MachineParams
 from repro.mapping import named_map
 from repro.mapping.balance import overall_balance_from_owners
 from repro.numeric import BlockCholesky, solve_with_factor
-from repro.ordering import minimum_degree, nested_dissection
+from repro.matrices.spd import symmetric_csc
+from repro.ordering import resolve_ordering
 from repro.symbolic import symbolic_factor
 
 
@@ -59,12 +59,16 @@ class SparseCholesky:
     Parameters
     ----------
     A:
-        Symmetric positive definite sparse matrix (both triangles stored,
-        or a lower/upper triangle — the pattern is symmetrized).
+        Symmetric positive definite sparse matrix: both triangles stored,
+        or exactly one of them (strictly lower or upper triangular input
+        is mirrored, ``T + T.T - diag(T)``). An empty matrix, or a pattern
+        that is neither symmetric nor triangular, raises ``ValueError``
+        before any analysis.
     ordering:
         ``"auto"`` (nested dissection when the graph is mesh-like — i.e.
         bounded degree — else minimum degree), ``"nd"``, ``"mmd"``,
-        ``"natural"``, or an explicit permutation array.
+        ``"natural"``, ``"rcm"``, or an explicit permutation array
+        (:func:`repro.ordering.resolve_ordering`).
     block_size:
         Panel width B (default 48, the paper's choice). Under
         ``block_policy="supernodal"`` it only seeds the default
@@ -151,9 +155,7 @@ class SparseCholesky:
         min_width: int | None = None,
         max_width: int | None = None,
     ):
-        A = A.tocsc()
-        if A.shape[0] != A.shape[1]:
-            raise ValueError("matrix must be square")
+        A = symmetric_csc(A)
         if backend not in self.BACKENDS:
             raise KeyError(
                 f"unknown backend {backend!r}; expected one of {self.BACKENDS}"
@@ -239,23 +241,7 @@ class SparseCholesky:
 
     @staticmethod
     def _resolve_ordering(A, ordering):
-        if isinstance(ordering, np.ndarray) or isinstance(ordering, list):
-            return np.asarray(ordering)
-        if ordering == "natural":
-            return None
-        graph = AdjacencyGraph.from_sparse(A)
-        if ordering == "nd":
-            return nested_dissection(graph)
-        if ordering == "mmd":
-            return minimum_degree(graph)
-        if ordering == "auto":
-            # Mesh-like (low, even degree) -> nested dissection; otherwise
-            # minimum degree, mirroring the paper's per-family choices.
-            deg = graph.degrees
-            if deg.size and deg.max() <= max(32, 3 * int(np.median(deg))):
-                return nested_dissection(graph)
-            return minimum_degree(graph)
-        raise KeyError(f"unknown ordering {ordering!r}")
+        return resolve_ordering(A, ordering)
 
     # ------------------------------------------------------------------
     @property

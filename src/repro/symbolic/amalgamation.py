@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.util.arrays import INDEX_DTYPE, union_sorted
+from repro.util.arrays import INDEX_DTYPE
 
 
 @dataclass(frozen=True)
@@ -42,53 +42,49 @@ def amalgamate_supernodes(
     """Merge supernodes; returns the new ``(snode_ptr, structs)``.
 
     ``structs[s]`` is the sorted array of row indices strictly below
-    supernode s; merged supernodes absorb rows falling inside the parent's
-    column range into the dense triangle.
+    supernode s, as :func:`~repro.symbolic.structure.supernode_structures`
+    computes it: what a child's structure holds beyond its parent's columns
+    lies inside the parent's structure. A merged supernode therefore keeps
+    the parent's rows unchanged (the child's rows inside the parent's column
+    range join the dense triangle), and deciding a merge takes only widths
+    and row counts.
     """
     params = params or AmalgamationParams()
     snode_ptr = np.asarray(snode_ptr)
     nsup = snode_ptr.shape[0] - 1
     if nsup == 0:
         return snode_ptr.astype(INDEX_DTYPE), []
-    # Mutable group state; group of s is found by chasing `merged_into`.
-    start = snode_ptr[:-1].copy()
-    end = snode_ptr[1:].copy()  # exclusive
-    rows: list[np.ndarray] = [np.asarray(r, dtype=INDEX_DTYPE) for r in structs]
-    parent_group = sparent.copy()
-    merged_into = np.full(nsup, -1, dtype=INDEX_DTYPE)
+    # Group state over plain ints. A merged supernode points at the group
+    # that took it; the group keeps the identity of its topmost member and
+    # its column range grows downwards.
+    start = snode_ptr[:-1].tolist()
+    end = snode_ptr[1:].tolist()  # exclusive
+    nbelow = [int(r.shape[0]) for r in structs]
+    parent_group = np.asarray(sparent).tolist()
+    merged_into = [-1] * nsup
 
-    def find(s: int) -> int:
-        while merged_into[s] != -1:
-            s = int(merged_into[s])
-        return s
-
-    for s in range(nsup):
-        g = find(s)
-        if g != s:
-            continue
+    for g in range(nsup):
         p = parent_group[g]
         if p == -1:
             continue
-        p = find(int(p))
+        while merged_into[p] != -1:
+            p = merged_into[p]
         if start[p] != end[g]:
             continue  # not contiguous: g is not the last child of p
-        w_c = int(end[g] - start[g])
-        w_p = int(end[p] - start[p])
-        w = w_c + w_p
-        child_tail = rows[g][rows[g] >= end[p]]
-        merged_rows = union_sorted(child_tail, rows[p])
-        new_nnz = _sn_nnz(w, merged_rows.shape[0])
-        old_nnz = _sn_nnz(w_c, rows[g].shape[0]) + _sn_nnz(w_p, rows[p].shape[0])
+        w_c = end[g] - start[g]
+        w_p = end[p] - start[p]
+        new_nnz = _sn_nnz(w_c + w_p, nbelow[p])
+        old_nnz = _sn_nnz(w_c, nbelow[g]) + _sn_nnz(w_p, nbelow[p])
         zeros = new_nnz - old_nnz
         limit = params.frac_small if w_c <= params.small_width else params.frac
         if zeros > 0 and zeros > limit * new_nnz:
             continue
-        # Merge g into p (p keeps its identity; its column range grows down).
         start[p] = start[g]
-        rows[p] = merged_rows
         merged_into[g] = p
 
-    keep = np.flatnonzero(merged_into == -1)
-    new_ptr = np.concatenate([start[keep], [end[keep[-1]]]]).astype(INDEX_DTYPE)
-    new_structs = [rows[int(s)] for s in keep]
+    keep = [s for s in range(nsup) if merged_into[s] == -1]
+    new_ptr = np.array(
+        [start[s] for s in keep] + [end[keep[-1]]], dtype=INDEX_DTYPE
+    )
+    new_structs = [np.asarray(structs[s], dtype=INDEX_DTYPE) for s in keep]
     return new_ptr, new_structs

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from repro.util.arrays import INDEX_DTYPE
+from repro.util.arrays import INDEX_DTYPE, entry_columns, invert_permutation
 
 
 def elimination_tree(A: sparse.spmatrix) -> np.ndarray:
@@ -22,14 +22,16 @@ def elimination_tree(A: sparse.spmatrix) -> np.ndarray:
     """
     A = A.tocsc()
     n = A.shape[0]
-    parent = np.full(n, -1, dtype=INDEX_DTYPE)
-    ancestor = np.full(n, -1, dtype=INDEX_DTYPE)
-    indptr, indices = A.indptr, A.indices
+    cols = entry_columns(A.indptr)
+    upper = A.indices < cols
+    ptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
+    np.cumsum(np.bincount(cols[upper], minlength=n), out=ptr[1:])
+    # The walk is inherently sequential; it runs over plain ints.
+    rows, ptr = A.indices[upper].tolist(), ptr.tolist()
+    parent = [-1] * n
+    ancestor = [-1] * n
     for j in range(n):
-        for p in range(indptr[j], indptr[j + 1]):
-            i = indices[p]
-            if i >= j:
-                continue
+        for i in rows[ptr[j] : ptr[j + 1]]:
             # Walk from i to the root of its current virtual tree, compressing.
             while True:
                 anc = ancestor[i]
@@ -40,7 +42,7 @@ def elimination_tree(A: sparse.spmatrix) -> np.ndarray:
                     parent[i] = j
                     break
                 i = anc
-    return parent
+    return np.array(parent, dtype=INDEX_DTYPE)
 
 
 def etree_postorder(parent: np.ndarray) -> np.ndarray:
@@ -49,66 +51,90 @@ def etree_postorder(parent: np.ndarray) -> np.ndarray:
     Children are visited before parents; each subtree occupies a contiguous
     index range in the postorder. Iterative DFS (no recursion limit issues).
     """
-    parent = np.asarray(parent)
-    n = parent.shape[0]
+    parent = np.asarray(parent).tolist()
+    n = len(parent)
     # Build child lists as head/next arrays; prepend so that child lists come
     # out in increasing order when traversed (stable, deterministic).
-    head = np.full(n, -1, dtype=INDEX_DTYPE)
-    nxt = np.full(n, -1, dtype=INDEX_DTYPE)
+    head = [-1] * n
+    nxt = [-1] * n
     for v in range(n - 1, -1, -1):
         p = parent[v]
         if p != -1:
             nxt[v] = head[p]
             head[p] = v
-    post = np.empty(n, dtype=INDEX_DTYPE)
-    k = 0
-    stack: list[int] = []
+    post: list[int] = []
     for root in range(n):
         if parent[root] != -1:
             continue
-        stack.append(root)
+        stack = [root]
         while stack:
             v = stack[-1]
             c = head[v]
             if c == -1:
-                post[k] = v
-                k += 1
+                post.append(v)
                 stack.pop()
             else:
                 head[v] = nxt[c]  # consume child
-                stack.append(int(c))
-    if k != n:
+                stack.append(c)
+    if len(post) != n:
         raise ValueError("parent array is not a forest (cycle detected)")
-    return post
+    return np.array(post, dtype=INDEX_DTYPE)
+
+
+def relabel_tree(parent: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Parent array of the same forest with node ``order[k]`` renamed ``k``.
+
+    Relabelling an elimination tree through its postorder gives the
+    elimination tree of the symmetrically re-permuted matrix.
+    """
+    parent = np.asarray(parent)[order]
+    return np.where(parent == -1, -1, invert_permutation(order)[parent])
+
+
+def _check_topological(parent: np.ndarray, who: str) -> np.ndarray:
+    """Mask of non-root nodes; every parent must follow its child."""
+    has = parent != -1
+    if (parent[has] <= np.flatnonzero(has)).any():
+        raise ValueError(f"{who} requires a postordered etree")
+    return has
 
 
 def tree_depths(parent: np.ndarray) -> np.ndarray:
     """Depth of every node (roots at depth 0).
 
-    Assumes ``parent[j] > j`` or -1 (true after etree postordering), so a
-    single reverse sweep suffices.
+    Assumes ``parent[j] > j`` or -1 (true after etree postordering). Pointer
+    doubling: ``depth[v]`` counts the hops from v to ``up[v]``, which jumps
+    twice as far every round until it rests on the root.
     """
     parent = np.asarray(parent)
-    n = parent.shape[0]
-    depth = np.zeros(n, dtype=INDEX_DTYPE)
-    for j in range(n - 1, -1, -1):
-        p = parent[j]
-        if p != -1:
-            if p <= j:
-                raise ValueError("tree_depths requires a postordered etree")
-            depth[j] = depth[p] + 1
-    return depth
+    has = _check_topological(parent, "tree_depths")
+    depth = has.astype(INDEX_DTYPE)
+    up = np.where(has, parent, np.arange(parent.shape[0]))
+    while True:
+        further = depth[up]
+        if not further.any():
+            return depth
+        depth += further
+        up = up[up]
 
 
 def subtree_sizes(parent: np.ndarray) -> np.ndarray:
-    """Number of nodes in each node's subtree (postordered etree required)."""
+    """Number of nodes in each node's subtree (postordered etree required).
+
+    Doubling again: after round k ``size[v]`` counts the descendants fewer
+    than ``2**k`` levels below v, and ``up[v]`` is the ancestor ``2**k``
+    levels above (``n`` once past the root).
+    """
     parent = np.asarray(parent)
     n = parent.shape[0]
+    has = _check_topological(parent, "subtree_sizes")
     size = np.ones(n, dtype=INDEX_DTYPE)
-    for j in range(n):
-        p = parent[j]
-        if p != -1:
-            if p <= j:
-                raise ValueError("subtree_sizes requires a postordered etree")
-            size[p] += size[j]
-    return size
+    up = np.append(np.where(has, parent, n), n)
+    while True:
+        inside = np.flatnonzero(up[:n] < n)
+        if not inside.size:
+            return size
+        size += np.bincount(
+            up[inside], weights=size[inside], minlength=n
+        ).astype(INDEX_DTYPE)
+        up = up[up]

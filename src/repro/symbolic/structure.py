@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -14,13 +15,18 @@ from repro.symbolic.colcounts import (
     factor_nnz_from_counts,
     factor_ops_from_counts,
 )
-from repro.symbolic.etree import elimination_tree, etree_postorder, tree_depths
+from repro.symbolic.etree import (
+    elimination_tree,
+    etree_postorder,
+    relabel_tree,
+    tree_depths,
+)
 from repro.symbolic.supernodes import (
     detect_supernodes,
     snode_of_column,
     supernode_parents,
 )
-from repro.util.arrays import INDEX_DTYPE, union_sorted
+from repro.util.arrays import INDEX_DTYPE, entry_columns, sorted_unique
 
 
 @dataclass
@@ -59,7 +65,7 @@ class SymbolicFactor:
     def nsupernodes(self) -> int:
         return self.snode_ptr.shape[0] - 1
 
-    @property
+    @cached_property
     def col2snode(self) -> np.ndarray:
         return snode_of_column(self.snode_ptr, self.n)
 
@@ -100,25 +106,47 @@ def supernode_structures(
     """Row structure below each supernode, by bottom-up union.
 
     struct(s) = rows of A in s's columns below s, unioned with each child
-    supernode's struct filtered below s. Supernodes are processed in
-    ascending (= topological) order, pushing each result to its parent.
+    supernode's struct filtered below s. One array pass per level of the
+    supernode forest, deepest first: a level's children are all one level
+    down and already done. A (supernode, row) pair travels as the key
+    ``s * n + row``, so sorting keys sorts structures.
     """
     nsup = snode_ptr.shape[0] - 1
-    indptr, indices = A.indptr, A.indices
-    pending: list[list[np.ndarray]] = [[] for _ in range(nsup)]
-    out: list[np.ndarray] = []
-    for s in range(nsup):
-        a, b = int(snode_ptr[s]), int(snode_ptr[s + 1])
-        cols = np.unique(indices[indptr[a] : indptr[b]])
-        rows = cols[cols >= b]
-        for child_rows in pending[s]:
-            rows = union_sorted(rows, child_rows[child_rows >= b])
-        pending[s] = []  # free
-        out.append(np.ascontiguousarray(rows, dtype=INDEX_DTYPE))
-        p = sparent[s]
-        if p != -1:
-            pending[int(p)].append(rows)
-    return out
+    n = A.shape[0]
+    if nsup == 0:
+        return []
+    sparent = np.asarray(sparent, dtype=INDEX_DTYPE)
+    end = snode_ptr[1:]
+    snode = snode_of_column(snode_ptr, n)[entry_columns(A.indptr)]
+    below = A.indices >= end[snode]
+    own = sorted_unique(snode[below] * n + A.indices[below])
+    depth = tree_depths(sparent)
+    # A's own contribution, grouped by the depth of its supernode.
+    own_depth = depth[own // n]
+    own = own[np.argsort(own_depth, kind="stable")]
+    deepest = int(depth.max())
+    cut = np.zeros(deepest + 2, dtype=INDEX_DTYPE)
+    np.cumsum(np.bincount(own_depth, minlength=deepest + 1), out=cut[1:])
+    levels = []
+    done = own[:0]
+    for d in range(deepest, -1, -1):
+        keys = own[cut[d] : cut[d + 1]]
+        if done.size:
+            child, rows = np.divmod(done, n)
+            above = sparent[child]
+            kept = rows >= end[above]
+            keys = sorted_unique(
+                np.concatenate([keys, above[kept] * n + rows[kept]])
+            )
+        levels.append(keys)
+        done = keys
+    keys = np.concatenate(levels)
+    keys.sort()
+    snode, rows = np.divmod(keys, n)
+    ptr = np.zeros(nsup + 1, dtype=INDEX_DTYPE)
+    np.cumsum(np.bincount(snode, minlength=nsup), out=ptr[1:])
+    ptr = ptr.tolist()
+    return [rows[a:b] for a, b in zip(ptr, ptr[1:])]
 
 
 def symbolic_factor(
@@ -148,9 +176,10 @@ def symbolic_factor(
     parent = elimination_tree(A1)
     post = etree_postorder(parent)
     if not np.array_equal(post, np.arange(n)):
+        # Postordering relabels the tree; only the matrix is permuted again.
         perm = perm[post]
         A1 = permute_spd(A, perm)
-        parent = elimination_tree(A1)
+        parent = relabel_tree(parent, post)
 
     cc = column_counts(A1, parent)
     depth = tree_depths(parent)

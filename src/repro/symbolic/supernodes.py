@@ -49,13 +49,6 @@ def supernode_parents(
     """
     snode_ptr = np.asarray(snode_ptr)
     parent = np.asarray(parent)
-    n = parent.shape[0]
-    col2s = snode_of_column(snode_ptr, n)
-    nsup = snode_ptr.shape[0] - 1
-    sparent = np.full(nsup, -1, dtype=INDEX_DTYPE)
-    for s in range(nsup):
-        last = snode_ptr[s + 1] - 1
-        p = parent[last]
-        if p != -1:
-            sparent[s] = col2s[p]
-    return sparent
+    col2s = snode_of_column(snode_ptr, parent.shape[0])
+    above = parent[snode_ptr[1:] - 1]
+    return np.where(above == -1, -1, col2s[above]).astype(INDEX_DTYPE)

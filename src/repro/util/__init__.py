@@ -4,7 +4,6 @@ from repro.util.arrays import (
     as_index_array,
     invert_permutation,
     is_permutation,
-    union_sorted,
 )
 from repro.util.formatting import format_table
 
@@ -12,6 +11,5 @@ __all__ = [
     "as_index_array",
     "invert_permutation",
     "is_permutation",
-    "union_sorted",
     "format_table",
 ]

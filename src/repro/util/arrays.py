@@ -49,19 +49,18 @@ def invert_permutation(perm) -> np.ndarray:
     return inv
 
 
-def union_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Union of two *sorted unique* int arrays, returned sorted unique.
+def entry_columns(indptr: np.ndarray) -> np.ndarray:
+    """Column of every stored entry of a CSC matrix (row, of a CSR one)."""
+    counts = np.diff(indptr)
+    return np.repeat(np.arange(counts.shape[0], dtype=INDEX_DTYPE), counts)
 
-    This is the hot path of supernodal symbolic factorization; ``np.union1d``
-    re-sorts its inputs, so use a merge that exploits pre-sortedness.
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries of an int array, which is sorted in place.
+
+    The stable sort is near linear on input made of a few ordered runs.
     """
-    if a.size == 0:
-        return b
-    if b.size == 0:
-        return a
-    merged = np.concatenate([a, b])
-    merged.sort(kind="mergesort")
-    keep = np.empty(merged.shape[0], dtype=bool)
-    keep[0] = True
-    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-    return merged[keep]
+    values.sort(kind="stable")
+    keep = np.ones(values.shape[0], dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]

@@ -1,0 +1,349 @@
+"""The array-pass analysis phase returns, bit for bit, what the interpreted
+loops in ``tests/analysis_oracle.py`` return: the same permutation, levels,
+tree, counts, supernodes and structures — plus a deterministic guard
+against per-nonzero Python coming back (call counts, no wall clock)."""
+
+from __future__ import annotations
+
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import sparse
+
+from repro.graph import (
+    AdjacencyGraph,
+    bfs_levels,
+    connected_components,
+    pseudo_peripheral_node,
+    vertex_separator_from_levels,
+)
+from repro.matrices import (
+    cube3d_matrix,
+    dense_matrix,
+    fleet_like_matrix,
+    grid2d_matrix,
+)
+from repro.ordering import (
+    minimum_degree,
+    nested_dissection,
+    permute_spd,
+    resolve_ordering,
+)
+from repro.symbolic import (
+    amalgamate_supernodes,
+    column_counts,
+    detect_supernodes,
+    elimination_tree,
+    etree_postorder,
+    supernode_parents,
+    symbolic_factor,
+    tree_depths,
+)
+from repro.symbolic.colcounts import row_counts
+from repro.symbolic.etree import relabel_tree, subtree_sizes
+from repro.symbolic.structure import supernode_structures
+
+from tests import analysis_oracle as oracle
+
+MMD_SETTINGS = (
+    {},
+    {"approximate": True},
+    {"multiple": False},
+    {"multiple": False, "approximate": True},
+)
+
+
+# ---------------------------------------------------------------- inputs
+def pattern_from_edges(n: int, edges) -> sparse.csc_matrix:
+    """Diagonally dominant SPD matrix with the given off-diagonal pattern."""
+    rows = np.array([e[0] for e in edges], dtype=np.int64)
+    cols = np.array([e[1] for e in edges], dtype=np.int64)
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
+    A = sparse.coo_matrix(
+        (-np.ones(2 * rows.size), (np.r_[rows, cols], np.r_[cols, rows])),
+        shape=(n, n),
+    ).tocsc()
+    A.data[:] = -1.0  # duplicate edges were summed
+    return (A + sparse.diags(np.full(n, float(n)))).tocsc()
+
+
+def path(n):
+    return pattern_from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def star(n):
+    return pattern_from_edges(n, [(n // 2, i) for i in range(n)])
+
+
+def hub_rows(n):
+    """A path plus two rows adjacent to everything (LP hub rows)."""
+    edges = [(i, i + 1) for i in range(n - 1)]
+    edges += [(0, i) for i in range(n)] + [(n - 1, i) for i in range(n)]
+    return pattern_from_edges(n, edges)
+
+
+def disconnected():
+    """A grid, a path, two isolated vertices and a clique: forest etree."""
+    return sparse.block_diag(
+        [
+            grid2d_matrix(7).A,
+            path(40),
+            sparse.identity(2),
+            dense_matrix(6).A,
+        ]
+    ).tocsc()
+
+
+EDGE_CASES = {
+    "n1": sparse.identity(1, format="csc"),
+    "diagonal": sparse.identity(9, format="csc"),
+    "dense": dense_matrix(40).A,  # too shallow for a level cut (max_level < 2)
+    "star": star(45),
+    "hub_rows": hub_rows(50),
+    "disconnected": disconnected(),
+    "path": path(120),  # deep tree
+    "arrow": pattern_from_edges(36, [(35, i) for i in range(35)]),
+}
+
+# The benchmark's three patterns (bench/workloads.py), smoke and full size.
+BENCH_PATTERNS = {
+    "grid2d-smoke": lambda: grid2d_matrix(16).A,
+    "cube3d-smoke": lambda: cube3d_matrix(6).A,
+    "lp_normal-smoke": lambda: fleet_like_matrix(120, seed=1).A,
+    "grid2d": lambda: grid2d_matrix(64).A,
+    "cube3d": lambda: cube3d_matrix(13).A,
+    "lp_normal": lambda: fleet_like_matrix(650, seed=1).A,
+}
+FLEET = {f"fleet-seed{s}": (lambda s=s: fleet_like_matrix(150, seed=s).A)
+         for s in range(5)}
+
+
+def fixed_inputs():
+    for name, A in EDGE_CASES.items():
+        yield pytest.param(lambda A=A: A, id=name)
+    for name, make in {**BENCH_PATTERNS, **FLEET}.items():
+        yield pytest.param(make, id=name)
+
+
+@st.composite
+def symmetric_patterns(draw):
+    n = draw(st.integers(1, 48))
+    edges = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            max_size=4 * n,
+        )
+    )
+    return pattern_from_edges(n, edges)
+
+
+# ---------------------------------------------------------------- checks
+def same_arrays(new, old):
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        assert np.array_equal(a, b)
+
+
+def check_ordering(A, mmd_settings=MMD_SETTINGS):
+    graph = AdjacencyGraph.from_sparse(A)
+    for kw in mmd_settings:
+        assert np.array_equal(
+            minimum_degree(graph, **kw), oracle.oracle_minimum_degree(graph, **kw)
+        ), kw
+    n = graph.n
+    rng = np.random.default_rng(n)
+    mask = rng.random(n) < 0.7
+    for root in {0, n // 2, n - 1}:
+        assert np.array_equal(
+            bfs_levels(graph, root), oracle.oracle_bfs_levels(graph, root)
+        )
+        node, levels = pseudo_peripheral_node(graph, root)
+        onode, olevels = oracle.oracle_pseudo_peripheral_node(graph, root)
+        assert node == onode and np.array_equal(levels, olevels)
+        if mask[root]:
+            assert np.array_equal(
+                bfs_levels(graph, root, mask=mask),
+                oracle.oracle_bfs_levels(graph, root, mask=mask),
+            )
+            node, levels = pseudo_peripheral_node(graph, root, mask=mask)
+            onode, olevels = oracle.oracle_pseudo_peripheral_node(
+                graph, root, mask=mask
+            )
+            assert node == onode and np.array_equal(levels, olevels)
+    same_arrays(
+        connected_components(graph), oracle.oracle_connected_components(graph)
+    )
+    same_arrays(
+        connected_components(graph, mask=mask),
+        oracle.oracle_connected_components(graph, mask=mask),
+    )
+    for comp in oracle.oracle_connected_components(graph):
+        same_arrays(
+            vertex_separator_from_levels(graph, comp),
+            oracle.oracle_vertex_separator_from_levels(graph, comp),
+        )
+    for leaf_size in (32, 4):
+        assert np.array_equal(
+            nested_dissection(graph, leaf_size=leaf_size),
+            oracle.oracle_nested_dissection(graph, leaf_size=leaf_size),
+        )
+
+
+def check_symbolic(A, perm):
+    A1 = A.tocsc() if perm is None else permute_spd(A, perm)
+    parent = elimination_tree(A1)
+    assert np.array_equal(parent, oracle.oracle_elimination_tree(A1))
+    post = etree_postorder(parent)
+    assert np.array_equal(post, oracle.oracle_etree_postorder(parent))
+    # Natural labels: the tree is topological but not postordered.
+    assert np.array_equal(
+        column_counts(A1, parent), oracle.oracle_column_counts(A1, parent)
+    )
+    assert np.array_equal(
+        row_counts(A1, parent), oracle.oracle_row_counts(A1, parent)
+    )
+    assert np.array_equal(tree_depths(parent), oracle.oracle_tree_depths(parent))
+    # Relabelling through the postorder is the etree of the re-permuted matrix.
+    A2 = permute_spd(A1, post)
+    parent2 = relabel_tree(parent, post)
+    assert np.array_equal(parent2, oracle.oracle_elimination_tree(A2))
+    cc = column_counts(A2, parent2)
+    assert np.array_equal(cc, oracle.oracle_column_counts(A2, parent2))
+    assert np.array_equal(
+        row_counts(A2, parent2), oracle.oracle_row_counts(A2, parent2)
+    )
+    assert np.array_equal(
+        tree_depths(parent2), oracle.oracle_tree_depths(parent2)
+    )
+    assert np.array_equal(
+        subtree_sizes(parent2), oracle.oracle_subtree_sizes(parent2)
+    )
+    snode_ptr = detect_supernodes(parent2, cc)
+    sparent = supernode_parents(snode_ptr, parent2)
+    assert np.array_equal(
+        sparent, oracle.oracle_supernode_parents(snode_ptr, parent2)
+    )
+    structs = supernode_structures(A2, snode_ptr, sparent)
+    ostructs = oracle.oracle_supernode_structures(A2, snode_ptr, sparent)
+    same_arrays(structs, ostructs)
+    ptr, rows = amalgamate_supernodes(snode_ptr, structs, sparent)
+    optr, orows = oracle.oracle_amalgamate_supernodes(snode_ptr, ostructs, sparent)
+    assert np.array_equal(ptr, optr)
+    same_arrays(rows, orows)
+
+    for amalgamate in (True, False):
+        sf = symbolic_factor(A, perm, amalgamate=amalgamate)
+        ref = oracle.oracle_symbolic_factor(A, perm, amalgamate=amalgamate)
+        assert np.array_equal(sf.ordering.perm, ref["perm"])
+        for name in ("parent", "depth", "cc", "snode_ptr"):
+            assert np.array_equal(getattr(sf, name), ref[name]), name
+        same_arrays(sf.snode_rows, ref["snode_rows"])
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(sf.A, name), getattr(ref["A"], name))
+
+
+# ---------------------------------------------------------------- identity
+@pytest.mark.parametrize("make", fixed_inputs())
+def test_ordering_matches_oracle(make):
+    A = make()
+    # Single elimination on the two big meshes is minutes of oracle time.
+    big_mesh = A.shape[0] > 2000
+    check_ordering(A, MMD_SETTINGS[:2] if big_mesh else MMD_SETTINGS)
+
+
+@pytest.mark.parametrize("make", fixed_inputs())
+def test_symbolic_matches_oracle(make):
+    A = make()
+    check_symbolic(A, None)
+    check_symbolic(A, resolve_ordering(A, "auto"))
+
+
+def test_degree_update_in_runs_matches_oracle(monkeypatch):
+    """A round whose reach sets exceed the memory budget is updated in runs
+    of rows; the degrees, hence the permutation, do not depend on the cut."""
+    module = sys.modules["repro.ordering.minimum_degree"]
+    graph = AdjacencyGraph.from_sparse(FLEET["fleet-seed0"]())
+    expected = oracle.oracle_minimum_degree(graph)
+    for budget in (1, 97, 5_000):
+        monkeypatch.setattr(module, "_REACH_BUDGET", budget)
+        assert np.array_equal(minimum_degree(graph), expected), budget
+
+
+def test_symbolic_matches_oracle_past_int32_keys():
+    """n > 46 340: ``row * n`` no longer fits scipy's int32 indices, so a
+    sort key formed without widening wraps (paper-scale registry problems
+    — GRID300, CUBE40, COPTER2 — are all past this)."""
+    n = 50_000
+    edges = [(i, i + 1) for i in range(n - 1)]
+    edges += [(i, i + 2) for i in range(n - 2)]
+    edges += [(n - 1, i) for i in range(0, n, 7)]
+    A = pattern_from_edges(n, edges)
+    assert A.indices.dtype == np.int32
+    check_symbolic(A, None)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(symmetric_patterns())
+def test_random_patterns_match_oracle(A):
+    check_ordering(A)
+    check_symbolic(A, None)
+    check_symbolic(A, resolve_ordering(A, "mmd"))
+
+
+def test_facade_ordering_is_the_oracle_ordering():
+    """``"auto"`` picks the same routine and returns the oracle's permutation
+    on the benchmark's patterns."""
+    for name, reference in (
+        ("grid2d-smoke", oracle.oracle_nested_dissection),
+        ("cube3d-smoke", oracle.oracle_nested_dissection),
+        ("lp_normal", oracle.oracle_minimum_degree),
+    ):
+        A = BENCH_PATTERNS[name]()
+        graph = AdjacencyGraph.from_sparse(A)
+        assert np.array_equal(resolve_ordering(A, "auto"), reference(graph))
+
+
+# ---------------------------------------------------------------- call counts
+def count_calls(fn) -> int:
+    """``call`` + ``c_call`` profile events during one ``fn()`` — what
+    ``bench/layers.py`` reports as ``*.py_calls``. Repeats exactly."""
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+# Each bound is twice the count measured when the array passes landed
+# (numpy 2.4, scipy 1.17: 8 173 and 1 969); the loops they replaced made
+# 40 291 and 4 382 calls on the same inputs, growing with nnz(L).
+MMD_CALLS_LP_SMOKE = 2 * 8_180
+SYMBOLIC_CALLS_CUBE_SMOKE = 2 * 1_970
+
+
+def test_minimum_degree_makes_no_per_nonzero_calls():
+    # The smoke pattern is nearly dense, so "auto" sends it to nested
+    # dissection; count the routine the full-size workload resolves to.
+    graph = AdjacencyGraph.from_sparse(BENCH_PATTERNS["lp_normal-smoke"]())
+    minimum_degree(graph)
+    assert count_calls(lambda: minimum_degree(graph)) < MMD_CALLS_LP_SMOKE
+
+
+def test_symbolic_makes_no_per_nonzero_calls():
+    A = BENCH_PATTERNS["cube3d-smoke"]()
+    perm = resolve_ordering(A, "auto")
+    symbolic_factor(A, perm)
+    assert (
+        count_calls(lambda: symbolic_factor(A, perm)) < SYMBOLIC_CALLS_CUBE_SMOKE
+    )

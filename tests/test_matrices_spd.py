@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.matrices.spd import is_symmetric_pattern, make_spd, random_spd_sparse
+from repro.matrices.spd import (
+    is_symmetric_pattern,
+    make_spd,
+    random_spd_sparse,
+    symmetric_csc,
+)
 
 
 class TestIsSymmetricPattern:
@@ -17,6 +22,52 @@ class TestIsSymmetricPattern:
     def test_tolerance(self):
         A = sparse.csr_matrix(np.array([[2.0, 1.0], [1.0 + 1e-12, 3.0]]))
         assert is_symmetric_pattern(A, tol=1e-10)
+
+
+class TestSymmetricCsc:
+    FULL = np.array([[4.0, 1.0, 0.0], [1.0, 5.0, 2.0], [0.0, 2.0, 6.0]])
+
+    def test_symmetric_passes_through(self):
+        A = sparse.csc_matrix(self.FULL)
+        assert symmetric_csc(A) is A
+
+    def test_unsorted_indices_still_symmetric(self):
+        A = sparse.csc_matrix(self.FULL)
+        B = sparse.csc_matrix(
+            (A.data[::-1].copy(), A.indices[::-1].copy(), A.indptr),
+            shape=A.shape,
+        )  # column 1 lists its rows as 2, 1, 0
+        assert not B.has_sorted_indices
+        assert symmetric_csc(B) is B
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_triangle_is_mirrored(self, k):
+        tri = (sparse.tril, sparse.triu)[k](sparse.csr_matrix(self.FULL))
+        out = symmetric_csc(tri)
+        assert sparse.isspmatrix_csc(out)
+        assert np.array_equal(out.toarray(), self.FULL)
+
+    def test_diagonal_is_symmetric(self):
+        D = sparse.identity(4, format="csc")
+        assert symmetric_csc(D) is D
+
+    def test_unsymmetric_pattern_raises(self):
+        A = self.FULL.copy()
+        A[0, 2] = 7.0
+        with pytest.raises(ValueError, match="not symmetric"):
+            symmetric_csc(sparse.csc_matrix(A))
+
+    def test_equal_counts_different_places_raises(self):
+        A = np.diag([1.0, 1.0, 1.0, 1.0])
+        A[0, 1] = A[3, 2] = 1.0  # one entry in each triangle, not mirrors
+        with pytest.raises(ValueError, match="not symmetric"):
+            symmetric_csc(sparse.csc_matrix(A))
+
+    def test_nonsquare_and_empty_raise(self):
+        with pytest.raises(ValueError, match="square"):
+            symmetric_csc(sparse.csc_matrix((3, 4)))
+        with pytest.raises(ValueError, match="empty"):
+            symmetric_csc(sparse.csc_matrix((0, 0)))
 
 
 class TestMakeSpd:

@@ -12,7 +12,7 @@ from repro.mapping.heuristics import greedy_partition, heuristic_vector
 from repro.matrices.spd import random_spd_sparse
 from repro.numeric import BlockCholesky
 from repro.symbolic import symbolic_factor
-from repro.util.arrays import invert_permutation, union_sorted
+from repro.util.arrays import invert_permutation, sorted_unique
 
 
 # ---------------------------------------------------------------------------
@@ -23,7 +23,7 @@ from repro.util.arrays import invert_permutation, union_sorted
 def test_union_sorted_equals_set_union(xs, ys):
     a = np.unique(np.asarray(xs, dtype=np.int64))
     b = np.unique(np.asarray(ys, dtype=np.int64))
-    out = union_sorted(a, b)
+    out = sorted_unique(np.concatenate([a, b]))
     assert set(out.tolist()) == set(xs) | set(ys)
     assert np.array_equal(out, np.sort(out))
 

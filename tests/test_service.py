@@ -407,6 +407,22 @@ class TestSolverServiceBackend:
         with pytest.raises(ValueError):
             SparseCholesky(grid_A, backend="service")
 
+    def test_service_checks_the_pattern_at_submit(self, grid_A):
+        """A lone triangle is mirrored before it is hashed and analysed;
+        an unsymmetric or empty matrix is refused before it is queued."""
+        from scipy import sparse
+
+        with FactorService(**SVC_KW) as svc:
+            r = svc.factor(sparse.tril(grid_A))
+            assert _bitwise(r.L, _cold_L(grid_A))
+            assert svc.factor(grid_A).cache == "hit"
+            lopsided = grid_A.tolil()
+            lopsided[0, grid_A.shape[0] - 1] = 1.0
+            with pytest.raises(ValueError, match="not symmetric"):
+                svc.submit(lopsided.tocsc())
+            with pytest.raises(ValueError, match="empty"):
+                svc.submit(sparse.csc_matrix((0, 0)))
+
     def test_plan_cache_counters_in_metrics(self, grid_A):
         """Satellite: plan_cache_hits/misses are observable in
         ``runtime_metrics.extra["plan_cache"]`` after an mp run."""

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.matrices import grid2d_matrix
 from repro.matrices.spd import random_spd_sparse
@@ -42,14 +43,52 @@ class TestSparseCholesky:
         assert np.max(np.abs(A @ s.solve(b) - b)) < 1e-8
 
     def test_rejects_nonsquare(self):
-        from scipy import sparse
-
         with pytest.raises(ValueError):
             SparseCholesky(sparse.random(4, 5, density=0.5).tocsc())
 
     def test_unknown_ordering(self):
         with pytest.raises(KeyError):
             SparseCholesky(grid2d_matrix(4).A, ordering="zorder")
+
+    @pytest.mark.parametrize("triangle", [sparse.tril, sparse.triu])
+    def test_triangle_input_is_mirrored(self, triangle):
+        """One stored triangle factors and solves the full matrix."""
+        A = grid2d_matrix(8).A
+        b = np.random.default_rng(2).standard_normal(A.shape[0])
+        full = SparseCholesky(A).factor()
+        half = SparseCholesky(triangle(A)).factor()
+        assert np.array_equal(half.A.toarray(), A.toarray())
+        assert np.array_equal(half.L.toarray(), full.L.toarray())
+        assert np.max(np.abs(A @ half.solve(b) - b)) < 1e-8
+
+    def test_symmetric_input_is_not_copied(self):
+        A = grid2d_matrix(6).A.tocsc()
+        assert SparseCholesky(A).A is A
+
+    def test_rejects_unsymmetric_pattern(self):
+        A = grid2d_matrix(6).A.tolil()
+        A[0, 20] = 1.0  # no (20, 0) entry, and both triangles populated
+        with pytest.raises(ValueError, match="not symmetric"):
+            SparseCholesky(A.tocsc())
+
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(ValueError, match="empty"):
+            SparseCholesky(sparse.csc_matrix((0, 0)))
+
+    def test_one_by_one(self):
+        s = SparseCholesky(sparse.csc_matrix(np.array([[4.0]]))).factor()
+        assert s.solve(np.array([2.0])) == pytest.approx([0.5])
+
+    def test_resolve_ordering_delegates(self):
+        from repro.ordering import resolve_ordering
+
+        A = grid2d_matrix(8).A
+        for method in ("auto", "nd", "mmd", "rcm"):
+            assert np.array_equal(
+                SparseCholesky._resolve_ordering(A, method),
+                resolve_ordering(A, method),
+            )
+        assert SparseCholesky._resolve_ordering(A, "natural") is None
 
 
 class TestPlanning:

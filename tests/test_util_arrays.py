@@ -5,8 +5,13 @@ from repro.util.arrays import (
     as_index_array,
     invert_permutation,
     is_permutation,
-    union_sorted,
+    sorted_unique,
 )
+
+
+def union_sorted(a, b):
+    """The sorted union as the symbolic layer forms it."""
+    return sorted_unique(np.concatenate([a, b]))
 
 
 class TestAsIndexArray:
