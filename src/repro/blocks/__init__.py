@@ -12,6 +12,7 @@ from repro.blocks.supernodal import (
     BLOCK_POLICIES,
     SupernodalPartition,
     make_partition,
+    supernodal_clamps,
 )
 from repro.blocks.workmodel import WorkModel, chol_flops
 
@@ -23,4 +24,5 @@ __all__ = [
     "WorkModel",
     "chol_flops",
     "make_partition",
+    "supernodal_clamps",
 ]

@@ -50,6 +50,30 @@ BLOCK_POLICIES = ("uniform", "supernodal")
 SUPERNODAL_MIN_WIDTH = 16
 
 
+def supernodal_clamps(
+    min_width: int | None = None,
+    max_width: int | None = None,
+    block_size: int = 48,
+) -> tuple[int, int]:
+    """The ``(min_width, max_width)`` the supernodal policy runs under:
+    ``min_width`` defaults to :data:`SUPERNODAL_MIN_WIDTH`, ``max_width``
+    to ``2 * block_size`` clamped to ``>= 2 * min_width``. The one clamp
+    rule — the partition, :func:`make_partition` and
+    :class:`repro.config.RunConfig` all check through here."""
+    lo = SUPERNODAL_MIN_WIDTH if min_width is None else int(min_width)
+    hi = max(2 * lo, 2 * int(block_size)) if max_width is None else int(max_width)
+    if lo < 1:
+        raise ValueError("min_width must be positive")
+    if hi < 2 * lo:
+        raise ValueError(
+            "max_width must be >= 2 * min_width "
+            f"(got min_width={lo}, max_width={hi}); the "
+            "thin-trailing-panel re-split guarantees both halves stay "
+            "within the clamps only under that condition"
+        )
+    return lo, hi
+
+
 class SupernodalPartition(BlockPartition):
     """Supernode-following panel partition with width clamps.
 
@@ -68,17 +92,9 @@ class SupernodalPartition(BlockPartition):
         min_width: int = SUPERNODAL_MIN_WIDTH,
         max_width: int = 96,
     ):
-        if min_width < 1:
-            raise ValueError("min_width must be positive")
-        if max_width < 2 * min_width:
-            raise ValueError(
-                "max_width must be >= 2 * min_width "
-                f"(got min_width={min_width}, max_width={max_width}); the "
-                "thin-trailing-panel re-split guarantees both halves stay "
-                "within the clamps only under that condition"
-            )
-        self.min_width = int(min_width)
-        self.max_width = int(max_width)
+        self.min_width, self.max_width = supernodal_clamps(
+            min_width, max_width
+        )
         # ``block_size`` doubles as the effective width cap for layers that
         # report a single scalar (traces, bench metadata).
         self.block_size = self.max_width
@@ -141,6 +157,5 @@ def make_partition(
         )
     if block_policy == "uniform":
         return BlockPartition(sf, block_size)
-    lo = SUPERNODAL_MIN_WIDTH if min_width is None else int(min_width)
-    hi = max(2 * lo, 2 * int(block_size)) if max_width is None else int(max_width)
+    lo, hi = supernodal_clamps(min_width, max_width, block_size)
     return SupernodalPartition(sf, min_width=lo, max_width=hi)

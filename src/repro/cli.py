@@ -47,11 +47,15 @@ import sys
 
 import numpy as np
 
+from repro.blocks import BLOCK_POLICIES
+from repro.config import SCHEDULES, RunConfig
+from repro.mapping import mapping_heuristics
+
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scale", default="medium",
                    choices=("small", "medium", "paper"))
-    p.add_argument("--block-size", type=int, default=48)
+    RunConfig.add_arguments(p, "block_size")
 
 
 def cmd_info(args) -> int:
@@ -153,26 +157,26 @@ def cmd_bench_real(args) -> int:
         validate_runtime,
     )
 
-    transport = getattr(args, "transport", "auto")
-    if transport == "shm" and not shm_available():
+    cfg = args.config
+    if cfg.transport == "shm" and not shm_available():
         # Smoke runs on platforms without POSIX shared memory skip
         # gracefully instead of failing the whole invocation.
         print("transport=shm requested but shared memory is unavailable "
               "on this platform; skipping")
         return 0
     usable = _usable_cpus()
-    oversub = _oversub_note(args.nprocs, usable)
+    oversub = _oversub_note(cfg.nprocs, usable)
     if oversub is not None:
         # Same honesty policy as the benchmark (bench/README.md):
         # oversubscribed wall clocks measure time-slicing, not speedup.
         print(oversub, file=sys.stderr)
         if args.require_multicore:
             print(f"--require-multicore: refusing to record "
-                  f"oversubscribed timings ({args.nprocs} workers > "
+                  f"oversubscribed timings ({cfg.nprocs} workers > "
                   f"{usable} usable CPUs)", file=sys.stderr)
             return 2
     phase = args.phase
-    prep = prepare_problem(args.problem, args.scale, args.block_size)
+    prep = prepare_problem(args.problem, args.scale, cfg.block_size)
     rhs = None
     if phase in ("solve", "both"):
         if args.nrhs < 1:
@@ -182,13 +186,10 @@ def cmd_bench_real(args) -> int:
         rhs = rng.standard_normal(
             (prep.symbolic.A.shape[0], args.nrhs)
         )
-    mappings = [m.strip() for m in args.mappings.split(",") if m.strip()]
-    schedules = (
-        ["static", "dynamic"] if args.schedule == "both"
-        else [args.schedule]
-    )
+    mappings = args.mappings
+    schedules = SCHEDULES if args.schedule == "both" else [args.schedule]
     bpolicies = (
-        ["uniform", "supernodal"] if args.block_policy == "both"
+        BLOCK_POLICIES if args.block_policy == "both"
         else [args.block_policy]
     )
     policy = None if args.policy == "fifo" else args.policy
@@ -197,23 +198,19 @@ def cmd_bench_real(args) -> int:
     multi = len(mappings) * len(schedules) * len(bpolicies) > 1
     for bpolicy in bpolicies:
         prep = prepare_problem(
-            args.problem, args.scale, args.block_size,
-            block_policy=bpolicy,
+            args.problem, args.scale, cfg.block_size, block_policy=bpolicy,
         )
         for mapping in mappings:
             owners, name = plan_owners(
-                prep.workmodel, prep.taskgraph, args.nprocs, mapping,
-                use_domains=args.domains,
+                prep.workmodel, prep.taskgraph, cfg.nprocs, mapping,
+                cfg.use_domains,
             )
             for schedule in schedules:
                 res = run_mp_fanout(
                     prep.structure, prep.symbolic.A, prep.taskgraph, owners,
-                    args.nprocs, policy=policy, mapping=name,
-                    timeout_s=args.timeout,
-                    stall_timeout_s=args.stall_timeout,
-                    trace=bool(args.trace_out), transport=transport,
-                    schedule=schedule, steal_seed=args.steal_seed,
-                    rhs=rhs,
+                    cfg.nprocs, cfg, policy=policy, mapping=name, rhs=rhs,
+                    schedule=schedule, block_policy=bpolicy,
+                    trace=bool(args.trace_out),
                 )
                 met = res.metrics
                 met.problem = prep.name
@@ -228,7 +225,7 @@ def cmd_bench_real(args) -> int:
                 L = res.to_csc()
                 resid = abs(L @ L.T - prep.symbolic.A).max()
                 resids[label] = float(resid)
-                print(f"{prep.name} on {args.nprocs} workers ({name}, "
+                print(f"{prep.name} on {cfg.nprocs} workers ({name}, "
                       f"schedule={schedule}, block_policy={bpolicy}):")
                 if oversub is not None:
                     print(f"  {oversub}")
@@ -368,15 +365,21 @@ _CHAOS_SWEEP = (
 
 def cmd_chaos(args) -> int:
     import json
+    from dataclasses import replace
 
     from repro.experiments.pipeline import prepare_problem
     from repro.numeric import BlockCholesky
     from repro.runtime.faults import FaultPlan
     from repro.runtime.recovery import run_with_recovery
 
+    # Fast renegotiation for the small chaos problems.
+    cfg = replace(
+        args.config, renegotiate_base_s=0.05, renegotiate_cap_s=0.5,
+        max_renegotiations=6, dead_grace_s=5.0,
+    )
     prep = prepare_problem(
-        args.problem, args.scale, args.block_size,
-        block_policy=getattr(args, "block_policy", "uniform"),
+        args.problem, args.scale, cfg.block_size,
+        block_policy=cfg.block_policy,
     )
     A = prep.symbolic.A
     seq = BlockCholesky(prep.structure, A).factor().to_csc()
@@ -388,8 +391,8 @@ def cmd_chaos(args) -> int:
     failures = 0
     payload = {}
     print(f"chaos sweep on {prep.name} (seed={args.seed}, "
-          f"rate={args.rate}, schedule={getattr(args, 'schedule', 'static')}, "
-          f"block_policy={getattr(args, 'block_policy', 'uniform')}, "
+          f"rate={args.rate}, schedule={cfg.schedule}, "
+          f"block_policy={cfg.block_policy}, "
           f"scenarios={len(names)} x P={procs})")
     for P in procs:
         for name in names:
@@ -397,14 +400,8 @@ def cmd_chaos(args) -> int:
                 name, seed=args.seed, rate=args.rate, rank=min(1, P - 1),
             )
             res = run_with_recovery(
-                prep.structure, A, prep.taskgraph, nprocs=P,
-                mapping=args.mapping, fault_plan=plan,
-                max_restarts=args.max_restarts,
-                timeout_s=args.timeout, stall_timeout_s=args.stall_timeout,
-                renegotiate_base_s=0.05, renegotiate_cap_s=0.5,
-                max_renegotiations=6, dead_grace_s=5.0,
-                transport=getattr(args, "transport", "auto"),
-                schedule=getattr(args, "schedule", "static"),
+                prep.structure, A, prep.taskgraph, cfg, nprocs=P,
+                fault_plan=plan,
             )
             rep = res.failure_report
             L = res.to_csc()
@@ -440,60 +437,24 @@ def cmd_chaos(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _service_from_args(args, **extra):
-    from repro.runtime.faults import parse_fault_plan
-    from repro.service import FactorService
+#: ``FactorService`` keywords that are not :class:`RunConfig` fields; each
+#: is a flag of ``serve`` / ``loadgen`` whose ``dest`` is the keyword.
+_SERVICE_ONLY = (
+    "queue_capacity", "admission", "max_batch", "batch_wait_s",
+    "cache_capacity", "validate", "default_deadline_s", "max_job_attempts",
+    "breaker_threshold", "breaker_cooldown_s",
+)
 
-    kwargs = dict(
-        nprocs=args.nprocs,
-        ordering=args.ordering,
-        block_size=args.block_size,
-        block_policy=getattr(args, "block_policy", "uniform"),
-        mapping=args.mapping,
-        transport=args.transport,
-        schedule=getattr(args, "schedule", "static"),
-        steal_seed=getattr(args, "steal_seed", 0),
-        queue_capacity=args.queue_capacity,
-        admission=args.admission,
-        max_batch=args.max_batch,
-        batch_wait_s=args.batch_wait / 1e3,
-        cache_capacity=args.cache_capacity,
-        validate=args.validate,
-        default_deadline_s=args.deadline,
-        max_job_attempts=args.max_job_attempts,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown_s=args.breaker_cooldown,
-    )
-    plan_spec = getattr(args, "fault_plan", None)
-    if plan_spec:
-        kwargs["fault_plan"] = parse_fault_plan(
-            plan_spec, seed=getattr(args, "seed", 0)
-        )
-        kwargs["fault_jobs"] = tuple(
-            int(i) for i in getattr(args, "fault_jobs", "0").split(",")
-            if i.strip()
-        )
-    kwargs.update(extra)
-    return FactorService(**kwargs)
+
+def _service_only(args) -> dict:
+    return {name: getattr(args, name) for name in _SERVICE_ONLY}
 
 
 def _add_service_knobs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-p", "--nprocs", type=int, default=2,
-                   help="resident worker process count")
-    p.add_argument("--ordering", default="auto",
-                   choices=("auto", "nd", "mmd", "natural"))
-    p.add_argument("--block-size", type=int, default=48)
-    p.add_argument("--block-policy", default="uniform",
-                   choices=("uniform", "supernodal"),
-                   help="panel blocking policy (see docs/BLOCKING.md)")
-    p.add_argument("--mapping", default="DW/CY")
-    p.add_argument("--transport", default="auto",
-                   choices=("auto", "shm", "inline"))
-    p.add_argument("--schedule", default="static",
-                   choices=("static", "dynamic"),
-                   help="execution schedule inside the worker pool")
-    p.add_argument("--steal-seed", type=int, default=0,
-                   help="victim-selection seed for the dynamic schedule")
+    RunConfig.add_arguments(
+        p, "nprocs", "ordering", "block_size", "block_policy", "mapping",
+        "transport", "schedule", "steal_seed", nprocs=2,
+    )
     p.add_argument("--queue-capacity", type=int, default=64,
                    help="admission queue bound")
     p.add_argument("--admission", default="block",
@@ -501,14 +462,16 @@ def _add_service_knobs(p: argparse.ArgumentParser) -> None:
                    help="what happens when the queue is full")
     p.add_argument("--max-batch", type=int, default=8,
                    help="max jobs folded into one fan-out round")
-    p.add_argument("--batch-wait", type=float, default=2.0, metavar="MS",
-                   help="batching window in milliseconds")
+    p.add_argument("--batch-wait", dest="batch_wait_s", default=0.002,
+                   type=lambda ms: float(ms) / 1e3, metavar="MS",
+                   help="batching window in milliseconds (default 2)")
     p.add_argument("--cache-capacity", type=int, default=8,
                    help="pattern cache entries (LRU beyond this)")
     p.add_argument("--validate", action="store_true",
                    help="bitwise-check every factor against the "
                         "sequential baseline")
-    p.add_argument("--deadline", type=float, default=None, metavar="S",
+    p.add_argument("--deadline", dest="default_deadline_s", type=float,
+                   default=None, metavar="S",
                    help="default per-job deadline in seconds "
                         "(None = unbounded)")
     p.add_argument("--max-job-attempts", type=int, default=2,
@@ -517,20 +480,20 @@ def _add_service_knobs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--breaker-threshold", type=int, default=3,
                    help="consecutive pool failures that trip the "
                         "circuit breaker (0 disables)")
-    p.add_argument("--breaker-cooldown", type=float, default=5.0,
-                   metavar="S",
+    p.add_argument("--breaker-cooldown", dest="breaker_cooldown_s",
+                   type=float, default=5.0, metavar="S",
                    help="seconds the breaker stays open before the "
                         "half-open probe")
 
 
 def cmd_serve(args) -> int:
-    from repro.service import ServiceServer
+    from repro.service import FactorService, ServiceServer
 
-    service = _service_from_args(args).start()
+    service = FactorService(args.config, **_service_only(args)).start()
     server = ServiceServer(service, host=args.host, port=args.port)
     host, port = server.address
     print(f"repro service listening on {host}:{port} "
-          f"(nprocs={args.nprocs}, transport={service.transport}, "
+          f"(nprocs={service.nprocs}, transport={service.transport}, "
           f"admission={args.admission}, queue={args.queue_capacity})",
           flush=True)
     try:
@@ -547,7 +510,8 @@ def cmd_serve(args) -> int:
 def cmd_loadgen(args) -> int:
     import json
 
-    from repro.service import ServiceClient
+    from repro.runtime.faults import parse_fault_plan
+    from repro.service import FactorService, ServiceClient
     from repro.service.loadgen import LoadgenConfig, run_loadgen
     from repro.service.resilience import RetryPolicy
 
@@ -563,7 +527,7 @@ def cmd_loadgen(args) -> int:
         n=args.n,
         values_only=not args.full_matrix,
         timeout=args.timeout,
-        deadline_s=args.deadline,
+        deadline_s=args.default_deadline_s,
         retries=args.retries,
         kill_worker_at=args.kill_worker_at,
         kill_rank=args.kill_rank,
@@ -586,7 +550,17 @@ def cmd_loadgen(args) -> int:
                 address=address, timeout=args.timeout, retry=retry
             )
     else:
-        service = _service_from_args(args).start()
+        chaos = {}
+        if args.fault_plan:
+            chaos = dict(
+                fault_plan=parse_fault_plan(args.fault_plan, seed=args.seed),
+                fault_jobs=tuple(
+                    int(i) for i in args.fault_jobs.split(",") if i.strip()
+                ),
+            )
+        service = FactorService(
+            args.config, **_service_only(args), **chaos
+        ).start()
 
         def client_factory():
             return ServiceClient(service=service, timeout=args.timeout)
@@ -633,6 +607,7 @@ def cmd_chaos_service(args) -> int:
     import glob
     import json
     import time as time_mod
+    from dataclasses import replace
 
     from repro.matrices import grid2d_matrix
     from repro.runtime.faults import FaultPlan
@@ -660,27 +635,19 @@ def cmd_chaos_service(args) -> int:
     ]
     matrices = [fresh_values(base[p], shift) for p, shift in stream]
     fault_at = args.fault_at if args.fault_at >= 0 else args.jobs // 2
-    crash_rank = min(1, args.nprocs - 1)
+    cfg = replace(args.config, ordering="nd")
+    crash_rank = min(1, cfg.nprocs - 1)
     shm_before = set(glob.glob("/dev/shm/psm_*"))
     reference: dict[int, tuple] = {}
     payload: dict[str, dict] = {}
     failures = 0
     print(f"service chaos matrix: jobs={args.jobs} "
-          f"patterns={args.patterns} P={args.nprocs} "
-          f"transport={args.transport} "
-          f"block_policy={getattr(args, 'block_policy', 'uniform')} "
+          f"patterns={args.patterns} P={cfg.nprocs} "
+          f"transport={cfg.transport} "
+          f"block_policy={cfg.block_policy} "
           f"seed={args.seed} fault_at={fault_at}")
     for name in names:
-        svc_kw = dict(
-            nprocs=args.nprocs,
-            ordering="nd",
-            block_size=args.block_size,
-            block_policy=getattr(args, "block_policy", "uniform"),
-            transport=args.transport,
-            max_batch=args.max_batch,
-            stall_timeout_s=args.stall_timeout,
-            batch_timeout_s=args.timeout,
-        )
+        svc_kw = dict(max_batch=args.max_batch, batch_timeout_s=cfg.timeout_s)
         deadlines: dict[int, float] = {}
         if name == "worker-kill":
             # Hard crash: os._exit mid-job, the SIGKILL/segfault
@@ -721,7 +688,7 @@ def cmd_chaos_service(args) -> int:
         results: dict[int, object] = {}
         typed_errors: dict[int, ServiceError] = {}
         probe_ok = breaker_state = None
-        with FactorService(**svc_kw) as svc:
+        with FactorService(cfg, **svc_kw) as svc:
             handles = [
                 svc.submit(matrices[i], deadline_s=deadlines.get(i))
                 for i in range(args.jobs)
@@ -729,7 +696,7 @@ def cmd_chaos_service(args) -> int:
             for i, h in enumerate(handles):
                 t0 = time_mod.monotonic()
                 try:
-                    results[i] = h.result(timeout=args.timeout)
+                    results[i] = h.result(timeout=cfg.timeout_s)
                 except ServiceError as exc:
                     typed_errors[i] = exc
                     elapsed = time_mod.monotonic() - t0
@@ -743,11 +710,11 @@ def cmd_chaos_service(args) -> int:
                             f"job {i} deadline error took {elapsed:.1f}s"
                         )
                 except TimeoutError:
-                    problems.append(f"job {i} HUNG past {args.timeout}s")
+                    problems.append(f"job {i} HUNG past {cfg.timeout_s}s")
             if name == "breaker":
                 time_mod.sleep(svc_kw["breaker_cooldown_s"] + 0.2)
                 try:
-                    probe = svc.factor(matrices[0], timeout=args.timeout)
+                    probe = svc.factor(matrices[0], timeout=cfg.timeout_s)
                     probe_ok = True
                     ref = reference.get(0)
                     if ref is not None and not _same_factor(probe.L, ref):
@@ -924,11 +891,20 @@ def cmd_suite(args) -> int:
     )
 
 
+def _mappings(text: str) -> list[str]:
+    """``--mappings``: comma-separated mapping names, each checked."""
+    names = [m.strip() for m in text.split(",") if m.strip()]
+    for name in names:
+        mapping_heuristics(name)
+    return names
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Rothberg-Schreiber SC'94 reproduction toolkit",
     )
+    parser.set_defaults(config_fields=())
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", help="problem statistics")
@@ -958,35 +934,29 @@ def build_parser() -> argparse.ArgumentParser:
              "metrics",
     )
     p.add_argument("problem")
-    p.add_argument("-p", "--nprocs", type=int, default=4,
-                   help="worker process count")
-    p.add_argument("--mappings", default="cyclic,DW/CY",
+    RunConfig.add_arguments(
+        p, "nprocs", "use_domains", "transport", "steal_seed", "timeout_s",
+        "stall_timeout_s",
+    )
+    # The three sweep axes: a list, or 'both', of a RunConfig field each.
+    p.add_argument("--mappings", type=_mappings, default="cyclic,DW/CY",
                    help="comma-separated mappings to execute and compare")
-    p.add_argument("--policy", default="fifo",
-                   choices=("fifo", "column", "bottom_level"),
-                   help="ready-task scheduling policy on every worker")
-    p.add_argument("--domains", action="store_true",
-                   help="apply the domain (subtree) ownership portion")
-    p.add_argument("--validate", action="store_true",
-                   help="also check numerics/messages/work against the "
-                        "models")
-    p.add_argument("--transport", default="auto",
-                   choices=("auto", "shm", "inline"),
-                   help="block payload transport: shared-memory arena "
-                        "with 64-byte descriptors, inline frame bytes, "
-                        "or auto-detect")
     p.add_argument("--schedule", default="static",
-                   choices=("static", "dynamic", "both"),
+                   choices=(*SCHEDULES, "both"),
                    help="execution schedule: the static owner-computes "
                         "map, dynamic work stealing, or 'both' to run "
                         "each mapping under both and compare")
-    p.add_argument("--steal-seed", type=int, default=0,
-                   help="victim-selection seed for the dynamic schedule")
     p.add_argument("--block-policy", default="uniform",
-                   choices=("uniform", "supernodal", "both"),
+                   choices=(*BLOCK_POLICIES, "both"),
                    help="panel blocking policy: fixed-width panels, "
                         "structure-aware supernodal panels, or 'both' to "
                         "run and compare side by side")
+    p.add_argument("--policy", default="fifo",
+                   choices=("fifo", "column", "bottom_level"),
+                   help="ready-task scheduling policy on every worker")
+    p.add_argument("--validate", action="store_true",
+                   help="also check numerics/messages/work against the "
+                        "models")
     p.add_argument("--phase", default="factor",
                    choices=("factor", "solve", "both"),
                    help="run and report the factorization, the "
@@ -1009,10 +979,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record a structured event trace and write it to "
                         "PATH (one file per mapping; inspect with "
                         "'repro trace')")
-    p.add_argument("--timeout", type=float, default=300.0, metavar="S",
-                   help="global wall-clock deadline in seconds")
-    p.add_argument("--stall-timeout", type=float, default=30.0, metavar="S",
-                   help="per-worker no-progress watchdog in seconds")
     _add_common(p)
     p.set_defaults(fn=cmd_bench_real)
 
@@ -1032,23 +998,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-message fault probability for message faults")
     p.add_argument("--seed", type=int, default=0,
                    help="fault-plan seed (decisions are reproducible)")
-    p.add_argument("--mapping", default="DW/CY")
-    p.add_argument("--transport", default="auto",
-                   choices=("auto", "shm", "inline"),
-                   help="block payload transport for the chaos runs")
-    p.add_argument("--schedule", default="static",
-                   choices=("static", "dynamic"),
-                   help="execution schedule for the chaos runs")
-    p.add_argument("--block-policy", default="uniform",
-                   choices=("uniform", "supernodal"),
-                   help="panel blocking policy, so fault fingerprints "
-                        "stay comparable across policies")
-    p.add_argument("--max-restarts", type=int, default=2,
-                   help="restart budget before the sequential fallback")
-    p.add_argument("--timeout", type=float, default=120.0, metavar="S",
-                   help="global wall-clock deadline per run in seconds")
-    p.add_argument("--stall-timeout", type=float, default=15.0, metavar="S",
-                   help="per-worker no-progress watchdog in seconds")
+    RunConfig.add_arguments(
+        p, "mapping", "transport", "schedule", "block_policy",
+        "max_restarts", "timeout_s", "stall_timeout_s",
+        timeout_s=120.0, stall_timeout_s=15.0,
+    )
     p.add_argument("--json", default=None, metavar="PATH",
                    help="write the structured chaos report to PATH")
     p.add_argument("-v", "--verbose", action="store_true",
@@ -1141,11 +1095,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="distinct sparsity patterns in the stream")
     p.add_argument("--n", type=int, default=10,
                    help="base grid side (pattern i uses n + i)")
-    p.add_argument("-p", "--nprocs", type=int, default=2,
-                   help="pool workers per service")
-    p.add_argument("--transport", default="auto",
-                   choices=("auto", "shm", "inline"),
-                   help="block payload transport")
+    RunConfig.add_arguments(
+        p, "nprocs", "transport", "block_size", "block_policy", "timeout_s",
+        "stall_timeout_s",
+        nprocs=2, block_size=16, timeout_s=120.0, stall_timeout_s=10.0,
+    )
     p.add_argument("--scenarios", default="all",
                    help=f"comma-separated scenarios or 'all' "
                         f"({','.join(_SERVICE_CHAOS)}); 'none' always "
@@ -1155,16 +1109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-at", type=int, default=-1, metavar="IDX",
                    help="dispatch index the injected crash rides on "
                         "(default: jobs // 2)")
-    p.add_argument("--block-size", type=int, default=16)
-    p.add_argument("--block-policy", default="uniform",
-                   choices=("uniform", "supernodal"),
-                   help="panel blocking policy, so fault fingerprints "
-                        "stay comparable across policies")
     p.add_argument("--max-batch", type=int, default=4)
-    p.add_argument("--timeout", type=float, default=120.0, metavar="S",
-                   help="per-scenario batch + result-wait bound in seconds")
-    p.add_argument("--stall-timeout", type=float, default=10.0, metavar="S",
-                   help="per-worker no-progress watchdog in seconds")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="write the structured report to PATH")
     p.set_defaults(fn=cmd_chaos_service)
@@ -1187,7 +1132,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        args.config = RunConfig.from_args(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     return args.fn(args)
 
 

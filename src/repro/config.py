@@ -1,0 +1,241 @@
+"""One configuration object for every knob that crosses a layer boundary.
+
+The paper's experiment is a sweep over mapping heuristic x P x block size x
+domains; the runtime that grew around it added transport, schedule,
+blocking policy and recovery tuning. :class:`RunConfig` declares each of
+those once — default, validation, CLI spelling, and whether it shapes a
+cached :class:`~repro.service.cache.PatternEntry` — and every layer
+(``SparseCholesky``, ``run_with_recovery``, ``run_mp_fanout``, the pool's
+``PatternContext``, ``FactorService``, the CLI) holds and passes the
+object whole. A façade takes ``config=None, **overrides``: the overrides
+are applied with :func:`dataclasses.replace`, so an unknown keyword is a
+``TypeError`` and a bad value a ``ValueError`` — at construction, before
+any analysis or process spawn. Adding a knob is one field here plus the
+one place that reads it; ``docs/ARCHITECTURE.md`` carries the table.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from dataclasses import dataclass, field, fields, replace
+
+import numpy as np
+
+from repro.blocks.supernodal import BLOCK_POLICIES, supernodal_clamps
+from repro.mapping.heuristics import mapping_heuristics
+
+#: Block payload transports (``"auto"`` resolves per run, see
+#: :func:`repro.runtime.arena.resolve_transport`).
+TRANSPORTS = ("auto", "shm", "inline")
+#: Execution disciplines (see ``docs/SCHEDULING.md``).
+SCHEDULES = ("static", "dynamic")
+
+
+def _knob(default, help: str, *, plan: bool = False, flags: str = "",
+          kind=None, low=None, among=None, **cli):
+    """One :class:`RunConfig` field. ``plan`` says whether the knob shapes
+    a cached ``PatternEntry`` (and so enters :meth:`RunConfig.plan_key`);
+    ``kind`` (int / float, at least ``low``) and ``among`` are checked at
+    construction; ``flags`` + ``cli`` are its ``argparse`` spelling (no
+    flags: not on any command line)."""
+    if kind is not None:
+        cli["type"] = kind
+    if among is not None:
+        cli["choices"] = among
+    meta = {"plan": plan, "help": help, "flags": tuple(flags.split()),
+            "kind": kind, "low": low, "among": among, "cli": cli}
+    return field(default=default, metadata=meta)
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Every runtime knob, validated once (``ValueError``) and immutable.
+
+    An explicit-permutation ``ordering`` is normalised to a tuple of ints,
+    so ``==`` and ``hash`` stay by value.
+    """
+
+    # -- analysis ------------------------------------------------------
+    ordering: str | tuple = _knob(
+        "auto", "fill-reducing ordering (auto: nested dissection on "
+        "mesh-like graphs, else minimum degree); from Python also rcm or "
+        "an explicit permutation",
+        plan=True, flags="--ordering", choices=("auto", "nd", "mmd", "natural"),
+    )
+    block_size: int = _knob(
+        48, "panel width B; under the supernodal policy it only seeds the "
+        "default max_width (2 * block_size)",
+        plan=True, flags="--block-size", kind=int, low=1,
+    )
+    block_policy: str = _knob(
+        "uniform", "panel blocking policy: fixed-width panels or "
+        "supernode-following panels (docs/BLOCKING.md)",
+        plan=True, flags="--block-policy", among=BLOCK_POLICIES,
+    )
+    min_width: int | None = _knob(
+        None, "supernodal clamp (None = 16); ignored under uniform",
+        plan=True, kind=int,
+    )
+    max_width: int | None = _knob(
+        None, "supernodal clamp (None = 2 * block_size, at least "
+        "2 * min_width); ignored under uniform", plan=True, kind=int,
+    )
+    # -- placement -----------------------------------------------------
+    nprocs: int = _knob(
+        4, "worker process count", plan=True, flags="-p --nprocs",
+        kind=int, low=1,
+    )
+    mapping: str = _knob(
+        "DW/CY", 'block mapping: "cyclic" or a "<row>/<col>" heuristic '
+        "pair over CY, DW, IN, DN, ID (column defaults to CY)",
+        plan=True, flags="--mapping",
+    )
+    use_domains: bool = _knob(
+        False, "apply the domain (subtree) portion of the ownership",
+        plan=True, flags="--domains", action="store_true",
+    )
+    # -- execution -----------------------------------------------------
+    transport: str = _knob(
+        "auto", "block payload transport: shared-memory arena with "
+        "64-byte descriptors, inline frame bytes, or auto-detect",
+        plan=True, flags="--transport", among=TRANSPORTS,
+    )
+    schedule: str = _knob(
+        "static", "execution schedule: the static owner-computes map or "
+        "dynamic work stealing (docs/SCHEDULING.md)",
+        plan=True, flags="--schedule", among=SCHEDULES,
+    )
+    steal_seed: int = _knob(
+        0, "victim-selection seed for the dynamic schedule",
+        flags="--steal-seed", kind=int,
+    )
+    trace: bool | int | None = _knob(
+        None, "structured event tracing: True for the default per-worker "
+        "ring capacity, an int for an explicit one, None/False for off",
+    )
+    timeout_s: float = _knob(
+        300.0, "wall-clock bound on one run in seconds (the service "
+        "bounds a batch with its own batch_timeout_s)",
+        flags="--timeout", kind=float, low=0, metavar="S",
+    )
+    stall_timeout_s: float = _knob(
+        30.0, "per-worker no-progress watchdog in seconds",
+        flags="--stall-timeout", kind=float, low=0, metavar="S",
+    )
+    # -- recovery tuning -----------------------------------------------
+    max_restarts: int = _knob(
+        2, "restart budget before the sequential fallback",
+        flags="--max-restarts", kind=int, low=0,
+    )
+    dead_grace_s: float | None = _knob(
+        None, "seconds to keep collecting survivors' checkpoints after a "
+        "process death (None = 10 under run_with_recovery, else 0)",
+        kind=float, low=0,
+    )
+    renegotiate_base_s: float = _knob(
+        0.2, "first NACK/retransmit backoff of a starved worker",
+        kind=float, low=0,
+    )
+    renegotiate_cap_s: float = _knob(2.0, "backoff ceiling", kind=float, low=0)
+    max_renegotiations: int = _knob(
+        8, "renegotiation rounds before a starved worker gives up",
+        kind=int, low=0,
+    )
+
+    def __post_init__(self):
+        put = lambda name, value: object.__setattr__(self, name, value)
+        for f in fields(self):
+            meta, value = f.metadata, getattr(self, f.name)
+            kind, low = meta["kind"], meta["low"]
+            if kind and not (value is None and f.default is None):
+                try:
+                    number = kind(value)
+                    ok = number == value and (low is None or number >= low)
+                except (TypeError, ValueError):
+                    ok = False
+                if not ok:
+                    raise ValueError(
+                        f"{f.name} must be {kind.__name__}"
+                        + ("" if low is None else f" >= {low}")
+                        + f", got {value!r}"
+                    )
+                put(f.name, number)
+            elif meta["among"] and value not in meta["among"]:
+                raise ValueError(
+                    f"{f.name} must be one of {meta['among']}, got {value!r}"
+                )
+        if not isinstance(self.ordering, (str, tuple)):
+            perm = np.asarray(self.ordering)
+            if perm.ndim != 1 or perm.dtype.kind not in "iu":
+                raise ValueError(
+                    "ordering must be a method name or a 1-D integer "
+                    "permutation"
+                )
+            put("ordering", tuple(perm.tolist()))
+        if not isinstance(self.use_domains, (bool, np.bool_)):
+            raise ValueError(
+                f"use_domains must be a bool, got {self.use_domains!r}"
+            )
+        if self.block_policy == "supernodal":
+            supernodal_clamps(self.min_width, self.max_width, self.block_size)
+        mapping_heuristics(self.mapping)
+        self.trace_capacity  # raises on a negative capacity
+
+    # ------------------------------------------------------------------
+    @classmethod
+    def of(cls, config: "RunConfig | None" = None, overrides=None,
+           **defaults) -> "RunConfig":
+        """What a façade called with ``config=None, **overrides`` runs
+        under: ``config`` with the overrides applied, or — with no
+        ``config`` — a fresh one over the façade's own ``defaults``."""
+        if config is None:
+            return cls(**{**defaults, **(overrides or {})})
+        return replace(config, **overrides) if overrides else config
+
+    @property
+    def trace_capacity(self) -> int:
+        """Events per worker ``trace`` asks for (0 = tracing off)."""
+        if self.trace is True:
+            from repro.runtime.trace import DEFAULT_CAPACITY
+
+            return DEFAULT_CAPACITY
+        if int(self.trace or 0) < 0:
+            raise ValueError("trace capacity must be non-negative")
+        return int(self.trace or 0)
+
+    def plan_key(self) -> tuple:
+        """``(name, value)`` of every plan-shaping field — *the* knob input
+        of :func:`repro.service.cache.pattern_digest`. An explicit
+        permutation enters as a hash of its bytes."""
+        key = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.metadata["plan"]}
+        if isinstance(self.ordering, tuple):
+            perm = np.asarray(self.ordering, dtype=np.int64)
+            key["ordering"] = hashlib.sha256(perm.tobytes()).hexdigest()
+        return tuple(key.items())
+
+    # -- command line --------------------------------------------------
+    @classmethod
+    def add_arguments(cls, parser, *names: str, **defaults) -> None:
+        """Declare the flags of the fields ``names`` on ``parser`` —
+        spelling, type, choices and help come from the field metadata,
+        ``defaults`` override a field's default for this parser — and
+        record them for :meth:`from_args`."""
+        by_name = {f.name: f for f in fields(cls)}
+        for name in names:
+            f = by_name[name]
+            parser.add_argument(
+                *f.metadata["flags"], dest=name,
+                default=defaults.pop(name, f.default),
+                help=f.metadata["help"], **f.metadata["cli"],
+            )
+        if defaults:
+            raise TypeError(f"defaults for undeclared fields: {sorted(defaults)}")
+        declared = parser.get_default("config_fields") or ()
+        parser.set_defaults(config_fields=declared + names)
+
+    @classmethod
+    def from_args(cls, args) -> "RunConfig":
+        """The config a parsed command line asks for (the fields its
+        parser declared through :meth:`add_arguments`)."""
+        return cls(**{name: getattr(args, name) for name in args.config_fields})

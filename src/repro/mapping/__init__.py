@@ -16,6 +16,7 @@ from repro.mapping.heuristics import (
     heuristic_map,
     heuristic_vector,
     greedy_partition,
+    mapping_heuristics,
     named_map,
 )
 from repro.mapping.balance import BalanceReport, balance_metrics
@@ -34,6 +35,7 @@ __all__ = [
     "heuristic_map",
     "heuristic_vector",
     "greedy_partition",
+    "mapping_heuristics",
     "named_map",
     "BalanceReport",
     "balance_metrics",

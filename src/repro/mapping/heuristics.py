@@ -117,6 +117,22 @@ def heuristic_map(
     )
 
 
+def mapping_heuristics(mapping: str) -> tuple[str, str] | None:
+    """The ``(row, column)`` heuristics a mapping *name* spells, ``None``
+    for ``"cyclic"`` — the spelling :func:`named_map` accepts, checkable
+    without a work model. Anything else is a ``ValueError``."""
+    if mapping == "cyclic":
+        return None
+    rh, _, ch = str(mapping).partition("/")
+    pair = rh.upper(), (ch or "CY").upper()
+    if not set(pair) <= set(HEURISTICS):
+        raise ValueError(
+            f"unknown mapping {mapping!r}; expected 'cyclic' or "
+            f"'<row>/<col>' over {HEURISTICS}"
+        )
+    return pair
+
+
 def named_map(wm: WorkModel, nprocs: int, mapping: str) -> CartesianMap:
     """The CP map a mapping *name* denotes on ``nprocs`` processors.
 
@@ -128,7 +144,7 @@ def named_map(wm: WorkModel, nprocs: int, mapping: str) -> CartesianMap:
     whenever ``nprocs`` is a perfect square.
     """
     grid = best_grid(nprocs)
-    if mapping == "cyclic":
+    pair = mapping_heuristics(mapping)
+    if pair is None:
         return cyclic_map(wm.npanels, grid)
-    rh, _, ch = mapping.partition("/")
-    return heuristic_map(wm, grid, rh.upper(), (ch or "CY").upper())
+    return heuristic_map(wm, grid, *pair)

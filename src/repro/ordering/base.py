@@ -49,7 +49,8 @@ def resolve_ordering(
 ) -> np.ndarray | None:
     """The permutation ``method`` gives for SPD matrix ``A`` (None = identity).
 
-    ``method`` is an explicit permutation (array or list, passed through),
+    ``method`` is an explicit permutation (array, list or tuple, passed
+    through),
     ``"natural"``, ``"rcm"``, ``"nd"`` (nested dissection, geometric when
     ``coords`` are given), ``"mmd"`` (multiple minimum degree), or
     ``"auto"``: nested dissection when the graph is mesh-like — bounded
@@ -60,7 +61,7 @@ def resolve_ordering(
     from repro.ordering.minimum_degree import minimum_degree
     from repro.ordering.nested_dissection import nested_dissection
 
-    if isinstance(method, (np.ndarray, list)):
+    if isinstance(method, (np.ndarray, list, tuple)):
         return np.asarray(method)
     if method == "natural":
         return None

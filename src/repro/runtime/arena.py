@@ -50,6 +50,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from repro.config import TRANSPORTS
 from repro.runtime import wire
 
 __all__ = [
@@ -60,9 +61,6 @@ __all__ = [
     "TRANSPORTS",
     "SLOT_ALIGN",
 ]
-
-#: Accepted values for the engine's ``transport`` parameter.
-TRANSPORTS = ("auto", "shm", "inline")
 
 #: Every slot offset is a multiple of this (bytes). 64 = one cache line;
 #: it also keeps float64 alignment trivially satisfied.

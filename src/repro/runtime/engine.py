@@ -18,12 +18,13 @@ be executed for real and timed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import sparse
 
 from repro.blocks.structure import BlockStructure
+from repro.config import RunConfig
 from repro.fanout.domains import assign_domains
 from repro.fanout.ownership import block_owners
 from repro.fanout.priorities import task_priorities
@@ -40,7 +41,7 @@ from repro.runtime.pool import (
     PoolJob,
     WorkerPool,
 )
-from repro.runtime.trace import RunTrace, ring_capacity
+from repro.runtime.trace import RunTrace
 
 
 class FanoutError(RuntimeError):
@@ -120,96 +121,61 @@ def run_mp_fanout(
     tg: TaskGraph,
     owners: np.ndarray,
     nprocs: int,
+    config: RunConfig | None = None,
+    *,
+    mapping: str = "",
+    rhs: np.ndarray | None = None,
     priorities: np.ndarray | None = None,
     policy: str | None = None,
     depth: np.ndarray | None = None,
-    timeout_s: float = 300.0,
-    stall_timeout_s: float = 30.0,
-    inject_failure: tuple[int, int] | None = None,
-    trace: bool | int | None = None,
-    mapping: str = "",
     fault_plan=None,
     recovery: bool | None = None,
     checkpoint: dict[int, bytes] | None = None,
-    dead_grace_s: float = 0.0,
-    renegotiate_base_s: float = 0.2,
-    renegotiate_cap_s: float = 2.0,
-    max_renegotiations: int = 8,
-    transport: str = "auto",
-    schedule: str = "static",
-    steal_seed: int = 0,
-    rhs: np.ndarray | None = None,
+    inject_failure: tuple[int, int] | None = None,
+    **overrides,
 ) -> MPRuntimeResult:
     """Factor ``A`` with ``nprocs`` worker processes exchanging messages.
 
-    ``rhs`` (an ``n``-vector or ``n x nrhs`` panel stack, already in
-    permuted coordinates) additionally runs the distributed triangular
-    solve after the factor phase: the factor blocks stay where they were
-    computed and only right-hand-side fragments travel (their own frame
-    kinds and ledger — see ``docs/SOLVING.md``); the assembled solution
-    lands on the result's ``solution`` attribute, bitwise identical to
-    the sequential :func:`repro.numeric.solve.solve_with_factor`.
+    The knobs are a :class:`~repro.config.RunConfig` (``config`` and/or
+    field overrides by keyword; table in ``docs/ARCHITECTURE.md``). This
+    layer reads its execution and recovery-tuning groups; placement is
+    already decided: ``owners[b]`` assigns block ``b`` to a worker (see
+    :func:`plan_owners`), ``nprocs`` is this attempt's width and
+    ``mapping`` only labels the result.
 
-    ``schedule`` selects the execution discipline: ``"static"`` (the
-    default) runs every task at its block's owner exactly as mapped;
-    ``"dynamic"`` adds work stealing — an idle worker requests a ready
-    BMOD/BDIV task from a seeded-random peer, executes it against the
-    shipped destination-block state, and returns the result, so transient
-    load imbalance converts to steal traffic instead of idle time while
-    the factor stays bitwise identical (see ``docs/SCHEDULING.md``).
-    ``steal_seed`` keys the deterministic victim-selection stream.
+    Per call: ``rhs`` (an ``n``-vector or ``n x nrhs`` panel stack, already
+    in permuted coordinates) appends the distributed triangular solve —
+    the factor blocks stay where they were computed, only right-hand-side
+    fragments travel (``docs/SOLVING.md``) — and the result's ``solution``
+    is bitwise identical to :func:`repro.numeric.solve.solve_with_factor`.
+    ``policy`` is a :mod:`repro.fanout.priorities` name applied on every
+    worker; an explicit ``priorities`` array wins over it.
+    ``inject_failure=(rank, after_n_tasks)`` is the bare soft-crash hook,
+    ``fault_plan`` (:class:`repro.runtime.faults.FaultPlan`) the full
+    chaos layer. ``recovery`` turns on the in-run integrity protocol (CRC
+    reject + NACK/retransmit + duplicate suppression + the DONE linger
+    barrier) and defaults to on exactly when a fault plan is given.
+    ``checkpoint`` maps block ids to completed-block wire frames from a
+    previous attempt; those blocks are preloaded, their tasks skipped.
 
-    ``transport`` selects how block payloads travel: ``"inline"`` packs
-    them into the queue frames; ``"shm"`` moves them through a per-run
-    shared-memory arena (64-byte descriptor frames, zero payload copies on
-    the consumer side, coalesced queue puts); ``"auto"`` (the default)
-    picks shm when the platform supports it and there is more than one
-    worker. Logical message/byte accounting is identical across transports
-    — only ``wire_bytes`` metrics differ. The arena is unlinked in every
-    exit path; the gather and any salvaged checkpoint frames carry their
-    payload, so they outlive it.
-
-    ``owners[b]`` assigns block ``b`` to a worker (see :func:`plan_owners`).
-    ``policy`` is a :mod:`repro.fanout.priorities` name (``"fifo"``,
-    ``"column"``, ``"depth"``, ``"bottom_level"``) applied identically on
-    every worker; an explicit ``priorities`` array wins over ``policy``.
-    ``inject_failure=(rank, after_n_tasks)`` is the fault-injection hook the
-    shutdown tests use; ``fault_plan`` (:class:`repro.runtime.faults.FaultPlan`)
-    is the full chaos layer. ``trace`` turns on structured event tracing
-    (:mod:`repro.runtime.trace`): ``True`` uses the default per-worker
-    ring capacity, an int sets it; the merged
-    :class:`~repro.runtime.trace.RunTrace` lands on the result's
-    ``trace`` attribute. Tracing off (the default) adds no per-event
-    allocation on the hot path. ``recovery`` turns on the in-run integrity
-    protocol (CRC reject + NACK/retransmit + duplicate suppression + the
-    DONE linger barrier); it defaults to on exactly when a fault plan is
-    given. ``checkpoint`` maps block ids to completed-block wire frames
-    from a previous attempt; those blocks are preloaded and their tasks
-    skipped. Raises :class:`WorkerError` if a worker fails,
-    :class:`DeadWorkerError` if one dies without reporting (after waiting
-    up to ``dead_grace_s`` for surviving workers' checkpoints), and
-    :class:`RuntimeTimeoutError` on a global timeout; in every case all
-    child processes are reaped before returning or raising, and the raised
-    :class:`FanoutError` carries every salvaged ``WorkerResult``.
-    ``failed_ranks`` names the casualties only — a rank that merely
+    Raises :class:`WorkerError` if a worker fails, :class:`DeadWorkerError`
+    if one dies without reporting and :class:`RuntimeTimeoutError` on the
+    global timeout. Every exit path reaps the children and unlinks the
+    arena; the raised :class:`FanoutError` carries every salvaged
+    ``WorkerResult`` (frames carry their payload, so they outlive the
+    arena) and ``failed_ranks`` names the casualties only — a rank that
     stopped because a peer failed is not among them.
     """
     owners = np.asarray(owners)
     if owners.shape[0] != tg.nblocks:
         raise ValueError("owners must have one entry per block")
-    if nprocs < 1:
-        raise ValueError("nprocs must be positive")
+    config = RunConfig.of(config, {**overrides, "nprocs": nprocs})
     if owners.size and (owners.min() < 0 or owners.max() >= nprocs):
         raise ValueError("block owner out of range for nprocs")
-    if schedule not in ("static", "dynamic"):
-        raise ValueError(
-            f"schedule must be 'static' or 'dynamic', got {schedule!r}"
-        )
     if priorities is None and policy not in (None, "fifo"):
         priorities = task_priorities(tg, policy, depth=depth)
     if recovery is None:
         recovery = fault_plan is not None
-    trace_capacity = ring_capacity(trace)
 
     if rhs is not None:
         rhs = np.ascontiguousarray(rhs, dtype=np.float64)
@@ -223,12 +189,12 @@ def run_mp_fanout(
     # The very arrays the task graph's own reference to A holds (no copy
     # for csc input), so the job pickles them once.
     A = A.tocsc()
-    transport = resolve_transport(transport, nprocs)
+    transport = resolve_transport(config.transport, nprocs)
     arena = BlockArena.create(tg) if transport == "shm" else None
     # wall_s counts from before the crew is spawned.
     epoch = time.perf_counter()
     # One-shot runs keep per-worker timelines; resident service jobs don't.
-    pool = WorkerPool(nprocs, stall_timeout_s, record_timeline=True)
+    pool = WorkerPool(nprocs, record_timeline=True)
     try:
         job = PoolJob(
             seq=0,
@@ -244,22 +210,18 @@ def run_mp_fanout(
                 indices=A.indices,
                 shape=A.shape,
                 arena_name=None if arena is None else arena.name,
-                schedule=schedule,
-                steal_seed=steal_seed,
+                config=config,
             ),
-            trace_capacity=trace_capacity,
+            trace_capacity=config.trace_capacity,
             fault_plan=fault_plan,
             rhs=rhs,
             recovery=recovery,
             checkpoint=checkpoint,
             inject_failure=inject_failure,
-            renegotiate_base_s=renegotiate_base_s,
-            renegotiate_cap_s=renegotiate_cap_s,
-            max_renegotiations=max_renegotiations,
         )
         pool.start()
         launch_s = time.perf_counter() - epoch
-        outcome = pool.run_batch([job], timeout_s, dead_grace_s)[0]
+        outcome = pool.run_batch([job], config.timeout_s)[0]
         died = pool.dead_ranks()
     finally:
         pool.close()
@@ -286,14 +248,14 @@ def run_mp_fanout(
     factor, solution, metrics, run_trace = outcome_result(
         outcome, structure, tg, A, rhs, owners=owners,
         wall_s=launch_s + outcome.wall_s, mapping=mapping,
-        transport=transport, schedule=schedule, attempt=attempt,
+        transport=transport, config=config, attempt=attempt,
     )
     meta = {
         "start_method": START_METHOD,
         "recovery": recovery,
         "checkpoint_blocks": len(checkpoint) if checkpoint else 0,
         "transport": transport,
-        "schedule": schedule,
+        "schedule": config.schedule,
         "block_policy": getattr(
             structure.partition, "policy_name", "uniform"
         ),
@@ -322,7 +284,7 @@ def outcome_result(
     wall_s: float | None = None,
     mapping: str = "",
     transport: str = "inline",
-    schedule: str = "static",
+    config: RunConfig | None = None,
     problem: str = "",
     attempt: int = 0,
 ) -> tuple[BlockCholesky | None, np.ndarray | None, RuntimeMetrics,
@@ -336,12 +298,14 @@ def outcome_result(
     block was due from); ``rhs`` (the permuted panel the job solved) asks
     for the stitched solution; a warm solve job passes only the latter.
     ``wall_s`` defaults to the job's own (dispatch to last report); a
-    one-shot run adds its launch. The trace is merged whenever the workers
-    shipped one. Raises :class:`FanoutError` when the factor frames do not
+    one-shot run adds its launch. ``mapping``, ``transport`` (as resolved)
+    and the ``config``'s schedule label the metrics and the trace, which
+    is merged whenever the workers shipped one. Raises :class:`FanoutError` when the factor frames do not
     cover every block exactly once or the solution panels every row.
     """
     results = outcome.results
     nprocs = len(results)
+    schedule = (config or RunConfig()).schedule
     if wall_s is None:
         wall_s = outcome.wall_s
     factor = None if A is None else _assemble(structure, tg, results, owners)
@@ -418,15 +382,18 @@ def mp_block_cholesky(
     structure: BlockStructure,
     A: sparse.spmatrix,
     tg: TaskGraph,
-    nprocs: int = 4,
-    mapping: str = "DW/CY",
-    use_domains: bool = False,
+    config: RunConfig | None = None,
     **kwargs,
 ) -> MPRuntimeResult:
-    """One-call convenience: plan ownership from a mapping name and run."""
+    """One-call convenience: plan ownership from the config's placement
+    group (``nprocs``, ``mapping``, ``use_domains``) and run. ``kwargs``
+    are :func:`run_mp_fanout`'s: per-call arguments and config overrides."""
+    knobs = {f.name for f in fields(RunConfig)} & kwargs.keys()
+    config = RunConfig.of(config, {k: kwargs.pop(k) for k in knobs})
     owners, name = plan_owners(
-        tg.workmodel, tg, nprocs, mapping, use_domains
+        tg.workmodel, tg, config.nprocs, config.mapping, config.use_domains
     )
     return run_mp_fanout(
-        structure, A, tg, owners, nprocs, mapping=name, **kwargs
+        structure, A, tg, owners, config.nprocs, config, mapping=name,
+        **kwargs,
     )

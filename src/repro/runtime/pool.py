@@ -68,6 +68,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.config import RunConfig
 from repro.runtime import wire
 from repro.runtime.links import Link, LinkFabric
 from repro.runtime.metrics import WorkerMetrics
@@ -112,10 +113,10 @@ class PatternContext:
     indices: np.ndarray
     shape: tuple
     arena_name: str | None = None
-    #: Execution discipline for the pattern's jobs: ``"static"`` or
-    #: ``"dynamic"`` (work stealing; see :mod:`repro.runtime.worker`).
-    schedule: str = "static"
-    steal_seed: int = 0
+    #: The knobs the pattern's jobs run under; workers read ``schedule``,
+    #: ``steal_seed``, the stall watchdog and the renegotiation backoff
+    #: from here.
+    config: RunConfig = field(default_factory=RunConfig)
 
 
 @dataclass
@@ -135,9 +136,9 @@ class PoolJob:
     soft-crash hook the shutdown tests use.
 
     ``recovery`` turns on the in-run integrity protocol (CRC reject +
-    NACK/retransmit under the ``renegotiate_*`` backoff, bounded by
-    ``max_renegotiations``, + duplicate suppression + the DONE linger
-    barrier) and makes erroring/aborted ranks ship their completed blocks
+    NACK/retransmit under the pattern config's renegotiation backoff +
+    duplicate suppression + the DONE linger barrier) and makes
+    erroring/aborted ranks ship their completed blocks
     home as a checkpoint; ``checkpoint`` maps block ids to such frames
     from a previous attempt — those blocks are preloaded, their tasks
     skipped. ``rhs`` on a factor job appends the distributed triangular
@@ -166,9 +167,6 @@ class PoolJob:
     recovery: bool = False
     checkpoint: dict[int, bytes] | None = None
     inject_failure: tuple[int, int] | None = None
-    renegotiate_base_s: float = 0.2
-    renegotiate_cap_s: float = 2.0
-    max_renegotiations: int = 8
 
 
 @dataclass
@@ -316,12 +314,11 @@ class _PoolWorker:
     """The resident process: runs batches of jobs until told to stop."""
 
     def __init__(self, rank, fabric, commands, result_queue,
-                 stall_timeout_s, record_timeline):
+                 record_timeline):
         self.rank = rank
         self.fabric = fabric
         self.commands = commands
         self.result_queue = result_queue
-        self.stall_timeout_s = stall_timeout_s
         self.record_timeline = record_timeline
         self.router = InboxRouter(fabric.inbox(rank))
         self.patterns: dict[str, tuple] = {}  # pid -> (context, arena)
@@ -386,7 +383,9 @@ class _PoolWorker:
             else:
                 worker = self._factor_worker(job, epoch, fabric, results)
             if job.wait_for is not None:
-                self._await_done(job.wait_for)
+                self._await_done(
+                    job.wait_for, worker.context.config.stall_timeout_s
+                )
         except RuntimeError:
             self._report_error(job.seq, traceback.format_exc())
             return
@@ -434,7 +433,7 @@ class _PoolWorker:
         context, arena = entry
         return Worker(
             self.rank, context, job, arena, fabric, results,
-            epoch, self.stall_timeout_s, self.record_timeline,
+            epoch, self.record_timeline,
         )
 
     def _announce(self, seq: int) -> None:
@@ -445,15 +444,16 @@ class _PoolWorker:
             if dst != self.rank:
                 self.fabric.inboxes[dst].put((seq, frame))
 
-    def _await_done(self, seq: int) -> None:
-        """Block until every peer announced completion of job ``seq``.
+    def _await_done(self, seq: int, patience_s: float) -> None:
+        """Block (at most ``patience_s``, the waiting job's stall watchdog)
+        until every peer announced completion of job ``seq``.
 
         ABORT frames for ``seq`` count as completion — the erroring peer
         will never send DONE, but it *is* finished with the arena.
         """
         peers = set(range(self.fabric.nprocs)) - {self.rank}
         seen = self.done_seen.setdefault(seq, set())
-        deadline = time.monotonic() + self.stall_timeout_s
+        deadline = time.monotonic() + patience_s
         while not peers <= seen:
             try:
                 item = self.router.get(seq, timeout=POLL_S)
@@ -524,12 +524,7 @@ class WorkerPool:
     metrics, service jobs keep only the totals.
     """
 
-    def __init__(
-        self,
-        nprocs: int,
-        stall_timeout_s: float = 30.0,
-        record_timeline: bool = False,
-    ):
+    def __init__(self, nprocs: int, record_timeline: bool = False):
         if nprocs < 1:
             raise ValueError("nprocs must be positive")
         self.nprocs = nprocs
@@ -537,7 +532,6 @@ class WorkerPool:
         #: :attr:`nprocs` below this after process deaths; :meth:`regrow`
         #: restores it once the crew is quiescent again.
         self.configured_nprocs = nprocs
-        self.stall_timeout_s = stall_timeout_s
         self.record_timeline = record_timeline
         self.seen_patterns: set[str] = set()
         self.generation = 0
@@ -583,7 +577,6 @@ class WorkerPool:
                 fabric=self._fabric,
                 commands=self._commands[rank],
                 result_queue=self._results,
-                stall_timeout_s=self.stall_timeout_s,
                 record_timeline=self.record_timeline,
             )
             p = ctx.Process(
@@ -685,10 +678,7 @@ class WorkerPool:
             self._fabric.inboxes[dst].put((seq, frame))
 
     def run_batch(
-        self,
-        jobs: list[PoolJob],
-        timeout_s: float = 300.0,
-        dead_grace_s: float = 0.0,
+        self, jobs: list[PoolJob], timeout_s: float = 300.0
     ) -> dict[int, JobOutcome]:
         """Run ``jobs`` back to back on the resident crew.
 
@@ -701,9 +691,10 @@ class WorkerPool:
         batch: every unfinished job is ABORTed and failed, the casualties
         land in its ``failed_ranks`` (the dead ranks; on a timeout, every
         rank that never reported) and :attr:`last_error` records why.
-        After a death the loop lingers up to ``dead_grace_s`` so the
-        survivors can abort and ship their completed-block checkpoints.
-        Nothing is restarted here — the caller heals or closes.
+        After a death the loop lingers up to the ``dead_grace_s`` of the
+        contexts shipped with this batch, so the survivors can abort and
+        ship their completed-block checkpoints. Nothing is restarted
+        here — the caller heals or closes.
         """
         if not jobs:
             return {}
@@ -728,6 +719,11 @@ class WorkerPool:
         #: When collecting stops: the global deadline, pulled in to the
         #: grace window once a process death has broken the batch.
         stop_at = t0 + timeout_s
+        dead_grace_s = max(
+            (job.context.config.dead_grace_s or 0.0
+             for job in jobs if job.context is not None),
+            default=0.0,
+        )
 
         def break_batch(why: str, casualties) -> None:
             self.last_error = why

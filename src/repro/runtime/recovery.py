@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
 
 from repro.blocks.structure import BlockStructure
+from repro.config import RunConfig
 from repro.fanout.tasks import TaskGraph
 from repro.numeric.blockfact import BlockCholesky
 from repro.runtime import wire
@@ -156,53 +157,44 @@ def run_with_recovery(
     structure: BlockStructure,
     A: sparse.spmatrix,
     tg: TaskGraph,
-    nprocs: int,
-    mapping: str = "DW/CY",
-    use_domains: bool = False,
+    config: RunConfig | None = None,
+    *,
     fault_plan: FaultPlan | None = None,
-    max_restarts: int = 2,
     fallback_sequential: bool = True,
-    plan_cache: dict | None = None,
-    **kwargs,
+    **overrides,
 ) -> MPRuntimeResult:
     """Factor ``A`` in parallel, restarting on failure, degrading last.
 
+    Runs under a :class:`~repro.config.RunConfig` (``config`` and/or
+    keyword overrides): the placement group plans each attempt, the
+    recovery-tuning group bounds it (``max_restarts``; ``dead_grace_s``
+    defaults to 10 s here), the rest flows to :func:`run_mp_fanout`.
     Returns an :class:`MPRuntimeResult` whose ``failure_report`` is always
     populated. Raises only if ``fallback_sequential`` is disabled and
-    every parallel attempt failed. Extra ``kwargs`` flow to
-    :func:`run_mp_fanout` (timeouts, scheduling policy, transport...). ``plan_cache`` memoizes owner plans across calls and
-    restarts, keyed on ``(P, mapping, use_domains)`` — pass a dict owned
-    by the caller (e.g. :class:`repro.solver.SparseCholesky`) so repeated
-    ``factor()`` calls and same-P restarts skip re-planning.
+    every parallel attempt failed.
     """
-    if nprocs < 1:
-        raise ValueError("nprocs must be positive")
-    wm = tg.workmodel
+    config = RunConfig.of(config, overrides)
+    if config.dead_grace_s is None:
+        config = replace(config, dead_grace_s=10.0)
     t_start = time.perf_counter()
     report = FailureReport()
     checkpoint: dict[int, bytes] = {}
-    kwargs.setdefault("dead_grace_s", 10.0)
-    P = nprocs
+    P = config.nprocs
     last_exc: FanoutError | None = None
     salvaged_traces: list[RunTrace] = []
-    for attempt in range(max_restarts + 1):
-        key = (P, mapping, use_domains)
-        if plan_cache is not None and key in plan_cache:
-            owners, name = plan_cache[key]
-        else:
-            owners, name = plan_owners(wm, tg, P, mapping, use_domains)
-            if plan_cache is not None:
-                plan_cache[key] = (owners, name)
+    for attempt in range(config.max_restarts + 1):
+        owners, name = plan_owners(
+            tg.workmodel, tg, P, config.mapping, config.use_domains
+        )
         plan_a = fault_plan.for_attempt(attempt) if fault_plan else None
         t_attempt = time.perf_counter()
         try:
             res = run_mp_fanout(
-                structure, A, tg, owners, P,
+                structure, A, tg, owners, P, config,
                 mapping=name,
                 fault_plan=plan_a,
                 recovery=True,
                 checkpoint=checkpoint or None,
-                **kwargs,
             )
         except FanoutError as exc:
             last_exc = exc

@@ -90,18 +90,6 @@ TIMELINE_BUCKET = {
 DEFAULT_CAPACITY = 1 << 18
 
 
-def ring_capacity(trace: bool | int | None) -> int:
-    """Events per worker a ``trace=`` argument asks for: 0 turns tracing
-    off, ``True`` means :data:`DEFAULT_CAPACITY`, an int is taken as is."""
-    if trace is None or trace is False:
-        return 0
-    if trace is True:
-        return DEFAULT_CAPACITY
-    if int(trace) < 0:
-        raise ValueError("trace capacity must be non-negative")
-    return int(trace)
-
-
 class TraceRecorder:
     """Bounded ring buffer of trace events inside one worker.
 

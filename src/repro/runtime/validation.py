@@ -29,7 +29,7 @@ from repro.analysis.comm_volume import communication_volume
 from repro.blocks.structure import BlockStructure
 from repro.fanout.tasks import TaskGraph
 from repro.numeric.blockfact import BlockCholesky
-from repro.runtime.engine import MPRuntimeResult, plan_owners, run_mp_fanout
+from repro.runtime.engine import MPRuntimeResult, mp_block_cholesky
 
 
 class ValidationError(AssertionError):
@@ -88,9 +88,6 @@ def validate_runtime(
     structure: BlockStructure,
     A: sparse.spmatrix,
     tg: TaskGraph,
-    nprocs: int = 4,
-    mapping: str = "DW/CY",
-    use_domains: bool = False,
     tolerance: float = 1e-8,
     strict: bool = True,
     problem: str = "",
@@ -101,7 +98,9 @@ def validate_runtime(
     """Run the message-passing runtime and check it against the models.
 
     Pass ``result`` to validate an execution you already have (its
-    ``owners`` must come from the same task graph). With ``strict`` (the
+    ``owners`` must come from the same task graph); otherwise one is run
+    through :func:`~repro.runtime.engine.mp_block_cholesky` under
+    ``runtime_kwargs`` (a ``config`` and/or knobs by keyword). With ``strict`` (the
     default), any mismatch raises :class:`ValidationError`; otherwise the
     failures are listed in the returned report.
 
@@ -114,10 +113,7 @@ def validate_runtime(
     """
     wm = tg.workmodel
     if result is None:
-        owners, name = plan_owners(wm, tg, nprocs, mapping, use_domains)
-        result = run_mp_fanout(
-            structure, A, tg, owners, nprocs, mapping=name, **runtime_kwargs
-        )
+        result = mp_block_cholesky(structure, A, tg, **runtime_kwargs)
     owners = result.owners
     nprocs = result.metrics.nprocs
 

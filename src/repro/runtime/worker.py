@@ -108,28 +108,28 @@ class Worker:
 
     Takes the job as the pool shipped it: the pattern's
     :class:`~repro.runtime.pool.PatternContext` (block structure, task
-    graph, owners, priorities, schedule, and the permuted matrix's index
-    arrays — scattering ``job.values`` into initial block data is the
-    runtime's stand-in for the host distributing ``A``), the
+    graph, owners, priorities, the :class:`~repro.config.RunConfig`, and
+    the permuted matrix's index arrays — scattering ``job.values`` into
+    initial block data is the runtime's stand-in for the host
+    distributing ``A``), the
     :class:`~repro.runtime.pool.PoolJob` (values, rhs, and the fault /
     recovery / checkpoint / trace knobs) and the pattern's attached
     ``arena`` (shm transport; None means inline).
     """
 
     def __init__(self, rank: int, context, job, arena, fabric, result_queue,
-                 epoch: float = 0.0, stall_timeout_s: float = 30.0,
-                 record_timeline: bool = True):
+                 epoch: float = 0.0, record_timeline: bool = True):
         self.rank = rank
         self.context = context
+        self.config = config = context.config
         self.tg = context.tg
         self.owners = np.asarray(context.owners)
         self.arena = arena
         self.epoch = epoch
-        self.stall_timeout_s = stall_timeout_s
         self.record_timeline = record_timeline
         #: ``"dynamic"`` adds work stealing on top of the owner-computes
         #: map (see ``docs/SCHEDULING.md``).
-        self.dynamic = context.schedule == "dynamic" and fabric.nprocs > 1
+        self.dynamic = config.schedule == "dynamic" and fabric.nprocs > 1
         #: Blocks whose final factored value is present locally (owned
         #: completions, received frames, checkpoint preloads). Drives both
         #: duplicate suppression and the abort-time checkpoint.
@@ -290,10 +290,11 @@ class Worker:
             now = self._now()
             if progressed:
                 last_progress = now
-            elif now - last_progress > self.stall_timeout_s:
+            elif now - last_progress > self.config.stall_timeout_s:
                 raise RuntimeError(
                     f"worker {self.rank} stalled: {left} {phase.what}, no "
-                    f"messages for {self.stall_timeout_s:.0f}s (deadlock?)"
+                    f"messages for {self.config.stall_timeout_s:.0f}s "
+                    "(deadlock?)"
                 )
             elif phase.waiting is not None:
                 phase.waiting(now, last_progress)
@@ -819,12 +820,12 @@ class Worker:
         if last_progress > self._last_reneg:
             self._reneg_attempts = 0
         delay = min(
-            self.job.renegotiate_base_s * (2.0 ** self._reneg_attempts),
-            self.job.renegotiate_cap_s,
+            self.config.renegotiate_base_s * (2.0 ** self._reneg_attempts),
+            self.config.renegotiate_cap_s,
         )
         if now - max(last_progress, self._last_reneg) <= delay:
             return
-        if self._reneg_attempts >= self.job.max_renegotiations:
+        if self._reneg_attempts >= self.config.max_renegotiations:
             missing = sorted(self.expected)[:8]
             raise RuntimeError(
                 f"worker {self.rank} unrecoverable: "
@@ -910,7 +911,7 @@ class Worker:
         if not peers:
             return
         seed = (
-            self.context.steal_seed * 2654435761
+            self.config.steal_seed * 2654435761
             + self._steal_round * 40503
             + self.rank
         ) & 0xFFFFFFFF

@@ -8,9 +8,9 @@ layout. The cache stores one :class:`PatternEntry` per distinct pattern
 (LRU-bounded) so repeated-pattern traffic pays none of that setup again:
 a warm job ships a values array and runs.
 
-The digest also covers the service's planning knobs (block size,
-blocking policy + width clamps, ordering algorithm, worker count,
-mapping, transport, schedule) — a service restarted with different knobs
+The digest also covers the service's plan-shaping knobs —
+:meth:`repro.config.RunConfig.plan_key`, i.e. every field whose metadata
+says it shapes an entry — so a service restarted with different knobs
 never aliases stale entries, and uniform vs supernodal plans for the same
 pattern never collide.
 """
@@ -24,9 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
+from repro.config import RunConfig
+
 
 def pattern_digest(A: sparse.csc_matrix, knobs: tuple) -> str:
-    """Stable id of a csc sparsity pattern under the given knobs."""
+    """Stable id of a csc sparsity pattern under the given knobs (the
+    service passes its config's ``plan_key()``)."""
     h = hashlib.sha256()
     h.update(repr(knobs).encode())
     h.update(np.asarray(A.shape, dtype=np.int64).tobytes())
@@ -61,15 +64,8 @@ class PatternEntry:
     #: job of the pattern (the arena layout is size-independent, so only
     #: the plan changes). 0 = "whatever the service was configured with".
     planned_nprocs: int = 0
-    #: Execution schedule the workers run this pattern under
-    #: ("static" | "dynamic") and the steal-victim seed for the latter.
-    schedule: str = "static"
-    steal_seed: int = 0
-    #: Blocking policy the entry's partition was built under ("uniform" |
-    #: "supernodal"). Informational — the digest knobs already separate
-    #: policies, so one pattern factored under both policies yields two
-    #: distinct entries (and two distinct ``seen_patterns`` residencies).
-    block_policy: str = "uniform"
+    #: The knobs the entry was planned under and its jobs run under.
+    config: RunConfig = field(default_factory=RunConfig)
     #: Assembled :class:`~repro.numeric.BlockCholesky` of the pattern's
     #: last successful factor job — the sequential fallback (and bitwise
     #: reference) for solve requests.
@@ -103,8 +99,7 @@ class PatternEntry:
             indices=A_perm.indices,
             shape=tuple(A_perm.shape),
             arena_name=None if self.arena is None else self.arena.name,
-            schedule=self.schedule,
-            steal_seed=self.steal_seed,
+            config=self.config,
         )
 
     def destroy(self) -> None:

@@ -31,6 +31,7 @@ from collections import OrderedDict
 import numpy as np
 from scipy import sparse
 
+from repro.config import RunConfig
 from repro.runtime.arena import BlockArena, resolve_transport
 from repro.runtime.engine import FanoutError, outcome_result, plan_owners
 from repro.runtime.metrics import RuntimeMetrics
@@ -41,7 +42,6 @@ from repro.runtime.recovery import (
     OUTCOME_RECOVERED,
     SEQUENTIAL_MAPPING,
 )
-from repro.runtime.trace import ring_capacity
 from repro.service.admission import JobQueue
 from repro.service.cache import PatternCache, PatternEntry, pattern_digest
 from repro.service.jobs import (
@@ -93,37 +93,29 @@ class _Prep:
 class FactorService:
     """A long-lived factorization service over the persistent pool.
 
-    Parameters mirror :class:`~repro.solver.SparseCholesky` where they
-    overlap (``ordering``, ``block_size``, ``nprocs``, ``mapping``,
-    ``use_domains``, ``transport``, ``schedule``, ``trace``); the
-    service-specific
-    knobs are the admission policy (``admission`` + ``queue_capacity``),
-    the batching window (``max_batch`` + ``batch_wait_s``), the pattern
-    cache bound (``cache_capacity``), and ``validate`` (bitwise-check
-    every factor against the sequential baseline before releasing it).
+    The knobs shared with the other layers are one
+    :class:`~repro.config.RunConfig` (``config`` and/or field overrides by
+    keyword, ``nprocs`` defaulting to 2 here; table in
+    ``docs/ARCHITECTURE.md``); a bad value raises ``ValueError`` before a
+    pool exists. The service-only knobs stay keywords: the admission
+    policy (``admission`` + ``queue_capacity``), the batching window
+    (``max_batch`` + ``batch_wait_s``), the bound on one pool batch
+    (``batch_timeout_s``), the cache and dedup bounds, the per-job
+    attempts / deadline / circuit breaker, ``validate`` (bitwise-check
+    every factor against the sequential baseline before releasing it)
+    and the chaos hooks ``fault_plan`` / ``fault_jobs``.
     """
 
     def __init__(
         self,
-        nprocs: int = 2,
-        ordering: str = "auto",
-        block_size: int = 48,
-        mapping: str = "DW/CY",
-        use_domains: bool = False,
-        transport: str = "auto",
-        schedule: str = "static",
-        steal_seed: int = 0,
-        block_policy: str = "uniform",
-        min_width: int | None = None,
-        max_width: int | None = None,
+        config: RunConfig | None = None,
+        *,
         queue_capacity: int = 64,
         admission: str = "block",
         max_batch: int = 8,
         batch_wait_s: float = 0.002,
         cache_capacity: int = 8,
         validate: bool = False,
-        trace: bool | int | None = None,
-        stall_timeout_s: float = 30.0,
         batch_timeout_s: float = 300.0,
         default_deadline_s: float | None = None,
         max_job_attempts: int = 2,
@@ -132,35 +124,18 @@ class FactorService:
         dedup_capacity: int = 64,
         fault_plan=None,
         fault_jobs: tuple = (),
+        **overrides,
     ):
-        self.nprocs = int(nprocs)
-        self.ordering = ordering
-        self.block_size = int(block_size)
-        self.mapping = mapping
-        self.use_domains = use_domains
-        self.transport = resolve_transport(transport, self.nprocs)
-        if schedule not in ("static", "dynamic"):
-            raise ValueError(
-                f"schedule must be 'static' or 'dynamic', got {schedule!r}"
-            )
-        self.schedule = schedule
-        self.steal_seed = int(steal_seed)
-        from repro.blocks import BLOCK_POLICIES
-
-        if block_policy not in BLOCK_POLICIES:
-            raise ValueError(
-                f"block_policy must be one of {BLOCK_POLICIES}, "
-                f"got {block_policy!r}"
-            )
-        self.block_policy = block_policy
-        self.min_width = None if min_width is None else int(min_width)
-        self.max_width = None if max_width is None else int(max_width)
+        self.config = RunConfig.of(config, overrides, nprocs=2)
+        #: The configured pool width (``pool.nprocs`` shrinks after a heal).
+        self.nprocs = self.config.nprocs
+        #: The transport ``config.transport`` resolves to on this platform.
+        self.transport = resolve_transport(self.config.transport, self.nprocs)
         self.validate = validate
         self.max_batch = max(1, int(max_batch))
         self.batch_wait_s = float(batch_wait_s)
         self.batch_timeout_s = float(batch_timeout_s)
-        self.trace_capacity = ring_capacity(trace)
-        self.pool = WorkerPool(self.nprocs, stall_timeout_s)
+        self.pool = WorkerPool(self.nprocs)
         self.cache = PatternCache(cache_capacity)
         self.queue = JobQueue(queue_capacity, admission)
         self.metrics = ServiceMetrics()
@@ -424,7 +399,7 @@ class FactorService:
                     kind="solve",
                     rhs=pb,
                     deadline=deadline,
-                    trace_capacity=self.trace_capacity,
+                    trace_capacity=self.config.trace_capacity,
                     fault_plan=fault_plan,
                 )
                 outcomes = self.pool.run_batch(
@@ -501,7 +476,7 @@ class FactorService:
             "nprocs": self.nprocs,
             "pool_nprocs": self.pool.nprocs,
             "transport": self.transport,
-            "mapping": self.mapping,
+            "mapping": self.config.mapping,
             "pool_generation": self.pool.generation,
             "breaker": self.breaker.to_dict(),
             "queue": self.queue.stats.to_dict(),
@@ -703,7 +678,7 @@ class FactorService:
                     else None
                 ),
                 wait_for=last_on_arena.get(entry.pattern_id),
-                trace_capacity=self.trace_capacity,
+                trace_capacity=self.config.trace_capacity,
                 deadline=p.queued.job.deadline,
                 # Injected faults fire on the first attempt only —
                 # transient by construction, like CrashSpec's default.
@@ -733,7 +708,7 @@ class FactorService:
             return
         entry.owners, entry.mapping_name = plan_owners(
             entry.tg.workmodel, entry.tg, self.pool.nprocs,
-            self.mapping, self.use_domains,
+            self.config.mapping, self.config.use_domains,
         )
         entry.planned_nprocs = self.pool.nprocs
         # Any stale shipped context described the old owners.
@@ -835,7 +810,7 @@ class FactorService:
                 )
             record.pattern_id = entry.pattern_id
             return entry, "hit", None
-        pid = pattern_digest(job.A, self._knobs())
+        pid = pattern_digest(job.A, self.config.plan_key())
         record.pattern_id = pid
         entry = self.cache.lookup(pid)
         if entry is not None:
@@ -849,23 +824,6 @@ class FactorService:
             self._pending_evictions.append(evicted)
         return entry, "miss", job.A
 
-    def _knobs(self) -> tuple:
-        # Every knob that shapes an entry's symbolic plan must be here:
-        # two jobs with the same csc pattern but different knobs (e.g.
-        # uniform vs supernodal blocking) must never alias one entry.
-        return (
-            self.ordering,
-            self.block_size,
-            self.block_policy,
-            self.min_width,
-            self.max_width,
-            self.nprocs,
-            self.mapping,
-            self.use_domains,
-            self.transport,
-            self.schedule,
-        )
-
     def _build_entry(self, pid: str, A: sparse.csc_matrix) -> PatternEntry:
         """Cold setup: symbolic analysis, owner plan, arena — once per
         pattern."""
@@ -874,19 +832,17 @@ class FactorService:
         from repro.ordering import resolve_ordering
         from repro.symbolic import symbolic_factor
 
-        perm = resolve_ordering(A, self.ordering)
+        cfg = self.config
+        perm = resolve_ordering(A, cfg.ordering)
         symbolic = symbolic_factor(A, perm)
         structure = BlockStructure(make_partition(
-            symbolic,
-            block_policy=self.block_policy,
-            block_size=self.block_size,
-            min_width=self.min_width,
-            max_width=self.max_width,
+            symbolic, cfg.block_policy, cfg.block_size,
+            cfg.min_width, cfg.max_width,
         ))
         wm = WorkModel(structure)
         tg = TaskGraph(wm)
         owners, name = plan_owners(
-            wm, tg, self.nprocs, self.mapping, self.use_domains
+            wm, tg, cfg.nprocs, cfg.mapping, cfg.use_domains
         )
         arena = None
         if self.transport == "shm":
@@ -902,9 +858,7 @@ class FactorService:
             orig_indptr=A.indptr.copy(),
             orig_indices=A.indices.copy(),
             arena=arena,
-            schedule=self.schedule,
-            steal_seed=self.steal_seed,
-            block_policy=self.block_policy,
+            config=cfg,
         )
 
     def _job_values(self, job, entry: PatternEntry, A_full) -> np.ndarray:
@@ -1028,7 +982,7 @@ class FactorService:
             owners=entry.owners,
             mapping=entry.mapping_name,
             transport="shm" if entry.arena is not None else "inline",
-            schedule=entry.schedule,
+            config=entry.config,
             problem=entry.pattern_id,
         )
         metrics.extra["service"] = {

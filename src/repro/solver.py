@@ -29,6 +29,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.blocks import BlockStructure, WorkModel, make_partition
+from repro.config import RunConfig
 from repro.fanout import TaskGraph, assign_domains, block_owners, run_fanout
 from repro.machine.params import PARAGON, MachineParams
 from repro.mapping import named_map
@@ -64,72 +65,37 @@ class SparseCholesky:
         is mirrored, ``T + T.T - diag(T)``). An empty matrix, or a pattern
         that is neither symmetric nor triangular, raises ``ValueError``
         before any analysis.
-    ordering:
-        ``"auto"`` (nested dissection when the graph is mesh-like — i.e.
-        bounded degree — else minimum degree), ``"nd"``, ``"mmd"``,
-        ``"natural"``, ``"rcm"``, or an explicit permutation array
-        (:func:`repro.ordering.resolve_ordering`).
-    block_size:
-        Panel width B (default 48, the paper's choice). Under
-        ``block_policy="supernodal"`` it only seeds the default
-        ``max_width`` (``2 * block_size``).
-    block_policy:
-        ``"uniform"`` (default — fixed-width panels) or ``"supernodal"``
-        (structure-aware variable panels that follow supernode widths,
-        clamped to ``[min_width, max_width]``; see ``docs/BLOCKING.md``).
-    min_width, max_width:
-        Clamps for the supernodal policy (defaults 16 and
-        ``2 * block_size``). Ignored under ``"uniform"``.
+    config, **overrides:
+        The knobs — a :class:`~repro.config.RunConfig` and/or its fields
+        by keyword (``ordering``, ``block_size``, ``nprocs``, ``mapping``,
+        ``trace``, ...; table in ``docs/ARCHITECTURE.md``). A bad value
+        raises ``ValueError`` before any analysis. Every backend reads the
+        analysis group, the parallel ones ``nprocs``, ``"mp"`` the rest.
     backend:
         ``"sequential"`` (default), ``"threads"`` (shared-memory thread
         pool), ``"mp"`` (real message-passing worker processes), or
         ``"service"`` (delegate the numeric work to a long-lived
         :class:`repro.service.FactorService` / connected
         :class:`~repro.service.ServiceClient`, passed via ``service=`` —
-        repeated factorizations reuse its warm pool and pattern cache).
-    nprocs:
-        Worker count for the parallel backends.
-    mapping:
-        Block mapping for the ``"mp"`` backend: ``"cyclic"`` or a
-        ``"<row>/<col>"`` heuristic pair such as ``"DW/CY"``.
-    use_domains:
-        Apply the domain (subtree) portion of the method to the ``"mp"``
-        ownership, as :meth:`plan_parallel` does for the simulator.
+        repeated factorizations reuse its warm pool and pattern cache,
+        and run under *its* config).
     fault_plan:
         A :class:`repro.runtime.faults.FaultPlan` (or its dict/JSON form)
         for the ``"mp"`` backend. When given, the factorization runs under
         the chaos layer with integrity checking, bounded restart, and the
         sequential fallback; the structured outcome lands in
         :attr:`failure_report`.
-    max_restarts:
-        Restart budget for the recovery path (``"mp"`` backend only).
-    trace:
-        Structured event tracing for the ``"mp"`` backend: ``True`` for the
-        default ring-buffer capacity, an int for an explicit per-worker
-        capacity, ``False``/``None`` (default) for zero-overhead off. The
-        merged :class:`repro.runtime.trace.RunTrace` lands in
-        :attr:`run_trace` after :meth:`factor`.
-    transport:
-        Block payload transport for the ``"mp"`` backend: ``"auto"``
-        (default — shared-memory arena when available), ``"shm"``, or
-        ``"inline"``. See :func:`repro.runtime.engine.run_mp_fanout`.
-    schedule:
-        Execution discipline for the ``"mp"`` backend: ``"static"``
-        (default — every task runs at its block's owner) or
-        ``"dynamic"`` (idle workers steal ready BMOD/BDIV tasks from
-        busy peers; factors stay bitwise identical — see
-        ``docs/SCHEDULING.md``). Forwarded to the service backend's
-        job context when set there.
-    steal_seed:
-        Seed for the dynamic schedule's deterministic victim selection.
     deadline_s:
         Per-job end-to-end budget for the ``"service"`` backend. Past
         it, :meth:`factor` raises the typed
         :class:`repro.service.DeadlineExceeded` — never hangs.
 
-    The ownership plan for the ``"mp"`` backend is computed once per
-    ``(P, mapping, use_domains)`` and cached on the instance, so repeated
-    :meth:`factor` calls (and same-P recovery restarts) skip re-planning.
+    After an ``"mp"`` :meth:`factor`, per-worker metrics land in
+    :attr:`runtime_metrics` and (with ``trace``) the merged
+    :class:`repro.runtime.trace.RunTrace` in :attr:`run_trace`. The
+    ownership plan is computed once and cached on the instance, so
+    repeated :meth:`factor` calls skip re-planning (a run under a
+    ``fault_plan`` plans per attempt: the crew may shrink).
     """
 
     BACKENDS = ("sequential", "threads", "mp", "service")
@@ -137,23 +103,13 @@ class SparseCholesky:
     def __init__(
         self,
         A: sparse.spmatrix,
-        ordering: str | np.ndarray = "auto",
-        block_size: int = 48,
+        config: RunConfig | None = None,
+        *,
         backend: str = "sequential",
-        nprocs: int = 4,
-        mapping: str = "DW/CY",
-        use_domains: bool = False,
         fault_plan=None,
-        max_restarts: int = 2,
-        trace: bool | int | None = None,
-        transport: str = "auto",
-        schedule: str = "static",
-        steal_seed: int = 0,
         service=None,
         deadline_s: float | None = None,
-        block_policy: str = "uniform",
-        min_width: int | None = None,
-        max_width: int | None = None,
+        **overrides,
     ):
         A = symmetric_csc(A)
         if backend not in self.BACKENDS:
@@ -162,9 +118,8 @@ class SparseCholesky:
             )
         self.A = A
         self.backend = backend
-        self.nprocs = nprocs
-        self.mapping = mapping
-        self.use_domains = use_domains
+        self.config = config = RunConfig.of(config, overrides)
+        self.mapping = config.mapping
         if isinstance(fault_plan, str):
             from repro.runtime.faults import FaultPlan
 
@@ -174,15 +129,6 @@ class SparseCholesky:
 
             fault_plan = FaultPlan.from_dict(fault_plan)
         self.fault_plan = fault_plan
-        self.max_restarts = max_restarts
-        self.trace = trace
-        self.transport = transport
-        if schedule not in ("static", "dynamic"):
-            raise ValueError(
-                f"schedule must be 'static' or 'dynamic', got {schedule!r}"
-            )
-        self.schedule = schedule
-        self.steal_seed = steal_seed
         if backend == "service" and service is None:
             raise ValueError(
                 'backend="service" needs a running service: pass '
@@ -194,7 +140,7 @@ class SparseCholesky:
         #: :meth:`factor` raises the typed
         #: :class:`repro.service.DeadlineExceeded` instead of hanging.
         self.deadline_s = deadline_s
-        #: Memoized ``(P, mapping, use_domains) -> (owners, name)`` plans.
+        #: Memoized ``nprocs -> (owners, name)`` plan.
         self._plan_cache: dict = {}
         #: Observable plan reuse: how often :meth:`_plan` served a
         #: memoized owner plan vs computed one (lands in
@@ -204,18 +150,11 @@ class SparseCholesky:
         #: Structured recovery outcome of the last ``"mp"`` factorization
         #: run under a fault plan (None otherwise).
         self.failure_report = None
-        perm = self._resolve_ordering(A, ordering)
+        perm = self._resolve_ordering(A, config.ordering)
         self.symbolic = symbolic_factor(A, perm)
-        #: Blocking policy: "uniform" panels of ``block_size`` or
-        #: "supernodal" structure-following panels clamped to
-        #: ``[min_width, max_width]`` (see ``docs/BLOCKING.md``).
-        self.block_policy = block_policy
         self.partition = make_partition(
-            self.symbolic,
-            block_policy=block_policy,
-            block_size=block_size,
-            min_width=min_width,
-            max_width=max_width,
+            self.symbolic, config.block_policy, config.block_size,
+            config.min_width, config.max_width,
         )
         self.structure = BlockStructure(self.partition)
         self.workmodel = WorkModel(self.structure)
@@ -250,39 +189,30 @@ class SparseCholesky:
             self._taskgraph = TaskGraph(self.workmodel)
         return self._taskgraph
 
-    def _plan(self, P: int):
-        """Owner plan for ``P`` workers, memoized on the instance."""
+    def _plan(self):
+        """Owner plan under this instance's config, computed once."""
         from repro.runtime import plan_owners
 
-        key = (P, self.mapping, self.use_domains)
-        if key in self._plan_cache:
+        P = self.config.nprocs
+        if P in self._plan_cache:
             self.plan_cache_hits += 1
         else:
             self.plan_cache_misses += 1
-            self._plan_cache[key] = plan_owners(
+            self._plan_cache[P] = plan_owners(
                 self.workmodel, self.taskgraph, P,
-                self.mapping, self.use_domains,
+                self.config.mapping, self.config.use_domains,
             )
-        return self._plan_cache[key]
+        return self._plan_cache[P]
 
     def _run_mp(self, rhs: np.ndarray | None = None):
-        """One launch of the ``"mp"`` runtime under this instance's knobs
+        """One launch of the ``"mp"`` runtime under this instance's config
         (``rhs``, already permuted, appends the distributed solve)."""
         from repro.runtime import run_mp_fanout
 
-        owners, name = self._plan(self.nprocs)
+        owners, name = self._plan()
         return run_mp_fanout(
-            self.structure,
-            self.symbolic.A,
-            self.taskgraph,
-            owners,
-            self.nprocs,
-            mapping=name,
-            trace=self.trace,
-            transport=self.transport,
-            schedule=self.schedule,
-            steal_seed=self.steal_seed,
-            rhs=rhs,
+            self.structure, self.symbolic.A, self.taskgraph, owners,
+            self.config.nprocs, self.config, mapping=name, rhs=rhs,
         )
 
     def factor(self) -> "SparseCholesky":
@@ -300,26 +230,15 @@ class SparseCholesky:
                 self.structure,
                 self.symbolic.A,
                 self.taskgraph,
-                nthreads=self.nprocs,
+                nthreads=self.config.nprocs,
             ).factor
         else:  # "mp"
             if self.fault_plan is not None:
                 from repro.runtime.recovery import run_with_recovery
 
                 result = run_with_recovery(
-                    self.structure,
-                    self.symbolic.A,
-                    self.taskgraph,
-                    nprocs=self.nprocs,
-                    mapping=self.mapping,
-                    use_domains=self.use_domains,
-                    fault_plan=self.fault_plan,
-                    max_restarts=self.max_restarts,
-                    trace=self.trace,
-                    transport=self.transport,
-                    schedule=self.schedule,
-                    steal_seed=self.steal_seed,
-                    plan_cache=self._plan_cache,
+                    self.structure, self.symbolic.A, self.taskgraph,
+                    self.config, fault_plan=self.fault_plan,
                 )
                 self.failure_report = result.failure_report
             else:

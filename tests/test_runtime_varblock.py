@@ -129,7 +129,7 @@ class TestServiceDigestSeparation:
 
         svc = FactorService(nprocs=1, **kw)
         try:
-            return svc._knobs()
+            return svc.config.plan_key()
         finally:
             svc.close()
 
@@ -153,7 +153,7 @@ class TestServiceDigestSeparation:
         try:
             A = grid2d_matrix(8).A.tocsc()
             entry = svc._build_entry("pid-test", A)
-            assert entry.block_policy == "supernodal"
+            assert entry.config.block_policy == "supernodal"
             assert (
                 entry.structure.partition.policy_name == "supernodal"
             )

@@ -20,6 +20,7 @@ from repro.analysis.comm_volume import (
 )
 from repro.analysis.trace_replay import validate_trace
 from repro.blocks import WorkModel
+from repro.config import RunConfig
 from repro.fanout import TaskGraph
 from repro.numeric import BlockCholesky
 from repro.numeric.solve import block_solve_permuted
@@ -50,7 +51,7 @@ def _context(pipeline, nprocs, schedule="static"):
     ctx = PatternContext(
         pattern_id="t", structure=bs, tg=tg, owners=owners, priorities=None,
         indptr=A.indptr, indices=A.indices, shape=tuple(A.shape),
-        schedule=schedule,
+        config=RunConfig(schedule=schedule),
     )
     return ctx, A
 
@@ -169,7 +170,7 @@ class TestInterleavedRanks:
             )
         factor, solution, metrics, _ = outcome_result(
             JobOutcome(seq=0, results=results), bs, tg, sf.A.tocsc(), rhs,
-            schedule=schedule,
+            config=RunConfig(schedule=schedule),
         )
         ref = seq_chol.to_csc()
         L = factor.to_csc()
