@@ -78,6 +78,9 @@ class WorkerMetrics:
     links: dict[int, list[int]] = field(default_factory=dict)
     timeline: list[tuple[str, float, float]] = field(default_factory=list)
     error: str | None = None
+    #: Class name of the exception behind ``error`` (the recovery loop
+    #: reads it to tell a deterministic failure from a transient one).
+    error_type: str | None = None
     aborted: bool = False
     # ------------------------------------------------------------------
     # Fault / integrity / recovery counters. All stay zero on a healthy

@@ -51,10 +51,8 @@ Who heals: :meth:`WorkerPool.run_batch` only *reports*. A dead process
 or a global timeout ends the batch, ABORTs what was still running, and
 is recorded in :attr:`WorkerPool.last_error` and in each unfinished
 job's :attr:`JobOutcome.failed_ranks`; the crew is then in an unknown
-state and the caller decides — the one-job caller closes the pool, the
-service calls :meth:`WorkerPool.heal` for a fresh crew on ``P - f``
-workers (pattern contexts re-ship lazily because ``seen_patterns`` is
-cleared, and the caller re-plans owners for the shrunken crew).
+state, and :func:`repro.runtime.recovery.settle` — the one caller of
+:meth:`WorkerPool.heal` — replaces it. Any other caller closes the pool.
 """
 
 from __future__ import annotations
@@ -613,35 +611,29 @@ class WorkerPool:
             self._results = None
         self.seen_patterns.clear()
 
-    def restart(self) -> "WorkerPool":
-        """Tear down (terminating stragglers) and bring up a fresh crew."""
+    def restart(self, nprocs: int | None = None) -> "WorkerPool":
+        """Tear down (terminating stragglers) and bring up a fresh crew,
+        ``nprocs`` wide if given. Clears ``seen_patterns``, so contexts
+        re-ship lazily; owners planned for another width must be
+        re-planned."""
         self.close()
+        self.nprocs = nprocs or self.nprocs
         return self.start()
 
-    def heal(self) -> "WorkerPool":
-        """Restart on ``P - f`` workers, where ``f`` is the number of
-        dead processes (floor 1). Mutates :attr:`nprocs`: callers must
-        re-plan owners for any pattern planned for the old crew size
-        (contexts are re-shipped anyway because ``seen_patterns`` is
-        cleared). With no dead processes this is a plain restart — the
-        cure for a stalled-but-alive crew."""
-        dead = len(self.dead_ranks())
-        self.close()
-        if dead:
-            self.nprocs = max(1, self.nprocs - dead)
-        return self.start()
+    def heal(self, lost: int | None = None) -> "WorkerPool":
+        """Restart on ``P - lost`` workers (floor 1); ``lost`` defaults to
+        the number of dead processes. With nothing lost this is a plain
+        restart — the cure for a stalled-but-alive crew."""
+        if lost is None:
+            lost = len(self.dead_ranks())
+        return self.restart(max(1, self.nprocs - lost))
 
     def regrow(self) -> "WorkerPool":
-        """Restore a healed (shrunken) pool to its configured width with
-        a fresh crew. Safe only between batches — the restart clears
-        ``seen_patterns``, so contexts re-ship lazily and callers re-plan
-        owners for the full width exactly as they re-planned for the
-        shrink. No-op while the pool is already at full width."""
+        """Restore a healed (shrunken) pool to its configured width. Safe
+        only between batches; no-op while the pool is at full width."""
         if self.nprocs >= self.configured_nprocs:
             return self
-        self.close()
-        self.nprocs = self.configured_nprocs
-        return self.start()
+        return self.restart(self.configured_nprocs)
 
     def __enter__(self) -> "WorkerPool":
         return self.start()

@@ -198,8 +198,9 @@ class Worker:
                 solution = self._solution_panels
         except _Abort:
             m.aborted = True
-        except BaseException:  # noqa: BLE001 - reported to the driver
+        except BaseException as exc:  # noqa: BLE001 - reported to the driver
             m.error = traceback.format_exc()
+            m.error_type = type(exc).__name__
             self._broadcast_abort()
         failed = m.aborted or m.error is not None
         if failed and factor and self.recovery:

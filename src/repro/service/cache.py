@@ -59,10 +59,10 @@ class PatternEntry:
     #: Seconds of cold setup this entry cost (symbolic + plan + arena).
     setup_s: float = 0.0
     uses: int = 0
-    #: Crew size ``owners`` was planned for. After a pool heal shrinks
-    #: the crew to P - f, the service re-plans owners lazily on the next
-    #: job of the pattern (the arena layout is size-independent, so only
-    #: the plan changes). 0 = "whatever the service was configured with".
+    #: Crew size ``owners`` was planned for. After a pool heal or regrow
+    #: changes the crew, the recovery loop re-plans them before the
+    #: pattern's next job (:func:`repro.runtime.recovery.replan`; the
+    #: arena layout is size-independent, so only the plan changes).
     planned_nprocs: int = 0
     #: The knobs the entry was planned under and its jobs run under.
     config: RunConfig = field(default_factory=RunConfig)

@@ -34,13 +34,15 @@ from scipy import sparse
 from repro.config import RunConfig
 from repro.runtime.arena import BlockArena, resolve_transport
 from repro.runtime.engine import FanoutError, outcome_result, plan_owners
-from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.pool import PoolJob, WorkerPool
 from repro.runtime.recovery import (
     OUTCOME_CLEAN,
     OUTCOME_DEGRADED,
-    OUTCOME_RECOVERED,
-    SEQUENTIAL_MAPPING,
+    RecoveryJob,
+    RecoveryPolicy,
+    last_resort,
+    recover,
+    settle,
 )
 from repro.service.admission import JobQueue
 from repro.service.cache import PatternCache, PatternEntry, pattern_digest
@@ -76,18 +78,16 @@ class _Queued:
         self.enqueued_at = time.monotonic()
 
 
-class _Prep:
-    """A batch job after pattern resolution, through its attempts."""
+class _Prep(RecoveryJob):
+    """A batch job after pattern resolution, through its attempts: the
+    recovery loop's job (``A`` is the permuted matrix, the plan is the
+    pattern entry) plus where its result goes."""
 
-    __slots__ = ("queued", "entry", "record", "values", "fault_plan", "seq")
-
-    def __init__(self, queued, entry, record, values, fault_plan=None):
+    def __init__(self, queued, entry, record, A_perm, fault_plan=None):
+        super().__init__(entry, A_perm, queued.job.job_id)
         self.queued = queued
-        self.entry = entry
         self.record = record
-        self.values = values
         self.fault_plan = fault_plan
-        self.seq = -1  # pool seq of the latest attempt
 
 
 class FactorService:
@@ -141,6 +141,11 @@ class FactorService:
         self.metrics = ServiceMetrics()
         self.default_deadline_s = default_deadline_s
         self.max_job_attempts = max(1, int(max_job_attempts))
+        #: A resident crew keeps a rank that merely raised (only its job
+        #: is retried); dead processes are what a heal sheds.
+        self.policy = RecoveryPolicy(
+            attempts=self.max_job_attempts, raising_rank_is_casualty=False
+        )
         self.breaker = CircuitBreaker(breaker_threshold, breaker_cooldown_s)
         #: Deterministic chaos injection: ``fault_plan`` is attached to
         #: the jobs whose dispatch index (0-based, in admission order) is
@@ -386,6 +391,7 @@ class FactorService:
         metrics = trace = None
         x_perm = None
         outcome_tag = OUTCOME_DEGRADED
+        expired = False
         if (
             self.pool.running
             and entry.resident_generation == self.pool.generation
@@ -402,19 +408,12 @@ class FactorService:
                     trace_capacity=self.config.trace_capacity,
                     fault_plan=fault_plan,
                 )
-                outcomes = self.pool.run_batch(
+                out = self.pool.run_batch(
                     [spec], timeout_s=self.batch_timeout_s
-                )
-                out = outcomes[seq]
-                if self._after_batch():
-                    entry.resident_generation = -1
-            if out.expired:
-                record.status = "expired"
-                record.error = f"deadline of {deadline_s}s exceeded"
-                self.metrics.add(record)
-                raise DeadlineExceeded(
-                    f"solve {job_id!r} missed its {deadline_s}s deadline"
-                )
+                )[seq]
+                # A heal bumps the pool generation: residency is lost.
+                self._pool_settled(settle(self.pool, self.policy))
+            expired = out.expired
             if out.ok:
                 record.run_s = out.wall_s
                 record.batch_size = 1
@@ -429,16 +428,16 @@ class FactorService:
                     record.error = str(exc)
             else:
                 record.error = out.error or "aborted"
+        if x_perm is None and not expired:
+            expired = deadline is not None and time.monotonic() > deadline
+        if expired:
+            exc = self._expire(record, f"solve {job_id!r}", deadline_s)
+            self.metrics.add(record)
+            raise exc
         if x_perm is None:
             # Sequential fallback on the retained factor — the same
             # block substitution the distributed sweep mirrors, so the
             # answer is bitwise-identical to a clean warm solve.
-            if deadline is not None and time.monotonic() > deadline:
-                record.status = "expired"
-                self.metrics.add(record)
-                raise DeadlineExceeded(
-                    f"solve {job_id!r} missed its {deadline_s}s deadline"
-                )
             t_seq = time.monotonic()
             from repro.numeric.solve import block_solve_permuted
 
@@ -571,7 +570,7 @@ class FactorService:
                 entry, record.cache, A_full = self._resolve_entry(
                     queued.job, record, protect
                 )
-                values = self._job_values(queued.job, entry, A_full)
+                A_perm = self._job_matrix(queued.job, entry, A_full)
             except _PER_JOB_ERRORS as exc:
                 record.status = "failed"
                 record.error = str(exc)
@@ -584,94 +583,63 @@ class FactorService:
             ):
                 plan = self.fault_plan
             self._dispatched += 1
-            prepared.append(_Prep(queued, entry, record, values, plan))
-        if not self.breaker.allow():
-            # Breaker open: don't touch the pool; every job runs on the
-            # sequential fallback — degraded but correct.
-            for p in prepared:
-                p.record.batch_size = len(prepared)
-                self._run_sequential(p)
-            self._release_evictions()
-            return
-        # A pool that healed onto a shrunken crew during an earlier batch
-        # grows back to its configured width here — between batches is
-        # the only safe point. The restart clears ``seen_patterns``, so
-        # contexts re-ship lazily and ``_sync_plan`` re-plans owners for
-        # the restored width exactly as it re-planned for the shrink.
-        # ``_pool_lock`` keeps concurrent :meth:`solve` dispatches out of
-        # the pool while a factor batch is in flight (and vice versa).
-        with self._pool_lock:
-            if (
-                self.pool.running
-                and self.pool.nprocs < self.pool.configured_nprocs
-            ):
-                self.pool.regrow()
-            # Bounded parallel attempts: jobs that fail on a broken pool
-            # are re-dispatched on the crew ``_after_batch`` healed (fresh
-            # seqs; contexts re-ship because the new crew never saw them;
-            # owners re-planned for its width).
-            pending = prepared
-            attempt = 0
-            while pending and attempt < self.max_job_attempts:
-                specs = self._make_specs(pending, attempt)
-                outcomes = self.pool.run_batch(
-                    specs, timeout_s=self.batch_timeout_s
-                )
-                self._after_batch()
-                attempt += 1
-                retry = []
-                for p in pending:
-                    out = outcomes[p.seq]
-                    p.record.attempts = attempt
-                    if out.ok:
-                        p.record.outcome = (
-                            OUTCOME_CLEAN if attempt == 1
-                            else OUTCOME_RECOVERED
-                        )
-                        p.record.batch_size = len(specs)
-                        self._finish_job(p.queued, p.entry, p.record, out)
-                    elif out.expired or p.queued.job.expired:
-                        self._finish_expired(p.queued, p.record)
+            prepared.append(_Prep(queued, entry, record, A_perm, plan))
+        # Breaker open: don't touch the pool; every job runs on the
+        # sequential last resort — degraded but correct.
+        spent = prepared
+        if self.breaker.allow():
+            spent = []
+            # ``_pool_lock`` keeps concurrent :meth:`solve` dispatches out
+            # of the pool while a factor batch is in flight (and vice
+            # versa).
+            with self._pool_lock:
+                # A pool that healed onto a shrunken crew during an
+                # earlier batch grows back to its configured width here —
+                # between batches is the only safe point. The loop
+                # re-plans owners for the restored width exactly as it
+                # re-planned for the shrink.
+                if (
+                    self.pool.running
+                    and self.pool.nprocs < self.pool.configured_nprocs
+                ):
+                    self.pool.regrow()
+                for p in recover(
+                    self.pool, prepared, self._make_specs, self.policy,
+                    self.batch_timeout_s, self._pool_settled,
+                ):
+                    if p.finished:
+                        self._finish_job(p)  # released under the lock
                     else:
-                        p.record.error = out.error or "aborted"
-                        retry.append(p)
-                pending = retry
-                if pending and not self.breaker.allow():
-                    break  # the breaker tripped mid-loop: stop probing
-        # Attempts exhausted (or breaker open): per-job sequential
-        # fallback, the always-correct last resort.
-        for p in pending:
-            self._run_sequential(p)
+                        spent.append(p)
+        for p in spent:
+            self._finish_job(p)
         self._release_evictions()
 
-    def _after_batch(self) -> bool:
-        """Settle accounts with the pool after a ``run_batch`` (call with
-        ``_pool_lock`` held). The pool only reports breakage; the service
-        is the caller that wants a new crew, so it heals here — onto the
-        ``P - f`` survivors — and tells the breaker. Returns whether the
-        batch broke the pool."""
-        if self.pool.last_error is None:
+    def _pool_settled(self, healed: bool) -> bool:
+        """Tell the breaker how a ``run_batch`` left the pool (call with
+        ``_pool_lock`` held, after :func:`~repro.runtime.recovery.settle`,
+        so the cooldown counts from when the new crew is up). Answers
+        whether the pool may run a retry: only while the breaker is
+        closed — a half-open probe is a whole batch, never a retry."""
+        if healed:
+            self.metrics.count_pool_restart()
+            self.breaker.record_failure()
+        else:
             self.breaker.record_success()
-            return False
-        # Heal first: the breaker's cooldown counts from when the new
-        # crew is up, not from when the old one broke.
-        self.pool.heal()
-        self.metrics.count_pool_restart()
-        self.breaker.record_failure()
-        return True
+        return self.breaker.state == CircuitBreaker.CLOSED
 
     def _make_specs(self, pending: list[_Prep], attempt: int) -> list[PoolJob]:
-        """Pool specs for one parallel attempt (fresh seqs each time)."""
+        """Pool specs for one parallel attempt (fresh seqs each time;
+        contexts re-ship when a healed crew never saw them)."""
         specs = []
         last_on_arena: dict[str, int] = {}
         for p in pending:
-            entry = p.entry
-            self._sync_plan(entry)
-            p.seq = next(self._seq)
+            entry = p.plan
+            p.record.batch_size = len(pending)
             spec = PoolJob(
-                seq=p.seq,
+                seq=next(self._seq),
                 pattern_id=entry.pattern_id,
-                values=p.values,
+                values=p.A.data,
                 context=(
                     entry.context()
                     if entry.pattern_id not in self.pool.seen_patterns
@@ -685,7 +653,7 @@ class FactorService:
                 fault_plan=p.fault_plan if attempt == 0 else None,
             )
             if entry.arena is not None:
-                last_on_arena[entry.pattern_id] = p.seq
+                last_on_arena[entry.pattern_id] = spec.seq
             if spec.context is not None:
                 # run_batch records it too, but later jobs in *this* loop
                 # must already see the pattern as shipped.
@@ -698,99 +666,16 @@ class FactorService:
             spec.announce = spec.seq in waited_on
         return specs
 
-    def _sync_plan(self, entry: PatternEntry) -> None:
-        """Re-plan the entry's owners when the pool healed to a
-        different crew size (the arena layout is crew-size-independent,
-        so only the plan changes; the context re-ships regardless
-        because the restarted pool cleared ``seen_patterns``)."""
-        planned = entry.planned_nprocs or self.nprocs
-        if planned == self.pool.nprocs:
-            return
-        entry.owners, entry.mapping_name = plan_owners(
-            entry.tg.workmodel, entry.tg, self.pool.nprocs,
-            self.config.mapping, self.config.use_domains,
-        )
-        entry.planned_nprocs = self.pool.nprocs
-        # Any stale shipped context described the old owners.
-        self.pool.evict([entry.pattern_id])
-
-    def _run_sequential(self, p: _Prep) -> None:
-        """Per-job sequential fallback: always correct (bitwise equal to
-        the parallel factor), never parallel."""
-        from repro.numeric import BlockCholesky
-
-        if p.queued.job.expired:
-            self._finish_expired(p.queued, p.record)
-            return
-        t0 = time.monotonic()
-        try:
-            A_perm = sparse.csc_matrix(
-                (p.values, p.entry.symbolic.A.indices,
-                 p.entry.symbolic.A.indptr),
-                shape=p.entry.shape,
-            )
-            factor = BlockCholesky(p.entry.structure, A_perm).factor()
-            L = factor.to_csc()
-        except Exception as exc:  # noqa: BLE001 - typed per-job failure
-            p.record.status = "failed"
-            p.record.error = f"sequential fallback failed: {exc!r}"
-            self._finish_failed(
-                p.queued,
-                JobFailed(p.queued.job.job_id, p.record.error),
-                p.record,
-            )
-            return
-        # The sequential factor is still the pattern's latest factor —
-        # retain it for solve fallbacks — but no pool worker holds it, so
-        # residency is explicitly cleared.
-        p.entry.last_factor = factor
-        p.entry.resident_generation = -1
-        p.record.outcome = OUTCOME_DEGRADED
-        p.record.status = "ok"
-        p.record.error = ""
-        p.record.run_s = time.monotonic() - t0
-        p.record.e2e_s = time.monotonic() - p.queued.job.submitted_at
-        metrics = RuntimeMetrics(
-            nprocs=1,
-            wall_s=p.record.run_s,
-            workers=[],
-            mapping=SEQUENTIAL_MAPPING,
-            problem=p.entry.pattern_id,
-        )
-        metrics.extra["service"] = {
-            "job_id": p.record.job_id,
-            "cache": p.record.cache,
-            "batch_size": p.record.batch_size,
-            "queue_wait_s": p.record.queue_wait_s,
-            "outcome": p.record.outcome,
-        }
-        result = JobResult(
-            job_id=p.queued.job.job_id,
-            pattern_id=p.entry.pattern_id,
-            cache=p.record.cache,
-            L=L,
-            perm=p.entry.perm,
-            factor=factor,
-            metrics=metrics,
-            record=p.record,
-        )
-        self.metrics.add(p.record)
-        self._retire(p.queued.job.job_id, result)
-        p.queued.handle.set_result(result)
+    @staticmethod
+    def _expire(record: JobRecord, what: str, deadline_s) -> DeadlineExceeded:
+        record.status = "expired"
+        record.error = f"deadline of {deadline_s}s exceeded"
+        return DeadlineExceeded(f"{what} missed its {deadline_s}s deadline")
 
     def _finish_expired(self, queued, record: JobRecord) -> None:
-        record.status = "expired"
-        record.error = (
-            f"deadline of {queued.job.deadline_s}s exceeded"
-        )
-        self._finish_failed(
-            queued,
-            DeadlineExceeded(
-                f"job {queued.job.job_id!r} missed its "
-                f"{queued.job.deadline_s}s deadline"
-            ),
-            record,
-        )
+        job = queued.job
+        exc = self._expire(record, f"job {job.job_id!r}", job.deadline_s)
+        self._finish_failed(queued, exc, record)
 
     # -- pattern resolution --------------------------------------------
     def _resolve_entry(self, job: FactorJob, record: JobRecord, protect):
@@ -859,10 +744,12 @@ class FactorService:
             orig_indices=A.indices.copy(),
             arena=arena,
             config=cfg,
+            planned_nprocs=cfg.nprocs,
         )
 
-    def _job_values(self, job, entry: PatternEntry, A_full) -> np.ndarray:
-        """The permuted csc data array the workers factor."""
+    def _job_matrix(self, job, entry: PatternEntry, A_full):
+        """The permuted csc matrix the job factors (the workers get its
+        data array; its pattern is the entry's ``symbolic.A``)."""
         from repro.ordering import permute_spd
 
         if A_full is None:
@@ -884,7 +771,7 @@ class FactorService:
         # Same deterministic permutation the cold path took — the warm
         # factor stays bitwise identical to a cold factor() of the same
         # values.
-        return permute_spd(A_full, entry.perm).data
+        return permute_spd(A_full, entry.perm)
 
     # -- completion -----------------------------------------------------
     def _retire(self, job_id: str, result: JobResult | None = None) -> None:
@@ -900,40 +787,64 @@ class FactorService:
                 while len(self._completed) > self._dedup_capacity:
                     self._completed.popitem(last=False)
 
-    def _finish_job(self, queued, entry, record, outcome) -> None:
-        if not outcome.ok:
-            detail = outcome.error or "aborted"
-            record.status = "failed"
-            record.error = detail
-            self._finish_failed(
-                queued, JobFailed(queued.job.job_id, detail), record
-            )
+    def _finish_job(self, p: _Prep) -> None:
+        """Release a job as the recovery loop left it (or, with the
+        breaker open, never saw it): assemble the parallel factor or run
+        the sequential last resort, and answer the handle. The record's
+        ``outcome`` / ``attempts`` / ``error`` are read off the job's
+        :class:`~repro.runtime.recovery.FailureReport`."""
+        queued, entry, record, rep = p.queued, p.plan, p.record, p.report
+        ok = p.finished
+        record.attempts = len(rep.attempts) + ok
+        if not ok and (
+            queued.job.expired
+            or (p.outcome is not None and p.outcome.expired)
+        ):
+            self._finish_expired(queued, record)
             return
-        record.run_s = outcome.wall_s
         t0 = time.monotonic()
+        trace = None
         try:
-            factor, _, metrics, trace = self._outcome_result(
-                outcome, entry, record, want_factor=True
-            )
+            if ok:
+                record.run_s = p.outcome.wall_s
+                factor, _, metrics, trace = self._outcome_result(
+                    p.outcome, entry, record, want_factor=True
+                )
+            else:
+                try:
+                    factor, metrics = last_resort(p)
+                except Exception as exc:  # noqa: BLE001 - typed per-job failure
+                    # Its error (``LinAlgError`` for a matrix that is not
+                    # positive definite) is the job's canonical one.
+                    raise JobFailed(
+                        queued.job.job_id,
+                        f"sequential fallback failed: {exc!r}",
+                    ) from exc
+                record.run_s = metrics.wall_s
+                metrics.problem = entry.pattern_id
+                self._tag_metrics(metrics, record)
+                t0 = time.monotonic()  # assembly starts here
             L = factor.to_csc()
-            if self.validate:
-                self._validate(queued.job, entry, L)
-        except (ValidationFailed, FanoutError) as exc:
+            if ok and self.validate:
+                self._validate(queued.job.job_id, entry, p.A, L)
+        except (JobFailed, FanoutError) as exc:
             # A gather that does not cover every block fails the job like
             # a failed validation: never release a factor with holes.
-            record.status = "failed"
-            record.error = str(exc)
             if isinstance(exc, FanoutError):
                 exc = JobFailed(queued.job.job_id, str(exc))
+            record.status = "failed"
+            record.error = exc.detail
             self._finish_failed(queued, exc, record)
             return
+        record.outcome = rep.outcome
         record.assemble_s = time.monotonic() - t0
         record.e2e_s = time.monotonic() - queued.job.submitted_at
         # Retain the factor for solve requests: the driver-side copy is
-        # the sequential fallback, and the pool workers that just ran the
-        # job keep their blocks resident for warm distributed solves.
+        # the sequential fallback, and the pool workers that ran the job
+        # keep their blocks resident for warm distributed solves (no
+        # worker holds a last-resort factor).
         entry.last_factor = factor
-        entry.resident_generation = self.pool.generation
+        entry.resident_generation = self.pool.generation if ok else -1
         result = JobResult(
             job_id=queued.job.job_id,
             pattern_id=entry.pattern_id,
@@ -949,17 +860,11 @@ class FactorService:
         self._retire(queued.job.job_id, result)
         queued.handle.set_result(result)
 
-    def _validate(self, job, entry: PatternEntry, L) -> None:
+    def _validate(self, job_id, entry: PatternEntry, A_perm, L) -> None:
         """Bitwise check against the sequential baseline (the runtime's
         determinism makes exact equality the correct bar)."""
         from repro.numeric import BlockCholesky
 
-        A_perm = sparse.csc_matrix(
-            (self._job_values(job, entry,
-                              job.A if job.A is not None else None),
-             entry.symbolic.A.indices, entry.symbolic.A.indptr),
-            shape=entry.shape,
-        )
         ref = BlockCholesky(entry.structure, A_perm).factor().to_csc()
         same = (
             np.array_equal(L.indptr, ref.indptr)
@@ -968,7 +873,7 @@ class FactorService:
         )
         if not same:
             raise ValidationFailed(
-                job.job_id,
+                job_id,
                 "parallel factor differs bitwise from the sequential "
                 "baseline",
             )
@@ -985,13 +890,17 @@ class FactorService:
             config=entry.config,
             problem=entry.pattern_id,
         )
+        self._tag_metrics(metrics, record)
+        return factor, solution, metrics, trace
+
+    @staticmethod
+    def _tag_metrics(metrics, record: JobRecord) -> None:
         metrics.extra["service"] = {
             "job_id": record.job_id,
             "cache": record.cache,
             "batch_size": record.batch_size,
             "queue_wait_s": record.queue_wait_s,
         }
-        return factor, solution, metrics, trace
 
     def _finish_failed(self, queued, exc, record) -> None:
         self.metrics.add(record)

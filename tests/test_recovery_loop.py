@@ -1,0 +1,351 @@
+"""The recovery loop on a scripted pool: no process is spawned.
+
+``ScriptedPool`` is a real :class:`WorkerPool` whose crew is imaginary —
+``start`` / ``close`` only count generations, ``run_batch`` replays the
+next scripted step — so ``heal`` / ``restart`` do their real arithmetic
+and :func:`recover` sees exactly the surface it uses in production:
+``run_batch``, ``heal``, ``nprocs``, ``last_error``, ``dead_ranks``.
+"""
+
+import logging
+
+import numpy as np
+import pytest
+
+from repro.config import RunConfig
+from repro.numeric import BlockCholesky
+from repro.runtime import wire
+from repro.runtime.metrics import WorkerMetrics
+from repro.runtime.pool import JobOutcome, PoolJob, WorkerPool
+from repro.runtime.recovery import (
+    OwnerPlan,
+    RecoveryJob,
+    RecoveryPolicy,
+    last_resort,
+    recover,
+    settle,
+)
+from repro.runtime.worker import WorkerResult
+
+ONE_SHOT = dict(raising_rank_is_casualty=True)
+RESIDENT = dict(raising_rank_is_casualty=False)
+
+
+class ScriptedPool(WorkerPool):
+    def __init__(self, nprocs, *script):
+        super().__init__(nprocs)
+        self.script = list(script)
+        self.dead = []
+        self.batches = []  # (crew width, [seq, ...]) per run_batch
+        self.start()
+
+    def start(self):
+        self.generation += 1
+        self.dead = []
+        return self
+
+    def close(self):
+        pass
+
+    def dead_ranks(self):
+        return list(self.dead)
+
+    def run_batch(self, jobs, timeout_s=300.0):
+        self.last_error = None
+        self.batches.append((self.nprocs, [j.seq for j in jobs]))
+        return self.script.pop(0)(self, jobs)
+
+
+def _result(rank, error=None, error_type=None, frames=(), aborted=False):
+    m = WorkerMetrics(rank=rank)
+    m.error, m.error_type, m.aborted = error, error_type, aborted
+    return WorkerResult(rank, m, list(frames))
+
+
+def ok(pool, jobs):
+    return {
+        j.seq: JobOutcome(
+            j.seq, {r: _result(r) for r in range(pool.nprocs)}, wall_s=0.01
+        )
+        for j in jobs
+    }
+
+
+def raising(rank=1, error_type="RuntimeError", frames=()):
+    """Rank ``rank`` raises; its peers abort. Every process stays alive."""
+
+    def step(pool, jobs):
+        text = f"Traceback ...\n{error_type}: boom on {rank}"
+        return {
+            j.seq: JobOutcome(
+                j.seq,
+                {
+                    r: _result(r, text, error_type, frames) if r == rank
+                    else _result(r, aborted=True)
+                    for r in range(pool.nprocs)
+                },
+                error=text, aborted=True, failed_ranks=[rank],
+            )
+            for j in jobs
+        }
+
+    return step
+
+
+def died(rank=1):
+    """Rank ``rank``'s process dies without reporting."""
+
+    def step(pool, jobs):
+        pool.dead = [rank]
+        pool.last_error = f"pool worker process(es) died: ['w{rank}']"
+        return {
+            j.seq: JobOutcome(
+                j.seq, {0: _result(0, aborted=True)},
+                error=pool.last_error, aborted=True, failed_ranks=[rank],
+            )
+            for j in jobs
+        }
+
+    return step
+
+
+def stalled(pool, jobs):
+    """The batch timed out with every process alive."""
+    pool.last_error = "pool batch timeout after 1s: 1 job(s) incomplete"
+    return {
+        j.seq: JobOutcome(
+            j.seq, {}, error=pool.last_error, aborted=True,
+            failed_ranks=list(range(pool.nprocs)),
+        )
+        for j in jobs
+    }
+
+
+def expired(pool, jobs):
+    return {
+        j.seq: JobOutcome(
+            j.seq, {r: _result(r, aborted=True) for r in range(pool.nprocs)},
+            error=f"job {j.seq} deadline exceeded", aborted=True, expired=True,
+        )
+        for j in jobs
+    }
+
+
+@pytest.fixture
+def make_job(grid12_pipeline):
+    _, sf, _, bs, _, tg = grid12_pipeline
+
+    def make(label="j", nprocs=4):
+        plan = OwnerPlan(bs, tg, RunConfig(nprocs=nprocs, mapping="DW/CY"))
+        return RecoveryJob(plan, sf.A, label)
+
+    return make
+
+
+def _run(pool, jobs, attempts, settled=None, **policy):
+    seqs = iter(range(1000))
+
+    def specs(pending, attempt):
+        for job in pending:
+            # the loop planned owners for this crew before asking for specs
+            assert job.plan.planned_nprocs == pool.nprocs
+            assert int(job.plan.owners.max()) < pool.nprocs
+        return [PoolJob(next(seqs), "p", None) for _ in pending]
+
+    return list(recover(
+        pool, jobs, specs, RecoveryPolicy(attempts=attempts, **policy),
+        60.0, settled,
+    ))
+
+
+class TestBudgetAndOutcomes:
+    def test_clean_first_attempt(self, make_job):
+        pool = ScriptedPool(4, ok)
+        (job,) = _run(pool, [make_job()], 3, **ONE_SHOT)
+        rep = job.report
+        assert job.finished and rep.outcome == "clean"
+        assert (rep.restarts, rep.final_nprocs, rep.attempts) == (0, 4, [])
+        assert pool.generation == 1 and len(pool.batches) == 1
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_ok_on_attempt_k_is_recovered(self, make_job, k, caplog):
+        caplog.set_level(logging.INFO, logger="repro.runtime.recovery")
+        pool = ScriptedPool(4, *[raising()] * k, ok)
+        (job,) = _run(pool, [make_job("J7")], 3, **RESIDENT)
+        rep = job.report
+        assert job.finished and rep.outcome == "recovered"
+        assert rep.restarts == k == len(rep.attempts)
+        assert [a.attempt for a in rep.attempts] == list(range(k))
+        assert "RuntimeError: boom on 1" in rep.attempts[0].error
+        infos = [r for r in caplog.records if r.levelno == logging.INFO]
+        assert len(infos) == 1 and "J7 recovered" in infos[0].getMessage()
+
+    def test_budget_exhausted_goes_to_the_last_resort(
+        self, make_job, grid12_pipeline, caplog
+    ):
+        caplog.set_level(logging.INFO, logger="repro.runtime.recovery")
+        _, sf, _, bs, _, _ = grid12_pipeline
+        pool = ScriptedPool(4, raising(), raising())
+        (job,) = _run(pool, [make_job("J1")], 2, **RESIDENT)
+        rep = job.report
+        assert not job.finished and not job.outcome.expired
+        assert rep.outcome == "degraded_sequential" and not rep.ok
+        assert (len(rep.attempts), rep.restarts, rep.final_nprocs) == (2, 2, 4)
+        assert len(pool.batches) == 2
+        factor, metrics = last_resort(job)
+        ref = BlockCholesky(bs, sf.A).factor().to_csc()
+        assert np.array_equal(factor.to_csc().data, ref.data)
+        assert metrics.mapping == "sequential-fallback"
+        assert (rep.final_nprocs, rep.restarts, rep.degraded) == (1, 2, True)
+        warnings = [
+            r.getMessage() for r in caplog.records
+            if r.levelno == logging.WARNING
+        ]
+        # one per failed attempt, one for the fallback; nothing healed
+        assert len(warnings) == 3
+        assert "J1: attempt 0 (P=4) failed [ranks [1]]" in warnings[0]
+        assert "salvaged 0 blocks: RuntimeError: boom on 1" in warnings[0]
+        assert "J1: sequential fallback after 2 failed" in warnings[2]
+
+    def test_expired_is_never_retried(self, make_job):
+        pool = ScriptedPool(4, expired)
+        (job,) = _run(pool, [make_job()], 3, **RESIDENT)
+        assert not job.finished and job.outcome.expired
+        assert len(pool.batches) == 1 and len(job.report.attempts) == 1
+        assert pool.generation == 1
+
+    @pytest.mark.parametrize("policy", [ONE_SHOT, RESIDENT])
+    def test_deterministic_error_gets_one_attempt_and_no_heal(
+        self, make_job, policy
+    ):
+        pool = ScriptedPool(4, raising(error_type="LinAlgError"))
+        (job,) = _run(pool, [make_job()], 3, **policy)
+        rep = job.report
+        assert not job.finished and rep.outcome == "degraded_sequential"
+        assert len(pool.batches) == 1 and len(rep.attempts) == 1
+        assert (pool.generation, pool.nprocs, rep.final_nprocs) == (1, 4, 4)
+        assert job.failure.failed_ranks == [1]
+
+    def test_a_batch_sorts_each_job_on_its_own(self, make_job):
+        a, b, c = make_job("a"), make_job("b"), make_job("c")
+
+        def mixed(pool, jobs):
+            out = ok(pool, jobs[:1])
+            out.update(raising()(pool, jobs[1:2]))
+            out.update(expired(pool, jobs[2:]))
+            return out
+
+        pool = ScriptedPool(4, mixed, ok)
+        left = _run(pool, [a, b, c], 2, **RESIDENT)
+        # a and c leave after the first attempt, b after its retry
+        assert [j.label for j in left] == ["a", "c", "b"]
+        assert [len(seqs) for _, seqs in pool.batches] == [3, 1]
+        assert (a.report.outcome, b.report.outcome) == ("clean", "recovered")
+        assert c.outcome.expired and not c.finished
+
+
+class TestHarvest:
+    def test_corrupt_frame_skipped_duplicate_kept_once(
+        self, make_job, grid12_pipeline
+    ):
+        _, sf, _, bs, _, tg = grid12_pipeline
+        seq = BlockCholesky(bs, sf.A).factor()
+
+        def frame(b, src=1):
+            I, J = int(tg.block_I[b]), int(tg.block_J[b])
+            arr = seq.diag[J] if I == J else seq.below[J][I]
+            return wire.pack_block(src, b, I, J, arr)
+
+        corrupt = bytearray(frame(1))
+        corrupt[-1] ^= 0xFF
+        stray = wire.pack_block(1, tg.nblocks + 5, 0, 0, np.eye(2))
+        frames = [
+            frame(0), frame(0, src=2), bytes(corrupt), stray, b"junk", frame(2),
+        ]
+        pool = ScriptedPool(
+            4, raising(frames=frames), raising(frames=[frame(0, src=3)])
+        )
+        (job,) = _run(pool, [make_job()], 2, **RESIDENT)
+        assert sorted(job.checkpoint) == [0, 2]
+        assert job.checkpoint[0] == frame(0)
+        assert [a.checkpoint_blocks for a in job.report.attempts] == [2, 0]
+        assert job.report.checkpoint_blocks_used == 2
+
+
+class TestCrewShrinkRule:
+    def test_raising_rank_shrinks_a_one_shot_crew(self, make_job, caplog):
+        caplog.set_level(logging.WARNING, logger="repro.runtime.recovery")
+        pool = ScriptedPool(4, raising(), ok)
+        (job,) = _run(pool, [make_job()], 3, **ONE_SHOT)
+        assert job.report.outcome == "recovered"
+        assert [w for w, _ in pool.batches] == [4, 3]
+        assert (pool.generation, job.report.final_nprocs) == (2, 3)
+        heals = [r.getMessage() for r in caplog.records if "healed" in r.msg]
+        assert len(heals) == 1 and "4 -> 3 workers (generation 2)" in heals[0]
+
+    def test_raising_rank_stays_in_a_resident_crew(self, make_job):
+        pool = ScriptedPool(4, raising(), ok)
+        (job,) = _run(pool, [make_job()], 3, **RESIDENT)
+        assert job.report.outcome == "recovered"
+        assert [w for w, _ in pool.batches] == [4, 4]
+        assert pool.generation == 1
+
+    @pytest.mark.parametrize("policy", [ONE_SHOT, RESIDENT])
+    def test_dead_process_shrinks_either_crew(self, make_job, policy):
+        pool = ScriptedPool(4, died(1), ok)
+        (job,) = _run(pool, [make_job()], 3, **policy)
+        assert [w for w, _ in pool.batches] == [4, 3]
+        assert job.report.attempts[0].failed_ranks == [1]
+        assert "died" in job.report.attempts[0].error
+
+    def test_stall_restarts_a_resident_crew_at_the_same_width(self, make_job):
+        pool = ScriptedPool(4, stalled, ok)
+        (job,) = _run(pool, [make_job()], 3, **RESIDENT)
+        assert [w for w, _ in pool.batches] == [4, 4]
+        assert pool.generation == 2 and job.report.outcome == "recovered"
+
+    def test_no_ranks_are_shed_for_an_attempt_that_will_not_follow(
+        self, make_job
+    ):
+        """Budget spent: a one-shot crew that merely saw a rank raise is
+        left alone; a broken pool is replaced whatever follows (a
+        resident crew serves the next batch)."""
+        pool = ScriptedPool(4, raising())
+        _run(pool, [make_job()], 1, **ONE_SHOT)
+        assert (pool.generation, pool.nprocs) == (1, 4)
+        pool = ScriptedPool(4, died(2))
+        _run(pool, [make_job()], 1, **RESIDENT)
+        assert (pool.generation, pool.nprocs) == (2, 3)
+
+    def test_settle_alone(self):
+        """What ``FactorService.solve`` calls after its one-job batch."""
+        policy = RecoveryPolicy(attempts=1, **RESIDENT)
+        pool = ScriptedPool(2, ok)
+        assert settle(pool, policy) is False and pool.generation == 1
+        died(1)(pool, [])
+        assert settle(pool, policy) is True
+        assert (pool.generation, pool.nprocs) == (2, 1)
+
+
+class TestCallerStop:
+    def test_stop_predicate_is_honoured_between_attempts(self, make_job):
+        heard = []
+
+        def settled(healed):
+            heard.append(healed)
+            return False
+
+        pool = ScriptedPool(4, died(1), ok)
+        (job,) = _run(pool, [make_job()], 3, settled, **RESIDENT)
+        assert heard == [True]
+        assert len(pool.batches) == 1 and not job.finished
+        assert job.report.outcome == "degraded_sequential"
+        # the crew was still replaced: the pool is fit for the next batch
+        assert (pool.generation, pool.nprocs) == (2, 3)
+
+    def test_predicate_hears_every_attempt(self, make_job):
+        heard = []
+        pool = ScriptedPool(4, raising(), died(1), ok)
+        _run(pool, [make_job()], 3, lambda h: heard.append(h) or True,
+             **RESIDENT)
+        assert heard == [False, True, False]

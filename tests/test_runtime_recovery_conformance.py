@@ -1,0 +1,166 @@
+"""One recovery loop, two callers: the same scenarios through
+``run_with_recovery`` and through ``FactorService`` on the 12 x 12 grid.
+Per caller the table pins the outcome tag, the number of parallel
+attempts (``run_batch`` calls), the crew's final width and a factor
+bitwise equal to the sequential ``BlockCholesky``; and a restarted
+one-shot run opens one pool and at most one arena."""
+
+import numpy as np
+import pytest
+
+from repro.numeric import BlockCholesky
+from repro.runtime import FanoutError, run_with_recovery, shm_available
+from repro.runtime.arena import BlockArena
+from repro.runtime.faults import CrashSpec, FaultPlan
+from repro.runtime.pool import WorkerPool
+from repro.service import FactorService, JobFailed
+
+FAST = dict(
+    renegotiate_base_s=0.05, renegotiate_cap_s=0.5, max_renegotiations=6,
+    dead_grace_s=5.0, timeout_s=120.0, stall_timeout_s=15.0,
+)
+SOFT = FaultPlan(seed=0, crash=(CrashSpec(1, 1),))
+HARD = FaultPlan(seed=0, crash=(CrashSpec(1, 1, hard=True),))
+PERSISTENT = FaultPlan(seed=0, crash=(CrashSpec(1, 1, every_attempt=True),))
+
+#: scenario -> (fault plan, not SPD?, one-shot keywords, service keywords,
+#:              expected (tag, attempts, final width) one-shot / service)
+SCENARIOS = {
+    # a raising rank costs a one-shot crew that rank; a resident crew
+    # keeps it and only re-runs the job
+    "soft-crash": (SOFT, False, {}, {},
+                   ("recovered", 2, 1), ("recovered", 2, 2)),
+    "hard-kill": (HARD, False, {}, {},
+                  ("recovered", 2, 1), ("recovered", 2, 1)),
+    # budget of one attempt: the crew is left alone, the job degrades
+    "persistent-crash": (PERSISTENT, False,
+                         dict(max_restarts=0), dict(max_job_attempts=1),
+                         ("degraded_sequential", 1, 2),
+                         ("degraded_sequential", 1, 2)),
+    # deterministic: one parallel attempt, no heal, the last resort's
+    # LinAlgError is the error
+    "non-spd": (None, True, {}, {}, ("error", 1, 2), ("error", 1, 2)),
+}
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every ``WorkerPool`` constructed, with its ``run_batch`` count."""
+    seen = []
+    init, run_batch = WorkerPool.__init__, WorkerPool.run_batch
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.batches_run = 0
+        seen.append(self)
+
+    def counting_run_batch(self, *args, **kwargs):
+        self.batches_run += 1
+        return run_batch(self, *args, **kwargs)
+
+    monkeypatch.setattr(WorkerPool, "__init__", counting_init)
+    monkeypatch.setattr(WorkerPool, "run_batch", counting_run_batch)
+    return seen
+
+
+def _matrices(grid12_pipeline, not_spd):
+    """``(A, A_perm)``: the grid in client order and as permuted for the
+    prepared structure, optionally with one negative diagonal entry."""
+    problem, sf, _, _, _, _ = grid12_pipeline
+    A, A_perm = problem.A.tocsc().copy(), sf.A.tocsc().copy()
+    if not_spd:
+        perm = np.asarray(sf.ordering.perm)
+        A[perm[5], perm[5]] = A_perm[5, 5] = -4.0
+    return A, A_perm
+
+
+def _bitwise(L, ref):
+    return (
+        np.array_equal(L.indptr, ref.indptr)
+        and np.array_equal(L.indices, ref.indices)
+        and np.array_equal(L.data, ref.data)
+    )
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_one_shot(grid12_pipeline, pools, scenario):
+    plan, not_spd, kw, _, expected, _ = SCENARIOS[scenario]
+    _, sf, _, bs, _, tg = grid12_pipeline
+    _, A_perm = _matrices(grid12_pipeline, not_spd)
+    run = dict(nprocs=2, mapping="DW/CY", fault_plan=plan, **FAST, **kw)
+    if not_spd:
+        with pytest.raises(np.linalg.LinAlgError, match="not positive"):
+            run_with_recovery(bs, A_perm, tg, **run)
+        # the report rides on the typed error when nothing stands in
+        with pytest.raises(FanoutError, match="LinAlgError") as info:
+            run_with_recovery(
+                bs, A_perm, tg, fallback_sequential=False, **run
+            )
+        rep = info.value.failure_report
+        assert (len(rep.attempts), rep.final_nprocs) == (1, 2)
+        tag = "error"
+    else:
+        res = run_with_recovery(bs, A_perm, tg, **run)
+        rep, tag = res.failure_report, res.failure_report.outcome
+        assert len(rep.attempts) + rep.ok == expected[1]
+        ref = BlockCholesky(bs, A_perm).factor().to_csc()
+        assert _bitwise(res.to_csc(), ref)
+    assert [p.batches_run for p in pools] == [expected[1]] * len(pools)
+    assert (tag, pools[0].batches_run, pools[0].nprocs) == expected
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_service(grid12_pipeline, pools, scenario):
+    plan, not_spd, _, kw, _, expected = SCENARIOS[scenario]
+    _, sf, _, bs, _, _ = grid12_pipeline
+    A, A_perm = _matrices(grid12_pipeline, not_spd)
+    with FactorService(
+        nprocs=2, ordering=np.asarray(sf.ordering.perm), block_size=8,
+        mapping="DW/CY", fault_plan=plan, fault_jobs=(0,),
+        batch_timeout_s=120, stall_timeout_s=10.0, **kw,
+    ) as svc:
+        if not_spd:
+            with pytest.raises(JobFailed, match="not positive definite"):
+                svc.factor(A)
+            tag = "error"
+            assert svc.metrics.pool_restarts == 0
+            assert svc.pool.generation == 1
+            assert svc.breaker.to_dict()["consecutive_failures"] == 0
+        else:
+            r = svc.factor(A)
+            tag = r.record.outcome
+            ref = BlockCholesky(bs, A_perm).factor().to_csc()
+            assert _bitwise(r.L, ref)
+        record = svc.metrics.records[-1]
+        assert record.attempts == expected[1]
+        (pool,) = pools
+        assert (tag, pool.batches_run, pool.nprocs) == expected
+
+
+@pytest.mark.parametrize("transport", ["inline", "shm"])
+def test_two_restarts_share_one_pool_and_one_arena(
+    grid12_pipeline, pools, monkeypatch, transport
+):
+    if transport == "shm" and not shm_available():
+        pytest.skip("no POSIX shared memory")
+    arenas = []
+    create = BlockArena.create
+    monkeypatch.setattr(
+        BlockArena, "create",
+        classmethod(lambda cls, tg: arenas.append(create(tg)) or arenas[-1]),
+    )
+    _, sf, _, bs, _, tg = grid12_pipeline
+    # Rank 2 raises on every attempt it exists in: P = 4, 3, then 2.
+    plan = FaultPlan(seed=0, crash=(CrashSpec(2, 1, every_attempt=True),))
+    res = run_with_recovery(
+        bs, sf.A, tg, nprocs=4, mapping="DW/CY", transport=transport,
+        fault_plan=plan, **FAST,
+    )
+    rep = res.failure_report
+    assert (rep.outcome, rep.restarts, rep.final_nprocs) == ("recovered", 2, 2)
+    assert [a.nprocs for a in rep.attempts] == [4, 3]
+    assert rep.checkpoint_blocks_used > 0
+    assert len(pools) == 1 and pools[0].generation == 3
+    assert len(arenas) == (1 if transport == "shm" else 0)
+    ref = BlockCholesky(bs, sf.A).factor().to_csc()
+    assert _bitwise(res.to_csc(), ref)
