@@ -2,15 +2,13 @@
 
 The runtime has one process lifecycle, :class:`repro.runtime.pool.WorkerPool`
 (spawn, link fabric, dispatch, collect, reap). ``run_mp_fanout`` is that
-lifecycle lived once: open a crew (:func:`one_shot_crew`), plan one job
-(:func:`one_shot_job`), ``run_batch`` it, and turn the
-:class:`~repro.runtime.pool.JobOutcome` into an :class:`MPRuntimeResult`
-(:func:`fanout_result`) — or into the typed :class:`FanoutError`
-(:func:`fanout_error`) that carries every salvaged ``WorkerResult`` and
-the ranks the failure is attributed to. :mod:`repro.runtime.recovery`
-runs several attempts through one crew with the same steps;
-:func:`outcome_result`, the assembly step, also serves the factorization
-service's jobs and warm solves.
+lifecycle lived once: open a crew (:func:`one_shot_crew`), plan one job,
+``run_batch`` it, and turn the :class:`~repro.runtime.pool.JobOutcome`
+into an :class:`MPRuntimeResult` — or into the typed :class:`FanoutError`
+that carries every salvaged ``WorkerResult`` and the ranks the failure is
+attributed to. :func:`~repro.runtime.recovery.run_with_recovery` runs its
+attempts through one such crew. :func:`outcome_result`, the assembly step,
+also serves the factorization service's jobs and warm solves.
 
 ``plan_owners`` turns the mapping names used everywhere else in the repo
 (``"cyclic"``, ``"DW/CY"``, ...) into a block ownership array, so the
@@ -194,122 +192,116 @@ def run_mp_fanout(
                 f"rhs must be ({A.shape[0]}, nrhs), got {rhs.shape}"
             )
 
-    with one_shot_crew(tg, config) as (pool, arena, transport, launch_s):
-        job = one_shot_job(
-            structure, A, tg, owners, config, arena, priorities=priorities,
-            fault_plan=fault_plan, rhs=rhs, recovery=recovery,
-            checkpoint=checkpoint, inject_failure=inject_failure,
+    with one_shot_crew(structure, A, tg, config) as (pool, make_job, finish):
+        job = make_job(
+            owners, priorities=priorities, fault_plan=fault_plan, rhs=rhs,
+            recovery=recovery, checkpoint=checkpoint,
+            inject_failure=inject_failure,
         )
         outcome = pool.run_batch([job], config.timeout_s)[0]
-        error = fanout_error(outcome, pool)
-    if error is not None:
-        raise error
-    return fanout_result(outcome, job, mapping, transport, launch_s)
+        return finish(outcome, job, mapping)
 
 
 @contextmanager
-def one_shot_crew(tg: TaskGraph, config: RunConfig):
-    """``(pool, arena, transport, launch_s)`` for one call: a started
-    pool of ``config.nprocs`` workers, its jobs' arena (None off the shm
-    transport) and the seconds the spawn took (a one-shot ``wall_s``
-    counts them). Every exit path reaps the children and unlinks the
-    arena."""
+def one_shot_crew(structure, A, tg, config: RunConfig):
+    """A crew of ``config.nprocs`` workers (plus the arena, on the shm
+    transport) serving one call; every exit path reaps the children and
+    unlinks the arena. Yields the started pool, ``make_job(owners,
+    **fields)`` — a :class:`PoolJob` of ``A`` that ships its pattern
+    context — and ``finish(outcome, job, mapping, report=None)`` — the
+    job's :class:`MPRuntimeResult`, or its typed :class:`FanoutError`
+    raised; ``report`` becomes the ``failure_report`` of either."""
+    # The very arrays the task graph's own reference to A holds (no copy
+    # for csc input), so the job pickles them once.
+    A = A.tocsc()
     transport = resolve_transport(config.transport, config.nprocs)
     arena = BlockArena.create(tg) if transport == "shm" else None
+    # wall_s counts from before the crew is spawned.
     epoch = time.perf_counter()
     # One-shot runs keep per-worker timelines; resident service jobs don't.
     pool = WorkerPool(config.nprocs, record_timeline=True)
+
+    def make_job(owners, priorities=None, seq=0, **fields) -> PoolJob:
+        return PoolJob(
+            seq=seq,
+            pattern_id="one-shot",
+            values=A.data,
+            context=PatternContext(
+                pattern_id="one-shot",
+                structure=structure,
+                tg=tg,
+                owners=owners,
+                priorities=priorities,
+                indptr=A.indptr,
+                indices=A.indices,
+                shape=A.shape,
+                arena_name=None if arena is None else arena.name,
+                config=config,
+            ),
+            trace_capacity=config.trace_capacity,
+            **fields,
+        )
+
+    def finish(outcome, job, mapping, report=None) -> MPRuntimeResult:
+        if not outcome.ok:
+            salvaged = dict(
+                results=outcome.results, failed_ranks=outcome.failed_ranks
+            )
+            if pool.last_error is not None:
+                # Told apart by looking at the crew as the job left it.
+                kind = (DeadWorkerError if pool.dead_ranks()
+                        else RuntimeTimeoutError)
+                error = kind(
+                    f"{pool.last_error}; {len(outcome.results)}/"
+                    f"{pool.nprocs} workers reported", **salvaged,
+                )
+            elif outcome.failed_ranks:
+                first = outcome.failed_ranks[0]
+                error = WorkerError(
+                    first, outcome.results[first].metrics.error, **salvaged
+                )
+            else:
+                error = FanoutError(outcome.error or "aborted", **salvaged)
+            error.failure_report = report
+            raise error
+        owners, rhs, plan = job.context.owners, job.rhs, job.fault_plan
+        attempt = int(plan.attempt) if plan is not None else 0
+        factor, solution, metrics, run_trace = outcome_result(
+            outcome, structure, tg, A, rhs, owners=owners,
+            wall_s=launch_s + outcome.wall_s, mapping=mapping,
+            transport=transport, config=config, attempt=attempt,
+        )
+        meta = {
+            "start_method": START_METHOD,
+            "recovery": job.recovery,
+            "checkpoint_blocks": len(job.checkpoint) if job.checkpoint else 0,
+            "transport": transport,
+            "schedule": config.schedule,
+            "block_policy": getattr(
+                structure.partition, "policy_name", "uniform"
+            ),
+        }
+        if rhs is not None:
+            meta["nrhs"] = int(rhs.shape[1])
+        return MPRuntimeResult(
+            factor=factor,
+            metrics=metrics,
+            owners=owners,
+            mapping=mapping,
+            meta=meta,
+            failure_report=report,
+            trace=run_trace,
+            solution=solution,
+        )
+
     try:
         pool.start()
-        yield pool, arena, transport, time.perf_counter() - epoch
+        launch_s = time.perf_counter() - epoch
+        yield pool, make_job, finish
     finally:
         pool.close()
         if arena is not None:
             arena.destroy()
-
-
-def one_shot_job(structure, A, tg, owners, config, arena, *, seq=0,
-                 priorities=None, **per_job) -> PoolJob:
-    """A one-shot run's :class:`PoolJob`; it always ships its pattern
-    context. ``per_job`` are :class:`PoolJob` fields."""
-    # The very arrays the task graph's own reference to A holds (no copy
-    # for csc input), so the job pickles them once.
-    A = A.tocsc()
-    return PoolJob(
-        seq=seq,
-        pattern_id="one-shot",
-        values=A.data,
-        context=PatternContext(
-            pattern_id="one-shot",
-            structure=structure,
-            tg=tg,
-            owners=owners,
-            priorities=priorities,
-            indptr=A.indptr,
-            indices=A.indices,
-            shape=A.shape,
-            arena_name=None if arena is None else arena.name,
-            config=config,
-        ),
-        trace_capacity=config.trace_capacity,
-        **per_job,
-    )
-
-
-def fanout_error(outcome: JobOutcome, pool: WorkerPool) -> FanoutError | None:
-    """The typed error of a failed job (None for a clean one), carrying
-    what was salvaged. Ask before the pool is healed or closed: a dead
-    process is told from a timeout by looking at the crew."""
-    if outcome.ok:
-        return None
-    salvaged = dict(
-        results=outcome.results, failed_ranks=outcome.failed_ranks
-    )
-    # The first failed rank is the cause; it raised if it reported an error.
-    first = outcome.results.get(outcome.failed_ranks[0]) if (
-        outcome.failed_ranks) else None
-    if first is not None and first.metrics.error is not None:
-        return WorkerError(first.rank, first.metrics.error, **salvaged)
-    if pool.last_error is not None:
-        kind = DeadWorkerError if pool.dead_ranks() else RuntimeTimeoutError
-        return kind(
-            f"{pool.last_error}; {len(outcome.results)}/{pool.nprocs} "
-            "workers reported", **salvaged,
-        )
-    return FanoutError(outcome.error or "aborted", **salvaged)
-
-
-def fanout_result(outcome: JobOutcome, job: PoolJob, mapping: str,
-                  transport: str, launch_s: float) -> MPRuntimeResult:
-    """The :class:`MPRuntimeResult` of a clean one-shot ``job``."""
-    ctx = job.context
-    attempt = int(job.fault_plan.attempt) if job.fault_plan is not None else 0
-    factor, solution, metrics, run_trace = outcome_result(
-        outcome, ctx.structure, ctx.tg, True, job.rhs, owners=ctx.owners,
-        wall_s=launch_s + outcome.wall_s, mapping=mapping,
-        transport=transport, config=ctx.config, attempt=attempt,
-    )
-    meta = {
-        "start_method": START_METHOD,
-        "recovery": job.recovery,
-        "checkpoint_blocks": len(job.checkpoint) if job.checkpoint else 0,
-        "transport": transport,
-        "schedule": ctx.config.schedule,
-        "block_policy": getattr(
-            ctx.structure.partition, "policy_name", "uniform"
-        ),
-    }
-    if job.rhs is not None:
-        meta["nrhs"] = int(job.rhs.shape[1])
-    return MPRuntimeResult(
-        factor=factor,
-        metrics=metrics,
-        owners=ctx.owners,
-        mapping=mapping,
-        meta=meta,
-        trace=run_trace,
-        solution=solution,
-    )
 
 
 def outcome_result(

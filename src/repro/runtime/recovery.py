@@ -26,6 +26,7 @@ import json
 import logging
 import time
 from dataclasses import asdict, dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import sparse
@@ -35,14 +36,7 @@ from repro.config import RunConfig
 from repro.fanout.tasks import TaskGraph
 from repro.numeric.blockfact import BlockCholesky
 from repro.runtime import wire
-from repro.runtime.engine import (
-    MPRuntimeResult,
-    fanout_error,
-    fanout_result,
-    one_shot_crew,
-    one_shot_job,
-    plan_owners,
-)
+from repro.runtime.engine import MPRuntimeResult, one_shot_crew, plan_owners
 from repro.runtime.faults import FaultPlan
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.pool import JobOutcome, WorkerPool
@@ -135,53 +129,27 @@ class FailureReport:
         return "\n".join(lines)
 
 
-@dataclass
-class OwnerPlan:
-    """One pattern's block map, as :func:`replan` keeps it (the service
-    passes its ``PatternEntry``, which has the same fields)."""
-
-    structure: BlockStructure
-    tg: TaskGraph
-    config: RunConfig
-    owners: np.ndarray | None = None
-    mapping_name: str = ""
-    planned_nprocs: int = 0
-
-
-def replan(plan, width: int) -> None:
-    """Plan ``plan.owners`` for a crew of ``width`` unless they already
-    are (an arena's layout does not depend on the width)."""
-    if plan.planned_nprocs != width:
-        plan.owners, plan.mapping_name = plan_owners(
-            plan.tg.workmodel, plan.tg, width,
-            plan.config.mapping, plan.config.use_domains,
-        )
-        plan.planned_nprocs = width
-
-
 class RecoveryJob:
     """One factorization on its way through :func:`recover`: the permuted
-    csc matrix ``A`` under ``plan`` and a ``label`` for the log — and
-    what the loop keeps: the ``report``, the ``checkpoint`` frames (by
-    block) and ``traces`` salvaged from failed attempts, and the last
-    attempt's ``spec``, ``outcome`` and, if it failed, typed ``failure``."""
+    csc matrix ``A``, a ``label`` for the log and the pattern's ``plan`` —
+    ``structure``, ``tg``, ``config`` and the ``owners`` /
+    ``mapping_name`` last planned, for ``planned_nprocs`` workers (the
+    service passes its ``PatternEntry``) — plus what the loop keeps: the
+    ``checkpoint`` frames (by block) and ``traces`` salvaged from failed
+    attempts, the last attempt's ``outcome`` and the ``report``, which
+    says degraded — owed the last resort — until an attempt finishes."""
 
     def __init__(self, plan, A, label: str = "one-shot"):
         self.plan, self.A, self.label = plan, A, label
-        self.report = FailureReport()
+        self.report = FailureReport(OUTCOME_DEGRADED)
         self.checkpoint: dict[int, bytes] = {}
         self.traces: list[RunTrace] = []
-        self.spec = self.outcome = self.failure = None
+        self.outcome: JobOutcome | None = None
         self._entered = time.perf_counter()
 
-    @property
-    def finished(self) -> bool:
-        """A parallel attempt completed the job."""
-        return self.outcome is not None and self.outcome.ok
-
-    def _leave(self, width: int, outcome: str | None = None):
+    def _leave(self, width: int, outcome: str = OUTCOME_DEGRADED):
         rep = self.report
-        rep.outcome = outcome or rep.outcome
+        rep.outcome = outcome
         rep.restarts = len(rep.attempts)
         rep.final_nprocs = width
         rep.checkpoint_blocks_used = len(self.checkpoint)
@@ -211,15 +179,20 @@ def _harvest_checkpoint(
 
 
 def settle(pool: WorkerPool, policy: RecoveryPolicy, retried=()) -> bool:
-    """Settle with the pool after a ``run_batch``: when the batch broke it
-    (``last_error``), or cost it ranks under the policy (``retried``: the
-    failed outcomes about to run again), replace the crew with a fresh one
-    on the survivors. Returns whether it did."""
-    lost = None  # heal()'s own count: the dead processes
-    if policy.raising_rank_is_casualty and retried:
+    """Settle with the pool after a ``run_batch``; returns whether the
+    crew was replaced by a fresh one on the survivors. ``retried`` are the
+    failed outcomes about to run again. A one-shot crew is healed exactly
+    when there are some, by their ``failed_ranks`` (with nothing to retry
+    its caller closes it); a resident one whenever the batch broke it
+    (``last_error``), by its dead processes."""
+    if policy.raising_rank_is_casualty:
+        if not retried:
+            return False
         lost = max(1, len({r for out in retried for r in out.failed_ranks}))
     elif pool.last_error is None:
         return False
+    else:
+        lost = None  # heal()'s own count
     old = pool.nprocs
     pool.heal(lost)
     log.warning("healed the pool: %d -> %d workers (generation %d): %s",
@@ -238,14 +211,20 @@ def recover(pool: WorkerPool, jobs, make_specs, policy: RecoveryPolicy,
     are already planned for ``pool.nprocs``. ``timeout_s`` bounds one
     attempt. ``settled(healed)``, if given, hears after each attempt
     whether the crew had to be replaced and answers whether the pool may
-    run another (a circuit breaker's seat). A job that leaves neither
-    ``finished`` nor with an expired ``outcome`` is owed the last resort.
+    run another (a circuit breaker's seat). A job that leaves with neither
+    ``report.ok`` nor an expired ``outcome`` is owed the last resort.
     """
     pending, attempt, go = list(jobs), 0, True
     while pending and go and attempt < policy.attempts:
         width = pool.nprocs
-        for job in pending:
-            replan(job.plan, width)
+        for plan in (job.plan for job in pending):
+            # Only the map depends on the width; an arena's layout does not.
+            if plan.planned_nprocs != width:
+                plan.owners, plan.mapping_name = plan_owners(
+                    plan.tg.workmodel, plan.tg, width,
+                    plan.config.mapping, plan.config.use_domains,
+                )
+                plan.planned_nprocs = width
         specs = make_specs(pending, attempt)
         t0 = time.perf_counter()
         outcomes = pool.run_batch(specs, timeout_s)
@@ -253,7 +232,6 @@ def recover(pool: WorkerPool, jobs, make_specs, policy: RecoveryPolicy,
         leaving, retry = [], []
         for job, spec in zip(pending, specs):
             out = job.outcome = outcomes[spec.seq]
-            job.spec = spec
             if out.ok:
                 leaving.append(job._leave(
                     width, OUTCOME_RECOVERED if attempt else OUTCOME_CLEAN
@@ -262,7 +240,6 @@ def recover(pool: WorkerPool, jobs, make_specs, policy: RecoveryPolicy,
                     log.info("job %s recovered on attempt %d (P=%d)",
                              job.label, attempt, width)
                 continue
-            job.failure = fanout_error(out, pool)
             salvaged = _harvest_checkpoint(out, job.plan.tg, job.checkpoint)
             if any(res.trace is not None for res in out.results.values()):
                 job.traces.append(RunTrace.from_workers(
@@ -271,17 +248,15 @@ def recover(pool: WorkerPool, jobs, make_specs, policy: RecoveryPolicy,
                     attempt=attempt,
                 ))
             job.report.attempts.append(FailedAttempt(
-                attempt, width, list(out.failed_ranks), str(job.failure),
-                salvaged, wall_s,
+                attempt, width, list(out.failed_ranks),
+                out.error or "aborted", salvaged, wall_s,
             ))
             log.warning("job %s: %s", job.label, job.report.attempts[-1])
-            if out.expired:
-                leaving.append(job._leave(width))
-            elif any(
+            if out.expired or any(
                 out.results[r].metrics.error_type in NOT_RETRYABLE
                 for r in out.failed_ranks if r in out.results
             ):
-                leaving.append(job._leave(width, OUTCOME_DEGRADED))
+                leaving.append(job._leave(width))
             else:
                 retry.append(job)
         # Ranks are shed only for an attempt that will follow.
@@ -291,7 +266,7 @@ def recover(pool: WorkerPool, jobs, make_specs, policy: RecoveryPolicy,
         yield from leaving
         pending, attempt = retry, attempt + 1
     for job in pending:
-        yield job._leave(pool.nprocs, OUTCOME_DEGRADED)
+        yield job._leave(pool.nprocs)
 
 
 def last_resort(job: RecoveryJob) -> tuple[BlockCholesky, RuntimeMetrics]:
@@ -303,7 +278,7 @@ def last_resort(job: RecoveryJob) -> tuple[BlockCholesky, RuntimeMetrics]:
                 job.label, len(job.report.attempts))
     t0 = time.perf_counter()
     factor = BlockCholesky(job.plan.structure, job.A).factor()
-    job._leave(1, OUTCOME_DEGRADED)
+    job._leave(1)
     metrics = RuntimeMetrics(
         nprocs=1, wall_s=time.perf_counter() - t0, workers=[],
         mapping=SEQUENTIAL_MAPPING,
@@ -338,34 +313,33 @@ def run_with_recovery(
     config = RunConfig.of(config, overrides)
     if config.dead_grace_s is None:
         config = replace(config, dead_grace_s=10.0)
-    A = A.tocsc()
-    job = RecoveryJob(OwnerPlan(structure, tg, config), A)
+    plan = SimpleNamespace(structure=structure, tg=tg, config=config,
+                           owners=None, mapping_name="", planned_nprocs=0)
+    job = RecoveryJob(plan, A.tocsc())
+    report, res = job.report, None
     policy = RecoveryPolicy(
         attempts=config.max_restarts + 1, raising_rank_is_casualty=True
     )
-    with one_shot_crew(tg, config) as (pool, arena, transport, launch_s):
+    shipped = []  # one PoolJob per attempt
+    with one_shot_crew(structure, A, tg, config) as (pool, make_job, finish):
 
         def specs(pending, attempt):
-            return [one_shot_job(
-                structure, A, tg, job.plan.owners, config, arena, seq=attempt,
+            shipped.append(make_job(
+                plan.owners, seq=attempt, recovery=True,
                 fault_plan=fault_plan.for_attempt(attempt) if fault_plan
                 else None,
-                recovery=True, checkpoint=job.checkpoint or None,
-            )]
+                checkpoint=job.checkpoint or None,
+            ))
+            return shipped[-1:]
 
-        (job,) = recover(pool, [job], specs, policy, config.timeout_s)
-    report = job.report
-    if job.finished:
-        res = fanout_result(
-            job.outcome, job.spec, job.plan.mapping_name, transport, launch_s
-        )
-        report.recovery_events = res.metrics.recovery_events_total
-        report.faults_injected = res.metrics.faults_injected_total
-        res.failure_report = report
-    elif not fallback_sequential:
-        job.failure.failure_report = report
-        raise job.failure
-    else:
+        list(recover(pool, [job], specs, policy, config.timeout_s))
+        if report.ok or not fallback_sequential:
+            # The crew is as the last attempt left it, so a failure is
+            # typed (and raised) the way ``run_mp_fanout`` types it.
+            res = finish(job.outcome, shipped[-1], plan.mapping_name, report)
+            report.recovery_events = res.metrics.recovery_events_total
+            report.faults_injected = res.metrics.faults_injected_total
+    if res is None:
         factor, metrics = last_resort(job)
         res = MPRuntimeResult(
             factor=factor,

@@ -61,7 +61,7 @@ class PatternEntry:
     uses: int = 0
     #: Crew size ``owners`` was planned for. After a pool heal or regrow
     #: changes the crew, the recovery loop re-plans them before the
-    #: pattern's next job (:func:`repro.runtime.recovery.replan`; the
+    #: pattern's next job (:func:`repro.runtime.recovery.recover`; the
     #: arena layout is size-independent, so only the plan changes).
     planned_nprocs: int = 0
     #: The knobs the entry was planned under and its jobs run under.

@@ -607,7 +607,7 @@ class FactorService:
                     self.pool, prepared, self._make_specs, self.policy,
                     self.batch_timeout_s, self._pool_settled,
                 ):
-                    if p.finished:
+                    if p.report.ok:
                         self._finish_job(p)  # released under the lock
                     else:
                         spent.append(p)
@@ -794,7 +794,7 @@ class FactorService:
         ``outcome`` / ``attempts`` / ``error`` are read off the job's
         :class:`~repro.runtime.recovery.FailureReport`."""
         queued, entry, record, rep = p.queued, p.plan, p.record, p.report
-        ok = p.finished
+        ok = rep.ok
         record.attempts = len(rep.attempts) + ok
         if not ok and (
             queued.job.expired

@@ -8,17 +8,17 @@ and :func:`recover` sees exactly the surface it uses in production:
 """
 
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.config import RunConfig
 from repro.numeric import BlockCholesky
-from repro.runtime import wire
+from repro.runtime import engine, wire
 from repro.runtime.metrics import WorkerMetrics
 from repro.runtime.pool import JobOutcome, PoolJob, WorkerPool
 from repro.runtime.recovery import (
-    OwnerPlan,
     RecoveryJob,
     RecoveryPolicy,
     last_resort,
@@ -136,7 +136,10 @@ def make_job(grid12_pipeline):
     _, sf, _, bs, _, tg = grid12_pipeline
 
     def make(label="j", nprocs=4):
-        plan = OwnerPlan(bs, tg, RunConfig(nprocs=nprocs, mapping="DW/CY"))
+        plan = SimpleNamespace(
+            structure=bs, tg=tg, owners=None, mapping_name="",
+            planned_nprocs=0, config=RunConfig(nprocs=nprocs, mapping="DW/CY"),
+        )
         return RecoveryJob(plan, sf.A, label)
 
     return make
@@ -163,7 +166,7 @@ class TestBudgetAndOutcomes:
         pool = ScriptedPool(4, ok)
         (job,) = _run(pool, [make_job()], 3, **ONE_SHOT)
         rep = job.report
-        assert job.finished and rep.outcome == "clean"
+        assert job.report.ok and rep.outcome == "clean"
         assert (rep.restarts, rep.final_nprocs, rep.attempts) == (0, 4, [])
         assert pool.generation == 1 and len(pool.batches) == 1
 
@@ -173,7 +176,7 @@ class TestBudgetAndOutcomes:
         pool = ScriptedPool(4, *[raising()] * k, ok)
         (job,) = _run(pool, [make_job("J7")], 3, **RESIDENT)
         rep = job.report
-        assert job.finished and rep.outcome == "recovered"
+        assert job.report.ok and rep.outcome == "recovered"
         assert rep.restarts == k == len(rep.attempts)
         assert [a.attempt for a in rep.attempts] == list(range(k))
         assert "RuntimeError: boom on 1" in rep.attempts[0].error
@@ -188,7 +191,7 @@ class TestBudgetAndOutcomes:
         pool = ScriptedPool(4, raising(), raising())
         (job,) = _run(pool, [make_job("J1")], 2, **RESIDENT)
         rep = job.report
-        assert not job.finished and not job.outcome.expired
+        assert not job.report.ok and not job.outcome.expired
         assert rep.outcome == "degraded_sequential" and not rep.ok
         assert (len(rep.attempts), rep.restarts, rep.final_nprocs) == (2, 2, 4)
         assert len(pool.batches) == 2
@@ -210,7 +213,7 @@ class TestBudgetAndOutcomes:
     def test_expired_is_never_retried(self, make_job):
         pool = ScriptedPool(4, expired)
         (job,) = _run(pool, [make_job()], 3, **RESIDENT)
-        assert not job.finished and job.outcome.expired
+        assert not job.report.ok and job.outcome.expired
         assert len(pool.batches) == 1 and len(job.report.attempts) == 1
         assert pool.generation == 1
 
@@ -221,10 +224,10 @@ class TestBudgetAndOutcomes:
         pool = ScriptedPool(4, raising(error_type="LinAlgError"))
         (job,) = _run(pool, [make_job()], 3, **policy)
         rep = job.report
-        assert not job.finished and rep.outcome == "degraded_sequential"
+        assert not job.report.ok and rep.outcome == "degraded_sequential"
         assert len(pool.batches) == 1 and len(rep.attempts) == 1
         assert (pool.generation, pool.nprocs, rep.final_nprocs) == (1, 4, 4)
-        assert job.failure.failed_ranks == [1]
+        assert job.outcome.failed_ranks == [1]
 
     def test_a_batch_sorts_each_job_on_its_own(self, make_job):
         a, b, c = make_job("a"), make_job("b"), make_job("c")
@@ -241,7 +244,7 @@ class TestBudgetAndOutcomes:
         assert [j.label for j in left] == ["a", "c", "b"]
         assert [len(seqs) for _, seqs in pool.batches] == [3, 1]
         assert (a.report.outcome, b.report.outcome) == ("clean", "recovered")
-        assert c.outcome.expired and not c.finished
+        assert c.outcome.expired and not c.report.ok
 
 
 class TestHarvest:
@@ -307,12 +310,18 @@ class TestCrewShrinkRule:
     def test_no_ranks_are_shed_for_an_attempt_that_will_not_follow(
         self, make_job
     ):
-        """Budget spent: a one-shot crew that merely saw a rank raise is
-        left alone; a broken pool is replaced whatever follows (a
-        resident crew serves the next batch)."""
+        """Budget spent: a one-shot crew is left as the last attempt left
+        it — even broken, its caller closes it, so a fresh crew would be
+        spawned for nothing and ``last_error`` / the dead ranks stay there
+        to type the error. A broken resident crew is replaced whatever
+        follows: it serves the next batch."""
         pool = ScriptedPool(4, raising())
         _run(pool, [make_job()], 1, **ONE_SHOT)
         assert (pool.generation, pool.nprocs) == (1, 4)
+        pool = ScriptedPool(4, died(1), died(2))
+        _run(pool, [make_job()], 2, **ONE_SHOT)
+        assert (pool.generation, pool.nprocs) == (2, 3)
+        assert pool.last_error is not None and pool.dead_ranks() == [2]
         pool = ScriptedPool(4, died(2))
         _run(pool, [make_job()], 1, **RESIDENT)
         assert (pool.generation, pool.nprocs) == (2, 3)
@@ -338,7 +347,7 @@ class TestCallerStop:
         pool = ScriptedPool(4, died(1), ok)
         (job,) = _run(pool, [make_job()], 3, settled, **RESIDENT)
         assert heard == [True]
-        assert len(pool.batches) == 1 and not job.finished
+        assert len(pool.batches) == 1 and not job.report.ok
         assert job.report.outcome == "degraded_sequential"
         # the crew was still replaced: the pool is fit for the next batch
         assert (pool.generation, pool.nprocs) == (2, 3)
@@ -349,3 +358,33 @@ class TestCallerStop:
         _run(pool, [make_job()], 3, lambda h: heard.append(h) or True,
              **RESIDENT)
         assert heard == [False, True, False]
+
+
+class TestTypedError:
+    def test_a_broken_pool_outranks_a_raising_rank(
+        self, grid12_pipeline, monkeypatch
+    ):
+        """``run_mp_fanout``'s order: a dead process or the batch timeout
+        names the error even when a rank also raised; whatever is raised
+        carries the report it was finished with."""
+        _, sf, _, bs, _, tg = grid12_pipeline
+        monkeypatch.setattr(
+            engine, "WorkerPool", lambda n, record_timeline: ScriptedPool(n)
+        )
+        config = RunConfig(nprocs=2, transport="inline")
+        with engine.one_shot_crew(bs, sf.A, tg, config) as (
+            pool, make_job, finish
+        ):
+            job = make_job(np.zeros(tg.nblocks, dtype=np.int64))
+            out = raising(1)(pool, [job])[job.seq]
+            with pytest.raises(engine.WorkerError, match="boom on 1"):
+                finish(out, job, "cyclic")
+            died(0)(pool, [])
+            report = object()
+            with pytest.raises(engine.DeadWorkerError) as info:
+                finish(out, job, "cyclic", report)
+            assert info.value.failure_report is report
+            assert info.value.failed_ranks == [1]
+            pool.dead = []
+            with pytest.raises(engine.RuntimeTimeoutError):
+                finish(out, job, "cyclic")
