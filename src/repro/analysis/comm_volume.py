@@ -30,44 +30,44 @@ class CommReport:
         )
 
 
+def block_destinations(tg: TaskGraph, owners: np.ndarray):
+    """Yield ``(b, dests)`` for every block that is sent at all: ``dests``
+    are the distinct ranks other than ``owners[b]`` that need ``b`` — the
+    owners of panel K's subdiagonal blocks for ``L_KK`` (BFAC -> BDIV), the
+    owners of the BMOD destinations it feeds for ``L_IK`` (BDIV -> BMOD).
+
+    The predictors' own statement of §2.3's recipient rule, deliberately
+    independent of :mod:`repro.fanout.protocol`, which the executors drive
+    and these counts check.
+    """
+    task_owner = owners[tg.task_block]
+    for b in range(tg.nblocks):
+        if tg.block_I[b] == tg.block_J[b]:
+            k = tg.block_J[b]
+            sub = tg.subdiag_blocks[tg.subdiag_ptr[k] : tg.subdiag_ptr[k + 1]]
+            dests = np.unique(owners[sub])
+        else:
+            deps = tg.dep_tasks[tg.dep_ptr[b] : tg.dep_ptr[b + 1]]
+            dests = np.unique(task_owner[deps])
+        dests = dests[dests != owners[b]]
+        if dests.size:
+            yield b, dests
+
+
 def communication_volume(
     tg: TaskGraph,
     owners: np.ndarray,
     machine: MachineParams = PARAGON,
 ) -> CommReport:
     """Total messages/bytes the fan-out method sends under ``owners``."""
-    owners = np.asarray(owners)
-    task_owner = owners[tg.task_block]
     total_msgs = 0
     total_bytes = 0
     max_fanout = 0
-
-    # Diagonal-block broadcasts (BFAC -> BDIV owners).
-    diag_mask = tg.block_I == tg.block_J
-    for b in np.flatnonzero(diag_mask):
-        k = int(tg.block_J[b])
-        sub = tg.subdiag_blocks[tg.subdiag_ptr[k] : tg.subdiag_ptr[k + 1]]
-        if sub.size == 0:
-            continue
-        dests = np.unique(owners[sub])
-        dests = dests[dests != owners[b]]
+    for b, dests in block_destinations(tg, np.asarray(owners)):
         n = int(dests.shape[0])
         total_msgs += n
         total_bytes += n * machine.message_bytes(float(tg.block_words[b]))
         max_fanout = max(max_fanout, n)
-
-    # Subdiagonal-block fan-out (BDIV -> BMOD owners).
-    for b in np.flatnonzero(~diag_mask):
-        deps = tg.dep_tasks[tg.dep_ptr[b] : tg.dep_ptr[b + 1]]
-        if deps.size == 0:
-            continue
-        dests = np.unique(task_owner[deps])
-        dests = dests[dests != owners[b]]
-        n = int(dests.shape[0])
-        total_msgs += n
-        total_bytes += n * machine.message_bytes(float(tg.block_words[b]))
-        max_fanout = max(max_fanout, n)
-
     return CommReport(messages=total_msgs, bytes=total_bytes, max_fanout=max_fanout)
 
 
@@ -133,14 +133,10 @@ def solve_communication_volume(
     owners = np.asarray(owners)
     widths = np.asarray(tg.workmodel.structure.partition.widths,
                         dtype=np.int64)
-    diag_mask = tg.block_I == tg.block_J
-    diag_ids = np.flatnonzero(diag_mask)
-    diag_owner = np.full(tg.npanels, -1, dtype=np.int64)
-    diag_owner[tg.block_J[diag_ids]] = owners[diag_ids]
+    diag_owner = owners[tg.diag_block]
 
     y_msgs = y_bytes = 0
-    for b in diag_ids:
-        k = int(tg.block_J[b])
+    for k, b in enumerate(tg.diag_block):
         sub = tg.subdiag_blocks[tg.subdiag_ptr[k] : tg.subdiag_ptr[k + 1]]
         if sub.size == 0:
             continue
@@ -150,7 +146,7 @@ def solve_communication_volume(
         y_msgs += n
         y_bytes += n * (64 + 8 * int(widths[k]) * nrhs)
 
-    sub_ids = np.flatnonzero(~diag_mask)
+    sub_ids = np.flatnonzero(tg.block_I != tg.block_J)
     fup_msgs = fup_bytes = 0
     bup_msgs = bup_bytes = 0
     for b in sub_ids:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis.comm_volume import block_destinations
 from repro.fanout.tasks import TaskGraph
 from repro.machine.params import PARAGON, MachineParams
 
@@ -67,25 +68,10 @@ def memory_usage(
         owners, weights=tg.block_words * word, minlength=P
     ).astype(np.int64)
 
+    # Every remote block a processor ever receives: the diagonal blocks
+    # its BDIVs need and the subdiagonal blocks its BMODs need.
     received = np.zeros(P, dtype=np.int64)
-    task_owner = owners[tg.task_block]
-    diag_mask = tg.block_I == tg.block_J
-    # Diagonal blocks received for BDIV.
-    for b in np.flatnonzero(diag_mask):
-        k = int(tg.block_J[b])
-        sub = tg.subdiag_blocks[tg.subdiag_ptr[k] : tg.subdiag_ptr[k + 1]]
-        if sub.size == 0:
-            continue
-        dests = np.unique(owners[sub])
-        dests = dests[dests != owners[b]]
-        received[dests] += int(tg.block_words[b]) * word
-    # Subdiagonal blocks received for BMOD.
-    for b in np.flatnonzero(~diag_mask):
-        deps = tg.dep_tasks[tg.dep_ptr[b] : tg.dep_ptr[b + 1]]
-        if deps.size == 0:
-            continue
-        dests = np.unique(task_owner[deps])
-        dests = dests[dests != owners[b]]
+    for b, dests in block_destinations(tg, owners):
         received[dests] += int(tg.block_words[b]) * word
 
     return MemoryReport(owned_bytes=owned, received_bound_bytes=received)

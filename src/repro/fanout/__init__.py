@@ -1,9 +1,11 @@
 """The parallel block fan-out method (§2.3) on the simulated machine.
 
 ``TaskGraph`` turns a block structure into the BFAC/BDIV/BMOD task DAG with
-fan-out dependency counters; ``simulate_fanout`` runs the data-driven
-algorithm — block completions trigger messages, message arrivals enable
-tasks — on the discrete-event machine and reports runtime, efficiency,
+fan-out dependency counters; ``protocol.FanoutState`` is the one statement
+of when a task is ready and who needs a finished block, driven by every
+executor; ``simulate_fanout`` runs the data-driven algorithm — block
+completions trigger messages, message arrivals enable tasks — on the
+discrete-event machine and reports runtime, efficiency,
 Mflops, and communication statistics. ``assign_domains`` implements the
 domain (subtree-to-processor) portion of the method.
 """

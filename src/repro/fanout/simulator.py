@@ -1,18 +1,12 @@
 """Discrete-event simulation of the data-driven block fan-out method.
 
-The simulation mirrors §2.3 exactly:
-
-* every block operation executes at the owner of its destination block;
-* a processor works through ready operations serially (FIFO arrival order —
-  "data-driven" — or smallest-destination-first with ``priority_mode``);
-* when a diagonal block finishes BFAC it is sent to every processor owning a
-  subdiagonal block of that panel (they need it for BDIV);
-* when a subdiagonal block L_IK completes its BDIV it is sent to every
-  processor owning a destination of one of its BMODs — under a CP mapping
-  that is one processor row plus one processor column;
-* a BMOD becomes ready when both its source blocks have arrived; BDIV/BFAC
-  become ready when the destination has absorbed all its BMODs (and, for
-  BDIV, the diagonal block has arrived).
+The readiness and recipient rules are §2.3's, kept in
+:mod:`repro.fanout.protocol`; this module adds what only a simulated
+machine has: virtual time, one serial ready queue per processor (FIFO
+arrival order — "data-driven" — or smallest-destination-first with
+``priority_mode``), and the wire. Every block operation executes at the
+owner of its destination block; a remote consumer learns of a finished
+block at the time its owner's copy arrives, a local one at once.
 
 Messages cost ``latency + bytes/bandwidth`` on the wire plus
 ``send_overhead`` of sender CPU each; tasks cost
@@ -29,7 +23,8 @@ import numpy as np
 
 from repro.fanout.domains import DomainAssignment
 from repro.fanout.ownership import block_owners
-from repro.fanout.tasks import BDIV, BFAC, BMOD, TaskGraph
+from repro.fanout.protocol import FanoutState, remote_ranks
+from repro.fanout.tasks import BMOD, TaskGraph
 from repro.machine.event_sim import DiscreteEventSimulator
 from repro.machine.params import PARAGON, MachineParams
 from repro.machine.processor import SimProcessor
@@ -113,9 +108,7 @@ def simulate_fanout(
     task_flops = tg.task_flops
     task_kind = tg.task_kind
     task_block = tg.task_block
-    mods_remaining = tg.nmod.copy()
-    missing = tg.task_missing_init.copy()
-    diag_ready = np.zeros(tg.nblocks, dtype=bool)
+    state = FanoutState(tg)
     completed = np.zeros(tg.nblocks, dtype=bool)
     # Default priority: earlier block columns first, then earlier rows.
     if priorities is not None:
@@ -148,20 +141,8 @@ def simulate_fanout(
         dur = machine.task_time(float(task_flops[tid]))
         sim.schedule_after(dur, lambda: complete(p, int(tid), dur))
 
-    def block_mods_done(b: int) -> None:
-        if tg.block_I[b] == tg.block_J[b]:
-            enqueue(int(tg.bfac_task[b]))
-        elif diag_ready[b]:
-            enqueue(int(tg.bdiv_task[b]))
-
-    def diag_arrived(b: int) -> None:
-        diag_ready[b] = True
-        if mods_remaining[b] == 0:
-            enqueue(int(tg.bdiv_task[b]))
-
-    def source_arrived(tid: int) -> None:
-        missing[tid] -= 1
-        if missing[tid] == 0:
+    def release(tid: int | None) -> None:
+        if tid is not None:
             enqueue(tid)
 
     def complete(p: SimProcessor, tid: int, dur: float) -> None:
@@ -175,22 +156,10 @@ def simulate_fanout(
 
         send_cost = 0.0
         if kind == BMOD:
-            mods_remaining[b] -= 1
-            if mods_remaining[b] == 0:
-                block_mods_done(b)
-        elif kind == BFAC:
+            release(state.mod_finished(b))
+        else:  # BFAC / BDIV: block b is final
             completed[b] = True
-            k = int(tg.block_J[b])
-            sub = tg.subdiag_blocks[tg.subdiag_ptr[k] : tg.subdiag_ptr[k + 1]]
-            send_cost = _deliver(
-                p, b, sub, owners[sub], diag_arrived
-            )
-        else:  # BDIV
-            completed[b] = True
-            deps = tg.dep_tasks[tg.dep_ptr[b] : tg.dep_ptr[b + 1]]
-            send_cost = _deliver(
-                p, b, deps, task_owner[deps], source_arrived
-            )
+            send_cost = _deliver(p, b, *state.consumers(b))
 
         p.busy_time += dur + send_cost
         if send_cost > 0:
@@ -198,12 +167,14 @@ def simulate_fanout(
         else:
             start_next(p)
 
-    def _deliver(p, src_block, targets, target_owners, callback):
-        """Send block ``src_block`` where needed; fire ``callback(target)``
-        at each target's arrival time. Returns the sender CPU cost."""
+    def _deliver(p, src_block, targets, target_blocks):
+        """Send block ``src_block`` where needed; report it delivered to
+        each target at that target's arrival time. Returns the sender CPU
+        cost."""
         if len(targets) == 0:
             return 0.0
-        remote = np.unique(target_owners[target_owners != p.rank])
+        target_owners = owners[target_blocks]
+        remote = remote_ranks(target_owners, p.rank)
         nmsg = remote.shape[0]
         send_cost = nmsg * machine.send_overhead
         words = float(tg.block_words[src_block])
@@ -240,24 +211,24 @@ def simulate_fanout(
         for t, o in zip(targets, target_owners):
             t = int(t)
             if o == p.rank:
-                callback(t)
+                release(state.delivered(src_block, t))
             else:
                 sim.schedule_at(
-                    arrival[int(o)], (lambda tt: lambda: callback(tt))(t)
+                    arrival[int(o)],
+                    lambda t=t: release(state.delivered(src_block, t)),
                 )
         return send_cost
 
-    # Seed: diagonal blocks with no incoming BMODs can factor immediately.
-    diag = tg.block_I == tg.block_J
-    for b in np.flatnonzero(diag & (tg.nmod == 0)):
-        enqueue(int(tg.bfac_task[int(b)]))
+    for tid in state.seeds():
+        enqueue(int(tid))
 
     sim.run()
 
-    if not completed[diag].all():
+    if not completed[tg.diag_block].all():
         raise RuntimeError(
             "fan-out simulation deadlocked: "
-            f"{int((~completed[diag]).sum())} diagonal blocks incomplete"
+            f"{int((~completed[tg.diag_block]).sum())} diagonal blocks "
+            "incomplete"
         )
 
     t_seq = float(

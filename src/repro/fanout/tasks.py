@@ -36,6 +36,8 @@ class TaskGraph:
         blocks), -1 otherwise.
     block_words:
         Dense words a block occupies (message payload when sent).
+    diag_block:
+        Per panel: the id of its diagonal block.
     subdiag_ptr, subdiag_blocks:
         CSR over panels: the subdiagonal block indices of panel K, i.e. the
         recipients of ``L_KK`` after BFAC(K).
@@ -160,7 +162,7 @@ class TaskGraph:
 
         # Initial missing-source count per task: BMOD needs its sources
         # (1 when diagonal-destination, else 2); BFAC/BDIV have none here
-        # (BDIV's diagonal dependency is handled by the simulator).
+        # (BDIV's diagonal dependency is ``FanoutState.diag_ready``).
         self.task_missing_init = np.zeros(self.ntasks, dtype=np.int32)
         self.task_missing_init[mod] = np.where(self.task_src2[mod] >= 0, 2, 1)
 
@@ -168,6 +170,8 @@ class TaskGraph:
         self.block_I = wm.dest_I
         self.block_J = wm.dest_J
         self.nmod = wm.nmod
+        self.diag_block = np.full(N, -1, dtype=np.int64)
+        self.diag_block[wm.dest_J[diag_mask]] = np.flatnonzero(diag_mask)
 
     def validate(self) -> None:
         """Internal consistency checks (used by the test suite)."""

@@ -18,11 +18,11 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import sparse
 
 from repro.blocks.structure import BlockStructure
-from repro.fanout.tasks import BDIV, BFAC, BMOD, TaskGraph
+from repro.fanout.protocol import FanoutState
+from repro.fanout.tasks import BMOD, TaskGraph
 from repro.numeric.blockfact import BlockCholesky
 
 
@@ -44,18 +44,15 @@ def parallel_block_cholesky(
 ) -> ParallelFactorResult:
     """Factor ``A`` with ``nthreads`` worker threads over the task DAG.
 
-    The dependency protocol is the fan-out method's: a BMOD becomes ready
-    when both source blocks are factored; BFAC/BDIV when their destination
-    has absorbed every BMOD (BDIV additionally after its diagonal's BFAC).
+    The dependency protocol is the fan-out method's
+    (:mod:`repro.fanout.protocol`); with one shared memory, a finished
+    block reaches all its consumers at once.
     """
     if nthreads < 1:
         raise ValueError("nthreads must be positive")
     chol = BlockCholesky(structure, A)
 
-    mods_remaining = tg.nmod.copy()
-    missing = tg.task_missing_init.copy()
-    completed_blocks = np.zeros(tg.nblocks, dtype=bool)
-    diag_done = np.zeros(tg.npanels, dtype=bool)
+    state = FanoutState(tg)
 
     state_lock = threading.Lock()
     block_locks = [threading.Lock() for _ in range(tg.nblocks)]
@@ -92,45 +89,19 @@ def parallel_block_cholesky(
                 done.set()
 
     def after_completion(tid: int, b: int) -> None:
-        ready: list[int] = []
-        kind = int(tg.task_kind[tid])
         with state_lock:
-            if kind == BMOD:
-                mods_remaining[b] -= 1
-                if mods_remaining[b] == 0:
-                    ready.extend(_block_mods_done(b))
-            elif kind == BFAC:
-                completed_blocks[b] = True
-                k = int(tg.block_J[b])
-                diag_done[k] = True
-                sub = tg.subdiag_blocks[
-                    tg.subdiag_ptr[k] : tg.subdiag_ptr[k + 1]
+            if tg.task_kind[tid] == BMOD:
+                ready = [state.mod_finished(b)]
+            else:  # BFAC / BDIV: block b is final
+                ready = [
+                    state.delivered(b, int(c)) for c in state.consumers(b)[0]
                 ]
-                for b2 in sub:
-                    if mods_remaining[b2] == 0:
-                        ready.append(int(tg.bdiv_task[b2]))
-            else:  # BDIV
-                completed_blocks[b] = True
-                for t in tg.dep_tasks[tg.dep_ptr[b] : tg.dep_ptr[b + 1]]:
-                    missing[t] -= 1
-                    if missing[t] == 0:
-                        ready.append(int(t))
         for t in ready:
-            submit(t)
+            if t is not None:
+                submit(t)
 
-    def _block_mods_done(b: int) -> list[int]:
-        # caller holds state_lock
-        if tg.block_I[b] == tg.block_J[b]:
-            return [int(tg.bfac_task[b])]
-        k = int(tg.block_J[b])
-        if diag_done[k]:
-            return [int(tg.bdiv_task[b])]
-        return []
-
-    diag = tg.block_I == tg.block_J
-    seeds = [int(tg.bfac_task[int(b)]) for b in np.flatnonzero(diag & (tg.nmod == 0))]
-    for tid in seeds:
-        submit(tid)
+    for tid in state.seeds():
+        submit(int(tid))
 
     done.wait()
     pool.shutdown(wait=True)

@@ -31,6 +31,7 @@ from repro.ordering.base import Ordering
 
 __all__ = [
     "solve_with_factor",
+    "permute_rhs",
     "block_solve_permuted",
     "block_forward",
     "block_backward",
@@ -155,13 +156,36 @@ def block_solve_permuted(chol: BlockCholesky, pb: np.ndarray) -> np.ndarray:
     return Y
 
 
-def _resolve_perm(ordering) -> np.ndarray | None:
+def permute_rhs(b: np.ndarray, n: int, ordering):
+    """The one place a right-hand side is checked and first permuted.
+
+    Returns ``(pb, restore)``: ``b`` in the factorization's row order, and
+    the map from a permuted solution (``n`` or ``n x nrhs``) back to
+    ``b``'s row order and ``ndim``. ``ordering`` is an
+    :class:`~repro.ordering.base.Ordering`, a permutation array, or None
+    for identity. Raises ``ValueError`` for a ``b`` that is not ``n`` rows
+    of one or two dimensions — before any substitution or worker process.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValueError(f"rhs has shape {b.shape}; matrix has {n} rows")
     if ordering is None:
-        return None
-    return (
-        ordering.perm if isinstance(ordering, Ordering)
-        else np.asarray(ordering)
-    )
+        perm = None
+    elif isinstance(ordering, Ordering):
+        perm = ordering.perm
+    else:
+        perm = np.asarray(ordering)
+
+    def restore(z: np.ndarray) -> np.ndarray:
+        if b.ndim == 1 and z.ndim == 2:
+            z = z[:, 0]
+        if perm is None:
+            return z
+        x = np.empty_like(z)
+        x[perm] = z
+        return x
+
+    return (b if perm is None else b[perm]), restore
 
 
 def solve_with_factor(
@@ -178,27 +202,12 @@ def solve_with_factor(
     runs the block substitution path that the distributed solve is pinned
     against bit for bit.
     """
-    b = np.asarray(b, dtype=np.float64)
-    perm = _resolve_perm(ordering)
-
     if isinstance(L, BlockCholesky):
-        one_d = b.ndim == 1
-        pb = b[perm] if perm is not None else b
-        z = block_solve_permuted(L, pb)
-        if one_d:
-            z = z[:, 0]
-        if perm is None:
-            return z
-        x = np.empty_like(z)
-        x[perm] = z
-        return x
+        n = int(L.partition.panel_ptr[-1])
+        pb, restore = permute_rhs(b, n, ordering)
+        return restore(block_solve_permuted(L, pb))
 
     L = L.tocsr()
-    pb = b[perm] if perm is not None else b
+    pb, restore = permute_rhs(b, L.shape[0], ordering)
     y = spsolve_triangular(L, pb, lower=True)
-    z = spsolve_triangular(L.T.tocsr(), y, lower=False)
-    if perm is None:
-        return z
-    x = np.empty_like(z)
-    x[perm] = z
-    return x
+    return restore(spsolve_triangular(L.T.tocsr(), y, lower=False))

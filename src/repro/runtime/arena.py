@@ -341,20 +341,6 @@ class BlockArena:
             )
         return replace(msg, kind=wire.BLOCK, payload=self.view(b))
 
-    def inline_frame(self, frame: bytes) -> bytes:
-        """Convert a ``BLOCK_REF`` frame into the byte-identical inline
-        ``BLOCK`` frame (checkpoint harvest / error paths: the salvaged
-        frames must outlive the arena)."""
-        if wire.frame_kind(frame) != wire.BLOCK_REF:
-            return frame
-        msg = wire.unpack(frame)
-        lay = self.layout
-        b = msg.block
-        return wire.pack_block(
-            msg.src, b, int(lay.block_I[b]), int(lay.block_J[b]),
-            self.read(b),
-        )
-
     # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:

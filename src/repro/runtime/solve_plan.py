@@ -49,11 +49,8 @@ class SolvePlan:
         self.panel_ptr = ptr
         self.widths = np.asarray(part.widths, dtype=np.int64)
 
-        diag_mask = tg.block_I == tg.block_J
-        diag_ids = np.flatnonzero(diag_mask)
         #: Panel -> its diagonal block id.
-        self.diag_block = np.full(npanels, -1, dtype=np.int64)
-        self.diag_block[tg.block_J[diag_ids]] = diag_ids
+        self.diag_block = tg.diag_block
 
         #: Block id -> (dest panel, src panel) for subdiagonal blocks.
         self.block_I = np.asarray(tg.block_I, dtype=np.int64)

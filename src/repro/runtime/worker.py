@@ -50,6 +50,7 @@ from repro.numeric.solve import (
     fupd_kernel,
     solve_flops,
 )
+from repro.fanout.protocol import FanoutState, remote_ranks
 from repro.fanout.tasks import BDIV, BFAC, BMOD
 from repro.runtime import wire
 from repro.runtime.faults import FaultInjector
@@ -377,10 +378,6 @@ class Worker:
         installs a migrated task's *partial* destination state."""
         self.chol.install(*self._coords(b), array, final)
 
-    def _remote(self, target_owners: np.ndarray) -> np.ndarray:
-        """The distinct remote ranks among ``target_owners``."""
-        return np.unique(target_owners[target_owners != self.rank])
-
     def _logical_nbytes(self, b: int) -> int:
         """Logical frame bytes for block ``b`` — exactly what the static
         predictor charges, independent of the transport."""
@@ -448,20 +445,13 @@ class Worker:
         )
 
     # ------------------------------------------------------------------
-    # Factor plane: dependency bookkeeping (local mirror of the
-    # simulator's), executing and fanning out
+    # Factor plane: executing and fanning out
     # ------------------------------------------------------------------
-    # Completions trigger real messages:
-    #
-    # * BFAC(K,K)  -> send ``L_KK`` to every remote worker owning a
-    #   subdiagonal block of panel K (they need it for BDIV);
-    # * BDIV(I,K)  -> send ``L_IK`` to every remote worker owning a
-    #   destination of one of its BMODs;
-    # * a BMOD becomes ready when both source blocks are present;
-    #   BFAC/BDIV when the destination has absorbed all its BMODs (BDIV
-    #   also after the diagonal arrives) — identical bookkeeping to the
-    #   discrete-event simulator, so the same mapping yields the same
-    #   message set, now with real wall-clock time.
+    # Readiness and recipients are ``repro.fanout.protocol``'s — the same
+    # rules the simulator drives, so the same mapping yields the same
+    # message set, now with real wall-clock time. This rank reports a
+    # block delivered only to the consumers it owns; on top sit the
+    # canonical BMOD order, checkpoint skipping and ``have`` / ``expected``.
 
     def _arm_factor(self, done_blocks: list[int]) -> None:
         tg = self.tg
@@ -470,12 +460,9 @@ class Worker:
         #: §3.2's fixed cost per block operation, from the task graph's
         #: own work model: executed work equals the model's, unit for unit.
         self.op_cost = int(tg.workmodel.op_fixed_cost)
-        self.task_owner = self.owners[tg.task_block]
-        self.mine = self.task_owner == self.rank
+        self.mine = self.owners[tg.task_block] == self.rank
         self.n_owned = int(self.mine.sum())
-        self.mods_remaining = tg.nmod.copy()
-        self.missing = tg.task_missing_init.copy()
-        self.diag_ready = np.zeros(tg.nblocks, dtype=bool)
+        self.state = FanoutState(tg)
         self.scheduler = ReadyScheduler(self.context.priorities)
         done = np.zeros(tg.nblocks, dtype=bool)
         done[done_blocks] = True
@@ -500,15 +487,9 @@ class Worker:
             self._bmod_order, 0
         )
         self._bmod_src_ready: set[int] = set()
-        diag = tg.block_I == tg.block_J
-        # Panel -> diagonal block id (BDIV tasks carry src1 == -1, so the
-        # steal path resolves a BDIV's diagonal source through this map).
-        self._diag_block = np.full(tg.npanels, -1, dtype=np.int64)
-        self._diag_block[tg.block_J[diag]] = np.flatnonzero(diag)
-        # Seed: owned diagonal blocks with no incoming BMODs.
-        for b in np.flatnonzero(diag & (tg.nmod == 0)):
-            if self.owners[b] == self.rank:
-                self._push(int(tg.bfac_task[int(b)]))
+        for tid in self.state.seeds():
+            if self.mine[tid]:
+                self._push(int(tid))
 
     def _push(self, tid: int) -> None:
         """Schedule a task unless a checkpoint already supplies its output
@@ -536,23 +517,12 @@ class Worker:
 
     def _arrived(self, b: int) -> None:
         """Block ``b``'s final value is available here (computed, received
-        or preloaded). ``L_KK`` wakes the owned BDIVs of panel K; ``L_IK``
-        decrements its owned consumer BMODs."""
-        tg = self.tg
-        I, J = self._coords(b)
-        if I == J:
-            sub = tg.subdiag_blocks[tg.subdiag_ptr[J] : tg.subdiag_ptr[J + 1]]
-            for s in map(int, sub):
-                if self.owners[s] == self.rank:
-                    self.diag_ready[s] = True
-                    if self.mods_remaining[s] == 0:
-                        self._push(int(tg.bdiv_task[s]))
-            return
-        for t in map(int, tg.dep_tasks[tg.dep_ptr[b] : tg.dep_ptr[b + 1]]):
-            if self.task_owner[t] == self.rank:
-                self.missing[t] -= 1
-                if self.missing[t] == 0:
-                    self._push(t)
+        or preloaded): it has reached the consumers this rank owns."""
+        ids, blocks = self.state.consumers(b)
+        for c in ids[self.owners[blocks] == self.rank].tolist():
+            tid = self.state.delivered(b, c)
+            if tid is not None:
+                self._push(tid)
 
     def _on_block(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
         """``BLOCK`` (or a resolved ``BLOCK_REF``): a completed block
@@ -618,12 +588,9 @@ class Worker:
         b = int(tg.task_block[tid])
         if kind == BMOD:
             self._bmod_advance(b)
-            self.mods_remaining[b] -= 1
-            if self.mods_remaining[b] == 0:
-                if tg.block_I[b] == tg.block_J[b]:
-                    self._push(int(tg.bfac_task[b]))
-                elif self.diag_ready[b]:
-                    self._push(int(tg.bdiv_task[b]))
+            ready = self.state.mod_finished(b)
+            if ready is not None:
+                self._push(ready)
             return
         # Mark the block final and, on the shm transport, copy it into its
         # arena slot (the producer's single copy) before any descriptor
@@ -631,18 +598,12 @@ class Worker:
         self.have.add(b)
         if self.arena is not None:
             self.arena.write(b, self._block(b))
-        if kind == BFAC:
-            k = int(tg.block_J[b])
-            sub = tg.subdiag_blocks[tg.subdiag_ptr[k] : tg.subdiag_ptr[k + 1]]
-            self._fan_out(b, self.owners[sub])
-        else:
-            deps = tg.dep_tasks[tg.dep_ptr[b] : tg.dep_ptr[b + 1]]
-            self._fan_out(b, self.task_owner[deps])
+        self._fan_out(b, self.owners[self.state.consumers(b)[1]])
         self._arrived(b)
 
     def _fan_out(self, b: int, target_owners: np.ndarray) -> None:
         """Send completed block ``b`` once to each distinct remote owner."""
-        remote = self._remote(target_owners)
+        remote = remote_ranks(target_owners, self.rank)
         if remote.size == 0:
             return
         t0 = self._now()
@@ -716,7 +677,7 @@ class Worker:
         own_sub = (owners == self.rank) & (tg.block_I != tg.block_J)
         mod_mine = (tg.task_kind == BMOD) & self.mine
         s = np.concatenate([
-            self._diag_block[tg.block_J[own_sub]],
+            tg.diag_block[tg.block_J[own_sub]],
             tg.task_src1[mod_mine],
             tg.task_src2[mod_mine],
         ])
@@ -996,7 +957,7 @@ class Worker:
         tg = self.tg
         if int(tg.task_kind[tid]) == BDIV:
             b = int(tg.task_block[tid])
-            return [int(self._diag_block[int(tg.block_J[b])])]
+            return [int(tg.diag_block[tg.block_J[b]])]
         srcs: list[int] = []
         for s in (int(tg.task_src1[tid]), int(tg.task_src2[tid])):
             if s >= 0 and s not in srcs:
@@ -1272,14 +1233,14 @@ class Worker:
             self._fsolve_done.add(k)
             self._xbuf[k] = out.copy()
             self._solve_send(wire.pack_solve_y(rank, k, out),
-                             self._remote(self.owners[sp.col_blocks[k]]),
+                             remote_ranks(self.owners[sp.col_blocks[k]], rank),
                              tr and f"y({k})")
             self._y_ready(k, out)
             self._bwd_drain(k)
         elif kind == BSOLVE:
             self._solution_panels[k] = out
             self._solve_send(wire.pack_solve_x(rank, k, out),
-                             self._remote(self.owners[sp.row_blocks[k]]),
+                             remote_ranks(self.owners[sp.row_blocks[k]], rank),
                              tr and f"x({k})")
             self._x_ready(k, out)
         elif kind == FUPD:

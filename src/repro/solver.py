@@ -356,22 +356,15 @@ class SparseCholesky:
         """Combined distributed factor+solve in a single ``"mp"`` runtime
         launch (used when :meth:`solve` is called before :meth:`factor`):
         the factor stays distributed and only RHS fragments travel."""
-        from repro.numeric.solve import _resolve_perm
+        from repro.numeric.solve import permute_rhs
 
-        perm = _resolve_perm(self.symbolic.ordering)
-        result = self._run_mp(rhs=b if perm is None else b[perm])
+        pb, restore = permute_rhs(b, self.A.shape[0], self.symbolic.ordering)
+        result = self._run_mp(rhs=pb)
         self._numeric = result.factor
         self.runtime_metrics = result.metrics
         self.run_trace = result.trace
         self._L = self._numeric.to_csc()
-        z = result.solution
-        if b.ndim == 1:
-            z = z[:, 0]
-        if perm is None:
-            return z
-        x = np.empty_like(z)
-        x[perm] = z
-        return x
+        return restore(result.solution)
 
     def _solve_via_service(self, b: np.ndarray) -> np.ndarray:
         """Solve through the service's resident factor (warm solves ship

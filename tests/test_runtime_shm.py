@@ -193,11 +193,9 @@ class TestBlockArena:
             rng = np.random.default_rng(1)
             arr = np.tril(rng.random((w, w)))
             arena.write(b, arr)
-            inline = arena.inline_frame(arena.pack_ref(2, b))
-            expect = wire.pack_block(
-                2, b, int(lay.block_I[b]), int(lay.block_J[b]), arr
-            )
-            assert inline == expect
+            coords = int(lay.block_I[b]), int(lay.block_J[b])
+            inline = wire.pack_block(2, b, *coords, arena.read(b))
+            assert inline == wire.pack_block(2, b, *coords, arr)
         finally:
             arena.destroy()
 

@@ -202,6 +202,29 @@ class TestFacade:
         assert par.runtime_metrics.solve_tasks_total > 0
         assert par.solve_residual < 1e-10
 
+    @pytest.mark.parametrize("shape", [(5,), (144, 2, 2)])
+    def test_bad_rhs_is_a_typed_error_before_any_spawn(
+        self, grid12_pipeline, shape, monkeypatch
+    ):
+        """Same ``ValueError`` on both mp routes as on ``sequential``; the
+        combined route raises it without launching the runtime."""
+        from repro.solver import SparseCholesky
+
+        A = grid12_pipeline[0].A
+        want = f"rhs has shape {shape}; matrix has 144 rows"
+        chol = SparseCholesky(A, ordering="nd", block_size=8,
+                              backend="mp", nprocs=2)
+        monkeypatch.setattr(
+            chol, "_run_mp", lambda **kw: pytest.fail("runtime launched")
+        )
+        with pytest.raises(ValueError) as err:
+            chol.solve(np.ones(shape))  # combined factor+solve route
+        assert str(err.value) == want
+        monkeypatch.undo()
+        with pytest.raises(ValueError) as err:
+            chol.factor().solve(np.ones(shape))  # factor-then-solve route
+        assert str(err.value) == want
+
     def test_refinement_reports_residuals(self, grid12_pipeline):
         from repro.solver import SparseCholesky
 

@@ -89,8 +89,8 @@ def _remote_block(w, seq_chol):
 def _state(w):
     """Everything a frame could change besides the receive ledger."""
     return (
-        set(w.have), len(w.scheduler), w.missing.copy(),
-        w.diag_ready.copy(), w.mods_remaining.copy(), w.executed,
+        set(w.have), len(w.scheduler), w.state.missing.copy(),
+        w.state.diag_ready.copy(), w.state.mods_remaining.copy(), w.executed,
         [d.copy() for d in w.chol.diag],
     )
 

@@ -20,6 +20,16 @@ class TestSparseCholesky:
         x = grid_solver.solve(b)
         assert np.max(np.abs(grid_solver.A @ x - b)) < 1e-8
 
+    @pytest.mark.parametrize("backend", ["sequential", "threads"])
+    @pytest.mark.parametrize("shape", [(5,), (17, 2), (16, 2, 2), ()])
+    def test_bad_rhs_is_a_typed_error(self, backend, shape):
+        chol = SparseCholesky(
+            grid2d_matrix(4).A, backend=backend, nprocs=2
+        ).factor()
+        with pytest.raises(ValueError) as err:
+            chol.solve(np.ones(shape))
+        assert str(err.value) == f"rhs has shape {shape}; matrix has 16 rows"
+
     def test_L_before_factor_raises(self):
         s = SparseCholesky(grid2d_matrix(6).A)
         with pytest.raises(RuntimeError):
