@@ -192,7 +192,6 @@ def cmd_bench_real(args) -> int:
         BLOCK_POLICIES if args.block_policy == "both"
         else [args.block_policy]
     )
-    policy = None if args.policy == "fifo" else args.policy
     runs = {}
     resids = {}
     multi = len(mappings) * len(schedules) * len(bpolicies) > 1
@@ -208,7 +207,7 @@ def cmd_bench_real(args) -> int:
             for schedule in schedules:
                 res = run_mp_fanout(
                     prep.structure, prep.symbolic.A, prep.taskgraph, owners,
-                    cfg.nprocs, cfg, policy=policy, mapping=name, rhs=rhs,
+                    cfg.nprocs, cfg, mapping=name, rhs=rhs,
                     schedule=schedule, block_policy=bpolicy,
                     trace=bool(args.trace_out),
                 )
@@ -885,10 +884,14 @@ def cmd_experiment(args) -> int:
 
 def cmd_suite(args) -> int:
     import subprocess
+    from pathlib import Path
 
-    return subprocess.call(
-        [sys.executable, "scripts/run_all_experiments.py", args.scale]
-    )
+    # The script lives in the source checkout, not in an installed package.
+    script = Path(__file__).parents[2] / "scripts/run_all_experiments.py"
+    if not script.is_file():
+        print(f"repro suite: {script} not found", file=sys.stderr)
+        return 2
+    return subprocess.call([sys.executable, str(script), args.scale])
 
 
 def _mappings(text: str) -> list[str]:
@@ -951,9 +954,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="panel blocking policy: fixed-width panels, "
                         "structure-aware supernodal panels, or 'both' to "
                         "run and compare side by side")
-    p.add_argument("--policy", default="fifo",
-                   choices=("fifo", "column", "bottom_level"),
-                   help="ready-task scheduling policy on every worker")
     p.add_argument("--validate", action="store_true",
                    help="also check numerics/messages/work against the "
                         "models")

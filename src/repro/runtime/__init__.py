@@ -5,7 +5,7 @@ behaves on a message-passing machine, this package *executes* it: N worker
 processes each own the blocks a :class:`~repro.mapping.base.BlockMap`
 assigns to them, run BFAC/BDIV/BMOD locally per §2.3's protocol, and fan
 completed blocks out as serialized messages over per-link channels. The
-metrics layer records per-worker busy/idle/comm timelines and per-link
+metrics layer records per-worker busy/idle/comm seconds and per-link
 traffic, so the paper's remapping heuristics can be judged on measured
 wall-clock load distribution, and the validation harness pins the runtime
 against the sequential factorization, the static communication-volume

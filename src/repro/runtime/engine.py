@@ -29,10 +29,10 @@ from repro.blocks.structure import BlockStructure
 from repro.config import RunConfig
 from repro.fanout.domains import assign_domains
 from repro.fanout.ownership import block_owners
-from repro.fanout.priorities import task_priorities
 from repro.fanout.tasks import TaskGraph
 from repro.mapping import best_grid, named_map
 from repro.numeric.blockfact import BlockCholesky
+from repro.numeric.solve import permute_rhs
 from repro.runtime import wire
 from repro.runtime.arena import BlockArena, resolve_transport
 from repro.runtime.metrics import RuntimeMetrics
@@ -131,13 +131,9 @@ def run_mp_fanout(
     *,
     mapping: str = "",
     rhs: np.ndarray | None = None,
-    priorities: np.ndarray | None = None,
-    policy: str | None = None,
-    depth: np.ndarray | None = None,
     fault_plan=None,
     recovery: bool | None = None,
     checkpoint: dict[int, bytes] | None = None,
-    inject_failure: tuple[int, int] | None = None,
     **overrides,
 ) -> MPRuntimeResult:
     """Factor ``A`` with ``nprocs`` worker processes exchanging messages.
@@ -154,11 +150,8 @@ def run_mp_fanout(
     the factor blocks stay where they were computed, only right-hand-side
     fragments travel (``docs/SOLVING.md``) — and the result's ``solution``
     is bitwise identical to :func:`repro.numeric.solve.solve_with_factor`.
-    ``policy`` is a :mod:`repro.fanout.priorities` name applied on every
-    worker; an explicit ``priorities`` array wins over it.
-    ``inject_failure=(rank, after_n_tasks)`` is the bare soft-crash hook,
-    ``fault_plan`` (:class:`repro.runtime.faults.FaultPlan`) the full
-    chaos layer. ``recovery`` turns on the in-run integrity protocol (CRC
+    ``fault_plan`` (:class:`repro.runtime.faults.FaultPlan`) injects
+    faults; ``recovery`` turns on the in-run integrity protocol (CRC
     reject + NACK/retransmit + duplicate suppression + the DONE linger
     barrier) and defaults to on exactly when a fault plan is given.
     ``checkpoint`` maps block ids to completed-block wire frames from a
@@ -178,25 +171,19 @@ def run_mp_fanout(
     config = RunConfig.of(config, {**overrides, "nprocs": nprocs})
     if owners.size and (owners.min() < 0 or owners.max() >= nprocs):
         raise ValueError("block owner out of range for nprocs")
-    if priorities is None and policy not in (None, "fifo"):
-        priorities = task_priorities(tg, policy, depth=depth)
     if recovery is None:
         recovery = fault_plan is not None
 
     if rhs is not None:
-        rhs = np.ascontiguousarray(rhs, dtype=np.float64)
-        if rhs.ndim == 1:
-            rhs = rhs.reshape(-1, 1)
-        if rhs.ndim != 2 or rhs.shape[0] != A.shape[0]:
-            raise ValueError(
-                f"rhs must be ({A.shape[0]}, nrhs), got {rhs.shape}"
-            )
+        rhs, _ = permute_rhs(rhs, A.shape[0], None)
+        rhs = np.ascontiguousarray(
+            rhs.reshape(-1, 1) if rhs.ndim == 1 else rhs
+        )
 
     with one_shot_crew(structure, A, tg, config) as (pool, make_job, finish):
         job = make_job(
-            owners, priorities=priorities, fault_plan=fault_plan, rhs=rhs,
-            recovery=recovery, checkpoint=checkpoint,
-            inject_failure=inject_failure,
+            owners, fault_plan=fault_plan, rhs=rhs, recovery=recovery,
+            checkpoint=checkpoint,
         )
         outcome = pool.run_batch([job], config.timeout_s)[0]
         return finish(outcome, job, mapping)
@@ -218,10 +205,9 @@ def one_shot_crew(structure, A, tg, config: RunConfig):
     arena = BlockArena.create(tg) if transport == "shm" else None
     # wall_s counts from before the crew is spawned.
     epoch = time.perf_counter()
-    # One-shot runs keep per-worker timelines; resident service jobs don't.
-    pool = WorkerPool(config.nprocs, record_timeline=True)
+    pool = WorkerPool(config.nprocs)
 
-    def make_job(owners, priorities=None, seq=0, **fields) -> PoolJob:
+    def make_job(owners, seq=0, **fields) -> PoolJob:
         return PoolJob(
             seq=seq,
             pattern_id="one-shot",
@@ -231,7 +217,6 @@ def one_shot_crew(structure, A, tg, config: RunConfig):
                 structure=structure,
                 tg=tg,
                 owners=owners,
-                priorities=priorities,
                 indptr=A.indptr,
                 indices=A.indices,
                 shape=A.shape,

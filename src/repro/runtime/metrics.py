@@ -1,8 +1,9 @@
 """Per-worker and runtime-wide metrics for the message-passing engine.
 
-Each worker records a wall-clock timeline of ``busy`` (executing block
+Each worker totals its wall-clock seconds ``busy`` (executing block
 operations), ``comm`` (serializing, sending, receiving, unpacking frames)
-and ``idle`` (blocked waiting for messages) segments, plus task counts,
+and ``idle`` (blocked waiting for messages) — the per-segment record is
+the structured trace, :mod:`repro.runtime.trace` — plus task counts,
 per-link traffic, and the work-model units it actually executed. The
 aggregate report computes measured load balance the same way the paper's
 balance statistic does — ``total / (P * max)`` — so a real run can be laid
@@ -27,26 +28,14 @@ CATEGORIES = ("busy", "comm", "idle", "solve_busy", "solve_comm",
 
 
 class TimelineRecorder:
-    """Accumulates (category, start, end) segments, merging adjacent
-    segments of the same category (keeps timelines compact)."""
+    """Accumulates the seconds spent per category, one span at a time."""
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self.segments: list[tuple[str, float, float]] = []
+    def __init__(self):
         self.totals = {c: 0.0 for c in CATEGORIES}
 
     def add(self, category: str, start: float, end: float) -> None:
-        if end <= start:
-            return
-        self.totals[category] += end - start
-        if not self.enabled:
-            return
-        if self.segments:
-            last_cat, last_start, last_end = self.segments[-1]
-            if last_cat == category and start - last_end < 1e-7:
-                self.segments[-1] = (category, last_start, end)
-                return
-        self.segments.append((category, start, end))
+        if end > start:
+            self.totals[category] += end - start
 
 
 @dataclass
@@ -76,7 +65,6 @@ class WorkerMetrics:
     wire_bytes_received: int = 0
     #: Per-link traffic this worker sent: ``{dst_rank: [messages, bytes]}``.
     links: dict[int, list[int]] = field(default_factory=dict)
-    timeline: list[tuple[str, float, float]] = field(default_factory=list)
     error: str | None = None
     #: Class name of the exception behind ``error`` (the recovery loop
     #: reads it to tell a deterministic failure from a transient one).
@@ -177,16 +165,13 @@ class WorkerMetrics:
     def to_dict(self) -> dict:
         d = dict(self.__dict__)
         d["links"] = {str(k): list(v) for k, v in self.links.items()}
-        d["timeline"] = [list(seg) for seg in self.timeline]
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "WorkerMetrics":
         d = dict(d)
         d["links"] = {int(k): list(v) for k, v in d.get("links", {}).items()}
-        d["timeline"] = [
-            (str(c), float(a), float(b)) for c, a, b in d.get("timeline", [])
-        ]
+        d.pop("timeline", None)  # dumps written before the trace replaced it
         return cls(**d)
 
 

@@ -106,7 +106,6 @@ class PatternContext:
     structure: object
     tg: object
     owners: np.ndarray
-    priorities: np.ndarray | None
     indptr: np.ndarray
     indices: np.ndarray
     shape: tuple
@@ -130,8 +129,7 @@ class PoolJob:
     ``time.monotonic()`` instant past which the driver aborts the job
     (``time.monotonic`` is system-wide on Linux, so workers and driver
     agree on it). ``fault_plan`` injects deterministic faults into this
-    job's workers; ``inject_failure=(rank, after_n_tasks)`` is the bare
-    soft-crash hook the shutdown tests use.
+    job's workers.
 
     ``recovery`` turns on the in-run integrity protocol (CRC reject +
     NACK/retransmit under the pattern config's renegotiation backoff +
@@ -164,7 +162,6 @@ class PoolJob:
     rhs: np.ndarray | None = None
     recovery: bool = False
     checkpoint: dict[int, bytes] | None = None
-    inject_failure: tuple[int, int] | None = None
 
 
 @dataclass
@@ -311,13 +308,11 @@ class JobFabric:
 class _PoolWorker:
     """The resident process: runs batches of jobs until told to stop."""
 
-    def __init__(self, rank, fabric, commands, result_queue,
-                 record_timeline):
+    def __init__(self, rank, fabric, commands, result_queue):
         self.rank = rank
         self.fabric = fabric
         self.commands = commands
         self.result_queue = result_queue
-        self.record_timeline = record_timeline
         self.router = InboxRouter(fabric.inbox(rank))
         self.patterns: dict[str, tuple] = {}  # pid -> (context, arena)
         self.done_seen: dict[int, set] = {}
@@ -430,8 +425,7 @@ class _PoolWorker:
             )
         context, arena = entry
         return Worker(
-            self.rank, context, job, arena, fabric, results,
-            epoch, self.record_timeline,
+            self.rank, context, job, arena, fabric, results, epoch
         )
 
     def _announce(self, seq: int) -> None:
@@ -516,13 +510,9 @@ class WorkerPool:
     a job exactly when its pattern is not in that set. :meth:`restart`
     replaces dead processes with a fresh fabric and clears the set, so
     contexts are re-shipped lazily.
-
-    ``record_timeline`` is where the two callers really differ: a
-    one-shot run keeps per-worker busy/comm/idle segments for its
-    metrics, service jobs keep only the totals.
     """
 
-    def __init__(self, nprocs: int, record_timeline: bool = False):
+    def __init__(self, nprocs: int):
         if nprocs < 1:
             raise ValueError("nprocs must be positive")
         self.nprocs = nprocs
@@ -530,7 +520,6 @@ class WorkerPool:
         #: :attr:`nprocs` below this after process deaths; :meth:`regrow`
         #: restores it once the crew is quiescent again.
         self.configured_nprocs = nprocs
-        self.record_timeline = record_timeline
         self.seen_patterns: set[str] = set()
         self.generation = 0
         #: Why the last :meth:`run_batch` broke the pool (None when it
@@ -575,7 +564,6 @@ class WorkerPool:
                 fabric=self._fabric,
                 commands=self._commands[rank],
                 result_queue=self._results,
-                record_timeline=self.record_timeline,
             )
             p = ctx.Process(
                 target=pool_worker_main,

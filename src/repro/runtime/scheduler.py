@@ -1,98 +1,53 @@
-"""Ready-task scheduling inside one worker.
-
-Mirrors the simulator's two queue disciplines
-(:class:`repro.machine.processor.SimProcessor`): data-driven FIFO — tasks
-run in arrival order, §2.3's default — or priority order under any of the
-per-task priority arrays from :mod:`repro.fanout.priorities` (``column``,
-``depth``, ``bottom_level``; lower value runs first). The same policy names
-therefore mean the same execution order in simulation and real execution.
+"""Ready-task scheduling inside one worker: data-driven FIFO, §2.3's rule —
+a processor runs block operations in the order their operands arrive.
+Other ready orders are studied in the simulator only; ``docs/PERFORMANCE.md``
+records the P=2 spot check in which none of them beat FIFO here.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-
-import numpy as np
 
 
 class ReadyScheduler:
-    """Queue of ready task ids; FIFO or priority-ordered.
-
-    ``priorities`` is the full per-task priority array (one value per task
-    in the graph, lower runs first) or None for FIFO. Ties and FIFO order
-    are broken by arrival sequence, making every discipline deterministic.
+    """FIFO queue of ready task ids.
 
     Pushes are idempotent: a task id already enqueued (ever) is silently
     ignored, so redundant wakeups — duplicate frames, checkpoint replay
     racing a late message — cannot execute a task twice.
     """
 
-    def __init__(self, priorities: np.ndarray | None = None):
-        self._prio = None if priorities is None else np.asarray(
-            priorities, dtype=np.float64
-        )
+    def __init__(self):
         self._fifo: deque[int] = deque()
-        self._heap: list[tuple[float, int, int]] = []
-        self._seq = 0
         self._seen: set[int] = set()
-
-    @property
-    def priority_mode(self) -> bool:
-        return self._prio is not None
 
     def push(self, tid: int) -> bool:
         """Enqueue ``tid``; returns False if it was already pushed once."""
         if tid in self._seen:
             return False
         self._seen.add(tid)
-        if self._prio is None:
-            self._fifo.append(tid)
-        else:
-            heapq.heappush(self._heap, (float(self._prio[tid]), self._seq, tid))
-        self._seq += 1
+        self._fifo.append(tid)
         return True
 
     def pop(self) -> int:
-        if self._prio is None:
-            return self._fifo.popleft()
-        return heapq.heappop(self._heap)[2]
+        return self._fifo.popleft()
 
     def steal(self, eligible) -> int | None:
         """Remove and return the task a thief should get, or None.
 
         ``eligible`` is a predicate over task ids (the worker grants only
-        BMOD/BDIV tasks). The steal end is the opposite of :meth:`pop`:
-        the FIFO tail under data-driven order, the *worst*-priority entry
-        under a priority discipline — the victim keeps the work it would
-        have run next, the thief takes what would have waited longest.
-        The task stays in ``_seen``, so a redundant wakeup cannot
-        re-enqueue it behind the thief's back.
+        BMOD/BDIV tasks). The steal end is the FIFO tail, the opposite of
+        :meth:`pop`: the victim keeps the work it would have run next, the
+        thief takes what would have waited longest. The task stays in
+        ``_seen``, so a redundant wakeup cannot re-enqueue it behind the
+        thief's back.
         """
-        if self._prio is None:
-            for i in range(len(self._fifo) - 1, -1, -1):
-                tid = self._fifo[i]
-                if eligible(tid):
-                    del self._fifo[i]
-                    return tid
-            return None
-        best = -1
-        for i, entry in enumerate(self._heap):
-            if eligible(entry[2]) and (
-                best < 0 or entry[:2] > self._heap[best][:2]
-            ):
-                best = i
-        if best < 0:
-            return None
-        tid = self._heap[best][2]
-        self._heap[best] = self._heap[-1]
-        self._heap.pop()
-        if best < len(self._heap):
-            heapq.heapify(self._heap)
-        return tid
+        for i in range(len(self._fifo) - 1, -1, -1):
+            tid = self._fifo[i]
+            if eligible(tid):
+                del self._fifo[i]
+                return tid
+        return None
 
     def __len__(self) -> int:
-        return len(self._fifo) if self._prio is None else len(self._heap)
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
+        return len(self._fifo)

@@ -4,11 +4,10 @@ Each worker carries a :class:`TraceRecorder` — a bounded ring buffer of
 ``(category, name, t0, t1, args)`` tuples stamped with the shared run
 epoch. Recording is strictly opt-in: with tracing off the worker holds
 ``None`` and the hot path performs a single identity check per candidate
-event, no allocation. With tracing on, span events mirror the
-:class:`~repro.runtime.metrics.TimelineRecorder` one-for-one — every
-``busy``/``comm``/``idle`` segment the metrics layer accumulates appears
-as exactly one trace event with the same endpoints, in the same order —
-so busy/idle/comm time, message counts, and bytes recomputed from the
+event, no allocation. With tracing on, the trace *is* the timeline —
+every ``busy``/``comm``/``idle`` span the metrics layer adds to its totals
+appears as exactly one trace event with the same endpoints, in the same
+order — so busy/idle/comm time, message counts, and bytes recomputed from the
 trace (:mod:`repro.analysis.trace_replay`) reconcile *exactly* with
 :class:`~repro.runtime.metrics.RuntimeMetrics` on a fault-free run.
 

@@ -329,7 +329,7 @@ def pack_solve_bup(src: int, block: int, array: np.ndarray) -> bytes:
     return _pack_solve(SOLVE_BUP, src, block, array)
 
 
-def unpack(frame: bytes, verify: bool = True, copy: bool = True) -> WireMessage:
+def unpack(frame: bytes, copy: bool = True) -> WireMessage:
     """Decode one frame back into a :class:`WireMessage`.
 
     Diagonal payloads are unpacked from the packed triangle into a full
@@ -339,7 +339,7 @@ def unpack(frame: bytes, verify: bool = True, copy: bool = True) -> WireMessage:
     the frame buffer and only reads the block, which is every runtime
     consumer (``bmod``/``bdiv`` sources are never written). Raises
     :class:`WireError` on malformed input and :class:`CorruptFrameError`
-    when ``verify`` (the default) finds a CRC mismatch.
+    on a CRC mismatch.
     """
     if len(frame) < HEADER_BYTES:
         raise WireError("frame shorter than the wire header")
@@ -356,17 +356,16 @@ def unpack(frame: bytes, verify: bool = True, copy: bool = True) -> WireMessage:
         # Header-only descriptor: nwords is the *logical* payload size;
         # no payload bytes follow. The CRC covers prefix + slot metadata.
         offset, payload_crc = _REF.unpack_from(frame, REF_REGION_START)
-        if verify:
-            region = frame[REF_REGION_START:REF_REGION_START + _REF.size]
-            expect = zlib.crc32(region, zlib.crc32(frame[: _PREFIX.size]))
-            if crc != expect:
-                raise CorruptFrameError(
-                    f"CRC mismatch on BLOCK_REF descriptor (src={src}, "
-                    f"block={block}): stored {crc:#010x}, "
-                    f"computed {expect:#010x}",
-                    src=src,
-                    block=block,
-                )
+        region = frame[REF_REGION_START:REF_REGION_START + _REF.size]
+        expect = zlib.crc32(region, zlib.crc32(frame[: _PREFIX.size]))
+        if crc != expect:
+            raise CorruptFrameError(
+                f"CRC mismatch on BLOCK_REF descriptor (src={src}, "
+                f"block={block}): stored {crc:#010x}, "
+                f"computed {expect:#010x}",
+                src=src,
+                block=block,
+            )
         if nwords < 0 or rows < 0 or cols < 0 or offset < 0:
             raise WireError("malformed BLOCK_REF descriptor")
         return WireMessage(BLOCK_REF, src, block, rows, cols, None,
@@ -377,17 +376,16 @@ def unpack(frame: bytes, verify: bool = True, copy: bool = True) -> WireMessage:
             f"frame truncated: header promises {nwords} payload words, "
             f"{len(frame) - HEADER_BYTES} bytes follow"
         )
-    if verify:
-        payload_bytes = frame[HEADER_BYTES : HEADER_BYTES + 8 * nwords]
-        expect = zlib.crc32(payload_bytes, zlib.crc32(frame[: _PREFIX.size]))
-        if crc != expect:
-            raise CorruptFrameError(
-                f"CRC mismatch on frame (kind={kind}, src={src}, "
-                f"block={block}): stored {crc:#010x}, "
-                f"computed {expect:#010x}",
-                src=src,
-                block=block,
-            )
+    payload_bytes = frame[HEADER_BYTES : HEADER_BYTES + 8 * nwords]
+    expect = zlib.crc32(payload_bytes, zlib.crc32(frame[: _PREFIX.size]))
+    if crc != expect:
+        raise CorruptFrameError(
+            f"CRC mismatch on frame (kind={kind}, src={src}, "
+            f"block={block}): stored {crc:#010x}, "
+            f"computed {expect:#010x}",
+            src=src,
+            block=block,
+        )
     if kind in CONTROL_KINDS:
         return WireMessage(kind, src, block, 0, 0, None)
     if (

@@ -48,6 +48,7 @@ from repro.numeric.solve import (
     bupd_kernel,
     fsolve_kernel,
     fupd_kernel,
+    permute_rhs,
     solve_flops,
 )
 from repro.fanout.protocol import FanoutState, remote_ranks
@@ -109,7 +110,7 @@ class Worker:
 
     Takes the job as the pool shipped it: the pattern's
     :class:`~repro.runtime.pool.PatternContext` (block structure, task
-    graph, owners, priorities, the :class:`~repro.config.RunConfig`, and
+    graph, owners, the :class:`~repro.config.RunConfig`, and
     the permuted matrix's index arrays — scattering ``job.values`` into
     initial block data is the runtime's stand-in for the host
     distributing ``A``), the
@@ -119,7 +120,7 @@ class Worker:
     """
 
     def __init__(self, rank: int, context, job, arena, fabric, result_queue,
-                 epoch: float = 0.0, record_timeline: bool = True):
+                 epoch: float = 0.0):
         self.rank = rank
         self.context = context
         self.config = config = context.config
@@ -127,7 +128,6 @@ class Worker:
         self.owners = np.asarray(context.owners)
         self.arena = arena
         self.epoch = epoch
-        self.record_timeline = record_timeline
         #: ``"dynamic"`` adds work stealing on top of the owner-computes
         #: map (see ``docs/SCHEDULING.md``).
         self.dynamic = config.schedule == "dynamic" and fabric.nprocs > 1
@@ -161,16 +161,11 @@ class Worker:
             for link in self.links.values():
                 link.coalesce = True
         spec = plan.crash_for(self.rank) if plan is not None else None
-        self._crash_after, self._crash_hard = None, False
-        hook = job.inject_failure
-        if hook is not None and hook[0] == self.rank:
-            self._crash_after = int(hook[1])
-        elif spec is not None:
-            self._crash_after = int(spec.after_tasks)
-            self._crash_hard = bool(spec.hard)
+        self._crash_after = None if spec is None else int(spec.after_tasks)
+        self._crash_hard = spec is not None and bool(spec.hard)
         self._slow_s = plan.slow_for(self.rank) if plan is not None else 0.0
         self.metrics = WorkerMetrics(rank=self.rank)
-        self.timeline = TimelineRecorder(enabled=self.record_timeline)
+        self.timeline = TimelineRecorder()
         cap = job.trace_capacity
         #: Structured event recorder, or None (tracing off — the hot path
         #: then pays one identity check per event site, no allocation).
@@ -313,11 +308,11 @@ class Worker:
 
     def _span(self, seg: str, t0: float, cat: str, name: str,
               args: dict | None = None, t1: float | None = None) -> None:
-        """End timeline segment ``seg`` begun at ``t0`` (now, unless the
-        caller measured ``t1``) and, when tracing, record it as trace span
-        ``cat``/``name``: the trace mirrors the timeline one for one. Call
-        sites pass a formatted ``name`` and ``args`` as ``self.trace and
-        …``, so neither is built when tracing is off."""
+        """Add the span begun at ``t0`` (ending now, unless the caller
+        measured ``t1``) to the ``seg`` seconds total and, when tracing,
+        record it as trace span ``cat``/``name`` — the only per-segment
+        record. Call sites pass a formatted ``name`` and ``args`` as
+        ``self.trace and …``, so neither is built when tracing is off."""
         if t1 is None:
             t1 = self._now()
         self.timeline.add(seg, t0, t1)
@@ -463,7 +458,7 @@ class Worker:
         self.mine = self.owners[tg.task_block] == self.rank
         self.n_owned = int(self.mine.sum())
         self.state = FanoutState(tg)
-        self.scheduler = ReadyScheduler(self.context.priorities)
+        self.scheduler = ReadyScheduler()
         done = np.zeros(tg.nblocks, dtype=bool)
         done[done_blocks] = True
         self.skip_task = done[tg.task_block]
@@ -1047,13 +1042,11 @@ class Worker:
                               wire.SOLVE_X: self._on_x,
                               wire.SOLVE_FUP: self._on_fup,
                               wire.SOLVE_BUP: self._on_bup})
-        rhs = np.ascontiguousarray(rhs, dtype=np.float64)
-        if rhs.ndim == 1:
-            rhs = rhs.reshape(-1, 1)
         self.splan = sp = SolvePlan(self.context.structure, self.tg)
-        n = int(sp.panel_ptr[-1])
-        if rhs.shape[0] != n:
-            raise ValueError(f"rhs has {rhs.shape[0]} rows, matrix has {n}")
+        rhs, _ = permute_rhs(rhs, int(sp.panel_ptr[-1]), None)
+        rhs = np.ascontiguousarray(
+            rhs.reshape(-1, 1) if rhs.ndim == 1 else rhs
+        )
         self.nrhs = int(rhs.shape[1])
         own_diag = [
             k for k in range(sp.npanels)
@@ -1084,7 +1077,7 @@ class Worker:
         self._x_have: dict[int, np.ndarray] = {}
         #: Owned solution panels shipped home in the WorkerResult.
         self._solution_panels: dict[int, np.ndarray] = {}
-        self.solve_scheduler = ReadyScheduler(None)
+        self.solve_scheduler = ReadyScheduler()
         self.n_solve_owned = sp.owned_task_count(self.owners, self.rank)
         for k in own_diag:
             if sp.fwd_count[k] == 0:
@@ -1283,7 +1276,6 @@ class Worker:
         m = self.metrics
         for cat, total in self.timeline.totals.items():
             setattr(m, f"{cat}_s", total)
-        m.timeline = list(self.timeline.segments)
         for dst, link in self.links.items():
             if link.messages:
                 m.links[dst] = [link.messages, link.bytes]

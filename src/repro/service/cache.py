@@ -94,7 +94,6 @@ class PatternEntry:
             structure=self.structure,
             tg=self.tg,
             owners=self.owners,
-            priorities=None,
             indptr=A_perm.indptr,
             indices=A_perm.indices,
             shape=tuple(A_perm.shape),
@@ -111,8 +110,7 @@ class PatternEntry:
 
 class PatternCache:
     """LRU cache of :class:`PatternEntry`, with observable hit/miss
-    counters and an eviction hook (the service uses it to drop worker
-    attachments before destroying the arena)."""
+    counters."""
 
     def __init__(self, capacity: int = 8):
         # Capacity 2+ so every in-batch pattern stays resident while the
@@ -122,14 +120,9 @@ class PatternCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: Called with each evicted entry *before* its arena is destroyed.
-        self.on_evict = None
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, pattern_id: str) -> bool:
-        return pattern_id in self._entries
 
     def lookup(self, pattern_id: str) -> PatternEntry | None:
         """Hit-counting lookup; refreshes LRU recency."""
@@ -167,9 +160,6 @@ class PatternCache:
                 break
             evicted.append(self._entries.pop(victim))
             self.evictions += 1
-        if self.on_evict is not None:
-            for e in evicted:
-                self.on_evict(e)
         return evicted
 
     def stats(self) -> dict:

@@ -23,6 +23,7 @@ identical to the sequential :class:`~repro.numeric.BlockCholesky` —
 from __future__ import annotations
 
 import itertools
+import logging
 import threading
 import time
 import uuid
@@ -61,6 +62,8 @@ from repro.service.jobs import (
 )
 from repro.service.metrics import JobRecord, ServiceMetrics
 from repro.service.resilience import CircuitBreaker
+
+log = logging.getLogger("repro.service")
 
 #: Errors the dispatcher turns into per-job failures rather than letting
 #: them crash the batch (``ValidationFailed`` subclasses ``JobFailed``).
@@ -302,6 +305,7 @@ class FactorService:
         except (AdmissionRejected, ServiceClosed) as exc:
             if isinstance(exc, AdmissionRejected):
                 self.metrics.count_rejected()
+                log.warning("job %s rejected: %s", job.job_id, exc.reason)
             with self._dedup_lock:
                 self._outstanding.pop(job.job_id, None)
             raise
@@ -675,6 +679,7 @@ class FactorService:
     def _finish_expired(self, queued, record: JobRecord) -> None:
         job = queued.job
         exc = self._expire(record, f"job {job.job_id!r}", job.deadline_s)
+        log.warning("job %s expired: %s", job.job_id, record.error)
         self._finish_failed(queued, exc, record)
 
     # -- pattern resolution --------------------------------------------
@@ -705,6 +710,7 @@ class FactorService:
         entry.setup_s = time.monotonic() - t0
         record.setup_s = entry.setup_s
         for evicted in self.cache.put(entry, protect=protect):
+            log.info("pattern %s evicted from the cache", evicted.pattern_id)
             self.pool.evict([evicted.pattern_id])
             self._pending_evictions.append(evicted)
         return entry, "miss", job.A
@@ -911,9 +917,8 @@ class FactorService:
         record = JobRecord(
             job_id=queued.job.job_id, status=status, error=str(exc)
         )
-        self.metrics.add(record)
-        self._retire(queued.job.job_id)
-        queued.handle.set_exception(exc)
+        log.warning("job %s %s: %s", record.job_id, status, exc)
+        self._finish_failed(queued, exc, record)
 
     def _release_evictions(self) -> None:
         for entry in self._pending_evictions:

@@ -70,3 +70,35 @@ class TestCommands:
         out = capsys.readouterr().out
         assert rc == 0
         assert "dense problems" in out
+
+
+class TestSuite:
+    def test_runs_the_checkout_script_from_any_directory(
+        self, tmp_path, monkeypatch
+    ):
+        import pathlib
+        import subprocess
+
+        calls = []
+        monkeypatch.setattr(
+            subprocess, "call", lambda argv: calls.append(argv) or 0
+        )
+        monkeypatch.chdir(tmp_path)
+        assert main(["suite", "--scale", "small"]) == 0
+        ((_, script, scale),) = calls
+        assert scale == "small"
+        script = pathlib.Path(script)
+        assert script.is_absolute() and script.is_file()
+        assert script.name == "run_all_experiments.py"
+
+    def test_installed_package_exits_2_with_one_line(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.cli
+
+        fake = tmp_path / "site-packages" / "repro" / "cli.py"
+        monkeypatch.setattr(repro.cli, "__file__", str(fake))
+        assert main(["suite", "--scale", "small"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "run_all_experiments.py not found" in err

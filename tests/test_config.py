@@ -362,6 +362,65 @@ def test_the_deleted_threading_is_gone():
         assert names(cls) >= {"config"}
 
 
+#: The runtime's whole per-call surface, spelled out: a deleted option
+#: (ready-queue priorities, ``inject_failure``, ``record_timeline``,
+#: ``unpack(verify=)``) cannot come back without this table changing.
+SURFACE = {
+    "run_mp_fanout": {
+        "structure", "A", "tg", "owners", "nprocs", "config", "mapping",
+        "rhs", "fault_plan", "recovery", "checkpoint", "overrides",
+    },
+    "PoolJob": {
+        "seq", "pattern_id", "values", "context", "wait_for", "announce",
+        "trace_capacity", "deadline", "fault_plan", "kind", "rhs",
+        "recovery", "checkpoint",
+    },
+    "PatternContext": {
+        "pattern_id", "structure", "tg", "owners", "indptr", "indices",
+        "shape", "arena_name", "config",
+    },
+    "WorkerPool": {"nprocs"},
+    "Worker": {
+        "rank", "context", "job", "arena", "fabric", "result_queue", "epoch",
+    },
+    "ReadyScheduler": set(),
+    "unpack": {"frame", "copy"},
+}
+
+
+def test_the_runtime_surface_is_exactly_this():
+    from repro.runtime import wire
+    from repro.runtime.engine import run_mp_fanout
+    from repro.runtime.pool import PatternContext, PoolJob, WorkerPool
+    from repro.runtime.scheduler import ReadyScheduler
+    from repro.runtime.worker import Worker
+
+    def keywords(obj):
+        if dataclasses.is_dataclass(obj):
+            return {f.name for f in dataclasses.fields(obj)}
+        if inspect.isclass(obj):
+            return set(inspect.signature(obj.__init__).parameters) - {"self"}
+        return set(inspect.signature(obj).parameters)
+
+    found = {
+        obj.__name__: keywords(obj)
+        for obj in (run_mp_fanout, PoolJob, PatternContext, WorkerPool,
+                    Worker, ReadyScheduler, wire.unpack)
+    }
+    assert found == SURFACE
+
+
+def test_worker_metrics_load_a_dump_with_a_legacy_timeline():
+    from repro.runtime.metrics import WorkerMetrics
+
+    dump = WorkerMetrics(rank=1, busy_s=2.0).to_dict()
+    assert "timeline" not in dump
+    dump["timeline"] = [["busy", 0.0, 2.0]]
+    back = WorkerMetrics.from_dict(dump)
+    assert back == WorkerMetrics(rank=1, busy_s=2.0)
+    assert not hasattr(back, "timeline")
+
+
 # ----------------------------------------------------------------------
 # docs: the knob table is the field metadata
 # ----------------------------------------------------------------------

@@ -368,9 +368,7 @@ class TestTypedError:
         names the error even when a rank also raised; whatever is raised
         carries the report it was finished with."""
         _, sf, _, bs, _, tg = grid12_pipeline
-        monkeypatch.setattr(
-            engine, "WorkerPool", lambda n, record_timeline: ScriptedPool(n)
-        )
+        monkeypatch.setattr(engine, "WorkerPool", ScriptedPool)
         config = RunConfig(nprocs=2, transport="inline")
         with engine.one_shot_crew(bs, sf.A, tg, config) as (
             pool, make_job, finish

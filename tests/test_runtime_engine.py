@@ -18,6 +18,7 @@ from repro.runtime import (
     run_mp_fanout,
     validate_runtime,
 )
+from repro.runtime.faults import CrashSpec, FaultPlan
 from repro.runtime.validation import ValidationError
 
 
@@ -25,6 +26,12 @@ def _no_orphans():
     for p in mp.active_children():
         p.join(timeout=5)
     return all(not p.is_alive() for p in mp.active_children())
+
+
+def _soft_crash(rank, after_tasks):
+    """Keywords for: ``rank`` raises after ``after_tasks`` tasks, fail-stop."""
+    plan = FaultPlan(crash=(CrashSpec(rank, after_tasks),))
+    return dict(fault_plan=plan, recovery=False)
 
 
 class TestCorrectness:
@@ -49,13 +56,6 @@ class TestCorrectness:
         _, sf, _, bs, wm, tg = random_spd_pipeline
         res = mp_block_cholesky(bs, sf.A, tg, nprocs=4, mapping="ID/CY")
         assert abs(res.to_csc() @ res.to_csc().T - sf.A).max() < 1e-9
-
-    def test_priority_policy(self, grid12_pipeline):
-        _, sf, _, bs, wm, tg = grid12_pipeline
-        res = mp_block_cholesky(
-            bs, sf.A, tg, nprocs=2, mapping="DW/CY", policy="bottom_level"
-        )
-        assert abs(res.to_csc() @ res.to_csc().T - sf.A).max() < 1e-10
 
     def test_domains_ownership(self, grid12_pipeline):
         _, sf, _, bs, wm, tg = grid12_pipeline
@@ -141,9 +141,6 @@ class TestAccounting:
         for w in res.metrics.workers:
             assert w.tasks_executed > 0
             assert w.busy_s > 0
-            assert w.timeline, "timeline should be recorded by default"
-            cats = {seg[0] for seg in w.timeline}
-            assert cats <= {"busy", "comm", "idle"}
         assert res.metrics.wall_s > 0
         # Render and JSON never crash on real data.
         res.metrics.render()
@@ -156,7 +153,7 @@ class TestShutdown:
         with pytest.raises(WorkerError, match="injected failure"):
             mp_block_cholesky(
                 bs, sf.A, tg, nprocs=4, mapping="cyclic",
-                inject_failure=(1, 3), stall_timeout_s=10, timeout_s=60,
+                **_soft_crash(1, 3), stall_timeout_s=10, timeout_s=60,
             )
         assert _no_orphans()
 
@@ -183,7 +180,7 @@ class TestShutdown:
         with pytest.raises(WorkerError) as info:
             mp_block_cholesky(
                 bs, sf.A, tg, nprocs=4, mapping="cyclic",
-                inject_failure=(2, 3), stall_timeout_s=10, timeout_s=60,
+                **_soft_crash(2, 3), stall_timeout_s=10, timeout_s=60,
             )
         exc = info.value
         text = str(exc)
@@ -201,7 +198,7 @@ class TestShutdown:
         with pytest.raises(WorkerError) as info:
             mp_block_cholesky(
                 bs, sf.A, tg, nprocs=4, mapping="cyclic",
-                inject_failure=(1, 3), stall_timeout_s=10, timeout_s=60,
+                **_soft_crash(1, 3), stall_timeout_s=10, timeout_s=60,
             )
         exc = info.value
         assert set(exc.results) == {0, 1, 2, 3}

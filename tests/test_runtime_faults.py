@@ -66,12 +66,6 @@ class TestWireIntegrity:
         assert info.value.src == 1
         assert info.value.block == 5
 
-    def test_verify_false_skips_crc(self):
-        frame = bytearray(_block_frame())
-        frame[-1] ^= 1
-        msg = wire.unpack(bytes(frame), verify=False)
-        assert msg.kind == wire.BLOCK
-
     @pytest.mark.parametrize("mutation", ["truncate", "magic", "nwords"])
     def test_malformed_frames_raise_typed_error(self, mutation):
         frame = bytearray(_block_frame())

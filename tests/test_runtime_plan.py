@@ -28,7 +28,7 @@ def _context(pipeline, nprocs=2):
     owners, _ = plan_owners(wm, tg, nprocs, "DW/CY", False)
     A = sf.A.tocsc()
     return PatternContext(
-        pattern_id="t", structure=bs, tg=tg, owners=owners, priorities=None,
+        pattern_id="t", structure=bs, tg=tg, owners=owners,
         indptr=A.indptr, indices=A.indices, shape=tuple(A.shape),
     ), A
 

@@ -47,7 +47,6 @@ def _context(p, pattern_id, arena_name=None):
         structure=p["structure"],
         tg=p["tg"],
         owners=p["owners"],
-        priorities=None,
         indptr=A.indptr,
         indices=A.indices,
         shape=tuple(A.shape),
@@ -241,7 +240,7 @@ class TestWarmEqualsCold:
         A_perm = sf.A.tocsc()
         ctx = PatternContext(
             pattern_id="warm",
-            structure=bs, tg=tg, owners=owners, priorities=None,
+            structure=bs, tg=tg, owners=owners,
             indptr=A_perm.indptr, indices=A_perm.indices,
             shape=tuple(A_perm.shape),
             arena_name=None if arena is None else arena.name,

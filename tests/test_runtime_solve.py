@@ -10,6 +10,9 @@ the factor never leaves its arena slots: every factor frame on the wire
 is exactly a 64-byte descriptor, and only RHS fragments carry payload.
 """
 
+import multiprocessing as mp
+import queue
+
 import numpy as np
 import pytest
 
@@ -224,6 +227,39 @@ class TestFacade:
         with pytest.raises(ValueError) as err:
             chol.factor().solve(np.ones(shape))  # factor-then-solve route
         assert str(err.value) == want
+
+    @pytest.mark.parametrize("shape", [(5,), (144, 2, 2)])
+    def test_every_layer_words_a_bad_rhs_the_same(
+        self, grid12_pipeline, shape
+    ):
+        """The façade's check, the driver's and the worker's raise one
+        ``ValueError`` text; the runtime ones before any process exists."""
+        from repro.numeric.solve import permute_rhs
+        from repro.runtime.links import LinkFabric
+        from repro.runtime.pool import PatternContext, PoolJob
+        from repro.runtime.worker import Worker
+
+        _, sf, _, bs, wm, tg = grid12_pipeline
+        want = f"rhs has shape {shape}; matrix has 144 rows"
+        owners, _ = plan_owners(wm, tg, 2, "cyclic")
+        context = PatternContext(
+            pattern_id="t", structure=bs, tg=tg, owners=owners,
+            indptr=sf.A.indptr, indices=sf.A.indices, shape=sf.A.shape,
+        )
+        job = PoolJob(seq=0, pattern_id="t", values=sf.A.data,
+                      rhs=np.ones(shape))
+        worker = Worker(0, context, job, None, LinkFabric(2, queue),
+                        queue.Queue())
+        for check in (
+            lambda: permute_rhs(np.ones(shape), 144, None),
+            lambda: run_mp_fanout(bs, sf.A, tg, owners, 2,
+                                  rhs=np.ones(shape)),
+            lambda: worker._setup(True),
+        ):
+            with pytest.raises(ValueError) as err:
+                check()
+            assert str(err.value) == want
+        assert mp.active_children() == []
 
     def test_refinement_reports_residuals(self, grid12_pipeline):
         from repro.solver import SparseCholesky

@@ -103,46 +103,30 @@ class TestReadyScheduler:
         assert [s.pop() for _ in range(3)] == [5, 1, 9]
         assert not s
 
-    def test_priority_order(self):
-        prio = np.array([3.0, 0.5, 2.0, 1.0])
-        s = ReadyScheduler(prio)
-        for t in (0, 2, 3, 1):
-            s.push(t)
-        assert [s.pop() for _ in range(4)] == [1, 3, 2, 0]
-
-    def test_priority_ties_arrival_order(self):
-        s = ReadyScheduler(np.zeros(4))
-        for t in (2, 0, 3):
-            s.push(t)
-        assert [s.pop() for _ in range(3)] == [2, 0, 3]
-
 
 class TestTimelineRecorder:
     def test_merges_adjacent_same_category(self):
+        """Spans of one category fold into that category's one total."""
         tl = TimelineRecorder()
         tl.add("busy", 0.0, 1.0)
         tl.add("busy", 1.0, 2.0)
         tl.add("idle", 2.0, 3.0)
-        assert tl.segments == [("busy", 0.0, 2.0), ("idle", 2.0, 3.0)]
         assert tl.totals["busy"] == pytest.approx(2.0)
-
-    def test_disabled_keeps_totals_only(self):
-        tl = TimelineRecorder(enabled=False)
-        tl.add("comm", 0.0, 0.5)
-        assert tl.segments == []
-        assert tl.totals["comm"] == pytest.approx(0.5)
+        assert tl.totals["idle"] == pytest.approx(1.0)
+        assert tl.totals["comm"] == 0.0
 
     def test_ignores_empty_segments(self):
         tl = TimelineRecorder()
         tl.add("busy", 1.0, 1.0)
-        assert tl.segments == []
+        tl.add("busy", 2.0, 1.5)
+        assert tl.totals["busy"] == 0.0
 
 
 def _sample_metrics():
     w0 = WorkerMetrics(
         rank=0, tasks_executed=10, busy_s=2.0, comm_s=0.5, idle_s=0.5,
         work_executed=2000, messages_sent=4, bytes_sent=400,
-        links={1: [4, 400]}, timeline=[("busy", 0.0, 2.0)],
+        links={1: [4, 400]},
     )
     w1 = WorkerMetrics(
         rank=1, tasks_executed=6, busy_s=1.0, comm_s=0.25, idle_s=1.75,
@@ -179,7 +163,6 @@ class TestRuntimeMetrics:
         assert back.wall_s == pytest.approx(m.wall_s)
         assert back.mapping == "DW/CY"
         assert back.workers[0].links == {1: [4, 400]}
-        assert back.workers[0].timeline == [("busy", 0.0, 2.0)]
         assert back.measured_balance == pytest.approx(m.measured_balance)
         # to_dict is json-serializable throughout
         json.dumps(m.to_dict())

@@ -49,7 +49,7 @@ def _context(pipeline, nprocs, schedule="static"):
     owners, _ = plan_owners(wm, tg, nprocs, "DW/CY", False)
     A = sf.A.tocsc()
     ctx = PatternContext(
-        pattern_id="t", structure=bs, tg=tg, owners=owners, priorities=None,
+        pattern_id="t", structure=bs, tg=tg, owners=owners,
         indptr=A.indptr, indices=A.indices, shape=tuple(A.shape),
         config=RunConfig(schedule=schedule),
     )

@@ -3,7 +3,9 @@ correctness, admission control, typed errors, the TCP client/server
 pair, the solver facade's ``backend="service"``, and the seeded load
 generator."""
 
+import logging
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import pytest
 from repro.matrices import grid2d_matrix
 from repro.service import (
     AdmissionRejected,
+    DeadlineExceeded,
     FactorService,
     JobFailed,
     JobQueue,
@@ -342,6 +345,67 @@ class TestAdmission:
         assert rejected == 2
         svc.queue.drain()
         svc.close()
+
+
+class TestServiceLogging:
+    """Every path that drops a job or a pattern says so on the
+    ``repro.service`` logger, naming what it dropped."""
+
+    @staticmethod
+    def _undispatched(admission):
+        """A service that admits but never dispatches (no crew is
+        spawned), so a queue of one stays full."""
+        svc = FactorService(queue_capacity=1, admission=admission, **SVC_KW)
+        svc._started = True
+        return svc
+
+    @staticmethod
+    def _logged(caplog, level, *words):
+        return [
+            r for r in caplog.records
+            if r.name == "repro.service" and r.levelno == level
+            and all(w in r.getMessage() for w in words)
+        ]
+
+    def test_admission_reject_is_logged(self, grid_A, caplog):
+        svc = self._undispatched("reject")
+        svc.submit(grid_A, job_id="J-kept")
+        with pytest.raises(AdmissionRejected):
+            svc.submit(grid_A, job_id="J-refused")
+        assert self._logged(caplog, logging.WARNING, "J-refused", "rejected")
+        assert not self._logged(caplog, logging.WARNING, "J-kept")
+        svc.close()
+
+    def test_shed_is_logged(self, grid_A, caplog):
+        svc = self._undispatched("shed")
+        oldest = svc.submit(grid_A, job_id="J-oldest")
+        svc.submit(grid_A, job_id="J-newest")
+        with pytest.raises(AdmissionRejected):
+            oldest.result(5)
+        assert self._logged(caplog, logging.WARNING, "J-oldest", "shed")
+        assert not self._logged(caplog, logging.WARNING, "J-newest")
+        svc.close()
+
+    def test_queued_expiry_is_logged(self, grid_A, caplog):
+        with FactorService(**SVC_KW) as svc:
+            doomed = svc.submit(grid_A, job_id="J-late", deadline_s=1e-4)
+            with pytest.raises(DeadlineExceeded):
+                doomed.result(120)
+            # The client-side deadline fires first; wait for the dispatcher.
+            give_up = time.monotonic() + 30.0
+            while not svc.metrics.records and time.monotonic() < give_up:
+                time.sleep(0.01)
+        assert self._logged(caplog, logging.WARNING, "J-late", "expired")
+
+    def test_pattern_eviction_is_logged(self, caplog):
+        caplog.set_level(logging.INFO, logger="repro.service")
+        kw = {**SVC_KW, "nprocs": 1}
+        with FactorService(cache_capacity=2, **kw) as svc:
+            first = svc.factor(grid2d_matrix(4).A.tocsc()).pattern_id
+            for k in (5, 6):  # capacity 2: the third pattern evicts the first
+                svc.factor(grid2d_matrix(k).A.tocsc())
+        (record,) = self._logged(caplog, logging.INFO, "evicted")
+        assert first in record.getMessage()
 
 
 class TestClientServer:
