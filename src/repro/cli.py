@@ -439,9 +439,9 @@ def cmd_chaos(args) -> int:
 #: ``FactorService`` keywords that are not :class:`RunConfig` fields; each
 #: is a flag of ``serve`` / ``loadgen`` whose ``dest`` is the keyword.
 _SERVICE_ONLY = (
-    "queue_capacity", "admission", "max_batch", "batch_wait_s",
-    "cache_capacity", "validate", "default_deadline_s", "max_job_attempts",
-    "breaker_threshold", "breaker_cooldown_s",
+    "queue_capacity", "admission", "cache_capacity", "validate",
+    "default_deadline_s", "max_job_attempts", "breaker_threshold",
+    "breaker_cooldown_s",
 )
 
 
@@ -459,11 +459,6 @@ def _add_service_knobs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--admission", default="block",
                    choices=("block", "reject", "shed"),
                    help="what happens when the queue is full")
-    p.add_argument("--max-batch", type=int, default=8,
-                   help="max jobs folded into one fan-out round")
-    p.add_argument("--batch-wait", dest="batch_wait_s", default=0.002,
-                   type=lambda ms: float(ms) / 1e3, metavar="MS",
-                   help="batching window in milliseconds (default 2)")
     p.add_argument("--cache-capacity", type=int, default=8,
                    help="pattern cache entries (LRU beyond this)")
     p.add_argument("--validate", action="store_true",
@@ -646,7 +641,7 @@ def cmd_chaos_service(args) -> int:
           f"block_policy={cfg.block_policy} "
           f"seed={args.seed} fault_at={fault_at}")
     for name in names:
-        svc_kw = dict(max_batch=args.max_batch, batch_timeout_s=cfg.timeout_s)
+        svc_kw = dict(batch_timeout_s=cfg.timeout_s)
         deadlines: dict[int, float] = {}
         if name == "worker-kill":
             # Hard crash: os._exit mid-job, the SIGKILL/segfault
@@ -666,7 +661,7 @@ def cmd_chaos_service(args) -> int:
         elif name == "deadline":
             # Every odd job gets an unmeetable budget: it must raise
             # the typed DeadlineExceeded by its deadline; even jobs
-            # must complete untouched in the same batches.
+            # must complete untouched between them.
             deadlines = {i: 5e-4 for i in range(1, args.jobs, 2)}
         elif name == "breaker":
             # First job kills the pool; threshold 1 trips the breaker,
@@ -1109,7 +1104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-at", type=int, default=-1, metavar="IDX",
                    help="dispatch index the injected crash rides on "
                         "(default: jobs // 2)")
-    p.add_argument("--max-batch", type=int, default=4)
     p.add_argument("--json", default=None, metavar="PATH",
                    help="write the structured report to PATH")
     p.set_defaults(fn=cmd_chaos_service)

@@ -15,43 +15,37 @@ step). Either way a job is a small message to a resident crew:
   workers cache them (and their arena attachment) keyed by pattern id, so
   every later job with the same pattern is *values-only*: a single float64
   array (the permuted matrix's csc data) per worker.
-* **Batched dispatch.** A batch of jobs is one command put per worker;
-  workers run the jobs back to back without returning to the driver in
-  between, so a burst of small factorizations costs one dispatch
-  round-trip instead of one per job.
+* **One job in flight.** A job is one command put per worker, and the
+  driver collects every rank's result before it dispatches the next; a
+  list handed to :meth:`WorkerPool.run_batch` runs strictly one job
+  after the other. So two jobs never share the fabric or a pattern's
+  arena slots, and nothing on the worker side has to order them.
 * **Job-tagged frames.** Every queue item is ``(seq, item)`` where ``seq``
-  is the global job number. A worker that runs ahead can already be
-  fanning out job *k+1* while a peer still drains job *k*; the router
-  parks frames for other jobs so the wrong :class:`Worker` never sees
-  them (see :class:`InboxRouter`).
-* **Arena-reuse barrier.** Shared-memory arenas are *per pattern* and
-  live across jobs, so two jobs with the same pattern would race on the
-  same slots. A job that reuses an in-flight arena waits until every rank
-  announced completion of the previous job on that arena (DONE control
-  frames, 64 bytes each). Inline jobs, and jobs on distinct arenas,
-  pipeline freely. Frames bound for the driver — the result gather and
-  abort-time checkpoints — always carry their payload, so the driver
-  never reads a slot that a later job may have overwritten and salvaged
-  frames outlive the arena.
+  is the job number. A frame whose tag is not the running job's is a
+  straggler of a finished one (a late DONE, a retransmit, an ABORT that
+  lost the race with the result) and is dropped on read. Frames bound
+  for the driver — the result gather and abort-time checkpoints — always
+  carry their payload, so the driver never reads a slot that a later job
+  may have overwritten and salvaged frames outlive the arena.
 
 Failure containment: a worker error poisons only its own job — the
-erroring worker broadcasts ABORT for that job's tag, peers abort that job
-and move on to the next one in the batch, and the driver reports the job
-failed while the rest of the batch completes. A job may run the in-run
-integrity protocol and resume from a checkpoint (``PoolJob.recovery`` /
-``checkpoint``, see :mod:`repro.runtime.recovery`), and
+erroring worker broadcasts ABORT for that job's tag, peers abort that
+job, and the driver reports it failed and goes on to the next one. A job
+may run the in-run integrity protocol and resume from a checkpoint
+(``PoolJob.recovery`` / ``checkpoint``, see
+:mod:`repro.runtime.recovery`), and
 :class:`~repro.runtime.faults.FaultPlan` injection threads into
 individual jobs so every layer above is chaos-testable. Per-job
 deadlines are enforced driver-side: an expired job gets a seq-tagged
-ABORT injected into every inbox, so exactly that job aborts while its
-batch keeps running. Workers heartbeat on the result queue before every
-job, so the driver can tell a stalled crew from a slow one.
+ABORT injected into every inbox. Workers heartbeat on the result queue
+before every job, so the driver can tell a stalled crew from a slow one.
 
 Who heals: :meth:`WorkerPool.run_batch` only *reports*. A dead process
-or a global timeout ends the batch, ABORTs what was still running, and
-is recorded in :attr:`WorkerPool.last_error` and in each unfinished
-job's :attr:`JobOutcome.failed_ranks`; the crew is then in an unknown
-state, and :func:`repro.runtime.recovery.settle` — the one caller of
+or a global timeout ends the batch, ABORTs the job that was running,
+and is recorded in :attr:`WorkerPool.last_error` and in the
+:attr:`JobOutcome.failed_ranks` of that job and of every job behind it;
+the crew is then in an unknown state, and
+:func:`repro.runtime.recovery.settle` — the one caller of
 :meth:`WorkerPool.heal` — replaces it. Any other caller closes the pool.
 """
 
@@ -122,10 +116,7 @@ class PoolJob:
 
     ``values`` is the csc ``data`` array of the permuted input matrix.
     ``context`` is present exactly when this pool incarnation has not seen
-    the pattern yet. ``wait_for`` is the seq of the latest earlier job
-    sharing this job's arena (barrier); ``announce`` makes every rank
-    broadcast a DONE control frame tagged with this job when it finishes,
-    so later same-arena jobs can wait on it. ``deadline`` is an absolute
+    the pattern yet. ``deadline`` is an absolute
     ``time.monotonic()`` instant past which the driver aborts the job
     (``time.monotonic`` is system-wide on Linux, so workers and driver
     agree on it). ``fault_plan`` injects deterministic faults into this
@@ -153,8 +144,6 @@ class PoolJob:
     pattern_id: str
     values: np.ndarray
     context: PatternContext | None = None
-    wait_for: int | None = None
-    announce: bool = False
     trace_capacity: int = 0
     deadline: float | None = None
     fault_plan: object | None = None
@@ -189,59 +178,6 @@ class JobOutcome:
 # ----------------------------------------------------------------------
 # Job-tagged views over the persistent fabric
 # ----------------------------------------------------------------------
-class InboxRouter:
-    """Demultiplexes one worker's tagged inbox by job sequence number.
-
-    Frames for the requested job are returned; frames for other (later)
-    jobs are parked until their job asks for them; frames older than
-    ``min_seq`` — stragglers of fully-collected batches, e.g. late DONE
-    announcements — are dropped.
-    """
-
-    def __init__(self, inbox):
-        self.inbox = inbox
-        self.parked: dict[int, deque] = {}
-        self.min_seq = 0
-
-    def prune(self, min_seq: int) -> None:
-        self.min_seq = min_seq
-        for tag in [t for t in self.parked if t < min_seq]:
-            del self.parked[tag]
-
-    def _accept(self, tag: int, item, seq: int):
-        if tag == seq:
-            return item
-        if tag >= self.min_seq:
-            self.parked.setdefault(tag, deque()).append(item)
-        return None
-
-    def get_nowait(self, seq: int):
-        q = self.parked.get(seq)
-        if q:
-            return q.popleft()
-        while True:
-            tag, item = self.inbox.get_nowait()  # raises Empty when drained
-            got = self._accept(tag, item, seq)
-            if got is not None:
-                return got
-
-    def get(self, seq: int, timeout: float | None = None):
-        q = self.parked.get(seq)
-        if q:
-            return q.popleft()
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise queue_mod.Empty
-            tag, item = self.inbox.get(timeout=remaining)
-            got = self._accept(tag, item, seq)
-            if got is not None:
-                return got
-
-
 class _TaggedQueue:
     """Write-side wrapper tagging every put with a job seq."""
 
@@ -262,19 +198,31 @@ class _TaggedQueue:
 
 
 class _JobInbox:
-    """Read-side wrapper: the inbox one :class:`Worker` (one job) sees."""
+    """Read-side wrapper: the inbox one :class:`Worker` (one job) sees.
+    One job is in flight, so an item tagged with another seq is a
+    straggler of a finished job and is dropped."""
 
-    __slots__ = ("router", "seq")
+    __slots__ = ("inbox", "seq")
 
-    def __init__(self, router: InboxRouter, seq: int):
-        self.router = router
+    def __init__(self, inbox, seq: int):
+        self.inbox = inbox
         self.seq = seq
 
-    def get(self, timeout: float | None = None):
-        return self.router.get(self.seq, timeout)
-
     def get_nowait(self):
-        return self.router.get_nowait(self.seq)
+        while True:
+            tag, item = self.inbox.get_nowait()  # raises Empty when drained
+            if tag == self.seq:
+                return item
+
+    def get(self, timeout: float):
+        deadline = time.monotonic() + timeout
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise queue_mod.Empty
+            tag, item = self.inbox.get(timeout=remaining)
+            if tag == self.seq:
+                return item
 
 
 class JobFabric:
@@ -285,14 +233,13 @@ class JobFabric:
     persist for the life of the pool.
     """
 
-    def __init__(self, base: LinkFabric, router: InboxRouter, seq: int):
+    def __init__(self, base: LinkFabric, seq: int):
         self.base = base
-        self.router = router
         self.seq = seq
         self.nprocs = base.nprocs
 
     def inbox(self, rank: int) -> _JobInbox:
-        return _JobInbox(self.router, self.seq)
+        return _JobInbox(self.base.inbox(rank), self.seq)
 
     def outgoing(self, src: int) -> dict[int, Link]:
         return {
@@ -306,16 +253,14 @@ class JobFabric:
 # Worker-side resident loop
 # ----------------------------------------------------------------------
 class _PoolWorker:
-    """The resident process: runs batches of jobs until told to stop."""
+    """The resident process: runs one job per command until told to stop."""
 
     def __init__(self, rank, fabric, commands, result_queue):
         self.rank = rank
         self.fabric = fabric
         self.commands = commands
         self.result_queue = result_queue
-        self.router = InboxRouter(fabric.inbox(rank))
         self.patterns: dict[str, tuple] = {}  # pid -> (context, arena)
-        self.done_seen: dict[int, set] = {}
         #: pid -> the Worker of the pattern's last clean factor job,
         #: retained with its factor blocks for warm solve jobs.
         self.resident: dict[str, Worker] = {}
@@ -330,15 +275,8 @@ class _PoolWorker:
                 if cmd[0] == "evict":
                     self._evict(cmd[1])
                     continue
-                _, epoch, jobs = cmd
-                if jobs:
-                    self.router.prune(jobs[0].seq)
-                    self.done_seen = {
-                        s: v for s, v in self.done_seen.items()
-                        if s >= jobs[0].seq
-                    }
-                for job in jobs:
-                    self._run_job(job, epoch)
+                _, epoch, job = cmd
+                self._run_job(job, epoch)
         finally:
             for _, arena in self.patterns.values():
                 if arena is not None:
@@ -368,17 +306,13 @@ class _PoolWorker:
         self.result_queue.put(
             (HEARTBEAT_SEQ, (self.rank, job.seq, time.monotonic()))
         )
-        fabric = JobFabric(self.fabric, self.router, job.seq)
+        fabric = JobFabric(self.fabric, job.seq)
         results = _TaggedQueue(self.result_queue, job.seq)
         try:
             if job.kind == "solve":
                 worker = self._resident_worker(job, fabric, results)
             else:
                 worker = self._factor_worker(job, epoch, fabric, results)
-            if job.wait_for is not None:
-                self._await_done(
-                    job.wait_for, worker.context.config.stall_timeout_s
-                )
         except RuntimeError:
             self._report_error(job.seq, traceback.format_exc())
             return
@@ -390,14 +324,6 @@ class _PoolWorker:
                 self.resident[job.pattern_id] = worker
             else:
                 self.resident.pop(job.pattern_id, None)
-        # DONE announcements consumed mid-job by the Worker count toward
-        # this job's barrier.
-        if worker.done_peers:
-            self.done_seen.setdefault(job.seq, set()).update(
-                worker.done_peers
-            )
-        if job.announce:
-            self._announce(job.seq)
 
     def _resident_worker(self, job: PoolJob, fabric, results) -> Worker:
         """The pattern's retained, already-factored worker, re-armed for
@@ -427,42 +353,6 @@ class _PoolWorker:
         return Worker(
             self.rank, context, job, arena, fabric, results, epoch
         )
-
-    def _announce(self, seq: int) -> None:
-        """Tell every peer this rank is done with job ``seq`` — sent even
-        after an error/abort so no peer blocks on a barrier forever."""
-        frame = wire.pack_done(self.rank)
-        for dst in range(self.fabric.nprocs):
-            if dst != self.rank:
-                self.fabric.inboxes[dst].put((seq, frame))
-
-    def _await_done(self, seq: int, patience_s: float) -> None:
-        """Block (at most ``patience_s``, the waiting job's stall watchdog)
-        until every peer announced completion of job ``seq``.
-
-        ABORT frames for ``seq`` count as completion — the erroring peer
-        will never send DONE, but it *is* finished with the arena.
-        """
-        peers = set(range(self.fabric.nprocs)) - {self.rank}
-        seen = self.done_seen.setdefault(seq, set())
-        deadline = time.monotonic() + patience_s
-        while not peers <= seen:
-            try:
-                item = self.router.get(seq, timeout=POLL_S)
-            except queue_mod.Empty:
-                if time.monotonic() > deadline:
-                    raise RuntimeError(
-                        f"worker {self.rank} barrier timeout: peers "
-                        f"{sorted(peers - seen)} never finished job {seq}"
-                    )
-                continue
-            for frame in item if isinstance(item, list) else [item]:
-                try:
-                    msg = wire.unpack(frame, copy=False)
-                except wire.WireError:
-                    continue
-                if msg.kind in (wire.DONE, wire.ABORT):
-                    seen.add(msg.src)
 
     def _report_error(self, seq: int, text: str) -> None:
         metrics = WorkerMetrics(rank=self.rank)
@@ -647,9 +537,9 @@ class WorkerPool:
         """Inject a seq-tagged ABORT into every worker inbox.
 
         The ABORT's src is ``self.nprocs`` — outside the rank range — so
-        it can never masquerade as a real peer in a DONE barrier. Workers
-        abort exactly job ``seq`` (whether mid-run or not yet started)
-        and report an aborted result; the rest of the batch is untouched.
+        it can never pass for a peer's. Workers abort exactly job ``seq``
+        and report an aborted result; a rank already done with that job
+        drops the frame as a straggler.
         """
         if self._fabric is None:
             return
@@ -660,102 +550,101 @@ class WorkerPool:
     def run_batch(
         self, jobs: list[PoolJob], timeout_s: float = 300.0
     ) -> dict[int, JobOutcome]:
-        """Run ``jobs`` back to back on the resident crew.
+        """Run ``jobs`` on the resident crew, strictly one after the
+        other: dispatch a job, collect every rank's result, next.
 
         Returns one :class:`JobOutcome` per job seq. A job whose workers
         errored or aborted is reported failed but does not poison the
-        rest of the batch; a job past its ``deadline`` is seq-aborted and
-        reported ``expired``, likewise without poisoning the batch.
+        jobs behind it; a job past its ``deadline`` is seq-aborted and
+        reported ``expired``, likewise.
 
         A dead worker process or the global ``timeout_s`` breaks the
-        batch: every unfinished job is ABORTed and failed, the casualties
-        land in its ``failed_ranks`` (the dead ranks; on a timeout, every
-        rank that never reported) and :attr:`last_error` records why.
-        After a death the loop lingers up to the ``dead_grace_s`` of the
-        contexts shipped with this batch, so the survivors can abort and
-        ship their completed-block checkpoints. Nothing is restarted
-        here — the caller heals or closes.
+        batch: the running job is ABORTed and failed, the jobs behind it
+        fail undispatched, the casualties land in their ``failed_ranks``
+        (the dead ranks; on a timeout, every rank that never reported)
+        and :attr:`last_error` records why. After a death the loop
+        lingers up to the ``dead_grace_s`` of the context shipped with
+        the job, so the survivors can abort and ship their
+        completed-block checkpoints. Nothing is restarted here — the
+        caller heals or closes.
         """
         if not jobs:
             return {}
         if not self.running:
             self.start()
         self.last_error = None
+        outcomes = {job.seq: JobOutcome(seq=job.seq) for job in jobs}
+        stop_at = time.monotonic() + timeout_s
+        casualties: list[int] = []
+        for n, job in enumerate(jobs):
+            out = outcomes[job.seq]
+            if self.last_error is not None:
+                out.error = self.last_error
+                out.failed_ranks.extend(casualties)
+                continue
+            stop_at = self._dispatch(
+                job, out, stop_at, casualties,
+                f"pool batch timeout after {timeout_s:.0f}s: "
+                f"{len(jobs) - n} job(s) incomplete",
+            )
+        return outcomes
+
+    def _dispatch(self, job: PoolJob, out: JobOutcome, stop_at: float,
+                  casualties: list, timeout_text: str) -> float:
+        """Dispatch ``job`` and collect its results into ``out`` until
+        every rank reported or ``stop_at`` — the batch's deadline, which
+        a process death pulls in to the grace window (the new value is
+        returned). Ranks the batch lost are added to ``casualties``."""
         epoch = time.perf_counter()
         t0 = time.monotonic()
         for q in self._commands:
-            q.put(("batch", epoch, jobs))
-        for job in jobs:
-            if job.context is not None:
-                self.seen_patterns.add(job.pattern_id)
-        outcomes = {
-            job.seq: JobOutcome(seq=job.seq) for job in jobs
-        }
-        #: seq -> ranks that have not reported that job yet.
-        pending = {job.seq: set(range(self.nprocs)) for job in jobs}
-        job_deadlines = {
-            job.seq: job.deadline for job in jobs if job.deadline is not None
-        }
-        #: When collecting stops: the global deadline, pulled in to the
-        #: grace window once a process death has broken the batch.
-        stop_at = t0 + timeout_s
-        dead_grace_s = max(
-            (job.context.config.dead_grace_s or 0.0
-             for job in jobs if job.context is not None),
-            default=0.0,
-        )
+            q.put(("job", epoch, job))
+        if job.context is not None:
+            self.seen_patterns.add(job.pattern_id)
+        #: Ranks that have not reported the job yet.
+        waiting = set(range(self.nprocs))
 
-        def break_batch(why: str, casualties) -> None:
+        def break_batch(why: str, lost) -> None:
             self.last_error = why
-            for seq, waiting in list(pending.items()):
-                out = outcomes[seq]
-                if out.error is None:
-                    out.error = why
-                out.failed_ranks.extend(r for r in casualties if r in waiting)
-                self.abort_job(seq)
-                waiting.difference_update(casualties)
-                if not waiting:
-                    del pending[seq]
+            if out.error is None:
+                out.error = why
+            lost = [r for r in lost if r in waiting]
+            out.failed_ranks.extend(lost)
+            casualties.extend(lost)
+            self.abort_job(job.seq)
+            waiting.difference_update(lost)
 
-        while pending:
+        while waiting:
             now = time.monotonic()
             if now >= stop_at:
                 if self.last_error is None:
-                    break_batch(
-                        f"pool batch timeout after {timeout_s:.0f}s: "
-                        f"{len(pending)} job(s) incomplete",
-                        range(self.nprocs),
-                    )
+                    break_batch(timeout_text, range(self.nprocs))
                 break
-            # Per-job deadlines: abort exactly the expired job. Workers
-            # that already shipped results for it are unaffected; the
-            # outcome stays failed even if stragglers later succeed.
+            # The job's own deadline: abort exactly this job. The outcome
+            # stays failed even if stragglers later succeed.
             wait = min(0.1, stop_at - now)
-            for seq in [s for s in job_deadlines if s not in pending]:
-                del job_deadlines[seq]
-            for seq, dl in job_deadlines.items():
-                out = outcomes[seq]
-                if now > dl and not out.expired:
+            dl = job.deadline
+            if dl is not None and not out.expired:
+                if now > dl:
                     out.expired = True
                     if out.error is None:
                         out.error = (
-                            f"job {seq} deadline exceeded "
+                            f"job {job.seq} deadline exceeded "
                             f"({now - dl:.3f}s past)"
                         )
-                    self.abort_job(seq)
-                if not out.expired:
+                    self.abort_job(job.seq)
+                else:
                     wait = min(wait, max(dl - now, 0.005))
             try:
                 seq, res = self._results.get(timeout=max(wait, 0.001))
             except queue_mod.Empty:
-                dead = [
-                    r for r in self.dead_ranks()
-                    if any(r in waiting for waiting in pending.values())
-                ]
+                dead = [r for r in self.dead_ranks() if r in waiting]
                 if dead:
                     if self.last_error is None:
+                        ctx = job.context
+                        grace = ctx.config.dead_grace_s if ctx else None
                         stop_at = min(
-                            stop_at, time.monotonic() + dead_grace_s
+                            stop_at, time.monotonic() + (grace or 0.0)
                         )
                     names = [self._procs[r].name for r in dead]
                     break_batch(
@@ -766,8 +655,7 @@ class WorkerPool:
                 rank, _jseq, t = res
                 self.last_heartbeats[rank] = t
                 continue
-            out = outcomes.get(seq)
-            if out is None:  # pragma: no cover - stale result
+            if seq != job.seq:  # pragma: no cover - stale result
                 continue
             out.results[res.rank] = res
             if res.metrics.error is not None and not out.failed_ranks:
@@ -778,10 +666,7 @@ class WorkerPool:
                     out.error = res.metrics.error
             if res.metrics.aborted:
                 out.aborted = True
-            waiting = pending.get(seq)
-            if waiting is not None:
-                waiting.discard(res.rank)
-                if not waiting:
-                    out.wall_s = time.monotonic() - t0
-                    del pending[seq]
-        return outcomes
+            waiting.discard(res.rank)
+            if not waiting:
+                out.wall_s = time.monotonic() - t0
+        return stop_at

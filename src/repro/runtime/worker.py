@@ -138,6 +138,9 @@ class Worker:
         #: The wire-kind → handler table: each plane registers its kinds
         #: as it is armed; a job that arms no solve refuses solve frames.
         self.handlers: dict[int, Callable] = {}
+        #: The pattern's :class:`SolvePlan`, built by the first job with
+        #: an rhs and kept across the warm solves that re-arm this worker.
+        self.splan: SolvePlan | None = None
         self.arm(job, fabric, result_queue)
 
     def arm(self, job, fabric, result_queue) -> None:
@@ -638,7 +641,7 @@ class Worker:
                               wire.NACK: self._on_nack})
         #: Block id -> completed-block frame from a previous attempt.
         self.checkpoint: dict[int, bytes] = self.job.checkpoint or {}
-        #: Peers that announced DONE (the pool's arena barrier reads it).
+        #: Peers that announced DONE (the linger waits for all of them).
         self.done_peers: set[int] = set()
         #: Remote blocks this rank still needs (filled under recovery).
         self.expected: set[int] = set()
@@ -1042,7 +1045,9 @@ class Worker:
                               wire.SOLVE_X: self._on_x,
                               wire.SOLVE_FUP: self._on_fup,
                               wire.SOLVE_BUP: self._on_bup})
-        self.splan = sp = SolvePlan(self.context.structure, self.tg)
+        if self.splan is None:
+            self.splan = SolvePlan(self.context.structure, self.tg)
+        sp = self.splan
         rhs, _ = permute_rhs(rhs, int(sp.panel_ptr[-1]), None)
         rhs = np.ascontiguousarray(
             rhs.reshape(-1, 1) if rhs.ndim == 1 else rhs

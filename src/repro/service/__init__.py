@@ -10,9 +10,9 @@ warm:
   :class:`~repro.runtime.pool.WorkerPool`, a pattern cache
   (:class:`~repro.service.cache.PatternCache`) keyed on sparsity
   structure, and a bounded admission queue
-  (:class:`~repro.service.admission.JobQueue`). A dispatcher thread
-  drains the queue in batches; each batch is one fan-out round on the
-  resident crew.
+  (:class:`~repro.service.admission.JobQueue`). One dispatcher thread
+  takes one queued job at a time — a factorization or a warm solve —
+  and runs it on the resident crew.
 * :class:`ServiceClient` — in-process or TCP client; submit a matrix, or
   a pattern handle plus a new values array, get the factor back.
 * ``python -m repro serve`` / ``python -m repro loadgen`` — run the
@@ -26,7 +26,7 @@ validated bitwise against the sequential :class:`~repro.numeric.BlockCholesky`
 baseline (``validate=True``).
 
 The service is self-healing: dead or stalled workers are detected
-mid-batch, the pool restarts on the survivors, and in-flight jobs are
+mid-job, the pool restarts on the survivors, and the job in flight is
 re-run (bounded attempts) before falling back to the always-correct
 sequential path — outcomes are tagged per job. Per-job deadlines,
 idempotent job-id dedup, a :class:`~repro.service.resilience.CircuitBreaker`

@@ -127,32 +127,16 @@ class JobQueue:
             return shed
 
     # ------------------------------------------------------------------
-    def get_batch(
-        self, max_batch: int, batch_wait_s: float = 0.0
-    ) -> list:
-        """Take up to ``max_batch`` jobs, blocking until at least one is
-        available (or the queue closes — then the remaining items, which
-        may be ``[]``).
-
-        After the first job arrives, waits up to ``batch_wait_s`` for
-        more to accumulate (the batching window) — a burst of small jobs
-        becomes one fan-out round instead of many.
-        """
+    def get(self):
+        """Take the oldest job, blocking until there is one; ``None``
+        once the queue is closed and empty."""
         with self._cond:
             while not self._items and not self._closed:
                 self._cond.wait()
-            if batch_wait_s > 0 and len(self._items) < max_batch:
-                deadline = time.monotonic() + batch_wait_s
-                while len(self._items) < max_batch and not self._closed:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(remaining)
-            batch = []
-            while self._items and len(batch) < max_batch:
-                batch.append(self._items.popleft())
+            if not self._items:
+                return None
             self._cond.notify_all()
-            return batch
+            return self._items.popleft()
 
     def note_expired(self) -> None:
         """Count one job that expired in the queue (dispatcher calls)."""

@@ -113,8 +113,6 @@ class PatternCache:
     counters."""
 
     def __init__(self, capacity: int = 8):
-        # Capacity 2+ so every in-batch pattern stays resident while the
-        # batch that introduced it is being prepared.
         self.capacity = max(2, int(capacity))
         self._entries: OrderedDict[str, PatternEntry] = OrderedDict()
         self.hits = 0
@@ -139,26 +137,15 @@ class PatternCache:
         """Counter-neutral lookup (does not touch recency)."""
         return self._entries.get(pattern_id)
 
-    def put(self, entry: PatternEntry, protect=()) -> list[PatternEntry]:
-        """Insert ``entry``; evict LRU entries beyond capacity.
-
-        ``protect`` names pattern ids that must survive this insertion
-        (patterns referenced by the batch being prepared). Returns the
-        evicted entries — the caller drops worker attachments and then
-        destroys their arenas.
-        """
+    def put(self, entry: PatternEntry) -> list[PatternEntry]:
+        """Insert ``entry``; evict LRU entries beyond capacity and return
+        them — the caller drops worker attachments and destroys their
+        arenas."""
         self._entries[entry.pattern_id] = entry
         self._entries.move_to_end(entry.pattern_id)
         evicted = []
-        protected = set(protect) | {entry.pattern_id}
         while len(self._entries) > self.capacity:
-            victim = next(
-                (pid for pid in self._entries if pid not in protected),
-                None,
-            )
-            if victim is None:
-                break
-            evicted.append(self._entries.pop(victim))
+            evicted.append(self._entries.popitem(last=False)[1])
             self.evictions += 1
         return evicted
 

@@ -53,8 +53,8 @@ class UnknownPatternError(ServiceError):
 class DeadlineExceeded(ServiceError):
     """The job's per-job deadline passed before a factor was released.
 
-    Raised server-side (the dispatcher seq-aborts the expired job without
-    poisoning its batch) and client-side (``JobHandle.result`` raises it
+    Raised server-side (the dispatcher seq-aborts the expired job and
+    goes on to the next) and client-side (``JobHandle.result`` raises it
     once the deadline passes even if the server is still working). Not
     retryable: the budget is spent."""
 
@@ -91,8 +91,25 @@ class ValidationFailed(JobFailed):
 # ----------------------------------------------------------------------
 # Jobs and results
 # ----------------------------------------------------------------------
+class _Budgeted:
+    """The deadline arithmetic of a job with ``deadline_s`` (seconds from
+    ``submitted_at``; None = no deadline)."""
+
+    @property
+    def deadline(self) -> float | None:
+        """Absolute ``time.monotonic()`` deadline (None when unbounded)."""
+        if self.deadline_s is None:
+            return None
+        return self.submitted_at + self.deadline_s
+
+    @property
+    def expired(self) -> bool:
+        dl = self.deadline
+        return dl is not None and time.monotonic() > dl
+
+
 @dataclass
-class FactorJob:
+class FactorJob(_Budgeted):
     """One client request: a full matrix, or a pattern handle + values.
 
     Exactly one of ``A`` / (``pattern_id`` + ``values``) is given. A full
@@ -110,18 +127,6 @@ class FactorJob:
     deadline_s: float | None = None
     submitted_at: float = field(default_factory=time.monotonic)
 
-    @property
-    def deadline(self) -> float | None:
-        """Absolute ``time.monotonic()`` deadline (None when unbounded)."""
-        if self.deadline_s is None:
-            return None
-        return self.submitted_at + self.deadline_s
-
-    @property
-    def expired(self) -> bool:
-        dl = self.deadline
-        return dl is not None and time.monotonic() > dl
-
     def __post_init__(self) -> None:
         if self.A is None:
             if self.pattern_id is None or self.values is None:
@@ -133,6 +138,22 @@ class FactorJob:
             if self.values is not None:
                 raise ValueError("give either A or values, not both")
             self.A = symmetric_csc(self.A)  # a lone triangle is mirrored
+
+
+@dataclass
+class SolveJob(_Budgeted):
+    """One solve request as :meth:`FactorService.solve` queues it, already
+    validated on the calling thread: the pattern's cache entry and the
+    permuted right-hand-side panel (``vector``: the client's ``b`` was
+    1-d). ``fault_plan`` rides the warm solve's workers (chaos testing)."""
+
+    job_id: str
+    entry: object
+    panel: np.ndarray
+    vector: bool = False
+    deadline_s: float | None = None
+    fault_plan: object | None = None
+    submitted_at: float = field(default_factory=time.monotonic)
 
 
 @dataclass
@@ -197,17 +218,17 @@ class JobHandle:
     """Future for a submitted job. ``result()`` blocks; typed errors
     raised at submit time surface from :meth:`result` as well."""
 
-    def __init__(self, job: FactorJob):
+    def __init__(self, job: FactorJob | SolveJob):
         self.job = job
         self.job_id = job.job_id
         self._event = threading.Event()
-        self._result: JobResult | None = None
+        self._result: JobResult | SolveResult | None = None
         self._error: BaseException | None = None
 
     def done(self) -> bool:
         return self._event.is_set()
 
-    def set_result(self, result: JobResult) -> None:
+    def set_result(self, result) -> None:
         self._result = result
         self._event.set()
 
@@ -215,7 +236,7 @@ class JobHandle:
         self._error = exc
         self._event.set()
 
-    def result(self, timeout: float | None = None) -> JobResult:
+    def result(self, timeout: float | None = None):
         """Block for the result.
 
         The wait is additionally bounded by the job's own deadline:

@@ -1,4 +1,4 @@
-"""Per-job service metrics: queue wait, batch size, cache outcome,
+"""Per-job service metrics: queue wait, cache outcome,
 setup/run split, end-to-end latency percentiles.
 
 Each job that passes through :class:`~repro.service.service.FactorService`
@@ -52,8 +52,9 @@ class JobRecord:
     assemble_s: float = 0.0
     #: Submit-to-completion, as the client experiences it.
     e2e_s: float = 0.0
-    #: How many jobs shared this job's fan-out round.
-    batch_size: int = 0
+    #: Jobs in this job's fan-out round: one job is in flight at a time
+    #: (the field is kept for readers of earlier reports).
+    batch_size: int = 1
     error: str = ""
 
     def to_dict(self) -> dict:
@@ -81,7 +82,6 @@ class ServiceMetrics:
     rejected: int = 0
     shed: int = 0
     expired: int = 0
-    batches: int = 0
     #: Submissions answered from the job-id dedup table (idempotent
     #: client retries of an in-flight or completed job).
     deduped: int = 0
@@ -103,10 +103,6 @@ class ServiceMetrics:
     def count_rejected(self) -> None:
         with self._lock:
             self.rejected += 1
-
-    def count_batch(self) -> None:
-        with self._lock:
-            self.batches += 1
 
     def count_deduped(self) -> None:
         with self._lock:
@@ -157,8 +153,6 @@ class ServiceMetrics:
                     "degraded": self.degraded,
                     "pool_restarts": self.pool_restarts,
                 },
-                "batches": self.batches,
-                "batch_size": _pct([float(r.batch_size) for r in ok]),
                 "queue_wait_s": _pct([r.queue_wait_s for r in ok]),
                 "e2e_s": _pct([r.e2e_s for r in ok]),
                 "run_s": _pct([r.run_s for r in ok]),
@@ -189,7 +183,7 @@ class ServiceMetrics:
             f"jobs: {j['completed']} ok / {j['failed']} failed / "
             f"{j['expired']} expired / {j['rejected']} rejected / "
             f"{j['shed']} shed "
-            f"(of {j['submitted']} submitted, {s['batches']} batches)",
+            f"(of {j['submitted']} submitted)",
             f"resilience: {r['recovered']} recovered / "
             f"{r['degraded']} degraded-sequential / "
             f"{r['pool_restarts']} pool restarts / "

@@ -7,7 +7,7 @@ Two small, independently testable pieces the service layer composes:
   after which the dispatcher routes jobs to the sequential fallback
   (degraded but correct — the fallback is bitwise-identical to the
   parallel path) instead of hammering a crew that keeps dying. After
-  ``cooldown_s`` the breaker goes half-open: exactly one batch probes the
+  ``cooldown_s`` the breaker goes half-open: exactly one job probes the
   pool, and its outcome closes the breaker again or re-opens it.
 * :class:`RetryPolicy` — client-side exponential backoff with seeded
   jitter for transient typed errors (``retryable`` ones) and broken
@@ -57,7 +57,7 @@ class CircuitBreaker:
             return self._state
 
     def allow(self) -> bool:
-        """May the caller use the pool for the next batch?
+        """May the caller use the pool for the next job?
 
         While open, returns False until ``cooldown_s`` elapsed, then
         transitions to half-open and returns True exactly once — that
@@ -67,15 +67,22 @@ class CircuitBreaker:
         if self.threshold <= 0:
             return True
         with self._lock:
-            if self._state == self.CLOSED:
+            if self._state == self.OPEN and not self._cooling():
+                self._state = self.HALF_OPEN
                 return True
-            if self._state == self.OPEN:
-                if self._clock() - self._opened_at >= self.cooldown_s:
-                    self._state = self.HALF_OPEN
-                    return True
-                return False
-            # Half-open: a probe is already in flight.
-            return False
+            return self._state == self.CLOSED
+
+    def _cooling(self) -> bool:
+        return self._clock() - self._opened_at < self.cooldown_s
+
+    @property
+    def refusing(self) -> bool:
+        """Would :meth:`allow` say no right now? No transition, so any
+        thread may ask (a half-open breaker has its probe in flight)."""
+        with self._lock:
+            return self._state == self.HALF_OPEN or (
+                self._state == self.OPEN and self._cooling()
+            )
 
     def record_success(self) -> None:
         with self._lock:

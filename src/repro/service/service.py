@@ -1,17 +1,19 @@
 """The :class:`FactorService` driver: warm pool + pattern cache +
-admission queue + batched dispatch.
+admission queue + one dispatcher that runs one job at a time.
 
-Lifecycle of a job::
+Lifecycle of a job (a factorization or a warm solve)::
 
-    submit(A)                admission queue          dispatcher thread
-    ───────────▶ JobQueue ──────────────────▶ get_batch() ─┐
+    submit(A) / solve(b)     admission queue          dispatcher thread
+    ───────────▶ JobQueue ──────────────────▶ get() ───────┐
                   (reject/block/shed)                      │ resolve
                                                            │ pattern
                                                            ▼
-                              WorkerPool.run_batch([PoolJob, ...])
+                                 WorkerPool.run_batch([PoolJob])
                                                            │
                   JobHandle ◀── assemble + validate ◀──────┘
 
+The dispatcher thread is the only caller of the pool: one job is in
+flight, the next is taken when its handle has been answered.
 Cold jobs (pattern never seen) pay symbolic analysis, owner planning,
 and arena creation once; the resulting :class:`PatternEntry` is cached
 and its context shipped to the resident workers with the first job.
@@ -56,6 +58,7 @@ from repro.service.jobs import (
     JobResult,
     ServiceClosed,
     ServiceUnavailable,
+    SolveJob,
     SolveResult,
     UnknownPatternError,
     ValidationFailed,
@@ -65,24 +68,27 @@ from repro.service.resilience import CircuitBreaker
 
 log = logging.getLogger("repro.service")
 
-#: Errors the dispatcher turns into per-job failures rather than letting
-#: them crash the batch (``ValidationFailed`` subclasses ``JobFailed``).
+#: Errors the dispatcher turns into per-job failures
+#: (``ValidationFailed`` subclasses ``JobFailed``).
 _PER_JOB_ERRORS = (UnknownPatternError, JobFailed)
 
 
 class _Queued:
-    """A job waiting for dispatch (handle + admission timestamp)."""
+    """A job waiting for dispatch: handle, admission timestamp, and
+    whether the caller ``named`` it (supplied the job id) — only then can
+    anyone retry it, so only then is its result kept for replay."""
 
-    __slots__ = ("job", "handle", "enqueued_at")
+    __slots__ = ("job", "handle", "enqueued_at", "named")
 
-    def __init__(self, job: FactorJob, handle: JobHandle):
+    def __init__(self, job, handle: JobHandle, named: bool):
         self.job = job
         self.handle = handle
+        self.named = named
         self.enqueued_at = time.monotonic()
 
 
 class _Prep(RecoveryJob):
-    """A batch job after pattern resolution, through its attempts: the
+    """A factor job after pattern resolution, through its attempts: the
     recovery loop's job (``A`` is the permuted matrix, the plan is the
     pattern entry) plus where its result goes."""
 
@@ -101,9 +107,8 @@ class FactorService:
     keyword, ``nprocs`` defaulting to 2 here; table in
     ``docs/ARCHITECTURE.md``); a bad value raises ``ValueError`` before a
     pool exists. The service-only knobs stay keywords: the admission
-    policy (``admission`` + ``queue_capacity``), the batching window
-    (``max_batch`` + ``batch_wait_s``), the bound on one pool batch
-    (``batch_timeout_s``), the cache and dedup bounds, the per-job
+    policy (``admission`` + ``queue_capacity``), the bound on one pool
+    job (``batch_timeout_s``), the cache and dedup bounds, the per-job
     attempts / deadline / circuit breaker, ``validate`` (bitwise-check
     every factor against the sequential baseline before releasing it)
     and the chaos hooks ``fault_plan`` / ``fault_jobs``.
@@ -115,8 +120,6 @@ class FactorService:
         *,
         queue_capacity: int = 64,
         admission: str = "block",
-        max_batch: int = 8,
-        batch_wait_s: float = 0.002,
         cache_capacity: int = 8,
         validate: bool = False,
         batch_timeout_s: float = 300.0,
@@ -135,8 +138,6 @@ class FactorService:
         #: The transport ``config.transport`` resolves to on this platform.
         self.transport = resolve_transport(self.config.transport, self.nprocs)
         self.validate = validate
-        self.max_batch = max(1, int(max_batch))
-        self.batch_wait_s = float(batch_wait_s)
         self.batch_timeout_s = float(batch_timeout_s)
         self.pool = WorkerPool(self.nprocs)
         self.cache = PatternCache(cache_capacity)
@@ -162,22 +163,14 @@ class FactorService:
         self._closed = False
         self._started = False
         self._dispatcher: threading.Thread | None = None
-        #: Entries whose arenas must be released after the current batch
-        #: (cache evictions are deferred past in-flight jobs).
-        self._pending_evictions: list[PatternEntry] = []
         # Job-id dedup: outstanding handles (submitted, not finished) and
-        # a bounded map of completed results, so an idempotent client
-        # retry of the same job_id never runs the job twice.
+        # a bounded map of the completed results of caller-named jobs
+        # (factor and solve alike), so an idempotent client retry of the
+        # same job_id never runs the job twice.
         self._dedup_lock = threading.Lock()
         self._outstanding: dict[str, JobHandle] = {}
-        self._completed: OrderedDict[str, JobResult] = OrderedDict()
-        self._completed_solves: OrderedDict[str, SolveResult] = OrderedDict()
+        self._completed: OrderedDict[str, object] = OrderedDict()
         self._dedup_capacity = max(0, int(dedup_capacity))
-        #: Serializes pool dispatch between the dispatcher thread (factor
-        #: batches) and client threads (:meth:`solve`): a solve job must
-        #: never interleave with a factor batch that could overwrite the
-        #: resident factor's arena slots mid-sweep.
-        self._pool_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -200,7 +193,7 @@ class FactorService:
 
     def close(self, timeout: float = 30.0) -> None:
         """Graceful drain, bounded by ``timeout``: stop admission, let
-        the dispatcher finish in-flight and queued batches, then fail
+        the dispatcher finish the running and the queued jobs, then fail
         every handle still outstanding with a typed
         :class:`ServiceClosed` — a caller blocked in ``result()`` always
         gets an answer, never a hang. The pool and every arena are
@@ -219,8 +212,8 @@ class FactorService:
             self._finish_rejected(
                 queued, ServiceClosed("service is shut down"), "failed"
             )
-        # Stragglers the drain did not reach — jobs taken into a batch
-        # that never completed (hung pool, stuck dispatcher). Without
+        # Stragglers the drain did not reach — a job the dispatcher took
+        # and never completed (hung pool, stuck dispatcher). Without
         # this, their callers block in result() forever.
         with self._dedup_lock:
             stragglers = list(self._outstanding.values())
@@ -237,7 +230,6 @@ class FactorService:
                 ))
                 handle.set_exception(ServiceClosed(why))
         self.pool.close()
-        self._release_evictions()
         self.cache.close()
 
     def __enter__(self) -> "FactorService":
@@ -265,26 +257,32 @@ class FactorService:
         :class:`ServiceClosed` at submit time — a full queue is a typed
         error, never a hang. ``deadline_s`` is the job's end-to-end
         budget: past it, the job fails with a typed
-        :class:`DeadlineExceeded` wherever it is (queued, mid-batch, or
-        waited on), without disturbing its batch.
+        :class:`DeadlineExceeded` wherever it is (queued, running, or
+        waited on), without disturbing the jobs behind it.
 
         Submitting an explicit ``job_id`` is idempotent: a resubmission
         while the job is in flight returns the same handle; one after
         completion returns the cached result — so client retries after a
-        broken connection never run a job twice.
+        broken connection never run a job twice. (A job the service had
+        to name itself cannot be retried, so its result is not kept.)
         """
-        if not self._started:
-            self.start()
         job = FactorJob(
             job_id=job_id or uuid.uuid4().hex[:12],
             A=A,
             pattern_id=pattern_id,
             values=values,
-            deadline_s=(
-                deadline_s if deadline_s is not None
-                else self.default_deadline_s
-            ),
+            deadline_s=self._budget(deadline_s),
         )
+        return self._admit(job, job_id is not None, timeout)
+
+    def _budget(self, deadline_s: float | None) -> float | None:
+        return self.default_deadline_s if deadline_s is None else deadline_s
+
+    def _admit(self, job, named: bool, timeout=None) -> JobHandle:
+        """Answer a retried job id from the dedup table, or queue the job
+        under the admission policy."""
+        if not self._started:
+            self.start()
         handle = JobHandle(job)
         with self._dedup_lock:
             existing = self._outstanding.get(job.job_id)
@@ -301,7 +299,7 @@ class FactorService:
             self._outstanding[job.job_id] = handle
         self.metrics.count_submitted()
         try:
-            shed = self.queue.put(_Queued(job, handle), timeout=timeout)
+            shed = self.queue.put(_Queued(job, handle, named), timeout=timeout)
         except (AdmissionRejected, ServiceClosed) as exc:
             if isinstance(exc, AdmissionRejected):
                 self.metrics.count_rejected()
@@ -330,48 +328,36 @@ class FactorService:
     ) -> SolveResult:
         """Solve ``A x = b`` against the pattern's resident factor.
 
-        The warm path dispatches a distributed triangular solve to the
-        pool workers that still hold the pattern's factor blocks from its
-        last factor job — only the permuted RHS panel travels; no pattern
-        context, no matrix values, no factor bytes. When residency was
+        Checked here, on the calling thread, then queued like a
+        factorization, so it runs against the factor that preceded it in
+        the queue. The warm path dispatches a distributed triangular
+        solve to the pool workers that still hold the pattern's factor
+        blocks — only the permuted RHS panel travels. When residency was
         lost (pool heal/restart/regrow) or the pool job fails — e.g. a
-        worker killed mid-solve — the service falls back to the retained
-        driver-side factor and solves sequentially: the result is
-        bitwise-identical either way, and :attr:`SolveResult.outcome`
-        says which route ran (``"clean"`` vs ``"degraded_sequential"``).
+        worker killed mid-solve — the service solves sequentially on the
+        retained driver-side factor: the result is bitwise-identical
+        either way, and :attr:`SolveResult.outcome` says which route ran
+        (``"clean"`` vs ``"degraded_sequential"``).
 
         Typed errors, never hangs: :class:`UnknownPatternError` for an
         uncached pattern, :class:`JobFailed` for a pattern with no
         completed factor or a bad RHS shape, :class:`ServiceUnavailable`
-        while the circuit breaker is open, :class:`DeadlineExceeded`
-        past ``deadline_s``. Passing an explicit ``job_id`` is
-        idempotent: a retry of a completed solve returns the cached
-        result without re-running. ``fault_plan`` injects deterministic
-        faults into the warm solve's workers (chaos testing).
+        while the circuit breaker is open (all before anything is
+        queued), :class:`AdmissionRejected` from a full queue,
+        :class:`DeadlineExceeded` past ``deadline_s``. An explicit
+        ``job_id`` is idempotent, as for :meth:`submit`. ``fault_plan``
+        injects deterministic faults into the warm solve's workers.
         """
-        if not self._started:
-            self.start()
         if self._closed:
             raise ServiceClosed("service is shut down")
+        named = job_id is not None
         job_id = job_id or uuid.uuid4().hex[:12]
-        with self._dedup_lock:
-            cached = self._completed_solves.get(job_id)
-            if cached is not None:
-                self.metrics.count_deduped()
-                return cached
-        t0 = time.monotonic()
-        if deadline_s is None:
-            deadline_s = self.default_deadline_s
-        deadline = None if deadline_s is None else t0 + deadline_s
-        record = JobRecord(job_id=job_id, deadline_s=deadline_s or 0.0)
         entry = self.cache.lookup(pattern_id)
         if entry is None:
             raise UnknownPatternError(
                 f"pattern {pattern_id!r} is not cached (evicted, or from "
                 "a previous service run); factor the full matrix first"
             )
-        record.pattern_id = entry.pattern_id
-        record.cache = "hit"
         if entry.last_factor is None:
             raise JobFailed(
                 job_id,
@@ -386,92 +372,16 @@ class FactorService:
                 f"rhs has shape {b.shape}; pattern expects "
                 f"{entry.shape[0]} rows",
             )
-        if not self.breaker.allow():
+        if self.breaker.refusing:
             raise ServiceUnavailable(
                 "circuit breaker open: solve refused while the pool "
                 "recovers"
             )
-        pb = np.ascontiguousarray(panel[entry.perm])
-        metrics = trace = None
-        x_perm = None
-        outcome_tag = OUTCOME_DEGRADED
-        expired = False
-        if (
-            self.pool.running
-            and entry.resident_generation == self.pool.generation
-        ):
-            with self._pool_lock:
-                seq = next(self._seq)
-                spec = PoolJob(
-                    seq=seq,
-                    pattern_id=entry.pattern_id,
-                    values=None,
-                    kind="solve",
-                    rhs=pb,
-                    deadline=deadline,
-                    trace_capacity=self.config.trace_capacity,
-                    fault_plan=fault_plan,
-                )
-                out = self.pool.run_batch(
-                    [spec], timeout_s=self.batch_timeout_s
-                )[seq]
-                # A heal bumps the pool generation: residency is lost.
-                self._pool_settled(settle(self.pool, self.policy))
-            expired = out.expired
-            if out.ok:
-                record.run_s = out.wall_s
-                record.batch_size = 1
-                try:
-                    _, x_perm, metrics, trace = self._outcome_result(
-                        out, entry, record, rhs=pb
-                    )
-                    outcome_tag = OUTCOME_CLEAN
-                except FanoutError as exc:
-                    # A panel is missing: fall back rather than release
-                    # a wrong answer.
-                    record.error = str(exc)
-            else:
-                record.error = out.error or "aborted"
-        if x_perm is None and not expired:
-            expired = deadline is not None and time.monotonic() > deadline
-        if expired:
-            exc = self._expire(record, f"solve {job_id!r}", deadline_s)
-            self.metrics.add(record)
-            raise exc
-        if x_perm is None:
-            # Sequential fallback on the retained factor — the same
-            # block substitution the distributed sweep mirrors, so the
-            # answer is bitwise-identical to a clean warm solve.
-            t_seq = time.monotonic()
-            from repro.numeric.solve import block_solve_permuted
-
-            x_perm = block_solve_permuted(entry.last_factor, pb)
-            record.run_s = time.monotonic() - t_seq
-        x = np.empty_like(panel)
-        x[entry.perm] = x_perm
-        if b.ndim == 1:
-            x = x[:, 0]
-        record.outcome = outcome_tag
-        record.status = "ok"
-        record.error = ""
-        record.e2e_s = time.monotonic() - t0
-        result = SolveResult(
-            job_id=job_id,
-            pattern_id=entry.pattern_id,
-            x=x,
-            outcome=outcome_tag,
-            metrics=metrics,
-            trace=trace,
-            record=record,
+        job = SolveJob(
+            job_id, entry, np.ascontiguousarray(panel[entry.perm]),
+            b.ndim == 1, self._budget(deadline_s), fault_plan,
         )
-        self.metrics.add(record)
-        with self._dedup_lock:
-            if self._dedup_capacity:
-                self._completed_solves[job_id] = result
-                self._completed_solves.move_to_end(job_id)
-                while len(self._completed_solves) > self._dedup_capacity:
-                    self._completed_solves.popitem(last=False)
-        return result
+        return self._admit(job, named).result()
 
     def stats(self) -> dict:
         """Service-level counters + aggregates (JSON-safe)."""
@@ -531,100 +441,142 @@ class FactorService:
     # Dispatcher
     # ------------------------------------------------------------------
     def _dispatch_loop(self) -> None:
-        while True:
-            batch = self.queue.get_batch(self.max_batch, self.batch_wait_s)
-            if not batch:
-                if self.queue.closed:
-                    return
-                continue
+        while (queued := self.queue.get()) is not None:
             try:
-                self._run_batch(batch)
-            except BaseException as exc:  # noqa: BLE001 - keep serving
-                for queued in batch:
-                    if not queued.handle.done():
-                        self._finish_failed(
-                            queued,
-                            JobFailed(queued.job.job_id, repr(exc)),
-                            record=JobRecord(
-                                job_id=queued.job.job_id,
-                                status="failed",
-                                error=repr(exc),
-                            ),
-                        )
+                self._run_job(queued)
+            except Exception as exc:  # noqa: BLE001 - keep serving
+                log.exception("job %s crashed the dispatcher's handler",
+                              queued.job.job_id)
+                if not queued.handle.done():
+                    self._finish_failed(
+                        queued,
+                        JobFailed(queued.job.job_id, repr(exc)),
+                        record=JobRecord(
+                            job_id=queued.job.job_id,
+                            status="failed",
+                            error=repr(exc),
+                        ),
+                    )
 
-    def _run_batch(self, batch: list) -> None:
-        self.metrics.count_batch()
-        t_dispatch = time.monotonic()
-        prepared: list[_Prep] = []
-        protect = {
-            q.job.pattern_id for q in batch if q.job.pattern_id
-        }
-        for queued in batch:
-            record = JobRecord(
-                job_id=queued.job.job_id,
-                queue_wait_s=t_dispatch - queued.enqueued_at,
-                deadline_s=queued.job.deadline_s or 0.0,
+    def _run_job(self, queued: _Queued) -> None:
+        job = queued.job
+        record = JobRecord(
+            job_id=job.job_id,
+            queue_wait_s=time.monotonic() - queued.enqueued_at,
+            deadline_s=job.deadline_s or 0.0,
+        )
+        if job.expired:
+            # Died waiting in the queue — typed error, nothing runs.
+            self.queue.note_expired()
+            self._finish_expired(queued, record)
+        elif isinstance(job, SolveJob):
+            self._run_solve(queued, record)
+        else:
+            self._run_factor(queued, record)
+
+    def _run_factor(self, queued: _Queued, record: JobRecord) -> None:
+        try:
+            entry, record.cache, A_full = self._resolve_entry(
+                queued.job, record
             )
-            if queued.job.expired:
-                # Died waiting in the queue — typed error, nothing runs.
-                self.queue.note_expired()
-                self._finish_expired(queued, record)
-                continue
-            try:
-                entry, record.cache, A_full = self._resolve_entry(
-                    queued.job, record, protect
-                )
-                A_perm = self._job_matrix(queued.job, entry, A_full)
-            except _PER_JOB_ERRORS as exc:
-                record.status = "failed"
-                record.error = str(exc)
-                self._finish_failed(queued, exc, record)
-                continue
-            protect.add(entry.pattern_id)
-            plan = None
-            if self.fault_plan is not None and (
-                self._dispatched in self.fault_jobs
-            ):
-                plan = self.fault_plan
-            self._dispatched += 1
-            prepared.append(_Prep(queued, entry, record, A_perm, plan))
-        # Breaker open: don't touch the pool; every job runs on the
+            A_perm = self._job_matrix(queued.job, entry, A_full)
+        except _PER_JOB_ERRORS as exc:
+            record.status = "failed"
+            record.error = str(exc)
+            self._finish_failed(queued, exc, record)
+            return
+        plan = None
+        if self.fault_plan is not None and (
+            self._dispatched in self.fault_jobs
+        ):
+            plan = self.fault_plan
+        self._dispatched += 1
+        p = _Prep(queued, entry, record, A_perm, plan)
+        # Breaker open: don't touch the pool; the job runs on the
         # sequential last resort — degraded but correct.
-        spent = prepared
         if self.breaker.allow():
-            spent = []
-            # ``_pool_lock`` keeps concurrent :meth:`solve` dispatches out
-            # of the pool while a factor batch is in flight (and vice
-            # versa).
-            with self._pool_lock:
-                # A pool that healed onto a shrunken crew during an
-                # earlier batch grows back to its configured width here —
-                # between batches is the only safe point. The loop
-                # re-plans owners for the restored width exactly as it
-                # re-planned for the shrink.
-                if (
-                    self.pool.running
-                    and self.pool.nprocs < self.pool.configured_nprocs
-                ):
-                    self.pool.regrow()
-                for p in recover(
-                    self.pool, prepared, self._make_specs, self.policy,
-                    self.batch_timeout_s, self._pool_settled,
-                ):
-                    if p.report.ok:
-                        self._finish_job(p)  # released under the lock
-                    else:
-                        spent.append(p)
-        for p in spent:
-            self._finish_job(p)
-        self._release_evictions()
+            # A pool that healed onto a shrunken crew during an earlier
+            # job grows back to its configured width here — between jobs
+            # is the only safe point. The loop re-plans owners for the
+            # restored width exactly as it re-planned for the shrink.
+            self.pool.regrow()
+            list(recover(
+                self.pool, [p], self._make_specs, self.policy,
+                self.batch_timeout_s, self._pool_settled,
+            ))
+        self._finish_job(p)
+
+    def _run_solve(self, queued: _Queued, record: JobRecord) -> None:
+        job, entry = queued.job, queued.job.entry
+        record.pattern_id = entry.pattern_id
+        record.cache = "hit"
+        x_perm = metrics = trace = None
+        # Warm only on the crew that factored the pattern (a heal, regrow
+        # or eviction ends residency), and only with the breaker's leave.
+        if (
+            self.pool.running
+            and entry.resident_generation == self.pool.generation
+            and self.breaker.allow()
+        ):
+            seq = next(self._seq)
+            spec = PoolJob(
+                seq=seq,
+                pattern_id=entry.pattern_id,
+                values=None,
+                kind="solve",
+                rhs=job.panel,
+                deadline=job.deadline,
+                trace_capacity=self.config.trace_capacity,
+                fault_plan=job.fault_plan,
+            )
+            out = self.pool.run_batch([spec], self.batch_timeout_s)[seq]
+            self._pool_settled(settle(self.pool, self.policy))
+            if out.ok:
+                record.run_s = out.wall_s
+                try:
+                    _, x_perm, metrics, trace = self._outcome_result(
+                        out, entry, record, rhs=job.panel
+                    )
+                except FanoutError as exc:
+                    # A panel is missing: fall back rather than release
+                    # a wrong answer.
+                    record.error = str(exc)
+            else:
+                record.error = out.error or "aborted"
+        if x_perm is None and job.expired:
+            self._finish_expired(queued, record)
+            return
+        record.outcome = OUTCOME_CLEAN
+        if x_perm is None:
+            # Sequential fallback on the retained factor — the same
+            # block substitution the distributed sweep mirrors, so the
+            # answer is bitwise-identical to a clean warm solve.
+            from repro.numeric.solve import block_solve_permuted
+
+            t_seq = time.monotonic()
+            x_perm = block_solve_permuted(entry.last_factor, job.panel)
+            record.run_s = time.monotonic() - t_seq
+            record.outcome = OUTCOME_DEGRADED
+        x = np.empty_like(job.panel)
+        x[entry.perm] = x_perm
+        record.error = ""
+        record.e2e_s = time.monotonic() - job.submitted_at
+        self._finish_ok(queued, SolveResult(
+            job_id=job.job_id,
+            pattern_id=entry.pattern_id,
+            x=x[:, 0] if job.vector else x,
+            outcome=record.outcome,
+            metrics=metrics,
+            trace=trace,
+            record=record,
+        ))
 
     def _pool_settled(self, healed: bool) -> bool:
-        """Tell the breaker how a ``run_batch`` left the pool (call with
-        ``_pool_lock`` held, after :func:`~repro.runtime.recovery.settle`,
-        so the cooldown counts from when the new crew is up). Answers
-        whether the pool may run a retry: only while the breaker is
-        closed — a half-open probe is a whole batch, never a retry."""
+        """Tell the breaker how a ``run_batch`` left the pool (call after
+        :func:`~repro.runtime.recovery.settle`, so the cooldown counts
+        from when the new crew is up). Answers whether the pool may run a
+        retry: only while the breaker is closed — a half-open probe is
+        one attempt, never a retry."""
         if healed:
             self.metrics.count_pool_restart()
             self.breaker.record_failure()
@@ -635,55 +587,36 @@ class FactorService:
     def _make_specs(self, pending: list[_Prep], attempt: int) -> list[PoolJob]:
         """Pool specs for one parallel attempt (fresh seqs each time;
         contexts re-ship when a healed crew never saw them)."""
-        specs = []
-        last_on_arena: dict[str, int] = {}
-        for p in pending:
-            entry = p.plan
-            p.record.batch_size = len(pending)
-            spec = PoolJob(
+        return [
+            PoolJob(
                 seq=next(self._seq),
-                pattern_id=entry.pattern_id,
+                pattern_id=p.plan.pattern_id,
                 values=p.A.data,
                 context=(
-                    entry.context()
-                    if entry.pattern_id not in self.pool.seen_patterns
+                    p.plan.context()
+                    if p.plan.pattern_id not in self.pool.seen_patterns
                     else None
                 ),
-                wait_for=last_on_arena.get(entry.pattern_id),
                 trace_capacity=self.config.trace_capacity,
                 deadline=p.queued.job.deadline,
                 # Injected faults fire on the first attempt only —
                 # transient by construction, like CrashSpec's default.
                 fault_plan=p.fault_plan if attempt == 0 else None,
             )
-            if entry.arena is not None:
-                last_on_arena[entry.pattern_id] = spec.seq
-            if spec.context is not None:
-                # run_batch records it too, but later jobs in *this* loop
-                # must already see the pattern as shipped.
-                self.pool.seen_patterns.add(entry.pattern_id)
-            specs.append(spec)
-        # A job needs a DONE announcement exactly when a later job in the
-        # batch waits on its arena slots.
-        waited_on = {s.wait_for for s in specs if s.wait_for is not None}
-        for spec in specs:
-            spec.announce = spec.seq in waited_on
-        return specs
-
-    @staticmethod
-    def _expire(record: JobRecord, what: str, deadline_s) -> DeadlineExceeded:
-        record.status = "expired"
-        record.error = f"deadline of {deadline_s}s exceeded"
-        return DeadlineExceeded(f"{what} missed its {deadline_s}s deadline")
+            for p in pending
+        ]
 
     def _finish_expired(self, queued, record: JobRecord) -> None:
         job = queued.job
-        exc = self._expire(record, f"job {job.job_id!r}", job.deadline_s)
+        record.status = "expired"
+        record.error = f"deadline of {job.deadline_s}s exceeded"
         log.warning("job %s expired: %s", job.job_id, record.error)
-        self._finish_failed(queued, exc, record)
+        self._finish_failed(queued, DeadlineExceeded(
+            f"job {job.job_id!r} missed its {job.deadline_s}s deadline"
+        ), record)
 
     # -- pattern resolution --------------------------------------------
-    def _resolve_entry(self, job: FactorJob, record: JobRecord, protect):
+    def _resolve_entry(self, job: FactorJob, record: JobRecord):
         """Find or build the job's :class:`PatternEntry`.
 
         Returns ``(entry, "hit"|"miss", A_full)`` where ``A_full`` is
@@ -709,10 +642,13 @@ class FactorService:
         entry = self._build_entry(pid, job.A)
         entry.setup_s = time.monotonic() - t0
         record.setup_s = entry.setup_s
-        for evicted in self.cache.put(entry, protect=protect):
+        for evicted in self.cache.put(entry):
+            # No job is in flight, so the arena can go at once; a solve
+            # still queued for the pattern answers from its retained factor.
             log.info("pattern %s evicted from the cache", evicted.pattern_id)
             self.pool.evict([evicted.pattern_id])
-            self._pending_evictions.append(evicted)
+            evicted.resident_generation = -1
+            evicted.destroy()
         return entry, "miss", job.A
 
     def _build_entry(self, pid: str, A: sparse.csc_matrix) -> PatternEntry:
@@ -780,11 +716,11 @@ class FactorService:
         return permute_spd(A_full, entry.perm)
 
     # -- completion -----------------------------------------------------
-    def _retire(self, job_id: str, result: JobResult | None = None) -> None:
-        """Retire a job from the dedup registry. Successful results are
-        kept (bounded LRU) so a late idempotent retry of the same job_id
-        gets the answer instead of a re-run; failures are dropped so a
-        retry re-runs the job."""
+    def _retire(self, job_id: str, result=None) -> None:
+        """Retire a job from the dedup registry. A ``result`` is kept
+        (bounded LRU) so a late idempotent retry of the same job_id gets
+        the answer instead of a re-run; failures are dropped so a retry
+        re-runs the job."""
         with self._dedup_lock:
             self._outstanding.pop(job_id, None)
             if result is not None and self._dedup_capacity:
@@ -851,7 +787,7 @@ class FactorService:
         # worker holds a last-resort factor).
         entry.last_factor = factor
         entry.resident_generation = self.pool.generation if ok else -1
-        result = JobResult(
+        self._finish_ok(queued, JobResult(
             job_id=queued.job.job_id,
             pattern_id=entry.pattern_id,
             cache=record.cache,
@@ -861,10 +797,7 @@ class FactorService:
             metrics=metrics,
             trace=trace,
             record=record,
-        )
-        self.metrics.add(record)
-        self._retire(queued.job.job_id, result)
-        queued.handle.set_result(result)
+        ))
 
     def _validate(self, job_id, entry: PatternEntry, A_perm, L) -> None:
         """Bitwise check against the sequential baseline (the runtime's
@@ -908,6 +841,12 @@ class FactorService:
             "queue_wait_s": record.queue_wait_s,
         }
 
+    def _finish_ok(self, queued, result) -> None:
+        self.metrics.add(result.record)
+        # Nobody can retry an id the service made up: keep named jobs only.
+        self._retire(queued.job.job_id, result if queued.named else None)
+        queued.handle.set_result(result)
+
     def _finish_failed(self, queued, exc, record) -> None:
         self.metrics.add(record)
         self._retire(queued.job.job_id)
@@ -919,8 +858,3 @@ class FactorService:
         )
         log.warning("job %s %s: %s", record.job_id, status, exc)
         self._finish_failed(queued, exc, record)
-
-    def _release_evictions(self) -> None:
-        for entry in self._pending_evictions:
-            entry.destroy()
-        self._pending_evictions.clear()

@@ -10,8 +10,7 @@ in parallel" without touching the layer-by-layer API:
 >>> plan = chol.plan_parallel(P=64)                      # doctest: +SKIP
 >>> plan.mflops, plan.efficiency                         # doctest: +SKIP
 
-Execution backends: ``backend="sequential"`` factors in-process,
-``backend="threads"`` uses the shared-memory thread pool, and
+Execution backends: ``backend="sequential"`` factors in-process and
 ``backend="mp"`` runs the real message-passing runtime
 (:mod:`repro.runtime`) — worker processes own blocks under the chosen
 ``mapping`` and exchange completed blocks as messages; per-worker metrics
@@ -70,11 +69,10 @@ class SparseCholesky:
         by keyword (``ordering``, ``block_size``, ``nprocs``, ``mapping``,
         ``trace``, ...; table in ``docs/ARCHITECTURE.md``). A bad value
         raises ``ValueError`` before any analysis. Every backend reads the
-        analysis group, the parallel ones ``nprocs``, ``"mp"`` the rest.
+        analysis group, ``"mp"`` the rest.
     backend:
-        ``"sequential"`` (default), ``"threads"`` (shared-memory thread
-        pool), ``"mp"`` (real message-passing worker processes), or
-        ``"service"`` (delegate the numeric work to a long-lived
+        ``"sequential"`` (default), ``"mp"`` (real message-passing
+        worker processes), or ``"service"`` (delegate to a long-lived
         :class:`repro.service.FactorService` / connected
         :class:`~repro.service.ServiceClient`, passed via ``service=`` —
         repeated factorizations reuse its warm pool and pattern cache,
@@ -98,7 +96,7 @@ class SparseCholesky:
     ``fault_plan`` plans per attempt: the crew may shrink).
     """
 
-    BACKENDS = ("sequential", "threads", "mp", "service")
+    BACKENDS = ("sequential", "mp", "service")
 
     def __init__(
         self,
@@ -223,15 +221,6 @@ class SparseCholesky:
             self._numeric = BlockCholesky(
                 self.structure, self.symbolic.A
             ).factor()
-        elif self.backend == "threads":
-            from repro.numeric.parallel import parallel_block_cholesky
-
-            self._numeric = parallel_block_cholesky(
-                self.structure,
-                self.symbolic.A,
-                self.taskgraph,
-                nthreads=self.config.nprocs,
-            ).factor
         else:  # "mp"
             if self.fault_plan is not None:
                 from repro.runtime.recovery import run_with_recovery

@@ -263,11 +263,6 @@ class TestCommandLine:
             assert getattr(got, name) == value, (command, name)
             assert got == dataclasses.replace(cfg, **{name: value})
 
-    def test_batch_wait_stays_in_milliseconds(self):
-        args = build_parser().parse_args(["serve", "--batch-wait", "5"])
-        assert args.batch_wait_s == 0.005
-        assert build_parser().parse_args(["serve"]).batch_wait_s == 0.002
-
     def test_help_lists_every_flag_the_cli_tests_use(self, capsys):
         source = pathlib.Path(__file__).with_name("test_cli.py").read_text()
         used: dict[str, set] = {}
@@ -362,18 +357,20 @@ def test_the_deleted_threading_is_gone():
         assert names(cls) >= {"config"}
 
 
-#: The runtime's whole per-call surface, spelled out: a deleted option
-#: (ready-queue priorities, ``inject_failure``, ``record_timeline``,
-#: ``unpack(verify=)``) cannot come back without this table changing.
+#: The runtime's whole per-call surface and the service's own keywords,
+#: spelled out: a deleted option (ready-queue priorities,
+#: ``inject_failure``, ``record_timeline``, ``unpack(verify=)``, the
+#: arena barrier's ``wait_for`` / ``announce``, the batching window's
+#: ``max_batch`` / ``batch_wait_s``) cannot come back without this table
+#: changing.
 SURFACE = {
     "run_mp_fanout": {
         "structure", "A", "tg", "owners", "nprocs", "config", "mapping",
         "rhs", "fault_plan", "recovery", "checkpoint", "overrides",
     },
     "PoolJob": {
-        "seq", "pattern_id", "values", "context", "wait_for", "announce",
-        "trace_capacity", "deadline", "fault_plan", "kind", "rhs",
-        "recovery", "checkpoint",
+        "seq", "pattern_id", "values", "context", "trace_capacity",
+        "deadline", "fault_plan", "kind", "rhs", "recovery", "checkpoint",
     },
     "PatternContext": {
         "pattern_id", "structure", "tg", "owners", "indptr", "indices",
@@ -385,6 +382,12 @@ SURFACE = {
     },
     "ReadyScheduler": set(),
     "unpack": {"frame", "copy"},
+    "FactorService": {
+        "config", "overrides", "queue_capacity", "admission",
+        "cache_capacity", "validate", "batch_timeout_s",
+        "default_deadline_s", "max_job_attempts", "breaker_threshold",
+        "breaker_cooldown_s", "dedup_capacity", "fault_plan", "fault_jobs",
+    },
 }
 
 
@@ -405,7 +408,7 @@ def test_the_runtime_surface_is_exactly_this():
     found = {
         obj.__name__: keywords(obj)
         for obj in (run_mp_fanout, PoolJob, PatternContext, WorkerPool,
-                    Worker, ReadyScheduler, wire.unpack)
+                    Worker, ReadyScheduler, wire.unpack, FactorService)
     }
     assert found == SURFACE
 

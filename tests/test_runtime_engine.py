@@ -228,14 +228,19 @@ class TestSolverBackends:
         assert np.max(np.abs(A @ chol.solve(b) - b)) < 1e-8
 
     def test_threads_backend(self):
+        """The shared-memory yardstick is no façade backend any more:
+        it is called directly on the façade's analysis."""
         from repro.matrices import grid2d_matrix
+        from repro.numeric.parallel import parallel_block_cholesky
         from repro.solver import SparseCholesky
 
-        A = grid2d_matrix(12).A
-        chol = SparseCholesky(
-            A, block_size=8, backend="threads", nprocs=2
-        ).factor()
-        assert abs(chol.L @ chol.L.T - chol.symbolic.A).max() < 1e-10
+        chol = SparseCholesky(grid2d_matrix(12).A, block_size=8)
+        with pytest.raises(KeyError):
+            SparseCholesky(chol.A, backend="threads")
+        L = parallel_block_cholesky(
+            chol.structure, chol.symbolic.A, chol.taskgraph, nthreads=2
+        ).factor.to_csc()
+        assert abs(L @ L.T - chol.symbolic.A).max() < 1e-10
 
     def test_unknown_backend_rejected(self):
         from repro.matrices import grid2d_matrix

@@ -1,10 +1,11 @@
-"""The persistent worker pool: multi-job batches on a resident crew,
+"""The persistent worker pool: one job in flight on a resident crew,
 values-only warm dispatch, bitwise re-factorization on both transports,
-arena-reuse barriers, failure containment, and restart semantics."""
+straggler frames, failure containment, and restart semantics."""
 
 import numpy as np
 import pytest
 
+from repro.analysis.comm_volume import communication_volume
 from repro.analysis.trace_replay import validate_trace
 from repro.numeric import BlockCholesky
 from repro.ordering import permute_spd
@@ -128,9 +129,10 @@ class TestInlinePool:
 
 @pytest.mark.skipif(not shm_available(), reason="no POSIX shared memory")
 class TestShmPool:
-    def test_arena_reuse_barrier_bitwise(self, pool_problem):
-        """Same-arena jobs serialize behind the DONE barrier and stay
-        bitwise-correct; the arena survives the whole batch (shm)."""
+    def test_same_arena_back_to_back_bitwise(self, pool_problem):
+        """Jobs of one list run one after the other, so same-arena jobs
+        never share slots and stay bitwise-correct; the arena survives
+        the whole list (shm)."""
         p = pool_problem
         arena = BlockArena.create(p["tg"])
         try:
@@ -138,13 +140,11 @@ class TestShmPool:
                 out = pool.run_batch([
                     PoolJob(seq=0, pattern_id="g",
                             values=p["A_perm"].data,
-                            context=_context(p, "g", arena.name),
-                            announce=True),
+                            context=_context(p, "g", arena.name)),
                     PoolJob(seq=1, pattern_id="g",
-                            values=p["A2_perm"].data,
-                            wait_for=0, announce=True),
+                            values=p["A2_perm"].data),
                     PoolJob(seq=2, pattern_id="g",
-                            values=p["A_perm"].data, wait_for=1),
+                            values=p["A_perm"].data),
                 ], timeout_s=120)
                 assert _bitwise(_factor_of(p, out[0]), p["L1"])
                 assert _bitwise(_factor_of(p, out[1]), p["L2"])
@@ -171,6 +171,46 @@ class TestShmPool:
                 assert 0 < wire < logical
         finally:
             arena.destroy()
+
+
+class TestStragglerFrames:
+    @pytest.mark.parametrize("transport", ["inline", "shm"])
+    def test_frames_of_a_finished_job_are_dropped(
+        self, pool_problem, transport
+    ):
+        """Frames tagged with an older seq that a rank reads mid-job —
+        an ABORT and a real block frame of job 0 — are dropped: job 1
+        runs clean, bitwise, with exactly the predicted traffic."""
+        if transport == "shm" and not shm_available():
+            pytest.skip("no POSIX shared memory")
+        p = pool_problem
+        arena = BlockArena.create(p["tg"]) if transport == "shm" else None
+        try:
+            with WorkerPool(nprocs=2) as pool:
+                first = pool.run_batch([PoolJob(
+                    seq=0, pattern_id="g", values=p["A_perm"].data,
+                    context=_context(
+                        p, "g", None if arena is None else arena.name
+                    ),
+                )], timeout_s=120)[0]
+                assert first.ok, first.error
+                stale = first.results[0].frames[0]
+                for inbox in pool._fabric.inboxes:
+                    inbox.put((0, stale))
+                pool.abort_job(0)
+                out = pool.run_batch([PoolJob(
+                    seq=1, pattern_id="g", values=p["A2_perm"].data,
+                )], timeout_s=120)[1]
+        finally:
+            if arena is not None:
+                arena.destroy()
+        assert _bitwise(_factor_of(p, out), p["L2"])
+        predicted = communication_volume(p["tg"], p["owners"])
+        sent = [r.metrics for r in out.results.values()]
+        assert sum(m.messages_sent for m in sent) == predicted.messages
+        assert sum(m.bytes_sent for m in sent) == predicted.bytes
+        assert sum(m.messages_received for m in sent) == predicted.messages
+        assert not any(m.duplicates_dropped for m in sent)
 
 
 class TestPoolLifecycle:
@@ -249,11 +289,9 @@ class TestWarmEqualsCold:
             with WorkerPool(nprocs=2) as pool:
                 out = pool.run_batch([
                     PoolJob(seq=0, pattern_id="warm",
-                            values=A_perm.data, context=ctx,
-                            announce=arena is not None),
+                            values=A_perm.data, context=ctx),
                     PoolJob(seq=1, pattern_id="warm",
-                            values=A_new_perm.data,
-                            wait_for=0 if arena is not None else None),
+                            values=A_new_perm.data),
                 ], timeout_s=120)
                 assert out[1].ok, out[1].error
                 warm = _assemble(bs, tg, out[1].results).to_csc()

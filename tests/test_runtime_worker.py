@@ -133,6 +133,19 @@ class TestHandlerTable:
         assert w.handlers[wire.SOLVE_Y] == w._on_y
         assert w.handlers[wire.SOLVE_BUP] == w._on_bup
 
+    def test_a_rearmed_worker_keeps_its_solve_plan(self, grid12_pipeline):
+        """A warm solve re-arms the resident worker: the per-pattern
+        ``SolvePlan`` is built once, fresh solve state every time."""
+        n = grid12_pipeline[1].A.shape[0]
+        (w, _), fabric = _crew(grid12_pipeline, rhs=np.ones((n, 1)))
+        plan, panels = w.splan, w._ypanel
+        warm = PoolJob(seq=1, pattern_id="t", values=None, kind="solve",
+                       rhs=np.full((n, 2), 2.0))
+        w.arm(warm, fabric, queue.Queue())
+        w._setup(False)
+        assert w.splan is plan
+        assert w._ypanel is not panels and w.nrhs == 2
+
 
 class TestInterleavedRanks:
     """Two ranks stepped alternately in one thread run the whole job."""

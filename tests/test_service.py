@@ -6,6 +6,7 @@ generator."""
 import logging
 import threading
 import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -116,18 +117,41 @@ class TestFactorService:
             d = r.metrics.to_dict()
             assert d["extra"]["service"]["job_id"] == r.job_id
 
-    def test_batched_submissions_one_round(self, grid_A, grid_A2):
-        """Handles submitted together complete in one pool batch."""
-        with FactorService(batch_wait_s=0.05, **SVC_KW) as svc:
-            svc.factor(grid_A)  # warm the pattern first
-            handles = [
-                svc.submit(pattern_id=None, A=M)
-                for M in (grid_A, grid_A2, grid_A)
+    def test_concurrent_submits_run_one_at_a_time(self, grid_A, grid_A2):
+        """Four submits from four threads over two patterns: each factor
+        is bitwise the sequential one, every job ran alone
+        (``batch_size == 1``), and the records land in admission order."""
+        other = grid2d_matrix(9).A.tocsc()
+        mats = [grid_A, other, grid_A2, other * 2.0]
+        admitted = []
+
+        class Recording(deque):  # appended to under the queue's lock
+            def append(self, queued):
+                admitted.append(queued.job.job_id)
+                super().append(queued)
+
+        with FactorService(**SVC_KW) as svc:
+            svc.factor(grid_A)  # one pattern warm, one cold
+            svc.queue._items = Recording()
+            n0 = len(svc.metrics.records)
+            handles = {}
+
+            def client(i):
+                handles[i] = svc.submit(mats[i], job_id=f"c{i}")
+
+            threads = [
+                threading.Thread(target=client, args=(i,)) for i in range(4)
             ]
-            results = [h.result(120) for h in handles]
-            assert all(r.cache == "hit" for r in results)
-            assert max(r.record.batch_size for r in results) >= 2
-            assert _bitwise(results[1].L, _cold_L(grid_A2))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            for i, M in enumerate(mats):
+                r = handles[i].result(120)
+                assert _bitwise(r.L, _cold_L(M))
+                assert r.record.batch_size == 1
+            done = [r.job_id for r in svc.metrics.records[n0:]]
+            assert done == admitted and sorted(done) == ["c0", "c1", "c2", "c3"]
 
     def test_stats_shape(self, grid_A):
         with FactorService(**SVC_KW) as svc:
@@ -209,17 +233,6 @@ class TestPatternCacheUnit:
         assert cache.lookup("b") is None
         assert (cache.hits, cache.misses, cache.evictions) == (1, 1, 1)
 
-    def test_protect_survives_insertion(self):
-        cache = PatternCache(2)
-        cache.put(self._entry("a"))
-        cache.put(self._entry("b"))
-        evicted = cache.put(self._entry("c"), protect={"a", "b"})
-        # nothing evictable: every resident pattern is protected
-        assert evicted == []
-        assert len(cache) == 3
-        assert cache.peek("a") is not None and cache.peek("b") is not None
-
-
 class TestAdmission:
     """The admission controller never hangs: every full-queue outcome is
     a typed exception, and a seeded load trace drains deterministically."""
@@ -254,9 +267,9 @@ class TestAdmission:
         t = threading.Thread(target=submitter, daemon=True)
         t.start()
         assert not admitted.wait(0.05)  # genuinely blocked
-        assert q.get_batch(1) == ["a"]  # free a slot
+        assert q.get() == "a"  # free a slot
         assert admitted.wait(5.0)
-        assert q.get_batch(1) == ["b"]
+        assert q.get() == "b"
         t.join()
 
     def test_shed_policy_drops_oldest(self):
@@ -265,7 +278,7 @@ class TestAdmission:
         q.put("b")
         assert q.put("c") == "a"
         assert q.stats.shed == 1
-        assert q.get_batch(4) == ["b", "c"]
+        assert [q.get(), q.get()] == ["b", "c"]
 
     def test_closed_queue_is_typed(self):
         q = JobQueue(capacity=2, policy="block")
@@ -273,34 +286,36 @@ class TestAdmission:
         with pytest.raises(ServiceClosed):
             q.put("a")
 
-    def test_get_batch_window(self):
+    def test_get_is_fifo_and_none_once_closed_and_empty(self):
         q = JobQueue(capacity=8, policy="block")
         for item in "abc":
             q.put(item)
-        assert q.get_batch(2, batch_wait_s=0) == ["a", "b"]
-        assert q.get_batch(2, batch_wait_s=0) == ["c"]
+        assert [q.get(), q.get()] == ["a", "b"]
+        q.close()
+        assert q.get() == "c"  # a closed queue still drains
+        assert q.get() is None
 
     @pytest.mark.parametrize("policy", ["reject", "block", "shed"])
     def test_seeded_trace_drains_deterministically(self, policy):
         """Same seeded arrival trace, same capacity, same policy →
         identical admit/reject/shed decisions and final counters, with a
-        consumer draining concurrently in fixed-size gulps."""
+        consumer draining concurrently, up to two jobs at a time."""
 
         def run_once():
             rng = np.random.default_rng(7)
             q = JobQueue(capacity=4, policy=policy)
             decisions = []
-            # deterministic interleave: after every 3 arrivals the
-            # consumer takes one batch of up to 2
+            # deterministic interleave: now and then the consumer
+            # takes up to 2
             for i in range(30):
                 try:
                     shed = q.put(i, timeout=0)
                     decisions.append(("admit", i, shed))
                 except AdmissionRejected as exc:
                     decisions.append(("reject", i, exc.reason))
-                if rng.random() < 0.4 and len(q):
-                    for item in q.get_batch(2, batch_wait_s=0):
-                        decisions.append(("served", item, None))
+                if rng.random() < 0.4:
+                    for _ in range(min(2, len(q))):
+                        decisions.append(("served", q.get(), None))
             decisions.append(("drained", tuple(q.drain()), None))
             return decisions, q.stats.to_dict()
 
@@ -315,7 +330,7 @@ class TestAdmission:
         """Tiny queue + block policy: every submission eventually admits
         and completes — backpressure, not loss."""
         with FactorService(queue_capacity=2, admission="block",
-                           max_batch=2, **SVC_KW) as svc:
+                           **SVC_KW) as svc:
             svc.factor(grid_A)  # warm the pattern
             handles = []
             for i in range(6):

@@ -74,8 +74,8 @@ def _shm_segments():
 
 
 class TestPoolSelfHealing:
-    """Worker death mid-batch: the pool heals on the survivors, affected
-    jobs re-run (re-planned owners, re-shipped contexts), and the
+    """Worker death mid-job: the pool heals on the survivors, the affected
+    job re-runs (re-planned owners, re-shipped contexts), and the
     recovered factors stay bitwise identical — on both transports."""
 
     @pytest.mark.parametrize("transport", ["inline", "shm"])
@@ -84,13 +84,15 @@ class TestPoolSelfHealing:
             pytest.skip("no POSIX shared memory")
         before = _shm_segments()
         mats = [_shifted(grid_A, 0.25 * (i + 1)) for i in range(4)]
+        # The kill rides the last job of the burst: the job after a heal
+        # regrows the crew, and the test looks at the shrunken one.
         with FactorService(
-            transport=transport, fault_plan=HARD_KILL, fault_jobs=(1,),
-            batch_wait_s=0.05, max_batch=4, **SVC_KW,
+            transport=transport, fault_plan=HARD_KILL, fault_jobs=(3,),
+            **SVC_KW,
         ) as svc:
             handles = [svc.submit(M) for M in mats]
             results = [h.result(120) for h in handles]
-            # every job completed despite the mid-batch worker death
+            # every job completed despite the mid-burst worker death
             for M, r in zip(mats, results):
                 assert _bitwise(r.L, _cold_L(M))
             outcomes = {r.record.outcome for r in results}
@@ -145,9 +147,9 @@ class TestPoolSelfHealing:
 class TestDeadlines:
     def test_expired_job_is_typed_and_batch_unharmed(self, grid_A):
         """A job whose deadline passes in the queue raises the typed
-        error; its batch-mate completes bitwise."""
+        error; the job queued behind it completes bitwise."""
         M = _shifted(grid_A, 1.0)
-        with FactorService(batch_wait_s=0.05, **SVC_KW) as svc:
+        with FactorService(**SVC_KW) as svc:
             svc.factor(grid_A)  # warm the pattern
             doomed = svc.submit(_shifted(grid_A, 2.0), deadline_s=1e-4)
             mate = svc.submit(M)
@@ -236,14 +238,14 @@ class TestCircuitBreaker:
         assert b.allow() and b.state == CircuitBreaker.CLOSED
 
     def test_service_breaker_degrades_then_recovers(self, grid_A):
-        """End to end: a persistent first-batch kill trips a
+        """End to end: a kill on the first job trips a
         threshold-1 breaker; the stream continues degraded-sequential
         (still bitwise); after the cooldown a probe closes it again."""
         mats = [_shifted(grid_A, 0.2 * (i + 1)) for i in range(3)]
         with FactorService(
             fault_plan=HARD_KILL, fault_jobs=(0,),
             breaker_threshold=1, breaker_cooldown_s=0.3,
-            max_job_attempts=1, batch_wait_s=0.05, max_batch=4, **SVC_KW,
+            max_job_attempts=1, **SVC_KW,
         ) as svc:
             handles = [svc.submit(M) for M in mats]
             results = [h.result(120) for h in handles]
@@ -252,7 +254,7 @@ class TestCircuitBreaker:
             assert svc.breaker.trips >= 1
             assert svc.metrics.degraded >= 1
             assert svc.health()["status"] == "degraded"
-            time.sleep(0.4)  # past the cooldown: next batch is the probe
+            time.sleep(0.4)  # past the cooldown: next job is the probe
             r = svc.factor(_shifted(grid_A, 9.0))
             assert r.record.outcome in ("clean", "recovered")
             assert svc.breaker.state == CircuitBreaker.CLOSED
@@ -314,6 +316,22 @@ class TestDedup:
                            job_id=f"job-{i}")
             assert len(svc._completed) == 2
             assert set(svc._completed) == {"job-2", "job-3"}
+
+    def test_only_named_results_are_kept_in_the_one_table(self, grid_A):
+        """A job the service named itself can be retried by nobody, so
+        its result (a whole factor) is not retained; named factor and
+        solve results share the one bounded table."""
+        b = np.ones(grid_A.shape[0])
+        with FactorService(dedup_capacity=2, **SVC_KW) as svc:
+            r = svc.factor(grid_A)
+            svc.solve(b, pattern_id=r.pattern_id)
+            assert not svc._completed and not svc._outstanding
+            svc.factor(grid_A, job_id="f-1")
+            s1 = svc.solve(b, pattern_id=r.pattern_id, job_id="s-1")
+            assert list(svc._completed) == ["f-1", "s-1"]
+            assert svc.solve(b, pattern_id=r.pattern_id, job_id="s-1") is s1
+            svc.solve(b, pattern_id=r.pattern_id, job_id="s-2")
+            assert list(svc._completed) == ["s-1", "s-2"]
 
 
 class TestClientResilience:
@@ -377,7 +395,11 @@ class TestClientResilience:
                 with ServiceClient(address=server.address) as client:
                     client.factor(grid_A, job_id="wire-1", timeout=120)
                     client.factor(grid_A, job_id="wire-1", timeout=120)
-                assert svc.metrics.deduped == 1
+                    assert svc.metrics.deduped == 1
+                    # The socket client names every job, so a retry after
+                    # a broken pipe finds the result of an "unnamed" call.
+                    r = client.factor(grid_A, timeout=120)
+                assert set(svc._completed) == {"wire-1", r.job_id}
             finally:
                 server.close()
 

@@ -8,12 +8,16 @@ a bitwise-identical sequential fallback tagged ``degraded_sequential``;
 nothing hangs, nothing returns a wrong answer.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.matrices import grid2d_matrix
 from repro.runtime.faults import CrashSpec, FaultPlan
 from repro.service import (
+    AdmissionRejected,
     CircuitBreaker,
     DeadlineExceeded,
     FactorService,
@@ -80,7 +84,109 @@ class TestWarmSolve:
             assert svc.metrics.deduped == before + 1
 
 
+class TestSolvesShareTheQueue:
+    def test_solves_racing_a_refactor_see_the_factor_before_them(
+        self, grid_A
+    ):
+        """Two threads solve while a third re-factors the pattern with
+        new values: every solve ran on the pool, once, against the factor
+        that preceded it in the queue — bitwise."""
+        b = _rhs(grid_A.shape[0])
+        with FactorService(**SVC_KW) as svc:
+            factors = {"f0": svc.factor(grid_A, job_id="f0")}
+            pid = factors["f0"].pattern_id
+            solves = {}
+
+            def refactor():
+                for i in (1, 2, 3):
+                    M = grid_A.copy()
+                    M.setdiag(M.diagonal() + i)
+                    factors[f"f{i}"] = svc.factor(
+                        pattern_id=pid, values=M.data, job_id=f"f{i}"
+                    )
+
+            def solver(tag):
+                for i in range(4):
+                    r = svc.solve(b, pattern_id=pid, job_id=f"{tag}{i}")
+                    solves[r.job_id] = r
+
+            threads = [
+                threading.Thread(target=refactor),
+                threading.Thread(target=solver, args=("a",)),
+                threading.Thread(target=solver, args=("b",)),
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+            order = [r.job_id for r in svc.metrics.records]
+        assert len(solves) == 8 and len(factors) == 4
+        assert sorted(order) == sorted([*factors, *solves])
+        for jid in order:
+            if jid in factors:
+                preceding = factors[jid]
+                continue
+            res = solves[jid]
+            assert np.array_equal(res.x, preceding.solve(b)), jid
+            assert (res.outcome, res.record.attempts) == ("clean", 1)
+            assert res.record.batch_size == 1
+
+
 class TestTypedErrors:
+    def test_full_queue_rejects_a_solve(self, grid_A):
+        """A solve is a queued job: under ``reject`` a full queue raises
+        the typed ``AdmissionRejected`` at once."""
+        b = _rhs(grid_A.shape[0])
+        with FactorService(queue_capacity=1, admission="reject",
+                           **SVC_KW) as svc:
+            jr = svc.factor(grid_A)
+            gate, run_job = threading.Event(), svc._run_job
+
+            def held(queued):
+                gate.wait(60)
+                run_job(queued)
+
+            svc._run_job = held
+            try:
+                running = svc.submit(grid_A)  # the dispatcher holds it
+                while len(svc.queue):
+                    time.sleep(0.001)
+                queued = svc.submit(grid_A)  # fills the queue
+                with pytest.raises(AdmissionRejected) as exc:
+                    svc.solve(b, pattern_id=jr.pattern_id)
+                assert exc.value.reason == "queue_full"
+                assert svc.metrics.rejected == 1
+            finally:
+                gate.set()
+            assert running.result(120).record.status == "ok"
+            assert queued.result(120).record.status == "ok"
+            assert svc.solve(b, pattern_id=jr.pattern_id).outcome == "clean"
+
+    def test_bad_requests_raise_before_anything_is_queued(self, grid_A):
+        """Unknown pattern, no factor, bad rhs shape, open breaker: the
+        calling thread raises; the admission queue never sees the job."""
+        b = _rhs(grid_A.shape[0])
+        with FactorService(**SVC_KW) as svc:
+            jr = svc.factor(grid_A)
+            entry = svc.cache.peek(jr.pattern_id)
+            seen = svc.queue.stats.submitted
+            svc.queue.put = lambda *a, **k: pytest.fail("queued")
+            with pytest.raises(UnknownPatternError):
+                svc.solve(b, pattern_id="nope")
+            with pytest.raises(JobFailed, match="rhs"):
+                svc.solve(b[:-1], pattern_id=jr.pattern_id)
+            factor, entry.last_factor = entry.last_factor, None
+            with pytest.raises(JobFailed, match="no completed factor"):
+                svc.solve(b, pattern_id=jr.pattern_id)
+            entry.last_factor = factor
+            svc.breaker.threshold = 1
+            svc.breaker.cooldown_s = 60.0
+            svc.breaker.record_failure()
+            with pytest.raises(ServiceUnavailable):
+                svc.solve(b, pattern_id=jr.pattern_id)
+            assert svc.queue.stats.submitted == seen
+            del svc.queue.put
+
     def test_unknown_pattern(self, grid_A):
         with FactorService(**SVC_KW) as svc:
             svc.factor(grid_A)

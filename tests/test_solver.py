@@ -4,6 +4,8 @@ from scipy import sparse
 
 from repro.matrices import grid2d_matrix
 from repro.matrices.spd import random_spd_sparse
+from repro.numeric import solve_with_factor
+from repro.numeric.parallel import parallel_block_cholesky
 from repro.solver import SparseCholesky
 
 
@@ -23,11 +25,21 @@ class TestSparseCholesky:
     @pytest.mark.parametrize("backend", ["sequential", "threads"])
     @pytest.mark.parametrize("shape", [(5,), (17, 2), (16, 2, 2), ()])
     def test_bad_rhs_is_a_typed_error(self, backend, shape):
-        chol = SparseCholesky(
-            grid2d_matrix(4).A, backend=backend, nprocs=2
-        ).factor()
+        """``threads`` is no façade backend: its factor comes straight
+        from ``parallel_block_cholesky`` and is solved like any other."""
+        chol = SparseCholesky(grid2d_matrix(4).A)
+        if backend == "sequential":
+            solve = chol.factor().solve
+        else:
+            factor = parallel_block_cholesky(
+                chol.structure, chol.symbolic.A, chol.taskgraph, nthreads=2
+            ).factor
+
+            def solve(b):
+                return solve_with_factor(factor, b, chol.symbolic.ordering)
+
         with pytest.raises(ValueError) as err:
-            chol.solve(np.ones(shape))
+            solve(np.ones(shape))
         assert str(err.value) == f"rhs has shape {shape}; matrix has 16 rows"
 
     def test_L_before_factor_raises(self):
