@@ -3,10 +3,11 @@
 ``TaskGraph`` turns a block structure into the BFAC/BDIV/BMOD task DAG with
 fan-out dependency counters; ``protocol.FanoutState`` is the one statement
 of when a task is ready and who needs a finished block, driven by every
-executor; ``simulate_fanout`` runs the data-driven algorithm — block
-completions trigger messages, message arrivals enable tasks — on the
-discrete-event machine and reports runtime, efficiency,
-Mflops, and communication statistics. ``assign_domains`` implements the
+executor (``dispatch.DispatchPlan`` compiles its answers for one rank of
+one owner map, for the mp worker's per-task loop); ``simulate_fanout``
+runs the data-driven algorithm — block completions trigger messages,
+message arrivals enable tasks — on the discrete-event machine and reports
+runtime, efficiency, Mflops, and communication statistics. ``assign_domains`` implements the
 domain (subtree-to-processor) portion of the method.
 """
 

@@ -50,6 +50,11 @@ class WorkerMetrics:
     busy_s: float = 0.0
     comm_s: float = 0.0
     idle_s: float = 0.0
+    #: A job on this rank: arming the planes (a pattern's first job also
+    #: compiles its plans), the event loop, packing the gather frames.
+    setup_s: float = 0.0
+    pump_s: float = 0.0
+    gather_s: float = 0.0
     flops_executed: int = 0
     work_executed: int = 0  # work-model units: flops + fixed cost per op
     messages_sent: int = 0
@@ -151,6 +156,16 @@ class WorkerMetrics:
     solve_bytes_received: int = 0
 
     @property
+    def dispatch_s(self) -> float:
+        """Dispatch overhead: event-loop time that is neither task, frame
+        nor wait — ``pump_s - busy_s - comm_s - idle_s`` (less the solve
+        phase's three when the job had one)."""
+        return self.pump_s - (
+            self.busy_s + self.comm_s + self.idle_s
+            + self.solve_busy_s + self.solve_comm_s + self.solve_idle_s
+        )
+
+    @property
     def recovery_events(self) -> int:
         """Total integrity/recovery actions (0 on an undisturbed run)."""
         return (
@@ -163,7 +178,7 @@ class WorkerMetrics:
         )
 
     def to_dict(self) -> dict:
-        d = dict(self.__dict__)
+        d = dict(self.__dict__, dispatch_s=self.dispatch_s)
         d["links"] = {str(k): list(v) for k, v in self.links.items()}
         return d
 
@@ -172,6 +187,7 @@ class WorkerMetrics:
         d = dict(d)
         d["links"] = {int(k): list(v) for k, v in d.get("links", {}).items()}
         d.pop("timeline", None)  # dumps written before the trace replaced it
+        d.pop("dispatch_s", None)  # derived
         return cls(**d)
 
 
@@ -415,6 +431,7 @@ class RuntimeMetrics:
             "busy": [w.busy_s for w in self.workers],
             "comm": [w.comm_s for w in self.workers],
             "idle": [w.idle_s for w in self.workers],
+            "dispatch": [w.dispatch_s for w in self.workers],
         }
         chart = bar_chart(labels, series, width=width)
         summary = (
@@ -435,4 +452,7 @@ class RuntimeMetrics:
                 f"migrated_work={self.work_stolen_total} "
                 f"idle={self.idle_total_s * 1e3:.1f} ms"
             )
+        for name in ("setup_s", "pump_s", "gather_s"):
+            worst = max((getattr(w, name) for w in self.workers), default=0.0)
+            summary += f" {name[:-2]}<={worst * 1e3:.1f}ms"
         return chart + "\n" + summary

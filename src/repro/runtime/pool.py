@@ -61,6 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.config import RunConfig
+from repro.fanout.dispatch import PlanHolder
 from repro.runtime import wire
 from repro.runtime.links import Link, LinkFabric
 from repro.runtime.metrics import WorkerMetrics
@@ -87,13 +88,15 @@ START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 # Job descriptions (driver -> worker)
 # ----------------------------------------------------------------------
 @dataclass
-class PatternContext:
+class PatternContext(PlanHolder):
     """Everything a worker must hold to run jobs of one sparsity pattern.
 
     Shipped once per pattern per pool incarnation; ``indptr``/``indices``
     describe the *permuted* matrix, so later jobs need only a values
     array. ``arena_name`` names the driver-owned shared-memory segment
-    for the pattern (None on the inline transport).
+    for the pattern (None on the inline transport). Where it is resident
+    it also keeps each rank's compiled ``dispatch_plan(rank)``, which
+    never travels with it.
     """
 
     pattern_id: str
@@ -192,9 +195,6 @@ class _TaggedQueue:
 
     def cancel_join_thread(self) -> None:
         self.q.cancel_join_thread()
-
-    def close(self) -> None:  # pragma: no cover - Worker never closes links
-        pass
 
 
 class _JobInbox:

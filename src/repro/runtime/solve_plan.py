@@ -52,10 +52,6 @@ class SolvePlan:
         #: Panel -> its diagonal block id.
         self.diag_block = tg.diag_block
 
-        #: Block id -> (dest panel, src panel) for subdiagonal blocks.
-        self.block_I = np.asarray(tg.block_I, dtype=np.int64)
-        self.block_J = np.asarray(tg.block_J, dtype=np.int64)
-
         #: Panel K -> subdiagonal block ids of column K, ascending dest.
         self.col_blocks: list[np.ndarray] = []
         #: Block id -> destination rows local to the destination panel
@@ -70,7 +66,7 @@ class SolvePlan:
             self.col_blocks.append(sub)
             for t in range(sub.shape[0]):
                 b = int(sub[t])
-                dest = int(self.block_I[b])
+                dest = int(tg.block_I[b])
                 rows = structure.block_row_span(k, t)
                 self.block_ridx[b] = (
                     np.asarray(rows, dtype=np.int64) - ptr[dest]
@@ -92,18 +88,3 @@ class SolvePlan:
         self.bwd_count = np.array(
             [bs.shape[0] for bs in self.col_blocks], dtype=np.int64
         )
-
-    # ------------------------------------------------------------------
-    def block_rows_count(self, b: int) -> int:
-        """Dense row count of subdiagonal block ``b``."""
-        return int(self.block_ridx[int(b)].shape[0])
-
-    def owned_task_count(self, owners: np.ndarray, rank: int) -> int:
-        """Solve tasks ``rank`` executes: FSOLVE+BSOLVE per owned
-        diagonal panel, FUPD+BUPD per owned subdiagonal block."""
-        owners = np.asarray(owners)
-        diag_owned = int(np.sum(owners[self.diag_block] == rank))
-        sub = 0
-        for k in range(self.npanels):
-            sub += int(np.sum(owners[self.col_blocks[k]] == rank))
-        return 2 * diag_owned + 2 * sub

@@ -12,8 +12,9 @@ operation or an arrived block, run it, fan the result out — and
   ``BLOCK_REF`` → arena view, reject / NACK), then a lookup in that table;
 * ``_pump`` runs every phase of a job (factor, the DONE linger, solve —
   see :meth:`Worker.phases`) on the non-blocking :meth:`Worker.step`:
-  drain the inbox, run one ready task, else the phase's idle hook; then
-  wait ``POLL_S`` for a frame, then check for a stall;
+  drain the inbox when that can matter (nothing ready, or every
+  ``DRAIN_EVERY`` steps), run one ready task, else the phase's idle hook;
+  then wait ``POLL_S`` for a frame, then check for a stall;
 * ``_account`` is the post-task step every executed task passes through,
   ``_span`` the only timeline / trace-span emitter, ``_block`` / ``_store``
   the block accessor pair, and :meth:`Worker.run` ends in the one ship-home
@@ -66,6 +67,9 @@ _KIND_NAMES = ("BFAC", "BDIV", "BMOD")
 
 #: Inbox wait per idle tick; bounds how late a worker notices a frame.
 POLL_S = 0.002
+#: A rank with ready tasks reads its inbox (a ``poll()`` syscall, about
+#: one 25 us task) every this many steps: the wait of ABORT, steal and NACK.
+DRAIN_EVERY = 16
 #: Retransmits of one block to one requester before NACKs are ignored.
 RETRANSMIT_LIMIT = 5
 
@@ -175,6 +179,7 @@ class Worker:
         self.trace = TraceRecorder(cap) if cap else None
         #: Solve-phase task counter (stays 0 on a job without an rhs).
         self.solve_executed = 0
+        self._undrained = 0  # steps since the last inbox drain
         self.handlers.update(dict.fromkeys(wire.SOLVE_KINDS, self._no_rhs))
         self._arm_integrity()
 
@@ -188,11 +193,15 @@ class Worker:
         frames: list[bytes] = []
         solution = None
         try:
+            t0 = self._now()
             self._setup(factor)
+            m.setup_s = self._now() - t0
             for phase in self.phases():
                 self._pump(phase)
             if factor:
-                frames = self._frames(np.flatnonzero(self.owners == self.rank))
+                t0 = self._now()
+                frames = self._frames(self.plan.owned)
+                m.gather_s = self._now() - t0
             if self.job.rhs is not None:
                 solution = self._solution_panels
         except _Abort:
@@ -236,7 +245,7 @@ class Worker:
             self._arm_steal()
             self._load_checkpoint(done)
             if self.recovery:
-                self.expected = self._expected_blocks()
+                self.expected = set(self.plan.expected) - self.have
         # Armed during factor setup because solve frames may arrive while
         # this rank is still factoring (a fast peer enters its solve
         # phase as soon as its own factor tasks are done).
@@ -266,10 +275,16 @@ class Worker:
             )
 
     def step(self, phase: Phase) -> bool:
-        """One non-blocking turn of the pump: handle every queued frame,
-        then run at most one ready task; if nothing moved, give the
-        phase's idle hook a chance. Returns whether anything progressed."""
-        progressed = self._drain_inbox()
+        """One non-blocking turn of the pump: handle every queued frame —
+        on every step while nothing is ready, else on every
+        ``DRAIN_EVERY``-th — then run at most one ready task; if nothing
+        moved, give the phase's idle hook a chance. Returns whether
+        anything progressed."""
+        progressed = False
+        self._undrained += 1
+        if not phase.ready or self._undrained >= DRAIN_EVERY:
+            self._undrained = 0
+            progressed = self._drain_inbox()
         if phase.ready:
             phase.run(phase.ready.pop())
             progressed = True
@@ -284,20 +299,23 @@ class Worker:
     def _pump(self, phase: Phase) -> None:
         """The one event loop: step, else wait, else check for a stall —
         until nothing of the phase is left."""
-        last_progress = self._now()
-        while left := phase.left():
-            progressed = self.step(phase) or self._wait(phase.idle_cat)
-            now = self._now()
-            if progressed:
-                last_progress = now
-            elif now - last_progress > self.config.stall_timeout_s:
-                raise RuntimeError(
-                    f"worker {self.rank} stalled: {left} {phase.what}, no "
-                    f"messages for {self.config.stall_timeout_s:.0f}s "
-                    "(deadlock?)"
-                )
-            elif phase.waiting is not None:
-                phase.waiting(now, last_progress)
+        start = last_progress = self._now()
+        try:
+            while left := phase.left():
+                progressed = self.step(phase) or self._wait(phase.idle_cat)
+                now = self._now()
+                if progressed:
+                    last_progress = now
+                elif now - last_progress > self.config.stall_timeout_s:
+                    raise RuntimeError(
+                        f"worker {self.rank} stalled: {left} {phase.what}, "
+                        f"no messages for {self.config.stall_timeout_s:.0f}s "
+                        "(deadlock?)"
+                    )
+                elif phase.waiting is not None:
+                    phase.waiting(now, last_progress)
+        finally:
+            self.metrics.pump_s += self._now() - start
         self._flush_pending()
 
     def _flush_pending(self) -> None:
@@ -361,20 +379,16 @@ class Worker:
             )
 
     # -- blocks --------------------------------------------------------
-    def _coords(self, b: int) -> tuple[int, int]:
-        """Panel coordinates ``(I, J)`` of block ``b``."""
-        return int(self.tg.block_I[b]), int(self.tg.block_J[b])
-
     def _block(self, b: int) -> np.ndarray:
         """Block ``b``'s current local value."""
-        I, J = self._coords(b)
+        I, J = self.plan.coords[b]
         return self.chol.diag[J] if I == J else self.chol.below[J][I]
 
     def _store(self, b: int, array: np.ndarray, final: bool = True) -> None:
         """Install ``array`` as block ``b`` — the one place a frame,
         checkpoint or steal payload lands in the factor. ``final=False``
         installs a migrated task's *partial* destination state."""
-        self.chol.install(*self._coords(b), array, final)
+        self.chol.install(*self.plan.coords[b], array, final)
 
     def _logical_nbytes(self, b: int) -> int:
         """Logical frame bytes for block ``b`` — exactly what the static
@@ -384,7 +398,8 @@ class Worker:
     def _frame_for(self, b: int, inline: bool = False) -> bytes:
         if self.arena is not None and not inline:
             return self.arena.pack_ref(self.rank, b)
-        return wire.pack_block(self.rank, b, *self._coords(b), self._block(b))
+        I, J = self.plan.coords[b]
+        return wire.pack_block(self.rank, b, I, J, self._block(b))
 
     # ------------------------------------------------------------------
     # Receiving: one prologue, then the table
@@ -447,19 +462,18 @@ class Worker:
     # ------------------------------------------------------------------
     # Readiness and recipients are ``repro.fanout.protocol``'s — the same
     # rules the simulator drives, so the same mapping yields the same
-    # message set, now with real wall-clock time. This rank reports a
-    # block delivered only to the consumers it owns; on top sit the
-    # canonical BMOD order, checkpoint skipping and ``have`` / ``expected``.
+    # message set, now with real wall-clock time. Their answers for this
+    # rank are look-ups in the context's compiled ``DispatchPlan``; the
+    # counters are this job's ``self.state``. This rank reports a block
+    # delivered only to the consumers it owns; on top sit the canonical
+    # BMOD order, checkpoint skipping and ``have`` / ``expected``.
 
     def _arm_factor(self, done_blocks: list[int]) -> None:
         tg = self.tg
         self.handlers.update({wire.BLOCK: self._on_block,
                               wire.BLOCK_REF: self._on_block})
-        #: §3.2's fixed cost per block operation, from the task graph's
-        #: own work model: executed work equals the model's, unit for unit.
-        self.op_cost = int(tg.workmodel.op_fixed_cost)
-        self.mine = self.owners[tg.task_block] == self.rank
-        self.n_owned = int(self.mine.sum())
+        self.plan = plan = self.context.dispatch_plan(self.rank)
+        self.n_owned = plan.n_owned
         self.state = FanoutState(tg)
         self.scheduler = ReadyScheduler()
         done = np.zeros(tg.nblocks, dtype=bool)
@@ -467,27 +481,22 @@ class Worker:
         self.skip_task = done[tg.task_block]
         #: Owned tasks finished: run here, returned by a thief, or skipped
         #: because a checkpoint supplies their output.
-        self.executed = int((self.mine & self.skip_task).sum())
-        # Deterministic accumulation: BMOD updates into a given destination
-        # block are applied in ascending task id, regardless of message
-        # arrival order. A BMOD whose sources arrive "early" is parked in
-        # ``_bmod_src_ready`` until its predecessors for the same block have
-        # run. Floating-point block sums are then bitwise reproducible
-        # run-to-run and across transports.
-        self._bmod_order: dict[int, list[int]] = {}
-        for t in np.flatnonzero(
-            (tg.task_kind == BMOD) & self.mine & ~self.skip_task
-        ):
-            self._bmod_order.setdefault(int(tg.task_block[t]), []).append(
-                int(t)
-            )
+        self.executed = int((plan.mine & self.skip_task).sum())
+        # BMODs into a block run in the plan's canonical order: one whose
+        # sources arrive "early" is parked in ``_bmod_src_ready`` until
+        # its predecessors for the same block have run.
+        self._bmod_order = plan.bmod_order
+        if done_blocks:
+            self._bmod_order = {
+                b: order for b, order in plan.bmod_order.items()
+                if not done[b]
+            }
         self._bmod_next_idx: dict[int, int] = dict.fromkeys(
             self._bmod_order, 0
         )
         self._bmod_src_ready: set[int] = set()
-        for tid in self.state.seeds():
-            if self.mine[tid]:
-                self._push(int(tid))
+        for tid in plan.seeds:
+            self._push(tid)
 
     def _push(self, tid: int) -> None:
         """Schedule a task unless a checkpoint already supplies its output
@@ -496,8 +505,9 @@ class Worker:
         canonical order."""
         if self.skip_task[tid]:
             return
-        if int(self.tg.task_kind[tid]) == BMOD:
-            b = int(self.tg.task_block[tid])
+        task = self.plan.task[tid]
+        if task[0] == BMOD:
+            b = task[1]
             if self._bmod_order[b][self._bmod_next_idx[b]] != tid:
                 self._bmod_src_ready.add(tid)
                 return
@@ -516,8 +526,7 @@ class Worker:
     def _arrived(self, b: int) -> None:
         """Block ``b``'s final value is available here (computed, received
         or preloaded): it has reached the consumers this rank owns."""
-        ids, blocks = self.state.consumers(b)
-        for c in ids[self.owners[blocks] == self.rank].tolist():
+        for c in self.plan.local[b]:
             tid = self.state.delivered(b, c)
             if tid is not None:
                 self._push(tid)
@@ -540,7 +549,7 @@ class Worker:
         self._arrived(b)
         tr = self.trace
         self._span(
-            "comm", t0, "recv", tr and "recv(%d,%d)" % self._coords(b),
+            "comm", t0, "recv", tr and "recv(%d,%d)" % self.plan.coords[b],
             tr and {"block": b, "src": msg.src, "bytes": msg.nbytes,
                     "wire_bytes": nbytes},
         )
@@ -552,17 +561,20 @@ class Worker:
         counts toward our executed-work metrics (and the stolen tallies)
         but *not* toward ``executed`` — that is the victim's owned-task
         counter and ticks when the RESULT lands there."""
-        tg = self.tg
+        kind, b, I, J, K, flops, work = self.plan.task[tid]
+        chol = self.chol
         t0 = self._now()
-        self.chol.apply_task(tg, tid)
+        if kind == BMOD:
+            chol.bmod(I, J, K)
+        elif kind == BDIV:
+            chol.bdiv(I, J)
+        else:
+            chol.bfac(J)
         t1 = self._now()
-        kind = _KIND_NAMES[int(tg.task_kind[tid])]
-        flops = int(tg.task_flops[tid])
-        work = flops + self.op_cost
+        label = _KIND_NAMES[kind]
         name = args = None
         if self.trace is not None:
-            b = int(tg.task_block[tid])
-            name = "%s(%d,%d)" % (kind, *self._coords(b))
+            name = "%s(%d,%d)" % (label, I, J)
             args = {"tid": tid, "block": b, "flops": flops, "work": work}
             if victim is not None:
                 args["stolen_from"] = victim
@@ -571,7 +583,7 @@ class Worker:
         else:
             self.metrics.tasks_stolen += 1
             self.metrics.work_stolen += work
-        self._account("busy", kind, t0, t1, work, flops, name, args)
+        self._account("busy", label, t0, t1, work, flops, name, args)
         if victim is None:
             self._completed(tid)
         return work
@@ -581,9 +593,7 @@ class Worker:
         just landed): a BMOD releases its successor and maybe the block's
         BFAC/BDIV; a BFAC/BDIV publishes the now-final block, fans it out
         and wakes its local consumers."""
-        tg = self.tg
-        kind = int(tg.task_kind[tid])
-        b = int(tg.task_block[tid])
+        kind, b = self.plan.task[tid][:2]
         if kind == BMOD:
             self._bmod_advance(b)
             ready = self.state.mod_finished(b)
@@ -596,24 +606,25 @@ class Worker:
         self.have.add(b)
         if self.arena is not None:
             self.arena.write(b, self._block(b))
-        self._fan_out(b, self.owners[self.state.consumers(b)[1]])
+        self._fan_out(b)
         self._arrived(b)
 
-    def _fan_out(self, b: int, target_owners: np.ndarray) -> None:
-        """Send completed block ``b`` once to each distinct remote owner."""
-        remote = remote_ranks(target_owners, self.rank)
-        if remote.size == 0:
+    def _fan_out(self, b: int) -> None:
+        """Send completed block ``b`` once to each distinct remote owner
+        of a consumer."""
+        remote = self.plan.recipients[b]
+        if not remote:
             return
         t0 = self._now()
         frame = self._frame_for(b)
         nbytes = self._logical_nbytes(b)
         for dst in remote:
-            self.links[int(dst)].send(frame, nbytes)
+            self.links[dst].send(frame, nbytes)
         tr = self.trace
         self._span(
-            "comm", t0, "send", tr and "send(%d,%d)" % self._coords(b),
+            "comm", t0, "send", tr and "send(%d,%d)" % self.plan.coords[b],
             tr and {"block": b, "bytes": nbytes, "wire_bytes": len(frame),
-                    "targets": [int(d) for d in remote]},
+                    "targets": remote},
         )
 
     # ------------------------------------------------------------------
@@ -662,25 +673,11 @@ class Worker:
                 self.arena.write(b, msg.payload)
             self.metrics.checkpoint_blocks_loaded += 1
             if self.trace is not None:
-                I, J = self._coords(b)
+                I, J = self.plan.coords[b]
                 self.trace.mark("checkpoint_load", self._now(),
                                 {"block": b, "I": I, "J": J})
             self._store(b, msg.payload)
             self._arrived(b)
-
-    def _expected_blocks(self) -> set[int]:
-        """Remote blocks this worker still needs to receive: the diagonals
-        above its subdiagonal blocks and the sources of its BMODs."""
-        tg, owners = self.tg, self.owners
-        own_sub = (owners == self.rank) & (tg.block_I != tg.block_J)
-        mod_mine = (tg.task_kind == BMOD) & self.mine
-        s = np.concatenate([
-            tg.diag_block[tg.block_J[own_sub]],
-            tg.task_src1[mod_mine],
-            tg.task_src2[mod_mine],
-        ])
-        s = s[s >= 0]
-        return {int(x) for x in s[owners[s] != self.rank]} - self.have
 
     def _rejected(self, exc: wire.WireError, t0: float) -> bool:
         """The receive prologue could not decode a frame. A CRC mismatch
@@ -923,7 +920,7 @@ class Worker:
         self._steal_victim = None
         self._steal_round += 1
         tid, victim = msg.block, msg.src
-        b = int(self.tg.task_block[tid])
+        b = self.plan.task[tid][1]
         if self.arena is not None:
             for s in self._task_sources(tid):
                 self._install_source(s)
@@ -941,7 +938,7 @@ class Worker:
                    tr and {"tid": tid, "victim": victim})
         work = self._execute(tid, victim)
         t2 = self._now()
-        I, J = self._coords(b)
+        I, J = self.plan.coords[b]
         self.links[victim].send_steal(
             wire.pack_steal_result(self.rank, tid, I == J, self._block(b))
         )
@@ -969,12 +966,10 @@ class Worker:
         while we keep at least one ready task for ourselves."""
         self._count_steal(nbytes)
         thief = msg.src
-        tg = self.tg
+        task = self.plan.task
         tid = None
         if self.dynamic and thief in self.links and len(self.scheduler) >= 2:
-            tid = self.scheduler.steal(
-                lambda t: int(tg.task_kind[t]) != BFAC
-            )
+            tid = self.scheduler.steal(lambda t: task[t][0] != BFAC)
         m = self.metrics
         tr = self.trace
         if tid is None:
@@ -985,20 +980,19 @@ class Worker:
             self._span("comm", t0, "steal", "steal_deny",
                        tr and {"thief": thief})
             return False
-        b = int(tg.task_block[tid])
+        _, b, *_, work = task[tid]
         if self.arena is None:
             # Inline transport: ship the final sources ahead of the grant
             # (same link, FIFO — they land first). On shm the thief reads
             # them straight from the arena instead.
             for s in self._task_sources(tid):
                 self.links[thief].send_steal(wire.pack_steal_ship(
-                    self.rank, s, *self._coords(s), self._block(s)
+                    self.rank, s, *self.plan.coords[s], self._block(s)
                 ))
-        I, J = self._coords(b)
+        I, J = self.plan.coords[b]
         self.links[thief].send_steal(
             wire.pack_steal_grant(self.rank, tid, I == J, self._block(b))
         )
-        work = int(tg.task_flops[tid]) + self.op_cost
         m.steal_grants += 1
         m.tasks_shipped += 1
         m.work_shipped += work
@@ -1013,10 +1007,9 @@ class Worker:
         the normal post-task bookkeeping (fan-out, wake-ups)."""
         self._count_steal(nbytes)
         tid = msg.block
-        b = int(self.tg.task_block[tid])
+        _, b, *_, work = self.plan.task[tid]
         self._store(b, np.array(msg.payload), final=False)
         self.executed += 1
-        work = int(self.tg.task_flops[tid]) + self.op_cost
         # Close the comm span before the bookkeeping below: _fan_out times
         # its own comm segment and must not be double-counted here.
         self._span("comm", t0, "steal", "steal_result_recv",
@@ -1047,6 +1040,12 @@ class Worker:
                               wire.SOLVE_BUP: self._on_bup})
         if self.splan is None:
             self.splan = SolvePlan(self.context.structure, self.tg)
+            #: Per panel i, where ``X_i`` travels: the distinct remote owners
+            #: of row i's blocks. (``Y_k`` travels where ``L_KK`` did.)
+            self._x_dsts = [
+                remote_ranks(self.owners[row], self.rank).tolist()
+                for row in self.splan.row_blocks
+            ]
         sp = self.splan
         rhs, _ = permute_rhs(rhs, int(sp.panel_ptr[-1]), None)
         rhs = np.ascontiguousarray(
@@ -1083,7 +1082,9 @@ class Worker:
         #: Owned solution panels shipped home in the WorkerResult.
         self._solution_panels: dict[int, np.ndarray] = {}
         self.solve_scheduler = ReadyScheduler()
-        self.n_solve_owned = sp.owned_task_count(self.owners, self.rank)
+        # FSOLVE + BSOLVE per owned diagonal block, FUPD + BUPD per owned
+        # subdiagonal one.
+        self.n_solve_owned = 2 * len(self.plan.owned)
         for k in own_diag:
             if sp.fwd_count[k] == 0:
                 self._push_solve(FSOLVE, k)
@@ -1094,11 +1095,10 @@ class Worker:
 
     def _y_ready(self, k: int, panel: np.ndarray) -> None:
         """Forward panel ``Y_k`` is final here; wake owned FUPDs of
-        column k."""
+        column k (the blocks ``L_KK`` woke)."""
         self._y_have[k] = panel
-        for b in self.splan.col_blocks[k]:
-            if int(self.owners[int(b)]) == self.rank:
-                self._push_solve(FUPD, int(b))
+        for b in self.plan.local[self.splan.diag_block[k]]:
+            self._push_solve(FUPD, b)
 
     def _x_ready(self, i: int, panel: np.ndarray) -> None:
         """Solution panel ``X_i`` is final here; wake owned BUPDs of
@@ -1171,14 +1171,14 @@ class Worker:
 
     def _on_fup(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
         b = msg.block
-        i, k = int(self.splan.block_I[b]), int(self.splan.block_J[b])
+        i, k = self.plan.coords[b]
         self._fwd_deliver(i, b, np.asarray(msg.payload))
         return self._solve_received(msg, nbytes, t0,
                                     self.trace and f"fup({i},{k})")
 
     def _on_bup(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
         b = msg.block
-        i, k = int(self.splan.block_I[b]), int(self.splan.block_J[b])
+        i, k = self.plan.coords[b]
         self._bwd_pending[k][b] = np.asarray(msg.payload)
         self._bwd_drain(k)
         return self._solve_received(msg, nbytes, t0,
@@ -1186,14 +1186,13 @@ class Worker:
 
     def _solve_send(self, frame: bytes, dsts, name: str) -> None:
         """Send one solve frame to each of the (distinct, remote) ranks."""
-        if len(dsts) == 0:
+        if not dsts:
             return
         t0 = self._now()
         for dst in dsts:
-            self.links[int(dst)].send_solve(frame)
+            self.links[dst].send_solve(frame)
         self._span("solve_comm", t0, "solve_send", name,
-                   self.trace and {"bytes": len(frame),
-                                   "targets": [int(d) for d in dsts]})
+                   self.trace and {"bytes": len(frame), "targets": dsts})
 
     def _solve_execute(self, stid: int) -> None:
         """Run one solve task, account for it, then deliver its output —
@@ -1207,8 +1206,8 @@ class Worker:
             name = tr and f"{SOLVE_KIND_NAMES[kind]}({k})"
         else:
             b = ident
-            i, k = int(sp.block_I[b]), int(sp.block_J[b])
-            rows, width = sp.block_rows_count(b), int(sp.widths[k])
+            i, k = self.plan.coords[b]
+            rows, width = sp.block_ridx[b].shape[0], int(sp.widths[k])
             name = tr and f"{SOLVE_KIND_NAMES[kind]}({i},{k})"
         t0 = self._now()
         if kind == FSOLVE:
@@ -1231,15 +1230,14 @@ class Worker:
             self._fsolve_done.add(k)
             self._xbuf[k] = out.copy()
             self._solve_send(wire.pack_solve_y(rank, k, out),
-                             remote_ranks(self.owners[sp.col_blocks[k]], rank),
+                             self.plan.recipients[sp.diag_block[k]],
                              tr and f"y({k})")
             self._y_ready(k, out)
             self._bwd_drain(k)
         elif kind == BSOLVE:
             self._solution_panels[k] = out
             self._solve_send(wire.pack_solve_x(rank, k, out),
-                             remote_ranks(self.owners[sp.row_blocks[k]], rank),
-                             tr and f"x({k})")
+                             self._x_dsts[k], tr and f"x({k})")
             self._x_ready(k, out)
         elif kind == FUPD:
             dst = int(self.owners[sp.diag_block[i]])

@@ -5,8 +5,10 @@ block to one consumer" releases every task exactly once and never early;
 the preconditions are checked from the task graph's source arrays, not
 from the state's counters. (b) The executor-side recipient rule
 (``consumers`` + ``remote_ranks``) against the independent predictors in
-``repro.analysis``. Release *order* is pinned elsewhere: schedule replay
-through ``BlockCholesky.run_schedule`` and the simulator goldens.
+``repro.analysis``. (c) The compiled per-rank ``DispatchPlan`` against the
+rules it was compiled from, asked block by block, and against the loop the
+worker used to run per job. Release *order* is pinned elsewhere: schedule
+replay through ``BlockCholesky.run_schedule`` and the simulator goldens.
 """
 
 import random
@@ -17,14 +19,35 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.comm_volume import communication_volume
 from repro.analysis.memory import memory_usage
+from repro.blocks import BlockStructure, WorkModel, make_partition
+from repro.fanout import TaskGraph
+from repro.fanout.dispatch import DispatchPlan
 from repro.fanout.protocol import FanoutState, remote_ranks
 from repro.fanout.tasks import BDIV, BFAC, BMOD
+from repro.numeric import BlockCholesky
 from repro.machine.params import PARAGON
+
+
+@pytest.fixture(scope="module")
+def grid12_supernodal(grid12_pipeline):
+    """The grid12 problem under the structure-following block policy."""
+    part = make_partition(
+        grid12_pipeline[1], "supernodal", block_size=4, min_width=2,
+        max_width=8,
+    )
+    return (TaskGraph(WorkModel(BlockStructure(part))),)
 
 
 @pytest.fixture(params=["grid12_pipeline", "random_spd_pipeline"])
 def tg(request):
-    return request.getfixturevalue(request.param)[5]
+    return request.getfixturevalue(request.param)[-1]
+
+
+@pytest.fixture(
+    params=["grid12_pipeline", "random_spd_pipeline", "grid12_supernodal"]
+)
+def any_policy_tg(request):
+    return request.getfixturevalue(request.param)[-1]
 
 
 def _run_interleaving(tg, rng):
@@ -115,3 +138,95 @@ def test_recipients_match_the_independent_predictors(tg, P, seed):
     assert np.array_equal(
         received, memory_usage(tg, owners, P).received_bound_bytes
     )
+
+
+def _old_arm_factor(tg, owners, rank, done_blocks=()):
+    """What ``Worker._arm_factor`` computed per job before the plan was
+    compiled: ``(mine, n_owned, skip_task, executed, bmod_order)``."""
+    mine = owners[tg.task_block] == rank
+    done = np.zeros(tg.nblocks, dtype=bool)
+    done[list(done_blocks)] = True
+    skip_task = done[tg.task_block]
+    bmod_order: dict[int, list[int]] = {}
+    for t in np.flatnonzero((tg.task_kind == BMOD) & mine & ~skip_task):
+        bmod_order.setdefault(int(tg.task_block[t]), []).append(int(t))
+    return (
+        mine, int(mine.sum()), skip_task, int((mine & skip_task).sum()),
+        bmod_order,
+    )
+
+
+@pytest.mark.parametrize("P", [2, 3, 4, 6])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_compiled_plan_equals_the_protocol(any_policy_tg, P, seed):
+    tg = any_policy_tg
+    owners = np.random.default_rng(seed).integers(0, P, tg.nblocks)
+    state = FanoutState(tg)
+    op_cost = int(tg.workmodel.op_fixed_cost)
+    for rank in range(P):
+        plan = DispatchPlan(tg, owners, rank)
+        for b in range(tg.nblocks):
+            ids, blocks = state.consumers(b)
+            assert plan.local[b] == [
+                int(c) for c, blk in zip(ids, blocks) if owners[blk] == rank
+            ]
+            if owners[b] == rank:
+                want = remote_ranks(owners[blocks], rank)
+                assert plan.recipients[b] == [int(d) for d in want]
+            else:
+                assert plan.recipients[b] is None
+            assert plan.coords[b] == (tg.block_I[b], tg.block_J[b])
+        mine, n_owned, _, _, bmod_order = _old_arm_factor(tg, owners, rank)
+        assert np.array_equal(plan.mine, mine)
+        assert plan.n_owned == n_owned
+        assert plan.bmod_order == bmod_order
+        assert plan.seeds == [int(t) for t in state.seeds() if mine[t]]
+        for tid, (kind, b, I, J, K, flops, work) in enumerate(plan.task):
+            assert (kind, b) == (tg.task_kind[tid], tg.task_block[tid])
+            assert (I, J) == (tg.block_I[b], tg.block_J[b])
+            src = tg.task_src1[tid]
+            assert K == (tg.block_J[src] if kind == BMOD else J)
+            assert (flops, work) == (
+                tg.task_flops[tid], tg.task_flops[tid] + op_cost
+            )
+        assert all(
+            type(x) is int for row in plan.task[:: max(1, tg.ntasks // 50)]
+            for x in row
+        )
+
+
+def test_checkpointed_job_filters_the_compiled_order(grid12_pipeline):
+    """A worker resuming from a non-empty checkpoint arms the same skip
+    mask, executed count and BMOD order the per-job loop gave."""
+    import queue
+
+    from repro.runtime import LinkFabric, PatternContext, PoolJob, Worker, wire
+
+    _, sf, _, bs, _, tg = grid12_pipeline
+    A = sf.A.tocsc()
+    rng = np.random.default_rng(3)
+    owners = rng.integers(0, 2, tg.nblocks)
+    done = sorted(rng.choice(tg.nblocks, tg.nblocks // 3, replace=False))
+    chol = BlockCholesky(bs, A).factor()
+    checkpoint = {}
+    for b in map(int, done):
+        I, J = int(tg.block_I[b]), int(tg.block_J[b])
+        arr = chol.diag[J] if I == J else chol.below[J][I]
+        checkpoint[b] = wire.pack_block(0, b, I, J, arr)
+    ctx = PatternContext(
+        pattern_id="t", structure=bs, tg=tg, owners=owners,
+        indptr=A.indptr, indices=A.indices, shape=tuple(A.shape),
+    )
+    job = PoolJob(seq=0, pattern_id="t", values=A.data, checkpoint=checkpoint)
+    for rank in range(2):
+        w = Worker(rank, ctx, job, None, LinkFabric(2, queue), queue.Queue())
+        w._arm_factor([int(b) for b in done])
+        _, n_owned, skip_task, executed, bmod_order = _old_arm_factor(
+            tg, owners, rank, done
+        )
+        assert w.n_owned == n_owned
+        assert np.array_equal(w.skip_task, skip_task)
+        assert w.executed == executed
+        assert w._bmod_order == bmod_order
+        assert bmod_order != w.plan.bmod_order  # the filter had work to do
+        assert set(w._bmod_next_idx) == set(bmod_order)

@@ -1,7 +1,8 @@
-"""The numeric plan at the runtime's seams, without a process: it never
-travels with a shipped context, a resident worker compiles it once however
-many jobs it runs, and the driver's assembly proves it received every
-block exactly once before it hands out a factor."""
+"""The compiled plans at the runtime's seams, without a process: neither
+the numeric plan nor a rank's dispatch plan travels with a shipped
+context, a resident worker compiles each once however many jobs it runs
+and loses them with the context, and the driver's assembly proves it
+received every block exactly once before it hands out a factor."""
 
 import pickle
 import queue
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.blocks.plan import NumericPlan
+from repro.fanout.dispatch import DispatchPlan
 from repro.numeric import BlockCholesky
 from repro.runtime import (
     LinkFabric,
@@ -20,6 +22,7 @@ from repro.runtime import (
     wire,
 )
 from repro.runtime.engine import FanoutError, _assemble
+from repro.runtime.pool import _PoolWorker
 from repro.runtime.worker import WorkerResult
 
 
@@ -89,6 +92,95 @@ class TestPlanStaysHome:
             id(c.structure) for c in contexts
         }
         assert len(mapped) == nprocs
+
+
+@pytest.fixture()
+def compiled(monkeypatch):
+    """The ``(owners, rank)`` of every ``DispatchPlan`` compiled."""
+    seen, init = [], DispatchPlan.__init__
+
+    def counting_init(self, tg, owners, rank):
+        seen.append((owners, rank))
+        init(self, tg, owners, rank)
+
+    monkeypatch.setattr(DispatchPlan, "__init__", counting_init)
+    return seen
+
+
+class TestDispatchPlanLifetime:
+    def test_context_ship_is_unchanged_by_compiled_plans(
+        self, grid12_pipeline
+    ):
+        ctx, _ = _context(grid12_pipeline)
+        before = pickle.dumps(ctx)
+        plans = [ctx.dispatch_plan(rank) for rank in range(2)]
+        assert ctx.__dict__["_dispatch_plans"] == dict(enumerate(plans))
+        after = pickle.dumps(ctx)
+        assert after == before
+        shipped = pickle.loads(after)
+        assert "_dispatch_plans" not in shipped.__dict__
+        assert shipped.dispatch_plan(0) is not plans[0]
+
+    def test_ranks_sharing_one_context_get_their_own_plan(
+        self, grid12_pipeline, compiled
+    ):
+        """Two ranks driven in one thread over one context object (as
+        ``tests/test_runtime_worker.py`` does): one plan each, and a
+        second job of the pattern compiles nothing."""
+        ctx, A = _context(grid12_pipeline)
+        for seq in range(2):
+            fabric = LinkFabric(2, queue)
+            workers = [
+                Worker(rank, ctx, PoolJob(seq=seq, pattern_id="t",
+                                          values=A.data),
+                       None, fabric, queue.Queue())
+                for rank in range(2)
+            ]
+            for w in workers:
+                w._setup(True)
+            w0, w1 = workers
+            assert w0.plan is ctx.dispatch_plan(0)
+            assert w1.plan is ctx.dispatch_plan(1)
+            assert w0.plan is not w1.plan
+            assert np.array_equal(w0.plan.mine, ~w1.plan.mine)
+            assert w0.n_owned + w1.n_owned == ctx.tg.ntasks
+        assert [rank for _, rank in compiled] == [0, 1]
+
+    def test_evict_and_a_new_crew_compile_again(
+        self, grid12_pipeline, compiled
+    ):
+        """A resident pool worker compiles on the pattern's first job
+        only. Evicting the pattern drops the context and the plan with
+        it; what the driver ships next — after an evict, or to the fresh
+        processes a heal starts — is a pickle, which carries no plan."""
+        ctx, A = _context(grid12_pipeline, nprocs=1)
+        results = queue.Queue()
+
+        def run(pool_worker, seq, context=None):
+            pool_worker._run_job(PoolJob(
+                seq=seq, pattern_id="t", values=A.data, context=context,
+            ), 0.0)
+            tag, res = results.get_nowait()       # the heartbeat
+            tag, res = results.get_nowait()
+            assert tag == seq and res.metrics.error is None
+            assert not res.metrics.aborted
+
+        def shipped():
+            return pickle.loads(pickle.dumps(ctx))
+
+        resident = _PoolWorker(0, LinkFabric(1, queue), None, results)
+        run(resident, 0, shipped())
+        run(resident, 1)
+        run(resident, 2)
+        assert len(compiled) == 1
+        resident._evict(["t"])
+        assert "t" not in resident.patterns and "t" not in resident.resident
+        run(resident, 3, shipped())
+        assert len(compiled) == 2
+        healed = _PoolWorker(0, LinkFabric(1, queue), None, results)
+        run(healed, 4, shipped())
+        run(healed, 5)
+        assert len(compiled) == 3
 
 
 class TestAssembleProvesCoverage:

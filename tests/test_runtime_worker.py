@@ -1,8 +1,9 @@
 """The worker's seams, exercised without a process: ``Worker``s are built
 over an in-memory fabric (``LinkFabric(P, queue)``) and driven by hand —
 the handler table, the non-blocking ``step`` (two ranks interleaved in
-one thread, factor + solve, bitwise vs sequential), each recovery / steal
-handler on its own, and hypothesis-fuzzed input to the receive prologue.
+one thread, factor + solve, bitwise vs sequential; how soon a rank with a
+full ready queue reads its inbox), each recovery / steal handler on its
+own, and hypothesis-fuzzed input to the receive prologue.
 
 Only the last class spawns processes: it pins that the per-operation
 fixed cost comes from the task graph's own work model on every path."""
@@ -36,7 +37,13 @@ from repro.runtime import (
 )
 from repro.runtime.engine import outcome_result
 from repro.runtime.pool import JobOutcome
-from repro.runtime.worker import RETRANSMIT_LIMIT, WorkerResult
+from repro.runtime.worker import (
+    DRAIN_EVERY,
+    RETRANSMIT_LIMIT,
+    Phase,
+    WorkerResult,
+    _Abort,
+)
 
 KIND_NAMES = (
     "BLOCK ABORT NACK DONE BLOCK_REF STEAL_REQ STEAL_GRANT STEAL_DENY "
@@ -81,7 +88,7 @@ def _sent(fabric, rank):
 def _remote_block(w, seq_chol):
     """A final block frame from rank 1 that rank 0 does not own."""
     b = int(np.flatnonzero(w.owners == 1)[0])
-    I, J = w._coords(b)
+    I, J = w.plan.coords[b]
     arr = seq_chol.diag[J] if I == J else seq_chol.below[J][I]
     return b, wire.pack_block(1, b, I, J, arr)
 
@@ -208,6 +215,58 @@ class TestInterleavedRanks:
         else:
             # Single-threaded stepping makes stealing deterministic here.
             assert metrics.tasks_stolen_total > 0
+
+
+class TestDrainCadence:
+    """A rank with ready tasks reads its inbox every ``DRAIN_EVERY`` steps,
+    one with none on every step: the bound on how long an ABORT, a steal
+    request or a NACK waits."""
+
+    @staticmethod
+    def _busy(ntasks):
+        """A phase of ``ntasks`` ready no-op tasks, and the log of the ones
+        that ran."""
+        ran = []
+        ready = list(range(ntasks))
+        return Phase("fake tasks", lambda: len(ready), ready, ran.append), ran
+
+    def test_abort_stops_a_busy_rank_within_the_bound(self, grid12_pipeline):
+        (w, _), fabric = _crew(grid12_pipeline)
+        phase, ran = self._busy(3 * DRAIN_EVERY)
+        for _ in range(5):      # anywhere in the cadence, not just its start
+            w.step(phase)
+        fabric.inboxes[0].put(wire.pack_abort(1))
+        with pytest.raises(_Abort):
+            for _ in range(DRAIN_EVERY):
+                w.step(phase)
+        assert len(ran) < 5 + DRAIN_EVERY
+
+    def test_steal_req_is_answered_within_the_bound(self, grid12_pipeline):
+        (w, _), fabric = _crew(grid12_pipeline, schedule="dynamic")
+        phase, ran = self._busy(3 * DRAIN_EVERY)
+        fabric.inboxes[0].put(wire.pack_steal_req(1, 0))
+        for _ in range(DRAIN_EVERY - 1):
+            w.step(phase)
+        assert _sent(fabric, 1) == []       # not a syscall per task
+        w.step(phase)
+        (answer,) = _sent(fabric, 1)
+        assert answer.kind in (wire.STEAL_GRANT, wire.STEAL_DENY)
+        assert len(ran) == DRAIN_EVERY
+        # ... and the cadence starts over.
+        fabric.inboxes[0].put(wire.pack_steal_req(1, 1))
+        for _ in range(DRAIN_EVERY):
+            w.step(phase)
+        assert len(_sent(fabric, 1)) == 1
+
+    def test_idle_rank_drains_on_every_step(self, grid12_pipeline):
+        (w, _), fabric = _crew(grid12_pipeline, recovery=True)
+        phase, ran = self._busy(0)
+        for k in range(3):
+            fabric.inboxes[0].put(wire.pack_done(1))
+            assert w.step(phase) is True
+            assert w.metrics.control_received == k + 1
+        assert w.done_peers == {1} and ran == []
+        assert w.step(phase) is False
 
 
 class TestHandlers:
