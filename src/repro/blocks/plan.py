@@ -15,7 +15,9 @@ From that layout the plan derives, with whole-matrix array operations only:
   BMOD: where each row of K at or below block J lands inside the
   destination block of panel J (:attr:`rel`, :attr:`rel_of`),
 * the CSC pattern of ``L`` and the gather out of the slab layout
-  (:meth:`csc_pattern`).
+  (:meth:`csc_pattern`),
+* the ``arena -> store`` copy map of the shared-memory transport's block
+  arena (:meth:`arena_map`, applied by :meth:`from_arena`).
 
 The plan is derived state: :class:`BlockStructure` builds it on demand and
 leaves it out of its pickled form.
@@ -26,6 +28,8 @@ from __future__ import annotations
 from itertools import islice
 
 import numpy as np
+
+from repro.util.arrays import tril_flat
 
 
 def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -103,6 +107,7 @@ class NumericPlan:
         self._compile_bmod(structure)
         self._scatter = None
         self._csc = None
+        self._arena = None
 
     def _locate(self, panel: np.ndarray, row: np.ndarray) -> np.ndarray | None:
         """Positions of the ``(panel, row)`` pairs in the end-to-end
@@ -133,6 +138,13 @@ class NumericPlan:
         # (J, K) down.
         pair_K = np.repeat(np.arange(N), nblk)
         pair_J = np.concatenate([empty, *structure.block_rows])
+        # Subdiagonal block (I, K), in (K, I) order: its key and where its
+        # rows start in the store.
+        self._sub_keys = pair_K * N + pair_J
+        self._sub_start = (
+            self._slab_ptr[pair_K]
+            + (self._widths[pair_K] + blk_lo) * self._widths[pair_K]
+        )
         pair_len = self._nbelow[pair_K] - blk_lo
         pair_off = np.cumsum(pair_len) - pair_len
         rows = rows_cat[_ragged_arange(below_ptr[pair_K] + blk_lo, pair_len)]
@@ -240,3 +252,50 @@ class NumericPlan:
                 _compact(gather, self.size + 1),
             )
         return self._csc
+
+    # ------------------------------------------------------------------
+    def arena_map(self, layout) -> tuple[np.ndarray, np.ndarray]:
+        """``(src, dest)``: copying word ``src[i]`` of the block arena laid
+        out by ``layout`` (a :class:`repro.runtime.arena.ArenaLayout` of
+        this structure's task graph) to ``dest[i]`` of a zeroed store fills
+        every block — a subdiagonal slot is its slab rows verbatim, a
+        diagonal slot's packed triangle lands on the lower triangle of the
+        slab's first ``w`` rows, whose upper triangle stays zero (the
+        square ``wire.unpack`` builds). Compiled on first use; the layout
+        is a function of the structure, so there is one map per plan."""
+        if self._arena is None:
+            N = len(self.slabs)
+            I, K = layout.block_I, layout.block_J
+            word = layout.offsets[:-1] // 8
+            nwords = layout.logical_words
+            sub = np.flatnonzero(~layout.diag)
+            pos = np.searchsorted(self._sub_keys, K[sub] * N + I[sub])
+            src = [_ragged_arange(word[sub], nwords[sub])]
+            dest = [_ragged_arange(self._sub_start[pos], nwords[sub])]
+            # Diagonal blocks, one array pass per distinct width.
+            diag = np.flatnonzero(layout.diag)
+            for w in np.unique(self._widths).tolist():
+                blocks = diag[self._widths[K[diag]] == w]
+                tri = tril_flat(w)
+                src.append(word[blocks][:, None] + np.arange(tri.shape[0]))
+                dest.append(self._slab_ptr[K[blocks]][:, None] + tri)
+            src = np.concatenate([a.ravel() for a in src])
+            dest = np.concatenate([a.ravel() for a in dest])
+            if src.shape[0] != int(nwords.sum()) or np.any(
+                np.bincount(dest, minlength=self.size) > 1
+            ):
+                raise ValueError("arena layout disagrees with the structure")
+            self._arena = (
+                _compact(src, layout.total_bytes // 8 + 1),
+                _compact(dest, self.size + 1),
+            )
+        return self._arena
+
+    def from_arena(self, layout, words: np.ndarray) -> np.ndarray:
+        """A new packed store holding every block of the arena whose
+        float64 ``words`` are laid out by ``layout`` — one indexed copy
+        through :meth:`arena_map`, private memory."""
+        src, dest = self.arena_map(layout)
+        store = np.zeros(self.size)
+        store[dest] = words[src]
+        return store

@@ -116,17 +116,33 @@ def _split(values: np.ndarray, group: np.ndarray, ngroups: int) -> list[list]:
 
 class PlanHolder:
     """Base of whatever keeps a pattern's ``tg`` and ``owners`` resident
-    (the runtime's ``PatternContext``): each rank's plan is compiled by
-    its first job there, lives as long as the holder does and is left out
-    of its pickled state."""
+    (the runtime's ``PatternContext``): each rank's compiled plans are
+    built by its first job there, live as long as the holder does and are
+    left out of its pickled state."""
+
+    #: One ``{rank: plan}`` table per kind of plan.
+    _TABLES = ("_dispatch_plans", "_solve_plans")
+
+    def _compiled(self, table: str, rank: int, build):
+        plans = self.__dict__.setdefault(table, {})
+        if rank not in plans:
+            plans[rank] = build()
+        return plans[rank]
 
     def dispatch_plan(self, rank: int) -> DispatchPlan:
-        plans = self.__dict__.setdefault("_dispatch_plans", {})
-        if rank not in plans:
-            plans[rank] = DispatchPlan(self.tg, self.owners, rank)
-        return plans[rank]
+        return self._compiled(
+            "_dispatch_plans", rank,
+            lambda: DispatchPlan(self.tg, self.owners, rank),
+        )
+
+    def solve_plan(self, rank: int, build):
+        """The rank's solve-phase tables — whatever ``build()`` compiles
+        (the runtime's ``SolvePlan`` and its rank's destinations), kept so
+        that the workers of later factor jobs do not compile them again."""
+        return self._compiled("_solve_plans", rank, build)
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state.pop("_dispatch_plans", None)
+        for table in self._TABLES:
+            state.pop(table, None)
         return state

@@ -52,12 +52,21 @@ class BlockCholesky:
         ))
 
     @classmethod
-    def shell(cls, structure: BlockStructure) -> "BlockCholesky":
-        """Allocated, all-zero blocks with nothing scattered — for a caller
-        that installs every block itself."""
+    def shell(cls, structure: BlockStructure,
+              store: np.ndarray | None = None) -> "BlockCholesky":
+        """Blocks carved out of ``store`` with nothing scattered: all zero
+        (``store`` None) for a caller that installs every block itself,
+        or a packed store the caller filled with the finished factor, laid
+        out by the structure's numeric plan."""
         self = cls.__new__(cls)
         plan = structure.numeric_plan()
-        self._adopt(structure, plan, np.zeros(plan.size))
+        filled = store is not None
+        if not filled:
+            store = np.zeros(plan.size)
+        elif store.shape != (plan.size,):
+            raise ValueError("store size disagrees with the block structure")
+        self._adopt(structure, plan, store)
+        self._factored[:] = filled
         return self
 
     def _adopt(self, structure: BlockStructure, plan, store: np.ndarray) -> None:
@@ -75,12 +84,17 @@ class BlockCholesky:
             )
         self.flops = 0
         self._factored = np.zeros(len(self.diag), dtype=bool)
+        #: ``store`` while every block is still its view of it (updates
+        #: land in place), so ``to_csc`` can read it whole; ``None`` once
+        #: a block was replaced by an array of its own.
+        self._packed: np.ndarray | None = store
 
     def install(self, i: int, j: int, block: np.ndarray,
                 final: bool = True) -> None:
         """Put ``block`` in as block ``(i, j)`` — computed elsewhere (a
         gathered frame, a checkpoint, a migrated task's state). ``final``
         marks a diagonal block as factored."""
+        self._packed = None
         if i != j:
             self.below[j][i] = block
         else:
@@ -94,6 +108,7 @@ class BlockCholesky:
     def bfac(self, k: int) -> None:
         L, f = bfac_kernel(self.diag[k])
         self.diag[k] = L
+        self._packed = None
         self.flops += f
         self._factored[k] = True
 
@@ -102,6 +117,7 @@ class BlockCholesky:
             raise RuntimeError(f"BDIV({i},{k}) before BFAC({k})")
         B, f = bdiv_kernel(self.below[k][i], self.diag[k])
         self.below[k][i] = B
+        self._packed = None
         self.flops += f
 
     def bmod(self, i: int, j: int, k: int) -> None:
@@ -171,15 +187,17 @@ class BlockCholesky:
         """Assemble the factor L as a sparse matrix (explicit zeros kept)."""
         plan = self._plan
         indptr, indices, gather = plan.csc_pattern()
-        packed = np.empty(plan.size)
-        for k, ((w, start, stop), span) in enumerate(
-            zip(plan.slabs, plan.spans)
-        ):
-            blocks = self.below[k]
-            np.concatenate(
-                [self.diag[k], *(blocks[i] for i in span)],
-                out=packed[start:stop].reshape(-1, w),
-            )
+        packed = self._packed
+        if packed is None:
+            packed = np.empty(plan.size)
+            for k, ((w, start, stop), span) in enumerate(
+                zip(plan.slabs, plan.spans)
+            ):
+                blocks = self.below[k]
+                np.concatenate(
+                    [self.diag[k], *(blocks[i] for i in span)],
+                    out=packed[start:stop].reshape(-1, w),
+                )
         n = plan.n
         return sparse.csc_matrix(
             (packed[gather], indices.copy(), indptr.copy()), shape=(n, n)

@@ -21,7 +21,8 @@ Storage: slots are row-major float64 and hold exactly the *logical*
 payload — ``tg.block_words[b]`` words. A subdiagonal block is the dense
 ``rows x w`` rectangle; a diagonal block is the packed lower triangle
 (``w * (w + 1) / 2`` words, row-major ``np.tril_indices`` order — byte
-identical to the inline ``BLOCK`` payload ``wire.pack_block`` produces).
+identical to the inline ``BLOCK`` payload ``wire.pack_block`` produces:
+both are :func:`repro.runtime.wire.payload_words`).
 Consumers never see the packed form: :meth:`BlockArena.view` /
 :meth:`BlockArena.read` / :meth:`BlockArena.resolve` unpack a diagonal
 slot into the same freshly-allocated C-contiguous zero-upper square that
@@ -37,6 +38,15 @@ alignment for the zero-copy bmod reads); the tail padding between a slot's
 payload and the next slot's offset is the arena's only dead space, and
 ``ArenaLayout.padding_bytes`` reports it.
 
+The arena is also the gather: a clean job ships no block home. Each rank
+reports the ids of its owned blocks and a running CRC32 of their payload,
+computed from the values it holds; the driver copies every slot into a
+private packed store (:meth:`repro.blocks.plan.NumericPlan.from_arena` —
+the slots are reused by the pattern's next job) and recomputes each rank's
+CRC from the slots (:meth:`BlockArena.running_crc`). Per-slot look-ups
+(offset, extents, the mapped view) are tables built once per layout / per
+attachment.
+
 Lifecycle: the driver creates the arena (:meth:`BlockArena.create`) and
 unlinks it in the engine's ``finally`` (:meth:`BlockArena.destroy`), even
 on crash/abort paths — workers only ever attach (:meth:`BlockArena.attach`)
@@ -46,7 +56,7 @@ and never unlink, so no ``/dev/shm`` segment outlives a run.
 from __future__ import annotations
 
 import zlib
-from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 
@@ -159,12 +169,14 @@ class ArenaLayout:
     triangle) — they are what descriptors advertise and what consumers see
     after unpacking. Slot offsets are :data:`SLOT_ALIGN`-aligned; the
     widths come from the partition, so uniform and supernodal policies each
-    get a layout that fits their panels exactly.
+    get a layout that fits their panels exactly. ``slots[b]`` is slot
+    ``b`` as Python ints, ``(offset, rows, cols, words)`` — what the
+    per-block operations of :class:`BlockArena` read.
     """
 
     __slots__ = ("nblocks", "rows", "cols", "diag", "offsets",
                  "logical_words", "block_I", "block_J", "total_bytes",
-                 "payload_bytes", "padding_bytes")
+                 "payload_bytes", "padding_bytes", "slots")
 
     def __init__(self, tg):
         part = tg.workmodel.structure.partition
@@ -189,6 +201,10 @@ class ArenaLayout:
         self.total_bytes = int(self.offsets[-1])
         self.payload_bytes = int(slot_bytes.sum())
         self.padding_bytes = self.total_bytes - self.payload_bytes
+        self.slots = list(zip(
+            self.offsets[:-1].tolist(), rows.tolist(), cols.tolist(),
+            logical.tolist(),
+        ))
 
 
 class BlockArena:
@@ -228,30 +244,26 @@ class BlockArena:
 
     # -- slot access ----------------------------------------------------
 
-    def _slot(self, b: int) -> np.ndarray:
-        """Flat float64 view of slot ``b``'s stored words."""
-        lay = self.layout
+    @cached_property
+    def words(self) -> np.ndarray:
+        """The whole segment as float64 words (slot ``b`` starts at word
+        ``offsets[b] // 8``)."""
         return np.ndarray(
-            (int(lay.logical_words[b]),),
-            dtype=np.float64,
+            (self.layout.total_bytes // 8,), dtype=np.float64,
             buffer=self.shm.buf,
-            offset=int(lay.offsets[b]),
         )
 
-    def _dense(self, b: int) -> np.ndarray:
-        """2-D view of a subdiagonal slot (diagonal slots are packed)."""
-        lay = self.layout
-        return self._slot(b).reshape(int(lay.rows[b]), int(lay.cols[b]))
-
-    def _unpack_diag(self, b: int) -> np.ndarray:
-        """Fresh C-contiguous ``w x w`` square from a packed diagonal slot
-        — structurally identical to what ``wire.unpack`` builds for an
-        inline diagonal payload, so kernels see bitwise-equal inputs on
-        both transports."""
-        w = int(self.layout.cols[b])
-        out = np.zeros((w, w))
-        out[np.tril_indices(w)] = self._slot(b)
-        return out
+    @cached_property
+    def _slots(self) -> list[np.ndarray]:
+        """Per slot, the writable view of its stored words, mapped once
+        per attachment: ``rows x cols`` for a subdiagonal block, the flat
+        packed triangle for a diagonal one."""
+        words, lay = self.words, self.layout
+        return [
+            words[off // 8 : off // 8 + n] if diag
+            else words[off // 8 : off // 8 + n].reshape(rows, cols)
+            for (off, rows, cols, n), diag in zip(lay.slots, lay.diag.tolist())
+        ]
 
     def write(self, b: int, array: np.ndarray) -> None:
         """Copy a completed block into its slot (the producer's one copy).
@@ -259,52 +271,46 @@ class BlockArena:
         Diagonal blocks are handed over as the full square (however the
         kernel laid it out — bfac yields Fortran order) and stored packed.
         """
-        lay = self.layout
-        arr = np.asarray(array, dtype=np.float64)
-        if lay.diag[b]:
-            self._slot(b)[:] = arr[np.tril_indices(int(lay.cols[b]))]
-        else:
-            np.copyto(self._dense(b), arr, casting="same_kind")
+        slot = self._slots[b]
+        np.copyto(slot, wire.payload_words(array, slot.ndim == 1))
 
     def view(self, b: int) -> np.ndarray:
         """Consumer-side mapping of slot ``b``: a read-only zero-copy view
-        for subdiagonal blocks, a freshly unpacked square for diagonal
-        blocks (the packed triangle is a storage format, never a kernel
-        input)."""
-        if self.layout.diag[b]:
-            return self._unpack_diag(b)
-        v = self._dense(b)
+        for subdiagonal blocks; for diagonal blocks (the packed triangle
+        is a storage format, never a kernel input) the fresh square
+        ``wire.unpack`` builds for an inline payload, so kernels see
+        bitwise-equal inputs on both transports."""
+        slot = self._slots[b]
+        if slot.ndim == 1:
+            return wire.square_from_packed(slot, self.layout.slots[b][2])
+        v = slot.view()
         v.flags.writeable = False
         return v
 
     def read(self, b: int) -> np.ndarray:
-        """A private copy of block ``b`` (driver gather; outlives the
-        arena). Always the dense array: unpacked square for diagonal
-        blocks."""
-        if self.layout.diag[b]:
-            return self._unpack_diag(b)
-        return self._dense(b).copy()
+        """A private, writable copy of block ``b`` (outlives the arena);
+        the unpacked square for diagonal blocks."""
+        return np.array(self.view(b))
 
     def checksum(self, b: int) -> int:
         """CRC32 over slot ``b``'s stored bytes — the descriptor's payload
         CRC. Tail alignment padding is excluded, so for every block this
         equals the CRC of the inline ``BLOCK`` payload bytes."""
-        lay = self.layout
-        off = int(lay.offsets[b])
-        n = int(lay.logical_words[b]) * 8
-        return zlib.crc32(self.shm.buf[off:off + n])
+        return zlib.crc32(self._slots[b])
+
+    def running_crc(self, blocks) -> list[int]:
+        """:func:`repro.runtime.wire.running_crc` over the stored bytes of
+        slots ``blocks`` — what the rank holding those blocks reported
+        (:attr:`~repro.runtime.worker.WorkerResult.held`)."""
+        return wire.running_crc(map(self._slots.__getitem__, blocks))
 
     # -- wire integration ----------------------------------------------
 
     def pack_ref(self, src: int, b: int) -> bytes:
         """Build the 64-byte descriptor frame for slot ``b``."""
-        lay = self.layout
+        off, rows, cols, words = self.layout.slots[b]
         return wire.pack_block_ref(
-            src, b,
-            int(lay.rows[b]), int(lay.cols[b]),
-            int(lay.logical_words[b]),
-            int(lay.offsets[b]),
-            self.checksum(b),
+            src, b, rows, cols, words, off, self.checksum(b)
         )
 
     def resolve(self, msg: wire.WireMessage) -> wire.WireMessage:
@@ -323,10 +329,7 @@ class BlockArena:
         b = msg.block
         if not (
             0 <= b < lay.nblocks
-            and msg.offset == int(lay.offsets[b])
-            and msg.rows == int(lay.rows[b])
-            and msg.cols == int(lay.cols[b])
-            and msg.words == int(lay.logical_words[b])
+            and (msg.offset, msg.rows, msg.cols, msg.words) == lay.slots[b]
         ):
             raise wire.CorruptFrameError(
                 f"BLOCK_REF descriptor for block {b} disagrees with the "
@@ -339,12 +342,19 @@ class BlockArena:
                 f"(descriptor {msg.payload_crc:#010x})",
                 src=msg.src, block=b,
             )
-        return replace(msg, kind=wire.BLOCK, payload=self.view(b))
+        return wire.WireMessage(
+            wire.BLOCK, msg.src, b, msg.rows, msg.cols, self.view(b),
+            msg.words, msg.offset, msg.payload_crc,
+        )
 
     # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
         """Unmap this process's view (safe to call repeatedly)."""
+        # The mapped views export the segment's buffer; let go of them
+        # first or the unmap is refused.
+        self.__dict__.pop("_slots", None)
+        self.__dict__.pop("words", None)
         try:
             self.shm.close()
         except BufferError:  # pragma: no cover - outstanding ndarray views

@@ -161,9 +161,9 @@ def run_mp_fanout(
     if one dies without reporting and :class:`RuntimeTimeoutError` on the
     global timeout. Every exit path reaps the children and unlinks the
     arena; the raised :class:`FanoutError` carries every salvaged
-    ``WorkerResult`` (frames carry their payload, so they outlive the
-    arena) and ``failed_ranks`` names the casualties only — a rank that
-    stopped because a peer failed is not among them.
+    ``WorkerResult`` (checkpoint frames carry their payload, so they
+    outlive the arena) and ``failed_ranks`` names the casualties only — a
+    rank that stopped because a peer failed is not among them.
     """
     owners = np.asarray(owners)
     if owners.shape[0] != tg.nblocks:
@@ -254,7 +254,7 @@ def one_shot_crew(structure, A, tg, config: RunConfig):
         factor, solution, metrics, run_trace = outcome_result(
             outcome, structure, tg, A, rhs, owners=owners,
             wall_s=launch_s + outcome.wall_s, mapping=mapping,
-            transport=transport, config=config, attempt=attempt,
+            arena=arena, config=config, attempt=attempt,
         )
         meta = {
             "start_method": START_METHOD,
@@ -299,7 +299,7 @@ def outcome_result(
     owners: np.ndarray | None = None,
     wall_s: float | None = None,
     mapping: str = "",
-    transport: str = "inline",
+    arena: BlockArena | None = None,
     config: RunConfig | None = None,
     problem: str = "",
     attempt: int = 0,
@@ -309,22 +309,27 @@ def outcome_result(
     ``(factor, solution, metrics, trace)`` — the one place a pooled job
     becomes a result, whoever ran it.
 
-    ``A`` not ``None`` asks for the assembled factor (built from the
-    gathered frames alone; ``owners`` lets a gather error name the rank a
-    block was due from); ``rhs`` (the permuted panel the job solved) asks
-    for the stitched solution; a warm solve job passes only the latter.
-    ``wall_s`` defaults to the job's own (dispatch to last report); a
-    one-shot run adds its launch. ``mapping``, ``transport`` (as resolved)
-    and the ``config``'s schedule label the metrics and the trace, which
-    is merged whenever the workers shipped one. Raises :class:`FanoutError` when the factor frames do not
-    cover every block exactly once or the solution panels every row.
+    ``A`` not ``None`` asks for the assembled factor (see
+    :func:`_assemble`: copied out of ``arena``, the pattern's block arena
+    on the shm transport, else built from the gathered frames; ``owners``
+    lets a gather error name the rank a block was due from); ``rhs`` (the
+    permuted panel the job solved) asks for the stitched solution; a warm
+    solve job passes only the latter. ``wall_s`` defaults to the job's
+    own (dispatch to last report); a one-shot run adds its launch.
+    ``mapping``, the transport (shm exactly when there is an arena) and
+    the ``config``'s schedule label the metrics and the trace, which is
+    merged whenever the workers shipped one. Raises :class:`FanoutError`
+    when the gather does not cover every block exactly once, fails its
+    integrity check, or the solution panels do not cover every row.
     """
     results = outcome.results
     nprocs = len(results)
     schedule = (config or RunConfig()).schedule
     if wall_s is None:
         wall_s = outcome.wall_s
-    factor = None if A is None else _assemble(structure, tg, results, owners)
+    factor = gather = None
+    if A is not None:
+        factor, gather = _assemble(structure, tg, results, owners, arena)
     solution = None
     if rhs is not None:
         ptr = np.asarray(structure.partition.panel_ptr, dtype=np.int64)
@@ -345,9 +350,11 @@ def outcome_result(
         workers=[res.metrics for res in results.values()],
         mapping=mapping,
         problem=problem,
-        transport=transport,
+        transport="inline" if arena is None else "shm",
         schedule=schedule,
     )
+    if gather is not None:
+        metrics.extra["gather"] = gather
     trace = None
     if any(res.trace is not None for res in results.values()):
         grid = best_grid(nprocs)
@@ -370,28 +377,91 @@ def outcome_result(
     return factor, solution, metrics, trace
 
 
-def _assemble(structure, tg, results, owners=None) -> BlockCholesky:
-    """Fill an empty factor shell with the gathered owned blocks (gather
-    frames carry their payload on every transport). Every block of ``tg``
-    must arrive exactly once: a hole would read as zeros."""
-    shell = BlockCholesky.shell(structure)
-    senders: dict[int, list[int]] = {}
-    for rank, res in results.items():
-        for frame in res.frames:
-            msg = wire.unpack(frame)
-            b = msg.block
-            shell.install(int(tg.block_I[b]), int(tg.block_J[b]), msg.payload)
-            senders.setdefault(b, []).append(rank)
-    off = [b for b in range(tg.nblocks) if len(senders.get(b, ())) != 1]
-    if off:
-        b = off[0]
+def _assemble(structure, tg, results, owners=None, arena=None):
+    """The factor out of a clean job's results, and the ``gather`` record
+    of how it got here (``RuntimeMetrics.extra["gather"]``).
+
+    With an ``arena`` (shm) the final blocks are read where their owners
+    put them: one indexed copy into a private packed store (the slots are
+    reused by the pattern's next job), then one CRC pass per rank over the
+    slots of the blocks it reported, against the CRC it computed from the
+    values it held (:attr:`~repro.runtime.worker.WorkerResult.held`).
+    Without one, every owned block came home as a CRC-checked frame.
+    Either way every block of ``tg`` must be reported exactly once — a
+    hole would read as zeros — and any breach is a :class:`FanoutError`
+    naming the block and the rank."""
+    clock = time.perf_counter
+    t0 = clock()
+    #: rank -> the block ids it reported, in the order it reported them.
+    reported: dict = {}
+    if arena is not None:
+        plan = structure.numeric_plan()
+        factor = BlockCholesky.shell(
+            structure, plan.from_arena(arena.layout, arena.words)
+        )
+        for rank, res in results.items():
+            reported[rank] = () if res.held is None else res.held[0]
+        nbytes = arena.layout.payload_bytes
+    else:
+        factor = BlockCholesky.shell(structure)
+        nbytes = 0
+        for rank, res in results.items():
+            blocks = reported[rank] = []
+            for frame in res.frames:
+                try:
+                    msg = wire.unpack(frame)
+                except wire.WireError as exc:
+                    # A CRC mismatch or a short payload leaves the header,
+                    # and so the block id, readable.
+                    b = (wire.frame_block(frame)
+                         if len(frame) >= wire.HEADER_BYTES else -1)
+                    raise FanoutError(
+                        f"factor gather: rank {rank} sent a bad frame for "
+                        f"block {b}: {exc}", results=results,
+                    ) from exc
+                b = msg.block
+                factor.install(
+                    int(tg.block_I[b]), int(tg.block_J[b]), msg.payload
+                )
+                blocks.append(b)
+                nbytes += len(frame)
+    t1 = clock()
+
+    def where(b):
+        due = "" if owners is None else f", owned by rank {owners[b]},"
+        return f"block {b} ({tg.block_I[b]},{tg.block_J[b]}){due}"
+
+    ids = np.concatenate(
+        [np.asarray(blocks, dtype=np.int64) for blocks in reported.values()]
+    )
+    off = np.flatnonzero(np.bincount(ids, minlength=tg.nblocks) != 1)
+    if off.size:
+        b = int(off[0])
+        senders = [r for r in sorted(reported)
+                   for x in reported[r] if x == b]
         raise FanoutError(
             f"factor gather: {len(off)}/{tg.nblocks} blocks did not arrive "
-            f"exactly once; block {b} ({tg.block_I[b]},{tg.block_J[b]})"
-            + ("" if owners is None else f", owned by rank {owners[b]},")
-            + f" came from ranks {senders.get(b, [])}", results=results,
+            f"exactly once; {where(b)} came from ranks {senders}",
+            results=results,
         )
-    return shell
+    for rank, res in results.items():
+        if arena is not None and res.held is not None:
+            blocks, crcs = res.held
+            got = arena.running_crc(blocks.tolist())
+            bad = np.flatnonzero(np.asarray(got, dtype=np.uint32) != crcs)
+            if bad.size:
+                raise FanoutError(
+                    f"factor gather: rank {rank}'s arena slot of "
+                    f"{where(int(blocks[bad[0]]))} does not hold the bytes "
+                    "the rank computed (CRC mismatch)", results=results,
+                )
+    return factor, {
+        "mode": "frames" if arena is None else "arena",
+        "blocks": int(ids.shape[0]),
+        "bytes": nbytes,
+        "copy_s": t1 - t0,
+        "check_s": clock() - t1,
+    }
 
 
 def mp_block_cholesky(

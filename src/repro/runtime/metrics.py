@@ -51,7 +51,8 @@ class WorkerMetrics:
     comm_s: float = 0.0
     idle_s: float = 0.0
     #: A job on this rank: arming the planes (a pattern's first job also
-    #: compiles its plans), the event loop, packing the gather frames.
+    #: compiles its plans), the event loop, and the gather — packing the
+    #: owned blocks as frames (inline) or the CRC pass over them (shm).
     setup_s: float = 0.0
     pump_s: float = 0.0
     gather_s: float = 0.0
@@ -455,4 +456,12 @@ class RuntimeMetrics:
         for name in ("setup_s", "pump_s", "gather_s"):
             worst = max((getattr(w, name) for w in self.workers), default=0.0)
             summary += f" {name[:-2]}<={worst * 1e3:.1f}ms"
+        gather = self.extra.get("gather")
+        if gather:
+            summary += (
+                f"\ngather={gather['mode']} {gather['blocks']} blocks "
+                f"{gather['bytes'] / 1e6:.2f} MB "
+                f"copy={gather['copy_s'] * 1e3:.1f}ms "
+                f"check={gather['check_s'] * 1e3:.1f}ms"
+            )
         return chart + "\n" + summary

@@ -24,9 +24,11 @@ step). Either way a job is a small message to a resident crew:
   is the job number. A frame whose tag is not the running job's is a
   straggler of a finished one (a late DONE, a retransmit, an ABORT that
   lost the race with the result) and is dropped on read. Frames bound
-  for the driver — the result gather and abort-time checkpoints — always
-  carry their payload, so the driver never reads a slot that a later job
-  may have overwritten and salvaged frames outlive the arena.
+  for the driver — the inline transport's result gather and abort-time
+  checkpoints — carry their payload, so salvaged frames outlive the
+  arena. A clean shm job ships no block: the driver copies the factor out
+  of the pattern's arena before it dispatches the next job, the only
+  writer those slots can have.
 
 Failure containment: a worker error poisons only its own job — the
 erroring worker broadcasts ABORT for that job's tag, peers abort that
@@ -95,8 +97,8 @@ class PatternContext(PlanHolder):
     describe the *permuted* matrix, so later jobs need only a values
     array. ``arena_name`` names the driver-owned shared-memory segment
     for the pattern (None on the inline transport). Where it is resident
-    it also keeps each rank's compiled ``dispatch_plan(rank)``, which
-    never travels with it.
+    it also keeps each rank's compiled ``dispatch_plan(rank)`` and
+    ``solve_plan(rank, ...)``, which never travel with it.
     """
 
     pattern_id: str

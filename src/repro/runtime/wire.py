@@ -91,6 +91,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.util.arrays import tril_flat
+
 #: Frame kinds.
 BLOCK, ABORT, NACK, DONE, BLOCK_REF = 1, 2, 3, 4, 5
 STEAL_REQ, STEAL_GRANT, STEAL_DENY, STEAL_SHIP, STEAL_RESULT = 6, 7, 8, 9, 10
@@ -194,6 +196,40 @@ def _frame(kind: int, src: int, block: int, rows: int, cols: int,
     return b"".join((prefix, _CRC.pack(crc), _PAD, payload))
 
 
+def payload_words(array: np.ndarray, diagonal: bool) -> np.ndarray:
+    """A C-contiguous float64 array whose bytes, in order, are the block's
+    logical payload — what a ``BLOCK`` frame carries and an arena slot
+    stores: the packed lower triangle (row-major,
+    :func:`~repro.util.arrays.tril_flat`) of a diagonal block, else the
+    dense row-major ``rows x cols`` array itself."""
+    arr = np.ascontiguousarray(array, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError("block payload must be a 2-D array")
+    if diagonal:
+        if arr.shape[0] != arr.shape[1]:
+            raise ValueError("diagonal block must be square")
+        return arr.take(tril_flat(arr.shape[0]))
+    return arr
+
+
+def square_from_packed(words: np.ndarray, w: int) -> np.ndarray:
+    """The diagonal block a packed triangle stands for: a fresh, writable,
+    C-contiguous ``w x w`` square with an explicitly zero upper triangle —
+    one layout on every transport, because ``solve_triangular`` rounds
+    differently for C- and F-ordered inputs."""
+    out = np.zeros((w, w))
+    out.ravel()[tril_flat(w)] = words
+    return out
+
+
+def running_crc(payloads) -> list[int]:
+    """CRC32 of ``payloads`` (C-contiguous buffers) laid end to end, after
+    each one. The shm transport's gather check: a rank computes it over
+    the blocks it holds, the driver over the arena slots it reads."""
+    crc = 0
+    return [crc := zlib.crc32(words, crc) for words in payloads]
+
+
 def pack_block(
     src: int, block: int, I: int, J: int, array: np.ndarray
 ) -> bytes:
@@ -202,16 +238,8 @@ def pack_block(
     Diagonal blocks (``I == J``) ship only the lower triangle; subdiagonal
     blocks ship the full dense ``rows x cols`` array.
     """
-    arr = np.ascontiguousarray(array, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("block payload must be a 2-D array")
-    rows, cols = arr.shape
-    if I == J:
-        if rows != cols:
-            raise ValueError("diagonal block must be square")
-        words = arr[np.tril_indices(rows)]
-    else:
-        words = arr.ravel()
+    words = payload_words(array, I == J)
+    rows, cols = np.shape(array)
     return _frame(BLOCK, src, block, rows, cols, words.tobytes())
 
 
@@ -253,12 +281,8 @@ def _pack_state(kind: int, src: int, ref: int, square: bool,
     """Frame a block-state payload for the steal plane (triangle-packed
     when ``square`` — bit-exact for the significant lower triangle, same
     byte accounting as ``BLOCK``)."""
-    arr = np.ascontiguousarray(array, dtype=np.float64)
-    rows, cols = arr.shape
-    if square:
-        words = arr[np.tril_indices(rows)]
-    else:
-        words = arr.ravel()
+    words = payload_words(array, square)
+    rows, cols = np.shape(array)
     return _frame(kind, src, ref, rows, cols, words.tobytes())
 
 
@@ -395,12 +419,8 @@ def unpack(frame: bytes, copy: bool = True) -> WireMessage:
     ):
         raise WireError(f"unknown frame kind {kind}")
     words = np.frombuffer(frame, dtype="<f8", count=nwords, offset=HEADER_BYTES)
-    if nwords == rows * (rows + 1) // 2 and rows == cols and nwords != rows * cols:
-        payload = np.zeros((rows, cols))
-        payload[np.tril_indices(rows)] = words
-    elif rows == cols and nwords == rows * cols == rows * (rows + 1) // 2:
-        # 1x1 (and degenerate) diagonal blocks: triangle == full array.
-        payload = words.reshape(rows, cols).copy()
+    if 0 <= rows == cols and nwords == rows * (rows + 1) // 2:
+        payload = square_from_packed(words, rows)
     elif nwords == rows * cols and rows >= 0 and cols >= 0:
         # np.frombuffer over bytes is already read-only, so the no-copy
         # view cannot be mutated behind the frame's back.

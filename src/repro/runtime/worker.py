@@ -18,8 +18,10 @@ operation or an arrived block, run it, fan the result out — and
 * ``_account`` is the post-task step every executed task passes through,
   ``_span`` the only timeline / trace-span emitter, ``_block`` / ``_store``
   the block accessor pair, and :meth:`Worker.run` ends in the one ship-home
-  epilogue: one :class:`WorkerResult`, after an ABORT broadcast on error so
-  peers exit promptly instead of deadlocking.
+  epilogue: one :class:`WorkerResult` (owned blocks as frames on the inline
+  transport; on shm they already sit in the arena, so only their ids and a
+  running CRC travel), after an ABORT broadcast on error so peers exit
+  promptly instead of deadlocking.
 
 State and handlers are grouped by *plane* — factor, integrity (the
 ``recovery`` protocol), steal (the dynamic schedule), solve — each
@@ -80,9 +82,10 @@ class _Abort(Exception):
 
 @dataclass
 class WorkerResult:
-    """What a worker sends home: metrics plus its owned factor blocks
-    (wire frames; on error/abort under recovery, the completed-block
-    checkpoint instead)."""
+    """What a worker sends home: metrics plus its owned factor blocks —
+    as wire frames on the inline transport, as ``held`` on shm, where the
+    blocks stay in the arena; on error/abort under recovery, the
+    completed-block checkpoint frames instead, on either transport."""
 
     rank: int
     metrics: WorkerMetrics
@@ -91,6 +94,11 @@ class WorkerResult:
     #: Solve-phase output: owned panel id -> dense ``w x nrhs`` solution
     #: fragment (permuted coordinates). ``None`` when no solve ran.
     solution: dict[int, np.ndarray] | None = None
+    #: A clean shm factor job: ``(blocks, crcs)`` — the owned block ids,
+    #: ascending, and the CRC32 of their logical payload bytes laid end to
+    #: end, after each block. The last value is the rank's integrity
+    #: check; the ones before it let the driver name the block that broke.
+    held: tuple[np.ndarray, np.ndarray] | None = None
 
 
 class Phase(NamedTuple):
@@ -142,9 +150,6 @@ class Worker:
         #: The wire-kind → handler table: each plane registers its kinds
         #: as it is armed; a job that arms no solve refuses solve frames.
         self.handlers: dict[int, Callable] = {}
-        #: The pattern's :class:`SolvePlan`, built by the first job with
-        #: an rhs and kept across the warm solves that re-arm this worker.
-        self.splan: SolvePlan | None = None
         self.arm(job, fabric, result_queue)
 
     def arm(self, job, fabric, result_queue) -> None:
@@ -191,7 +196,7 @@ class Worker:
         m = self.metrics
         factor = self.job.kind == "factor"
         frames: list[bytes] = []
-        solution = None
+        solution = held = None
         try:
             t0 = self._now()
             self._setup(factor)
@@ -200,7 +205,10 @@ class Worker:
                 self._pump(phase)
             if factor:
                 t0 = self._now()
-                frames = self._frames(self.plan.owned)
+                if self.arena is None:
+                    frames = self._frames(self.plan.owned)
+                else:
+                    held = self._held(self.plan.owned)
                 m.gather_s = self._now() - t0
             if self.job.rhs is not None:
                 solution = self._solution_panels
@@ -218,7 +226,7 @@ class Worker:
         self._finalize()
         trace = None if self.trace is None else self.trace.snapshot(self.rank)
         self.result_queue.put(
-            WorkerResult(self.rank, m, frames, trace, solution)
+            WorkerResult(self.rank, m, frames, trace, solution, held)
         )
         if failed:
             # Don't hang at exit flushing frames to peers that may be gone.
@@ -1038,14 +1046,13 @@ class Worker:
                               wire.SOLVE_X: self._on_x,
                               wire.SOLVE_FUP: self._on_fup,
                               wire.SOLVE_BUP: self._on_bup})
-        if self.splan is None:
-            self.splan = SolvePlan(self.context.structure, self.tg)
-            #: Per panel i, where ``X_i`` travels: the distinct remote owners
-            #: of row i's blocks. (``Y_k`` travels where ``L_KK`` did.)
-            self._x_dsts = [
-                remote_ranks(self.owners[row], self.rank).tolist()
-                for row in self.splan.row_blocks
-            ]
+        #: The pattern's :class:`SolvePlan` and, per panel i, where ``X_i``
+        #: travels: the distinct remote owners of row i's blocks (``Y_k``
+        #: travels where ``L_KK`` did). Compiled by the rank's first job
+        #: with an rhs, then read off the resident context.
+        self.splan, self._x_dsts = self.context.solve_plan(
+            self.rank, self._compile_solve
+        )
         sp = self.splan
         rhs, _ = permute_rhs(rhs, int(sp.panel_ptr[-1]), None)
         rhs = np.ascontiguousarray(
@@ -1088,6 +1095,13 @@ class Worker:
         for k in own_diag:
             if sp.fwd_count[k] == 0:
                 self._push_solve(FSOLVE, k)
+
+    def _compile_solve(self) -> tuple[SolvePlan, list[list[int]]]:
+        splan = SolvePlan(self.context.structure, self.tg)
+        return splan, [
+            remote_ranks(self.owners[row], self.rank).tolist()
+            for row in splan.row_blocks
+        ]
 
     def _push_solve(self, kind: int, ident: int) -> None:
         """Solve task ids are ``kind * nblocks + (panel or block) id``."""
@@ -1259,11 +1273,25 @@ class Worker:
     # Shutdown
     # ------------------------------------------------------------------
     def _frames(self, blocks) -> list[bytes]:
-        """Driver-bound frames for ``blocks`` (the result gather, or the
-        abort-time checkpoint). They carry their payload on every
-        transport: arena slots are reused by the pattern's next job and
-        the arena may be gone before a salvaged checkpoint is read."""
+        """Driver-bound frames for ``blocks`` — the inline transport's
+        result gather, and the abort-time checkpoint on either transport.
+        They carry their payload: a checkpoint is read after the crew, and
+        maybe the arena, is gone."""
         return [self._frame_for(int(b), inline=True) for b in blocks]
+
+    def _held(self, blocks: list[int]):
+        """The shm transport's result gather: the blocks stay in their
+        arena slots and the driver reads them there; home go their ids and
+        the running CRC32 of their payloads, computed from the values this
+        rank holds — not read back from the slots — so the driver's pass
+        over the slots checks them against what was computed."""
+        coords = self.plan.coords
+        crcs = wire.running_crc(
+            wire.payload_words(self._block(b), coords[b][0] == coords[b][1])
+            for b in blocks
+        )
+        return (np.asarray(blocks, dtype=np.int32),
+                np.asarray(crcs, dtype=np.uint32))
 
     def _broadcast_abort(self) -> None:
         if self.trace is not None:

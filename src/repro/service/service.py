@@ -825,7 +825,7 @@ class FactorService:
             outcome, entry.structure, entry.tg, want_factor or None, rhs,
             owners=entry.owners,
             mapping=entry.mapping_name,
-            transport="shm" if entry.arena is not None else "inline",
+            arena=entry.arena,
             config=entry.config,
             problem=entry.pattern_id,
         )

@@ -7,9 +7,25 @@ allocation-light (views where possible, single merged output otherwise).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 INDEX_DTYPE = np.int64
+
+
+@lru_cache(maxsize=1024)
+def tril_flat(w: int) -> np.ndarray:
+    """Positions of the lower triangle (diagonal included) of a C-ordered
+    ``w x w`` array in its flattened form, in ``np.tril_indices`` order —
+    the packed layout of a diagonal block on the wire and in an arena
+    slot. ``a.take(tril_flat(w))`` packs a square of any memory layout,
+    ``flat[tril_flat(w)] = words`` unpacks. One shared, read-only array
+    per width."""
+    rows, cols = np.tril_indices(w)
+    flat = rows * w + cols
+    flat.flags.writeable = False
+    return flat
 
 
 def as_index_array(values) -> np.ndarray:

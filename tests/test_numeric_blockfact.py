@@ -328,3 +328,47 @@ class TestPlanCost:
             for i, B in ref.below[k].items():
                 assert shell.below[k][i].shape == B.shape
                 assert not shell.below[k][i].any()
+
+    def test_shell_over_a_filled_store_is_the_finished_factor(
+        self, grid12_pipeline
+    ):
+        """A packed store holding a factor is adopted as one: factored,
+        ``to_csc`` bitwise the reference (read off the store whole while
+        no block was replaced, rebuilt from the blocks once one was)."""
+        _, sf, _, bs, *_ = grid12_pipeline
+        ref = BlockCholesky(bs, sf.A).factor()
+        plan = bs.numeric_plan()
+        store = np.empty(plan.size)
+        for k, ((w, start, stop), span) in enumerate(
+            zip(plan.slabs, plan.spans)
+        ):
+            store[start:stop] = np.concatenate(
+                [ref.diag[k], *(ref.below[k][i] for i in span)]
+            ).ravel()
+        got = BlockCholesky.shell(bs, store)
+        assert got._factored.all() and got._packed is store
+        L, R = got.to_csc(), ref.to_csc()
+        assert np.array_equal(L.data, R.data)
+        assert np.array_equal(L.indices, R.indices)
+        assert not np.shares_memory(L.data, store)
+        i = next(iter(got.below[0]))
+        got.install(i, 0, 2.0 * ref.below[0][i])
+        changed = got.to_csc().data != R.data
+        assert changed.sum() == np.count_nonzero(ref.below[0][i])
+        with pytest.raises(ValueError, match="store size"):
+            BlockCholesky.shell(bs, store[:-1])
+
+    def test_to_csc_follows_in_place_updates_and_replacements(
+        self, grid12_pipeline
+    ):
+        """``to_csc`` before, halfway through and after a factorization
+        equals the block-by-block oracle each time."""
+        _, sf, _, bs, *_ = grid12_pipeline
+        chol = BlockCholesky(bs, sf.A)
+        assert np.array_equal(chol.to_csc().data, oracle_to_csc(chol).data)
+        chol.bfac(0)
+        brows = list(chol.below[0])
+        for i in brows:
+            chol.bdiv(i, 0)
+        chol.bmod(brows[0], brows[0], 0)
+        assert np.array_equal(chol.to_csc().data, oracle_to_csc(chol).data)

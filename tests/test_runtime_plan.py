@@ -183,6 +183,43 @@ class TestDispatchPlanLifetime:
         assert len(compiled) == 3
 
 
+class TestSolvePlanLifetime:
+    def test_a_new_factor_worker_reads_the_solve_plan_off_the_context(
+        self, grid12_pipeline, monkeypatch
+    ):
+        """Every factor job builds a new ``Worker``; the ``SolvePlan`` is
+        compiled by the rank's first job with an rhs, then kept by the
+        context — per rank, and never in its pickle."""
+        from repro.runtime.solve_plan import SolvePlan
+
+        built, init = [], SolvePlan.__init__
+
+        def counting_init(self, structure, tg):
+            built.append(self)
+            init(self, structure, tg)
+
+        monkeypatch.setattr(SolvePlan, "__init__", counting_init)
+        ctx, A = _context(grid12_pipeline)
+        before = pickle.dumps(ctx)
+        rhs = np.ones((A.shape[0], 1))
+        workers = []
+        for seq in range(2):
+            fabric = LinkFabric(2, queue)
+            for rank in range(2):
+                job = PoolJob(seq=seq, pattern_id="t", values=A.data, rhs=rhs)
+                w = Worker(rank, ctx, job, None, fabric, queue.Queue())
+                w._setup(True)
+                workers.append(w)
+        assert len(built) == 2
+        first, second = workers[:2], workers[2:]
+        for w, again in zip(first, second):
+            assert again.splan is w.splan
+            assert again._x_dsts is w._x_dsts
+        assert first[0].splan is not first[1].splan
+        assert pickle.dumps(ctx) == before
+        assert "_solve_plans" not in pickle.loads(before).__dict__
+
+
 class TestAssembleProvesCoverage:
     @pytest.fixture()
     def gathered(self, grid12_pipeline):
@@ -204,7 +241,7 @@ class TestAssembleProvesCoverage:
 
     def test_complete_gather_assembles_the_factor(self, gathered):
         bs, tg, owners, results, ref = gathered
-        L = _assemble(bs, tg, results, owners).to_csc()
+        L = _assemble(bs, tg, results, owners)[0].to_csc()
         assert np.array_equal(L.indptr, ref.indptr)
         assert np.array_equal(L.indices, ref.indices)
         assert np.array_equal(L.data, ref.data)
@@ -226,6 +263,27 @@ class TestAssembleProvesCoverage:
             FanoutError, match=rf"block {lost} \({I},{J}\) came from ranks \[\]"
         ):
             _assemble(bs, tg, results)
+
+    @pytest.mark.parametrize("damage", ["bit flip", "truncation"])
+    def test_bad_frame_is_a_typed_error(self, gathered, damage):
+        """A frame that does not decode names its rank and block in the
+        ``FanoutError`` every other gather failure raises — never a bare
+        ``WireError``."""
+        bs, tg, owners, results, _ = gathered
+        frame = results[1].frames[2]
+        b = wire.frame_block(frame)
+        if damage == "bit flip":
+            bad = bytearray(frame)
+            bad[-1] ^= 0x40
+            results[1].frames[2] = bytes(bad)
+        else:
+            results[1].frames[2] = frame[:-8]
+        with pytest.raises(
+            FanoutError, match=rf"rank 1 sent a bad frame for block {b}: "
+        ) as err:
+            _assemble(bs, tg, results, owners)
+        assert isinstance(err.value.__cause__, wire.WireError)
+        assert err.value.results is results
 
     def test_duplicated_frame_is_a_typed_error(self, gathered):
         bs, tg, owners, results, _ = gathered

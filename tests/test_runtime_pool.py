@@ -55,9 +55,14 @@ def _context(p, pattern_id, arena_name=None):
     )
 
 
-def _factor_of(p, outcome):
+def _factor_of(p, outcome, arena=None):
+    """The job's factor: from its gather frames, or (shm) out of
+    ``arena`` — which holds the blocks of the job that ran last."""
     assert outcome.ok, (outcome.error, outcome.aborted)
-    return _assemble(p["structure"], p["tg"], outcome.results).to_csc()
+    factor, _ = _assemble(
+        p["structure"], p["tg"], outcome.results, arena=arena
+    )
+    return factor.to_csc()
 
 
 def _bitwise(L, ref):
@@ -130,31 +135,35 @@ class TestInlinePool:
 @pytest.mark.skipif(not shm_available(), reason="no POSIX shared memory")
 class TestShmPool:
     def test_same_arena_back_to_back_bitwise(self, pool_problem):
-        """Jobs of one list run one after the other, so same-arena jobs
-        never share slots and stay bitwise-correct; the arena survives
-        the whole list (shm)."""
+        """Jobs run one after the other, so same-arena jobs never share
+        slots and stay bitwise-correct. The arena holds the job that ran
+        last: each factor is copied out before the next job is
+        dispatched, and the last job of a list is the one it yields."""
         p = pool_problem
         arena = BlockArena.create(p["tg"])
         try:
             with WorkerPool(nprocs=2) as pool:
-                out = pool.run_batch([
+                first = pool.run_batch([
                     PoolJob(seq=0, pattern_id="g",
                             values=p["A_perm"].data,
                             context=_context(p, "g", arena.name)),
+                ], timeout_s=120)[0]
+                assert _bitwise(_factor_of(p, first, arena), p["L1"])
+                out = pool.run_batch([
                     PoolJob(seq=1, pattern_id="g",
-                            values=p["A2_perm"].data),
-                    PoolJob(seq=2, pattern_id="g",
                             values=p["A_perm"].data),
+                    PoolJob(seq=2, pattern_id="g",
+                            values=p["A2_perm"].data),
                 ], timeout_s=120)
-                assert _bitwise(_factor_of(p, out[0]), p["L1"])
-                assert _bitwise(_factor_of(p, out[1]), p["L2"])
-                assert _bitwise(_factor_of(p, out[2]), p["L1"])
+                assert out[1].ok
+                assert not any(r.frames for r in out[1].results.values())
+                assert _bitwise(_factor_of(p, out[2], arena), p["L2"])
         finally:
             arena.destroy()
 
     def test_shm_wire_bytes_stay_descriptor_sized(self, pool_problem):
-        """Pool jobs on shm still ship 64-byte descriptors peer-to-peer
-        (the gather alone travels inline)."""
+        """Pool jobs on shm ship 64-byte descriptors peer-to-peer (and
+        no block at all to the driver)."""
         p = pool_problem
         arena = BlockArena.create(p["tg"])
         try:
@@ -194,17 +203,25 @@ class TestStragglerFrames:
                     ),
                 )], timeout_s=120)[0]
                 assert first.ok, first.error
-                stale = first.results[0].frames[0]
+                # A block frame as rank 0 fanned it out in job 0: the
+                # block itself inline, its slot descriptor on shm.
+                if arena is None:
+                    stale = first.results[0].frames[0]
+                else:
+                    stale = arena.pack_ref(
+                        0, int(first.results[0].held[0][0])
+                    )
                 for inbox in pool._fabric.inboxes:
                     inbox.put((0, stale))
                 pool.abort_job(0)
                 out = pool.run_batch([PoolJob(
                     seq=1, pattern_id="g", values=p["A2_perm"].data,
                 )], timeout_s=120)[1]
+            L = _factor_of(p, out, arena)
         finally:
             if arena is not None:
                 arena.destroy()
-        assert _bitwise(_factor_of(p, out), p["L2"])
+        assert _bitwise(L, p["L2"])
         predicted = communication_volume(p["tg"], p["owners"])
         sent = [r.metrics for r in out.results.values()]
         assert sum(m.messages_sent for m in sent) == predicted.messages
@@ -294,7 +311,9 @@ class TestWarmEqualsCold:
                             values=A_new_perm.data),
                 ], timeout_s=120)
                 assert out[1].ok, out[1].error
-                warm = _assemble(bs, tg, out[1].results).to_csc()
+                warm = _assemble(
+                    bs, tg, out[1].results, arena=arena
+                )[0].to_csc()
         finally:
             if arena is not None:
                 arena.destroy()
@@ -376,7 +395,7 @@ class TestOneShotIsAOneJobPool:
                 )], timeout_s=120)[0]
             assert out.ok, out.error
             factor, solution, metrics, trace = outcome_result(
-                out, bs, tg, A, rhs, mapping="DW/CY", transport=transport,
+                out, bs, tg, A, rhs, mapping="DW/CY", arena=arena,
             )
         finally:
             if arena is not None:

@@ -1,15 +1,22 @@
 """The zero-copy shared-memory transport: descriptor wire format, arena
 layout/integrity, frame coalescing, inline-vs-shm equivalence (bitwise
-factors, identical logical accounting), chaos parity, and arena cleanup."""
+factors, identical logical accounting), the arena gather (a clean shm job
+ships no block home), chaos parity, and arena cleanup."""
 
 import os
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.analysis.comm_volume import communication_volume
 from repro.analysis.trace_replay import validate_trace
-from repro.runtime import wire
+from repro.blocks import BlockStructure, WorkModel, make_partition
+from repro.config import RunConfig
+from repro.fanout import TaskGraph
+from repro.numeric import BlockCholesky
+from repro.numeric.solve import solve_with_factor
+from repro.runtime import PatternContext, PoolJob, WorkerPool, wire
 from repro.runtime.arena import (
     SLOT_ALIGN,
     TRANSPORTS,
@@ -18,9 +25,16 @@ from repro.runtime.arena import (
     resolve_transport,
     shm_available,
 )
-from repro.runtime.engine import plan_owners, run_mp_fanout
+from repro.runtime.engine import (
+    FanoutError,
+    _assemble,
+    outcome_result,
+    plan_owners,
+    run_mp_fanout,
+)
 from repro.runtime.faults import CrashSpec, FaultPlan
 from repro.runtime.links import Link
+from repro.runtime.pool import JobOutcome
 from repro.runtime.recovery import run_with_recovery
 from repro.runtime.validation import validate_runtime
 from repro.runtime.wire import CorruptFrameError, WireError
@@ -357,6 +371,260 @@ class TestTransportEquivalence:
 
 
 # ----------------------------------------------------------------------
+# The arena is the gather
+# ----------------------------------------------------------------------
+def _bitwise(L, ref):
+    return (
+        np.array_equal(L.indptr, ref.indptr)
+        and np.array_equal(L.indices, ref.indices)
+        and np.array_equal(L.data, ref.data)
+    )
+
+
+@pytest.fixture(scope="module")
+def gather_problems(grid12_pipeline, random_spd_pipeline):
+    """grid12 and random_spd under the uniform and the supernodal block
+    policy: ``(structure, work model, task graph, A, sequential L)``."""
+    problems = {}
+    for name, pipeline in (("grid12", grid12_pipeline),
+                           ("random_spd", random_spd_pipeline)):
+        _, sf, _, bs, wm, tg = pipeline
+        A = sf.A.tocsc()
+        problems[name, "uniform"] = (bs, wm, tg, A)
+        sn = BlockStructure(make_partition(
+            sf, "supernodal", block_size=4, min_width=2, max_width=8
+        ))
+        wm_sn = WorkModel(sn)
+        problems[name, "supernodal"] = (sn, wm_sn, TaskGraph(wm_sn), A)
+    return {
+        key: (bs, wm, tg, A, BlockCholesky(bs, A).factor().to_csc())
+        for key, (bs, wm, tg, A) in problems.items()
+    }
+
+
+def _context(bs, tg, owners, A, pattern_id, arena=None, **config):
+    return PatternContext(
+        pattern_id=pattern_id, structure=bs, tg=tg, owners=owners,
+        indptr=A.indptr, indices=A.indices, shape=tuple(A.shape),
+        arena_name=None if arena is None else arena.name,
+        config=RunConfig(**config),
+    )
+
+
+def _run(pool, seq, ctx, values, ship=True, **fields):
+    return pool.run_batch([PoolJob(
+        seq=seq, pattern_id=ctx.pattern_id, values=values,
+        context=ctx if ship else None, **fields,
+    )], timeout_s=120)[seq]
+
+
+@pytest.fixture()
+def arena_job(grid12_pipeline):
+    """One clean P=2 shm job on grid12, its arena still alive: the
+    results as the ranks reported them, ready to be tampered with."""
+    _, sf, _, bs, wm, tg = grid12_pipeline
+    owners, _ = plan_owners(wm, tg, 2, "DW/CY")
+    A = sf.A.tocsc()
+    arena = BlockArena.create(tg)
+    try:
+        with WorkerPool(nprocs=2) as pool:
+            out = _run(pool, 0, _context(bs, tg, owners, A, "g", arena),
+                       A.data)
+        assert out.ok, out.error
+        yield bs, tg, owners, A, arena, out.results
+    finally:
+        arena.destroy()
+
+
+@needs_shm
+class TestArenaGather:
+    @pytest.mark.parametrize("nprocs", [2, 3, 4])
+    def test_arena_equals_frames_equals_sequential(
+        self, gather_problems, nprocs
+    ):
+        """Bitwise on (indptr, indices, data): the factor copied out of
+        the arena, the one installed from gather frames, the sequential
+        one — both problems, both block policies, both schedules. A clean
+        shm result carries no frame, an inline one every owned block."""
+        seq = 0
+        with WorkerPool(nprocs=nprocs) as pool:
+            for (name, policy), (bs, wm, tg, A, ref) in (
+                gather_problems.items()
+            ):
+                owners, _ = plan_owners(wm, tg, nprocs, "DW/CY")
+                for schedule in ("static", "dynamic"):
+                    cell = f"{name}-{policy}-{schedule}"
+                    arena = BlockArena.create(tg)
+                    try:
+                        for transport in (None, arena):
+                            ctx = _context(
+                                bs, tg, owners, A, f"{cell}-{seq}",
+                                transport, schedule=schedule, nprocs=nprocs,
+                            )
+                            out = _run(pool, seq, ctx, A.data)
+                            seq += 1
+                            assert out.ok, (cell, out.error)
+                            factor, _, metrics, _ = outcome_result(
+                                out, bs, tg, A, owners=owners,
+                                arena=transport, config=ctx.config,
+                            )
+                            assert _bitwise(factor.to_csc(), ref), cell
+                            res = out.results
+                            gather = metrics.extra["gather"]
+                            assert gather["blocks"] == tg.nblocks
+                            if transport is None:
+                                assert gather["mode"] == "frames"
+                                assert metrics.transport == "inline"
+                                assert all(r.held is None
+                                           for r in res.values())
+                                assert sum(len(r.frames)
+                                           for r in res.values()
+                                           ) == tg.nblocks
+                            else:
+                                assert gather["mode"] == "arena"
+                                assert metrics.transport == "shm"
+                                assert not any(r.frames
+                                               for r in res.values())
+                                for rank, r in res.items():
+                                    assert np.array_equal(
+                                        r.held[0],
+                                        np.flatnonzero(owners == rank),
+                                    )
+                    finally:
+                        arena.destroy()
+
+    def test_diagonal_blocks_come_out_as_wire_unpack_builds_them(
+        self, arena_job
+    ):
+        bs, tg, owners, A, arena, results = arena_job
+        factor, _ = _assemble(bs, tg, results, owners, arena)
+        for d in factor.diag:
+            assert d.flags.c_contiguous
+            assert not np.triu(d, 1).any()
+        assert factor._factored.all()
+
+    def test_aborted_job_under_recovery_ships_its_checkpoint(
+        self, grid12_pipeline
+    ):
+        """Frames stay where they are the only copy: a soft-crashed shm
+        job under recovery sends its completed blocks home as frames."""
+        _, sf, _, bs, wm, tg = grid12_pipeline
+        owners, _ = plan_owners(wm, tg, 2, "DW/CY")
+        A = sf.A.tocsc()
+        arena = BlockArena.create(tg)
+        try:
+            with WorkerPool(nprocs=2) as pool:
+                out = _run(
+                    pool, 0, _context(bs, tg, owners, A, "g", arena), A.data,
+                    fault_plan=FaultPlan(crash=(CrashSpec(1, 6),)),
+                    recovery=True,
+                )
+        finally:
+            arena.destroy()
+        assert not out.ok
+        assert all(r.held is None for r in out.results.values())
+        shipped = [wire.unpack(f) for r in out.results.values()
+                   for f in r.frames]
+        assert shipped and all(m.kind == wire.BLOCK for m in shipped)
+
+    def test_one_block_short_is_a_typed_error(self, arena_job):
+        bs, tg, owners, A, arena, results = arena_job
+        blocks, crcs = results[1].held
+        lost = int(blocks[-1])
+        results[1].held = (blocks[:-1], crcs[:-1])
+        I, J = int(tg.block_I[lost]), int(tg.block_J[lost])
+        with pytest.raises(FanoutError) as err:
+            outcome_result(
+                JobOutcome(seq=0, results=results), bs, tg, A,
+                owners=owners, arena=arena,
+            )
+        assert str(err.value) == (
+            f"factor gather: 1/{tg.nblocks} blocks did not arrive exactly "
+            f"once; block {lost} ({I},{J}), owned by rank 1, came from "
+            "ranks []"
+        )
+        assert err.value.results is results
+
+    def test_one_block_twice_is_a_typed_error(self, arena_job):
+        bs, tg, owners, A, arena, results = arena_job
+        blocks, crcs = results[1].held
+        twice = int(results[0].held[0][0])
+        results[1].held = (
+            np.append(blocks, np.int32(twice)), np.append(crcs, crcs[-1])
+        )
+        with pytest.raises(
+            FanoutError,
+            match=rf"block {twice} .*owned by rank 0, came from ranks "
+                  r"\[0, 1\]",
+        ):
+            _assemble(bs, tg, results, owners, arena)
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_slot_byte_flipped_after_the_report_is_a_typed_error(
+        self, arena_job, diagonal
+    ):
+        """What a straggler of an aborted job writing a reused slot looks
+        like: the slot no longer holds the bytes its rank computed."""
+        bs, tg, owners, A, arena, results = arena_job
+        lay = arena.layout
+        b = int(np.flatnonzero((owners == 1) & (lay.diag == diagonal))[3])
+        arena.shm.buf[int(lay.offsets[b]) + 3] ^= 0x10
+        with pytest.raises(FanoutError) as err:
+            _assemble(bs, tg, results, owners, arena)
+        assert str(err.value) == (
+            f"factor gather: rank 1's arena slot of block {b} "
+            f"({tg.block_I[b]},{tg.block_J[b]}), owned by rank 1, does "
+            "not hold the bytes the rank computed (CRC mismatch)"
+        )
+        assert err.value.results is results
+
+    def test_factor_is_private_memory(self, grid12_pipeline):
+        """Two back-to-back jobs on one arena: the first job's factor and
+        ``L`` are unchanged after the second overwrites every slot, the
+        arena unmaps with both results alive, and a solve on the
+        arena-assembled factor is bitwise the sequential one."""
+        _, sf, _, bs, wm, tg = grid12_pipeline
+        owners, _ = plan_owners(wm, tg, 2, "DW/CY")
+        A1 = sf.A.tocsc()
+        A2 = A1.copy()
+        A2.setdiag(A2.diagonal() + 1.5)
+        ref1, ref2 = (BlockCholesky(bs, A).factor() for A in (A1, A2))
+        arena = BlockArena.create(tg)
+        try:
+            with WorkerPool(nprocs=2) as pool:
+                ctx = _context(bs, tg, owners, A1, "g", arena)
+                out = _run(pool, 0, ctx, A1.data)
+                first, _, _, _ = outcome_result(
+                    out, bs, tg, A1, owners=owners, arena=arena
+                )
+                L1 = first.to_csc()
+                out = _run(pool, 1, ctx, A2.data, ship=False)
+                second, _, _, _ = outcome_result(
+                    out, bs, tg, A2, owners=owners, arena=arena
+                )
+        finally:
+            arena.destroy()
+        assert arena.shm.buf is None  # unmapped: nothing aliased it
+        assert _bitwise(L1, ref1.to_csc())
+        assert _bitwise(first.to_csc(), ref1.to_csc())
+        assert _bitwise(second.to_csc(), ref2.to_csc())
+        rhs = np.random.default_rng(3).standard_normal((A1.shape[0], 2))
+        assert np.array_equal(
+            solve_with_factor(first, rhs), solve_with_factor(ref1, rhs)
+        )
+
+    def test_compiled_map_never_pickles(self, grid12_pipeline):
+        _, sf, _, bs, wm, tg = grid12_pipeline
+        owners, _ = plan_owners(wm, tg, 2, "DW/CY")
+        ctx = _context(bs, tg, owners, sf.A.tocsc(), "g")
+        before = pickle.dumps(bs), pickle.dumps(ctx)
+        src, dest = bs.numeric_plan().arena_map(ArenaLayout(tg))
+        assert bs.numeric_plan().arena_map(ArenaLayout(tg))[0] is src
+        assert src.shape == dest.shape == (int(tg.block_words.sum()),)
+        assert (pickle.dumps(bs), pickle.dumps(ctx)) == before
+
+
+# ----------------------------------------------------------------------
 # Chaos over shm
 # ----------------------------------------------------------------------
 @needs_shm
@@ -445,9 +713,10 @@ class TestArenaCleanup:
         assert float(abs(L @ L.T - sf.A).max()) < 1e-8
 
     def test_soft_crash_checkpoint_restart_over_shm(self, grid12_pipeline):
-        """Salvaged BLOCK_REF frames are inlined before the arena dies, so
-        the restarted attempt can preload them (and serve NACKs for them
-        from its own fresh arena)."""
+        """The abort-time checkpoint travels as frames that carry their
+        payload, so the restarted attempt can preload them. It writes
+        every preloaded block it owns into its slot, so its gather is
+        again a read of the arena — covered, CRC-clean and bitwise."""
         _, sf, _, bs, wm, tg = grid12_pipeline
         plan = FaultPlan(
             seed=2, crash=(CrashSpec(rank=1, after_tasks=4, hard=False),)
@@ -458,10 +727,14 @@ class TestArenaCleanup:
             transport="shm", stall_timeout_s=15.0, dead_grace_s=3.0,
         )
         assert _shm_segments() == before
-        assert res.failure_report.restarts >= 1
-        assert res.failure_report.ok or res.failure_report.degraded
-        L = res.to_csc()
-        assert float(abs(L @ L.T - sf.A).max()) < 1e-8
+        report = res.failure_report
+        assert report.outcome == "recovered"
+        assert report.restarts >= 1 and report.checkpoint_blocks_used > 0
+        gather = res.metrics.extra["gather"]
+        assert (gather["mode"], gather["blocks"]) == ("arena", tg.nblocks)
+        assert _bitwise(
+            res.to_csc(), BlockCholesky(bs, sf.A).factor().to_csc()
+        )
 
 
 # ----------------------------------------------------------------------

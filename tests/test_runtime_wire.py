@@ -44,6 +44,38 @@ class TestWireFormat:
         msg = wire.unpack(wire.pack_block(0, 0, 1, 1, arr))
         np.testing.assert_array_equal(msg.payload, np.tril(np.ones((4, 4))))
 
+    def test_packed_triangle_is_layout_independent(self):
+        """A Fortran-ordered square (what bfac yields) packs to the same
+        bytes as its C-ordered copy, on block and steal-state frames, and
+        unpacks to a C-contiguous, writable, zero-upper square."""
+        a = np.tril(np.random.default_rng(2).normal(size=(7, 7)))
+        f = np.asfortranarray(a)
+        assert wire.pack_block(0, 3, 2, 2, f) == wire.pack_block(0, 3, 2, 2, a)
+        assert (wire.pack_steal_grant(0, 9, True, f)
+                == wire.pack_steal_grant(0, 9, True, a))
+        tri = a[np.tril_indices(7)]
+        assert wire.pack_block(0, 3, 2, 2, f)[wire.HEADER_BYTES:] == (
+            tri.tobytes()
+        )
+        got = wire.unpack(wire.pack_block(0, 3, 2, 2, f)).payload
+        assert got.flags.c_contiguous and got.flags.writeable
+        np.testing.assert_array_equal(got, a)
+
+    def test_running_crc_is_the_crc_of_the_payloads_end_to_end(self):
+        import zlib
+
+        rng = np.random.default_rng(3)
+        sub = rng.normal(size=(4, 3))
+        diag = np.asfortranarray(np.tril(rng.normal(size=(3, 3))))
+        payloads = [wire.payload_words(sub, False),
+                    wire.payload_words(diag, True)]
+        frames = [wire.pack_block(0, 0, 5, 1, sub),
+                  wire.pack_block(0, 1, 2, 2, diag)]
+        body = b"".join(f[wire.HEADER_BYTES:] for f in frames)
+        assert wire.running_crc(payloads) == [
+            zlib.crc32(frames[0][wire.HEADER_BYTES:]), zlib.crc32(body)
+        ]
+
     def test_one_by_one_diagonal(self):
         msg = wire.unpack(wire.pack_block(0, 5, 3, 3, np.array([[4.0]])))
         np.testing.assert_array_equal(msg.payload, [[4.0]])
@@ -172,6 +204,17 @@ class TestRuntimeMetrics:
         assert "w0" in text and "w1" in text
         assert "busy" in text and "idle" in text and "comm" in text
         assert "balance" in text
+
+    def test_gather_is_named_on_the_artifact(self):
+        m = _sample_metrics()
+        assert "gather=" not in m.render()
+        m.extra["gather"] = {"mode": "arena", "blocks": 1693,
+                             "bytes": 1298112, "copy_s": 0.0019,
+                             "check_s": 0.0011}
+        assert ("gather=arena 1693 blocks 1.30 MB copy=1.9ms check=1.1ms"
+                in m.render().splitlines()[-1])
+        back = RuntimeMetrics.from_json(m.to_json())
+        assert back.extra["gather"] == m.extra["gather"]
 
     def test_empty_balance_is_one(self):
         m = RuntimeMetrics(nprocs=1, wall_s=0.0,

@@ -170,6 +170,43 @@ class TestFactorService:
         with pytest.raises(ServiceClosed):
             svc.submit(grid_A)
 
+    @pytest.mark.parametrize("transport", ["inline", "shm"])
+    def test_a_bad_gather_fails_the_job_through_the_normal_path(
+        self, grid_A, grid_A2, transport
+    ):
+        """A gather the driver cannot trust — a corrupt frame (inline), a
+        slot that fails its rank's CRC (shm) — is a ``JobFailed`` with a
+        record, not a crashed handler; the next job is served."""
+        from repro.runtime.arena import shm_available
+
+        if transport == "shm" and not shm_available():
+            pytest.skip("no POSIX shared memory")
+        with FactorService(transport=transport, **SVC_KW) as svc:
+            pid = svc.factor(grid_A).pattern_id
+            run_batch = svc.pool.run_batch
+
+            def tampered(jobs, timeout_s):
+                outcomes = run_batch(jobs, timeout_s)
+                res = outcomes[jobs[0].seq].results[0]
+                if transport == "inline":
+                    frame = bytearray(res.frames[0])
+                    frame[-1] ^= 0x01
+                    res.frames[0] = bytes(frame)
+                else:
+                    res.held[1][0] ^= 1
+                return outcomes
+
+            svc.pool.run_batch = tampered
+            with pytest.raises(JobFailed) as err:
+                svc.factor(pattern_id=pid, values=grid_A2.data)
+            what = "bad frame" if transport == "inline" else "CRC mismatch"
+            assert what in err.value.detail and "rank 0" in err.value.detail
+            record = svc.metrics.records[-1]
+            assert (record.status, record.attempts) == ("failed", 1)
+            svc.pool.run_batch = run_batch
+            r = svc.factor(pattern_id=pid, values=grid_A2.data)
+            assert _bitwise(r.L, _cold_L(grid_A2))
+
     def test_eviction_destroys_arena(self, grid_A):
         """LRU eviction releases the pattern's arena after the batch."""
         destroyed = []

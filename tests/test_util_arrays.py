@@ -6,6 +6,7 @@ from repro.util.arrays import (
     invert_permutation,
     is_permutation,
     sorted_unique,
+    tril_flat,
 )
 
 
@@ -82,3 +83,19 @@ class TestUnionSorted:
             a = np.unique(rng.integers(0, 40, rng.integers(0, 30)))
             b = np.unique(rng.integers(0, 40, rng.integers(0, 30)))
             assert np.array_equal(union_sorted(a, b), np.union1d(a, b))
+
+
+class TestTrilFlat:
+    @pytest.mark.parametrize("w", [1, 2, 5, 48])
+    def test_is_tril_indices_flattened(self, w):
+        rows, cols = np.tril_indices(w)
+        flat = tril_flat(w)
+        assert np.array_equal(flat, rows * w + cols)
+        a = np.random.default_rng(w).standard_normal((w, w))
+        for arr in (a, np.asfortranarray(a)):
+            assert np.array_equal(arr.take(flat), a[rows, cols])
+
+    def test_one_shared_read_only_array_per_width(self):
+        assert tril_flat(7) is tril_flat(7)
+        with pytest.raises(ValueError):
+            tril_flat(7)[0] = 3
