@@ -1,0 +1,186 @@
+#!/usr/bin/env python3
+"""What one task of each kind costs: ``scripts/kernel_floor.py <workload>``.
+
+Runs one warm ``BlockCholesky.factor()`` and one block solve (``nrhs`` right-
+hand sides) of a benchmark workload with a clock around every block
+operation and, inside it, around the dense kernel it calls, and prints per
+task kind the count, the total and the time per operation. The clocks are
+put on from here (the methods of ``BlockCholesky`` and the kernel names its
+module and ``numeric.solve`` look up), so nothing in ``src/`` knows about
+them. A row's time includes the clock of the row nested in it; the last line
+says what one clock costs.
+
+The per-operation column is the fixed cost §3.2 of the paper charges a block
+operation (its ``1000`` in ``flops + 1000 * ops``), measured here: what is
+left of a task when its flops are negligible, and the floor a coarser task
+would pay once instead of ``fanout.ntasks`` times.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+import time
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from bench.workloads import (  # noqa: E402
+    BLOCK_SIZE,
+    DEV_SEED,
+    NRHS,
+    WORKLOADS,
+    ValueStream,
+)
+from repro.numeric import blockfact, solve  # noqa: E402
+from repro.solver import SparseCholesky  # noqa: E402
+
+FACTOR_KERNELS = {
+    "bfac_kernel": "BFAC",
+    "bdiv_kernel": "BDIV",
+    "bmod_kernel_into": "BMOD fused",
+    "bmod_kernel": "BMOD scattered",
+}
+SOLVE_KERNELS = {
+    "fsolve_kernel": "FSOLVE",
+    "fupd_kernel": "FUPD",
+    "bsolve_kernel": "BSOLVE",
+    "bupd_kernel": "BUPD",
+}
+
+
+class Clocks:
+    """``{row: [count, seconds]}`` of one pass, filled by the wrappers."""
+
+    def __init__(self):
+        self.rows: dict = {}
+        self.bmod = None  # which BMOD kernel the current task called
+
+    def add(self, row, dt):
+        got = self.rows.setdefault(row, [0, 0.0])
+        got[0] += 1
+        got[1] += dt
+
+    def kernel(self, row, fn):
+        now = time.perf_counter
+
+        def timed(*args):
+            t0 = now()
+            out = fn(*args)
+            self.add(row + " kernel", now() - t0)
+            self.bmod = row
+            return out
+
+        return timed
+
+    def task(self, row, fn):
+        """``row`` None: a BMOD, named after the kernel it ended up in."""
+        now = time.perf_counter
+
+        def timed(*args):
+            t0 = now()
+            out = fn(*args)
+            self.add(row or self.bmod, now() - t0)
+            return out
+
+        return timed
+
+
+def one_pass(chol, B):
+    """Clock one ``factor()`` + one solve; the patches are undone after."""
+    clocks = Clocks()
+    cls = blockfact.BlockCholesky
+    saved = [(blockfact, n, getattr(blockfact, n)) for n in FACTOR_KERNELS]
+    saved += [(solve, n, getattr(solve, n)) for n in SOLVE_KERNELS]
+    saved += [(cls, n, getattr(cls, n)) for n in ("bfac", "bdiv", "_bmod")]
+    try:
+        for name, row in FACTOR_KERNELS.items():
+            setattr(blockfact, name, clocks.kernel(row, getattr(blockfact, name)))
+        for name, row in SOLVE_KERNELS.items():
+            setattr(solve, name, clocks.task(row, getattr(solve, name)))
+        cls.bfac = clocks.task("BFAC", cls.bfac)
+        cls.bdiv = clocks.task("BDIV", cls.bdiv)
+        cls._bmod = clocks.task(None, cls._bmod)
+        t0 = time.perf_counter()
+        chol.factor()
+        t1 = time.perf_counter()
+        chol.solve(B)
+        t2 = time.perf_counter()
+    finally:
+        for owner, name, fn in saved:
+            setattr(owner, name, fn)
+    clocks.add("factor() under the clocks", t1 - t0)
+    clocks.add("solve() under the clocks", t2 - t1)
+    return clocks.rows
+
+
+def clock_cost() -> float:
+    clocks = Clocks()
+    timed = clocks.task("x", lambda: None)
+    reps = 20000
+    t0 = time.perf_counter()
+    for _ in range(reps):
+        timed()
+    return (time.perf_counter() - t0) / reps
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("workload", choices=sorted(WORKLOADS))
+    ap.add_argument("--passes", type=int, default=7,
+                    help="clocked passes; each row reports its fastest")
+    args = ap.parse_args(argv)
+
+    stream = ValueStream(WORKLOADS[args.workload].pattern(), DEV_SEED)
+    chol = SparseCholesky(stream.next_matrix(), block_size=BLOCK_SIZE)
+    B = stream.B
+    chol.factor().solve(B)  # compile the plan, warm the caches
+    plain_f, plain_s = [], []
+    for _ in range(args.passes):
+        t0 = time.perf_counter()
+        chol.factor()
+        t1 = time.perf_counter()
+        chol.solve(B)
+        plain_f.append(t1 - t0)
+        plain_s.append(time.perf_counter() - t1)
+    best: dict = {}
+    for _ in range(args.passes):
+        for row, (count, secs) in one_pass(chol, B).items():
+            if row not in best or secs < best[row][1]:
+                best[row] = (count, secs)
+
+    print(f"{args.workload}: n = {B.shape[0]}, nrhs = {NRHS}, "
+          f"block_size = {BLOCK_SIZE}, fastest of {args.passes} passes")
+    print(f"{'task kind':<28}{'count':>8}{'total ms':>11}{'us / op':>10}")
+
+    def line(row, indent=""):
+        if row in best:
+            count, secs = best[row]
+            print(f"{indent + row:<28}{count:>8}{secs * 1e3:>11.2f}"
+                  f"{secs / count * 1e6:>10.2f}")
+
+    for row in FACTOR_KERNELS.values():
+        line(row)
+        line(row + " kernel", "  ")
+        if row == "BMOD scattered" and row in best:
+            count, secs = best[row]
+            rest = secs - best[row + " kernel"][1]
+            print(f"{'  BMOD scattered scatter':<28}{count:>8}"
+                  f"{rest * 1e3:>11.2f}{rest / count * 1e6:>10.2f}")
+    for row in SOLVE_KERNELS.values():
+        line(row)
+    print()
+    line("factor() under the clocks")
+    line("solve() under the clocks")
+    print(f"{'factor() without':<28}{1:>8}{min(plain_f) * 1e3:>11.2f}")
+    print(f"{'solve() without':<28}{1:>8}{min(plain_s) * 1e3:>11.2f}")
+    print(f"one clock: {clock_cost() * 1e6:.2f} us")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,7 +13,10 @@ From that layout the plan derives, with whole-matrix array operations only:
 * the ``A -> store`` scatter map of a CSC pattern (:meth:`scatter_map`),
 * per source panel K and destination panel J, the *relative indices* of a
   BMOD: where each row of K at or below block J lands inside the
-  destination block of panel J (:attr:`rel`, :attr:`rel_of`),
+  destination block of panel J (:attr:`rel`, :attr:`rel_of`) and inside
+  that block flattened (:attr:`rel_flat`),
+* per panel, its column range and the global rows of each of its blocks,
+  which is all the block substitution reads (:attr:`panel_rows`),
 * the CSC pattern of ``L`` and the gather out of the slab layout
   (:meth:`csc_pattern`),
 * the ``arena -> store`` copy map of the shared-memory transport's block
@@ -63,12 +66,21 @@ class NumericPlan:
         ``block_rows[K]``, the destination-block-relative row index of each
         row of panel K at or below block ``(J, K)``. Rows inside panel J
         come first; their entries are also the BMOD's destination columns.
+    rel_flat:
+        ``rel`` times the width of the destination panel, as ``intp``: a
+        destination block is row-major, so ``rel_flat[p] + col`` is the
+        position of ``(rel[p], col)`` in it once flattened, and a BMOD's
+        scatter is one 1-D fancy index instead of an open mesh.
     rel_of[K]:
         ``{J: (base, cols, cspan)}`` — ``rel[base + lo : base + hi]`` are
         the destination rows of source block ``spans[K][I] == (lo, hi)``;
         ``cols`` is the ``1 x c`` open-mesh view of the destination
         columns and ``cspan`` their ``(c0, c1)`` range when contiguous,
         else ``None``.
+    panel_rows[K]:
+        ``(c0, c1, ((I, rows), ...))`` — the columns of panel K and, per
+        subdiagonal block in ``block_rows[K]`` order, its global row
+        indices (a view of ``rows_below[K]``).
     """
 
     def __init__(self, structure):
@@ -102,6 +114,15 @@ class NumericPlan:
             )))
             for brows, splits, w in zip(
                 structure.block_rows, structure.row_splits, widths.tolist()
+            )
+        ]
+        self.panel_rows = [
+            (c0, c1, tuple(
+                (i, rows[lo - w : hi - w]) for i, (lo, hi) in span.items()
+            ))
+            for c0, c1, w, rows, span in zip(
+                ptr[:-1].tolist(), ptr[1:].tolist(), widths.tolist(),
+                structure.rows_below, self.spans,
             )
         ]
         self._compile_bmod(structure)
@@ -156,6 +177,7 @@ class NumericPlan:
             if pos is None:
                 raise RuntimeError("BMOD rows missing from destination block")
             rel[below] = pos - below_ptr[J[below]] - row_blk_lo[pos]
+        self.rel_flat = (rel * self._widths[J]).astype(np.intp)
         self.rel = rel = rel.astype(np.int32)
         first = rel[pair_off]
         contiguous = rel[pair_off + blk_cnt - 1] - first == blk_cnt - 1

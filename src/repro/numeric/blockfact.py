@@ -123,15 +123,20 @@ class BlockCholesky:
     def bmod(self, i: int, j: int, k: int) -> None:
         """Apply ``L_IJ -= L_IK L_JK^T`` with row/column scattering."""
         blocks = self.below[k]
-        L_IK = blocks[i]
-        L_JK = blocks[j]
+        lo, hi = self._plan.spans[k][i]
+        self._bmod(
+            blocks[i], lo, hi, blocks[j], self._plan.rel_of[k][j],
+            self.diag[j] if i == j else self.below[j][i],
+        )
+
+    def _bmod(self, L_IK, lo: int, hi: int, L_JK, window, dest) -> None:
+        """``dest -= L_IK L_JK^T`` for the source block at slab rows
+        ``lo..hi`` of its panel and ``window == rel_of[K][J]``."""
+        base, cols, cspan = window
         plan = self._plan
-        lo, hi = plan.spans[k][i]
-        base, cols, cspan = plan.rel_of[k][j]
-        rel = plan.rel
         a, b = base + lo, base + hi
-        dest = self.diag[j] if i == j else self.below[j][i]
         if cspan is not None:
+            rel = plan.rel
             r0 = int(rel[a])
             if int(rel[b - 1]) - r0 == b - a - 1:
                 out = dest[r0 : r0 + b - a, cspan[0] : cspan[1]]
@@ -142,21 +147,39 @@ class BlockCholesky:
                     return
         U, f = bmod_kernel(L_IK, L_JK)
         self.flops += f
-        dest[rel[a:b, None], cols] -= U
+        if dest.flags.c_contiguous:
+            # Row-major destination: its flattening is a view, and the
+            # scatter one 1-D fancy index through the compiled offsets.
+            flat = dest.reshape(-1)
+            flat[(plan.rel_flat[a:b, None] + cols).ravel()] -= U.ravel()
+        else:
+            # A block installed from elsewhere in another layout (a
+            # migrated task's state): the open mesh addresses any strides.
+            dest[plan.rel[a:b, None], cols] -= U
 
     # ------------------------------------------------------------------
     # Drivers
     # ------------------------------------------------------------------
     def factor(self) -> "BlockCholesky":
-        """Sequential right-looking block fan-out factorization (§2.1)."""
-        for k, span in enumerate(self._plan.spans):
+        """Sequential right-looking block fan-out factorization (§2.1).
+
+        The updates out of panel K run destination panel by destination
+        panel, so what depends on (K, J) alone is looked up once; each
+        lands in a block of its own, so their order among themselves
+        does not reach the values."""
+        plan = self._plan
+        for k, span in enumerate(plan.spans):
             self.bfac(k)
-            brows = list(span)
-            for i in brows:
+            for i in span:
                 self.bdiv(i, k)
-            for a, i in enumerate(brows):
-                for j in brows[: a + 1]:
-                    self.bmod(i, j, k)
+            blocks = self.below[k]
+            rel_of = plan.rel_of[k]
+            items = list(span.items())
+            for t, (j, (lo, hi)) in enumerate(items):
+                L_JK, window, panel = blocks[j], rel_of[j], self.below[j]
+                self._bmod(L_JK, lo, hi, L_JK, window, self.diag[j])
+                for i, (lo, hi) in items[t + 1 :]:
+                    self._bmod(blocks[i], lo, hi, L_JK, window, panel[i])
         return self
 
     def apply_task(self, tg: TaskGraph, tid: int) -> None:
@@ -184,7 +207,8 @@ class BlockCholesky:
     # Extraction
     # ------------------------------------------------------------------
     def to_csc(self) -> sparse.csc_matrix:
-        """Assemble the factor L as a sparse matrix (explicit zeros kept)."""
+        """Assemble the factor L as a sparse matrix (explicit zeros kept).
+        Raises ``LinAlgError`` when an entry of it is NaN or Inf."""
         plan = self._plan
         indptr, indices, gather = plan.csc_pattern()
         packed = self._packed
@@ -198,7 +222,16 @@ class BlockCholesky:
                     [self.diag[k], *(blocks[i] for i in span)],
                     out=packed[start:stop].reshape(-1, w),
                 )
+        data = packed[gather]
+        if not np.isfinite(data).all():
+            # The kernels do not scan their operands; a NaN/Inf of the
+            # matrix (or an overflow) is caught here, once, before any
+            # caller is handed the factor.
+            raise np.linalg.LinAlgError(
+                "the factor has non-finite entries: the matrix contains "
+                "infs or NaNs, or the factorization overflowed"
+            )
         n = plan.n
         return sparse.csc_matrix(
-            (packed[gather], indices.copy(), indptr.copy()), shape=(n, n)
+            (data, indices.copy(), indptr.copy()), shape=(n, n)
         )

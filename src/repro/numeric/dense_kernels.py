@@ -1,9 +1,19 @@
 """Dense block kernels.
 
 These are the Level-3 BLAS operations of §3.1 — the paper uses hand-tuned
-DPOTRF/DTRSM/DGEMM; we call the same LAPACK/BLAS routines through scipy,
-with ``overwrite_*=True`` / ``check_finite=False`` so no kernel allocates
-or scans a scratch copy of its operands. Each kernel returns its flop
+DPOTRF/DTRSM/DGEMM; we call the same LAPACK/BLAS routines through the
+float64 handles scipy exposes, resolved once at import: ``dpotrf`` for
+BFAC, ``dtrtrs`` for BDIV (and for the two solve kernels of
+:mod:`repro.numeric.solve`, through :func:`trtrs_lower`), ``dgemm`` / ``@``
+for BMOD. Each call is the one ``scipy.linalg.cholesky`` /
+``solve_triangular`` would make for the same operands — same routine,
+same operand layout, so the same bits — without the per-call argument
+checking of those wrappers, which cost several times the LAPACK call at
+the block sizes a sparse factor has. ``info`` is still read after every
+call and raised as the wrappers raise it. No kernel scans its operands for
+NaN/Inf: a right-hand side is checked once where it enters
+(:func:`repro.numeric.solve.permute_rhs`) and a factor once where it is
+assembled (:meth:`BlockCholesky.to_csc`). Each kernel returns its flop
 count so callers can cross-check the work model.
 
 All call sites (the sequential :class:`~repro.numeric.blockfact.BlockCholesky`
@@ -14,45 +24,83 @@ given task order produces bitwise-identical blocks everywhere.
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg as sla
+from scipy.linalg import get_lapack_funcs
 from scipy.linalg.blas import dgemm
 
 from repro.blocks.workmodel import chol_flops
+
+_potrf, _trtrs = get_lapack_funcs(("potrf", "trtrs"), dtype=np.float64)
 
 
 def bfac_kernel(D: np.ndarray) -> tuple[np.ndarray, int]:
     """BFAC: dense Cholesky of a diagonal block. Returns (L, flops).
 
     ``D`` must be symmetric positive definite (full square storage) and is
-    consumed: LAPACK ``dpotrf`` factors it in place (the returned array
-    shares ``D``'s buffer, strictly-upper triangle zeroed).
+    consumed. ``dpotrf`` factors a Fortran-ordered copy (``D`` itself when
+    it already is one); ``L`` comes back C-contiguous with its strictly
+    upper triangle zeroed — the canonical layout every kernel that reads
+    a diagonal block asks for (see :func:`trtrs_lower`), so none of them
+    copies it again.
     """
-    L = sla.cholesky(D, lower=True, overwrite_a=True, check_finite=False)
-    return L, chol_flops(L.shape[0])
+    L, info = _potrf(D, lower=1, overwrite_a=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    if info < 0:
+        raise ValueError(
+            f"LAPACK reported an illegal value in {-info}-th argument "
+            'on entry to "POTRF".'
+        )
+    return np.ascontiguousarray(L), chol_flops(L.shape[0])
+
+
+def trtrs_lower(
+    L_KK: np.ndarray, B: np.ndarray, trans: int, overwrite_b: bool = False
+) -> np.ndarray:
+    """``L_KK^{-1} B`` (``trans=0``) or ``L_KK^{-T} B`` (``trans=1``) for a
+    lower-triangular ``L_KK``; the result is Fortran-ordered, and shares
+    ``B``'s buffer when ``overwrite_b`` and ``B`` is Fortran-contiguous.
+
+    ``L_KK`` is forced C-contiguous first (a no-op for a block out of
+    :func:`bfac_kernel`, a link or an arena slot): LAPACK wants Fortran
+    order, so a C-ordered triangle is solved as its transpose — an upper
+    triangle, the opposite ``trans`` — while an F-ordered one takes the
+    plain call, and the two round differently. One canonical layout is
+    what makes the same task compute the same bits on every rank. A
+    block of width 1 is both orders at once and takes the plain call, as
+    in ``scipy.linalg.solve_triangular``.
+    """
+    L = np.ascontiguousarray(L_KK)
+    if L.flags.f_contiguous:
+        x, info = _trtrs(L, B, lower=1, trans=trans, overwrite_b=overwrite_b)
+    else:
+        x, info = _trtrs(
+            L.T, B, lower=0, trans=1 - trans, overwrite_b=overwrite_b
+        )
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}"
+        )
+    if info < 0:
+        raise ValueError(
+            f"illegal value in {-info}-th argument of internal trtrs"
+        )
+    return x
 
 
 def bdiv_kernel(B: np.ndarray, L_KK: np.ndarray) -> tuple[np.ndarray, int]:
     """BDIV: ``B <- B * L_KK^{-T}`` (triangular solve from the right).
 
     ``B`` is the r x w subdiagonal block, ``L_KK`` the factored w x w
-    diagonal. ``B`` is consumed: ``B.T`` of a C-contiguous block is
-    F-contiguous, so the solve happens in place and the result shares
-    ``B``'s buffer. flops = r * w^2.
-
-    ``L_KK`` is forced C-contiguous first, like the solve kernels: scipy
-    routes a C-ordered triangle through a transposed ``trtrs`` and an
-    F-ordered one through the plain call, and the two round differently.
-    A diagonal block is F-ordered where it was factored (dpotrf output)
-    but C-ordered where it arrived over a link or out of an arena slot,
-    so without one canonical layout the same BDIV computes different
-    bits on different ranks.
+    diagonal. A writable C-contiguous ``B`` is consumed: ``B.T`` is then
+    F-contiguous, so ``L_KK X^T = B^T`` is solved in place and the result
+    shares ``B``'s buffer. A read-only or strided ``B`` is copied and left
+    alone. flops = r * w^2.
     """
-    out = sla.solve_triangular(
-        np.ascontiguousarray(L_KK), B.T, lower=True, trans="N",
-        overwrite_b=True, check_finite=False,
-    ).T
+    out = trtrs_lower(L_KK, B.T, 0, overwrite_b=B.flags.writeable).T
     r, w = out.shape
-    return np.ascontiguousarray(out), r * w * w
+    return out, r * w * w
 
 
 def bmod_kernel(L_IK: np.ndarray, L_JK: np.ndarray) -> tuple[np.ndarray, int]:

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import spsolve_triangular
 
 from repro.numeric.blockfact import BlockCholesky
+from repro.numeric.dense_kernels import trtrs_lower
 from repro.ordering.base import Ordering
 
 __all__ = [
@@ -46,20 +46,19 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Solve kernels
 #
-# Every operand is forced C-contiguous before the BLAS call: a diagonal
-# block may be F-ordered where it was factored (dpotrf output) but
-# C-ordered where it arrived over a link or out of an arena slot, and
-# LAPACK rounds differently per layout. Normalizing here is what makes
-# the distributed solve bitwise-identical to this sequential reference.
+# Every factor block is forced C-contiguous before the LAPACK / BLAS
+# call: a diagonal block is C-ordered out of ``bfac_kernel``, a link or an
+# arena slot but may be handed over in any layout, and LAPACK rounds
+# differently per layout (see ``trtrs_lower``). Normalizing here is what
+# makes the distributed solve bitwise-identical to this sequential
+# reference. The two triangular solves are one ``dtrtrs`` each, through
+# the handle ``dense_kernels`` resolved at import; neither scans for
+# NaN/Inf — a right-hand side is checked once, in ``permute_rhs``.
 # ----------------------------------------------------------------------
 
 def fsolve_kernel(Lkk: np.ndarray, B: np.ndarray) -> np.ndarray:
     """``Y_K = L_KK^{-1} B`` (forward solve against a diagonal block)."""
-    return np.ascontiguousarray(
-        solve_triangular(
-            np.ascontiguousarray(Lkk), np.ascontiguousarray(B), lower=True
-        )
-    )
+    return np.ascontiguousarray(trtrs_lower(Lkk, B, 0))
 
 
 def fupd_kernel(Lik: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -69,12 +68,7 @@ def fupd_kernel(Lik: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def bsolve_kernel(Lkk: np.ndarray, B: np.ndarray) -> np.ndarray:
     """``X_K = L_KK^{-T} B`` (backward solve against a diagonal block)."""
-    return np.ascontiguousarray(
-        solve_triangular(
-            np.ascontiguousarray(Lkk), np.ascontiguousarray(B),
-            lower=True, trans=1,
-        )
-    )
+    return np.ascontiguousarray(trtrs_lower(Lkk, B, 1))
 
 
 def bupd_kernel(Lik: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -107,17 +101,13 @@ def block_forward(chol: BlockCholesky, Y: np.ndarray) -> np.ndarray:
     are applied in ascending source-panel order — the canonical order the
     distributed solve reproduces by parking early arrivals.
     """
-    st = chol.structure
-    ptr = chol.partition.panel_ptr
-    for k in range(chol.partition.npanels):
-        c0, c1 = int(ptr[k]), int(ptr[k + 1])
+    panel_rows = chol.structure.numeric_plan().panel_rows
+    for k, (c0, c1, blocks) in enumerate(panel_rows):
         Yk = fsolve_kernel(chol.diag[k], Y[c0:c1])
         Y[c0:c1] = Yk
-        brows = st.block_rows[k]
-        for t in range(brows.shape[0]):
-            i = int(brows[t])
-            rows = st.block_row_span(k, t)
-            Y[rows] -= fupd_kernel(chol.below[k][i], Yk)
+        below = chol.below[k]
+        for i, rows in blocks:
+            Y[rows] -= fupd_kernel(below[i], Yk)
     return Y
 
 
@@ -128,16 +118,13 @@ def block_backward(chol: BlockCholesky, X: np.ndarray) -> np.ndarray:
     gathered in ascending source-row order before the triangular solve —
     again exactly the order the distributed solve enforces.
     """
-    st = chol.structure
-    ptr = chol.partition.panel_ptr
-    for k in range(chol.partition.npanels - 1, -1, -1):
-        c0, c1 = int(ptr[k]), int(ptr[k + 1])
+    panel_rows = chol.structure.numeric_plan().panel_rows
+    for k in range(len(panel_rows) - 1, -1, -1):
+        c0, c1, blocks = panel_rows[k]
         B = np.ascontiguousarray(X[c0:c1])
-        brows = st.block_rows[k]
-        for t in range(brows.shape[0]):
-            i = int(brows[t])
-            rows = st.block_row_span(k, t)
-            B -= bupd_kernel(chol.below[k][i], X[rows])
+        below = chol.below[k]
+        for i, rows in blocks:
+            B -= bupd_kernel(below[i], X[rows])
         X[c0:c1] = bsolve_kernel(chol.diag[k], B)
     return X
 
@@ -164,11 +151,14 @@ def permute_rhs(b: np.ndarray, n: int, ordering):
     ``b``'s row order and ``ndim``. ``ordering`` is an
     :class:`~repro.ordering.base.Ordering`, a permutation array, or None
     for identity. Raises ``ValueError`` for a ``b`` that is not ``n`` rows
-    of one or two dimensions — before any substitution or worker process.
+    of one or two dimensions, or holds a NaN or an Inf (the solve kernels
+    do not scan for them) — before any substitution or worker process.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.ndim not in (1, 2) or b.shape[0] != n:
         raise ValueError(f"rhs has shape {b.shape}; matrix has {n} rows")
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
     if ordering is None:
         perm = None
     elif isinstance(ordering, Ordering):

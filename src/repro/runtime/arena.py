@@ -27,9 +27,9 @@ Consumers never see the packed form: :meth:`BlockArena.view` /
 :meth:`BlockArena.read` / :meth:`BlockArena.resolve` unpack a diagonal
 slot into the same freshly-allocated C-contiguous zero-upper square that
 ``wire.unpack`` builds on the inline transport, so kernel inputs are
-bitwise identical across transports (``solve_triangular`` rounds
-differently for C- vs F-contiguous inputs, so the layout must match, not
-just the values). Packing matters under variable blocking: square diagonal
+bitwise identical across transports (``dtrtrs`` rounds differently for a
+C- and an F-contiguous triangle, so the layout must match, not just the
+values). Packing matters under variable blocking: square diagonal
 slots waste ``w^2 / 2`` words of dead upper triangle, a cost that grows
 quadratically with the wide panels the supernodal policy produces.
 

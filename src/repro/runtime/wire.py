@@ -215,8 +215,8 @@ def payload_words(array: np.ndarray, diagonal: bool) -> np.ndarray:
 def square_from_packed(words: np.ndarray, w: int) -> np.ndarray:
     """The diagonal block a packed triangle stands for: a fresh, writable,
     C-contiguous ``w x w`` square with an explicitly zero upper triangle —
-    one layout on every transport, because ``solve_triangular`` rounds
-    differently for C- and F-ordered inputs."""
+    one layout on every transport, because ``dtrtrs`` rounds differently
+    for a C- and an F-ordered triangle."""
     out = np.zeros((w, w))
     out.ravel()[tril_flat(w)] = words
     return out

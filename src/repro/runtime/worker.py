@@ -937,9 +937,9 @@ class Worker:
         # (falling off it would round differently and break bitwise
         # identity with the victim having run the task itself).
         # No BDIV layout juggling needed: bdiv_kernel canonicalizes L_KK
-        # to C order itself, so our copy of the diagonal (F if we factored
-        # it, C if it came over a link or out of an arena slot) yields
-        # exactly the bits the victim would have computed.
+        # to C order itself (a no-op: bfac_kernel, a link and an arena
+        # slot all hand it over C-ordered), so our copy of the diagonal
+        # yields exactly the bits the victim would have computed.
         self._store(b, np.array(msg.payload), final=False)
         tr = self.trace
         self._span("comm", t0, "steal", "steal_grant_recv",

@@ -35,6 +35,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.config import RunConfig
+from repro.numeric.solve import permute_rhs
 from repro.runtime.arena import BlockArena, resolve_transport
 from repro.runtime.engine import FanoutError, outcome_result, plan_owners
 from repro.runtime.pool import PoolJob, WorkerPool
@@ -341,9 +342,10 @@ class FactorService:
 
         Typed errors, never hangs: :class:`UnknownPatternError` for an
         uncached pattern, :class:`JobFailed` for a pattern with no
-        completed factor or a bad RHS shape, :class:`ServiceUnavailable`
-        while the circuit breaker is open (all before anything is
-        queued), :class:`AdmissionRejected` from a full queue,
+        completed factor, a bad RHS shape or a NaN/Inf in the RHS,
+        :class:`ServiceUnavailable` while the circuit breaker is open (all
+        before anything is queued), :class:`AdmissionRejected` from a full
+        queue,
         :class:`DeadlineExceeded` past ``deadline_s``. An explicit
         ``job_id`` is idempotent, as for :meth:`submit`. ``fault_plan``
         injects deterministic faults into the warm solve's workers.
@@ -364,22 +366,19 @@ class FactorService:
                 f"pattern {pattern_id!r} has no completed factor to "
                 "solve against",
             )
-        b = np.asarray(b, dtype=np.float64)
-        panel = b.reshape(-1, 1) if b.ndim == 1 else b
-        if panel.ndim != 2 or panel.shape[0] != entry.shape[0]:
-            raise JobFailed(
-                job_id,
-                f"rhs has shape {b.shape}; pattern expects "
-                f"{entry.shape[0]} rows",
-            )
+        try:  # a wrong shape, a NaN or an Inf never reaches the queue
+            pb, _ = permute_rhs(b, entry.shape[0], entry.perm)
+        except ValueError as exc:
+            raise JobFailed(job_id, str(exc)) from None
         if self.breaker.refusing:
             raise ServiceUnavailable(
                 "circuit breaker open: solve refused while the pool "
                 "recovers"
             )
+        panel = pb.reshape(-1, 1) if pb.ndim == 1 else pb
         job = SolveJob(
-            job_id, entry, np.ascontiguousarray(panel[entry.perm]),
-            b.ndim == 1, self._budget(deadline_s), fault_plan,
+            job_id, entry, np.ascontiguousarray(panel),
+            pb.ndim == 1, self._budget(deadline_s), fault_plan,
         )
         return self._admit(job, named).result()
 
@@ -769,10 +768,11 @@ class FactorService:
             L = factor.to_csc()
             if ok and self.validate:
                 self._validate(queued.job.job_id, entry, p.A, L)
-        except (JobFailed, FanoutError) as exc:
-            # A gather that does not cover every block fails the job like
-            # a failed validation: never release a factor with holes.
-            if isinstance(exc, FanoutError):
+        except (JobFailed, FanoutError, np.linalg.LinAlgError) as exc:
+            # A gather that does not cover every block, or a NaN/Inf found
+            # at assembly, fails the job like a failed validation: never
+            # release a factor with holes.
+            if not isinstance(exc, JobFailed):
                 exc = JobFailed(queued.job.job_id, str(exc))
             record.status = "failed"
             record.error = exc.detail

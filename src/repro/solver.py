@@ -218,9 +218,7 @@ class SparseCholesky:
         if self.backend == "service":
             return self._factor_via_service()
         if self.backend == "sequential":
-            self._numeric = BlockCholesky(
-                self.structure, self.symbolic.A
-            ).factor()
+            numeric = BlockCholesky(self.structure, self.symbolic.A).factor()
         else:  # "mp"
             if self.fault_plan is not None:
                 from repro.runtime.recovery import run_with_recovery
@@ -232,7 +230,7 @@ class SparseCholesky:
                 self.failure_report = result.failure_report
             else:
                 result = self._run_mp()
-            self._numeric = result.factor
+            numeric = result.factor
             self.runtime_metrics = result.metrics
             self.run_trace = result.trace
         if self.runtime_metrics is not None:
@@ -240,7 +238,9 @@ class SparseCholesky:
                 "hits": self.plan_cache_hits,
                 "misses": self.plan_cache_misses,
             }
-        self._L = self._numeric.to_csc()
+        # Refused at assembly (NaN/Inf: LinAlgError), a factor is not kept.
+        self._L = numeric.to_csc()
+        self._numeric = numeric
         return self
 
     def _factor_via_service(self) -> "SparseCholesky":
@@ -349,10 +349,10 @@ class SparseCholesky:
 
         pb, restore = permute_rhs(b, self.A.shape[0], self.symbolic.ordering)
         result = self._run_mp(rhs=pb)
-        self._numeric = result.factor
         self.runtime_metrics = result.metrics
         self.run_trace = result.trace
-        self._L = self._numeric.to_csc()
+        self._L = result.factor.to_csc()
+        self._numeric = result.factor
         return restore(result.solution)
 
     def _solve_via_service(self, b: np.ndarray) -> np.ndarray:

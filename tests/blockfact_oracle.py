@@ -1,11 +1,19 @@
 """The interpreted ``A -> blocks`` scatter and COO ``to_csc`` that
 ``BlockCholesky`` ran before the numeric plan replaced them — kept, loop
-for loop, as the reference the vectorised maps are compared against."""
+for loop, as the reference the vectorised maps are compared against.
+
+Also the scipy-wrapper forms of the four kernels that now call ``dpotrf`` /
+``dtrtrs`` directly, the open-mesh BMOD scatter, and the per-task factor
+and substitution loops built on them, as they ran before the kernels were
+rebound: the production kernels must reproduce them bit for bit."""
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import linalg as sla
 from scipy import sparse
+
+from repro.numeric.dense_kernels import bmod_kernel_into
 
 
 def oracle_blocks(structure, A):
@@ -87,3 +95,101 @@ def assert_blocks_equal(chol, diag, below) -> None:
             assert chol.below[k][i].shape == B.shape
             assert chol.below[k][i].flags.c_contiguous
             assert np.array_equal(chol.below[k][i], B), f"below[{k}][{i}]"
+
+
+# ----------------------------------------------------------------------
+# The kernels through scipy's convenience wrappers
+# ----------------------------------------------------------------------
+def oracle_bfac(D):
+    return sla.cholesky(D, lower=True, overwrite_a=True, check_finite=False)
+
+
+def oracle_bdiv(B, L_KK):
+    """``B L_KK^{-T}``; consumes a C-contiguous ``B``."""
+    out = sla.solve_triangular(
+        np.ascontiguousarray(L_KK), B.T, lower=True, trans="N",
+        overwrite_b=True, check_finite=False,
+    ).T
+    return np.ascontiguousarray(out)
+
+
+def oracle_fsolve(Lkk, B):
+    return np.ascontiguousarray(sla.solve_triangular(
+        np.ascontiguousarray(Lkk), np.ascontiguousarray(B), lower=True
+    ))
+
+
+def oracle_bsolve(Lkk, B):
+    return np.ascontiguousarray(sla.solve_triangular(
+        np.ascontiguousarray(Lkk), np.ascontiguousarray(B),
+        lower=True, trans=1,
+    ))
+
+
+def oracle_scatter(dest, rows, cols, U) -> None:
+    """``dest[rows x cols] -= U`` through the open mesh."""
+    dest[np.asarray(rows)[:, None], np.asarray(cols)[None, :]] -= U
+
+
+def _contiguous(idx) -> bool:
+    return int(idx[-1]) - int(idx[0]) + 1 == idx.shape[0]
+
+
+def oracle_factor(structure, A):
+    """``(diag, below)`` of the factor: the right-looking loop, one task
+    at a time in the order ``BlockCholesky.factor`` ran them before its
+    look-ups were hoisted, every destination index derived from the
+    global row numbers."""
+    diag, below = oracle_blocks(structure, A)
+    ptr = structure.partition.panel_ptr
+    for k in range(structure.npanels):
+        diag[k] = oracle_bfac(diag[k])
+        brows = [int(i) for i in structure.block_rows[k]]
+        for i in brows:
+            below[k][i] = oracle_bdiv(below[k][i], diag[k])
+        for a, i in enumerate(brows):
+            rows_i = structure.block_row_span(k, a)
+            for b, j in enumerate(brows[: a + 1]):
+                cols = structure.block_row_span(k, b) - int(ptr[j])
+                if i == j:
+                    dest, ridx = diag[j], rows_i - int(ptr[j])
+                else:
+                    t = list(structure.block_rows[j]).index(i)
+                    dest = below[j][i]
+                    ridx = np.searchsorted(
+                        structure.block_row_span(j, t), rows_i
+                    )
+                L_IK, L_JK = below[k][i], below[k][j]
+                if _contiguous(ridx) and _contiguous(cols):
+                    r0, c0 = int(ridx[0]), int(cols[0])
+                    out = dest[r0 : r0 + ridx.shape[0], c0 : c0 + cols.shape[0]]
+                    if out.flags.c_contiguous:
+                        bmod_kernel_into(L_IK, L_JK, out)
+                        continue
+                oracle_scatter(dest, ridx, cols, L_IK @ L_JK.T)
+    return diag, below
+
+
+def oracle_block_solve(structure, diag, below, pb):
+    """Forward then backward block substitution on a permuted ``n x nrhs``
+    right-hand side, through the wrapper solves."""
+    Y = np.array(pb, dtype=np.float64, order="C", copy=True)
+    ptr = structure.partition.panel_ptr
+    N = structure.npanels
+    for k in range(N):
+        c0, c1 = int(ptr[k]), int(ptr[k + 1])
+        Yk = oracle_fsolve(diag[k], Y[c0:c1])
+        Y[c0:c1] = Yk
+        for t, i in enumerate(structure.block_rows[k]):
+            rows = structure.block_row_span(k, t)
+            Y[rows] -= np.ascontiguousarray(below[k][int(i)]) @ Yk
+    for k in range(N - 1, -1, -1):
+        c0, c1 = int(ptr[k]), int(ptr[k + 1])
+        B = np.ascontiguousarray(Y[c0:c1])
+        for t, i in enumerate(structure.block_rows[k]):
+            rows = structure.block_row_span(k, t)
+            B -= np.ascontiguousarray(below[k][int(i)]).T @ (
+                np.ascontiguousarray(Y[rows])
+            )
+        Y[c0:c1] = oracle_bsolve(diag[k], B)
+    return Y

@@ -1,5 +1,7 @@
 import copy
+import pickle
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from repro.symbolic import symbolic_factor
 from tests.blockfact_oracle import (
     assert_blocks_equal,
     oracle_blocks,
+    oracle_factor,
+    oracle_scatter,
     oracle_to_csc,
 )
 
@@ -127,6 +131,106 @@ def test_plan_matches_the_interpreted_oracle(analysed, policy, triangles):
     # A second extraction shares no index array with the first.
     L.indices[:] = 0
     assert np.array_equal(chol.to_csc().indices, ref.indices)
+
+
+@pytest.mark.parametrize("policy", ["uniform", "supernodal"])
+def test_factor_is_bit_equal_to_the_wrapper_kernels(analysed, policy):
+    """``factor()`` — direct LAPACK handles, flat-offset scatter, look-ups
+    hoisted per (K, J) — against the per-task loop over the scipy wrappers
+    and the open mesh; so are the public block operations, called in the
+    order ``factor()`` used to call them."""
+    sf = analysed
+    bs = BlockStructure(make_partition(sf, policy, block_size=8))
+    want = oracle_factor(bs, sf.A)
+    assert_blocks_equal(BlockCholesky(bs, sf.A).factor(), *want)
+    step = BlockCholesky(bs, sf.A)
+    for k in range(bs.npanels):
+        step.bfac(k)
+        brows = list(step.below[k])
+        for i in brows:
+            step.bdiv(i, k)
+        for a, i in enumerate(brows):
+            for j in brows[: a + 1]:
+                step.bmod(i, j, k)
+    assert_blocks_equal(step, *want)
+    assert step.flops == BlockCholesky(bs, sf.A).factor().flops
+
+
+class TestBmodScatter:
+    """``_bmod`` on hand-made windows: the flat-offset scatter against the
+    open mesh, and the layouts that must take the open mesh."""
+
+    @staticmethod
+    def _chol(rel_rows, cols, width, lo=0):
+        """A bare ``BlockCholesky`` whose plan is one (K, J) window: the
+        source block sits at slab rows ``lo..lo + len(rel_rows)``."""
+        rel = np.concatenate([np.zeros(lo, np.int32),
+                              np.asarray(rel_rows, np.int32)])
+        contiguous = cols[-1] - cols[0] + 1 == len(cols)
+        window = (
+            0, np.asarray(cols, np.int32)[None, :],
+            (cols[0], cols[-1] + 1) if contiguous else None,
+        )
+        chol = BlockCholesky.__new__(BlockCholesky)
+        chol._plan = SimpleNamespace(
+            rel=rel, rel_flat=(rel.astype(np.intp) * width)
+        )
+        chol.flops = 0
+        return chol, window
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_flat_scatter_equals_the_open_mesh(self, seed):
+        rng = np.random.default_rng(seed)
+        R, W, w = int(rng.integers(2, 30)), int(rng.integers(1, 20)), 5
+        m, c = int(rng.integers(1, R + 1)), int(rng.integers(1, W + 1))
+        rows = np.sort(rng.choice(R, m, replace=False))
+        cols = np.sort(rng.choice(W, c, replace=False))
+        if seed % 3 == 0:  # contiguous columns, scattered rows
+            cols = np.arange(c) + int(rng.integers(0, W - c + 1))
+        L_IK, L_JK = rng.standard_normal((m, w)), rng.standard_normal((c, w))
+        start = rng.standard_normal((R, W))
+        lo = int(rng.integers(0, 4))
+        chol, window = self._chol(rows, cols.tolist(), W, lo)
+        want = start.copy()
+        oracle_scatter(want, rows, cols, L_IK @ L_JK.T)
+        dest = start.copy()
+        chol._bmod(L_IK, lo, lo + m, L_JK, window, dest)
+        assert np.array_equal(dest, want)
+        assert chol.flops == 2 * m * c * w
+        # Column-major and strided destinations: the open mesh, same bits.
+        for other in (np.asfortranarray(start),
+                      np.repeat(start, 2, axis=1)[:, ::2]):
+            if other.flags.c_contiguous:
+                continue
+            chol._bmod(L_IK, lo, lo + m, L_JK, window, other)
+            assert np.array_equal(other, want)
+
+    def test_a_read_only_destination_is_refused_not_bypassed(self):
+        """Flattening a read-only block gives a read-only view: the
+        update fails as loudly as it did through the open mesh."""
+        chol, window = self._chol([0, 2], [0, 2], 3)
+        dest = np.zeros((3, 3))
+        dest.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            chol._bmod(np.ones((2, 2)), 0, 2, np.ones((2, 2)), window, dest)
+        assert not dest.any()
+
+
+class TestNonFiniteFactor:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_to_csc_refuses_a_non_finite_factor(self, grid12_pipeline, bad):
+        """The kernels scan nothing; a NaN/Inf on the diagonal of ``A``
+        factors without an ``info`` and is stopped at the assembly."""
+        _, sf, _, bs, *_ = grid12_pipeline
+        A = sf.A.tocsc(copy=True)
+        A[A.shape[0] // 2, A.shape[0] // 2] = bad
+        chol = BlockCholesky(bs, A).factor()
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            chol.to_csc()
+        # ... whichever way the packed values are read.
+        chol.install(0, 0, chol.diag[0])
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            chol.to_csc()
 
 
 class TestNonCanonicalInput:
@@ -311,6 +415,29 @@ class TestPlanCost:
             sys.setprofile(None)
         assert events[0] <= 8 * bs.npanels + 64, events[0]
         assert events[0] < sf.A.shape[0] < sf.A.nnz
+
+    def test_flat_offsets_are_compiled_and_stay_home(self):
+        """``rel_flat`` is ``rel`` scaled by the destination panel's
+        width, platform-index typed; like the rest of the plan it never
+        enters the structure's pickle."""
+        p = grid2d_matrix(9)
+        sf = symbolic_factor(p.A, order_problem(p, "nd"))
+        bs = BlockStructure(make_partition(sf, "supernodal", block_size=6))
+        before = pickle.dumps(bs)
+        plan = bs.numeric_plan()
+        assert pickle.dumps(bs) == before
+        assert plan.rel_flat.dtype == np.intp
+        assert plan.rel_flat.shape == plan.rel.shape
+        widths = bs.partition.widths
+        for k, windows in enumerate(plan.rel_of):
+            lo_end = plan.slabs[k][0] + bs.rows_below[k].shape[0]
+            for j, (base, _cols, _span) in windows.items():
+                first = base + plan.spans[k][j][0]
+                assert np.array_equal(
+                    plan.rel_flat[first : base + lo_end],
+                    plan.rel[first : base + lo_end].astype(np.intp)
+                    * int(widths[j]),
+                )
 
     def test_plan_is_compiled_once_per_structure(self, grid12_pipeline):
         _, sf, _, bs, *_ = grid12_pipeline

@@ -2,6 +2,13 @@ import numpy as np
 import pytest
 
 from repro.numeric import bdiv_kernel, bfac_kernel, bmod_kernel
+from repro.numeric.solve import bsolve_kernel, fsolve_kernel
+from tests.blockfact_oracle import (
+    oracle_bdiv,
+    oracle_bfac,
+    oracle_bsolve,
+    oracle_fsolve,
+)
 
 
 def spd(n, seed=0):
@@ -80,3 +87,119 @@ class TestComposition:
         assert np.allclose(Lkk, L_ref[:w, :w])
         assert np.allclose(Lik, L_ref[w:, :w])
         assert np.allclose(L22, L_ref[w:, w:])
+
+
+# ----------------------------------------------------------------------
+# The direct dpotrf / dtrtrs calls against the scipy wrappers they
+# replaced (tests/blockfact_oracle.py): the same bits, whatever layout
+# the operands arrive in
+# ----------------------------------------------------------------------
+WIDTHS = (1, 2, 7, 16, 48)
+ROWS = (1, 5, 40)
+
+
+def factored(w):
+    return np.linalg.cholesky(spd(w, 10 + w))
+
+
+def arena_view(L):
+    """``L`` as a read-only C-ordered view into a larger buffer, the way
+    a block is read out of an arena slot."""
+    buf = np.concatenate([[0.0], L.ravel(), [0.0]])
+    view = buf[1:-1].reshape(L.shape)
+    view.flags.writeable = False
+    return view
+
+
+LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "F": np.asfortranarray,
+    "arena": arena_view,
+}
+
+
+class TestBitEqualToTheWrappers:
+    @pytest.mark.parametrize("w", WIDTHS)
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bfac(self, w, order):
+        D = np.array(spd(w, w), order=order)
+        L, flops = bfac_kernel(D.copy(order="K"))
+        assert np.array_equal(L, oracle_bfac(D.copy(order="K")))
+        assert L.flags.c_contiguous
+        assert not np.triu(L, 1).any()
+        assert flops > 0
+
+    @pytest.mark.parametrize("w", WIDTHS)
+    @pytest.mark.parametrize("r", ROWS)
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_bdiv(self, w, r, layout):
+        L_KK = LAYOUTS[layout](factored(w))
+        B = np.random.default_rng(w * r).standard_normal((r, w))
+        want = oracle_bdiv(B.copy(), L_KK)
+        # Writable and C-contiguous: solved in place.
+        mine = B.copy()
+        X, flops = bdiv_kernel(mine, L_KK)
+        assert np.array_equal(X, want) and np.shares_memory(X, mine)
+        assert X.flags.c_contiguous and flops == r * w * w
+        # Read-only: copied, the caller's block untouched.
+        frozen = B.copy()
+        frozen.flags.writeable = False
+        X, _ = bdiv_kernel(frozen, L_KK)
+        assert np.array_equal(X, want) and np.array_equal(frozen, B)
+        assert X.flags.c_contiguous and X.flags.writeable
+        # Strided (a 1 x 1 view is contiguous whatever its strides):
+        # copied too.
+        wide = np.zeros((r, 2 * w))
+        wide[:, ::2] = B
+        if not wide[:, ::2].flags.c_contiguous:
+            X, _ = bdiv_kernel(wide[:, ::2], L_KK)
+            assert np.array_equal(X, want) and X.flags.c_contiguous
+            assert np.array_equal(wide[:, ::2], B)
+
+    @pytest.mark.parametrize("w", WIDTHS)
+    @pytest.mark.parametrize("nrhs", [1, 4])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_solve_kernels(self, w, nrhs, layout):
+        L_KK = LAYOUTS[layout](factored(w))
+        B = np.random.default_rng(w + nrhs).standard_normal((w, nrhs))
+        for kernel, oracle in (
+            (fsolve_kernel, oracle_fsolve), (bsolve_kernel, oracle_bsolve)
+        ):
+            keep = B.copy()
+            X = kernel(L_KK, keep)
+            assert np.array_equal(X, oracle(L_KK, B))
+            assert X.flags.c_contiguous and np.array_equal(keep, B)
+            # A row slice of a wider panel stack, as the sweeps pass it.
+            stack = np.random.default_rng(1).standard_normal((w + 3, nrhs))
+            assert np.array_equal(
+                kernel(L_KK, stack[2 : 2 + w]), oracle(L_KK, stack[2 : 2 + w])
+            )
+
+
+class TestKernelFailures:
+    def test_not_positive_definite(self):
+        with pytest.raises(np.linalg.LinAlgError, match="not positive"):
+            bfac_kernel(-np.eye(3))
+        with pytest.raises(
+            np.linalg.LinAlgError, match="2-th leading minor"
+        ):
+            bfac_kernel(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("w", [1, 5])
+    def test_zero_on_the_diagonal_is_singular(self, w):
+        L = factored(w)
+        L[w - 1, w - 1] = 0.0
+        want = f"singular matrix: resolution failed at diagonal {w - 1}"
+        B = np.ones((3, w))
+        with pytest.raises(np.linalg.LinAlgError, match=want):
+            bdiv_kernel(B, L)
+        for kernel in (fsolve_kernel, bsolve_kernel):
+            with pytest.raises(np.linalg.LinAlgError, match=want):
+                kernel(L, np.ones((w, 2)))
+
+    def test_empty_operands_are_no_ops(self):
+        L, flops = bfac_kernel(np.zeros((0, 0)))
+        assert L.shape == (0, 0) and flops == 0
+        X, flops = bdiv_kernel(np.zeros((0, 4)), factored(4))
+        assert X.shape == (0, 4) and flops == 0
+        assert fsolve_kernel(factored(4), np.zeros((4, 0))).shape == (4, 0)

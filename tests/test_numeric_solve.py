@@ -1,10 +1,13 @@
 import numpy as np
+import pytest
 
 from repro.blocks import BlockPartition, BlockStructure
 from repro.matrices import grid2d_matrix
 from repro.numeric import BlockCholesky, solve_with_factor
+from repro.numeric.solve import block_solve_permuted, permute_rhs
 from repro.ordering import order_problem
 from repro.symbolic import symbolic_factor
+from tests.blockfact_oracle import oracle_block_solve, oracle_factor
 
 
 class TestSolveWithFactor:
@@ -39,3 +42,49 @@ class TestSolveWithFactor:
         x = solve_with_factor(L, b, sf.ordering)
         x_ref = np.linalg.solve(problem.A.toarray(), b)
         assert np.allclose(x, x_ref, atol=1e-7)
+
+
+class TestBlockSubstitution:
+    @pytest.mark.parametrize("pipeline", ["grid12", "random_spd"])
+    @pytest.mark.parametrize("nrhs", [1, 4])
+    def test_bit_equal_to_the_wrapper_kernels(self, request, pipeline, nrhs):
+        """The sweeps over the plan's compiled row slices and the direct
+        ``dtrtrs`` calls against the per-block loop over
+        ``solve_triangular``: same factor in, same bits out — whether the
+        factor's diagonal blocks are C-ordered (production) or Fortran-
+        ordered as the wrapper leaves them (oracle)."""
+        _, sf, _, bs, *_ = request.getfixturevalue(f"{pipeline}_pipeline")
+        diag, below = oracle_factor(bs, sf.A)
+        chol = BlockCholesky(bs, sf.A).factor()
+        pb = np.random.default_rng(nrhs).standard_normal((sf.A.shape[0], nrhs))
+        want = oracle_block_solve(bs, diag, below, pb)
+        assert np.array_equal(block_solve_permuted(chol, pb), want)
+        handed = BlockCholesky.shell(bs)
+        for k, D in enumerate(diag):
+            assert D.flags.f_contiguous
+            handed.install(k, k, D)
+            for i, B in below[k].items():
+                handed.install(i, k, B)
+        assert np.array_equal(block_solve_permuted(handed, pb), want)
+        if nrhs == 1:
+            assert np.array_equal(
+                solve_with_factor(chol, pb[:, 0]), want[:, 0]
+            )
+
+
+class TestNonFiniteRhs:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_refused_where_the_rhs_enters(self, grid12_pipeline, bad, ndim):
+        """``check_finite`` left the kernels; ``permute_rhs`` raises the
+        wrapper's error before either factor representation is read."""
+        problem, sf, _, bs, *_ = grid12_pipeline
+        b = np.ones((problem.n, 3)[:ndim])
+        b[problem.n // 2] = bad
+        want = "array must not contain infs or NaNs"
+        with pytest.raises(ValueError, match=want):
+            permute_rhs(b, problem.n, sf.ordering)
+        chol = BlockCholesky(bs, sf.A).factor()
+        for factor in (chol, chol.to_csc()):
+            with pytest.raises(ValueError, match=want):
+                solve_with_factor(factor, b, sf.ordering)

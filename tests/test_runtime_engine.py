@@ -167,6 +167,29 @@ class TestShutdown:
             )
         assert _no_orphans()
 
+    @pytest.mark.parametrize("transport", ["inline", "shm"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_is_a_linalg_error_at_factor(
+        self, grid12_pipeline, transport, bad
+    ):
+        """A NaN/Inf on the diagonal trips no ``info`` in any worker; the
+        façade's assembly refuses the factor, as on ``sequential``."""
+        from repro.runtime import shm_available
+        from repro.solver import SparseCholesky
+
+        if transport == "shm" and not shm_available():
+            pytest.skip("no POSIX shared memory")
+        A = grid12_pipeline[0].A.tocsc(copy=True)
+        A[70, 70] = bad
+        for kw in (dict(backend="mp", nprocs=2, transport=transport), {}):
+            chol = SparseCholesky(A, ordering="nd", block_size=8, **kw)
+            with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+                chol.factor()
+            with pytest.raises(RuntimeError, match="factor"):
+                chol.L  # nothing is kept for a later solve
+            assert chol._numeric is None
+        assert _no_orphans()
+
     def test_success_leaves_no_orphans(self, grid12_pipeline):
         _, sf, _, bs, wm, tg = grid12_pipeline
         mp_block_cholesky(bs, sf.A, tg, nprocs=2, mapping="cyclic")

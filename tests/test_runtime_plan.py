@@ -42,7 +42,8 @@ class TestPlanStaysHome:
         ctx.structure.__dict__.pop("_numeric_plan", None)
         before = pickle.dumps(ctx)
         BlockCholesky(ctx.structure, A).factor().to_csc()
-        assert ctx.structure.__dict__["_numeric_plan"] is not None
+        plan = ctx.structure.__dict__["_numeric_plan"]
+        assert plan.rel_flat.dtype == np.intp and plan.panel_rows
         after = pickle.dumps(ctx)
         assert len(after) == len(before)
         assert after == before

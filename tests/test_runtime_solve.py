@@ -228,6 +228,35 @@ class TestFacade:
             chol.factor().solve(np.ones(shape))  # factor-then-solve route
         assert str(err.value) == want
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_is_refused_before_any_spawn(
+        self, grid12_pipeline, bad, monkeypatch
+    ):
+        """The solve kernels no longer scan for NaN/Inf: the façade's
+        routes and the driver refuse such a right-hand side where it
+        enters, in the words the scan used."""
+        from repro.solver import SparseCholesky
+
+        _, sf, _, bs, wm, tg = grid12_pipeline
+        A = grid12_pipeline[0].A
+        b = _rhs(144, 2)
+        b[17, 1] = bad
+        want = "array must not contain infs or NaNs"
+        chol = SparseCholesky(A, ordering="nd", block_size=8,
+                              backend="mp", nprocs=2)
+        monkeypatch.setattr(
+            chol, "_run_mp", lambda **kw: pytest.fail("runtime launched")
+        )
+        with pytest.raises(ValueError, match=want):
+            chol.solve(b)  # combined factor+solve route
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match=want):
+            chol.factor().solve(b)  # factor-then-solve route
+        owners, _ = plan_owners(wm, tg, 2, "cyclic")
+        with pytest.raises(ValueError, match=want):
+            run_mp_fanout(bs, sf.A, tg, owners, 2, rhs=b)
+        assert mp.active_children() == []
+
     @pytest.mark.parametrize("shape", [(5,), (144, 2, 2)])
     def test_every_layer_words_a_bad_rhs_the_same(
         self, grid12_pipeline, shape

@@ -207,6 +207,32 @@ class TestFactorService:
             r = svc.factor(pattern_id=pid, values=grid_A2.data)
             assert _bitwise(r.L, _cold_L(grid_A2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_matrix_fails_the_job_through_the_normal_path(
+        self, grid_A, grid_A2, bad, caplog
+    ):
+        """A NaN/Inf on ``A``'s diagonal factors without an ``info``; the
+        assembly's finiteness check makes it a ``JobFailed`` with a
+        record — no crashed handler, no resident factor — cold and warm,
+        and the next job is served."""
+        poisoned = grid_A.copy()
+        poisoned[50, 50] = bad
+        with FactorService(**SVC_KW) as svc:
+            with pytest.raises(JobFailed, match="non-finite"):
+                svc.factor(poisoned)
+            record = svc.metrics.records[-1]
+            assert (record.status, record.attempts) == ("failed", 1)
+            entry = svc.cache.peek(record.pattern_id)
+            assert entry.last_factor is None
+            with pytest.raises(JobFailed, match="no completed factor"):
+                svc.solve(np.ones(grid_A.shape[0]), record.pattern_id)
+            with pytest.raises(JobFailed, match="non-finite"):
+                svc.factor(pattern_id=record.pattern_id, values=poisoned.data)
+            assert entry.last_factor is None
+            r = svc.factor(pattern_id=record.pattern_id, values=grid_A2.data)
+            assert _bitwise(r.L, _cold_L(grid_A2))
+        assert not [r for r in caplog.records if "crashed" in r.getMessage()]
+
     def test_eviction_destroys_arena(self, grid_A):
         """LRU eviction releases the pattern's arena after the batch."""
         destroyed = []

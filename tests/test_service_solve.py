@@ -162,9 +162,12 @@ class TestTypedErrors:
             assert queued.result(120).record.status == "ok"
             assert svc.solve(b, pattern_id=jr.pattern_id).outcome == "clean"
 
-    def test_bad_requests_raise_before_anything_is_queued(self, grid_A):
-        """Unknown pattern, no factor, bad rhs shape, open breaker: the
-        calling thread raises; the admission queue never sees the job."""
+    def test_bad_requests_raise_before_anything_is_queued(
+        self, grid_A, caplog
+    ):
+        """Unknown pattern, no factor, bad rhs shape, a NaN or an Inf in
+        the rhs, open breaker: the calling thread raises; the admission
+        queue never sees the job, so nothing is dispatched for it."""
         b = _rhs(grid_A.shape[0])
         with FactorService(**SVC_KW) as svc:
             jr = svc.factor(grid_A)
@@ -175,6 +178,16 @@ class TestTypedErrors:
                 svc.solve(b, pattern_id="nope")
             with pytest.raises(JobFailed, match="rhs"):
                 svc.solve(b[:-1], pattern_id=jr.pattern_id)
+            for bad in (np.nan, np.inf):
+                poisoned = b.copy()
+                poisoned[3, 1] = bad
+                with pytest.raises(JobFailed, match="infs or NaNs"):
+                    svc.solve(poisoned, pattern_id=jr.pattern_id)
+                with pytest.raises(JobFailed, match="infs or NaNs"):
+                    svc.solve(poisoned[:, 1], pattern_id=jr.pattern_id)
+            assert not [
+                r for r in caplog.records if "crashed" in r.getMessage()
+            ]
             factor, entry.last_factor = entry.last_factor, None
             with pytest.raises(JobFailed, match="no completed factor"):
                 svc.solve(b, pattern_id=jr.pattern_id)
