@@ -2,18 +2,21 @@
 """What one task of each kind costs: ``scripts/kernel_floor.py <workload>``.
 
 Runs one warm ``BlockCholesky.factor()`` and one block solve (``nrhs`` right-
-hand sides) of a benchmark workload with a clock around every block
-operation and, inside it, around the dense kernel it calls, and prints per
-task kind the count, the total and the time per operation. The clocks are
-put on from here (the methods of ``BlockCholesky`` and the kernel names its
-module and ``numeric.solve`` look up), so nothing in ``src/`` knows about
-them. A row's time includes the clock of the row nested in it; the last line
-says what one clock costs.
+hand sides) of a benchmark workload with a clock around every dispatched
+operation — BFAC, BDIV and the panel update PMOD that runs the BMODs from
+one source panel into one destination panel — and, inside it, around the
+dense kernel it calls, and prints per kind the count, the total and the
+time per operation; a PMOD splits into its dgemm and the rest (slicing, the
+index of the scatter, the scatter). The clocks are put on from here (the
+methods of ``BlockCholesky`` and the kernel names its module and
+``numeric.solve`` look up), so nothing in ``src/`` knows about them. A
+row's time includes the clock of the row nested in it; the last line says
+what one clock costs.
 
 The per-operation column is the fixed cost §3.2 of the paper charges a block
 operation (its ``1000`` in ``flops + 1000 * ops``), measured here: what is
-left of a task when its flops are negligible, and the floor a coarser task
-would pay once instead of ``fanout.ntasks`` times.
+left of a task when its flops are negligible, and the floor a coarser op pays
+once: a PMOD once per (K, J) pair instead of once per BMOD.
 """
 
 from __future__ import annotations
@@ -40,11 +43,12 @@ from repro.numeric import blockfact, solve  # noqa: E402
 from repro.solver import SparseCholesky  # noqa: E402
 
 FACTOR_KERNELS = {
-    "bfac_kernel": "BFAC",
-    "bdiv_kernel": "BDIV",
-    "bmod_kernel_into": "BMOD fused",
-    "bmod_kernel": "BMOD scattered",
+    "bfac_kernel": "BFAC kernel",
+    "bdiv_kernel": "BDIV kernel",
+    "bmod_kernel_into": "PMOD dgemm",
+    "bmod_kernel": "PMOD dgemm",
 }
+FACTOR_OPS = {"bfac": "BFAC", "bdiv": "BDIV", "pmod": "PMOD"}
 SOLVE_KERNELS = {
     "fsolve_kernel": "FSOLVE",
     "fupd_kernel": "FUPD",
@@ -58,33 +62,19 @@ class Clocks:
 
     def __init__(self):
         self.rows: dict = {}
-        self.bmod = None  # which BMOD kernel the current task called
 
     def add(self, row, dt):
         got = self.rows.setdefault(row, [0, 0.0])
         got[0] += 1
         got[1] += dt
 
-    def kernel(self, row, fn):
-        now = time.perf_counter
-
-        def timed(*args):
-            t0 = now()
-            out = fn(*args)
-            self.add(row + " kernel", now() - t0)
-            self.bmod = row
-            return out
-
-        return timed
-
     def task(self, row, fn):
-        """``row`` None: a BMOD, named after the kernel it ended up in."""
         now = time.perf_counter
 
         def timed(*args):
             t0 = now()
             out = fn(*args)
-            self.add(row or self.bmod, now() - t0)
+            self.add(row, now() - t0)
             return out
 
         return timed
@@ -96,15 +86,12 @@ def one_pass(chol, B):
     cls = blockfact.BlockCholesky
     saved = [(blockfact, n, getattr(blockfact, n)) for n in FACTOR_KERNELS]
     saved += [(solve, n, getattr(solve, n)) for n in SOLVE_KERNELS]
-    saved += [(cls, n, getattr(cls, n)) for n in ("bfac", "bdiv", "_bmod")]
+    saved += [(cls, n, getattr(cls, n)) for n in FACTOR_OPS]
     try:
-        for name, row in FACTOR_KERNELS.items():
-            setattr(blockfact, name, clocks.kernel(row, getattr(blockfact, name)))
-        for name, row in SOLVE_KERNELS.items():
-            setattr(solve, name, clocks.task(row, getattr(solve, name)))
-        cls.bfac = clocks.task("BFAC", cls.bfac)
-        cls.bdiv = clocks.task("BDIV", cls.bdiv)
-        cls._bmod = clocks.task(None, cls._bmod)
+        for owner, table in ((blockfact, FACTOR_KERNELS),
+                             (solve, SOLVE_KERNELS), (cls, FACTOR_OPS)):
+            for name, row in table.items():
+                setattr(owner, name, clocks.task(row, getattr(owner, name)))
         t0 = time.perf_counter()
         chol.factor()
         t1 = time.perf_counter()
@@ -163,14 +150,14 @@ def main(argv=None) -> int:
             print(f"{indent + row:<28}{count:>8}{secs * 1e3:>11.2f}"
                   f"{secs / count * 1e6:>10.2f}")
 
-    for row in FACTOR_KERNELS.values():
+    for row in FACTOR_OPS.values():
         line(row)
-        line(row + " kernel", "  ")
-        if row == "BMOD scattered" and row in best:
-            count, secs = best[row]
-            rest = secs - best[row + " kernel"][1]
-            print(f"{'  BMOD scattered scatter':<28}{count:>8}"
-                  f"{rest * 1e3:>11.2f}{rest / count * 1e6:>10.2f}")
+        line(row + (" dgemm" if row == "PMOD" else " kernel"), "  ")
+    if "PMOD" in best:
+        count, secs = best["PMOD"]
+        rest = secs - best["PMOD dgemm"][1]
+        print(f"{'  PMOD rest (scatter)':<28}{count:>8}"
+              f"{rest * 1e3:>11.2f}{rest / count * 1e6:>10.2f}")
     for row in SOLVE_KERNELS.values():
         line(row)
     print()

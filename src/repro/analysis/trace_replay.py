@@ -106,6 +106,9 @@ class TraceReplay:
     solve_bytes_sent: np.ndarray = None
     solve_messages_received: np.ndarray = None
     solve_bytes_received: np.ndarray = None
+    #: Dispatched ops (one ``task`` span each; ``tasks`` counts the
+    #: task-graph tasks they ran, a panel update's members included).
+    ops: np.ndarray = None
 
     @property
     def solved(self) -> bool:
@@ -201,6 +204,7 @@ def replay_trace(trace, attempt: int | None = None) -> TraceReplay:
     work = np.zeros(nprocs, dtype=np.int64)
     flops = np.zeros(nprocs, dtype=np.int64)
     tasks = np.zeros(nprocs, dtype=np.int64)
+    ops = np.zeros(nprocs, dtype=np.int64)
     task_counts = [
         {"BFAC": 0, "BDIV": 0, "BMOD": 0} for _ in range(nprocs)
     ]
@@ -241,20 +245,24 @@ def replay_trace(trace, attempt: int | None = None) -> TraceReplay:
         r = e.rank
         if e.cat == "task":
             busy[r] += e.t1 - e.t0
-            tasks[r] += 1
-            kind = e.name.partition("(")[0]
+            ops[r] += 1
+            # A panel update (PMOD) ran the BMODs it lists in one span.
+            tids = e.args.get("tids") if e.args else None
+            n = 1 if tids is None else len(tids)
+            tasks[r] += n
+            kind = e.name.partition("(")[0].replace("PMOD", "BMOD")
             if kind in task_counts[r]:
-                task_counts[r][kind] += 1
+                task_counts[r][kind] += n
             if e.args:
                 w = int(e.args.get("work", 0))
                 work[r] += w
                 flops[r] += int(e.args.get("flops", 0))
                 victim = e.args.get("stolen_from")
                 if victim is not None:
-                    mig_in_t[r] += 1
+                    mig_in_t[r] += n
                     mig_in_w[r] += w
                     if 0 <= int(victim) < nprocs:
-                        mig_away_t[int(victim)] += 1
+                        mig_away_t[int(victim)] += n
                         mig_away_w[int(victim)] += w
         elif e.cat == "send":
             comm[r] += e.t1 - e.t0
@@ -334,6 +342,7 @@ def replay_trace(trace, attempt: int | None = None) -> TraceReplay:
         solve_task_counts=sv_counts,
         solve_messages_sent=sv_msent, solve_bytes_sent=sv_bsent,
         solve_messages_received=sv_mrecv, solve_bytes_received=sv_brecv,
+        ops=ops,
     )
 
 
@@ -454,8 +463,8 @@ def validate_trace(
         if e.attempt != rep.attempt or e.cat != "task" or not e.args:
             continue
         tid = e.args.get("tid")
-        if tid is not None:
-            seen_tids[tid] = seen_tids.get(tid, 0) + 1
+        for t in e.args.get("tids", () if tid is None else (tid,)):
+            seen_tids[t] = seen_tids.get(t, 0) + 1
     repeated = {t: c for t, c in seen_tids.items() if c > 1}
     if repeated:
         failures.append(
@@ -499,6 +508,11 @@ def validate_trace(
                 failures.append(
                     f"worker {r}: replayed {int(rep.tasks[r])} tasks, "
                     f"metrics say {w.tasks_executed}"
+                )
+            if rep.ops[r] != w.ops_executed:
+                failures.append(
+                    f"worker {r}: replayed {int(rep.ops[r])} ops, "
+                    f"metrics say {w.ops_executed}"
                 )
             if rep.work[r] != w.work_executed:
                 failures.append(

@@ -14,7 +14,8 @@ From that layout the plan derives, with whole-matrix array operations only:
 * per source panel K and destination panel J, the *relative indices* of a
   BMOD: where each row of K at or below block J lands inside the
   destination block of panel J (:attr:`rel`, :attr:`rel_of`) and inside
-  that block flattened (:attr:`rel_flat`),
+  panel J's slab flattened (:attr:`slab_flat`) — so that every update
+  from K into J is one scatter, a panel update,
 * per panel, its column range and the global rows of each of its blocks,
   which is all the block substitution reads (:attr:`panel_rows`),
 * the CSC pattern of ``L`` and the gather out of the slab layout
@@ -66,15 +67,17 @@ class NumericPlan:
         ``block_rows[K]``, the destination-block-relative row index of each
         row of panel K at or below block ``(J, K)``. Rows inside panel J
         come first; their entries are also the BMOD's destination columns.
-    rel_flat:
-        ``rel`` times the width of the destination panel, as ``intp``: a
-        destination block is row-major, so ``rel_flat[p] + col`` is the
-        position of ``(rel[p], col)`` in it once flattened, and a BMOD's
-        scatter is one 1-D fancy index instead of an open mesh.
+    slab_flat:
+        Beside ``rel``, as ``intp``: the row of panel J's slab that row
+        ``p`` lands in, times the slab's width. A slab is row-major, so
+        ``slab_flat[p] + col`` is the position of that entry in the slab
+        flattened, and all the updates from K into J are one 1-D fancy
+        index, whichever destination blocks they land in.
     rel_of[K]:
-        ``{J: (base, cols, cspan)}`` — ``rel[base + lo : base + hi]`` are
-        the destination rows of source block ``spans[K][I] == (lo, hi)``;
-        ``cols`` is the ``1 x c`` open-mesh view of the destination
+        ``{J: (base, cols, cspan)}`` — ``rel[base + lo : base + hi]`` (and
+        ``slab_flat`` there) are the destination rows of the slab rows
+        ``lo..hi`` of panel K, for every ``lo`` at or below block
+        ``(J, K)``; ``cols`` is the ``1 x c`` view of the destination
         columns and ``cspan`` their ``(c0, c1)`` range when contiguous,
         else ``None``.
     panel_rows[K]:
@@ -171,13 +174,16 @@ class NumericPlan:
         rows = rows_cat[_ragged_arange(below_ptr[pair_K] + blk_lo, pair_len)]
         J = np.repeat(pair_J, pair_len)
         rel = rows - ptr[J]  # rows inside panel J: diagonal-block relative
+        slab_row = rel.copy()
         below = np.flatnonzero(rows >= ptr[J + 1])
         if below.size:
             pos = self._locate(J[below], rows[below])
             if pos is None:
                 raise RuntimeError("BMOD rows missing from destination block")
-            rel[below] = pos - below_ptr[J[below]] - row_blk_lo[pos]
-        self.rel_flat = (rel * self._widths[J]).astype(np.intp)
+            within = pos - below_ptr[J[below]]  # position in rows_below[J]
+            rel[below] = within - row_blk_lo[pos]
+            slab_row[below] = self._widths[J[below]] + within
+        self.slab_flat = (slab_row * self._widths[J]).astype(np.intp)
         self.rel = rel = rel.astype(np.int32)
         first = rel[pair_off]
         contiguous = rel[pair_off + blk_cnt - 1] - first == blk_cnt - 1

@@ -462,8 +462,8 @@ def _add_service_knobs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cache-capacity", type=int, default=8,
                    help="pattern cache entries (LRU beyond this)")
     p.add_argument("--validate", action="store_true",
-                   help="bitwise-check every factor against the "
-                        "sequential baseline")
+                   help="check every factor against the sequential "
+                        "baseline (bitwise on a 1 x P grid)")
     p.add_argument("--deadline", dest="default_deadline_s", type=float,
                    default=None, metavar="S",
                    help="default per-job deadline in seconds "

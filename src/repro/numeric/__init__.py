@@ -2,10 +2,10 @@
 
 The block kernels (BFAC/BDIV/BMOD) operate on the dense blocks of the
 supernodal structure; :class:`BlockCholesky` performs the full sequential
-block factorization and can also replay a schedule produced by the parallel
-simulator, proving that the simulated dependency structure is the true one.
-A simplicial reference factorization and triangular solves complete the
-layer; everything is verified against scipy in the test suite.
+block factorization, its BMODs grouped into one panel update per (source
+panel, destination panel), and the thread pool runs the same operations in
+parallel. A simplicial reference factorization and triangular solves
+complete the layer; everything is verified against scipy in the test suite.
 """
 
 from repro.numeric.dense_kernels import bfac_kernel, bdiv_kernel, bmod_kernel

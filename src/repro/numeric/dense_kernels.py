@@ -17,8 +17,10 @@ assembled (:meth:`BlockCholesky.to_csc`). Each kernel returns its flop
 count so callers can cross-check the work model.
 
 All call sites (the sequential :class:`~repro.numeric.blockfact.BlockCholesky`
-and every runtime worker, on either transport) share these kernels, so a
-given task order produces bitwise-identical blocks everywhere.
+and every runtime worker, on either transport) share these kernels, so the
+same operations on the same operands produce bitwise-identical blocks
+everywhere. A BMOD kernel call is a whole panel update, the rows of one
+source panel stacked over one or more destination blocks.
 """
 
 from __future__ import annotations

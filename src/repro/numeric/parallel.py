@@ -2,13 +2,17 @@
 
 The simulator answers "what would the Paragon do"; this module actually
 runs the same task DAG in parallel on the host: a dependency-driven
-executor dispatches BFAC/BDIV/BMOD tasks to a thread pool as their inputs
-complete. numpy's BLAS kernels release the GIL, so genuine multicore
-speedups are achievable for matrices with enough block-level concurrency —
-the shared-memory analogue of the paper's message-passing method, with the
-same dependency structure the tests already proved correct.
+executor dispatches BFAC/BDIV tasks and panel updates to a thread pool as
+their inputs complete. numpy's BLAS kernels release the GIL, so genuine
+multicore speedups are achievable for matrices with enough block-level
+concurrency — the shared-memory analogue of the paper's message-passing
+method, with the same dependency structure the tests already proved
+correct.
 
-Per-destination-block locks serialize BMODs into the same block (the role
+With one shared memory every update from panel K into panel J is one panel
+update, as in the sequential factor, and the updates into a panel run in
+ascending K, so the factor is bitwise the sequential one. One lock per
+destination panel lets a single thread at a time write its slab (the role
 the owning processor plays in the distributed method).
 """
 
@@ -18,11 +22,13 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import sparse
 
 from repro.blocks.structure import BlockStructure
+from repro.fanout.dispatch import PanelUpdates, UpdateQueue
 from repro.fanout.protocol import FanoutState
-from repro.fanout.tasks import BMOD, TaskGraph
+from repro.fanout.tasks import BDIV, BMOD, TaskGraph
 from repro.numeric.blockfact import BlockCholesky
 
 
@@ -46,69 +52,80 @@ def parallel_block_cholesky(
 
     The dependency protocol is the fan-out method's
     (:mod:`repro.fanout.protocol`); with one shared memory, a finished
-    block reaches all its consumers at once.
+    block reaches all its consumers at once. A pool item is a BFAC / BDIV
+    task id, or ``ntasks + op`` for panel update ``op``.
     """
     if nthreads < 1:
         raise ValueError("nthreads must be positive")
     chol = BlockCholesky(structure, A)
-
     state = FanoutState(tg)
+    updates = PanelUpdates(tg, np.ones(tg.ntasks, dtype=bool))
+    queue = UpdateQueue(updates)
+    ntasks = tg.ntasks
 
     state_lock = threading.Lock()
-    block_locks = [threading.Lock() for _ in range(tg.nblocks)]
+    panel_locks = [threading.Lock() for _ in range(tg.npanels)]
     done = threading.Event()
     error: list[BaseException] = []
     remaining = [tg.ntasks]
-    executed = [0]
 
     pool = ThreadPoolExecutor(max_workers=nthreads)
 
-    def submit(tid: int) -> None:
-        pool.submit(run_task, tid)
+    def release(tid: int | None) -> int | None:
+        """The pool item a task the protocol released makes runnable."""
+        if tid is None or tg.task_kind[tid] != BMOD:
+            return tid
+        op = queue.ready(tid)
+        return None if op is None else ntasks + op
 
-    def run_task(tid: int) -> None:
+    def run(item: int) -> None:
         if error:
-            _finish_one()
             return
         try:
-            b = int(tg.task_block[tid])
-            with block_locks[b]:
-                chol.apply_task(tg, tid)
-            after_completion(tid, b)
+            if item >= ntasks:
+                K, J, rows, tids, blocks, *_ = updates.ops[item - ntasks]
+                with panel_locks[J]:
+                    chol.pmod(K, J, rows)
+                with state_lock:
+                    ready = [state.mod_finished(b) for b in blocks]
+                    nxt = queue.finished(item - ntasks)
+                    ready.append(None if nxt is None else ntasks + nxt)
+                    retire(len(tids))
+            else:
+                b = int(tg.task_block[item])
+                I, J = int(tg.block_I[b]), int(tg.block_J[b])
+                with panel_locks[J]:
+                    if tg.task_kind[item] == BDIV:
+                        chol.bdiv(I, J)
+                    else:
+                        chol.bfac(J)
+                with state_lock:
+                    ready = [
+                        release(state.delivered(b, int(c)))
+                        for c in state.consumers(b)[0]
+                    ]
+                    retire(1)
         except BaseException as exc:  # noqa: BLE001 - propagated to caller
             error.append(exc)
             done.set()
             return
-        _finish_one()
-
-    def _finish_one() -> None:
-        with state_lock:
-            remaining[0] -= 1
-            executed[0] += 1
-            if remaining[0] == 0:
-                done.set()
-
-    def after_completion(tid: int, b: int) -> None:
-        with state_lock:
-            if tg.task_kind[tid] == BMOD:
-                ready = [state.mod_finished(b)]
-            else:  # BFAC / BDIV: block b is final
-                ready = [
-                    state.delivered(b, int(c)) for c in state.consumers(b)[0]
-                ]
         for t in ready:
             if t is not None:
-                submit(t)
+                pool.submit(run, t)
+
+    def retire(n: int) -> None:
+        """``n`` tasks of the graph ran (call under ``state_lock``)."""
+        remaining[0] -= n
+        if remaining[0] == 0:
+            done.set()
 
     for tid in state.seeds():
-        submit(int(tid))
+        pool.submit(run, int(tid))
 
     done.wait()
     pool.shutdown(wait=True)
     if error:
         raise error[0]
-    if remaining[0] != 0:
-        raise RuntimeError("parallel factorization deadlocked")
     return ParallelFactorResult(
-        factor=chol, nthreads=nthreads, tasks_executed=executed[0]
+        factor=chol, nthreads=nthreads, tasks_executed=tg.ntasks
     )

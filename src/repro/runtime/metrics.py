@@ -43,7 +43,10 @@ class WorkerMetrics:
     """One worker's measured execution profile."""
 
     rank: int
+    #: Task-graph tasks run here (a panel update counts its member BMODs)
+    #: and the ops dispatched to run them (a panel update counts once).
     tasks_executed: int = 0
+    ops_executed: int = 0
     task_counts: dict[str, int] = field(
         default_factory=lambda: {"BFAC": 0, "BDIV": 0, "BMOD": 0}
     )
@@ -244,6 +247,10 @@ class RuntimeMetrics:
         return int(sum(w.tasks_executed for w in self.workers))
 
     @property
+    def ops_total(self) -> int:
+        return int(sum(w.ops_executed for w in self.workers))
+
+    @property
     def retransmits_total(self) -> int:
         return int(sum(w.retransmits for w in self.workers))
 
@@ -374,6 +381,7 @@ class RuntimeMetrics:
             "bytes": self.bytes_total,
             "wire_bytes": self.wire_bytes_total,
             "tasks": self.tasks_total,
+            "ops": self.ops_total,
             "recovery": {
                 "events": self.recovery_events_total,
                 "retransmits": self.retransmits_total,
@@ -439,7 +447,8 @@ class RuntimeMetrics:
             f"P={self.nprocs} wall={self.wall_s * 1e3:.1f} ms "
             f"balance={self.measured_balance:.3f} "
             f"(work {self.work_balance:.3f}) "
-            f"msgs={self.messages_total} ({self.bytes_total / 1e6:.2f} MB)"
+            f"msgs={self.messages_total} ({self.bytes_total / 1e6:.2f} MB) "
+            f"tasks={self.tasks_total} in {self.ops_total} ops"
         )
         if self.wire_bytes_total != self.bytes_total:
             summary += (

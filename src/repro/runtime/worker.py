@@ -54,8 +54,9 @@ from repro.numeric.solve import (
     permute_rhs,
     solve_flops,
 )
+from repro.fanout.dispatch import UpdateQueue
 from repro.fanout.protocol import FanoutState, remote_ranks
-from repro.fanout.tasks import BDIV, BFAC, BMOD
+from repro.fanout.tasks import BDIV, BMOD
 from repro.runtime import wire
 from repro.runtime.faults import FaultInjector
 from repro.runtime.metrics import TimelineRecorder, WorkerMetrics
@@ -66,6 +67,8 @@ from repro.runtime.solve_plan import (
 from repro.runtime.trace import TraceRecorder, WorkerTrace
 
 _KIND_NAMES = ("BFAC", "BDIV", "BMOD")
+#: The span of a dispatched op: BMODs run as panel updates, PMOD(K,J).
+_OP_NAMES = ("BFAC", "BDIV", "PMOD")
 
 #: Inbox wait per idle tick; bounds how late a worker notices a frame.
 POLL_S = 0.002
@@ -349,16 +352,17 @@ class Worker:
             self.trace.span(cat, name, t0, t1, args)
 
     def _account(self, seg: str, kind: str, t0: float, t1: float, work: int,
-                 flops: int, name: str, args: dict | None) -> None:
-        """Post-task accounting, the one step every locally executed task
-        passes through — owned and stolen factor tasks (``seg="busy"``),
-        solve tasks (``"solve_busy"``): ledger, busy span, injected faults.
-        The crash trigger counts the tasks this rank completed as owner or
-        solver and fires at the first task run here once it is reached."""
+                 flops: int, name: str, args: dict | None, n: int = 1) -> None:
+        """Post-task accounting, the one step every locally executed op
+        passes through — owned and stolen factor ops of ``n`` tasks
+        (``seg="busy"``), solve tasks (``"solve_busy"``): ledger, busy span,
+        injected faults. The crash trigger counts the tasks this rank
+        completed as owner or solver and fires at the next op run here."""
         m = self.metrics
         if seg == "busy":
-            m.tasks_executed += 1
-            m.task_counts[kind] += 1
+            m.ops_executed += 1
+            m.tasks_executed += n
+            m.task_counts[kind] += n
             m.flops_executed += flops
             m.work_executed += work
             self._span(seg, t0, "task", name, args, t1)
@@ -367,12 +371,12 @@ class Worker:
             m.solve_task_counts[kind] += 1
             m.solve_work_executed += work
             self._span(seg, t0, "solve_task", name, args, t1)
-        if self._slow_s > 0.0:
+        if self._slow_s > 0.0:  # the plan's sleep is per task, not per op
             if self.injector is not None:
-                self.injector.injected["slow"] += 1
+                self.injector.injected["slow"] += n
             if self.trace is not None:
-                self.trace.mark("slow", self._now(), {"s": self._slow_s})
-            time.sleep(self._slow_s)
+                self.trace.mark("slow", self._now(), {"s": self._slow_s * n})
+            time.sleep(self._slow_s * n)
         done = self.executed + self.solve_executed
         if self._crash_after is not None and done >= self._crash_after:
             if self.trace is not None:
@@ -473,8 +477,9 @@ class Worker:
     # message set, now with real wall-clock time. Their answers for this
     # rank are look-ups in the context's compiled ``DispatchPlan``; the
     # counters are this job's ``self.state``. This rank reports a block
-    # delivered only to the consumers it owns; on top sit the canonical
-    # BMOD order, checkpoint skipping and ``have`` / ``expected``.
+    # delivered only to the consumers it owns; BMODs run as the plan's
+    # panel updates, which ``self.updates`` releases in ascending K per
+    # panel; on top sit checkpoint skipping and ``have`` / ``expected``.
 
     def _arm_factor(self, done_blocks: list[int]) -> None:
         tg = self.tg
@@ -490,46 +495,20 @@ class Worker:
         #: Owned tasks finished: run here, returned by a thief, or skipped
         #: because a checkpoint supplies their output.
         self.executed = int((plan.mine & self.skip_task).sum())
-        # BMODs into a block run in the plan's canonical order: one whose
-        # sources arrive "early" is parked in ``_bmod_src_ready`` until
-        # its predecessors for the same block have run.
-        self._bmod_order = plan.bmod_order
-        if done_blocks:
-            self._bmod_order = {
-                b: order for b, order in plan.bmod_order.items()
-                if not done[b]
-            }
-        self._bmod_next_idx: dict[int, int] = dict.fromkeys(
-            self._bmod_order, 0
-        )
-        self._bmod_src_ready: set[int] = set()
+        self.updates = UpdateQueue(plan.updates, done)
         for tid in plan.seeds:
             self._push(tid)
 
     def _push(self, tid: int) -> None:
-        """Schedule a task unless a checkpoint already supplies its output
-        (the scheduler additionally dedups repeat pushes). BMODs are held
-        back until they are the next update in their destination block's
-        canonical order."""
-        if self.skip_task[tid]:
-            return
-        task = self.plan.task[tid]
-        if task[0] == BMOD:
-            b = task[1]
-            if self._bmod_order[b][self._bmod_next_idx[b]] != tid:
-                self._bmod_src_ready.add(tid)
-                return
-        self.scheduler.push(tid)
-
-    def _bmod_advance(self, b: int) -> None:
-        """A BMOD into ``b`` just ran: release its successor if its sources
-        already arrived (it was parked waiting for canonical order)."""
-        order = self._bmod_order[b]
-        idx = self._bmod_next_idx[b] + 1
-        self._bmod_next_idx[b] = idx
-        if idx < len(order) and order[idx] in self._bmod_src_ready:
-            self._bmod_src_ready.discard(order[idx])
-            self.scheduler.push(order[idx])
+        """Schedule a ready task — a BMOD by its panel update, once that is
+        runnable; a BFAC / BDIV unless a checkpoint supplies its output
+        (the scheduler additionally dedups repeat pushes)."""
+        if self.plan.task[tid][0] == BMOD:
+            op = self.updates.ready(tid)
+            if op is not None:
+                self.scheduler.push(self.tg.ntasks + op)
+        elif not self.skip_task[tid]:
+            self.scheduler.push(tid)
 
     def _arrived(self, b: int) -> None:
         """Block ``b``'s final value is available here (computed, received
@@ -563,51 +542,74 @@ class Worker:
         )
         return True
 
-    def _execute(self, tid: int, victim: int | None = None) -> int:
-        """Run task ``tid`` here and account for it; returns its work.
-        An owned task (``victim`` None) then fans out. A *stolen* one
-        counts toward our executed-work metrics (and the stolen tallies)
-        but *not* toward ``executed`` — that is the victim's owned-task
-        counter and ticks when the RESULT lands there."""
-        kind, b, I, J, K, flops, work = self.plan.task[tid]
-        chol = self.chol
+    def _execute(self, item: int, victim: int | None = None) -> int:
+        """Run ready-queue ``item`` — a task id, or ``ntasks + op`` for a
+        panel update — and account for it; returns its work. An owned item
+        (``victim`` None) then fans out. A *stolen* task counts toward our
+        executed-work metrics (and the stolen tallies) but *not* toward
+        ``executed``, which ticks at the victim when the RESULT lands."""
+        plan, chol, tr = self.plan, self.chol, self.trace
+        ntasks = self.tg.ntasks
         t0 = self._now()
-        if kind == BMOD:
-            chol.bmod(I, J, K)
-        elif kind == BDIV:
-            chol.bdiv(I, J)
+        if item < ntasks and plan.task[item][0] != BMOD:
+            kind, b, I, J, _, flops, work = plan.task[item]
+            if kind == BDIV:
+                chol.bdiv(I, J)
+            else:
+                chol.bfac(J)
+            tids, args, at = (item,), tr and {"tid": item, "block": b}, (I, J)
         else:
-            chol.bfac(J)
+            kind = BMOD
+            K, J, rows, tids, blocks, flops, work = (
+                plan.updates.single(item) if item < ntasks
+                else plan.updates.ops[item - ntasks]
+            )
+            chol.pmod(K, J, rows)
+            if item - ntasks in self.updates.partial:
+                # It ran whole: put back the blocks the checkpoint supplies.
+                tids, blocks, kept, flops, work = (
+                    self.updates.partial[item - ntasks])
+                for b in kept:
+                    self._store(b, wire.unpack(self.checkpoint[b]).payload)
+            args = tr and {"tids": list(tids), "blocks": list(blocks)}
+            at = (K, J)
         t1 = self._now()
-        label = _KIND_NAMES[kind]
-        name = args = None
-        if self.trace is not None:
-            name = "%s(%d,%d)" % (label, I, J)
-            args = {"tid": tid, "block": b, "flops": flops, "work": work}
+        if tr is not None:
+            args.update(flops=flops, work=work)
             if victim is not None:
                 args["stolen_from"] = victim
         if victim is None:
-            self.executed += 1
+            self.executed += len(tids)
         else:
             self.metrics.tasks_stolen += 1
             self.metrics.work_stolen += work
-        self._account("busy", label, t0, t1, work, flops, name, args)
+        self._account("busy", _KIND_NAMES[kind], t0, t1, work, flops,
+                      tr and "%s(%d,%d)" % (_OP_NAMES[kind], *at), args,
+                      len(tids))
         if victim is None:
-            self._completed(tid)
+            self._completed(item)
         return work
 
-    def _completed(self, tid: int) -> None:
-        """Owned task ``tid`` is done (here, or at a thief whose RESULT
-        just landed): a BMOD releases its successor and maybe the block's
-        BFAC/BDIV; a BFAC/BDIV publishes the now-final block, fans it out
-        and wakes its local consumers."""
-        kind, b = self.plan.task[tid][:2]
-        if kind == BMOD:
-            self._bmod_advance(b)
-            ready = self.state.mod_finished(b)
-            if ready is not None:
-                self._push(ready)
+    def _completed(self, item: int) -> None:
+        """Owned ``item`` is done (here, or at a thief whose RESULT just
+        landed): a panel update reports each member BMOD and releases the
+        next update into its panel; a BFAC/BDIV publishes the now-final
+        block, fans it out and wakes its local consumers."""
+        ntasks = self.tg.ntasks
+        if item < ntasks and self.plan.task[item][0] == BMOD:
+            item = ntasks + self.plan.updates.of[item]  # came back granted
+        if item >= ntasks:
+            op = item - ntasks
+            for tid, b in zip(*self.plan.updates.ops[op][3:5]):
+                if not self.skip_task[tid]:
+                    ready = self.state.mod_finished(b)
+                    if ready is not None:
+                        self._push(ready)
+            nxt = self.updates.finished(op)
+            if nxt is not None:
+                self.scheduler.push(ntasks + nxt)
             return
+        b = self.plan.task[item][1]
         # Mark the block final and, on the shm transport, copy it into its
         # arena slot (the producer's single copy) before any descriptor
         # for it can be sent — to peers *or* to the driver gather.
@@ -836,13 +838,18 @@ class Worker:
     # bookkeeping. Same kernel + same input bytes + same position ==
     # bitwise-identical factors, whichever rank executed the task.
     #
-    # Safe-grant invariant: any BMOD in the ready queue is the canonical
-    # next update for its destination block (_push parks the rest), and
-    # BDIV/BFAC only enqueue once mods_remaining hits zero — so at most
-    # one update per destination is ever in flight, and the victim never
-    # touches a granted-out destination until the RESULT returns (the
-    # successor BMOD stays parked, executed < n_owned keeps the pump
-    # alive, and sources are only read once a block is final).
+    # Only a BDIV or a panel update with a single member BMOD is granted,
+    # as that task's id: the thief runs it as the same one-member update
+    # (``PanelUpdates.single``). An update with several destinations is
+    # never granted, so the wire carries one destination block as before.
+    #
+    # Safe-grant invariant: a panel update in the ready queue is the next
+    # one into its destination panel (the UpdateQueue holds the rest back
+    # until it finishes), and BDIV/BFAC only enqueue once mods_remaining
+    # hits zero — so at most one update per destination is ever in flight,
+    # and the victim never touches a granted-out destination until the
+    # RESULT returns (the next update stays held, executed < n_owned keeps
+    # the pump alive, and sources are only read once a block is final).
 
     def _arm_steal(self) -> None:
         self.handlers.update({wire.STEAL_REQ: self._on_steal_req,
@@ -930,17 +937,11 @@ class Worker:
         tid, victim = msg.block, msg.src
         b = self.plan.task[tid][1]
         if self.arena is not None:
-            for s in self._task_sources(tid):
+            for s in self.plan.sources(tid):
                 self._install_source(s)
-        # Writable C-contiguous copy: BDIV solves in place, and the BMOD
-        # fused kernel's fast path requires a writable contiguous dest
-        # (falling off it would round differently and break bitwise
-        # identity with the victim having run the task itself).
-        # No BDIV layout juggling needed: bdiv_kernel canonicalizes L_KK
-        # to C order itself (a no-op: bfac_kernel, a link and an arena
-        # slot all hand it over C-ordered), so our copy of the diagonal
-        # yields exactly the bits the victim would have computed.
-        self._store(b, np.array(msg.payload), final=False)
+        # Copied into our view of the block, so the task runs on the same
+        # layout, and computes the same bits, as at the victim.
+        self._store(b, msg.payload, final=False)
         tr = self.trace
         self._span("comm", t0, "steal", "steal_grant_recv",
                    tr and {"tid": tid, "victim": victim})
@@ -954,30 +955,18 @@ class Worker:
                    tr and {"tid": tid, "victim": victim, "work": work})
         return True
 
-    def _task_sources(self, tid: int) -> list[int]:
-        """Final source blocks a stolen task reads (BDIV tasks carry
-        ``src1 == -1``; their one source is the panel's diagonal)."""
-        tg = self.tg
-        if int(tg.task_kind[tid]) == BDIV:
-            b = int(tg.task_block[tid])
-            return [int(tg.diag_block[tg.block_J[b]])]
-        srcs: list[int] = []
-        for s in (int(tg.task_src1[tid]), int(tg.task_src2[tid])):
-            if s >= 0 and s not in srcs:
-                srcs.append(s)
-        return srcs
-
     def _on_steal_req(self, msg: wire.WireMessage, nbytes: int,
                       t0: float) -> bool:
-        """Grant the steal-end task of our queue, or DENY. Grants only
-        BMOD/BDIV (BFAC pivots are cheap and fan out locally) and only
-        while we keep at least one ready task for ourselves."""
+        """Grant the steal-end task of our queue, or DENY. Grants only a
+        BDIV or a one-member panel update (BFAC pivots are cheap and fan
+        out locally) and only while we keep at least one ready task for
+        ourselves."""
         self._count_steal(nbytes)
         thief = msg.src
-        task = self.plan.task
+        grantable = self.plan.grantable
         tid = None
         if self.dynamic and thief in self.links and len(self.scheduler) >= 2:
-            tid = self.scheduler.steal(lambda t: task[t][0] != BFAC)
+            tid = grantable.get(self.scheduler.steal(grantable.__contains__))
         m = self.metrics
         tr = self.trace
         if tid is None:
@@ -988,12 +977,12 @@ class Worker:
             self._span("comm", t0, "steal", "steal_deny",
                        tr and {"thief": thief})
             return False
-        _, b, *_, work = task[tid]
+        _, b, *_, work = self.plan.task[tid]
         if self.arena is None:
             # Inline transport: ship the final sources ahead of the grant
             # (same link, FIFO — they land first). On shm the thief reads
             # them straight from the arena instead.
-            for s in self._task_sources(tid):
+            for s in self.plan.sources(tid):
                 self.links[thief].send_steal(wire.pack_steal_ship(
                     self.rank, s, *self.plan.coords[s], self._block(s)
                 ))
@@ -1016,7 +1005,7 @@ class Worker:
         self._count_steal(nbytes)
         tid = msg.block
         _, b, *_, work = self.plan.task[tid]
-        self._store(b, np.array(msg.payload), final=False)
+        self._store(b, msg.payload, final=False)
         self.executed += 1
         # Close the comm span before the bookkeeping below: _fan_out times
         # its own comm segment and must not be double-counted here.

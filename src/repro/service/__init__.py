@@ -22,8 +22,8 @@ warm:
 Repeated-pattern traffic runs as pure numeric re-factorization: warm
 jobs skip symbolic analysis, owner planning, and worker spawn entirely,
 shipping only a float64 values array per worker. Every result can be
-validated bitwise against the sequential :class:`~repro.numeric.BlockCholesky`
-baseline (``validate=True``).
+validated against the sequential :class:`~repro.numeric.BlockCholesky`
+baseline (``validate=True``; bitwise on a ``1 x P`` grid).
 
 The service is self-healing: dead or stalled workers are detected
 mid-job, the pool restarts on the survivors, and the job in flight is

@@ -82,8 +82,8 @@ class JobFailed(ServiceError):
 
 
 class ValidationFailed(JobFailed):
-    """The parallel factor did not match the sequential baseline
-    bitwise (only raised when the service runs with ``validate=True``)."""
+    """The parallel factor did not match the sequential baseline (only
+    raised when the service runs with ``validate=True``)."""
 
     kind = "validation"
 

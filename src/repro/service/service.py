@@ -17,9 +17,9 @@ flight, the next is taken when its handle has been answered.
 Cold jobs (pattern never seen) pay symbolic analysis, owner planning,
 and arena creation once; the resulting :class:`PatternEntry` is cached
 and its context shipped to the resident workers with the first job.
-Warm jobs ship a values array. Either way the numeric result is bitwise
-identical to the sequential :class:`~repro.numeric.BlockCholesky` —
-``validate=True`` asserts that on every job.
+Warm jobs ship a values array. Either way the numeric result is the
+sequential :class:`~repro.numeric.BlockCholesky`'s — bit for bit on a
+``1 x P`` grid — and ``validate=True`` asserts that on every job.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ class FactorService:
     pool exists. The service-only knobs stay keywords: the admission
     policy (``admission`` + ``queue_capacity``), the bound on one pool
     job (``batch_timeout_s``), the cache and dedup bounds, the per-job
-    attempts / deadline / circuit breaker, ``validate`` (bitwise-check
-    every factor against the sequential baseline before releasing it)
+    attempts / deadline / circuit breaker, ``validate`` (check every
+    factor against the sequential baseline before releasing it)
     and the chaos hooks ``fault_plan`` / ``fault_jobs``.
     """
 
@@ -800,22 +800,22 @@ class FactorService:
         ))
 
     def _validate(self, job_id, entry: PatternEntry, A_perm, L) -> None:
-        """Bitwise check against the sequential baseline (the runtime's
-        determinism makes exact equality the correct bar)."""
+        """Check against the sequential baseline: bit for bit when each
+        block column has one owner (the panel updates then stack whole
+        (K, J) pairs, as the sequential factor does), else to rounding."""
         from repro.numeric import BlockCholesky
 
         ref = BlockCholesky(entry.structure, A_perm).factor().to_csc()
-        same = (
-            np.array_equal(L.indptr, ref.indptr)
-            and np.array_equal(L.indices, ref.indices)
-            and np.array_equal(L.data, ref.data)
-        )
+        own, tg = np.asarray(entry.owners), entry.tg
+        whole = np.array_equal(own, own[tg.diag_block[tg.block_J]])
+        same = (np.array_equal(L.indptr, ref.indptr)
+                and np.array_equal(L.indices, ref.indices))
+        if same:
+            err = np.abs(L.data - ref.data).max(initial=0.0)
+            same = err <= (0.0 if whole else 1e-12 * abs(ref).max())
         if not same:
-            raise ValidationFailed(
-                job_id,
-                "parallel factor differs bitwise from the sequential "
-                "baseline",
-            )
+            raise ValidationFailed(job_id, "parallel factor differs from "
+                                   "the sequential baseline")
 
     def _outcome_result(self, outcome, entry, record, want_factor=False,
                         rhs=None):

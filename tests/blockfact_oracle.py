@@ -5,7 +5,16 @@ for loop, as the reference the vectorised maps are compared against.
 Also the scipy-wrapper forms of the four kernels that now call ``dpotrf`` /
 ``dtrtrs`` directly, the open-mesh BMOD scatter, and the per-task factor
 and substitution loops built on them, as they ran before the kernels were
-rebound: the production kernels must reproduce them bit for bit."""
+rebound: the production kernels must reproduce them bit for bit.
+
+And the two references of the panel update. The per-block one
+(:func:`oracle_bmod_factor`, :func:`oracle_run_schedule`) is the factor as
+it ran before BMODs were grouped — one dgemm and one scatter per block —
+and the panel updates must match it to rounding only: a dgemm over stacked
+rows need not round like the same rows computed alone. The grouped one
+(:func:`oracle_grouped_factor`) computes what the panel updates compute for
+a given block map, with every index derived from the global row numbers,
+and the production executors must match it bit for bit."""
 
 from __future__ import annotations
 
@@ -13,7 +22,10 @@ import numpy as np
 from scipy import linalg as sla
 from scipy import sparse
 
-from repro.numeric.dense_kernels import bmod_kernel_into
+from repro.blocks import WorkModel
+from repro.fanout.tasks import BDIV, BFAC
+from repro.numeric import BlockCholesky
+from repro.numeric.dense_kernels import bmod_kernel, bmod_kernel_into
 
 
 def oracle_blocks(structure, A):
@@ -193,3 +205,152 @@ def oracle_block_solve(structure, diag, below, pb):
             )
         Y[c0:c1] = oracle_bsolve(diag[k], B)
     return Y
+
+
+# ----------------------------------------------------------------------
+# The two references of the panel update
+# ----------------------------------------------------------------------
+def oracle_bmod(chol, i, j, k) -> None:
+    """``L_IJ -= L_IK L_JK^T`` for one block of ``chol``, as
+    ``BlockCholesky.bmod`` ran it before updates were grouped: a dgemm
+    into the destination when its window is one row-major slice, else the
+    product subtracted through the open mesh."""
+    plan = chol._plan
+    lo, hi = plan.spans[k][i]
+    base, cols, cspan = plan.rel_of[k][j]
+    L_IK, L_JK = chol.below[k][i], chol.below[k][j]
+    dest = chol.diag[j] if i == j else chol.below[j][i]
+    rel = plan.rel[base + lo : base + hi]
+    r0 = int(rel[0])
+    if cspan is not None and int(rel[-1]) - r0 == hi - lo - 1:
+        out = dest[r0 : r0 + hi - lo, cspan[0] : cspan[1]]
+        if out.flags.c_contiguous:
+            chol.flops += bmod_kernel_into(L_IK, L_JK, out)
+            return
+    U, f = bmod_kernel(L_IK, L_JK)
+    chol.flops += f
+    dest[rel[:, None], cols] -= U
+
+
+def oracle_run_schedule(chol, tg, schedule):
+    """Replay a completion order (one the simulator recorded, say) on
+    ``chol``, one task-graph task at a time; returns ``chol``."""
+    if len(schedule) != tg.ntasks:
+        raise ValueError("schedule does not cover every task")
+    for tid in map(int, schedule):
+        b = int(tg.task_block[tid])
+        I, J = int(tg.block_I[b]), int(tg.block_J[b])
+        if tg.task_kind[tid] == BFAC:
+            chol.bfac(J)
+        elif tg.task_kind[tid] == BDIV:
+            chol.bdiv(I, J)
+        else:
+            oracle_bmod(chol, I, J, int(tg.block_J[tg.task_src1[tid]]))
+    return chol
+
+
+def oracle_bmod_factor(structure, A):
+    """The right-looking factor one BMOD at a time, in the order
+    ``BlockCholesky.factor`` ran them before updates were grouped."""
+    chol = BlockCholesky(structure, A)
+    for k, span in enumerate(chol._plan.spans):
+        chol.bfac(k)
+        for i in span:
+            chol.bdiv(i, k)
+        brows = list(span)
+        for t, j in enumerate(brows):
+            for i in brows[t:]:
+                oracle_bmod(chol, i, j, k)
+    return chol
+
+
+def oracle_grouped_factor(structure, A, owners):
+    """``(diag, below)`` of the factor whose updates from panel K into
+    panel J are grouped by the owner of their destination block
+    (``owners`` per block of the structure's work model, as
+    ``block_owners`` gives them): per group, one product of its stacked
+    rows of K, subtracted through the open mesh — or accumulated by the
+    dgemm itself where the group's destination rows and columns are one
+    row-major window of J's panel. Each panel is one array, diagonal block
+    on top, the blocks below it in order; BFAC / BDIV go through the scipy
+    wrappers, and every destination index comes from the global rows."""
+    wm = WorkModel(structure)
+    block_of = {
+        (int(i), int(j)): b
+        for b, (i, j) in enumerate(zip(wm.dest_I, wm.dest_J))
+    }
+    diag, below = oracle_blocks(structure, A)
+    part = structure.partition
+    ptr, widths = part.panel_ptr, part.widths
+    N = structure.npanels
+    brows = [[int(i) for i in structure.block_rows[k]] for k in range(N)]
+    panels = [
+        np.concatenate([diag[k], *(below[k][i] for i in brows[k])])
+        for k in range(N)
+    ]
+
+    def slab_rows(j, i, rows):
+        """Rows of panel ``j`` holding global rows ``rows`` of block ``i``."""
+        if i == j:
+            return rows - int(ptr[j])
+        pos = np.searchsorted(structure.rows_below[j], rows)
+        assert np.array_equal(structure.rows_below[j][pos], rows)
+        return int(widths[j]) + pos
+
+    for k in range(N):
+        w, panel = int(widths[k]), panels[k]
+        splits = w + structure.row_splits[k]
+        panel[:w] = oracle_bfac(panel[:w])
+        for t in range(len(brows[k])):
+            lo, hi = splits[t], splits[t + 1]
+            panel[lo:hi] = oracle_bdiv(panel[lo:hi], panel[:w])
+        spans = [
+            structure.block_row_span(k, t) for t in range(len(brows[k]))
+        ]
+        for b, j in enumerate(brows[k]):
+            cols = spans[b] - int(ptr[j])
+            L_JK = panel[splits[b] : splits[b + 1]]
+            groups: dict = {}
+            for a in range(b, len(brows[k])):
+                owner = int(owners[block_of[brows[k][a], j]])
+                groups.setdefault(owner, []).append(a)
+            for members in groups.values():
+                src = np.concatenate(
+                    [np.arange(splits[a], splits[a + 1]) for a in members]
+                )
+                dst = np.concatenate([
+                    slab_rows(j, brows[k][a], spans[a]) for a in members
+                ])
+                # numpy's matmul calls syrk for ``X @ X.T``: the stacked
+                # operand is a view when its rows are contiguous, as in
+                # BlockCholesky.pmod, so a lone diagonal update is one.
+                S = (panel[src[0] : src[-1] + 1] if _contiguous(src)
+                     else panel[src])
+                d0, c0 = int(dst[0]), int(cols[0])
+                out = panels[j][d0 : d0 + dst.shape[0],
+                                c0 : c0 + cols.shape[0]]
+                if (_contiguous(dst) and _contiguous(cols)
+                        and out.flags.c_contiguous):
+                    bmod_kernel_into(S, L_JK, out)
+                else:
+                    oracle_scatter(panels[j], dst, cols, S @ L_JK.T)
+    diag = [panels[k][: int(widths[k])] for k in range(N)]
+    below = [
+        {i: panels[k][lo:hi] for i, lo, hi in zip(
+            brows[k], int(widths[k]) + structure.row_splits[k][:-1],
+            int(widths[k]) + structure.row_splits[k][1:],
+        )}
+        for k in range(N)
+    ]
+    return diag, below
+
+
+def oracle_grouped_cholesky(structure, A, owners):
+    """A ``BlockCholesky`` holding :func:`oracle_grouped_factor`."""
+    chol = BlockCholesky.shell(structure)
+    diag, below = oracle_grouped_factor(structure, A, owners)
+    for k, D in enumerate(diag):
+        chol.install(k, k, D)
+        for i, B in below[k].items():
+            chol.install(i, k, B)
+    return chol

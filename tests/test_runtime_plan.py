@@ -43,7 +43,7 @@ class TestPlanStaysHome:
         before = pickle.dumps(ctx)
         BlockCholesky(ctx.structure, A).factor().to_csc()
         plan = ctx.structure.__dict__["_numeric_plan"]
-        assert plan.rel_flat.dtype == np.intp and plan.panel_rows
+        assert plan.slab_flat.dtype == np.intp and plan.panel_rows
         after = pickle.dumps(ctx)
         assert len(after) == len(before)
         assert after == before

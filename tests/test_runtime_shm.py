@@ -38,6 +38,7 @@ from repro.runtime.pool import JobOutcome
 from repro.runtime.recovery import run_with_recovery
 from repro.runtime.validation import validate_runtime
 from repro.runtime.wire import CorruptFrameError, WireError
+from tests.blockfact_oracle import oracle_grouped_cholesky
 
 needs_shm = pytest.mark.skipif(
     not shm_available(), reason="multiprocessing.shared_memory unavailable"
@@ -444,14 +445,18 @@ class TestArenaGather:
     ):
         """Bitwise on (indptr, indices, data): the factor copied out of
         the arena, the one installed from gather frames, the sequential
-        one — both problems, both block policies, both schedules. A clean
-        shm result carries no frame, an inline one every owned block."""
+        one — both problems, both block policies, both schedules. At P = 4
+        (a 2 x 2 grid) a rank's panel updates stack its share of the rows,
+        so the third is the grouped oracle. A clean shm result carries no
+        frame, an inline one every owned block."""
         seq = 0
         with WorkerPool(nprocs=nprocs) as pool:
             for (name, policy), (bs, wm, tg, A, ref) in (
                 gather_problems.items()
             ):
                 owners, _ = plan_owners(wm, tg, nprocs, "DW/CY")
+                if nprocs == 4:
+                    ref = oracle_grouped_cholesky(bs, A, owners).to_csc()
                 for schedule in ("static", "dynamic"):
                     cell = f"{name}-{policy}-{schedule}"
                     arena = BlockArena.create(tg)

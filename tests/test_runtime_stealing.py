@@ -28,6 +28,26 @@ def _run(pipe, schedule, transport, nprocs=4, **kw):
     )
 
 
+@pytest.fixture(scope="module")
+def throttle_pipeline():
+    """The 12 x 12 grid at B = 4 (970 tasks): a rank runs its BMODs as
+    panel updates, so at B = 8 the throttled rank has so few ops — and
+    reads its inbox so seldom — that a run can end without one grant; at
+    B = 4 every run migrates work."""
+    from repro.blocks import BlockPartition, BlockStructure, WorkModel
+    from repro.fanout import TaskGraph
+    from repro.matrices import grid2d_matrix
+    from repro.ordering import order_problem
+    from repro.symbolic import symbolic_factor
+
+    problem = grid2d_matrix(12)
+    sf = symbolic_factor(problem.A, order_problem(problem, "nd"))
+    part = BlockPartition(sf, 4)
+    bs = BlockStructure(part)
+    wm = WorkModel(bs)
+    return problem, sf, part, bs, wm, TaskGraph(wm)
+
+
 def _bitwise(L, ref):
     return (
         np.array_equal(L.indptr, ref.indptr)
@@ -53,13 +73,14 @@ class TestBitwiseIdentity:
         assert dy.metrics.tasks_total == st.metrics.tasks_total
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_dynamic_under_throttle_bitwise(self, grid12_pipeline, transport):
+    def test_dynamic_under_throttle_bitwise(self, throttle_pipeline,
+                                            transport):
         """A throttled worker forces real migrations; the factor still
         matches an unfaulted static run bitwise."""
-        st = _run(grid12_pipeline, "static", transport)
+        st = _run(throttle_pipeline, "static", transport)
         plan = FaultPlan.scenario("slow", rank=0, slow_s=0.005, seed=3)
         dy = _run(
-            grid12_pipeline, "dynamic", transport,
+            throttle_pipeline, "dynamic", transport,
             fault_plan=plan, recovery=False,
         )
         assert _bitwise(dy.to_csc(), st.to_csc())
@@ -91,10 +112,10 @@ class TestAccounting:
         )
         assert rep.ok
 
-    def test_steal_ledger_is_consistent(self, grid12_pipeline):
+    def test_steal_ledger_is_consistent(self, throttle_pipeline):
         plan = FaultPlan.scenario("slow", rank=0, slow_s=0.005, seed=3)
         res = _run(
-            grid12_pipeline, "dynamic", "inline",
+            throttle_pipeline, "dynamic", "inline",
             fault_plan=plan, recovery=False,
         )
         m = res.metrics
@@ -127,10 +148,10 @@ class TestTraceConformance:
         )
         assert rep.ok
 
-    def test_replay_migration_counts_match_metrics(self, grid12_pipeline):
+    def test_replay_migration_counts_match_metrics(self, throttle_pipeline):
         plan = FaultPlan.scenario("slow", rank=0, slow_s=0.005, seed=3)
         res = _run(
-            grid12_pipeline, "dynamic", "inline", trace=True,
+            throttle_pipeline, "dynamic", "inline", trace=True,
             fault_plan=plan, recovery=False,
         )
         rep = replay_trace(res.trace)

@@ -47,19 +47,25 @@ class TestFaultFreeConformance:
         assert tr.meta["mapping"] == "DW/CY"
 
     def test_every_task_exactly_once(self, traced_run):
+        """A BFAC / BDIV span names its task, a panel update (PMOD) span
+        its member BMODs; together, every task once."""
         res, tg, owners = traced_run
         tids = [
-            e.args["tid"] for e in res.trace.events if e.cat == "task"
+            t for e in res.trace.events if e.cat == "task"
+            for t in e.args.get("tids", [e.args.get("tid")])
         ]
         assert len(tids) == tg.ntasks
         assert len(set(tids)) == tg.ntasks
         assert sorted(tids) == list(range(tg.ntasks))
+        spans = [e for e in res.trace.events if e.cat == "task"]
+        assert len(spans) == res.metrics.ops_total < tg.ntasks
 
     def test_tasks_ran_on_their_owner(self, traced_run):
         res, tg, owners = traced_run
         for e in res.trace.events:
             if e.cat == "task":
-                assert e.rank == owners[e.args["block"]]
+                for b in e.args.get("blocks", [e.args.get("block")]):
+                    assert e.rank == owners[b]
 
     def test_per_worker_event_order_monotone(self, traced_run):
         res, tg, owners = traced_run

@@ -2,11 +2,12 @@
 
 A seeded GRID problem (12x12 grid, nd ordering, B=8) factored on P=2
 workers with the DW/CY mapping produces a deterministic *trace skeleton*:
-which tasks ran on which rank, which blocks each rank sent and received,
-and which event categories appeared. Timestamps and the interleaving of
-events *across* workers are timing-dependent and are deliberately NOT
-part of the skeleton; per-rank dependency ordering is checked
-programmatically instead (BMODs into a block before its BFAC/BDIV, a
+which ops (BFAC, BDIV, and the panel updates PMOD(K,J) that run the
+BMODs) ran on which rank, which blocks each rank sent and received, and
+which event categories appeared. Timestamps and the interleaving of events
+*across* workers are timing-dependent and are deliberately NOT part of the
+skeleton; per-rank dependency ordering is checked programmatically instead
+(panel updates into a block before its BFAC/BDIV and in ascending K, a
 diagonal's BFAC before any same-rank BDIV under it).
 
 The skeleton is checked in at ``tests/golden/trace_skeleton_grid12_p2.json``.
@@ -27,7 +28,7 @@ from repro.runtime import mp_block_cholesky, plan_owners
 
 GOLDEN = Path(__file__).parent / "golden" / "trace_skeleton_grid12_p2.json"
 
-_COORD = re.compile(r"^(BFAC|BDIV|BMOD|recv|send)\((\d+),(\d+)\)$")
+_COORD = re.compile(r"^(BFAC|BDIV|PMOD|recv|send)\((\d+),(\d+)\)$")
 
 
 def _run_traced(pipeline):
@@ -106,23 +107,30 @@ def test_chrome_export_matches_golden_tasks(golden_run):
 
 
 def test_per_rank_dependency_order(golden_run):
-    """Within each worker's recorded order: every BMOD into a block comes
-    before the block's own BFAC/BDIV, and a diagonal's BFAC comes before
-    any BDIV under that diagonal on the same rank."""
+    """Within each worker's recorded order: every panel update PMOD(K,J)
+    into a block comes before the block's own BFAC/BDIV, the updates into
+    one panel come in ascending K, and a diagonal's BFAC comes before any
+    BDIV under that diagonal on the same rank."""
     res, tg = golden_run
     for rank, events in res.trace.per_worker(0).items():
-        tasks = [e.name for e in events if e.cat == "task"]
-        position = {name: i for i, name in enumerate(tasks)}
-        for i, name in enumerate(tasks):
+        spans = [e for e in events if e.cat == "task"]
+        position = {e.name: i for i, e in enumerate(spans)}
+        last_source: dict[str, int] = {}
+        for i, e in enumerate(spans):
+            name = e.name
             kind, I, J = _COORD.match(name).group(1, 2, 3)
-            if kind == "BMOD":
-                target = (
-                    f"BFAC({I},{J})" if I == J else f"BDIV({I},{J})"
-                )
-                if target in position:
-                    assert i < position[target], (
-                        f"w{rank}: {name} after {target}"
+            if kind == "PMOD":
+                assert int(I) > last_source.get(J, -1), name
+                last_source[J] = int(I)
+                for b in e.args["blocks"]:
+                    bI, bJ = tg.block_I[b], tg.block_J[b]
+                    target = (
+                        f"BFAC({bI},{bJ})" if bI == bJ else f"BDIV({bI},{bJ})"
                     )
+                    if target in position:
+                        assert i < position[target], (
+                            f"w{rank}: {name} after {target}"
+                        )
             elif kind == "BDIV":
                 fac = f"BFAC({J},{J})"
                 if fac in position:
