@@ -17,9 +17,9 @@ Layers: :mod:`~repro.runtime.wire` (block serialization, CRC32 integrity),
 :mod:`~repro.runtime.scheduler` (per-worker ready queues),
 :mod:`~repro.runtime.worker` (the event loop),
 :mod:`~repro.runtime.pool` (the one process lifecycle: spawn, dispatch,
-collect, reap — for one job or for the resident :mod:`repro.service`),
-:mod:`~repro.runtime.engine` (the one-shot driver over it, and the
-outcome-to-result step every caller shares),
+collect, reap — for one call, a façade instance or :mod:`repro.service`),
+:mod:`~repro.runtime.engine` (the pattern plan every job is built from,
+the one-shot driver and the outcome-to-result step),
 :mod:`~repro.runtime.faults` (deterministic chaos injection),
 :mod:`~repro.runtime.recovery` (checkpoint/restart + sequential fallback),
 :mod:`~repro.runtime.trace` (always-available structured event tracing),

@@ -47,10 +47,10 @@ CRC from the slots (:meth:`BlockArena.running_crc`). Per-slot look-ups
 (offset, extents, the mapped view) are tables built once per layout / per
 attachment.
 
-Lifecycle: the driver creates the arena (:meth:`BlockArena.create`) and
-unlinks it in the engine's ``finally`` (:meth:`BlockArena.destroy`), even
-on crash/abort paths — workers only ever attach (:meth:`BlockArena.attach`)
-and never unlink, so no ``/dev/shm`` segment outlives a run.
+Lifecycle: a pattern's plan creates the arena (:meth:`BlockArena.create`);
+its owner — a one-shot call, a façade instance, the service — unlinks it
+(:meth:`BlockArena.destroy`) on every exit path. Workers only attach
+(:meth:`BlockArena.attach`), so no ``/dev/shm`` segment outlives its owner.
 """
 
 from __future__ import annotations

@@ -1,14 +1,13 @@
-"""One-shot driver for the message-passing fan-out runtime.
+"""The one job path of the message-passing fan-out runtime.
 
-The runtime has one process lifecycle, :class:`repro.runtime.pool.WorkerPool`
-(spawn, link fabric, dispatch, collect, reap). ``run_mp_fanout`` is that
-lifecycle lived once: open a crew (:func:`one_shot_crew`), plan one job,
-``run_batch`` it, and turn the :class:`~repro.runtime.pool.JobOutcome`
-into an :class:`MPRuntimeResult` — or into the typed :class:`FanoutError`
-that carries every salvaged ``WorkerResult`` and the ranks the failure is
-attributed to. :func:`~repro.runtime.recovery.run_with_recovery` runs its
-attempts through one such crew. :func:`outcome_result`, the assembly step,
-also serves the factorization service's jobs and warm solves.
+One process lifecycle, :class:`repro.runtime.pool.WorkerPool`, and one way
+to run a job on it: a :class:`PatternPlan` builds the
+:class:`~repro.runtime.pool.PoolJob`, the pool runs it, and the
+:class:`~repro.runtime.pool.JobOutcome` becomes a result
+(:func:`outcome_result`) or the typed :class:`FanoutError` of
+:func:`raise_failure`. Three owners hold a pool: ``run_mp_fanout`` and
+``run_with_recovery`` for one call, a ``SparseCholesky(backend="mp")``
+instance across its calls, and the factorization service.
 
 ``plan_owners`` turns the mapping names used everywhere else in the repo
 (``"cyclic"``, ``"DW/CY"``, ...) into a block ownership array, so the
@@ -19,7 +18,6 @@ be executed for real and timed.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -37,11 +35,7 @@ from repro.runtime import wire
 from repro.runtime.arena import BlockArena, resolve_transport
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.pool import (
-    START_METHOD,
-    JobOutcome,
-    PatternContext,
-    PoolJob,
-    WorkerPool,
+    START_METHOD, JobOutcome, PatternContext, PoolJob, WorkerPool,
 )
 from repro.runtime.trace import RunTrace
 
@@ -94,7 +88,7 @@ class MPRuntimeResult:
     owners: np.ndarray
     mapping: str
     meta: dict = field(default_factory=dict)
-    #: Populated by :func:`repro.runtime.recovery.run_with_recovery`.
+    #: Populated by :func:`repro.runtime.recovery.run_job`.
     failure_report: object | None = None
     #: Merged structured trace (:class:`repro.runtime.trace.RunTrace`),
     #: present when the run was started with ``trace=...``.
@@ -107,18 +101,63 @@ class MPRuntimeResult:
         return self.factor.to_csc()
 
 
-def plan_owners(
-    wm,
-    tg: TaskGraph,
-    nprocs: int,
-    mapping: str = "DW/CY",
-    use_domains: bool = False,
-) -> tuple[np.ndarray, str]:
+def plan_owners(wm, tg: TaskGraph, nprocs: int, mapping: str = "DW/CY",
+                use_domains: bool = False) -> tuple[np.ndarray, str]:
     """Block ownership for ``nprocs`` workers under a named mapping
     (names as :func:`repro.mapping.named_map` spells them)."""
     cmap = named_map(wm, nprocs, mapping)
     domains = assign_domains(wm, nprocs) if use_domains else None
     return block_owners(tg, cmap, domains), cmap.name
+
+
+@dataclass
+class PatternPlan:
+    """The driver's plan of one sparsity pattern, whoever owns the pool
+    (the service's cache entry extends it): the block map ``owners`` /
+    ``mapping_name`` last planned, for ``planned_nprocs`` workers (the
+    recovery loop plans it for the crew at hand), the ``config`` its jobs
+    run under and its driver-owned shm ``arena`` (None on inline)."""
+
+    pattern_id: str
+    structure: object
+    tg: object
+    owners: np.ndarray | None = None
+    mapping_name: str = ""
+    planned_nprocs: int = 0
+    config: RunConfig = field(default_factory=RunConfig)
+    arena: BlockArena | None = None
+
+    @classmethod
+    def create(cls, structure, tg, config: RunConfig, pattern_id="one-shot",
+               **fields) -> "PatternPlan":
+        """A plan under ``config``, with an arena when its transport
+        resolves to shm; ``fields`` are the other fields."""
+        shm = resolve_transport(config.transport, config.nprocs) == "shm"
+        return cls(pattern_id, structure, tg, config=config,
+                   arena=BlockArena.create(tg) if shm else None, **fields)
+
+    def context(self, A) -> PatternContext:
+        """The context to ship, over ``A``'s (permuted csc) pattern."""
+        return PatternContext(
+            self.pattern_id, self.structure, self.tg, self.owners,
+            A.indptr, A.indices, tuple(A.shape),
+            None if self.arena is None else self.arena.name, self.config,
+        )
+
+    def job(self, pool: WorkerPool, A, seq: int, **fields) -> PoolJob:
+        """The factor job of ``A`` on ``pool``, with the context exactly
+        when the pool has not seen the pattern; ``fields`` are its other
+        :class:`PoolJob` fields."""
+        context = (None if self.pattern_id in pool.seen_patterns
+                   else self.context(A))
+        return PoolJob(seq, self.pattern_id, A.data, context,
+                       self.config.trace_capacity, **fields)
+
+    def destroy(self) -> None:
+        """Release the arena segment (the driver owns it). Idempotent."""
+        if self.arena is not None:
+            self.arena.destroy()
+            self.arena = None
 
 
 def run_mp_fanout(
@@ -173,120 +212,79 @@ def run_mp_fanout(
         raise ValueError("block owner out of range for nprocs")
     if recovery is None:
         recovery = fault_plan is not None
-
     if rhs is not None:
         rhs, _ = permute_rhs(rhs, A.shape[0], None)
-        rhs = np.ascontiguousarray(
-            rhs.reshape(-1, 1) if rhs.ndim == 1 else rhs
-        )
+        rhs = np.ascontiguousarray(rhs.reshape(rhs.shape[0], -1))
 
-    with one_shot_crew(structure, A, tg, config) as (pool, make_job, finish):
-        job = make_job(
-            owners, fault_plan=fault_plan, rhs=rhs, recovery=recovery,
-            checkpoint=checkpoint,
-        )
-        outcome = pool.run_batch([job], config.timeout_s)[0]
-        return finish(outcome, job, mapping)
-
-
-@contextmanager
-def one_shot_crew(structure, A, tg, config: RunConfig):
-    """A crew of ``config.nprocs`` workers (plus the arena, on the shm
-    transport) serving one call; every exit path reaps the children and
-    unlinks the arena. Yields the started pool, ``make_job(owners,
-    **fields)`` — a :class:`PoolJob` of ``A`` that ships its pattern
-    context — and ``finish(outcome, job, mapping, report=None)`` — the
-    job's :class:`MPRuntimeResult`, or its typed :class:`FanoutError`
-    raised; ``report`` becomes the ``failure_report`` of either."""
     # The very arrays the task graph's own reference to A holds (no copy
     # for csc input), so the job pickles them once.
     A = A.tocsc()
-    transport = resolve_transport(config.transport, config.nprocs)
-    arena = BlockArena.create(tg) if transport == "shm" else None
-    # wall_s counts from before the crew is spawned.
-    epoch = time.perf_counter()
-    pool = WorkerPool(config.nprocs)
-
-    def make_job(owners, seq=0, **fields) -> PoolJob:
-        return PoolJob(
-            seq=seq,
-            pattern_id="one-shot",
-            values=A.data,
-            context=PatternContext(
-                pattern_id="one-shot",
-                structure=structure,
-                tg=tg,
-                owners=owners,
-                indptr=A.indptr,
-                indices=A.indices,
-                shape=A.shape,
-                arena_name=None if arena is None else arena.name,
-                config=config,
-            ),
-            trace_capacity=config.trace_capacity,
-            **fields,
-        )
-
-    def finish(outcome, job, mapping, report=None) -> MPRuntimeResult:
-        if not outcome.ok:
-            salvaged = dict(
-                results=outcome.results, failed_ranks=outcome.failed_ranks
-            )
-            if pool.last_error is not None:
-                # Told apart by looking at the crew as the job left it.
-                kind = (DeadWorkerError if pool.dead_ranks()
-                        else RuntimeTimeoutError)
-                error = kind(
-                    f"{pool.last_error}; {len(outcome.results)}/"
-                    f"{pool.nprocs} workers reported", **salvaged,
-                )
-            elif outcome.failed_ranks:
-                first = outcome.failed_ranks[0]
-                error = WorkerError(
-                    first, outcome.results[first].metrics.error, **salvaged
-                )
-            else:
-                error = FanoutError(outcome.error or "aborted", **salvaged)
-            error.failure_report = report
-            raise error
-        owners, rhs, plan = job.context.owners, job.rhs, job.fault_plan
-        attempt = int(plan.attempt) if plan is not None else 0
-        factor, solution, metrics, run_trace = outcome_result(
-            outcome, structure, tg, A, rhs, owners=owners,
-            wall_s=launch_s + outcome.wall_s, mapping=mapping,
-            arena=arena, config=config, attempt=attempt,
-        )
-        meta = {
-            "start_method": START_METHOD,
-            "recovery": job.recovery,
-            "checkpoint_blocks": len(job.checkpoint) if job.checkpoint else 0,
-            "transport": transport,
-            "schedule": config.schedule,
-            "block_policy": getattr(
-                structure.partition, "policy_name", "uniform"
-            ),
-        }
-        if rhs is not None:
-            meta["nrhs"] = int(rhs.shape[1])
-        return MPRuntimeResult(
-            factor=factor,
-            metrics=metrics,
-            owners=owners,
-            mapping=mapping,
-            meta=meta,
-            failure_report=report,
-            trace=run_trace,
-            solution=solution,
-        )
-
+    plan = PatternPlan.create(structure, tg, config, owners=owners,
+                              mapping_name=mapping, planned_nprocs=nprocs)
+    pool = WorkerPool(nprocs)
     try:
+        # wall_s counts from before the crew is spawned.
+        epoch = time.perf_counter()
         pool.start()
         launch_s = time.perf_counter() - epoch
-        yield pool, make_job, finish
+        job = plan.job(pool, A, 0, fault_plan=fault_plan, rhs=rhs,
+                       recovery=recovery, checkpoint=checkpoint)
+        outcome = pool.run_batch([job], config.timeout_s)[0]
+        return job_result(plan, job, outcome, pool, launch_s)
     finally:
         pool.close()
-        if arena is not None:
-            arena.destroy()
+        plan.destroy()
+
+
+def raise_failure(outcome: JobOutcome, pool: WorkerPool, report=None):
+    """Raise the typed :class:`FanoutError` of a failed ``outcome``, told
+    apart by the crew as the job left it: a dead process or the batch
+    timeout outranks the first raising rank. It carries the salvaged
+    results and ``report`` as its ``failure_report``."""
+    salvaged = dict(results=outcome.results, failed_ranks=outcome.failed_ranks)
+    if pool.last_error is not None:
+        kind = DeadWorkerError if pool.dead_ranks() else RuntimeTimeoutError
+        error = kind(
+            f"{pool.last_error}; {len(outcome.results)}/{pool.nprocs} "
+            "workers reported", **salvaged,
+        )
+    elif outcome.failed_ranks:
+        first = outcome.failed_ranks[0]
+        error = WorkerError(
+            first, outcome.results[first].metrics.error, **salvaged
+        )
+    else:
+        error = FanoutError(outcome.error or "aborted", **salvaged)
+    error.failure_report = report
+    raise error
+
+
+def job_result(plan: PatternPlan, job: PoolJob, outcome: JobOutcome,
+               pool: WorkerPool, launch_s=0.0, report=None) -> MPRuntimeResult:
+    """The result of ``plan``'s factor ``job`` as it left ``pool`` (whose
+    start took ``launch_s``), or its :func:`raise_failure`; ``report`` is
+    the ``failure_report`` of either."""
+    if not outcome.ok:
+        raise_failure(outcome, pool, report)
+    factor, solution, metrics, run_trace = outcome_result(
+        outcome, plan.structure, plan.tg, True, job.rhs, owners=plan.owners,
+        wall_s=launch_s + outcome.wall_s, mapping=plan.mapping_name,
+        arena=plan.arena, config=plan.config,
+        attempt=int(getattr(job.fault_plan, "attempt", 0)),
+    )
+    meta = dict(
+        start_method=START_METHOD, recovery=job.recovery,
+        checkpoint_blocks=len(job.checkpoint or ()),
+        transport=metrics.transport, schedule=plan.config.schedule,
+        block_policy=getattr(plan.structure.partition, "policy_name",
+                             "uniform"),
+    )
+    if job.rhs is not None:
+        meta["nrhs"] = int(job.rhs.shape[1])
+    return MPRuntimeResult(
+        factor, metrics, plan.owners, plan.mapping_name, meta,
+        failure_report=report, trace=run_trace, solution=solution,
+    )
 
 
 def outcome_result(
@@ -315,7 +313,8 @@ def outcome_result(
     lets a gather error name the rank a block was due from); ``rhs`` (the
     permuted panel the job solved) asks for the stitched solution; a warm
     solve job passes only the latter. ``wall_s`` defaults to the job's
-    own (dispatch to last report); a one-shot run adds its launch.
+    own (dispatch to last report); a caller that started the crew adds
+    its launch.
     ``mapping``, the transport (shm exactly when there is an arena) and
     the ``config``'s schedule label the metrics and the trace, which is
     merged whenever the workers shipped one. Raises :class:`FanoutError`
@@ -345,33 +344,23 @@ def outcome_result(
                 "reported", results=results,
             )
     metrics = RuntimeMetrics(
-        nprocs=nprocs,
-        wall_s=wall_s,
-        workers=[res.metrics for res in results.values()],
-        mapping=mapping,
-        problem=problem,
-        transport="inline" if arena is None else "shm",
-        schedule=schedule,
+        nprocs, wall_s, [res.metrics for res in results.values()], mapping,
+        problem, "inline" if arena is None else "shm", schedule,
     )
     if gather is not None:
         metrics.extra["gather"] = gather
     trace = None
     if any(res.trace is not None for res in results.values()):
         grid = best_grid(nprocs)
-        meta = {
-            "nprocs": nprocs,
-            "mapping": mapping,
-            "grid": [int(grid.Pr), int(grid.Pc)],
-            "start_method": START_METHOD,
-            "attempt": attempt,
-            "schedule": schedule,
-            "wall_s": wall_s,
-        }
+        meta = dict(
+            nprocs=nprocs, mapping=mapping, grid=[int(grid.Pr), int(grid.Pc)],
+            start_method=START_METHOD, attempt=attempt, schedule=schedule,
+            wall_s=wall_s,
+        )
         if rhs is not None:
             meta["nrhs"] = int(rhs.shape[1])
         trace = RunTrace.from_workers(
-            {r: results[r].trace for r in sorted(results)},
-            meta=meta,
+            {r: results[r].trace for r in sorted(results)}, meta=meta,
             attempt=attempt,
         )
     return factor, solution, metrics, trace
@@ -476,10 +465,7 @@ def mp_block_cholesky(
     are :func:`run_mp_fanout`'s: per-call arguments and config overrides."""
     knobs = {f.name for f in fields(RunConfig)} & kwargs.keys()
     config = RunConfig.of(config, {k: kwargs.pop(k) for k in knobs})
-    owners, name = plan_owners(
-        tg.workmodel, tg, config.nprocs, config.mapping, config.use_domains
-    )
-    return run_mp_fanout(
-        structure, A, tg, owners, config.nprocs, config, mapping=name,
-        **kwargs,
-    )
+    owners, name = plan_owners(tg.workmodel, tg, config.nprocs,
+                               config.mapping, config.use_domains)
+    return run_mp_fanout(structure, A, tg, owners, config.nprocs, config,
+                         mapping=name, **kwargs)

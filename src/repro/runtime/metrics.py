@@ -209,8 +209,8 @@ class RuntimeMetrics:
     #: Scheduling mode: ``"static"`` (owner-mapped task lists) or
     #: ``"dynamic"`` (ready-queue execution with work stealing).
     schedule: str = "static"
-    #: Free-form annotations carried into the JSON dump (e.g. the solver's
-    #: plan-cache counters, the service layer's per-job context).
+    #: Free-form annotations carried into the JSON dump (e.g. the gather
+    #: record, the service layer's per-job context).
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:

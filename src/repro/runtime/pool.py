@@ -4,17 +4,16 @@ The paper's block fan-out method has one execution model — P processors
 that own blocks and exchange completed ones — and :class:`WorkerPool` is
 its one implementation: the only code that creates processes, a
 :class:`~repro.runtime.links.LinkFabric`, a result queue, a collect loop
-or a reap. A one-shot :func:`~repro.runtime.engine.run_mp_fanout` is a
-pool that lives for one job; the factorization service
-(:mod:`repro.service`) keeps one alive across jobs, which is the paper's
-own motivating workload (a new numeric factorization per interior-point
-step). Either way a job is a small message to a resident crew:
+or a reap. ``run_mp_fanout`` and ``run_with_recovery`` hold a pool for
+one call; a ``SparseCholesky(backend="mp")`` instance and the
+factorization service (:mod:`repro.service`) keep one across calls — the
+paper's own workload, a new numeric factor per interior-point step. Every
+job is built by its pattern's :class:`~repro.runtime.engine.PatternPlan`:
 
-* **Pattern contexts** travel once. The first job of a sparsity pattern
-  carries the block structure, task graph, owner plan, and arena name;
-  workers cache them (and their arena attachment) keyed by pattern id, so
-  every later job with the same pattern is *values-only*: a single float64
-  array (the permuted matrix's csc data) per worker.
+* **Pattern contexts** travel once. A pattern's first job on a crew
+  carries its block structure, task graph, owner plan and arena name;
+  workers cache them (and the arena attachment) by pattern id, so every
+  later job of the pattern is *values-only*: the permuted csc data.
 * **One job in flight.** A job is one command put per worker, and the
   driver collects every rank's result before it dispatches the next; a
   list handed to :meth:`WorkerPool.run_batch` runs strictly one job
@@ -394,14 +393,15 @@ class WorkerPool:
     Usage::
 
         pool = WorkerPool(nprocs=4).start()
-        outcomes = pool.run_batch([PoolJob(...), ...])
+        outcomes = pool.run_batch([plan.job(pool, A, seq), ...])
         pool.close()
 
     The pool tracks which pattern ids this incarnation has shipped
-    (:attr:`seen_patterns`); callers include a :class:`PatternContext` on
-    a job exactly when its pattern is not in that set. :meth:`restart`
-    replaces dead processes with a fresh fabric and clears the set, so
-    contexts are re-shipped lazily.
+    (:attr:`seen_patterns`); :meth:`PatternPlan.job
+    <repro.runtime.engine.PatternPlan.job>` includes a
+    :class:`PatternContext` exactly when its pattern is not in that set.
+    :meth:`restart` replaces dead processes with a fresh fabric and clears
+    the set, so contexts are re-shipped lazily.
     """
 
     def __init__(self, nprocs: int):

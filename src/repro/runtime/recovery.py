@@ -5,7 +5,7 @@ covers every failure: re-plan the map on the surviving workers, run
 again, and fall back to the sequential factorization last. :func:`recover`
 is that idea written once, over a :class:`~repro.runtime.pool.WorkerPool`
 the caller owns and a list of :class:`RecoveryJob` — one for
-:func:`run_with_recovery`, a batch for the factorization service. Each
+:func:`run_job`, a batch for the factorization service. Each
 round it re-plans owners for the crew, runs the attempt, settles with the
 pool (:func:`settle`, the one place a crew is healed), and sorts the
 jobs: a finished or expired one leaves; a failed one has its checkpoint
@@ -15,18 +15,20 @@ or the caller stops the loop — then it leaves for :func:`last_resort`.
 Every job leaves with a :class:`FailureReport`, so a result can always
 say whether its factor came from a clean run, a recovered restart or the
 sequential fallback. What the callers differ in is a
-:class:`RecoveryPolicy`; how a job becomes a
-:class:`~repro.runtime.pool.PoolJob` stays with their spec builders.
+:class:`RecoveryPolicy`; their jobs are built by the pattern's
+:class:`~repro.runtime.engine.PatternPlan`. :func:`run_job` is one
+factorization through the loop, on a one-shot crew
+(:func:`run_with_recovery`) or a ``SparseCholesky`` instance's held one.
 Failed attempts, heals, fallbacks and recoveries are logged here.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import time
 from dataclasses import asdict, dataclass, field, replace
-from types import SimpleNamespace
 
 import numpy as np
 from scipy import sparse
@@ -36,7 +38,9 @@ from repro.config import RunConfig
 from repro.fanout.tasks import TaskGraph
 from repro.numeric.blockfact import BlockCholesky
 from repro.runtime import wire
-from repro.runtime.engine import MPRuntimeResult, one_shot_crew, plan_owners
+from repro.runtime.engine import (
+    MPRuntimeResult, PatternPlan, job_result, plan_owners,
+)
 from repro.runtime.faults import FaultPlan
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.pool import JobOutcome, WorkerPool
@@ -131,11 +135,9 @@ class FailureReport:
 
 class RecoveryJob:
     """One factorization on its way through :func:`recover`: the permuted
-    csc matrix ``A``, a ``label`` for the log and the pattern's ``plan`` —
-    ``structure``, ``tg``, ``config`` and the ``owners`` /
-    ``mapping_name`` last planned, for ``planned_nprocs`` workers (the
-    service passes its ``PatternEntry``) — plus what the loop keeps: the
-    ``checkpoint`` frames (by block) and ``traces`` salvaged from failed
+    csc matrix ``A``, a ``label`` for the log and the pattern's
+    :class:`~repro.runtime.engine.PatternPlan` — plus what the loop keeps:
+    the ``checkpoint`` frames (by block) and ``traces`` salvaged from failed
     attempts, the last attempt's ``outcome`` and the ``report``, which
     says degraded — owed the last resort — until an attempt finishes."""
 
@@ -157,9 +159,8 @@ class RecoveryJob:
         return self
 
 
-def _harvest_checkpoint(
-    out: JobOutcome, tg: TaskGraph, checkpoint: dict[int, bytes]
-) -> int:
+def _harvest_checkpoint(out: JobOutcome, tg: TaskGraph,
+                        checkpoint: dict[int, bytes]) -> int:
     """Fold the completed-block frames a failed attempt shipped home into
     ``checkpoint`` (CRC-verified first; a block already held is kept) and
     return how many were new. Checkpoint frames carry their payload on
@@ -279,11 +280,52 @@ def last_resort(job: RecoveryJob) -> tuple[BlockCholesky, RuntimeMetrics]:
     t0 = time.perf_counter()
     factor = BlockCholesky(job.plan.structure, job.A).factor()
     job._leave(1)
-    metrics = RuntimeMetrics(
-        nprocs=1, wall_s=time.perf_counter() - t0, workers=[],
-        mapping=SEQUENTIAL_MAPPING,
-    )
-    return factor, metrics
+    wall_s = time.perf_counter() - t0
+    return factor, RuntimeMetrics(1, wall_s, [], SEQUENTIAL_MAPPING)
+
+
+def run_job(pool: WorkerPool, plan: PatternPlan, A, policy: RecoveryPolicy,
+            seqs, *, rhs=None, fault_plan: FaultPlan | None = None,
+            recovery=False, fallback_sequential=True) -> MPRuntimeResult:
+    """Factor ``A`` (permuted csc) on ``pool``, regrown and started first:
+    :func:`recover` over ``plan``'s jobs, numbered from ``seqs``, each with
+    ``fault_plan``'s faults for its attempt, the integrity protocol when
+    ``recovery`` and the checkpoint earlier attempts salvaged (``rhs``
+    appends the distributed solve). Returns the last attempt's result, or
+    the :func:`last_resort`'s (no ``solution``; what it raises
+    propagates), or — ``fallback_sequential`` off — raises the attempt's
+    typed error. Either carries the job's ``FailureReport``."""
+    job = RecoveryJob(plan, A, plan.pattern_id)
+    report, shipped = job.report, []  # one PoolJob per attempt
+    epoch = time.perf_counter()
+    pool.regrow().start()
+    launch_s = time.perf_counter() - epoch
+
+    def specs(pending, attempt):
+        faults = fault_plan and fault_plan.for_attempt(attempt)
+        shipped.append(plan.job(
+            pool, A, next(seqs), rhs=rhs, recovery=recovery,
+            fault_plan=faults, checkpoint=job.checkpoint or None,
+        ))
+        return shipped[-1:]
+
+    list(recover(pool, [job], specs, policy, plan.config.timeout_s))
+    if report.ok or not fallback_sequential:
+        res = job_result(plan, shipped[-1], job.outcome, pool, launch_s,
+                         report)
+        report.recovery_events = res.metrics.recovery_events_total
+        report.faults_injected = res.metrics.faults_injected_total
+    else:
+        factor, metrics = last_resort(job)
+        res = MPRuntimeResult(
+            factor, metrics, np.zeros(plan.tg.nblocks, dtype=np.int64),
+            SEQUENTIAL_MAPPING, {"fallback": True}, report,
+        )
+    if job.traces:
+        # Failed attempts' salvaged events first, so the trace tells the
+        # whole multi-attempt story.
+        res.trace = RunTrace.concat([*job.traces, res.trace])
+    return res
 
 
 def run_with_recovery(
@@ -304,53 +346,24 @@ def run_with_recovery(
     placement group plans each attempt, the recovery-tuning group bounds
     it (``max_restarts``; ``dead_grace_s`` defaults to 10 s here). Every
     attempt runs the in-run integrity protocol and resumes from the
-    blocks earlier ones completed. Returns an :class:`MPRuntimeResult`
-    whose ``failure_report`` is always populated. Raises the last
-    attempt's :class:`~repro.runtime.engine.FanoutError` (carrying the
-    report) if ``fallback_sequential`` is disabled and every parallel
-    attempt failed, and whatever the sequential fallback raises.
+    blocks earlier ones completed (:func:`run_job`, on a pool of its own).
+    Returns an :class:`MPRuntimeResult` whose ``failure_report`` is always
+    populated. Raises the last attempt's
+    :class:`~repro.runtime.engine.FanoutError` (carrying the report) if
+    ``fallback_sequential`` is disabled and every parallel attempt failed,
+    and whatever the sequential fallback raises.
     """
     config = RunConfig.of(config, overrides)
     if config.dead_grace_s is None:
         config = replace(config, dead_grace_s=10.0)
-    plan = SimpleNamespace(structure=structure, tg=tg, config=config,
-                           owners=None, mapping_name="", planned_nprocs=0)
-    job = RecoveryJob(plan, A.tocsc())
-    report, res = job.report, None
-    policy = RecoveryPolicy(
-        attempts=config.max_restarts + 1, raising_rank_is_casualty=True
-    )
-    shipped = []  # one PoolJob per attempt
-    with one_shot_crew(structure, A, tg, config) as (pool, make_job, finish):
-
-        def specs(pending, attempt):
-            shipped.append(make_job(
-                plan.owners, seq=attempt, recovery=True,
-                fault_plan=fault_plan.for_attempt(attempt) if fault_plan
-                else None,
-                checkpoint=job.checkpoint or None,
-            ))
-            return shipped[-1:]
-
-        list(recover(pool, [job], specs, policy, config.timeout_s))
-        if report.ok or not fallback_sequential:
-            # The crew is as the last attempt left it, so a failure is
-            # typed (and raised) the way ``run_mp_fanout`` types it.
-            res = finish(job.outcome, shipped[-1], plan.mapping_name, report)
-            report.recovery_events = res.metrics.recovery_events_total
-            report.faults_injected = res.metrics.faults_injected_total
-    if res is None:
-        factor, metrics = last_resort(job)
-        res = MPRuntimeResult(
-            factor=factor,
-            metrics=metrics,
-            owners=np.zeros(tg.nblocks, dtype=np.int64),
-            mapping=SEQUENTIAL_MAPPING,
-            meta={"fallback": True},
-            failure_report=report,
-        )
-    if job.traces:
-        # Failed attempts' salvaged events first, so the trace tells the
-        # whole multi-attempt story.
-        res.trace = RunTrace.concat([*job.traces, res.trace])
-    return res
+    plan = PatternPlan.create(structure, tg, config)
+    pool = WorkerPool(config.nprocs)
+    policy = RecoveryPolicy(attempts=config.max_restarts + 1,
+                            raising_rank_is_casualty=True)
+    try:
+        return run_job(pool, plan, A.tocsc(), policy, itertools.count(),
+                       fault_plan=fault_plan, recovery=True,
+                       fallback_sequential=fallback_sequential)
+    finally:
+        pool.close()
+        plan.destroy()

@@ -1,10 +1,11 @@
 """Factorization-as-a-service: a long-lived solver over the mp runtime.
 
 The paper's motivating workload is *repeated* numeric factorization of a
-fixed sparsity pattern inside interior-point LP loops, yet the one-shot
-engine pays full job setup — symbolic analysis, owner planning, worker
-spawn, arena creation — for every matrix. This package keeps all of that
-warm:
+fixed sparsity pattern inside interior-point LP loops, yet a one-shot
+``run_mp_fanout`` pays full job setup — owner planning, worker spawn,
+arena creation — for every matrix. A ``SparseCholesky(backend="mp")``
+instance keeps that warm for its one pattern; this package keeps it, and
+the symbolic analysis, warm for many:
 
 * :class:`FactorService` — the driver. Owns a persistent
   :class:`~repro.runtime.pool.WorkerPool`, a pattern cache

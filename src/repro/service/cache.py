@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from repro.config import RunConfig
+from repro.runtime.engine import PatternPlan
 
 
 def pattern_digest(A: sparse.csc_matrix, knobs: tuple) -> str:
@@ -39,33 +39,22 @@ def pattern_digest(A: sparse.csc_matrix, knobs: tuple) -> str:
 
 
 @dataclass
-class PatternEntry:
-    """Everything the service keeps warm for one sparsity pattern."""
+class PatternEntry(PatternPlan):
+    """Everything the service keeps warm for one sparsity pattern: the
+    pattern's :class:`~repro.runtime.engine.PatternPlan` (owners, arena,
+    config, the context it ships, the jobs it builds) and, on top, what
+    only the service needs."""
 
-    pattern_id: str
     #: :class:`~repro.symbolic.SymbolicFactor` — ordering + supernodes.
-    symbolic: object
-    structure: object
-    tg: object
-    owners: np.ndarray
-    mapping_name: str
+    symbolic: object = None
     #: Composed fill-reducing permutation (scipy "take" convention).
-    perm: np.ndarray
+    perm: np.ndarray = None
     #: Original-pattern csc arrays — interpret values-only submissions.
     orig_indptr: np.ndarray = None
     orig_indices: np.ndarray = None
-    #: Driver-owned shm arena for this pattern (None on inline).
-    arena: object | None = None
     #: Seconds of cold setup this entry cost (symbolic + plan + arena).
     setup_s: float = 0.0
     uses: int = 0
-    #: Crew size ``owners`` was planned for. After a pool heal or regrow
-    #: changes the crew, the recovery loop re-plans them before the
-    #: pattern's next job (:func:`repro.runtime.recovery.recover`; the
-    #: arena layout is size-independent, so only the plan changes).
-    planned_nprocs: int = 0
-    #: The knobs the entry was planned under and its jobs run under.
-    config: RunConfig = field(default_factory=RunConfig)
     #: Assembled :class:`~repro.numeric.BlockCholesky` of the pattern's
     #: last successful factor job — the sequential fallback (and bitwise
     #: reference) for solve requests.
@@ -83,29 +72,6 @@ class PatternEntry:
     def nnz(self) -> int:
         """Nonzeros a values-only submission must provide."""
         return int(self.orig_indptr[-1])
-
-    def context(self):
-        """The :class:`~repro.runtime.pool.PatternContext` to ship."""
-        from repro.runtime.pool import PatternContext
-
-        A_perm = self.symbolic.A
-        return PatternContext(
-            pattern_id=self.pattern_id,
-            structure=self.structure,
-            tg=self.tg,
-            owners=self.owners,
-            indptr=A_perm.indptr,
-            indices=A_perm.indices,
-            shape=tuple(A_perm.shape),
-            arena_name=None if self.arena is None else self.arena.name,
-            config=self.config,
-        )
-
-    def destroy(self) -> None:
-        """Release the entry's arena segment (driver owns it)."""
-        if self.arena is not None:
-            self.arena.destroy()
-            self.arena = None
 
 
 class PatternCache:

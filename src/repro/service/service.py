@@ -36,8 +36,8 @@ from scipy import sparse
 
 from repro.config import RunConfig
 from repro.numeric.solve import permute_rhs
-from repro.runtime.arena import BlockArena, resolve_transport
-from repro.runtime.engine import FanoutError, outcome_result, plan_owners
+from repro.runtime.arena import resolve_transport
+from repro.runtime.engine import FanoutError, outcome_result
 from repro.runtime.pool import PoolJob, WorkerPool
 from repro.runtime.recovery import (
     OUTCOME_CLEAN,
@@ -93,11 +93,10 @@ class _Prep(RecoveryJob):
     recovery loop's job (``A`` is the permuted matrix, the plan is the
     pattern entry) plus where its result goes."""
 
-    def __init__(self, queued, entry, record, A_perm, fault_plan=None):
+    def __init__(self, queued, entry, record, A_perm):
         super().__init__(entry, A_perm, queued.job.job_id)
         self.queued = queued
         self.record = record
-        self.fault_plan = fault_plan
 
 
 class FactorService:
@@ -484,13 +483,20 @@ class FactorService:
             record.error = str(exc)
             self._finish_failed(queued, exc, record)
             return
-        plan = None
-        if self.fault_plan is not None and (
-            self._dispatched in self.fault_jobs
-        ):
-            plan = self.fault_plan
+        faults = self.fault_plan if self._dispatched in self.fault_jobs else None
         self._dispatched += 1
-        p = _Prep(queued, entry, record, A_perm, plan)
+        p = _Prep(queued, entry, record, A_perm)
+
+        def specs(pending, attempt):
+            # Fresh seqs each attempt; the context re-ships to a healed
+            # crew. Injected faults fire on the first attempt only —
+            # transient by construction, like CrashSpec's default.
+            return [entry.job(
+                self.pool, A_perm, next(self._seq),
+                deadline=queued.job.deadline,
+                fault_plan=faults if attempt == 0 else None,
+            )]
+
         # Breaker open: don't touch the pool; the job runs on the
         # sequential last resort — degraded but correct.
         if self.breaker.allow():
@@ -500,8 +506,8 @@ class FactorService:
             # restored width exactly as it re-planned for the shrink.
             self.pool.regrow()
             list(recover(
-                self.pool, [p], self._make_specs, self.policy,
-                self.batch_timeout_s, self._pool_settled,
+                self.pool, [p], specs, self.policy, self.batch_timeout_s,
+                self._pool_settled,
             ))
         self._finish_job(p)
 
@@ -583,28 +589,6 @@ class FactorService:
             self.breaker.record_success()
         return self.breaker.state == CircuitBreaker.CLOSED
 
-    def _make_specs(self, pending: list[_Prep], attempt: int) -> list[PoolJob]:
-        """Pool specs for one parallel attempt (fresh seqs each time;
-        contexts re-ship when a healed crew never saw them)."""
-        return [
-            PoolJob(
-                seq=next(self._seq),
-                pattern_id=p.plan.pattern_id,
-                values=p.A.data,
-                context=(
-                    p.plan.context()
-                    if p.plan.pattern_id not in self.pool.seen_patterns
-                    else None
-                ),
-                trace_capacity=self.config.trace_capacity,
-                deadline=p.queued.job.deadline,
-                # Injected faults fire on the first attempt only —
-                # transient by construction, like CrashSpec's default.
-                fault_plan=p.fault_plan if attempt == 0 else None,
-            )
-            for p in pending
-        ]
-
     def _finish_expired(self, queued, record: JobRecord) -> None:
         job = queued.job
         record.status = "expired"
@@ -665,27 +649,12 @@ class FactorService:
             symbolic, cfg.block_policy, cfg.block_size,
             cfg.min_width, cfg.max_width,
         ))
-        wm = WorkModel(structure)
-        tg = TaskGraph(wm)
-        owners, name = plan_owners(
-            wm, tg, cfg.nprocs, cfg.mapping, cfg.use_domains
-        )
-        arena = None
-        if self.transport == "shm":
-            arena = BlockArena.create(tg)
-        return PatternEntry(
-            pattern_id=pid,
+        return PatternEntry.create(
+            structure, TaskGraph(WorkModel(structure)), cfg, pid,
             symbolic=symbolic,
-            structure=structure,
-            tg=tg,
-            owners=owners,
-            mapping_name=name,
             perm=np.asarray(symbolic.ordering.perm),
             orig_indptr=A.indptr.copy(),
             orig_indices=A.indices.copy(),
-            arena=arena,
-            config=cfg,
-            planned_nprocs=cfg.nprocs,
         )
 
     def _job_matrix(self, job, entry: PatternEntry, A_full):

@@ -16,12 +16,14 @@ Execution backends: ``backend="sequential"`` factors in-process and
 ``mapping`` and exchange completed blocks as messages; per-worker metrics
 land in :attr:`SparseCholesky.runtime_metrics`:
 
->>> chol = SparseCholesky(A, backend="mp", nprocs=4, mapping="DW/CY")  # doctest: +SKIP
->>> chol.factor().runtime_metrics.measured_balance       # doctest: +SKIP
+>>> with SparseCholesky(A, backend="mp", nprocs=4) as chol:  # doctest: +SKIP
+...     chol.factor().runtime_metrics.measured_balance
 """
 
 from __future__ import annotations
 
+import itertools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,10 +92,11 @@ class SparseCholesky:
 
     After an ``"mp"`` :meth:`factor`, per-worker metrics land in
     :attr:`runtime_metrics` and (with ``trace``) the merged
-    :class:`repro.runtime.trace.RunTrace` in :attr:`run_trace`. The
-    ownership plan is computed once and cached on the instance, so
-    repeated :meth:`factor` calls skip re-planning (a run under a
-    ``fault_plan`` plans per attempt: the crew may shrink).
+    :class:`repro.runtime.trace.RunTrace` in :attr:`run_trace`. The first
+    ``"mp"`` job plans the pattern and starts a crew of worker processes;
+    the instance keeps both, so a re-factor ships values only. Release
+    them with :meth:`close` or a ``with`` block (garbage collection and
+    interpreter exit release them too).
     """
 
     BACKENDS = ("sequential", "mp", "service")
@@ -138,13 +141,9 @@ class SparseCholesky:
         #: :meth:`factor` raises the typed
         #: :class:`repro.service.DeadlineExceeded` instead of hanging.
         self.deadline_s = deadline_s
-        #: Memoized ``nprocs -> (owners, name)`` plan.
-        self._plan_cache: dict = {}
-        #: Observable plan reuse: how often :meth:`_plan` served a
-        #: memoized owner plan vs computed one (lands in
-        #: ``runtime_metrics.extra["plan_cache"]`` after ``"mp"`` runs).
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
+        #: ``(plan, pool, seqs, release)`` of the ``"mp"`` crew, from the
+        #: first job until :meth:`close`.
+        self._crew = None
         #: Structured recovery outcome of the last ``"mp"`` factorization
         #: run under a fault plan (None otherwise).
         self.failure_report = None
@@ -187,31 +186,47 @@ class SparseCholesky:
             self._taskgraph = TaskGraph(self.workmodel)
         return self._taskgraph
 
-    def _plan(self):
-        """Owner plan under this instance's config, computed once."""
-        from repro.runtime import plan_owners
-
-        P = self.config.nprocs
-        if P in self._plan_cache:
-            self.plan_cache_hits += 1
-        else:
-            self.plan_cache_misses += 1
-            self._plan_cache[P] = plan_owners(
-                self.workmodel, self.taskgraph, P,
-                self.config.mapping, self.config.use_domains,
-            )
-        return self._plan_cache[P]
-
     def _run_mp(self, rhs: np.ndarray | None = None):
-        """One launch of the ``"mp"`` runtime under this instance's config
-        (``rhs``, already permuted, appends the distributed solve)."""
-        from repro.runtime import run_mp_fanout
+        """One ``"mp"`` job on the instance's crew, planned and started by
+        the first (``rhs``, already permuted, appends the distributed
+        solve): the service's warm path — regrow, the recovery loop under
+        the resident policy, the sequential last resort."""
+        from repro.runtime.engine import PatternPlan
+        from repro.runtime.pool import WorkerPool
+        from repro.runtime.recovery import RecoveryPolicy, run_job
 
-        owners, name = self._plan()
-        return run_mp_fanout(
-            self.structure, self.symbolic.A, self.taskgraph, owners,
-            self.config.nprocs, self.config, mapping=name, rhs=rhs,
-        )
+        config, faults = self.config, self.fault_plan
+        if self._crew is None:
+            plan = PatternPlan.create(self.structure, self.taskgraph, config,
+                                      "facade")
+            pool = WorkerPool(config.nprocs)
+            # Holds the crew, not the instance, so collection releases it.
+            release = weakref.finalize(
+                self, lambda: (pool.close(), plan.destroy())
+            )
+            self._crew = plan, pool, itertools.count(), release
+        plan, pool, seqs, _ = self._crew
+        policy = RecoveryPolicy(config.max_restarts + 1,
+                                raising_rank_is_casualty=False)
+        result = run_job(pool, plan, self.symbolic.A, policy, seqs, rhs=rhs,
+                         fault_plan=faults, recovery=faults is not None)
+        self.runtime_metrics, self.run_trace = result.metrics, result.trace
+        if faults is not None:
+            self.failure_report = result.failure_report
+        return result
+
+    def close(self) -> None:
+        """Stop the ``"mp"`` crew and unlink its arena. Idempotent; a later
+        ``"mp"`` job starts a new crew."""
+        if self._crew is not None:
+            self._crew[-1]()
+            self._crew = None
+
+    def __enter__(self) -> "SparseCholesky":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def factor(self) -> "SparseCholesky":
         """Numerically factor with the configured backend; returns self."""
@@ -220,24 +235,7 @@ class SparseCholesky:
         if self.backend == "sequential":
             numeric = BlockCholesky(self.structure, self.symbolic.A).factor()
         else:  # "mp"
-            if self.fault_plan is not None:
-                from repro.runtime.recovery import run_with_recovery
-
-                result = run_with_recovery(
-                    self.structure, self.symbolic.A, self.taskgraph,
-                    self.config, fault_plan=self.fault_plan,
-                )
-                self.failure_report = result.failure_report
-            else:
-                result = self._run_mp()
-            numeric = result.factor
-            self.runtime_metrics = result.metrics
-            self.run_trace = result.trace
-        if self.runtime_metrics is not None:
-            self.runtime_metrics.extra["plan_cache"] = {
-                "hits": self.plan_cache_hits,
-                "misses": self.plan_cache_misses,
-            }
+            numeric = self._run_mp().factor
         # Refused at assembly (NaN/Inf: LinAlgError), a factor is not kept.
         self._L = numeric.to_csc()
         self._numeric = numeric
@@ -348,11 +346,11 @@ class SparseCholesky:
         from repro.numeric.solve import permute_rhs
 
         pb, restore = permute_rhs(b, self.A.shape[0], self.symbolic.ordering)
-        result = self._run_mp(rhs=pb)
-        self.runtime_metrics = result.metrics
-        self.run_trace = result.trace
+        result = self._run_mp(rhs=pb.reshape(pb.shape[0], -1))
         self._L = result.factor.to_csc()
         self._numeric = result.factor
+        if result.solution is None:  # the sequential last resort ran
+            return self._base_solve(b)
         return restore(result.solution)
 
     def _solve_via_service(self, b: np.ndarray) -> np.ndarray:

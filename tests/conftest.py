@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import glob
 import multiprocessing as mp
 import os
@@ -37,6 +38,10 @@ def no_leaked_workers_or_shm(request):
         return
     before = set(glob.glob("/dev/shm/psm_*"))
     yield
+    if mp.active_children():
+        # An unreachable SparseCholesky releases its crew when collected;
+        # `pytest.raises(...) as err` makes it a cycle, so collect now.
+        gc.collect()
     for p in mp.active_children():
         p.join(timeout=5)
     orphans = [p.name for p in mp.active_children() if p.is_alive()]

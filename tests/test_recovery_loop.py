@@ -361,28 +361,22 @@ class TestCallerStop:
 
 
 class TestTypedError:
-    def test_a_broken_pool_outranks_a_raising_rank(
-        self, grid12_pipeline, monkeypatch
-    ):
-        """``run_mp_fanout``'s order: a dead process or the batch timeout
-        names the error even when a rank also raised; whatever is raised
-        carries the report it was finished with."""
-        _, sf, _, bs, _, tg = grid12_pipeline
-        monkeypatch.setattr(engine, "WorkerPool", ScriptedPool)
-        config = RunConfig(nprocs=2, transport="inline")
-        with engine.one_shot_crew(bs, sf.A, tg, config) as (
-            pool, make_job, finish
-        ):
-            job = make_job(np.zeros(tg.nblocks, dtype=np.int64))
-            out = raising(1)(pool, [job])[job.seq]
-            with pytest.raises(engine.WorkerError, match="boom on 1"):
-                finish(out, job, "cyclic")
-            died(0)(pool, [])
-            report = object()
-            with pytest.raises(engine.DeadWorkerError) as info:
-                finish(out, job, "cyclic", report)
-            assert info.value.failure_report is report
-            assert info.value.failed_ranks == [1]
-            pool.dead = []
-            with pytest.raises(engine.RuntimeTimeoutError):
-                finish(out, job, "cyclic")
+    def test_a_broken_pool_outranks_a_raising_rank(self):
+        """:func:`~repro.runtime.engine.raise_failure`'s order, the one
+        every caller types a failed job by: a dead process or the batch
+        timeout names the error even when a rank also raised; whatever is
+        raised carries the report it was given."""
+        pool = ScriptedPool(2)
+        job = PoolJob(0, "p", None)
+        out = raising(1)(pool, [job])[job.seq]
+        with pytest.raises(engine.WorkerError, match="boom on 1"):
+            engine.raise_failure(out, pool)
+        died(0)(pool, [])
+        report = object()
+        with pytest.raises(engine.DeadWorkerError) as info:
+            engine.raise_failure(out, pool, report)
+        assert info.value.failure_report is report
+        assert info.value.failed_ranks == [1]
+        pool.dead = []
+        with pytest.raises(engine.RuntimeTimeoutError):
+            engine.raise_failure(out, pool)

@@ -190,6 +190,37 @@ class TestShutdown:
             assert chol._numeric is None
         assert _no_orphans()
 
+    @pytest.mark.parametrize("transport", ["inline", "shm"])
+    @pytest.mark.parametrize("backend", ["sequential", "mp"])
+    def test_not_spd_is_the_sequential_linalg_error(
+        self, grid12_pipeline, backend, transport
+    ):
+        """A matrix that is not positive definite is one typed error from
+        the façade on every backend: under ``mp`` the rank's
+        ``LinAlgError`` is not retried, the job goes to the sequential
+        last resort, and the held crew is neither healed nor leaked."""
+        from repro.runtime import shm_available
+        from repro.solver import SparseCholesky
+
+        if transport == "shm" and not shm_available():
+            pytest.skip("no POSIX shared memory")
+        A = grid12_pipeline[0].A
+        bad = (A - sparse.eye(A.shape[0]) * 1e6).tocsc()
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            SparseCholesky(bad, ordering="nd", block_size=8).factor()
+        with SparseCholesky(bad, ordering="nd", block_size=8, nprocs=2,
+                            backend=backend, transport=transport) as chol:
+            with pytest.raises(np.linalg.LinAlgError) as got:
+                chol.factor()
+            assert str(got.value) == str(want.value)
+            assert "not positive definite" in str(got.value)
+            assert chol._numeric is None
+            if backend == "mp":
+                pool = chol._crew[1]
+                assert (pool.generation, pool.nprocs) == (1, 2)
+                assert pool.alive
+        assert _no_orphans()
+
     def test_success_leaves_no_orphans(self, grid12_pipeline):
         _, sf, _, bs, wm, tg = grid12_pipeline
         mp_block_cholesky(bs, sf.A, tg, nprocs=2, mapping="cyclic")

@@ -747,20 +747,23 @@ class TestArenaCleanup:
 # ----------------------------------------------------------------------
 class TestSolverIntegration:
     def test_plan_cache_and_repeat_factor(self, grid12_pipeline):
+        """The instance's plan is its cache: a repeat factor runs on the
+        same plan, crew and arena, on the same transport, bit for bit."""
         from repro.solver import SparseCholesky
 
         problem, _, _, _, _, _ = grid12_pipeline
-        chol = SparseCholesky(
+        with SparseCholesky(
             problem.A, ordering="nd", block_size=8, backend="mp", nprocs=2,
             transport="auto",
-        )
-        L1 = chol.factor().L.copy()
-        assert len(chol._plan_cache) == 1
-        t1 = chol.runtime_metrics.transport
-        L2 = chol.factor().L
-        assert len(chol._plan_cache) == 1  # second factor reused the plan
-        assert chol.runtime_metrics.transport == t1
-        assert np.array_equal(L1.data, L2.data)
+        ) as chol:
+            L1 = chol.factor().L.copy()
+            crew, arena = chol._crew, chol._crew[0].arena
+            t1 = chol.runtime_metrics.transport
+            L2 = chol.factor().L
+            assert chol._crew is crew  # second factor reused the plan
+            assert crew[0].arena is arena and crew[1].generation == 1
+            assert chol.runtime_metrics.transport == t1
+            assert np.array_equal(L1.data, L2.data)
 
     def test_explicit_inline_transport(self, grid12_pipeline):
         from repro.solver import SparseCholesky

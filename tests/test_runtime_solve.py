@@ -252,6 +252,7 @@ class TestFacade:
         monkeypatch.undo()
         with pytest.raises(ValueError, match=want):
             chol.factor().solve(b)  # factor-then-solve route
+        chol.close()  # the crew factor() started, and the instance holds
         owners, _ = plan_owners(wm, tg, 2, "cyclic")
         with pytest.raises(ValueError, match=want):
             run_mp_fanout(bs, sf.A, tg, owners, 2, rhs=b)
