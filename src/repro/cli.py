@@ -641,7 +641,7 @@ def cmd_chaos_service(args) -> int:
           f"block_policy={cfg.block_policy} "
           f"seed={args.seed} fault_at={fault_at}")
     for name in names:
-        svc_kw = dict(batch_timeout_s=cfg.timeout_s)
+        svc_kw: dict = {}
         deadlines: dict[int, float] = {}
         if name == "worker-kill":
             # Hard crash: os._exit mid-job, the SIGKILL/segfault

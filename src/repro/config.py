@@ -114,8 +114,8 @@ class RunConfig:
         "ring capacity, an int for an explicit one, None/False for off",
     )
     timeout_s: float = _knob(
-        300.0, "wall-clock bound on one run in seconds (the service "
-        "bounds a batch with its own batch_timeout_s)",
+        300.0, "wall-clock bound in seconds on one pool job (one "
+        "parallel attempt), whoever owns the pool",
         flags="--timeout", kind=float, low=0, metavar="S",
     )
     stall_timeout_s: float = _knob(

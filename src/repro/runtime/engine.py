@@ -2,7 +2,8 @@
 
 One process lifecycle, :class:`repro.runtime.pool.WorkerPool`, and one way
 to run a job on it: a :class:`PatternPlan` builds the
-:class:`~repro.runtime.pool.PoolJob`, the pool runs it, and the
+:class:`~repro.runtime.pool.PoolJob`, the pool runs it (a factor job
+through :func:`repro.runtime.recovery.recover`), and the
 :class:`~repro.runtime.pool.JobOutcome` becomes a result
 (:func:`outcome_result`) or the typed :class:`FanoutError` of
 :func:`raise_failure`. Three owners hold a pool: ``run_mp_fanout`` and
@@ -46,7 +47,8 @@ class FanoutError(RuntimeError):
     ``failed_ranks``."""
 
     #: The :class:`~repro.runtime.recovery.FailureReport` of the run, set
-    #: when ``run_with_recovery(fallback_sequential=False)`` re-raises.
+    #: when :func:`~repro.runtime.recovery.run_job` raises it (every
+    #: ``run_mp_fanout`` failure; ``fallback_sequential=False`` otherwise).
     failure_report = None
 
     def __init__(self, message: str, results: dict | None = None,
@@ -196,13 +198,16 @@ def run_mp_fanout(
     ``checkpoint`` maps block ids to completed-block wire frames from a
     previous attempt; those blocks are preloaded, their tasks skipped.
 
+    One attempt through the recovery loop, on a pool of its own and with
+    no fallback (:func:`repro.runtime.recovery.run_on_temporary_pool`).
     Raises :class:`WorkerError` if a worker fails, :class:`DeadWorkerError`
     if one dies without reporting and :class:`RuntimeTimeoutError` on the
     global timeout. Every exit path reaps the children and unlinks the
     arena; the raised :class:`FanoutError` carries every salvaged
     ``WorkerResult`` (checkpoint frames carry their payload, so they
-    outlive the arena) and ``failed_ranks`` names the casualties only — a
-    rank that stopped because a peer failed is not among them.
+    outlive the arena), the attempt's ``failure_report``, and
+    ``failed_ranks`` names the casualties only — a rank that stopped
+    because a peer failed is not among them.
     """
     owners = np.asarray(owners)
     if owners.shape[0] != tg.nblocks:
@@ -216,24 +221,19 @@ def run_mp_fanout(
         rhs, _ = permute_rhs(rhs, A.shape[0], None)
         rhs = np.ascontiguousarray(rhs.reshape(rhs.shape[0], -1))
 
+    # Imported here: the recovery loop imports this module.
+    from repro.runtime.recovery import RecoveryPolicy, run_on_temporary_pool
+
     # The very arrays the task graph's own reference to A holds (no copy
     # for csc input), so the job pickles them once.
     A = A.tocsc()
     plan = PatternPlan.create(structure, tg, config, owners=owners,
                               mapping_name=mapping, planned_nprocs=nprocs)
-    pool = WorkerPool(nprocs)
-    try:
-        # wall_s counts from before the crew is spawned.
-        epoch = time.perf_counter()
-        pool.start()
-        launch_s = time.perf_counter() - epoch
-        job = plan.job(pool, A, 0, fault_plan=fault_plan, rhs=rhs,
-                       recovery=recovery, checkpoint=checkpoint)
-        outcome = pool.run_batch([job], config.timeout_s)[0]
-        return job_result(plan, job, outcome, pool, launch_s)
-    finally:
-        pool.close()
-        plan.destroy()
+    return run_on_temporary_pool(
+        plan, A, RecoveryPolicy(attempts=1, raising_rank_is_casualty=True),
+        rhs=rhs, fault_plan=fault_plan, recovery=recovery,
+        checkpoint=checkpoint, fallback_sequential=False,
+    )
 
 
 def raise_failure(outcome: JobOutcome, pool: WorkerPool, report=None):
@@ -291,7 +291,7 @@ def outcome_result(
     outcome: JobOutcome,
     structure: BlockStructure,
     tg: TaskGraph,
-    A: sparse.spmatrix | None = None,
+    factor: bool = False,
     rhs: np.ndarray | None = None,
     *,
     owners: np.ndarray | None = None,
@@ -307,7 +307,7 @@ def outcome_result(
     ``(factor, solution, metrics, trace)`` — the one place a pooled job
     becomes a result, whoever ran it.
 
-    ``A`` not ``None`` asks for the assembled factor (see
+    ``factor`` asks for the assembled factor (see
     :func:`_assemble`: copied out of ``arena``, the pattern's block arena
     on the shm transport, else built from the gathered frames; ``owners``
     lets a gather error name the rank a block was due from); ``rhs`` (the
@@ -326,9 +326,9 @@ def outcome_result(
     schedule = (config or RunConfig()).schedule
     if wall_s is None:
         wall_s = outcome.wall_s
-    factor = gather = None
-    if A is not None:
-        factor, gather = _assemble(structure, tg, results, owners, arena)
+    assembled = gather = None
+    if factor:
+        assembled, gather = _assemble(structure, tg, results, owners, arena)
     solution = None
     if rhs is not None:
         ptr = np.asarray(structure.partition.panel_ptr, dtype=np.int64)
@@ -363,7 +363,7 @@ def outcome_result(
             {r: results[r].trace for r in sorted(results)}, meta=meta,
             attempt=attempt,
         )
-    return factor, solution, metrics, trace
+    return assembled, solution, metrics, trace
 
 
 def _assemble(structure, tg, results, owners=None, arena=None):

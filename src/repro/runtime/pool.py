@@ -14,11 +14,10 @@ job is built by its pattern's :class:`~repro.runtime.engine.PatternPlan`:
   carries its block structure, task graph, owner plan and arena name;
   workers cache them (and the arena attachment) by pattern id, so every
   later job of the pattern is *values-only*: the permuted csc data.
-* **One job in flight.** A job is one command put per worker, and the
-  driver collects every rank's result before it dispatches the next; a
-  list handed to :meth:`WorkerPool.run_batch` runs strictly one job
-  after the other. So two jobs never share the fabric or a pattern's
-  arena slots, and nothing on the worker side has to order them.
+* **One job in flight.** A job is one command put per worker, and
+  :meth:`WorkerPool.run` collects every rank's result before it returns.
+  So two jobs never share the fabric or a pattern's arena slots, and
+  nothing on the worker side has to order them.
 * **Job-tagged frames.** Every queue item is ``(seq, item)`` where ``seq``
   is the job number. A frame whose tag is not the running job's is a
   straggler of a finished one (a late DONE, a retransmit, an ABORT that
@@ -31,7 +30,7 @@ job is built by its pattern's :class:`~repro.runtime.engine.PatternPlan`:
 
 Failure containment: a worker error poisons only its own job — the
 erroring worker broadcasts ABORT for that job's tag, peers abort that
-job, and the driver reports it failed and goes on to the next one. A job
+job, and the driver reports it failed; the crew serves the next. A job
 may run the in-run integrity protocol and resume from a checkpoint
 (``PoolJob.recovery`` / ``checkpoint``, see
 :mod:`repro.runtime.recovery`), and
@@ -41,13 +40,12 @@ deadlines are enforced driver-side: an expired job gets a seq-tagged
 ABORT injected into every inbox. Workers heartbeat on the result queue
 before every job, so the driver can tell a stalled crew from a slow one.
 
-Who heals: :meth:`WorkerPool.run_batch` only *reports*. A dead process
-or a global timeout ends the batch, ABORTs the job that was running,
-and is recorded in :attr:`WorkerPool.last_error` and in the
-:attr:`JobOutcome.failed_ranks` of that job and of every job behind it;
-the crew is then in an unknown state, and
-:func:`repro.runtime.recovery.settle` — the one caller of
-:meth:`WorkerPool.heal` — replaces it. Any other caller closes the pool.
+Who heals: :meth:`WorkerPool.run` only *reports*. A dead process or
+the job's timeout ABORTs the job and is recorded in
+:attr:`WorkerPool.last_error` and in the job's
+:attr:`JobOutcome.failed_ranks`; the crew is then in an unknown state,
+and :func:`repro.runtime.recovery.settle` — the one caller of
+:meth:`WorkerPool.heal` — replaces it, or the caller closes the pool.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ import multiprocessing as mp
 import queue as queue_mod
 import time
 import traceback
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,7 +165,7 @@ class JobOutcome:
     expired: bool = False
     wall_s: float = 0.0
     #: The ranks the failure is attributed to: a rank is here iff its
-    #: process died, it never reported before the batch timed out, or it
+    #: process died, it never reported before the job timed out, or it
     #: was the first to raise. A rank that stopped because a peer failed
     #: is merely aborted — whatever exception its own teardown then hit —
     #: so a restart shrinks the crew by the real casualties only.
@@ -393,7 +390,7 @@ class WorkerPool:
     Usage::
 
         pool = WorkerPool(nprocs=4).start()
-        outcomes = pool.run_batch([plan.job(pool, A, seq), ...])
+        outcome = pool.run(plan.job(pool, A, seq))
         pool.close()
 
     The pool tracks which pattern ids this incarnation has shipped
@@ -414,13 +411,13 @@ class WorkerPool:
         self.configured_nprocs = nprocs
         self.seen_patterns: set[str] = set()
         self.generation = 0
-        #: Why the last :meth:`run_batch` broke the pool (None when it
+        #: Why the last :meth:`run` broke the pool (None when it
         #: ran clean). Callers use this to distinguish per-job failures
         #: from pool-level breakage; after a breakage the crew must be
         #: replaced (:meth:`heal`) or released (:meth:`close`).
         self.last_error: str | None = None
         #: rank -> last heartbeat instant (``time.monotonic``), updated
-        #: as batches run; survives restarts for post-mortem inspection.
+        #: as jobs run; survives restarts for post-mortem inspection.
         self.last_heartbeats: dict[int, float] = {}
         self._procs: list = []
         self._commands: list = []
@@ -510,7 +507,7 @@ class WorkerPool:
 
     def regrow(self) -> "WorkerPool":
         """Restore a healed (shrunken) pool to its configured width. Safe
-        only between batches; no-op while the pool is at full width."""
+        only between jobs; no-op while the pool is at full width."""
         if self.nprocs >= self.configured_nprocs:
             return self
         return self.restart(self.configured_nprocs)
@@ -549,56 +546,28 @@ class WorkerPool:
         for dst in range(self.nprocs):
             self._fabric.inboxes[dst].put((seq, frame))
 
-    def run_batch(
-        self, jobs: list[PoolJob], timeout_s: float = 300.0
-    ) -> dict[int, JobOutcome]:
-        """Run ``jobs`` on the resident crew, strictly one after the
-        other: dispatch a job, collect every rank's result, next.
+    def run(self, job: PoolJob, timeout_s: float = 300.0) -> JobOutcome:
+        """Run ``job`` on the resident crew: dispatch it, collect every
+        rank's result. A job whose workers errored or aborted is reported
+        failed; one past its ``deadline`` is seq-aborted and reported
+        ``expired``.
 
-        Returns one :class:`JobOutcome` per job seq. A job whose workers
-        errored or aborted is reported failed but does not poison the
-        jobs behind it; a job past its ``deadline`` is seq-aborted and
-        reported ``expired``, likewise.
-
-        A dead worker process or the global ``timeout_s`` breaks the
-        batch: the running job is ABORTed and failed, the jobs behind it
-        fail undispatched, the casualties land in their ``failed_ranks``
+        A dead worker process or ``timeout_s`` breaks the pool: the job is
+        ABORTed and failed, the casualties land in its ``failed_ranks``
         (the dead ranks; on a timeout, every rank that never reported)
-        and :attr:`last_error` records why. After a death the loop
-        lingers up to the ``dead_grace_s`` of the context shipped with
-        the job, so the survivors can abort and ship their
-        completed-block checkpoints. Nothing is restarted here — the
-        caller heals or closes.
+        and :attr:`last_error` records why. After a death the loop lingers
+        up to the ``dead_grace_s`` of the context shipped with the job, so
+        the survivors can abort and ship their completed-block
+        checkpoints. Nothing is restarted here — the caller heals or
+        closes.
         """
-        if not jobs:
-            return {}
         if not self.running:
             self.start()
         self.last_error = None
-        outcomes = {job.seq: JobOutcome(seq=job.seq) for job in jobs}
-        stop_at = time.monotonic() + timeout_s
-        casualties: list[int] = []
-        for n, job in enumerate(jobs):
-            out = outcomes[job.seq]
-            if self.last_error is not None:
-                out.error = self.last_error
-                out.failed_ranks.extend(casualties)
-                continue
-            stop_at = self._dispatch(
-                job, out, stop_at, casualties,
-                f"pool batch timeout after {timeout_s:.0f}s: "
-                f"{len(jobs) - n} job(s) incomplete",
-            )
-        return outcomes
-
-    def _dispatch(self, job: PoolJob, out: JobOutcome, stop_at: float,
-                  casualties: list, timeout_text: str) -> float:
-        """Dispatch ``job`` and collect its results into ``out`` until
-        every rank reported or ``stop_at`` — the batch's deadline, which
-        a process death pulls in to the grace window (the new value is
-        returned). Ranks the batch lost are added to ``casualties``."""
+        out = JobOutcome(seq=job.seq)
         epoch = time.perf_counter()
         t0 = time.monotonic()
+        stop_at = t0 + timeout_s
         for q in self._commands:
             q.put(("job", epoch, job))
         if job.context is not None:
@@ -606,13 +575,12 @@ class WorkerPool:
         #: Ranks that have not reported the job yet.
         waiting = set(range(self.nprocs))
 
-        def break_batch(why: str, lost) -> None:
+        def break_pool(why: str, lost) -> None:
             self.last_error = why
             if out.error is None:
                 out.error = why
             lost = [r for r in lost if r in waiting]
             out.failed_ranks.extend(lost)
-            casualties.extend(lost)
             self.abort_job(job.seq)
             waiting.difference_update(lost)
 
@@ -620,7 +588,8 @@ class WorkerPool:
             now = time.monotonic()
             if now >= stop_at:
                 if self.last_error is None:
-                    break_batch(timeout_text, range(self.nprocs))
+                    break_pool(f"pool job timeout after {timeout_s:.0f}s",
+                               range(self.nprocs))
                 break
             # The job's own deadline: abort exactly this job. The outcome
             # stays failed even if stragglers later succeed.
@@ -649,7 +618,7 @@ class WorkerPool:
                             stop_at, time.monotonic() + (grace or 0.0)
                         )
                     names = [self._procs[r].name for r in dead]
-                    break_batch(
+                    break_pool(
                         f"pool worker process(es) died: {names}", dead
                     )
                 continue
@@ -671,4 +640,4 @@ class WorkerPool:
             waiting.discard(res.rank)
             if not waiting:
                 out.wall_s = time.monotonic() - t0
-        return stop_at
+        return out

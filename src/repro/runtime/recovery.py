@@ -4,21 +4,22 @@ The factor is bitwise independent of the block map and of P, so one idea
 covers every failure: re-plan the map on the surviving workers, run
 again, and fall back to the sequential factorization last. :func:`recover`
 is that idea written once, over a :class:`~repro.runtime.pool.WorkerPool`
-the caller owns and a list of :class:`RecoveryJob` — one for
-:func:`run_job`, a batch for the factorization service. Each
-round it re-plans owners for the crew, runs the attempt, settles with the
-pool (:func:`settle`, the one place a crew is healed), and sorts the
-jobs: a finished or expired one leaves; a failed one has its checkpoint
-frames and traces harvested and a :class:`FailedAttempt` recorded, and
-runs again unless its error is deterministic, the attempt budget is spent
-or the caller stops the loop — then it leaves for :func:`last_resort`.
+the caller owns and one :class:`RecoveryJob` — :func:`run_job`'s or a
+factor job of the factorization service. Each round it re-plans owners
+for the crew, runs the attempt, and settles with the pool
+(:func:`settle`, the one place a crew is healed): a finished or expired
+job leaves; a failed one has its checkpoint frames and traces harvested
+and a :class:`FailedAttempt` recorded, and runs again unless its error is
+deterministic, the attempt budget is spent or the caller stops the loop —
+then it leaves for :func:`last_resort`.
 Every job leaves with a :class:`FailureReport`, so a result can always
 say whether its factor came from a clean run, a recovered restart or the
 sequential fallback. What the callers differ in is a
 :class:`RecoveryPolicy`; their jobs are built by the pattern's
 :class:`~repro.runtime.engine.PatternPlan`. :func:`run_job` is one
-factorization through the loop, on a one-shot crew
-(:func:`run_with_recovery`) or a ``SparseCholesky`` instance's held one.
+factorization through the loop, on a crew that lives for one call
+(:func:`run_on_temporary_pool`: ``run_mp_fanout``, :func:`run_with_recovery`)
+or a ``SparseCholesky`` instance's held one.
 Failed attempts, heals, fallbacks and recoveries are logged here.
 """
 
@@ -43,7 +44,7 @@ from repro.runtime.engine import (
 )
 from repro.runtime.faults import FaultPlan
 from repro.runtime.metrics import RuntimeMetrics
-from repro.runtime.pool import JobOutcome, WorkerPool
+from repro.runtime.pool import JobOutcome, PoolJob, WorkerPool
 from repro.runtime.trace import RunTrace
 
 log = logging.getLogger(__name__)
@@ -138,14 +139,16 @@ class RecoveryJob:
     csc matrix ``A``, a ``label`` for the log and the pattern's
     :class:`~repro.runtime.engine.PatternPlan` — plus what the loop keeps:
     the ``checkpoint`` frames (by block) and ``traces`` salvaged from failed
-    attempts, the last attempt's ``outcome`` and the ``report``, which
-    says degraded — owed the last resort — until an attempt finishes."""
+    attempts, the last attempt's :class:`~repro.runtime.pool.PoolJob`
+    (``shipped``) and ``outcome``, and the ``report``, which says degraded
+    — owed the last resort — until an attempt finishes."""
 
     def __init__(self, plan, A, label: str = "one-shot"):
         self.plan, self.A, self.label = plan, A, label
         self.report = FailureReport(OUTCOME_DEGRADED)
         self.checkpoint: dict[int, bytes] = {}
         self.traces: list[RunTrace] = []
+        self.shipped: PoolJob | None = None
         self.outcome: JobOutcome | None = None
         self._entered = time.perf_counter()
 
@@ -179,17 +182,18 @@ def _harvest_checkpoint(out: JobOutcome, tg: TaskGraph,
     return len(checkpoint) - before
 
 
-def settle(pool: WorkerPool, policy: RecoveryPolicy, retried=()) -> bool:
-    """Settle with the pool after a ``run_batch``; returns whether the
-    crew was replaced by a fresh one on the survivors. ``retried`` are the
-    failed outcomes about to run again. A one-shot crew is healed exactly
-    when there are some, by their ``failed_ranks`` (with nothing to retry
-    its caller closes it); a resident one whenever the batch broke it
+def settle(pool: WorkerPool, policy: RecoveryPolicy,
+           retry: JobOutcome | None = None) -> bool:
+    """Settle with the pool after a job; returns whether the crew was
+    replaced by a fresh one on the survivors. ``retry`` is the failed
+    outcome about to run again. A one-shot crew is healed exactly when
+    there is one, by its ``failed_ranks`` (with nothing to retry its
+    caller closes it); a resident one whenever the job broke it
     (``last_error``), by its dead processes."""
     if policy.raising_rank_is_casualty:
-        if not retried:
+        if retry is None:
             return False
-        lost = max(1, len({r for out in retried for r in out.failed_ranks}))
+        lost = max(1, len(set(retry.failed_ranks)))
     elif pool.last_error is None:
         return False
     else:
@@ -202,46 +206,43 @@ def settle(pool: WorkerPool, policy: RecoveryPolicy, retried=()) -> bool:
     return True
 
 
-def recover(pool: WorkerPool, jobs, make_specs, policy: RecoveryPolicy,
-            timeout_s: float, settled=None):
-    """Run ``jobs`` on ``pool`` until each is finished or out of parallel
-    attempts; yields every :class:`RecoveryJob` once, as it leaves.
+def recover(pool: WorkerPool, job: RecoveryJob, make_spec,
+            policy: RecoveryPolicy, timeout_s: float,
+            settled=None) -> RecoveryJob:
+    """Run ``job`` on ``pool`` until it finishes or is out of parallel
+    attempts, and return it.
 
-    ``make_specs(pending, attempt)`` returns the attempt's
-    :class:`~repro.runtime.pool.PoolJob` per pending job, in order; owners
+    ``make_spec(attempt)`` returns the attempt's
+    :class:`~repro.runtime.pool.PoolJob`, kept as ``job.shipped``; owners
     are already planned for ``pool.nprocs``. ``timeout_s`` bounds one
     attempt. ``settled(healed)``, if given, hears after each attempt
     whether the crew had to be replaced and answers whether the pool may
     run another (a circuit breaker's seat). A job that leaves with neither
     ``report.ok`` nor an expired ``outcome`` is owed the last resort.
     """
-    pending, attempt, go = list(jobs), 0, True
-    while pending and go and attempt < policy.attempts:
+    plan = job.plan
+    for attempt in range(policy.attempts):
         width = pool.nprocs
-        for plan in (job.plan for job in pending):
-            # Only the map depends on the width; an arena's layout does not.
-            if plan.planned_nprocs != width:
-                plan.owners, plan.mapping_name = plan_owners(
-                    plan.tg.workmodel, plan.tg, width,
-                    plan.config.mapping, plan.config.use_domains,
-                )
-                plan.planned_nprocs = width
-        specs = make_specs(pending, attempt)
+        # Only the map depends on the width; an arena's layout does not.
+        if plan.planned_nprocs != width:
+            plan.owners, plan.mapping_name = plan_owners(
+                plan.tg.workmodel, plan.tg, width,
+                plan.config.mapping, plan.config.use_domains,
+            )
+            plan.planned_nprocs = width
+        job.shipped = make_spec(attempt)
         t0 = time.perf_counter()
-        outcomes = pool.run_batch(specs, timeout_s)
+        out = job.outcome = pool.run(job.shipped, timeout_s)
         wall_s = time.perf_counter() - t0
-        leaving, retry = [], []
-        for job, spec in zip(pending, specs):
-            out = job.outcome = outcomes[spec.seq]
-            if out.ok:
-                leaving.append(job._leave(
-                    width, OUTCOME_RECOVERED if attempt else OUTCOME_CLEAN
-                ))
-                if attempt:
-                    log.info("job %s recovered on attempt %d (P=%d)",
-                             job.label, attempt, width)
-                continue
-            salvaged = _harvest_checkpoint(out, job.plan.tg, job.checkpoint)
+        retry = False
+        if out.ok:
+            outcome = OUTCOME_RECOVERED if attempt else OUTCOME_CLEAN
+            if attempt:
+                log.info("job %s recovered on attempt %d (P=%d)",
+                         job.label, attempt, width)
+        else:
+            outcome = OUTCOME_DEGRADED
+            salvaged = _harvest_checkpoint(out, plan.tg, job.checkpoint)
             if any(res.trace is not None for res in out.results.values()):
                 job.traces.append(RunTrace.from_workers(
                     {r: res.trace for r, res in out.results.items()},
@@ -253,21 +254,18 @@ def recover(pool: WorkerPool, jobs, make_specs, policy: RecoveryPolicy,
                 out.error or "aborted", salvaged, wall_s,
             ))
             log.warning("job %s: %s", job.label, job.report.attempts[-1])
-            if out.expired or any(
+            retry = not out.expired and not any(
                 out.results[r].metrics.error_type in NOT_RETRYABLE
                 for r in out.failed_ranks if r in out.results
-            ):
-                leaving.append(job._leave(width))
-            else:
-                retry.append(job)
+            )
         # Ranks are shed only for an attempt that will follow.
-        again = retry if attempt + 1 < policy.attempts else []
-        healed = settle(pool, policy, [job.outcome for job in again])
+        again = retry and attempt + 1 < policy.attempts
+        healed = settle(pool, policy, out if again else None)
         go = settled is None or settled(healed)
-        yield from leaving
-        pending, attempt = retry, attempt + 1
-    for job in pending:
-        yield job._leave(pool.nprocs)
+        if not (again and go):
+            break
+    # A job still owed a retry leaves on the crew as it settled.
+    return job._leave(pool.nprocs if retry else width, outcome)
 
 
 def last_resort(job: RecoveryJob) -> tuple[BlockCholesky, RuntimeMetrics]:
@@ -286,32 +284,34 @@ def last_resort(job: RecoveryJob) -> tuple[BlockCholesky, RuntimeMetrics]:
 
 def run_job(pool: WorkerPool, plan: PatternPlan, A, policy: RecoveryPolicy,
             seqs, *, rhs=None, fault_plan: FaultPlan | None = None,
-            recovery=False, fallback_sequential=True) -> MPRuntimeResult:
+            recovery=False, checkpoint=None,
+            fallback_sequential=True) -> MPRuntimeResult:
     """Factor ``A`` (permuted csc) on ``pool``, regrown and started first:
-    :func:`recover` over ``plan``'s jobs, numbered from ``seqs``, each with
-    ``fault_plan``'s faults for its attempt, the integrity protocol when
-    ``recovery`` and the checkpoint earlier attempts salvaged (``rhs``
-    appends the distributed solve). Returns the last attempt's result, or
-    the :func:`last_resort`'s (no ``solution``; what it raises
-    propagates), or — ``fallback_sequential`` off — raises the attempt's
-    typed error. Either carries the job's ``FailureReport``."""
+    :func:`recover` over ``plan``'s job, numbered from ``seqs``, each
+    attempt with ``fault_plan``'s faults for it, the integrity protocol
+    when ``recovery`` and the ``checkpoint`` frames given plus those
+    earlier attempts salvaged (``rhs`` appends the distributed solve).
+    Returns the last attempt's result, or the :func:`last_resort`'s (no
+    ``solution``; what it raises propagates), or — ``fallback_sequential``
+    off — raises the attempt's typed error. Either carries the job's
+    ``FailureReport``."""
     job = RecoveryJob(plan, A, plan.pattern_id)
-    report, shipped = job.report, []  # one PoolJob per attempt
+    job.checkpoint.update(checkpoint or {})
+    report = job.report
     epoch = time.perf_counter()
     pool.regrow().start()
     launch_s = time.perf_counter() - epoch
 
-    def specs(pending, attempt):
-        faults = fault_plan and fault_plan.for_attempt(attempt)
-        shipped.append(plan.job(
+    def spec(attempt):
+        return plan.job(
             pool, A, next(seqs), rhs=rhs, recovery=recovery,
-            fault_plan=faults, checkpoint=job.checkpoint or None,
-        ))
-        return shipped[-1:]
+            fault_plan=fault_plan and fault_plan.for_attempt(attempt),
+            checkpoint=job.checkpoint or None,
+        )
 
-    list(recover(pool, [job], specs, policy, plan.config.timeout_s))
+    recover(pool, job, spec, policy, plan.config.timeout_s)
     if report.ok or not fallback_sequential:
-        res = job_result(plan, shipped[-1], job.outcome, pool, launch_s,
+        res = job_result(plan, job.shipped, job.outcome, pool, launch_s,
                          report)
         report.recovery_events = res.metrics.recovery_events_total
         report.faults_injected = res.metrics.faults_injected_total
@@ -326,6 +326,19 @@ def run_job(pool: WorkerPool, plan: PatternPlan, A, policy: RecoveryPolicy,
         # whole multi-attempt story.
         res.trace = RunTrace.concat([*job.traces, res.trace])
     return res
+
+
+def run_on_temporary_pool(plan: PatternPlan, A, policy: RecoveryPolicy,
+                          **kwargs) -> MPRuntimeResult:
+    """:func:`run_job` (``kwargs`` are its keywords) on a crew of
+    ``plan.config.nprocs`` that lives for this call: every child is reaped
+    and the plan's arena unlinked on success, failure or deadlock."""
+    pool = WorkerPool(plan.config.nprocs)
+    try:
+        return run_job(pool, plan, A, policy, itertools.count(), **kwargs)
+    finally:
+        pool.close()
+        plan.destroy()
 
 
 def run_with_recovery(
@@ -346,7 +359,7 @@ def run_with_recovery(
     placement group plans each attempt, the recovery-tuning group bounds
     it (``max_restarts``; ``dead_grace_s`` defaults to 10 s here). Every
     attempt runs the in-run integrity protocol and resumes from the
-    blocks earlier ones completed (:func:`run_job`, on a pool of its own).
+    blocks earlier ones completed (:func:`run_on_temporary_pool`).
     Returns an :class:`MPRuntimeResult` whose ``failure_report`` is always
     populated. Raises the last attempt's
     :class:`~repro.runtime.engine.FanoutError` (carrying the report) if
@@ -356,14 +369,11 @@ def run_with_recovery(
     config = RunConfig.of(config, overrides)
     if config.dead_grace_s is None:
         config = replace(config, dead_grace_s=10.0)
-    plan = PatternPlan.create(structure, tg, config)
-    pool = WorkerPool(config.nprocs)
+    A = A.tocsc()
     policy = RecoveryPolicy(attempts=config.max_restarts + 1,
                             raising_rank_is_casualty=True)
-    try:
-        return run_job(pool, plan, A.tocsc(), policy, itertools.count(),
-                       fault_plan=fault_plan, recovery=True,
-                       fallback_sequential=fallback_sequential)
-    finally:
-        pool.close()
-        plan.destroy()
+    return run_on_temporary_pool(
+        PatternPlan.create(structure, tg, config), A, policy,
+        fault_plan=fault_plan, recovery=True,
+        fallback_sequential=fallback_sequential,
+    )

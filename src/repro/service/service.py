@@ -8,7 +8,7 @@ Lifecycle of a job (a factorization or a warm solve)::
                   (reject/block/shed)                      │ resolve
                                                            │ pattern
                                                            ▼
-                                 WorkerPool.run_batch([PoolJob])
+                   WorkerPool.run(PoolJob), through recover() for a factor
                                                            │
                   JobHandle ◀── assemble + validate ◀──────┘
 
@@ -88,30 +88,19 @@ class _Queued:
         self.enqueued_at = time.monotonic()
 
 
-class _Prep(RecoveryJob):
-    """A factor job after pattern resolution, through its attempts: the
-    recovery loop's job (``A`` is the permuted matrix, the plan is the
-    pattern entry) plus where its result goes."""
-
-    def __init__(self, queued, entry, record, A_perm):
-        super().__init__(entry, A_perm, queued.job.job_id)
-        self.queued = queued
-        self.record = record
-
-
 class FactorService:
     """A long-lived factorization service over the persistent pool.
 
     The knobs shared with the other layers are one
     :class:`~repro.config.RunConfig` (``config`` and/or field overrides by
     keyword, ``nprocs`` defaulting to 2 here; table in
-    ``docs/ARCHITECTURE.md``); a bad value raises ``ValueError`` before a
-    pool exists. The service-only knobs stay keywords: the admission
-    policy (``admission`` + ``queue_capacity``), the bound on one pool
-    job (``batch_timeout_s``), the cache and dedup bounds, the per-job
-    attempts / deadline / circuit breaker, ``validate`` (check every
-    factor against the sequential baseline before releasing it)
-    and the chaos hooks ``fault_plan`` / ``fault_jobs``.
+    ``docs/ARCHITECTURE.md``). The service-only knobs stay keywords: the
+    admission policy (``admission`` + ``queue_capacity``), the cache and
+    dedup bounds, the per-job attempts / deadline / circuit breaker,
+    ``validate`` (check every factor against the sequential baseline
+    before releasing it) and the chaos hooks ``fault_plan`` /
+    ``fault_jobs``. A bad value of either raises ``ValueError`` before a
+    pool exists. One pool job is bounded by ``config.timeout_s``.
     """
 
     def __init__(
@@ -122,7 +111,6 @@ class FactorService:
         admission: str = "block",
         cache_capacity: int = 8,
         validate: bool = False,
-        batch_timeout_s: float = 300.0,
         default_deadline_s: float | None = None,
         max_job_attempts: int = 2,
         breaker_threshold: int = 3,
@@ -133,18 +121,24 @@ class FactorService:
         **overrides,
     ):
         self.config = RunConfig.of(config, overrides, nprocs=2)
+        for name, value, low in (
+            ("max_job_attempts", max_job_attempts, 1),
+            ("dedup_capacity", dedup_capacity, 0),
+            ("breaker_cooldown_s", breaker_cooldown_s, 0),
+        ):
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value!r}")
         #: The configured pool width (``pool.nprocs`` shrinks after a heal).
         self.nprocs = self.config.nprocs
         #: The transport ``config.transport`` resolves to on this platform.
         self.transport = resolve_transport(self.config.transport, self.nprocs)
         self.validate = validate
-        self.batch_timeout_s = float(batch_timeout_s)
+        self.queue = JobQueue(queue_capacity, admission)
         self.pool = WorkerPool(self.nprocs)
         self.cache = PatternCache(cache_capacity)
-        self.queue = JobQueue(queue_capacity, admission)
         self.metrics = ServiceMetrics()
         self.default_deadline_s = default_deadline_s
-        self.max_job_attempts = max(1, int(max_job_attempts))
+        self.max_job_attempts = int(max_job_attempts)
         #: A resident crew keeps a rank that merely raised (only its job
         #: is retried); dead processes are what a heal sheds.
         self.policy = RecoveryPolicy(
@@ -170,7 +164,7 @@ class FactorService:
         self._dedup_lock = threading.Lock()
         self._outstanding: dict[str, JobHandle] = {}
         self._completed: OrderedDict[str, object] = OrderedDict()
-        self._dedup_capacity = max(0, int(dedup_capacity))
+        self._dedup_capacity = int(dedup_capacity)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -485,17 +479,18 @@ class FactorService:
             return
         faults = self.fault_plan if self._dispatched in self.fault_jobs else None
         self._dispatched += 1
-        p = _Prep(queued, entry, record, A_perm)
+        # The recovery loop's job: the plan is the pattern entry.
+        p = RecoveryJob(entry, A_perm, queued.job.job_id)
 
-        def specs(pending, attempt):
+        def spec(attempt):
             # Fresh seqs each attempt; the context re-ships to a healed
             # crew. Injected faults fire on the first attempt only —
             # transient by construction, like CrashSpec's default.
-            return [entry.job(
+            return entry.job(
                 self.pool, A_perm, next(self._seq),
                 deadline=queued.job.deadline,
                 fault_plan=faults if attempt == 0 else None,
-            )]
+            )
 
         # Breaker open: don't touch the pool; the job runs on the
         # sequential last resort — degraded but correct.
@@ -505,11 +500,9 @@ class FactorService:
             # is the only safe point. The loop re-plans owners for the
             # restored width exactly as it re-planned for the shrink.
             self.pool.regrow()
-            list(recover(
-                self.pool, [p], specs, self.policy, self.batch_timeout_s,
-                self._pool_settled,
-            ))
-        self._finish_job(p)
+            recover(self.pool, p, spec, self.policy, self.config.timeout_s,
+                    self._pool_settled)
+        self._finish_job(queued, record, p)
 
     def _run_solve(self, queued: _Queued, record: JobRecord) -> None:
         job, entry = queued.job, queued.job.entry
@@ -523,9 +516,8 @@ class FactorService:
             and entry.resident_generation == self.pool.generation
             and self.breaker.allow()
         ):
-            seq = next(self._seq)
             spec = PoolJob(
-                seq=seq,
+                seq=next(self._seq),
                 pattern_id=entry.pattern_id,
                 values=None,
                 kind="solve",
@@ -534,7 +526,7 @@ class FactorService:
                 trace_capacity=self.config.trace_capacity,
                 fault_plan=job.fault_plan,
             )
-            out = self.pool.run_batch([spec], self.batch_timeout_s)[seq]
+            out = self.pool.run(spec, self.config.timeout_s)
             self._pool_settled(settle(self.pool, self.policy))
             if out.ok:
                 record.run_s = out.wall_s
@@ -577,7 +569,7 @@ class FactorService:
         ))
 
     def _pool_settled(self, healed: bool) -> bool:
-        """Tell the breaker how a ``run_batch`` left the pool (call after
+        """Tell the breaker how a pool job left the pool (call after
         :func:`~repro.runtime.recovery.settle`, so the cooldown counts
         from when the new crew is up). Answers whether the pool may run a
         retry: only while the breaker is closed — a half-open probe is
@@ -697,13 +689,13 @@ class FactorService:
                 while len(self._completed) > self._dedup_capacity:
                     self._completed.popitem(last=False)
 
-    def _finish_job(self, p: _Prep) -> None:
+    def _finish_job(self, queued, record: JobRecord, p: RecoveryJob) -> None:
         """Release a job as the recovery loop left it (or, with the
         breaker open, never saw it): assemble the parallel factor or run
         the sequential last resort, and answer the handle. The record's
         ``outcome`` / ``attempts`` / ``error`` are read off the job's
         :class:`~repro.runtime.recovery.FailureReport`."""
-        queued, entry, record, rep = p.queued, p.plan, p.record, p.report
+        entry, rep = p.plan, p.report
         ok = rep.ok
         record.attempts = len(rep.attempts) + ok
         if not ok and (
@@ -718,7 +710,7 @@ class FactorService:
             if ok:
                 record.run_s = p.outcome.wall_s
                 factor, _, metrics, trace = self._outcome_result(
-                    p.outcome, entry, record, want_factor=True
+                    p.outcome, entry, record, factor=True
                 )
             else:
                 try:
@@ -786,12 +778,12 @@ class FactorService:
             raise ValidationFailed(job_id, "parallel factor differs from "
                                    "the sequential baseline")
 
-    def _outcome_result(self, outcome, entry, record, want_factor=False,
+    def _outcome_result(self, outcome, entry, record, factor=False,
                         rhs=None):
         """:func:`~repro.runtime.engine.outcome_result` for a job of
         ``entry``'s pattern, with the service context on the metrics."""
-        factor, solution, metrics, trace = outcome_result(
-            outcome, entry.structure, entry.tg, want_factor or None, rhs,
+        assembled, solution, metrics, trace = outcome_result(
+            outcome, entry.structure, entry.tg, factor, rhs,
             owners=entry.owners,
             mapping=entry.mapping_name,
             arena=entry.arena,
@@ -799,7 +791,7 @@ class FactorService:
             problem=entry.pattern_id,
         )
         self._tag_metrics(metrics, record)
-        return factor, solution, metrics, trace
+        return assembled, solution, metrics, trace
 
     @staticmethod
     def _tag_metrics(metrics, record: JobRecord) -> None:

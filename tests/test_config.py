@@ -135,6 +135,23 @@ class TestValidation:
             FactorService(**knobs)
         assert _no_children()
 
+    @pytest.mark.parametrize("knob", [
+        dict(max_job_attempts=0), dict(dedup_capacity=-3),
+        dict(breaker_cooldown_s=-1.0),
+    ], ids=lambda k: next(iter(k)))
+    def test_service_only_knobs_reject_before_a_pool_exists(
+        self, knob, monkeypatch
+    ):
+        """No clamping: each is named in a ``ValueError`` from the
+        constructor, as the config values are."""
+        def pool_built(*a, **k):
+            raise AssertionError("WorkerPool created")
+
+        monkeypatch.setattr("repro.service.service.WorkerPool", pool_built)
+        with pytest.raises(ValueError, match=next(iter(knob))):
+            FactorService(**knob)
+        assert mp.active_children() == []
+
     @pytest.mark.parametrize("argv", [
         ["bench-real", "GRID150", "-p", "0"],
         ["bench-real", "GRID150", "--transport", "bogus"],
@@ -215,7 +232,7 @@ class TestDefaults:
         svc = FactorService()
         try:
             assert svc.config == RunConfig(nprocs=2)
-            assert svc.nprocs == 2 and svc.batch_timeout_s == 300.0
+            assert svc.nprocs == 2 and svc.config.timeout_s == 300.0
         finally:
             svc.close()
         assert _no_children()
@@ -384,7 +401,7 @@ SURFACE = {
     "unpack": {"frame", "copy"},
     "FactorService": {
         "config", "overrides", "queue_capacity", "admission",
-        "cache_capacity", "validate", "batch_timeout_s",
+        "cache_capacity", "validate",
         "default_deadline_s", "max_job_attempts", "breaker_threshold",
         "breaker_cooldown_s", "dedup_capacity", "fault_plan", "fault_jobs",
     },

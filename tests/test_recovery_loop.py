@@ -1,10 +1,10 @@
 """The recovery loop on a scripted pool: no process is spawned.
 
 ``ScriptedPool`` is a real :class:`WorkerPool` whose crew is imaginary —
-``start`` / ``close`` only count generations, ``run_batch`` replays the
-next scripted step — so ``heal`` / ``restart`` do their real arithmetic
-and :func:`recover` sees exactly the surface it uses in production:
-``run_batch``, ``heal``, ``nprocs``, ``last_error``, ``dead_ranks``.
+``start`` / ``close`` only count generations, ``run`` replays the next
+scripted step — so ``heal`` / ``restart`` do their real arithmetic and
+:func:`recover` sees exactly the surface it uses in production: ``run``,
+``heal``, ``nprocs``, ``last_error``, ``dead_ranks``.
 """
 
 import logging
@@ -36,7 +36,7 @@ class ScriptedPool(WorkerPool):
         super().__init__(nprocs)
         self.script = list(script)
         self.dead = []
-        self.batches = []  # (crew width, [seq, ...]) per run_batch
+        self.runs = []  # (crew width, seq) per run
         self.start()
 
     def start(self):
@@ -50,10 +50,10 @@ class ScriptedPool(WorkerPool):
     def dead_ranks(self):
         return list(self.dead)
 
-    def run_batch(self, jobs, timeout_s=300.0):
+    def run(self, job, timeout_s=300.0):
         self.last_error = None
-        self.batches.append((self.nprocs, [j.seq for j in jobs]))
-        return self.script.pop(0)(self, jobs)
+        self.runs.append((self.nprocs, job.seq))
+        return self.script.pop(0)(self, job)
 
 
 def _result(rank, error=None, error_type=None, frames=(), aborted=False):
@@ -62,32 +62,26 @@ def _result(rank, error=None, error_type=None, frames=(), aborted=False):
     return WorkerResult(rank, m, list(frames))
 
 
-def ok(pool, jobs):
-    return {
-        j.seq: JobOutcome(
-            j.seq, {r: _result(r) for r in range(pool.nprocs)}, wall_s=0.01
-        )
-        for j in jobs
-    }
+def ok(pool, job):
+    return JobOutcome(
+        job.seq, {r: _result(r) for r in range(pool.nprocs)}, wall_s=0.01
+    )
 
 
 def raising(rank=1, error_type="RuntimeError", frames=()):
     """Rank ``rank`` raises; its peers abort. Every process stays alive."""
 
-    def step(pool, jobs):
+    def step(pool, job):
         text = f"Traceback ...\n{error_type}: boom on {rank}"
-        return {
-            j.seq: JobOutcome(
-                j.seq,
-                {
-                    r: _result(r, text, error_type, frames) if r == rank
-                    else _result(r, aborted=True)
-                    for r in range(pool.nprocs)
-                },
-                error=text, aborted=True, failed_ranks=[rank],
-            )
-            for j in jobs
-        }
+        return JobOutcome(
+            job.seq,
+            {
+                r: _result(r, text, error_type, frames) if r == rank
+                else _result(r, aborted=True)
+                for r in range(pool.nprocs)
+            },
+            error=text, aborted=True, failed_ranks=[rank],
+        )
 
     return step
 
@@ -95,40 +89,31 @@ def raising(rank=1, error_type="RuntimeError", frames=()):
 def died(rank=1):
     """Rank ``rank``'s process dies without reporting."""
 
-    def step(pool, jobs):
+    def step(pool, job):
         pool.dead = [rank]
         pool.last_error = f"pool worker process(es) died: ['w{rank}']"
-        return {
-            j.seq: JobOutcome(
-                j.seq, {0: _result(0, aborted=True)},
-                error=pool.last_error, aborted=True, failed_ranks=[rank],
-            )
-            for j in jobs
-        }
+        return JobOutcome(
+            job.seq, {0: _result(0, aborted=True)},
+            error=pool.last_error, aborted=True, failed_ranks=[rank],
+        )
 
     return step
 
 
-def stalled(pool, jobs):
-    """The batch timed out with every process alive."""
-    pool.last_error = "pool batch timeout after 1s: 1 job(s) incomplete"
-    return {
-        j.seq: JobOutcome(
-            j.seq, {}, error=pool.last_error, aborted=True,
-            failed_ranks=list(range(pool.nprocs)),
-        )
-        for j in jobs
-    }
+def stalled(pool, job):
+    """The job timed out with every process alive."""
+    pool.last_error = "pool job timeout after 1s"
+    return JobOutcome(
+        job.seq, {}, error=pool.last_error, aborted=True,
+        failed_ranks=list(range(pool.nprocs)),
+    )
 
 
-def expired(pool, jobs):
-    return {
-        j.seq: JobOutcome(
-            j.seq, {r: _result(r, aborted=True) for r in range(pool.nprocs)},
-            error=f"job {j.seq} deadline exceeded", aborted=True, expired=True,
-        )
-        for j in jobs
-    }
+def expired(pool, job):
+    return JobOutcome(
+        job.seq, {r: _result(r, aborted=True) for r in range(pool.nprocs)},
+        error=f"job {job.seq} deadline exceeded", aborted=True, expired=True,
+    )
 
 
 @pytest.fixture
@@ -145,36 +130,38 @@ def make_job(grid12_pipeline):
     return make
 
 
-def _run(pool, jobs, attempts, settled=None, **policy):
+def _run(pool, job, attempts, settled=None, **policy):
     seqs = iter(range(1000))
 
-    def specs(pending, attempt):
-        for job in pending:
-            # the loop planned owners for this crew before asking for specs
-            assert job.plan.planned_nprocs == pool.nprocs
-            assert int(job.plan.owners.max()) < pool.nprocs
-        return [PoolJob(next(seqs), "p", None) for _ in pending]
+    def spec(attempt):
+        # the loop planned owners for this crew before asking for a spec
+        assert job.plan.planned_nprocs == pool.nprocs
+        assert int(job.plan.owners.max()) < pool.nprocs
+        return PoolJob(next(seqs), "p", None)
 
-    return list(recover(
-        pool, jobs, specs, RecoveryPolicy(attempts=attempts, **policy),
+    left = recover(
+        pool, job, spec, RecoveryPolicy(attempts=attempts, **policy),
         60.0, settled,
-    ))
+    )
+    # the job comes back, holding the PoolJob its last attempt shipped
+    assert left is job and job.shipped.seq == pool.runs[-1][1]
+    return job
 
 
 class TestBudgetAndOutcomes:
     def test_clean_first_attempt(self, make_job):
         pool = ScriptedPool(4, ok)
-        (job,) = _run(pool, [make_job()], 3, **ONE_SHOT)
+        job = _run(pool, make_job(), 3, **ONE_SHOT)
         rep = job.report
         assert job.report.ok and rep.outcome == "clean"
         assert (rep.restarts, rep.final_nprocs, rep.attempts) == (0, 4, [])
-        assert pool.generation == 1 and len(pool.batches) == 1
+        assert pool.generation == 1 and len(pool.runs) == 1
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_ok_on_attempt_k_is_recovered(self, make_job, k, caplog):
         caplog.set_level(logging.INFO, logger="repro.runtime.recovery")
         pool = ScriptedPool(4, *[raising()] * k, ok)
-        (job,) = _run(pool, [make_job("J7")], 3, **RESIDENT)
+        job = _run(pool, make_job("J7"), 3, **RESIDENT)
         rep = job.report
         assert job.report.ok and rep.outcome == "recovered"
         assert rep.restarts == k == len(rep.attempts)
@@ -189,12 +176,12 @@ class TestBudgetAndOutcomes:
         caplog.set_level(logging.INFO, logger="repro.runtime.recovery")
         _, sf, _, bs, _, _ = grid12_pipeline
         pool = ScriptedPool(4, raising(), raising())
-        (job,) = _run(pool, [make_job("J1")], 2, **RESIDENT)
+        job = _run(pool, make_job("J1"), 2, **RESIDENT)
         rep = job.report
         assert not job.report.ok and not job.outcome.expired
         assert rep.outcome == "degraded_sequential" and not rep.ok
         assert (len(rep.attempts), rep.restarts, rep.final_nprocs) == (2, 2, 4)
-        assert len(pool.batches) == 2
+        assert len(pool.runs) == 2
         factor, metrics = last_resort(job)
         ref = BlockCholesky(bs, sf.A).factor().to_csc()
         assert np.array_equal(factor.to_csc().data, ref.data)
@@ -212,9 +199,9 @@ class TestBudgetAndOutcomes:
 
     def test_expired_is_never_retried(self, make_job):
         pool = ScriptedPool(4, expired)
-        (job,) = _run(pool, [make_job()], 3, **RESIDENT)
+        job = _run(pool, make_job(), 3, **RESIDENT)
         assert not job.report.ok and job.outcome.expired
-        assert len(pool.batches) == 1 and len(job.report.attempts) == 1
+        assert len(pool.runs) == 1 and len(job.report.attempts) == 1
         assert pool.generation == 1
 
     @pytest.mark.parametrize("policy", [ONE_SHOT, RESIDENT])
@@ -222,29 +209,12 @@ class TestBudgetAndOutcomes:
         self, make_job, policy
     ):
         pool = ScriptedPool(4, raising(error_type="LinAlgError"))
-        (job,) = _run(pool, [make_job()], 3, **policy)
+        job = _run(pool, make_job(), 3, **policy)
         rep = job.report
         assert not job.report.ok and rep.outcome == "degraded_sequential"
-        assert len(pool.batches) == 1 and len(rep.attempts) == 1
+        assert len(pool.runs) == 1 and len(rep.attempts) == 1
         assert (pool.generation, pool.nprocs, rep.final_nprocs) == (1, 4, 4)
         assert job.outcome.failed_ranks == [1]
-
-    def test_a_batch_sorts_each_job_on_its_own(self, make_job):
-        a, b, c = make_job("a"), make_job("b"), make_job("c")
-
-        def mixed(pool, jobs):
-            out = ok(pool, jobs[:1])
-            out.update(raising()(pool, jobs[1:2]))
-            out.update(expired(pool, jobs[2:]))
-            return out
-
-        pool = ScriptedPool(4, mixed, ok)
-        left = _run(pool, [a, b, c], 2, **RESIDENT)
-        # a and c leave after the first attempt, b after its retry
-        assert [j.label for j in left] == ["a", "c", "b"]
-        assert [len(seqs) for _, seqs in pool.batches] == [3, 1]
-        assert (a.report.outcome, b.report.outcome) == ("clean", "recovered")
-        assert c.outcome.expired and not c.report.ok
 
 
 class TestHarvest:
@@ -268,7 +238,7 @@ class TestHarvest:
         pool = ScriptedPool(
             4, raising(frames=frames), raising(frames=[frame(0, src=3)])
         )
-        (job,) = _run(pool, [make_job()], 2, **RESIDENT)
+        job = _run(pool, make_job(), 2, **RESIDENT)
         assert sorted(job.checkpoint) == [0, 2]
         assert job.checkpoint[0] == frame(0)
         assert [a.checkpoint_blocks for a in job.report.attempts] == [2, 0]
@@ -279,32 +249,32 @@ class TestCrewShrinkRule:
     def test_raising_rank_shrinks_a_one_shot_crew(self, make_job, caplog):
         caplog.set_level(logging.WARNING, logger="repro.runtime.recovery")
         pool = ScriptedPool(4, raising(), ok)
-        (job,) = _run(pool, [make_job()], 3, **ONE_SHOT)
+        job = _run(pool, make_job(), 3, **ONE_SHOT)
         assert job.report.outcome == "recovered"
-        assert [w for w, _ in pool.batches] == [4, 3]
+        assert [w for w, _ in pool.runs] == [4, 3]
         assert (pool.generation, job.report.final_nprocs) == (2, 3)
         heals = [r.getMessage() for r in caplog.records if "healed" in r.msg]
         assert len(heals) == 1 and "4 -> 3 workers (generation 2)" in heals[0]
 
     def test_raising_rank_stays_in_a_resident_crew(self, make_job):
         pool = ScriptedPool(4, raising(), ok)
-        (job,) = _run(pool, [make_job()], 3, **RESIDENT)
+        job = _run(pool, make_job(), 3, **RESIDENT)
         assert job.report.outcome == "recovered"
-        assert [w for w, _ in pool.batches] == [4, 4]
+        assert [w for w, _ in pool.runs] == [4, 4]
         assert pool.generation == 1
 
     @pytest.mark.parametrize("policy", [ONE_SHOT, RESIDENT])
     def test_dead_process_shrinks_either_crew(self, make_job, policy):
         pool = ScriptedPool(4, died(1), ok)
-        (job,) = _run(pool, [make_job()], 3, **policy)
-        assert [w for w, _ in pool.batches] == [4, 3]
+        job = _run(pool, make_job(), 3, **policy)
+        assert [w for w, _ in pool.runs] == [4, 3]
         assert job.report.attempts[0].failed_ranks == [1]
         assert "died" in job.report.attempts[0].error
 
     def test_stall_restarts_a_resident_crew_at_the_same_width(self, make_job):
         pool = ScriptedPool(4, stalled, ok)
-        (job,) = _run(pool, [make_job()], 3, **RESIDENT)
-        assert [w for w, _ in pool.batches] == [4, 4]
+        job = _run(pool, make_job(), 3, **RESIDENT)
+        assert [w for w, _ in pool.runs] == [4, 4]
         assert pool.generation == 2 and job.report.outcome == "recovered"
 
     def test_no_ranks_are_shed_for_an_attempt_that_will_not_follow(
@@ -314,24 +284,24 @@ class TestCrewShrinkRule:
         it — even broken, its caller closes it, so a fresh crew would be
         spawned for nothing and ``last_error`` / the dead ranks stay there
         to type the error. A broken resident crew is replaced whatever
-        follows: it serves the next batch."""
+        follows: it serves the next job."""
         pool = ScriptedPool(4, raising())
-        _run(pool, [make_job()], 1, **ONE_SHOT)
+        _run(pool, make_job(), 1, **ONE_SHOT)
         assert (pool.generation, pool.nprocs) == (1, 4)
         pool = ScriptedPool(4, died(1), died(2))
-        _run(pool, [make_job()], 2, **ONE_SHOT)
+        _run(pool, make_job(), 2, **ONE_SHOT)
         assert (pool.generation, pool.nprocs) == (2, 3)
         assert pool.last_error is not None and pool.dead_ranks() == [2]
         pool = ScriptedPool(4, died(2))
-        _run(pool, [make_job()], 1, **RESIDENT)
+        _run(pool, make_job(), 1, **RESIDENT)
         assert (pool.generation, pool.nprocs) == (2, 3)
 
     def test_settle_alone(self):
-        """What ``FactorService.solve`` calls after its one-job batch."""
+        """What ``FactorService.solve`` calls after its warm solve job."""
         policy = RecoveryPolicy(attempts=1, **RESIDENT)
         pool = ScriptedPool(2, ok)
         assert settle(pool, policy) is False and pool.generation == 1
-        died(1)(pool, [])
+        died(1)(pool, PoolJob(0, "p", None))
         assert settle(pool, policy) is True
         assert (pool.generation, pool.nprocs) == (2, 1)
 
@@ -345,17 +315,17 @@ class TestCallerStop:
             return False
 
         pool = ScriptedPool(4, died(1), ok)
-        (job,) = _run(pool, [make_job()], 3, settled, **RESIDENT)
+        job = _run(pool, make_job(), 3, settled, **RESIDENT)
         assert heard == [True]
-        assert len(pool.batches) == 1 and not job.report.ok
+        assert len(pool.runs) == 1 and not job.report.ok
         assert job.report.outcome == "degraded_sequential"
-        # the crew was still replaced: the pool is fit for the next batch
+        # the crew was still replaced: the pool is fit for the next job
         assert (pool.generation, pool.nprocs) == (2, 3)
 
     def test_predicate_hears_every_attempt(self, make_job):
         heard = []
         pool = ScriptedPool(4, raising(), died(1), ok)
-        _run(pool, [make_job()], 3, lambda h: heard.append(h) or True,
+        _run(pool, make_job(), 3, lambda h: heard.append(h) or True,
              **RESIDENT)
         assert heard == [False, True, False]
 
@@ -363,15 +333,15 @@ class TestCallerStop:
 class TestTypedError:
     def test_a_broken_pool_outranks_a_raising_rank(self):
         """:func:`~repro.runtime.engine.raise_failure`'s order, the one
-        every caller types a failed job by: a dead process or the batch
+        every caller types a failed job by: a dead process or the job
         timeout names the error even when a rank also raised; whatever is
         raised carries the report it was given."""
         pool = ScriptedPool(2)
         job = PoolJob(0, "p", None)
-        out = raising(1)(pool, [job])[job.seq]
+        out = raising(1)(pool, job)
         with pytest.raises(engine.WorkerError, match="boom on 1"):
             engine.raise_failure(out, pool)
-        died(0)(pool, [])
+        died(0)(pool, job)
         report = object()
         with pytest.raises(engine.DeadWorkerError) as info:
             engine.raise_failure(out, pool, report)

@@ -2,6 +2,7 @@
 factorization, communication accounting vs the static predictor, load
 distribution vs the work model, and clean shutdown on worker failure."""
 
+import logging
 import multiprocessing as mp
 
 import numpy as np
@@ -155,6 +156,27 @@ class TestShutdown:
                 bs, sf.A, tg, nprocs=4, mapping="cyclic",
                 **_soft_crash(1, 3), stall_timeout_s=10, timeout_s=60,
             )
+        assert _no_orphans()
+
+    def test_failure_carries_a_one_attempt_report(
+        self, grid12_pipeline, caplog
+    ):
+        """``run_mp_fanout`` is one attempt through the recovery loop with
+        no fallback: its typed error carries that attempt's report, and
+        nothing is healed (the conftest guard checks no process or
+        segment is left)."""
+        _, sf, _, bs, wm, tg = grid12_pipeline
+        owners, name = plan_owners(wm, tg, 2, "DW/CY")
+        caplog.set_level(logging.INFO, logger="repro.runtime.recovery")
+        with pytest.raises(WorkerError, match="injected failure") as info:
+            run_mp_fanout(bs, sf.A, tg, owners, 2, mapping=name,
+                          **_soft_crash(1, 3), stall_timeout_s=10,
+                          timeout_s=60)
+        rep = info.value.failure_report
+        assert rep.outcome == "degraded_sequential"
+        assert len(rep.attempts) == 1
+        assert rep.attempts[0].nprocs == rep.final_nprocs == 2
+        assert not [r for r in caplog.records if "healed" in r.msg]
         assert _no_orphans()
 
     def test_numeric_failure_propagates_without_hang(self, grid12_pipeline):

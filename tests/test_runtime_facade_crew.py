@@ -51,13 +51,13 @@ class TestOneCrewPerInstance:
         if transport == "shm" and not shm_available():
             pytest.skip("no POSIX shared memory")
         shipped = []
-        run_batch = WorkerPool.run_batch
+        run = WorkerPool.run
 
-        def spy(pool, jobs, timeout_s=300.0):
-            shipped.extend(job.context is not None for job in jobs)
-            return run_batch(pool, jobs, timeout_s)
+        def spy(pool, job, timeout_s=300.0):
+            shipped.append(job.context is not None)
+            return run(pool, job, timeout_s)
 
-        monkeypatch.setattr(WorkerPool, "run_batch", spy)
+        monkeypatch.setattr(WorkerPool, "run", spy)
         with _chol(grid12_pipeline[0].A, transport=transport) as chol:
             Ls = []
             for _ in range(2):

@@ -79,53 +79,56 @@ class TestInlinePool:
         must reproduce the sequential factor bitwise (inline)."""
         p = pool_problem
         with WorkerPool(nprocs=2) as pool:
-            out = pool.run_batch([
+            out = [pool.run(job, timeout_s=120) for job in (
                 PoolJob(seq=0, pattern_id="g", values=p["A_perm"].data,
                         context=_context(p, "g")),
                 PoolJob(seq=1, pattern_id="g", values=p["A2_perm"].data),
                 PoolJob(seq=2, pattern_id="g", values=p["A_perm"].data),
-            ], timeout_s=120)
+            )]
             assert _bitwise(_factor_of(p, out[0]), p["L1"])
             assert _bitwise(_factor_of(p, out[1]), p["L2"])
             assert _bitwise(_factor_of(p, out[2]), p["L1"])
 
     def test_context_survives_batches(self, pool_problem):
-        """A later batch needs no context re-ship for a seen pattern."""
+        """A later job needs no context re-ship for a seen pattern."""
         p = pool_problem
         with WorkerPool(nprocs=2) as pool:
-            out = pool.run_batch([
+            out = pool.run(
                 PoolJob(seq=0, pattern_id="g", values=p["A_perm"].data,
                         context=_context(p, "g")),
-            ], timeout_s=120)
-            assert out[0].ok
+                timeout_s=120,
+            )
+            assert out.ok
             assert "g" in pool.seen_patterns
-            out = pool.run_batch([
+            out = pool.run(
                 PoolJob(seq=1, pattern_id="g", values=p["A2_perm"].data),
-            ], timeout_s=120)
-            assert _bitwise(_factor_of(p, out[1]), p["L2"])
+                timeout_s=120,
+            )
+            assert _bitwise(_factor_of(p, out), p["L2"])
 
     def test_missing_context_is_typed_error(self, pool_problem):
         p = pool_problem
         with WorkerPool(nprocs=2) as pool:
-            out = pool.run_batch([
+            out = pool.run(
                 PoolJob(seq=0, pattern_id="nope", values=p["A_perm"].data),
-            ], timeout_s=60)
-            assert not out[0].ok
-            assert "protocol breach" in out[0].error
+                timeout_s=60,
+            )
+            assert not out.ok
+            assert "protocol breach" in out.error
 
     def test_per_job_metrics_isolated(self, pool_problem):
         """Each job's metrics cover only that job's traffic."""
         p = pool_problem
         with WorkerPool(nprocs=2) as pool:
-            out = pool.run_batch([
+            out = [pool.run(job, timeout_s=120) for job in (
                 PoolJob(seq=0, pattern_id="g", values=p["A_perm"].data,
                         context=_context(p, "g")),
                 PoolJob(seq=1, pattern_id="g", values=p["A_perm"].data),
-            ], timeout_s=120)
+            )]
         m0 = sum(r.metrics.messages_sent for r in out[0].results.values())
         m1 = sum(r.metrics.messages_sent for r in out[1].results.values())
         assert m0 == m1  # identical jobs, identical per-job counters
-        for out_i in out.values():
+        for out_i in out:
             tasks = sum(
                 r.metrics.tasks_executed for r in out_i.results.values()
             )
@@ -138,26 +141,28 @@ class TestShmPool:
         """Jobs run one after the other, so same-arena jobs never share
         slots and stay bitwise-correct. The arena holds the job that ran
         last: each factor is copied out before the next job is
-        dispatched, and the last job of a list is the one it yields."""
+        dispatched, and the last of consecutive jobs is the one it
+        yields."""
         p = pool_problem
         arena = BlockArena.create(p["tg"])
         try:
             with WorkerPool(nprocs=2) as pool:
-                first = pool.run_batch([
+                first = pool.run(
                     PoolJob(seq=0, pattern_id="g",
                             values=p["A_perm"].data,
                             context=_context(p, "g", arena.name)),
-                ], timeout_s=120)[0]
+                    timeout_s=120,
+                )
                 assert _bitwise(_factor_of(p, first, arena), p["L1"])
-                out = pool.run_batch([
+                out = [pool.run(job, timeout_s=120) for job in (
                     PoolJob(seq=1, pattern_id="g",
                             values=p["A_perm"].data),
                     PoolJob(seq=2, pattern_id="g",
                             values=p["A2_perm"].data),
-                ], timeout_s=120)
-                assert out[1].ok
-                assert not any(r.frames for r in out[1].results.values())
-                assert _bitwise(_factor_of(p, out[2], arena), p["L2"])
+                )]
+                assert out[0].ok
+                assert not any(r.frames for r in out[0].results.values())
+                assert _bitwise(_factor_of(p, out[1], arena), p["L2"])
         finally:
             arena.destroy()
 
@@ -168,13 +173,14 @@ class TestShmPool:
         arena = BlockArena.create(p["tg"])
         try:
             with WorkerPool(nprocs=2) as pool:
-                out = pool.run_batch([
+                out = pool.run(
                     PoolJob(seq=0, pattern_id="g",
                             values=p["A_perm"].data,
                             context=_context(p, "g", arena.name)),
-                ], timeout_s=120)
-                assert out[0].ok
-                w = out[0].results
+                    timeout_s=120,
+                )
+                assert out.ok
+                w = out.results
                 wire = sum(r.metrics.wire_bytes_sent for r in w.values())
                 logical = sum(r.metrics.bytes_sent for r in w.values())
                 assert 0 < wire < logical
@@ -196,12 +202,12 @@ class TestStragglerFrames:
         arena = BlockArena.create(p["tg"]) if transport == "shm" else None
         try:
             with WorkerPool(nprocs=2) as pool:
-                first = pool.run_batch([PoolJob(
+                first = pool.run(PoolJob(
                     seq=0, pattern_id="g", values=p["A_perm"].data,
                     context=_context(
                         p, "g", None if arena is None else arena.name
                     ),
-                )], timeout_s=120)[0]
+                ), timeout_s=120)
                 assert first.ok, first.error
                 # A block frame as rank 0 fanned it out in job 0: the
                 # block itself inline, its slot descriptor on shm.
@@ -214,9 +220,9 @@ class TestStragglerFrames:
                 for inbox in pool._fabric.inboxes:
                     inbox.put((0, stale))
                 pool.abort_job(0)
-                out = pool.run_batch([PoolJob(
+                out = pool.run(PoolJob(
                     seq=1, pattern_id="g", values=p["A2_perm"].data,
-                )], timeout_s=120)[1]
+                ), timeout_s=120)
             L = _factor_of(p, out, arena)
         finally:
             if arena is not None:
@@ -235,21 +241,23 @@ class TestPoolLifecycle:
         p = pool_problem
         pool = WorkerPool(nprocs=2).start()
         try:
-            pool.run_batch([
+            pool.run(
                 PoolJob(seq=0, pattern_id="g", values=p["A_perm"].data,
                         context=_context(p, "g")),
-            ], timeout_s=120)
+                timeout_s=120,
+            )
             assert "g" in pool.seen_patterns
             gen = pool.generation
             pool.restart()
             assert pool.generation == gen + 1
             assert not pool.seen_patterns
             # context must be re-shipped after restart
-            out = pool.run_batch([
+            out = pool.run(
                 PoolJob(seq=1, pattern_id="g", values=p["A_perm"].data,
                         context=_context(p, "g")),
-            ], timeout_s=120)
-            assert _bitwise(_factor_of(p, out[1]), p["L1"])
+                timeout_s=120,
+            )
+            assert _bitwise(_factor_of(p, out), p["L1"])
         finally:
             pool.close()
 
@@ -262,17 +270,19 @@ class TestPoolLifecycle:
     def test_evict_forces_reship(self, pool_problem):
         p = pool_problem
         with WorkerPool(nprocs=2) as pool:
-            pool.run_batch([
+            pool.run(
                 PoolJob(seq=0, pattern_id="g", values=p["A_perm"].data,
                         context=_context(p, "g")),
-            ], timeout_s=120)
+                timeout_s=120,
+            )
             pool.evict(["g"])
             assert "g" not in pool.seen_patterns
-            out = pool.run_batch([
+            out = pool.run(
                 PoolJob(seq=1, pattern_id="g", values=p["A2_perm"].data,
                         context=_context(p, "g")),
-            ], timeout_s=120)
-            assert _bitwise(_factor_of(p, out[1]), p["L2"])
+                timeout_s=120,
+            )
+            assert _bitwise(_factor_of(p, out), p["L2"])
 
 
 class TestWarmEqualsCold:
@@ -304,12 +314,12 @@ class TestWarmEqualsCold:
         )
         try:
             with WorkerPool(nprocs=2) as pool:
-                out = pool.run_batch([
+                out = [pool.run(job, timeout_s=120) for job in (
                     PoolJob(seq=0, pattern_id="warm",
                             values=A_perm.data, context=ctx),
                     PoolJob(seq=1, pattern_id="warm",
                             values=A_new_perm.data),
-                ], timeout_s=120)
+                )]
                 assert out[1].ok, out[1].error
                 warm = _assemble(
                     bs, tg, out[1].results, arena=arena
@@ -323,26 +333,25 @@ class TestWarmEqualsCold:
 
 
 class TestBrokenBatch:
-    def test_run_batch_reports_and_leaves_healing_to_the_caller(
+    def test_run_reports_and_leaves_healing_to_the_caller(
         self, pool_problem
     ):
-        """A hard-killed rank: the batch's jobs come back failed, the
-        pool says why and who, and no process is started behind the
-        caller's back — the crew changes only when the caller heals."""
+        """A hard-killed rank: the job comes back failed, the pool says
+        why and who, and no process is started behind the caller's back
+        — the crew changes only when the caller heals."""
         p = pool_problem
         kill = FaultPlan(seed=0, crash=(CrashSpec(1, 1, hard=True),))
         pool = WorkerPool(nprocs=2).start()
         try:
             crew = list(pool._procs)
-            out = pool.run_batch([
+            out = pool.run(
                 PoolJob(seq=0, pattern_id="g", values=p["A_perm"].data,
                         context=_context(p, "g"), fault_plan=kill),
-                PoolJob(seq=1, pattern_id="g", values=p["A2_perm"].data),
-            ], timeout_s=60)
-            assert not out[0].ok and not out[1].ok
+                timeout_s=60,
+            )
+            assert not out.ok
             assert "died" in pool.last_error
-            assert out[0].failed_ranks == [1]
-            assert out[1].failed_ranks == [1]
+            assert out.failed_ranks == [1]
             assert pool.dead_ranks() == [1]
             assert pool._procs == crew
             assert (pool.generation, pool.nprocs) == (1, 2)
@@ -352,12 +361,13 @@ class TestBrokenBatch:
             assert pool.alive and not pool.seen_patterns
             solo = _context(p, "g")
             solo.owners = np.zeros_like(p["owners"])
-            out = pool.run_batch([
+            out = pool.run(
                 PoolJob(seq=2, pattern_id="g", values=p["A_perm"].data,
                         context=solo),
-            ], timeout_s=60)
+                timeout_s=60,
+            )
             assert pool.last_error is None
-            assert _bitwise(_factor_of(p, out[2]), p["L1"])
+            assert _bitwise(_factor_of(p, out), p["L1"])
         finally:
             pool.close()
 
@@ -386,16 +396,16 @@ class TestOneShotIsAOneJobPool:
         arena = BlockArena.create(tg) if transport == "shm" else None
         try:
             with WorkerPool(nprocs=2) as pool:
-                out = pool.run_batch([PoolJob(
+                out = pool.run(PoolJob(
                     seq=0, pattern_id="g", values=A.data,
                     context=_context(
                         p, "g", None if arena is None else arena.name
                     ),
                     trace_capacity=1 << 16, rhs=rhs,
-                )], timeout_s=120)[0]
+                ), timeout_s=120)
             assert out.ok, out.error
             factor, solution, metrics, trace = outcome_result(
-                out, bs, tg, A, rhs, mapping="DW/CY", arena=arena,
+                out, bs, tg, True, rhs, mapping="DW/CY", arena=arena,
             )
         finally:
             if arena is not None:

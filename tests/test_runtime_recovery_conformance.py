@@ -1,7 +1,7 @@
 """One recovery loop, two callers: the same scenarios through
 ``run_with_recovery`` and through ``FactorService`` on the 12 x 12 grid.
 Per caller the table pins the outcome tag, the number of parallel
-attempts (``run_batch`` calls), the crew's final width and a factor
+attempts (``run`` calls), the crew's final width and a factor
 bitwise equal to the sequential ``BlockCholesky``; and a restarted
 one-shot run opens one pool and at most one arena."""
 
@@ -45,21 +45,21 @@ SCENARIOS = {
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Every ``WorkerPool`` constructed, with its ``run_batch`` count."""
+    """Every ``WorkerPool`` constructed, with its ``run`` count."""
     seen = []
-    init, run_batch = WorkerPool.__init__, WorkerPool.run_batch
+    init, run = WorkerPool.__init__, WorkerPool.run
 
     def counting_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         self.batches_run = 0
         seen.append(self)
 
-    def counting_run_batch(self, *args, **kwargs):
+    def counting_run(self, *args, **kwargs):
         self.batches_run += 1
-        return run_batch(self, *args, **kwargs)
+        return run(self, *args, **kwargs)
 
     monkeypatch.setattr(WorkerPool, "__init__", counting_init)
-    monkeypatch.setattr(WorkerPool, "run_batch", counting_run_batch)
+    monkeypatch.setattr(WorkerPool, "run", counting_run)
     return seen
 
 
@@ -117,7 +117,7 @@ def test_service(grid12_pipeline, pools, scenario):
     with FactorService(
         nprocs=2, ordering=np.asarray(sf.ordering.perm), block_size=8,
         mapping="DW/CY", fault_plan=plan, fault_jobs=(0,),
-        batch_timeout_s=120, stall_timeout_s=10.0, **kw,
+        timeout_s=120, stall_timeout_s=10.0, **kw,
     ) as svc:
         if not_spd:
             with pytest.raises(JobFailed, match="not positive definite"):

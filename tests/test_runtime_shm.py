@@ -413,10 +413,10 @@ def _context(bs, tg, owners, A, pattern_id, arena=None, **config):
 
 
 def _run(pool, seq, ctx, values, ship=True, **fields):
-    return pool.run_batch([PoolJob(
+    return pool.run(PoolJob(
         seq=seq, pattern_id=ctx.pattern_id, values=values,
         context=ctx if ship else None, **fields,
-    )], timeout_s=120)[seq]
+    ), timeout_s=120)
 
 
 @pytest.fixture()
@@ -470,7 +470,7 @@ class TestArenaGather:
                             seq += 1
                             assert out.ok, (cell, out.error)
                             factor, _, metrics, _ = outcome_result(
-                                out, bs, tg, A, owners=owners,
+                                out, bs, tg, True, owners=owners,
                                 arena=transport, config=ctx.config,
                             )
                             assert _bitwise(factor.to_csc(), ref), cell
@@ -540,7 +540,7 @@ class TestArenaGather:
         I, J = int(tg.block_I[lost]), int(tg.block_J[lost])
         with pytest.raises(FanoutError) as err:
             outcome_result(
-                JobOutcome(seq=0, results=results), bs, tg, A,
+                JobOutcome(seq=0, results=results), bs, tg, True,
                 owners=owners, arena=arena,
             )
         assert str(err.value) == (
@@ -600,12 +600,12 @@ class TestArenaGather:
                 ctx = _context(bs, tg, owners, A1, "g", arena)
                 out = _run(pool, 0, ctx, A1.data)
                 first, _, _, _ = outcome_result(
-                    out, bs, tg, A1, owners=owners, arena=arena
+                    out, bs, tg, True, owners=owners, arena=arena
                 )
                 L1 = first.to_csc()
                 out = _run(pool, 1, ctx, A2.data, ship=False)
                 second, _, _, _ = outcome_result(
-                    out, bs, tg, A2, owners=owners, arena=arena
+                    out, bs, tg, True, owners=owners, arena=arena
                 )
         finally:
             arena.destroy()

@@ -189,7 +189,7 @@ class TestInterleavedRanks:
                 w.rank, w.metrics, frames, None, w._solution_panels
             )
         factor, solution, metrics, _ = outcome_result(
-            JobOutcome(seq=0, results=results), bs, tg, sf.A.tocsc(), rhs,
+            JobOutcome(seq=0, results=results), bs, tg, True, rhs,
             config=RunConfig(schedule=schedule),
         )
         ref = seq_chol.to_csc()
@@ -430,13 +430,13 @@ class TestWorkCostComesFromTheTaskGraph:
         one = run_mp_fanout(bs, A, tg, owners, 2, mapping="DW/CY",
                             trace=True, transport="inline")
         with WorkerPool(nprocs=2) as pool:
-            out = pool.run_batch([PoolJob(
+            out = pool.run(PoolJob(
                 seq=0, pattern_id="t", values=A.data, context=ctx,
                 trace_capacity=1 << 16,
-            )], timeout_s=120)[0]
+            ), timeout_s=120)
         assert out.ok, out.error
         _, _, metrics, trace = outcome_result(
-            out, bs, tg, A, mapping="DW/CY",
+            out, bs, tg, True, mapping="DW/CY",
         )
         shares = np.bincount(owners, weights=wm.work, minlength=2)
         for run_metrics, run_trace in ((one.metrics, one.trace),

@@ -30,7 +30,7 @@ from repro.service import (
 )
 from repro.solver import SparseCholesky
 
-SVC_KW = dict(nprocs=2, ordering="nd", block_size=8, batch_timeout_s=120)
+SVC_KW = dict(nprocs=2, ordering="nd", block_size=8, timeout_s=120)
 
 
 @pytest.fixture(scope="module")
@@ -183,27 +183,27 @@ class TestFactorService:
             pytest.skip("no POSIX shared memory")
         with FactorService(transport=transport, **SVC_KW) as svc:
             pid = svc.factor(grid_A).pattern_id
-            run_batch = svc.pool.run_batch
+            run = svc.pool.run
 
-            def tampered(jobs, timeout_s):
-                outcomes = run_batch(jobs, timeout_s)
-                res = outcomes[jobs[0].seq].results[0]
+            def tampered(job, timeout_s):
+                outcome = run(job, timeout_s)
+                res = outcome.results[0]
                 if transport == "inline":
                     frame = bytearray(res.frames[0])
                     frame[-1] ^= 0x01
                     res.frames[0] = bytes(frame)
                 else:
                     res.held[1][0] ^= 1
-                return outcomes
+                return outcome
 
-            svc.pool.run_batch = tampered
+            svc.pool.run = tampered
             with pytest.raises(JobFailed) as err:
                 svc.factor(pattern_id=pid, values=grid_A2.data)
             what = "bad frame" if transport == "inline" else "CRC mismatch"
             assert what in err.value.detail and "rank 0" in err.value.detail
             record = svc.metrics.records[-1]
             assert (record.status, record.attempts) == ("failed", 1)
-            svc.pool.run_batch = run_batch
+            svc.pool.run = run
             r = svc.factor(pattern_id=pid, values=grid_A2.data)
             assert _bitwise(r.L, _cold_L(grid_A2))
 
