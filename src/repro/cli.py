@@ -374,7 +374,7 @@ def cmd_chaos(args) -> int:
     # Fast renegotiation for the small chaos problems.
     cfg = replace(
         args.config, renegotiate_base_s=0.05, renegotiate_cap_s=0.5,
-        max_renegotiations=6, dead_grace_s=5.0,
+        max_renegotiations=6,
     )
     prep = prepare_problem(
         args.problem, args.scale, cfg.block_size,
@@ -439,9 +439,8 @@ def cmd_chaos(args) -> int:
 #: ``FactorService`` keywords that are not :class:`RunConfig` fields; each
 #: is a flag of ``serve`` / ``loadgen`` whose ``dest`` is the keyword.
 _SERVICE_ONLY = (
-    "queue_capacity", "admission", "cache_capacity", "validate",
-    "default_deadline_s", "max_job_attempts", "breaker_threshold",
-    "breaker_cooldown_s",
+    "queue_capacity", "cache_capacity", "validate", "default_deadline_s",
+    "breaker_threshold", "breaker_cooldown_s",
 )
 
 
@@ -452,13 +451,10 @@ def _service_only(args) -> dict:
 def _add_service_knobs(p: argparse.ArgumentParser) -> None:
     RunConfig.add_arguments(
         p, "nprocs", "ordering", "block_size", "block_policy", "mapping",
-        "transport", "schedule", "steal_seed", nprocs=2,
+        "transport", "schedule", "steal_seed", "max_restarts", nprocs=2,
     )
     p.add_argument("--queue-capacity", type=int, default=64,
                    help="admission queue bound")
-    p.add_argument("--admission", default="block",
-                   choices=("block", "reject", "shed"),
-                   help="what happens when the queue is full")
     p.add_argument("--cache-capacity", type=int, default=8,
                    help="pattern cache entries (LRU beyond this)")
     p.add_argument("--validate", action="store_true",
@@ -468,9 +464,6 @@ def _add_service_knobs(p: argparse.ArgumentParser) -> None:
                    default=None, metavar="S",
                    help="default per-job deadline in seconds "
                         "(None = unbounded)")
-    p.add_argument("--max-job-attempts", type=int, default=2,
-                   help="parallel attempts per job before the "
-                        "sequential fallback")
     p.add_argument("--breaker-threshold", type=int, default=3,
                    help="consecutive pool failures that trip the "
                         "circuit breaker (0 disables)")
@@ -488,8 +481,7 @@ def cmd_serve(args) -> int:
     host, port = server.address
     print(f"repro service listening on {host}:{port} "
           f"(nprocs={service.nprocs}, transport={service.transport}, "
-          f"admission={args.admission}, queue={args.queue_capacity})",
-          flush=True)
+          f"queue={args.queue_capacity})", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive

@@ -124,13 +124,9 @@ class RunConfig:
     )
     # -- recovery tuning -----------------------------------------------
     max_restarts: int = _knob(
-        2, "restart budget before the sequential fallback",
+        2, "restart budget before the sequential fallback, for every "
+        "pool owner (max_restarts + 1 parallel attempts a job)",
         flags="--max-restarts", kind=int, low=0,
-    )
-    dead_grace_s: float | None = _knob(
-        None, "seconds to keep collecting survivors' checkpoints after a "
-        "process death (None = 10 under run_with_recovery, else 0)",
-        kind=float, low=0,
     )
     renegotiate_base_s: float = _knob(
         0.2, "first NACK/retransmit backoff of a starved worker",

@@ -77,6 +77,10 @@ __all__ = [
 #: Result-queue tag used by worker heartbeats (never a valid job seq).
 HEARTBEAT_SEQ = -1
 
+#: Seconds a ``recovery`` job keeps collecting survivors after a process
+#: death, so they can abort and ship their completed-block checkpoints.
+DEAD_GRACE_S = 5.0
+
 #: ``fork`` shares the parent's imports with the crew for free; platforms
 #: without it get ``spawn``.
 START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
@@ -556,10 +560,10 @@ class WorkerPool:
         ABORTed and failed, the casualties land in its ``failed_ranks``
         (the dead ranks; on a timeout, every rank that never reported)
         and :attr:`last_error` records why. After a death the loop lingers
-        up to the ``dead_grace_s`` of the context shipped with the job, so
-        the survivors can abort and ship their completed-block
-        checkpoints. Nothing is restarted here — the caller heals or
-        closes.
+        up to :data:`DEAD_GRACE_S` when the job runs under ``recovery``
+        (only then do survivors ship completed-block checkpoints), and
+        not at all otherwise. Nothing is restarted here — the caller
+        heals or closes.
         """
         if not self.running:
             self.start()
@@ -612,11 +616,8 @@ class WorkerPool:
                 dead = [r for r in self.dead_ranks() if r in waiting]
                 if dead:
                     if self.last_error is None:
-                        ctx = job.context
-                        grace = ctx.config.dead_grace_s if ctx else None
-                        stop_at = min(
-                            stop_at, time.monotonic() + (grace or 0.0)
-                        )
+                        grace = DEAD_GRACE_S if job.recovery else 0.0
+                        stop_at = min(stop_at, time.monotonic() + grace)
                     names = [self._procs[r].name for r in dead]
                     break_pool(
                         f"pool worker process(es) died: {names}", dead

@@ -29,7 +29,7 @@ import itertools
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -356,10 +356,10 @@ def run_with_recovery(
     Runs under a :class:`~repro.config.RunConfig` (``config`` and/or
     keyword overrides): one crew of ``nprocs`` workers (and one arena)
     serves every attempt, healed onto the survivors in between; the
-    placement group plans each attempt, the recovery-tuning group bounds
-    it (``max_restarts``; ``dead_grace_s`` defaults to 10 s here). Every
-    attempt runs the in-run integrity protocol and resumes from the
-    blocks earlier ones completed (:func:`run_on_temporary_pool`).
+    placement group plans each attempt, ``max_restarts`` bounds them.
+    Every attempt runs the in-run integrity protocol (a dead process's
+    survivors ship checkpoints) and resumes from the blocks earlier ones
+    completed (:func:`run_on_temporary_pool`).
     Returns an :class:`MPRuntimeResult` whose ``failure_report`` is always
     populated. Raises the last attempt's
     :class:`~repro.runtime.engine.FanoutError` (carrying the report) if
@@ -367,8 +367,6 @@ def run_with_recovery(
     and whatever the sequential fallback raises.
     """
     config = RunConfig.of(config, overrides)
-    if config.dead_grace_s is None:
-        config = replace(config, dead_grace_s=10.0)
     A = A.tocsc()
     policy = RecoveryPolicy(attempts=config.max_restarts + 1,
                             raising_rank_is_casualty=True)

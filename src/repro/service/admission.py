@@ -1,21 +1,14 @@
-"""Bounded admission queue with reject / block / shed policies.
+"""Bounded admission queue: the service's pressure-relief valve.
 
-The queue is the service's pressure-relief valve. Capacity is bounded;
-what happens when it is full is the admission *policy*:
-
-* ``"reject"`` — refuse new work immediately with a typed
-  :class:`~repro.service.jobs.AdmissionRejected` (never a hang). The
-  right default for latency-sensitive clients that can retry elsewhere.
-* ``"block"`` — backpressure: the submitting thread waits (bounded by
-  its ``timeout``) for space; on timeout, a typed rejection. The right
-  default for closed-loop clients.
-* ``"shed"`` — admit the new job and shed the *oldest* queued one (its
-  handle fails with ``AdmissionRejected("shed")``). Keeps the queue
-  biased toward fresh work under sustained overload.
+Capacity is bounded, and a full queue has one rule: the submitter waits
+for room, up to its ``timeout``, then gets a typed
+:class:`~repro.service.jobs.AdmissionRejected` (``"queue_full"``) —
+never a hang. ``timeout=0`` is the immediate refusal, ``None`` waits
+for as long as it takes.
 
 Everything is a plain condition variable over a deque, so a seeded load
-trace drains deterministically: same arrivals, same capacity, same
-policy → same admit/reject/shed decisions.
+trace drains deterministically: same arrivals, same capacity → same
+admit/reject decisions.
 """
 
 from __future__ import annotations
@@ -27,8 +20,6 @@ from dataclasses import dataclass
 
 from repro.service.jobs import AdmissionRejected, ServiceClosed
 
-POLICIES = ("reject", "block", "shed")
-
 
 @dataclass
 class QueueStats:
@@ -37,8 +28,6 @@ class QueueStats:
     submitted: int = 0
     admitted: int = 0
     rejected: int = 0
-    shed: int = 0
-    timed_out: int = 0
     #: Jobs whose per-job deadline passed while still queued (the
     #: dispatcher fails them with ``DeadlineExceeded`` before dispatch).
     expired: int = 0
@@ -49,18 +38,12 @@ class QueueStats:
 
 
 class JobQueue:
-    """Bounded FIFO of pending jobs with an admission policy."""
+    """Bounded FIFO of pending jobs."""
 
-    def __init__(self, capacity: int = 64, policy: str = "block"):
+    def __init__(self, capacity: int = 64):
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        if policy not in POLICIES:
-            raise KeyError(
-                f"unknown admission policy {policy!r}; "
-                f"expected one of {POLICIES}"
-            )
         self.capacity = capacity
-        self.policy = policy
         self._items: deque = deque()
         self._cond = threading.Condition()
         self._closed = False
@@ -75,56 +58,37 @@ class JobQueue:
         return self._closed
 
     # ------------------------------------------------------------------
-    def put(self, item, timeout: float | None = None):
-        """Admit ``item`` under the configured policy.
+    def put(self, item, timeout: float | None = None) -> None:
+        """Admit ``item``, waiting up to ``timeout`` seconds for room.
 
-        Returns the item shed to make room (``"shed"`` policy only;
-        ``None`` otherwise). Raises :class:`AdmissionRejected` when the
-        policy refuses the job, :class:`ServiceClosed` after
-        :meth:`close`.
+        Raises :class:`AdmissionRejected` when the queue is still full at
+        the end of the wait, :class:`ServiceClosed` after :meth:`close`.
         """
         with self._cond:
             self.stats.submitted += 1
-            if self._closed:
-                raise ServiceClosed("service is shut down")
-            shed = None
-            if len(self._items) >= self.capacity:
-                if self.policy == "reject":
-                    self.stats.rejected += 1
-                    raise AdmissionRejected(
-                        "queue_full",
-                        f"admission queue full "
-                        f"({self.capacity} jobs pending)",
-                    )
-                if self.policy == "shed":
-                    shed = self._items.popleft()
-                    self.stats.shed += 1
-                else:  # block: bounded backpressure
-                    deadline = (
-                        None if timeout is None
-                        else time.monotonic() + timeout
-                    )
-                    while len(self._items) >= self.capacity:
-                        if self._closed:
-                            raise ServiceClosed("service is shut down")
-                        remaining = None
-                        if deadline is not None:
-                            remaining = deadline - time.monotonic()
-                            if remaining <= 0:
-                                self.stats.rejected += 1
-                                self.stats.timed_out += 1
-                                raise AdmissionRejected(
-                                    "backpressure_timeout",
-                                    f"queue full for {timeout:.3g}s",
-                                )
-                        self._cond.wait(remaining)
+            deadline = None if timeout is None else time.monotonic() + timeout
+            while True:
+                if self._closed:
+                    raise ServiceClosed("service is shut down")
+                if len(self._items) < self.capacity:
+                    break
+                remaining = None
+                if deadline is not None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        self.stats.rejected += 1
+                        raise AdmissionRejected(
+                            "queue_full",
+                            f"admission queue full ({self.capacity} jobs "
+                            f"pending) for {timeout:.3g}s",
+                        )
+                self._cond.wait(remaining)
             self._items.append(item)
             self.stats.admitted += 1
             self.stats.high_water = max(
                 self.stats.high_water, len(self._items)
             )
             self._cond.notify_all()
-            return shed
 
     # ------------------------------------------------------------------
     def get(self):

@@ -26,9 +26,9 @@ class ServiceError(RuntimeError):
 
 
 class AdmissionRejected(ServiceError):
-    """The admission controller refused the job (queue full / shed /
-    closed). The job never entered the queue — nothing ran, so an
-    idempotent retry after backoff is always safe."""
+    """The admission queue stayed full for the submitter's whole wait.
+    The job never entered the queue — nothing ran, so an idempotent
+    retry after backoff is always safe."""
 
     kind = "rejected"
     retryable = True

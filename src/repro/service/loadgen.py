@@ -91,7 +91,7 @@ def build_matrices(cfg: LoadgenConfig) -> list:
 
 def build_schedule(cfg: LoadgenConfig) -> list[_JobSpec]:
     """The deterministic job sequence for ``cfg`` (same seed → same
-    admit/reject/shed decisions downstream)."""
+    admit/reject decisions downstream)."""
     rng = np.random.default_rng(cfg.seed)
     schedule: list[_JobSpec] = []
     introduced = 0

@@ -30,7 +30,7 @@ class JobRecord:
     pattern_id: str = ""
     #: ``"hit"`` / ``"miss"`` (empty for jobs that never reached the cache).
     cache: str = ""
-    #: ``"ok"``, ``"failed"``, ``"expired"``, ``"rejected"``, or ``"shed"``.
+    #: ``"ok"``, ``"failed"`` or ``"expired"``.
     status: str = "ok"
     #: How the job survived: ``"clean"`` (first parallel attempt),
     #: ``"recovered"`` (re-run after a pool heal), or
@@ -80,7 +80,6 @@ class ServiceMetrics:
     completed: int = 0
     failed: int = 0
     rejected: int = 0
-    shed: int = 0
     expired: int = 0
     #: Submissions answered from the job-id dedup table (idempotent
     #: client retries of an in-flight or completed job).
@@ -121,8 +120,6 @@ class ServiceMetrics:
                     self.recovered += 1
                 elif record.outcome == "degraded_sequential":
                     self.degraded += 1
-            elif record.status == "shed":
-                self.shed += 1
             elif record.status == "expired":
                 self.expired += 1
             else:
@@ -144,7 +141,6 @@ class ServiceMetrics:
                     "completed": self.completed,
                     "failed": self.failed,
                     "rejected": self.rejected,
-                    "shed": self.shed,
                     "expired": self.expired,
                 },
                 "resilience": {
@@ -181,8 +177,7 @@ class ServiceMetrics:
         r = s["resilience"]
         lines = [
             f"jobs: {j['completed']} ok / {j['failed']} failed / "
-            f"{j['expired']} expired / {j['rejected']} rejected / "
-            f"{j['shed']} shed "
+            f"{j['expired']} expired / {j['rejected']} rejected "
             f"(of {j['submitted']} submitted)",
             f"resilience: {r['recovered']} recovered / "
             f"{r['degraded']} degraded-sequential / "

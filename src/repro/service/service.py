@@ -5,7 +5,7 @@ Lifecycle of a job (a factorization or a warm solve)::
 
     submit(A) / solve(b)     admission queue          dispatcher thread
     ───────────▶ JobQueue ──────────────────▶ get() ───────┐
-                  (reject/block/shed)                      │ resolve
+                  (bounded: wait, then reject)             │ resolve
                                                            │ pattern
                                                            ▼
                    WorkerPool.run(PoolJob), through recover() for a factor
@@ -73,6 +73,10 @@ log = logging.getLogger("repro.service")
 #: (``ValidationFailed`` subclasses ``JobFailed``).
 _PER_JOB_ERRORS = (UnknownPatternError, JobFailed)
 
+#: Completed results of caller-named jobs (factor and solve alike) kept
+#: for idempotent retries, least recently used dropped first.
+DEDUP_CAPACITY = 64
+
 
 class _Queued:
     """A job waiting for dispatch: handle, admission timestamp, and
@@ -94,13 +98,13 @@ class FactorService:
     The knobs shared with the other layers are one
     :class:`~repro.config.RunConfig` (``config`` and/or field overrides by
     keyword, ``nprocs`` defaulting to 2 here; table in
-    ``docs/ARCHITECTURE.md``). The service-only knobs stay keywords: the
-    admission policy (``admission`` + ``queue_capacity``), the cache and
-    dedup bounds, the per-job attempts / deadline / circuit breaker,
-    ``validate`` (check every factor against the sequential baseline
-    before releasing it) and the chaos hooks ``fault_plan`` /
-    ``fault_jobs``. A bad value of either raises ``ValueError`` before a
-    pool exists. One pool job is bounded by ``config.timeout_s``.
+    ``docs/ARCHITECTURE.md``): a job gets ``config.max_restarts + 1``
+    parallel attempts, each bounded by ``config.timeout_s``. The
+    service-only knobs stay keywords: the queue and cache bounds, the
+    default per-job deadline, the circuit breaker, ``validate`` (check
+    every factor against the sequential baseline before releasing it) and
+    the chaos hooks ``fault_plan`` / ``fault_jobs``. A bad value of either
+    raises ``ValueError`` before a pool exists.
     """
 
     def __init__(
@@ -108,41 +112,34 @@ class FactorService:
         config: RunConfig | None = None,
         *,
         queue_capacity: int = 64,
-        admission: str = "block",
         cache_capacity: int = 8,
         validate: bool = False,
         default_deadline_s: float | None = None,
-        max_job_attempts: int = 2,
         breaker_threshold: int = 3,
         breaker_cooldown_s: float = 5.0,
-        dedup_capacity: int = 64,
         fault_plan=None,
         fault_jobs: tuple = (),
         **overrides,
     ):
         self.config = RunConfig.of(config, overrides, nprocs=2)
-        for name, value, low in (
-            ("max_job_attempts", max_job_attempts, 1),
-            ("dedup_capacity", dedup_capacity, 0),
-            ("breaker_cooldown_s", breaker_cooldown_s, 0),
-        ):
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value!r}")
+        if breaker_cooldown_s < 0:
+            raise ValueError(
+                f"breaker_cooldown_s must be >= 0, got {breaker_cooldown_s!r}"
+            )
         #: The configured pool width (``pool.nprocs`` shrinks after a heal).
         self.nprocs = self.config.nprocs
         #: The transport ``config.transport`` resolves to on this platform.
         self.transport = resolve_transport(self.config.transport, self.nprocs)
         self.validate = validate
-        self.queue = JobQueue(queue_capacity, admission)
+        self.queue = JobQueue(queue_capacity)
         self.pool = WorkerPool(self.nprocs)
         self.cache = PatternCache(cache_capacity)
         self.metrics = ServiceMetrics()
         self.default_deadline_s = default_deadline_s
-        self.max_job_attempts = int(max_job_attempts)
         #: A resident crew keeps a rank that merely raised (only its job
         #: is retried); dead processes are what a heal sheds.
         self.policy = RecoveryPolicy(
-            attempts=self.max_job_attempts, raising_rank_is_casualty=False
+            self.config.max_restarts + 1, raising_rank_is_casualty=False
         )
         self.breaker = CircuitBreaker(breaker_threshold, breaker_cooldown_s)
         #: Deterministic chaos injection: ``fault_plan`` is attached to
@@ -164,7 +161,6 @@ class FactorService:
         self._dedup_lock = threading.Lock()
         self._outstanding: dict[str, JobHandle] = {}
         self._completed: OrderedDict[str, object] = OrderedDict()
-        self._dedup_capacity = int(dedup_capacity)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -203,9 +199,11 @@ class FactorService:
             self._dispatcher is None or not self._dispatcher.is_alive()
         )
         for queued in self.queue.drain():
-            self._finish_rejected(
-                queued, ServiceClosed("service is shut down"), "failed"
-            )
+            job_id, why = queued.job.job_id, "service is shut down"
+            log.warning("job %s failed: %s", job_id, why)
+            self._finish_failed(queued, ServiceClosed(why), JobRecord(
+                job_id=job_id, status="failed", error=why,
+            ))
         # Stragglers the drain did not reach — a job the dispatcher took
         # and never completed (hung pool, stuck dispatcher). Without
         # this, their callers block in result() forever.
@@ -246,8 +244,8 @@ class FactorService:
     ) -> JobHandle:
         """Queue one factorization; returns immediately with a handle.
 
-        ``timeout`` bounds the backpressure wait under the ``"block"``
-        admission policy. Raises :class:`AdmissionRejected` /
+        ``timeout`` bounds the wait for room in a full queue (``0``
+        refuses at once). Raises :class:`AdmissionRejected` /
         :class:`ServiceClosed` at submit time — a full queue is a typed
         error, never a hang. ``deadline_s`` is the job's end-to-end
         budget: past it, the job fails with a typed
@@ -274,7 +272,7 @@ class FactorService:
 
     def _admit(self, job, named: bool, timeout=None) -> JobHandle:
         """Answer a retried job id from the dedup table, or queue the job
-        under the admission policy."""
+        (waiting up to ``timeout`` for room)."""
         if not self._started:
             self.start()
         handle = JobHandle(job)
@@ -293,7 +291,7 @@ class FactorService:
             self._outstanding[job.job_id] = handle
         self.metrics.count_submitted()
         try:
-            shed = self.queue.put(_Queued(job, handle, named), timeout=timeout)
+            self.queue.put(_Queued(job, handle, named), timeout=timeout)
         except (AdmissionRejected, ServiceClosed) as exc:
             if isinstance(exc, AdmissionRejected):
                 self.metrics.count_rejected()
@@ -301,11 +299,6 @@ class FactorService:
             with self._dedup_lock:
                 self._outstanding.pop(job.job_id, None)
             raise
-        if shed is not None:
-            self._finish_rejected(
-                shed, AdmissionRejected("shed", "shed under overload"),
-                "shed",
-            )
         return handle
 
     def factor(self, A=None, timeout: float | None = None, **kw) -> JobResult:
@@ -337,11 +330,11 @@ class FactorService:
         uncached pattern, :class:`JobFailed` for a pattern with no
         completed factor, a bad RHS shape or a NaN/Inf in the RHS,
         :class:`ServiceUnavailable` while the circuit breaker is open (all
-        before anything is queued), :class:`AdmissionRejected` from a full
-        queue,
-        :class:`DeadlineExceeded` past ``deadline_s``. An explicit
-        ``job_id`` is idempotent, as for :meth:`submit`. ``fault_plan``
-        injects deterministic faults into the warm solve's workers.
+        before anything is queued), :class:`DeadlineExceeded` past
+        ``deadline_s``; a full queue holds the solve until there is room.
+        An explicit ``job_id`` is idempotent, as for :meth:`submit`.
+        ``fault_plan`` injects deterministic faults into the warm solve's
+        workers.
         """
         if self._closed:
             raise ServiceClosed("service is shut down")
@@ -683,10 +676,10 @@ class FactorService:
         re-runs the job."""
         with self._dedup_lock:
             self._outstanding.pop(job_id, None)
-            if result is not None and self._dedup_capacity:
+            if result is not None:
                 self._completed[job_id] = result
                 self._completed.move_to_end(job_id)
-                while len(self._completed) > self._dedup_capacity:
+                while len(self._completed) > DEDUP_CAPACITY:
                     self._completed.popitem(last=False)
 
     def _finish_job(self, queued, record: JobRecord, p: RecoveryJob) -> None:
@@ -812,10 +805,3 @@ class FactorService:
         self.metrics.add(record)
         self._retire(queued.job.job_id)
         queued.handle.set_exception(exc)
-
-    def _finish_rejected(self, queued, exc, status: str) -> None:
-        record = JobRecord(
-            job_id=queued.job.job_id, status=status, error=str(exc)
-        )
-        log.warning("job %s %s: %s", record.job_id, status, exc)
-        self._finish_failed(queued, exc, record)

@@ -29,8 +29,7 @@ PARENT_DEFAULTS = dict(
     max_width=None, nprocs=4, mapping="DW/CY", use_domains=False,
     transport="auto", schedule="static", steal_seed=0, trace=None,
     timeout_s=300.0, stall_timeout_s=30.0, max_restarts=2,
-    dead_grace_s=None, renegotiate_base_s=0.2, renegotiate_cap_s=2.0,
-    max_renegotiations=8,
+    renegotiate_base_s=0.2, renegotiate_cap_s=2.0, max_renegotiations=8,
 )
 
 #: One valid non-default value per field. A new field without an entry
@@ -39,7 +38,7 @@ OTHER = dict(
     ordering="nd", block_size=16, block_policy="supernodal", min_width=8,
     max_width=64, nprocs=3, mapping="ID/CY", use_domains=True,
     transport="inline", schedule="dynamic", steal_seed=7, trace=True,
-    timeout_s=60.0, stall_timeout_s=5.0, max_restarts=1, dead_grace_s=3.0,
+    timeout_s=60.0, stall_timeout_s=5.0, max_restarts=1,
     renegotiate_base_s=0.05, renegotiate_cap_s=0.5, max_renegotiations=6,
 )
 
@@ -60,7 +59,6 @@ INVALID = dict(
     timeout_s=[-1.0, None, "300"],
     stall_timeout_s=[-0.1, None],
     max_restarts=[-1, 0.5],
-    dead_grace_s=[-1.0],
     renegotiate_base_s=[-0.2, None],
     renegotiate_cap_s=[-2.0],
     max_renegotiations=[-1, 1.5],
@@ -136,7 +134,6 @@ class TestValidation:
         assert _no_children()
 
     @pytest.mark.parametrize("knob", [
-        dict(max_job_attempts=0), dict(dedup_capacity=-3),
         dict(breaker_cooldown_s=-1.0),
     ], ids=lambda k: next(iter(k)))
     def test_service_only_knobs_reject_before_a_pool_exists(
@@ -233,6 +230,7 @@ class TestDefaults:
         try:
             assert svc.config == RunConfig(nprocs=2)
             assert svc.nprocs == 2 and svc.config.timeout_s == 300.0
+            assert svc.policy.attempts == svc.config.max_restarts + 1 == 3
         finally:
             svc.close()
         assert _no_children()
@@ -256,8 +254,8 @@ CLI_DEFAULTS = {
     "chaos-service": dict(
         nprocs=2, block_size=16, timeout_s=120.0, stall_timeout_s=10.0
     ),
-    "serve": dict(nprocs=2, block_size=48),
-    "loadgen": dict(nprocs=2, block_size=48),
+    "serve": dict(nprocs=2, block_size=48, max_restarts=2),
+    "loadgen": dict(nprocs=2, block_size=48, max_restarts=2),
 }
 
 
@@ -302,8 +300,8 @@ class TestCommandLine:
 # ----------------------------------------------------------------------
 LOCAL = {
     "steal_seed", "renegotiate_base_s", "renegotiate_cap_s",
-    "max_renegotiations", "dead_grace_s", "min_width", "max_width",
-    "stall_timeout_s", "schedule",
+    "max_renegotiations", "min_width", "max_width", "stall_timeout_s",
+    "schedule",
 }
 
 #: (module, qualified name, parameter/field) -> why it may stay.
@@ -400,10 +398,10 @@ SURFACE = {
     "ReadyScheduler": set(),
     "unpack": {"frame", "copy"},
     "FactorService": {
-        "config", "overrides", "queue_capacity", "admission",
+        "config", "overrides", "queue_capacity",
         "cache_capacity", "validate",
-        "default_deadline_s", "max_job_attempts", "breaker_threshold",
-        "breaker_cooldown_s", "dedup_capacity", "fault_plan", "fault_jobs",
+        "default_deadline_s", "breaker_threshold",
+        "breaker_cooldown_s", "fault_plan", "fault_jobs",
     },
 }
 

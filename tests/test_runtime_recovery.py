@@ -28,7 +28,6 @@ FAST = dict(
     renegotiate_base_s=0.05,
     renegotiate_cap_s=0.5,
     max_renegotiations=6,
-    dead_grace_s=5.0,
     timeout_s=120.0,
     stall_timeout_s=15.0,
 )

@@ -17,29 +17,28 @@ from repro.service import FactorService, JobFailed
 
 FAST = dict(
     renegotiate_base_s=0.05, renegotiate_cap_s=0.5, max_renegotiations=6,
-    dead_grace_s=5.0, timeout_s=120.0, stall_timeout_s=15.0,
+    timeout_s=120.0, stall_timeout_s=15.0,
 )
 SOFT = FaultPlan(seed=0, crash=(CrashSpec(1, 1),))
 HARD = FaultPlan(seed=0, crash=(CrashSpec(1, 1, hard=True),))
 PERSISTENT = FaultPlan(seed=0, crash=(CrashSpec(1, 1, every_attempt=True),))
 
-#: scenario -> (fault plan, not SPD?, one-shot keywords, service keywords,
+#: scenario -> (fault plan, not SPD?, keywords of both callers,
 #:              expected (tag, attempts, final width) one-shot / service)
 SCENARIOS = {
     # a raising rank costs a one-shot crew that rank; a resident crew
     # keeps it and only re-runs the job
-    "soft-crash": (SOFT, False, {}, {},
+    "soft-crash": (SOFT, False, {},
                    ("recovered", 2, 1), ("recovered", 2, 2)),
-    "hard-kill": (HARD, False, {}, {},
+    "hard-kill": (HARD, False, {},
                   ("recovered", 2, 1), ("recovered", 2, 1)),
     # budget of one attempt: the crew is left alone, the job degrades
-    "persistent-crash": (PERSISTENT, False,
-                         dict(max_restarts=0), dict(max_job_attempts=1),
+    "persistent-crash": (PERSISTENT, False, dict(max_restarts=0),
                          ("degraded_sequential", 1, 2),
                          ("degraded_sequential", 1, 2)),
     # deterministic: one parallel attempt, no heal, the last resort's
     # LinAlgError is the error
-    "non-spd": (None, True, {}, {}, ("error", 1, 2), ("error", 1, 2)),
+    "non-spd": (None, True, {}, ("error", 1, 2), ("error", 1, 2)),
 }
 
 
@@ -84,7 +83,7 @@ def _bitwise(L, ref):
 
 @pytest.mark.parametrize("scenario", list(SCENARIOS))
 def test_one_shot(grid12_pipeline, pools, scenario):
-    plan, not_spd, kw, _, expected, _ = SCENARIOS[scenario]
+    plan, not_spd, kw, expected, _ = SCENARIOS[scenario]
     _, sf, _, bs, _, tg = grid12_pipeline
     _, A_perm = _matrices(grid12_pipeline, not_spd)
     run = dict(nprocs=2, mapping="DW/CY", fault_plan=plan, **FAST, **kw)
@@ -111,7 +110,7 @@ def test_one_shot(grid12_pipeline, pools, scenario):
 
 @pytest.mark.parametrize("scenario", list(SCENARIOS))
 def test_service(grid12_pipeline, pools, scenario):
-    plan, not_spd, _, kw, _, expected = SCENARIOS[scenario]
+    plan, not_spd, kw, _, expected = SCENARIOS[scenario]
     _, sf, _, bs, _, _ = grid12_pipeline
     A, A_perm = _matrices(grid12_pipeline, not_spd)
     with FactorService(
@@ -135,6 +134,26 @@ def test_service(grid12_pipeline, pools, scenario):
         assert record.attempts == expected[1]
         (pool,) = pools
         assert (tag, pool.batches_run, pool.nprocs) == expected
+
+
+def test_the_service_budget_is_max_restarts(grid12_pipeline, pools):
+    """The service reads its attempt budget from ``max_restarts``, as the
+    other callers do: with no restart, a crash that a second attempt
+    would survive degrades the job to the last resort instead."""
+    _, sf, _, bs, _, _ = grid12_pipeline
+    A, A_perm = _matrices(grid12_pipeline, False)
+    with FactorService(
+        nprocs=2, ordering=np.asarray(sf.ordering.perm), block_size=8,
+        mapping="DW/CY", fault_plan=SOFT, fault_jobs=(0,), max_restarts=0,
+        timeout_s=120, stall_timeout_s=10.0,
+    ) as svc:
+        r = svc.factor(A)
+        assert (r.record.outcome, r.record.attempts) == (
+            "degraded_sequential", 1
+        )
+        assert _bitwise(r.L, BlockCholesky(bs, A_perm).factor().to_csc())
+        assert svc.policy.attempts == 1
+    assert [p.batches_run for p in pools] == [1]
 
 
 @pytest.mark.parametrize("transport", ["inline", "shm"])

@@ -710,7 +710,7 @@ class TestArenaCleanup:
         before = _shm_segments()
         res = run_with_recovery(
             bs, sf.A, tg, nprocs=2, mapping="DW/CY", fault_plan=plan,
-            transport="shm", stall_timeout_s=15.0, dead_grace_s=3.0,
+            transport="shm", stall_timeout_s=15.0,
         )
         assert _shm_segments() == before
         assert res.failure_report.ok or res.failure_report.degraded
@@ -729,7 +729,7 @@ class TestArenaCleanup:
         before = _shm_segments()
         res = run_with_recovery(
             bs, sf.A, tg, nprocs=2, mapping="DW/CY", fault_plan=plan,
-            transport="shm", stall_timeout_s=15.0, dead_grace_s=3.0,
+            transport="shm", stall_timeout_s=15.0,
         )
         assert _shm_segments() == before
         report = res.failure_report

@@ -297,29 +297,33 @@ class TestPatternCacheUnit:
         assert (cache.hits, cache.misses, cache.evictions) == (1, 1, 1)
 
 class TestAdmission:
-    """The admission controller never hangs: every full-queue outcome is
-    a typed exception, and a seeded load trace drains deterministically."""
+    """The admission queue never hangs: a full queue holds a submitter for
+    its ``timeout`` and then refuses it typed, and a seeded load trace
+    drains deterministically."""
 
     def test_reject_policy_is_immediate_and_typed(self):
-        q = JobQueue(capacity=2, policy="reject")
+        """A zero wait is the immediate refusal."""
+        q = JobQueue(capacity=2)
         q.put("a")
         q.put("b")
         with pytest.raises(AdmissionRejected) as exc:
-            q.put("c")
+            q.put("c", timeout=0)
         assert exc.value.reason == "queue_full"
         assert q.stats.rejected == 1
         assert len(q) == 2
 
     def test_block_policy_times_out_typed(self):
-        q = JobQueue(capacity=1, policy="block")
+        q = JobQueue(capacity=1)
         q.put("a")
+        t0 = time.monotonic()
         with pytest.raises(AdmissionRejected) as exc:
             q.put("b", timeout=0.05)
-        assert exc.value.reason == "backpressure_timeout"
-        assert q.stats.timed_out == 1
+        assert time.monotonic() - t0 >= 0.05
+        assert exc.value.reason == "queue_full"
+        assert q.stats.rejected == 1
 
     def test_block_policy_backpressure_releases(self):
-        q = JobQueue(capacity=1, policy="block")
+        q = JobQueue(capacity=1)
         q.put("a")
         admitted = threading.Event()
 
@@ -335,22 +339,14 @@ class TestAdmission:
         assert q.get() == "b"
         t.join()
 
-    def test_shed_policy_drops_oldest(self):
-        q = JobQueue(capacity=2, policy="shed")
-        q.put("a")
-        q.put("b")
-        assert q.put("c") == "a"
-        assert q.stats.shed == 1
-        assert [q.get(), q.get()] == ["b", "c"]
-
     def test_closed_queue_is_typed(self):
-        q = JobQueue(capacity=2, policy="block")
+        q = JobQueue(capacity=2)
         q.close()
         with pytest.raises(ServiceClosed):
             q.put("a")
 
     def test_get_is_fifo_and_none_once_closed_and_empty(self):
-        q = JobQueue(capacity=8, policy="block")
+        q = JobQueue(capacity=8)
         for item in "abc":
             q.put(item)
         assert [q.get(), q.get()] == ["a", "b"]
@@ -358,22 +354,25 @@ class TestAdmission:
         assert q.get() == "c"  # a closed queue still drains
         assert q.get() is None
 
-    @pytest.mark.parametrize("policy", ["reject", "block", "shed"])
-    def test_seeded_trace_drains_deterministically(self, policy):
-        """Same seeded arrival trace, same capacity, same policy →
-        identical admit/reject/shed decisions and final counters, with a
-        consumer draining concurrently, up to two jobs at a time."""
+    @pytest.mark.parametrize(
+        "timeout", [0.001, 0], ids=["block", "reject"]
+    )
+    def test_seeded_trace_drains_deterministically(self, timeout):
+        """Same seeded arrival trace, same capacity → identical
+        admit/reject decisions and final counters, with a consumer
+        draining concurrently, up to two jobs at a time — whether a full
+        queue refuses at once or after a short wait."""
 
         def run_once():
             rng = np.random.default_rng(7)
-            q = JobQueue(capacity=4, policy=policy)
+            q = JobQueue(capacity=4)
             decisions = []
             # deterministic interleave: now and then the consumer
             # takes up to 2
             for i in range(30):
                 try:
-                    shed = q.put(i, timeout=0)
-                    decisions.append(("admit", i, shed))
+                    q.put(i, timeout=timeout)
+                    decisions.append(("admit", i, None))
                 except AdmissionRejected as exc:
                     decisions.append(("reject", i, exc.reason))
                 if rng.random() < 0.4:
@@ -386,14 +385,13 @@ class TestAdmission:
         second = run_once()
         assert first == second
         stats = first[1]
-        assert stats["submitted"] == 30
+        assert stats["submitted"] == 30 and stats["rejected"] > 0
         assert stats["admitted"] == stats["submitted"] - stats["rejected"]
 
     def test_service_backpressure_drains(self, grid_A):
-        """Tiny queue + block policy: every submission eventually admits
-        and completes — backpressure, not loss."""
-        with FactorService(queue_capacity=2, admission="block",
-                           **SVC_KW) as svc:
+        """Tiny queue: every submission eventually admits and completes
+        — backpressure, not loss."""
+        with FactorService(queue_capacity=2, **SVC_KW) as svc:
             svc.factor(grid_A)  # warm the pattern
             handles = []
             for i in range(6):
@@ -405,18 +403,15 @@ class TestAdmission:
             assert svc.queue.stats.rejected == 0
             assert svc.queue.stats.admitted == 7
 
-    def test_service_reject_policy_is_typed_not_a_hang(self, grid_A):
-        """A full service queue under ``reject`` raises immediately."""
-        svc = FactorService(queue_capacity=2, admission="reject",
-                            **SVC_KW)
+    def test_service_reject_policy_is_typed_not_a_hang(self):
+        """A full service queue refuses a zero wait immediately."""
+        svc = FactorService(queue_capacity=2, **SVC_KW)
         # fill the queue before the dispatcher exists: the typed
-        # rejection must come from admission, not from a timeout
+        # rejection must come from admission, not from a job timeout
         rejected = 0
-        for i in range(4):
-            A = grid_A.copy()
-            A.setdiag(A.diagonal() + 0.5 * (i + 1))
+        for _ in range(4):
             try:
-                svc.queue.put(object())  # placeholder load
+                svc.queue.put(object(), timeout=0)  # placeholder load
             except AdmissionRejected as exc:
                 rejected += 1
                 assert exc.reason == "queue_full"
@@ -430,10 +425,10 @@ class TestServiceLogging:
     ``repro.service`` logger, naming what it dropped."""
 
     @staticmethod
-    def _undispatched(admission):
+    def _undispatched():
         """A service that admits but never dispatches (no crew is
         spawned), so a queue of one stays full."""
-        svc = FactorService(queue_capacity=1, admission=admission, **SVC_KW)
+        svc = FactorService(queue_capacity=1, **SVC_KW)
         svc._started = True
         return svc
 
@@ -446,22 +441,12 @@ class TestServiceLogging:
         ]
 
     def test_admission_reject_is_logged(self, grid_A, caplog):
-        svc = self._undispatched("reject")
+        svc = self._undispatched()
         svc.submit(grid_A, job_id="J-kept")
         with pytest.raises(AdmissionRejected):
-            svc.submit(grid_A, job_id="J-refused")
+            svc.submit(grid_A, job_id="J-refused", timeout=0)
         assert self._logged(caplog, logging.WARNING, "J-refused", "rejected")
         assert not self._logged(caplog, logging.WARNING, "J-kept")
-        svc.close()
-
-    def test_shed_is_logged(self, grid_A, caplog):
-        svc = self._undispatched("shed")
-        oldest = svc.submit(grid_A, job_id="J-oldest")
-        svc.submit(grid_A, job_id="J-newest")
-        with pytest.raises(AdmissionRejected):
-            oldest.result(5)
-        assert self._logged(caplog, logging.WARNING, "J-oldest", "shed")
-        assert not self._logged(caplog, logging.WARNING, "J-newest")
         svc.close()
 
     def test_queued_expiry_is_logged(self, grid_A, caplog):

@@ -245,7 +245,7 @@ class TestCircuitBreaker:
         with FactorService(
             fault_plan=HARD_KILL, fault_jobs=(0,),
             breaker_threshold=1, breaker_cooldown_s=0.3,
-            max_job_attempts=1, **SVC_KW,
+            max_restarts=0, **SVC_KW,
         ) as svc:
             handles = [svc.submit(M) for M in mats]
             results = [h.result(120) for h in handles]
@@ -309,20 +309,24 @@ class TestDedup:
             assert _bitwise(r2.L, _cold_L(grid_A))
             assert svc.metrics.deduped == 0
 
-    def test_dedup_capacity_bounds_the_table(self, grid_A):
-        with FactorService(dedup_capacity=2, **SVC_KW) as svc:
+    def test_the_dedup_table_is_bounded(self, grid_A, monkeypatch):
+        monkeypatch.setattr("repro.service.service.DEDUP_CAPACITY", 2)
+        with FactorService(**SVC_KW) as svc:
             for i in range(4):
                 svc.factor(_shifted(grid_A, 0.1 * (i + 1)),
                            job_id=f"job-{i}")
             assert len(svc._completed) == 2
             assert set(svc._completed) == {"job-2", "job-3"}
 
-    def test_only_named_results_are_kept_in_the_one_table(self, grid_A):
+    def test_only_named_results_are_kept_in_the_one_table(
+        self, grid_A, monkeypatch
+    ):
         """A job the service named itself can be retried by nobody, so
         its result (a whole factor) is not retained; named factor and
         solve results share the one bounded table."""
         b = np.ones(grid_A.shape[0])
-        with FactorService(dedup_capacity=2, **SVC_KW) as svc:
+        monkeypatch.setattr("repro.service.service.DEDUP_CAPACITY", 2)
+        with FactorService(**SVC_KW) as svc:
             r = svc.factor(grid_A)
             svc.solve(b, pattern_id=r.pattern_id)
             assert not svc._completed and not svc._outstanding

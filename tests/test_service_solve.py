@@ -133,12 +133,13 @@ class TestSolvesShareTheQueue:
 
 
 class TestTypedErrors:
-    def test_full_queue_rejects_a_solve(self, grid_A):
-        """A solve is a queued job: under ``reject`` a full queue raises
-        the typed ``AdmissionRejected`` at once."""
+    def test_full_queue_holds_a_solve_until_there_is_room(self, grid_A):
+        """A solve is a queued job: a full queue holds it, as it holds a
+        factor, until the dispatcher frees a slot — backpressure, not a
+        refusal — and it then answers against the factor queued before
+        it."""
         b = _rhs(grid_A.shape[0])
-        with FactorService(queue_capacity=1, admission="reject",
-                           **SVC_KW) as svc:
+        with FactorService(queue_capacity=1, **SVC_KW) as svc:
             jr = svc.factor(grid_A)
             gate, run_job = threading.Event(), svc._run_job
 
@@ -153,14 +154,24 @@ class TestTypedErrors:
                     time.sleep(0.001)
                 queued = svc.submit(grid_A)  # fills the queue
                 with pytest.raises(AdmissionRejected) as exc:
-                    svc.solve(b, pattern_id=jr.pattern_id)
+                    svc.submit(grid_A, timeout=0)
                 assert exc.value.reason == "queue_full"
-                assert svc.metrics.rejected == 1
+                solved = []
+                waiter = threading.Thread(target=lambda: solved.append(
+                    svc.solve(b, pattern_id=jr.pattern_id)
+                ), daemon=True)
+                waiter.start()
+                waiter.join(0.2)
+                assert waiter.is_alive() and len(svc.queue) == 1
             finally:
                 gate.set()
+            waiter.join(120)
             assert running.result(120).record.status == "ok"
             assert queued.result(120).record.status == "ok"
-            assert svc.solve(b, pattern_id=jr.pattern_id).outcome == "clean"
+            (res,) = solved
+            assert res.outcome == "clean"
+            assert np.array_equal(res.x, queued.result().solve(b))
+            assert svc.metrics.rejected == 1
 
     def test_bad_requests_raise_before_anything_is_queued(
         self, grid_A, caplog
