@@ -22,12 +22,6 @@ Commands
 ``serve``
     Run the long-lived factorization service (persistent worker pool,
     pattern cache, admission control) as a TCP server.
-``loadgen``
-    Drive a service — remote (``--connect``) or spun up in-process — with
-    a seeded closed- or open-loop job mix at a configurable
-    pattern-repeat ratio, and report cache hits, latency percentiles, and
-    retry/recovery counts (``--fault-plan`` / ``--kill-worker-at`` inject
-    faults mid-run).
 ``chaos-service``
     Seeded fault matrix over the *service* layer: worker kills (hard and
     soft), per-job deadlines, and the circuit breaker — asserting every
@@ -164,17 +158,11 @@ def cmd_bench_real(args) -> int:
         print("transport=shm requested but shared memory is unavailable "
               "on this platform; skipping")
         return 0
-    usable = _usable_cpus()
-    oversub = _oversub_note(cfg.nprocs, usable)
+    oversub = _oversub_note(cfg.nprocs, _usable_cpus())
     if oversub is not None:
         # Same honesty policy as the benchmark (bench/README.md):
         # oversubscribed wall clocks measure time-slicing, not speedup.
         print(oversub, file=sys.stderr)
-        if args.require_multicore:
-            print(f"--require-multicore: refusing to record "
-                  f"oversubscribed timings ({cfg.nprocs} workers > "
-                  f"{usable} usable CPUs)", file=sys.stderr)
-            return 2
     phase = args.phase
     prep = prepare_problem(args.problem, args.scale, cfg.block_size)
     rhs = None
@@ -194,6 +182,7 @@ def cmd_bench_real(args) -> int:
     )
     runs = {}
     resids = {}
+    invalid = False
     multi = len(mappings) * len(schedules) * len(bpolicies) > 1
     for bpolicy in bpolicies:
         prep = prepare_problem(
@@ -271,8 +260,9 @@ def cmd_bench_real(args) -> int:
                         problem=prep.name, result=res, strict=False,
                     )
                     print("  " + rep.summary().replace("\n", "\n  "))
-                    if not rep.ok:
-                        return 1
+                    # The failing run's artifacts are the ones worth
+                    # keeping: fail after the trace and JSON are written.
+                    invalid = invalid or not rep.ok
                 if args.trace_out and res.trace is not None:
                     path = _trace_path(args.trace_out, label, multi)
                     res.trace.meta["problem"] = prep.name
@@ -319,7 +309,7 @@ def cmd_bench_real(args) -> int:
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2)
         print(f"metrics written to {args.json}")
-    return 0
+    return 1 if invalid else 0
 
 
 def _trace_path(base: str, mapping: str, multi: bool) -> str:
@@ -437,7 +427,7 @@ def cmd_chaos(args) -> int:
 
 
 #: ``FactorService`` keywords that are not :class:`RunConfig` fields; each
-#: is a flag of ``serve`` / ``loadgen`` whose ``dest`` is the keyword.
+#: is a flag of ``serve`` whose ``dest`` is the keyword.
 _SERVICE_ONLY = (
     "queue_capacity", "cache_capacity", "validate", "default_deadline_s",
     "breaker_threshold", "breaker_cooldown_s",
@@ -449,6 +439,8 @@ def _service_only(args) -> dict:
 
 
 def _add_service_knobs(p: argparse.ArgumentParser) -> None:
+    """The ``serve`` flags: the :class:`RunConfig` fields a service reads,
+    then one flag per :data:`_SERVICE_ONLY` keyword."""
     RunConfig.add_arguments(
         p, "nprocs", "ordering", "block_size", "block_policy", "mapping",
         "transport", "schedule", "steal_seed", "max_restarts", nprocs=2,
@@ -493,82 +485,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_loadgen(args) -> int:
-    import json
-
-    from repro.runtime.faults import parse_fault_plan
-    from repro.service import FactorService, ServiceClient
-    from repro.service.loadgen import LoadgenConfig, run_loadgen
-    from repro.service.resilience import RetryPolicy
-
-    cfg = LoadgenConfig(
-        jobs=args.jobs,
-        patterns=args.patterns,
-        repeat_ratio=args.repeat_ratio,
-        mode=args.mode,
-        rate=args.rate,
-        concurrency=args.concurrency,
-        seed=args.seed,
-        problem=args.problem,
-        n=args.n,
-        values_only=not args.full_matrix,
-        timeout=args.timeout,
-        deadline_s=args.default_deadline_s,
-        retries=args.retries,
-        kill_worker_at=args.kill_worker_at,
-        kill_rank=args.kill_rank,
-    )
-    retry = (
-        RetryPolicy(retries=args.retries, seed=args.seed)
-        if args.retries > 0 else None
-    )
-    service = None
-    if args.connect:
-        if args.kill_worker_at >= 0:
-            print("--kill-worker-at needs an in-process service "
-                  "(drop --connect)", file=sys.stderr)
-            return 2
-        host, _, port = args.connect.rpartition(":")
-        address = (host or "127.0.0.1", int(port))
-
-        def client_factory():
-            return ServiceClient(
-                address=address, timeout=args.timeout, retry=retry
-            )
-    else:
-        chaos = {}
-        if args.fault_plan:
-            chaos = dict(
-                fault_plan=parse_fault_plan(args.fault_plan, seed=args.seed),
-                fault_jobs=tuple(
-                    int(i) for i in args.fault_jobs.split(",") if i.strip()
-                ),
-            )
-        service = FactorService(
-            args.config, **_service_only(args), **chaos
-        ).start()
-
-        def client_factory():
-            return ServiceClient(service=service, timeout=args.timeout)
-
-    try:
-        report = run_loadgen(client_factory, cfg, service=service)
-    finally:
-        if service is not None:
-            service.close()
-    print(report.render())
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-        print(f"loadgen report written to {args.json}")
-    if args.shutdown_server and args.connect:
-        with ServiceClient(address=address, timeout=args.timeout) as c:
-            c.shutdown_server()
-        print("server shutdown requested")
-    d = report.to_dict()
-    return 0 if d["jobs"]["failed"] == 0 else 1
-
-
 #: Scenario matrix run by ``repro chaos-service --scenarios all``.
 _SERVICE_CHAOS = (
     "none", "worker-kill", "worker-crash", "deadline", "breaker",
@@ -599,7 +515,6 @@ def cmd_chaos_service(args) -> int:
     from repro.runtime.faults import FaultPlan
     from repro.service import FactorService
     from repro.service.jobs import DeadlineExceeded, ServiceError
-    from repro.service.loadgen import fresh_values
 
     names = (
         list(_SERVICE_CHAOS) if args.scenarios == "all"
@@ -615,11 +530,13 @@ def cmd_chaos_service(args) -> int:
     base = [
         grid2d_matrix(args.n + i).A.tocsc() for i in range(args.patterns)
     ]
-    stream = [
-        (i % args.patterns, float(rng.uniform(0.1, 2.0)))
-        for i in range(args.jobs)
-    ]
-    matrices = [fresh_values(base[p], shift) for p, shift in stream]
+    # Job i: fresh SPD values on pattern i % patterns (A SPD, so A plus a
+    # positive diagonal shift is SPD).
+    matrices = []
+    for i in range(args.jobs):
+        M = base[i % args.patterns].copy()
+        M.setdiag(M.diagonal() + float(rng.uniform(0.1, 2.0)))
+        matrices.append(M.tocsc())
     fault_at = args.fault_at if args.fault_at >= 0 else args.jobs // 2
     cfg = replace(args.config, ordering="nd")
     crash_rank = min(1, cfg.nprocs - 1)
@@ -955,11 +872,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(--phase solve|both)")
     p.add_argument("--rhs-seed", type=int, default=0,
                    help="seed for the random solve right-hand sides")
-    p.add_argument("--require-multicore", action="store_true",
-                   help="exit nonzero instead of timing an oversubscribed "
-                        "run (more workers than affinity-visible CPUs) — "
-                        "for CI perf jobs that must not record garbage "
-                        "baselines")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="write per-mapping metrics JSON to PATH")
     p.add_argument("--trace-out", default=None, metavar="PATH",
@@ -1022,54 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="TCP port (0 picks a free one, printed at startup)")
     _add_service_knobs(p)
     p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser(
-        "loadgen",
-        help="drive a factorization service with a seeded job mix and "
-             "report cache hits + latency percentiles",
-    )
-    p.add_argument("--connect", default=None, metavar="HOST:PORT",
-                   help="target a running 'repro serve' (default: spin up "
-                        "an in-process service with the knobs below)")
-    p.add_argument("--jobs", type=int, default=20)
-    p.add_argument("--patterns", type=int, default=3,
-                   help="distinct sparsity patterns in the mix")
-    p.add_argument("--repeat-ratio", type=float, default=0.6,
-                   help="fraction of jobs reusing an already-seen pattern")
-    p.add_argument("--mode", default="closed", choices=("closed", "open"))
-    p.add_argument("--rate", type=float, default=20.0,
-                   help="open-loop arrival rate (jobs/s)")
-    p.add_argument("--concurrency", type=int, default=2,
-                   help="closed-loop client lanes")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--problem", default="grid", choices=("grid", "random"),
-                   help="synthetic problem family")
-    p.add_argument("--n", type=int, default=10,
-                   help="base problem size (grid side / dimension)")
-    p.add_argument("--full-matrix", action="store_true",
-                   help="always submit full matrices (never the "
-                        "pattern-handle + values warm path)")
-    p.add_argument("--timeout", type=float, default=120.0)
-    p.add_argument("--retries", type=int, default=0,
-                   help="client-side backoff retries of transient typed "
-                        "errors (socket mode)")
-    p.add_argument("--fault-plan", default=None, metavar="SPEC",
-                   help="inject a fault plan into pool jobs, e.g. "
-                        "'crash-hard:rank=1,after_tasks=1' or '@plan.json' "
-                        "(in-process service only)")
-    p.add_argument("--fault-jobs", default="0", metavar="IDX[,IDX...]",
-                   help="dispatch indices the --fault-plan attaches to")
-    p.add_argument("--kill-worker-at", type=int, default=-1, metavar="N",
-                   help="SIGKILL a pool worker once N jobs have been "
-                        "submitted (in-process service only)")
-    p.add_argument("--kill-rank", type=int, default=0,
-                   help="which pool rank --kill-worker-at kills")
-    p.add_argument("--json", default=None, metavar="PATH",
-                   help="write the loadgen report JSON to PATH")
-    p.add_argument("--shutdown-server", action="store_true",
-                   help="send a shutdown to the --connect server when done")
-    _add_service_knobs(p)
-    p.set_defaults(fn=cmd_loadgen)
 
     p = sub.add_parser(
         "chaos-service",

@@ -171,38 +171,6 @@ class FaultPlan:
         )
 
 
-def parse_fault_plan(spec: str | None, seed: int = 0) -> FaultPlan | None:
-    """Parse a CLI-friendly fault-plan spec into a :class:`FaultPlan`.
-
-    Accepted forms::
-
-        none                         -> None (no plan)
-        crash-hard                   -> FaultPlan.scenario("crash-hard")
-        crash-hard:rank=1,after_tasks=2
-        slow:rank=0,slow_s=0.05
-        @plan.json                   -> FaultPlan.from_json(file contents)
-
-    Scenario parameters after ``:`` are ``key=value`` pairs forwarded to
-    :meth:`FaultPlan.scenario` (ints and floats are coerced). ``seed`` is
-    the default seed when the spec does not carry one.
-    """
-    if spec is None or spec == "none":
-        return None
-    if spec.startswith("@"):
-        with open(spec[1:], "r", encoding="utf-8") as fh:
-            return FaultPlan.from_json(fh.read())
-    name, _, params = spec.partition(":")
-    kwargs: dict = {"seed": seed}
-    for pair in filter(None, params.split(",")):
-        key, _, value = pair.partition("=")
-        key = key.strip()
-        if key in ("rank", "after_tasks", "seed"):
-            kwargs[key] = int(value)
-        else:
-            kwargs[key] = float(value)
-    return FaultPlan.scenario(name.strip(), **kwargs)
-
-
 class FaultInjector:
     """Per-worker fault state: wraps outgoing links, tallies injections."""
 

@@ -16,9 +16,8 @@ the symbolic analysis, warm for many:
   and runs it on the resident crew.
 * :class:`ServiceClient` — in-process or TCP client; submit a matrix, or
   a pattern handle plus a new values array, get the factor back.
-* ``python -m repro serve`` / ``python -m repro loadgen`` — run the
-  service as a server and drive it with closed- or open-loop traffic at
-  a configurable pattern-repeat ratio.
+* ``python -m repro serve`` — run the service as a TCP server for
+  socket-mode clients.
 
 Repeated-pattern traffic runs as pure numeric re-factorization: warm
 jobs skip symbolic analysis, owner planning, and worker spawn entirely,
@@ -40,7 +39,6 @@ chaos-service`` drives the whole matrix deterministically.
 from repro.service.admission import JobQueue, QueueStats
 from repro.service.cache import PatternCache, PatternEntry, pattern_digest
 from repro.service.client import ClientResult, ServiceClient
-from repro.service.loadgen import LoadgenConfig, LoadgenReport, run_loadgen
 from repro.service.jobs import (
     AdmissionRejected,
     DeadlineExceeded,
@@ -72,8 +70,6 @@ __all__ = [
     "JobQueue",
     "JobRecord",
     "JobResult",
-    "LoadgenConfig",
-    "LoadgenReport",
     "PatternCache",
     "PatternEntry",
     "QueueStats",
@@ -88,5 +84,4 @@ __all__ = [
     "UnknownPatternError",
     "ValidationFailed",
     "pattern_digest",
-    "run_loadgen",
 ]

@@ -3,7 +3,7 @@
 In-process mode wraps a live :class:`~repro.service.service.FactorService`
 (same process, zero serialization). Socket mode connects to a
 ``python -m repro serve`` server; requests are serialized on one socket,
-so run one client per concurrent lane (the loadgen does exactly that).
+so run one client per concurrent caller.
 Both modes raise the same typed errors
 (:class:`~repro.service.jobs.AdmissionRejected`,
 :class:`~repro.service.jobs.JobFailed`, ...).

@@ -3,8 +3,8 @@ setup/run split, end-to-end latency percentiles.
 
 Each job that passes through :class:`~repro.service.service.FactorService`
 leaves one :class:`JobRecord`; :class:`ServiceMetrics` aggregates them
-into the report `python -m repro loadgen` prints and the CI smoke job
-asserts on. The per-run parallel profile still lands in the existing
+into the summary ``stats()`` returns and ``python -m repro serve``
+prints on exit. The per-run parallel profile still lands in the existing
 :class:`~repro.runtime.metrics.RuntimeMetrics` (one per job, with the
 service context tucked into its ``extra`` field) — this module only adds
 the service-level view.

@@ -11,7 +11,7 @@ Two small, independently testable pieces the service layer composes:
   pool, and its outcome closes the breaker again or re-opens it.
 * :class:`RetryPolicy` — client-side exponential backoff with seeded
   jitter for transient typed errors (``retryable`` ones) and broken
-  connections. Seeding keeps loadgen/chaos runs deterministic.
+  connections. Seeding keeps a client's retry schedule deterministic.
 """
 
 from __future__ import annotations

@@ -1,3 +1,5 @@
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -13,6 +15,17 @@ class TestParser:
         assert args.P == 64
         assert args.mapping == "ID/CY"
         assert args.scale == "medium"
+
+    def test_the_commands_are_exactly_these(self):
+        """A retired command cannot come back without this set changing."""
+        (sub,) = [
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert set(sub.choices) == {
+            "info", "factor", "simulate", "bench-real", "chaos", "trace",
+            "serve", "chaos-service", "analyze", "experiment", "suite",
+        }
 
 
 class TestCommands:

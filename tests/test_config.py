@@ -244,7 +244,6 @@ SUBCOMMANDS = {
     "chaos": ["chaos", "GRID150"],
     "chaos-service": ["chaos-service"],
     "serve": ["serve"],
-    "loadgen": ["loadgen"],
 }
 
 #: Per-subcommand defaults that differ from the field's own.
@@ -255,7 +254,6 @@ CLI_DEFAULTS = {
         nprocs=2, block_size=16, timeout_s=120.0, stall_timeout_s=10.0
     ),
     "serve": dict(nprocs=2, block_size=48, max_restarts=2),
-    "loadgen": dict(nprocs=2, block_size=48, max_restarts=2),
 }
 
 

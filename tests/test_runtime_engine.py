@@ -359,6 +359,32 @@ class TestBenchRealCLI:
         assert payload["DW/CY"]["nprocs"] == 2
         assert payload["DW/CY"]["workers"]
 
+    def test_bench_real_failed_validation_keeps_its_trace(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The run that fails --validate is the one whose trace matters:
+        it is written before the command exits 1."""
+        import repro.runtime
+        from repro.cli import main
+
+        real = repro.runtime.validate_runtime
+
+        def failing(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            rep.failures.append("injected")
+            return rep
+
+        monkeypatch.setattr(repro.runtime, "validate_runtime", failing)
+        trace = tmp_path / "run.trace.json"
+        rc = main([
+            "bench-real", "GRID150", "--scale", "small", "-p", "2",
+            "--mappings", "DW/CY", "--validate", "--trace-out", str(trace),
+        ])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "FAIL: injected" in out
+        assert trace.is_file()
+
     def test_bench_real_timeout_flags(self, capsys):
         """--timeout / --stall-timeout reach the runtime watchdogs; ample
         values leave a healthy run untouched."""

@@ -1,7 +1,6 @@
 """The factorization service: pattern cache behavior, warm-path bitwise
 correctness, admission control, typed errors, the TCP client/server
-pair, the solver facade's ``backend="service"``, and the seeded load
-generator."""
+pair, and the solver facade's ``backend="service"``."""
 
 import logging
 import threading
@@ -18,7 +17,6 @@ from repro.service import (
     FactorService,
     JobFailed,
     JobQueue,
-    LoadgenConfig,
     PatternCache,
     PatternEntry,
     ServiceClient,
@@ -26,7 +24,6 @@ from repro.service import (
     ServiceServer,
     UnknownPatternError,
     pattern_digest,
-    run_loadgen,
 )
 from repro.solver import SparseCholesky
 
@@ -568,30 +565,3 @@ class TestSolverServiceBackend:
             assert len(planned) == 1
             assert "plan_cache" not in chol.runtime_metrics.to_dict()["extra"]
 
-
-class TestLoadgen:
-    def test_seeded_run_hits_cache_and_validates(self):
-        """The acceptance sweep in miniature: ≥50% repeat traffic over a
-        validating service shows warm jobs (cache hits) and zero
-        failures; the schedule itself is deterministic in the seed."""
-        from repro.service.loadgen import build_schedule
-
-        cfg = LoadgenConfig(
-            jobs=8, patterns=2, repeat_ratio=0.6, mode="closed",
-            concurrency=1, seed=3, n=6, timeout=120.0,
-        )
-        schedule = build_schedule(cfg)
-        assert [s.pattern for s in schedule] == [
-            s.pattern for s in build_schedule(cfg)
-        ]
-        distinct = len({s.pattern for s in schedule})
-        with FactorService(validate=True, **SVC_KW) as svc:
-            report = run_loadgen(lambda: ServiceClient(service=svc), cfg)
-        d = report.to_dict()
-        assert d["jobs"]["failed"] == 0
-        assert d["jobs"]["ok"] == 8
-        assert d["cache"]["hit"] > 0
-        assert d["cache"]["hit"] + d["cache"]["miss"] == 8
-        assert d["cache"]["miss"] == distinct  # one cold job per pattern
-        # warm jobs skip symbolic analysis + planning + spawn
-        assert d["setup_s"]["warm"]["max"] <= d["setup_s"]["cold"]["p50"]

@@ -1,6 +1,6 @@
 """The self-healing service: worker death mid-batch (hard and soft, on
 both transports), per-job deadlines, the circuit breaker, job-id dedup,
-client reconnect/retry, graceful drain, and the fault-plan CLI parser.
+client reconnect/retry, graceful drain, and the service chaos CLI.
 
 The acceptance bar throughout: every submitted job either completes —
 with its survival path tagged in the record — or raises a typed
@@ -18,19 +18,17 @@ import pytest
 
 from repro.matrices import grid2d_matrix
 from repro.runtime import shm_available
-from repro.runtime.faults import CrashSpec, FaultPlan, parse_fault_plan
+from repro.runtime.faults import CrashSpec, FaultPlan
 from repro.service import (
     CircuitBreaker,
     DeadlineExceeded,
     FactorService,
     JobFailed,
-    LoadgenConfig,
     RetryPolicy,
     ServiceClient,
     ServiceClosed,
     ServiceServer,
     ServiceUnavailable,
-    run_loadgen,
 )
 from repro.service.jobs import FactorJob, JobHandle
 from repro.solver import SparseCholesky
@@ -445,59 +443,6 @@ class TestGracefulDrain:
         svc.close()
         with pytest.raises(ServiceClosed):
             handle.result(0)
-
-
-class TestFaultPlanParsing:
-    def test_named_scenario_with_params(self):
-        plan = parse_fault_plan("crash-hard:rank=0,after_tasks=2", seed=9)
-        assert plan.seed == 9
-        assert plan.crash == (CrashSpec(0, 2, hard=True),)
-        slow = parse_fault_plan("slow:rank=1,slow_s=0.05")
-        assert slow.slow == {1: 0.05}
-
-    def test_none_and_file_forms(self, tmp_path):
-        assert parse_fault_plan(None) is None
-        assert parse_fault_plan("none") is None
-        path = tmp_path / "plan.json"
-        path.write_text(HARD_KILL.to_json())
-        assert parse_fault_plan(f"@{path}") == HARD_KILL
-
-    def test_unknown_scenario_raises(self):
-        with pytest.raises(KeyError):
-            parse_fault_plan("meteor-strike")
-
-
-class TestLoadgenResilience:
-    def test_kill_worker_mid_run_all_jobs_land(self, grid_A):
-        """Satellite: ``kill_worker_at`` SIGKILLs a pool rank mid-run;
-        the report shows zero failures and tags the recovery path."""
-        cfg = LoadgenConfig(
-            jobs=6, patterns=1, repeat_ratio=1.0, mode="closed",
-            concurrency=1, seed=5, n=10, timeout=120.0,
-            kill_worker_at=3, kill_rank=1,
-        )
-        with FactorService(**SVC_KW) as svc:
-            report = run_loadgen(
-                lambda: ServiceClient(service=svc), cfg, service=svc
-            )
-        d = report.to_dict()
-        assert d["jobs"]["ok"] == 6
-        assert d["jobs"]["failed"] == 0
-        assert (
-            d["resilience"]["recovered"] + d["resilience"]["degraded"] >= 1
-        )
-        assert {"p50", "p95", "p99"} <= set(d["latency_s"])
-
-    def test_deadline_budget_reported(self, grid_A):
-        cfg = LoadgenConfig(
-            jobs=3, patterns=1, mode="closed", concurrency=1, seed=1,
-            n=10, timeout=120.0, deadline_s=1e-4,
-        )
-        with FactorService(**SVC_KW) as svc:
-            report = run_loadgen(lambda: ServiceClient(service=svc), cfg)
-        d = report.to_dict()
-        assert d["jobs"]["expired"] == 3
-        assert d["jobs"]["failed"] == 0
 
 
 class TestChaosServiceCLI:
