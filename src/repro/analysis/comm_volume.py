@@ -123,8 +123,9 @@ def solve_communication_volume(
       destination panel's diagonal owner ships one update fragment;
     * ``SOLVE_X`` — each backward-solved panel ``I`` is broadcast to the
       distinct owners of the blocks in row ``I``;
-    * ``SOLVE_BUP`` — each block whose owner differs from its source
-      panel's diagonal owner ships one update fragment.
+    * ``SOLVE_BUP`` — each rank other than panel ``K``'s diagonal owner
+      that owns blocks of column ``K`` ships one share: the backward
+      update of all its rows there, ``w_K x nrhs``.
 
     A frame costs ``64 + 8 * rows * nrhs`` bytes (header + full float64
     fragment; solve payloads are never triangle-packed and never ride the
@@ -148,18 +149,19 @@ def solve_communication_volume(
 
     sub_ids = np.flatnonzero(tg.block_I != tg.block_J)
     fup_msgs = fup_bytes = 0
-    bup_msgs = bup_bytes = 0
     for b in sub_ids:
         I = int(tg.block_I[b])
-        K = int(tg.block_J[b])
-        w = int(widths[K])
-        rows = int(tg.block_words[b]) // w
+        rows = int(tg.block_words[b]) // int(widths[tg.block_J[b]])
         if int(owners[b]) != int(diag_owner[I]):
             fup_msgs += 1
             fup_bytes += 64 + 8 * rows * nrhs
-        if int(owners[b]) != int(diag_owner[K]):
-            bup_msgs += 1
-            bup_bytes += 64 + 8 * w * nrhs
+
+    bup_msgs = bup_bytes = 0
+    for k in range(tg.npanels):
+        sub = tg.subdiag_blocks[tg.subdiag_ptr[k] : tg.subdiag_ptr[k + 1]]
+        n = len(set(owners[sub].tolist()) - {int(diag_owner[k])})
+        bup_msgs += n
+        bup_bytes += n * (64 + 8 * int(widths[k]) * nrhs)
 
     x_msgs = x_bytes = 0
     row_owners: dict[int, set] = {}

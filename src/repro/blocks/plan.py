@@ -16,8 +16,9 @@ From that layout the plan derives, with whole-matrix array operations only:
   destination block of panel J (:attr:`rel`, :attr:`rel_of`) and inside
   panel J's slab flattened (:attr:`slab_flat`) — so that every update
   from K into J is one scatter, a panel update,
-* per panel, its column range and the global rows of each of its blocks,
-  which is all the block substitution reads (:attr:`panel_rows`),
+* per panel, its column range and the global rows of its stacked
+  subdiagonal blocks, which is all the block substitution reads
+  (:attr:`panel_rows`),
 * the CSC pattern of ``L`` and the gather out of the slab layout
   (:meth:`csc_pattern`),
 * the ``arena -> store`` copy map of the shared-memory transport's block
@@ -81,9 +82,8 @@ class NumericPlan:
         columns and ``cspan`` their ``(c0, c1)`` range when contiguous,
         else ``None``.
     panel_rows[K]:
-        ``(c0, c1, ((I, rows), ...))`` — the columns of panel K and, per
-        subdiagonal block in ``block_rows[K]`` order, its global row
-        indices (a view of ``rows_below[K]``).
+        ``(c0, c1, rows)`` — the columns of panel K and the global rows of
+        its stacked subdiagonal blocks (``rows_below[K]``).
     """
 
     def __init__(self, structure):
@@ -119,15 +119,9 @@ class NumericPlan:
                 structure.block_rows, structure.row_splits, widths.tolist()
             )
         ]
-        self.panel_rows = [
-            (c0, c1, tuple(
-                (i, rows[lo - w : hi - w]) for i, (lo, hi) in span.items()
-            ))
-            for c0, c1, w, rows, span in zip(
-                ptr[:-1].tolist(), ptr[1:].tolist(), widths.tolist(),
-                structure.rows_below, self.spans,
-            )
-        ]
+        self.panel_rows = list(zip(
+            ptr[:-1].tolist(), ptr[1:].tolist(), structure.rows_below
+        ))
         self._compile_bmod(structure)
         self._scatter = None
         self._csc = None

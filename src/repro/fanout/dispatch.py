@@ -297,7 +297,7 @@ class PlanHolder:
 
     def solve_plan(self, rank: int, build):
         """The rank's solve-phase tables — whatever ``build()`` compiles
-        (the runtime's ``SolvePlan`` and its rank's destinations), kept so
+        (the runtime's ``SolvePlan`` of that rank), kept so
         that the workers of later factor jobs do not compile them again."""
         return self._compiled("_solve_plans", rank, build)
 

@@ -83,13 +83,20 @@ class BlockCholesky:
         self._slabs = [
             store[start:stop].reshape(-1, w) for w, start, stop in plan.slabs
         ]
-        self.diag: list[np.ndarray] = []
-        self.below: list[dict[int, np.ndarray]] = []
-        for slab, (w, _, _), span in zip(self._slabs, plan.slabs, plan.spans):
-            self.diag.append(slab[:w])
-            self.below.append(
-                {i: slab[lo:hi] for i, (lo, hi) in span.items()}
-            )
+        widths = [w for w, _, _ in plan.slabs]
+        self.diag: list[np.ndarray] = [
+            slab[:w] for slab, w in zip(self._slabs, widths)
+        ]
+        self.below: list[dict[int, np.ndarray]] = [
+            {i: slab[lo:hi] for i, (lo, hi) in span.items()}
+            for slab, span in zip(self._slabs, plan.spans)
+        ]
+        #: Per panel K, its subdiagonal blocks stacked in ``block_rows[K]``
+        #: order — slab rows ``w..``, one C-ordered view whose rows are
+        #: ``rows_below[K]``: the operand of a panel's solve updates.
+        self.stacked: list[np.ndarray] = [
+            slab[w:] for slab, w in zip(self._slabs, widths)
+        ]
         self.flops = 0
         self._factored = np.zeros(len(self.diag), dtype=bool)
 

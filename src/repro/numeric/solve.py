@@ -11,12 +11,14 @@ Two factor representations are accepted:
   substitution over the same dense panels the factorization produced.
 
 The block path is the **bitwise reference** for the distributed solve in
-:mod:`repro.runtime`: both sides run the exact same four kernels
-(:func:`fsolve_kernel` / :func:`fupd_kernel` / :func:`bsolve_kernel` /
-:func:`bupd_kernel`) in the same per-panel update order, with every
-operand normalized to C order first, so a distributed solve is
-reproducible float for float against this sequential loop regardless of
-transport, schedule, or worker count.
+:mod:`repro.runtime` at the same grouping: both sides run the same four
+kernels (:func:`fsolve_kernel` / :func:`fupd_kernel` /
+:func:`bsolve_kernel` / :func:`bupd_kernel`), one update product per
+panel and owner, applied in the same order, with every operand
+normalized to C order first. Where one rank owns every block of a column
+(every ``1 x P`` grid) that is this loop's one product per panel, so a
+distributed solve reproduces it float for float on every transport and
+schedule.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ def fsolve_kernel(Lkk: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def fupd_kernel(Lik: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """``U = L_IK Y_K`` — the forward update a subdiagonal block emits."""
+    """``U = L_IK Y_K`` — the forward update of the stacked subdiagonal
+    rows ``L_IK`` of one panel (all of them, or one rank's share)."""
     return np.ascontiguousarray(Lik) @ np.ascontiguousarray(Y)
 
 
@@ -72,7 +75,8 @@ def bsolve_kernel(Lkk: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def bupd_kernel(Lik: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``U = L_IK^T X_I`` — the backward update a subdiagonal block emits."""
+    """``U = L_IK^T X_I`` — the backward update of the same stacked rows,
+    ``X_I`` the solution at their global rows."""
     return np.ascontiguousarray(Lik).T @ np.ascontiguousarray(X)
 
 
@@ -97,34 +101,33 @@ def block_forward(chol: BlockCholesky, Y: np.ndarray) -> np.ndarray:
     """In-place forward substitution ``L Y = B`` over block panels.
 
     ``Y`` is the permuted right-hand side as an ``n x nrhs`` C-ordered
-    array; panels are solved in ascending order and each panel's updates
-    are applied in ascending source-panel order — the canonical order the
-    distributed solve reproduces by parking early arrivals.
+    array. Panels are solved in ascending order; panel K's update is one
+    product of its stacked subdiagonal rows with ``Y_K``, subtracted once
+    from ``Y[rows_below[K]]`` — so every row takes its updates in
+    ascending source-panel order, the order the distributed solve
+    reproduces by parking early arrivals.
     """
     panel_rows = chol.structure.numeric_plan().panel_rows
-    for k, (c0, c1, blocks) in enumerate(panel_rows):
+    for k, (c0, c1, rows) in enumerate(panel_rows):
         Yk = fsolve_kernel(chol.diag[k], Y[c0:c1])
         Y[c0:c1] = Yk
-        below = chol.below[k]
-        for i, rows in blocks:
-            Y[rows] -= fupd_kernel(below[i], Yk)
+        Y[rows] -= fupd_kernel(chol.stacked[k], Yk)
     return Y
 
 
 def block_backward(chol: BlockCholesky, X: np.ndarray) -> np.ndarray:
     """In-place backward substitution ``L^T X = Y`` over block panels.
 
-    Panels complete in descending order; the updates into panel ``K`` are
-    gathered in ascending source-row order before the triangular solve —
-    again exactly the order the distributed solve enforces.
+    Panels complete in descending order; panel K absorbs one product of
+    its stacked subdiagonal rows' transpose with ``X[rows_below[K]]``
+    before the triangular solve — the one share a distributed rank that
+    owns all of column K sends itself.
     """
     panel_rows = chol.structure.numeric_plan().panel_rows
     for k in range(len(panel_rows) - 1, -1, -1):
-        c0, c1, blocks = panel_rows[k]
-        B = np.ascontiguousarray(X[c0:c1])
-        below = chol.below[k]
-        for i, rows in blocks:
-            B -= bupd_kernel(below[i], X[rows])
+        c0, c1, rows = panel_rows[k]
+        B = X[c0:c1]
+        B -= bupd_kernel(chol.stacked[k], X[rows])
         X[c0:c1] = bsolve_kernel(chol.diag[k], B)
     return X
 

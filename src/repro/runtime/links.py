@@ -19,11 +19,11 @@ Two byte ledgers per link:
     Equal to ``bytes`` on the inline transport; collapses to 64 bytes per
     message on the shared-memory transport (header-only descriptors).
 
-Coalescing: with ``coalesce`` enabled (the shm transport), data frames
-accumulate in a per-link pending batch and ship as **one** queue put per
-drain (:meth:`flush_pending`) — one pickling round-trip per ``(src, dst)``
-burst instead of one per block. Control frames flush the batch first so
-data-before-control ordering is preserved.
+Coalescing: with ``coalesce`` enabled (the shm transport), data and solve
+frames accumulate in a per-link pending batch and ship as **one** queue
+put per drain (:meth:`flush_pending`) — one pickling round-trip per
+``(src, dst)`` burst instead of one per frame. Control frames flush the
+batch first so data-before-control ordering is preserved.
 """
 
 from __future__ import annotations
@@ -115,11 +115,10 @@ class Link:
         these frames ride their own ledger outside the data counters —
         the factor-phase ``messages``/``bytes`` stay exactly equal to the
         static predictor, and the solve ledger reconciles against the
-        solve predictor. RHS fragments always ship inline (even on the
-        shm transport), so logical bytes equal ``len(frame)``. Flushes
-        coalesced data first to preserve ordering."""
-        self.flush_pending()
-        self.queue.put(frame)
+        solve predictor. RHS fragments always carry their payload (even
+        on the shm transport), so logical bytes equal ``len(frame)``; on
+        shm they ride the coalesced batch like data frames."""
+        self._put(frame)
         self.solve_messages += 1
         self.solve_bytes += len(frame)
 

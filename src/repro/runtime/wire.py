@@ -71,10 +71,11 @@ the static communication-volume prediction.
     full ``w x nrhs`` panel. Factor blocks never ride these frames — the
     solve phase reads them where they already live.
 ``SOLVE_FUP`` / ``SOLVE_BUP``
-    Triangular-solve phase: one block's update contribution shipped to the
-    destination panel's diagonal owner (forward / backward). ``block``
-    carries the global *block* index so the receiver can place the update
-    in the canonical accumulation order.
+    Triangular-solve phase: an update shipped to the diagonal owner of
+    the panel that absorbs it — forward, one block's rows of its column's
+    update; backward, one rank's share of a column, named by its first
+    block. ``block`` carries that global *block* index so the receiver
+    can place the update in the canonical accumulation order.
 
 Solve frames form their own ledger (``SOLVE_KINDS``): like the steal
 plane they are outside ``DATA_KINDS`` (the solve phase moves right-hand
@@ -348,8 +349,8 @@ def pack_solve_x(src: int, panel: int, array: np.ndarray) -> bytes:
 
 
 def pack_solve_bup(src: int, block: int, array: np.ndarray) -> bytes:
-    """Serialize a SOLVE_BUP: block ``block``'s backward update shipped to
-    its source panel's diagonal owner."""
+    """Serialize a SOLVE_BUP: the backward share of a column whose first
+    block is ``block``, shipped to that column's diagonal owner."""
     return _pack_solve(SOLVE_BUP, src, block, array)
 
 

@@ -55,7 +55,7 @@ from repro.numeric.solve import (
     solve_flops,
 )
 from repro.fanout.dispatch import UpdateQueue
-from repro.fanout.protocol import FanoutState, remote_ranks
+from repro.fanout.protocol import FanoutState
 from repro.fanout.tasks import BDIV, BMOD
 from repro.runtime import wire
 from repro.runtime.faults import FaultInjector
@@ -1017,15 +1017,14 @@ class Worker:
     # ------------------------------------------------------------------
     # Solve plane: distributed triangular solve (see docs/SOLVING.md)
     # ------------------------------------------------------------------
-    # The factor never moves: FSOLVE/BSOLVE run where the diagonal block
-    # lives, FUPD/BUPD run where the subdiagonal block lives, and only
-    # right-hand-side fragments cross the wire (SOLVE_Y/X panel
-    # broadcasts, SOLVE_FUP/BUP update fragments). Updates into a panel
-    # are applied in ascending source order — exactly the sequential
-    # reference's order — so the distributed solution is bitwise the
-    # sequential one on every transport, schedule, and process count.
-    # Solve frames have their own ledger and fully inline payloads, so
-    # logical bytes == wire bytes by construction.
+    # The factor never moves: FSOLVE/BSOLVE(K) run where the diagonal
+    # block lives, FUPD/BUPD(K, g) over the rows of column K rank g owns,
+    # stacked, and only right-hand-side fragments cross the wire (SOLVE_Y/X
+    # panel broadcasts, one SOLVE_FUP per block, one SOLVE_BUP per remote
+    # share). A panel absorbs its updates in the plan's fixed order, so
+    # the solution is bitwise the sequential sweeps' wherever the grouping
+    # is theirs: on every 1 x P grid. Solve frames have their own ledger
+    # and always carry their payload, so logical bytes == wire bytes.
 
     def _arm_solve(self, rhs: np.ndarray) -> None:
         """``rhs`` is the right-hand side panel stack (already permuted,
@@ -1035,124 +1034,44 @@ class Worker:
                               wire.SOLVE_X: self._on_x,
                               wire.SOLVE_FUP: self._on_fup,
                               wire.SOLVE_BUP: self._on_bup})
-        #: The pattern's :class:`SolvePlan` and, per panel i, where ``X_i``
-        #: travels: the distinct remote owners of row i's blocks (``Y_k``
-        #: travels where ``L_KK`` did). Compiled by the rank's first job
-        #: with an rhs, then read off the resident context.
-        self.splan, self._x_dsts = self.context.solve_plan(
-            self.rank, self._compile_solve
-        )
-        sp = self.splan
-        rhs, _ = permute_rhs(rhs, int(sp.panel_ptr[-1]), None)
-        rhs = np.ascontiguousarray(
-            rhs.reshape(-1, 1) if rhs.ndim == 1 else rhs
-        )
-        self.nrhs = int(rhs.shape[1])
-        own_diag = [
-            k for k in range(sp.npanels)
-            if int(self.owners[sp.diag_block[k]]) == self.rank
-        ]
-        #: Forward accumulation buffers for owned panels (start as the
-        #: permuted rhs fragment; updates subtract in canonical order;
-        #: FSOLVE replaces the buffer with the solved panel).
-        self._ypanel = {}
-        for k in own_diag:
-            c0, c1 = int(sp.panel_ptr[k]), int(sp.panel_ptr[k + 1])
-            self._ypanel[k] = np.array(rhs[c0:c1])
-        self._fwd_next = dict.fromkeys(own_diag, 0)
-        self._fwd_pending: dict[int, dict[int, np.ndarray]] = {
-            k: {} for k in own_diag
-        }
-        self._bwd_next = dict.fromkeys(own_diag, 0)
-        self._bwd_pending: dict[int, dict[int, np.ndarray]] = {
-            k: {} for k in own_diag
-        }
-        #: Backward accumulation buffers (created when FSOLVE completes,
-        #: seeded from the solved forward panel — the sequential B).
-        self._xbuf: dict[int, np.ndarray] = {}
-        self._fsolve_done: set[int] = set()
-        #: Final forward panels available locally (own or received).
-        self._y_have: dict[int, np.ndarray] = {}
-        #: Final solution panels available locally (own or received).
-        self._x_have: dict[int, np.ndarray] = {}
+        #: The rank's :class:`SolvePlan`: compiled by its first job with
+        #: an rhs, then read off the resident context.
+        self.splan = sp = self.context.solve_plan(self.rank, lambda: SolvePlan(
+            self.context.structure, self.tg, self.owners, self.rank))
+        rhs, _ = permute_rhs(rhs, sp.panel_cols[-1][1], None)
+        #: This rank's copy of the right-hand side, solved in place as the
+        #: sequential sweeps do: a panel's rows hold ``B``, then ``Y``,
+        #: then ``X``, as this rank computes or receives them.
+        self._z = np.array(rhs.reshape(len(rhs), -1), order="C")
+        self.nrhs = int(self._z.shape[1])
+        #: Updates parked until their panel absorbs them in order: forward
+        #: ones by block, backward shares by their first block.
+        self._fwd: dict[int, np.ndarray] = {}
+        self._bwd: dict[int, np.ndarray] = {}
+        self._waiting = list(sp.wait)
         #: Owned solution panels shipped home in the WorkerResult.
         self._solution_panels: dict[int, np.ndarray] = {}
         self.solve_scheduler = ReadyScheduler()
-        # FSOLVE + BSOLVE per owned diagonal block, FUPD + BUPD per owned
-        # subdiagonal one.
-        self.n_solve_owned = 2 * len(self.plan.owned)
-        for k in own_diag:
-            if sp.fwd_count[k] == 0:
-                self._push_solve(FSOLVE, k)
+        self.n_solve_owned = sp.ntasks
+        for stid in sp.seeds:
+            self.solve_scheduler.push(stid)
 
-    def _compile_solve(self) -> tuple[SolvePlan, list[list[int]]]:
-        splan = SolvePlan(self.context.structure, self.tg)
-        return splan, [
-            remote_ranks(self.owners[row], self.rank).tolist()
-            for row in splan.row_blocks
-        ]
+    def _solve_dep(self, kind: int, k: int) -> None:
+        """One of the events solve task ``kind(k)`` waits for happened."""
+        stid = kind * self.splan.npanels + k
+        self._waiting[stid] -= 1
+        if not self._waiting[stid]:
+            self.solve_scheduler.push(stid)
 
-    def _push_solve(self, kind: int, ident: int) -> None:
-        """Solve task ids are ``kind * nblocks + (panel or block) id``."""
-        self.solve_scheduler.push(kind * self.tg.nblocks + ident)
+    def _y_ready(self, k: int) -> None:
+        """``Y_k`` is final here: it feeds this rank's FUPD of column k."""
+        if k in self.splan.shares:
+            self._solve_dep(FUPD, k)
 
-    def _y_ready(self, k: int, panel: np.ndarray) -> None:
-        """Forward panel ``Y_k`` is final here; wake owned FUPDs of
-        column k (the blocks ``L_KK`` woke)."""
-        self._y_have[k] = panel
-        for b in self.plan.local[self.splan.diag_block[k]]:
-            self._push_solve(FUPD, b)
-
-    def _x_ready(self, i: int, panel: np.ndarray) -> None:
-        """Solution panel ``X_i`` is final here; wake owned BUPDs of
-        row i."""
-        self._x_have[i] = panel
-        for b in self.splan.row_blocks[i]:
-            if int(self.owners[int(b)]) == self.rank:
-                self._push_solve(BUPD, int(b))
-
-    def _fwd_deliver(self, i: int, b: int, u: np.ndarray) -> None:
-        """Park a forward update into panel ``i`` and apply every parked
-        update that is next in canonical (ascending-source) order."""
-        self._fwd_pending[i][b] = u
-        sp = self.splan
-        order = sp.row_blocks[i]
-        idx = self._fwd_next[i]
-        pend = self._fwd_pending[i]
-        Y = self._ypanel[i]
-        while idx < order.shape[0]:
-            nxt = int(order[idx])
-            w = pend.pop(nxt, None)
-            if w is None:
-                break
-            Y[sp.block_ridx[nxt]] -= w
-            idx += 1
-        self._fwd_next[i] = idx
-        if idx == order.shape[0]:
-            self._push_solve(FSOLVE, i)
-
-    def _bwd_drain(self, k: int) -> None:
-        """Backward mirror of :meth:`_fwd_deliver` (ascending destination
-        order down column ``k``) over the updates parked in
-        ``_bwd_pending[k]``; releases BSOLVE(k) when the buffer has
-        absorbed every update."""
-        B = self._xbuf.get(k)
-        if B is None:
-            # FSOLVE(k) has not run; causally impossible for a remote
-            # update, but the drain is re-run right after FSOLVE anyway.
-            return
-        order = self.splan.col_blocks[k]
-        idx = self._bwd_next[k]
-        pend = self._bwd_pending[k]
-        while idx < order.shape[0]:
-            u = pend.pop(int(order[idx]), None)
-            if u is None:
-                break
-            B -= u
-            idx += 1
-        self._bwd_next[k] = idx
-        if idx == order.shape[0] and k in self._fsolve_done:
-            self._push_solve(BSOLVE, k)
+    def _x_ready(self, i: int) -> None:
+        """``X_i`` is final here: it feeds the BUPDs that read row i."""
+        for k in self.splan.x_wake[i]:
+            self._solve_dep(BUPD, k)
 
     def _solve_received(self, msg: wire.WireMessage, nbytes: int, t0: float,
                         name: str) -> bool:
@@ -1163,29 +1082,32 @@ class Worker:
         return True
 
     def _on_y(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
-        self._y_ready(msg.block, np.asarray(msg.payload))
+        c0, c1 = self.splan.panel_cols[msg.block]
+        self._z[c0:c1] = msg.payload
+        self._y_ready(msg.block)
         return self._solve_received(msg, nbytes, t0,
                                     self.trace and f"y({msg.block})")
 
     def _on_x(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
-        self._x_ready(msg.block, np.asarray(msg.payload))
+        c0, c1 = self.splan.panel_cols[msg.block]
+        self._z[c0:c1] = msg.payload
+        self._x_ready(msg.block)
         return self._solve_received(msg, nbytes, t0,
                                     self.trace and f"x({msg.block})")
 
     def _on_fup(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
-        b = msg.block
-        i, k = self.plan.coords[b]
-        self._fwd_deliver(i, b, np.asarray(msg.payload))
-        return self._solve_received(msg, nbytes, t0,
-                                    self.trace and f"fup({i},{k})")
+        self._fwd[msg.block] = msg.payload
+        self._solve_dep(FSOLVE, self.plan.coords[msg.block][0])
+        return self._solve_received(
+            msg, nbytes, t0,
+            self.trace and "fup(%d,%d)" % self.plan.coords[msg.block])
 
     def _on_bup(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
-        b = msg.block
-        i, k = self.plan.coords[b]
-        self._bwd_pending[k][b] = np.asarray(msg.payload)
-        self._bwd_drain(k)
-        return self._solve_received(msg, nbytes, t0,
-                                    self.trace and f"bup({i},{k})")
+        self._bwd[msg.block] = msg.payload
+        self._solve_dep(BSOLVE, self.plan.coords[msg.block][1])
+        return self._solve_received(
+            msg, nbytes, t0,
+            self.trace and "bup(%d,%d)" % self.plan.coords[msg.block])
 
     def _solve_send(self, frame: bytes, dsts, name: str) -> None:
         """Send one solve frame to each of the (distinct, remote) ranks."""
@@ -1199,64 +1121,66 @@ class Worker:
 
     def _solve_execute(self, stid: int) -> None:
         """Run one solve task, account for it, then deliver its output —
-        locally when this rank owns the consumer, else over the wire."""
-        sp, chol, tr, rank = self.splan, self.chol, self.trace, self.rank
-        kind, ident = divmod(stid, self.tg.nblocks)
-        diag = kind in (FSOLVE, BSOLVE)
-        if diag:
-            k = ident
-            rows = width = int(sp.widths[k])
-            name = tr and f"{SOLVE_KIND_NAMES[kind]}({k})"
-        else:
-            b = ident
-            i, k = self.plan.coords[b]
-            rows, width = sp.block_ridx[b].shape[0], int(sp.widths[k])
-            name = tr and f"{SOLVE_KIND_NAMES[kind]}({i},{k})"
+        locally when this rank absorbs it, else over the wire."""
+        sp, chol, tr, rank, z = (
+            self.splan, self.chol, self.trace, self.rank, self._z)
+        kind, k = divmod(stid, sp.npanels)
+        c0, c1 = sp.panel_cols[k]
+        share = sp.shares.get(k)
         t0 = self._now()
         if kind == FSOLVE:
-            out = fsolve_kernel(chol.diag[k], self._ypanel[k])
-            self._ypanel[k] = out
-        elif kind == FUPD:
-            out = fupd_kernel(chol.below[k][i], self._y_have[k])
+            for b, rows in sp.fwd_order[k]:
+                z[rows] -= self._fwd.pop(b)
+            out = z[c0:c1] = fsolve_kernel(chol.diag[k], z[c0:c1])
         elif kind == BSOLVE:
-            out = bsolve_kernel(chol.diag[k], self._xbuf[k])
+            B = z[c0:c1]
+            for b in sp.bup_order[k]:
+                B -= self._bwd.pop(b)
+            out = z[c0:c1] = bsolve_kernel(chol.diag[k], B)
+        elif kind == FUPD:
+            out = fupd_kernel(chol.stacked[k][share.sel], z[c0:c1])
         else:
-            out = bupd_kernel(chol.below[k][i],
-                              self._x_have[i][sp.block_ridx[b]])
+            out = bupd_kernel(chol.stacked[k][share.sel], z[share.rows])
         t1 = self._now()
-        work = solve_flops(rows, width, self.nrhs, diag=diag)
+        diag = kind in (FSOLVE, BSOLVE)
+        work = solve_flops(c1 - c0 if diag else share.rows.shape[0],
+                           c1 - c0, self.nrhs, diag=diag)
         self.solve_executed += 1
-        self._account("solve_busy", SOLVE_KIND_NAMES[kind], t0, t1, work, 0,
-                      name, tr and {"id": ident, "work": work})
+        self._account(
+            "solve_busy", SOLVE_KIND_NAMES[kind], t0, t1, work, 0,
+            tr and (f"{SOLVE_KIND_NAMES[kind]}({k})" if diag
+                    else f"{SOLVE_KIND_NAMES[kind]}({k},{rank})"),
+            tr and {"id": k, "work": work})
         # Post-task bookkeeping and fan-out.
         if kind == FSOLVE:
-            self._fsolve_done.add(k)
-            self._xbuf[k] = out.copy()
             self._solve_send(wire.pack_solve_y(rank, k, out),
-                             self.plan.recipients[sp.diag_block[k]],
+                             self.plan.recipients[self.tg.diag_block[k]],
                              tr and f"y({k})")
-            self._y_ready(k, out)
-            self._bwd_drain(k)
+            self._y_ready(k)
+            self._solve_dep(BSOLVE, k)
         elif kind == BSOLVE:
             self._solution_panels[k] = out
-            self._solve_send(wire.pack_solve_x(rank, k, out),
-                             self._x_dsts[k], tr and f"x({k})")
-            self._x_ready(k, out)
+            self._solve_send(wire.pack_solve_x(rank, k, out), sp.x_dsts[k],
+                             tr and f"x({k})")
+            self._x_ready(k)
         elif kind == FUPD:
-            dst = int(self.owners[sp.diag_block[i]])
-            if dst == rank:
-                self._fwd_deliver(i, b, out)
-            else:
-                self._solve_send(wire.pack_solve_fup(rank, b, out), [dst],
-                                 tr and f"fup({i},{k})")
+            for b, lo, hi, dst in share.parts:
+                if dst == rank:
+                    self._fwd[b] = out[lo:hi]
+                    self._solve_dep(FSOLVE, self.plan.coords[b][0])
+                else:
+                    self._solve_send(
+                        wire.pack_solve_fup(rank, b, out[lo:hi]), [dst],
+                        tr and "fup(%d,%d)" % self.plan.coords[b])
         else:
-            dst = int(self.owners[sp.diag_block[k]])
-            if dst == rank:
-                self._bwd_pending[k][b] = out
-                self._bwd_drain(k)
+            b = share.parts[0][0]
+            if sp.diag_owner[k] == rank:
+                self._bwd[b] = out
+                self._solve_dep(BSOLVE, k)
             else:
-                self._solve_send(wire.pack_solve_bup(rank, b, out), [dst],
-                                 tr and f"bup({i},{k})")
+                self._solve_send(wire.pack_solve_bup(rank, b, out),
+                                 [sp.diag_owner[k]],
+                                 tr and "bup(%d,%d)" % self.plan.coords[b])
 
     # ------------------------------------------------------------------
     # Shutdown

@@ -14,7 +14,13 @@ and the panel updates must match it to rounding only: a dgemm over stacked
 rows need not round like the same rows computed alone. The grouped one
 (:func:`oracle_grouped_factor`) computes what the panel updates compute for
 a given block map, with every index derived from the global row numbers,
-and the production executors must match it bit for bit."""
+and the production executors must match it bit for bit.
+
+The substitution has the same pair: :func:`oracle_block_solve` runs one
+update per block, as the sweeps did before they were grouped by panel
+(to rounding only), and :func:`oracle_grouped_solve` groups each panel's
+updates by owner as the sweeps and the distributed solve do (bit for
+bit)."""
 
 from __future__ import annotations
 
@@ -184,7 +190,7 @@ def oracle_factor(structure, A):
 
 def oracle_block_solve(structure, diag, below, pb):
     """Forward then backward block substitution on a permuted ``n x nrhs``
-    right-hand side, through the wrapper solves."""
+    right-hand side, one update per block, through the wrapper solves."""
     Y = np.array(pb, dtype=np.float64, order="C", copy=True)
     ptr = structure.partition.panel_ptr
     N = structure.npanels
@@ -343,6 +349,57 @@ def oracle_grouped_factor(structure, A, owners):
         for k in range(N)
     ]
     return diag, below
+
+
+def oracle_grouped_solve(structure, diag, below, owners, pb):
+    """Forward then backward block substitution on a permuted ``n x nrhs``
+    right-hand side, with the updates of each panel K grouped by the
+    owner of their block (``owners`` per block of the structure's work
+    model): per group, one product of its stacked rows of K — with ``Y_K``
+    forward, subtracted from each block's global rows; transposed, with
+    the solution at those rows backward, the groups' products subtracted
+    from ``B_K`` in ascending order of their first block. Solves go
+    through the scipy wrappers, indices come from the global rows."""
+    wm = WorkModel(structure)
+    block_of = {
+        (int(i), int(j)): b
+        for b, (i, j) in enumerate(zip(wm.dest_I, wm.dest_J))
+    }
+    ptr = structure.partition.panel_ptr
+    N = structure.npanels
+
+    def groups(k):
+        """``(stacked rows, [global rows per member])`` per owner of
+        column k's blocks, in order of their first block."""
+        out: dict = {}
+        for t, i in enumerate(int(i) for i in structure.block_rows[k]):
+            owner = int(owners[block_of[i, k]])
+            out.setdefault(owner, []).append(
+                (below[k][i], structure.block_row_span(k, t))
+            )
+        return [
+            (np.concatenate([B for B, _ in members]),
+             [rows for _, rows in members])
+            for members in out.values()
+        ]
+
+    Y = np.array(pb, dtype=np.float64, order="C", copy=True)
+    for k in range(N):
+        c0, c1 = int(ptr[k]), int(ptr[k + 1])
+        Yk = oracle_fsolve(diag[k], Y[c0:c1])
+        Y[c0:c1] = Yk
+        for S, spans in groups(k):
+            U, at = S @ Yk, 0
+            for rows in spans:
+                Y[rows] -= U[at : at + rows.shape[0]]
+                at += rows.shape[0]
+    for k in range(N - 1, -1, -1):
+        c0, c1 = int(ptr[k]), int(ptr[k + 1])
+        B = np.ascontiguousarray(Y[c0:c1])
+        for S, spans in groups(k):
+            B -= S.T @ Y[np.concatenate(spans)]
+        Y[c0:c1] = oracle_bsolve(diag[k], B)
+    return Y
 
 
 def oracle_grouped_cholesky(structure, A, owners):

@@ -7,7 +7,11 @@ from repro.numeric import BlockCholesky, solve_with_factor
 from repro.numeric.solve import block_solve_permuted, permute_rhs
 from repro.ordering import order_problem
 from repro.symbolic import symbolic_factor
-from tests.blockfact_oracle import oracle_block_solve, oracle_grouped_factor
+from tests.blockfact_oracle import (
+    oracle_block_solve,
+    oracle_grouped_factor,
+    oracle_grouped_solve,
+)
 
 
 class TestSolveWithFactor:
@@ -48,19 +52,22 @@ class TestBlockSubstitution:
     @pytest.mark.parametrize("pipeline", ["grid12", "random_spd"])
     @pytest.mark.parametrize("nrhs", [1, 4])
     def test_bit_equal_to_the_wrapper_kernels(self, request, pipeline, nrhs):
-        """The sweeps over the plan's compiled row slices and the direct
-        ``dtrtrs`` calls against the per-block loop over
-        ``solve_triangular``: same factor in, same bits out — whether the
-        factor's diagonal blocks are C-ordered (production) or Fortran-
-        ordered as the wrapper leaves them (oracle)."""
+        """The sweeps' one update product per panel and the direct
+        ``dtrtrs`` calls against the grouped loop over ``solve_triangular``
+        with every block of a column on one owner: same factor in, same
+        bits out — whether the factor's diagonal blocks are C-ordered
+        (production) or Fortran-ordered as the wrapper leaves them
+        (oracle). The per-block loop agrees to rounding only."""
         _, sf, _, bs, wm, _ = request.getfixturevalue(f"{pipeline}_pipeline")
         owners = np.zeros(wm.dest_I.shape[0], np.int64)
         diag, below = oracle_grouped_factor(bs, sf.A, owners)
         diag = [np.asfortranarray(D) for D in diag]
         chol = BlockCholesky(bs, sf.A).factor()
         pb = np.random.default_rng(nrhs).standard_normal((sf.A.shape[0], nrhs))
-        want = oracle_block_solve(bs, diag, below, pb)
+        want = oracle_grouped_solve(bs, diag, below, owners, pb)
         assert np.array_equal(block_solve_permuted(chol, pb), want)
+        per_block = oracle_block_solve(bs, diag, below, pb)
+        assert np.allclose(per_block, want, rtol=1e-12, atol=1e-14)
         handed = BlockCholesky.shell(bs)
         for k, D in enumerate(diag):
             assert D.flags.f_contiguous

@@ -195,9 +195,9 @@ class TestSolvePlanLifetime:
 
         built, init = [], SolvePlan.__init__
 
-        def counting_init(self, structure, tg):
+        def counting_init(self, *args):
             built.append(self)
-            init(self, structure, tg)
+            init(self, *args)
 
         monkeypatch.setattr(SolvePlan, "__init__", counting_init)
         ctx, A = _context(grid12_pipeline)
@@ -215,7 +215,6 @@ class TestSolvePlanLifetime:
         first, second = workers[:2], workers[2:]
         for w, again in zip(first, second):
             assert again.splan is w.splan
-            assert again._x_dsts is w._x_dsts
         assert first[0].splan is not first[1].splan
         assert pickle.dumps(ctx) == before
         assert "_solve_plans" not in pickle.loads(before).__dict__

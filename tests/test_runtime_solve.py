@@ -2,12 +2,16 @@
 
 The distributed forward/backward substitution
 (:mod:`repro.runtime.worker`'s solve phase) must be *bitwise* identical
-to the sequential block substitution in :mod:`repro.numeric.solve` for
-every cell of the conformance matrix — transports (inline, shm),
-schedules (static, dynamic), P in {1, 2, 4}, and 1/4/16 right-hand
-sides — including a problem with a non-power-of-two panel count. On shm
-the factor never leaves its arena slots: every factor frame on the wire
-is exactly a 64-byte descriptor, and only RHS fragments carry payload.
+to the substitution at the same grouping for every cell of the
+conformance matrix — transports (inline, shm), schedules (static,
+dynamic), P in {1, 2, 4} with 1/4/16 right-hand sides, and P in {3, 5, 6}
+— including a problem with a non-power-of-two panel count. Where every
+block column has one owner (a ``1 x P`` grid: P = 1, 2, 3, 5) that is the
+sequential ``block_solve_permuted``; at P = 4 and 6 (two grid rows) it is
+``oracle_grouped_solve`` over ``oracle_grouped_factor``, which agrees with
+sequential to rounding. On shm the factor never leaves its arena slots:
+every factor frame on the wire is exactly a 64-byte descriptor, and only
+RHS fragments carry payload.
 """
 
 import multiprocessing as mp
@@ -22,9 +26,12 @@ from repro.numeric.solve import block_solve_permuted, solve_with_factor
 from repro.runtime import mp_block_cholesky, plan_owners, shm_available
 from repro.runtime.engine import run_mp_fanout
 from repro.runtime.wire import HEADER_BYTES
+from tests.blockfact_oracle import oracle_grouped_factor, oracle_grouped_solve
 
 P_SWEEP = (1, 2, 4)
 NRHS_SWEEP = (1, 4, 16)
+#: Worker counts whose DW/CY grid has two rows.
+TWO_ROWS = (4, 6)
 
 
 def _rhs(n: int, nrhs: int) -> np.ndarray:
@@ -34,14 +41,31 @@ def _rhs(n: int, nrhs: int) -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def grid_ref(grid12_pipeline):
-    """Sequential factor + permuted-system solve references (grid12)."""
+    """Sequential factor + permuted-system solve references (grid12),
+    and the grouped ones of the two-row grids."""
     _, sf, _, bs, wm, tg = grid12_pipeline
     chol = BlockCholesky(bs, sf.A).factor()
     refs = {
         nrhs: block_solve_permuted(chol, _rhs(sf.A.shape[0], nrhs))
         for nrhs in NRHS_SWEEP
     }
-    return {"sf": sf, "bs": bs, "wm": wm, "tg": tg, "refs": refs}
+    grouped = {}
+    for nprocs in TWO_ROWS:
+        owners, _ = plan_owners(wm, tg, nprocs, "DW/CY", False)
+        diag, below = oracle_grouped_factor(bs, sf.A, owners)
+        for nrhs in NRHS_SWEEP:
+            grouped[nprocs, nrhs] = oracle_grouped_solve(
+                bs, diag, below, owners, _rhs(sf.A.shape[0], nrhs)
+            )
+    return {"sf": sf, "bs": bs, "wm": wm, "tg": tg, "refs": refs,
+            "grouped": grouped}
+
+
+def _want(ref, nprocs, nrhs):
+    """The solution a run at ``nprocs`` must reproduce bit for bit."""
+    if nprocs in TWO_ROWS:
+        return ref["grouped"][nprocs, nrhs]
+    return ref["refs"][nrhs]
 
 
 def _run(ref, nrhs, nprocs, transport, schedule):
@@ -54,7 +78,9 @@ def _run(ref, nrhs, nprocs, transport, schedule):
 
 
 class TestBitwiseMatrix:
-    """Every (transport, schedule, P, nrhs) cell pins bitwise."""
+    """Every (transport, schedule, P, nrhs) cell pins bitwise: ``1 x P``
+    cells to the sequential sweeps, two-row grids to the grouped oracle
+    (and to sequential to rounding)."""
 
     @pytest.mark.parametrize("transport", ["inline", "shm"])
     @pytest.mark.parametrize("schedule", ["static", "dynamic"])
@@ -66,7 +92,19 @@ class TestBitwiseMatrix:
         res = _run(grid_ref, nrhs, nprocs, transport, schedule)
         assert res.solution is not None
         assert res.solution.shape == (grid_ref["sf"].A.shape[0], nrhs)
-        assert np.array_equal(res.solution, grid_ref["refs"][nrhs])
+        assert np.array_equal(res.solution, _want(grid_ref, nprocs, nrhs))
+        assert np.allclose(res.solution, grid_ref["refs"][nrhs],
+                           rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("transport", ["inline", "shm"])
+    @pytest.mark.parametrize("schedule", ["static", "dynamic"])
+    @pytest.mark.parametrize("nprocs", [3, 5, 6])
+    def test_more_grids(self, grid_ref, transport, schedule, nprocs):
+        """P = 3 and 5 are ``1 x P`` grids, P = 6 is ``2 x 3``."""
+        if transport == "shm" and not shm_available():
+            pytest.skip("no POSIX shared memory on this platform")
+        res = _run(grid_ref, 4, nprocs, transport, schedule)
+        assert np.array_equal(res.solution, _want(grid_ref, nprocs, 4))
 
 
 class TestNonPowerOfTwoPanels:
@@ -132,18 +170,28 @@ class TestSolveWire:
 class TestSolveTasks:
     def test_task_counts_cover_the_plan(self, grid_ref):
         """Across ranks: one FSOLVE+BSOLVE per panel, one FUPD+BUPD per
-        subdiagonal block — the whole SolvePlan, nothing twice."""
-        res = _run(grid_ref, 1, 2, "inline", "static")
+        (column, owner) share of the subdiagonal blocks — every rank's
+        SolvePlan, nothing twice. At P = 2 (a 1 x 2 grid) that is one
+        share per column with blocks; at P = 4 (2 x 2) some columns have
+        two."""
         tg = grid_ref["tg"]
-        counts = {"FSOLVE": 0, "FUPD": 0, "BSOLVE": 0, "BUPD": 0}
-        for w in res.metrics.workers:
-            for k, v in w.solve_task_counts.items():
-                counts[k] += v
-        nsub = tg.nblocks - tg.npanels
-        assert counts == {
-            "FSOLVE": tg.npanels, "BSOLVE": tg.npanels,
-            "FUPD": nsub, "BUPD": nsub,
-        }
+        sub = np.flatnonzero(tg.block_I != tg.block_J)
+        columns = len(set(tg.block_J[sub].tolist()))
+        for nprocs in (2, 4):
+            res = _run(grid_ref, 1, nprocs, "inline", "static")
+            owners, _ = plan_owners(grid_ref["wm"], tg, nprocs, "DW/CY",
+                                    False)
+            counts = {"FSOLVE": 0, "FUPD": 0, "BSOLVE": 0, "BUPD": 0}
+            for w in res.metrics.workers:
+                for k, v in w.solve_task_counts.items():
+                    counts[k] += v
+            shares = len(set(zip(tg.block_J[sub].tolist(),
+                                 owners[sub].tolist())))
+            assert counts == {
+                "FSOLVE": tg.npanels, "BSOLVE": tg.npanels,
+                "FUPD": shares, "BUPD": shares,
+            }
+            assert (shares == columns) == (nprocs == 2)
 
     def test_solve_work_is_partitioned(self, grid_ref):
         """Total solve work is independent of P (no task runs twice)."""

@@ -2,7 +2,7 @@
 
 The whole validation story must hold when panel widths are heterogeneous:
 factors and solves bitwise-identical to the sequential baseline (at P = 4,
-a 2 x 2 grid, to the grouped oracle of the panel updates), measured
+a 2 x 2 grid, to the grouped oracles of the factor and the solve), measured
 messages/bytes equal to the static predictors, and strict trace replay —
 across inline/shm transports, static/dynamic schedules, and P in
 {1, 2, 4}. The fixture problem is chosen so the supernodal partition is
@@ -31,7 +31,11 @@ from repro.runtime.engine import plan_owners, run_mp_fanout
 from repro.runtime.validation import validate_runtime
 from repro.service.cache import pattern_digest
 from repro.symbolic import symbolic_factor
-from tests.blockfact_oracle import oracle_grouped_cholesky
+from tests.blockfact_oracle import (
+    oracle_grouped_cholesky,
+    oracle_grouped_factor,
+    oracle_grouped_solve,
+)
 
 needs_shm = pytest.mark.skipif(
     not shm_available(), reason="multiprocessing.shared_memory unavailable"
@@ -80,12 +84,16 @@ class TestConformanceMatrix:
         spred = solve_communication_volume(r["tg"], owners, nrhs=3)
         L_ref, x_ref = r["L_ref"], r["x_ref"]
         if nprocs == 4:
-            # A 2 x 2 grid: a rank's panel updates stack its share of the
-            # rows, which rounds as the grouped oracle does.
-            chol = oracle_grouped_cholesky(r["bs"], r["sf"].A, owners)
-            L_ref = chol.to_csc()
-            x_ref = block_solve_permuted(chol, r["rhs"])
+            # A 2 x 2 grid: a rank's panel updates and solve updates
+            # stack its share of the rows, which rounds as the grouped
+            # oracles do.
+            diag, below = oracle_grouped_factor(r["bs"], r["sf"].A, owners)
+            L_ref = oracle_grouped_cholesky(r["bs"], r["sf"].A,
+                                            owners).to_csc()
+            x_ref = oracle_grouped_solve(r["bs"], diag, below, owners,
+                                         r["rhs"])
             assert abs(L_ref - r["L_ref"]).max() < 1e-12
+            assert np.allclose(x_ref, r["x_ref"], rtol=1e-12, atol=1e-12)
         for transport in _transports():
             res = run_mp_fanout(
                 r["bs"], r["sf"].A, r["tg"], owners, nprocs,

@@ -145,13 +145,13 @@ class TestHandlerTable:
         ``SolvePlan`` is built once, fresh solve state every time."""
         n = grid12_pipeline[1].A.shape[0]
         (w, _), fabric = _crew(grid12_pipeline, rhs=np.ones((n, 1)))
-        plan, panels = w.splan, w._ypanel
+        plan, panels = w.splan, w._z
         warm = PoolJob(seq=1, pattern_id="t", values=None, kind="solve",
                        rhs=np.full((n, 2), 2.0))
         w.arm(warm, fabric, queue.Queue())
         w._setup(False)
         assert w.splan is plan
-        assert w._ypanel is not panels and w.nrhs == 2
+        assert w._z is not panels and w.nrhs == 2
 
 
 class TestInterleavedRanks:

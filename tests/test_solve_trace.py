@@ -176,8 +176,9 @@ class TestGoldenSkeleton:
         assert got == want
 
     def test_forward_before_backward_per_panel(self, traced_solve):
-        """Per rank: FSOLVE(k) precedes BSOLVE(k), and any FUPD out of
-        panel k follows FSOLVE(k) when both ran on the same rank."""
+        """Per rank: FSOLVE(k) precedes BSOLVE(k); FUPD(k, g) follows
+        FSOLVE(k) and precedes BUPD(k, g) when they ran on the same
+        rank (g is that rank)."""
         res, tg, owners = traced_solve
         for rank, events in res.trace.per_worker(0).items():
             tasks = [
@@ -185,11 +186,14 @@ class TestGoldenSkeleton:
             ]
             pos = {name: i for i, name in enumerate(tasks)}
             for name, i in pos.items():
-                kind, a, b = _SOLVE_TASK.match(name).group(1, 2, 3)
+                kind, a, g = _SOLVE_TASK.match(name).group(1, 2, 3)
                 if kind == "BSOLVE" and f"FSOLVE({a})" in pos:
                     assert pos[f"FSOLVE({a})"] < i
-                if kind == "FUPD" and f"FSOLVE({b})" in pos:
-                    assert pos[f"FSOLVE({b})"] < i
+                if kind == "FUPD":
+                    assert int(g) == rank
+                    if f"FSOLVE({a})" in pos:
+                        assert pos[f"FSOLVE({a})"] < i
+                    assert i < pos[f"BUPD({a},{g})"]
 
 
 def _regen() -> None:
