@@ -3,11 +3,12 @@
 
 Runs one warm ``BlockCholesky.factor()`` and one block solve (``nrhs`` right-
 hand sides) of a benchmark workload with a clock around every dispatched
-operation — BFAC, BDIV and the panel update PMOD that runs the BMODs from
-one source panel into one destination panel — and, inside it, around the
-dense kernel it calls, and prints per kind the count, the total and the
-time per operation; a PMOD splits into its dgemm and the rest (slicing, the
-index of the scatter, the scatter). The clocks are put on from here (the
+operation — the panel factor PFAC that runs a column's BFAC and BDIVs, and
+the panel update PMOD that runs the BMODs from one source panel into one
+destination panel — and, inside it, around the dense kernels it calls, and
+prints per kind the count, the total and the time per operation; a PMOD
+splits into its dgemm and the rest (slicing, the index of the scatter, the
+scatter). The clocks are put on from here (the
 methods of ``BlockCholesky`` and the kernel names its module and
 ``numeric.solve`` look up), so nothing in ``src/`` knows about them. A
 row's time includes the clock of the row nested in it; the last line says
@@ -16,7 +17,8 @@ what one clock costs.
 The per-operation column is the fixed cost §3.2 of the paper charges a block
 operation (its ``1000`` in ``flops + 1000 * ops``), measured here: what is
 left of a task when its flops are negligible, and the floor a coarser op pays
-once: a PMOD once per (K, J) pair instead of once per BMOD.
+once: a PFAC once per panel instead of once per BFAC and BDIV, a PMOD once
+per (K, J) pair instead of once per BMOD.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ FACTOR_KERNELS = {
     "bmod_kernel_into": "PMOD dgemm",
     "bmod_kernel": "PMOD dgemm",
 }
-FACTOR_OPS = {"bfac": "BFAC", "bdiv": "BDIV", "pmod": "PMOD"}
+FACTOR_OPS = {"pfac": "PFAC", "pmod": "PMOD"}
 SOLVE_KERNELS = {
     "fsolve_kernel": "FSOLVE",
     "fupd_kernel": "FUPD",
@@ -150,9 +152,11 @@ def main(argv=None) -> int:
             print(f"{indent + row:<28}{count:>8}{secs * 1e3:>11.2f}"
                   f"{secs / count * 1e6:>10.2f}")
 
-    for row in FACTOR_OPS.values():
-        line(row)
-        line(row + (" dgemm" if row == "PMOD" else " kernel"), "  ")
+    line("PFAC")
+    line("BFAC kernel", "  ")
+    line("BDIV kernel", "  ")
+    line("PMOD")
+    line("PMOD dgemm", "  ")
     if "PMOD" in best:
         count, secs = best["PMOD"]
         rest = secs - best["PMOD dgemm"][1]

@@ -244,15 +244,26 @@ def replay_trace(trace, attempt: int | None = None) -> TraceReplay:
             continue
         r = e.rank
         if e.cat == "task":
+            # A PFAC that sent L_KK mid-span carries that publish's
+            # seconds, which the worker kept out of its busy total.
+            if e.args and "publish_s" in e.args:
+                busy[r] -= e.args["publish_s"]
             busy[r] += e.t1 - e.t0
             ops[r] += 1
-            # A panel update (PMOD) ran the BMODs it lists in one span.
+            # A panel update (PMOD) ran the BMODs it lists in one span, a
+            # panel factor (PFAC) its BFAC, if ``bfac``, and BDIVs.
             tids = e.args.get("tids") if e.args else None
             n = 1 if tids is None else len(tids)
             tasks[r] += n
-            kind = e.name.partition("(")[0].replace("PMOD", "BMOD")
-            if kind in task_counts[r]:
-                task_counts[r][kind] += n
+            kind = e.name.partition("(")[0]
+            if kind == "PFAC":
+                bfac = int(e.args.get("bfac", 0))
+                task_counts[r]["BFAC"] += bfac
+                task_counts[r]["BDIV"] += n - bfac
+            else:
+                kind = "BMOD" if kind == "PMOD" else kind
+                if kind in task_counts[r]:
+                    task_counts[r][kind] += n
             if e.args:
                 w = int(e.args.get("work", 0))
                 work[r] += w

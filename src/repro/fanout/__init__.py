@@ -2,9 +2,10 @@
 
 ``TaskGraph`` turns a block structure into the BFAC/BDIV/BMOD task DAG with
 fan-out dependency counters; ``protocol.FanoutState`` is the one statement
-of when a task is ready and who needs a finished block, driven by every
-executor (``dispatch.DispatchPlan`` compiles its answers for one rank of
-one owner map, for the mp worker's per-task loop); ``simulate_fanout``
+of when a task is ready and who needs a finished block (``dispatch.
+DispatchPlan`` compiles its answers for one rank of one owner map into
+counters per share — the blocks of one column a rank owns — for the mp
+worker's and the thread pool's panel ops); ``simulate_fanout``
 runs the data-driven algorithm — block completions trigger messages,
 message arrivals enable tasks — on the discrete-event machine and reports
 runtime, efficiency, Mflops, and communication statistics. ``assign_domains`` implements the

@@ -1,4 +1,4 @@
-"""The per-rank dispatch plan: what one rank's event loop looks up per task.
+"""The per-rank dispatch plan: what one rank's event loop looks up per op.
 
 :mod:`repro.fanout.protocol` states §2.3's rules over numpy arrays, which
 suits an executor that asks once per event. A message-passing worker asks
@@ -9,20 +9,28 @@ asks every question once — through ``FanoutState.consumers`` and
 plain Python ints and lists, the types an interpreter loop reads fastest.
 
 The task graph is the paper's, one task per block; what an executor
-*dispatches* is coarser. BFAC and BDIV run as they are, but the BMODs of a
-rank run as :class:`PanelUpdates`: all those from source panel K into
-destination panel J whose destination blocks it owns make one panel
-update, one dgemm and one scatter
-(:meth:`repro.numeric.blockfact.BlockCholesky.pmod`). An
-:class:`UpdateQueue` releases a panel update once every member BMOD is
-ready by the protocol and every earlier update of the rank into the same
-panel has run, so a block's updates are applied in ascending K on every
-executor.
+*dispatches*, and tracks readiness for, is the **share** — the blocks of
+one column a rank owns. The BFAC and BDIVs of a rank's share of column K
+run as one panel factor, ``PFAC(K)`` (one dtrsm over the share's stacked
+rows, :meth:`repro.numeric.blockfact.BlockCholesky.pfac`); the BMODs from
+source panel K into destination panel J whose destinations it owns run as
+one panel update, ``PMOD(K, J)`` (:class:`PanelUpdates`). The protocol's
+rules are only coarsened:
+
+* a ``PFAC(K)`` waits for the rank's updates into column K and, where
+  another rank owns ``L_KK``, for ``L_KK``;
+* a ``PMOD(K, J)`` waits for the shares of column K it reads, then for
+  every earlier update of the rank into panel J, so a block's updates are
+  applied in ascending K on every executor;
+* a remote share has arrived once every block of it this rank needs has.
+
+One ordered chain per destination panel — its updates in ascending K, then
+its panel factor — carries the last two rules: each op waits for the one
+before it. The block stays the unit of data: one frame per finished block.
 
 It is derived state, like :class:`repro.blocks.plan.NumericPlan`: built
 where it is used, kept by whoever holds the pattern, never shipped. The
-dependency *counters* stay on a per-job :class:`FanoutState` and
-:class:`UpdateQueue`.
+counters are a per-job :class:`Readiness`.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fanout.protocol import FanoutState, remote_ranks
-from repro.fanout.tasks import BDIV, BMOD, TaskGraph
+from repro.fanout.tasks import BMOD, TaskGraph
 
 
 class DispatchPlan:
@@ -49,8 +57,6 @@ class DispatchPlan:
         Per task: this rank owns its destination; how many it owns.
     owned:
         The blocks this rank owns, ascending.
-    seeds:
-        Owned tasks ready before anything ran, ascending block id.
     local:
         Per block: the consumers (``FanoutState.consumers`` ids) whose
         owner is this rank, in protocol order.
@@ -59,12 +65,26 @@ class DispatchPlan:
         to, ascending; ``None`` for a block this rank does not own.
     expected:
         The blocks owned elsewhere that a consumer here waits for.
-    updates:
-        The rank's BMODs as :class:`PanelUpdates`.
+    updates, factors:
+        The rank's ops. Op ``o < nupdates`` is ``updates.ops[o]``, a panel
+        update; op ``nupdates + f`` is ``factors[f]``, a panel factor
+        ``(K, rows, tids, blocks, bfac, flops, work)``: its stacked rows of
+        column K (a slice when contiguous, an index array, or None), its
+        BFAC (when ``bfac``) and BDIVs with their blocks, diagonal first,
+        and the sums of their counts. Ascending K.
+    wait, after, pred, wakes:
+        Per op: the events it waits for, the next op of its panel's chain
+        (-1 for none), whether an op of that chain comes before it, and
+        the ops its finishing releases besides the next one (a panel
+        factor's: the updates that read its share).
+    event, need, event_wakes:
+        Per block, the arrival event it counts toward here (-1 for none):
+        a remote block's share, or a remote ``L_KK``'s panel factor. Per
+        event, how many arrivals it needs and the ops it then releases.
     grantable:
-        Ready-queue item -> the task a thief may be granted for it: an
-        owned BDIV for itself, ``ntasks + op`` for the one member of a
-        panel update with a single destination. No other item is granted.
+        Ready-queue item -> the task a thief may be granted for it:
+        ``ntasks + op`` for the one member of a panel update with a single
+        destination. No other item is granted.
     """
 
     def __init__(self, tg: TaskGraph, owners: np.ndarray, rank: int):
@@ -82,8 +102,6 @@ class DispatchPlan:
         self.mine = mine = owners[block] == rank
         self.n_owned = int(mine.sum())
         self.owned = np.flatnonzero(owners == rank).tolist()
-        seeds = state.seeds()
-        self.seeds = seeds[mine[seeds]].tolist()
         # Ask the protocol about every block, then answer for this rank
         # with array passes over the answers laid end to end.
         asked = [state.consumers(b) for b in range(tg.nblocks)]
@@ -110,23 +128,98 @@ class DispatchPlan:
             if dsts is None and self.local[b]
         ]
         self._tg = tg
-        self.updates = PanelUpdates(tg, mine)
-        bdivs = np.flatnonzero((kind == BDIV) & mine).tolist()
-        self.grantable = dict(zip(bdivs, bdivs))
-        self.grantable.update(
-            (tg.ntasks + o, tids[0])
-            for o, (*_, tids, _, _, _) in enumerate(self.updates.ops)
+        self.updates = updates = PanelUpdates(tg, mine)
+        self.nupdates = len(updates.ops)
+        self.factors = _panel_factors(tg, owners, rank)
+        self._compile_readiness(owners.tolist(), rank)
+        self.grantable = {
+            tg.ntasks + o: tids[0]
+            for o, (*_, tids, _, _, _) in enumerate(updates.ops)
             if len(tids) == 1
-        )
+        }
+
+    def _compile_readiness(self, owners: list, rank: int) -> None:
+        """The per-op and per-event counters of the rules in the module
+        docstring, from ``local``: who here consumes which block."""
+        tg, nu, of = self._tg, self.nupdates, self.updates.of
+        block_J, diag = tg.block_J.tolist(), tg.diag_block.tolist()
+        fac_of = {f[0]: nu + i for i, f in enumerate(self.factors)}
+        nops = nu + len(self.factors)
+        reads: list[set] = [set() for _ in range(nops)]
+        self.wakes: list[list[int]] = [[] for _ in range(nops)]
+        self.event = [-1] * tg.nblocks
+        self.need: list[int] = []
+        self.event_wakes: list[list[int]] = []
+        events: dict[tuple, int] = {}
+        for b, consumers in enumerate(self.local):
+            if not consumers:
+                continue
+            k, g = block_J[b], owners[b]
+            if b == diag[k]:
+                # L_KK: its consumers here are this rank's blocks of
+                # column K, which its own panel factor computes.
+                if g != rank:
+                    self.event[b] = len(self.need)
+                    self.need.append(1)
+                    self.event_wakes.append([fac_of[k]])
+                continue
+            key = (k, g)
+            if g == rank:
+                # This rank's share: it arrives when its PFAC(K) has run.
+                released = self.wakes[fac_of[k]]
+            else:
+                if key not in events:
+                    events[key] = len(self.need)
+                    self.need.append(0)
+                    self.event_wakes.append([])
+                e = self.event[b] = events[key]
+                self.need[e] += 1
+                released = self.event_wakes[e]
+            for o in {of[c] for c in consumers}:
+                if key not in reads[o]:
+                    reads[o].add(key)
+                    released.append(o)
+        for released in (*self.wakes, *self.event_wakes):
+            released.sort()
+        self.after, first = _chains(self, [False] * nops)
+        self.pred = [o not in first for o in range(nops)]
+        self.wait = [len(r) + p for r, p in zip(reads, self.pred)]
+        for k, o in fac_of.items():
+            self.wait[o] += self.event[diag[k]] >= 0
 
     def sources(self, tid: int) -> list[int]:
-        """The final blocks a granted task reads: a BMOD's one or two
-        sources, a BDIV's diagonal block (BDIV carries ``src1 == -1``)."""
+        """The final blocks a granted BMOD reads: its one or two sources."""
         tg = self._tg
-        if int(tg.task_kind[tid]) == BDIV:
-            return [int(tg.diag_block[tg.block_J[tg.task_block[tid]]])]
         srcs = (int(tg.task_src1[tid]), int(tg.task_src2[tid]))
         return [s for i, s in enumerate(srcs) if s >= 0 and s not in srcs[:i]]
+
+
+def _panel_factors(tg: TaskGraph, owners: np.ndarray, rank: int) -> list:
+    """Rank ``rank``'s panel factors, one per column it owns blocks of,
+    ascending (see :attr:`DispatchPlan.factors`)."""
+    structure = tg.workmodel.structure
+    cost = int(tg.workmodel.op_fixed_cost)
+    task_flops = tg.task_flops.tolist()
+    factors = []
+    for k in np.unique(tg.block_J[owners == rank]).tolist():
+        d = int(tg.diag_block[k])
+        sub = tg.subdiag_blocks[tg.subdiag_ptr[k] : tg.subdiag_ptr[k + 1]]
+        held = np.flatnonzero(owners[sub] == rank).tolist()
+        splits = structure.row_splits[k].tolist()
+        rows = None
+        if held and held[-1] - held[0] + 1 == len(held):
+            rows = slice(splits[held[0]], splits[held[-1] + 1])
+        elif held:
+            rows = np.concatenate(
+                [np.arange(splits[t], splits[t + 1]) for t in held])
+        bfac = bool(owners[d] == rank)
+        blocks = [d] * bfac + sub[held].tolist()
+        tids = [int(tg.bfac_task[d])] * bfac + tg.bdiv_task[
+            sub[held]].tolist()
+        f = sum(task_flops[t] for t in tids)
+        factors.append((k, rows, tuple(tids), tuple(blocks), bfac, f,
+                        f + cost * len(tids)))
+    return factors
 
 
 def _split(values: np.ndarray, group: np.ndarray, ngroups: int) -> list[list]:
@@ -154,10 +247,6 @@ class PanelUpdates:
         into one panel are a run, ascending in K.
     of:
         Member task id -> its update's index in ``ops``.
-    need, next, heads:
-        Where an :class:`UpdateQueue` starts: per update its member count
-        and the next update into the same panel (-1 for none), per
-        destination panel its first update.
     """
 
     def __init__(self, tg: TaskGraph, mine: np.ndarray):
@@ -189,8 +278,6 @@ class PanelUpdates:
                 K[lo], J[lo], rows, tuple(tids[lo:hi]), tuple(blocks[lo:hi]),
                 f, f + op_cost * (hi - lo),
             ))
-        self.need = [len(op[3]) for op in self.ops]
-        self.next, self.heads = _chains(self.ops, [False] * len(self.ops))
 
     def single(self, tid: int) -> tuple:
         """BMOD ``tid`` as an update of its own — how a rank runs a task it
@@ -204,74 +291,109 @@ class PanelUpdates:
                 f + self._op_cost)
 
 
-def _chains(ops: list[tuple], dead: list[bool]) -> tuple[list, dict]:
-    """Per update, the next live update into the same panel (-1 for none);
-    per destination panel, its first live update."""
-    after, heads = [-1] * len(ops), {}
-    following, panel = -1, None
-    for o in range(len(ops) - 1, -1, -1):
-        J = ops[o][1]
-        if J != panel:
-            following, panel = -1, J
-        after[o] = following
-        if not dead[o]:
-            following = o
-        heads[J] = following
-    return after, heads
+def _chains(plan: DispatchPlan, dead: list[bool]) -> tuple[list, set]:
+    """Each destination panel's chain — the rank's updates into it in
+    ascending K, then its panel factor — over the live ops: per op the
+    next one (-1 for none), and the ops no live op precedes."""
+    nu = plan.nupdates
+    chains: dict[int, list[int]] = {}
+    for o, op in enumerate(plan.updates.ops):
+        chains.setdefault(op[1], []).append(o)
+    for f, op in enumerate(plan.factors):
+        chains.setdefault(op[0], []).append(nu + f)
+    after, first = [-1] * len(dead), set()
+    for chain in chains.values():
+        live = [o for o in chain if not dead[o]]
+        first.update(live[:1])
+        for a, b in zip(live, live[1:]):
+            after[a] = b
+    return after, first
 
 
-class UpdateQueue:
-    """One job's progress through a rank's :class:`PanelUpdates`.
+class Readiness:
+    """One job's progress through a rank's :class:`DispatchPlan` ops.
 
-    :meth:`ready` is told every member BMOD the protocol releases and
-    :meth:`finished` every update that ran; each returns the update that
-    became runnable, if one did. An update is runnable when all its
-    members are ready and every update before it into the same panel has
-    run, so a block's updates land in ascending K whatever order their
-    sources arrive in.
+    ``push(o)`` is called once for every op that becomes runnable: at
+    construction for the seeds, then from :meth:`arrived` — told every
+    block that became final here without this rank computing it (received
+    or preloaded) — and :meth:`finished`, told every op that ran.
 
-    ``done`` (per block) marks destinations a checkpoint supplies. An
-    update with none of its members left never runs; one with some left
-    still runs whole, because its shape — and so its rounding — must not
-    depend on a checkpoint. ``partial[op]`` is then ``(tids, blocks, kept,
-    flops, work)``: the members it executes, their destinations and
-    counts, and the blocks whose values it must leave as they were.
+    ``done`` (per block) marks blocks a checkpoint supplies. An op with
+    none of its blocks left never runs; one with some left still runs
+    whole, because its shape — and so its rounding — must not depend on a
+    checkpoint. ``partial[op]`` is then ``(tids, blocks, kept, bfac,
+    flops, work)``: the tasks it executes, their blocks, the blocks whose
+    values it must leave as they were, whether it still runs BFAC, and
+    its counts. A panel factor none of whose blocks is left has its share
+    arrive at once.
     """
 
-    def __init__(self, updates: PanelUpdates, done: np.ndarray | None = None):
-        ops = self._ops = updates.ops
-        self._of = updates.of
-        self._need = list(updates.need)
-        self._next, self._head = updates.next, dict(updates.heads)
+    def __init__(self, plan: DispatchPlan, push,
+                 done: np.ndarray | None = None):
+        self._plan = plan
+        self._push = push
+        self.wait = list(plan.wait)
+        self.need = list(plan.need)
+        self.after = plan.after
         self.partial: dict[int, tuple] = {}
-        if done is None or not done.any():
-            return
+        dead: list[int] = []
+        if done is not None and done.any():
+            dead = self._filter(done)
+        for o, n in enumerate(self.wait):
+            if not n:
+                push(o)
+        for o in dead:
+            self._release(plan.wakes[o])
+
+    def _filter(self, done: np.ndarray) -> list[int]:
+        """Fill ``partial``, re-chain around the dead ops and mark them;
+        returns the dead panel factors."""
+        plan, nu = self._plan, self._plan.nupdates
+        tg, cost = plan._tg, plan.updates._op_cost
+        ops = [(op[3], op[4], False) for op in plan.updates.ops]
+        ops += [(op[2], op[3], op[4]) for op in plan.factors]
         dead = [False] * len(ops)
-        cost = updates._op_cost
-        for o, (*_, tids, blocks, _, _) in enumerate(ops):
+        for o, (tids, blocks, bfac) in enumerate(ops):
             kept = tuple(b for b in blocks if done[b])
             if not kept:
                 continue
             live = [(t, b) for t, b in zip(tids, blocks) if not done[b]]
             dead[o] = not live
-            f = sum(int(updates._tg.task_flops[t]) for t, _ in live)
+            f = sum(int(tg.task_flops[t]) for t, _ in live)
             self.partial[o] = (
                 tuple(t for t, _ in live), tuple(b for _, b in live), kept,
-                f, f + cost * len(live),
+                bfac and not done[blocks[0]], f, f + cost * len(live),
             )
-        self._next, self._head = _chains(ops, dead)
+        self.after, first = _chains(plan, dead)
+        for o in range(len(ops)):
+            # A dead op waits on -1: no count reaches 0 again. A live one
+            # whose predecessors all died now heads its chain.
+            self.wait[o] = -1 if dead[o] else (
+                self.wait[o] - plan.pred[o] + (o not in first))
+        return [o for o in range(nu, len(ops)) if dead[o]]
 
-    def ready(self, tid: int) -> int | None:
-        o = self._of[tid]
-        self._need[o] -= 1
-        if self._need[o] or self._head[self._ops[o][1]] != o:
-            return None
-        return o
+    def _release(self, ops: list[int]) -> None:
+        wait, push = self.wait, self._push
+        for o in ops:
+            wait[o] -= 1
+            if not wait[o]:
+                push(o)
 
-    def finished(self, o: int) -> int | None:
-        nxt = self._next[o]
-        self._head[self._ops[o][1]] = nxt
-        return nxt if nxt >= 0 and not self._need[nxt] else None
+    def arrived(self, b: int) -> None:
+        """Block ``b`` became final here (received or preloaded)."""
+        e = self._plan.event[b]
+        if e >= 0:
+            self.need[e] -= 1
+            if not self.need[e]:
+                self._release(self._plan.event_wakes[e])
+
+    def finished(self, o: int) -> None:
+        """Op ``o`` ran: release the next op of its chain and, for a panel
+        factor, the updates that read its share."""
+        nxt = self.after[o]
+        if nxt >= 0:
+            self._release((nxt,))
+        self._release(self._plan.wakes[o])
 
 
 class PlanHolder:

@@ -2,13 +2,18 @@
 
 The block kernels (BFAC/BDIV/BMOD) operate on the dense blocks of the
 supernodal structure; :class:`BlockCholesky` performs the full sequential
-block factorization, its BMODs grouped into one panel update per (source
-panel, destination panel), and the thread pool runs the same operations in
-parallel. A simplicial reference factorization and triangular solves
+block factorization, its BFAC and BDIVs grouped into one panel factor per
+column and its BMODs into one panel update per (source panel, destination
+panel), and the thread pool runs the same operations in parallel. A simplicial reference factorization and triangular solves
 complete the layer; everything is verified against scipy in the test suite.
 """
 
-from repro.numeric.dense_kernels import bfac_kernel, bdiv_kernel, bmod_kernel
+from repro.numeric.dense_kernels import (
+    NotPositiveDefiniteError,
+    bdiv_kernel,
+    bfac_kernel,
+    bmod_kernel,
+)
 from repro.numeric.blockfact import BlockCholesky
 from repro.numeric.multifrontal import MultifrontalCholesky
 from repro.numeric.parallel import parallel_block_cholesky
@@ -20,6 +25,7 @@ __all__ = [
     "bfac_kernel",
     "bdiv_kernel",
     "bmod_kernel",
+    "NotPositiveDefiniteError",
     "BlockCholesky",
     "MultifrontalCholesky",
     "parallel_block_cholesky",

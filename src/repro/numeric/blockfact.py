@@ -8,12 +8,16 @@ destination panel and where each entry of ``L`` sits in CSC depend only on
 the sparsity pattern: the structure's ``numeric_plan()`` holds all three,
 and the numeric phase here only moves values through it.
 
-The unit of work is the paper's BFAC and BDIV, and in place of the paper's
-per-block BMOD the *panel update* :meth:`BlockCholesky.pmod`: every update
-from source panel K into destination panel J (or the share of them whose
-destinations one processor owns) as one dgemm over K's stacked rows and one
-scatter into J's slab. The sequential driver is the right-looking block
-fan-out order of the pseudo-code in §2.1, one panel update per (K, J).
+The unit of work is the panel, in two ops. In place of the paper's BFAC
+and per-block BDIV the *panel factor* :meth:`BlockCholesky.pfac`: BFAC(K)
+where the diagonal block is held, then the BDIVs of column K's stacked rows
+(or the share of them one processor owns) as one dtrsm. In place of the
+paper's per-block BMOD the *panel update* :meth:`BlockCholesky.pmod`:
+every update from source panel K into destination panel J (or the share of
+them whose destinations one processor owns) as one dgemm over K's stacked
+rows and one scatter into J's slab. The sequential driver is the
+right-looking block fan-out order of the pseudo-code in §2.1, one panel
+factor per K and one panel update per (K, J).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from scipy import sparse
 
 from repro.blocks.structure import BlockStructure
 from repro.numeric.dense_kernels import (
+    NotPositiveDefiniteError,
     bdiv_kernel,
     bfac_kernel,
     bmod_kernel,
@@ -116,18 +121,37 @@ class BlockCholesky:
     # Block operations
     # ------------------------------------------------------------------
     def bfac(self, k: int) -> None:
-        L, f = bfac_kernel(self.diag[k])
+        """BFAC(K). A pivot that is not positive raises
+        :class:`NotPositiveDefiniteError` naming its global column."""
+        try:
+            L, f = bfac_kernel(self.diag[k])
+        except NotPositiveDefiniteError as exc:
+            column = int(self.partition.panel_ptr[k]) + exc.minor - 1
+            raise NotPositiveDefiniteError(
+                f"the matrix is not positive definite: the pivot of column "
+                f"{column} (panel {k}) is not positive", exc.minor, k, column,
+            ) from None
         self.diag[k][...] = L
         self.flops += f
         self._factored[k] = True
 
-    def bdiv(self, i: int, k: int) -> None:
-        if not self._factored[k]:
-            raise RuntimeError(f"BDIV({i},{k}) before BFAC({k})")
-        B = self.below[k][i]
-        X, f = bdiv_kernel(B, self.diag[k])
-        if not np.may_share_memory(X, B):  # pragma: no cover - layout guard
-            B[...] = X
+    def pfac(self, k: int, rows=slice(None), diag: bool = True) -> None:
+        """PFAC(K, rows): BFAC(K) when ``diag`` (the share holds ``L_KK``
+        and has not factored it yet), then the BDIVs of the stacked
+        subdiagonal rows ``rows`` of panel K as one dtrsm against
+        ``L_KK``: a slice is a view of the slab, solved in place; an index
+        array (a share that skips blocks) is solved in a copy and written
+        back; None is no rows."""
+        if diag:
+            self.bfac(k)
+        elif not self._factored[k]:
+            raise RuntimeError(f"BDIV of panel {k} before BFAC({k})")
+        if rows is None:
+            return
+        S = self.stacked[k]
+        X, f = bdiv_kernel(S[rows], self.diag[k])
+        if not np.may_share_memory(X, S):
+            S[rows] = X
         self.flops += f
 
     def pmod(self, k: int, j: int, rows) -> None:
@@ -163,12 +187,10 @@ class BlockCholesky:
     # ------------------------------------------------------------------
     def factor(self) -> "BlockCholesky":
         """Sequential right-looking block fan-out factorization (§2.1),
-        one panel update per (K, J): the rows of K at or below block J,
-        stacked."""
+        one panel factor per K (the whole column) and one panel update per
+        (K, J): the rows of K at or below block J, stacked."""
         for k, span in enumerate(self._plan.spans):
-            self.bfac(k)
-            for i in span:
-                self.bdiv(i, k)
+            self.pfac(k)
             end = self._slabs[k].shape[0]
             for j, (lo, _) in span.items():
                 self.pmod(k, j, slice(lo, end))

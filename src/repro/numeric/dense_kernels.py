@@ -20,7 +20,9 @@ All call sites (the sequential :class:`~repro.numeric.blockfact.BlockCholesky`
 and every runtime worker, on either transport) share these kernels, so the
 same operations on the same operands produce bitwise-identical blocks
 everywhere. A BMOD kernel call is a whole panel update, the rows of one
-source panel stacked over one or more destination blocks.
+source panel stacked over one or more destination blocks; a BDIV kernel
+call is a whole panel factor's share, the rows of one column a processor
+owns, stacked.
 """
 
 from __future__ import annotations
@@ -34,6 +36,23 @@ from repro.blocks.workmodel import chol_flops
 _potrf, _trtrs = get_lapack_funcs(("potrf", "trtrs"), dtype=np.float64)
 
 
+class NotPositiveDefiniteError(np.linalg.LinAlgError):
+    """A pivot ``dpotrf`` met is not positive. ``minor`` is the order of
+    the leading minor of the diagonal block that is not positive definite;
+    ``panel`` and ``column`` — set where the block's place in the factor is
+    known (:meth:`repro.numeric.blockfact.BlockCholesky.bfac`) — are that
+    block's panel and the pivot's global column, in the factor's permuted
+    order."""
+
+    def __init__(self, message: str, minor: int,
+                 panel: int | None = None, column: int | None = None):
+        super().__init__(message)
+        self.minor, self.panel, self.column = minor, panel, column
+
+    def __reduce__(self):
+        return type(self), (self.args[0], self.minor, self.panel, self.column)
+
+
 def bfac_kernel(D: np.ndarray) -> tuple[np.ndarray, int]:
     """BFAC: dense Cholesky of a diagonal block. Returns (L, flops).
 
@@ -42,12 +61,14 @@ def bfac_kernel(D: np.ndarray) -> tuple[np.ndarray, int]:
     it already is one); ``L`` comes back C-contiguous with its strictly
     upper triangle zeroed — the canonical layout every kernel that reads
     a diagonal block asks for (see :func:`trtrs_lower`), so none of them
-    copies it again.
+    copies it again. A pivot that is not positive raises
+    :class:`NotPositiveDefiniteError`.
     """
     L, info = _potrf(D, lower=1, overwrite_a=1)
     if info > 0:
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite"
+        raise NotPositiveDefiniteError(
+            f"{info}-th leading minor of the array is not positive definite",
+            info,
         )
     if info < 0:
         raise ValueError(

@@ -2,18 +2,19 @@
 
 The simulator answers "what would the Paragon do"; this module actually
 runs the same task DAG in parallel on the host: a dependency-driven
-executor dispatches BFAC/BDIV tasks and panel updates to a thread pool as
+executor dispatches panel factors and panel updates to a thread pool as
 their inputs complete. numpy's BLAS kernels release the GIL, so genuine
 multicore speedups are achievable for matrices with enough block-level
 concurrency — the shared-memory analogue of the paper's message-passing
 method, with the same dependency structure the tests already proved
 correct.
 
-With one shared memory every update from panel K into panel J is one panel
-update, as in the sequential factor, and the updates into a panel run in
-ascending K, so the factor is bitwise the sequential one. One lock per
-destination panel lets a single thread at a time write its slab (the role
-the owning processor plays in the distributed method).
+With one shared memory a single rank owns every block: one panel factor
+per column and one panel update per (K, J), as in the sequential factor,
+released by the one-rank :class:`~repro.fanout.dispatch.DispatchPlan`'s
+share counters. Each panel's chain runs its updates in ascending K and its
+panel factor last, one op at a time, so the factor is bitwise the
+sequential one and no two threads ever write one panel's slab at once.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ import numpy as np
 from scipy import sparse
 
 from repro.blocks.structure import BlockStructure
-from repro.fanout.dispatch import PanelUpdates, UpdateQueue
-from repro.fanout.protocol import FanoutState
-from repro.fanout.tasks import BDIV, BMOD, TaskGraph
+from repro.fanout.dispatch import DispatchPlan, Readiness
+from repro.fanout.tasks import TaskGraph
 from repro.numeric.blockfact import BlockCholesky
 
 
@@ -50,77 +50,45 @@ def parallel_block_cholesky(
 ) -> ParallelFactorResult:
     """Factor ``A`` with ``nthreads`` worker threads over the task DAG.
 
-    The dependency protocol is the fan-out method's
-    (:mod:`repro.fanout.protocol`); with one shared memory, a finished
-    block reaches all its consumers at once. A pool item is a BFAC / BDIV
-    task id, or ``ntasks + op`` for panel update ``op``.
+    The dependency protocol is the fan-out method's, coarsened to panels
+    (:mod:`repro.fanout.dispatch`); with one shared memory, a finished
+    panel reaches all its consumers at once. A pool item is an op of the
+    one-rank plan.
     """
     if nthreads < 1:
         raise ValueError("nthreads must be positive")
     chol = BlockCholesky(structure, A)
-    state = FanoutState(tg)
-    updates = PanelUpdates(tg, np.ones(tg.ntasks, dtype=bool))
-    queue = UpdateQueue(updates)
-    ntasks = tg.ntasks
+    plan = DispatchPlan(tg, np.zeros(tg.nblocks, dtype=np.int64), 0)
+    nu = plan.nupdates
 
     state_lock = threading.Lock()
-    panel_locks = [threading.Lock() for _ in range(tg.npanels)]
     done = threading.Event()
     error: list[BaseException] = []
-    remaining = [tg.ntasks]
+    remaining = [nu + len(plan.factors)]
 
     pool = ThreadPoolExecutor(max_workers=nthreads)
 
-    def release(tid: int | None) -> int | None:
-        """The pool item a task the protocol released makes runnable."""
-        if tid is None or tg.task_kind[tid] != BMOD:
-            return tid
-        op = queue.ready(tid)
-        return None if op is None else ntasks + op
-
-    def run(item: int) -> None:
+    def run(o: int) -> None:
         if error:
             return
         try:
-            if item >= ntasks:
-                K, J, rows, tids, blocks, *_ = updates.ops[item - ntasks]
-                with panel_locks[J]:
-                    chol.pmod(K, J, rows)
-                with state_lock:
-                    ready = [state.mod_finished(b) for b in blocks]
-                    nxt = queue.finished(item - ntasks)
-                    ready.append(None if nxt is None else ntasks + nxt)
-                    retire(len(tids))
+            if o < nu:
+                K, J, rows, *_ = plan.updates.ops[o]
+                chol.pmod(K, J, rows)
             else:
-                b = int(tg.task_block[item])
-                I, J = int(tg.block_I[b]), int(tg.block_J[b])
-                with panel_locks[J]:
-                    if tg.task_kind[item] == BDIV:
-                        chol.bdiv(I, J)
-                    else:
-                        chol.bfac(J)
-                with state_lock:
-                    ready = [
-                        release(state.delivered(b, int(c)))
-                        for c in state.consumers(b)[0]
-                    ]
-                    retire(1)
+                K, rows, *_ = plan.factors[o - nu]
+                chol.pfac(K, rows)
+            with state_lock:
+                ready.finished(o)
+                remaining[0] -= 1
+                if remaining[0] == 0:
+                    done.set()
         except BaseException as exc:  # noqa: BLE001 - propagated to caller
             error.append(exc)
             done.set()
-            return
-        for t in ready:
-            if t is not None:
-                pool.submit(run, t)
 
-    def retire(n: int) -> None:
-        """``n`` tasks of the graph ran (call under ``state_lock``)."""
-        remaining[0] -= n
-        if remaining[0] == 0:
-            done.set()
-
-    for tid in state.seeds():
-        pool.submit(run, int(tid))
+    with state_lock:
+        ready = Readiness(plan, lambda o: pool.submit(run, o))
 
     done.wait()
     pool.shutdown(wait=True)

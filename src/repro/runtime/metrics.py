@@ -43,8 +43,8 @@ class WorkerMetrics:
     """One worker's measured execution profile."""
 
     rank: int
-    #: Task-graph tasks run here (a panel update counts its member BMODs)
-    #: and the ops dispatched to run them (a panel update counts once).
+    #: Task-graph tasks run here (a panel op counts its member tasks) and
+    #: the ops dispatched to run them (a panel op counts once).
     tasks_executed: int = 0
     ops_executed: int = 0
     task_counts: dict[str, int] = field(

@@ -59,7 +59,7 @@ SEQUENTIAL_MAPPING = "sequential-fallback"
 
 #: Worker exception classes (``WorkerMetrics.error_type``) any crew would
 #: hit again on the same values: never retried in parallel.
-NOT_RETRYABLE = frozenset({"LinAlgError"})
+NOT_RETRYABLE = frozenset({"LinAlgError", "NotPositiveDefiniteError"})
 
 
 @dataclass(frozen=True)

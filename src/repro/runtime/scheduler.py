@@ -35,12 +35,12 @@ class ReadyScheduler:
     def steal(self, eligible) -> int | None:
         """Remove and return the task a thief should get, or None.
 
-        ``eligible`` is a predicate over task ids (the worker grants only
-        BMOD/BDIV tasks). The steal end is the FIFO tail, the opposite of
-        :meth:`pop`: the victim keeps the work it would have run next, the
-        thief takes what would have waited longest. The task stays in
-        ``_seen``, so a redundant wakeup cannot re-enqueue it behind the
-        thief's back.
+        ``eligible`` is a predicate over ready items (the worker grants
+        only one-member panel updates). The steal end is the FIFO tail,
+        the opposite of :meth:`pop`: the victim keeps the work it would
+        have run next, the thief takes what would have waited longest.
+        The task stays in ``_seen``, so a redundant wakeup cannot
+        re-enqueue it behind the thief's back.
         """
         for i in range(len(self._fifo) - 1, -1, -1):
             tid = self._fifo[i]

@@ -14,9 +14,9 @@ trace (:mod:`repro.analysis.trace_replay`) reconcile *exactly* with
 Span categories
 ---------------
 ``task``
-    One dispatched op: ``BFAC(I,J)`` / ``BDIV(I,J)`` (args ``tid``,
-    ``block``) or a panel update ``PMOD(K,J)`` (args: its BMODs' ``tids``
-    and ``blocks``); flops and work-model units summed over its tasks.
+    One dispatched op: a panel factor ``PFAC(K)`` (its BFAC, if ``bfac``,
+    and BDIVs) or a panel update ``PMOD(K,J)`` (its BMODs); args ``tids``
+    and ``blocks``, flops and work-model units summed over its tasks.
 ``send``
     One fan-out of a completed block: args carry the block, the
     *logical* byte size (``bytes`` — what the static predictor charges),

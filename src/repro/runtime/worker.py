@@ -2,8 +2,11 @@
 
 Each worker owns the blocks a :class:`~repro.mapping.base.BlockMap` (via
 ``block_owners``) assigned to it and executes every block operation whose
-destination it owns. A processor does one thing — take a ready block
-operation or an arrived block, run it, fan the result out — and
+destination it owns, grouped by share — the blocks of one column it owns:
+one panel factor PFAC(K) per share, one panel update PMOD(K,J) per source
+and destination panel — and tracks readiness per share, not per block
+(:mod:`repro.fanout.dispatch`). A processor does one thing — take a ready
+op or an arrived block, run it, fan the result out block by block — and
 :class:`Worker` writes that loop once:
 
 * :meth:`Worker.arm` wires a rank to one job — a factor job or a warm
@@ -54,9 +57,7 @@ from repro.numeric.solve import (
     permute_rhs,
     solve_flops,
 )
-from repro.fanout.dispatch import UpdateQueue
-from repro.fanout.protocol import FanoutState
-from repro.fanout.tasks import BDIV, BMOD
+from repro.fanout.dispatch import Readiness
 from repro.runtime import wire
 from repro.runtime.faults import FaultInjector
 from repro.runtime.metrics import TimelineRecorder, WorkerMetrics
@@ -65,10 +66,6 @@ from repro.runtime.solve_plan import (
     BSOLVE, BUPD, FSOLVE, FUPD, SOLVE_KIND_NAMES, SolvePlan,
 )
 from repro.runtime.trace import TraceRecorder, WorkerTrace
-
-_KIND_NAMES = ("BFAC", "BDIV", "BMOD")
-#: The span of a dispatched op: BMODs run as panel updates, PMOD(K,J).
-_OP_NAMES = ("BFAC", "BDIV", "PMOD")
 
 #: Inbox wait per idle tick; bounds how late a worker notices a frame.
 POLL_S = 0.002
@@ -352,17 +349,20 @@ class Worker:
             self.trace.span(cat, name, t0, t1, args)
 
     def _account(self, seg: str, kind: str, t0: float, t1: float, work: int,
-                 flops: int, name: str, args: dict | None, n: int = 1) -> None:
+                 flops: int, name: str, args: dict | None, n: int = 1,
+                 bfac: int = 0) -> None:
         """Post-task accounting, the one step every locally executed op
-        passes through — owned and stolen factor ops of ``n`` tasks
-        (``seg="busy"``), solve tasks (``"solve_busy"``): ledger, busy span,
-        injected faults. The crash trigger counts the tasks this rank
-        completed as owner or solver and fires at the next op run here."""
+        passes through — owned and stolen factor ops of ``n`` tasks, a
+        panel factor's ``bfac`` of them its BFAC (``seg="busy"``), solve
+        tasks (``"solve_busy"``): ledger, busy span, injected faults. The
+        crash trigger counts the tasks this rank completed as owner or
+        solver and fires at the next op run here."""
         m = self.metrics
         if seg == "busy":
             m.ops_executed += 1
             m.tasks_executed += n
-            m.task_counts[kind] += n
+            m.task_counts[kind] += n - bfac
+            m.task_counts["BFAC"] += bfac
             m.flops_executed += flops
             m.work_executed += work
             self._span(seg, t0, "task", name, args, t1)
@@ -474,12 +474,14 @@ class Worker:
     # ------------------------------------------------------------------
     # Readiness and recipients are ``repro.fanout.protocol``'s — the same
     # rules the simulator drives, so the same mapping yields the same
-    # message set, now with real wall-clock time. Their answers for this
-    # rank are look-ups in the context's compiled ``DispatchPlan``; the
-    # counters are this job's ``self.state``. This rank reports a block
-    # delivered only to the consumers it owns; BMODs run as the plan's
-    # panel updates, which ``self.updates`` releases in ascending K per
-    # panel; on top sit checkpoint skipping and ``have`` / ``expected``.
+    # message set, now with real wall-clock time — coarsened to the share
+    # (the blocks of one column a rank owns) by the context's compiled
+    # ``DispatchPlan``: the rank runs one panel factor PFAC(K) per share
+    # and one panel update PMOD(K,J) per (source, destination) pair, and
+    # ``self.readiness`` counts the few share events each one waits for.
+    # The block stays the unit of data: each finished block travels in
+    # its own frame. On top sit checkpoint skipping and ``have`` /
+    # ``expected``.
 
     def _arm_factor(self, done_blocks: list[int]) -> None:
         tg = self.tg
@@ -487,40 +489,18 @@ class Worker:
                               wire.BLOCK_REF: self._on_block})
         self.plan = plan = self.context.dispatch_plan(self.rank)
         self.n_owned = plan.n_owned
-        self.state = FanoutState(tg)
         self.scheduler = ReadyScheduler()
         done = np.zeros(tg.nblocks, dtype=bool)
         done[done_blocks] = True
-        self.skip_task = done[tg.task_block]
         #: Owned tasks finished: run here, returned by a thief, or skipped
         #: because a checkpoint supplies their output.
-        self.executed = int((plan.mine & self.skip_task).sum())
-        self.updates = UpdateQueue(plan.updates, done)
-        for tid in plan.seeds:
-            self._push(tid)
-
-    def _push(self, tid: int) -> None:
-        """Schedule a ready task — a BMOD by its panel update, once that is
-        runnable; a BFAC / BDIV unless a checkpoint supplies its output
-        (the scheduler additionally dedups repeat pushes)."""
-        if self.plan.task[tid][0] == BMOD:
-            op = self.updates.ready(tid)
-            if op is not None:
-                self.scheduler.push(self.tg.ntasks + op)
-        elif not self.skip_task[tid]:
-            self.scheduler.push(tid)
-
-    def _arrived(self, b: int) -> None:
-        """Block ``b``'s final value is available here (computed, received
-        or preloaded): it has reached the consumers this rank owns."""
-        for c in self.plan.local[b]:
-            tid = self.state.delivered(b, c)
-            if tid is not None:
-                self._push(tid)
+        self.executed = int((plan.mine & done[tg.task_block]).sum())
+        ntasks, push = tg.ntasks, self.scheduler.push
+        self.readiness = Readiness(plan, lambda o: push(ntasks + o), done)
 
     def _on_block(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
         """``BLOCK`` (or a resolved ``BLOCK_REF``): a completed block
-        arrived. Install it once and wake its consumers."""
+        arrived. Install it once and count it toward its share."""
         m = self.metrics
         # Logical bytes (what the predictor charges) vs wire bytes (what
         # actually crossed the queue — 64 for a descriptor).
@@ -533,7 +513,7 @@ class Worker:
         self.have.add(b)
         self.expected.discard(b)
         self._store(b, msg.payload)
-        self._arrived(b)
+        self.readiness.arrived(b)
         tr = self.trace
         self._span(
             "comm", t0, "recv", tr and "recv(%d,%d)" % self.plan.coords[b],
@@ -543,39 +523,54 @@ class Worker:
         return True
 
     def _execute(self, item: int, victim: int | None = None) -> int:
-        """Run ready-queue ``item`` — a task id, or ``ntasks + op`` for a
-        panel update — and account for it; returns its work. An owned item
-        (``victim`` None) then fans out. A *stolen* task counts toward our
-        executed-work metrics (and the stolen tallies) but *not* toward
-        ``executed``, which ticks at the victim when the RESULT lands."""
+        """Run ready-queue ``item`` — ``ntasks + op`` for an op of the
+        plan, a BMOD's task id for a granted one — and account for it;
+        returns its work. An owned item (``victim`` None) then publishes
+        what it computed. A *stolen* task counts toward our executed-work
+        metrics (and the stolen tallies) but *not* toward ``executed``,
+        which ticks at the victim when the RESULT lands."""
         plan, chol, tr = self.plan, self.chol, self.trace
-        ntasks = self.tg.ntasks
+        o = item - self.tg.ntasks
+        # A partly checkpointed op runs whole, then puts back the blocks
+        # the checkpoint supplies; it executes and publishes the rest.
+        partial = self.readiness.partial.get(o)
+        pfac, sent, pub = o >= plan.nupdates, (), 0.0
         t0 = self._now()
-        if item < ntasks and plan.task[item][0] != BMOD:
-            kind, b, I, J, _, flops, work = plan.task[item]
-            if kind == BDIV:
-                chol.bdiv(I, J)
-            else:
-                chol.bfac(J)
-            tids, args, at = (item,), tr and {"tid": item, "block": b}, (I, J)
+        if pfac:
+            K, rows, tids, blocks, bfac, flops, work = (
+                plan.factors[o - plan.nupdates])
+            if partial is not None:
+                tids, blocks, kept, bfac, flops, work = partial
+            if bfac and plan.recipients[blocks[0]]:
+                # L_KK travels: send it before the dtrsm. That publish is
+                # not busy time: it leaves the busy total below.
+                sent = blocks[:1]
+                chol.bfac(K)
+                pub = self._now()
+                self._publish(sent)
+                pub = self._now() - pub
+            chol.pfac(K, rows, bfac and not sent)
+            kind, name = "BDIV", tr and "PFAC(%d)" % K
         else:
-            kind = BMOD
             K, J, rows, tids, blocks, flops, work = (
-                plan.updates.single(item) if item < ntasks
-                else plan.updates.ops[item - ntasks]
+                plan.updates.single(item) if o < 0 else plan.updates.ops[o]
             )
             chol.pmod(K, J, rows)
-            if item - ntasks in self.updates.partial:
-                # It ran whole: put back the blocks the checkpoint supplies.
-                tids, blocks, kept, flops, work = (
-                    self.updates.partial[item - ntasks])
-                for b in kept:
-                    self._store(b, wire.unpack(self.checkpoint[b]).payload)
-            args = tr and {"tids": list(tids), "blocks": list(blocks)}
-            at = (K, J)
+            if partial is not None:
+                tids, blocks, kept, _, flops, work = partial
+            bfac, kind, name = False, "BMOD", tr and "PMOD(%d,%d)" % (K, J)
+        if partial is not None:
+            for b in kept:
+                self._store(b, wire.unpack(self.checkpoint[b]).payload)
         t1 = self._now()
+        args = None
         if tr is not None:
-            args.update(flops=flops, work=work)
+            args = {"tids": list(tids), "blocks": list(blocks),
+                    "flops": flops, "work": work}
+            if pfac:
+                args["bfac"] = int(bfac)
+            if sent:
+                args["publish_s"] = pub
             if victim is not None:
                 args["stolen_from"] = victim
         if victim is None:
@@ -583,41 +578,36 @@ class Worker:
         else:
             self.metrics.tasks_stolen += 1
             self.metrics.work_stolen += work
-        self._account("busy", _KIND_NAMES[kind], t0, t1, work, flops,
-                      tr and "%s(%d,%d)" % (_OP_NAMES[kind], *at), args,
-                      len(tids))
+        self.timeline.totals["busy"] -= pub
+        self._account("busy", kind, t0, t1, work, flops, name, args,
+                      len(tids), bfac)
         if victim is None:
-            self._completed(item)
+            self._completed(item, blocks[len(sent):] if pfac else ())
         return work
 
-    def _completed(self, item: int) -> None:
+    def _completed(self, item: int, blocks=()) -> None:
         """Owned ``item`` is done (here, or at a thief whose RESULT just
-        landed): a panel update reports each member BMOD and releases the
-        next update into its panel; a BFAC/BDIV publishes the now-final
-        block, fans it out and wakes its local consumers."""
-        ntasks = self.tg.ntasks
-        if item < ntasks and self.plan.task[item][0] == BMOD:
-            item = ntasks + self.plan.updates.of[item]  # came back granted
-        if item >= ntasks:
-            op = item - ntasks
-            for tid, b in zip(*self.plan.updates.ops[op][3:5]):
-                if not self.skip_task[tid]:
-                    ready = self.state.mod_finished(b)
-                    if ready is not None:
-                        self._push(ready)
-            nxt = self.updates.finished(op)
-            if nxt is not None:
-                self.scheduler.push(ntasks + nxt)
-            return
-        b = self.plan.task[item][1]
-        # Mark the block final and, on the shm transport, copy it into its
-        # arena slot (the producer's single copy) before any descriptor
-        # for it can be sent — to peers *or* to the driver gather.
-        self.have.add(b)
-        if self.arena is not None:
-            self.arena.write(b, self._block(b))
-        self._fan_out(b)
-        self._arrived(b)
+        landed): publish the final ``blocks`` it computed, then release
+        the next op of its chain and, for a panel factor, the updates that
+        read its share."""
+        if blocks:
+            self._publish(blocks)
+        o = item - self.tg.ntasks
+        self.readiness.finished(self.plan.updates.of[item] if o < 0 else o)
+
+    def _publish(self, blocks) -> None:
+        """``blocks`` are final here. Mark each held and, on the shm
+        transport, copy it into its arena slot (the producer's single
+        copy) before any descriptor for it can be sent — to peers *or* to
+        the driver gather — then fan it out; ship the coalesced batches
+        at once, a share's frames in one put per peer: a peer waiting
+        for the share has nothing else to wait for."""
+        for b in blocks:
+            self.have.add(b)
+            if self.arena is not None:
+                self.arena.write(b, self._block(b))
+            self._fan_out(b)
+        self._flush_pending()
 
     def _fan_out(self, b: int) -> None:
         """Send completed block ``b`` once to each distinct remote owner
@@ -687,7 +677,7 @@ class Worker:
                 self.trace.mark("checkpoint_load", self._now(),
                                 {"block": b, "I": I, "J": J})
             self._store(b, msg.payload)
-            self._arrived(b)
+            self.readiness.arrived(b)
 
     def _rejected(self, exc: wire.WireError, t0: float) -> bool:
         """The receive prologue could not decode a frame. A CRC mismatch
@@ -838,15 +828,16 @@ class Worker:
     # bookkeeping. Same kernel + same input bytes + same position ==
     # bitwise-identical factors, whichever rank executed the task.
     #
-    # Only a BDIV or a panel update with a single member BMOD is granted,
-    # as that task's id: the thief runs it as the same one-member update
-    # (``PanelUpdates.single``). An update with several destinations is
-    # never granted, so the wire carries one destination block as before.
+    # Only a panel update with a single member BMOD is granted, as that
+    # task's id: the thief runs it as the same one-member update
+    # (``PanelUpdates.single``). An update with several destinations, and
+    # a panel factor, never leave their owner, so the wire carries one
+    # destination block as before.
     #
-    # Safe-grant invariant: a panel update in the ready queue is the next
-    # one into its destination panel (the UpdateQueue holds the rest back
-    # until it finishes), and BDIV/BFAC only enqueue once mods_remaining
-    # hits zero — so at most one update per destination is ever in flight,
+    # Safe-grant invariant: an op in the ready queue is the next one of
+    # its destination panel's chain (the Readiness holds the rest back
+    # until it finishes, the panel factor last) — so at most one update
+    # per destination is ever in flight,
     # and the victim never touches a granted-out destination until the
     # RESULT returns (the next update stays held, executed < n_owned keeps
     # the pump alive, and sources are only read once a block is final).
@@ -958,9 +949,8 @@ class Worker:
     def _on_steal_req(self, msg: wire.WireMessage, nbytes: int,
                       t0: float) -> bool:
         """Grant the steal-end task of our queue, or DENY. Grants only a
-        BDIV or a one-member panel update (BFAC pivots are cheap and fan
-        out locally) and only while we keep at least one ready task for
-        ourselves."""
+        one-member panel update and only while we keep at least one ready
+        task for ourselves."""
         self._count_steal(nbytes)
         thief = msg.src
         grantable = self.plan.grantable
@@ -1000,15 +990,13 @@ class Worker:
     def _on_steal_result(self, msg: wire.WireMessage, nbytes: int,
                          t0: float) -> bool:
         """The thief returned the destination state for a task we granted
-        away: swap it in, count it as one of our owned executions, and do
-        the normal post-task bookkeeping (fan-out, wake-ups)."""
+        away: swap it in, count it as one of our owned executions, and
+        release the next op of its chain."""
         self._count_steal(nbytes)
         tid = msg.block
         _, b, *_, work = self.plan.task[tid]
         self._store(b, msg.payload, final=False)
         self.executed += 1
-        # Close the comm span before the bookkeeping below: _fan_out times
-        # its own comm segment and must not be double-counted here.
         self._span("comm", t0, "steal", "steal_result_recv",
                    self.trace and {"tid": tid, "thief": msg.src, "work": work})
         self._completed(tid)

@@ -755,8 +755,8 @@ class FactorService:
 
     def _validate(self, job_id, entry: PatternEntry, A_perm, L) -> None:
         """Check against the sequential baseline: bit for bit when each
-        block column has one owner (the panel updates then stack whole
-        (K, J) pairs, as the sequential factor does), else to rounding."""
+        block column has one owner (the panel ops then stack whole columns
+        and (K, J) pairs, as sequential does), else to rounding."""
         from repro.numeric import BlockCholesky
 
         ref = BlockCholesky(entry.structure, A_perm).factor().to_csc()

@@ -7,14 +7,15 @@ Also the scipy-wrapper forms of the four kernels that now call ``dpotrf`` /
 and substitution loops built on them, as they ran before the kernels were
 rebound: the production kernels must reproduce them bit for bit.
 
-And the two references of the panel update. The per-block one
+And the two references of the panel ops. The per-block one
 (:func:`oracle_bmod_factor`, :func:`oracle_run_schedule`) is the factor as
-it ran before BMODs were grouped — one dgemm and one scatter per block —
-and the panel updates must match it to rounding only: a dgemm over stacked
-rows need not round like the same rows computed alone. The grouped one
-(:func:`oracle_grouped_factor`) computes what the panel updates compute for
-a given block map, with every index derived from the global row numbers,
-and the production executors must match it bit for bit.
+it ran before BDIVs and BMODs were grouped — one dtrsm per block, one
+dgemm and one scatter per block — and the panel ops must match it to
+rounding only: a dtrsm or dgemm over stacked rows need not round like the
+same rows computed alone. The grouped one (:func:`oracle_grouped_factor`)
+computes what the panel factors and updates compute for a given block map,
+with every index derived from the global row numbers, and the production
+executors must match it bit for bit.
 
 The substitution has the same pair: :func:`oracle_block_solve` runs one
 update per block, as the sweeps did before they were grouped by panel
@@ -214,8 +215,16 @@ def oracle_block_solve(structure, diag, below, pb):
 
 
 # ----------------------------------------------------------------------
-# The two references of the panel update
+# The two references of the panel ops
 # ----------------------------------------------------------------------
+def oracle_block_bdiv(chol, i, k) -> None:
+    """BDIV(I, K) for one block of ``chol``, as it ran before BDIVs were
+    grouped: that block's rows of panel K as a dtrsm of their own."""
+    w = chol.diag[k].shape[0]
+    lo, hi = chol._plan.spans[k][i]
+    chol.pfac(k, slice(lo - w, hi - w), diag=False)
+
+
 def oracle_bmod(chol, i, j, k) -> None:
     """``L_IJ -= L_IK L_JK^T`` for one block of ``chol``, as
     ``BlockCholesky.bmod`` ran it before updates were grouped: a dgemm
@@ -249,20 +258,20 @@ def oracle_run_schedule(chol, tg, schedule):
         if tg.task_kind[tid] == BFAC:
             chol.bfac(J)
         elif tg.task_kind[tid] == BDIV:
-            chol.bdiv(I, J)
+            oracle_block_bdiv(chol, I, J)
         else:
             oracle_bmod(chol, I, J, int(tg.block_J[tg.task_src1[tid]]))
     return chol
 
 
 def oracle_bmod_factor(structure, A):
-    """The right-looking factor one BMOD at a time, in the order
-    ``BlockCholesky.factor`` ran them before updates were grouped."""
+    """The right-looking factor one BDIV and one BMOD at a time, in the
+    order ``BlockCholesky.factor`` ran them before they were grouped."""
     chol = BlockCholesky(structure, A)
     for k, span in enumerate(chol._plan.spans):
         chol.bfac(k)
         for i in span:
-            chol.bdiv(i, k)
+            oracle_block_bdiv(chol, i, k)
         brows = list(span)
         for t, j in enumerate(brows):
             for i in brows[t:]:
@@ -271,15 +280,17 @@ def oracle_bmod_factor(structure, A):
 
 
 def oracle_grouped_factor(structure, A, owners):
-    """``(diag, below)`` of the factor whose updates from panel K into
-    panel J are grouped by the owner of their destination block
-    (``owners`` per block of the structure's work model, as
-    ``block_owners`` gives them): per group, one product of its stacked
-    rows of K, subtracted through the open mesh — or accumulated by the
-    dgemm itself where the group's destination rows and columns are one
-    row-major window of J's panel. Each panel is one array, diagonal block
-    on top, the blocks below it in order; BFAC / BDIV go through the scipy
-    wrappers, and every destination index comes from the global rows."""
+    """``(diag, below)`` of the factor whose BDIVs of panel K, and whose
+    updates from panel K into panel J, are grouped by the owner of their
+    destination block (``owners`` per block of the structure's work model,
+    as ``block_owners`` gives them): per BDIV group, one solve of its
+    stacked rows of K against ``L_KK``; per update group, one product of
+    its stacked rows of K, subtracted through the open mesh — or
+    accumulated by the dgemm itself where the group's destination rows and
+    columns are one row-major window of J's panel. Each panel is one
+    array, diagonal block on top, the blocks below it in order; BFAC /
+    BDIV go through the scipy wrappers, and every destination index comes
+    from the global rows."""
     wm = WorkModel(structure)
     block_of = {
         (int(i), int(j)): b
@@ -307,9 +318,14 @@ def oracle_grouped_factor(structure, A, owners):
         w, panel = int(widths[k]), panels[k]
         splits = w + structure.row_splits[k]
         panel[:w] = oracle_bfac(panel[:w])
-        for t in range(len(brows[k])):
-            lo, hi = splits[t], splits[t + 1]
-            panel[lo:hi] = oracle_bdiv(panel[lo:hi], panel[:w])
+        shares: dict = {}
+        for t, i in enumerate(brows[k]):
+            shares.setdefault(int(owners[block_of[i, k]]), []).append(t)
+        for members in shares.values():
+            rows = np.concatenate(
+                [np.arange(splits[t], splits[t + 1]) for t in members]
+            )
+            panel[rows] = oracle_bdiv(panel[rows], panel[:w])
         spans = [
             structure.block_row_span(k, t) for t in range(len(brows[k]))
         ]

@@ -8,9 +8,12 @@ from the state's counters. (b) The executor-side recipient rule
 ``repro.analysis``. (c) The compiled per-rank ``DispatchPlan`` against the
 rules it was compiled from, asked block by block, and against the loop the
 worker used to run per job — its panel updates cover the per-block BMOD
-order that loop gave. Release *order* is pinned elsewhere: schedule replay
-through ``tests/blockfact_oracle.py``'s ``oracle_run_schedule`` and the
-simulator goldens.
+order that loop gave, its panel factors the owned BFAC/BDIVs. (d) Its
+share-level counters, driven for every rank of a random map through a
+random interleaving of ops and deliveries, release every op exactly once
+and never before the per-block rules allow. Release *order* is pinned
+elsewhere: schedule replay through ``tests/blockfact_oracle.py``'s
+``oracle_run_schedule`` and the simulator goldens.
 """
 
 import random
@@ -23,7 +26,7 @@ from repro.analysis.comm_volume import communication_volume
 from repro.analysis.memory import memory_usage
 from repro.blocks import BlockStructure, WorkModel, make_partition
 from repro.fanout import TaskGraph
-from repro.fanout.dispatch import DispatchPlan
+from repro.fanout.dispatch import DispatchPlan, Readiness
 from repro.fanout.protocol import FanoutState, remote_ranks
 from repro.fanout.tasks import BDIV, BFAC, BMOD
 from repro.numeric import BlockCholesky
@@ -193,6 +196,38 @@ def _check_updates(tg, updates, bmod_order):
     assert len(updates.of) == sum(map(len, bmod_order.values()))
 
 
+def _check_factors(tg, owners, rank, factors):
+    """``factors`` (a rank's panel factors) against the owned BFAC / BDIV
+    tasks: one per column the rank owns blocks of, ascending, the BFAC
+    first where it owns the diagonal, the BDIVs in the column's block
+    order, its rows their stacked rows, its counts their sums."""
+    st = tg.workmodel.structure
+    cost = int(tg.workmodel.op_fixed_cost)
+    got = []
+    for K, rows, tids, blocks, bfac, flops, work in factors:
+        sub = tg.subdiag_blocks[tg.subdiag_ptr[K] : tg.subdiag_ptr[K + 1]]
+        held = [t for t, b in enumerate(sub) if owners[b] == rank]
+        d = int(tg.diag_block[K])
+        assert bfac == (owners[d] == rank) and (bfac or held)
+        assert list(blocks) == [d] * bfac + sub[held].tolist()
+        assert list(tids) == [int(tg.bfac_task[d])] * bfac + [
+            int(tg.bdiv_task[b]) for b in sub[held]]
+        want = [r for t in held for r in range(st.row_splits[K][t],
+                                               st.row_splits[K][t + 1])]
+        if rows is None:
+            assert not held
+        else:
+            got_rows = np.arange(rows.start, rows.stop) if isinstance(
+                rows, slice) else rows
+            assert got_rows.tolist() == want
+            assert isinstance(rows, slice) == (held[-1] - held[0] + 1
+                                               == len(held))
+        assert flops == int(tg.task_flops[list(tids)].sum())
+        assert work == flops + cost * len(tids)
+        got.append(K)
+    assert got == sorted(set(tg.block_J[owners == rank].tolist()))
+
+
 @pytest.mark.parametrize("P", [2, 3, 4, 6])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_compiled_plan_equals_the_protocol(any_policy_tg, P, seed):
@@ -217,7 +252,7 @@ def test_compiled_plan_equals_the_protocol(any_policy_tg, P, seed):
         assert np.array_equal(plan.mine, mine)
         assert plan.n_owned == n_owned
         _check_updates(tg, plan.updates, bmod_order)
-        assert plan.seeds == [int(t) for t in state.seeds() if mine[t]]
+        _check_factors(tg, owners, rank, plan.factors)
         for tid, (kind, b, I, J, K, flops, work) in enumerate(plan.task):
             assert (kind, b) == (tg.task_kind[tid], tg.task_block[tid])
             assert (I, J) == (tg.block_I[b], tg.block_J[b])
@@ -233,11 +268,12 @@ def test_compiled_plan_equals_the_protocol(any_policy_tg, P, seed):
 
 
 def test_checkpointed_job_filters_the_compiled_order(grid12_pipeline):
-    """A worker resuming from a non-empty checkpoint arms the same skip
-    mask and executed count the per-job loop gave, and its update queue
-    runs every update with a member left, whole: the members it executes
-    are the per-block BMOD order the loop gave, the checkpointed blocks
-    are the ones it keeps."""
+    """A worker resuming from a non-empty checkpoint arms the same executed
+    count the per-job loop gave, and runs every op with a block left,
+    whole: the members its updates execute are the per-block BMOD order
+    the loop gave, its panel factors the owned BFAC / BDIVs left, the
+    checkpointed blocks are the ones it keeps, and an op with nothing
+    left never becomes ready."""
     import queue
 
     from repro.runtime import LinkFabric, PatternContext, PoolJob, Worker, wire
@@ -261,20 +297,80 @@ def test_checkpointed_job_filters_the_compiled_order(grid12_pipeline):
     for rank in range(2):
         w = Worker(rank, ctx, job, None, LinkFabric(2, queue), queue.Queue())
         w._arm_factor([int(b) for b in done])
-        _, n_owned, skip_task, executed, bmod_order = _old_arm_factor(
+        mine, n_owned, skip_task, executed, bmod_order = _old_arm_factor(
             tg, owners, rank, done
         )
         assert w.n_owned == n_owned
-        assert np.array_equal(w.skip_task, skip_task)
         assert w.executed == executed
+        plan = w.plan
+        ops = [op[3:5] for op in plan.updates.ops]
+        ops += [op[2:4] for op in plan.factors]
         live: dict[int, list[int]] = {}
-        for o, (*_, tids, blocks, _, _) in enumerate(w.plan.updates.ops):
-            tids, blocks, kept, *_ = w.updates.partial.get(
-                o, (tids, blocks, ())
-            )
-            assert set(kept) == {b for b in w.plan.updates.ops[o][4]
-                                 if b in done}
-            for t, b in zip(tids, blocks):
-                live.setdefault(b, []).append(t)
+        factored: list[int] = []
+        for o, (tids, blocks) in enumerate(ops):
+            left, _, kept, *_ = w.readiness.partial.get(o, (tids, blocks, ()))
+            assert set(kept) == {b for b in blocks if b in done}
+            assert (w.readiness.wait[o] < 0) == (not left)
+            for t in left:
+                if tg.task_kind[t] == BMOD:
+                    live.setdefault(int(tg.task_block[t]), []).append(t)
+                else:
+                    factored.append(t)
         assert live == bmod_order
-        assert w.updates.partial  # the filter had work to do
+        assert sorted(factored) == np.flatnonzero(
+            mine & ~skip_task & (tg.task_kind != BMOD)).tolist()
+        assert w.readiness.partial  # the filter had work to do
+
+@pytest.mark.parametrize("P", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_share_readiness_implies_the_protocol(any_policy_tg, P, seed):
+    """Every rank's ``Readiness`` over a random block map, driven through
+    one random interleaving of "run a ready op" and "deliver a finished
+    block to one recipient": each op is released once, only when every
+    task in it is ready by the per-block rules (a BMOD's sources are held
+    here and the BMODs into its block before it ran in ascending K; a
+    BFAC / BDIV's block has absorbed every BMOD and ``L_KK`` is held
+    here), and the whole factor runs."""
+    tg = any_policy_tg
+    rng = random.Random(seed)
+    owners = np.random.default_rng(seed).integers(0, P, tg.nblocks)
+    plans = [DispatchPlan(tg, owners, r) for r in range(P)]
+    ready: list[list[int]] = [[] for _ in range(P)]
+    states = [Readiness(plan, ready[r].append)
+              for r, plan in enumerate(plans)]
+    held: list[set[int]] = [set() for _ in range(P)]
+    applied: dict[int, list[int]] = {}
+    pending: list[tuple[int, int]] = []
+    ran: list[int] = []
+    while any(ready) or pending:
+        runnable = [r for r in range(P) if ready[r]]
+        if runnable and (not pending or rng.random() < 0.5):
+            r = rng.choice(runnable)
+            o = ready[r].pop(rng.randrange(len(ready[r])))
+            plan = plans[r]
+            if o >= plan.nupdates:
+                K, _, tids, blocks, bfac, _, _ = plan.factors[o - plan.nupdates]
+                d = int(tg.diag_block[K])
+                assert bfac or d in held[r], "PFAC before L_KK"
+                for b in blocks:
+                    assert len(applied.get(b, ())) == tg.nmod[b], (
+                        "PFAC before a BMOD into its share")
+                    held[r].add(b)
+                    pending += [(dst, b) for dst in plan.recipients[b]]
+            else:
+                K, _, _, tids, blocks, _, _ = plan.updates.ops[o]
+                for t, b in zip(tids, blocks):
+                    for src in (tg.task_src1[t], tg.task_src2[t]):
+                        assert src < 0 or src in held[r], "PMOD before a source"
+                    assert all(k < K for k in applied.get(b, ())), (
+                        "updates out of ascending K")
+                    applied.setdefault(b, []).append(K)
+            ran += tids
+            states[r].finished(o)
+        else:
+            dst, b = pending.pop(rng.randrange(len(pending)))
+            assert b not in held[dst]
+            held[dst].add(b)
+            states[dst].arrived(b)
+    assert sorted(ran) == list(range(tg.ntasks))
+    assert all(s.need == [0] * len(s.need) for s in states)

@@ -22,7 +22,7 @@ from repro.matrices import (
 )
 from repro.matrices.hb import read_harwell_boeing, write_harwell_boeing
 from repro.matrices.problem import ProblemMatrix
-from repro.numeric import BlockCholesky
+from repro.numeric import BlockCholesky, NotPositiveDefiniteError
 from repro.ordering import order_problem
 from repro.symbolic import symbolic_factor
 from tests.blockfact_oracle import (
@@ -84,7 +84,23 @@ class TestBlockCholesky:
         brows = bs.block_rows[k]
         if brows.size:
             with pytest.raises(RuntimeError):
-                bc.bdiv(int(brows[0]), k)
+                bc.pfac(k, diag=False)
+
+    @pytest.mark.parametrize("B", [1, 2])
+    def test_not_positive_definite_names_the_global_column(self, B):
+        """The pivot that fails is column 1 of the matrix, whichever panel
+        holds it: not the 1-th minor of a one-column panel."""
+        A = sparse.csc_matrix(np.array([[4.0, 2.0], [2.0, 1.0]]))
+        sf = symbolic_factor(A, None)
+        chol = BlockCholesky(BlockStructure(BlockPartition(sf, B)), sf.A)
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="pivot of column 1 ") as info:
+            chol.factor()
+        assert (info.value.panel, info.value.column) == (2 - B, 1)
+        assert isinstance(info.value, np.linalg.LinAlgError)
+        again = pickle.loads(pickle.dumps(info.value))
+        assert (again.panel, again.column, str(again)) == (
+            2 - B, 1, str(info.value))
 
     def test_flop_counter_increases(self, grid12_pipeline):
         _, sf, _, bs, *_ = grid12_pipeline
@@ -142,11 +158,12 @@ def test_plan_matches_the_interpreted_oracle(analysed, policy, triangles):
 
 @pytest.mark.parametrize("policy", ["uniform", "supernodal"])
 def test_factor_is_bit_equal_to_the_wrapper_kernels(analysed, policy):
-    """``factor()`` — direct LAPACK handles, one panel update per (K, J)
-    through the flat slab offsets — against the loop over the scipy
-    wrappers with the same grouping and the open mesh; so are the public
-    operations, called in the order ``factor()`` calls them. The per-block
-    factor, bit-equal to the wrapper loop, agrees to rounding."""
+    """``factor()`` — direct LAPACK handles, one panel factor per K and
+    one panel update per (K, J) through the flat slab offsets — against
+    the loop over the scipy wrappers with the same grouping and the open
+    mesh; so are the public operations, called in the order ``factor()``
+    calls them. The per-block factor, bit-equal to the wrapper loop,
+    agrees to rounding."""
     sf = analysed
     bs = BlockStructure(make_partition(sf, policy, block_size=8))
     nblocks = WorkModel(bs).dest_I.shape[0]
@@ -156,9 +173,7 @@ def test_factor_is_bit_equal_to_the_wrapper_kernels(analysed, policy):
     step = BlockCholesky(bs, sf.A)
     spans = bs.numeric_plan().spans
     for k in range(bs.npanels):
-        step.bfac(k)
-        for i in step.below[k]:
-            step.bdiv(i, k)
+        step.pfac(k)
         end = step.diag[k].shape[0] + bs.rows_below[k].shape[0]
         for j in step.below[k]:
             step.pmod(k, j, slice(spans[k][j][0], end))
@@ -376,8 +391,8 @@ class TestTypedFailures:
     def test_bdiv_before_bfac(self, grid12_pipeline):
         _, sf, _, bs, *_ = grid12_pipeline
         k = next(k for k in range(bs.npanels) if bs.block_rows[k].size)
-        with pytest.raises(RuntimeError, match=r"BDIV\(\d+,\d+\) before BFAC"):
-            BlockCholesky(bs, sf.A).bdiv(int(bs.block_rows[k][0]), k)
+        with pytest.raises(RuntimeError, match=r"BDIV of panel \d+ before BFAC"):
+            BlockCholesky(bs, sf.A).pfac(k, diag=False)
 
     def test_bmod_rows_missing_from_destination(self, grid12_pipeline):
         """A structure whose destination panel lacks a row an update
@@ -512,9 +527,7 @@ class TestPlanCost:
         _, sf, _, bs, *_ = grid12_pipeline
         chol = BlockCholesky(bs, sf.A)
         assert np.array_equal(chol.to_csc().data, oracle_to_csc(chol).data)
-        chol.bfac(0)
+        chol.pfac(0)
         brows = list(chol.below[0])
-        for i in brows:
-            chol.bdiv(i, 0)
         chol.pmod(0, brows[0], slice(*chol._plan.spans[0][brows[0]]))
         assert np.array_equal(chol.to_csc().data, oracle_to_csc(chol).data)

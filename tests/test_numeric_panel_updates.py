@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from repro.analysis.comm_volume import communication_volume
 from repro.analysis.trace_replay import validate_trace
 from repro.blocks import BlockStructure, WorkModel, make_partition
 from repro.config import RunConfig
@@ -127,14 +128,14 @@ def problem(request, grid12_pipeline):
     return bs, tg, A, BlockCholesky(bs, A).factor().to_csc()
 
 
-@pytest.mark.parametrize("nprocs", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("nprocs", [1, 2, 3, 4, 5, 6])
 def test_mp_is_bitwise_its_grouping(problem, nprocs):
     """inline / shm x static / dynamic: bit-equal to the sequential factor
     on a 1 x P grid, to the grouped oracle on a 2 x P/2 one."""
     bs, tg, A, seq = problem
     owners, name = plan_owners(tg.workmodel, tg, nprocs, "DW/CY")
     want = seq
-    if nprocs >= 4:
+    if nprocs in (4, 6):
         want = oracle_grouped_cholesky(bs, A, owners).to_csc()
         assert abs(want - seq).max() <= 1e-14 * abs(seq).max()
     for transport in TRANSPORTS:
@@ -174,31 +175,62 @@ def test_threads_under_a_short_switch_interval(problem):
 
 def test_every_owned_bmod_runs_once_in_ascending_k(problem):
     """A traced P = 4 run: the panel-update spans of a rank cover each of
-    its BMODs once, and its updates into one panel come in ascending K."""
+    its BMODs once, and its updates into one panel come in ascending K and
+    before the panel factor of its share of that panel; the panel-factor
+    spans cover each BFAC and BDIV once, one per (column, owner)."""
     bs, tg, A, _ = problem
     owners, name = plan_owners(tg.workmodel, tg, 4, "DW/CY")
     res = run_mp_fanout(bs, A, tg, owners, 4, mapping=name, trace=True)
     validate_trace(res.trace, res.metrics, tg=tg, owners=owners, strict=True)
     seen: list[int] = []
+    factored: list[int] = []
     for rank, events in res.trace.per_worker(0).items():
         last: dict[int, int] = {}
+        ran: set[int] = set()
         for e in events:
-            if e.cat != "task" or "tids" not in e.args:
+            if e.cat != "task":
                 continue
             tids = e.args["tids"]
+            assert (owners[tg.task_block[tids]] == rank).all()
+            if e.name.startswith("PFAC"):
+                (K,) = set(tg.block_J[tg.task_block[tids]].tolist())
+                assert e.name == f"PFAC({K})" and K not in ran
+                ran.add(K)
+                factored += tids
+                continue
             K = set(tg.block_J[tg.task_src1[tids]].tolist())
             J = set(tg.block_J[tg.task_block[tids]].tolist())
             assert len(K) == len(J) == 1
             (K,), (J,) = K, J
-            assert K > last.get(J, -1)
+            assert K > last.get(J, -1) and J not in ran
             last[J] = K
-            assert (owners[tg.task_block[tids]] == rank).all()
             seen += tids
     mods = np.flatnonzero(tg.task_kind == BMOD)
     assert sorted(seen) == mods.tolist()
+    assert sorted(factored) == np.flatnonzero(tg.task_kind != BMOD).tolist()
     ops = sum(len(PanelUpdates(tg, owners[tg.task_block] == r).ops)
               for r in range(4))
-    assert res.metrics.ops_total == ops + tg.ntasks - mods.size
+    shares = len(set(zip(owners.tolist(), tg.block_J.tolist())))
+    assert res.metrics.ops_total == ops + shares
+
+
+@pytest.mark.parametrize("nprocs", [1, 2, 3])
+def test_ops_per_factor_on_a_1xp_grid(problem, nprocs):
+    """Every column has one owner on a ``1 x P`` grid, so a factor
+    dispatches one panel factor per panel and one panel update per (K, J)
+    pair, whatever P; the task-graph and message ledgers are the
+    paper's."""
+    bs, tg, A, _ = problem
+    owners, name = plan_owners(tg.workmodel, tg, nprocs, "DW/CY")
+    res = run_mp_fanout(bs, A, tg, owners, nprocs, mapping=name)
+    mods = tg.task_kind == BMOD
+    pairs = set(zip(tg.block_J[tg.task_src1[mods]].tolist(),
+                    tg.block_J[tg.task_block[mods]].tolist()))
+    m = res.metrics
+    assert sum(w.ops_executed for w in m.workers) == tg.npanels + len(pairs)
+    assert m.tasks_total == tg.ntasks
+    pred = communication_volume(tg, owners)
+    assert (m.messages_total, m.bytes_total) == (pred.messages, pred.bytes)
 
 
 @pytest.mark.parametrize("nprocs", [2, 4])
@@ -244,8 +276,9 @@ def test_service_validates_a_two_row_grid_to_rounding():
 
 
 class TestStealing:
-    """Only a BDIV or a one-member panel update is granted, as that task's
-    id; an update with several destinations never leaves its owner."""
+    """Only a one-member panel update is granted, as that task's id; an
+    update with several destinations, and a panel factor, never leave
+    their owner."""
 
     @staticmethod
     def _victim(pipeline):

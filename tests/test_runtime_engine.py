@@ -182,7 +182,7 @@ class TestShutdown:
     def test_numeric_failure_propagates_without_hang(self, grid12_pipeline):
         _, sf, _, bs, wm, tg = grid12_pipeline
         bad = (sf.A - sparse.eye(sf.A.shape[0]) * 1e6).tocsc()
-        with pytest.raises(WorkerError, match="LinAlgError"):
+        with pytest.raises(WorkerError, match="NotPositiveDefiniteError"):
             mp_block_cholesky(
                 bs, bad, tg, nprocs=4, mapping="cyclic",
                 stall_timeout_s=10, timeout_s=60,
@@ -241,6 +241,51 @@ class TestShutdown:
                 pool = chol._crew[1]
                 assert (pool.generation, pool.nprocs) == (1, 2)
                 assert pool.alive
+        assert _no_orphans()
+
+    def test_not_spd_names_its_pivot_on_every_backend(self, grid12_pipeline):
+        """One pivot that is not positive, inside a panel deep in the
+        factor: ``sequential``, ``threads``, ``mp`` and the service raise
+        ``NotPositiveDefiniteError`` naming the same panel and global
+        column (permuted order); the mp rank's error is not retried."""
+        from repro.numeric import NotPositiveDefiniteError
+        from repro.numeric.parallel import parallel_block_cholesky
+        from repro.service import FactorService, JobFailed
+        from repro.solver import SparseCholesky
+
+        _, sf, _, bs, _, tg = grid12_pipeline
+        ptr = bs.partition.panel_ptr
+        k = bs.npanels - 2
+        assert ptr[k + 1] - ptr[k] > 1
+        column = int(ptr[k + 1]) - 1  # not the panel's first column
+        perm = np.asarray(sf.ordering.perm)
+        bad = grid12_pipeline[0].A.tolil(copy=True)
+        bad[perm[column], perm[column]] = -1.0
+        bad = bad.tocsc()
+        kw = dict(ordering=perm, block_size=8)
+
+        def located(raising):
+            with pytest.raises(NotPositiveDefiniteError) as info:
+                raising()
+            assert (info.value.panel, info.value.column) == (k, column)
+            assert f"column {column} " in str(info.value)
+            return info.value
+
+        located(lambda: SparseCholesky(bad, **kw).factor())
+        A_perm = bad[perm][:, perm].tocsc()
+        located(lambda: parallel_block_cholesky(bs, A_perm, tg, nthreads=2))
+        with SparseCholesky(bad, nprocs=2, backend="mp", **kw) as chol:
+            located(chol.factor)
+        with pytest.raises(WorkerError,
+                           match=f"NotPositiveDefiniteError: .* column {column} "):
+            run_mp_fanout(bs, A_perm, tg, plan_owners(
+                tg.workmodel, tg, 2, "DW/CY")[0], 2, mapping="DW/CY")
+        with FactorService(nprocs=2, ordering=perm, block_size=8) as svc:
+            with pytest.raises(JobFailed, match="not positive definite") as job:
+                svc.factor(bad)
+        cause = job.value.__cause__
+        assert isinstance(cause, NotPositiveDefiniteError)
+        assert (cause.panel, cause.column) == (k, column)
         assert _no_orphans()
 
     def test_success_leaves_no_orphans(self, grid12_pipeline):

@@ -91,7 +91,8 @@ def test_one_shot(grid12_pipeline, pools, scenario):
         with pytest.raises(np.linalg.LinAlgError, match="not positive"):
             run_with_recovery(bs, A_perm, tg, **run)
         # the report rides on the typed error when nothing stands in
-        with pytest.raises(FanoutError, match="LinAlgError") as info:
+        with pytest.raises(FanoutError,
+                           match="NotPositiveDefiniteError") as info:
             run_with_recovery(
                 bs, A_perm, tg, fallback_sequential=False, **run
             )

@@ -145,6 +145,40 @@ class TestFaultFreeConformance:
         assert "#" in chart  # some busy time is always visible
 
 
+def _covered(spans):
+    """Seconds covered by the union of ``(t0, t1)`` spans."""
+    total, end = 0.0, -np.inf
+    for t0, t1 in sorted(spans):
+        if t1 > end:
+            total += t1 - max(t0, end)
+            end = t1
+    return total
+
+
+class TestTwoRowGrid:
+    def test_segments_stay_disjoint(self, grid12_pipeline):
+        """On a 2 x 2 grid a diagonal owner sends L_KK inside its PFAC
+        span: that publish leaves the busy total (as ``publish_s``), so
+        busy, comm and idle never count a second twice and fit the pump."""
+        _, sf, _, bs, wm, tg = grid12_pipeline
+        owners, _ = plan_owners(wm, tg, 4, "DW/CY")
+        res = mp_block_cholesky(
+            bs, sf.A, tg, nprocs=4, mapping="DW/CY", trace=True
+        )
+        report = validate_trace(res.trace, metrics=res.metrics, tg=tg,
+                                owners=owners, strict=True)
+        assert report.ok
+        nested = [e for e in res.trace.events
+                  if e.cat == "task" and "publish_s" in e.args]
+        assert nested and all(e.name.startswith("PFAC") for e in nested)
+        for w in res.metrics.workers:
+            assert report.replay.busy_s[w.rank] == w.busy_s
+            assert w.busy_s + w.comm_s + w.idle_s <= w.pump_s
+            spans = [(e.t0, e.t1) for e in res.trace.events
+                     if e.rank == w.rank and e.cat != "mark"]
+            assert w.busy_s + w.comm_s + w.idle_s <= _covered(spans) + 1e-9
+
+
 class TestTracingOff:
     def test_no_trace_by_default(self, grid12_pipeline):
         _, sf, _, bs, wm, tg = grid12_pipeline

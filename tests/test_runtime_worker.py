@@ -96,8 +96,8 @@ def _remote_block(w, seq_chol):
 def _state(w):
     """Everything a frame could change besides the receive ledger."""
     return (
-        set(w.have), len(w.scheduler), w.state.missing.copy(),
-        w.state.diag_ready.copy(), w.state.mods_remaining.copy(), w.executed,
+        set(w.have), len(w.scheduler), list(w.readiness.wait),
+        list(w.readiness.need), w.executed,
         [d.copy() for d in w.chol.diag],
     )
 
@@ -175,6 +175,9 @@ class TestInterleavedRanks:
                 if not any(p.left() for p in phases):
                     break
                 for w, p in zip(workers, phases):
+                    # The DENY backoff is wall-clock; lifted here, one
+                    # thread's interleaving decides every steal.
+                    w._steal_backoff_until = 0.0
                     w.step(p)
             else:
                 pytest.fail(f"phase {phases[0].what!r} never finished")
@@ -215,6 +218,66 @@ class TestInterleavedRanks:
         else:
             # Single-threaded stepping makes stealing deterministic here.
             assert metrics.tasks_stolen_total > 0
+
+
+class TestShareReadiness:
+    """Readiness is tracked per share — the blocks of one column a rank
+    owns — on a 2 x 2 grid, one rank fed frames by hand."""
+
+    @staticmethod
+    def _queued(w, o):
+        return w.tg.ntasks + o in w.scheduler._fifo
+
+    @staticmethod
+    def _deliver(w, seq_chol, blocks):
+        for b in blocks:
+            I, J = w.plan.coords[b]
+            arr = seq_chol.diag[J] if I == J else seq_chol.below[J][I]
+            assert w.receive(wire.pack_block(int(w.owners[b]), b, I, J, arr))
+
+    def test_a_pfac_off_the_diagonal_waits_for_l_kk(self, grid12_pipeline,
+                                                     seq_chol):
+        workers, _ = _crew(grid12_pipeline, 4)
+        w, o = next(
+            (w, w.plan.nupdates + f) for w in workers
+            for f, op in enumerate(w.plan.factors)
+            if not op[4] and not w.plan.pred[w.plan.nupdates + f]
+        )
+        K = w.plan.factors[o - w.plan.nupdates][0]
+        d = int(w.tg.diag_block[K])
+        assert w.owners[d] != w.rank and w.plan.wait[o] == 1
+        assert not self._queued(w, o)
+        self._deliver(w, seq_chol, [d])
+        assert self._queued(w, o)
+
+    def test_a_pmod_reading_two_shares_waits_for_both(self, grid12_pipeline,
+                                                      seq_chol):
+        workers, _ = _crew(grid12_pipeline, 4)
+
+        def shares(w, o):
+            tids = w.plan.updates.ops[o][3]
+            srcs = {s for t in tids for s in w.plan.sources(t)}
+            return {int(w.owners[s]) for s in srcs}
+
+        w, o = next(
+            (w, o) for w in workers for o in range(w.plan.nupdates)
+            if not w.plan.pred[o] and len(shares(w, o)) == 2
+            and w.rank not in shares(w, o)
+        )
+        K, tg = w.plan.updates.ops[o][0], w.tg
+        column = tg.subdiag_blocks[tg.subdiag_ptr[K] : tg.subdiag_ptr[K + 1]]
+        first, second = (
+            [int(b) for b in column
+             if w.owners[b] == g and w.plan.event[b] >= 0]
+            for g in sorted(shares(w, o))
+        )
+        assert w.plan.wait[o] == 2
+        self._deliver(w, seq_chol, first)
+        assert not self._queued(w, o)
+        self._deliver(w, seq_chol, second[:-1])
+        assert not self._queued(w, o)
+        self._deliver(w, seq_chol, second[-1:])
+        assert self._queued(w, o)
 
 
 class TestDrainCadence:

@@ -2,13 +2,14 @@
 
 A seeded GRID problem (12x12 grid, nd ordering, B=8) factored on P=2
 workers with the DW/CY mapping produces a deterministic *trace skeleton*:
-which ops (BFAC, BDIV, and the panel updates PMOD(K,J) that run the
-BMODs) ran on which rank, which blocks each rank sent and received, and
-which event categories appeared. Timestamps and the interleaving of events
-*across* workers are timing-dependent and are deliberately NOT part of the
-skeleton; per-rank dependency ordering is checked programmatically instead
-(panel updates into a block before its BFAC/BDIV and in ascending K, a
-diagonal's BFAC before any same-rank BDIV under it).
+which ops (the panel factors PFAC(K) that run a column's BFAC and BDIVs,
+and the panel updates PMOD(K,J) that run the BMODs) ran on which rank,
+which blocks each rank sent and received, and which event categories
+appeared. Timestamps and the interleaving of events *across* workers are
+timing-dependent and are deliberately NOT part of the skeleton; per-rank
+dependency ordering is checked programmatically instead (panel updates
+into a panel in ascending K and before its panel factor, and after the
+panel factor of their source when that ran on the same rank).
 
 The skeleton is checked in at ``tests/golden/trace_skeleton_grid12_p2.json``.
 Regenerate after an intentional protocol change with::
@@ -28,7 +29,8 @@ from repro.runtime import mp_block_cholesky, plan_owners
 
 GOLDEN = Path(__file__).parent / "golden" / "trace_skeleton_grid12_p2.json"
 
-_COORD = re.compile(r"^(BFAC|BDIV|PMOD|recv|send)\((\d+),(\d+)\)$")
+_COORD = re.compile(r"^(PMOD|recv|send)\((\d+),(\d+)\)$")
+_PFAC = re.compile(r"^PFAC\((\d+)\)$")
 
 
 def _run_traced(pipeline):
@@ -107,36 +109,25 @@ def test_chrome_export_matches_golden_tasks(golden_run):
 
 
 def test_per_rank_dependency_order(golden_run):
-    """Within each worker's recorded order: every panel update PMOD(K,J)
-    into a block comes before the block's own BFAC/BDIV, the updates into
-    one panel come in ascending K, and a diagonal's BFAC comes before any
-    BDIV under that diagonal on the same rank."""
+    """Within each worker's recorded order: the panel updates PMOD(K,J)
+    into one panel come in ascending K and before the panel factor
+    PFAC(J) of the rank's share of that panel, and after PFAC(K) when
+    that ran on the same rank."""
     res, tg = golden_run
     for rank, events in res.trace.per_worker(0).items():
         spans = [e for e in events if e.cat == "task"]
         position = {e.name: i for i, e in enumerate(spans)}
         last_source: dict[str, int] = {}
         for i, e in enumerate(spans):
-            name = e.name
-            kind, I, J = _COORD.match(name).group(1, 2, 3)
-            if kind == "PMOD":
-                assert int(I) > last_source.get(J, -1), name
-                last_source[J] = int(I)
-                for b in e.args["blocks"]:
-                    bI, bJ = tg.block_I[b], tg.block_J[b]
-                    target = (
-                        f"BFAC({bI},{bJ})" if bI == bJ else f"BDIV({bI},{bJ})"
-                    )
-                    if target in position:
-                        assert i < position[target], (
-                            f"w{rank}: {name} after {target}"
-                        )
-            elif kind == "BDIV":
-                fac = f"BFAC({J},{J})"
-                if fac in position:
-                    assert position[fac] < i, (
-                        f"w{rank}: {fac} after {name}"
-                    )
+            if _PFAC.match(e.name):
+                continue
+            kind, K, J = _COORD.match(e.name).group(1, 2, 3)
+            assert kind == "PMOD", e.name
+            assert int(K) > last_source.get(J, -1), e.name
+            last_source[J] = int(K)
+            assert i < position[f"PFAC({J})"], f"w{rank}: {e.name} late"
+            if f"PFAC({K})" in position:
+                assert position[f"PFAC({K})"] < i, f"w{rank}: {e.name} early"
 
 
 def test_sends_and_recvs_are_disjoint_per_block(golden_run):
