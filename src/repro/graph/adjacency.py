@@ -12,7 +12,8 @@ class AdjacencyGraph:
     """Undirected graph of a symmetric sparse pattern, CSR-compressed.
 
     The diagonal is removed; the structure is symmetrized defensively so
-    that callers may pass either triangle or the full pattern.
+    that callers may pass either triangle or the full pattern. Only the
+    stored pattern is read, never the values: a stored 0.0 is an edge.
     """
 
     __slots__ = ("indptr", "indices", "n")
@@ -27,12 +28,19 @@ class AdjacencyGraph:
         A = A.tocsr()
         if A.shape[0] != A.shape[1]:
             raise ValueError("adjacency requires a square matrix")
-        pattern = A + A.T  # symmetrize structure
-        pattern = pattern.tocsr()
-        pattern.setdiag(0)
-        pattern.eliminate_zeros()
+        n = A.shape[0]
+        nnz = A.indptr[-1]
+        ones = sparse.csr_matrix(
+            (np.ones(nnz, dtype=np.int32), A.indices[:nnz], A.indptr),
+            shape=(n, n),
+        )
+        pattern = (ones + ones.T).tocsr()  # symmetrize structure
         pattern.sort_indices()
-        return cls(pattern.indptr, pattern.indices)
+        rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+        off = pattern.indices != rows
+        indptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
+        np.cumsum(np.bincount(rows[off], minlength=n), out=indptr[1:])
+        return cls(indptr, pattern.indices[off])
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbour indices of vertex ``v`` (a view, do not mutate)."""

@@ -1,11 +1,24 @@
 """Minimum-degree ordering with multiple elimination (MMD, Liu 1985).
 
 A quotient-graph implementation: eliminated vertices become *elements*; each
-remaining *supervariable* tracks the set of adjacent supervariables and the
-set of adjacent elements. Indistinguishable supervariables (identical
-adjacency) are merged, and — following Liu's multiple-elimination refinement —
-all minimum-degree vertices of an independent set are eliminated before any
+remaining *supervariable* tracks its adjacent supervariables and its
+adjacent elements. Indistinguishable supervariables (identical adjacency)
+are merged, and — following Liu's multiple-elimination refinement — all
+minimum-degree vertices of an independent set are eliminated before any
 degree is recomputed.
+
+The quotient graph has two representations. They take the same decisions
+in the same order, so they return the same permutation bit for bit:
+
+* a Python set of ints per vertex, for sparse graphs (meshes and
+  structural problems, where an adjacency list is far shorter than n bits);
+* an n-bit mask (one Python ``int``) per vertex, per element and for the
+  live set, for dense graphs — average degree at least n / 64, where an
+  adjacency list costs at least as many 64-bit words as the mask.
+  Absorption, pruning and merging are ``|`` and ``& ~`` over whole words,
+  and a round's degrees are one weighted popcount of its reach masks.
+
+The graph picks the representation (``_DENSE_FILL``); no caller does.
 
 This is the ordering the paper uses for the irregular (Harwell-Boeing/
 application) benchmark matrices.
@@ -25,6 +38,11 @@ from repro.util.arrays import INDEX_DTYPE
 # tens of MB); bigger rounds are updated in runs of rows.
 _REACH_BUDGET = 1 << 22
 
+# The bitset quotient graph runs when the graph stores at least this share
+# of the n * n adjacency (average degree >= n / 64): then its n-bit masks
+# take no more memory than the adjacency lists they replace.
+_DENSE_FILL = 1 / 64
+
 
 def minimum_degree(
     graph: AdjacencyGraph,
@@ -42,7 +60,20 @@ def minimum_degree(
     n = graph.n
     if n == 0:
         return np.empty(0, dtype=INDEX_DTYPE)
+    if graph.indices.shape[0] >= _DENSE_FILL * n * n:
+        order = _bitset_minimum_degree(graph, multiple, approximate)
+    else:
+        order = _set_minimum_degree(graph, multiple, approximate)
+    perm = np.asarray(order, dtype=INDEX_DTYPE)
+    assert perm.shape[0] == n
+    return perm
 
+
+def _set_minimum_degree(
+    graph: AdjacencyGraph, multiple: bool, approximate: bool
+) -> list[int]:
+    """The elimination order over a quotient graph of Python sets."""
+    n = graph.n
     # Quotient graph state. adj_vars[v]/adj_elts[v] are sets of plain ints,
     # meaningful only for live supervariable representatives. An element's
     # boundary is an index array frozen when the element forms: a
@@ -195,7 +226,165 @@ def minimum_degree(
             alive[merged] = False
         if kept:
             degree[kept] = external_degrees(kept)
+    return order
 
-    perm = np.asarray(order, dtype=INDEX_DTYPE)
-    assert perm.shape[0] == n
-    return perm
+
+def _bitset_minimum_degree(
+    graph: AdjacencyGraph, multiple: bool, approximate: bool
+) -> list[int]:
+    """The elimination order over a quotient graph of n-bit masks.
+
+    Every decision is the set version's: the same candidates in ascending
+    vertex id, the same merges in ascending order with each key as it
+    stands when its vertex is reached, the same degrees. Bit ``j`` of
+    ``adj_vars[v]`` is supervariable j; bit ``e`` of ``adj_elts[v]`` is the
+    element formed when vertex e was eliminated (a vertex id is free once
+    it is eliminated, so element ids need no range of their own).
+    """
+    n = graph.n
+    nbytes = (n + 7) // 8
+
+    def unpack(masks: list[int]) -> np.ndarray:
+        """The masks as the rows of a ``len(masks) x n`` 0/1 matrix."""
+        raw = b"".join([m.to_bytes(nbytes, "little") for m in masks])
+        rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
+        return np.unpackbits(rows, axis=1, count=n, bitorder="little")
+
+    def bits(mask: int) -> list[int]:
+        """The set bits of ``mask``, ascending."""
+        if mask.bit_count() > 8:
+            raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
+            return np.unpackbits(raw, bitorder="little").nonzero()[0].tolist()
+        # Few bits (a row's elements, mostly): peel the lowest one off.
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+
+    def weighted_counts(masks: list[int], w: np.ndarray) -> np.ndarray:
+        """``sum(w[j] for j in mask)`` per mask, a run of about
+        ``_REACH_BUDGET`` unpacked entries at a time."""
+        out = np.empty(len(masks), dtype=INDEX_DTYPE)
+        step = max(1, _REACH_BUDGET // n)
+        for a in range(0, len(masks), step):
+            out[a : a + step] = unpack(masks[a : a + step]) @ w
+        return out
+
+    # Quotient graph state: adj_vars / adj_elts are meaningful for live
+    # supervariable representatives only. An element's boundary is frozen
+    # when the element forms; a supervariable merged away later keeps its
+    # bit there, with weight 0 and its ``alive`` bit clear.
+    dense = np.zeros((n, n), dtype=bool)
+    dense[np.repeat(np.arange(n), np.diff(graph.indptr)), graph.indices] = True
+    raw = np.packbits(dense, axis=1, bitorder="little").tobytes()
+    del dense
+    adj_vars: list[int] = [
+        int.from_bytes(raw[v * nbytes : (v + 1) * nbytes], "little")
+        for v in range(n)
+    ]
+    adj_elts: list[int] = [0] * n
+    elt_vars: dict[int, int] = {}  # element id -> boundary supervariables
+    weight = np.ones(n, dtype=INDEX_DTYPE)
+    members: list[list[int]] = [[v] for v in range(n)]
+    alive = (1 << n) - 1
+    # An eliminated or merged vertex never reaches the minimum again.
+    gone = np.iinfo(INDEX_DTYPE).max
+    degree = np.fromiter(map(int.bit_count, adj_vars), dtype=INDEX_DTYPE, count=n)
+
+    def external_degrees(rows: list[int]) -> np.ndarray:
+        """The set version's ``external_degrees``: a weighted popcount of
+        each row's reach, or the ADD bound summed over its elements."""
+        own_weight = weight[rows]
+        if approximate:
+            elts = 0
+            for u in rows:
+                elts |= adj_elts[u]
+            ids = bits(elts)
+            elt_weight = np.zeros(n, dtype=INDEX_DTYPE)
+            elt_weight[ids] = weighted_counts([elt_vars[e] for e in ids], weight)
+            incidence = [adj_elts[u] for u in rows]
+            nelts = np.fromiter(
+                map(int.bit_count, incidence), dtype=INDEX_DTYPE, count=len(rows)
+            )
+            return (
+                weighted_counts([adj_vars[u] for u in rows], weight)
+                + weighted_counts(incidence, elt_weight)
+                - nelts * own_weight
+            )
+        reach = []
+        for u in rows:
+            r = adj_vars[u]
+            for e in bits(adj_elts[u]):
+                r |= elt_vars[e]
+            reach.append(r)
+        # A row is on the boundary of each of its elements, so it is in
+        # its own reach once.
+        return weighted_counts(reach, weight) - own_weight
+
+    order: list[int] = []
+    while len(order) < n:
+        # Candidates at minimum degree; with multiple elimination take an
+        # independent set of them (no two adjacent in the quotient graph).
+        candidates = np.flatnonzero(degree == degree.min())
+        if not multiple:
+            candidates = candidates[:1]
+        pivots: list[int] = []
+        blocked = 0
+        for v in candidates.tolist():
+            if blocked >> v & 1:
+                continue
+            absorbed = adj_elts[v]
+            boundary = adj_vars[v]
+            for e in bits(absorbed):
+                # Absorbed elements disappear into the new one.
+                boundary |= elt_vars.pop(e)
+            boundary &= alive & ~(1 << v)
+            # --- eliminate v: absorb its elements into element v ------------
+            order.extend(members[v])
+            pivots.append(v)
+            blocked |= boundary
+            elt_vars[v] = boundary
+            # Variable-variable edges inside the new element are covered by
+            # it: prune them, and trade the absorbed elements for element v.
+            outside = ~(boundary | 1 << v)
+            for u in bits(boundary):
+                adj_vars[u] &= outside
+                adj_elts[u] = adj_elts[u] & ~absorbed | 1 << v
+            adj_vars[v] = adj_elts[v] = None
+        degree[pivots] = gone
+        for v in pivots:
+            alive &= ~(1 << v)
+
+        # --- mass degree update, with indistinguishable-variable merging
+        # (see the set version for why equal keys may merge) --------------
+        sig: dict[tuple, int] = {}
+        kept: list[int] = []
+        merged: list[int] = []
+        into: list[int] = []
+        for u in bits(blocked):
+            key = (adj_elts[u], adj_vars[u])
+            w = sig.get(key)
+            if w is None or not adj_elts[u]:
+                sig[key] = u
+                kept.append(u)
+                continue
+            members[w].extend(members[u])
+            merged.append(u)
+            into.append(w)
+            others, u_bit, w_bit = adj_vars[u], 1 << u, 1 << w
+            for x in bits(others):
+                adj_vars[x] &= ~u_bit
+                if x != w:
+                    adj_vars[x] |= w_bit
+            adj_vars[w] |= others & ~w_bit
+            adj_vars[u] = adj_elts[u] = None
+            alive &= ~u_bit
+        if merged:
+            np.add.at(weight, into, weight[merged])
+            weight[merged] = 0
+            degree[merged] = gone
+        if kept:
+            degree[kept] = external_degrees(kept)
+    return order

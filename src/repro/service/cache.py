@@ -4,9 +4,12 @@ sparsity structure.
 Two matrices with the same csc pattern (``shape``, ``indptr``,
 ``indices``) factor through identical symbolic machinery — ordering,
 supernode partition, block structure, task graph, owner plan, arena
-layout. The cache stores one :class:`PatternEntry` per distinct pattern
-(LRU-bounded) so repeated-pattern traffic pays none of that setup again:
-a warm job ships a values array and runs.
+layout. None of it reads values: the ordering's graph is built from the
+stored pattern alone (``AdjacencyGraph.from_sparse``), so a stored 0.0 is
+an edge there as it is a slot of the factor. The cache stores one
+:class:`PatternEntry` per distinct pattern (LRU-bounded) so
+repeated-pattern traffic pays none of that setup again: a warm job ships
+a values array and runs.
 
 The digest also covers the service's plan-shaping knobs —
 :meth:`repro.config.RunConfig.plan_key`, i.e. every field whose metadata

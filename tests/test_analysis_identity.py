@@ -23,6 +23,7 @@ from repro.matrices import (
     cube3d_matrix,
     dense_matrix,
     fleet_like_matrix,
+    get_problem,
     grid2d_matrix,
 )
 from repro.ordering import (
@@ -53,6 +54,18 @@ MMD_SETTINGS = (
     {"multiple": False},
     {"multiple": False, "approximate": True},
 )
+
+MMD_MODULE = sys.modules["repro.ordering.minimum_degree"]
+# A ``_DENSE_FILL`` that forces each quotient graph: no graph stores more
+# than the whole n * n adjacency, and every graph stores at least none.
+MMD_PATHS = {"sets": 2.0, "bitsets": 0.0}
+
+
+def forced_minimum_degree(path, graph, **kw):
+    """``minimum_degree`` on the named quotient-graph representation."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MMD_MODULE, "_DENSE_FILL", MMD_PATHS[path])
+        return minimum_degree(graph, **kw)
 
 
 # ---------------------------------------------------------------- inputs
@@ -150,9 +163,11 @@ def same_arrays(new, old):
 def check_ordering(A, mmd_settings=MMD_SETTINGS):
     graph = AdjacencyGraph.from_sparse(A)
     for kw in mmd_settings:
-        assert np.array_equal(
-            minimum_degree(graph, **kw), oracle.oracle_minimum_degree(graph, **kw)
-        ), kw
+        expected = oracle.oracle_minimum_degree(graph, **kw)
+        for path in MMD_PATHS:
+            assert np.array_equal(
+                forced_minimum_degree(path, graph, **kw), expected
+            ), (path, kw)
     n = graph.n
     rng = np.random.default_rng(n)
     mask = rng.random(n) < 0.7
@@ -263,13 +278,50 @@ def test_symbolic_matches_oracle(make):
 
 def test_degree_update_in_runs_matches_oracle(monkeypatch):
     """A round whose reach sets exceed the memory budget is updated in runs
-    of rows; the degrees, hence the permutation, do not depend on the cut."""
-    module = sys.modules["repro.ordering.minimum_degree"]
+    of rows, on either representation; the degrees, hence the permutation,
+    do not depend on the cut."""
     graph = AdjacencyGraph.from_sparse(FLEET["fleet-seed0"]())
-    expected = oracle.oracle_minimum_degree(graph)
-    for budget in (1, 97, 5_000):
-        monkeypatch.setattr(module, "_REACH_BUDGET", budget)
-        assert np.array_equal(minimum_degree(graph), expected), budget
+    for kw in MMD_SETTINGS[:2]:
+        expected = oracle.oracle_minimum_degree(graph, **kw)
+        for budget in (1, 97, 5_000):
+            monkeypatch.setattr(MMD_MODULE, "_REACH_BUDGET", budget)
+            for path in MMD_PATHS:
+                assert np.array_equal(
+                    forced_minimum_degree(path, graph, **kw), expected
+                ), (path, kw, budget)
+
+
+REPRESENTATION = {
+    **{name: "bitsets" for name in ("lp_normal", "lp_normal-smoke", *FLEET)},
+    **{name: "bitsets" for name in ("dense", "star", "hub_rows", "arrow")},
+    **{name: "sets" for name in ("grid2d", "cube3d", "diagonal")},
+    # A bcsstk_like_matrix: average degree 24 < n / 64 = 56.
+    "BCSSTK31-medium": "sets",
+}
+
+
+@pytest.mark.parametrize("name", REPRESENTATION)
+def test_dense_rule_picks_the_representation(monkeypatch, name):
+    """Bitsets exactly when the graph stores >= 1/64 of its n * n
+    adjacency (average degree >= n / 64); sets otherwise."""
+    inputs = {
+        **BENCH_PATTERNS,
+        **FLEET,
+        **{key: (lambda A=A: A) for key, A in EDGE_CASES.items()},
+        "BCSSTK31-medium": lambda: get_problem("BCSSTK31", "medium").A,
+    }
+    ran = []
+    for routine, label in (
+        ("_set_minimum_degree", "sets"),
+        ("_bitset_minimum_degree", "bitsets"),
+    ):
+        monkeypatch.setattr(
+            MMD_MODULE,
+            routine,
+            lambda graph, *_, label=label: ran.append(label) or range(graph.n),
+        )
+    minimum_degree(AdjacencyGraph.from_sparse(inputs[name]()))
+    assert ran == [REPRESENTATION[name]]
 
 
 def test_symbolic_matches_oracle_past_int32_keys():

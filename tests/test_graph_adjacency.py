@@ -2,7 +2,9 @@ import numpy as np
 from scipy import sparse
 
 from repro.graph import AdjacencyGraph
-from repro.matrices import grid2d_matrix
+from repro.matrices import fleet_like_matrix, grid2d_matrix
+from repro.ordering import resolve_ordering
+from repro.solver import SparseCholesky
 
 
 def path_graph(n):
@@ -39,6 +41,34 @@ class TestFromSparse:
         for v in range(g.n):
             nb = g.neighbors(v)
             assert np.all(np.diff(nb) > 0)
+
+    def test_stored_zero_is_an_edge(self):
+        """The graph, so every ordering, reads the stored pattern only."""
+        A = fleet_like_matrix(120, seed=1).A.tocsc()
+        B = with_stored_zero(A)
+        a, b = AdjacencyGraph.from_sparse(A), AdjacencyGraph.from_sparse(B)
+        assert np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.indices, b.indices)
+        for method in ("auto", "mmd", "nd"):
+            assert np.array_equal(
+                resolve_ordering(A, method), resolve_ordering(B, method)
+            ), method
+        assert np.array_equal(
+            SparseCholesky(A).symbolic.ordering.perm,
+            SparseCholesky(B).symbolic.ordering.perm,
+        )
+
+
+def with_stored_zero(A):
+    """``A`` with its first off-diagonal pair stored as explicit 0.0."""
+    B = A.copy()
+    cols = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
+    k = np.flatnonzero(A.indices != cols)[0]
+    i, j = A.indices[k], cols[k]
+    B.data[(A.indices == i) & (cols == j)] = 0.0
+    B.data[(A.indices == j) & (cols == i)] = 0.0
+    assert B.nnz == A.nnz and np.count_nonzero(B.data) == A.nnz - 2
+    return B
 
 
 class TestSubgraph:

@@ -10,7 +10,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from repro.matrices import grid2d_matrix
+from repro.matrices import fleet_like_matrix, grid2d_matrix
 from repro.service import (
     AdmissionRejected,
     DeadlineExceeded,
@@ -26,6 +26,7 @@ from repro.service import (
     pattern_digest,
 )
 from repro.solver import SparseCholesky
+from tests.test_graph_adjacency import with_stored_zero
 
 SVC_KW = dict(nprocs=2, ordering="nd", block_size=8, timeout_s=120)
 
@@ -80,6 +81,18 @@ class TestFactorService:
             x = r2.solve(np.ones(grid_A2.shape[0]))
             res = np.linalg.norm(grid_A2 @ x - 1.0)
             assert res < 1e-8
+
+    def test_stored_zero_keeps_the_pattern_machinery(self):
+        """The ordering reads the pattern only, so values that store a
+        0.0 off the diagonal factor warm through the pattern's cached
+        machinery bitwise like a cold factor of those values."""
+        A = fleet_like_matrix(120, seed=1).A.tocsc()
+        B = with_stored_zero(A)
+        with FactorService(**SVC_KW) as svc:
+            r1 = svc.factor(A)
+            r2 = svc.factor(pattern_id=r1.pattern_id, values=B.data)
+            assert r2.cache == "hit"
+            assert _bitwise(r2.L, _cold_L(B))
 
     def test_validate_mode(self, grid_A, grid_A2):
         with FactorService(validate=True, **SVC_KW) as svc:
