@@ -24,8 +24,7 @@ fallback.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,7 +59,7 @@ class CrashSpec:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A seeded, serializable description of injected faults."""
+    """A seeded description of injected faults."""
 
     seed: int = 0
     attempt: int = 0
@@ -107,30 +106,6 @@ class FaultPlan:
 
     def slow_for(self, rank: int) -> float:
         return float(self.slow.get(rank, 0.0))
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["crash"] = [asdict(c) for c in self.crash]
-        d["slow"] = {str(k): v for k, v in self.slow.items()}
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FaultPlan":
-        d = dict(d)
-        d["crash"] = tuple(
-            c if isinstance(c, CrashSpec) else CrashSpec(**c)
-            for c in d.get("crash", ())
-        )
-        d["slow"] = {int(k): float(v) for k, v in d.get("slow", {}).items()}
-        return cls(**d)
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        return cls.from_dict(json.loads(text))
 
     # ------------------------------------------------------------------
     @classmethod

@@ -246,22 +246,6 @@ class RunTrace:
     def t_start(self) -> float:
         return min((e.t0 for e in self.events), default=0.0)
 
-    def select(
-        self,
-        cat: str | None = None,
-        name: str | None = None,
-        rank: int | None = None,
-        attempt: int | None = None,
-    ) -> list[TraceEvent]:
-        """Events filtered by category / name / rank / attempt."""
-        return [
-            e for e in self.events
-            if (cat is None or e.cat == cat)
-            and (name is None or e.name == name)
-            and (rank is None or e.rank == rank)
-            and (attempt is None or e.attempt == attempt)
-        ]
-
     def per_worker(self, attempt: int | None = None) -> dict[int, list[TraceEvent]]:
         """``rank -> events`` in recorded order."""
         out: dict[int, list[TraceEvent]] = {}

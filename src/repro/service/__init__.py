@@ -14,10 +14,10 @@ the symbolic analysis, warm for many:
   (:class:`~repro.service.admission.JobQueue`). One dispatcher thread
   takes one queued job at a time — a factorization or a warm solve —
   and runs it on the resident crew.
-* :class:`ServiceClient` — in-process or TCP client; submit a matrix, or
-  a pattern handle plus a new values array, get the factor back.
-* ``python -m repro serve`` — run the service as a TCP server for
-  socket-mode clients.
+* ``python -m repro serve`` — run the service as a TCP server.
+* :class:`ServiceClient` — its TCP client; submit a matrix, or a pattern
+  handle plus a new values array, get the factor back. An in-process
+  caller calls :class:`FactorService` directly.
 
 Repeated-pattern traffic runs as pure numeric re-factorization: warm
 jobs skip symbolic analysis, owner planning, and worker spawn entirely,

@@ -1,14 +1,12 @@
-"""`ServiceClient`: one API over the in-process and TCP transports.
+"""`ServiceClient`: the TCP client of a ``python -m repro serve`` server.
 
-In-process mode wraps a live :class:`~repro.service.service.FactorService`
-(same process, zero serialization). Socket mode connects to a
-``python -m repro serve`` server; requests are serialized on one socket,
-so run one client per concurrent caller.
-Both modes raise the same typed errors
+Requests are serialized on one socket, so run one client per concurrent
+caller. Server-side failures arrive as the service's typed errors
 (:class:`~repro.service.jobs.AdmissionRejected`,
-:class:`~repro.service.jobs.JobFailed`, ...).
+:class:`~repro.service.jobs.JobFailed`, ...). An in-process caller uses
+:class:`~repro.service.service.FactorService` directly.
 
-Socket-mode resilience: connects (and reads) under the client's
+Resilience: connects (and reads) under the client's
 ``timeout`` — a down server is a typed
 :class:`~repro.service.jobs.ServiceUnavailable`, never a hang — and a
 broken connection triggers reconnect plus, when a
@@ -57,7 +55,7 @@ _ERROR_TYPES = {
 
 @dataclass
 class ClientResult:
-    """Transport-independent result of one factorization."""
+    """Result of one remote factorization."""
 
     job_id: str
     pattern_id: str
@@ -77,28 +75,23 @@ class ClientResult:
 
 
 class ServiceClient:
-    """Submit factorizations to a service, local or remote.
+    """Submit factorizations to a ``repro serve`` server.
 
-    >>> client = ServiceClient(service=svc)            # in-process
-    >>> client = ServiceClient(address=("host", 9876))  # TCP
+    >>> client = ServiceClient(address=("host", 9876))
     >>> res = client.factor(A)
     >>> res2 = client.factor(pattern_id=res.pattern_id, values=new_data)
 
     ``retry`` (a :class:`~repro.service.resilience.RetryPolicy`, or None
-    to disable) governs reconnect-and-retry of transient failures in
-    socket mode; :attr:`retry_count` tallies retries actually taken.
+    to disable) governs reconnect-and-retry of transient failures;
+    :attr:`retry_count` tallies retries actually taken.
     """
 
     def __init__(
         self,
-        service=None,
-        address: tuple[str, int] | None = None,
+        address: tuple[str, int],
         timeout: float | None = 120.0,
         retry: RetryPolicy | None = None,
     ):
-        if (service is None) == (address is None):
-            raise ValueError("give exactly one of service= or address=")
-        self.service = service
         self.address = address
         self.timeout = timeout
         self.retry = retry
@@ -106,8 +99,7 @@ class ServiceClient:
         self.retry_count = 0
         self._sock: socket.socket | None = None
         self._lock = threading.Lock()
-        if address is not None:
-            self._connect()
+        self._connect()
 
     def _connect(self) -> None:
         # The configured timeout bounds connect AND every read: a down
@@ -179,15 +171,11 @@ class ServiceClient:
 
     # ------------------------------------------------------------------
     def ping(self) -> bool:
-        if self.service is not None:
-            return not self.service.queue.closed
         return bool(self._request({"op": "ping"})["ok"])
 
     def health(self) -> dict:
         """The service's liveness/degradation probe (see
         :meth:`~repro.service.service.FactorService.health`)."""
-        if self.service is not None:
-            return self.service.health()
         return self._request({"op": "health"})["health"]
 
     def factor(
@@ -204,22 +192,8 @@ class ServiceClient:
         ``deadline_s`` is the job's end-to-end budget — past it the call
         raises :class:`~repro.service.jobs.DeadlineExceeded`, never
         hangs. A stable ``job_id`` is generated when not given, so
-        socket-mode retries of the same call are idempotent."""
+        retries of the same call are idempotent."""
         timeout = self.timeout if timeout is None else timeout
-        if self.service is not None:
-            handle = self.service.submit(
-                A=A, pattern_id=pattern_id, values=values,
-                job_id=job_id, timeout=timeout, deadline_s=deadline_s,
-            )
-            res = handle.result(timeout)
-            return ClientResult(
-                job_id=res.job_id,
-                pattern_id=res.pattern_id,
-                cache=res.cache,
-                L=res.L,
-                perm=res.perm,
-                record=None if res.record is None else res.record.to_dict(),
-            )
         msg = {
             "op": "factor",
             "pattern_id": pattern_id,
@@ -243,14 +217,11 @@ class ServiceClient:
         )
 
     def stats(self) -> dict:
-        if self.service is not None:
-            return self.service.stats()
         return self._request({"op": "stats"})["stats"]
 
     def shutdown_server(self) -> None:
-        """Ask a remote server to stop serving (no-op in-process)."""
-        if self.service is None:
-            self._request({"op": "shutdown"})
+        """Ask the server to stop serving."""
+        self._request({"op": "shutdown"})
 
     def close(self) -> None:
         self._drop_connection()

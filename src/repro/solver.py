@@ -18,6 +18,9 @@ land in :attr:`SparseCholesky.runtime_metrics`:
 
 >>> with SparseCholesky(A, backend="mp", nprocs=4) as chol:  # doctest: +SKIP
 ...     chol.factor().runtime_metrics.measured_balance
+
+A caller with many patterns, or a stream of re-factorizations, calls a
+:class:`repro.service.FactorService` directly.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from repro.mapping.balance import overall_balance_from_owners
 from repro.numeric import BlockCholesky, solve_with_factor
 from repro.matrices.spd import symmetric_csc
 from repro.ordering import resolve_ordering
+from repro.runtime.faults import FaultPlan
 from repro.symbolic import symbolic_factor
 
 
@@ -73,22 +77,14 @@ class SparseCholesky:
         raises ``ValueError`` before any analysis. Every backend reads the
         analysis group, ``"mp"`` the rest.
     backend:
-        ``"sequential"`` (default), ``"mp"`` (real message-passing
-        worker processes), or ``"service"`` (delegate to a long-lived
-        :class:`repro.service.FactorService` / connected
-        :class:`~repro.service.ServiceClient`, passed via ``service=`` —
-        repeated factorizations reuse its warm pool and pattern cache,
-        and run under *its* config).
+        ``"sequential"`` (default) or ``"mp"`` (real message-passing
+        worker processes).
     fault_plan:
-        A :class:`repro.runtime.faults.FaultPlan` (or its dict/JSON form)
-        for the ``"mp"`` backend. When given, the factorization runs under
-        the chaos layer with integrity checking, bounded restart, and the
-        sequential fallback; the structured outcome lands in
-        :attr:`failure_report`.
-    deadline_s:
-        Per-job end-to-end budget for the ``"service"`` backend. Past
-        it, :meth:`factor` raises the typed
-        :class:`repro.service.DeadlineExceeded` — never hangs.
+        A :class:`repro.runtime.faults.FaultPlan` for the ``"mp"``
+        backend (anything else raises ``TypeError`` before any analysis).
+        When given, the factorization runs under the chaos layer with
+        integrity checking, bounded restart, and the sequential fallback;
+        the structured outcome lands in :attr:`failure_report`.
 
     After an ``"mp"`` :meth:`factor`, per-worker metrics land in
     :attr:`runtime_metrics` and (with ``trace``) the merged
@@ -99,7 +95,7 @@ class SparseCholesky:
     interpreter exit release them too).
     """
 
-    BACKENDS = ("sequential", "mp", "service")
+    BACKENDS = ("sequential", "mp")
 
     def __init__(
         self,
@@ -108,8 +104,6 @@ class SparseCholesky:
         *,
         backend: str = "sequential",
         fault_plan=None,
-        service=None,
-        deadline_s: float | None = None,
         **overrides,
     ):
         A = symmetric_csc(A)
@@ -121,26 +115,9 @@ class SparseCholesky:
         self.backend = backend
         self.config = config = RunConfig.of(config, overrides)
         self.mapping = config.mapping
-        if isinstance(fault_plan, str):
-            from repro.runtime.faults import FaultPlan
-
-            fault_plan = FaultPlan.from_json(fault_plan)
-        elif isinstance(fault_plan, dict):
-            from repro.runtime.faults import FaultPlan
-
-            fault_plan = FaultPlan.from_dict(fault_plan)
+        if not isinstance(fault_plan, (FaultPlan, type(None))):
+            raise TypeError(f"fault_plan must be a FaultPlan: {fault_plan!r}")
         self.fault_plan = fault_plan
-        if backend == "service" and service is None:
-            raise ValueError(
-                'backend="service" needs a running service: pass '
-                "service=FactorService(...) or a connected ServiceClient"
-            )
-        self.service = service
-        #: Per-job deadline budget forwarded to the ``"service"`` backend
-        #: (seconds from submission; None = unbounded). Past it,
-        #: :meth:`factor` raises the typed
-        #: :class:`repro.service.DeadlineExceeded` instead of hanging.
-        self.deadline_s = deadline_s
         #: ``(plan, pool, seqs, release)`` of the ``"mp"`` crew, from the
         #: first job until :meth:`close`.
         self._crew = None
@@ -169,11 +146,6 @@ class SparseCholesky:
         #: Residual history of the last :meth:`solve`: entry 0 is the
         #: direct solve, one more entry per refinement step.
         self.solve_residuals = None
-        #: How the last ``"service"``-backend solve ran: ``"clean"``
-        #: (warm distributed solve on the resident factor) or
-        #: ``"degraded_sequential"`` (sequential fallback, still
-        #: bitwise-identical). None otherwise.
-        self.solve_outcome = None
 
     @staticmethod
     def _resolve_ordering(A, ordering):
@@ -230,8 +202,6 @@ class SparseCholesky:
 
     def factor(self) -> "SparseCholesky":
         """Numerically factor with the configured backend; returns self."""
-        if self.backend == "service":
-            return self._factor_via_service()
         if self.backend == "sequential":
             numeric = BlockCholesky(self.structure, self.symbolic.A).factor()
         else:  # "mp"
@@ -239,39 +209,6 @@ class SparseCholesky:
         # Refused at assembly (NaN/Inf: LinAlgError), a factor is not kept.
         self._L = numeric.to_csc()
         self._numeric = numeric
-        return self
-
-    def _factor_via_service(self) -> "SparseCholesky":
-        """Delegate the numeric work to a long-lived
-        :class:`repro.service.FactorService` (or a connected
-        :class:`~repro.service.ServiceClient`) — repeated factorizations
-        of this pattern reuse the service's warm pool and cached
-        symbolic analysis instead of spawning workers per call.
-
-        The factor comes back in the *service's* permutation; solves go
-        through it, so the service may be configured with a different
-        ordering than this instance.
-        """
-        result = self.service.factor(A=self.A, deadline_s=self.deadline_s)
-        self._numeric = getattr(result, "factor", None)
-        self._L = result.L
-        self._solve_perm = np.asarray(result.perm)
-        self.runtime_metrics = getattr(result, "metrics", None)
-        self.run_trace = getattr(result, "trace", None)
-        #: Service-side pattern handle + timing record of the last job.
-        self.service_pattern_id = result.pattern_id
-        self.service_record = result.record
-        #: How the service survived this job: ``"clean"``,
-        #: ``"recovered"`` (re-run after a pool heal), or
-        #: ``"degraded_sequential"`` (sequential fallback — still
-        #: bitwise-identical to the parallel factor).
-        record = result.record
-        if record is None:
-            self.service_outcome = None
-        elif isinstance(record, dict):
-            self.service_outcome = record.get("outcome")
-        else:
-            self.service_outcome = getattr(record, "outcome", None)
         return self
 
     @property
@@ -291,12 +228,9 @@ class SparseCholesky:
           factor then the distributed triangular solve, the factor blocks
           never leaving the workers that computed them (see
           ``docs/SOLVING.md``);
-        * ``"service"``: a solve job against the service's resident
-          factor — warm solves ship only right-hand-side values; the
-          outcome lands in :attr:`solve_outcome`;
         * otherwise (and for corrections): the sequential block
-          substitution path on the assembled factor, which is the
-          bitwise reference for both routes above.
+          substitution path on the held factor, which is the bitwise
+          reference for the route above.
 
         ``refine`` adds that many steps of iterative refinement
         (``r = b - A x``; ``x += solve(r)``). The max-abs residual is
@@ -306,14 +240,7 @@ class SparseCholesky:
         if refine < 0:
             raise ValueError("refine must be non-negative")
         b = np.asarray(b, dtype=np.float64)
-        self.solve_outcome = None
-        if self.backend == "service":
-            x = self._solve_via_service(b)
-        elif (
-            self.backend == "mp"
-            and self._numeric is None
-            and self.fault_plan is None
-        ):
+        if self.backend == "mp" and self._numeric is None:
             x = self._solve_distributed(b)
         else:
             x = self._base_solve(b)
@@ -330,14 +257,11 @@ class SparseCholesky:
         return float(np.max(np.abs(b - self.A @ x)))
 
     def _base_solve(self, b: np.ndarray) -> np.ndarray:
-        """Sequential solve on the held factor — the block substitution
-        path when the block factor is present (the distributed solve's
-        bitwise reference), else the sparse-L path."""
-        perm = getattr(self, "_solve_perm", None)
-        if perm is None:
-            perm = self.symbolic.ordering
-        factor = self._numeric if self._numeric is not None else self.L
-        return solve_with_factor(factor, b, perm)
+        """Sequential block substitution on the held factor (the
+        distributed solve's bitwise reference)."""
+        if self._numeric is None:
+            raise RuntimeError("call factor() first")
+        return solve_with_factor(self._numeric, b, self.symbolic.ordering)
 
     def _solve_distributed(self, b: np.ndarray) -> np.ndarray:
         """Combined distributed factor+solve in a single ``"mp"`` runtime
@@ -352,21 +276,6 @@ class SparseCholesky:
         if result.solution is None:  # the sequential last resort ran
             return self._base_solve(b)
         return restore(result.solution)
-
-    def _solve_via_service(self, b: np.ndarray) -> np.ndarray:
-        """Solve through the service's resident factor (warm solves ship
-        only RHS values); falls back to the local factor copy when the
-        service cannot solve (older service, no resident factor)."""
-        pattern_id = getattr(self, "service_pattern_id", None)
-        if pattern_id is None:
-            raise RuntimeError("call factor() first")
-        if hasattr(self.service, "solve"):
-            sres = self.service.solve(
-                b, pattern_id=pattern_id, deadline_s=self.deadline_s
-            )
-            self.solve_outcome = sres.outcome
-            return sres.x
-        return self._base_solve(b)
 
     # ------------------------------------------------------------------
     def plan_parallel(

@@ -17,7 +17,7 @@ import repro.service
 from repro.cli import build_parser, main
 from repro.config import RunConfig
 from repro.matrices import grid2d_matrix
-from repro.service import FactorService
+from repro.service import FactorService, ServiceClient
 from repro.service.cache import pattern_digest
 from repro.solver import SparseCholesky
 
@@ -401,6 +401,8 @@ SURFACE = {
         "default_deadline_s", "breaker_threshold",
         "breaker_cooldown_s", "fault_plan", "fault_jobs",
     },
+    "SparseCholesky": {"A", "config", "backend", "fault_plan", "overrides"},
+    "ServiceClient": {"address", "timeout", "retry"},
 }
 
 
@@ -421,9 +423,22 @@ def test_the_runtime_surface_is_exactly_this():
     found = {
         obj.__name__: keywords(obj)
         for obj in (run_mp_fanout, PoolJob, PatternContext, WorkerPool,
-                    Worker, ReadyScheduler, wire.unpack, FactorService)
+                    Worker, ReadyScheduler, wire.unpack, FactorService,
+                    SparseCholesky, ServiceClient)
     }
     assert found == SURFACE
+    assert SparseCholesky.BACKENDS == ("sequential", "mp")
+
+
+def test_retired_entry_points_stay_gone():
+    """An in-process service is called directly, a fault plan is built in
+    Python, and a trace is read through ``events`` / ``per_worker``."""
+    from repro.runtime.faults import FaultPlan
+    from repro.runtime.trace import RunTrace
+
+    for name in ("to_dict", "from_dict", "to_json", "from_json"):
+        assert not hasattr(FaultPlan, name), name
+    assert not hasattr(RunTrace, "select")
 
 
 def test_worker_metrics_load_a_dump_with_a_legacy_timeline():

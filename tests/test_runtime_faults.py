@@ -9,7 +9,6 @@ from repro.runtime import wire
 from repro.runtime.faults import (
     FAULT_CLASSES,
     MESSAGE_FAULTS,
-    CrashSpec,
     FaultInjector,
     FaultPlan,
     FaultyLink,
@@ -123,14 +122,6 @@ class TestFaultPlan:
         assert not FaultPlan.scenario("none").active
         with pytest.raises(KeyError):
             FaultPlan.scenario("cosmic-rays")
-
-    def test_serialization_roundtrip(self):
-        plan = FaultPlan(
-            seed=7, drop=0.1, corrupt=0.2,
-            crash=(CrashSpec(1, 4, hard=True),), slow={2: 0.01},
-        )
-        assert FaultPlan.from_dict(plan.to_dict()) == plan
-        assert FaultPlan.from_json(plan.to_json()) == plan
 
     def test_transient_crash_filtered_on_restart(self):
         plan = FaultPlan.scenario("crash", seed=0)

@@ -341,7 +341,7 @@ class TestSolverFacade:
         plan = FaultPlan.scenario("drop", seed=1, rate=0.2)
         chol = SparseCholesky(
             A, block_size=8, backend="mp", nprocs=2, mapping="DW/CY",
-            fault_plan=plan.to_dict(),
+            fault_plan=plan,
         ).factor()
         assert chol.failure_report is not None
         assert chol.failure_report.ok
@@ -349,16 +349,40 @@ class TestSolverFacade:
         b = np.ones(A.shape[0])
         assert np.max(np.abs(A @ chol.solve(b) - b)) < 1e-8
 
-    def test_fault_plan_accepts_json_string(self):
+    @pytest.mark.parametrize("scenario", ["drop", "crash", "crash-hard"])
+    def test_unfactored_solve_under_a_fault_plan(self, scenario):
+        """solve() before factor() is the combined factor + solve run with
+        or without a plan, and its answer is the fault-free one, bit for
+        bit."""
         from repro.matrices import grid2d_matrix
         from repro.solver import SparseCholesky
 
-        plan_json = FaultPlan.scenario("duplicate", rate=0.2).to_json()
-        chol = SparseCholesky(
-            grid2d_matrix(12).A, block_size=8, backend="mp", nprocs=2,
-            fault_plan=plan_json,
-        )
-        assert chol.fault_plan == FaultPlan.from_json(plan_json)
+        A = grid2d_matrix(12).A
+        b = np.random.default_rng(3).standard_normal((A.shape[0], 2))
+        kw = dict(block_size=8, backend="mp", nprocs=2, mapping="DW/CY")
+        with SparseCholesky(A, **kw) as clean:
+            want = clean.solve(b)
+        plan = FaultPlan.scenario(scenario, seed=1, rate=0.2)
+        with SparseCholesky(A, fault_plan=plan, **kw) as chol:
+            x = chol.solve(b)
+            assert chol.failure_report is not None
+            assert chol.failure_report.ok
+        assert np.array_equal(x, want)
+        assert _no_orphans()
+
+    @pytest.mark.parametrize(
+        "plan", ['{"drop": 0.2}', {"drop": 0.2}, 123],
+        ids=["str", "dict", "int"],
+    )
+    def test_fault_plan_must_be_a_fault_plan(self, plan):
+        from repro.matrices import grid2d_matrix
+        from repro.solver import SparseCholesky
+
+        with pytest.raises(TypeError, match="FaultPlan"):
+            SparseCholesky(
+                grid2d_matrix(12).A, block_size=8, backend="mp", nprocs=2,
+                fault_plan=plan,
+            )
 
     def test_no_fault_plan_means_no_report(self):
         from repro.matrices import grid2d_matrix

@@ -1,6 +1,6 @@
 """The factorization service: pattern cache behavior, warm-path bitwise
 correctness, admission control, typed errors, the TCP client/server
-pair, and the solver facade's ``backend="service"``."""
+pair, and the ``mp`` facade's one plan per instance."""
 
 import logging
 import threading
@@ -69,6 +69,22 @@ class TestFactorService:
             # warm jobs skip symbolic analysis entirely
             assert r1.record.setup_s > 0.0
             assert r2.record.setup_s == 0.0
+
+    def test_service_checks_the_pattern_at_submit(self, grid_A):
+        """A lone triangle is mirrored before it is hashed and analysed;
+        an unsymmetric or empty matrix is refused before it is queued."""
+        from scipy import sparse
+
+        with FactorService(**SVC_KW) as svc:
+            r = svc.factor(sparse.tril(grid_A))
+            assert _bitwise(r.L, _cold_L(grid_A))
+            assert svc.factor(grid_A).cache == "hit"
+            lopsided = grid_A.tolil()
+            lopsided[0, grid_A.shape[0] - 1] = 1.0
+            with pytest.raises(ValueError, match="not symmetric"):
+                svc.submit(lopsided.tocsc())
+            with pytest.raises(ValueError, match="empty"):
+                svc.submit(sparse.csc_matrix((0, 0)))
 
     def test_values_only_warm_path(self, grid_A, grid_A2):
         """(pattern_id, values) resubmission — no hashing, no full
@@ -510,56 +526,12 @@ class TestClientServer:
             finally:
                 server.close()
 
-    def test_in_process_client_same_api(self, grid_A):
-        with FactorService(**SVC_KW) as svc:
-            with ServiceClient(service=svc) as client:
-                r = client.factor(grid_A)
-                assert r.cache == "miss"
-                assert _bitwise(r.L, _cold_L(grid_A))
-
     def test_client_needs_exactly_one_target(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             ServiceClient()
-        with pytest.raises(ValueError):
-            ServiceClient(service=object(), address=("h", 1))
 
 
-class TestSolverServiceBackend:
-    def test_facade_routes_through_service(self, grid_A):
-        with FactorService(**SVC_KW) as svc:
-            chol = SparseCholesky(
-                grid_A, backend="service", service=svc
-            ).factor()
-            assert chol.service_pattern_id
-            assert _bitwise(chol.L, _cold_L(grid_A, block_size=8))
-            x = chol.solve(np.ones(grid_A.shape[0]))
-            assert np.linalg.norm(grid_A @ x - 1.0) < 1e-8
-            # second facade on the same pattern hits the cache
-            chol2 = SparseCholesky(
-                grid_A, backend="service", service=svc
-            ).factor()
-            assert chol2.service_record.cache == "hit"
-
-    def test_service_backend_requires_service(self, grid_A):
-        with pytest.raises(ValueError):
-            SparseCholesky(grid_A, backend="service")
-
-    def test_service_checks_the_pattern_at_submit(self, grid_A):
-        """A lone triangle is mirrored before it is hashed and analysed;
-        an unsymmetric or empty matrix is refused before it is queued."""
-        from scipy import sparse
-
-        with FactorService(**SVC_KW) as svc:
-            r = svc.factor(sparse.tril(grid_A))
-            assert _bitwise(r.L, _cold_L(grid_A))
-            assert svc.factor(grid_A).cache == "hit"
-            lopsided = grid_A.tolil()
-            lopsided[0, grid_A.shape[0] - 1] = 1.0
-            with pytest.raises(ValueError, match="not symmetric"):
-                svc.submit(lopsided.tocsc())
-            with pytest.raises(ValueError, match="empty"):
-                svc.submit(sparse.csc_matrix((0, 0)))
-
+class TestMpFacade:
     def test_repeat_mp_factor_plans_once(self, grid_A, monkeypatch):
         """The ``mp`` façade plans its pattern once per instance, by
         construction: a second factor() plans no owners, so there is no
