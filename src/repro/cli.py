@@ -13,9 +13,9 @@ Commands
     measured per-worker busy/idle/comm breakdown and load balance.
 ``chaos <problem>``
     Sweep deterministic fault-injection scenarios (crash, drop, duplicate,
-    corrupt, delay, slow) over the runtime and assert that every run
-    either recovers to the sequential factor or degrades cleanly to the
-    sequential backend with a populated failure report.
+    corrupt, delay, slow) over the ``mp`` façade and assert that every
+    factor is bitwise the fault-free one at the width the run finished on,
+    or the sequential one when it degraded.
 ``trace <file>``
     Inspect a structured run trace (written by ``bench-real --trace-out``):
     summary, ASCII Gantt chart, replay validation, Chrome trace export.
@@ -353,19 +353,15 @@ _CHAOS_SWEEP = (
 
 
 def cmd_chaos(args) -> int:
+    import functools
     import json
-    from dataclasses import replace
 
     from repro.experiments.pipeline import prepare_problem
     from repro.numeric import BlockCholesky
     from repro.runtime.faults import FaultPlan
-    from repro.runtime.recovery import run_with_recovery
+    from repro.solver import SparseCholesky
 
-    # Fast renegotiation for the small chaos problems.
-    cfg = replace(
-        args.config, renegotiate_base_s=0.05, renegotiate_cap_s=0.5,
-        max_renegotiations=6,
-    )
+    cfg = args.config
     prep = prepare_problem(
         args.problem, args.scale, cfg.block_size,
         block_policy=cfg.block_policy,
@@ -376,6 +372,13 @@ def cmd_chaos(args) -> int:
         list(_CHAOS_SWEEP) if args.faults == "all"
         else [f.strip() for f in args.faults.split(",") if f.strip()]
     )
+
+    def factor(P, plan=None):  # the façade on the permuted matrix
+        with SparseCholesky(A, cfg, backend="mp", fault_plan=plan,
+                            ordering="natural", nprocs=P) as chol:
+            return chol.factor().L, chol.failure_report
+
+    fault_free = functools.cache(lambda P: factor(P)[0])
     procs = [int(p) for p in args.procs.split(",") if p.strip()]
     failures = 0
     payload = {}
@@ -388,15 +391,12 @@ def cmd_chaos(args) -> int:
             plan = FaultPlan.scenario(
                 name, seed=args.seed, rate=args.rate, rank=min(1, P - 1),
             )
-            res = run_with_recovery(
-                prep.structure, A, prep.taskgraph, cfg, nprocs=P,
-                fault_plan=plan,
-            )
-            rep = res.failure_report
-            L = res.to_csc()
+            L, rep = factor(P, plan)
+            ref = seq if rep.degraded else fault_free(rep.final_nprocs)
+            ok = all(getattr(L, a).tobytes() == getattr(ref, a).tobytes()
+                     for a in ("indptr", "indices", "data"))
             diff = float(abs(L - seq).max())
             resid = float(abs(L @ L.T - A).max())
-            ok = diff < 1e-8 and (rep.ok or rep.degraded)
             if name == "none":
                 # A fault-free sweep entry must stay pristine: no faults
                 # fired, no recovery machinery engaged, no restarts.
@@ -406,7 +406,7 @@ def cmd_chaos(args) -> int:
             status = "ok" if ok else "FAIL"
             print(f"  [{status}] P={P} fault={name:<10s} "
                   f"outcome={rep.outcome:<20s} restarts={rep.restarts} "
-                  f"|dL|={diff:.1e} resid={resid:.1e} "
+                  f"P'={rep.final_nprocs} |dL|={diff:.1e} resid={resid:.1e} "
                   f"events={rep.recovery_events} "
                   f"injected={sum(rep.faults_injected.values())}")
             if args.verbose and rep.attempts:
@@ -883,8 +883,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "chaos",
-        help="sweep fault-injection scenarios over the runtime and check "
-             "recovery against the sequential factor",
+        help="sweep fault-injection scenarios over the mp façade and "
+             "check each factor bit for bit",
     )
     p.add_argument("problem")
     p.add_argument("-p", "--procs", default="2,4",

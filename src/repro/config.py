@@ -1,17 +1,17 @@
 """One configuration object for every knob that crosses a layer boundary.
 
 The paper's experiment is a sweep over mapping heuristic x P x block size x
-domains; the runtime that grew around it added transport, schedule,
-blocking policy and recovery tuning. :class:`RunConfig` declares each of
-those once — default, validation, CLI spelling, and whether it shapes a
-cached :class:`~repro.service.cache.PatternEntry` — and every layer
-(``SparseCholesky``, ``run_with_recovery``, ``run_mp_fanout``, the pool's
-``PatternContext``, ``FactorService``, the CLI) holds and passes the
-object whole. A façade takes ``config=None, **overrides``: the overrides
-are applied with :func:`dataclasses.replace`, so an unknown keyword is a
-``TypeError`` and a bad value a ``ValueError`` — at construction, before
-any analysis or process spawn. Adding a knob is one field here plus the
-one place that reads it; ``docs/ARCHITECTURE.md`` carries the table.
+domains; the runtime that grew around it added transport, schedule, blocking
+policy and a restart budget. :class:`RunConfig` declares each of those once
+— default, validation, CLI spelling, and whether it shapes a cached
+:class:`~repro.service.cache.PatternEntry` — and every layer
+(``SparseCholesky``, ``run_mp_fanout``, the pool's ``PatternContext``,
+``FactorService``, the CLI) holds and passes the object whole. A façade
+takes ``config=None, **overrides``: the overrides are applied with
+:func:`dataclasses.replace`, so an unknown keyword is a ``TypeError`` and a
+bad value a ``ValueError`` — at construction, before any analysis or process
+spawn. Adding a knob is one field here plus the one place that reads it;
+``docs/ARCHITECTURE.md`` carries the table.
 """
 
 from __future__ import annotations
@@ -122,20 +122,11 @@ class RunConfig:
         30.0, "per-worker no-progress watchdog in seconds",
         flags="--stall-timeout", kind=float, low=0, metavar="S",
     )
-    # -- recovery tuning -----------------------------------------------
+    # -- recovery ------------------------------------------------------
     max_restarts: int = _knob(
         2, "restart budget before the sequential fallback, for every "
         "pool owner (max_restarts + 1 parallel attempts a job)",
         flags="--max-restarts", kind=int, low=0,
-    )
-    renegotiate_base_s: float = _knob(
-        0.2, "first NACK/retransmit backoff of a starved worker",
-        kind=float, low=0,
-    )
-    renegotiate_cap_s: float = _knob(2.0, "backoff ceiling", kind=float, low=0)
-    max_renegotiations: int = _knob(
-        8, "renegotiation rounds before a starved worker gives up",
-        kind=int, low=0,
     )
 
     def __post_init__(self):

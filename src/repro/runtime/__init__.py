@@ -19,7 +19,7 @@ Layers: :mod:`~repro.runtime.wire` (block serialization, CRC32 integrity),
 :mod:`~repro.runtime.pool` (the one process lifecycle: spawn, dispatch,
 collect, reap — for one call, a façade instance or :mod:`repro.service`),
 :mod:`~repro.runtime.engine` (the pattern plan every job is built from,
-the one-shot driver and the outcome-to-result step),
+the one-call driver and the outcome-to-result step),
 :mod:`~repro.runtime.faults` (deterministic chaos injection),
 :mod:`~repro.runtime.recovery` (checkpoint/restart + sequential fallback),
 :mod:`~repro.runtime.trace` (always-available structured event tracing),
@@ -39,7 +39,6 @@ from repro.runtime.engine import (
     MPRuntimeResult,
     RuntimeTimeoutError,
     WorkerError,
-    mp_block_cholesky,
     plan_owners,
     run_mp_fanout,
 )
@@ -61,7 +60,6 @@ from repro.runtime.pool import (
 from repro.runtime.recovery import (
     FailedAttempt,
     FailureReport,
-    run_with_recovery,
 )
 from repro.runtime.scheduler import ReadyScheduler
 from repro.runtime.trace import (
@@ -89,7 +87,6 @@ __all__ = [
     "MPRuntimeResult",
     "RuntimeTimeoutError",
     "WorkerError",
-    "mp_block_cholesky",
     "plan_owners",
     "run_mp_fanout",
     "FAULT_CLASSES",
@@ -103,7 +100,6 @@ __all__ = [
     "WorkerMetrics",
     "FailedAttempt",
     "FailureReport",
-    "run_with_recovery",
     "ReadyScheduler",
     "RunTrace",
     "TraceEvent",

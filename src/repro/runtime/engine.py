@@ -6,9 +6,9 @@ to run a job on it: a :class:`PatternPlan` builds the
 through :func:`repro.runtime.recovery.recover`), and the
 :class:`~repro.runtime.pool.JobOutcome` becomes a result
 (:func:`outcome_result`) or the typed :class:`FanoutError` of
-:func:`raise_failure`. Three owners hold a pool: ``run_mp_fanout`` and
-``run_with_recovery`` for one call, a ``SparseCholesky(backend="mp")``
-instance across its calls, and the factorization service.
+:func:`raise_failure`. Three owners hold a pool: :func:`run_mp_fanout`
+for one call, a ``SparseCholesky(backend="mp")`` instance across its
+calls, and the factorization service.
 
 ``plan_owners`` turns the mapping names used everywhere else in the repo
 (``"cyclic"``, ``"DW/CY"``, ...) into a block ownership array, so the
@@ -18,8 +18,9 @@ be executed for real and timed.
 
 from __future__ import annotations
 
+import itertools
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -48,7 +49,7 @@ class FanoutError(RuntimeError):
 
     #: The :class:`~repro.runtime.recovery.FailureReport` of the run, set
     #: when :func:`~repro.runtime.recovery.run_job` raises it (every
-    #: ``run_mp_fanout`` failure; ``fallback_sequential=False`` otherwise).
+    #: ``run_mp_fanout`` failure).
     failure_report = None
 
     def __init__(self, message: str, results: dict | None = None,
@@ -198,16 +199,17 @@ def run_mp_fanout(
     ``checkpoint`` maps block ids to completed-block wire frames from a
     previous attempt; those blocks are preloaded, their tasks skipped.
 
-    One attempt through the recovery loop, on a pool of its own and with
-    no fallback (:func:`repro.runtime.recovery.run_on_temporary_pool`).
-    Raises :class:`WorkerError` if a worker fails, :class:`DeadWorkerError`
-    if one dies without reporting and :class:`RuntimeTimeoutError` on the
-    global timeout. Every exit path reaps the children and unlinks the
-    arena; the raised :class:`FanoutError` carries every salvaged
-    ``WorkerResult`` (checkpoint frames carry their payload, so they
-    outlive the arena), the attempt's ``failure_report``, and
-    ``failed_ranks`` names the casualties only — a rank that stopped
-    because a peer failed is not among them.
+    The measurement path: one attempt through the recovery loop
+    (:func:`repro.runtime.recovery.run_job`), on a pool of its own and
+    with no fallback. Raises :class:`WorkerError` if a worker fails,
+    :class:`DeadWorkerError` if one dies without reporting and
+    :class:`RuntimeTimeoutError` on the global timeout. Every exit path
+    reaps the children and unlinks the arena; the raised
+    :class:`FanoutError` carries every salvaged ``WorkerResult``
+    (checkpoint frames carry their payload, so they outlive the arena),
+    the attempt's ``failure_report``, and ``failed_ranks`` names the
+    casualties only — a rank that stopped because a peer failed is not
+    among them.
     """
     owners = np.asarray(owners)
     if owners.shape[0] != tg.nblocks:
@@ -222,31 +224,36 @@ def run_mp_fanout(
         rhs = np.ascontiguousarray(rhs.reshape(rhs.shape[0], -1))
 
     # Imported here: the recovery loop imports this module.
-    from repro.runtime.recovery import RecoveryPolicy, run_on_temporary_pool
+    from repro.runtime.recovery import run_job
 
     # The very arrays the task graph's own reference to A holds (no copy
     # for csc input), so the job pickles them once.
     A = A.tocsc()
     plan = PatternPlan.create(structure, tg, config, owners=owners,
                               mapping_name=mapping, planned_nprocs=nprocs)
-    return run_on_temporary_pool(
-        plan, A, RecoveryPolicy(attempts=1, raising_rank_is_casualty=True),
-        rhs=rhs, fault_plan=fault_plan, recovery=recovery,
-        checkpoint=checkpoint, fallback_sequential=False,
-    )
+    pool = WorkerPool(nprocs)
+    try:
+        return run_job(
+            pool, plan, A, 1, itertools.count(), rhs=rhs,
+            fault_plan=fault_plan, recovery=recovery, checkpoint=checkpoint,
+            fallback_sequential=False,
+        )
+    finally:
+        pool.close()
+        plan.destroy()
 
 
-def raise_failure(outcome: JobOutcome, pool: WorkerPool, report=None):
-    """Raise the typed :class:`FanoutError` of a failed ``outcome``, told
-    apart by the crew as the job left it: a dead process or the batch
-    timeout outranks the first raising rank. It carries the salvaged
+def raise_failure(outcome: JobOutcome, report=None):
+    """Raise the typed :class:`FanoutError` of a failed ``outcome``: what
+    broke the crew (:attr:`JobOutcome.broke` — a dead process or the pool
+    timeout) outranks the first raising rank. It carries the salvaged
     results and ``report`` as its ``failure_report``."""
     salvaged = dict(results=outcome.results, failed_ranks=outcome.failed_ranks)
-    if pool.last_error is not None:
-        kind = DeadWorkerError if pool.dead_ranks() else RuntimeTimeoutError
+    if outcome.broke is not None:
+        kind = DeadWorkerError if outcome.died else RuntimeTimeoutError
         error = kind(
-            f"{pool.last_error}; {len(outcome.results)}/{pool.nprocs} "
-            "workers reported", **salvaged,
+            f"{outcome.broke}; {len(outcome.results)} workers reported",
+            **salvaged,
         )
     elif outcome.failed_ranks:
         first = outcome.failed_ranks[0]
@@ -260,12 +267,12 @@ def raise_failure(outcome: JobOutcome, pool: WorkerPool, report=None):
 
 
 def job_result(plan: PatternPlan, job: PoolJob, outcome: JobOutcome,
-               pool: WorkerPool, launch_s=0.0, report=None) -> MPRuntimeResult:
-    """The result of ``plan``'s factor ``job`` as it left ``pool`` (whose
-    start took ``launch_s``), or its :func:`raise_failure`; ``report`` is
+               launch_s=0.0, report=None) -> MPRuntimeResult:
+    """The result of ``plan``'s factor ``job`` (whose crew took
+    ``launch_s`` to start), or its :func:`raise_failure`; ``report`` is
     the ``failure_report`` of either."""
     if not outcome.ok:
-        raise_failure(outcome, pool, report)
+        raise_failure(outcome, report)
     factor, solution, metrics, run_trace = outcome_result(
         outcome, plan.structure, plan.tg, True, job.rhs, owners=plan.owners,
         wall_s=launch_s + outcome.wall_s, mapping=plan.mapping_name,
@@ -451,21 +458,3 @@ def _assemble(structure, tg, results, owners=None, arena=None):
         "copy_s": t1 - t0,
         "check_s": clock() - t1,
     }
-
-
-def mp_block_cholesky(
-    structure: BlockStructure,
-    A: sparse.spmatrix,
-    tg: TaskGraph,
-    config: RunConfig | None = None,
-    **kwargs,
-) -> MPRuntimeResult:
-    """One-call convenience: plan ownership from the config's placement
-    group (``nprocs``, ``mapping``, ``use_domains``) and run. ``kwargs``
-    are :func:`run_mp_fanout`'s: per-call arguments and config overrides."""
-    knobs = {f.name for f in fields(RunConfig)} & kwargs.keys()
-    config = RunConfig.of(config, {k: kwargs.pop(k) for k in knobs})
-    owners, name = plan_owners(tg.workmodel, tg, config.nprocs,
-                               config.mapping, config.use_domains)
-    return run_mp_fanout(structure, A, tg, owners, config.nprocs, config,
-                         mapping=name, **kwargs)

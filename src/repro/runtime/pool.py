@@ -4,9 +4,9 @@ The paper's block fan-out method has one execution model — P processors
 that own blocks and exchange completed ones — and :class:`WorkerPool` is
 its one implementation: the only code that creates processes, a
 :class:`~repro.runtime.links.LinkFabric`, a result queue, a collect loop
-or a reap. ``run_mp_fanout`` and ``run_with_recovery`` hold a pool for
-one call; a ``SparseCholesky(backend="mp")`` instance and the
-factorization service (:mod:`repro.service`) keep one across calls — the
+or a reap. ``run_mp_fanout`` holds a pool for one call; a
+``SparseCholesky(backend="mp")`` instance and the factorization service
+(:mod:`repro.service`) keep one across calls — the
 paper's own workload, a new numeric factor per interior-point step. Every
 job is built by its pattern's :class:`~repro.runtime.engine.PatternPlan`:
 
@@ -42,8 +42,8 @@ before every job, so the driver can tell a stalled crew from a slow one.
 
 Who heals: :meth:`WorkerPool.run` only *reports*. A dead process or
 the job's timeout ABORTs the job and is recorded in
-:attr:`WorkerPool.last_error` and in the job's
-:attr:`JobOutcome.failed_ranks`; the crew is then in an unknown state,
+:attr:`WorkerPool.last_error` and in the job's :attr:`JobOutcome.broke`
+and :attr:`JobOutcome.failed_ranks`; the crew is then in an unknown state,
 and :func:`repro.runtime.recovery.settle` — the one caller of
 :meth:`WorkerPool.heal` — replaces it, or the caller closes the pool.
 """
@@ -110,8 +110,7 @@ class PatternContext(PlanHolder):
     shape: tuple
     arena_name: str | None = None
     #: The knobs the pattern's jobs run under; workers read ``schedule``,
-    #: ``steal_seed``, the stall watchdog and the renegotiation backoff
-    #: from here.
+    #: ``steal_seed`` and the stall watchdog from here.
     config: RunConfig = field(default_factory=RunConfig)
 
 
@@ -128,7 +127,7 @@ class PoolJob:
     job's workers.
 
     ``recovery`` turns on the in-run integrity protocol (CRC reject +
-    NACK/retransmit under the pattern config's renegotiation backoff +
+    NACK/retransmit under the worker's renegotiation backoff +
     duplicate suppression + the DONE linger barrier) and makes
     erroring/aborted ranks ship their completed blocks
     home as a checkpoint; ``checkpoint`` maps block ids to such frames
@@ -172,8 +171,14 @@ class JobOutcome:
     #: process died, it never reported before the job timed out, or it
     #: was the first to raise. A rank that stopped because a peer failed
     #: is merely aborted — whatever exception its own teardown then hit —
-    #: so a restart shrinks the crew by the real casualties only.
+    #: so the job's error and report name the real casualties only.
     failed_ranks: list = field(default_factory=list)
+    #: Why the job broke the crew (:attr:`WorkerPool.last_error`'s words;
+    #: None when it left the crew sound) and whether a worker process died
+    #: (else ``timeout_s`` ran out). The crew may be healed before the job's
+    #: error is typed, so the type is read from here.
+    broke: str | None = None
+    died: bool = False
 
     @property
     def ok(self) -> bool:
@@ -501,13 +506,11 @@ class WorkerPool:
         self.nprocs = nprocs or self.nprocs
         return self.start()
 
-    def heal(self, lost: int | None = None) -> "WorkerPool":
-        """Restart on ``P - lost`` workers (floor 1); ``lost`` defaults to
-        the number of dead processes. With nothing lost this is a plain
-        restart — the cure for a stalled-but-alive crew."""
-        if lost is None:
-            lost = len(self.dead_ranks())
-        return self.restart(max(1, self.nprocs - lost))
+    def heal(self) -> "WorkerPool":
+        """Restart on the survivors of the dead processes (floor 1). With
+        none dead this is a plain restart — the cure for a stalled-but-
+        alive crew."""
+        return self.restart(max(1, self.nprocs - len(self.dead_ranks())))
 
     def regrow(self) -> "WorkerPool":
         """Restore a healed (shrunken) pool to its configured width. Safe
@@ -579,8 +582,9 @@ class WorkerPool:
         #: Ranks that have not reported the job yet.
         waiting = set(range(self.nprocs))
 
-        def break_pool(why: str, lost) -> None:
-            self.last_error = why
+        def break_pool(why: str, lost, died: bool) -> None:
+            self.last_error = out.broke = why
+            out.died = out.died or died
             if out.error is None:
                 out.error = why
             lost = [r for r in lost if r in waiting]
@@ -593,7 +597,7 @@ class WorkerPool:
             if now >= stop_at:
                 if self.last_error is None:
                     break_pool(f"pool job timeout after {timeout_s:.0f}s",
-                               range(self.nprocs))
+                               range(self.nprocs), False)
                 break
             # The job's own deadline: abort exactly this job. The outcome
             # stays failed even if stragglers later succeed.
@@ -620,7 +624,7 @@ class WorkerPool:
                         stop_at = min(stop_at, time.monotonic() + grace)
                     names = [self._procs[r].name for r in dead]
                     break_pool(
-                        f"pool worker process(es) died: {names}", dead
+                        f"pool worker process(es) died: {names}", dead, True
                     )
                 continue
             if seq == HEARTBEAT_SEQ:

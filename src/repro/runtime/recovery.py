@@ -7,35 +7,31 @@ is that idea written once, over a :class:`~repro.runtime.pool.WorkerPool`
 the caller owns and one :class:`RecoveryJob` — :func:`run_job`'s or a
 factor job of the factorization service. Each round it re-plans owners
 for the crew, runs the attempt, and settles with the pool
-(:func:`settle`, the one place a crew is healed): a finished or expired
-job leaves; a failed one has its checkpoint frames and traces harvested
-and a :class:`FailedAttempt` recorded, and runs again unless its error is
+(:func:`settle`, the one place a crew is healed, by one rule: a rank that
+merely raised stays, a dead process is shed): a finished or expired job
+leaves; a failed one has its checkpoint frames and traces harvested and a
+:class:`FailedAttempt` recorded, and runs again unless its error is
 deterministic, the attempt budget is spent or the caller stops the loop —
 then it leaves for :func:`last_resort`.
 Every job leaves with a :class:`FailureReport`, so a result can always
 say whether its factor came from a clean run, a recovered restart or the
-sequential fallback. What the callers differ in is a
-:class:`RecoveryPolicy`; their jobs are built by the pattern's
+sequential fallback. Jobs are built by the pattern's
 :class:`~repro.runtime.engine.PatternPlan`. :func:`run_job` is one
-factorization through the loop, on a crew that lives for one call
-(:func:`run_on_temporary_pool`: ``run_mp_fanout``, :func:`run_with_recovery`)
-or a ``SparseCholesky`` instance's held one.
+factorization through the loop, on a ``SparseCholesky`` instance's crew
+(with the fallback) or on ``run_mp_fanout``'s one-call crew (one attempt,
+no fallback).
 Failed attempts, heals, fallbacks and recoveries are logged here.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import sparse
 
-from repro.blocks.structure import BlockStructure
-from repro.config import RunConfig
 from repro.fanout.tasks import TaskGraph
 from repro.numeric.blockfact import BlockCholesky
 from repro.runtime import wire
@@ -60,18 +56,6 @@ SEQUENTIAL_MAPPING = "sequential-fallback"
 #: Worker exception classes (``WorkerMetrics.error_type``) any crew would
 #: hit again on the same values: never retried in parallel.
 NOT_RETRYABLE = frozenset({"LinAlgError", "NotPositiveDefiniteError"})
-
-
-@dataclass(frozen=True)
-class RecoveryPolicy:
-    """What the callers of :func:`recover` differ in."""
-
-    #: Parallel attempts a job gets before the last resort.
-    attempts: int
-    #: True: every rank in a retried job's ``failed_ranks`` is lost to the
-    #: crew, a merely *raising* one too (a one-shot crew serves that job
-    #: alone). False: only dead processes are (a resident crew).
-    raising_rank_is_casualty: bool
 
 
 @dataclass
@@ -182,35 +166,24 @@ def _harvest_checkpoint(out: JobOutcome, tg: TaskGraph,
     return len(checkpoint) - before
 
 
-def settle(pool: WorkerPool, policy: RecoveryPolicy,
-           retry: JobOutcome | None = None) -> bool:
+def settle(pool: WorkerPool) -> bool:
     """Settle with the pool after a job; returns whether the crew was
-    replaced by a fresh one on the survivors. ``retry`` is the failed
-    outcome about to run again. A one-shot crew is healed exactly when
-    there is one, by its ``failed_ranks`` (with nothing to retry its
-    caller closes it); a resident one whenever the job broke it
-    (``last_error``), by its dead processes."""
-    if policy.raising_rank_is_casualty:
-        if retry is None:
-            return False
-        lost = max(1, len(set(retry.failed_ranks)))
-    elif pool.last_error is None:
+    replaced. It is, exactly when the job broke it (``last_error``): on
+    the survivors of a process death, at the same width after a timeout.
+    A rank that merely raised poisoned only its job and stays."""
+    if pool.last_error is None:
         return False
-    else:
-        lost = None  # heal()'s own count
     old = pool.nprocs
-    pool.heal(lost)
+    pool.heal()
     log.warning("healed the pool: %d -> %d workers (generation %d): %s",
-                old, pool.nprocs, pool.generation,
-                pool.last_error or "ranks failed")
+                old, pool.nprocs, pool.generation, pool.last_error)
     return True
 
 
-def recover(pool: WorkerPool, job: RecoveryJob, make_spec,
-            policy: RecoveryPolicy, timeout_s: float,
-            settled=None) -> RecoveryJob:
-    """Run ``job`` on ``pool`` until it finishes or is out of parallel
-    attempts, and return it.
+def recover(pool: WorkerPool, job: RecoveryJob, make_spec, attempts: int,
+            timeout_s: float, settled=None) -> RecoveryJob:
+    """Run ``job`` on ``pool`` until it finishes or is out of its
+    ``attempts`` parallel attempts, and return it.
 
     ``make_spec(attempt)`` returns the attempt's
     :class:`~repro.runtime.pool.PoolJob`, kept as ``job.shipped``; owners
@@ -221,7 +194,7 @@ def recover(pool: WorkerPool, job: RecoveryJob, make_spec,
     ``report.ok`` nor an expired ``outcome`` is owed the last resort.
     """
     plan = job.plan
-    for attempt in range(policy.attempts):
+    for attempt in range(attempts):
         width = pool.nprocs
         # Only the map depends on the width; an arena's layout does not.
         if plan.planned_nprocs != width:
@@ -258,14 +231,11 @@ def recover(pool: WorkerPool, job: RecoveryJob, make_spec,
                 out.results[r].metrics.error_type in NOT_RETRYABLE
                 for r in out.failed_ranks if r in out.results
             )
-        # Ranks are shed only for an attempt that will follow.
-        again = retry and attempt + 1 < policy.attempts
-        healed = settle(pool, policy, out if again else None)
+        healed = settle(pool)
         go = settled is None or settled(healed)
-        if not (again and go):
+        if not (retry and attempt + 1 < attempts and go):
             break
-    # A job still owed a retry leaves on the crew as it settled.
-    return job._leave(pool.nprocs if retry else width, outcome)
+    return job._leave(width, outcome)
 
 
 def last_resort(job: RecoveryJob) -> tuple[BlockCholesky, RuntimeMetrics]:
@@ -282,15 +252,16 @@ def last_resort(job: RecoveryJob) -> tuple[BlockCholesky, RuntimeMetrics]:
     return factor, RuntimeMetrics(1, wall_s, [], SEQUENTIAL_MAPPING)
 
 
-def run_job(pool: WorkerPool, plan: PatternPlan, A, policy: RecoveryPolicy,
-            seqs, *, rhs=None, fault_plan: FaultPlan | None = None,
+def run_job(pool: WorkerPool, plan: PatternPlan, A, attempts: int, seqs, *,
+            rhs=None, fault_plan: FaultPlan | None = None,
             recovery=False, checkpoint=None,
             fallback_sequential=True) -> MPRuntimeResult:
     """Factor ``A`` (permuted csc) on ``pool``, regrown and started first:
-    :func:`recover` over ``plan``'s job, numbered from ``seqs``, each
-    attempt with ``fault_plan``'s faults for it, the integrity protocol
-    when ``recovery`` and the ``checkpoint`` frames given plus those
-    earlier attempts salvaged (``rhs`` appends the distributed solve).
+    :func:`recover` over ``plan``'s job for ``attempts`` parallel attempts
+    numbered from ``seqs``, each with ``fault_plan``'s faults for it, the
+    integrity protocol when ``recovery`` and the ``checkpoint`` frames
+    given plus those earlier attempts salvaged (``rhs`` appends the
+    distributed solve).
     Returns the last attempt's result, or the :func:`last_resort`'s (no
     ``solution``; what it raises propagates), or — ``fallback_sequential``
     off — raises the attempt's typed error. Either carries the job's
@@ -309,10 +280,9 @@ def run_job(pool: WorkerPool, plan: PatternPlan, A, policy: RecoveryPolicy,
             checkpoint=job.checkpoint or None,
         )
 
-    recover(pool, job, spec, policy, plan.config.timeout_s)
+    recover(pool, job, spec, attempts, plan.config.timeout_s)
     if report.ok or not fallback_sequential:
-        res = job_result(plan, job.shipped, job.outcome, pool, launch_s,
-                         report)
+        res = job_result(plan, job.shipped, job.outcome, launch_s, report)
         report.recovery_events = res.metrics.recovery_events_total
         report.faults_injected = res.metrics.faults_injected_total
     else:
@@ -326,52 +296,3 @@ def run_job(pool: WorkerPool, plan: PatternPlan, A, policy: RecoveryPolicy,
         # whole multi-attempt story.
         res.trace = RunTrace.concat([*job.traces, res.trace])
     return res
-
-
-def run_on_temporary_pool(plan: PatternPlan, A, policy: RecoveryPolicy,
-                          **kwargs) -> MPRuntimeResult:
-    """:func:`run_job` (``kwargs`` are its keywords) on a crew of
-    ``plan.config.nprocs`` that lives for this call: every child is reaped
-    and the plan's arena unlinked on success, failure or deadlock."""
-    pool = WorkerPool(plan.config.nprocs)
-    try:
-        return run_job(pool, plan, A, policy, itertools.count(), **kwargs)
-    finally:
-        pool.close()
-        plan.destroy()
-
-
-def run_with_recovery(
-    structure: BlockStructure,
-    A: sparse.spmatrix,
-    tg: TaskGraph,
-    config: RunConfig | None = None,
-    *,
-    fault_plan: FaultPlan | None = None,
-    fallback_sequential: bool = True,
-    **overrides,
-) -> MPRuntimeResult:
-    """Factor ``A`` in parallel, restarting on failure, degrading last.
-
-    Runs under a :class:`~repro.config.RunConfig` (``config`` and/or
-    keyword overrides): one crew of ``nprocs`` workers (and one arena)
-    serves every attempt, healed onto the survivors in between; the
-    placement group plans each attempt, ``max_restarts`` bounds them.
-    Every attempt runs the in-run integrity protocol (a dead process's
-    survivors ship checkpoints) and resumes from the blocks earlier ones
-    completed (:func:`run_on_temporary_pool`).
-    Returns an :class:`MPRuntimeResult` whose ``failure_report`` is always
-    populated. Raises the last attempt's
-    :class:`~repro.runtime.engine.FanoutError` (carrying the report) if
-    ``fallback_sequential`` is disabled and every parallel attempt failed,
-    and whatever the sequential fallback raises.
-    """
-    config = RunConfig.of(config, overrides)
-    A = A.tocsc()
-    policy = RecoveryPolicy(attempts=config.max_restarts + 1,
-                            raising_rank_is_casualty=True)
-    return run_on_temporary_pool(
-        PatternPlan.create(structure, tg, config), A, policy,
-        fault_plan=fault_plan, recovery=True,
-        fallback_sequential=fallback_sequential,
-    )

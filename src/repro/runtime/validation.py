@@ -29,7 +29,7 @@ from repro.analysis.comm_volume import communication_volume
 from repro.blocks.structure import BlockStructure
 from repro.fanout.tasks import TaskGraph
 from repro.numeric.blockfact import BlockCholesky
-from repro.runtime.engine import MPRuntimeResult, mp_block_cholesky
+from repro.runtime.engine import MPRuntimeResult
 
 
 class ValidationError(AssertionError):
@@ -88,21 +88,19 @@ def validate_runtime(
     structure: BlockStructure,
     A: sparse.spmatrix,
     tg: TaskGraph,
+    result: MPRuntimeResult,
     tolerance: float = 1e-8,
     strict: bool = True,
     problem: str = "",
-    result: MPRuntimeResult | None = None,
     faulty: bool = False,
-    **runtime_kwargs,
 ) -> ValidationReport:
-    """Run the message-passing runtime and check it against the models.
+    """Check a message-passing execution of ``A`` against the models.
 
-    Pass ``result`` to validate an execution you already have (its
-    ``owners`` must come from the same task graph); otherwise one is run
-    through :func:`~repro.runtime.engine.mp_block_cholesky` under
-    ``runtime_kwargs`` (a ``config`` and/or knobs by keyword). With ``strict`` (the
-    default), any mismatch raises :class:`ValidationError`; otherwise the
-    failures are listed in the returned report.
+    ``result`` is the execution (``run_mp_fanout``'s, or a
+    ``SparseCholesky(backend="mp")`` job's); its ``owners`` must come from
+    ``tg``. With ``strict`` (the default), any mismatch raises
+    :class:`ValidationError`; otherwise the failures are listed in the
+    returned report.
 
     ``faulty`` marks an execution that ran under fault injection: the
     numeric checks still apply in full, but the exact message/byte/work
@@ -112,8 +110,6 @@ def validate_runtime(
     interconnect never triggers the recovery machinery.
     """
     wm = tg.workmodel
-    if result is None:
-        result = mp_block_cholesky(structure, A, tg, **runtime_kwargs)
     owners = result.owners
     nprocs = result.metrics.nprocs
 

@@ -74,6 +74,12 @@ POLL_S = 0.002
 DRAIN_EVERY = 16
 #: Retransmits of one block to one requester before NACKs are ignored.
 RETRANSMIT_LIMIT = 5
+#: A starved worker's renegotiation backoff (``recovery`` jobs only): the
+#: first NACK round's delay in seconds, the delay's ceiling, and the rounds
+#: before it gives up.
+RENEGOTIATE_BASE_S = 0.05
+RENEGOTIATE_CAP_S = 0.5
+MAX_RENEGOTIATIONS = 6
 
 
 class _Abort(Exception):
@@ -776,13 +782,11 @@ class Worker:
             return
         if last_progress > self._last_reneg:
             self._reneg_attempts = 0
-        delay = min(
-            self.config.renegotiate_base_s * (2.0 ** self._reneg_attempts),
-            self.config.renegotiate_cap_s,
-        )
+        delay = min(RENEGOTIATE_BASE_S * 2.0 ** self._reneg_attempts,
+                    RENEGOTIATE_CAP_S)
         if now - max(last_progress, self._last_reneg) <= delay:
             return
-        if self._reneg_attempts >= self.config.max_renegotiations:
+        if self._reneg_attempts >= MAX_RENEGOTIATIONS:
             missing = sorted(self.expected)[:8]
             raise RuntimeError(
                 f"worker {self.rank} unrecoverable: "

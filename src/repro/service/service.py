@@ -43,7 +43,6 @@ from repro.runtime.recovery import (
     OUTCOME_CLEAN,
     OUTCOME_DEGRADED,
     RecoveryJob,
-    RecoveryPolicy,
     last_resort,
     recover,
     settle,
@@ -136,11 +135,6 @@ class FactorService:
         self.cache = PatternCache(cache_capacity)
         self.metrics = ServiceMetrics()
         self.default_deadline_s = default_deadline_s
-        #: A resident crew keeps a rank that merely raised (only its job
-        #: is retried); dead processes are what a heal sheds.
-        self.policy = RecoveryPolicy(
-            self.config.max_restarts + 1, raising_rank_is_casualty=False
-        )
         self.breaker = CircuitBreaker(breaker_threshold, breaker_cooldown_s)
         #: Deterministic chaos injection: ``fault_plan`` is attached to
         #: the jobs whose dispatch index (0-based, in admission order) is
@@ -493,8 +487,8 @@ class FactorService:
             # is the only safe point. The loop re-plans owners for the
             # restored width exactly as it re-planned for the shrink.
             self.pool.regrow()
-            recover(self.pool, p, spec, self.policy, self.config.timeout_s,
-                    self._pool_settled)
+            recover(self.pool, p, spec, self.config.max_restarts + 1,
+                    self.config.timeout_s, self._pool_settled)
         self._finish_job(queued, record, p)
 
     def _run_solve(self, queued: _Queued, record: JobRecord) -> None:
@@ -520,7 +514,7 @@ class FactorService:
                 fault_plan=job.fault_plan,
             )
             out = self.pool.run(spec, self.config.timeout_s)
-            self._pool_settled(settle(self.pool, self.policy))
+            self._pool_settled(settle(self.pool))
             if out.ok:
                 record.run_s = out.wall_s
                 try:

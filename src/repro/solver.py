@@ -39,6 +39,7 @@ from repro.machine.params import PARAGON, MachineParams
 from repro.mapping import named_map
 from repro.mapping.balance import overall_balance_from_owners
 from repro.numeric import BlockCholesky, solve_with_factor
+from repro.numeric.solve import permute_rhs
 from repro.matrices.spd import symmetric_csc
 from repro.ordering import resolve_ordering
 from repro.runtime.faults import FaultPlan
@@ -83,11 +84,12 @@ class SparseCholesky:
         A :class:`repro.runtime.faults.FaultPlan` for the ``"mp"``
         backend (anything else raises ``TypeError`` before any analysis).
         When given, the factorization runs under the chaos layer with
-        integrity checking, bounded restart, and the sequential fallback;
-        the structured outcome lands in :attr:`failure_report`.
+        integrity checking. Every ``"mp"`` factor has bounded restart and
+        the sequential fallback.
 
     After an ``"mp"`` :meth:`factor`, per-worker metrics land in
-    :attr:`runtime_metrics` and (with ``trace``) the merged
+    :attr:`runtime_metrics`, the job's structured recovery outcome in
+    :attr:`failure_report` and (with ``trace``) the merged
     :class:`repro.runtime.trace.RunTrace` in :attr:`run_trace`. The first
     ``"mp"`` job plans the pattern and starts a crew of worker processes;
     the instance keeps both, so a re-factor ships values only. Release
@@ -121,8 +123,9 @@ class SparseCholesky:
         #: ``(plan, pool, seqs, release)`` of the ``"mp"`` crew, from the
         #: first job until :meth:`close`.
         self._crew = None
-        #: Structured recovery outcome of the last ``"mp"`` factorization
-        #: run under a fault plan (None otherwise).
+        #: Structured recovery outcome (a
+        #: :class:`~repro.runtime.recovery.FailureReport`) of the last
+        #: ``"mp"`` factorization.
         self.failure_report = None
         perm = self._resolve_ordering(A, config.ordering)
         self.symbolic = symbolic_factor(A, perm)
@@ -158,14 +161,13 @@ class SparseCholesky:
             self._taskgraph = TaskGraph(self.workmodel)
         return self._taskgraph
 
-    def _run_mp(self, rhs: np.ndarray | None = None):
-        """One ``"mp"`` job on the instance's crew, planned and started by
-        the first (``rhs``, already permuted, appends the distributed
-        solve): the service's warm path — regrow, the recovery loop under
-        the resident policy, the sequential last resort."""
+    def _run_mp(self):
+        """One ``"mp"`` factor job on the instance's crew, planned and
+        started by the first: the service's warm path — regrow, the
+        recovery loop, the sequential last resort."""
         from repro.runtime.engine import PatternPlan
         from repro.runtime.pool import WorkerPool
-        from repro.runtime.recovery import RecoveryPolicy, run_job
+        from repro.runtime.recovery import run_job
 
         config, faults = self.config, self.fault_plan
         if self._crew is None:
@@ -178,13 +180,10 @@ class SparseCholesky:
             )
             self._crew = plan, pool, itertools.count(), release
         plan, pool, seqs, _ = self._crew
-        policy = RecoveryPolicy(config.max_restarts + 1,
-                                raising_rank_is_casualty=False)
-        result = run_job(pool, plan, self.symbolic.A, policy, seqs, rhs=rhs,
-                         fault_plan=faults, recovery=faults is not None)
+        result = run_job(pool, plan, self.symbolic.A, config.max_restarts + 1,
+                         seqs, fault_plan=faults, recovery=faults is not None)
         self.runtime_metrics, self.run_trace = result.metrics, result.trace
-        if faults is not None:
-            self.failure_report = result.failure_report
+        self.failure_report = result.failure_report
         return result
 
     def close(self) -> None:
@@ -222,15 +221,9 @@ class SparseCholesky:
 
         Accepts a single vector or an ``n x nrhs`` panel of right-hand
         sides (multi-RHS solves batch into block-column panels, not
-        ``nrhs`` separate sweeps). The route depends on the backend:
-
-        * ``"mp"``, not yet factored: one combined distributed run —
-          factor then the distributed triangular solve, the factor blocks
-          never leaving the workers that computed them (see
-          ``docs/SOLVING.md``);
-        * otherwise (and for corrections): the sequential block
-          substitution path on the held factor, which is the bitwise
-          reference for the route above.
+        ``nrhs`` separate sweeps) by block substitution on the held
+        factor. An ``"mp"`` instance not yet factored checks ``b`` and
+        then runs :meth:`factor` first.
 
         ``refine`` adds that many steps of iterative refinement
         (``r = b - A x``; ``x += solve(r)``). The max-abs residual is
@@ -241,9 +234,9 @@ class SparseCholesky:
             raise ValueError("refine must be non-negative")
         b = np.asarray(b, dtype=np.float64)
         if self.backend == "mp" and self._numeric is None:
-            x = self._solve_distributed(b)
-        else:
-            x = self._base_solve(b)
+            permute_rhs(b, self.A.shape[0], None)  # refused before a spawn
+            self.factor()
+        x = self._base_solve(b)
         residuals = [self._residual(b, x)]
         for _ in range(refine):
             r = b - self.A @ x
@@ -257,25 +250,10 @@ class SparseCholesky:
         return float(np.max(np.abs(b - self.A @ x)))
 
     def _base_solve(self, b: np.ndarray) -> np.ndarray:
-        """Sequential block substitution on the held factor (the
-        distributed solve's bitwise reference)."""
+        """Sequential block substitution on the held factor."""
         if self._numeric is None:
             raise RuntimeError("call factor() first")
         return solve_with_factor(self._numeric, b, self.symbolic.ordering)
-
-    def _solve_distributed(self, b: np.ndarray) -> np.ndarray:
-        """Combined distributed factor+solve in a single ``"mp"`` runtime
-        launch (used when :meth:`solve` is called before :meth:`factor`):
-        the factor stays distributed and only RHS fragments travel."""
-        from repro.numeric.solve import permute_rhs
-
-        pb, restore = permute_rhs(b, self.A.shape[0], self.symbolic.ordering)
-        result = self._run_mp(rhs=pb.reshape(pb.shape[0], -1))
-        self._L = result.factor.to_csc()
-        self._numeric = result.factor
-        if result.solution is None:  # the sequential last resort ran
-            return self._base_solve(b)
-        return restore(result.solution)
 
     # ------------------------------------------------------------------
     def plan_parallel(

@@ -81,3 +81,26 @@ def dense_cholesky_reference(A):
     """Dense lower Cholesky of a (sparse or dense) SPD matrix."""
     Ad = A.toarray() if hasattr(A, "toarray") else np.asarray(A)
     return np.linalg.cholesky(Ad)
+
+
+def mp_fanout(structure, A, tg, nprocs, mapping="DW/CY", use_domains=False,
+              **kwargs):
+    """``run_mp_fanout`` on the block map ``plan_owners`` plans for
+    ``mapping``; ``kwargs`` are its other arguments and knobs."""
+    from repro.runtime import plan_owners, run_mp_fanout
+
+    owners, name = plan_owners(tg.workmodel, tg, nprocs, mapping, use_domains)
+    return run_mp_fanout(structure, A, tg, owners, nprocs, mapping=name,
+                         **kwargs)
+
+
+def facade_job(A, **knobs):
+    """One fault-tolerant factor job of the already permuted ``A`` through
+    ``SparseCholesky(backend="mp")`` under the natural ordering and B = 8
+    (so ``grid12_pipeline``'s ``sf.A`` gets its structure back): the job's
+    ``MPRuntimeResult``, with the instance's crew released."""
+    from repro.solver import SparseCholesky
+
+    with SparseCholesky(A, ordering="natural", block_size=8, backend="mp",
+                        **knobs) as chol:
+        return chol._run_mp()

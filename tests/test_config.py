@@ -29,7 +29,6 @@ PARENT_DEFAULTS = dict(
     max_width=None, nprocs=4, mapping="DW/CY", use_domains=False,
     transport="auto", schedule="static", steal_seed=0, trace=None,
     timeout_s=300.0, stall_timeout_s=30.0, max_restarts=2,
-    renegotiate_base_s=0.2, renegotiate_cap_s=2.0, max_renegotiations=8,
 )
 
 #: One valid non-default value per field. A new field without an entry
@@ -39,7 +38,6 @@ OTHER = dict(
     max_width=64, nprocs=3, mapping="ID/CY", use_domains=True,
     transport="inline", schedule="dynamic", steal_seed=7, trace=True,
     timeout_s=60.0, stall_timeout_s=5.0, max_restarts=1,
-    renegotiate_base_s=0.05, renegotiate_cap_s=0.5, max_renegotiations=6,
 )
 
 #: Values `__post_init__` must refuse, per field.
@@ -59,9 +57,6 @@ INVALID = dict(
     timeout_s=[-1.0, None, "300"],
     stall_timeout_s=[-0.1, None],
     max_restarts=[-1, 0.5],
-    renegotiate_base_s=[-0.2, None],
-    renegotiate_cap_s=[-2.0],
-    max_renegotiations=[-1, 1.5],
 )
 
 #: The misconfigurations ISSUE 17 names: accepted by a constructor at the
@@ -224,13 +219,27 @@ class TestDefaults:
     def test_runconfig_defaults_are_the_parents(self):
         assert dataclasses.asdict(RunConfig()) == PARENT_DEFAULTS
 
-    def test_facade_defaults(self, A):
+    def test_facade_defaults(self, A, monkeypatch):
+        from repro.runtime.pool import JobOutcome
+
         assert SparseCholesky(A).config == RunConfig()
         svc = FactorService()
+        # No crew: every attempt fails at once, so a job spends its whole
+        # budget of parallel attempts before the sequential last resort.
+        runs = []
+        monkeypatch.setattr(svc.pool, "start", lambda: svc.pool)
+        monkeypatch.setattr(svc.pool, "run", lambda job, timeout_s: (
+            runs.append(job.seq)
+            or JobOutcome(job.seq, error="refused", aborted=True)
+        ))
         try:
             assert svc.config == RunConfig(nprocs=2)
             assert svc.nprocs == 2 and svc.config.timeout_s == 300.0
-            assert svc.policy.attempts == svc.config.max_restarts + 1 == 3
+            record = svc.factor(A).record
+            assert (record.outcome, record.attempts) == (
+                "degraded_sequential", svc.config.max_restarts + 1
+            )
+            assert len(runs) == 3
         finally:
             svc.close()
         assert _no_children()
@@ -296,11 +305,7 @@ class TestCommandLine:
 # ----------------------------------------------------------------------
 # (e) locality: nobody else declares these knobs
 # ----------------------------------------------------------------------
-LOCAL = {
-    "steal_seed", "renegotiate_base_s", "renegotiate_cap_s",
-    "max_renegotiations", "min_width", "max_width", "stall_timeout_s",
-    "schedule",
-}
+LOCAL = {"steal_seed", "min_width", "max_width", "stall_timeout_s", "schedule"}
 
 #: (module, qualified name, parameter/field) -> why it may stay.
 EXEMPT = {
@@ -356,7 +361,6 @@ def test_only_runconfig_declares_the_threaded_knobs():
 
 def test_the_deleted_threading_is_gone():
     from repro.runtime.pool import PatternContext, PoolJob
-    from repro.runtime.recovery import run_with_recovery
     from repro.service.cache import PatternEntry
 
     assert not hasattr(FactorService, "_knobs")
@@ -365,7 +369,6 @@ def test_the_deleted_threading_is_gone():
     assert not names(PatternEntry) & {"schedule", "steal_seed", "block_policy"}
     assert not names(PatternContext) & {"schedule", "steal_seed"}
     assert not names(PoolJob) & LOCAL
-    assert "plan_cache" not in inspect.signature(run_with_recovery).parameters
     for cls in (PatternEntry, PatternContext):
         assert names(cls) >= {"config"}
 
@@ -432,13 +435,34 @@ def test_the_runtime_surface_is_exactly_this():
 
 def test_retired_entry_points_stay_gone():
     """An in-process service is called directly, a fault plan is built in
-    Python, and a trace is read through ``events`` / ``per_worker``."""
+    Python, and a trace is read through ``events`` / ``per_worker``. A
+    fault-tolerant factor is ``SparseCholesky(backend="mp")``, whose
+    unfactored ``solve`` factors and then solves on the driver; the
+    measurement path is ``run_mp_fanout``; the recovery loop has one
+    crew-shrink rule; the renegotiation backoff is the worker's; and
+    ``validate_runtime`` checks a run it is given."""
+    import repro.runtime.recovery as recovery
     from repro.runtime.faults import FaultPlan
     from repro.runtime.trace import RunTrace
 
     for name in ("to_dict", "from_dict", "to_json", "from_json"):
         assert not hasattr(FaultPlan, name), name
     assert not hasattr(RunTrace, "select")
+    for name in ("run_with_recovery", "mp_block_cholesky"):
+        assert not hasattr(repro.runtime, name), name
+        assert name not in repro.runtime.__all__, name
+    for name in ("RecoveryPolicy", "run_on_temporary_pool",
+                 "run_with_recovery"):
+        assert not hasattr(recovery, name), name
+    assert not hasattr(SparseCholesky, "_solve_distributed")
+    assert "rhs" not in inspect.signature(SparseCholesky._run_mp).parameters
+    for name in ("renegotiate_base_s", "renegotiate_cap_s",
+                 "max_renegotiations"):
+        assert name not in FIELDS, name
+    result = inspect.signature(repro.runtime.validate_runtime).parameters[
+        "result"
+    ]
+    assert result.default is inspect.Parameter.empty
 
 
 def test_worker_metrics_load_a_dump_with_a_legacy_timeline():

@@ -20,15 +20,17 @@ from repro.runtime.metrics import WorkerMetrics
 from repro.runtime.pool import JobOutcome, PoolJob, WorkerPool
 from repro.runtime.recovery import (
     RecoveryJob,
-    RecoveryPolicy,
     last_resort,
     recover,
     settle,
 )
 from repro.runtime.worker import WorkerResult
 
-ONE_SHOT = dict(raising_rank_is_casualty=True)
-RESIDENT = dict(raising_rank_is_casualty=False)
+#: The attempt budgets of the recovery loop's callers: ``run_mp_fanout``
+#: and a resident crew (the façade's, the service's) at the default
+#: ``max_restarts``.
+ONE_CALL = dict(attempts=1)
+RESIDENT = dict(attempts=3)
 
 
 class ScriptedPool(WorkerPool):
@@ -95,6 +97,7 @@ def died(rank=1):
         return JobOutcome(
             job.seq, {0: _result(0, aborted=True)},
             error=pool.last_error, aborted=True, failed_ranks=[rank],
+            broke=pool.last_error, died=True,
         )
 
     return step
@@ -105,7 +108,7 @@ def stalled(pool, job):
     pool.last_error = "pool job timeout after 1s"
     return JobOutcome(
         job.seq, {}, error=pool.last_error, aborted=True,
-        failed_ranks=list(range(pool.nprocs)),
+        failed_ranks=list(range(pool.nprocs)), broke=pool.last_error,
     )
 
 
@@ -130,7 +133,7 @@ def make_job(grid12_pipeline):
     return make
 
 
-def _run(pool, job, attempts, settled=None, **policy):
+def _run(pool, job, attempts, settled=None):
     seqs = iter(range(1000))
 
     def spec(attempt):
@@ -139,10 +142,7 @@ def _run(pool, job, attempts, settled=None, **policy):
         assert int(job.plan.owners.max()) < pool.nprocs
         return PoolJob(next(seqs), "p", None)
 
-    left = recover(
-        pool, job, spec, RecoveryPolicy(attempts=attempts, **policy),
-        60.0, settled,
-    )
+    left = recover(pool, job, spec, attempts, 60.0, settled)
     # the job comes back, holding the PoolJob its last attempt shipped
     assert left is job and job.shipped.seq == pool.runs[-1][1]
     return job
@@ -151,7 +151,7 @@ def _run(pool, job, attempts, settled=None, **policy):
 class TestBudgetAndOutcomes:
     def test_clean_first_attempt(self, make_job):
         pool = ScriptedPool(4, ok)
-        job = _run(pool, make_job(), 3, **ONE_SHOT)
+        job = _run(pool, make_job(), 3)
         rep = job.report
         assert job.report.ok and rep.outcome == "clean"
         assert (rep.restarts, rep.final_nprocs, rep.attempts) == (0, 4, [])
@@ -161,7 +161,7 @@ class TestBudgetAndOutcomes:
     def test_ok_on_attempt_k_is_recovered(self, make_job, k, caplog):
         caplog.set_level(logging.INFO, logger="repro.runtime.recovery")
         pool = ScriptedPool(4, *[raising()] * k, ok)
-        job = _run(pool, make_job("J7"), 3, **RESIDENT)
+        job = _run(pool, make_job("J7"), 3)
         rep = job.report
         assert job.report.ok and rep.outcome == "recovered"
         assert rep.restarts == k == len(rep.attempts)
@@ -176,7 +176,7 @@ class TestBudgetAndOutcomes:
         caplog.set_level(logging.INFO, logger="repro.runtime.recovery")
         _, sf, _, bs, _, _ = grid12_pipeline
         pool = ScriptedPool(4, raising(), raising())
-        job = _run(pool, make_job("J1"), 2, **RESIDENT)
+        job = _run(pool, make_job("J1"), 2)
         rep = job.report
         assert not job.report.ok and not job.outcome.expired
         assert rep.outcome == "degraded_sequential" and not rep.ok
@@ -199,17 +199,16 @@ class TestBudgetAndOutcomes:
 
     def test_expired_is_never_retried(self, make_job):
         pool = ScriptedPool(4, expired)
-        job = _run(pool, make_job(), 3, **RESIDENT)
+        job = _run(pool, make_job(), 3)
         assert not job.report.ok and job.outcome.expired
         assert len(pool.runs) == 1 and len(job.report.attempts) == 1
         assert pool.generation == 1
 
-    @pytest.mark.parametrize("policy", [ONE_SHOT, RESIDENT])
     def test_deterministic_error_gets_one_attempt_and_no_heal(
-        self, make_job, policy
+        self, make_job
     ):
         pool = ScriptedPool(4, raising(error_type="LinAlgError"))
-        job = _run(pool, make_job(), 3, **policy)
+        job = _run(pool, make_job(), 3)
         rep = job.report
         assert not job.report.ok and rep.outcome == "degraded_sequential"
         assert len(pool.runs) == 1 and len(rep.attempts) == 1
@@ -238,7 +237,7 @@ class TestHarvest:
         pool = ScriptedPool(
             4, raising(frames=frames), raising(frames=[frame(0, src=3)])
         )
-        job = _run(pool, make_job(), 2, **RESIDENT)
+        job = _run(pool, make_job(), 2)
         assert sorted(job.checkpoint) == [0, 2]
         assert job.checkpoint[0] == frame(0)
         assert [a.checkpoint_blocks for a in job.report.attempts] == [2, 0]
@@ -246,63 +245,59 @@ class TestHarvest:
 
 
 class TestCrewShrinkRule:
-    def test_raising_rank_shrinks_a_one_shot_crew(self, make_job, caplog):
-        caplog.set_level(logging.WARNING, logger="repro.runtime.recovery")
-        pool = ScriptedPool(4, raising(), ok)
-        job = _run(pool, make_job(), 3, **ONE_SHOT)
-        assert job.report.outcome == "recovered"
-        assert [w for w, _ in pool.runs] == [4, 3]
-        assert (pool.generation, job.report.final_nprocs) == (2, 3)
-        heals = [r.getMessage() for r in caplog.records if "healed" in r.msg]
-        assert len(heals) == 1 and "4 -> 3 workers (generation 2)" in heals[0]
+    """One rule for every crew: a rank that merely raised stays, a dead
+    process is shed, whether another attempt follows or not."""
 
     def test_raising_rank_stays_in_a_resident_crew(self, make_job):
         pool = ScriptedPool(4, raising(), ok)
-        job = _run(pool, make_job(), 3, **RESIDENT)
+        job = _run(pool, make_job(), 3)
         assert job.report.outcome == "recovered"
         assert [w for w, _ in pool.runs] == [4, 4]
         assert pool.generation == 1
 
-    @pytest.mark.parametrize("policy", [ONE_SHOT, RESIDENT])
-    def test_dead_process_shrinks_either_crew(self, make_job, policy):
+    @pytest.mark.parametrize("policy", [ONE_CALL, RESIDENT])
+    def test_dead_process_shrinks_either_crew(self, make_job, caplog,
+                                              policy):
+        """``run_mp_fanout``'s one-attempt crew is healed too (then
+        closed by its caller); a resident one retries on the survivors."""
+        caplog.set_level(logging.WARNING, logger="repro.runtime.recovery")
         pool = ScriptedPool(4, died(1), ok)
-        job = _run(pool, make_job(), 3, **policy)
-        assert [w for w, _ in pool.runs] == [4, 3]
+        job = _run(pool, make_job(), **policy)
+        assert [w for w, _ in pool.runs] == [4, 3][:policy["attempts"]]
+        assert (pool.generation, pool.nprocs) == (2, 3)
         assert job.report.attempts[0].failed_ranks == [1]
         assert "died" in job.report.attempts[0].error
+        heals = [r.getMessage() for r in caplog.records if "healed" in r.msg]
+        assert len(heals) == 1 and "4 -> 3 workers (generation 2)" in heals[0]
 
     def test_stall_restarts_a_resident_crew_at_the_same_width(self, make_job):
         pool = ScriptedPool(4, stalled, ok)
-        job = _run(pool, make_job(), 3, **RESIDENT)
+        job = _run(pool, make_job(), 3)
         assert [w for w, _ in pool.runs] == [4, 4]
         assert pool.generation == 2 and job.report.outcome == "recovered"
 
     def test_no_ranks_are_shed_for_an_attempt_that_will_not_follow(
         self, make_job
     ):
-        """Budget spent: a one-shot crew is left as the last attempt left
-        it — even broken, its caller closes it, so a fresh crew would be
-        spawned for nothing and ``last_error`` / the dead ranks stay there
-        to type the error. A broken resident crew is replaced whatever
-        follows: it serves the next job."""
+        """Budget spent: a crew a rank merely raised in is left alone; a
+        broken one is replaced whatever follows (it may serve the next
+        job), and the job reports the width its last attempt ran on."""
         pool = ScriptedPool(4, raising())
-        _run(pool, make_job(), 1, **ONE_SHOT)
+        job = _run(pool, make_job(), 1)
         assert (pool.generation, pool.nprocs) == (1, 4)
+        assert job.report.final_nprocs == 4
         pool = ScriptedPool(4, died(1), died(2))
-        _run(pool, make_job(), 2, **ONE_SHOT)
-        assert (pool.generation, pool.nprocs) == (2, 3)
-        assert pool.last_error is not None and pool.dead_ranks() == [2]
-        pool = ScriptedPool(4, died(2))
-        _run(pool, make_job(), 1, **RESIDENT)
-        assert (pool.generation, pool.nprocs) == (2, 3)
+        job = _run(pool, make_job(), 2)
+        assert (pool.generation, pool.nprocs) == (3, 2)
+        assert [w for w, _ in pool.runs] == [4, 3]
+        assert job.report.final_nprocs == 3
 
     def test_settle_alone(self):
         """What ``FactorService.solve`` calls after its warm solve job."""
-        policy = RecoveryPolicy(attempts=1, **RESIDENT)
         pool = ScriptedPool(2, ok)
-        assert settle(pool, policy) is False and pool.generation == 1
+        assert settle(pool) is False and pool.generation == 1
         died(1)(pool, PoolJob(0, "p", None))
-        assert settle(pool, policy) is True
+        assert settle(pool) is True
         assert (pool.generation, pool.nprocs) == (2, 1)
 
 
@@ -315,7 +310,7 @@ class TestCallerStop:
             return False
 
         pool = ScriptedPool(4, died(1), ok)
-        job = _run(pool, make_job(), 3, settled, **RESIDENT)
+        job = _run(pool, make_job(), 3, settled)
         assert heard == [True]
         assert len(pool.runs) == 1 and not job.report.ok
         assert job.report.outcome == "degraded_sequential"
@@ -325,28 +320,38 @@ class TestCallerStop:
     def test_predicate_hears_every_attempt(self, make_job):
         heard = []
         pool = ScriptedPool(4, raising(), died(1), ok)
-        _run(pool, make_job(), 3, lambda h: heard.append(h) or True,
-             **RESIDENT)
+        _run(pool, make_job(), 3, lambda h: heard.append(h) or True)
         assert heard == [False, True, False]
 
 
 class TestTypedError:
     def test_a_broken_pool_outranks_a_raising_rank(self):
         """:func:`~repro.runtime.engine.raise_failure`'s order, the one
-        every caller types a failed job by: a dead process or the job
-        timeout names the error even when a rank also raised; whatever is
-        raised carries the report it was given."""
+        every caller types a failed job by: what broke the crew — a dead
+        process or the job timeout — names the error even when a rank
+        also raised; whatever is raised carries the report it was given.
+        It reads the outcome only, so a crew healed in between (dead
+        ranks gone) types it the same."""
         pool = ScriptedPool(2)
         job = PoolJob(0, "p", None)
         out = raising(1)(pool, job)
         with pytest.raises(engine.WorkerError, match="boom on 1"):
-            engine.raise_failure(out, pool)
-        died(0)(pool, job)
+            engine.raise_failure(out)
+        out.broke, out.died = "pool worker process(es) died: ['w0']", True
         report = object()
-        with pytest.raises(engine.DeadWorkerError) as info:
-            engine.raise_failure(out, pool, report)
+        with pytest.raises(engine.DeadWorkerError, match="died") as info:
+            engine.raise_failure(out, report)
         assert info.value.failure_report is report
         assert info.value.failed_ranks == [1]
-        pool.dead = []
-        with pytest.raises(engine.RuntimeTimeoutError):
-            engine.raise_failure(out, pool)
+        out.broke, out.died = "pool job timeout after 1s", False
+        with pytest.raises(engine.RuntimeTimeoutError, match="timeout"):
+            engine.raise_failure(out)
+
+    def test_a_healed_crew_keeps_the_dead_workers_error(self, make_job):
+        """The last attempt's dead process is shed before the job's error
+        is typed; the error still names the death."""
+        pool = ScriptedPool(4, died(1))
+        job = _run(pool, make_job(), 1)
+        assert pool.dead_ranks() == [] and pool.nprocs == 3
+        with pytest.raises(engine.DeadWorkerError):
+            engine.raise_failure(job.outcome)

@@ -14,13 +14,13 @@ from repro.mapping.balance import overall_balance_from_owners
 from repro.numeric import BlockCholesky
 from repro.runtime import (
     WorkerError,
-    mp_block_cholesky,
     plan_owners,
     run_mp_fanout,
     validate_runtime,
 )
 from repro.runtime.faults import CrashSpec, FaultPlan
 from repro.runtime.validation import ValidationError
+from tests.conftest import mp_fanout
 
 
 def _no_orphans():
@@ -40,7 +40,7 @@ class TestCorrectness:
     @pytest.mark.parametrize("nprocs", [2, 4])
     def test_matches_sequential_factor(self, grid12_pipeline, mapping, nprocs):
         _, sf, _, bs, wm, tg = grid12_pipeline
-        res = mp_block_cholesky(bs, sf.A, tg, nprocs=nprocs, mapping=mapping)
+        res = mp_fanout(bs, sf.A, tg, nprocs=nprocs, mapping=mapping)
         L = res.to_csc()
         seq = BlockCholesky(bs, sf.A).factor().to_csc()
         assert abs(L @ L.T - sf.A).max() < 1e-10
@@ -49,18 +49,18 @@ class TestCorrectness:
 
     def test_single_worker(self, grid12_pipeline):
         _, sf, _, bs, wm, tg = grid12_pipeline
-        res = mp_block_cholesky(bs, sf.A, tg, nprocs=1, mapping="cyclic")
+        res = mp_fanout(bs, sf.A, tg, nprocs=1, mapping="cyclic")
         assert abs(res.to_csc() @ res.to_csc().T - sf.A).max() < 1e-10
         assert res.metrics.messages_total == 0
 
     def test_irregular_problem(self, random_spd_pipeline):
         _, sf, _, bs, wm, tg = random_spd_pipeline
-        res = mp_block_cholesky(bs, sf.A, tg, nprocs=4, mapping="ID/CY")
+        res = mp_fanout(bs, sf.A, tg, nprocs=4, mapping="ID/CY")
         assert abs(res.to_csc() @ res.to_csc().T - sf.A).max() < 1e-9
 
     def test_domains_ownership(self, grid12_pipeline):
         _, sf, _, bs, wm, tg = grid12_pipeline
-        res = mp_block_cholesky(
+        res = mp_fanout(
             bs, sf.A, tg, nprocs=4, mapping="DW/CY", use_domains=True
         )
         assert abs(res.to_csc() @ res.to_csc().T - sf.A).max() < 1e-10
@@ -80,7 +80,7 @@ class TestAccounting:
     @pytest.mark.parametrize("mapping", ["cyclic", "DW/CY"])
     def test_messages_match_comm_volume(self, grid12_pipeline, mapping):
         _, sf, _, bs, wm, tg = grid12_pipeline
-        res = mp_block_cholesky(bs, sf.A, tg, nprocs=4, mapping=mapping)
+        res = mp_fanout(bs, sf.A, tg, nprocs=4, mapping=mapping)
         predicted = communication_volume(tg, res.owners)
         assert res.metrics.messages_total == predicted.messages
         assert res.metrics.bytes_total == predicted.bytes
@@ -89,7 +89,7 @@ class TestAccounting:
 
     def test_work_matches_workmodel(self, grid12_pipeline):
         _, sf, _, bs, wm, tg = grid12_pipeline
-        res = mp_block_cholesky(bs, sf.A, tg, nprocs=4, mapping="DW/CY")
+        res = mp_fanout(bs, sf.A, tg, nprocs=4, mapping="DW/CY")
         measured = np.array(
             [w.work_executed for w in res.metrics.workers], dtype=np.int64
         )
@@ -106,7 +106,7 @@ class TestAccounting:
         per-worker work distribution beats (or ties) cyclic."""
         _, sf, _, bs, wm, tg = grid12_pipeline
         runs = {
-            m: mp_block_cholesky(bs, sf.A, tg, nprocs=4, mapping=m)
+            m: mp_fanout(bs, sf.A, tg, nprocs=4, mapping=m)
             for m in ("cyclic", "DW/CY")
         }
         assert (
@@ -116,9 +116,8 @@ class TestAccounting:
 
     def test_validation_harness_passes(self, grid12_pipeline):
         _, sf, _, bs, wm, tg = grid12_pipeline
-        rep = validate_runtime(
-            bs, sf.A, tg, nprocs=4, mapping="DW/CY", problem="grid12"
-        )
+        res = mp_fanout(bs, sf.A, tg, nprocs=4, mapping="DW/CY")
+        rep = validate_runtime(bs, sf.A, tg, res, problem="grid12")
         assert rep.ok
         assert rep.messages_measured == rep.messages_predicted
         assert "OK" in rep.summary()
@@ -127,7 +126,7 @@ class TestAccounting:
         """Validating a result against ownership it did not run under must
         fail the communication check."""
         _, sf, _, bs, wm, tg = grid12_pipeline
-        res = mp_block_cholesky(bs, sf.A, tg, nprocs=4, mapping="cyclic")
+        res = mp_fanout(bs, sf.A, tg, nprocs=4, mapping="cyclic")
         other, _ = plan_owners(wm, tg, 4, "DW/CY")
         if communication_volume(tg, other).messages == \
                 communication_volume(tg, res.owners).messages:
@@ -138,7 +137,7 @@ class TestAccounting:
 
     def test_metrics_timelines_recorded(self, grid12_pipeline):
         _, sf, _, bs, wm, tg = grid12_pipeline
-        res = mp_block_cholesky(bs, sf.A, tg, nprocs=2, mapping="cyclic")
+        res = mp_fanout(bs, sf.A, tg, nprocs=2, mapping="cyclic")
         for w in res.metrics.workers:
             assert w.tasks_executed > 0
             assert w.busy_s > 0
@@ -152,7 +151,7 @@ class TestShutdown:
     def test_injected_worker_failure_raises_and_reaps(self, grid12_pipeline):
         _, sf, _, bs, wm, tg = grid12_pipeline
         with pytest.raises(WorkerError, match="injected failure"):
-            mp_block_cholesky(
+            mp_fanout(
                 bs, sf.A, tg, nprocs=4, mapping="cyclic",
                 **_soft_crash(1, 3), stall_timeout_s=10, timeout_s=60,
             )
@@ -183,7 +182,7 @@ class TestShutdown:
         _, sf, _, bs, wm, tg = grid12_pipeline
         bad = (sf.A - sparse.eye(sf.A.shape[0]) * 1e6).tocsc()
         with pytest.raises(WorkerError, match="NotPositiveDefiniteError"):
-            mp_block_cholesky(
+            mp_fanout(
                 bs, bad, tg, nprocs=4, mapping="cyclic",
                 stall_timeout_s=10, timeout_s=60,
             )
@@ -290,7 +289,7 @@ class TestShutdown:
 
     def test_success_leaves_no_orphans(self, grid12_pipeline):
         _, sf, _, bs, wm, tg = grid12_pipeline
-        mp_block_cholesky(bs, sf.A, tg, nprocs=2, mapping="cyclic")
+        mp_fanout(bs, sf.A, tg, nprocs=2, mapping="cyclic")
         assert _no_orphans()
 
     def test_worker_error_ships_remote_traceback(self, grid12_pipeline):
@@ -299,7 +298,7 @@ class TestShutdown:
         without attaching to a child process."""
         _, sf, _, bs, wm, tg = grid12_pipeline
         with pytest.raises(WorkerError) as info:
-            mp_block_cholesky(
+            mp_fanout(
                 bs, sf.A, tg, nprocs=4, mapping="cyclic",
                 **_soft_crash(2, 3), stall_timeout_s=10, timeout_s=60,
             )
@@ -317,7 +316,7 @@ class TestShutdown:
         least one of them saw the ABORT control frame."""
         _, sf, _, bs, wm, tg = grid12_pipeline
         with pytest.raises(WorkerError) as info:
-            mp_block_cholesky(
+            mp_fanout(
                 bs, sf.A, tg, nprocs=4, mapping="cyclic",
                 **_soft_crash(1, 3), stall_timeout_s=10, timeout_s=60,
             )

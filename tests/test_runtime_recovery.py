@@ -11,26 +11,20 @@ import pytest
 from repro.analysis.comm_volume import communication_volume
 from repro.numeric import BlockCholesky
 from repro.runtime import (
+    DeadWorkerError,
     FanoutError,
     FaultPlan,
     RuntimeTimeoutError,
     WorkerError,
-    mp_block_cholesky,
     plan_owners,
     run_mp_fanout,
-    run_with_recovery,
     validate_runtime,
 )
 from repro.runtime import wire
+from tests.conftest import facade_job, mp_fanout
 
-#: Tight-but-safe recovery knobs for the tiny test problems.
-FAST = dict(
-    renegotiate_base_s=0.05,
-    renegotiate_cap_s=0.5,
-    max_renegotiations=6,
-    timeout_s=120.0,
-    stall_timeout_s=15.0,
-)
+#: Tight-but-safe watchdogs for the tiny test problems.
+FAST = dict(timeout_s=120.0, stall_timeout_s=15.0)
 
 
 def _no_orphans():
@@ -62,10 +56,8 @@ class TestEveryFaultClassRecovers:
         plan = FaultPlan.scenario(
             scenario, seed=3, rate=0.2, rank=min(1, nprocs - 1)
         )
-        res = run_with_recovery(
-            bs, sf.A, tg, nprocs=nprocs, mapping="DW/CY",
-            fault_plan=plan, **FAST,
-        )
+        res = facade_job(sf.A, nprocs=nprocs, mapping="DW/CY",
+                         fault_plan=plan, **FAST)
         rep = res.failure_report
         assert rep is not None and (rep.ok or rep.degraded)
         seq = _seq_factor(grid12_pipeline)
@@ -82,9 +74,8 @@ class TestFaultFreeOverhead:
         """recovery=True on a healthy interconnect: zero recovery events
         and the exact message/byte counts the static predictor promised."""
         _, sf, _, bs, _, tg = grid12_pipeline
-        res = mp_block_cholesky(
-            bs, sf.A, tg, nprocs=4, mapping="DW/CY", recovery=True
-        )
+        res = mp_fanout(bs, sf.A, tg, nprocs=4, mapping="DW/CY",
+                        recovery=True)
         m = res.metrics
         predicted = communication_volume(tg, res.owners)
         assert m.messages_total == predicted.messages
@@ -99,10 +90,8 @@ class TestFaultFreeOverhead:
 
     def test_empty_fault_plan_reports_clean(self, grid12_pipeline):
         _, sf, _, bs, _, tg = grid12_pipeline
-        res = run_with_recovery(
-            bs, sf.A, tg, nprocs=2, mapping="cyclic",
-            fault_plan=FaultPlan.scenario("none"), **FAST,
-        )
+        res = facade_job(sf.A, nprocs=2, mapping="cyclic",
+                         fault_plan=FaultPlan.scenario("none"), **FAST)
         rep = res.failure_report
         assert rep.outcome == "clean"
         assert rep.restarts == 0
@@ -116,10 +105,8 @@ class TestFaultFreeOverhead:
         (non-faulty) validation — recovery on a healthy fabric is a bug."""
         _, sf, _, bs, _, tg = grid12_pipeline
         plan = FaultPlan.scenario("duplicate", seed=1, rate=0.3)
-        res = run_with_recovery(
-            bs, sf.A, tg, nprocs=2, mapping="DW/CY",
-            fault_plan=plan, **FAST,
-        )
+        res = facade_job(sf.A, nprocs=2, mapping="DW/CY", fault_plan=plan,
+                         **FAST)
         if res.metrics.recovery_events_total == 0:
             pytest.skip("no duplicates materialized at this seed")
         rep = validate_runtime(
@@ -132,17 +119,17 @@ class TestCrashRestart:
     def test_transient_crash_restarts_on_fewer_workers(
         self, grid12_pipeline
     ):
+        """No longer on fewer workers: a rank that raised poisoned only
+        its job, so the crew keeps it and the retry runs on all four."""
         _, sf, _, bs, _, tg = grid12_pipeline
         plan = FaultPlan.scenario("crash", seed=0, after_tasks=3)
-        res = run_with_recovery(
-            bs, sf.A, tg, nprocs=4, mapping="DW/CY",
-            fault_plan=plan, **FAST,
-        )
+        res = facade_job(sf.A, nprocs=4, mapping="DW/CY", fault_plan=plan,
+                         **FAST)
         rep = res.failure_report
         assert rep.outcome == "recovered"
         assert rep.restarts == 1
-        assert rep.final_nprocs == 3
-        assert res.metrics.nprocs == 3
+        assert rep.final_nprocs == 4
+        assert res.metrics.nprocs == 4
         assert len(rep.attempts) == 1
         assert rep.attempts[0].failed_ranks == [1]
         assert "injected failure" in rep.attempts[0].error
@@ -160,10 +147,8 @@ class TestCrashRestart:
         labelled, still numerically correct."""
         _, sf, _, bs, _, tg = grid12_pipeline
         plan = FaultPlan.scenario("crash-persistent", seed=0)
-        res = run_with_recovery(
-            bs, sf.A, tg, nprocs=2, mapping="DW/CY",
-            fault_plan=plan, max_restarts=0, **FAST,
-        )
+        res = facade_job(sf.A, nprocs=2, mapping="DW/CY", fault_plan=plan,
+                         max_restarts=0, **FAST)
         rep = res.failure_report
         assert rep.degraded and not rep.ok
         assert rep.outcome == "degraded_sequential"
@@ -175,14 +160,12 @@ class TestCrashRestart:
         assert _no_orphans()
 
     def test_no_fallback_reraises_with_report(self, grid12_pipeline):
+        """``run_mp_fanout``, the one caller without the fallback."""
         _, sf, _, bs, _, tg = grid12_pipeline
         plan = FaultPlan.scenario("crash-persistent", seed=0)
         with pytest.raises(FanoutError) as info:
-            run_with_recovery(
-                bs, sf.A, tg, nprocs=2, mapping="DW/CY",
-                fault_plan=plan, max_restarts=0,
-                fallback_sequential=False, **FAST,
-            )
+            mp_fanout(bs, sf.A, tg, nprocs=2, mapping="DW/CY",
+                      fault_plan=plan, **FAST)
         rep = info.value.failure_report
         assert rep.outcome == "degraded_sequential"
         assert len(rep.attempts) == 1
@@ -193,10 +176,8 @@ class TestCrashRestart:
 
         _, sf, _, bs, _, tg = grid12_pipeline
         plan = FaultPlan.scenario("crash", seed=0)
-        res = run_with_recovery(
-            bs, sf.A, tg, nprocs=2, mapping="DW/CY",
-            fault_plan=plan, **FAST,
-        )
+        res = facade_job(sf.A, nprocs=2, mapping="DW/CY", fault_plan=plan,
+                         **FAST)
         payload = json.loads(res.failure_report.to_json())
         assert payload["outcome"] == "recovered"
         assert payload["attempts"][0]["failed_ranks"] == [1]
@@ -204,8 +185,8 @@ class TestCrashRestart:
 
 class TestFailureAttribution:
     """Only the rank that crashed is failed. Its peer merely stopped, so
-    the restart runs on P - 1 workers and keeps the peer's checkpoint —
-    every time, however the survivor's teardown races the crash."""
+    it is never shed with a dead rank and its checkpoint is kept — every
+    time, however the survivor's teardown races the crash."""
 
     @pytest.mark.parametrize("scenario", ["crash", "crash-hard"])
     def test_peer_of_a_crashed_rank_is_never_failed(
@@ -235,10 +216,8 @@ class TestInRunRecovery:
     def test_duplicates_are_suppressed_idempotently(self, grid12_pipeline):
         _, sf, _, bs, _, tg = grid12_pipeline
         plan = FaultPlan.scenario("duplicate", seed=2, rate=0.5)
-        res = run_with_recovery(
-            bs, sf.A, tg, nprocs=4, mapping="DW/CY",
-            fault_plan=plan, **FAST,
-        )
+        res = facade_job(sf.A, nprocs=4, mapping="DW/CY", fault_plan=plan,
+                         **FAST)
         m = res.metrics
         injected = m.faults_injected_total.get("duplicate", 0)
         assert injected > 0
@@ -254,10 +233,8 @@ class TestInRunRecovery:
     ):
         _, sf, _, bs, _, tg = grid12_pipeline
         plan = FaultPlan.scenario("corrupt", seed=3, rate=0.3)
-        res = run_with_recovery(
-            bs, sf.A, tg, nprocs=4, mapping="DW/CY",
-            fault_plan=plan, **FAST,
-        )
+        res = facade_job(sf.A, nprocs=4, mapping="DW/CY", fault_plan=plan,
+                         **FAST)
         m = res.metrics
         assert m.faults_injected_total.get("corrupt", 0) > 0
         assert m.frames_rejected_total > 0
@@ -306,10 +283,8 @@ class TestInRunRecovery:
     def test_slow_worker_skews_measured_balance(self, grid12_pipeline):
         _, sf, _, bs, _, tg = grid12_pipeline
         plan = FaultPlan.scenario("slow", seed=0, rank=1, slow_s=0.003)
-        res = run_with_recovery(
-            bs, sf.A, tg, nprocs=2, mapping="DW/CY",
-            fault_plan=plan, **FAST,
-        )
+        res = facade_job(sf.A, nprocs=2, mapping="DW/CY", fault_plan=plan,
+                         **FAST)
         m = res.metrics
         assert m.faults_injected_total.get("slow", 0) > 0
         workers = {w.rank: w for w in m.workers}
@@ -329,6 +304,19 @@ class TestDriverWatchdogs:
                 fault_plan=plan, recovery=True,
                 timeout_s=1.0, stall_timeout_s=30.0,
             )
+        assert _no_orphans()
+
+    def test_dead_worker_raises_dead_worker_error(self, grid12_pipeline):
+        """The crew a dead process broke is replaced before the job's
+        error is typed; the error still says a worker died, and the report
+        keeps the width the attempt ran on."""
+        _, sf, _, bs, wm, tg = grid12_pipeline
+        plan = FaultPlan.scenario("crash-hard", seed=0)
+        with pytest.raises(DeadWorkerError) as info:
+            mp_fanout(bs, sf.A, tg, nprocs=2, mapping="DW/CY",
+                      fault_plan=plan, **FAST)
+        assert info.value.failed_ranks == [1]
+        assert info.value.failure_report.final_nprocs == 2
         assert _no_orphans()
 
 
@@ -384,14 +372,18 @@ class TestSolverFacade:
                 fault_plan=plan,
             )
 
-    def test_no_fault_plan_means_no_report(self):
+    def test_no_fault_plan_still_reports_clean(self):
+        """Every ``mp`` factor keeps its job's report, so a run that fell
+        back to the sequential factor without a plan would show too."""
         from repro.matrices import grid2d_matrix
         from repro.solver import SparseCholesky
 
-        chol = SparseCholesky(
+        with SparseCholesky(
             grid2d_matrix(12).A, block_size=8, backend="mp", nprocs=2
-        ).factor()
-        assert chol.failure_report is None
+        ) as chol:
+            chol.factor()
+        rep = chol.failure_report
+        assert (rep.outcome, rep.restarts, rep.attempts) == ("clean", 0, [])
         assert chol.runtime_metrics.recovery_events_total == 0
 
 

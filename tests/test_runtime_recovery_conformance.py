@@ -1,44 +1,40 @@
-"""One recovery loop, two callers: the same scenarios through
-``run_with_recovery`` and through ``FactorService`` on the 12 x 12 grid.
-Per caller the table pins the outcome tag, the number of parallel
-attempts (``run`` calls), the crew's final width and a factor
-bitwise equal to the sequential ``BlockCholesky``; and a restarted
-one-shot run opens one pool and at most one arena."""
+"""One recovery loop, one rule, two callers: the same scenarios through
+a one-shot ``SparseCholesky(backend="mp")`` instance and through
+``FactorService`` on the 12 x 12 grid. One table pins, for both, the
+outcome tag, the number of parallel attempts (``run`` calls), the crew's
+final width and a factor bitwise equal to the sequential
+``BlockCholesky``; and a twice restarted façade factor opens one pool and
+at most one arena."""
 
 import numpy as np
 import pytest
 
 from repro.numeric import BlockCholesky
-from repro.runtime import FanoutError, run_with_recovery, shm_available
+from repro.runtime import FanoutError, shm_available
 from repro.runtime.arena import BlockArena
 from repro.runtime.faults import CrashSpec, FaultPlan
 from repro.runtime.pool import WorkerPool
 from repro.service import FactorService, JobFailed
+from tests.conftest import facade_job, mp_fanout
 
-FAST = dict(
-    renegotiate_base_s=0.05, renegotiate_cap_s=0.5, max_renegotiations=6,
-    timeout_s=120.0, stall_timeout_s=15.0,
-)
+FAST = dict(timeout_s=120.0, stall_timeout_s=15.0)
 SOFT = FaultPlan(seed=0, crash=(CrashSpec(1, 1),))
 HARD = FaultPlan(seed=0, crash=(CrashSpec(1, 1, hard=True),))
 PERSISTENT = FaultPlan(seed=0, crash=(CrashSpec(1, 1, every_attempt=True),))
 
 #: scenario -> (fault plan, not SPD?, keywords of both callers,
-#:              expected (tag, attempts, final width) one-shot / service)
+#:              expected (tag, attempts, final width))
 SCENARIOS = {
-    # a raising rank costs a one-shot crew that rank; a resident crew
-    # keeps it and only re-runs the job
-    "soft-crash": (SOFT, False, {},
-                   ("recovered", 2, 1), ("recovered", 2, 2)),
-    "hard-kill": (HARD, False, {},
-                  ("recovered", 2, 1), ("recovered", 2, 1)),
+    # a raising rank stays in the crew, which only re-runs the job
+    "soft-crash": (SOFT, False, {}, ("recovered", 2, 2)),
+    # a dead process is shed
+    "hard-kill": (HARD, False, {}, ("recovered", 2, 1)),
     # budget of one attempt: the crew is left alone, the job degrades
     "persistent-crash": (PERSISTENT, False, dict(max_restarts=0),
-                         ("degraded_sequential", 1, 2),
                          ("degraded_sequential", 1, 2)),
     # deterministic: one parallel attempt, no heal, the last resort's
     # LinAlgError is the error
-    "non-spd": (None, True, {}, ("error", 1, 2), ("error", 1, 2)),
+    "non-spd": (None, True, {}, ("error", 1, 2)),
 }
 
 
@@ -83,24 +79,23 @@ def _bitwise(L, ref):
 
 @pytest.mark.parametrize("scenario", list(SCENARIOS))
 def test_one_shot(grid12_pipeline, pools, scenario):
-    plan, not_spd, kw, expected, _ = SCENARIOS[scenario]
+    """A façade instance that serves one factor and is closed."""
+    plan, not_spd, kw, expected = SCENARIOS[scenario]
     _, sf, _, bs, _, tg = grid12_pipeline
     _, A_perm = _matrices(grid12_pipeline, not_spd)
     run = dict(nprocs=2, mapping="DW/CY", fault_plan=plan, **FAST, **kw)
     if not_spd:
         with pytest.raises(np.linalg.LinAlgError, match="not positive"):
-            run_with_recovery(bs, A_perm, tg, **run)
+            facade_job(A_perm, **run)
         # the report rides on the typed error when nothing stands in
         with pytest.raises(FanoutError,
                            match="NotPositiveDefiniteError") as info:
-            run_with_recovery(
-                bs, A_perm, tg, fallback_sequential=False, **run
-            )
+            mp_fanout(bs, A_perm, tg, **run)
         rep = info.value.failure_report
         assert (len(rep.attempts), rep.final_nprocs) == (1, 2)
         tag = "error"
     else:
-        res = run_with_recovery(bs, A_perm, tg, **run)
+        res = facade_job(A_perm, **run)
         rep, tag = res.failure_report, res.failure_report.outcome
         assert len(rep.attempts) + rep.ok == expected[1]
         ref = BlockCholesky(bs, A_perm).factor().to_csc()
@@ -111,7 +106,7 @@ def test_one_shot(grid12_pipeline, pools, scenario):
 
 @pytest.mark.parametrize("scenario", list(SCENARIOS))
 def test_service(grid12_pipeline, pools, scenario):
-    plan, not_spd, kw, _, expected = SCENARIOS[scenario]
+    plan, not_spd, kw, expected = SCENARIOS[scenario]
     _, sf, _, bs, _, _ = grid12_pipeline
     A, A_perm = _matrices(grid12_pipeline, not_spd)
     with FactorService(
@@ -153,7 +148,6 @@ def test_the_service_budget_is_max_restarts(grid12_pipeline, pools):
             "degraded_sequential", 1
         )
         assert _bitwise(r.L, BlockCholesky(bs, A_perm).factor().to_csc())
-        assert svc.policy.attempts == 1
     assert [p.batches_run for p in pools] == [1]
 
 
@@ -170,12 +164,12 @@ def test_two_restarts_share_one_pool_and_one_arena(
         classmethod(lambda cls, tg: arenas.append(create(tg)) or arenas[-1]),
     )
     _, sf, _, bs, _, tg = grid12_pipeline
-    # Rank 2 raises on every attempt it exists in: P = 4, 3, then 2.
-    plan = FaultPlan(seed=0, crash=(CrashSpec(2, 1, every_attempt=True),))
-    res = run_with_recovery(
-        bs, sf.A, tg, nprocs=4, mapping="DW/CY", transport=transport,
-        fault_plan=plan, **FAST,
+    # Rank 2 is killed on every attempt it exists in: P = 4, 3, then 2.
+    plan = FaultPlan(
+        seed=0, crash=(CrashSpec(2, 1, hard=True, every_attempt=True),)
     )
+    res = facade_job(sf.A, nprocs=4, mapping="DW/CY", transport=transport,
+                     fault_plan=plan, **FAST)
     rep = res.failure_report
     assert (rep.outcome, rep.restarts, rep.final_nprocs) == ("recovered", 2, 2)
     assert [a.nprocs for a in rep.attempts] == [4, 3]

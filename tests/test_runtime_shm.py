@@ -35,10 +35,10 @@ from repro.runtime.engine import (
 from repro.runtime.faults import CrashSpec, FaultPlan
 from repro.runtime.links import Link
 from repro.runtime.pool import JobOutcome
-from repro.runtime.recovery import run_with_recovery
 from repro.runtime.validation import validate_runtime
 from repro.runtime.wire import CorruptFrameError, WireError
 from tests.blockfact_oracle import oracle_grouped_cholesky
+from tests.conftest import facade_job
 
 needs_shm = pytest.mark.skipif(
     not shm_available(), reason="multiprocessing.shared_memory unavailable"
@@ -641,10 +641,8 @@ class TestChaosOverShm:
         plan = FaultPlan(seed=3, duplicate=0.3)
         stats = {}
         for transport in ("inline", "shm"):
-            res = run_with_recovery(
-                bs, sf.A, tg, nprocs=2, mapping="DW/CY", fault_plan=plan,
-                transport=transport, stall_timeout_s=15.0,
-            )
+            res = facade_job(sf.A, nprocs=2, mapping="DW/CY", fault_plan=plan,
+                             transport=transport, stall_timeout_s=15.0)
             assert res.failure_report.outcome == "clean"
             rep = validate_runtime(
                 bs, sf.A, tg, result=res, strict=True, faulty=True
@@ -662,10 +660,8 @@ class TestChaosOverShm:
         drive the same NACK/retransmit machinery as inline corruption."""
         _, sf, _, bs, wm, tg = grid12_pipeline
         plan = FaultPlan(seed=5, corrupt=0.4)
-        res = run_with_recovery(
-            bs, sf.A, tg, nprocs=2, mapping="DW/CY", fault_plan=plan,
-            transport="shm", stall_timeout_s=15.0,
-        )
+        res = facade_job(sf.A, nprocs=2, mapping="DW/CY", fault_plan=plan,
+                         transport="shm", stall_timeout_s=15.0)
         met = res.metrics
         assert met.faults_injected_total.get("corrupt", 0) > 0
         assert met.frames_rejected_total > 0
@@ -678,11 +674,8 @@ class TestChaosOverShm:
     def test_mixed_chaos_recovers_on_shm(self, grid12_pipeline):
         _, sf, _, bs, wm, tg = grid12_pipeline
         plan = FaultPlan(seed=7, drop=0.15, corrupt=0.2, duplicate=0.15)
-        res = run_with_recovery(
-            bs, sf.A, tg, nprocs=2, mapping="DW/CY", fault_plan=plan,
-            transport="shm", stall_timeout_s=15.0,
-            renegotiate_base_s=0.05, renegotiate_cap_s=0.5,
-        )
+        res = facade_job(sf.A, nprocs=2, mapping="DW/CY", fault_plan=plan,
+                         transport="shm", stall_timeout_s=15.0)
         assert res.failure_report.ok
         rep = validate_runtime(
             bs, sf.A, tg, result=res, strict=True, faulty=True
@@ -708,10 +701,8 @@ class TestArenaCleanup:
             seed=1, crash=(CrashSpec(rank=1, after_tasks=3, hard=True),)
         )
         before = _shm_segments()
-        res = run_with_recovery(
-            bs, sf.A, tg, nprocs=2, mapping="DW/CY", fault_plan=plan,
-            transport="shm", stall_timeout_s=15.0,
-        )
+        res = facade_job(sf.A, nprocs=2, mapping="DW/CY", fault_plan=plan,
+                         transport="shm", stall_timeout_s=15.0)
         assert _shm_segments() == before
         assert res.failure_report.ok or res.failure_report.degraded
         L = res.to_csc()
@@ -727,10 +718,8 @@ class TestArenaCleanup:
             seed=2, crash=(CrashSpec(rank=1, after_tasks=4, hard=False),)
         )
         before = _shm_segments()
-        res = run_with_recovery(
-            bs, sf.A, tg, nprocs=2, mapping="DW/CY", fault_plan=plan,
-            transport="shm", stall_timeout_s=15.0,
-        )
+        res = facade_job(sf.A, nprocs=2, mapping="DW/CY", fault_plan=plan,
+                         transport="shm", stall_timeout_s=15.0)
         assert _shm_segments() == before
         report = res.failure_report
         assert report.outcome == "recovered"

@@ -23,10 +23,11 @@ import pytest
 from repro.analysis.comm_volume import solve_communication_volume
 from repro.numeric import BlockCholesky
 from repro.numeric.solve import block_solve_permuted, solve_with_factor
-from repro.runtime import mp_block_cholesky, plan_owners, shm_available
+from repro.runtime import plan_owners, shm_available
 from repro.runtime.engine import run_mp_fanout
 from repro.runtime.wire import HEADER_BYTES
 from tests.blockfact_oracle import oracle_grouped_factor, oracle_grouped_solve
+from tests.conftest import mp_fanout
 
 P_SWEEP = (1, 2, 4)
 NRHS_SWEEP = (1, 4, 16)
@@ -70,7 +71,7 @@ def _want(ref, nprocs, nrhs):
 
 def _run(ref, nrhs, nprocs, transport, schedule):
     sf, bs, tg = ref["sf"], ref["bs"], ref["tg"]
-    return mp_block_cholesky(
+    return mp_fanout(
         bs, sf.A, tg, nprocs=nprocs, mapping="DW/CY",
         transport=transport, schedule=schedule,
         rhs=_rhs(sf.A.shape[0], nrhs),
@@ -118,7 +119,7 @@ class TestNonPowerOfTwoPanels:
         assert npanels & (npanels - 1) != 0  # genuinely non-power-of-two
         b = _rhs(sf.A.shape[0], 4)
         ref = block_solve_permuted(BlockCholesky(bs, sf.A).factor(), b)
-        res = mp_block_cholesky(
+        res = mp_fanout(
             bs, sf.A, tg, nprocs=2, mapping="DW/CY",
             schedule=schedule, rhs=b,
         )
@@ -228,30 +229,31 @@ class TestEngineSurface:
 
     def test_no_rhs_means_no_solution(self, grid12_pipeline):
         _, sf, _, bs, wm, tg = grid12_pipeline
-        res = mp_block_cholesky(bs, sf.A, tg, nprocs=2, mapping="DW/CY")
+        res = mp_fanout(bs, sf.A, tg, nprocs=2, mapping="DW/CY")
         assert res.solution is None
         assert res.metrics.solve_tasks_total == 0
 
 
 class TestFacade:
     def test_combined_mp_solve_matches_sequential(self, grid12_pipeline):
-        """SparseCholesky.solve() on an unfactored mp instance runs one
-        combined distributed factor+solve, bitwise equal to the
-        sequential facade."""
+        """SparseCholesky.solve() on an unfactored mp instance is a crew
+        factor, then the driver's block substitution: bitwise equal to the
+        sequential facade and to factor().solve()."""
         from repro.solver import SparseCholesky
 
         problem, _, _, _, _, _ = grid12_pipeline
         b = _rhs(problem.A.shape[0], 3)
         seq = SparseCholesky(problem.A, ordering="nd", block_size=8)
         x_ref = seq.factor().solve(b)
-        par = SparseCholesky(
+        with SparseCholesky(
             problem.A, ordering="nd", block_size=8,
             backend="mp", nprocs=2,
-        )
-        x = par.solve(b)
-        assert np.array_equal(x, x_ref)
-        assert par.runtime_metrics.solve_tasks_total > 0
-        assert par.solve_residual < 1e-10
+        ) as par:
+            x = par.solve(b)
+            assert np.array_equal(x, x_ref)
+            assert par.runtime_metrics.solve_tasks_total == 0
+            assert par.solve_residual < 1e-10
+            assert np.array_equal(par.factor().solve(b), x)
 
     @pytest.mark.parametrize("shape", [(5,), (144, 2, 2)])
     def test_bad_rhs_is_a_typed_error_before_any_spawn(

@@ -14,7 +14,7 @@ from repro.runtime import (
     validate_runtime,
 )
 from repro.runtime.faults import FaultPlan
-from repro.runtime.recovery import run_with_recovery
+from tests.conftest import facade_job
 
 TRANSPORTS = ["inline"] + (["shm"] if shm_available() else [])
 
@@ -172,10 +172,8 @@ class TestRecovery:
         sequential factor — stealing defers to the recovery machinery."""
         _, sf, _, bs, wm, tg = grid12_pipeline
         plan = FaultPlan.scenario("crash", rank=1, after_tasks=3)
-        res = run_with_recovery(
-            bs, sf.A, tg, nprocs=4, mapping="DW/CY", fault_plan=plan,
-            max_restarts=2, schedule="dynamic",
-        )
+        res = facade_job(sf.A, nprocs=4, mapping="DW/CY", fault_plan=plan,
+                         max_restarts=2, schedule="dynamic")
         rep = res.failure_report
         assert rep.ok or rep.degraded
         seq = BlockCholesky(bs, sf.A).factor().to_csc()

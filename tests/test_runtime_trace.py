@@ -18,11 +18,10 @@ from repro.analysis.trace_replay import replay_trace, validate_trace
 from repro.runtime import (
     CrashSpec,
     FaultPlan,
-    mp_block_cholesky,
     plan_owners,
-    run_with_recovery,
 )
 from repro.runtime.trace import DEFAULT_CAPACITY, RunTrace, TraceRecorder
+from tests.conftest import facade_job, mp_fanout
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +29,7 @@ def traced_run(grid12_pipeline):
     """One fault-free traced P=2 run, shared across the module."""
     _, sf, _, bs, wm, tg = grid12_pipeline
     owners, name = plan_owners(wm, tg, 2, "DW/CY")
-    res = mp_block_cholesky(
+    res = mp_fanout(
         bs, sf.A, tg, nprocs=2, mapping="DW/CY", trace=True
     )
     return res, tg, owners
@@ -162,7 +161,7 @@ class TestTwoRowGrid:
         busy, comm and idle never count a second twice and fit the pump."""
         _, sf, _, bs, wm, tg = grid12_pipeline
         owners, _ = plan_owners(wm, tg, 4, "DW/CY")
-        res = mp_block_cholesky(
+        res = mp_fanout(
             bs, sf.A, tg, nprocs=4, mapping="DW/CY", trace=True
         )
         report = validate_trace(res.trace, metrics=res.metrics, tg=tg,
@@ -182,14 +181,14 @@ class TestTwoRowGrid:
 class TestTracingOff:
     def test_no_trace_by_default(self, grid12_pipeline):
         _, sf, _, bs, wm, tg = grid12_pipeline
-        res = mp_block_cholesky(bs, sf.A, tg, nprocs=2, mapping="cyclic")
+        res = mp_fanout(bs, sf.A, tg, nprocs=2, mapping="cyclic")
         assert res.trace is None
         assert all(w.trace_events == 0 for w in res.metrics.workers)
 
     def test_capacity_validation(self, grid12_pipeline):
         _, sf, _, bs, wm, tg = grid12_pipeline
         with pytest.raises(ValueError):
-            mp_block_cholesky(
+            mp_fanout(
                 bs, sf.A, tg, nprocs=2, mapping="cyclic", trace=-4
             )
 
@@ -211,7 +210,7 @@ class TestChaosTraces:
     def test_corrupt_frames_leave_fingerprints(self, grid12_pipeline):
         _, sf, _, bs, wm, tg = grid12_pipeline
         plan = FaultPlan(seed=123, corrupt=0.08)
-        res = mp_block_cholesky(
+        res = mp_fanout(
             bs, sf.A, tg, nprocs=2, mapping="cyclic",
             fault_plan=plan, trace=True,
         )
@@ -233,10 +232,8 @@ class TestChaosTraces:
     def test_crash_recovery_stitches_attempts(self, grid12_pipeline):
         _, sf, _, bs, wm, tg = grid12_pipeline
         plan = FaultPlan(seed=7, crash=(CrashSpec(rank=1, after_tasks=5),))
-        res = run_with_recovery(
-            bs, sf.A, tg, nprocs=2, mapping="cyclic",
-            fault_plan=plan, trace=True,
-        )
+        res = facade_job(sf.A, nprocs=2, mapping="cyclic", fault_plan=plan,
+                         trace=True)
         assert res.failure_report.outcome == "recovered"
         tr = res.trace
         assert tr.attempts == [0, 1]

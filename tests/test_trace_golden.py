@@ -25,7 +25,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.runtime import mp_block_cholesky, plan_owners
+from repro.runtime import plan_owners
+from tests.conftest import mp_fanout
 
 GOLDEN = Path(__file__).parent / "golden" / "trace_skeleton_grid12_p2.json"
 
@@ -35,7 +36,7 @@ _PFAC = re.compile(r"^PFAC\((\d+)\)$")
 
 def _run_traced(pipeline):
     _, sf, _, bs, wm, tg = pipeline
-    res = mp_block_cholesky(
+    res = mp_fanout(
         bs, sf.A, tg, nprocs=2, mapping="DW/CY", trace=True
     )
     return res, tg
