@@ -11,22 +11,14 @@ Commands
 ``bench-real <problem>``
     Execute the real multiprocess message-passing runtime and report the
     measured per-worker busy/idle/comm breakdown and load balance.
-``chaos <problem>``
-    Sweep deterministic fault-injection scenarios (crash, drop, duplicate,
-    corrupt, delay, slow) over the ``mp`` façade and assert that every
-    factor is bitwise the fault-free one at the width the run finished on,
-    or the sequential one when it degraded.
 ``trace <file>``
     Inspect a structured run trace (written by ``bench-real --trace-out``):
     summary, ASCII Gantt chart, replay validation, Chrome trace export.
 ``serve``
     Run the long-lived factorization service (persistent worker pool,
     pattern cache, admission control) as a TCP server.
-``chaos-service``
-    Seeded fault matrix over the *service* layer: worker kills (hard and
-    soft), per-job deadlines, and the circuit breaker — asserting every
-    job completes bitwise-identically to the fault-free run or raises a
-    typed error within its deadline, with no leaked shm segments.
+``analyze <problem>``
+    Report tree structure, critical path and per-node memory.
 ``experiment <name>``
     Run one paper experiment (table1..table7, figure1, prime_grids, ...).
 ``suite``
@@ -136,8 +128,6 @@ def _oversub_note(nprocs: int, usable: int | None) -> str | None:
 
 def cmd_bench_real(args) -> int:
     import json
-
-    import numpy as np
 
     from repro.analysis.comm_volume import (
         communication_volume,
@@ -296,6 +286,7 @@ def cmd_bench_real(args) -> int:
                 if st is None or dy is None:
                     continue
                 same = (abs(dy.to_csc() - st.to_csc()).max() == 0.0)
+                invalid = invalid or not same
                 sm, dm = st.metrics, dy.metrics
                 print(f"  {mapping + suffix:<20s} "
                       f"idle {dm.idle_total_s * 1e3:.1f} ms "
@@ -344,86 +335,6 @@ def cmd_trace(args) -> int:
         print(f"\nChrome trace written to {args.chrome} "
               f"(open in chrome://tracing or https://ui.perfetto.dev)")
     return 0
-
-
-#: Scenario sweep run by ``repro chaos --faults all``.
-_CHAOS_SWEEP = (
-    "none", "crash", "drop", "duplicate", "corrupt", "delay", "slow",
-)
-
-
-def cmd_chaos(args) -> int:
-    import functools
-    import json
-
-    from repro.experiments.pipeline import prepare_problem
-    from repro.numeric import BlockCholesky
-    from repro.runtime.faults import FaultPlan
-    from repro.solver import SparseCholesky
-
-    cfg = args.config
-    prep = prepare_problem(
-        args.problem, args.scale, cfg.block_size,
-        block_policy=cfg.block_policy,
-    )
-    A = prep.symbolic.A
-    seq = BlockCholesky(prep.structure, A).factor().to_csc()
-    names = (
-        list(_CHAOS_SWEEP) if args.faults == "all"
-        else [f.strip() for f in args.faults.split(",") if f.strip()]
-    )
-
-    def factor(P, plan=None):  # the façade on the permuted matrix
-        with SparseCholesky(A, cfg, backend="mp", fault_plan=plan,
-                            ordering="natural", nprocs=P) as chol:
-            return chol.factor().L, chol.failure_report
-
-    fault_free = functools.cache(lambda P: factor(P)[0])
-    procs = [int(p) for p in args.procs.split(",") if p.strip()]
-    failures = 0
-    payload = {}
-    print(f"chaos sweep on {prep.name} (seed={args.seed}, "
-          f"rate={args.rate}, schedule={cfg.schedule}, "
-          f"block_policy={cfg.block_policy}, "
-          f"scenarios={len(names)} x P={procs})")
-    for P in procs:
-        for name in names:
-            plan = FaultPlan.scenario(
-                name, seed=args.seed, rate=args.rate, rank=min(1, P - 1),
-            )
-            L, rep = factor(P, plan)
-            ref = seq if rep.degraded else fault_free(rep.final_nprocs)
-            ok = all(getattr(L, a).tobytes() == getattr(ref, a).tobytes()
-                     for a in ("indptr", "indices", "data"))
-            diff = float(abs(L - seq).max())
-            resid = float(abs(L @ L.T - A).max())
-            if name == "none":
-                # A fault-free sweep entry must stay pristine: no faults
-                # fired, no recovery machinery engaged, no restarts.
-                ok = ok and rep.outcome == "clean" and \
-                    rep.recovery_events == 0 and not rep.faults_injected
-            failures += 0 if ok else 1
-            status = "ok" if ok else "FAIL"
-            print(f"  [{status}] P={P} fault={name:<10s} "
-                  f"outcome={rep.outcome:<20s} restarts={rep.restarts} "
-                  f"P'={rep.final_nprocs} |dL|={diff:.1e} resid={resid:.1e} "
-                  f"events={rep.recovery_events} "
-                  f"injected={sum(rep.faults_injected.values())}")
-            if args.verbose and rep.attempts:
-                print("    " + rep.summary().replace("\n", "\n    "))
-            payload[f"P{P}:{name}"] = {
-                "ok": ok,
-                "factor_diff": diff,
-                "residual": resid,
-                "report": rep.to_dict(),
-            }
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"chaos report written to {args.json}")
-    print(f"chaos sweep: {len(payload) - failures}/{len(payload)} scenarios "
-          f"{'ok' if failures == 0 else 'ok, ' + str(failures) + ' FAILED'}")
-    return 0 if failures == 0 else 1
 
 
 #: ``FactorService`` keywords that are not :class:`RunConfig` fields; each
@@ -483,240 +394,6 @@ def cmd_serve(args) -> int:
         service.close()
         print("service stopped:", service.metrics.render(), sep="\n")
     return 0
-
-
-#: Scenario matrix run by ``repro chaos-service --scenarios all``.
-_SERVICE_CHAOS = (
-    "none", "worker-kill", "worker-crash", "deadline", "breaker",
-)
-
-#: Wall-clock slack allowed past a job's deadline before the run counts
-#: as a client hang (scheduler jitter, queue polling).
-_DEADLINE_SLACK_S = 5.0
-
-
-def cmd_chaos_service(args) -> int:
-    """Seeded fault matrix over the *service* layer.
-
-    Every scenario drives the same deterministic job stream through a
-    fresh :class:`~repro.service.FactorService` and asserts the
-    acceptance bar for self-healing: every submitted job completes
-    (recovered or sequential-fallback, tagged in its record) or raises a
-    typed error within its deadline, completed factors are
-    bitwise-identical to the fault-free run, no shm segments leak, and
-    no client ever hangs.
-    """
-    import glob
-    import json
-    import time as time_mod
-    from dataclasses import replace
-
-    from repro.matrices import grid2d_matrix
-    from repro.runtime.faults import FaultPlan
-    from repro.service import FactorService
-    from repro.service.jobs import DeadlineExceeded, ServiceError
-
-    names = (
-        list(_SERVICE_CHAOS) if args.scenarios == "all"
-        else [s.strip() for s in args.scenarios.split(",") if s.strip()]
-    )
-    # The fault-free run is always first: it produces the reference
-    # factors every other scenario is compared against bitwise.
-    if "none" in names:
-        names.remove("none")
-    names.insert(0, "none")
-
-    rng = np.random.default_rng(args.seed)
-    base = [
-        grid2d_matrix(args.n + i).A.tocsc() for i in range(args.patterns)
-    ]
-    # Job i: fresh SPD values on pattern i % patterns (A SPD, so A plus a
-    # positive diagonal shift is SPD).
-    matrices = []
-    for i in range(args.jobs):
-        M = base[i % args.patterns].copy()
-        M.setdiag(M.diagonal() + float(rng.uniform(0.1, 2.0)))
-        matrices.append(M.tocsc())
-    fault_at = args.fault_at if args.fault_at >= 0 else args.jobs // 2
-    cfg = replace(args.config, ordering="nd")
-    crash_rank = min(1, cfg.nprocs - 1)
-    shm_before = set(glob.glob("/dev/shm/psm_*"))
-    reference: dict[int, tuple] = {}
-    payload: dict[str, dict] = {}
-    failures = 0
-    print(f"service chaos matrix: jobs={args.jobs} "
-          f"patterns={args.patterns} P={cfg.nprocs} "
-          f"transport={cfg.transport} "
-          f"block_policy={cfg.block_policy} "
-          f"seed={args.seed} fault_at={fault_at}")
-    for name in names:
-        svc_kw: dict = {}
-        deadlines: dict[int, float] = {}
-        if name == "worker-kill":
-            # Hard crash: os._exit mid-job, the SIGKILL/segfault
-            # stand-in — the pool must heal on P - f workers.
-            svc_kw["fault_plan"] = FaultPlan.scenario(
-                "crash-hard", seed=args.seed, rank=crash_rank,
-                after_tasks=1,
-            )
-            svc_kw["fault_jobs"] = (fault_at,)
-        elif name == "worker-crash":
-            # Soft crash: the worker errors and ABORTs its job; the
-            # pool survives, the job is retried without the plan.
-            svc_kw["fault_plan"] = FaultPlan.scenario(
-                "crash", seed=args.seed, rank=crash_rank, after_tasks=1,
-            )
-            svc_kw["fault_jobs"] = (fault_at,)
-        elif name == "deadline":
-            # Every odd job gets an unmeetable budget: it must raise
-            # the typed DeadlineExceeded by its deadline; even jobs
-            # must complete untouched between them.
-            deadlines = {i: 5e-4 for i in range(1, args.jobs, 2)}
-        elif name == "breaker":
-            # First job kills the pool; threshold 1 trips the breaker,
-            # the rest of the stream runs degraded-sequential; after
-            # the cooldown a probe job half-opens and closes it again.
-            svc_kw["fault_plan"] = FaultPlan.scenario(
-                "crash-hard", seed=args.seed, rank=crash_rank,
-                after_tasks=1,
-            )
-            svc_kw["fault_jobs"] = (0,)
-            svc_kw["breaker_threshold"] = 1
-            svc_kw["breaker_cooldown_s"] = 1.0
-        elif name != "none":
-            print(f"unknown scenario {name!r}; known: "
-                  f"{', '.join(_SERVICE_CHAOS)}", file=sys.stderr)
-            return 2
-        problems: list[str] = []
-        results: dict[int, object] = {}
-        typed_errors: dict[int, ServiceError] = {}
-        probe_ok = breaker_state = None
-        with FactorService(cfg, **svc_kw) as svc:
-            handles = [
-                svc.submit(matrices[i], deadline_s=deadlines.get(i))
-                for i in range(args.jobs)
-            ]
-            for i, h in enumerate(handles):
-                t0 = time_mod.monotonic()
-                try:
-                    results[i] = h.result(timeout=cfg.timeout_s)
-                except ServiceError as exc:
-                    typed_errors[i] = exc
-                    elapsed = time_mod.monotonic() - t0
-                    dl = deadlines.get(i)
-                    if (
-                        isinstance(exc, DeadlineExceeded)
-                        and dl is not None
-                        and elapsed > dl + _DEADLINE_SLACK_S
-                    ):
-                        problems.append(
-                            f"job {i} deadline error took {elapsed:.1f}s"
-                        )
-                except TimeoutError:
-                    problems.append(f"job {i} HUNG past {cfg.timeout_s}s")
-            if name == "breaker":
-                time_mod.sleep(svc_kw["breaker_cooldown_s"] + 0.2)
-                try:
-                    probe = svc.factor(matrices[0], timeout=cfg.timeout_s)
-                    probe_ok = True
-                    ref = reference.get(0)
-                    if ref is not None and not _same_factor(probe.L, ref):
-                        problems.append("post-recovery probe not bitwise")
-                except ServiceError as exc:
-                    probe_ok = False
-                    problems.append(f"post-cooldown probe failed: {exc}")
-                breaker_state = svc.breaker.state
-            stats = svc.stats()
-        # -- invariants every scenario must hold -----------------------
-        expected_errors = set(deadlines)
-        if set(typed_errors) != expected_errors:
-            problems.append(
-                f"typed errors on jobs {sorted(typed_errors)} "
-                f"(expected {sorted(expected_errors)})"
-            )
-        for i in expected_errors & set(typed_errors):
-            if not isinstance(typed_errors[i], DeadlineExceeded):
-                problems.append(
-                    f"job {i} raised {type(typed_errors[i]).__name__}, "
-                    "not DeadlineExceeded"
-                )
-        for i, res in results.items():
-            key = (res.L.indptr, res.L.indices, res.L.data)
-            if name == "none":
-                reference[i] = key
-            elif i in reference and not _same_factor(res.L, reference[i]):
-                problems.append(f"job {i} factor differs bitwise")
-        outcomes = sorted(
-            {res.record.outcome for res in results.values()}
-        )
-        resil = stats["service"]["resilience"]
-        if name == "none":
-            if outcomes != ["clean"]:
-                problems.append(f"fault-free outcomes {outcomes}")
-            if resil["pool_restarts"]:
-                problems.append("fault-free run restarted the pool")
-        elif name == "worker-kill":
-            if resil["pool_restarts"] < 1:
-                problems.append("worker kill never healed the pool")
-            if not (resil["recovered"] or resil["degraded"]):
-                problems.append("no job tagged recovered/degraded")
-            if stats["pool_generation"] < 2:
-                problems.append("pool generation never advanced")
-        elif name == "worker-crash":
-            if not (resil["recovered"] or resil["degraded"]):
-                problems.append("no job tagged recovered/degraded")
-        elif name == "breaker":
-            if stats["breaker"]["trips"] < 1:
-                problems.append("breaker never tripped")
-            if not resil["degraded"]:
-                problems.append("no degraded-sequential jobs")
-            if breaker_state != "closed":
-                problems.append(
-                    f"breaker {breaker_state!r} after cooldown probe"
-                )
-        shm_now = set(glob.glob("/dev/shm/psm_*"))
-        leaked = shm_now - shm_before
-        if leaked:
-            problems.append(f"leaked shm segments: {sorted(leaked)}")
-        ok = not problems
-        failures += 0 if ok else 1
-        status = "ok" if ok else "FAIL"
-        print(f"  [{status}] scenario={name:<13s} "
-              f"ok={len(results)} typed_errors={len(typed_errors)} "
-              f"outcomes={','.join(outcomes) or '-'} "
-              f"restarts={resil['pool_restarts']} "
-              f"recovered={resil['recovered']} "
-              f"degraded={resil['degraded']}")
-        for problem in problems:
-            print(f"        - {problem}")
-        payload[name] = {
-            "ok": ok,
-            "problems": problems,
-            "completed": len(results),
-            "typed_errors": {
-                str(i): type(e).__name__ for i, e in typed_errors.items()
-            },
-            "outcomes": outcomes,
-            "resilience": resil,
-            "breaker": stats["breaker"],
-            "probe_ok": probe_ok,
-        }
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"chaos-service report written to {args.json}")
-    print(f"chaos-service: {len(payload) - failures}/{len(payload)} "
-          f"scenarios {'ok' if failures == 0 else 'ok, ' + str(failures) + ' FAILED'}")
-    return 0 if failures == 0 else 1
-
-
-def _same_factor(L, ref: tuple) -> bool:
-    """Bitwise factor comparison against a (indptr, indices, data) key."""
-    return (
-        np.array_equal(L.indptr, ref[0])
-        and np.array_equal(L.indices, ref[1])
-        and np.array_equal(L.data, ref[2])
-    )
 
 
 def cmd_analyze(args) -> int:
@@ -852,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=(*SCHEDULES, "both"),
                    help="execution schedule: the static owner-computes "
                         "map, dynamic work stealing, or 'both' to run "
-                        "each mapping under both and compare")
+                        "each mapping under both (exit 1 if factors differ)")
     p.add_argument("--block-policy", default="uniform",
                    choices=(*BLOCK_POLICIES, "both"),
                    help="panel blocking policy: fixed-width panels, "
@@ -882,34 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bench_real)
 
     p = sub.add_parser(
-        "chaos",
-        help="sweep fault-injection scenarios over the mp façade and "
-             "check each factor bit for bit",
-    )
-    p.add_argument("problem")
-    p.add_argument("-p", "--procs", default="2,4",
-                   help="comma-separated worker counts to sweep")
-    p.add_argument("--faults", default="all",
-                   help=f"comma-separated scenarios or 'all' "
-                        f"({','.join(_CHAOS_SWEEP)},crash-hard,"
-                        f"crash-persistent)")
-    p.add_argument("--rate", type=float, default=0.15,
-                   help="per-message fault probability for message faults")
-    p.add_argument("--seed", type=int, default=0,
-                   help="fault-plan seed (decisions are reproducible)")
-    RunConfig.add_arguments(
-        p, "mapping", "transport", "schedule", "block_policy",
-        "max_restarts", "timeout_s", "stall_timeout_s",
-        timeout_s=120.0, stall_timeout_s=15.0,
-    )
-    p.add_argument("--json", default=None, metavar="PATH",
-                   help="write the structured chaos report to PATH")
-    p.add_argument("-v", "--verbose", action="store_true",
-                   help="print per-attempt failure details")
-    _add_common(p)
-    p.set_defaults(fn=cmd_chaos)
-
-    p = sub.add_parser(
         "trace",
         help="inspect a structured run trace (summary, Gantt, replay "
              "validation, Chrome export)",
@@ -934,35 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="TCP port (0 picks a free one, printed at startup)")
     _add_service_knobs(p)
     p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser(
-        "chaos-service",
-        help="seeded fault matrix over the factorization service: worker "
-             "kills, deadlines, circuit breaker — bitwise-checked recovery",
-    )
-    p.add_argument("--jobs", type=int, default=10,
-                   help="jobs per scenario (same stream every scenario)")
-    p.add_argument("--patterns", type=int, default=2,
-                   help="distinct sparsity patterns in the stream")
-    p.add_argument("--n", type=int, default=10,
-                   help="base grid side (pattern i uses n + i)")
-    RunConfig.add_arguments(
-        p, "nprocs", "transport", "block_size", "block_policy", "timeout_s",
-        "stall_timeout_s",
-        nprocs=2, block_size=16, timeout_s=120.0, stall_timeout_s=10.0,
-    )
-    p.add_argument("--scenarios", default="all",
-                   help=f"comma-separated scenarios or 'all' "
-                        f"({','.join(_SERVICE_CHAOS)}); 'none' always "
-                        f"runs first as the bitwise reference")
-    p.add_argument("--seed", type=int, default=0,
-                   help="job-stream + fault-plan seed")
-    p.add_argument("--fault-at", type=int, default=-1, metavar="IDX",
-                   help="dispatch index the injected crash rides on "
-                        "(default: jobs // 2)")
-    p.add_argument("--json", default=None, metavar="PATH",
-                   help="write the structured report to PATH")
-    p.set_defaults(fn=cmd_chaos_service)
 
     p = sub.add_parser("analyze", help="structure/memory/critical-path report")
     p.add_argument("problem")

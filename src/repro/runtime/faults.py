@@ -118,7 +118,7 @@ class FaultPlan:
         after_tasks: int = 3,
         slow_s: float = 0.002,
     ) -> "FaultPlan":
-        """One named single-fault scenario (what ``repro chaos`` sweeps).
+        """One named single-fault scenario (what the recovery tests sweep).
 
         ``name`` is one of :data:`FAULT_CLASSES` plus ``"crash-hard"``,
         ``"crash-persistent"`` and ``"none"``.

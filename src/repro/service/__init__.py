@@ -32,8 +32,8 @@ sequential path — outcomes are tagged per job. Per-job deadlines,
 idempotent job-id dedup, a :class:`~repro.service.resilience.CircuitBreaker`
 guarding the pool, and client-side :class:`~repro.service.resilience.RetryPolicy`
 backoff round out the failure surface; every failure is a typed
-:class:`ServiceError` subclass, never a hang. ``python -m repro
-chaos-service`` drives the whole matrix deterministically.
+:class:`ServiceError` subclass, never a hang. A job's faults are
+injected with ``submit(fault_plan=)``.
 """
 
 from repro.service.admission import JobQueue, QueueStats

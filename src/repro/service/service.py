@@ -101,9 +101,9 @@ class FactorService:
     parallel attempts, each bounded by ``config.timeout_s``. The
     service-only knobs stay keywords: the queue and cache bounds, the
     default per-job deadline, the circuit breaker, ``validate`` (check
-    every factor against the sequential baseline before releasing it) and
-    the chaos hooks ``fault_plan`` / ``fault_jobs``. A bad value of either
-    raises ``ValueError`` before a pool exists.
+    every factor against the sequential baseline before releasing it). A
+    bad value raises ``ValueError`` before a pool exists. Faults are
+    injected per job: ``submit(fault_plan=)`` and ``solve(fault_plan=)``.
     """
 
     def __init__(
@@ -116,8 +116,6 @@ class FactorService:
         default_deadline_s: float | None = None,
         breaker_threshold: int = 3,
         breaker_cooldown_s: float = 5.0,
-        fault_plan=None,
-        fault_jobs: tuple = (),
         **overrides,
     ):
         self.config = RunConfig.of(config, overrides, nprocs=2)
@@ -136,13 +134,6 @@ class FactorService:
         self.metrics = ServiceMetrics()
         self.default_deadline_s = default_deadline_s
         self.breaker = CircuitBreaker(breaker_threshold, breaker_cooldown_s)
-        #: Deterministic chaos injection: ``fault_plan`` is attached to
-        #: the jobs whose dispatch index (0-based, in admission order) is
-        #: in ``fault_jobs`` — first parallel attempt only, so injected
-        #: faults are transient by construction.
-        self.fault_plan = fault_plan
-        self.fault_jobs = frozenset(fault_jobs)
-        self._dispatched = 0
         self._seq = itertools.count()
         self._lock = threading.Lock()
         self._closed = False
@@ -235,6 +226,7 @@ class FactorService:
         job_id: str | None = None,
         timeout: float | None = None,
         deadline_s: float | None = None,
+        fault_plan=None,
     ) -> JobHandle:
         """Queue one factorization; returns immediately with a handle.
 
@@ -251,6 +243,8 @@ class FactorService:
         completion returns the cached result — so client retries after a
         broken connection never run a job twice. (A job the service had
         to name itself cannot be retried, so its result is not kept.)
+        ``fault_plan`` injects deterministic faults into the job's first
+        parallel attempt.
         """
         job = FactorJob(
             job_id=job_id or uuid.uuid4().hex[:12],
@@ -258,6 +252,7 @@ class FactorService:
             pattern_id=pattern_id,
             values=values,
             deadline_s=self._budget(deadline_s),
+            fault_plan=fault_plan,
         )
         return self._admit(job, job_id is not None, timeout)
 
@@ -464,8 +459,6 @@ class FactorService:
             record.error = str(exc)
             self._finish_failed(queued, exc, record)
             return
-        faults = self.fault_plan if self._dispatched in self.fault_jobs else None
-        self._dispatched += 1
         # The recovery loop's job: the plan is the pattern entry.
         p = RecoveryJob(entry, A_perm, queued.job.job_id)
 
@@ -476,7 +469,7 @@ class FactorService:
             return entry.job(
                 self.pool, A_perm, next(self._seq),
                 deadline=queued.job.deadline,
-                fault_plan=faults if attempt == 0 else None,
+                fault_plan=queued.job.fault_plan if attempt == 0 else None,
             )
 
         # Breaker open: don't touch the pool; the job runs on the

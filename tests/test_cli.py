@@ -23,8 +23,8 @@ class TestParser:
             if isinstance(a, argparse._SubParsersAction)
         ]
         assert set(sub.choices) == {
-            "info", "factor", "simulate", "bench-real", "chaos", "trace",
-            "serve", "chaos-service", "analyze", "experiment", "suite",
+            "info", "factor", "simulate", "bench-real", "trace", "serve",
+            "analyze", "experiment", "suite",
         }
 
 

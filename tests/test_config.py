@@ -151,7 +151,7 @@ class TestValidation:
         ["serve", "-p", "0"],
         ["serve", "--transport", "bogus"],
         ["serve", "--mapping", "XX/YY"],
-        ["chaos-service", "--stall-timeout", "-1"],
+        ["bench-real", "GRID150", "--stall-timeout", "-1"],
     ])
     def test_cli_rejects_with_exit_code_2(self, argv, capsys):
         with pytest.raises(SystemExit) as info:
@@ -250,18 +250,12 @@ class TestDefaults:
 # ----------------------------------------------------------------------
 SUBCOMMANDS = {
     "bench-real": ["bench-real", "GRID150"],
-    "chaos": ["chaos", "GRID150"],
-    "chaos-service": ["chaos-service"],
     "serve": ["serve"],
 }
 
 #: Per-subcommand defaults that differ from the field's own.
 CLI_DEFAULTS = {
     "bench-real": dict(nprocs=4, timeout_s=300.0, stall_timeout_s=30.0),
-    "chaos": dict(timeout_s=120.0, stall_timeout_s=15.0, max_restarts=2),
-    "chaos-service": dict(
-        nprocs=2, block_size=16, timeout_s=120.0, stall_timeout_s=10.0
-    ),
     "serve": dict(nprocs=2, block_size=48, max_restarts=2),
 }
 
@@ -377,7 +371,8 @@ def test_the_deleted_threading_is_gone():
 #: spelled out: a deleted option (ready-queue priorities,
 #: ``inject_failure``, ``record_timeline``, ``unpack(verify=)``, the
 #: arena barrier's ``wait_for`` / ``announce``, the batching window's
-#: ``max_batch`` / ``batch_wait_s``) cannot come back without this table
+#: ``max_batch`` / ``batch_wait_s``, the service's dispatch-index
+#: ``fault_plan`` / ``fault_jobs``) cannot come back without this table
 #: changing.
 SURFACE = {
     "run_mp_fanout": {
@@ -402,7 +397,7 @@ SURFACE = {
         "config", "overrides", "queue_capacity",
         "cache_capacity", "validate",
         "default_deadline_s", "breaker_threshold",
-        "breaker_cooldown_s", "fault_plan", "fault_jobs",
+        "breaker_cooldown_s",
     },
     "SparseCholesky": {"A", "config", "backend", "fault_plan", "overrides"},
     "ServiceClient": {"address", "timeout", "retry"},

@@ -429,6 +429,33 @@ class TestBenchRealCLI:
         assert "FAIL: injected" in out
         assert trace.is_file()
 
+    def test_bench_real_schedules_that_differ_exit_1(
+        self, capsys, monkeypatch
+    ):
+        """``--schedule both`` fails the command when the dynamic factor
+        is not bit for bit the static one."""
+        import repro.runtime
+        from repro.cli import main
+
+        real = repro.runtime.run_mp_fanout
+
+        def perturbed(*args, **kwargs):
+            res = real(*args, **kwargs)
+            if kwargs["schedule"] == "dynamic":
+                L = res.to_csc()
+                L.data[0] *= 1.0 + 2.0**-40
+                res.to_csc = lambda: L
+            return res
+
+        monkeypatch.setattr(repro.runtime, "run_mp_fanout", perturbed)
+        rc = main([
+            "bench-real", "GRID150", "--scale", "small", "-p", "2",
+            "--mappings", "DW/CY", "--schedule", "both",
+        ])
+        out = capsys.readouterr().out
+        assert "DIFFER" in out
+        assert rc == 1
+
     def test_bench_real_timeout_flags(self, capsys):
         """--timeout / --stall-timeout reach the runtime watchdogs; ample
         values leave a healthy run untouched."""

@@ -25,6 +25,8 @@ PERSISTENT = FaultPlan(seed=0, crash=(CrashSpec(1, 1, every_attempt=True),))
 #: scenario -> (fault plan, not SPD?, keywords of both callers,
 #:              expected (tag, attempts, final width))
 SCENARIOS = {
+    # fault-free: one clean attempt, nothing healed
+    "none": (None, False, {}, ("clean", 1, 2)),
     # a raising rank stays in the crew, which only re-runs the job
     "soft-crash": (SOFT, False, {}, ("recovered", 2, 2)),
     # a dead process is shed
@@ -111,21 +113,21 @@ def test_service(grid12_pipeline, pools, scenario):
     A, A_perm = _matrices(grid12_pipeline, not_spd)
     with FactorService(
         nprocs=2, ordering=np.asarray(sf.ordering.perm), block_size=8,
-        mapping="DW/CY", fault_plan=plan, fault_jobs=(0,),
-        timeout_s=120, stall_timeout_s=10.0, **kw,
+        mapping="DW/CY", timeout_s=120, stall_timeout_s=10.0, **kw,
     ) as svc:
         if not_spd:
             with pytest.raises(JobFailed, match="not positive definite"):
-                svc.factor(A)
+                svc.factor(A, fault_plan=plan)
             tag = "error"
-            assert svc.metrics.pool_restarts == 0
-            assert svc.pool.generation == 1
             assert svc.breaker.to_dict()["consecutive_failures"] == 0
         else:
-            r = svc.factor(A)
+            r = svc.factor(A, fault_plan=plan)
             tag = r.record.outcome
             ref = BlockCholesky(bs, A_perm).factor().to_csc()
             assert _bitwise(r.L, ref)
+        if plan is None:  # fault-free or not SPD: nothing healed
+            assert svc.metrics.pool_restarts == 0
+            assert svc.pool.generation == 1
         record = svc.metrics.records[-1]
         assert record.attempts == expected[1]
         (pool,) = pools
@@ -140,10 +142,9 @@ def test_the_service_budget_is_max_restarts(grid12_pipeline, pools):
     A, A_perm = _matrices(grid12_pipeline, False)
     with FactorService(
         nprocs=2, ordering=np.asarray(sf.ordering.perm), block_size=8,
-        mapping="DW/CY", fault_plan=SOFT, fault_jobs=(0,), max_restarts=0,
-        timeout_s=120, stall_timeout_s=10.0,
+        mapping="DW/CY", max_restarts=0, timeout_s=120, stall_timeout_s=10.0,
     ) as svc:
-        r = svc.factor(A)
+        r = svc.factor(A, fault_plan=SOFT)
         assert (r.record.outcome, r.record.attempts) == (
             "degraded_sequential", 1
         )

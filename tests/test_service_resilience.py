@@ -1,6 +1,6 @@
 """The self-healing service: worker death mid-batch (hard and soft, on
 both transports), per-job deadlines, the circuit breaker, job-id dedup,
-client reconnect/retry, graceful drain, and the service chaos CLI.
+client reconnect/retry and graceful drain.
 
 The acceptance bar throughout: every submitted job either completes —
 with its survival path tagged in the record — or raises a typed
@@ -84,11 +84,11 @@ class TestPoolSelfHealing:
         mats = [_shifted(grid_A, 0.25 * (i + 1)) for i in range(4)]
         # The kill rides the last job of the burst: the job after a heal
         # regrows the crew, and the test looks at the shrunken one.
-        with FactorService(
-            transport=transport, fault_plan=HARD_KILL, fault_jobs=(3,),
-            **SVC_KW,
-        ) as svc:
-            handles = [svc.submit(M) for M in mats]
+        with FactorService(transport=transport, **SVC_KW) as svc:
+            handles = [
+                svc.submit(M, fault_plan=HARD_KILL if i == 3 else None)
+                for i, M in enumerate(mats)
+            ]
             results = [h.result(120) for h in handles]
             # every job completed despite the mid-burst worker death
             for M, r in zip(mats, results):
@@ -106,10 +106,8 @@ class TestPoolSelfHealing:
         """A raising (soft-crash) worker ABORTs only its job; the pool
         survives and the retried job recovers bitwise."""
         M = _shifted(grid_A, 0.5)
-        with FactorService(
-            fault_plan=SOFT_CRASH, fault_jobs=(0,), **SVC_KW
-        ) as svc:
-            r = svc.factor(M)
+        with FactorService(**SVC_KW) as svc:
+            r = svc.factor(M, fault_plan=SOFT_CRASH)
             assert _bitwise(r.L, _cold_L(M))
             assert r.record.outcome == "recovered"
             assert r.record.attempts == 2
@@ -241,11 +239,13 @@ class TestCircuitBreaker:
         (still bitwise); after the cooldown a probe closes it again."""
         mats = [_shifted(grid_A, 0.2 * (i + 1)) for i in range(3)]
         with FactorService(
-            fault_plan=HARD_KILL, fault_jobs=(0,),
             breaker_threshold=1, breaker_cooldown_s=0.3,
             max_restarts=0, **SVC_KW,
         ) as svc:
-            handles = [svc.submit(M) for M in mats]
+            handles = [
+                svc.submit(M, fault_plan=HARD_KILL if i == 0 else None)
+                for i, M in enumerate(mats)
+            ]
             results = [h.result(120) for h in handles]
             for M, r in zip(mats, results):
                 assert _bitwise(r.L, _cold_L(M))
@@ -443,17 +443,3 @@ class TestGracefulDrain:
         svc.close()
         with pytest.raises(ServiceClosed):
             handle.result(0)
-
-
-class TestChaosServiceCLI:
-    def test_matrix_subset_passes(self, capsys):
-        from repro.cli import main
-
-        rc = main([
-            "chaos-service", "--jobs", "4", "--n", "8",
-            "--scenarios", "none,deadline", "--stall-timeout", "10",
-        ])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "[ok] scenario=none" in out
-        assert "[ok] scenario=deadline" in out
