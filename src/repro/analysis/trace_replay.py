@@ -78,7 +78,6 @@ class TraceReplay:
     #: before the transport split, so inline traces reconcile either way.
     wire_bytes_sent: np.ndarray
     wire_bytes_received: np.ndarray
-    retransmits: np.ndarray
     duplicates: np.ndarray
     marks: dict[str, int]
     #: Work stealing (zero everywhere on static runs): time spent in the
@@ -214,7 +213,6 @@ def replay_trace(trace, attempt: int | None = None) -> TraceReplay:
     brecv = np.zeros(nprocs, dtype=np.int64)
     wsent = np.zeros(nprocs, dtype=np.int64)
     wrecv = np.zeros(nprocs, dtype=np.int64)
-    retrans = np.zeros(nprocs, dtype=np.int64)
     dups = np.zeros(nprocs, dtype=np.int64)
     marks: dict[str, int] = {}
     steal_s = np.zeros(nprocs)
@@ -328,13 +326,6 @@ def replay_trace(trace, attempt: int | None = None) -> TraceReplay:
             sv_idle[r] += e.t1 - e.t0
         elif e.cat == "mark":
             marks[e.name] = marks.get(e.name, 0) + 1
-            if e.name == "retransmit":
-                retrans[r] += 1
-                msent[r] += 1
-                if e.args:
-                    nb = int(e.args.get("bytes", 0))
-                    bsent[r] += nb
-                    wsent[r] += int(e.args.get("wire_bytes", nb))
 
     return TraceReplay(
         attempt=attempt, nprocs=nprocs, grid=grid,
@@ -343,7 +334,7 @@ def replay_trace(trace, attempt: int | None = None) -> TraceReplay:
         messages_sent=msent, bytes_sent=bsent,
         messages_received=mrecv, bytes_received=brecv,
         wire_bytes_sent=wsent, wire_bytes_received=wrecv,
-        retransmits=retrans, duplicates=dups, marks=marks,
+        duplicates=dups, marks=marks,
         steal_s=steal_s,
         migrated_in_tasks=mig_in_t, migrated_away_tasks=mig_away_t,
         migrated_in_work=mig_in_w, migrated_away_work=mig_away_w,
@@ -431,8 +422,8 @@ def validate_trace(
     the exact runtime reconciliation; ``tg`` + ``owners`` enable the
     static-model checks (WorkModel shares, communication volume, overall
     balance). ``faulty`` relaxes the exact accounting checks the same way
-    :func:`repro.runtime.validation.validate_runtime` does — retransmits,
-    duplicates, and checkpoint-skipped tasks legitimately perturb them.
+    :func:`repro.runtime.validation.validate_runtime` does — rejected and
+    duplicate frames legitimately perturb them.
     With ``strict``, failures raise :class:`TraceValidationError`.
     """
     rep = replay_trace(trace, attempt=attempt)

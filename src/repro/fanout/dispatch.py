@@ -63,8 +63,6 @@ class DispatchPlan:
     recipients:
         Per owned block: the distinct remote ranks its final value travels
         to, ascending; ``None`` for a block this rank does not own.
-    expected:
-        The blocks owned elsewhere that a consumer here waits for.
     updates, factors:
         The rank's ops. Op ``o < nupdates`` is ``updates.ops[o]``, a panel
         update; op ``nupdates + f`` is ``factors[f]``, a panel factor
@@ -123,10 +121,6 @@ class DispatchPlan:
             dsts if owner == rank else None
             for dsts, owner in zip(recipients, owners.tolist())
         ]
-        self.expected = [
-            b for b, dsts in enumerate(self.recipients)
-            if dsts is None and self.local[b]
-        ]
         self._tg = tg
         self.updates = updates = PanelUpdates(tg, mine)
         self.nupdates = len(updates.ops)
@@ -181,7 +175,7 @@ class DispatchPlan:
                     released.append(o)
         for released in (*self.wakes, *self.event_wakes):
             released.sort()
-        self.after, first = _chains(self, [False] * nops)
+        self.after, first = _chains(self)
         self.pred = [o not in first for o in range(nops)]
         self.wait = [len(r) + p for r, p in zip(reads, self.pred)]
         for k, o in fac_of.items():
@@ -291,21 +285,20 @@ class PanelUpdates:
                 f + self._op_cost)
 
 
-def _chains(plan: DispatchPlan, dead: list[bool]) -> tuple[list, set]:
+def _chains(plan: DispatchPlan) -> tuple[list, set]:
     """Each destination panel's chain — the rank's updates into it in
-    ascending K, then its panel factor — over the live ops: per op the
-    next one (-1 for none), and the ops no live op precedes."""
+    ascending K, then its panel factor: per op the next one (-1 for none),
+    and the ops no op precedes."""
     nu = plan.nupdates
     chains: dict[int, list[int]] = {}
     for o, op in enumerate(plan.updates.ops):
         chains.setdefault(op[1], []).append(o)
     for f, op in enumerate(plan.factors):
         chains.setdefault(op[0], []).append(nu + f)
-    after, first = [-1] * len(dead), set()
+    after, first = [-1] * (nu + len(plan.factors)), set()
     for chain in chains.values():
-        live = [o for o in chain if not dead[o]]
-        first.update(live[:1])
-        for a, b in zip(live, live[1:]):
+        first.add(chain[0])
+        for a, b in zip(chain, chain[1:]):
             after[a] = b
     return after, first
 
@@ -315,62 +308,19 @@ class Readiness:
 
     ``push(o)`` is called once for every op that becomes runnable: at
     construction for the seeds, then from :meth:`arrived` — told every
-    block that became final here without this rank computing it (received
-    or preloaded) — and :meth:`finished`, told every op that ran.
-
-    ``done`` (per block) marks blocks a checkpoint supplies. An op with
-    none of its blocks left never runs; one with some left still runs
-    whole, because its shape — and so its rounding — must not depend on a
-    checkpoint. ``partial[op]`` is then ``(tids, blocks, kept, bfac,
-    flops, work)``: the tasks it executes, their blocks, the blocks whose
-    values it must leave as they were, whether it still runs BFAC, and
-    its counts. A panel factor none of whose blocks is left has its share
-    arrive at once.
+    block that became final here without this rank computing it — and
+    :meth:`finished`, told every op that ran.
     """
 
-    def __init__(self, plan: DispatchPlan, push,
-                 done: np.ndarray | None = None):
+    def __init__(self, plan: DispatchPlan, push):
         self._plan = plan
         self._push = push
         self.wait = list(plan.wait)
         self.need = list(plan.need)
         self.after = plan.after
-        self.partial: dict[int, tuple] = {}
-        dead: list[int] = []
-        if done is not None and done.any():
-            dead = self._filter(done)
         for o, n in enumerate(self.wait):
             if not n:
                 push(o)
-        for o in dead:
-            self._release(plan.wakes[o])
-
-    def _filter(self, done: np.ndarray) -> list[int]:
-        """Fill ``partial``, re-chain around the dead ops and mark them;
-        returns the dead panel factors."""
-        plan, nu = self._plan, self._plan.nupdates
-        tg, cost = plan._tg, plan.updates._op_cost
-        ops = [(op[3], op[4], False) for op in plan.updates.ops]
-        ops += [(op[2], op[3], op[4]) for op in plan.factors]
-        dead = [False] * len(ops)
-        for o, (tids, blocks, bfac) in enumerate(ops):
-            kept = tuple(b for b in blocks if done[b])
-            if not kept:
-                continue
-            live = [(t, b) for t, b in zip(tids, blocks) if not done[b]]
-            dead[o] = not live
-            f = sum(int(tg.task_flops[t]) for t, _ in live)
-            self.partial[o] = (
-                tuple(t for t, _ in live), tuple(b for _, b in live), kept,
-                bfac and not done[blocks[0]], f, f + cost * len(live),
-            )
-        self.after, first = _chains(plan, dead)
-        for o in range(len(ops)):
-            # A dead op waits on -1: no count reaches 0 again. A live one
-            # whose predecessors all died now heads its chain.
-            self.wait[o] = -1 if dead[o] else (
-                self.wait[o] - plan.pred[o] + (o not in first))
-        return [o for o in range(nu, len(ops)) if dead[o]]
 
     def _release(self, ops: list[int]) -> None:
         wait, push = self.wait, self._push
@@ -380,7 +330,7 @@ class Readiness:
                 push(o)
 
     def arrived(self, b: int) -> None:
-        """Block ``b`` became final here (received or preloaded)."""
+        """Block ``b`` became final here (received)."""
         e = self._plan.event[b]
         if e >= 0:
             self.need[e] -= 1

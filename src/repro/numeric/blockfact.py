@@ -108,7 +108,7 @@ class BlockCholesky:
     def install(self, i: int, j: int, block: np.ndarray,
                 final: bool = True) -> None:
         """Copy ``block`` into block ``(i, j)`` — computed elsewhere (a
-        gathered frame, a checkpoint, a migrated task's state). ``final``
+        gathered frame, a migrated task's state). ``final``
         marks a diagonal block as factored."""
         if i != j:
             self.below[j][i][...] = block

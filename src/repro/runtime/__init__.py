@@ -21,7 +21,7 @@ collect, reap — for one call, a façade instance or :mod:`repro.service`),
 :mod:`~repro.runtime.engine` (the pattern plan every job is built from,
 the one-call driver and the outcome-to-result step),
 :mod:`~repro.runtime.faults` (deterministic chaos injection),
-:mod:`~repro.runtime.recovery` (checkpoint/restart + sequential fallback),
+:mod:`~repro.runtime.recovery` (abort, re-run + sequential fallback),
 :mod:`~repro.runtime.trace` (always-available structured event tracing),
 :mod:`~repro.runtime.metrics` and :mod:`~repro.runtime.validation`.
 """

@@ -14,8 +14,8 @@ Integrity: the descriptor carries a CRC32 of the slot bytes at send time.
 :meth:`BlockArena.resolve` recomputes it on receipt, so a corrupted slot
 (or a descriptor whose slot metadata was bit-flipped in flight — the frame
 header CRC covers that) surfaces as the same
-:class:`~repro.runtime.wire.CorruptFrameError` → NACK → retransmit path the
-inline transport uses.
+:class:`~repro.runtime.wire.CorruptFrameError` the inline transport raises,
+and the job aborts and re-runs.
 
 Storage: slots are row-major float64 and hold exactly the *logical*
 payload — ``tg.block_words[b]`` words. A subdiagonal block is the dense
@@ -322,8 +322,8 @@ class BlockArena:
 
         Raises :class:`~repro.runtime.wire.CorruptFrameError` when the
         descriptor's slot metadata disagrees with the layout or the slot
-        bytes fail the descriptor's payload CRC — both funnel into the
-        same NACK/retransmit recovery path as inline payload corruption.
+        bytes fail the descriptor's payload CRC — the same typed error as
+        inline payload corruption.
         """
         lay = self.layout
         b = msg.block

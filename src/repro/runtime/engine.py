@@ -174,15 +174,13 @@ def run_mp_fanout(
     mapping: str = "",
     rhs: np.ndarray | None = None,
     fault_plan=None,
-    recovery: bool | None = None,
-    checkpoint: dict[int, bytes] | None = None,
     **overrides,
 ) -> MPRuntimeResult:
     """Factor ``A`` with ``nprocs`` worker processes exchanging messages.
 
     The knobs are a :class:`~repro.config.RunConfig` (``config`` and/or
     field overrides by keyword; table in ``docs/ARCHITECTURE.md``). This
-    layer reads its execution and recovery-tuning groups; placement is
+    layer reads its execution group; placement is
     already decided: ``owners[b]`` assigns block ``b`` to a worker (see
     :func:`plan_owners`), ``nprocs`` is this attempt's width and
     ``mapping`` only labels the result.
@@ -193,20 +191,16 @@ def run_mp_fanout(
     fragments travel (``docs/SOLVING.md``) — and the result's ``solution``
     is bitwise identical to :func:`repro.numeric.solve.solve_with_factor`.
     ``fault_plan`` (:class:`repro.runtime.faults.FaultPlan`) injects
-    faults; ``recovery`` turns on the in-run integrity protocol (CRC
-    reject + NACK/retransmit + duplicate suppression + the DONE linger
-    barrier) and defaults to on exactly when a fault plan is given.
-    ``checkpoint`` maps block ids to completed-block wire frames from a
-    previous attempt; those blocks are preloaded, their tasks skipped.
+    faults.
 
     The measurement path: one attempt through the recovery loop
     (:func:`repro.runtime.recovery.run_job`), on a pool of its own and
-    with no fallback. Raises :class:`WorkerError` if a worker fails,
-    :class:`DeadWorkerError` if one dies without reporting and
+    with no fallback, so any fault that fails the attempt raises.
+    Raises :class:`WorkerError` if a worker fails (a corrupt frame
+    included), :class:`DeadWorkerError` if one dies without reporting and
     :class:`RuntimeTimeoutError` on the global timeout. Every exit path
     reaps the children and unlinks the arena; the raised
-    :class:`FanoutError` carries every salvaged ``WorkerResult``
-    (checkpoint frames carry their payload, so they outlive the arena),
+    :class:`FanoutError` carries every ``WorkerResult`` that reported,
     the attempt's ``failure_report``, and ``failed_ranks`` names the
     casualties only — a rank that stopped because a peer failed is not
     among them.
@@ -217,8 +211,6 @@ def run_mp_fanout(
     config = RunConfig.of(config, {**overrides, "nprocs": nprocs})
     if owners.size and (owners.min() < 0 or owners.max() >= nprocs):
         raise ValueError("block owner out of range for nprocs")
-    if recovery is None:
-        recovery = fault_plan is not None
     if rhs is not None:
         rhs, _ = permute_rhs(rhs, A.shape[0], None)
         rhs = np.ascontiguousarray(rhs.reshape(rhs.shape[0], -1))
@@ -235,8 +227,7 @@ def run_mp_fanout(
     try:
         return run_job(
             pool, plan, A, 1, itertools.count(), rhs=rhs,
-            fault_plan=fault_plan, recovery=recovery, checkpoint=checkpoint,
-            fallback_sequential=False,
+            fault_plan=fault_plan, fallback_sequential=False,
         )
     finally:
         pool.close()
@@ -280,8 +271,7 @@ def job_result(plan: PatternPlan, job: PoolJob, outcome: JobOutcome,
         attempt=int(getattr(job.fault_plan, "attempt", 0)),
     )
     meta = dict(
-        start_method=START_METHOD, recovery=job.recovery,
-        checkpoint_blocks=len(job.checkpoint or ()),
+        start_method=START_METHOD,
         transport=metrics.transport, schedule=plan.config.schedule,
         block_policy=getattr(plan.structure.partition, "policy_name",
                              "uniform"),

@@ -12,14 +12,16 @@ Faults are injected at the ``links``/``worker`` boundary: each worker
 wraps its outgoing :class:`~repro.runtime.links.Link` objects in
 :class:`FaultyLink` (message faults) and consults :meth:`FaultPlan.crash_for`
 / :attr:`FaultPlan.slow` in its event loop (process faults). Control
-frames (ABORT/NACK/DONE) are never faulted — the virtual interconnect's
+frames (ABORT/DONE) are never faulted — the virtual interconnect's
 control plane is reliable, like a dedicated service network.
 
-Crash faults are *transient* by default: they fire on attempt 0 only, so a
-driver-level restart (:mod:`repro.runtime.recovery`) sees the fault
-disappear, exactly the scenario checkpoint/restart exists for. Set
-``every_attempt=True`` for a persistent fault that forces the sequential
-fallback.
+A job is fail-stop: a corrupt frame raises at its receiver, a dropped one
+stalls it until the short watchdog of a faulty job fires, and either
+aborts the attempt; the recovery loop (:mod:`repro.runtime.recovery`)
+re-runs the job from scratch. Faults are *transient* by default: message
+faults fire on attempt 0 only, and so does a crash unless
+``every_attempt=True`` makes it persistent (which forces the sequential
+fallback) — so the re-run sees the fault disappear.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ class CrashSpec:
     """Kill worker ``rank`` after it has executed ``after_tasks`` tasks.
 
     ``hard`` crashes exit the process without reporting (a segfault
-    stand-in); soft crashes raise, so the worker ships its error and its
-    completed-block checkpoint home first. Transient crashes
+    stand-in); soft crashes raise, so the worker ships its error home
+    first. Transient crashes
     (``every_attempt=False``, the default) fire only on attempt 0.
     """
 
@@ -69,8 +71,9 @@ class FaultPlan:
     corrupt: float = 0.0
     corrupt_header: float = 0.0
     delay: float = 0.0
-    #: A delayed frame is released after this many later sends on the link
-    #: (or at loop end via ``flush``), which reorders the stream.
+    #: A delayed frame is released after this many later sends on the link,
+    #: or by ``flush`` once its sender waits on its inbox or leaves its
+    #: event loop, whichever is first: a delay reorders the stream.
     delay_messages: int = 3
     #: ``{rank: seconds}`` of extra sleep per executed task.
     slow: dict[int, float] = field(default_factory=dict)
@@ -89,13 +92,15 @@ class FaultPlan:
         return any(getattr(self, f) > 0.0 for f in MESSAGE_FAULTS)
 
     def for_attempt(self, attempt: int) -> "FaultPlan":
-        """The plan as seen by restart ``attempt`` (transient crashes
-        filtered out; message faults re-keyed so retries see fresh but
-        still deterministic decisions)."""
+        """The plan as seen by restart ``attempt``: message faults and
+        transient crashes fire on attempt 0 only."""
+        if attempt == 0:
+            return self
         return replace(
             self,
             attempt=attempt,
             crash=tuple(c for c in self.crash if c.applies(attempt)),
+            **dict.fromkeys(MESSAGE_FAULTS, 0.0),
         )
 
     def crash_for(self, rank: int) -> CrashSpec | None:
@@ -214,7 +219,7 @@ class FaultyLink(Link):
                 # payload's integrity words are the slot metadata (offset +
                 # slot CRC), so that is what "payload corruption" flips.
                 # The frame CRC covers the region, so the receiver rejects
-                # and NACKs exactly like an inline payload flip.
+                # it exactly like an inline payload flip.
                 self.injector.injected["corrupt"] += 1
                 span = wire.REF_REGION_LEN
                 offset = wire.REF_REGION_START + int(u[5] * span) % span
@@ -255,8 +260,8 @@ class FaultyLink(Link):
             self.queue.put(item[0])
 
     def flush(self) -> None:
-        """Deliver every delayed frame (called at worker loop end), then
-        ship any coalesced batch."""
+        """Deliver every delayed frame (called when the worker waits on its
+        inbox and at loop end), then ship any coalesced batch."""
         for frame, _ in self._held:
             self.queue.put(frame)
         self._held.clear()

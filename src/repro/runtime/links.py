@@ -39,12 +39,12 @@ class Link:
     Data frames (:meth:`send`) and control frames (:meth:`send_control`)
     are counted separately: the ``messages``/``bytes`` counters track only
     block traffic, so they stay directly comparable to the static
-    communication-volume predictor even when the recovery protocol
-    exchanges NACK/DONE control frames on the side.
+    communication-volume predictor whatever ABORT/DONE control frames
+    travel on the side.
     """
 
     __slots__ = ("src", "dst", "queue", "messages", "bytes", "wire_bytes",
-                 "control_messages", "retransmits", "steal_messages",
+                 "control_messages", "steal_messages",
                  "steal_bytes", "solve_messages", "solve_bytes",
                  "coalesce", "_pending")
 
@@ -56,7 +56,6 @@ class Link:
         self.bytes = 0
         self.wire_bytes = 0
         self.control_messages = 0
-        self.retransmits = 0
         self.steal_messages = 0
         self.steal_bytes = 0
         self.solve_messages = 0
@@ -88,7 +87,7 @@ class Link:
         self._put(frame)
 
     def send_control(self, frame: bytes) -> None:
-        """Put one control frame (NACK/DONE/ABORT) on the link; counted
+        """Put one control frame (ABORT/DONE) on the link; counted
         apart from data traffic. Flushes any coalesced data first so the
         receiver never sees control overtake the data it refers to."""
         self.flush_pending()
@@ -121,14 +120,6 @@ class Link:
         self._put(frame)
         self.solve_messages += 1
         self.solve_bytes += len(frame)
-
-    def resend(self, frame: bytes, nbytes: int | None = None) -> None:
-        """Retransmit a data frame (recovery path): real traffic, counted
-        both on the link and in the retransmit tally. Flushed immediately
-        — the NACKing peer is stalled waiting for it."""
-        self.send(frame, nbytes)
-        self.flush_pending()
-        self.retransmits += 1
 
     def flush_pending(self) -> None:
         """Ship the coalesced batch as a single queue put (a lone frame

@@ -83,23 +83,13 @@ class WorkerMetrics:
     # Fault / integrity / recovery counters. All stay zero on a healthy
     # run with no fault plan — the chaos suite asserts exactly that.
     # ------------------------------------------------------------------
-    #: Control frames (NACK/DONE/ABORT) sent / received.
+    #: Control frames (ABORT/DONE) sent / received.
     control_sent: int = 0
     control_received: int = 0
     #: Incoming frames rejected by the CRC32 / decode checks.
     frames_rejected: int = 0
     #: Incoming BLOCK frames ignored because the block was already applied.
     duplicates_dropped: int = 0
-    #: NACK frames this worker emitted (corrupt reject + renegotiation).
-    nacks_sent: int = 0
-    #: NACK frames this worker received and served (or deferred).
-    nacks_received: int = 0
-    #: Data frames re-sent in response to a NACK.
-    retransmits: int = 0
-    #: Stall-triggered renegotiation rounds (exponential backoff).
-    renegotiations: int = 0
-    #: Blocks preloaded from a driver checkpoint instead of recomputed.
-    checkpoint_blocks_loaded: int = 0
     #: Faults this worker's injector actually fired: ``{class: count}``.
     faults_injected: dict[str, int] = field(default_factory=dict)
     #: Structured trace events recorded / dropped to ring overflow
@@ -171,15 +161,8 @@ class WorkerMetrics:
 
     @property
     def recovery_events(self) -> int:
-        """Total integrity/recovery actions (0 on an undisturbed run)."""
-        return (
-            self.frames_rejected
-            + self.duplicates_dropped
-            + self.nacks_sent
-            + self.retransmits
-            + self.renegotiations
-            + self.checkpoint_blocks_loaded
-        )
+        """Total integrity actions (0 on an undisturbed run)."""
+        return self.frames_rejected + self.duplicates_dropped
 
     def to_dict(self) -> dict:
         d = dict(self.__dict__, dispatch_s=self.dispatch_s)
@@ -249,10 +232,6 @@ class RuntimeMetrics:
     @property
     def ops_total(self) -> int:
         return int(sum(w.ops_executed for w in self.workers))
-
-    @property
-    def retransmits_total(self) -> int:
-        return int(sum(w.retransmits for w in self.workers))
 
     @property
     def frames_rejected_total(self) -> int:
@@ -384,7 +363,6 @@ class RuntimeMetrics:
             "ops": self.ops_total,
             "recovery": {
                 "events": self.recovery_events_total,
-                "retransmits": self.retransmits_total,
                 "frames_rejected": self.frames_rejected_total,
                 "duplicates_dropped": self.duplicates_total,
                 "faults_injected": self.faults_injected_total,

@@ -20,21 +20,17 @@ job is built by its pattern's :class:`~repro.runtime.engine.PatternPlan`:
   nothing on the worker side has to order them.
 * **Job-tagged frames.** Every queue item is ``(seq, item)`` where ``seq``
   is the job number. A frame whose tag is not the running job's is a
-  straggler of a finished one (a late DONE, a retransmit, an ABORT that
-  lost the race with the result) and is dropped on read. Frames bound
-  for the driver — the inline transport's result gather and abort-time
-  checkpoints — carry their payload, so salvaged frames outlive the
-  arena. A clean shm job ships no block: the driver copies the factor out
-  of the pattern's arena before it dispatches the next job, the only
-  writer those slots can have.
+  straggler of a finished one (a late DONE, an ABORT that lost the race
+  with the result) and is dropped on read. The inline transport's result
+  gather ships frames that carry their payload; a clean shm job ships no
+  block: the driver copies the factor out of the pattern's arena before
+  it dispatches the next job, the only writer those slots can have.
 
 Failure containment: a worker error poisons only its own job — the
 erroring worker broadcasts ABORT for that job's tag, peers abort that
-job, and the driver reports it failed; the crew serves the next. A job
-may run the in-run integrity protocol and resume from a checkpoint
-(``PoolJob.recovery`` / ``checkpoint``, see
-:mod:`repro.runtime.recovery`), and
-:class:`~repro.runtime.faults.FaultPlan` injection threads into
+job, and the driver reports it failed; the crew serves the next, and the
+recovery loop (:mod:`repro.runtime.recovery`) re-runs the job from
+scratch. :class:`~repro.runtime.faults.FaultPlan` injection threads into
 individual jobs so every layer above is chaos-testable. Per-job
 deadlines are enforced driver-side: an expired job gets a seq-tagged
 ABORT injected into every inbox. Workers heartbeat on the result queue
@@ -76,10 +72,6 @@ __all__ = [
 
 #: Result-queue tag used by worker heartbeats (never a valid job seq).
 HEARTBEAT_SEQ = -1
-
-#: Seconds a ``recovery`` job keeps collecting survivors after a process
-#: death, so they can abort and ship their completed-block checkpoints.
-DEAD_GRACE_S = 5.0
 
 #: ``fork`` shares the parent's imports with the crew for free; platforms
 #: without it get ``spawn``.
@@ -124,16 +116,8 @@ class PoolJob:
     ``time.monotonic()`` instant past which the driver aborts the job
     (``time.monotonic`` is system-wide on Linux, so workers and driver
     agree on it). ``fault_plan`` injects deterministic faults into this
-    job's workers.
-
-    ``recovery`` turns on the in-run integrity protocol (CRC reject +
-    NACK/retransmit under the worker's renegotiation backoff +
-    duplicate suppression + the DONE linger barrier) and makes
-    erroring/aborted ranks ship their completed blocks
-    home as a checkpoint; ``checkpoint`` maps block ids to such frames
-    from a previous attempt — those blocks are preloaded, their tasks
-    skipped. ``rhs`` on a factor job appends the distributed triangular
-    solve to the factor phase.
+    job's workers. ``rhs`` on a factor job appends the distributed
+    triangular solve to the factor phase.
 
     ``kind="solve"`` runs the distributed triangular solve against the
     rank's *resident* factor — the :class:`~repro.runtime.worker.Worker`
@@ -153,8 +137,6 @@ class PoolJob:
     fault_plan: object | None = None
     kind: str = "factor"
     rhs: np.ndarray | None = None
-    recovery: bool = False
-    checkpoint: dict[int, bytes] | None = None
 
 
 @dataclass
@@ -562,11 +544,8 @@ class WorkerPool:
         A dead worker process or ``timeout_s`` breaks the pool: the job is
         ABORTed and failed, the casualties land in its ``failed_ranks``
         (the dead ranks; on a timeout, every rank that never reported)
-        and :attr:`last_error` records why. After a death the loop lingers
-        up to :data:`DEAD_GRACE_S` when the job runs under ``recovery``
-        (only then do survivors ship completed-block checkpoints), and
-        not at all otherwise. Nothing is restarted here — the caller
-        heals or closes.
+        and :attr:`last_error` records why; the job is over at once.
+        Nothing is restarted here — the caller heals or closes.
         """
         if not self.running:
             self.start()
@@ -620,8 +599,7 @@ class WorkerPool:
                 dead = [r for r in self.dead_ranks() if r in waiting]
                 if dead:
                     if self.last_error is None:
-                        grace = DEAD_GRACE_S if job.recovery else 0.0
-                        stop_at = min(stop_at, time.monotonic() + grace)
+                        stop_at = time.monotonic()
                     names = [self._procs[r].name for r in dead]
                     break_pool(
                         f"pool worker process(es) died: {names}", dead, True

@@ -1,18 +1,20 @@
 """The recovery loop of the message-passing runtime.
 
 The factor is bitwise independent of the block map and of P, so one idea
-covers every failure: re-plan the map on the surviving workers, run
-again, and fall back to the sequential factorization last. :func:`recover`
-is that idea written once, over a :class:`~repro.runtime.pool.WorkerPool`
-the caller owns and one :class:`RecoveryJob` — :func:`run_job`'s or a
-factor job of the factorization service. Each round it re-plans owners
-for the crew, runs the attempt, and settles with the pool
-(:func:`settle`, the one place a crew is healed, by one rule: a rank that
-merely raised stays, a dead process is shed): a finished or expired job
-leaves; a failed one has its checkpoint frames and traces harvested and a
-:class:`FailedAttempt` recorded, and runs again unless its error is
-deterministic, the attempt budget is spent or the caller stops the loop —
-then it leaves for :func:`last_resort`.
+covers every failure: a faulted attempt aborts, the job re-runs from
+scratch on the surviving workers, and the sequential factorization comes
+last. :func:`recover` is that idea written once, over a
+:class:`~repro.runtime.pool.WorkerPool` the caller owns and one
+:class:`RecoveryJob` — :func:`run_job`'s or a factor job of the
+factorization service. Each round it re-plans owners for the crew, runs
+the attempt, and settles with the pool (:func:`settle`, the one place a
+crew is healed, by one rule: a rank that merely raised stays, a dead
+process is shed): a finished or expired job leaves; a failed one has its
+traces kept and a :class:`FailedAttempt` recorded, and runs again unless
+its error is deterministic, the attempt budget is spent or the caller
+stops the loop — then it leaves for :func:`last_resort`. Every caller
+builds attempt ``k``'s job one way: the fault plan's
+:meth:`~repro.runtime.faults.FaultPlan.for_attempt` plus the deadline.
 Every job leaves with a :class:`FailureReport`, so a result can always
 say whether its factor came from a clean run, a recovered restart or the
 sequential fallback. Jobs are built by the pattern's
@@ -32,9 +34,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro.fanout.tasks import TaskGraph
 from repro.numeric.blockfact import BlockCholesky
-from repro.runtime import wire
 from repro.runtime.engine import (
     MPRuntimeResult, PatternPlan, job_result, plan_owners,
 )
@@ -66,15 +66,14 @@ class FailedAttempt:
     nprocs: int
     failed_ranks: list[int]
     error: str
-    checkpoint_blocks: int
     wall_s: float
 
     def __str__(self) -> str:
         last = self.error.strip().splitlines()[-1] if self.error else "?"
         return (
             f"attempt {self.attempt} (P={self.nprocs}) failed "
-            f"[ranks {self.failed_ranks}] after {self.wall_s * 1e3:.0f} ms, "
-            f"salvaged {self.checkpoint_blocks} blocks: {last}"
+            f"[ranks {self.failed_ranks}] after {self.wall_s * 1e3:.0f} ms: "
+            f"{last}"
         )
 
 
@@ -86,7 +85,6 @@ class FailureReport:
     attempts: list[FailedAttempt] = field(default_factory=list)
     restarts: int = 0
     final_nprocs: int = 0
-    checkpoint_blocks_used: int = 0
     recovery_events: int = 0
     faults_injected: dict = field(default_factory=dict)
     wall_s: float = 0.0
@@ -109,7 +107,6 @@ class FailureReport:
         lines = [
             f"outcome={self.outcome} restarts={self.restarts} "
             f"final_P={self.final_nprocs} "
-            f"checkpoint_blocks={self.checkpoint_blocks_used} "
             f"recovery_events={self.recovery_events}"
         ]
         lines += [f"  {a}" for a in self.attempts]
@@ -122,15 +119,14 @@ class RecoveryJob:
     """One factorization on its way through :func:`recover`: the permuted
     csc matrix ``A``, a ``label`` for the log and the pattern's
     :class:`~repro.runtime.engine.PatternPlan` — plus what the loop keeps:
-    the ``checkpoint`` frames (by block) and ``traces`` salvaged from failed
-    attempts, the last attempt's :class:`~repro.runtime.pool.PoolJob`
-    (``shipped``) and ``outcome``, and the ``report``, which says degraded
-    — owed the last resort — until an attempt finishes."""
+    the ``traces`` of failed attempts, the last attempt's
+    :class:`~repro.runtime.pool.PoolJob` (``shipped``) and ``outcome``, and
+    the ``report``, which says degraded — owed the last resort — until an
+    attempt finishes."""
 
     def __init__(self, plan, A, label: str = "one-shot"):
         self.plan, self.A, self.label = plan, A, label
         self.report = FailureReport(OUTCOME_DEGRADED)
-        self.checkpoint: dict[int, bytes] = {}
         self.traces: list[RunTrace] = []
         self.shipped: PoolJob | None = None
         self.outcome: JobOutcome | None = None
@@ -141,29 +137,8 @@ class RecoveryJob:
         rep.outcome = outcome
         rep.restarts = len(rep.attempts)
         rep.final_nprocs = width
-        rep.checkpoint_blocks_used = len(self.checkpoint)
         rep.wall_s = time.perf_counter() - self._entered
         return self
-
-
-def _harvest_checkpoint(out: JobOutcome, tg: TaskGraph,
-                        checkpoint: dict[int, bytes]) -> int:
-    """Fold the completed-block frames a failed attempt shipped home into
-    ``checkpoint`` (CRC-verified first; a block already held is kept) and
-    return how many were new. Checkpoint frames carry their payload on
-    every transport, so they outlive the attempt's arena slots."""
-    before = len(checkpoint)
-    for res in out.results.values():
-        for frame in res.frames:
-            try:
-                b = wire.frame_block(frame)
-                if b in checkpoint or not 0 <= b < tg.nblocks:
-                    continue
-                wire.unpack(frame)  # CRC + shape check; corrupt -> skip
-            except wire.WireError:
-                continue
-            checkpoint[b] = frame
-    return len(checkpoint) - before
 
 
 def settle(pool: WorkerPool) -> bool:
@@ -215,7 +190,6 @@ def recover(pool: WorkerPool, job: RecoveryJob, make_spec, attempts: int,
                          job.label, attempt, width)
         else:
             outcome = OUTCOME_DEGRADED
-            salvaged = _harvest_checkpoint(out, plan.tg, job.checkpoint)
             if any(res.trace is not None for res in out.results.values()):
                 job.traces.append(RunTrace.from_workers(
                     {r: res.trace for r, res in out.results.items()},
@@ -224,7 +198,7 @@ def recover(pool: WorkerPool, job: RecoveryJob, make_spec, attempts: int,
                 ))
             job.report.attempts.append(FailedAttempt(
                 attempt, width, list(out.failed_ranks),
-                out.error or "aborted", salvaged, wall_s,
+                out.error or "aborted", wall_s,
             ))
             log.warning("job %s: %s", job.label, job.report.attempts[-1])
             retry = not out.expired and not any(
@@ -254,20 +228,16 @@ def last_resort(job: RecoveryJob) -> tuple[BlockCholesky, RuntimeMetrics]:
 
 def run_job(pool: WorkerPool, plan: PatternPlan, A, attempts: int, seqs, *,
             rhs=None, fault_plan: FaultPlan | None = None,
-            recovery=False, checkpoint=None,
             fallback_sequential=True) -> MPRuntimeResult:
     """Factor ``A`` (permuted csc) on ``pool``, regrown and started first:
     :func:`recover` over ``plan``'s job for ``attempts`` parallel attempts
-    numbered from ``seqs``, each with ``fault_plan``'s faults for it, the
-    integrity protocol when ``recovery`` and the ``checkpoint`` frames
-    given plus those earlier attempts salvaged (``rhs`` appends the
-    distributed solve).
+    numbered from ``seqs``, each with ``fault_plan``'s faults for it
+    (``rhs`` appends the distributed solve).
     Returns the last attempt's result, or the :func:`last_resort`'s (no
     ``solution``; what it raises propagates), or — ``fallback_sequential``
     off — raises the attempt's typed error. Either carries the job's
     ``FailureReport``."""
     job = RecoveryJob(plan, A, plan.pattern_id)
-    job.checkpoint.update(checkpoint or {})
     report = job.report
     epoch = time.perf_counter()
     pool.regrow().start()
@@ -275,9 +245,8 @@ def run_job(pool: WorkerPool, plan: PatternPlan, A, attempts: int, seqs, *,
 
     def spec(attempt):
         return plan.job(
-            pool, A, next(seqs), rhs=rhs, recovery=recovery,
+            pool, A, next(seqs), rhs=rhs,
             fault_plan=fault_plan and fault_plan.for_attempt(attempt),
-            checkpoint=job.checkpoint or None,
         )
 
     recover(pool, job, spec, attempts, plan.config.timeout_s)
@@ -292,7 +261,7 @@ def run_job(pool: WorkerPool, plan: PatternPlan, A, attempts: int, seqs, *,
             SEQUENTIAL_MAPPING, {"fallback": True}, report,
         )
     if job.traces:
-        # Failed attempts' salvaged events first, so the trace tells the
-        # whole multi-attempt story.
+        # Failed attempts' events first, so the trace tells the whole
+        # multi-attempt story.
         res.trace = RunTrace.concat([*job.traces, res.trace])
     return res

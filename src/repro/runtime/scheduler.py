@@ -13,8 +13,7 @@ class ReadyScheduler:
     """FIFO queue of ready task ids.
 
     Pushes are idempotent: a task id already enqueued (ever) is silently
-    ignored, so redundant wakeups — duplicate frames, checkpoint replay
-    racing a late message — cannot execute a task twice.
+    ignored, so a redundant wakeup cannot execute a task twice.
     """
 
     def __init__(self):

@@ -28,8 +28,7 @@ Span categories
     ``recv(I,J)``, or ``duplicate`` for an idempotently dropped
     repeat); args carry the same ``bytes`` / ``wire_bytes`` split.
 ``comm``
-    Handling of a control frame (``done_recv``, ``nack_recv``) or a
-    rejected frame (``frame_rejected``, ``undecodable``).
+    Handling of a DONE control frame (``done_recv``).
 ``idle``
     One blocking wait on the inbox.
 ``steal``
@@ -42,10 +41,9 @@ Span categories
     owning victim's rank) — replay uses it to reconcile migrated work
     exactly against the static owner shares.
 
-Instant events (category ``mark``, zero duration) record the fault /
-recovery protocol: ``crash``, ``slow``, ``nack_sent``, ``retransmit``,
-``renegotiate``, ``checkpoint_load``, ``done_sent``, ``abort_sent``,
-``abort_recv``.
+Instant events (category ``mark``, zero duration) record injected faults
+and the control protocol: ``crash``, ``slow``, ``done_sent``,
+``abort_sent``, ``abort_recv``.
 
 The engine merges per-worker buffers into a :class:`RunTrace`, which
 serializes to a native JSON form, exports Chrome ``trace_event`` JSON

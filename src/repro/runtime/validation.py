@@ -104,10 +104,11 @@ def validate_runtime(
 
     ``faulty`` marks an execution that ran under fault injection: the
     numeric checks still apply in full, but the exact message/byte/work
-    accounting checks are skipped (retransmits and checkpoint-skipped
-    tasks legitimately perturb them). Conversely, a run that is *not*
-    marked faulty must show zero integrity/recovery events — a healthy
-    interconnect never triggers the recovery machinery.
+    accounting checks are skipped (rejected and duplicate frames
+    legitimately perturb them). Conversely, a run that is *not* marked
+    faulty must show zero integrity events — a healthy interconnect never
+    rejects or drops a frame. A job that recovered by a re-run reports its
+    last attempt, an ordinary run, so it passes unmarked.
     """
     wm = tg.workmodel
     owners = result.owners

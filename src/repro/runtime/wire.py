@@ -32,15 +32,13 @@ Frame kinds
     of the slot contents, both covered by the frame CRC. Consumers map the
     slot read-only via :class:`repro.runtime.arena.BlockArena`.
 ``ABORT``
-    A worker hit an unrecoverable error; peers should stop promptly.
+    A worker hit an error (a frame that failed its CRC included); peers
+    stop promptly and the job fails, to be re-run from scratch.
     Payload-free.
-``NACK``
-    Recovery control: "please (re)send block ``block``" — emitted when a
-    receiver rejects a corrupt frame or renegotiates a block it is still
-    missing after a stall. Payload-free.
 ``DONE``
-    Recovery control: the sender finished all of its tasks and is
-    lingering only to serve retransmits. Payload-free.
+    Dynamic-schedule control: the sender finished all of its own tasks
+    and lingers only to answer steal requests until every peer is done.
+    Payload-free.
 ``STEAL_REQ`` / ``STEAL_DENY``
     Work-stealing control (``schedule="dynamic"``): an idle thief asks a
     victim for one ready task / the victim has nothing grantable.
@@ -94,14 +92,14 @@ import numpy as np
 
 from repro.util.arrays import tril_flat
 
-#: Frame kinds.
-BLOCK, ABORT, NACK, DONE, BLOCK_REF = 1, 2, 3, 4, 5
+#: Frame kinds (3 is unused).
+BLOCK, ABORT, DONE, BLOCK_REF = 1, 2, 4, 5
 STEAL_REQ, STEAL_GRANT, STEAL_DENY, STEAL_SHIP, STEAL_RESULT = 6, 7, 8, 9, 10
 SOLVE_Y, SOLVE_FUP, SOLVE_X, SOLVE_BUP = 11, 12, 13, 14
 
 #: Payload-free control kinds (never fault-injected, never CRC-protected
 #: payloads — there is no payload).
-CONTROL_KINDS = (ABORT, NACK, DONE, STEAL_REQ, STEAL_DENY)
+CONTROL_KINDS = (ABORT, DONE, STEAL_REQ, STEAL_DENY)
 
 #: Kinds that carry (or reference) factor-block data — the fault
 #: injector's targets, and the frames counted as data traffic.
@@ -147,8 +145,8 @@ class CorruptFrameError(WireError):
     """The frame parsed but its CRC32 check failed.
 
     ``src`` and ``block`` carry the header's (best-effort, possibly
-    corrupted themselves) values so a receiver can NACK the presumed
-    sender for a retransmit.
+    corrupted themselves) values, so the error can name the presumed
+    sender and block.
     """
 
     def __init__(self, message: str, src: int = -1, block: int = -1):
@@ -265,11 +263,6 @@ def pack_block_ref(
 def pack_abort(src: int) -> bytes:
     """Serialize a payload-free ABORT frame."""
     return _frame(ABORT, src, -1, 0, 0)
-
-
-def pack_nack(src: int, block: int) -> bytes:
-    """Serialize a NACK: ``src`` asks the receiver to (re)send ``block``."""
-    return _frame(NACK, src, block, 0, 0)
 
 
 def pack_done(src: int) -> bytes:

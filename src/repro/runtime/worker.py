@@ -12,9 +12,11 @@ op or an arrived block, run it, fan the result out block by block — and
 * :meth:`Worker.arm` wires a rank to one job — a factor job or a warm
   solve on a retained worker — and starts its wire-kind → handler table;
 * :meth:`Worker.receive` is the one receive prologue (decode, CRC check,
-  ``BLOCK_REF`` → arena view, reject / NACK), then a lookup in that table;
-* ``_pump`` runs every phase of a job (factor, the DONE linger, solve —
-  see :meth:`Worker.phases`) on the non-blocking :meth:`Worker.step`:
+  ``BLOCK_REF`` → arena view; an undecodable frame raises its typed
+  :class:`~repro.runtime.wire.WireError`), then a lookup in that table;
+* ``_pump`` runs every phase of a job (factor, the dynamic schedule's
+  DONE linger, solve — see :meth:`Worker.phases`) on the non-blocking
+  :meth:`Worker.step`:
   drain the inbox when that can matter (nothing ready, or every
   ``DRAIN_EVERY`` steps), run one ready task, else the phase's idle hook;
   then wait ``POLL_S`` for a frame, then check for a stall;
@@ -26,8 +28,8 @@ op or an arrived block, run it, fan the result out block by block — and
   running CRC travel), after an ABORT broadcast on error so peers exit
   promptly instead of deadlocking.
 
-State and handlers are grouped by *plane* — factor, integrity (the
-``recovery`` protocol), steal (the dynamic schedule), solve — each
+State and handlers are grouped by *plane* — factor, control (ABORT,
+duplicates, DONE), steal (the dynamic schedule), solve — each
 registering its wire kinds when armed; the sections below describe their
 protocols, ``docs/ARCHITECTURE.md`` tabulates *wire kind → plane →
 handler → what it may unblock*. Because ``step`` never blocks, tests drive
@@ -70,16 +72,12 @@ from repro.runtime.trace import TraceRecorder, WorkerTrace
 #: Inbox wait per idle tick; bounds how late a worker notices a frame.
 POLL_S = 0.002
 #: A rank with ready tasks reads its inbox (a ``poll()`` syscall, about
-#: one 25 us task) every this many steps: the wait of ABORT, steal and NACK.
+#: one 25 us task) every this many steps: the wait of ABORT and steal.
 DRAIN_EVERY = 16
-#: Retransmits of one block to one requester before NACKs are ignored.
-RETRANSMIT_LIMIT = 5
-#: A starved worker's renegotiation backoff (``recovery`` jobs only): the
-#: first NACK round's delay in seconds, the delay's ceiling, and the rounds
-#: before it gives up.
-RENEGOTIATE_BASE_S = 0.05
-RENEGOTIATE_CAP_S = 0.5
-MAX_RENEGOTIATIONS = 6
+#: The no-progress watchdog, in seconds, of a job whose links inject
+#: message faults (``config.stall_timeout_s`` otherwise): a dropped frame
+#: ends the attempt this soon, and the job re-runs from scratch.
+FAULTY_STALL_S = 0.5
 
 
 class _Abort(Exception):
@@ -90,8 +88,7 @@ class _Abort(Exception):
 class WorkerResult:
     """What a worker sends home: metrics plus its owned factor blocks —
     as wire frames on the inline transport, as ``held`` on shm, where the
-    blocks stay in the arena; on error/abort under recovery, the
-    completed-block checkpoint frames instead, on either transport."""
+    blocks stay in the arena; none on error or abort."""
 
     rank: int
     metrics: WorkerMetrics
@@ -111,15 +108,13 @@ class Phase(NamedTuple):
     """What one run of the pump needs to know: ``left()`` is falsy once
     the phase is over, else how much of ``what`` is outstanding (the stall
     error quotes both); ``ready`` / ``run`` are its task queue and runner;
-    ``idle()`` is a non-blocking hook for a step that moved nothing,
-    ``waiting(now, last_progress)`` one for a wait that brought nothing."""
+    ``idle()`` is a non-blocking hook for a step that moved nothing."""
 
     what: str
     left: Callable[[], object]
     ready: object = ()
     run: Callable[[int], None] | None = None
     idle: Callable[[], None] | None = None
-    waiting: Callable[[float, float], None] | None = None
     idle_cat: str = "idle"
 
 
@@ -132,8 +127,8 @@ class Worker:
     the permuted matrix's index arrays — scattering ``job.values`` into
     initial block data is the runtime's stand-in for the host
     distributing ``A``), the
-    :class:`~repro.runtime.pool.PoolJob` (values, rhs, and the fault /
-    recovery / checkpoint / trace knobs) and the pattern's attached
+    :class:`~repro.runtime.pool.PoolJob` (values, rhs, the fault plan and
+    the trace capacity) and the pattern's attached
     ``arena`` (shm transport; None means inline).
     """
 
@@ -150,8 +145,7 @@ class Worker:
         #: map (see ``docs/SCHEDULING.md``).
         self.dynamic = config.schedule == "dynamic" and fabric.nprocs > 1
         #: Blocks whose final factored value is present locally (owned
-        #: completions, received frames, checkpoint preloads). Drives both
-        #: duplicate suppression and the abort-time checkpoint.
+        #: completions, received frames): duplicate suppression.
         self.have: set[int] = set()
         #: The wire-kind → handler table: each plane registers its kinds
         #: as it is armed; a job that arms no solve refuses solve frames.
@@ -160,19 +154,21 @@ class Worker:
 
     def arm(self, job, fabric, result_queue) -> None:
         """Wire this rank to one job: fabric, links, inbox, fault injector,
-        fresh metrics and recorders, fresh integrity state. The one routine
+        fresh metrics and recorders, fresh control state. The one routine
         behind a factor job (from the constructor) and a warm solve on a
         retained, already-factored worker (the pool calls it, then run)."""
         self.job = job
-        self.recovery = job.recovery
         self.result_queue = result_queue
         self.inbox = fabric.inbox(self.rank)
         self.links = fabric.outgoing(self.rank)
         plan = job.fault_plan
         self.injector = None
+        self.stall_s = self.config.stall_timeout_s
         if plan is not None and plan.active:
             self.injector = FaultInjector(plan, self.rank)
             self.links = self.injector.wrap_links(self.links)
+            if plan.message_faults_active:
+                self.stall_s = FAULTY_STALL_S
         if self.arena is not None:
             # Descriptors are cheap and uniform — batch them per link and
             # ship one queue put per drain instead of one per block.
@@ -192,7 +188,7 @@ class Worker:
         self.solve_executed = 0
         self._undrained = 0  # steps since the last inbox drain
         self.handlers.update(dict.fromkeys(wire.SOLVE_KINDS, self._no_rhs))
-        self._arm_integrity()
+        self._arm_control()
 
     # ------------------------------------------------------------------
     # The job: set up, pump the phases, ship home
@@ -225,10 +221,6 @@ class Worker:
             m.error_type = type(exc).__name__
             self._broadcast_abort()
         failed = m.aborted or m.error is not None
-        if failed and factor and self.recovery:
-            # The snapshot a restarted attempt resumes from: every
-            # *completed* block held locally.
-            frames = self._frames(sorted(self.have))
         self._finalize()
         trace = None if self.trace is None else self.trace.snapshot(self.rank)
         self.result_queue.put(
@@ -249,17 +241,8 @@ class Worker:
                 (job.values, ctx.indices, ctx.indptr), shape=tuple(ctx.shape)
             )
             self.chol = BlockCholesky(ctx.structure, A)
-            # Checkpointed blocks are final: skip every task that writes
-            # them, then preload their values.
-            done = [
-                int(b) for b in self.checkpoint
-                if 0 <= int(b) < self.tg.nblocks
-            ]
-            self._arm_factor(done)
+            self._arm_factor()
             self._arm_steal()
-            self._load_checkpoint(done)
-            if self.recovery:
-                self.expected = set(self.plan.expected) - self.have
         # Armed during factor setup because solve frames may arrive while
         # this rank is still factoring (a fast peer enters its solve
         # phase as soon as its own factor tasks are done).
@@ -274,9 +257,8 @@ class Worker:
                 "owned tasks to run", lambda: self.n_owned - self.executed,
                 self.scheduler, self._execute,
                 idle=self._request_steal if self.dynamic else None,
-                waiting=self._renegotiate if self.recovery else None,
             )
-            if (self.recovery or self.dynamic) and self.links:
+            if self.dynamic:
                 self._announce_done()
                 yield Phase("peers not DONE",
                             lambda: set(self.links) - self.done_peers)
@@ -312,7 +294,8 @@ class Worker:
 
     def _pump(self, phase: Phase) -> None:
         """The one event loop: step, else wait, else check for a stall —
-        until nothing of the phase is left."""
+        until nothing of the phase is left. Leaving, it ships everything
+        its links hold back."""
         start = last_progress = self._now()
         try:
             while left := phase.left():
@@ -320,23 +303,27 @@ class Worker:
                 now = self._now()
                 if progressed:
                     last_progress = now
-                elif now - last_progress > self.config.stall_timeout_s:
+                elif now - last_progress > self.stall_s:
                     raise RuntimeError(
                         f"worker {self.rank} stalled: {left} {phase.what}, "
-                        f"no messages for {self.config.stall_timeout_s:.0f}s "
-                        "(deadlock?)"
+                        f"no messages for {self.stall_s:g}s (deadlock?)"
                     )
-                elif phase.waiting is not None:
-                    phase.waiting(now, last_progress)
         finally:
             self.metrics.pump_s += self._now() - start
-        self._flush_pending()
+        self._flush_links()
 
     def _flush_pending(self) -> None:
         """Ship every link's coalesced batch (does *not* release frames a
         fault injector is deliberately delaying)."""
         for link in self.links.values():
             link.flush_pending()
+
+    def _flush_links(self) -> None:
+        """Ship every link's coalesced batch and the frames a fault
+        injector delayed, so a delay reorders frames but never withholds
+        one."""
+        for link in self.links.values():
+            link.flush()
 
     def _now(self) -> float:
         return time.perf_counter() - self.epoch
@@ -403,8 +390,8 @@ class Worker:
         return self.chol.diag[J] if I == J else self.chol.below[J][I]
 
     def _store(self, b: int, array: np.ndarray, final: bool = True) -> None:
-        """Install ``array`` as block ``b`` — the one place a frame,
-        checkpoint or steal payload lands in the factor. ``final=False``
+        """Install ``array`` as block ``b`` — the one place a frame or a
+        steal payload lands in the factor. ``final=False``
         installs a migrated task's *partial* destination state."""
         self.chol.install(*self.plan.coords[b], array, final)
 
@@ -413,8 +400,8 @@ class Worker:
         predictor charges, independent of the transport."""
         return wire.HEADER_BYTES + 8 * int(self.tg.block_words[b])
 
-    def _frame_for(self, b: int, inline: bool = False) -> bytes:
-        if self.arena is not None and not inline:
+    def _frame_for(self, b: int) -> bytes:
+        if self.arena is not None:
             return self.arena.pack_ref(self.rank, b)
         I, J = self.plan.coords[b]
         return wire.pack_block(self.rank, b, I, J, self._block(b))
@@ -439,7 +426,10 @@ class Worker:
             got = self._handle_item(item) or got
 
     def _wait(self, cat: str) -> bool:
-        """Block up to ``POLL_S`` for one inbox item (an idle span)."""
+        """Block up to ``POLL_S`` for one inbox item (an idle span),
+        releasing any delayed frame first."""
+        if self.injector is not None:
+            self._flush_links()
         t0 = self._now()
         try:
             item = self.inbox.get(timeout=POLL_S)
@@ -450,10 +440,12 @@ class Worker:
 
     def receive(self, frame: bytes) -> bool:
         """Take one frame in: decode and CRC-check it, swap a ``BLOCK_REF``
-        descriptor for the read-only arena slot view (a slot-CRC mismatch
-        funnels into the same reject/NACK path as inline payload
-        corruption), then call its kind's handler with ``(msg, len(frame),
-        t0)``. True if it made progress (i.e. could unblock a task)."""
+        descriptor for the read-only arena slot view, then call its kind's
+        handler with ``(msg, len(frame), t0)``. True if it made progress
+        (i.e. could unblock a task). A frame that does not decode — a CRC
+        or slot-CRC mismatch included — is counted and its typed
+        :class:`~repro.runtime.wire.WireError` raised: fail-stop, the job
+        aborts and re-runs."""
         t0 = self._now()
         try:
             msg = wire.unpack(frame, copy=False)
@@ -464,8 +456,9 @@ class Worker:
                         "attached (transport mismatch)"
                     )
                 msg = self.arena.resolve(msg)
-        except wire.WireError as exc:
-            return self._rejected(exc, t0)
+        except wire.WireError:
+            self.metrics.frames_rejected += 1
+            raise
         return self.handlers[msg.kind](msg, len(frame), t0)
 
     def _no_rhs(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
@@ -486,23 +479,18 @@ class Worker:
     # and one panel update PMOD(K,J) per (source, destination) pair, and
     # ``self.readiness`` counts the few share events each one waits for.
     # The block stays the unit of data: each finished block travels in
-    # its own frame. On top sit checkpoint skipping and ``have`` /
-    # ``expected``.
+    # its own frame.
 
-    def _arm_factor(self, done_blocks: list[int]) -> None:
-        tg = self.tg
+    def _arm_factor(self) -> None:
         self.handlers.update({wire.BLOCK: self._on_block,
                               wire.BLOCK_REF: self._on_block})
         self.plan = plan = self.context.dispatch_plan(self.rank)
         self.n_owned = plan.n_owned
         self.scheduler = ReadyScheduler()
-        done = np.zeros(tg.nblocks, dtype=bool)
-        done[done_blocks] = True
-        #: Owned tasks finished: run here, returned by a thief, or skipped
-        #: because a checkpoint supplies their output.
-        self.executed = int((plan.mine & done[tg.task_block]).sum())
-        ntasks, push = tg.ntasks, self.scheduler.push
-        self.readiness = Readiness(plan, lambda o: push(ntasks + o), done)
+        #: Owned tasks finished: run here or returned by a thief.
+        self.executed = 0
+        ntasks, push = self.tg.ntasks, self.scheduler.push
+        self.readiness = Readiness(plan, lambda o: push(ntasks + o))
 
     def _on_block(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
         """``BLOCK`` (or a resolved ``BLOCK_REF``): a completed block
@@ -517,7 +505,6 @@ class Worker:
         if b in self.have:
             return self._duplicate(msg, nbytes, t0)
         self.have.add(b)
-        self.expected.discard(b)
         self._store(b, msg.payload)
         self.readiness.arrived(b)
         tr = self.trace
@@ -537,16 +524,11 @@ class Worker:
         which ticks at the victim when the RESULT lands."""
         plan, chol, tr = self.plan, self.chol, self.trace
         o = item - self.tg.ntasks
-        # A partly checkpointed op runs whole, then puts back the blocks
-        # the checkpoint supplies; it executes and publishes the rest.
-        partial = self.readiness.partial.get(o)
         pfac, sent, pub = o >= plan.nupdates, (), 0.0
         t0 = self._now()
         if pfac:
             K, rows, tids, blocks, bfac, flops, work = (
                 plan.factors[o - plan.nupdates])
-            if partial is not None:
-                tids, blocks, kept, bfac, flops, work = partial
             if bfac and plan.recipients[blocks[0]]:
                 # L_KK travels: send it before the dtrsm. That publish is
                 # not busy time: it leaves the busy total below.
@@ -562,12 +544,7 @@ class Worker:
                 plan.updates.single(item) if o < 0 else plan.updates.ops[o]
             )
             chol.pmod(K, J, rows)
-            if partial is not None:
-                tids, blocks, kept, _, flops, work = partial
             bfac, kind, name = False, "BMOD", tr and "PMOD(%d,%d)" % (K, J)
-        if partial is not None:
-            for b in kept:
-                self._store(b, wire.unpack(self.checkpoint[b]).payload)
         t1 = self._now()
         args = None
         if tr is not None:
@@ -634,99 +611,26 @@ class Worker:
         )
 
     # ------------------------------------------------------------------
-    # Integrity plane: the recovery protocol
+    # Control plane: abort, duplicates, DONE
     # ------------------------------------------------------------------
-    # Under ``recovery`` (see :mod:`repro.runtime.faults` and
-    # :mod:`repro.runtime.recovery`):
-    #
-    # * every incoming frame is CRC-checked; corrupt frames are rejected
-    #   and the presumed sender NACKed for a retransmit;
-    # * duplicate block frames are suppressed idempotently (a block is
-    #   applied exactly once, no matter how often it arrives);
-    # * a worker that stops receiving messages it still needs
-    #   *renegotiates*: it NACKs the owners of its missing blocks under
-    #   bounded exponential backoff before giving up;
-    # * after finishing its own tasks a worker broadcasts DONE and lingers
-    #   to serve retransmit requests until every peer is done — so late
-    #   NACKs always find a living sender;
-    # * a restarted attempt preloads the completed blocks a failed one
-    #   shipped home as its checkpoint.
+    # A job is fail-stop: a frame that does not decode raises in the
+    # receive prologue, a rank that raises broadcasts ABORT, and the
+    # recovery loop (:mod:`repro.runtime.recovery`) re-runs the job from
+    # scratch. A duplicate block frame is suppressed (a block is applied
+    # exactly once, however often it arrives). Under the dynamic schedule
+    # a rank that finished its own tasks broadcasts DONE and lingers until
+    # every peer is done, so no steal GRANT ever targets a finished thief.
 
-    def _arm_integrity(self) -> None:
+    def _arm_control(self) -> None:
         self.handlers.update({wire.ABORT: self._on_abort,
-                              wire.DONE: self._on_done,
-                              wire.NACK: self._on_nack})
-        #: Block id -> completed-block frame from a previous attempt.
-        self.checkpoint: dict[int, bytes] = self.job.checkpoint or {}
+                              wire.DONE: self._on_done})
         #: Peers that announced DONE (the linger waits for all of them).
         self.done_peers: set[int] = set()
-        #: Remote blocks this rank still needs (filled under recovery).
-        self.expected: set[int] = set()
-        self._resends: dict[tuple[int, int], int] = {}
-        self._reneg_attempts = 0
-        self._last_reneg = 0.0
-
-    def _load_checkpoint(self, blocks: list[int]) -> None:
-        """Preload final block values snapshotted by a previous attempt."""
-        for b in blocks:
-            msg = wire.unpack(self.checkpoint[b])
-            self.have.add(b)
-            if self.arena is not None:
-                # Keep the invariant "b in have => slot b is valid": any
-                # held block may later be served to a NACKing peer as a
-                # descriptor. Re-writing the same final bytes from every
-                # preloading worker is benign.
-                self.arena.write(b, msg.payload)
-            self.metrics.checkpoint_blocks_loaded += 1
-            if self.trace is not None:
-                I, J = self.plan.coords[b]
-                self.trace.mark("checkpoint_load", self._now(),
-                                {"block": b, "I": I, "J": J})
-            self._store(b, msg.payload)
-            self.readiness.arrived(b)
-
-    def _rejected(self, exc: wire.WireError, t0: float) -> bool:
-        """The receive prologue could not decode a frame. A CRC mismatch
-        still names its (presumed) sender, who is NACKed for a retransmit;
-        unattributable garbage is dropped — renegotiation re-requests
-        whatever it was supposed to carry. Fail-stop without recovery."""
-        self.metrics.frames_rejected += 1
-        corrupt = isinstance(exc, wire.CorruptFrameError)
-        if not self.recovery:
-            what = "rejected a corrupt" if corrupt else "got an undecodable"
-            raise RuntimeError(
-                f"worker {self.rank} {what} frame (no recovery enabled): {exc}"
-            ) from exc
-        if not corrupt:
-            self._span("comm", t0, "comm", "undecodable")
-            return False
-        # Reject-and-renegotiate: ask the presumed sender to retransmit.
-        src, b = exc.src, exc.block
-        if 0 <= b < self.tg.nblocks:
-            if src in self.links:
-                self._nack(src, b)
-            elif int(self.owners[b]) != self.rank:
-                self._nack(int(self.owners[b]), b)
-        self._span("comm", t0, "comm", "frame_rejected",
-                   self.trace and {"src": src, "block": b})
-        return False
-
-    def _nack(self, dst: int, b: int) -> None:
-        self.links[dst].send_control(wire.pack_nack(self.rank, b))
-        self.metrics.nacks_sent += 1
-        if self.trace is not None:
-            self.trace.mark("nack_sent", self._now(),
-                            {"block": b, "dst": dst})
 
     def _duplicate(self, msg: wire.WireMessage, nbytes: int,
                    t0: float) -> bool:
         """A frame for a block already held: count it, change nothing (a
-        block is applied exactly once). The counter cannot tell an injected
-        duplicate from a retransmit of a block that meanwhile arrived (same
-        bytes, no wire flag), and a retransmit passes ``FaultyLink.send``,
-        so it can itself be duplicated, possibly after the receiver left
-        its linger. What always holds per run is ``abs(duplicates_total -
-        injected) <= retransmits_total`` (equality when that is 0)."""
+        block is applied exactly once)."""
         self.metrics.duplicates_dropped += 1
         self._span("comm", t0, "recv", "duplicate",
                    self.trace and {"block": msg.block, "src": msg.src,
@@ -746,75 +650,11 @@ class Worker:
                    self.trace and {"src": msg.src})
         return True
 
-    def _on_nack(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
-        """A peer wants block ``msg.block`` (again). Resend if we hold its
-        final value — at most ``RETRANSMIT_LIMIT`` times per requester;
-        otherwise the normal fan-out will deliver it once it completes."""
-        m = self.metrics
-        m.control_received += 1
-        m.nacks_received += 1
-        b, requester = msg.block, msg.src
-        key = (b, requester)
-        if (
-            0 <= b < self.tg.nblocks
-            and requester in self.links
-            and b in self.have
-            and self._resends.get(key, 0) < RETRANSMIT_LIMIT
-        ):
-            self._resends[key] = self._resends.get(key, 0) + 1
-            frame = self._frame_for(b)
-            nb = self._logical_nbytes(b)
-            self.links[requester].resend(frame, nb)
-            m.retransmits += 1
-            if self.trace is not None:
-                self.trace.mark("retransmit", self._now(),
-                                {"block": b, "dst": requester,
-                                 "bytes": nb, "wire_bytes": len(frame)})
-        self._span("comm", t0, "comm", "nack_recv",
-                   self.trace and {"src": requester, "block": b})
-        return False
-
-    def _renegotiate(self, now: float, last_progress: float) -> None:
-        """The factor phase's waiting hook: NACK owners of still-missing
-        blocks under exponential backoff; any progress since the last
-        round starts the backoff over."""
-        if not self.expected:
-            return
-        if last_progress > self._last_reneg:
-            self._reneg_attempts = 0
-        delay = min(RENEGOTIATE_BASE_S * 2.0 ** self._reneg_attempts,
-                    RENEGOTIATE_CAP_S)
-        if now - max(last_progress, self._last_reneg) <= delay:
-            return
-        if self._reneg_attempts >= MAX_RENEGOTIATIONS:
-            missing = sorted(self.expected)[:8]
-            raise RuntimeError(
-                f"worker {self.rank} unrecoverable: "
-                f"{len(self.expected)} blocks still missing after "
-                f"{self._reneg_attempts} renegotiations "
-                f"(e.g. blocks {missing})"
-            )
-        self._reneg_attempts += 1
-        self._last_reneg = now
-        self.metrics.renegotiations += 1
-        if self.trace is not None:
-            self.trace.mark("renegotiate", now,
-                            {"round": self._reneg_attempts,
-                             "missing": len(self.expected)})
-        for b in sorted(self.expected):
-            owner = int(self.owners[b])
-            if owner != self.rank and owner in self.links:
-                self._nack(owner, b)
-
     def _announce_done(self) -> None:
-        """Enter the linger. After finishing own tasks under recovery or
-        dynamic schedule: release delayed frames, broadcast DONE, and keep
-        serving peers until every one is done too — so no NACK ever
-        targets a dead sender and no steal GRANT ever targets a dead thief
-        (a finished worker answers STEAL_REQ with DENY but still executes
-        a binding GRANT that raced its DONE)."""
-        for link in self.links.values():
-            link.flush()
+        """Enter the dynamic schedule's linger: broadcast DONE and keep
+        serving peers until every one is done too — a finished worker
+        answers STEAL_REQ with DENY but still executes a binding GRANT
+        that raced its DONE."""
         done = wire.pack_done(self.rank)
         for link in self.links.values():
             link.send_control(done)
@@ -1178,11 +1018,9 @@ class Worker:
     # Shutdown
     # ------------------------------------------------------------------
     def _frames(self, blocks) -> list[bytes]:
-        """Driver-bound frames for ``blocks`` — the inline transport's
-        result gather, and the abort-time checkpoint on either transport.
-        They carry their payload: a checkpoint is read after the crew, and
-        maybe the arena, is gone."""
-        return [self._frame_for(int(b), inline=True) for b in blocks]
+        """The inline transport's result gather: driver-bound frames for
+        ``blocks``, carrying their payload."""
+        return [self._frame_for(int(b)) for b in blocks]
 
     def _held(self, blocks: list[int]):
         """The shm transport's result gather: the blocks stay in their

@@ -125,7 +125,7 @@ class FactorJob(_Budgeted):
     values: np.ndarray | None = None
     #: Per-job budget in seconds from submission; None = no deadline.
     deadline_s: float | None = None
-    #: Faults for the first parallel attempt (chaos testing).
+    #: Faults of every parallel attempt, via ``for_attempt`` (chaos testing).
     fault_plan: object | None = None
     submitted_at: float = field(default_factory=time.monotonic)
 

@@ -243,8 +243,8 @@ class FactorService:
         completion returns the cached result — so client retries after a
         broken connection never run a job twice. (A job the service had
         to name itself cannot be retried, so its result is not kept.)
-        ``fault_plan`` injects deterministic faults into the job's first
-        parallel attempt.
+        ``fault_plan`` injects deterministic faults into the job's parallel
+        attempts: ``fault_plan.for_attempt(k)`` into attempt ``k``.
         """
         job = FactorJob(
             job_id=job_id or uuid.uuid4().hex[:12],
@@ -462,14 +462,14 @@ class FactorService:
         # The recovery loop's job: the plan is the pattern entry.
         p = RecoveryJob(entry, A_perm, queued.job.job_id)
 
+        faults = queued.job.fault_plan
+
         def spec(attempt):
-            # Fresh seqs each attempt; the context re-ships to a healed
-            # crew. Injected faults fire on the first attempt only —
-            # transient by construction, like CrashSpec's default.
+            # Fresh seqs each attempt; the context re-ships to a healed crew.
             return entry.job(
                 self.pool, A_perm, next(self._seq),
                 deadline=queued.job.deadline,
-                fault_plan=queued.job.fault_plan if attempt == 0 else None,
+                fault_plan=faults and faults.for_attempt(attempt),
             )
 
         # Breaker open: don't touch the pool; the job runs on the

@@ -83,9 +83,8 @@ class SparseCholesky:
     fault_plan:
         A :class:`repro.runtime.faults.FaultPlan` for the ``"mp"``
         backend (anything else raises ``TypeError`` before any analysis).
-        When given, the factorization runs under the chaos layer with
-        integrity checking. Every ``"mp"`` factor has bounded restart and
-        the sequential fallback.
+        When given, the factorization runs under the chaos layer. Every
+        ``"mp"`` factor has bounded restart and the sequential fallback.
 
     After an ``"mp"`` :meth:`factor`, per-worker metrics land in
     :attr:`runtime_metrics`, the job's structured recovery outcome in
@@ -169,7 +168,7 @@ class SparseCholesky:
         from repro.runtime.pool import WorkerPool
         from repro.runtime.recovery import run_job
 
-        config, faults = self.config, self.fault_plan
+        config = self.config
         if self._crew is None:
             plan = PatternPlan.create(self.structure, self.taskgraph, config,
                                       "facade")
@@ -181,7 +180,7 @@ class SparseCholesky:
             self._crew = plan, pool, itertools.count(), release
         plan, pool, seqs, _ = self._crew
         result = run_job(pool, plan, self.symbolic.A, config.max_restarts + 1,
-                         seqs, fault_plan=faults, recovery=faults is not None)
+                         seqs, fault_plan=self.fault_plan)
         self.runtime_metrics, self.run_trace = result.metrics, result.trace
         self.failure_report = result.failure_report
         return result

@@ -372,16 +372,16 @@ def test_the_deleted_threading_is_gone():
 #: ``inject_failure``, ``record_timeline``, ``unpack(verify=)``, the
 #: arena barrier's ``wait_for`` / ``announce``, the batching window's
 #: ``max_batch`` / ``batch_wait_s``, the service's dispatch-index
-#: ``fault_plan`` / ``fault_jobs``) cannot come back without this table
-#: changing.
+#: ``fault_plan`` / ``fault_jobs``, the ``recovery`` knob and resuming
+#: from a ``checkpoint``) cannot come back without this table changing.
 SURFACE = {
     "run_mp_fanout": {
         "structure", "A", "tg", "owners", "nprocs", "config", "mapping",
-        "rhs", "fault_plan", "recovery", "checkpoint", "overrides",
+        "rhs", "fault_plan", "overrides",
     },
     "PoolJob": {
         "seq", "pattern_id", "values", "context", "trace_capacity",
-        "deadline", "fault_plan", "kind", "rhs", "recovery", "checkpoint",
+        "deadline", "fault_plan", "kind", "rhs",
     },
     "PatternContext": {
         "pattern_id", "structure", "tg", "owners", "indptr", "indices",
@@ -454,6 +454,16 @@ def test_retired_entry_points_stay_gone():
     for name in ("renegotiate_base_s", "renegotiate_cap_s",
                  "max_renegotiations"):
         assert name not in FIELDS, name
+    # One recovery rule: no in-run repair, no checkpoint, no knob.
+    from repro.runtime import pool, wire, worker
+
+    params = inspect.signature(recovery.run_job).parameters
+    assert not {"recovery", "checkpoint"} & set(params)
+    assert not hasattr(pool, "DEAD_GRACE_S")
+    assert not hasattr(wire, "NACK") and not hasattr(wire, "pack_nack")
+    for name in ("RETRANSMIT_LIMIT", "RENEGOTIATE_BASE_S",
+                 "RENEGOTIATE_CAP_S", "MAX_RENEGOTIATIONS"):
+        assert not hasattr(worker, name), name
     result = inspect.signature(repro.runtime.validate_runtime).parameters[
         "result"
     ]

@@ -29,7 +29,6 @@ from repro.fanout import TaskGraph
 from repro.fanout.dispatch import DispatchPlan, Readiness
 from repro.fanout.protocol import FanoutState, remote_ranks
 from repro.fanout.tasks import BDIV, BFAC, BMOD
-from repro.numeric import BlockCholesky
 from repro.machine.params import PARAGON
 
 
@@ -145,20 +144,14 @@ def test_recipients_match_the_independent_predictors(tg, P, seed):
     )
 
 
-def _old_arm_factor(tg, owners, rank, done_blocks=()):
+def _old_arm_factor(tg, owners, rank):
     """What ``Worker._arm_factor`` computed per job before the plan was
-    compiled: ``(mine, n_owned, skip_task, executed, bmod_order)``."""
+    compiled: ``(mine, n_owned, bmod_order)``."""
     mine = owners[tg.task_block] == rank
-    done = np.zeros(tg.nblocks, dtype=bool)
-    done[list(done_blocks)] = True
-    skip_task = done[tg.task_block]
     bmod_order: dict[int, list[int]] = {}
-    for t in np.flatnonzero((tg.task_kind == BMOD) & mine & ~skip_task):
+    for t in np.flatnonzero((tg.task_kind == BMOD) & mine):
         bmod_order.setdefault(int(tg.task_block[t]), []).append(int(t))
-    return (
-        mine, int(mine.sum()), skip_task, int((mine & skip_task).sum()),
-        bmod_order,
-    )
+    return mine, int(mine.sum()), bmod_order
 
 
 def _check_updates(tg, updates, bmod_order):
@@ -248,7 +241,7 @@ def test_compiled_plan_equals_the_protocol(any_policy_tg, P, seed):
             else:
                 assert plan.recipients[b] is None
             assert plan.coords[b] == (tg.block_I[b], tg.block_J[b])
-        mine, n_owned, _, _, bmod_order = _old_arm_factor(tg, owners, rank)
+        mine, n_owned, bmod_order = _old_arm_factor(tg, owners, rank)
         assert np.array_equal(plan.mine, mine)
         assert plan.n_owned == n_owned
         _check_updates(tg, plan.updates, bmod_order)
@@ -266,60 +259,6 @@ def test_compiled_plan_equals_the_protocol(any_policy_tg, P, seed):
             for x in row
         )
 
-
-def test_checkpointed_job_filters_the_compiled_order(grid12_pipeline):
-    """A worker resuming from a non-empty checkpoint arms the same executed
-    count the per-job loop gave, and runs every op with a block left,
-    whole: the members its updates execute are the per-block BMOD order
-    the loop gave, its panel factors the owned BFAC / BDIVs left, the
-    checkpointed blocks are the ones it keeps, and an op with nothing
-    left never becomes ready."""
-    import queue
-
-    from repro.runtime import LinkFabric, PatternContext, PoolJob, Worker, wire
-
-    _, sf, _, bs, _, tg = grid12_pipeline
-    A = sf.A.tocsc()
-    rng = np.random.default_rng(3)
-    owners = rng.integers(0, 2, tg.nblocks)
-    done = sorted(rng.choice(tg.nblocks, tg.nblocks // 3, replace=False))
-    chol = BlockCholesky(bs, A).factor()
-    checkpoint = {}
-    for b in map(int, done):
-        I, J = int(tg.block_I[b]), int(tg.block_J[b])
-        arr = chol.diag[J] if I == J else chol.below[J][I]
-        checkpoint[b] = wire.pack_block(0, b, I, J, arr)
-    ctx = PatternContext(
-        pattern_id="t", structure=bs, tg=tg, owners=owners,
-        indptr=A.indptr, indices=A.indices, shape=tuple(A.shape),
-    )
-    job = PoolJob(seq=0, pattern_id="t", values=A.data, checkpoint=checkpoint)
-    for rank in range(2):
-        w = Worker(rank, ctx, job, None, LinkFabric(2, queue), queue.Queue())
-        w._arm_factor([int(b) for b in done])
-        mine, n_owned, skip_task, executed, bmod_order = _old_arm_factor(
-            tg, owners, rank, done
-        )
-        assert w.n_owned == n_owned
-        assert w.executed == executed
-        plan = w.plan
-        ops = [op[3:5] for op in plan.updates.ops]
-        ops += [op[2:4] for op in plan.factors]
-        live: dict[int, list[int]] = {}
-        factored: list[int] = []
-        for o, (tids, blocks) in enumerate(ops):
-            left, _, kept, *_ = w.readiness.partial.get(o, (tids, blocks, ()))
-            assert set(kept) == {b for b in blocks if b in done}
-            assert (w.readiness.wait[o] < 0) == (not left)
-            for t in left:
-                if tg.task_kind[t] == BMOD:
-                    live.setdefault(int(tg.task_block[t]), []).append(t)
-                else:
-                    factored.append(t)
-        assert live == bmod_order
-        assert sorted(factored) == np.flatnonzero(
-            mine & ~skip_task & (tg.task_kind != BMOD)).tolist()
-        assert w.readiness.partial  # the filter had work to do
 
 @pytest.mark.parametrize("P", [1, 2, 3, 4, 6])
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -14,6 +14,7 @@ all of them agree with the per-block factor to rounding.
 
 from __future__ import annotations
 
+import itertools
 import queue
 import sys
 import threading
@@ -45,11 +46,15 @@ from repro.runtime import (
     PatternContext,
     PoolJob,
     Worker,
+    WorkerPool,
     plan_owners,
     run_mp_fanout,
     wire,
 )
 from repro.runtime.arena import shm_available
+from repro.runtime.engine import PatternPlan
+from repro.runtime.faults import CrashSpec, FaultPlan
+from repro.runtime.recovery import run_job
 from repro.symbolic import symbolic_factor
 from tests.blockfact_oracle import (
     oracle_bmod_factor,
@@ -234,26 +239,27 @@ def test_ops_per_factor_on_a_1xp_grid(problem, nprocs):
 
 
 @pytest.mark.parametrize("nprocs", [2, 4])
-def test_checkpoint_restart_is_bitwise_the_clean_run(problem, nprocs):
-    """A third of the blocks preloaded from a clean run's values: every
-    update still runs whole, and the checkpointed blocks are left as
-    they were, so the factor is bitwise the clean one."""
+def test_a_restart_is_bitwise_the_clean_run(problem, nprocs):
+    """A crashed attempt leaves nothing behind: the job re-runs from
+    scratch on the same crew and block map, so its factor is bitwise the
+    clean one at every grouping."""
     bs, tg, A, _ = problem
     owners, name = plan_owners(tg.workmodel, tg, nprocs, "DW/CY")
     clean = run_mp_fanout(bs, A, tg, owners, nprocs, mapping=name)
-    factor = clean.factor
-    rng = np.random.default_rng(nprocs)
-    done = rng.choice(tg.nblocks, tg.nblocks // 3, replace=False)
-    checkpoint = {}
-    for b in map(int, done):
-        I, J = int(tg.block_I[b]), int(tg.block_J[b])
-        block = factor.diag[J] if I == J else factor.below[J][I]
-        checkpoint[b] = wire.pack_block(0, b, I, J, block)
-    again = run_mp_fanout(bs, A, tg, owners, nprocs, mapping=name,
-                          checkpoint=checkpoint, recovery=True)
+    plan = PatternPlan.create(
+        bs, tg, RunConfig(nprocs=nprocs), owners=owners, mapping_name=name,
+        planned_nprocs=nprocs,
+    )
+    crash = FaultPlan(crash=(CrashSpec(1, 5),))
+    try:
+        with WorkerPool(nprocs) as pool:
+            again = run_job(pool, plan, A.tocsc(), 2, itertools.count(),
+                            fault_plan=crash)
+    finally:
+        plan.destroy()
+    rep = again.failure_report
+    assert (rep.outcome, rep.final_nprocs) == ("recovered", nprocs)
     assert _bitwise(again.to_csc(), clean.to_csc())
-    loaded = sum(w.checkpoint_blocks_loaded for w in again.metrics.workers)
-    assert loaded == nprocs * len(checkpoint)
 
 
 def test_service_validates_a_two_row_grid_to_rounding():

@@ -15,7 +15,7 @@ import pytest
 
 from repro.config import RunConfig
 from repro.numeric import BlockCholesky
-from repro.runtime import engine, wire
+from repro.runtime import engine
 from repro.runtime.metrics import WorkerMetrics
 from repro.runtime.pool import JobOutcome, PoolJob, WorkerPool
 from repro.runtime.recovery import (
@@ -58,10 +58,10 @@ class ScriptedPool(WorkerPool):
         return self.script.pop(0)(self, job)
 
 
-def _result(rank, error=None, error_type=None, frames=(), aborted=False):
+def _result(rank, error=None, error_type=None, aborted=False):
     m = WorkerMetrics(rank=rank)
     m.error, m.error_type, m.aborted = error, error_type, aborted
-    return WorkerResult(rank, m, list(frames))
+    return WorkerResult(rank, m, [])
 
 
 def ok(pool, job):
@@ -70,7 +70,7 @@ def ok(pool, job):
     )
 
 
-def raising(rank=1, error_type="RuntimeError", frames=()):
+def raising(rank=1, error_type="RuntimeError"):
     """Rank ``rank`` raises; its peers abort. Every process stays alive."""
 
     def step(pool, job):
@@ -78,7 +78,7 @@ def raising(rank=1, error_type="RuntimeError", frames=()):
         return JobOutcome(
             job.seq,
             {
-                r: _result(r, text, error_type, frames) if r == rank
+                r: _result(r, text, error_type) if r == rank
                 else _result(r, aborted=True)
                 for r in range(pool.nprocs)
             },
@@ -194,7 +194,7 @@ class TestBudgetAndOutcomes:
         # one per failed attempt, one for the fallback; nothing healed
         assert len(warnings) == 3
         assert "J1: attempt 0 (P=4) failed [ranks [1]]" in warnings[0]
-        assert "salvaged 0 blocks: RuntimeError: boom on 1" in warnings[0]
+        assert "ms: RuntimeError: boom on 1" in warnings[0]
         assert "J1: sequential fallback after 2 failed" in warnings[2]
 
     def test_expired_is_never_retried(self, make_job):
@@ -214,34 +214,6 @@ class TestBudgetAndOutcomes:
         assert len(pool.runs) == 1 and len(rep.attempts) == 1
         assert (pool.generation, pool.nprocs, rep.final_nprocs) == (1, 4, 4)
         assert job.outcome.failed_ranks == [1]
-
-
-class TestHarvest:
-    def test_corrupt_frame_skipped_duplicate_kept_once(
-        self, make_job, grid12_pipeline
-    ):
-        _, sf, _, bs, _, tg = grid12_pipeline
-        seq = BlockCholesky(bs, sf.A).factor()
-
-        def frame(b, src=1):
-            I, J = int(tg.block_I[b]), int(tg.block_J[b])
-            arr = seq.diag[J] if I == J else seq.below[J][I]
-            return wire.pack_block(src, b, I, J, arr)
-
-        corrupt = bytearray(frame(1))
-        corrupt[-1] ^= 0xFF
-        stray = wire.pack_block(1, tg.nblocks + 5, 0, 0, np.eye(2))
-        frames = [
-            frame(0), frame(0, src=2), bytes(corrupt), stray, b"junk", frame(2),
-        ]
-        pool = ScriptedPool(
-            4, raising(frames=frames), raising(frames=[frame(0, src=3)])
-        )
-        job = _run(pool, make_job(), 2)
-        assert sorted(job.checkpoint) == [0, 2]
-        assert job.checkpoint[0] == frame(0)
-        assert [a.checkpoint_blocks for a in job.report.attempts] == [2, 0]
-        assert job.report.checkpoint_blocks_used == 2
 
 
 class TestCrewShrinkRule:

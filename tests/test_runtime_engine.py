@@ -32,7 +32,7 @@ def _no_orphans():
 def _soft_crash(rank, after_tasks):
     """Keywords for: ``rank`` raises after ``after_tasks`` tasks, fail-stop."""
     plan = FaultPlan(crash=(CrashSpec(rank, after_tasks),))
-    return dict(fault_plan=plan, recovery=False)
+    return dict(fault_plan=plan)
 
 
 class TestCorrectness:

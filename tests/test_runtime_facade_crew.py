@@ -22,9 +22,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import communication_volume
-from repro.numeric import BlockCholesky
 from repro.runtime import WorkerPool, shm_available
-from repro.runtime.faults import CrashSpec, FaultPlan
 from repro.solver import SparseCholesky
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -90,23 +88,6 @@ class TestOneCrewPerInstance:
             pool = chol._crew[1]
             chol.factor()
             assert chol._crew[1] is pool and pool.generation == 1
-
-    def test_a_dead_rank_leaves_its_peer_time_to_ship_a_checkpoint(
-        self, grid12_pipeline
-    ):
-        """A fault plan turns the integrity protocol on, so after rank 1
-        dies its survivor gets the pool's grace to abort and ship the
-        blocks it completed, and the retry on the healed crew resumes
-        from them."""
-        A = grid12_pipeline[0].A
-        plan = FaultPlan(crash=(CrashSpec(1, 10, hard=True),))
-        with _chol(A, fault_plan=plan) as chol:
-            chol.factor()
-            rep = chol.failure_report
-            assert (rep.outcome, rep.restarts) == ("recovered", 1)
-            assert rep.checkpoint_blocks_used > 0
-            ref = BlockCholesky(chol.structure, chol.symbolic.A).factor()
-            assert np.array_equal(chol.L.data, ref.to_csc().data)
 
 
 class TestRelease:

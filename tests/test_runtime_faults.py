@@ -1,6 +1,6 @@
 """The chaos layer in isolation: wire integrity (CRC32, typed errors,
-control frames), fault-plan semantics (determinism, serialization,
-scenarios, restart filtering), and the fault-injecting link."""
+control frames), fault-plan semantics (determinism, scenarios, restart
+filtering), and the fault-injecting link."""
 
 import numpy as np
 import pytest
@@ -80,20 +80,20 @@ class TestWireIntegrity:
         assert issubclass(WireError, ValueError)
 
     def test_control_frames_roundtrip(self):
-        nack = wire.unpack(wire.pack_nack(2, 9))
-        assert (nack.kind, nack.src, nack.block) == (wire.NACK, 2, 9)
-        assert nack.payload is None
         done = wire.unpack(wire.pack_done(3))
         assert (done.kind, done.src) == (wire.DONE, 3)
+        assert done.payload is None
         abort = wire.unpack(wire.pack_abort(1))
         assert abort.kind == wire.ABORT
+        req = wire.unpack(wire.pack_steal_req(2, 9))
+        assert (req.kind, req.src, req.block) == (wire.STEAL_REQ, 2, 9)
 
     def test_cheap_peeks_match_full_decode(self):
         frame = _block_frame(src=1, block=42)
         assert wire.frame_kind(frame) == wire.BLOCK
         assert wire.frame_block(frame) == 42
-        assert wire.frame_kind(wire.pack_nack(0, 7)) == wire.NACK
-        assert wire.frame_block(wire.pack_nack(0, 7)) == 7
+        assert wire.frame_kind(wire.pack_steal_req(0, 7)) == wire.STEAL_REQ
+        assert wire.frame_block(wire.pack_steal_req(0, 7)) == 7
         with pytest.raises(WireError):
             wire.frame_kind(b"xy")
 
@@ -133,10 +133,13 @@ class TestFaultPlan:
         plan = FaultPlan.scenario("crash-persistent", seed=0)
         assert plan.for_attempt(3).crash_for(1) is not None
 
-    def test_message_faults_rekeyed_not_dropped_on_restart(self):
-        plan = FaultPlan.scenario("drop", rate=0.3)
+    def test_message_faults_fire_on_attempt_0_only(self):
+        plan = FaultPlan(seed=1, drop=0.3, corrupt=0.1, slow={1: 0.002})
+        assert plan.for_attempt(0) == plan
         again = plan.for_attempt(2)
-        assert again.drop == 0.3 and again.attempt == 2
+        assert again.attempt == 2 and not again.message_faults_active
+        # a process fault stays: slow is not a message fault
+        assert again.slow_for(1) == 0.002
 
 
 # ----------------------------------------------------------------------
@@ -204,7 +207,7 @@ class TestFaultyLink:
         link, q, injector = _faulty_link(
             FaultPlan(drop=1.0, corrupt=1.0, delay=1.0)
         )
-        link.send(wire.pack_nack(0, 3))
+        link.send(wire.pack_steal_req(0, 3))
         link.send_control(wire.pack_done(0))
         assert len(q.items) == 2
         wire.unpack(q.items[0])  # still intact
@@ -230,16 +233,10 @@ class TestFaultyLink:
         assert frames_a != frames_c
 
     def test_occurrence_counter_varies_repeat_sends(self):
-        """Retransmits of one block draw fresh decisions (else a dropped
-        block would be dropped forever)."""
+        """Repeat sends of one block draw fresh decisions."""
         plan = FaultPlan(seed=0, drop=0.5)
         link, q, injector = _faulty_link(plan)
         for _ in range(40):
             link.send(_block_frame(block=3))
         assert 0 < injector.injected["drop"] < 40
         assert len(q.items) == 40 - injector.injected["drop"]
-
-    def test_resend_counts_retransmit(self):
-        link, q, _ = _faulty_link(FaultPlan(seed=0, drop=0.0))
-        link.resend(_block_frame())
-        assert link.retransmits == 1 and link.messages == 1

@@ -1,7 +1,7 @@
 """End-to-end fault tolerance: every fault class must end in a correct
-factor — recovered in-run, recovered by restart, or degraded to the
-sequential backend with a populated FailureReport. Never a hang, an
-orphan process, or a silent wrong answer."""
+factor — from a clean run, recovered by re-running the job from scratch,
+or degraded to the sequential backend with a populated FailureReport.
+Never a hang, an orphan process, or a silent wrong answer."""
 
 import functools
 import multiprocessing as mp
@@ -21,7 +21,6 @@ from repro.runtime import (
     run_mp_fanout,
     validate_runtime,
 )
-from repro.runtime import wire
 from tests.conftest import facade_job, mp_fanout
 
 #: Tight-but-safe watchdogs for the tiny test problems.
@@ -61,7 +60,8 @@ class TestEveryFaultClassRecovers:
     """For every fault class at P in {2, 4}, under both schedules, the run
     either recovers — its factor bit for bit the fault-free one at the
     width it finished on — or degrades to the sequential factor, with the
-    outcome on record."""
+    outcome on record. No failed attempt waits on the stall watchdog, and
+    a recovered job's last attempt is an ordinary run."""
 
     @pytest.mark.parametrize("scenario, nprocs, schedule", [
         # a static case is named without its schedule
@@ -89,25 +89,28 @@ class TestEveryFaultClassRecovers:
         )
         assert _bitwise(res.to_csc(), ref)
         assert _no_orphans()
+        assert all(a.wall_s < 5.0 for a in rep.attempts), rep.summary()
         # The validation harness agrees, with accounting checks relaxed.
         validate_runtime(
             bs, sf.A, tg, result=res, faulty=True, problem="grid12"
         )
+        if rep.outcome == "recovered":
+            # A re-run from scratch is an ordinary run: the predicted
+            # messages, bytes and per-rank work, and no recovery event.
+            validate_runtime(bs, sf.A, tg, result=res, problem="grid12")
 
 
 class TestFaultFreeOverhead:
     def test_recovery_mode_is_inert_without_faults(self, grid12_pipeline):
-        """recovery=True on a healthy interconnect: zero recovery events
-        and the exact message/byte counts the static predictor promised."""
+        """A healthy interconnect: zero recovery events and the exact
+        message/byte counts the static predictor promised."""
         _, sf, _, bs, _, tg = grid12_pipeline
-        res = mp_fanout(bs, sf.A, tg, nprocs=4, mapping="DW/CY",
-                        recovery=True)
+        res = mp_fanout(bs, sf.A, tg, nprocs=4, mapping="DW/CY")
         m = res.metrics
         predicted = communication_volume(tg, res.owners)
         assert m.messages_total == predicted.messages
         assert m.bytes_total == predicted.bytes
         assert m.recovery_events_total == 0
-        assert m.retransmits_total == 0
         assert m.duplicates_total == 0
         assert m.frames_rejected_total == 0
         assert m.faults_injected_total == {}
@@ -159,11 +162,8 @@ class TestCrashRestart:
         assert len(rep.attempts) == 1
         assert rep.attempts[0].failed_ranks == [1]
         assert "injected failure" in rep.attempts[0].error
-        # The failed attempt's completed work was salvaged and reused.
-        assert rep.checkpoint_blocks_used > 0
-        assert (
-            sum(w.checkpoint_blocks_loaded for w in res.metrics.workers) > 0
-        )
+        # The re-run started from scratch: every task ran in it.
+        assert res.metrics.tasks_total == tg.ntasks
         seq = _seq_factor(grid12_pipeline)
         assert abs(res.to_csc() - seq).max() < 1e-8
         assert "recovered" in rep.summary()
@@ -211,8 +211,8 @@ class TestCrashRestart:
 
 class TestFailureAttribution:
     """Only the rank that crashed is failed. Its peer merely stopped, so
-    it is never shed with a dead rank and its checkpoint is kept — every
-    time, however the survivor's teardown races the crash."""
+    it is never shed with a dead rank — every time, however the
+    survivor's teardown races the crash."""
 
     @pytest.mark.parametrize("scenario", ["crash", "crash-hard"])
     def test_peer_of_a_crashed_rank_is_never_failed(
@@ -225,7 +225,7 @@ class TestFailureAttribution:
             with pytest.raises(FanoutError) as info:
                 run_mp_fanout(
                     bs, sf.A, tg, owners, 2, mapping=name,
-                    fault_plan=plan, recovery=True, **FAST,
+                    fault_plan=plan, **FAST,
                 )
             exc = info.value
             assert exc.failed_ranks == [1]
@@ -239,72 +239,55 @@ class TestFailureAttribution:
 
 
 class TestInRunRecovery:
+    """What a fault does inside the attempt it hits: a duplicate is
+    dropped, a corrupt frame fails the attempt with its typed error."""
+
     def test_duplicates_are_suppressed_idempotently(self, grid12_pipeline):
         _, sf, _, bs, _, tg = grid12_pipeline
         plan = FaultPlan.scenario("duplicate", seed=2, rate=0.5)
         res = facade_job(sf.A, nprocs=4, mapping="DW/CY", fault_plan=plan,
                          **FAST)
+        assert res.failure_report.outcome == "clean"
         m = res.metrics
         injected = m.faults_injected_total.get("duplicate", 0)
         assert injected > 0
-        # Every injected duplicate arrived and was dropped, none applied.
-        # A retransmit of a block that meanwhile arrived lands in the same
-        # counter, and can itself be duplicated after its receiver left.
-        assert abs(m.duplicates_total - injected) <= m.retransmits_total
+        # Every injected duplicate that arrived before its receiver left
+        # was dropped, none applied.
+        assert 0 < m.duplicates_total <= injected
         seq = _seq_factor(grid12_pipeline)
         assert abs(res.to_csc() - seq).max() < 1e-8
 
-    def test_corrupt_frames_rejected_nacked_retransmitted(
+    def test_corrupt_frames_abort_and_the_job_reruns(
         self, grid12_pipeline
     ):
         _, sf, _, bs, _, tg = grid12_pipeline
         plan = FaultPlan.scenario("corrupt", seed=3, rate=0.3)
         res = facade_job(sf.A, nprocs=4, mapping="DW/CY", fault_plan=plan,
                          **FAST)
-        m = res.metrics
-        assert m.faults_injected_total.get("corrupt", 0) > 0
-        assert m.frames_rejected_total > 0
-        assert sum(w.nacks_sent for w in m.workers) > 0
-        assert m.retransmits_total > 0
+        rep = res.failure_report
+        assert (rep.outcome, rep.restarts, rep.final_nprocs) == (
+            "recovered", 1, 4)
+        assert "CorruptFrameError" in rep.attempts[0].error
+        # The re-run saw no fault and triggered nothing.
+        assert res.metrics.faults_injected_total == {}
+        assert res.metrics.recovery_events_total == 0
         seq = _seq_factor(grid12_pipeline)
         assert abs(res.to_csc() - seq).max() < 1e-8
 
     def test_corrupt_frame_without_recovery_aborts(self, grid12_pipeline):
-        """No recovery enabled: integrity failures are fail-stop, typed,
-        and leak no orphan processes."""
+        """``run_mp_fanout`` makes one attempt: integrity failures are
+        fail-stop, typed, and leak no orphan processes."""
         _, sf, _, bs, _, tg = grid12_pipeline
         plan = FaultPlan.scenario("corrupt", seed=3, rate=0.5)
-        with pytest.raises(WorkerError, match="corrupt frame"):
+        with pytest.raises(WorkerError, match="CorruptFrameError") as info:
             run_mp_fanout(
                 bs, sf.A, tg,
                 plan_owners(tg.workmodel, tg, 2, "DW/CY")[0], 2,
-                fault_plan=plan, recovery=False,
-                stall_timeout_s=10, timeout_s=60,
+                fault_plan=plan, stall_timeout_s=10, timeout_s=60,
             )
+        exc = info.value
+        assert exc.results[exc.rank].metrics.error_type == "CorruptFrameError"
         assert _no_orphans()
-
-    def test_checkpoint_preload_skips_tasks(self, grid12_pipeline):
-        """Feeding a checkpoint of final blocks into a fresh run: they are
-        loaded, their tasks skipped, and the factor still exact."""
-        _, sf, _, bs, wm, tg = grid12_pipeline
-        seq = BlockCholesky(bs, sf.A).factor()
-        checkpoint = {}
-        for b in range(min(4, tg.nblocks)):
-            I, J = int(tg.block_I[b]), int(tg.block_J[b])
-            arr = seq.diag[J] if I == J else seq.below[J][I]
-            checkpoint[b] = wire.pack_block(0, b, I, J, arr)
-        owners, name = plan_owners(wm, tg, 2, "DW/CY")
-        res = run_mp_fanout(
-            bs, sf.A, tg, owners, 2, mapping=name,
-            recovery=True, checkpoint=checkpoint,
-        )
-        loaded = sum(
-            w.checkpoint_blocks_loaded for w in res.metrics.workers
-        )
-        assert loaded == 2 * len(checkpoint)  # each worker preloads all
-        assert res.metrics.tasks_total < tg.ntasks  # tasks were skipped
-        assert res.meta["checkpoint_blocks"] == len(checkpoint)
-        assert abs(res.to_csc() - seq.to_csc()).max() < 1e-10
 
     def test_slow_worker_skews_measured_balance(self, grid12_pipeline):
         _, sf, _, bs, _, tg = grid12_pipeline
@@ -327,8 +310,7 @@ class TestDriverWatchdogs:
         with pytest.raises(RuntimeTimeoutError):
             run_mp_fanout(
                 bs, sf.A, tg, owners, 2, mapping=name,
-                fault_plan=plan, recovery=True,
-                timeout_s=1.0, stall_timeout_s=30.0,
+                fault_plan=plan, timeout_s=1.0, stall_timeout_s=30.0,
             )
         assert _no_orphans()
 

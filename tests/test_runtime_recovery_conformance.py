@@ -21,6 +21,10 @@ FAST = dict(timeout_s=120.0, stall_timeout_s=15.0)
 SOFT = FaultPlan(seed=0, crash=(CrashSpec(1, 1),))
 HARD = FaultPlan(seed=0, crash=(CrashSpec(1, 1, hard=True),))
 PERSISTENT = FaultPlan(seed=0, crash=(CrashSpec(1, 1, every_attempt=True),))
+DROP, CORRUPT, DELAY = (
+    FaultPlan.scenario(name, seed=3, rate=0.2)
+    for name in ("drop", "corrupt", "delay")
+)
 
 #: scenario -> (fault plan, not SPD?, keywords of both callers,
 #:              expected (tag, attempts, final width))
@@ -34,6 +38,15 @@ SCENARIOS = {
     # budget of one attempt: the crew is left alone, the job degrades
     "persistent-crash": (PERSISTENT, False, dict(max_restarts=0),
                          ("degraded_sequential", 1, 2)),
+    # the default budget: every attempt crashes, the crew is kept
+    "persistent-crash-default-budget": (PERSISTENT, False, {},
+                                        ("degraded_sequential", 3, 2)),
+    # a message fault fails the first attempt (a drop by the watchdog of
+    # a faulty job), the re-run sees none
+    "drop": (DROP, False, {}, ("recovered", 2, 2)),
+    "corrupt": (CORRUPT, False, {}, ("recovered", 2, 2)),
+    # a delay reorders frames, never withholds one
+    "delay": (DELAY, False, {}, ("clean", 1, 2)),
     # deterministic: one parallel attempt, no heal, the last resort's
     # LinAlgError is the error
     "non-spd": (None, True, {}, ("error", 1, 2)),
@@ -174,7 +187,6 @@ def test_two_restarts_share_one_pool_and_one_arena(
     rep = res.failure_report
     assert (rep.outcome, rep.restarts, rep.final_nprocs) == ("recovered", 2, 2)
     assert [a.nprocs for a in rep.attempts] == [4, 3]
-    assert rep.checkpoint_blocks_used > 0
     assert len(pools) == 1 and pools[0].generation == 3
     assert len(arenas) == (1 if transport == "shm" else 0)
     ref = BlockCholesky(bs, sf.A).factor().to_csc()

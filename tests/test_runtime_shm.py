@@ -508,11 +508,9 @@ class TestArenaGather:
             assert not np.triu(d, 1).any()
         assert factor._factored.all()
 
-    def test_aborted_job_under_recovery_ships_its_checkpoint(
-        self, grid12_pipeline
-    ):
-        """Frames stay where they are the only copy: a soft-crashed shm
-        job under recovery sends its completed blocks home as frames."""
+    def test_an_aborted_job_ships_no_blocks_home(self, grid12_pipeline):
+        """A soft-crashed shm job fails whole: no rank reports a block,
+        as a frame or as a held slot — the job re-runs from scratch."""
         _, sf, _, bs, wm, tg = grid12_pipeline
         owners, _ = plan_owners(wm, tg, 2, "DW/CY")
         A = sf.A.tocsc()
@@ -522,15 +520,12 @@ class TestArenaGather:
                 out = _run(
                     pool, 0, _context(bs, tg, owners, A, "g", arena), A.data,
                     fault_plan=FaultPlan(crash=(CrashSpec(1, 6),)),
-                    recovery=True,
                 )
         finally:
             arena.destroy()
-        assert not out.ok
-        assert all(r.held is None for r in out.results.values())
-        shipped = [wire.unpack(f) for r in out.results.values()
-                   for f in r.frames]
-        assert shipped and all(m.kind == wire.BLOCK for m in shipped)
+        assert not out.ok and len(out.results) == 2
+        assert all(r.held is None and r.frames == []
+                   for r in out.results.values())
 
     def test_one_block_short_is_a_typed_error(self, arena_job):
         bs, tg, owners, A, arena, results = arena_job
@@ -636,7 +631,8 @@ class TestArenaGather:
 class TestChaosOverShm:
     def test_duplicate_fingerprints_match_inline(self, grid12_pipeline):
         """Duplicate injection is timing-independent: both transports must
-        inject and suppress exactly the same duplicates."""
+        inject exactly the same duplicates, and drop every one that
+        arrives before its receiver is done."""
         _, sf, _, bs, wm, tg = grid12_pipeline
         plan = FaultPlan(seed=3, duplicate=0.3)
         stats = {}
@@ -648,27 +644,24 @@ class TestChaosOverShm:
                 bs, sf.A, tg, result=res, strict=True, faulty=True
             )
             assert rep.ok
-            stats[transport] = (
-                res.metrics.faults_injected_total,
-                res.metrics.duplicates_total,
-            )
+            injected = res.metrics.faults_injected_total
+            assert 0 < res.metrics.duplicates_total <= injected["duplicate"]
+            stats[transport] = injected
         assert stats["inline"] == stats["shm"]
-        assert stats["shm"][0].get("duplicate", 0) > 0
 
-    def test_corrupt_descriptors_nack_and_recover(self, grid12_pipeline):
+    def test_corrupt_descriptors_abort_and_rerun(self, grid12_pipeline):
         """Bit-flipped descriptor slot metadata must trip the frame CRC and
-        drive the same NACK/retransmit machinery as inline corruption."""
+        fail the attempt with the same typed error as inline corruption;
+        the re-run is an ordinary run."""
         _, sf, _, bs, wm, tg = grid12_pipeline
         plan = FaultPlan(seed=5, corrupt=0.4)
         res = facade_job(sf.A, nprocs=2, mapping="DW/CY", fault_plan=plan,
                          transport="shm", stall_timeout_s=15.0)
-        met = res.metrics
-        assert met.faults_injected_total.get("corrupt", 0) > 0
-        assert met.frames_rejected_total > 0
-        assert met.retransmits_total > 0
-        rep = validate_runtime(
-            bs, sf.A, tg, result=res, strict=True, faulty=True
-        )
+        report = res.failure_report
+        assert (report.outcome, report.restarts) == ("recovered", 1)
+        assert "CorruptFrameError" in report.attempts[0].error
+        assert res.metrics.transport == "shm"
+        rep = validate_runtime(bs, sf.A, tg, result=res, strict=True)
         assert rep.ok
 
     def test_mixed_chaos_recovers_on_shm(self, grid12_pipeline):
@@ -708,11 +701,10 @@ class TestArenaCleanup:
         L = res.to_csc()
         assert float(abs(L @ L.T - sf.A).max()) < 1e-8
 
-    def test_soft_crash_checkpoint_restart_over_shm(self, grid12_pipeline):
-        """The abort-time checkpoint travels as frames that carry their
-        payload, so the restarted attempt can preload them. It writes
-        every preloaded block it owns into its slot, so its gather is
-        again a read of the arena — covered, CRC-clean and bitwise."""
+    def test_soft_crash_restart_over_shm(self, grid12_pipeline):
+        """The restarted attempt writes every block it owns into its slot
+        again, so its gather is a read of the arena — covered, CRC-clean
+        and bitwise."""
         _, sf, _, bs, wm, tg = grid12_pipeline
         plan = FaultPlan(
             seed=2, crash=(CrashSpec(rank=1, after_tasks=4, hard=False),)
@@ -723,7 +715,7 @@ class TestArenaCleanup:
         assert _shm_segments() == before
         report = res.failure_report
         assert report.outcome == "recovered"
-        assert report.restarts >= 1 and report.checkpoint_blocks_used > 0
+        assert report.restarts >= 1
         gather = res.metrics.extra["gather"]
         assert (gather["mode"], gather["blocks"]) == ("arena", tg.nblocks)
         assert _bitwise(

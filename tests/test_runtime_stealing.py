@@ -81,7 +81,7 @@ class TestBitwiseIdentity:
         plan = FaultPlan.scenario("slow", rank=0, slow_s=0.005, seed=3)
         dy = _run(
             throttle_pipeline, "dynamic", transport,
-            fault_plan=plan, recovery=False,
+            fault_plan=plan,
         )
         assert _bitwise(dy.to_csc(), st.to_csc())
         assert dy.metrics.tasks_stolen_total > 0
@@ -116,7 +116,7 @@ class TestAccounting:
         plan = FaultPlan.scenario("slow", rank=0, slow_s=0.005, seed=3)
         res = _run(
             throttle_pipeline, "dynamic", "inline",
-            fault_plan=plan, recovery=False,
+            fault_plan=plan,
         )
         m = res.metrics
         stolen = sum(w.tasks_stolen for w in m.workers)
@@ -152,7 +152,7 @@ class TestTraceConformance:
         plan = FaultPlan.scenario("slow", rank=0, slow_s=0.005, seed=3)
         res = _run(
             throttle_pipeline, "dynamic", "inline", trace=True,
-            fault_plan=plan, recovery=False,
+            fault_plan=plan,
         )
         rep = replay_trace(res.trace)
         m = res.metrics

@@ -2,7 +2,7 @@
 over an in-memory fabric (``LinkFabric(P, queue)``) and driven by hand —
 the handler table, the non-blocking ``step`` (two ranks interleaved in
 one thread, factor + solve, bitwise vs sequential; how soon a rank with a
-full ready queue reads its inbox), each recovery / steal handler on its
+full ready queue reads its inbox), each control / steal handler on its
 own, and hypothesis-fuzzed input to the receive prologue.
 
 Only the last class spawns processes: it pins that the per-operation
@@ -39,14 +39,13 @@ from repro.runtime.engine import outcome_result
 from repro.runtime.pool import JobOutcome
 from repro.runtime.worker import (
     DRAIN_EVERY,
-    RETRANSMIT_LIMIT,
     Phase,
     WorkerResult,
     _Abort,
 )
 
 KIND_NAMES = (
-    "BLOCK ABORT NACK DONE BLOCK_REF STEAL_REQ STEAL_GRANT STEAL_DENY "
+    "BLOCK ABORT DONE BLOCK_REF STEAL_REQ STEAL_GRANT STEAL_DENY "
     "STEAL_SHIP STEAL_RESULT SOLVE_Y SOLVE_FUP SOLVE_X SOLVE_BUP"
 ).split()
 
@@ -282,8 +281,8 @@ class TestShareReadiness:
 
 class TestDrainCadence:
     """A rank with ready tasks reads its inbox every ``DRAIN_EVERY`` steps,
-    one with none on every step: the bound on how long an ABORT, a steal
-    request or a NACK waits."""
+    one with none on every step: the bound on how long an ABORT or a steal
+    request waits."""
 
     @staticmethod
     def _busy(ntasks):
@@ -322,7 +321,7 @@ class TestDrainCadence:
         assert len(_sent(fabric, 1)) == 1
 
     def test_idle_rank_drains_on_every_step(self, grid12_pipeline):
-        (w, _), fabric = _crew(grid12_pipeline, recovery=True)
+        (w, _), fabric = _crew(grid12_pipeline)
         phase, ran = self._busy(0)
         for k in range(3):
             fabric.inboxes[0].put(wire.pack_done(1))
@@ -336,7 +335,7 @@ class TestHandlers:
     def test_duplicate_block_is_counted_and_changes_nothing(
         self, grid12_pipeline, seq_chol
     ):
-        (w, _), _ = _crew(grid12_pipeline, recovery=True)
+        (w, _), _ = _crew(grid12_pipeline)
         b, frame = _remote_block(w, seq_chol)
         assert w.receive(frame) is True
         assert b in w.have and w.metrics.duplicates_dropped == 0
@@ -346,32 +345,21 @@ class TestHandlers:
         assert w.metrics.messages_received == 2
         assert _same(before, _state(w))
 
-    def test_corrupt_frame_nacks_its_source_once(
+    def test_corrupt_frame_without_recovery_raises(
         self, grid12_pipeline, seq_chol
     ):
-        (w, _), fabric = _crew(grid12_pipeline, recovery=True)
+        """Fail-stop: the typed error, naming the presumed sender and
+        block, with nothing sent and nothing changed."""
+        (w, _), fabric = _crew(grid12_pipeline)
         b, frame = _remote_block(w, seq_chol)
         bad = bytearray(frame)
         bad[-1] ^= 0x10
         before = _state(w)
-        assert w.receive(bytes(bad)) is False
-        assert w.metrics.frames_rejected == 1
-        assert w.metrics.nacks_sent == 1
-        assert _same(before, _state(w))
-        (nack,) = _sent(fabric, 1)
-        assert (nack.kind, nack.src, nack.block) == (wire.NACK, 0, b)
-        assert _sent(fabric, 0) == []
-
-    def test_corrupt_frame_without_recovery_raises(
-        self, grid12_pipeline, seq_chol
-    ):
-        (w, _), fabric = _crew(grid12_pipeline)
-        _, frame = _remote_block(w, seq_chol)
-        bad = bytearray(frame)
-        bad[-1] ^= 0x10
-        with pytest.raises(RuntimeError, match="no recovery enabled"):
+        with pytest.raises(wire.CorruptFrameError) as info:
             w.receive(bytes(bad))
+        assert (info.value.src, info.value.block) == (1, b)
         assert w.metrics.frames_rejected == 1
+        assert _same(before, _state(w))
         assert _sent(fabric, 1) == []
 
     def test_steal_req_with_under_two_ready_tasks_is_denied(
@@ -387,43 +375,22 @@ class TestHandlers:
         assert w.metrics.steal_grants == 0
         assert len(w.scheduler) == 1
 
-    def test_nack_retransmits_up_to_the_limit(
-        self, grid12_pipeline, seq_chol
-    ):
-        (w, _), fabric = _crew(grid12_pipeline, recovery=True)
-        b, frame = _remote_block(w, seq_chol)
-        w.receive(frame)
-        w.receive(wire.pack_nack(1, b))
-        (again,) = _sent(fabric, 1)
-        assert again.kind == wire.BLOCK and again.block == b
-        assert np.array_equal(again.payload, wire.unpack(frame).payload)
-        for _ in range(RETRANSMIT_LIMIT + 2):
-            w.receive(wire.pack_nack(1, b))
-        assert len(_sent(fabric, 1)) == RETRANSMIT_LIMIT - 1
-        assert w.metrics.retransmits == RETRANSMIT_LIMIT
-        assert w.metrics.nacks_received == RETRANSMIT_LIMIT + 3
-        # A block this rank does not hold yet is not served at all.
-        other = int(np.flatnonzero(w.owners == 1)[1])
-        w.receive(wire.pack_nack(1, other))
-        assert _sent(fabric, 1) == []
+
+# One worker, shared by every hypothesis example (the properties below
+# are about what a frame does *not* change).
+_FUZZ: list = []
 
 
-# One worker per recovery setting, shared by every hypothesis example
-# (the properties below are about what a frame does *not* change).
-_FUZZ: dict = {}
-
-
-def _fuzz_worker(pipeline, recovery):
-    if recovery not in _FUZZ:
-        (w, _), fabric = _crew(pipeline, recovery=recovery)
-        _FUZZ[recovery] = (w, fabric)
-    return _FUZZ[recovery]
+def _fuzz_worker(pipeline):
+    if not _FUZZ:
+        (w, _), fabric = _crew(pipeline)
+        _FUZZ.extend((w, fabric))
+    return _FUZZ
 
 
 def _ledger(w):
     m = dataclasses.asdict(w.metrics)
-    return {k: v for k, v in m.items()
-            if k not in ("frames_rejected", "nacks_sent")}
+    return {k: v for k, v in m.items() if k != "frames_rejected"}
 
 
 def _flipped(seq_chol, w, index, bit):
@@ -437,9 +404,21 @@ def _flipped(seq_chol, w, index, bit):
     return bytes(buf)
 
 
+def _rejects(w, fabric, frame):
+    """``frame`` raises a typed wire error, is counted, sends nothing and
+    changes nothing else."""
+    state, ledger = _state(w), _ledger(w)
+    rejected = w.metrics.frames_rejected
+    with pytest.raises(wire.WireError):
+        w.receive(frame)
+    assert w.metrics.frames_rejected == rejected + 1
+    assert _ledger(w) == ledger and _same(state, _state(w))
+    assert _sent(fabric, 1) == []
+
+
 class TestReceivePrologueFuzz:
-    """Garbage never gets past the prologue: with recovery it is counted
-    and dropped, without it only the documented RuntimeError escapes."""
+    """Garbage never gets past the prologue: only a typed
+    :class:`~repro.runtime.wire.WireError` escapes it."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.one_of(
@@ -447,36 +426,14 @@ class TestReceivePrologueFuzz:
         st.binary(max_size=200).map(lambda b: b"RSB2" + b),
     ))
     def test_arbitrary_bytes(self, grid12_pipeline, data):
-        w, _ = _fuzz_worker(grid12_pipeline, True)
-        state, ledger = _state(w), _ledger(w)
-        rejected = w.metrics.frames_rejected
-        assert w.receive(data) is False
-        assert w.metrics.frames_rejected == rejected + 1
-        assert _ledger(w) == ledger and _same(state, _state(w))
-
-        w, _ = _fuzz_worker(grid12_pipeline, False)
-        with pytest.raises(RuntimeError, match="no recovery enabled"):
-            w.receive(data)
+        _rejects(*_fuzz_worker(grid12_pipeline), data)
 
     @settings(max_examples=150, deadline=None)
     @given(index=st.integers(0, 10_000), bit=st.integers(0, 7))
     def test_bit_flipped_valid_frames(self, grid12_pipeline, seq_chol,
                                       index, bit):
-        w, fabric = _fuzz_worker(grid12_pipeline, True)
-        bad = _flipped(seq_chol, w, index, bit)
-        state, ledger = _state(w), _ledger(w)
-        rejected, nacks = w.metrics.frames_rejected, w.metrics.nacks_sent
-        assert w.receive(bad) is False
-        assert w.metrics.frames_rejected == rejected + 1
-        assert _ledger(w) == ledger and _same(state, _state(w))
-        # At most one NACK, and only ever a NACK, leaves the worker.
-        out = _sent(fabric, 1)
-        assert len(out) == w.metrics.nacks_sent - nacks <= 1
-        assert all(m.kind == wire.NACK and m.src == 0 for m in out)
-
-        w, _ = _fuzz_worker(grid12_pipeline, False)
-        with pytest.raises(RuntimeError, match="no recovery enabled"):
-            w.receive(bad)
+        w, fabric = _fuzz_worker(grid12_pipeline)
+        _rejects(w, fabric, _flipped(seq_chol, w, index, bit))
 
 
 class TestWorkCostComesFromTheTaskGraph:
