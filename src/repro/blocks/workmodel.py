@@ -17,8 +17,10 @@ BDIV(I, K)     (I, K)                  r_I * w^2
 BMOD(I, J, K)  (I, J), K < J <= I      2 * r_I * r_J * w
 =============  ======================  =======================
 
-All pair enumeration is vectorized (outer products per panel), never Python
-loops over block pairs.
+Every operation of every panel is enumerated in one set of array passes
+(the block pairs of all panels at once, by ``repeat`` and ``cumsum``), never
+in a Python loop over panels or block pairs; the interpreted per-panel loop
+is kept as the reference in ``tests/analysis_oracle.py``.
 """
 
 from __future__ import annotations
@@ -62,48 +64,39 @@ class WorkModel:
         N = part.npanels
         widths = part.widths.astype(np.int64)
 
-        key_chunks: list[np.ndarray] = []
-        flop_chunks: list[np.ndarray] = []
-        op_chunks: list[np.ndarray] = []
-        mod_chunks: list[np.ndarray] = []
+        # Every below-diagonal block (I, K), panel by panel: its block row
+        # I, its dense row count r_I, its panel K and its place t in K.
+        nblocks = np.array([br.shape[0] for br in structure.block_rows], dtype=np.int64)
+        first = np.cumsum(nblocks) - nblocks
+        rows = np.concatenate(structure.block_rows).astype(np.int64, copy=False)
+        counts = np.concatenate(structure.block_counts).astype(np.int64, copy=False)
+        panel = np.repeat(np.arange(N, dtype=np.int64), nblocks)
+        t = np.arange(rows.shape[0], dtype=np.int64) - first[panel]
+        wk = widths[panel]
+        # BMOD(I, J, K), destination (I, J) for i >= j within K: block i
+        # pairs with the t_i + 1 blocks of its panel up to itself.
+        reps = t + 1
+        ii = np.repeat(np.arange(rows.shape[0], dtype=np.int64), reps)
+        jj = np.arange(ii.shape[0], dtype=np.int64) - np.repeat(
+            np.cumsum(reps) - reps - first[panel], reps
+        )
+        ci, cj, w = counts[ii], counts[jj], wk[ii]
 
-        for k in range(N):
-            w = int(widths[k])
-            brows = structure.block_rows[k]
-            counts = structure.block_counts[k].astype(np.int64)
-            # BFAC(K, K)
-            key_chunks.append(np.array([k * N + k], dtype=np.int64))
-            flop_chunks.append(np.array([chol_flops(w)], dtype=np.int64))
-            op_chunks.append(np.ones(1, dtype=np.int64))
-            mod_chunks.append(np.zeros(1, dtype=np.int64))
-            m = brows.shape[0]
-            if m == 0:
-                continue
-            # BDIV(I, K) for each below block
-            key_chunks.append(brows * N + k)
-            flop_chunks.append(counts * w * w)
-            op_chunks.append(np.ones(m, dtype=np.int64))
-            mod_chunks.append(np.zeros(m, dtype=np.int64))
-            # BMOD(I, J, K): destination (brows[i], brows[j]) for i >= j.
+        keys = np.concatenate([
+            np.arange(N, dtype=np.int64) * (N + 1),  # BFAC(K, K)
+            rows * N + panel,  # BDIV(I, K)
+            rows[ii] * N + rows[jj],  # BMOD(I, J, K)
+        ])
+        flops = np.concatenate([
+            chol_flops(widths),
+            counts * wk * wk,
             # Diagonal destinations (i == j) are symmetric rank-w updates
             # (SYRK): half the flops of the general GEMM case.
-            ii, jj = np.tril_indices(m)
-            key_chunks.append(brows[ii] * N + brows[jj])
-            flop_chunks.append(
-                np.where(
-                    ii == jj,
-                    counts[ii] * (counts[ii] + 1) * w,
-                    2 * counts[ii] * counts[jj] * w,
-                )
-            )
-            ones = np.ones(ii.shape[0], dtype=np.int64)
-            op_chunks.append(ones)
-            mod_chunks.append(ones)
-
-        keys = np.concatenate(key_chunks)
-        flops = np.concatenate(flop_chunks)
-        ops = np.concatenate(op_chunks)
-        mods = np.concatenate(mod_chunks)
+            np.where(ii == jj, ci * (ci + 1) * w, 2 * ci * cj * w),
+        ])
+        ops = np.ones(keys.shape[0], dtype=np.int64)
+        mods = np.zeros(keys.shape[0], dtype=np.int64)
+        mods[N + rows.shape[0]:] = 1
 
         ukeys, inv = np.unique(keys, return_inverse=True)
         self.dest_I = (ukeys // N).astype(INDEX_DTYPE)
@@ -119,7 +112,7 @@ class WorkModel:
         self.total_work = float(self.work.sum())
         self.total_flops = int(self.flops.sum())
         self.total_ops = int(self.nops.sum())
-        self._key_lookup = {int(k): i for i, k in enumerate(ukeys)}
+        self._key_lookup = dict(zip(ukeys.tolist(), range(ukeys.shape[0])))
 
     def block_index(self, I: int, J: int) -> int:
         """Index of block (I, J) into the per-block arrays; KeyError if zero."""

@@ -2,15 +2,19 @@
 
 General-graph nested dissection uses the classic level-set separator: build a
 level structure from a pseudo-peripheral node, cut at the median-work level,
-and take as separator the smaller-side boundary vertices of the cut level.
+and take the cut level as separator (each of its vertices borders the
+levels below). :func:`level_separator` is the split on an already extracted
+graph, the one nested dissection calls on every piece it keeps.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from repro.graph.adjacency import AdjacencyGraph
-from repro.graph.traversal import pseudo_peripheral_node
+from repro.graph.traversal import csgraph_matrix, peripheral_levels
+from repro.util.arrays import INDEX_DTYPE
 
 
 def vertex_separator_from_levels(
@@ -24,13 +28,33 @@ def vertex_separator_from_levels(
     pathological components; callers treat that as "stop recursing".
     """
     vertices = np.asarray(vertices)
-    if vertices.size <= 2:
-        return vertices, np.empty(0, dtype=vertices.dtype), np.empty(0, dtype=vertices.dtype)
+    ids = np.sort(vertices)
+    local, _ = graph.subgraph(ids)
+    lower, sep, upper, _ = level_separator(
+        csgraph_matrix(local), graph.degrees[ids], np.searchsorted(ids, vertices)
+    )
+    return vertices[lower], vertices[sep], vertices[upper]
 
-    mask = np.zeros(graph.n, dtype=bool)
-    mask[vertices] = True
-    _, levels = pseudo_peripheral_node(graph, int(vertices[0]), mask=mask)
-    if (levels[vertices] < 0).any():
+
+def level_separator(
+    csr: sparse.csr_matrix, degrees: np.ndarray, order: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """:func:`vertex_separator_from_levels` on the graph ``csr``.
+
+    ``order`` lists the vertices (ids of ``csr``) in the caller's order and
+    ``degrees`` holds the degree the pseudo-peripheral search reads for
+    each id. Returns ``(part_a, separator, part_b, level_cut)``, each part
+    as positions into ``order``, ascending; ``level_cut`` says the split
+    is a cut of the level structure, whose ``part_a`` is connected: each of
+    its vertices reaches the root through the levels below the cut.
+    """
+    m = order.shape[0]
+    if m <= 2:
+        empty = np.empty(0, dtype=INDEX_DTYPE)
+        return np.arange(m, dtype=INDEX_DTYPE), empty, empty, False
+
+    _, levels = peripheral_levels(csr, degrees, int(order[0]))
+    if (levels < 0).any():
         raise ValueError(
             "vertex_separator_from_levels requires a connected vertex set"
         )
@@ -39,35 +63,28 @@ def vertex_separator_from_levels(
     if max_level < 2:
         # Graph too shallow for a level cut; fall back to a degree-based cut:
         # take the highest-degree vertex as separator.
-        local_deg = graph.degrees[vertices]
-        sep_v = vertices[np.argmax(local_deg)]
-        rest = vertices[vertices != sep_v]
+        sep_at = int(np.argmax(degrees[order]))
+        rest = np.delete(np.arange(m, dtype=INDEX_DTYPE), sep_at)
         half = rest.shape[0] // 2
-        return rest[:half], np.array([sep_v], dtype=vertices.dtype), rest[half:]
+        return rest[:half], np.array([sep_at], dtype=INDEX_DTYPE), rest[half:], False
 
     # Choose the cut level so the vertex counts on each side are balanced.
-    counts = np.bincount(levels[vertices], minlength=max_level + 1)
+    levels = levels[order]
+    counts = np.bincount(levels, minlength=max_level + 1)
     below = np.cumsum(counts)
     total = below[-1]
     # candidate separator levels 1..max_level-1
     imbalance = np.abs(2 * below[:-1] - total)
     cut = 1 + int(np.argmin(imbalance[1:max_level]))
 
-    in_sep_level = levels == cut
-    lower = vertices[levels[vertices] < cut]
-    upper = vertices[levels[vertices] > cut]
-
-    # Shrink the separator: only cut-level vertices adjacent to the lower side
-    # must be kept; the rest join the upper part.
-    sep_candidates = vertices[in_sep_level[vertices]]
-    lower_mask = np.zeros(graph.n, dtype=bool)
-    lower_mask[lower] = True
-    nbrs, owner = graph.neighbors_of(sep_candidates)
-    keep = np.zeros(sep_candidates.shape[0], dtype=bool)
-    keep[owner[lower_mask[nbrs]]] = True
-    separator = sep_candidates[keep]
-    upper = np.concatenate([upper, sep_candidates[~keep]])
-    return lower, separator, upper
+    # The whole cut level separates: each of its vertices has its BFS
+    # parent one level below, so none of them could join the upper part.
+    return (
+        np.flatnonzero(levels < cut),
+        np.flatnonzero(levels == cut),
+        np.flatnonzero(levels > cut),
+        True,
+    )
 
 
 def geometric_separator(

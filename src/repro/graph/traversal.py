@@ -1,9 +1,14 @@
 """Breadth-first traversals: level structures, components, pseudo-peripheral nodes.
 
-Every traversal restricted by a ``mask`` runs on the induced subgraph of
-the masked vertices (one vectorised extraction), and the breadth-first
-search itself is :func:`scipy.sparse.csgraph.breadth_first_order`; levels
-are graph distances, so they do not depend on who walks the graph.
+A traversal runs on the scipy CSR matrix of a graph
+(:func:`csgraph_matrix`), and the breadth-first search itself is
+:func:`scipy.sparse.csgraph.breadth_first_order`; levels are graph
+distances, so they do not depend on who walks the graph. A ``mask``
+restricts the public routines to the induced subgraph of the masked
+vertices: one extraction and one CSR build per call. Nested dissection
+keeps each piece's subgraph and CSR instead and calls the local cores
+(:func:`peripheral_levels`, :func:`component_ids`) directly, so a piece
+is extracted once, from its parent piece, not once per traversal.
 """
 
 from __future__ import annotations
@@ -16,6 +21,22 @@ from repro.graph.adjacency import AdjacencyGraph
 from repro.util.arrays import INDEX_DTYPE
 
 
+def csgraph_matrix(graph: AdjacencyGraph) -> sparse.csr_matrix:
+    """``graph`` as the CSR matrix the ``csgraph`` routines walk.
+
+    Indices go in as int32 whenever they fit, which is what scipy would
+    convert them to after scanning them; handing them over narrowed saves
+    that scan and copy on every build.
+    """
+    n = graph.n
+    nnz = graph.indices.shape[0]
+    idx = np.int32 if max(n, nnz) < np.iinfo(np.int32).max else INDEX_DTYPE
+    return sparse.csr_matrix(
+        (np.ones(nnz), graph.indices.astype(idx), graph.indptr.astype(idx)),
+        shape=(n, n),
+    )
+
+
 def _restrict(
     graph: AdjacencyGraph, mask: np.ndarray | None
 ) -> tuple[sparse.csr_matrix, np.ndarray | None]:
@@ -24,11 +45,7 @@ def _restrict(
     verts = None
     if mask is not None:
         graph, verts = graph.subgraph(np.flatnonzero(mask))
-    csr = sparse.csr_matrix(
-        (np.ones(graph.indices.shape[0]), graph.indices, graph.indptr),
-        shape=(graph.n, graph.n),
-    )
-    return csr, verts
+    return csgraph_matrix(graph), verts
 
 
 def _levels(csr: sparse.csr_matrix, root: int) -> np.ndarray:
@@ -77,15 +94,10 @@ def bfs_levels(
     return _spread(_levels(csr, root), verts, graph.n)
 
 
-def connected_components(
-    graph: AdjacencyGraph, mask: np.ndarray | None = None
-) -> list[np.ndarray]:
-    """Vertex sets of the connected components (restricted to ``mask``),
-    each ascending, ordered by their smallest vertex."""
-    csr, verts = _restrict(graph, mask)
+def component_ids(csr: sparse.csr_matrix) -> list[np.ndarray]:
+    """Vertex sets (ids of ``csr``) of its connected components, each
+    ascending, ordered by their smallest vertex."""
     m = csr.shape[0]
-    if verts is None:
-        verts = np.arange(m, dtype=INDEX_DTYPE)
     if m == 0:
         return []
     # One search answers the usual case, a connected set. scipy's component
@@ -95,12 +107,43 @@ def connected_components(
     if csgraph.breadth_first_order(
         csr, 0, directed=True, return_predecessors=False
     ).shape[0] == m:
-        return [verts]
+        return [np.arange(m, dtype=INDEX_DTYPE)]
     # Labels count up in order of each component's smallest vertex.
     ncomp, labels = csgraph.connected_components(csr, directed=False)
     by_label = np.argsort(labels, kind="stable")
     cuts = np.cumsum(np.bincount(labels, minlength=ncomp))[:-1]
-    return np.split(verts[by_label], cuts)
+    return np.split(by_label, cuts)
+
+
+def connected_components(
+    graph: AdjacencyGraph, mask: np.ndarray | None = None
+) -> list[np.ndarray]:
+    """Vertex sets of the connected components (restricted to ``mask``),
+    each ascending, ordered by their smallest vertex."""
+    csr, verts = _restrict(graph, mask)
+    comps = component_ids(csr)
+    if verts is None:
+        return comps
+    return [verts[comp] for comp in comps]
+
+
+def peripheral_levels(
+    csr: sparse.csr_matrix, degrees: np.ndarray, start: int
+) -> tuple[int, np.ndarray]:
+    """:func:`pseudo_peripheral_node` on the vertices of ``csr``, whose
+    ``degrees`` the caller chooses; ``start`` and the result are ids of
+    ``csr``."""
+    node = start
+    levels = _levels(csr, node)
+    ecc = int(levels.max())
+    while True:
+        last = np.flatnonzero(levels == ecc)
+        cand = int(last[np.argmin(degrees[last])])
+        new_levels = _levels(csr, cand)
+        new_ecc = int(new_levels.max())
+        if new_ecc <= ecc:
+            return node, levels
+        node, levels, ecc = cand, new_levels, new_ecc
 
 
 def pseudo_peripheral_node(
@@ -120,16 +163,7 @@ def pseudo_peripheral_node(
     if verts is not None:
         degrees = degrees[verts]
         node = int(np.searchsorted(verts, start))
-    levels = _levels(csr, node)
-    ecc = int(levels.max())
-    while True:
-        last = np.flatnonzero(levels == ecc)
-        cand = int(last[np.argmin(degrees[last])])
-        new_levels = _levels(csr, cand)
-        new_ecc = int(new_levels.max())
-        if new_ecc <= ecc:
-            break
-        node, levels, ecc = cand, new_levels, new_ecc
+    node, levels = peripheral_levels(csr, degrees, node)
     if verts is not None:
         node = int(verts[node])
     return node, _spread(levels, verts, graph.n)

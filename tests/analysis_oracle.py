@@ -1,7 +1,8 @@
-"""The interpreted analysis phase — minimum degree, BFS levels, elimination
-tree, column counts, supernode structures and amalgamation — exactly as the
-package ran it before the array-pass rewrite, kept loop for loop as the
-reference the new passes are compared against (``test_analysis_identity``).
+"""The interpreted analysis phase — minimum degree, BFS levels, nested
+dissection, elimination tree, column counts, supernode structures,
+amalgamation and the per-block work model — exactly as the package ran it
+before the array-pass rewrites, kept loop for loop as the reference the new
+passes are compared against (``test_analysis_identity``).
 
 Nothing here imports an implementation from ``repro``: only the graph
 container and the index dtype."""
@@ -556,3 +557,77 @@ def oracle_symbolic_factor(A, perm=None, amalgamate=True):
         "snode_ptr": snode_ptr,
         "snode_rows": structs,
     }
+
+
+# ---------------------------------------------------------------- blocks
+def oracle_chol_flops(w):
+    return w + w * (w - 1) + (w - 1) * w * (2 * w - 1) // 6
+
+
+def oracle_work_model(structure, op_fixed_cost=1000):
+    """The §3.2 work model panel by panel, a dozen numpy calls a panel.
+    Returns a dict of the arrays and totals ``WorkModel`` exposes, and its
+    ``(I, J) -> index`` lookup as ``"lookup"``."""
+    part = structure.partition
+    N = part.npanels
+    widths = part.widths.astype(np.int64)
+
+    key_chunks = []
+    flop_chunks = []
+    op_chunks = []
+    mod_chunks = []
+
+    for k in range(N):
+        w = int(widths[k])
+        brows = structure.block_rows[k]
+        counts = structure.block_counts[k].astype(np.int64)
+        # BFAC(K, K)
+        key_chunks.append(np.array([k * N + k], dtype=np.int64))
+        flop_chunks.append(np.array([oracle_chol_flops(w)], dtype=np.int64))
+        op_chunks.append(np.ones(1, dtype=np.int64))
+        mod_chunks.append(np.zeros(1, dtype=np.int64))
+        m = brows.shape[0]
+        if m == 0:
+            continue
+        # BDIV(I, K) for each below block
+        key_chunks.append(brows * N + k)
+        flop_chunks.append(counts * w * w)
+        op_chunks.append(np.ones(m, dtype=np.int64))
+        mod_chunks.append(np.zeros(m, dtype=np.int64))
+        # BMOD(I, J, K): destination (brows[i], brows[j]) for i >= j.
+        # Diagonal destinations (i == j) are symmetric rank-w updates
+        # (SYRK): half the flops of the general GEMM case.
+        ii, jj = np.tril_indices(m)
+        key_chunks.append(brows[ii] * N + brows[jj])
+        flop_chunks.append(
+            np.where(
+                ii == jj,
+                counts[ii] * (counts[ii] + 1) * w,
+                2 * counts[ii] * counts[jj] * w,
+            )
+        )
+        ones = np.ones(ii.shape[0], dtype=np.int64)
+        op_chunks.append(ones)
+        mod_chunks.append(ones)
+
+    keys = np.concatenate(key_chunks)
+    flops = np.concatenate(flop_chunks)
+    ops = np.concatenate(op_chunks)
+    mods = np.concatenate(mod_chunks)
+
+    ukeys, inv = np.unique(keys, return_inverse=True)
+    out = {
+        "dest_I": (ukeys // N).astype(INDEX_DTYPE),
+        "dest_J": (ukeys % N).astype(INDEX_DTYPE),
+        "flops": np.bincount(inv, weights=flops).astype(np.int64),
+        "nops": np.bincount(inv, weights=ops).astype(np.int64),
+        "nmod": np.bincount(inv, weights=mods).astype(np.int64),
+    }
+    out["work"] = out["flops"] + op_fixed_cost * out["nops"]
+    out["workI"] = np.bincount(out["dest_I"], weights=out["work"], minlength=N)
+    out["workJ"] = np.bincount(out["dest_J"], weights=out["work"], minlength=N)
+    out["total_work"] = float(out["work"].sum())
+    out["total_flops"] = int(out["flops"].sum())
+    out["total_ops"] = int(out["nops"].sum())
+    out["lookup"] = {int(k): i for i, k in enumerate(ukeys)}
+    return out

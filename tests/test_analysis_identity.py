@@ -1,7 +1,8 @@
 """The array-pass analysis phase returns, bit for bit, what the interpreted
 loops in ``tests/analysis_oracle.py`` return: the same permutation, levels,
-tree, counts, supernodes and structures — plus a deterministic guard
-against per-nonzero Python coming back (call counts, no wall clock)."""
+tree, counts, supernodes, structures and per-block work — plus
+deterministic guards against per-nonzero Python and repeated subgraph
+extraction coming back (call counts, no wall clock)."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+from repro.blocks import BlockStructure, WorkModel, make_partition
 from repro.graph import (
     AdjacencyGraph,
     bfs_levels,
@@ -356,6 +358,77 @@ def test_facade_ordering_is_the_oracle_ordering():
         A = BENCH_PATTERNS[name]()
         graph = AdjacencyGraph.from_sparse(A)
         assert np.array_equal(resolve_ordering(A, "auto"), reference(graph))
+
+
+WORK_MODEL_ARRAYS = (
+    "dest_I", "dest_J", "flops", "nops", "nmod", "work", "workI", "workJ",
+)
+
+
+@pytest.mark.parametrize("block_policy", ["uniform", "supernodal"])
+@pytest.mark.parametrize("make", fixed_inputs())
+def test_work_model_matches_oracle(make, block_policy):
+    A = make()
+    sf = symbolic_factor(A, resolve_ordering(A, "auto"))
+    for block_size in (8, 48):
+        structure = BlockStructure(make_partition(sf, block_policy, block_size))
+        for op_fixed_cost in (1000, 0):
+            wm = WorkModel(structure, op_fixed_cost=op_fixed_cost)
+            ref = oracle.oracle_work_model(structure, op_fixed_cost=op_fixed_cost)
+            for name in WORK_MODEL_ARRAYS:
+                got = getattr(wm, name)
+                assert got.dtype == ref[name].dtype, name
+                assert np.array_equal(got, ref[name]), name
+            for name in ("total_work", "total_flops", "total_ops"):
+                assert type(getattr(wm, name)) is type(ref[name]), name
+                assert getattr(wm, name) == ref[name], name
+            N = structure.partition.npanels
+            for I, J in zip(ref["dest_I"].tolist(), ref["dest_J"].tolist()):
+                assert wm.block_index(I, J) == ref["lookup"][I * N + J]
+            assert len(wm._key_lookup) == len(ref["lookup"])
+
+
+def test_nested_dissection_extracts_each_piece_once(monkeypatch):
+    """At most two subgraph extractions per separator — its upper side
+    once, its lower side (connected, never searched) once — plus one per
+    piece of a side that falls apart; extracting each side from the whole
+    graph for the separator and again for each component search is three
+    per separator."""
+    graph = AdjacencyGraph.from_sparse(BENCH_PATTERNS["grid2d"]())
+    # What the reference recursion finds: separators, and sides in pieces.
+    found = {"separators": 0, "pieces": 0}
+    separate = oracle.oracle_vertex_separator_from_levels
+    components = oracle.oracle_connected_components
+
+    def counted_separator(g, vertices):
+        part_a, sep, part_b = separate(g, vertices)
+        found["separators"] += bool(part_a.size and part_b.size)
+        return part_a, sep, part_b
+
+    def counted_components(g, mask=None):
+        comps = components(g, mask=mask)
+        if mask is not None and len(comps) > 1:
+            found["pieces"] += len(comps)
+        return comps
+
+    monkeypatch.setattr(
+        oracle, "oracle_vertex_separator_from_levels", counted_separator
+    )
+    monkeypatch.setattr(oracle, "oracle_connected_components", counted_components)
+    expected = oracle.oracle_nested_dissection(graph)
+
+    extractions = 0
+    subgraph = AdjacencyGraph.subgraph
+
+    def counted_subgraph(self, vertices):
+        nonlocal extractions
+        extractions += 1
+        return subgraph(self, vertices)
+
+    monkeypatch.setattr(AdjacencyGraph, "subgraph", counted_subgraph)
+    assert np.array_equal(nested_dissection(graph), expected)
+    assert found["separators"] > 100
+    assert extractions <= 2 * found["separators"] + found["pieces"]
 
 
 # ---------------------------------------------------------------- call counts
