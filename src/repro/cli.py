@@ -8,11 +8,8 @@ Commands
     Numerically factor a benchmark problem and verify ``L L^T = A``.
 ``simulate <problem>``
     Simulate the parallel block fan-out under a chosen mapping.
-``bench-real <problem>``
-    Execute the real multiprocess message-passing runtime and report the
-    measured per-worker busy/idle/comm breakdown and load balance.
 ``trace <file>``
-    Inspect a structured run trace (written by ``bench-real --trace-out``):
+    Inspect a structured run trace (written by ``RunTrace.dump``):
     summary, ASCII Gantt chart, replay validation, Chrome trace export.
 ``serve``
     Run the long-lived factorization service (persistent worker pool,
@@ -33,9 +30,7 @@ import sys
 
 import numpy as np
 
-from repro.blocks import BLOCK_POLICIES
-from repro.config import SCHEDULES, RunConfig
-from repro.mapping import mapping_heuristics
+from repro.config import RunConfig
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -101,218 +96,6 @@ def cmd_simulate(args) -> int:
           f"({res.comm_bytes / 1e6:.1f} MB)")
     print(f"  idle       : {res.idle_fraction:.2f}")
     return 0
-
-
-def _usable_cpus() -> int | None:
-    """CPUs this process may actually run on (affinity beats count)."""
-    import os
-
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return os.cpu_count()
-
-
-def _oversub_note(nprocs: int, usable: int | None) -> str | None:
-    """The oversubscription warning, or None when the run is honest.
-
-    Printed at *every* place a timing is reported — not just once at
-    startup — so a grepped or truncated log can never show a wall clock
-    without its caveat."""
-    if usable is None or nprocs <= usable:
-        return None
-    return (f"WARNING: {nprocs} workers on {usable} affinity-visible "
-            f"CPUs — oversubscribed wall clocks measure time-sliced "
-            f"execution, not parallel speedup")
-
-
-def cmd_bench_real(args) -> int:
-    import json
-
-    from repro.analysis.comm_volume import (
-        communication_volume,
-        solve_communication_volume,
-    )
-    from repro.experiments.pipeline import prepare_problem
-    from repro.runtime import (
-        plan_owners,
-        run_mp_fanout,
-        shm_available,
-        validate_runtime,
-    )
-
-    cfg = args.config
-    if cfg.transport == "shm" and not shm_available():
-        # Smoke runs on platforms without POSIX shared memory skip
-        # gracefully instead of failing the whole invocation.
-        print("transport=shm requested but shared memory is unavailable "
-              "on this platform; skipping")
-        return 0
-    oversub = _oversub_note(cfg.nprocs, _usable_cpus())
-    if oversub is not None:
-        # Same honesty policy as the benchmark (bench/README.md):
-        # oversubscribed wall clocks measure time-slicing, not speedup.
-        print(oversub, file=sys.stderr)
-    phase = args.phase
-    prep = prepare_problem(args.problem, args.scale, cfg.block_size)
-    rhs = None
-    if phase in ("solve", "both"):
-        if args.nrhs < 1:
-            print("--nrhs must be positive", file=sys.stderr)
-            return 2
-        rng = np.random.default_rng(args.rhs_seed)
-        rhs = rng.standard_normal(
-            (prep.symbolic.A.shape[0], args.nrhs)
-        )
-    mappings = args.mappings
-    schedules = SCHEDULES if args.schedule == "both" else [args.schedule]
-    bpolicies = (
-        BLOCK_POLICIES if args.block_policy == "both"
-        else [args.block_policy]
-    )
-    runs = {}
-    resids = {}
-    invalid = False
-    multi = len(mappings) * len(schedules) * len(bpolicies) > 1
-    for bpolicy in bpolicies:
-        prep = prepare_problem(
-            args.problem, args.scale, cfg.block_size, block_policy=bpolicy,
-        )
-        for mapping in mappings:
-            owners, name = plan_owners(
-                prep.workmodel, prep.taskgraph, cfg.nprocs, mapping,
-                cfg.use_domains,
-            )
-            for schedule in schedules:
-                res = run_mp_fanout(
-                    prep.structure, prep.symbolic.A, prep.taskgraph, owners,
-                    cfg.nprocs, cfg, mapping=name, rhs=rhs,
-                    schedule=schedule, block_policy=bpolicy,
-                    trace=bool(args.trace_out),
-                )
-                met = res.metrics
-                met.problem = prep.name
-                label = (
-                    mapping if len(schedules) == 1
-                    else f"{mapping}:{schedule}"
-                )
-                if len(bpolicies) > 1:
-                    label = f"{label}@{bpolicy}"
-                runs[label] = res
-                predicted = communication_volume(prep.taskgraph, owners)
-                L = res.to_csc()
-                resid = abs(L @ L.T - prep.symbolic.A).max()
-                resids[label] = float(resid)
-                print(f"{prep.name} on {cfg.nprocs} workers ({name}, "
-                      f"schedule={schedule}, block_policy={bpolicy}):")
-                if oversub is not None:
-                    print(f"  {oversub}")
-                print(f"  wall clock      : {met.wall_s * 1e3:.1f} ms "
-                      f"(factor{'+solve' if rhs is not None else ''})")
-                if phase in ("factor", "both"):
-                    print(f"  |L L^T - A|_max : {resid:.3e}")
-                    print(f"  balance         : measured "
-                          f"{met.measured_balance:.3f} "
-                          f"(busy time), work {met.work_balance:.3f}")
-                    print(f"  imbalance       : max/mean busy "
-                          f"{met.imbalance:.3f}, work {met.work_imbalance:.3f}")
-                    print(f"  messages        : {met.messages_total} measured /"
-                          f" {predicted.messages} predicted "
-                          f"({met.bytes_total / 1e6:.2f} MB)")
-                    print(f"  transport       : {met.transport} "
-                          f"({met.wire_bytes_total / 1e6:.2f} MB transported)")
-                if rhs is not None:
-                    spred = solve_communication_volume(
-                        prep.taskgraph, owners, nrhs=args.nrhs
-                    )
-                    sresid = float(
-                        np.max(np.abs(prep.symbolic.A @ res.solution - rhs))
-                    )
-                    busy = sum(w.solve_busy_s for w in met.workers)
-                    comm = sum(w.solve_comm_s for w in met.workers)
-                    print(f"  solve ({args.nrhs} rhs) : "
-                          f"|A x - b|_max {sresid:.3e} (permuted system)")
-                    print(f"  solve time      : busy {busy * 1e3:.1f} ms, "
-                          f"comm {comm * 1e3:.1f} ms across workers")
-                    print(f"  solve messages  : {met.solve_messages_total} "
-                          f"measured / {spred.messages} predicted "
-                          f"({met.solve_bytes_total / 1e3:.1f} kB)")
-                if schedule == "dynamic":
-                    print(f"  stealing        : {met.tasks_stolen_total} "
-                          f"migrations / {met.steal_reqs_total} requests "
-                          f"({met.steal_bytes_total / 1e3:.1f} kB steal "
-                          f"traffic); idle {met.idle_total_s * 1e3:.1f} ms")
-                print("  per-worker breakdown:")
-                print("    " + met.render().replace("\n", "\n    "))
-                if args.validate:
-                    rep = validate_runtime(
-                        prep.structure, prep.symbolic.A, prep.taskgraph,
-                        problem=prep.name, result=res, strict=False,
-                    )
-                    print("  " + rep.summary().replace("\n", "\n  "))
-                    # The failing run's artifacts are the ones worth
-                    # keeping: fail after the trace and JSON are written.
-                    invalid = invalid or not rep.ok
-                if args.trace_out and res.trace is not None:
-                    path = _trace_path(args.trace_out, label, multi)
-                    res.trace.meta["problem"] = prep.name
-                    res.trace.dump(path)
-                    print(f"  trace ({len(res.trace.events)} events) written "
-                          f"to {path}")
-                print()
-    if len(runs) > 1:
-        print("mapping comparison (work imbalance, lower is better; "
-              "labels are mapping[:schedule][@block_policy]):")
-        if oversub is not None:
-            print(f"  {oversub}")
-        for label, res in sorted(
-            runs.items(), key=lambda kv: kv[1].metrics.work_imbalance
-        ):
-            met = res.metrics
-            print(f"  {label:<28s} work_imbalance="
-                  f"{met.work_imbalance:.3f} "
-                  f"measured_balance={met.measured_balance:.3f} "
-                  f"resid={resids[label]:.2e} "
-                  f"wall={met.wall_s * 1e3:.1f} ms")
-    if len(schedules) == 2:
-        print("schedule comparison (dynamic vs static):")
-        if oversub is not None:
-            print(f"  {oversub}")
-        for mapping in mappings:
-            for bpolicy in bpolicies:
-                suffix = f"@{bpolicy}" if len(bpolicies) > 1 else ""
-                st = runs.get(f"{mapping}:static{suffix}")
-                dy = runs.get(f"{mapping}:dynamic{suffix}")
-                if st is None or dy is None:
-                    continue
-                same = (abs(dy.to_csc() - st.to_csc()).max() == 0.0)
-                invalid = invalid or not same
-                sm, dm = st.metrics, dy.metrics
-                print(f"  {mapping + suffix:<20s} "
-                      f"idle {dm.idle_total_s * 1e3:.1f} ms "
-                      f"vs {sm.idle_total_s * 1e3:.1f} ms static, "
-                      f"wall {dm.wall_s * 1e3:.1f} vs "
-                      f"{sm.wall_s * 1e3:.1f} ms, "
-                      f"{dm.tasks_stolen_total} migrations, factors "
-                      f"{'bitwise identical' if same else 'DIFFER'}")
-    if args.json:
-        payload = {m: r.metrics.to_dict() for m, r in runs.items()}
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"metrics written to {args.json}")
-    return 1 if invalid else 0
-
-
-def _trace_path(base: str, mapping: str, multi: bool) -> str:
-    """Output path for one mapping's trace; with several mappings a
-    filesystem-safe mapping slug is inserted before the extension."""
-    if not multi:
-        return base
-    slug = mapping.replace("/", "-").replace(":", ".").lower()
-    root, dot, ext = base.rpartition(".")
-    if not dot:
-        return f"{base}.{slug}"
-    return f"{root}.{slug}.{ext}"
 
 
 def cmd_trace(args) -> int:
@@ -475,14 +258,6 @@ def cmd_suite(args) -> int:
     return subprocess.call([sys.executable, str(script), args.scale])
 
 
-def _mappings(text: str) -> list[str]:
-    """``--mappings``: comma-separated mapping names, each checked."""
-    names = [m.strip() for m in text.split(",") if m.strip()]
-    for name in names:
-        mapping_heuristics(name)
-    return names
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -513,57 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser(
-        "bench-real",
-        help="execute the real multiprocess runtime and report per-worker "
-             "metrics",
-    )
-    p.add_argument("problem")
-    RunConfig.add_arguments(
-        p, "nprocs", "use_domains", "transport", "steal_seed", "timeout_s",
-        "stall_timeout_s",
-    )
-    # The three sweep axes: a list, or 'both', of a RunConfig field each.
-    p.add_argument("--mappings", type=_mappings, default="cyclic,DW/CY",
-                   help="comma-separated mappings to execute and compare")
-    p.add_argument("--schedule", default="static",
-                   choices=(*SCHEDULES, "both"),
-                   help="execution schedule: the static owner-computes "
-                        "map, dynamic work stealing, or 'both' to run "
-                        "each mapping under both (exit 1 if factors differ)")
-    p.add_argument("--block-policy", default="uniform",
-                   choices=(*BLOCK_POLICIES, "both"),
-                   help="panel blocking policy: fixed-width panels, "
-                        "structure-aware supernodal panels, or 'both' to "
-                        "run and compare side by side")
-    p.add_argument("--validate", action="store_true",
-                   help="also check numerics/messages/work against the "
-                        "models")
-    p.add_argument("--phase", default="factor",
-                   choices=("factor", "solve", "both"),
-                   help="run and report the factorization, the "
-                        "distributed triangular solve (factor runs too — "
-                        "the solve needs it — but reporting focuses on "
-                        "the solve), or both")
-    p.add_argument("--nrhs", type=int, default=1,
-                   help="right-hand sides in the solve panel "
-                        "(--phase solve|both)")
-    p.add_argument("--rhs-seed", type=int, default=0,
-                   help="seed for the random solve right-hand sides")
-    p.add_argument("--json", default=None, metavar="PATH",
-                   help="write per-mapping metrics JSON to PATH")
-    p.add_argument("--trace-out", default=None, metavar="PATH",
-                   help="record a structured event trace and write it to "
-                        "PATH (one file per mapping; inspect with "
-                        "'repro trace')")
-    _add_common(p)
-    p.set_defaults(fn=cmd_bench_real)
-
-    p = sub.add_parser(
         "trace",
         help="inspect a structured run trace (summary, Gantt, replay "
              "validation, Chrome export)",
     )
-    p.add_argument("file", help="trace file written by bench-real --trace-out")
+    p.add_argument("file", help="trace file written by RunTrace.dump")
     p.add_argument("--gantt", action="store_true",
                    help="render the ASCII Gantt chart")
     p.add_argument("--width", type=int, default=72,

@@ -92,7 +92,7 @@ class RunConfig:
     )
     use_domains: bool = _knob(
         False, "apply the domain (subtree) portion of the ownership",
-        plan=True, flags="--domains", action="store_true",
+        plan=True,
     )
     # -- execution -----------------------------------------------------
     transport: str = _knob(
@@ -115,12 +115,11 @@ class RunConfig:
     )
     timeout_s: float = _knob(
         300.0, "wall-clock bound in seconds on one pool job (one "
-        "parallel attempt), whoever owns the pool",
-        flags="--timeout", kind=float, low=0, metavar="S",
+        "parallel attempt), whoever owns the pool", kind=float, low=0,
     )
     stall_timeout_s: float = _knob(
         30.0, "per-worker no-progress watchdog in seconds",
-        flags="--stall-timeout", kind=float, low=0, metavar="S",
+        kind=float, low=0,
     )
     # -- recovery ------------------------------------------------------
     max_restarts: int = _knob(

@@ -2,14 +2,14 @@
 
 Symbolic analysis and task-graph construction are mapping-independent, so
 experiments that sweep mappings (Tables 4, 5) reuse one prepared problem per
-(matrix, scale, block size, blocking policy).
+(matrix, scale, block size).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.blocks import BlockPartition, BlockStructure, WorkModel, make_partition
+from repro.blocks import BlockPartition, BlockStructure, WorkModel
 from repro.fanout import TaskGraph
 from repro.matrices import get_problem
 from repro.matrices.problem import ProblemMatrix
@@ -48,24 +48,15 @@ def prepare_problem(
     scale: str = "medium",
     block_size: int = PAPER_BLOCK_SIZE,
     use_cache: bool = True,
-    block_policy: str = "uniform",
-    min_width: int | None = None,
-    max_width: int | None = None,
 ) -> PreparedProblem:
     """Generate, order, analyze and block-partition benchmark problem ``name``."""
-    key = (name, scale, block_size, block_policy, min_width, max_width)
+    key = (name, scale, block_size)
     if use_cache and key in _CACHE:
         return _CACHE[key]
     problem = get_problem(name, scale)
     ordering = order_problem(problem)
     sf = symbolic_factor(problem.A, ordering)
-    partition = make_partition(
-        sf,
-        block_policy=block_policy,
-        block_size=block_size,
-        min_width=min_width,
-        max_width=max_width,
-    )
+    partition = BlockPartition(sf, block_size)
     structure = BlockStructure(partition)
     workmodel = WorkModel(structure)
     taskgraph = TaskGraph(workmodel)

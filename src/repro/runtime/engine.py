@@ -268,7 +268,6 @@ def job_result(plan: PatternPlan, job: PoolJob, outcome: JobOutcome,
         outcome, plan.structure, plan.tg, True, job.rhs, owners=plan.owners,
         wall_s=launch_s + outcome.wall_s, mapping=plan.mapping_name,
         arena=plan.arena, config=plan.config,
-        attempt=int(getattr(job.fault_plan, "attempt", 0)),
     )
     meta = dict(
         start_method=START_METHOD,
@@ -297,7 +296,6 @@ def outcome_result(
     arena: BlockArena | None = None,
     config: RunConfig | None = None,
     problem: str = "",
-    attempt: int = 0,
 ) -> tuple[BlockCholesky | None, np.ndarray | None, RuntimeMetrics,
            RunTrace | None]:
     """Turn a clean :class:`~repro.runtime.pool.JobOutcome` into
@@ -313,10 +311,10 @@ def outcome_result(
     own (dispatch to last report); a caller that started the crew adds
     its launch.
     ``mapping``, the transport (shm exactly when there is an arena) and
-    the ``config``'s schedule label the metrics and the trace, which is
-    merged whenever the workers shipped one. Raises :class:`FanoutError`
-    when the gather does not cover every block exactly once, fails its
-    integrity check, or the solution panels do not cover every row.
+    the ``config``'s schedule label the metrics and the trace (attempt
+    ``outcome.attempt``, merged whenever the workers shipped one). Raises
+    :class:`FanoutError` when the gather does not cover every block
+    exactly once, fails its integrity check, or the solution panels miss a row.
     """
     results = outcome.results
     nprocs = len(results)
@@ -351,14 +349,14 @@ def outcome_result(
         grid = best_grid(nprocs)
         meta = dict(
             nprocs=nprocs, mapping=mapping, grid=[int(grid.Pr), int(grid.Pc)],
-            start_method=START_METHOD, attempt=attempt, schedule=schedule,
-            wall_s=wall_s,
+            start_method=START_METHOD, attempt=outcome.attempt,
+            schedule=schedule, wall_s=wall_s,
         )
         if rhs is not None:
             meta["nrhs"] = int(rhs.shape[1])
         trace = RunTrace.from_workers(
             {r: results[r].trace for r in sorted(results)}, meta=meta,
-            attempt=attempt,
+            attempt=outcome.attempt,
         )
     return assembled, solution, metrics, trace
 

@@ -161,6 +161,8 @@ class JobOutcome:
     #: error is typed, so the type is read from here.
     broke: str | None = None
     died: bool = False
+    #: Which attempt of its job this was, stamped by the recovery loop.
+    attempt: int = 0
 
     @property
     def ok(self) -> bool:

@@ -181,6 +181,7 @@ def recover(pool: WorkerPool, job: RecoveryJob, make_spec, attempts: int,
         job.shipped = make_spec(attempt)
         t0 = time.perf_counter()
         out = job.outcome = pool.run(job.shipped, timeout_s)
+        out.attempt = attempt
         wall_s = time.perf_counter() - t0
         retry = False
         if out.ok:
@@ -260,8 +261,7 @@ def run_job(pool: WorkerPool, plan: PatternPlan, A, attempts: int, seqs, *,
             factor, metrics, np.zeros(plan.tg.nblocks, dtype=np.int64),
             SEQUENTIAL_MAPPING, {"fallback": True}, report,
         )
-    if job.traces:
-        # Failed attempts' events first, so the trace tells the whole
-        # multi-attempt story.
-        res.trace = RunTrace.concat([*job.traces, res.trace])
+    # Failed attempts' events first, so the trace tells the whole
+    # multi-attempt story.
+    res.trace = RunTrace.concat([*job.traces, res.trace])
     return res

@@ -208,12 +208,12 @@ class RunTrace:
         return cls(meta=dict(meta or {}), events=events, dropped=dropped)
 
     @classmethod
-    def concat(cls, traces: list["RunTrace"]) -> "RunTrace":
-        """Stitch multi-attempt traces (failed attempts first). Keeps the
-        final trace's meta and unions events and drop counts."""
+    def concat(cls, traces: list["RunTrace"]) -> "RunTrace | None":
+        """Stitch multi-attempt traces (failed attempts first; None if all
+        are None): the final trace's meta, every event and drop count."""
         traces = [t for t in traces if t is not None]
         if not traces:
-            return cls()
+            return None
         out = cls(meta=dict(traces[-1].meta))
         for t in traces:
             out.events.extend(t.events)

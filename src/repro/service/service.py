@@ -37,7 +37,7 @@ from scipy import sparse
 from repro.config import RunConfig
 from repro.numeric.solve import permute_rhs
 from repro.runtime.arena import resolve_transport
-from repro.runtime.engine import FanoutError, outcome_result
+from repro.runtime.engine import FanoutError, RunTrace, outcome_result
 from repro.runtime.pool import PoolJob, WorkerPool
 from repro.runtime.recovery import (
     OUTCOME_CLEAN,
@@ -736,7 +736,7 @@ class FactorService:
             perm=entry.perm,
             factor=factor,
             metrics=metrics,
-            trace=trace,
+            trace=RunTrace.concat([*p.traces, trace]),
             record=record,
         ))
 

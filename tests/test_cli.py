@@ -23,8 +23,8 @@ class TestParser:
             if isinstance(a, argparse._SubParsersAction)
         ]
         assert set(sub.choices) == {
-            "info", "factor", "simulate", "bench-real", "trace", "serve",
-            "analyze", "experiment", "suite",
+            "info", "factor", "simulate", "trace", "serve", "analyze",
+            "experiment", "suite",
         }
 
 
@@ -115,3 +115,36 @@ class TestSuite:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "run_all_experiments.py not found" in err
+
+
+class TestTraceCommand:
+    @pytest.mark.parametrize("nprocs", [2, 4])
+    def test_a_recorded_trace_passes_and_a_tampered_one_fails(
+        self, grid12_pipeline, nprocs, tmp_path, capsys
+    ):
+        """``repro trace`` on a real run's dump: summary, Gantt, replay
+        validation and the Chrome export all succeed; the same file with
+        one task span recorded twice fails validation. (A removed span
+        passes: the file alone cannot say how many tasks there were.)
+        P = 4 is a 2 x 2 grid, where a column has two owners."""
+        import json
+
+        from repro.runtime.trace import RunTrace
+        from tests.conftest import mp_fanout
+
+        _, sf, _, bs, _, tg = grid12_pipeline
+        res = mp_fanout(bs, sf.A, tg, nprocs=nprocs, trace=True)
+        path, out = tmp_path / "run.trace.json", tmp_path / "run.chrome.json"
+        res.trace.dump(path)
+        assert main(["trace", str(path), "--gantt", "--validate",
+                     "--chrome", str(out)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert json.loads(out.read_text())["traceEvents"]
+
+        tampered = RunTrace.load(path)
+        task = next(e for e in tampered.events if e.cat == "task")
+        tampered.events.insert(tampered.events.index(task), task)
+        bad = tmp_path / "tampered.trace.json"
+        tampered.dump(bad)
+        assert main(["trace", str(bad), "--validate"]) == 1
+        assert "FAIL" in capsys.readouterr().out

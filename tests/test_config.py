@@ -1,6 +1,7 @@
 """`RunConfig`: every knob declared, defaulted, validated and digested in
 one module, and held whole by every layer. Spawns no process."""
 
+import argparse
 import dataclasses
 import importlib
 import inspect
@@ -145,13 +146,13 @@ class TestValidation:
         assert mp.active_children() == []
 
     @pytest.mark.parametrize("argv", [
-        ["bench-real", "GRID150", "-p", "0"],
-        ["bench-real", "GRID150", "--transport", "bogus"],
-        ["bench-real", "GRID150", "--mappings", "cyclic,XX/YY"],
         ["serve", "-p", "0"],
         ["serve", "--transport", "bogus"],
         ["serve", "--mapping", "XX/YY"],
-        ["bench-real", "GRID150", "--stall-timeout", "-1"],
+        ["serve", "--block-size", "0"],
+        ["serve", "--max-restarts", "-1"],
+        ["serve", "--schedule", "both"],
+        ["info", "GRID150", "--block-size", "0"],
     ])
     def test_cli_rejects_with_exit_code_2(self, argv, capsys):
         with pytest.raises(SystemExit) as info:
@@ -249,13 +250,11 @@ class TestDefaults:
 # (d) command line
 # ----------------------------------------------------------------------
 SUBCOMMANDS = {
-    "bench-real": ["bench-real", "GRID150"],
     "serve": ["serve"],
 }
 
 #: Per-subcommand defaults that differ from the field's own.
 CLI_DEFAULTS = {
-    "bench-real": dict(nprocs=4, timeout_s=300.0, stall_timeout_s=30.0),
     "serve": dict(nprocs=2, block_size=48, max_restarts=2),
 }
 
@@ -278,6 +277,20 @@ class TestCommandLine:
             got = RunConfig.from_args(parser.parse_args(base + extra))
             assert getattr(got, name) == value, (command, name)
             assert got == dataclasses.replace(cfg, **{name: value})
+
+    def test_every_cli_spelling_is_declared_by_a_command(self):
+        """A field's ``flags`` are dead metadata unless some subcommand
+        declares the field: a retired command takes its spellings along."""
+        (sub,) = [
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        declared = {
+            name for p in sub.choices.values()
+            for name in p.get_default("config_fields") or ()
+        }
+        spelled = {n for n, f in FIELDS.items() if f.metadata["flags"]}
+        assert spelled == declared
 
     def test_help_lists_every_flag_the_cli_tests_use(self, capsys):
         source = pathlib.Path(__file__).with_name("test_cli.py").read_text()

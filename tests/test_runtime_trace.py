@@ -245,3 +245,49 @@ class TestChaosTraces:
         # The final attempt's replay reconciles exactly.
         rep = validate_trace(tr, attempt=1, metrics=res.metrics)
         assert rep.ok, rep.failures
+
+    def test_service_stitches_the_attempts_of_a_recovered_job(
+        self, grid12_pipeline
+    ):
+        """The service keeps the failed attempt's trace, as the façade
+        does, and labels the re-run with its own attempt number."""
+        from repro.service import FactorService
+
+        _, sf, _, bs, wm, tg = grid12_pipeline
+        plan = FaultPlan(seed=7, crash=(CrashSpec(rank=1, after_tasks=5),))
+        with FactorService(nprocs=2, mapping="cyclic", ordering="natural",
+                           block_size=8, trace=True) as svc:
+            res = svc.factor(sf.A, fault_plan=plan)
+        assert res.record.outcome == "recovered"
+        assert res.trace.attempts == [0, 1]
+        crashes = {e.attempt for e in res.trace.events if e.name == "crash"}
+        assert crashes == {0}
+        rep = validate_trace(res.trace, attempt=1, metrics=res.metrics)
+        assert rep.ok, rep.failures
+
+    def test_recovery_from_a_real_death_labels_the_rerun(
+        self, grid12_pipeline
+    ):
+        """No fault plan: a rank SIGKILLed between two factors fails the
+        next job's first attempt, and its re-run is attempt 1. The pool
+        gives up on a dead crew at once, so the failed attempt ships no
+        events and the trace holds the re-run alone."""
+        import os
+        import signal
+
+        from repro.solver import SparseCholesky
+
+        _, sf, _, bs, wm, tg = grid12_pipeline
+        with SparseCholesky(sf.A, ordering="natural", block_size=8,
+                            backend="mp", nprocs=2, mapping="cyclic",
+                            trace=True) as chol:
+            chol.factor()
+            victim = chol._crew[1]._procs[1]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(10)
+            res = chol._run_mp()
+        assert res.failure_report.outcome == "recovered"
+        assert res.trace.attempts == [1]
+        assert res.trace.meta["attempt"] == 1
+        rep = validate_trace(res.trace, attempt=1, metrics=res.metrics)
+        assert rep.ok, rep.failures
