@@ -37,17 +37,24 @@ import numpy as np
 from repro.util.arrays import tril_flat
 
 
-def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``concatenate([arange(s, s + l) for s, l in zip(starts, lengths)])``."""
-    ends = np.cumsum(lengths)
-    return np.repeat(starts - (ends - lengths), lengths) + np.arange(
-        int(ends[-1]) if ends.size else 0
-    )
+def _ragged_arange(starts, lengths, dtype=np.intp, step=None) -> np.ndarray:
+    """``concatenate([arange(s, s + l * d, d) for s, l, d in zip(starts,
+    lengths, step)])`` (every ``d`` 1 when ``step`` is None), built in
+    ``dtype``, which every value and ``sum(lengths)`` must fit."""
+    heads = np.cumsum(lengths) - lengths
+    out = np.arange(int(lengths.sum()), dtype=dtype)
+    if step is None:
+        out += np.repeat((starts - heads).astype(dtype), lengths)
+    else:  # offset in the segment, times its step, plus its start
+        out -= np.repeat(heads.astype(dtype), lengths)
+        out *= np.repeat(step.astype(dtype), lengths)
+        out += np.repeat(starts.astype(dtype), lengths)
+    return out
 
 
-def _compact(index: np.ndarray, bound: int) -> np.ndarray:
-    """``index`` as int32 when every value below ``bound`` fits."""
-    return index.astype(np.int32 if bound < 2**31 else np.int64)
+def _index_dtype(bound: int) -> type:
+    """int32 when every index below ``bound`` fits, else int64."""
+    return np.int32 if bound < 2**31 else np.int64
 
 
 class NumericPlan:
@@ -123,17 +130,14 @@ class NumericPlan:
             ptr[:-1].tolist(), ptr[1:].tolist(), structure.rows_below
         ))
         self._compile_bmod(structure)
-        self._scatter = None
-        self._csc = None
-        self._arena = None
+        self._scatter = self._csc = self._arena = None
 
     def _locate(self, panel: np.ndarray, row: np.ndarray) -> np.ndarray | None:
         """Positions of the ``(panel, row)`` pairs in the end-to-end
         ``rows_below``; ``None`` when any pair is not in the structure."""
-        keys = self._below_keys
+        keys, key = self._below_keys, panel * self.n + row
         if not keys.size:
-            return None
-        key = panel * self.n + row
+            return None if key.size else key
         pos = np.minimum(np.searchsorted(keys, key), keys.shape[0] - 1)
         return pos if np.array_equal(keys[pos], key) else None
 
@@ -170,13 +174,12 @@ class NumericPlan:
         rel = rows - ptr[J]  # rows inside panel J: diagonal-block relative
         slab_row = rel.copy()
         below = np.flatnonzero(rows >= ptr[J + 1])
-        if below.size:
-            pos = self._locate(J[below], rows[below])
-            if pos is None:
-                raise RuntimeError("BMOD rows missing from destination block")
-            within = pos - below_ptr[J[below]]  # position in rows_below[J]
-            rel[below] = within - row_blk_lo[pos]
-            slab_row[below] = self._widths[J[below]] + within
+        pos = self._locate(J[below], rows[below])
+        if pos is None:
+            raise RuntimeError("BMOD rows missing from destination block")
+        within = pos - below_ptr[J[below]]  # position in rows_below[J]
+        rel[below] = within - row_blk_lo[pos]
+        slab_row[below] = self._widths[J[below]] + within
         self.slab_flat = (slab_row * self._widths[J]).astype(np.intp)
         self.rel = rel = rel.astype(np.int32)
         first = rel[pair_off]
@@ -219,16 +222,15 @@ class NumericPlan:
         local_col = c - ptr[K]
         dest = self._slab_ptr[K] + (r - ptr[K]) * w + local_col
         below = np.flatnonzero(r >= ptr[K + 1])
-        if below.size:
-            Kb = K[below]
-            pos = self._locate(Kb, r[below])
-            if pos is None:
-                raise ValueError("matrix entry outside the symbolic structure")
-            dest[below] = (
-                self._slab_ptr[Kb]
-                + (w[below] + pos - self._below_ptr[Kb]) * w[below]
-                + local_col[below]
-            )
+        Kb = K[below]
+        pos = self._locate(Kb, r[below])
+        if pos is None:
+            raise ValueError("matrix entry outside the symbolic structure")
+        dest[below] = (
+            self._slab_ptr[Kb]
+            + (w[below] + pos - self._below_ptr[Kb]) * w[below]
+            + local_col[below]
+        )
         # Strictly-lower entries of a diagonal block land in its upper
         # triangle too: dpotrf wants full symmetric storage.
         mirror = np.flatnonzero((r > c) & (r < ptr[K + 1]))
@@ -239,8 +241,8 @@ class NumericPlan:
             self._slab_ptr[Km]
             + local_col[mirror] * w[mirror] + (r[mirror] - ptr[Km]),
         ])
-        src = _compact(src, indices.shape[0] + 1)
-        dest = _compact(dest, self.size + 1)
+        src = src.astype(_index_dtype(indices.shape[0] + 1))
+        dest = dest.astype(_index_dtype(self.size + 1))
         self._scatter = (indptr.copy(), indices.copy(), src, dest)
         return src, dest
 
@@ -250,28 +252,27 @@ class NumericPlan:
         structural entry, sorted rows) and, per stored entry, its position
         in the slab layout. Built on first use."""
         if self._csc is None:
-            ptr, widths = self._ptr, self._widths
             K = self._panel_of_col
-            local_col = np.arange(self.n) - ptr[K]
-            length = widths[K] - local_col + self._nbelow[K]
+            w = self._widths[K]
+            local_col = np.arange(self.n) - self._ptr[K]
+            length = w - local_col + self._nbelow[K]
             indptr = np.concatenate([[0], np.cumsum(length)])
-            slab_row = _ragged_arange(local_col, length)
-            Ke = np.repeat(K, length)
-            we = widths[Ke]
-            gather = (
-                self._slab_ptr[Ke] + slab_row * we
-                + np.repeat(local_col, length)
-            )
-            indices = ptr[Ke] + slab_row
-            below = np.flatnonzero(slab_row >= we)
-            indices[below] = self._rows[
-                (self._below_ptr[Ke] + slab_row - we)[below]
-            ]
             # The index width scipy itself picks for this shape and nnz.
-            bound = max(self.n, int(indptr[-1])) + 1
+            itype = _index_dtype(max(self.n, int(indptr[-1])) + 1)
+            # Every panel's rows, its own columns then rows_below, end to
+            # end: column j's rows are the tail of its panel's from its own
+            # row on, and its slab positions step by the panel's width.
+            below_ptr = self._below_ptr
+            rows = np.insert(
+                self._rows.astype(itype),
+                np.repeat(below_ptr[:-1], self._widths), np.arange(self.n),
+            )
+            head = np.arange(self.n) + below_ptr[K]
+            first = self._slab_ptr[K] + local_col * (w + 1)
             self._csc = (
-                _compact(indptr, bound), _compact(indices, bound),
-                _compact(gather, self.size + 1),
+                indptr.astype(itype),
+                rows[_ragged_arange(head, length, itype)],
+                _ragged_arange(first, length, _index_dtype(self.size + 1), w),
             )
         return self._csc
 
@@ -292,8 +293,10 @@ class NumericPlan:
             nwords = layout.logical_words
             sub = np.flatnonzero(~layout.diag)
             pos = np.searchsorted(self._sub_keys, K[sub] * N + I[sub])
-            src = [_ragged_arange(word[sub], nwords[sub])]
-            dest = [_ragged_arange(self._sub_start[pos], nwords[sub])]
+            stype = _index_dtype(layout.total_bytes // 8 + 1)
+            dtype = _index_dtype(self.size + 1)
+            src = [_ragged_arange(word[sub], nwords[sub], stype)]
+            dest = [_ragged_arange(self._sub_start[pos], nwords[sub], dtype)]
             # Diagonal blocks, one array pass per distinct width.
             diag = np.flatnonzero(layout.diag)
             for w in np.unique(self._widths).tolist():
@@ -301,16 +304,13 @@ class NumericPlan:
                 tri = tril_flat(w)
                 src.append(word[blocks][:, None] + np.arange(tri.shape[0]))
                 dest.append(self._slab_ptr[K[blocks]][:, None] + tri)
-            src = np.concatenate([a.ravel() for a in src])
-            dest = np.concatenate([a.ravel() for a in dest])
+            src = np.concatenate([a.ravel() for a in src], dtype=stype)
+            dest = np.concatenate([a.ravel() for a in dest], dtype=dtype)
             if src.shape[0] != int(nwords.sum()) or np.any(
                 np.bincount(dest, minlength=self.size) > 1
             ):
                 raise ValueError("arena layout disagrees with the structure")
-            self._arena = (
-                _compact(src, layout.total_bytes // 8 + 1),
-                _compact(dest, self.size + 1),
-            )
+            self._arena = (src, dest)
         return self._arena
 
     def from_arena(self, layout, words: np.ndarray) -> np.ndarray:

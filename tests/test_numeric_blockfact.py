@@ -137,23 +137,57 @@ def analysed(request, tmp_path_factory):
     return symbolic_factor(problem.A, order_problem(problem, method))
 
 
+def assert_plan_matches_the_oracle(bs, A):
+    """Blocks and ``L`` (values, index arrays and their dtypes) against the
+    interpreted scatter and COO assembly."""
+    chol = BlockCholesky(bs, A)
+    assert_blocks_equal(chol, *oracle_blocks(bs, A))
+    L = chol.factor().to_csc()
+    ref = oracle_to_csc(chol)
+    assert L.indptr.dtype == ref.indptr.dtype
+    assert L.indices.dtype == ref.indices.dtype
+    # The plan builds its index arrays in scipy's width (csc_matrix would
+    # cast any other away, so L alone cannot tell), the gather in the
+    # store's.
+    indptr, indices, gather = bs.numeric_plan().csc_pattern()
+    assert indptr.dtype == indices.dtype == ref.indptr.dtype
+    assert gather.dtype == np.int32
+    assert np.array_equal(L.indptr, ref.indptr)
+    assert np.array_equal(L.indices, ref.indices)
+    assert np.array_equal(L.data, ref.data)
+    # A second extraction shares no index array with the first.
+    L.indptr[:] = 0
+    L.indices[:] = 0
+    again = chol.to_csc()
+    assert np.array_equal(again.indptr, ref.indptr)
+    assert np.array_equal(again.indices, ref.indices)
+
+
 @pytest.mark.parametrize("policy", ["uniform", "supernodal"])
 @pytest.mark.parametrize("triangles", ["both", "lower"])
 def test_plan_matches_the_interpreted_oracle(analysed, policy, triangles):
     sf = analysed
     bs = BlockStructure(make_partition(sf, policy, block_size=8))
     A = sf.A if triangles == "both" else sparse.tril(sf.A).tocsc()
-    chol = BlockCholesky(bs, A)
-    assert_blocks_equal(chol, *oracle_blocks(bs, A))
-    L = chol.factor().to_csc()
-    ref = oracle_to_csc(chol)
-    assert L.indices.dtype == ref.indices.dtype
-    assert np.array_equal(L.indptr, ref.indptr)
-    assert np.array_equal(L.indices, ref.indices)
-    assert np.array_equal(L.data, ref.data)
-    # A second extraction shares no index array with the first.
-    L.indices[:] = 0
-    assert np.array_equal(chol.to_csc().indices, ref.indices)
+    assert_plan_matches_the_oracle(bs, A)
+
+
+EDGE_CASES = {
+    "n=1": lambda: sparse.csc_matrix(np.array([[4.0]])),
+    # One width-1 panel per column and no row below any of them.
+    "diagonal": lambda: sparse.diags(np.arange(1.0, 13.0)).tocsc(),
+    # One panel, no row below it.
+    "one dense panel": lambda: dense_matrix(8).A,
+}
+
+
+@pytest.mark.parametrize("policy", ["uniform", "supernodal"])
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_plan_matches_the_oracle_on_edge_patterns(case, policy):
+    sf = symbolic_factor(EDGE_CASES[case](), None)
+    bs = BlockStructure(make_partition(sf, policy, block_size=8))
+    assert bs.numeric_plan()._rows.size == 0
+    assert_plan_matches_the_oracle(bs, sf.A)
 
 
 @pytest.mark.parametrize("policy", ["uniform", "supernodal"])
