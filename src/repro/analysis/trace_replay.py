@@ -78,7 +78,6 @@ class TraceReplay:
     #: before the transport split, so inline traces reconcile either way.
     wire_bytes_sent: np.ndarray
     wire_bytes_received: np.ndarray
-    duplicates: np.ndarray
     marks: dict[str, int]
     #: Work stealing (zero everywhere on static runs): time spent in the
     #: steal protocol (part of comm), per-worker migrated task/work flows
@@ -213,7 +212,6 @@ def replay_trace(trace, attempt: int | None = None) -> TraceReplay:
     brecv = np.zeros(nprocs, dtype=np.int64)
     wsent = np.zeros(nprocs, dtype=np.int64)
     wrecv = np.zeros(nprocs, dtype=np.int64)
-    dups = np.zeros(nprocs, dtype=np.int64)
     marks: dict[str, int] = {}
     steal_s = np.zeros(nprocs)
     mig_in_t = np.zeros(nprocs, dtype=np.int64)
@@ -288,8 +286,6 @@ def replay_trace(trace, attempt: int | None = None) -> TraceReplay:
                 nb = int(e.args.get("bytes", 0))
                 brecv[r] += nb
                 wrecv[r] += int(e.args.get("wire_bytes", nb))
-            if e.name == "duplicate":
-                dups[r] += 1
         elif e.cat == "comm":
             comm[r] += e.t1 - e.t0
         elif e.cat == "steal":
@@ -334,7 +330,7 @@ def replay_trace(trace, attempt: int | None = None) -> TraceReplay:
         messages_sent=msent, bytes_sent=bsent,
         messages_received=mrecv, bytes_received=brecv,
         wire_bytes_sent=wsent, wire_bytes_received=wrecv,
-        duplicates=dups, marks=marks,
+        marks=marks,
         steal_s=steal_s,
         migrated_in_tasks=mig_in_t, migrated_away_tasks=mig_away_t,
         migrated_in_work=mig_in_w, migrated_away_work=mig_away_w,
@@ -413,7 +409,6 @@ def validate_trace(
     owners=None,
     attempt: int | None = None,
     tolerance: float = 1e-9,
-    faulty: bool = False,
     strict: bool = False,
 ) -> TraceValidationReport:
     """Replay ``trace`` and cross-check it against everything we know.
@@ -421,9 +416,8 @@ def validate_trace(
     ``metrics`` (a :class:`~repro.runtime.metrics.RuntimeMetrics`) enables
     the exact runtime reconciliation; ``tg`` + ``owners`` enable the
     static-model checks (WorkModel shares, communication volume, overall
-    balance). ``faulty`` relaxes the exact accounting checks the same way
-    :func:`repro.runtime.validation.validate_runtime` does — rejected and
-    duplicate frames legitimately perturb them.
+    balance). Every check applies to every trace: the attempt a recovered
+    job reports is an ordinary run.
     With ``strict``, failures raise :class:`TraceValidationError`.
     """
     rep = replay_trace(trace, attempt=attempt)
@@ -526,107 +520,106 @@ def validate_trace(
                     f"worker {r}: replayed task kinds "
                     f"{rep.task_counts[r]} != metrics {w.task_counts}"
                 )
-            if not faulty:
-                if (rep.messages_sent[r] != w.messages_sent
-                        or rep.bytes_sent[r] != w.bytes_sent):
+            if (rep.messages_sent[r] != w.messages_sent
+                    or rep.bytes_sent[r] != w.bytes_sent):
+                failures.append(
+                    f"worker {r}: replayed sends "
+                    f"{int(rep.messages_sent[r])}/"
+                    f"{int(rep.bytes_sent[r])}B != metrics "
+                    f"{w.messages_sent}/{w.bytes_sent}B"
+                )
+            if (rep.messages_received[r] != w.messages_received
+                    or rep.bytes_received[r] != w.bytes_received):
+                failures.append(
+                    f"worker {r}: replayed recvs "
+                    f"{int(rep.messages_received[r])}/"
+                    f"{int(rep.bytes_received[r])}B != metrics "
+                    f"{w.messages_received}/{w.bytes_received}B"
+                )
+            # Transported bytes reconcile too — but only when the
+            # metrics carry the split (older serialized metrics
+            # predate it and report zero).
+            wsent = getattr(w, "wire_bytes_sent", 0)
+            wrecv = getattr(w, "wire_bytes_received", 0)
+            if (wsent or wrecv) and (
+                rep.wire_bytes_sent[r] != wsent
+                or rep.wire_bytes_received[r] != wrecv
+            ):
+                failures.append(
+                    f"worker {r}: replayed wire bytes "
+                    f"{int(rep.wire_bytes_sent[r])}/"
+                    f"{int(rep.wire_bytes_received[r])} != metrics "
+                    f"{wsent}/{wrecv}"
+                )
+            # Migration accounting reconciles exactly: the thief's
+            # stolen spans and the victims they name must match both
+            # sides' steal tallies task for task, work unit for work
+            # unit.
+            # The solve plane reconciles exactly too: replayed
+            # busy/comm/idle seconds bit-equal the worker's own
+            # timeline sums, and the solve ledger integer-equals the
+            # link counters.
+            for label, got, want in (
+                ("solve_busy_s", rep.solve_busy_s[r],
+                 getattr(w, "solve_busy_s", 0.0)),
+                ("solve_comm_s", rep.solve_comm_s[r],
+                 getattr(w, "solve_comm_s", 0.0)),
+                ("solve_idle_s", rep.solve_idle_s[r],
+                 getattr(w, "solve_idle_s", 0.0)),
+            ):
+                if got != want:
                     failures.append(
-                        f"worker {r}: replayed sends "
-                        f"{int(rep.messages_sent[r])}/"
-                        f"{int(rep.bytes_sent[r])}B != metrics "
-                        f"{w.messages_sent}/{w.bytes_sent}B"
+                        f"worker {r}: replayed {label} {got!r} != "
+                        f"metrics {want!r}"
                     )
-                if (rep.messages_received[r] != w.messages_received
-                        or rep.bytes_received[r] != w.bytes_received):
+            for label, got, want in (
+                ("solve tasks", rep.solve_tasks[r],
+                 getattr(w, "solve_tasks_executed", 0)),
+                ("solve work", rep.solve_work[r],
+                 getattr(w, "solve_work_executed", 0)),
+                ("solve messages sent", rep.solve_messages_sent[r],
+                 getattr(w, "solve_messages_sent", 0)),
+                ("solve bytes sent", rep.solve_bytes_sent[r],
+                 getattr(w, "solve_bytes_sent", 0)),
+                ("solve messages received",
+                 rep.solve_messages_received[r],
+                 getattr(w, "solve_messages_received", 0)),
+                ("solve bytes received", rep.solve_bytes_received[r],
+                 getattr(w, "solve_bytes_received", 0)),
+            ):
+                if int(got) != int(want):
                     failures.append(
-                        f"worker {r}: replayed recvs "
-                        f"{int(rep.messages_received[r])}/"
-                        f"{int(rep.bytes_received[r])}B != metrics "
-                        f"{w.messages_received}/{w.bytes_received}B"
+                        f"worker {r}: replayed {label} {int(got)} "
+                        f"!= metrics {int(want)}"
                     )
-                # Transported bytes reconcile too — but only when the
-                # metrics carry the split (older serialized metrics
-                # predate it and report zero).
-                wsent = getattr(w, "wire_bytes_sent", 0)
-                wrecv = getattr(w, "wire_bytes_received", 0)
-                if (wsent or wrecv) and (
-                    rep.wire_bytes_sent[r] != wsent
-                    or rep.wire_bytes_received[r] != wrecv
-                ):
+            sv_counts = getattr(w, "solve_task_counts", None)
+            if sv_counts and rep.solve_task_counts[r] != sv_counts:
+                failures.append(
+                    f"worker {r}: replayed solve task kinds "
+                    f"{rep.solve_task_counts[r]} != metrics "
+                    f"{sv_counts}"
+                )
+            for label, got, want in (
+                ("steal requests", rep.steal_reqs[r],
+                 getattr(w, "steal_reqs_sent", 0)),
+                ("steal grants", rep.steal_grants[r],
+                 getattr(w, "steal_grants", 0)),
+                ("steal denies", rep.steal_denies[r],
+                 getattr(w, "steal_denies", 0)),
+                ("tasks stolen", rep.migrated_in_tasks[r],
+                 getattr(w, "tasks_stolen", 0)),
+                ("tasks shipped", rep.migrated_away_tasks[r],
+                 getattr(w, "tasks_shipped", 0)),
+                ("work stolen", rep.migrated_in_work[r],
+                 getattr(w, "work_stolen", 0)),
+                ("work shipped", rep.migrated_away_work[r],
+                 getattr(w, "work_shipped", 0)),
+            ):
+                if int(got) != int(want):
                     failures.append(
-                        f"worker {r}: replayed wire bytes "
-                        f"{int(rep.wire_bytes_sent[r])}/"
-                        f"{int(rep.wire_bytes_received[r])} != metrics "
-                        f"{wsent}/{wrecv}"
+                        f"worker {r}: replayed {label} {int(got)} "
+                        f"!= metrics {int(want)}"
                     )
-                # Migration accounting reconciles exactly: the thief's
-                # stolen spans and the victims they name must match both
-                # sides' steal tallies task for task, work unit for work
-                # unit.
-                # The solve plane reconciles exactly too: replayed
-                # busy/comm/idle seconds bit-equal the worker's own
-                # timeline sums, and the solve ledger integer-equals the
-                # link counters.
-                for label, got, want in (
-                    ("solve_busy_s", rep.solve_busy_s[r],
-                     getattr(w, "solve_busy_s", 0.0)),
-                    ("solve_comm_s", rep.solve_comm_s[r],
-                     getattr(w, "solve_comm_s", 0.0)),
-                    ("solve_idle_s", rep.solve_idle_s[r],
-                     getattr(w, "solve_idle_s", 0.0)),
-                ):
-                    if got != want:
-                        failures.append(
-                            f"worker {r}: replayed {label} {got!r} != "
-                            f"metrics {want!r}"
-                        )
-                for label, got, want in (
-                    ("solve tasks", rep.solve_tasks[r],
-                     getattr(w, "solve_tasks_executed", 0)),
-                    ("solve work", rep.solve_work[r],
-                     getattr(w, "solve_work_executed", 0)),
-                    ("solve messages sent", rep.solve_messages_sent[r],
-                     getattr(w, "solve_messages_sent", 0)),
-                    ("solve bytes sent", rep.solve_bytes_sent[r],
-                     getattr(w, "solve_bytes_sent", 0)),
-                    ("solve messages received",
-                     rep.solve_messages_received[r],
-                     getattr(w, "solve_messages_received", 0)),
-                    ("solve bytes received", rep.solve_bytes_received[r],
-                     getattr(w, "solve_bytes_received", 0)),
-                ):
-                    if int(got) != int(want):
-                        failures.append(
-                            f"worker {r}: replayed {label} {int(got)} "
-                            f"!= metrics {int(want)}"
-                        )
-                sv_counts = getattr(w, "solve_task_counts", None)
-                if sv_counts and rep.solve_task_counts[r] != sv_counts:
-                    failures.append(
-                        f"worker {r}: replayed solve task kinds "
-                        f"{rep.solve_task_counts[r]} != metrics "
-                        f"{sv_counts}"
-                    )
-                for label, got, want in (
-                    ("steal requests", rep.steal_reqs[r],
-                     getattr(w, "steal_reqs_sent", 0)),
-                    ("steal grants", rep.steal_grants[r],
-                     getattr(w, "steal_grants", 0)),
-                    ("steal denies", rep.steal_denies[r],
-                     getattr(w, "steal_denies", 0)),
-                    ("tasks stolen", rep.migrated_in_tasks[r],
-                     getattr(w, "tasks_stolen", 0)),
-                    ("tasks shipped", rep.migrated_away_tasks[r],
-                     getattr(w, "tasks_shipped", 0)),
-                    ("work stolen", rep.migrated_in_work[r],
-                     getattr(w, "work_stolen", 0)),
-                    ("work shipped", rep.migrated_away_work[r],
-                     getattr(w, "work_shipped", 0)),
-                ):
-                    if int(got) != int(want):
-                        failures.append(
-                            f"worker {r}: replayed {label} {int(got)} "
-                            f"!= metrics {int(want)}"
-                        )
         if abs(rep.measured_balance - metrics.measured_balance) > tolerance:
             failures.append(
                 f"replayed measured balance {rep.measured_balance!r} != "
@@ -641,9 +634,9 @@ def validate_trace(
             checks.append("replay reconciles with RuntimeMetrics")
 
     # ------------------------------------------------------------------
-    # Against the static models (fault-free runs only).
+    # Against the static models.
     # ------------------------------------------------------------------
-    if tg is not None and owners is not None and not faulty:
+    if tg is not None and owners is not None:
         owners = np.asarray(owners)
         wm = tg.workmodel
         work_pred = np.bincount(

@@ -117,16 +117,15 @@ def plan_owners(wm, tg: TaskGraph, nprocs: int, mapping: str = "DW/CY",
 class PatternPlan:
     """The driver's plan of one sparsity pattern, whoever owns the pool
     (the service's cache entry extends it): the block map ``owners`` /
-    ``mapping_name`` last planned, for ``planned_nprocs`` workers (the
-    recovery loop plans it for the crew at hand), the ``config`` its jobs
-    run under and its driver-owned shm ``arena`` (None on inline)."""
+    ``mapping_name``, planned once for the ``config``'s crew width, the
+    ``config`` its jobs run under and its driver-owned shm ``arena``
+    (None on inline)."""
 
     pattern_id: str
     structure: object
     tg: object
     owners: np.ndarray | None = None
     mapping_name: str = ""
-    planned_nprocs: int = 0
     config: RunConfig = field(default_factory=RunConfig)
     arena: BlockArena | None = None
 
@@ -134,7 +133,13 @@ class PatternPlan:
     def create(cls, structure, tg, config: RunConfig, pattern_id="one-shot",
                **fields) -> "PatternPlan":
         """A plan under ``config``, with an arena when its transport
-        resolves to shm; ``fields`` are the other fields."""
+        resolves to shm; ``fields`` are the other fields. Without
+        ``owners`` it plans them for ``config.nprocs`` workers."""
+        if fields.get("owners") is None:
+            fields["owners"], fields["mapping_name"] = plan_owners(
+                tg.workmodel, tg, config.nprocs, config.mapping,
+                config.use_domains,
+            )
         shm = resolve_transport(config.transport, config.nprocs) == "shm"
         return cls(pattern_id, structure, tg, config=config,
                    arena=BlockArena.create(tg) if shm else None, **fields)
@@ -222,7 +227,7 @@ def run_mp_fanout(
     # for csc input), so the job pickles them once.
     A = A.tocsc()
     plan = PatternPlan.create(structure, tg, config, owners=owners,
-                              mapping_name=mapping, planned_nprocs=nprocs)
+                              mapping_name=mapping)
     pool = WorkerPool(nprocs)
     try:
         return run_job(

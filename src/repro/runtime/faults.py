@@ -15,13 +15,14 @@ wraps its outgoing :class:`~repro.runtime.links.Link` objects in
 frames (ABORT/DONE) are never faulted — the virtual interconnect's
 control plane is reliable, like a dedicated service network.
 
-A job is fail-stop: a corrupt frame raises at its receiver, a dropped one
-stalls it until the short watchdog of a faulty job fires, and either
-aborts the attempt; the recovery loop (:mod:`repro.runtime.recovery`)
-re-runs the job from scratch. Faults are *transient* by default: message
-faults fire on attempt 0 only, and so does a crash unless
-``every_attempt=True`` makes it persistent (which forces the sequential
-fallback) — so the re-run sees the fault disappear.
+A job is fail-stop: a corrupt or repeated frame raises at its receiver,
+a dropped one stalls it until the short watchdog of a faulty job fires,
+and either aborts the attempt; the recovery loop
+(:mod:`repro.runtime.recovery`) re-runs the job from scratch. Faults are
+*transient* by default: message faults fire on attempt 0 only, and so
+does a crash unless ``every_attempt=True`` makes it persistent (which
+forces the sequential fallback) — so the re-run sees the fault
+disappear.
 """
 
 from __future__ import annotations
@@ -238,15 +239,12 @@ class FaultyLink(Link):
             self.injector.injected["delay"] += 1
             self._count(frame, nbytes)
             self._held.append([frame, max(1, plan.delay_messages)])
-            if duplicate:
-                self.injector.injected["duplicate"] += 1
-                super().send(frame, nbytes)
-            self._tick_held()
-            return
-        super().send(frame, nbytes)
-        if duplicate:
-            self.injector.injected["duplicate"] += 1
+        else:
             super().send(frame, nbytes)
+        if duplicate:
+            # The fabric's copy: the sender sent (and counted) one.
+            self.injector.injected["duplicate"] += 1
+            self._put(frame)
         self._tick_held()
 
     def _tick_held(self) -> None:

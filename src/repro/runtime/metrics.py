@@ -80,16 +80,12 @@ class WorkerMetrics:
     error_type: str | None = None
     aborted: bool = False
     # ------------------------------------------------------------------
-    # Fault / integrity / recovery counters. All stay zero on a healthy
-    # run with no fault plan — the chaos suite asserts exactly that.
+    # Control and fault counters. A rejected or repeated frame is not
+    # counted: it fails the job (fail-stop).
     # ------------------------------------------------------------------
     #: Control frames (ABORT/DONE) sent / received.
     control_sent: int = 0
     control_received: int = 0
-    #: Incoming frames rejected by the CRC32 / decode checks.
-    frames_rejected: int = 0
-    #: Incoming BLOCK frames ignored because the block was already applied.
-    duplicates_dropped: int = 0
     #: Faults this worker's injector actually fired: ``{class: count}``.
     faults_injected: dict[str, int] = field(default_factory=dict)
     #: Structured trace events recorded / dropped to ring overflow
@@ -159,11 +155,6 @@ class WorkerMetrics:
             + self.solve_busy_s + self.solve_comm_s + self.solve_idle_s
         )
 
-    @property
-    def recovery_events(self) -> int:
-        """Total integrity actions (0 on an undisturbed run)."""
-        return self.frames_rejected + self.duplicates_dropped
-
     def to_dict(self) -> dict:
         d = dict(self.__dict__, dispatch_s=self.dispatch_s)
         d["links"] = {str(k): list(v) for k, v in self.links.items()}
@@ -232,19 +223,6 @@ class RuntimeMetrics:
     @property
     def ops_total(self) -> int:
         return int(sum(w.ops_executed for w in self.workers))
-
-    @property
-    def frames_rejected_total(self) -> int:
-        return int(sum(w.frames_rejected for w in self.workers))
-
-    @property
-    def duplicates_total(self) -> int:
-        return int(sum(w.duplicates_dropped for w in self.workers))
-
-    @property
-    def recovery_events_total(self) -> int:
-        """Sum of every worker's integrity/recovery actions."""
-        return int(sum(w.recovery_events for w in self.workers))
 
     @property
     def steal_reqs_total(self) -> int:
@@ -361,12 +339,7 @@ class RuntimeMetrics:
             "wire_bytes": self.wire_bytes_total,
             "tasks": self.tasks_total,
             "ops": self.ops_total,
-            "recovery": {
-                "events": self.recovery_events_total,
-                "frames_rejected": self.frames_rejected_total,
-                "duplicates_dropped": self.duplicates_total,
-                "faults_injected": self.faults_injected_total,
-            },
+            "faults_injected": self.faults_injected_total,
             "steals": {
                 "requests": self.steal_reqs_total,
                 "grants": self.steal_grants_total,

@@ -36,12 +36,12 @@ deadlines are enforced driver-side: an expired job gets a seq-tagged
 ABORT injected into every inbox. Workers heartbeat on the result queue
 before every job, so the driver can tell a stalled crew from a slow one.
 
-Who heals: :meth:`WorkerPool.run` only *reports*. A dead process or
-the job's timeout ABORTs the job and is recorded in
+Who replaces a crew: :meth:`WorkerPool.run` only *reports*. A dead
+process or the job's timeout ABORTs the job and is recorded in
 :attr:`WorkerPool.last_error` and in the job's :attr:`JobOutcome.broke`
 and :attr:`JobOutcome.failed_ranks`; the crew is then in an unknown state,
-and :func:`repro.runtime.recovery.settle` — the one caller of
-:meth:`WorkerPool.heal` — replaces it, or the caller closes the pool.
+and :func:`repro.runtime.recovery.settle` restarts it at its own width,
+or the caller closes the pool. A pool's width never changes.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from repro.fanout.dispatch import PlanHolder
 from repro.runtime import wire
 from repro.runtime.links import Link, LinkFabric
 from repro.runtime.metrics import WorkerMetrics
-from repro.runtime.worker import POLL_S, Worker, WorkerResult
+from repro.runtime.worker import Worker, WorkerResult
 
 __all__ = [
     "HEARTBEAT_SEQ",
@@ -157,8 +157,8 @@ class JobOutcome:
     failed_ranks: list = field(default_factory=list)
     #: Why the job broke the crew (:attr:`WorkerPool.last_error`'s words;
     #: None when it left the crew sound) and whether a worker process died
-    #: (else ``timeout_s`` ran out). The crew may be healed before the job's
-    #: error is typed, so the type is read from here.
+    #: (else ``timeout_s`` ran out). The crew may be restarted before the
+    #: job's error is typed, so the type is read from here.
     broke: str | None = None
     died: bool = False
     #: Which attempt of its job this was, stamped by the recovery loop.
@@ -390,24 +390,20 @@ class WorkerPool:
     (:attr:`seen_patterns`); :meth:`PatternPlan.job
     <repro.runtime.engine.PatternPlan.job>` includes a
     :class:`PatternContext` exactly when its pattern is not in that set.
-    :meth:`restart` replaces dead processes with a fresh fabric and clears
-    the set, so contexts are re-shipped lazily.
+    :meth:`restart` replaces the crew, at the same width, with a fresh
+    fabric and clears the set, so contexts are re-shipped lazily.
     """
 
     def __init__(self, nprocs: int):
         if nprocs < 1:
             raise ValueError("nprocs must be positive")
         self.nprocs = nprocs
-        #: The width the pool was configured with. :meth:`heal` shrinks
-        #: :attr:`nprocs` below this after process deaths; :meth:`regrow`
-        #: restores it once the crew is quiescent again.
-        self.configured_nprocs = nprocs
         self.seen_patterns: set[str] = set()
         self.generation = 0
         #: Why the last :meth:`run` broke the pool (None when it
         #: ran clean). Callers use this to distinguish per-job failures
         #: from pool-level breakage; after a breakage the crew must be
-        #: replaced (:meth:`heal`) or released (:meth:`close`).
+        #: replaced (:meth:`restart`) or released (:meth:`close`).
         self.last_error: str | None = None
         #: rank -> last heartbeat instant (``time.monotonic``), updated
         #: as jobs run; survives restarts for post-mortem inspection.
@@ -481,27 +477,12 @@ class WorkerPool:
             self._results = None
         self.seen_patterns.clear()
 
-    def restart(self, nprocs: int | None = None) -> "WorkerPool":
-        """Tear down (terminating stragglers) and bring up a fresh crew,
-        ``nprocs`` wide if given. Clears ``seen_patterns``, so contexts
-        re-ship lazily; owners planned for another width must be
-        re-planned."""
+    def restart(self) -> "WorkerPool":
+        """Tear down (terminating stragglers) and bring up a fresh crew of
+        the same width — the cure for a dead or stalled one. Clears
+        ``seen_patterns``, so contexts re-ship lazily."""
         self.close()
-        self.nprocs = nprocs or self.nprocs
         return self.start()
-
-    def heal(self) -> "WorkerPool":
-        """Restart on the survivors of the dead processes (floor 1). With
-        none dead this is a plain restart — the cure for a stalled-but-
-        alive crew."""
-        return self.restart(max(1, self.nprocs - len(self.dead_ranks())))
-
-    def regrow(self) -> "WorkerPool":
-        """Restore a healed (shrunken) pool to its configured width. Safe
-        only between jobs; no-op while the pool is at full width."""
-        if self.nprocs >= self.configured_nprocs:
-            return self
-        return self.restart(self.configured_nprocs)
 
     def __enter__(self) -> "WorkerPool":
         return self.start()
@@ -547,7 +528,7 @@ class WorkerPool:
         ABORTed and failed, the casualties land in its ``failed_ranks``
         (the dead ranks; on a timeout, every rank that never reported)
         and :attr:`last_error` records why; the job is over at once.
-        Nothing is restarted here — the caller heals or closes.
+        Nothing is restarted here — the caller restarts or closes.
         """
         if not self.running:
             self.start()
@@ -580,9 +561,11 @@ class WorkerPool:
                     break_pool(f"pool job timeout after {timeout_s:.0f}s",
                                range(self.nprocs), False)
                 break
-            # The job's own deadline: abort exactly this job. The outcome
-            # stays failed even if stragglers later succeed.
-            wait = min(0.1, stop_at - now)
+            # A dead process sends nothing: wake every 10 ms to look for
+            # one, so a re-run starts at once. The job's own deadline:
+            # abort exactly this job. The outcome stays failed even if
+            # stragglers later succeed.
+            wait = min(0.01, stop_at - now)
             dl = job.deadline
             if dl is not None and not out.expired:
                 if now > dl:

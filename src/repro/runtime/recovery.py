@@ -1,28 +1,29 @@
 """The recovery loop of the message-passing runtime.
 
-The factor is bitwise independent of the block map and of P, so one idea
-covers every failure: a faulted attempt aborts, the job re-runs from
-scratch on the surviving workers, and the sequential factorization comes
-last. :func:`recover` is that idea written once, over a
-:class:`~repro.runtime.pool.WorkerPool` the caller owns and one
-:class:`RecoveryJob` — :func:`run_job`'s or a factor job of the
-factorization service. Each round it re-plans owners for the crew, runs
-the attempt, and settles with the pool (:func:`settle`, the one place a
-crew is healed, by one rule: a rank that merely raised stays, a dead
-process is shed): a finished or expired job leaves; a failed one has its
-traces kept and a :class:`FailedAttempt` recorded, and runs again unless
-its error is deterministic, the attempt budget is spent or the caller
-stops the loop — then it leaves for :func:`last_resort`. Every caller
-builds attempt ``k``'s job one way: the fault plan's
+A job has one script: every attempt runs on the configured crew width
+with the owners its :class:`~repro.runtime.engine.PatternPlan` planned
+once, and anything off that script — a raised error, a corrupt or
+repeated frame, a dead process, a stall — aborts the attempt. The job
+then re-runs from scratch, and the sequential factorization comes last.
+So a successful attempt is always an ordinary run, and its factor is
+bitwise the clean one at that width. :func:`recover` is that idea written
+once, over a :class:`~repro.runtime.pool.WorkerPool` the caller owns and
+one :class:`RecoveryJob` — :func:`run_job`'s or a factor job of the
+factorization service. Each round it runs the attempt and settles with
+the pool (:func:`settle`, the one place a crew is replaced, by one rule:
+a rank that merely raised stays, a broken crew is restarted at its own
+width): a finished or expired job leaves; a failed one has its traces
+kept and a :class:`FailedAttempt` recorded, and runs again unless its
+error is deterministic, the attempt budget is spent or the caller stops
+the loop — then it leaves for :func:`last_resort`. Every caller builds
+attempt ``k``'s job one way: the fault plan's
 :meth:`~repro.runtime.faults.FaultPlan.for_attempt` plus the deadline.
 Every job leaves with a :class:`FailureReport`, so a result can always
 say whether its factor came from a clean run, a recovered restart or the
-sequential fallback. Jobs are built by the pattern's
-:class:`~repro.runtime.engine.PatternPlan`. :func:`run_job` is one
-factorization through the loop, on a ``SparseCholesky`` instance's crew
-(with the fallback) or on ``run_mp_fanout``'s one-call crew (one attempt,
-no fallback).
-Failed attempts, heals, fallbacks and recoveries are logged here.
+sequential fallback. :func:`run_job` is one factorization through the
+loop, on a ``SparseCholesky`` instance's crew (with the fallback) or on
+``run_mp_fanout``'s one-call crew (one attempt, no fallback).
+Failed attempts, restarts, fallbacks and recoveries are logged here.
 """
 
 from __future__ import annotations
@@ -35,9 +36,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from repro.numeric.blockfact import BlockCholesky
-from repro.runtime.engine import (
-    MPRuntimeResult, PatternPlan, job_result, plan_owners,
-)
+from repro.runtime.engine import MPRuntimeResult, PatternPlan, job_result
 from repro.runtime.faults import FaultPlan
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.pool import JobOutcome, PoolJob, WorkerPool
@@ -84,8 +83,6 @@ class FailureReport:
     outcome: str = OUTCOME_CLEAN
     attempts: list[FailedAttempt] = field(default_factory=list)
     restarts: int = 0
-    final_nprocs: int = 0
-    recovery_events: int = 0
     faults_injected: dict = field(default_factory=dict)
     wall_s: float = 0.0
 
@@ -104,11 +101,7 @@ class FailureReport:
         return json.dumps(self.to_dict(), indent=indent)
 
     def summary(self) -> str:
-        lines = [
-            f"outcome={self.outcome} restarts={self.restarts} "
-            f"final_P={self.final_nprocs} "
-            f"recovery_events={self.recovery_events}"
-        ]
+        lines = [f"outcome={self.outcome} restarts={self.restarts}"]
         lines += [f"  {a}" for a in self.attempts]
         if self.faults_injected:
             lines.append(f"  faults injected: {self.faults_injected}")
@@ -132,26 +125,24 @@ class RecoveryJob:
         self.outcome: JobOutcome | None = None
         self._entered = time.perf_counter()
 
-    def _leave(self, width: int, outcome: str = OUTCOME_DEGRADED):
+    def _leave(self, outcome: str = OUTCOME_DEGRADED):
         rep = self.report
         rep.outcome = outcome
         rep.restarts = len(rep.attempts)
-        rep.final_nprocs = width
         rep.wall_s = time.perf_counter() - self._entered
         return self
 
 
 def settle(pool: WorkerPool) -> bool:
     """Settle with the pool after a job; returns whether the crew was
-    replaced. It is, exactly when the job broke it (``last_error``): on
-    the survivors of a process death, at the same width after a timeout.
-    A rank that merely raised poisoned only its job and stays."""
+    replaced. It is, at its own width, exactly when the job broke it
+    (``last_error``: a process died or the job timed out). A rank that
+    merely raised poisoned only its job and stays."""
     if pool.last_error is None:
         return False
-    old = pool.nprocs
-    pool.heal()
-    log.warning("healed the pool: %d -> %d workers (generation %d): %s",
-                old, pool.nprocs, pool.generation, pool.last_error)
+    pool.restart()
+    log.warning("restarted the pool (%d workers, generation %d): %s",
+                pool.nprocs, pool.generation, pool.last_error)
     return True
 
 
@@ -161,23 +152,16 @@ def recover(pool: WorkerPool, job: RecoveryJob, make_spec, attempts: int,
     ``attempts`` parallel attempts, and return it.
 
     ``make_spec(attempt)`` returns the attempt's
-    :class:`~repro.runtime.pool.PoolJob`, kept as ``job.shipped``; owners
-    are already planned for ``pool.nprocs``. ``timeout_s`` bounds one
-    attempt. ``settled(healed)``, if given, hears after each attempt
-    whether the crew had to be replaced and answers whether the pool may
-    run another (a circuit breaker's seat). A job that leaves with neither
-    ``report.ok`` nor an expired ``outcome`` is owed the last resort.
+    :class:`~repro.runtime.pool.PoolJob`, kept as ``job.shipped``, over
+    the owners ``job.plan`` planned once for ``pool.nprocs`` workers.
+    ``timeout_s`` bounds one attempt. ``settled(restarted)``, if given,
+    hears after each attempt whether the crew had to be replaced and
+    answers whether the pool may run another (a circuit breaker's seat).
+    A job that leaves with neither ``report.ok`` nor an expired
+    ``outcome`` is owed the last resort.
     """
-    plan = job.plan
+    width = pool.nprocs
     for attempt in range(attempts):
-        width = pool.nprocs
-        # Only the map depends on the width; an arena's layout does not.
-        if plan.planned_nprocs != width:
-            plan.owners, plan.mapping_name = plan_owners(
-                plan.tg.workmodel, plan.tg, width,
-                plan.config.mapping, plan.config.use_domains,
-            )
-            plan.planned_nprocs = width
         job.shipped = make_spec(attempt)
         t0 = time.perf_counter()
         out = job.outcome = pool.run(job.shipped, timeout_s)
@@ -206,23 +190,24 @@ def recover(pool: WorkerPool, job: RecoveryJob, make_spec, attempts: int,
                 out.results[r].metrics.error_type in NOT_RETRYABLE
                 for r in out.failed_ranks if r in out.results
             )
-        healed = settle(pool)
-        go = settled is None or settled(healed)
+        restarted = settle(pool)
+        go = settled is None or settled(restarted)
         if not (retry and attempt + 1 < attempts and go):
             break
-    return job._leave(width, outcome)
+    return job._leave(outcome)
 
 
 def last_resort(job: RecoveryJob) -> tuple[BlockCholesky, RuntimeMetrics]:
     """The sequential factorization that stands in for a job no parallel
-    attempt finished: always correct, bitwise equal to the parallel
-    factor. What it raises (``LinAlgError`` for a matrix that is not
-    positive definite) is the job's canonical error."""
+    attempt finished: always correct, and bitwise the factor of any
+    ``1 x P`` crew (to rounding on other grids). What it raises
+    (``LinAlgError`` for a matrix that is not positive definite) is the
+    job's canonical error."""
     log.warning("job %s: sequential fallback after %d failed attempt(s)",
                 job.label, len(job.report.attempts))
     t0 = time.perf_counter()
     factor = BlockCholesky(job.plan.structure, job.A).factor()
-    job._leave(1)
+    job._leave()
     wall_s = time.perf_counter() - t0
     return factor, RuntimeMetrics(1, wall_s, [], SEQUENTIAL_MAPPING)
 
@@ -230,7 +215,7 @@ def last_resort(job: RecoveryJob) -> tuple[BlockCholesky, RuntimeMetrics]:
 def run_job(pool: WorkerPool, plan: PatternPlan, A, attempts: int, seqs, *,
             rhs=None, fault_plan: FaultPlan | None = None,
             fallback_sequential=True) -> MPRuntimeResult:
-    """Factor ``A`` (permuted csc) on ``pool``, regrown and started first:
+    """Factor ``A`` (permuted csc) on ``pool``, started first:
     :func:`recover` over ``plan``'s job for ``attempts`` parallel attempts
     numbered from ``seqs``, each with ``fault_plan``'s faults for it
     (``rhs`` appends the distributed solve).
@@ -241,7 +226,7 @@ def run_job(pool: WorkerPool, plan: PatternPlan, A, attempts: int, seqs, *,
     job = RecoveryJob(plan, A, plan.pattern_id)
     report = job.report
     epoch = time.perf_counter()
-    pool.regrow().start()
+    pool.start()
     launch_s = time.perf_counter() - epoch
 
     def spec(attempt):
@@ -253,7 +238,6 @@ def run_job(pool: WorkerPool, plan: PatternPlan, A, attempts: int, seqs, *,
     recover(pool, job, spec, attempts, plan.config.timeout_s)
     if report.ok or not fallback_sequential:
         res = job_result(plan, job.shipped, job.outcome, launch_s, report)
-        report.recovery_events = res.metrics.recovery_events_total
         report.faults_injected = res.metrics.faults_injected_total
     else:
         factor, metrics = last_resort(job)

@@ -25,8 +25,7 @@ Span categories
     distinct destination ranks (one wire message per destination).
 ``recv``
     Handling of one incoming BLOCK or BLOCK_REF frame (named
-    ``recv(I,J)``, or ``duplicate`` for an idempotently dropped
-    repeat); args carry the same ``bytes`` / ``wire_bytes`` split.
+    ``recv(I,J)``); args carry the same ``bytes`` / ``wire_bytes`` split.
 ``comm``
     Handling of a DONE control frame (``done_recv``).
 ``idle``
@@ -397,8 +396,7 @@ class RunTrace:
         """One-paragraph account of what the trace contains."""
         n_task = sum(1 for e in self.events if e.cat == "task")
         n_send = sum(1 for e in self.events if e.cat == "send")
-        n_recv = sum(1 for e in self.events
-                     if e.cat == "recv" and e.name != "duplicate")
+        n_recv = sum(1 for e in self.events if e.cat == "recv")
         n_mark = sum(1 for e in self.events if e.cat == MARK)
         parts = [
             f"trace: {len(self.events)} events, "

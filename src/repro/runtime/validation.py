@@ -56,7 +56,6 @@ class ValidationReport:
     #: descriptor traffic on the shm transport).
     wire_bytes_measured: int = 0
     transport: str = "inline"
-    recovery_events: int = 0
     failures: list[str] = field(default_factory=list)
 
     @property
@@ -78,7 +77,6 @@ class ValidationReport:
             f"[{self.transport}]",
             f"  work match      : max |measured - predicted| = "
             f"{np.abs(self.work_measured - self.work_predicted).max():.0f}",
-            f"  recovery events : {self.recovery_events}",
         ]
         lines.extend(f"  FAIL: {f}" for f in self.failures)
         return "\n".join(lines)
@@ -92,7 +90,6 @@ def validate_runtime(
     tolerance: float = 1e-8,
     strict: bool = True,
     problem: str = "",
-    faulty: bool = False,
 ) -> ValidationReport:
     """Check a message-passing execution of ``A`` against the models.
 
@@ -102,13 +99,9 @@ def validate_runtime(
     :class:`ValidationError`; otherwise the failures are listed in the
     returned report.
 
-    ``faulty`` marks an execution that ran under fault injection: the
-    numeric checks still apply in full, but the exact message/byte/work
-    accounting checks are skipped (rejected and duplicate frames
-    legitimately perturb them). Conversely, a run that is *not* marked
-    faulty must show zero integrity events — a healthy interconnect never
-    rejects or drops a frame. A job that recovered by a re-run reports its
-    last attempt, an ordinary run, so it passes unmarked.
+    Every check applies to every parallel result, faults or not: a
+    faulted attempt fails and is re-run from scratch, so the attempt a
+    result reports is an ordinary run.
     """
     wm = tg.workmodel
     owners = result.owners
@@ -141,46 +134,38 @@ def validate_runtime(
         owners, weights=wm.work, minlength=nprocs
     ).astype(np.int64)
 
-    recovery_events = result.metrics.recovery_events_total
-
     failures: list[str] = []
     tol = max(tolerance, 10.0 * seq_residual)
     if not residual <= tol:
         failures.append(
             f"residual {residual:.3e} exceeds tolerance {tol:.3e}"
         )
-    if not faulty:
-        if measured_msgs != predicted.messages:
-            failures.append(
-                f"measured {measured_msgs} messages, comm_volume predicted "
-                f"{predicted.messages}"
-            )
-        if measured_bytes != predicted.bytes:
-            failures.append(
-                f"measured {measured_bytes} bytes, comm_volume predicted "
-                f"{predicted.bytes}"
-            )
-        if not np.array_equal(work_measured, work_predicted):
-            failures.append(
-                "per-worker executed work differs from the WorkModel "
-                f"distribution by up to "
-                f"{np.abs(work_measured - work_predicted).max()}"
-            )
-        if recovery_events:
-            failures.append(
-                f"fault-free run triggered {recovery_events} "
-                "integrity/recovery events (expected zero)"
-            )
-        if transport == "inline" and wire_bytes != measured_bytes:
-            failures.append(
-                f"inline transport moved {wire_bytes} wire bytes, "
-                f"logical accounting says {measured_bytes}"
-            )
-        if transport == "shm" and wire_bytes != 64 * measured_msgs:
-            failures.append(
-                f"shm transport moved {wire_bytes} wire bytes; expected "
-                f"header-only traffic {64 * measured_msgs}"
-            )
+    if measured_msgs != predicted.messages:
+        failures.append(
+            f"measured {measured_msgs} messages, comm_volume predicted "
+            f"{predicted.messages}"
+        )
+    if measured_bytes != predicted.bytes:
+        failures.append(
+            f"measured {measured_bytes} bytes, comm_volume predicted "
+            f"{predicted.bytes}"
+        )
+    if not np.array_equal(work_measured, work_predicted):
+        failures.append(
+            "per-worker executed work differs from the WorkModel "
+            f"distribution by up to "
+            f"{np.abs(work_measured - work_predicted).max()}"
+        )
+    if transport == "inline" and wire_bytes != measured_bytes:
+        failures.append(
+            f"inline transport moved {wire_bytes} wire bytes, "
+            f"logical accounting says {measured_bytes}"
+        )
+    if transport == "shm" and wire_bytes != 64 * measured_msgs:
+        failures.append(
+            f"shm transport moved {wire_bytes} wire bytes; expected "
+            f"header-only traffic {64 * measured_msgs}"
+        )
 
     report = ValidationReport(
         problem=problem,
@@ -197,7 +182,6 @@ def validate_runtime(
         transport=transport,
         work_measured=work_measured,
         work_predicted=work_predicted,
-        recovery_events=recovery_events,
         failures=failures,
     )
     if strict and failures:

@@ -29,7 +29,7 @@ op or an arrived block, run it, fan the result out block by block — and
   promptly instead of deadlocking.
 
 State and handlers are grouped by *plane* — factor, control (ABORT,
-duplicates, DONE), steal (the dynamic schedule), solve — each
+DONE), steal (the dynamic schedule), solve — each
 registering its wire kinds when armed; the sections below describe their
 protocols, ``docs/ARCHITECTURE.md`` tabulates *wire kind → plane →
 handler → what it may unblock*. Because ``step`` never blocks, tests drive
@@ -145,7 +145,8 @@ class Worker:
         #: map (see ``docs/SCHEDULING.md``).
         self.dynamic = config.schedule == "dynamic" and fabric.nprocs > 1
         #: Blocks whose final factored value is present locally (owned
-        #: completions, received frames): duplicate suppression.
+        #: completions, received frames): a second frame for one is a
+        #: protocol breach, and a thief skips installing it as a source.
         self.have: set[int] = set()
         #: The wire-kind → handler table: each plane registers its kinds
         #: as it is armed; a job that arms no solve refuses solve frames.
@@ -443,22 +444,18 @@ class Worker:
         descriptor for the read-only arena slot view, then call its kind's
         handler with ``(msg, len(frame), t0)``. True if it made progress
         (i.e. could unblock a task). A frame that does not decode — a CRC
-        or slot-CRC mismatch included — is counted and its typed
-        :class:`~repro.runtime.wire.WireError` raised: fail-stop, the job
-        aborts and re-runs."""
+        or slot-CRC mismatch included — raises its typed
+        :class:`~repro.runtime.wire.WireError`: fail-stop, the job aborts
+        and re-runs."""
         t0 = self._now()
-        try:
-            msg = wire.unpack(frame, copy=False)
-            if msg.kind == wire.BLOCK_REF:
-                if self.arena is None:
-                    raise wire.WireError(
-                        "BLOCK_REF descriptor received but no arena is "
-                        "attached (transport mismatch)"
-                    )
-                msg = self.arena.resolve(msg)
-        except wire.WireError:
-            self.metrics.frames_rejected += 1
-            raise
+        msg = wire.unpack(frame, copy=False)
+        if msg.kind == wire.BLOCK_REF:
+            if self.arena is None:
+                raise wire.WireError(
+                    "BLOCK_REF descriptor received but no arena is "
+                    "attached (transport mismatch)"
+                )
+            msg = self.arena.resolve(msg)
         return self.handlers[msg.kind](msg, len(frame), t0)
 
     def _no_rhs(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
@@ -494,16 +491,22 @@ class Worker:
 
     def _on_block(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
         """``BLOCK`` (or a resolved ``BLOCK_REF``): a completed block
-        arrived. Install it once and count it toward its share."""
+        arrived. Install it and count it toward its share. Each block
+        arrives once; a repeat raises its typed
+        :class:`~repro.runtime.wire.WireError` (fail-stop, like a corrupt
+        frame)."""
+        b = msg.block
+        if b in self.have:
+            raise wire.WireError(
+                "worker %d: block %d (%d,%d) arrived again from rank %d"
+                % (self.rank, b, *self.plan.coords[b], msg.src)
+            )
         m = self.metrics
         # Logical bytes (what the predictor charges) vs wire bytes (what
         # actually crossed the queue — 64 for a descriptor).
         m.messages_received += 1
         m.bytes_received += msg.nbytes
         m.wire_bytes_received += nbytes
-        b = msg.block
-        if b in self.have:
-            return self._duplicate(msg, nbytes, t0)
         self.have.add(b)
         self._store(b, msg.payload)
         self.readiness.arrived(b)
@@ -611,31 +614,21 @@ class Worker:
         )
 
     # ------------------------------------------------------------------
-    # Control plane: abort, duplicates, DONE
+    # Control plane: abort, DONE
     # ------------------------------------------------------------------
     # A job is fail-stop: a frame that does not decode raises in the
-    # receive prologue, a rank that raises broadcasts ABORT, and the
-    # recovery loop (:mod:`repro.runtime.recovery`) re-runs the job from
-    # scratch. A duplicate block frame is suppressed (a block is applied
-    # exactly once, however often it arrives). Under the dynamic schedule
-    # a rank that finished its own tasks broadcasts DONE and lingers until
-    # every peer is done, so no steal GRANT ever targets a finished thief.
+    # receive prologue, a second frame for a held block in its handler, a
+    # rank that raises broadcasts ABORT, and the recovery loop
+    # (:mod:`repro.runtime.recovery`) re-runs the job from scratch. Under
+    # the dynamic schedule a rank that finished its own tasks broadcasts
+    # DONE and lingers until every peer is done, so no steal GRANT ever
+    # targets a finished thief.
 
     def _arm_control(self) -> None:
         self.handlers.update({wire.ABORT: self._on_abort,
                               wire.DONE: self._on_done})
         #: Peers that announced DONE (the linger waits for all of them).
         self.done_peers: set[int] = set()
-
-    def _duplicate(self, msg: wire.WireMessage, nbytes: int,
-                   t0: float) -> bool:
-        """A frame for a block already held: count it, change nothing (a
-        block is applied exactly once)."""
-        self.metrics.duplicates_dropped += 1
-        self._span("comm", t0, "recv", "duplicate",
-                   self.trace and {"block": msg.block, "src": msg.src,
-                                   "bytes": msg.nbytes, "wire_bytes": nbytes})
-        return False
 
     def _on_abort(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
         self.metrics.control_received += 1

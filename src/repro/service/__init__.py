@@ -26,10 +26,10 @@ validated against the sequential :class:`~repro.numeric.BlockCholesky`
 baseline (``validate=True``; bitwise on a ``1 x P`` grid).
 
 The service is self-healing: dead or stalled workers are detected
-mid-job, the pool restarts on the survivors, and the job in flight is
-re-run (bounded attempts) before falling back to the always-correct
-sequential path — outcomes are tagged per job. Per-job deadlines,
-idempotent job-id dedup, a :class:`~repro.service.resilience.CircuitBreaker`
+mid-job, the pool restarts at its configured width, and the job in
+flight is re-run from scratch (bounded attempts) before falling back to
+the always-correct sequential path — outcomes are tagged per job.
+Per-job deadlines, idempotent job-id dedup, a :class:`~repro.service.resilience.CircuitBreaker`
 guarding the pool, and client-side :class:`~repro.service.resilience.RetryPolicy`
 backoff round out the failure surface; every failure is a typed
 :class:`ServiceError` subclass, never a hang. A job's faults are

@@ -63,7 +63,7 @@ class PatternEntry(PatternPlan):
     #: reference) for solve requests.
     last_factor: object | None = field(default=None, repr=False)
     #: Pool generation whose resident workers still hold this pattern's
-    #: factor blocks (-1 = none). Any pool restart/heal/regrow bumps the
+    #: factor blocks (-1 = none). Any pool restart bumps the
     #: generation, so stale residency can never be mistaken for warm.
     resident_generation: int = -1
 

@@ -33,7 +33,7 @@ class JobRecord:
     #: ``"ok"``, ``"failed"`` or ``"expired"``.
     status: str = "ok"
     #: How the job survived: ``"clean"`` (first parallel attempt),
-    #: ``"recovered"`` (re-run after a pool heal), or
+    #: ``"recovered"`` (re-run after a failed attempt), or
     #: ``"degraded_sequential"`` (per-job sequential fallback). Tags from
     #: :mod:`repro.runtime.recovery`.
     outcome: str = "clean"
@@ -84,11 +84,11 @@ class ServiceMetrics:
     #: Submissions answered from the job-id dedup table (idempotent
     #: client retries of an in-flight or completed job).
     deduped: int = 0
-    #: Jobs that completed via re-run after a pool heal.
+    #: Jobs that completed via a re-run after a failed attempt.
     recovered: int = 0
     #: Jobs that completed via the per-job sequential fallback.
     degraded: int = 0
-    #: Pool-level breakages the dispatcher healed around.
+    #: Pool-level breakages the dispatcher restarted the crew for.
     pool_restarts: int = 0
 
     def __post_init__(self) -> None:

@@ -123,7 +123,7 @@ class FactorService:
             raise ValueError(
                 f"breaker_cooldown_s must be >= 0, got {breaker_cooldown_s!r}"
             )
-        #: The configured pool width (``pool.nprocs`` shrinks after a heal).
+        #: The pool width: every job of every pattern runs this wide.
         self.nprocs = self.config.nprocs
         #: The transport ``config.transport`` resolves to on this platform.
         self.transport = resolve_transport(self.config.transport, self.nprocs)
@@ -309,7 +309,7 @@ class FactorService:
         the queue. The warm path dispatches a distributed triangular
         solve to the pool workers that still hold the pattern's factor
         blocks — only the permuted RHS panel travels. When residency was
-        lost (pool heal/restart/regrow) or the pool job fails — e.g. a
+        lost (a pool restart or an eviction) or the pool job fails — e.g. a
         worker killed mid-solve — the service solves sequentially on the
         retained driver-side factor: the result is bitwise-identical
         either way, and :attr:`SolveResult.outcome` says which route ran
@@ -361,7 +361,6 @@ class FactorService:
         """Service-level counters + aggregates (JSON-safe)."""
         return {
             "nprocs": self.nprocs,
-            "pool_nprocs": self.pool.nprocs,
             "transport": self.transport,
             "mapping": self.config.mapping,
             "pool_generation": self.pool.generation,
@@ -374,18 +373,14 @@ class FactorService:
     def health(self) -> dict:
         """Cheap liveness/degradation probe (JSON-safe).
 
-        ``status`` is ``"ok"`` (pool healthy, breaker closed),
-        ``"degraded"`` (breaker open/half-open, or the pool healed down
-        to fewer workers than configured), or ``"closed"``.
+        ``status`` is ``"ok"`` (breaker closed), ``"degraded"`` (breaker
+        open or half-open: jobs run on the sequential last resort) or
+        ``"closed"``.
         """
         breaker = self.breaker.to_dict()
-        degraded = (
-            breaker["state"] != CircuitBreaker.CLOSED
-            or (self.pool.running and self.pool.nprocs < self.nprocs)
-        )
         status = (
             "closed" if self._closed
-            else "degraded" if degraded
+            else "degraded" if breaker["state"] != CircuitBreaker.CLOSED
             else "ok"
         )
         now = time.monotonic()
@@ -396,7 +391,6 @@ class FactorService:
                 "running": self.pool.running,
                 "alive": self.pool.alive,
                 "nprocs": self.pool.nprocs,
-                "configured_nprocs": self.nprocs,
                 "generation": self.pool.generation,
                 "heartbeat_age_s": {
                     str(rank): round(now - t, 3)
@@ -465,7 +459,7 @@ class FactorService:
         faults = queued.job.fault_plan
 
         def spec(attempt):
-            # Fresh seqs each attempt; the context re-ships to a healed crew.
+            # Fresh seqs each attempt; the context re-ships to a new crew.
             return entry.job(
                 self.pool, A_perm, next(self._seq),
                 deadline=queued.job.deadline,
@@ -475,11 +469,6 @@ class FactorService:
         # Breaker open: don't touch the pool; the job runs on the
         # sequential last resort — degraded but correct.
         if self.breaker.allow():
-            # A pool that healed onto a shrunken crew during an earlier
-            # job grows back to its configured width here — between jobs
-            # is the only safe point. The loop re-plans owners for the
-            # restored width exactly as it re-planned for the shrink.
-            self.pool.regrow()
             recover(self.pool, p, spec, self.config.max_restarts + 1,
                     self.config.timeout_s, self._pool_settled)
         self._finish_job(queued, record, p)
@@ -489,8 +478,8 @@ class FactorService:
         record.pattern_id = entry.pattern_id
         record.cache = "hit"
         x_perm = metrics = trace = None
-        # Warm only on the crew that factored the pattern (a heal, regrow
-        # or eviction ends residency), and only with the breaker's leave.
+        # Warm only on the crew that factored the pattern (a restart or an
+        # eviction ends residency), and only with the breaker's leave.
         if (
             self.pool.running
             and entry.resident_generation == self.pool.generation
@@ -548,13 +537,13 @@ class FactorService:
             record=record,
         ))
 
-    def _pool_settled(self, healed: bool) -> bool:
+    def _pool_settled(self, restarted: bool) -> bool:
         """Tell the breaker how a pool job left the pool (call after
         :func:`~repro.runtime.recovery.settle`, so the cooldown counts
         from when the new crew is up). Answers whether the pool may run a
         retry: only while the breaker is closed — a half-open probe is
         one attempt, never a retry."""
-        if healed:
+        if restarted:
             self.metrics.count_pool_restart()
             self.breaker.record_failure()
         else:

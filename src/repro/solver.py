@@ -162,8 +162,8 @@ class SparseCholesky:
 
     def _run_mp(self):
         """One ``"mp"`` factor job on the instance's crew, planned and
-        started by the first: the service's warm path — regrow, the
-        recovery loop, the sequential last resort."""
+        started by the first: the service's warm path — the recovery
+        loop, then the sequential last resort."""
         from repro.runtime.engine import PatternPlan
         from repro.runtime.pool import WorkerPool
         from repro.runtime.recovery import run_job

@@ -248,7 +248,6 @@ def test_a_restart_is_bitwise_the_clean_run(problem, nprocs):
     clean = run_mp_fanout(bs, A, tg, owners, nprocs, mapping=name)
     plan = PatternPlan.create(
         bs, tg, RunConfig(nprocs=nprocs), owners=owners, mapping_name=name,
-        planned_nprocs=nprocs,
     )
     crash = FaultPlan(crash=(CrashSpec(1, 5),))
     try:
@@ -258,7 +257,7 @@ def test_a_restart_is_bitwise_the_clean_run(problem, nprocs):
     finally:
         plan.destroy()
     rep = again.failure_report
-    assert (rep.outcome, rep.final_nprocs) == ("recovered", nprocs)
+    assert (rep.outcome, again.metrics.nprocs) == ("recovered", nprocs)
     assert _bitwise(again.to_csc(), clean.to_csc())
 
 

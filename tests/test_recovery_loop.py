@@ -2,9 +2,9 @@
 
 ``ScriptedPool`` is a real :class:`WorkerPool` whose crew is imaginary —
 ``start`` / ``close`` only count generations, ``run`` replays the next
-scripted step — so ``heal`` / ``restart`` do their real arithmetic and
-:func:`recover` sees exactly the surface it uses in production: ``run``,
-``heal``, ``nprocs``, ``last_error``, ``dead_ranks``.
+scripted step — so ``restart`` does its real work and :func:`recover`
+sees exactly the surface it uses in production: ``run``, ``restart``,
+``nprocs``, ``last_error``.
 """
 
 import logging
@@ -124,9 +124,10 @@ def make_job(grid12_pipeline):
     _, sf, _, bs, _, tg = grid12_pipeline
 
     def make(label="j", nprocs=4):
+        owners, name = engine.plan_owners(tg.workmodel, tg, nprocs, "DW/CY")
         plan = SimpleNamespace(
-            structure=bs, tg=tg, owners=None, mapping_name="",
-            planned_nprocs=0, config=RunConfig(nprocs=nprocs, mapping="DW/CY"),
+            structure=bs, tg=tg, owners=owners, mapping_name=name,
+            config=RunConfig(nprocs=nprocs, mapping="DW/CY"),
         )
         return RecoveryJob(plan, sf.A, label)
 
@@ -135,11 +136,12 @@ def make_job(grid12_pipeline):
 
 def _run(pool, job, attempts, settled=None):
     seqs = iter(range(1000))
+    owners = job.plan.owners
 
     def spec(attempt):
-        # the loop planned owners for this crew before asking for a spec
-        assert job.plan.planned_nprocs == pool.nprocs
-        assert int(job.plan.owners.max()) < pool.nprocs
+        # every attempt runs on the owners planned once, for this width
+        assert job.plan.owners is owners
+        assert int(owners.max()) == pool.nprocs - 1
         return PoolJob(next(seqs), "p", None)
 
     left = recover(pool, job, spec, attempts, 60.0, settled)
@@ -154,8 +156,8 @@ class TestBudgetAndOutcomes:
         job = _run(pool, make_job(), 3)
         rep = job.report
         assert job.report.ok and rep.outcome == "clean"
-        assert (rep.restarts, rep.final_nprocs, rep.attempts) == (0, 4, [])
-        assert pool.generation == 1 and len(pool.runs) == 1
+        assert (rep.restarts, rep.attempts) == (0, [])
+        assert pool.generation == 1 and pool.runs == [(4, 0)]
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_ok_on_attempt_k_is_recovered(self, make_job, k, caplog):
@@ -180,18 +182,18 @@ class TestBudgetAndOutcomes:
         rep = job.report
         assert not job.report.ok and not job.outcome.expired
         assert rep.outcome == "degraded_sequential" and not rep.ok
-        assert (len(rep.attempts), rep.restarts, rep.final_nprocs) == (2, 2, 4)
+        assert (len(rep.attempts), rep.restarts) == (2, 2)
         assert len(pool.runs) == 2
         factor, metrics = last_resort(job)
         ref = BlockCholesky(bs, sf.A).factor().to_csc()
         assert np.array_equal(factor.to_csc().data, ref.data)
         assert metrics.mapping == "sequential-fallback"
-        assert (rep.final_nprocs, rep.restarts, rep.degraded) == (1, 2, True)
+        assert (rep.restarts, rep.degraded) == (2, True)
         warnings = [
             r.getMessage() for r in caplog.records
             if r.levelno == logging.WARNING
         ]
-        # one per failed attempt, one for the fallback; nothing healed
+        # one per failed attempt, one for the fallback; nothing restarted
         assert len(warnings) == 3
         assert "J1: attempt 0 (P=4) failed [ranks [1]]" in warnings[0]
         assert "ms: RuntimeError: boom on 1" in warnings[0]
@@ -212,13 +214,14 @@ class TestBudgetAndOutcomes:
         rep = job.report
         assert not job.report.ok and rep.outcome == "degraded_sequential"
         assert len(pool.runs) == 1 and len(rep.attempts) == 1
-        assert (pool.generation, pool.nprocs, rep.final_nprocs) == (1, 4, 4)
+        assert (pool.generation, pool.nprocs) == (1, 4)
         assert job.outcome.failed_ranks == [1]
 
 
 class TestCrewShrinkRule:
-    """One rule for every crew: a rank that merely raised stays, a dead
-    process is shed, whether another attempt follows or not."""
+    """One rule for every crew, and it never shrinks one: a rank that
+    merely raised stays, a broken crew (a dead process, a stall) is
+    restarted at its own width, whether another attempt follows or not."""
 
     def test_raising_rank_stays_in_a_resident_crew(self, make_job):
         pool = ScriptedPool(4, raising(), ok)
@@ -228,19 +231,22 @@ class TestCrewShrinkRule:
         assert pool.generation == 1
 
     @pytest.mark.parametrize("policy", [ONE_CALL, RESIDENT])
-    def test_dead_process_shrinks_either_crew(self, make_job, caplog,
-                                              policy):
-        """``run_mp_fanout``'s one-attempt crew is healed too (then
-        closed by its caller); a resident one retries on the survivors."""
+    def test_dead_process_restarts_either_crew(self, make_job, caplog,
+                                               policy):
+        """``run_mp_fanout``'s one-attempt crew is restarted too (then
+        closed by its caller); a resident one retries on a new crew of
+        the same width, with the same owners."""
         caplog.set_level(logging.WARNING, logger="repro.runtime.recovery")
         pool = ScriptedPool(4, died(1), ok)
         job = _run(pool, make_job(), **policy)
-        assert [w for w, _ in pool.runs] == [4, 3][:policy["attempts"]]
-        assert (pool.generation, pool.nprocs) == (2, 3)
+        assert [w for w, _ in pool.runs] == [4, 4][:policy["attempts"]]
+        assert (pool.generation, pool.nprocs) == (2, 4)
         assert job.report.attempts[0].failed_ranks == [1]
         assert "died" in job.report.attempts[0].error
-        heals = [r.getMessage() for r in caplog.records if "healed" in r.msg]
-        assert len(heals) == 1 and "4 -> 3 workers (generation 2)" in heals[0]
+        restarts = [r.getMessage() for r in caplog.records
+                    if "restarted" in r.msg]
+        assert len(restarts) == 1
+        assert "(4 workers, generation 2)" in restarts[0]
 
     def test_stall_restarts_a_resident_crew_at_the_same_width(self, make_job):
         pool = ScriptedPool(4, stalled, ok)
@@ -253,16 +259,15 @@ class TestCrewShrinkRule:
     ):
         """Budget spent: a crew a rank merely raised in is left alone; a
         broken one is replaced whatever follows (it may serve the next
-        job), and the job reports the width its last attempt ran on."""
+        job), at its own width."""
         pool = ScriptedPool(4, raising())
-        job = _run(pool, make_job(), 1)
+        _run(pool, make_job(), 1)
         assert (pool.generation, pool.nprocs) == (1, 4)
-        assert job.report.final_nprocs == 4
         pool = ScriptedPool(4, died(1), died(2))
         job = _run(pool, make_job(), 2)
-        assert (pool.generation, pool.nprocs) == (3, 2)
-        assert [w for w, _ in pool.runs] == [4, 3]
-        assert job.report.final_nprocs == 3
+        assert (pool.generation, pool.nprocs) == (3, 4)
+        assert [w for w, _ in pool.runs] == [4, 4]
+        assert [a.nprocs for a in job.report.attempts] == [4, 4]
 
     def test_settle_alone(self):
         """What ``FactorService.solve`` calls after its warm solve job."""
@@ -270,7 +275,7 @@ class TestCrewShrinkRule:
         assert settle(pool) is False and pool.generation == 1
         died(1)(pool, PoolJob(0, "p", None))
         assert settle(pool) is True
-        assert (pool.generation, pool.nprocs) == (2, 1)
+        assert (pool.generation, pool.nprocs) == (2, 2)
 
 
 class TestCallerStop:
@@ -287,7 +292,7 @@ class TestCallerStop:
         assert len(pool.runs) == 1 and not job.report.ok
         assert job.report.outcome == "degraded_sequential"
         # the crew was still replaced: the pool is fit for the next job
-        assert (pool.generation, pool.nprocs) == (2, 3)
+        assert (pool.generation, pool.nprocs) == (2, 4)
 
     def test_predicate_hears_every_attempt(self, make_job):
         heard = []
@@ -302,7 +307,7 @@ class TestTypedError:
         every caller types a failed job by: what broke the crew — a dead
         process or the job timeout — names the error even when a rank
         also raised; whatever is raised carries the report it was given.
-        It reads the outcome only, so a crew healed in between (dead
+        It reads the outcome only, so a crew restarted in between (dead
         ranks gone) types it the same."""
         pool = ScriptedPool(2)
         job = PoolJob(0, "p", None)
@@ -320,10 +325,11 @@ class TestTypedError:
             engine.raise_failure(out)
 
     def test_a_healed_crew_keeps_the_dead_workers_error(self, make_job):
-        """The last attempt's dead process is shed before the job's error
-        is typed; the error still names the death."""
+        """The crew the last attempt's dead process broke is replaced
+        before the job's error is typed; the error still names the
+        death."""
         pool = ScriptedPool(4, died(1))
         job = _run(pool, make_job(), 1)
-        assert pool.dead_ranks() == [] and pool.nprocs == 3
+        assert pool.dead_ranks() == [] and pool.nprocs == 4
         with pytest.raises(engine.DeadWorkerError):
             engine.raise_failure(job.outcome)

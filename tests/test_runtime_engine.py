@@ -164,7 +164,7 @@ class TestShutdown:
     ):
         """``run_mp_fanout`` is one attempt through the recovery loop with
         no fallback: its typed error carries that attempt's report, and
-        nothing is healed (the conftest guard checks no process or
+        nothing is restarted (the conftest guard checks no process or
         segment is left)."""
         _, sf, _, bs, wm, tg = grid12_pipeline
         owners, name = plan_owners(wm, tg, 2, "DW/CY")
@@ -176,8 +176,8 @@ class TestShutdown:
         rep = info.value.failure_report
         assert rep.outcome == "degraded_sequential"
         assert len(rep.attempts) == 1
-        assert rep.attempts[0].nprocs == rep.final_nprocs == 2
-        assert not [r for r in caplog.records if "healed" in r.msg]
+        assert rep.attempts[0].nprocs == 2
+        assert not [r for r in caplog.records if "restarted" in r.msg]
         assert _no_orphans()
 
     def test_numeric_failure_propagates_without_hang(self, grid12_pipeline):

@@ -170,10 +170,14 @@ class TestFaultyLink:
         assert injector.injected["drop"] == 1
 
     def test_duplicate_sends_twice(self):
+        """The fabric delivers the frame twice; the sender sent (and
+        counted) one."""
         link, q, injector = _faulty_link(FaultPlan(duplicate=1.0))
-        link.send(_block_frame())
+        frame = _block_frame()
+        link.send(frame)
         assert len(q.items) == 2
         assert q.items[0] == q.items[1]
+        assert link.messages == 1 and link.bytes == len(frame)
         assert injector.injected["duplicate"] == 1
 
     def test_corrupt_payload_fails_crc(self):

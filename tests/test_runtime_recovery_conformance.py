@@ -3,18 +3,21 @@ a one-shot ``SparseCholesky(backend="mp")`` instance and through
 ``FactorService`` on the 12 x 12 grid. One table pins, for both, the
 outcome tag, the number of parallel attempts (``run`` calls), the crew's
 final width and a factor bitwise equal to the sequential
-``BlockCholesky``; and a twice restarted façade factor opens one pool and
-at most one arena."""
+``BlockCholesky``; a twice restarted façade factor opens one pool and at
+most one arena; and a hard kill on the 2 x 2 grid re-runs on a 4-wide
+crew, bitwise the clean P = 4 factor, through both callers."""
 
 import numpy as np
 import pytest
 
+from repro.matrices import grid2d_matrix
 from repro.numeric import BlockCholesky
 from repro.runtime import FanoutError, shm_available
 from repro.runtime.arena import BlockArena
 from repro.runtime.faults import CrashSpec, FaultPlan
 from repro.runtime.pool import WorkerPool
 from repro.service import FactorService, JobFailed
+from repro.solver import SparseCholesky
 from tests.conftest import facade_job, mp_fanout
 
 FAST = dict(timeout_s=120.0, stall_timeout_s=15.0)
@@ -33,8 +36,8 @@ SCENARIOS = {
     "none": (None, False, {}, ("clean", 1, 2)),
     # a raising rank stays in the crew, which only re-runs the job
     "soft-crash": (SOFT, False, {}, ("recovered", 2, 2)),
-    # a dead process is shed
-    "hard-kill": (HARD, False, {}, ("recovered", 2, 1)),
+    # a dead process is replaced: the crew keeps its width
+    "hard-kill": (HARD, False, {}, ("recovered", 2, 2)),
     # budget of one attempt: the crew is left alone, the job degrades
     "persistent-crash": (PERSISTENT, False, dict(max_restarts=0),
                          ("degraded_sequential", 1, 2)),
@@ -107,7 +110,7 @@ def test_one_shot(grid12_pipeline, pools, scenario):
                            match="NotPositiveDefiniteError") as info:
             mp_fanout(bs, A_perm, tg, **run)
         rep = info.value.failure_report
-        assert (len(rep.attempts), rep.final_nprocs) == (1, 2)
+        assert len(rep.attempts) == 1
         tag = "error"
     else:
         res = facade_job(A_perm, **run)
@@ -178,16 +181,50 @@ def test_two_restarts_share_one_pool_and_one_arena(
         classmethod(lambda cls, tg: arenas.append(create(tg)) or arenas[-1]),
     )
     _, sf, _, bs, _, tg = grid12_pipeline
-    # Rank 2 is killed on every attempt it exists in: P = 4, 3, then 2.
+    # Rank 2 is killed on every attempt: each one runs on a new crew of
+    # four, and the budget of max_restarts + 1 = 3 attempts runs out.
     plan = FaultPlan(
         seed=0, crash=(CrashSpec(2, 1, hard=True, every_attempt=True),)
     )
     res = facade_job(sf.A, nprocs=4, mapping="DW/CY", transport=transport,
                      fault_plan=plan, **FAST)
     rep = res.failure_report
-    assert (rep.outcome, rep.restarts, rep.final_nprocs) == ("recovered", 2, 2)
-    assert [a.nprocs for a in rep.attempts] == [4, 3]
-    assert len(pools) == 1 and pools[0].generation == 3
+    assert rep.outcome == "degraded_sequential"
+    assert [a.nprocs for a in rep.attempts] == [4, 4, 4]
+    assert len(pools) == 1 and pools[0].generation == 4
+    assert (pools[0].batches_run, pools[0].nprocs) == (3, 4)
     assert len(arenas) == (1 if transport == "shm" else 0)
     ref = BlockCholesky(bs, sf.A).factor().to_csc()
     assert _bitwise(res.to_csc(), ref)
+
+
+@pytest.mark.parametrize("transport", ["inline", "shm"])
+@pytest.mark.parametrize("caller", ["facade", "service"])
+def test_hard_kill_reruns_on_the_configured_width(pools, caller, transport):
+    """P = 4 is a 2 x 2 grid: a column's blocks have two owners, so the
+    factor's bits follow the owner grouping, and so the crew width. A job
+    whose worker died re-runs on a new crew of four and returns the clean
+    P = 4 factor bit for bit — not the factor of three survivors, which
+    is the sequential one here."""
+    if transport == "shm" and not shm_available():
+        pytest.skip("no POSIX shared memory")
+    A = grid2d_matrix(12).A.tocsc()
+    kw = dict(nprocs=4, block_size=8, transport=transport, **FAST)
+    seq = SparseCholesky(A, block_size=8).factor().L
+    if caller == "facade":
+        def factor(plan):
+            with SparseCholesky(A, backend="mp", fault_plan=plan,
+                                **kw) as chol:
+                return chol.factor().L, chol.failure_report.outcome
+
+        clean, _ = factor(None)
+        L, outcome = factor(HARD)
+    else:
+        with FactorService(**kw) as svc:
+            clean = svc.factor(A).L
+            r = svc.factor(A, fault_plan=HARD)
+            L, outcome = r.L, r.record.outcome
+    assert not _bitwise(clean, seq)
+    assert outcome == "recovered"
+    assert _bitwise(L, clean)
+    assert (pools[-1].nprocs, pools[-1].generation) == (4, 2)

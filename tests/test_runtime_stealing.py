@@ -1,6 +1,7 @@
 """The dynamic schedule (work stealing): factors bitwise identical to the
 static schedule on both transports, exact migration-adjusted accounting,
-steal-aware trace replay, crash recovery, and pool regrowth after heal."""
+steal-aware trace replay, crash recovery, and a pool restarted at its
+configured width after a worker death."""
 
 import numpy as np
 import pytest
@@ -188,10 +189,10 @@ class TestRecovery:
         assert m.steal_reqs_total == 0
 
 
-class TestPoolRegrow:
-    def test_heal_then_regrow_restores_width_bitwise(self, grid12_pipeline):
-        """A healed (shrunken) pool grows back to its configured width
-        and the regrown crew factors bitwise identically."""
+class TestPoolRestart:
+    def test_hard_kill_recovers_at_full_width_bitwise(self, grid12_pipeline):
+        """A killed worker's crew is restarted at its configured width:
+        the job it broke and the next one factor bitwise identically."""
         import os
         import signal
 
@@ -204,12 +205,14 @@ class TestPoolRegrow:
         try:
             ref = svc.factor(A).L
             os.kill(svc.pool._procs[1].pid, signal.SIGKILL)
-            healed = svc.factor(A)  # heals onto the survivor mid-batch
-            assert _bitwise(healed.L, ref)
-            assert svc.pool.nprocs < svc.pool.configured_nprocs
-            regrown = svc.factor(A)  # next batch regrows to full width
-            assert svc.pool.nprocs == svc.pool.configured_nprocs == 2
-            assert _bitwise(regrown.L, ref)
+            rerun = svc.factor(A)  # restarts the crew mid-job
+            assert rerun.record.outcome == "recovered"
+            assert _bitwise(rerun.L, ref)
+            assert (svc.pool.nprocs, svc.pool.generation) == (2, 2)
+            after = svc.factor(A)  # the next job runs on the new crew
+            assert after.record.outcome == "clean"
+            assert _bitwise(after.L, ref)
+            assert svc.pool.generation == 2
             assert svc.health()["status"] == "ok"
         finally:
             svc.close()

@@ -223,7 +223,7 @@ class TestChaosTraces:
         first = {e.name for e in tr.events if e.attempt == 0}
         assert "abort_sent" in first
         assert not {e.name for e in tr.events if e.attempt == 1} & {
-            "abort_sent", "abort_recv", "duplicate"}
+            "abort_sent", "abort_recv"}
         check = validate_trace(tr, attempt=1, metrics=res.metrics)
         assert check.ok, check.failures
 

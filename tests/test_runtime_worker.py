@@ -332,18 +332,23 @@ class TestDrainCadence:
 
 
 class TestHandlers:
-    def test_duplicate_block_is_counted_and_changes_nothing(
+    def test_duplicate_block_is_a_typed_error(
         self, grid12_pipeline, seq_chol
     ):
-        (w, _), _ = _crew(grid12_pipeline)
+        """Fail-stop, like a corrupt frame: a second frame for a held
+        block raises the typed error naming the block and its sender,
+        with nothing sent and nothing changed."""
+        (w, _), fabric = _crew(grid12_pipeline)
         b, frame = _remote_block(w, seq_chol)
         assert w.receive(frame) is True
-        assert b in w.have and w.metrics.duplicates_dropped == 0
-        before = _state(w)
-        assert w.receive(frame) is False
-        assert w.metrics.duplicates_dropped == 1
-        assert w.metrics.messages_received == 2
-        assert _same(before, _state(w))
+        assert b in w.have
+        before, ledger = _state(w), _ledger(w)
+        with pytest.raises(wire.WireError,
+                           match=rf"block {b} .* again from rank 1"):
+            w.receive(frame)
+        assert w.metrics.messages_received == 1
+        assert _ledger(w) == ledger and _same(before, _state(w))
+        assert _sent(fabric, 1) == []
 
     def test_corrupt_frame_without_recovery_raises(
         self, grid12_pipeline, seq_chol
@@ -358,7 +363,6 @@ class TestHandlers:
         with pytest.raises(wire.CorruptFrameError) as info:
             w.receive(bytes(bad))
         assert (info.value.src, info.value.block) == (1, b)
-        assert w.metrics.frames_rejected == 1
         assert _same(before, _state(w))
         assert _sent(fabric, 1) == []
 
@@ -389,8 +393,7 @@ def _fuzz_worker(pipeline):
 
 
 def _ledger(w):
-    m = dataclasses.asdict(w.metrics)
-    return {k: v for k, v in m.items() if k != "frames_rejected"}
+    return dataclasses.asdict(w.metrics)
 
 
 def _flipped(seq_chol, w, index, bit):
@@ -405,13 +408,11 @@ def _flipped(seq_chol, w, index, bit):
 
 
 def _rejects(w, fabric, frame):
-    """``frame`` raises a typed wire error, is counted, sends nothing and
-    changes nothing else."""
+    """``frame`` raises a typed wire error, sends nothing and changes
+    nothing."""
     state, ledger = _state(w), _ledger(w)
-    rejected = w.metrics.frames_rejected
     with pytest.raises(wire.WireError):
         w.receive(frame)
-    assert w.metrics.frames_rejected == rejected + 1
     assert _ledger(w) == ledger and _same(state, _state(w))
     assert _sent(fabric, 1) == []
 

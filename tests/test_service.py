@@ -536,11 +536,11 @@ class TestMpFacade:
         """The ``mp`` façade plans its pattern once per instance, by
         construction: a second factor() plans no owners, so there is no
         plan cache to count in the metrics."""
-        from repro.runtime import recovery
+        from repro.runtime import engine
 
         planned = []
-        real = recovery.plan_owners
-        monkeypatch.setattr(recovery, "plan_owners",
+        real = engine.plan_owners
+        monkeypatch.setattr(engine, "plan_owners",
                             lambda *a: planned.append(a) or real(*a))
         with SparseCholesky(
             grid_A, ordering="nd", block_size=8, backend="mp", nprocs=2
