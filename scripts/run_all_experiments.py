@@ -5,83 +5,23 @@ Usage: python scripts/run_all_experiments.py [scale] [--skip-table5]
 
 Writes one text file per experiment under results/<scale>/ plus a combined
 summary (results/<scale>/ALL.txt) suitable for pasting into EXPERIMENTS.md.
+The experiments and their order are ``repro.experiments.registry``'s, the
+same ones ``python -m repro suite`` runs.
 """
 
 from __future__ import annotations
 
 import sys
-import time
-from pathlib import Path
 
 
 def main() -> None:
     args = [a for a in sys.argv[1:] if not a.startswith("--")]
     scale = args[0] if args else "medium"
-    skip5 = "--skip-table5" in sys.argv
+    skip = ("table5",) if "--skip-table5" in sys.argv else ()
 
-    from repro.experiments import figure1, table1, table2, table3, table4
-    from repro.experiments import table5, table6, table7
-    from repro.experiments import alt_heuristic, prime_grids
-    from repro.experiments import dense_study, variable_block
-    from repro.experiments.oned_comparison import (
-        run_critical_path_scaling,
-        run_performance,
-        run_volume_scaling,
-    )
-    from repro.experiments.ablations import (
-        run_block_size,
-        run_contention,
-        run_domains_ablation,
-        run_zero_comm,
-    )
-    from repro.experiments.discussion import (
-        run_critical_path,
-        run_priority_scheduling,
-        run_subcube,
-    )
+    from repro.experiments.registry import run_suite
 
-    jobs = [
-        ("table1", lambda: table1.run(scale), "{:.1f}"),
-        ("table6", lambda: table6.run(scale), "{:.1f}"),
-        ("table2", lambda: table2.run(scale), "{:.2f}"),
-        ("table3", lambda: table3.run(scale), "{:.2f}"),
-        ("figure1", lambda: figure1.run(scale), "{:.3f}"),
-        ("table4", lambda: table4.run(scale), "{:.0f}"),
-        ("table7", lambda: table7.run(scale), "{:.0f}"),
-        ("prime_grids", lambda: prime_grids.run(scale), "{:.0f}"),
-        ("alt_heuristic", lambda: alt_heuristic.run(scale), "{:.2f}"),
-        ("critical_path", lambda: run_critical_path(scale), "{:.3f}"),
-        ("subcube", lambda: run_subcube(scale), "{:.2f}"),
-        ("priority", lambda: run_priority_scheduling(scale), "{:.1f}"),
-        ("ablation_blocksize", lambda: run_block_size(scale), "{:.2f}"),
-        ("ablation_domains", lambda: run_domains_ablation(scale), "{:.2f}"),
-        ("ablation_zerocomm", lambda: run_zero_comm(scale), "{:.3f}"),
-        ("ablation_contention", lambda: run_contention(scale), "{:.2f}"),
-        ("variable_block", lambda: variable_block.run(scale), "{:.2f}"),
-        ("dense_study", lambda: dense_study.run(scale), "{:.0f}"),
-        ("oned_volume", lambda: run_volume_scaling(scale), "{:.2f}"),
-        ("oned_critical_path", lambda: run_critical_path_scaling(), "{:.2f}"),
-        ("oned_performance", lambda: run_performance(scale), "{:.1f}"),
-    ]
-    if not skip5:
-        jobs.insert(7, ("table5", lambda: table5.run(scale), "{:.0f}"))
-
-    outdir = Path("results") / scale
-    outdir.mkdir(parents=True, exist_ok=True)
-    combined = []
-    for name, job, fmt in jobs:
-        t0 = time.time()
-        res = job()
-        rendered = res.render(fmt)
-        wall = time.time() - t0
-        (outdir / f"{name}.txt").write_text(rendered + "\n")
-        (outdir / f"{name}.json").write_text(res.to_json() + "\n")
-        combined.append(rendered + f"\n[{wall:.1f}s]\n")
-        print(f"== {name} ({wall:.1f}s)")
-        print(rendered)
-        print()
-    (outdir / "ALL.txt").write_text("\n".join(combined))
-    print(f"written to {outdir}/")
+    run_suite(scale, skip)
 
 
 if __name__ == "__main__":

@@ -17,8 +17,9 @@ from repro.analysis.comm_volume import (
     solve_communication_volume,
 )
 from repro.analysis.memory import memory_usage
+from repro.analysis.model_check import ModelCheck, check_models
 from repro.analysis.trace_replay import (
-    TraceReplay,
+    REPLAYED,
     TraceValidationError,
     TraceValidationReport,
     replay_trace,
@@ -35,7 +36,9 @@ __all__ = [
     "communication_volume",
     "solve_communication_volume",
     "memory_usage",
-    "TraceReplay",
+    "ModelCheck",
+    "check_models",
+    "REPLAYED",
     "TraceValidationError",
     "TraceValidationReport",
     "replay_trace",

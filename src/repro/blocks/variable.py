@@ -21,11 +21,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
 from repro.blocks.partition import BlockPartition
 from repro.symbolic.structure import SymbolicFactor
-from repro.util.arrays import INDEX_DTYPE
 
 #: A policy maps (snode_depth, snode_width) -> panel width for that supernode.
 SizePolicy = Callable[[int, int], int]
@@ -63,6 +60,8 @@ class VariableBlockPartition(BlockPartition):
     accepts it unchanged; only the splitting loop differs.
     """
 
+    policy_name = "variable"
+
     def __init__(self, sf: SymbolicFactor, policy: SizePolicy):
         # Deliberately do NOT call super().__init__ — we replace the
         # splitting loop but keep the same attribute contract.
@@ -85,12 +84,7 @@ class VariableBlockPartition(BlockPartition):
                 boundaries.append(pos)
                 snode_ids.append(s)
             assert pos == b
-        self.panel_ptr = np.asarray(boundaries, dtype=INDEX_DTYPE)
-        self.panel_snode = np.asarray(snode_ids, dtype=INDEX_DTYPE)
-        n = sf.n
-        marks = np.zeros(n, dtype=INDEX_DTYPE)
-        marks[self.panel_ptr[1:-1]] = 1
-        self.panel_of_col = np.cumsum(marks)
+        self._set_panels(boundaries, snode_ids)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"VariableBlockPartition(N={self.npanels})"

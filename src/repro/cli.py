@@ -17,10 +17,11 @@ Commands
 ``analyze <problem>``
     Report tree structure, critical path and per-node memory.
 ``experiment <name>``
-    Run one paper experiment (table1..table7, figure1, prime_grids, ...).
+    Run one experiment of ``repro.experiments.registry`` (table1..table7,
+    figure1, the ablations, ...).
 ``suite``
-    Run every experiment at the chosen scale (same as
-    ``scripts/run_all_experiments.py``).
+    Run every experiment at the chosen scale into ``results/<scale>/``
+    (as ``scripts/run_all_experiments.py`` does).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import sys
 import numpy as np
 
 from repro.config import RunConfig
+from repro.experiments.registry import EXPERIMENTS, run_suite
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -213,49 +215,20 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-_EXPERIMENTS = {
-    "table1": ("repro.experiments.table1", "run", "{:.1f}"),
-    "table2": ("repro.experiments.table2", "run", "{:.2f}"),
-    "table3": ("repro.experiments.table3", "run", "{:.2f}"),
-    "table4": ("repro.experiments.table4", "run", "{:.0f}"),
-    "table5": ("repro.experiments.table5", "run", "{:.0f}"),
-    "table6": ("repro.experiments.table6", "run", "{:.1f}"),
-    "table7": ("repro.experiments.table7", "run", "{:.0f}"),
-    "figure1": ("repro.experiments.figure1", "run", "{:.3f}"),
-    "prime_grids": ("repro.experiments.prime_grids", "run", "{:.0f}"),
-    "alt_heuristic": ("repro.experiments.alt_heuristic", "run", "{:.2f}"),
-    "variable_block": ("repro.experiments.variable_block", "run", "{:.2f}"),
-    "dense_study": ("repro.experiments.dense_study", "run", "{:.0f}"),
-    "critical_path": ("repro.experiments.discussion", "run_critical_path", "{:.3f}"),
-    "subcube": ("repro.experiments.discussion", "run_subcube", "{:.2f}"),
-    "priority": ("repro.experiments.discussion", "run_priority_scheduling", "{:.1f}"),
-}
-
-
 def cmd_experiment(args) -> int:
-    import importlib
-
-    spec = _EXPERIMENTS.get(args.name)
-    if spec is None:
+    entry = EXPERIMENTS.get(args.name)
+    if entry is None:
         print(f"unknown experiment {args.name!r}; known: "
-              f"{', '.join(sorted(_EXPERIMENTS))}", file=sys.stderr)
+              f"{', '.join(EXPERIMENTS)}", file=sys.stderr)
         return 2
-    module, fn, fmt = spec
-    run = getattr(importlib.import_module(module), fn)
+    run, fmt = entry
     print(run(args.scale).render(fmt))
     return 0
 
 
 def cmd_suite(args) -> int:
-    import subprocess
-    from pathlib import Path
-
-    # The script lives in the source checkout, not in an installed package.
-    script = Path(__file__).parents[2] / "scripts/run_all_experiments.py"
-    if not script.is_file():
-        print(f"repro suite: {script} not found", file=sys.stderr)
-        return 2
-    return subprocess.call([sys.executable, str(script), args.scale])
+    run_suite(args.scale)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("experiment", help="run one paper experiment")
-    p.add_argument("name", help=", ".join(sorted(_EXPERIMENTS)))
+    p.add_argument("name", help=", ".join(EXPERIMENTS))
     _add_common(p)
     p.set_defaults(fn=cmd_experiment)
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.mapping.balance import overall_balance
 from repro.util.ascii_chart import bar_chart
 
 #: Timeline categories. The ``solve_*`` trio mirrors the factor-phase
@@ -278,24 +279,27 @@ class RuntimeMetrics:
                 out[k] = out.get(k, 0) + int(v)
         return out
 
-    @staticmethod
-    def _balance(values: np.ndarray) -> float:
-        """``total / (P * max)`` — 1.0 is perfect, the paper's statistic."""
-        m = float(values.max(initial=0.0))
-        if m <= 0:
-            return 1.0
-        return float(values.sum() / (values.shape[0] * m))
+    @property
+    def owner_work(self) -> np.ndarray:
+        """Migration-adjusted work: what each rank's *owned* tasks cost,
+        wherever they ran (``work_executed - work_stolen + work_shipped``)
+        — the :class:`~repro.blocks.workmodel.WorkModel` owner share."""
+        return np.array(
+            [w.work_executed - w.work_stolen + w.work_shipped
+             for w in self.workers],
+            dtype=np.int64,
+        )
 
     @property
     def measured_balance(self) -> float:
         """Balance of measured busy seconds (wall-clock load distribution)."""
-        return self._balance(self.busy)
+        return overall_balance(self.busy)
 
     @property
     def work_balance(self) -> float:
         """Balance of executed work-model units (deterministic; comparable
         to :func:`repro.mapping.balance.overall_balance_from_owners`)."""
-        return self._balance(self.work)
+        return overall_balance(self.work)
 
     @property
     def imbalance(self) -> float:

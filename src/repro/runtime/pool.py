@@ -34,7 +34,7 @@ scratch. :class:`~repro.runtime.faults.FaultPlan` injection threads into
 individual jobs so every layer above is chaos-testable. Per-job
 deadlines are enforced driver-side: an expired job gets a seq-tagged
 ABORT injected into every inbox. Workers heartbeat on the result queue
-before every job, so the driver can tell a stalled crew from a slow one.
+before every job; the driver only records it (:attr:`last_heartbeats`).
 
 Who replaces a crew: :meth:`WorkerPool.run` only *reports*. A dead
 process or the job's timeout ABORTs the job and is recorded in

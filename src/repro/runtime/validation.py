@@ -1,21 +1,20 @@
 """Validation harness: does the real runtime do what the models promised?
 
-Three checks close the loop between the paper's analytical machinery and
-real execution:
+Two kinds of check close the loop between the paper's analytical machinery
+and real execution:
 
 1. **Numerics** — the runtime's factor satisfies ``L L^T = A`` to the same
-   tolerance as the sequential :class:`~repro.numeric.blockfact.BlockCholesky`.
-2. **Communication** — the per-link message counters sum to exactly the
-   message (and byte) count the static predictor
-   :func:`repro.analysis.comm_volume.communication_volume` computed for the
-   same ownership.
-3. **Load distribution** — each worker's executed work (flops plus the
-   per-operation fixed cost) equals the :class:`~repro.blocks.workmodel.WorkModel`
-   share the mapping heuristics optimized, integer for integer. Under
-   ``schedule="dynamic"`` the identity is migration-adjusted: executed
-   minus stolen-in plus shipped-away work equals the owner share exactly
-   (the steal ledger rides outside the data counters, so the message and
-   byte checks stay exact either way).
+   tolerance as the sequential :class:`~repro.numeric.blockfact.BlockCholesky`,
+   and the transported bytes match the transport (all of them inline, one
+   64-byte descriptor per message on shm).
+2. **Models** — :func:`repro.analysis.model_check.check_models`, the same
+   checks :func:`repro.analysis.trace_replay.validate_trace` makes: the
+   message and byte counters sum to exactly what
+   :func:`repro.analysis.comm_volume.communication_volume` predicted for
+   the same ownership, each worker's migration-adjusted work equals the
+   :class:`~repro.blocks.workmodel.WorkModel` share the mapping
+   heuristics optimized, integer for integer, and a solve phase's
+   traffic equals its predictor's.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from repro.analysis.comm_volume import communication_volume
+from repro.analysis.model_check import check_models
 from repro.blocks.structure import BlockStructure
 from repro.fanout.tasks import TaskGraph
 from repro.numeric.blockfact import BlockCholesky
@@ -103,36 +102,16 @@ def validate_runtime(
     faulted attempt fails and is re-run from scratch, so the attempt a
     result reports is an ordinary run.
     """
-    wm = tg.workmodel
-    owners = result.owners
-    nprocs = result.metrics.nprocs
-
+    metrics = result.metrics
     L = result.to_csc()
     residual = float(abs(L @ L.T - A).max())
     seq = BlockCholesky(structure, A).factor().to_csc()
     seq_residual = float(abs(seq @ seq.T - A).max())
     factor_diff = float(abs(L - seq).max())
-
-    predicted = communication_volume(tg, owners)
-    measured_msgs = result.metrics.messages_total
-    measured_bytes = result.metrics.bytes_total
-    wire_bytes = result.metrics.wire_bytes_total
-    transport = result.metrics.transport
-
-    # Under the dynamic schedule, executed work migrates; fold the steal
-    # ledger back so the comparison is owner share vs owner share.
-    work_measured = np.array(
-        [
-            w.work_executed
-            - getattr(w, "work_stolen", 0)
-            + getattr(w, "work_shipped", 0)
-            for w in result.metrics.workers
-        ],
-        dtype=np.int64,
-    )
-    work_predicted = np.bincount(
-        owners, weights=wm.work, minlength=nprocs
-    ).astype(np.int64)
+    model = check_models(metrics, tg, result.owners,
+                         nrhs=int(result.meta.get("nrhs", 1)))
+    msgs, wire_bytes = metrics.messages_total, metrics.wire_bytes_total
+    transport = metrics.transport
 
     failures: list[str] = []
     tol = max(tolerance, 10.0 * seq_residual)
@@ -140,48 +119,33 @@ def validate_runtime(
         failures.append(
             f"residual {residual:.3e} exceeds tolerance {tol:.3e}"
         )
-    if measured_msgs != predicted.messages:
-        failures.append(
-            f"measured {measured_msgs} messages, comm_volume predicted "
-            f"{predicted.messages}"
-        )
-    if measured_bytes != predicted.bytes:
-        failures.append(
-            f"measured {measured_bytes} bytes, comm_volume predicted "
-            f"{predicted.bytes}"
-        )
-    if not np.array_equal(work_measured, work_predicted):
-        failures.append(
-            "per-worker executed work differs from the WorkModel "
-            f"distribution by up to "
-            f"{np.abs(work_measured - work_predicted).max()}"
-        )
-    if transport == "inline" and wire_bytes != measured_bytes:
+    failures.extend(model.failures)
+    if transport == "inline" and wire_bytes != metrics.bytes_total:
         failures.append(
             f"inline transport moved {wire_bytes} wire bytes, "
-            f"logical accounting says {measured_bytes}"
+            f"logical accounting says {metrics.bytes_total}"
         )
-    if transport == "shm" and wire_bytes != 64 * measured_msgs:
+    if transport == "shm" and wire_bytes != 64 * msgs:
         failures.append(
             f"shm transport moved {wire_bytes} wire bytes; expected "
-            f"header-only traffic {64 * measured_msgs}"
+            f"header-only traffic {64 * msgs}"
         )
 
     report = ValidationReport(
         problem=problem,
         mapping=result.mapping,
-        nprocs=nprocs,
+        nprocs=metrics.nprocs,
         residual=residual,
         seq_residual=seq_residual,
         factor_diff=factor_diff,
-        messages_measured=measured_msgs,
-        messages_predicted=predicted.messages,
-        bytes_measured=measured_bytes,
-        bytes_predicted=predicted.bytes,
+        messages_measured=msgs,
+        messages_predicted=model.messages_predicted,
+        bytes_measured=metrics.bytes_total,
+        bytes_predicted=model.bytes_predicted,
         wire_bytes_measured=wire_bytes,
         transport=transport,
-        work_measured=work_measured,
-        work_predicted=work_predicted,
+        work_measured=metrics.owner_work,
+        work_predicted=model.work_predicted,
         failures=failures,
     )
     if strict and failures:

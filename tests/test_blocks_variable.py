@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.blocking import blocking_report
 from repro.blocks import BlockPartition, BlockStructure, WorkModel
 from repro.blocks.variable import (
     VariableBlockPartition,
@@ -58,3 +59,15 @@ class TestVariableBlockPartition:
     def test_degenerate_policy_clamped(self, sf):
         var = VariableBlockPartition(sf, lambda d, w: 0)  # clamped to 1
         assert var.npanels == sf.n
+
+    def test_labelled_variable_with_the_shared_panel_map(self, sf):
+        """Its own policy label in the blocking report, and the column ->
+        panel map the base class builds from the same boundaries."""
+        var = VariableBlockPartition(sf, stage_varying_policy(12, 3, 3))
+        assert var.policy_name == "variable"
+        tg = TaskGraph(WorkModel(BlockStructure(var)))
+        assert blocking_report(tg)["block_policy"] == "variable"
+        widths = np.diff(var.panel_ptr)
+        assert np.array_equal(
+            var.panel_of_col, np.repeat(np.arange(var.npanels), widths)
+        )

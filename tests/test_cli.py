@@ -86,35 +86,57 @@ class TestCommands:
 
 
 class TestSuite:
-    def test_runs_the_checkout_script_from_any_directory(
-        self, tmp_path, monkeypatch
-    ):
-        import pathlib
-        import subprocess
+    @pytest.fixture
+    def fake_registry(self, monkeypatch):
+        """Two stand-in experiments; records the scale each one ran at."""
+        import repro.experiments.registry as registry
+        from repro.experiments.runner import ExperimentResult
 
-        calls = []
-        monkeypatch.setattr(
-            subprocess, "call", lambda argv: calls.append(argv) or 0
-        )
+        ran = []
+
+        def runner(name):
+            def run(scale):
+                ran.append((name, scale))
+                return ExperimentResult(name, ("a",), [(1.0,)])
+            return run
+
+        fake = {n: (runner(n), "{:.1f}") for n in ("first", "second")}
+        monkeypatch.setattr(registry, "EXPERIMENTS", fake)
+        return ran
+
+    def test_runs_the_registry_in_process_from_any_directory(
+        self, tmp_path, monkeypatch, fake_registry
+    ):
         monkeypatch.chdir(tmp_path)
         assert main(["suite", "--scale", "small"]) == 0
-        ((_, script, scale),) = calls
-        assert scale == "small"
-        script = pathlib.Path(script)
-        assert script.is_absolute() and script.is_file()
-        assert script.name == "run_all_experiments.py"
+        assert fake_registry == [("first", "small"), ("second", "small")]
+        out = tmp_path / "results" / "small"
+        assert {p.name for p in out.iterdir()} == {
+            "first.txt", "first.json", "second.txt", "second.json",
+            "ALL.txt",
+        }
 
-    def test_installed_package_exits_2_with_one_line(
-        self, tmp_path, monkeypatch, capsys
+    def test_installed_package_runs_the_suite(
+        self, tmp_path, monkeypatch, fake_registry
     ):
+        """No source checkout needed: the suite is the package's own."""
         import repro.cli
 
         fake = tmp_path / "site-packages" / "repro" / "cli.py"
         monkeypatch.setattr(repro.cli, "__file__", str(fake))
-        assert main(["suite", "--scale", "small"]) == 2
+        monkeypatch.chdir(tmp_path)
+        assert main(["suite", "--scale", "small"]) == 0
+        assert len(fake_registry) == 2
+
+    def test_unknown_experiment_lists_exactly_the_registry(self, capsys):
+        from repro.experiments.registry import EXPERIMENTS
+
+        assert main(["experiment", "tableX", "--scale", "small"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert "run_all_experiments.py not found" in err
+        known = err.strip().split("known: ", 1)[1].split(", ")
+        assert known == list(EXPERIMENTS)
+        assert len(known) == 22
 
 
 class TestTraceCommand:

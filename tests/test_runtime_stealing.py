@@ -157,12 +157,12 @@ class TestTraceConformance:
         )
         rep = replay_trace(res.trace)
         m = res.metrics
-        assert rep.migrated
+        assert rep.tasks_stolen_total
         for r, w in enumerate(m.workers):
-            assert rep.migrated_in_tasks[r] == w.tasks_stolen
-            assert rep.migrated_away_tasks[r] == w.tasks_shipped
-            assert rep.migrated_in_work[r] == w.work_stolen
-            assert rep.migrated_away_work[r] == w.work_shipped
+            assert rep.workers[r].tasks_stolen == w.tasks_stolen
+            assert rep.workers[r].tasks_shipped == w.tasks_shipped
+            assert rep.workers[r].work_stolen == w.work_stolen
+            assert rep.workers[r].work_shipped == w.work_shipped
         # Folding the migration back out conserves total work.
         assert rep.owner_work.sum() == rep.work.sum()
 

@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 from repro.analysis.comm_volume import communication_volume
-from repro.analysis.trace_replay import replay_trace, validate_trace
+from repro.analysis.trace_replay import REPLAYED, replay_trace, validate_trace
 from repro.runtime import (
     CrashSpec,
     FaultPlan,
     plan_owners,
 )
+from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.trace import DEFAULT_CAPACITY, RunTrace, TraceRecorder
 from tests.conftest import facade_job, mp_fanout
 
@@ -77,13 +78,14 @@ class TestFaultFreeConformance:
         res, tg, owners = traced_run
         rep = replay_trace(res.trace)
         met = res.metrics
-        assert int(rep.messages_sent.sum()) == met.messages_total
-        assert int(rep.bytes_sent.sum()) == met.bytes_total
+        assert rep.messages_total == met.messages_total
+        assert rep.bytes_total == met.bytes_total
         predicted = communication_volume(tg, owners)
-        assert int(rep.messages_sent.sum()) == predicted.messages
-        assert int(rep.bytes_sent.sum()) == predicted.bytes
+        assert rep.messages_total == predicted.messages
+        assert rep.bytes_total == predicted.bytes
         # Conservation inside the run: every sent frame was received.
-        assert int(rep.messages_received.sum()) == met.messages_total
+        assert sum(w.messages_received for w in rep.workers) == \
+            met.messages_total
 
     def test_replay_reconciles_exactly(self, traced_run):
         res, tg, owners = traced_run
@@ -96,11 +98,20 @@ class TestFaultFreeConformance:
         for w in res.metrics.workers:
             # Bitwise-equal float sums: the trace mirrors every timeline
             # segment with identical endpoints in identical order.
-            assert rep.busy_s[w.rank] == w.busy_s
-            assert rep.comm_s[w.rank] == w.comm_s
-            assert rep.idle_s[w.rank] == w.idle_s
-            assert rep.work[w.rank] == w.work_executed
+            mine = rep.workers[w.rank]
+            assert mine.busy_s == w.busy_s
+            assert mine.comm_s == w.comm_s
+            assert mine.idle_s == w.idle_s
+            assert mine.work_executed == w.work_executed
         assert abs(rep.work_balance - res.metrics.work_balance) < 1e-9
+
+    def test_replay_is_the_runs_own_metrics(self, traced_run):
+        res, tg, owners = traced_run
+        rep = replay_trace(res.trace)
+        assert isinstance(rep, RuntimeMetrics)
+        assert rep.measured_balance == res.metrics.measured_balance
+        assert rep.work_balance == res.metrics.work_balance
+        assert rep.messages_total == res.metrics.messages_total
 
     def test_trace_counters_in_metrics(self, traced_run):
         res, tg, owners = traced_run
@@ -144,6 +155,46 @@ class TestFaultFreeConformance:
         assert "#" in chart  # some busy time is always visible
 
 
+#: Every WorkerMetrics field a trace replays, spelled out: dropping one
+#: from ``REPLAYED`` fails its case below, adding one fails the first test.
+REPLAYED_FIELDS = (
+    "busy_s", "comm_s", "idle_s",
+    "tasks_executed", "ops_executed", "task_counts",
+    "flops_executed", "work_executed",
+    "messages_sent", "bytes_sent", "messages_received", "bytes_received",
+    "wire_bytes_sent", "wire_bytes_received",
+    "steal_reqs_sent", "steal_grants", "steal_denies",
+    "tasks_stolen", "tasks_shipped", "work_stolen", "work_shipped",
+    "solve_busy_s", "solve_comm_s", "solve_idle_s",
+    "solve_tasks_executed", "solve_task_counts", "solve_work_executed",
+    "solve_messages_sent", "solve_bytes_sent",
+    "solve_messages_received", "solve_bytes_received",
+)
+
+
+class TestEveryReplayedFieldIsChecked:
+    def test_the_fields_are_exactly_these(self):
+        assert set(REPLAYED) == set(REPLAYED_FIELDS)
+
+    @pytest.mark.parametrize("name", REPLAYED_FIELDS)
+    def test_a_perturbed_field_fails_by_name(self, traced_run, name):
+        res, tg, owners = traced_run
+        metrics = RuntimeMetrics.from_dict(res.metrics.to_dict())
+        assert validate_trace(res.trace, metrics=metrics).ok
+        w = metrics.workers[1]
+        value = getattr(w, name)
+        if isinstance(value, dict):
+            value = dict(value)
+            value[next(iter(value))] += 1
+        else:
+            value += 1
+        setattr(w, name, value)
+        report = validate_trace(res.trace, metrics=metrics, strict=False)
+        assert not report.ok
+        assert any(f.startswith(f"worker 1: replayed {name} ")
+                   for f in report.failures), report.failures
+
+
 def _covered(spans):
     """Seconds covered by the union of ``(t0, t1)`` spans."""
     total, end = 0.0, -np.inf
@@ -171,7 +222,7 @@ class TestTwoRowGrid:
                   if e.cat == "task" and "publish_s" in e.args]
         assert nested and all(e.name.startswith("PFAC") for e in nested)
         for w in res.metrics.workers:
-            assert report.replay.busy_s[w.rank] == w.busy_s
+            assert report.replay.workers[w.rank].busy_s == w.busy_s
             assert w.busy_s + w.comm_s + w.idle_s <= w.pump_s
             spans = [(e.t0, e.t1) for e in res.trace.events
                      if e.rank == w.rank and e.cat != "mark"]

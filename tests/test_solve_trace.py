@@ -94,23 +94,23 @@ class TestReplay:
         worker, for the whole solve plane."""
         res, tg, owners = traced_solve
         rep = replay_trace(res.trace)
-        assert rep.solved
+        assert rep.solve_tasks_total
         for w in res.metrics.workers:
-            r = w.rank
-            assert rep.solve_busy_s[r] == w.solve_busy_s
-            assert rep.solve_comm_s[r] == w.solve_comm_s
-            assert rep.solve_idle_s[r] == w.solve_idle_s
-            assert int(rep.solve_tasks[r]) == w.solve_tasks_executed
-            assert int(rep.solve_work[r]) == w.solve_work_executed
-            assert rep.solve_task_counts[r] == w.solve_task_counts
-            assert int(rep.solve_messages_sent[r]) == w.solve_messages_sent
-            assert int(rep.solve_bytes_sent[r]) == w.solve_bytes_sent
+            mine = rep.workers[w.rank]
+            assert mine.solve_busy_s == w.solve_busy_s
+            assert mine.solve_comm_s == w.solve_comm_s
+            assert mine.solve_idle_s == w.solve_idle_s
+            assert mine.solve_tasks_executed == w.solve_tasks_executed
+            assert mine.solve_work_executed == w.solve_work_executed
+            assert mine.solve_task_counts == w.solve_task_counts
+            assert mine.solve_messages_sent == w.solve_messages_sent
+            assert mine.solve_bytes_sent == w.solve_bytes_sent
             assert (
-                int(rep.solve_messages_received[r])
+                mine.solve_messages_received
                 == w.solve_messages_received
             )
             assert (
-                int(rep.solve_bytes_received[r])
+                mine.solve_bytes_received
                 == w.solve_bytes_received
             )
 
@@ -118,10 +118,12 @@ class TestReplay:
         res, tg, owners = traced_solve
         rep = replay_trace(res.trace)
         pred = solve_communication_volume(tg, owners, nrhs=NRHS)
-        assert int(rep.solve_messages_sent.sum()) == pred.messages
-        assert int(rep.solve_bytes_sent.sum()) == pred.bytes
-        assert int(rep.solve_messages_received.sum()) == pred.messages
-        assert int(rep.solve_bytes_received.sum()) == pred.bytes
+        assert rep.solve_messages_total == pred.messages
+        assert rep.solve_bytes_total == pred.bytes
+        assert sum(
+            w.solve_messages_received for w in rep.workers
+        ) == pred.messages
+        assert sum(w.solve_bytes_received for w in rep.workers) == pred.bytes
 
     def test_validate_strict_includes_solve_check(self, traced_solve):
         res, tg, owners = traced_solve
@@ -129,7 +131,7 @@ class TestReplay:
             res.trace, metrics=res.metrics, tg=tg, owners=owners,
             strict=True,
         )
-        assert report.ok, report.problems
+        assert report.ok, report.failures
         assert any("solve" in c for c in report.checks)
 
     def test_dynamic_schedule_validates_too(self, grid12_pipeline):
@@ -140,7 +142,7 @@ class TestReplay:
             res.trace, metrics=res.metrics, tg=tg, owners=owners,
             strict=True,
         )
-        assert report.ok, report.problems
+        assert report.ok, report.failures
 
     def test_round_trip_preserves_solve_events(self, traced_solve,
                                                tmp_path):
