@@ -9,11 +9,11 @@ metrics measure geometry directly:
   is panel K's width. Median/max ``m * n`` (the tile area the fused kernel
   sweeps) is the "bigger dgemm tiles" half of the blocking win; wider
   panels also raise ``k``, the reuse dimension.
-* :func:`arena_padding_stats` — the shm arena stores each block's logical
-  payload in a :data:`~repro.runtime.arena.SLOT_ALIGN`-aligned slot, so
-  its only dead space is per-slot tail padding. Fewer, wider panels mean
-  fewer slots and a smaller padded fraction; this is the "less padding
-  waste" half.
+* :func:`arena_padding_stats` — the shm transport's shared store (the
+  numeric plan's slab layout, :mod:`repro.runtime.arena`) keeps each
+  diagonal block as its whole ``w x w`` square, so its dead words are the
+  diagonal blocks' strict upper triangles, ``w (w - 1) / 2`` per panel:
+  wider panels cost more of them.
 
 :func:`blocking_report` bundles both with the partition's width profile —
 the dict the bench sweep records per (problem, policy).
@@ -24,13 +24,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fanout.tasks import BMOD
-from repro.runtime.arena import ArenaLayout
 
 __all__ = ["dgemm_tile_stats", "arena_padding_stats", "blocking_report"]
 
 
 def _block_extents(tg) -> tuple[np.ndarray, np.ndarray]:
-    """Per-block (rows, cols) logical extents, mirroring ``ArenaLayout``."""
+    """Per-block (rows, cols) logical extents, a diagonal block ``w x w``."""
     part = tg.workmodel.structure.partition
     widths = np.asarray(part.widths, dtype=np.int64)
     J = np.asarray(tg.block_J, dtype=np.int64)
@@ -75,17 +74,20 @@ def dgemm_tile_stats(tg) -> dict:
 
 
 def arena_padding_stats(tg) -> dict:
-    """Dead-space accounting of the shm arena layout ``tg`` implies."""
-    lay = ArenaLayout(tg)
-    pct = (
-        100.0 * lay.padding_bytes / lay.total_bytes if lay.total_bytes else 0.0
-    )
+    """Dead-space accounting of the shm transport's shared store: the
+    logical payload of every block (``tg.block_words``) and the strict
+    upper triangles of the diagonal squares, in bytes."""
+    rows, cols = _block_extents(tg)
+    diag = np.asarray(tg.block_I) == np.asarray(tg.block_J)
+    payload = 8 * int(np.asarray(tg.block_words, dtype=np.int64).sum())
+    padding = 8 * int((cols[diag] * (cols[diag] - 1) // 2).sum())
+    total = payload + padding
     return {
-        "nblocks": lay.nblocks,
-        "payload_bytes": lay.payload_bytes,
-        "padding_bytes": lay.padding_bytes,
-        "total_bytes": lay.total_bytes,
-        "padding_pct": pct,
+        "nblocks": int(rows.shape[0]),
+        "payload_bytes": payload,
+        "padding_bytes": padding,
+        "total_bytes": total,
+        "padding_pct": 100.0 * padding / total if total else 0.0,
     }
 
 

@@ -21,8 +21,11 @@ From that layout the plan derives, with whole-matrix array operations only:
   (:attr:`panel_rows`),
 * the CSC pattern of ``L`` and the gather out of the slab layout
   (:meth:`csc_pattern`),
-* the ``arena -> store`` copy map of the shared-memory transport's block
-  arena (:meth:`arena_map`, applied by :meth:`from_arena`).
+* where each block lies in the store (:meth:`block_spans`) and, for a
+  set of blocks, the runs of words they span and the entries of ``A``
+  that land there (:meth:`init_map`): a rank's share of the initial
+  state when the ranks of the shared-memory transport factor one store
+  in place.
 
 The plan is derived state: :class:`BlockStructure` builds it on demand and
 leaves it out of its pickled form.
@@ -33,8 +36,6 @@ from __future__ import annotations
 from itertools import islice
 
 import numpy as np
-
-from repro.util.arrays import tril_flat
 
 
 def _ragged_arange(starts, lengths, dtype=np.intp, step=None) -> np.ndarray:
@@ -130,7 +131,7 @@ class NumericPlan:
             ptr[:-1].tolist(), ptr[1:].tolist(), structure.rows_below
         ))
         self._compile_bmod(structure)
-        self._scatter = self._csc = self._arena = None
+        self._scatter = self._csc = None
 
     def _locate(self, panel: np.ndarray, row: np.ndarray) -> np.ndarray | None:
         """Positions of the ``(panel, row)`` pairs in the end-to-end
@@ -167,6 +168,7 @@ class NumericPlan:
             self._slab_ptr[pair_K]
             + (self._widths[pair_K] + blk_lo) * self._widths[pair_K]
         )
+        self._sub_size = blk_cnt * self._widths[pair_K]
         pair_len = self._nbelow[pair_K] - blk_lo
         pair_off = np.cumsum(pair_len) - pair_len
         rows = rows_cat[_ragged_arange(below_ptr[pair_K] + blk_lo, pair_len)]
@@ -277,47 +279,44 @@ class NumericPlan:
         return self._csc
 
     # ------------------------------------------------------------------
-    def arena_map(self, layout) -> tuple[np.ndarray, np.ndarray]:
-        """``(src, dest)``: copying word ``src[i]`` of the block arena laid
-        out by ``layout`` (a :class:`repro.runtime.arena.ArenaLayout` of
-        this structure's task graph) to ``dest[i]`` of a zeroed store fills
-        every block — a subdiagonal slot is its slab rows verbatim, a
-        diagonal slot's packed triangle lands on the lower triangle of the
-        slab's first ``w`` rows, whose upper triangle stays zero (the
-        square ``wire.unpack`` builds). Compiled on first use; the layout
-        is a function of the structure, so there is one map per plan."""
-        if self._arena is None:
-            N = len(self.slabs)
-            I, K = layout.block_I, layout.block_J
-            word = layout.offsets[:-1] // 8
-            nwords = layout.logical_words
-            sub = np.flatnonzero(~layout.diag)
-            pos = np.searchsorted(self._sub_keys, K[sub] * N + I[sub])
-            stype = _index_dtype(layout.total_bytes // 8 + 1)
-            dtype = _index_dtype(self.size + 1)
-            src = [_ragged_arange(word[sub], nwords[sub], stype)]
-            dest = [_ragged_arange(self._sub_start[pos], nwords[sub], dtype)]
-            # Diagonal blocks, one array pass per distinct width.
-            diag = np.flatnonzero(layout.diag)
-            for w in np.unique(self._widths).tolist():
-                blocks = diag[self._widths[K[diag]] == w]
-                tri = tril_flat(w)
-                src.append(word[blocks][:, None] + np.arange(tri.shape[0]))
-                dest.append(self._slab_ptr[K[blocks]][:, None] + tri)
-            src = np.concatenate([a.ravel() for a in src], dtype=stype)
-            dest = np.concatenate([a.ravel() for a in dest], dtype=dtype)
-            if src.shape[0] != int(nwords.sum()) or np.any(
-                np.bincount(dest, minlength=self.size) > 1
-            ):
-                raise ValueError("arena layout disagrees with the structure")
-            self._arena = (src, dest)
-        return self._arena
+    def block_spans(self, I, J) -> tuple[np.ndarray, np.ndarray]:
+        """``(start, size)``: the first store word of block ``(I[b],
+        J[b])`` of the structure and the words it spans — a diagonal block
+        its whole ``w x w`` square, a subdiagonal one its slab rows."""
+        I = np.asarray(I, dtype=np.int64)
+        J = np.asarray(J, dtype=np.int64)
+        start = self._slab_ptr[J]
+        size = self._widths[J] ** 2
+        sub = np.flatnonzero(I != J)
+        key = J[sub] * len(self.slabs) + I[sub]
+        pos = np.searchsorted(self._sub_keys, key)
+        start[sub] = self._sub_start[pos]
+        size[sub] = self._sub_size[pos]
+        return start, size
 
-    def from_arena(self, layout, words: np.ndarray) -> np.ndarray:
-        """A new packed store holding every block of the arena whose
-        float64 ``words`` are laid out by ``layout`` — one indexed copy
-        through :meth:`arena_map`, private memory."""
-        src, dest = self.arena_map(layout)
-        store = np.zeros(self.size)
-        store[dest] = words[src]
-        return store
+    def init_map(self, indptr: np.ndarray, indices: np.ndarray, start,
+                 size) -> tuple[list, np.ndarray, np.ndarray]:
+        """``(runs, src, at)`` for the blocks spanning ``size[b]`` store
+        words from ``start[b]`` (:meth:`block_spans`): their words as
+        ascending runs ``(lo, hi, off)`` — store words ``lo..hi - 1`` are
+        positions ``off..`` of the runs laid end to end — and the entries
+        of a CSC matrix of this pattern that land there. Setting the runs
+        to ``data[src]`` summed at ``at`` (positions in the runs), zero
+        elsewhere, is the :meth:`scatter_map` of ``A`` restricted to those
+        blocks, each word's entries summed in the same order."""
+        order = np.argsort(start, kind="stable")
+        start = np.asarray(start, dtype=np.int64)[order]
+        stop = start + np.asarray(size, dtype=np.int64)[order]
+        head = np.ones(start.shape[0], dtype=bool)
+        head[1:] = start[1:] != stop[:-1]  # a block that starts a run
+        lo, hi = start[head], stop[np.append(head[1:], True)]
+        off = np.cumsum(hi - lo) - (hi - lo)
+        dtype = _index_dtype(self.size + 1)
+        local = np.full(self.size, -1, dtype=dtype)
+        local[_ragged_arange(lo, hi - lo, dtype)] = np.arange(
+            int((hi - lo).sum()), dtype=dtype)
+        src, dest = self.scatter_map(indptr, indices)
+        at = local[dest]
+        keep = np.flatnonzero(at >= 0)
+        runs = list(zip(lo.tolist(), hi.tolist(), off.tolist()))
+        return runs, src[keep], at[keep]

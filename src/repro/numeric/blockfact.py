@@ -44,7 +44,9 @@ class BlockCholesky:
     scatter of ``A`` to :meth:`to_csc`: the kernels write their outputs back
     into the views, and a block installed from elsewhere is copied in. So a
     panel's rows are always one row-major slab, which is what lets one
-    dgemm read the stacked rows of a panel update.
+    dgemm read the stacked rows of a panel update. The store may also be
+    external (:meth:`over`): the shared-memory segment the ranks of the
+    shm transport factor in place, each on the blocks it owns.
     """
 
     def __init__(self, structure: BlockStructure, A: sparse.spmatrix):
@@ -67,15 +69,26 @@ class BlockCholesky:
         (``store`` None) for a caller that installs every block itself,
         or a packed store the caller filled with the finished factor, laid
         out by the structure's numeric plan."""
-        self = cls.__new__(cls)
-        plan = structure.numeric_plan()
         filled = store is not None
         if not filled:
-            store = np.zeros(plan.size)
-        elif store.shape != (plan.size,):
-            raise ValueError("store size disagrees with the block structure")
-        self._adopt(structure, plan, store)
+            store = np.zeros(structure.numeric_plan().size)
+        self = cls.over(structure, store)
         self._factored[:] = filled
+        return self
+
+    @classmethod
+    def over(cls, structure: BlockStructure,
+             store: np.ndarray) -> "BlockCholesky":
+        """Blocks carved out of an external packed ``store`` laid out by
+        the structure's numeric plan (on the shared-memory transport, the
+        segment every rank factors in place), taken as it is: nothing is
+        scattered and no block is factored yet (:meth:`scatter` starts a
+        factorization)."""
+        plan = structure.numeric_plan()
+        if store.shape != (plan.size,):
+            raise ValueError("store size disagrees with the block structure")
+        self = cls.__new__(cls)
+        self._adopt(structure, plan, store)
         return self
 
     def _adopt(self, structure: BlockStructure, plan, store: np.ndarray) -> None:
@@ -105,17 +118,31 @@ class BlockCholesky:
         self.flops = 0
         self._factored = np.zeros(len(self.diag), dtype=bool)
 
-    def install(self, i: int, j: int, block: np.ndarray,
+    def scatter(self, runs, src: np.ndarray, at: np.ndarray,
+                values: np.ndarray) -> None:
+        """Start a factorization over the store's ``runs`` only — the
+        ``(lo, hi, off)`` word runs of
+        :meth:`~repro.blocks.plan.NumericPlan.init_map` — setting them to
+        the entries of ``A`` (``values``, its CSC data) that land there:
+        ``values[src]`` summed at ``at``, zero elsewhere. No block is
+        factored yet."""
+        n = runs[-1][2] + runs[-1][1] - runs[-1][0] if runs else 0
+        words = np.bincount(at, weights=values[src], minlength=n)
+        for lo, hi, off in runs:
+            self.store[lo:hi] = words[off : off + hi - lo]
+        self.flops = 0
+        self._factored[:] = False
+
+    def install(self, i: int, j: int, block: np.ndarray | None,
                 final: bool = True) -> None:
         """Copy ``block`` into block ``(i, j)`` — computed elsewhere (a
-        gathered frame, a migrated task's state). ``final``
-        marks a diagonal block as factored."""
-        if i != j:
-            self.below[j][i][...] = block
-        else:
-            self.diag[j][...] = block
-            if final:
-                self._factored[j] = True
+        gathered frame, a migrated task's state); None when it is already
+        in place (a shared store). ``final`` marks a diagonal block as
+        factored."""
+        if block is not None:
+            (self.below[j][i] if i != j else self.diag[j])[...] = block
+        if i == j and final:
+            self._factored[j] = True
 
     # ------------------------------------------------------------------
     # Block operations

@@ -86,7 +86,7 @@ def trtrs_lower(
     ``B``'s buffer when ``overwrite_b`` and ``B`` is Fortran-contiguous.
 
     ``L_KK`` is forced C-contiguous first (a no-op for a block out of
-    :func:`bfac_kernel`, a link or an arena slot): LAPACK wants Fortran
+    :func:`bfac_kernel`, a link or the shared store): LAPACK wants Fortran
     order, so a C-ordered triangle is solved as its transpose — an upper
     triangle, the opposite ``trans`` — while an F-ordered one takes the
     plain call, and the two round differently. One canonical layout is

@@ -49,8 +49,8 @@ __all__ = [
 # Solve kernels
 #
 # Every factor block is forced C-contiguous before the LAPACK / BLAS
-# call: a diagonal block is C-ordered out of ``bfac_kernel``, a link or an
-# arena slot but may be handed over in any layout, and LAPACK rounds
+# call: a diagonal block is C-ordered out of ``bfac_kernel``, a link or
+# the shared store but may be handed over in any layout, and LAPACK rounds
 # differently per layout (see ``trtrs_lower``). Normalizing here is what
 # makes the distributed solve bitwise-identical to this sequential
 # reference. The two triangular solves are one ``dtrtrs`` each, through

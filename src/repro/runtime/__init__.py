@@ -12,7 +12,8 @@ against the sequential factorization, the static communication-volume
 predictor, and the work model.
 
 Layers: :mod:`~repro.runtime.wire` (block serialization, CRC32 integrity),
-:mod:`~repro.runtime.arena` (the zero-copy shared-memory block transport),
+:mod:`~repro.runtime.arena` (the shared-memory factor store every rank
+factors in place),
 :mod:`~repro.runtime.links` (the interconnect stand-in, frame coalescing),
 :mod:`~repro.runtime.scheduler` (per-worker ready queues),
 :mod:`~repro.runtime.worker` (the event loop),
@@ -28,7 +29,6 @@ the one-call driver and the outcome-to-result step),
 
 from repro.runtime.arena import (
     TRANSPORTS,
-    ArenaLayout,
     BlockArena,
     resolve_transport,
     shm_available,
@@ -78,7 +78,6 @@ from repro.runtime.worker import Worker, WorkerResult
 
 __all__ = [
     "TRANSPORTS",
-    "ArenaLayout",
     "BlockArena",
     "resolve_transport",
     "shm_available",

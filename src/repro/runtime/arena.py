@@ -1,53 +1,44 @@
-"""Shared-memory block arena: the zero-copy transport backing store.
+"""Shared-memory factor store: the shm transport's one copy of the factor.
 
-One POSIX shared-memory segment per run holds every factor block in a
-pre-assigned *slot*. The slot map (:class:`ArenaLayout`) is a pure function
-of the :class:`~repro.fanout.tasks.TaskGraph`, so the driver and every
-worker compute byte-identical layouts independently — no layout metadata
-ever travels on a link. A worker that completes a block writes it straight
-into its slot and fans out a 64-byte ``BLOCK_REF`` descriptor
-(:func:`repro.runtime.wire.pack_block_ref`) naming the slot; consumers map
-the slot read-only with ``np.ndarray(buffer=shm.buf, ...)`` and apply
-``bmod`` against it with zero payload copies.
+One POSIX shared-memory segment per pattern holds the whole factor in the
+layout of the structure's :class:`~repro.blocks.plan.NumericPlan` —
+``plan.size`` float64 words, panel K one row-major ``(w + r) x w`` slab
+whose first ``w`` rows are its diagonal block — the layout every
+:class:`~repro.numeric.blockfact.BlockCholesky` already uses. Each worker's
+factor is a view of it (:attr:`BlockArena.factor`, carved once per
+attachment): a rank sets the words of the blocks it owns to its share of
+``A`` (the per-rank word map of
+:meth:`repro.runtime.pool.PatternContext.init_map`), runs PFAC / PMOD in
+place on them, and reads a peer's final block where its owner wrote it.
+No block is ever copied between ranks.
 
-Integrity: the descriptor carries a CRC32 of the slot bytes at send time.
-:meth:`BlockArena.resolve` recomputes it on receipt, so a corrupted slot
-(or a descriptor whose slot metadata was bit-flipped in flight — the frame
-header CRC covers that) surfaces as the same
-:class:`~repro.runtime.wire.CorruptFrameError` the inline transport raises,
-and the job aborts and re-runs.
+Descriptors: a rank that finishes a block takes its CRC32 once
+(:meth:`BlockArena.checksum`) and fans out a 64-byte ``BLOCK_REF``
+(:meth:`BlockArena.pack_ref`, :func:`repro.runtime.wire.pack_block_ref`)
+naming it: the byte offset of its first word, its ``rows x cols`` and its
+*logical* payload words (``tg.block_words``, what the static predictor
+charges, so byte accounting is transport-independent), and that CRC. The
+layout is a function of the structure, so the driver and every worker
+build the same block table independently and none of it travels.
+:meth:`BlockArena.check` holds a descriptor to the table and the block's
+stored bytes to its CRC; a disagreement is the same
+:class:`~repro.runtime.wire.CorruptFrameError` the inline transport
+raises for a corrupt payload, and the job aborts and re-runs. Once peers
+read each other's blocks in place, that check is the only guard against
+reading the wrong words.
 
-Storage: slots are row-major float64 and hold exactly the *logical*
-payload — ``tg.block_words[b]`` words. A subdiagonal block is the dense
-``rows x w`` rectangle; a diagonal block is the packed lower triangle
-(``w * (w + 1) / 2`` words, row-major ``np.tril_indices`` order — byte
-identical to the inline ``BLOCK`` payload ``wire.pack_block`` produces:
-both are :func:`repro.runtime.wire.payload_words`).
-Consumers never see the packed form: :meth:`BlockArena.view` /
-:meth:`BlockArena.read` / :meth:`BlockArena.resolve` unpack a diagonal
-slot into the same freshly-allocated C-contiguous zero-upper square that
-``wire.unpack`` builds on the inline transport, so kernel inputs are
-bitwise identical across transports (``dtrtrs`` rounds differently for a
-C- and an F-contiguous triangle, so the layout must match, not just the
-values). Packing matters under variable blocking: square diagonal
-slots waste ``w^2 / 2`` words of dead upper triangle, a cost that grows
-quadratically with the wide panels the supernodal policy produces.
+The CRC covers a block's stored words: a subdiagonal block's slab rows, a
+diagonal block's whole ``w x w`` square (its upper triangle is dead —
+zero once ``bfac`` wrote ``L_KK`` — and is the store's only dead space).
 
-Each slot starts on a :data:`SLOT_ALIGN`-byte boundary (cache-line
-alignment for the zero-copy bmod reads); the tail padding between a slot's
-payload and the next slot's offset is the arena's only dead space, and
-``ArenaLayout.padding_bytes`` reports it.
+The store is also the gather: a clean job ships no block home. Each rank
+reports the ids of its blocks and the CRC it took of each when it
+published it; the driver makes one copy of the store into private memory
+(the next job of the pattern factors in the segment again) and checks
+every block against its CRC (:meth:`BlockArena.checksums`) — the
+segment is quiescent between two jobs, so the copy holds the same bytes.
 
-The arena is also the gather: a clean job ships no block home. Each rank
-reports the ids of its owned blocks and a running CRC32 of their payload,
-computed from the values it holds; the driver copies every slot into a
-private packed store (:meth:`repro.blocks.plan.NumericPlan.from_arena` —
-the slots are reused by the pattern's next job) and recomputes each rank's
-CRC from the slots (:meth:`BlockArena.running_crc`). Per-slot look-ups
-(offset, extents, the mapped view) are tables built once per layout / per
-attachment.
-
-Lifecycle: a pattern's plan creates the arena (:meth:`BlockArena.create`);
+Lifecycle: a pattern's plan creates the segment (:meth:`BlockArena.create`);
 its owner — a one-shot call, a façade instance, the service — unlinks it
 (:meth:`BlockArena.destroy`) on every exit path. Workers only attach
 (:meth:`BlockArena.attach`), so no ``/dev/shm`` segment outlives its owner.
@@ -61,20 +52,15 @@ from functools import cached_property
 import numpy as np
 
 from repro.config import TRANSPORTS
+from repro.numeric.blockfact import BlockCholesky
 from repro.runtime import wire
 
 __all__ = [
-    "ArenaLayout",
     "BlockArena",
     "shm_available",
     "resolve_transport",
     "TRANSPORTS",
-    "SLOT_ALIGN",
 ]
-
-#: Every slot offset is a multiple of this (bytes). 64 = one cache line;
-#: it also keeps float64 alignment trivially satisfied.
-SLOT_ALIGN = 64
 
 _SHM_PROBED: bool | None = None
 
@@ -111,9 +97,7 @@ def resolve_transport(transport: str, nprocs: int) -> str:
         raise ValueError(
             f"transport must be one of {TRANSPORTS}, got {transport!r}"
         )
-    if transport == "inline":
-        return "inline"
-    if transport == "auto" and nprocs < 2:
+    if transport == "inline" or (transport == "auto" and nprocs < 2):
         return "inline"
     if shm_available():
         return "shm"
@@ -158,62 +142,30 @@ def _attach_untracked(name: str):
         resource_tracker.register = orig_register
 
 
-class ArenaLayout:
-    """Deterministic block -> slot map derived from a :class:`TaskGraph`.
-
-    Slot ``b`` stores exactly the logical payload of global block ``b``
-    (``tg.block_words[b]`` float64 words): the packed lower triangle for a
-    diagonal block, the dense row-major ``rows x w`` rectangle for a
-    subdiagonal block. ``rows``/``cols`` are the block's *logical* extents
-    (a diagonal block reports ``w x w`` even though its slot holds the
-    triangle) — they are what descriptors advertise and what consumers see
-    after unpacking. Slot offsets are :data:`SLOT_ALIGN`-aligned; the
-    widths come from the partition, so uniform and supernodal policies each
-    get a layout that fits their panels exactly. ``slots[b]`` is slot
-    ``b`` as Python ints, ``(offset, rows, cols, words)`` — what the
-    per-block operations of :class:`BlockArena` read.
-    """
-
-    __slots__ = ("nblocks", "rows", "cols", "diag", "offsets",
-                 "logical_words", "block_I", "block_J", "total_bytes",
-                 "payload_bytes", "padding_bytes", "slots")
-
-    def __init__(self, tg):
-        part = tg.workmodel.structure.partition
-        widths = np.asarray(part.widths, dtype=np.int64)
-        I = np.asarray(tg.block_I, dtype=np.int64)
-        J = np.asarray(tg.block_J, dtype=np.int64)
-        diag = I == J
-        cols = widths[J]
-        logical = np.asarray(tg.block_words, dtype=np.int64)
-        rows = np.where(diag, cols, logical // np.maximum(cols, 1))
-        self.nblocks = int(I.shape[0])
-        self.rows = rows
-        self.cols = cols
-        self.diag = diag
-        self.logical_words = logical
-        self.block_I = I
-        self.block_J = J
-        slot_bytes = logical * 8
-        spans = -(-slot_bytes // SLOT_ALIGN) * SLOT_ALIGN  # ceil to align
-        self.offsets = np.zeros(self.nblocks + 1, dtype=np.int64)
-        np.cumsum(spans, out=self.offsets[1:])
-        self.total_bytes = int(self.offsets[-1])
-        self.payload_bytes = int(slot_bytes.sum())
-        self.padding_bytes = self.total_bytes - self.payload_bytes
-        self.slots = list(zip(
-            self.offsets[:-1].tolist(), rows.tolist(), cols.tolist(),
-            logical.tolist(),
-        ))
-
-
 class BlockArena:
-    """A shared-memory segment holding one slot per factor block."""
+    """A shared-memory segment holding the factor store of a task graph's
+    structure, and the table of where each of its blocks lies."""
 
-    def __init__(self, layout: ArenaLayout, shm, owner: bool):
-        self.layout = layout
+    def __init__(self, tg, shm, owner: bool):
+        self.structure = tg.workmodel.structure
+        plan = self.structure.numeric_plan()
+        if shm.size < 8 * plan.size:
+            raise ValueError(
+                f"arena segment {shm.name!r} is {shm.size} bytes, the "
+                f"store needs {8 * plan.size}"
+            )
         self.shm = shm
         self.owner = owner
+        self.size = plan.size
+        start, size = plan.block_spans(tg.block_I, tg.block_J)
+        cols = np.asarray(self.structure.partition.widths)[tg.block_J]
+        #: Per block, its descriptor fields ``(offset, rows, cols, words)``
+        #: as Python ints: its ``rows x cols`` stored words start at byte
+        #: ``offset`` of the store; ``words`` is its logical payload.
+        self.refs = list(zip(
+            (8 * start).tolist(), (size // cols).tolist(), cols.tolist(),
+            np.asarray(tg.block_words).tolist(),
+        ))
 
     @property
     def name(self) -> str:
@@ -221,115 +173,81 @@ class BlockArena:
 
     @classmethod
     def create(cls, tg) -> "BlockArena":
-        """Driver side: allocate the segment (layout computed from ``tg``)."""
+        """Driver side: allocate the segment."""
         from multiprocessing import shared_memory
 
-        layout = ArenaLayout(tg)
-        shm = shared_memory.SharedMemory(
-            create=True, size=max(1, layout.total_bytes)
-        )
-        return cls(layout, shm, owner=True)
+        size = 8 * tg.workmodel.structure.numeric_plan().size
+        shm = shared_memory.SharedMemory(create=True, size=max(1, size))
+        return cls(tg, shm, owner=True)
 
     @classmethod
     def attach(cls, tg, name: str) -> "BlockArena":
         """Worker side: map the driver's segment (never unlinks it)."""
-        layout = ArenaLayout(tg)
-        shm = _attach_untracked(name)
-        if shm.size < layout.total_bytes:
-            raise ValueError(
-                f"arena segment {name!r} is {shm.size} bytes, layout "
-                f"needs {layout.total_bytes}"
-            )
-        return cls(layout, shm, owner=False)
+        return cls(tg, _attach_untracked(name), owner=False)
 
-    # -- slot access ----------------------------------------------------
+    # -- block access ---------------------------------------------------
 
     @cached_property
-    def words(self) -> np.ndarray:
-        """The whole segment as float64 words (slot ``b`` starts at word
-        ``offsets[b] // 8``)."""
-        return np.ndarray(
-            (self.layout.total_bytes // 8,), dtype=np.float64,
-            buffer=self.shm.buf,
-        )
+    def store(self) -> np.ndarray:
+        """The factor store: the segment as ``plan.size`` float64 words."""
+        return np.ndarray((self.size,), dtype=np.float64, buffer=self.shm.buf)
 
     @cached_property
-    def _slots(self) -> list[np.ndarray]:
-        """Per slot, the writable view of its stored words, mapped once
-        per attachment: ``rows x cols`` for a subdiagonal block, the flat
-        packed triangle for a diagonal one."""
-        words, lay = self.words, self.layout
-        return [
-            words[off // 8 : off // 8 + n] if diag
-            else words[off // 8 : off // 8 + n].reshape(rows, cols)
-            for (off, rows, cols, n), diag in zip(lay.slots, lay.diag.tolist())
-        ]
+    def factor(self) -> BlockCholesky:
+        """The factor whose every block is a view of the store, carved
+        once per attachment (:meth:`BlockCholesky.over`)."""
+        return BlockCholesky.over(self.structure, self.store)
+
+    @cached_property
+    def _blocks(self) -> list[np.ndarray]:
+        """Per block, the writable ``rows x cols`` view of its words."""
+        store = self.store
+        return [store[off // 8 : off // 8 + rows * cols].reshape(rows, cols)
+                for off, rows, cols, _ in self.refs]
 
     def write(self, b: int, array: np.ndarray) -> None:
-        """Copy a completed block into its slot (the producer's one copy).
-
-        Diagonal blocks are handed over as the full square (however the
-        kernel laid it out — bfac yields Fortran order) and stored packed.
-        """
-        slot = self._slots[b]
-        np.copyto(slot, wire.payload_words(array, slot.ndim == 1))
+        """Copy ``array`` (``rows x cols``, any memory layout; a diagonal
+        block is its whole square) into block ``b``."""
+        self._blocks[b][...] = array
 
     def view(self, b: int) -> np.ndarray:
-        """Consumer-side mapping of slot ``b``: a read-only zero-copy view
-        for subdiagonal blocks; for diagonal blocks (the packed triangle
-        is a storage format, never a kernel input) the fresh square
-        ``wire.unpack`` builds for an inline payload, so kernels see
-        bitwise-equal inputs on both transports."""
-        slot = self._slots[b]
-        if slot.ndim == 1:
-            return wire.square_from_packed(slot, self.layout.slots[b][2])
-        v = slot.view()
+        """A read-only view of block ``b`` where it lies in the store."""
+        v = self._blocks[b].view()
         v.flags.writeable = False
         return v
 
-    def read(self, b: int) -> np.ndarray:
-        """A private, writable copy of block ``b`` (outlives the arena);
-        the unpacked square for diagonal blocks."""
-        return np.array(self.view(b))
-
     def checksum(self, b: int) -> int:
-        """CRC32 over slot ``b``'s stored bytes — the descriptor's payload
-        CRC. Tail alignment padding is excluded, so for every block this
-        equals the CRC of the inline ``BLOCK`` payload bytes."""
-        return zlib.crc32(self._slots[b])
+        """CRC32 of block ``b``'s stored bytes — the descriptor's payload
+        CRC."""
+        return zlib.crc32(self._blocks[b])
 
-    def running_crc(self, blocks) -> list[int]:
-        """:func:`repro.runtime.wire.running_crc` over the stored bytes of
-        slots ``blocks`` — what the rank holding those blocks reported
-        (:attr:`~repro.runtime.worker.WorkerResult.held`)."""
-        return wire.running_crc(map(self._slots.__getitem__, blocks))
+    def checksums(self, blocks) -> np.ndarray:
+        """:meth:`checksum` of each of ``blocks``, as a ``uint32`` array."""
+        return np.fromiter(
+            map(zlib.crc32, map(self._blocks.__getitem__, blocks)),
+            np.uint32, len(blocks),
+        )
 
     # -- wire integration ----------------------------------------------
 
-    def pack_ref(self, src: int, b: int) -> bytes:
-        """Build the 64-byte descriptor frame for slot ``b``."""
-        off, rows, cols, words = self.layout.slots[b]
+    def pack_ref(self, src: int, b: int, crc: int | None = None) -> bytes:
+        """The 64-byte descriptor frame of block ``b``, whose CRC is
+        ``crc`` (taken now when None)."""
+        off, rows, cols, words = self.refs[b]
         return wire.pack_block_ref(
-            src, b, rows, cols, words, off, self.checksum(b)
+            src, b, rows, cols, words, off,
+            self.checksum(b) if crc is None else crc,
         )
 
-    def resolve(self, msg: wire.WireMessage) -> wire.WireMessage:
-        """Turn a ``BLOCK_REF`` descriptor into a BLOCK message whose
-        payload is the consumer-side mapping of the slot (zero-copy
-        read-only view for subdiagonal blocks, unpacked square for
-        diagonal blocks — exactly what the inline transport would have
-        delivered).
-
-        Raises :class:`~repro.runtime.wire.CorruptFrameError` when the
-        descriptor's slot metadata disagrees with the layout or the slot
-        bytes fail the descriptor's payload CRC — the same typed error as
-        inline payload corruption.
-        """
-        lay = self.layout
+    def check(self, msg: wire.WireMessage) -> None:
+        """Check a ``BLOCK_REF`` descriptor: it must name its block exactly
+        as the block table lays it out, and the block's stored bytes must
+        match its payload CRC. Raises
+        :class:`~repro.runtime.wire.CorruptFrameError` otherwise — the same
+        typed error as inline payload corruption."""
         b = msg.block
-        if not (
-            0 <= b < lay.nblocks
-            and (msg.offset, msg.rows, msg.cols, msg.words) == lay.slots[b]
+        if not (0 <= b < len(self.refs) and (
+            msg.offset, msg.rows, msg.cols, msg.words) == self.refs[b]
         ):
             raise wire.CorruptFrameError(
                 f"BLOCK_REF descriptor for block {b} disagrees with the "
@@ -338,23 +256,29 @@ class BlockArena:
             )
         if msg.payload_crc != self.checksum(b):
             raise wire.CorruptFrameError(
-                f"arena slot CRC mismatch for block {b} "
+                f"arena CRC mismatch for block {b} "
                 f"(descriptor {msg.payload_crc:#010x})",
                 src=msg.src, block=b,
             )
+
+    def resolve(self, msg: wire.WireMessage) -> wire.WireMessage:
+        """:meth:`check` a ``BLOCK_REF`` descriptor, then turn it into a
+        BLOCK message whose payload is the read-only view of the block in
+        the store."""
+        self.check(msg)
         return wire.WireMessage(
-            wire.BLOCK, msg.src, b, msg.rows, msg.cols, self.view(b),
-            msg.words, msg.offset, msg.payload_crc,
+            wire.BLOCK, msg.src, msg.block, msg.rows, msg.cols,
+            self.view(msg.block), msg.words, msg.offset, msg.payload_crc,
         )
 
     # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
         """Unmap this process's view (safe to call repeatedly)."""
-        # The mapped views export the segment's buffer; let go of them
-        # first or the unmap is refused.
-        self.__dict__.pop("_slots", None)
-        self.__dict__.pop("words", None)
+        # The views export the segment's buffer; let go of them first or
+        # the unmap is refused.
+        for key in ("factor", "_blocks", "store"):
+            self.__dict__.pop(key, None)
         try:
             self.shm.close()
         except BufferError:  # pragma: no cover - outstanding ndarray views

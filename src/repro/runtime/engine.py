@@ -308,7 +308,7 @@ def outcome_result(
     becomes a result, whoever ran it.
 
     ``factor`` asks for the assembled factor (see
-    :func:`_assemble`: copied out of ``arena``, the pattern's block arena
+    :func:`_assemble`: copied out of ``arena``, the pattern's shared store
     on the shm transport, else built from the gathered frames; ``owners``
     lets a gather error name the rank a block was due from); ``rhs`` (the
     permuted panel the job solved) asks for the stitched solution; a warm
@@ -370,11 +370,11 @@ def _assemble(structure, tg, results, owners=None, arena=None):
     """The factor out of a clean job's results, and the ``gather`` record
     of how it got here (``RuntimeMetrics.extra["gather"]``).
 
-    With an ``arena`` (shm) the final blocks are read where their owners
-    put them: one indexed copy into a private packed store (the slots are
-    reused by the pattern's next job), then one CRC pass per rank over the
-    slots of the blocks it reported, against the CRC it computed from the
-    values it held (:attr:`~repro.runtime.worker.WorkerResult.held`).
+    With an ``arena`` (shm) the ranks factored its store in place: one
+    copy of it into private memory (the pattern's next job factors in the
+    segment again), then every block is checked against the CRC its rank
+    took when it published it
+    (:attr:`~repro.runtime.worker.WorkerResult.held`).
     Without one, every owned block came home as a CRC-checked frame.
     Either way every block of ``tg`` must be reported exactly once — a
     hole would read as zeros — and any breach is a :class:`FanoutError`
@@ -384,13 +384,10 @@ def _assemble(structure, tg, results, owners=None, arena=None):
     #: rank -> the block ids it reported, in the order it reported them.
     reported: dict = {}
     if arena is not None:
-        plan = structure.numeric_plan()
-        factor = BlockCholesky.shell(
-            structure, plan.from_arena(arena.layout, arena.words)
-        )
+        factor = BlockCholesky.shell(structure, np.array(arena.store))
         for rank, res in results.items():
             reported[rank] = () if res.held is None else res.held[0]
-        nbytes = arena.layout.payload_bytes
+        nbytes = factor.store.nbytes
     else:
         factor = BlockCholesky.shell(structure)
         nbytes = 0
@@ -436,13 +433,13 @@ def _assemble(structure, tg, results, owners=None, arena=None):
     for rank, res in results.items():
         if arena is not None and res.held is not None:
             blocks, crcs = res.held
-            got = arena.running_crc(blocks.tolist())
-            bad = np.flatnonzero(np.asarray(got, dtype=np.uint32) != crcs)
+            got = arena.checksums(blocks.tolist())
+            bad = np.flatnonzero(got != crcs)
             if bad.size:
                 raise FanoutError(
-                    f"factor gather: rank {rank}'s arena slot of "
-                    f"{where(int(blocks[bad[0]]))} does not hold the bytes "
-                    "the rank computed (CRC mismatch)", results=results,
+                    f"factor gather: {where(int(blocks[bad[0]]))} does not "
+                    f"hold the bytes rank {rank} published (CRC mismatch)",
+                    results=results,
                 )
     return factor, {
         "mode": "frames" if arena is None else "arena",

@@ -217,8 +217,8 @@ class FaultyLink(Link):
         if u[1] < plan.corrupt:
             if wire.frame_kind(frame) == wire.BLOCK_REF:
                 # The descriptor carries no payload bytes — the logical
-                # payload's integrity words are the slot metadata (offset +
-                # slot CRC), so that is what "payload corruption" flips.
+                # payload's integrity words are the block metadata (offset
+                # + block CRC), so that is what "payload corruption" flips.
                 # The frame CRC covers the region, so the receiver rejects
                 # it exactly like an inline payload flip.
                 self.injector.injected["corrupt"] += 1

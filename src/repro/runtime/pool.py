@@ -16,7 +16,7 @@ job is built by its pattern's :class:`~repro.runtime.engine.PatternPlan`:
   later job of the pattern is *values-only*: the permuted csc data.
 * **One job in flight.** A job is one command put per worker, and
   :meth:`WorkerPool.run` collects every rank's result before it returns.
-  So two jobs never share the fabric or a pattern's arena slots, and
+  So two jobs never share the fabric or a pattern's arena, and
   nothing on the worker side has to order them.
 * **Job-tagged frames.** Every queue item is ``(seq, item)`` where ``seq``
   is the job number. A frame whose tag is not the running job's is a
@@ -24,7 +24,7 @@ job is built by its pattern's :class:`~repro.runtime.engine.PatternPlan`:
   with the result) and is dropped on read. The inline transport's result
   gather ships frames that carry their payload; a clean shm job ships no
   block: the driver copies the factor out of the pattern's arena before
-  it dispatches the next job, the only writer those slots can have.
+  it dispatches the next job, the only writer that store can have.
 
 Failure containment: a worker error poisons only its own job — the
 erroring worker broadcasts ABORT for that job's tag, peers abort that
@@ -46,6 +46,7 @@ or the caller closes the pool. A pool's width never changes.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing as mp
 import queue as queue_mod
 import time
@@ -60,6 +61,7 @@ from repro.runtime import wire
 from repro.runtime.links import Link, LinkFabric
 from repro.runtime.metrics import WorkerMetrics
 from repro.runtime.worker import Worker, WorkerResult
+from repro.util.heap import pin_malloc_thresholds
 
 __all__ = [
     "HEARTBEAT_SEQ",
@@ -89,9 +91,12 @@ class PatternContext(PlanHolder):
     describe the *permuted* matrix, so later jobs need only a values
     array. ``arena_name`` names the driver-owned shared-memory segment
     for the pattern (None on the inline transport). Where it is resident
-    it also keeps each rank's compiled ``dispatch_plan(rank)`` and
-    ``solve_plan(rank, ...)``, which never travel with it.
+    it also keeps each rank's compiled ``dispatch_plan(rank)``,
+    ``solve_plan(rank, ...)`` and ``init_map(rank)``, which never travel
+    with it.
     """
+
+    _TABLES = PlanHolder._TABLES + ("_init_maps",)
 
     pattern_id: str
     structure: object
@@ -104,6 +109,20 @@ class PatternContext(PlanHolder):
     #: The knobs the pattern's jobs run under; workers read ``schedule``,
     #: ``steal_seed`` and the stall watchdog from here.
     config: RunConfig = field(default_factory=RunConfig)
+
+    def init_map(self, rank: int):
+        """The rank's share of a job's initial state over the shared store
+        (shm): the store words of the blocks it owns and the entries of
+        ``A`` that land there (:meth:`~repro.blocks.plan.NumericPlan.init_map`;
+        applied by :meth:`~repro.numeric.blockfact.BlockCholesky.scatter`).
+        Over all ranks the words partition the store, so every word has
+        exactly one initializer."""
+        def build():
+            plan = self.structure.numeric_plan()
+            own = np.flatnonzero(np.asarray(self.owners) == rank)
+            return plan.init_map(self.indptr, self.indices, *plan.block_spans(
+                self.tg.block_I[own], self.tg.block_J[own]))
+        return self._compiled("_init_maps", rank, build)
 
 
 @dataclass
@@ -269,17 +288,25 @@ class _PoolWorker:
                 _, epoch, job = cmd
                 self._run_job(job, epoch)
         finally:
-            for _, arena in self.patterns.values():
-                if arena is not None:
-                    arena.close()
+            self.resident.clear()
+            self._close([arena for _, arena in self.patterns.values()])
             self.result_queue.cancel_join_thread()
 
     def _evict(self, pattern_ids) -> None:
         for pid in pattern_ids:
             self.resident.pop(pid, None)
-            ctx_arena = self.patterns.pop(pid, None)
-            if ctx_arena is not None and ctx_arena[1] is not None:
-                ctx_arena[1].close()
+        self._close([self.patterns.pop(pid, (None, None))[1]
+                     for pid in pattern_ids])
+
+    @staticmethod
+    def _close(arenas) -> None:
+        """Unmap ``arenas``. A past job's worker factored in one and may
+        still hold its views in a reference cycle: collect those first,
+        or the unmap is refused."""
+        gc.collect()
+        for arena in arenas:
+            if arena is not None:
+                arena.close()
 
     def _install(self, context: PatternContext):
         arena = None
@@ -319,7 +346,7 @@ class _PoolWorker:
     def _resident_worker(self, job: PoolJob, fabric, results) -> Worker:
         """The pattern's retained, already-factored worker, re-armed for
         a warm solve: only the RHS panel travelled in the job; the factor
-        blocks are already in this process (arena slots on shm, local
+        blocks are already in this process (the shared store on shm, local
         arrays inline) and ship zero bytes."""
         worker = self.resident.get(job.pattern_id)
         if worker is None:
@@ -431,6 +458,7 @@ class WorkerPool:
     def start(self) -> "WorkerPool":
         if self.running:
             return self
+        pin_malloc_thresholds()  # the driver's and, forked, the crew's
         ctx = mp.get_context(START_METHOD)
         self._fabric = LinkFabric(self.nprocs, ctx)
         self._commands = [ctx.Queue() for _ in range(self.nprocs)]

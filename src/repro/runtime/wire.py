@@ -25,12 +25,13 @@ Frame kinds
     ``cols`` are the dense block shape.
 ``BLOCK_REF``
     Shared-memory transport descriptor: a fixed 64-byte header-only frame
-    naming a completed block's arena slot instead of carrying the payload.
-    The prefix is identical to ``BLOCK`` (``nwords`` still holds the
-    *logical* payload words, so logical byte accounting is transport
-    independent); the pad region carries the slot byte offset and a CRC32
-    of the slot contents, both covered by the frame CRC. Consumers map the
-    slot read-only via :class:`repro.runtime.arena.BlockArena`.
+    naming where a completed block lies in the arena's shared store
+    instead of carrying the payload. The prefix is identical to ``BLOCK``
+    (``nwords`` still holds the *logical* payload words, so logical byte
+    accounting is transport independent); the pad region carries the
+    block's byte offset in the store and a CRC32 of its stored bytes, both
+    covered by the frame CRC, and zeros. Consumers read the block in place
+    once :class:`repro.runtime.arena.BlockArena` has checked both.
 ``ABORT``
     A worker hit an error (a frame that failed its CRC included); peers
     stop promptly and the job fails, to be re-run from scratch.
@@ -78,8 +79,8 @@ the static communication-volume prediction.
 Solve frames form their own ledger (``SOLVE_KINDS``): like the steal
 plane they are outside ``DATA_KINDS`` (the solve phase moves right-hand
 sides, not factor blocks), and their logical bytes always equal their
-wire bytes — RHS panels are small and never get arena slots, so even the
-shm transport ships them inline.
+wire bytes — RHS panels are small and never live in the arena, so even
+the shm transport ships them inline.
 """
 
 from __future__ import annotations
@@ -127,10 +128,11 @@ HEADER_BYTES = 64
 _MAGIC = b"RSB2"
 _PAD = b"\0" * (HEADER_BYTES - _PREFIX.size - _CRC.size)
 
-#: BLOCK_REF slot metadata, packed into the pad region right after the
-#: CRC field: arena slot byte offset (q) + CRC32 of the slot bytes (I).
+#: BLOCK_REF block metadata, packed into the pad region right after the
+#: CRC field: the block's byte offset in the arena's store (q) + CRC32 of
+#: its stored bytes (I).
 _REF = struct.Struct("<qI")
-#: Byte offset of the slot metadata inside a BLOCK_REF frame — also the
+#: Byte offset of the block metadata inside a BLOCK_REF frame — also the
 #: region the fault injector bit-flips to emulate payload corruption.
 REF_REGION_START = _PREFIX.size + _CRC.size
 REF_REGION_LEN = _REF.size
@@ -162,9 +164,9 @@ class WireMessage:
     ``words`` is the *logical* payload size in float64 words (the packed
     triangle for diagonal blocks) — what the static predictor charges —
     regardless of how the payload traveled. For ``BLOCK_REF`` descriptors
-    ``payload`` is ``None`` until :meth:`BlockArena.resolve` swaps in the
-    read-only slot view; ``offset``/``payload_crc`` carry the descriptor's
-    slot metadata.
+    ``payload`` is ``None`` — the block is read where it lies in the
+    arena's store (:meth:`BlockArena.resolve` makes the view) —
+    and ``offset``/``payload_crc`` carry the descriptor's block metadata.
     """
 
     kind: int
@@ -197,8 +199,8 @@ def _frame(kind: int, src: int, block: int, rows: int, cols: int,
 
 def payload_words(array: np.ndarray, diagonal: bool) -> np.ndarray:
     """A C-contiguous float64 array whose bytes, in order, are the block's
-    logical payload — what a ``BLOCK`` frame carries and an arena slot
-    stores: the packed lower triangle (row-major,
+    logical payload — what a ``BLOCK`` frame carries: the packed lower
+    triangle (row-major,
     :func:`~repro.util.arrays.tril_flat`) of a diagonal block, else the
     dense row-major ``rows x cols`` array itself."""
     arr = np.ascontiguousarray(array, dtype=np.float64)
@@ -221,14 +223,6 @@ def square_from_packed(words: np.ndarray, w: int) -> np.ndarray:
     return out
 
 
-def running_crc(payloads) -> list[int]:
-    """CRC32 of ``payloads`` (C-contiguous buffers) laid end to end, after
-    each one. The shm transport's gather check: a rank computes it over
-    the blocks it holds, the driver over the arena slots it reads."""
-    crc = 0
-    return [crc := zlib.crc32(words, crc) for words in payloads]
-
-
 def pack_block(
     src: int, block: int, I: int, J: int, array: np.ndarray
 ) -> bytes:
@@ -249,10 +243,10 @@ def pack_block_ref(
     """Serialize a shared-memory descriptor for block ``block``.
 
     ``words`` is the logical payload word count (``tg.block_words``),
-    ``offset`` the slot's byte offset in the arena, ``payload_crc`` a
-    CRC32 of the slot bytes at send time. The frame CRC covers the prefix
-    and the slot metadata, so in-flight corruption of either is detected
-    exactly like inline-frame corruption.
+    ``offset`` the block's byte offset in the arena's store,
+    ``payload_crc`` a CRC32 of its stored bytes when it was published. The
+    frame CRC covers the prefix and the block metadata, so in-flight
+    corruption of either is detected exactly like inline-frame corruption.
     """
     prefix = _PREFIX.pack(_MAGIC, BLOCK_REF, src, block, rows, cols, words)
     extra = _REF.pack(offset, payload_crc)
@@ -372,9 +366,12 @@ def unpack(frame: bytes, copy: bool = True) -> WireMessage:
         raise WireError(f"bad frame magic {magic!r}")
     if kind == BLOCK_REF:
         # Header-only descriptor: nwords is the *logical* payload size;
-        # no payload bytes follow. The CRC covers prefix + slot metadata.
+        # no payload bytes follow. The CRC covers prefix + block metadata,
+        # and the rest of the header must be the zero pad.
         offset, payload_crc = _REF.unpack_from(frame, REF_REGION_START)
         region = frame[REF_REGION_START:REF_REGION_START + _REF.size]
+        if frame[REF_REGION_START + _REF.size : HEADER_BYTES] != _REF_PAD:
+            raise WireError("BLOCK_REF descriptor with a non-zero pad")
         expect = zlib.crc32(region, zlib.crc32(frame[: _PREFIX.size]))
         if crc != expect:
             raise CorruptFrameError(

@@ -12,7 +12,8 @@ op or an arrived block, run it, fan the result out block by block — and
 * :meth:`Worker.arm` wires a rank to one job — a factor job or a warm
   solve on a retained worker — and starts its wire-kind → handler table;
 * :meth:`Worker.receive` is the one receive prologue (decode, CRC check,
-  ``BLOCK_REF`` → arena view; an undecodable frame raises its typed
+  ``BLOCK_REF`` descriptor checked against the arena; an undecodable
+  frame raises its typed
   :class:`~repro.runtime.wire.WireError`), then a lookup in that table;
 * ``_pump`` runs every phase of a job (factor, the dynamic schedule's
   DONE linger, solve — see :meth:`Worker.phases`) on the non-blocking
@@ -24,9 +25,9 @@ op or an arrived block, run it, fan the result out block by block — and
   ``_span`` the only timeline / trace-span emitter, ``_block`` / ``_store``
   the block accessor pair, and :meth:`Worker.run` ends in the one ship-home
   epilogue: one :class:`WorkerResult` (owned blocks as frames on the inline
-  transport; on shm they already sit in the arena, so only their ids and a
-  running CRC travel), after an ABORT broadcast on error so peers exit
-  promptly instead of deadlocking.
+  transport; on shm the ranks factor the arena's one store in place, so
+  only the ids of the owned blocks and their CRCs travel), after an ABORT
+  broadcast on error so peers exit promptly instead of deadlocking.
 
 State and handlers are grouped by *plane* — factor, control (ABORT,
 DONE), steal (the dynamic schedule), solve — each
@@ -88,7 +89,7 @@ class _Abort(Exception):
 class WorkerResult:
     """What a worker sends home: metrics plus its owned factor blocks —
     as wire frames on the inline transport, as ``held`` on shm, where the
-    blocks stay in the arena; none on error or abort."""
+    blocks stay in the arena's store; none on error or abort."""
 
     rank: int
     metrics: WorkerMetrics
@@ -98,9 +99,8 @@ class WorkerResult:
     #: fragment (permuted coordinates). ``None`` when no solve ran.
     solution: dict[int, np.ndarray] | None = None
     #: A clean shm factor job: ``(blocks, crcs)`` — the owned block ids,
-    #: ascending, and the CRC32 of their logical payload bytes laid end to
-    #: end, after each block. The last value is the rank's integrity
-    #: check; the ones before it let the driver name the block that broke.
+    #: ascending, and the CRC32 of each block's stored bytes as the rank
+    #: published it (:meth:`repro.runtime.arena.BlockArena.checksum`).
     held: tuple[np.ndarray, np.ndarray] | None = None
 
 
@@ -129,7 +129,8 @@ class Worker:
     distributing ``A``), the
     :class:`~repro.runtime.pool.PoolJob` (values, rhs, the fault plan and
     the trace capacity) and the pattern's attached
-    ``arena`` (shm transport; None means inline).
+    ``arena`` (shm transport, whose store this rank factors in place;
+    None means inline, a private store).
     """
 
     def __init__(self, rank: int, context, job, arena, fabric, result_queue,
@@ -146,7 +147,8 @@ class Worker:
         self.dynamic = config.schedule == "dynamic" and fabric.nprocs > 1
         #: Blocks whose final factored value is present locally (owned
         #: completions, received frames): a second frame for one is a
-        #: protocol breach, and a thief skips installing it as a source.
+        #: protocol breach, and an inline thief skips installing it as a
+        #: source.
         self.have: set[int] = set()
         #: The wire-kind → handler table: each plane registers its kinds
         #: as it is armed; a job that arms no solve refuses solve frames.
@@ -233,15 +235,23 @@ class Worker:
                 link.queue.cancel_join_thread()
 
     def _setup(self, factor: bool) -> None:
-        """Arm the planes of this job. A factor job scatters ``A`` and
-        starts factor and steal state afresh; a warm solve keeps the
-        resident factor and arms only a new solve plane."""
+        """Arm the planes of this job. A factor job scatters ``A`` — into
+        a private store inline; on shm into the words of its own blocks of
+        the arena's store, which every rank factors in place — and starts
+        factor and steal state afresh; a warm solve keeps the resident
+        factor and arms only a new solve plane."""
         ctx, job = self.context, self.job
         if factor:
-            A = sparse.csc_matrix(
-                (job.values, ctx.indices, ctx.indptr), shape=tuple(ctx.shape)
-            )
-            self.chol = BlockCholesky(ctx.structure, A)
+            if self.arena is None:
+                self.chol = BlockCholesky(ctx.structure, sparse.csc_matrix(
+                    (job.values, ctx.indices, ctx.indptr),
+                    shape=tuple(ctx.shape),
+                ))
+            else:
+                if job.values.shape != ctx.indices.shape:
+                    raise ValueError("values disagree with the pattern")
+                self.chol = self.arena.factor
+                self.chol.scatter(*ctx.init_map(self.rank), job.values)
             self._arm_factor()
             self._arm_steal()
         # Armed during factor setup because solve frames may arrive while
@@ -390,9 +400,11 @@ class Worker:
         I, J = self.plan.coords[b]
         return self.chol.diag[J] if I == J else self.chol.below[J][I]
 
-    def _store(self, b: int, array: np.ndarray, final: bool = True) -> None:
+    def _store(self, b: int, array: np.ndarray | None,
+               final: bool = True) -> None:
         """Install ``array`` as block ``b`` — the one place a frame or a
-        steal payload lands in the factor. ``final=False``
+        steal payload lands in the factor; None (a descriptor's payload)
+        for a block already in place in the shared store. ``final=False``
         installs a migrated task's *partial* destination state."""
         self.chol.install(*self.plan.coords[b], array, final)
 
@@ -403,7 +415,7 @@ class Worker:
 
     def _frame_for(self, b: int) -> bytes:
         if self.arena is not None:
-            return self.arena.pack_ref(self.rank, b)
+            return self.arena.pack_ref(self.rank, b, self._crc[b])
         I, J = self.plan.coords[b]
         return wire.pack_block(self.rank, b, I, J, self._block(b))
 
@@ -440,13 +452,13 @@ class Worker:
         return item is not None and self._handle_item(item)
 
     def receive(self, frame: bytes) -> bool:
-        """Take one frame in: decode and CRC-check it, swap a ``BLOCK_REF``
-        descriptor for the read-only arena slot view, then call its kind's
-        handler with ``(msg, len(frame), t0)``. True if it made progress
-        (i.e. could unblock a task). A frame that does not decode — a CRC
-        or slot-CRC mismatch included — raises its typed
-        :class:`~repro.runtime.wire.WireError`: fail-stop, the job aborts
-        and re-runs."""
+        """Take one frame in: decode and CRC-check it, check a
+        ``BLOCK_REF`` descriptor against the arena (block table and block
+        CRC), then call its kind's handler with ``(msg, len(frame), t0)``.
+        True if it made progress (i.e. could unblock a task). A frame that
+        does not decode — a CRC or block-CRC mismatch included — raises its
+        typed :class:`~repro.runtime.wire.WireError`: fail-stop, the job
+        aborts and re-runs."""
         t0 = self._now()
         msg = wire.unpack(frame, copy=False)
         if msg.kind == wire.BLOCK_REF:
@@ -455,7 +467,7 @@ class Worker:
                     "BLOCK_REF descriptor received but no arena is "
                     "attached (transport mismatch)"
                 )
-            msg = self.arena.resolve(msg)
+            self.arena.check(msg)
         return self.handlers[msg.kind](msg, len(frame), t0)
 
     def _no_rhs(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
@@ -483,6 +495,8 @@ class Worker:
                               wire.BLOCK_REF: self._on_block})
         self.plan = plan = self.context.dispatch_plan(self.rank)
         self.n_owned = plan.n_owned
+        #: Per published block, the CRC32 of its stored bytes (shm).
+        self._crc: dict[int, int] = {}
         self.scheduler = ReadyScheduler()
         #: Owned tasks finished: run here or returned by a thief.
         self.executed = 0
@@ -490,8 +504,9 @@ class Worker:
         self.readiness = Readiness(plan, lambda o: push(ntasks + o))
 
     def _on_block(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
-        """``BLOCK`` (or a resolved ``BLOCK_REF``): a completed block
-        arrived. Install it and count it toward its share. Each block
+        """``BLOCK`` (or a checked ``BLOCK_REF``): a completed block
+        arrived — install it; a descriptor's block is already where its
+        owner wrote it — and count it toward its share. Each block
         arrives once; a repeat raises its typed
         :class:`~repro.runtime.wire.WireError` (fail-stop, like a corrupt
         frame)."""
@@ -583,15 +598,14 @@ class Worker:
 
     def _publish(self, blocks) -> None:
         """``blocks`` are final here. Mark each held and, on the shm
-        transport, copy it into its arena slot (the producer's single
-        copy) before any descriptor for it can be sent — to peers *or* to
-        the driver gather — then fan it out; ship the coalesced batches
-        at once, a share's frames in one put per peer: a peer waiting
-        for the share has nothing else to wait for."""
+        transport, take the CRC of its stored bytes — what its descriptors
+        carry and the driver's gather checks — then fan it out; ship the
+        coalesced batches at once, a share's frames in one put per peer:
+        a peer waiting for the share has nothing else to wait for."""
         for b in blocks:
             self.have.add(b)
             if self.arena is not None:
-                self.arena.write(b, self._block(b))
+                self._crc[b] = self.arena.checksum(b)
             self._fan_out(b)
         self._flush_pending()
 
@@ -685,9 +699,9 @@ class Worker:
                               wire.STEAL_SHIP: self._on_ship,
                               wire.STEAL_GRANT: self._on_grant,
                               wire.STEAL_RESULT: self._on_steal_result})
-        #: Blocks installed as a stolen task's sources (no dependency
-        #: bookkeeping); the later regular frame re-runs bookkeeping
-        #: exactly once.
+        #: Blocks installed as a stolen task's sources (inline; no
+        #: dependency bookkeeping): the later regular frame runs the
+        #: bookkeeping exactly once.
         self._steal_srcs: set[int] = set()
         self._steal_round = 0
         self._steal_victim: int | None = None
@@ -737,36 +751,31 @@ class Worker:
                    self.trace and {"src": msg.src})
         return False
 
-    def _install_source(self, s: int, array: np.ndarray | None = None) -> None:
-        """Install a stolen task's final source block *without* dependency
-        bookkeeping: the regular fan-out frame for it still arrives later
-        and runs the bookkeeping exactly once (its bytes are identical, so
-        the overwrite is a no-op numerically). ``array`` None reads the
-        arena slot (shm transport)."""
-        if s not in self.have and s not in self._steal_srcs:
-            self._store(s, self.arena.read(s) if array is None else array)
-            self._steal_srcs.add(s)
-
     def _on_ship(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
-        """Inline transport: a source the victim shipped ahead of a GRANT."""
+        """Inline transport: a final source the victim shipped ahead of a
+        GRANT, installed *without* dependency bookkeeping: the regular
+        fan-out frame for it still arrives later and runs the bookkeeping
+        exactly once (its bytes are identical, so the overwrite is a no-op
+        numerically)."""
         self._count_steal(nbytes)
-        self._install_source(msg.block, msg.payload)
+        s = msg.block
+        if s not in self.have and s not in self._steal_srcs:
+            self._store(s, msg.payload)
+            self._steal_srcs.add(s)
         self._span("comm", t0, "steal", "steal_ship_recv",
                    self.trace and {"block": msg.block, "src": msg.src})
         return False
 
     def _on_grant(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
         """A victim granted us task ``msg.block`` (a task id, not a block
-        id) and shipped the destination's partial state. Install sources
-        and state, execute, ship the resulting state back."""
+        id) and shipped the destination's partial state. Install the state
+        (the sources arrived ahead of it inline; on shm they are final in
+        the shared store), execute, ship the resulting state back."""
         self._count_steal(nbytes)
         self._steal_victim = None
         self._steal_round += 1
         tid, victim = msg.block, msg.src
         b = self.plan.task[tid][1]
-        if self.arena is not None:
-            for s in self.plan.sources(tid):
-                self._install_source(s)
         # Copied into our view of the block, so the task runs on the same
         # layout, and computes the same bits, as at the victim.
         self._store(b, msg.payload, final=False)
@@ -808,7 +817,7 @@ class Worker:
         if self.arena is None:
             # Inline transport: ship the final sources ahead of the grant
             # (same link, FIFO — they land first). On shm the thief reads
-            # them straight from the arena instead.
+            # them in the shared store, where their owners wrote them.
             for s in self.plan.sources(tid):
                 self.links[thief].send_steal(wire.pack_steal_ship(
                     self.rank, s, *self.plan.coords[s], self._block(s)
@@ -1016,18 +1025,13 @@ class Worker:
         return [self._frame_for(int(b)) for b in blocks]
 
     def _held(self, blocks: list[int]):
-        """The shm transport's result gather: the blocks stay in their
-        arena slots and the driver reads them there; home go their ids and
-        the running CRC32 of their payloads, computed from the values this
-        rank holds — not read back from the slots — so the driver's pass
-        over the slots checks them against what was computed."""
-        coords = self.plan.coords
-        crcs = wire.running_crc(
-            wire.payload_words(self._block(b), coords[b][0] == coords[b][1])
-            for b in blocks
-        )
+        """The shm transport's result gather: the blocks stay in the
+        arena's store and the driver reads them there; home go their ids
+        and the CRC each had when this rank published it, so the driver's
+        check of its copy holds them to what was published."""
         return (np.asarray(blocks, dtype=np.int32),
-                np.asarray(crcs, dtype=np.uint32))
+                np.fromiter(map(self._crc.__getitem__, blocks), np.uint32,
+                            len(blocks)))
 
     def _broadcast_abort(self) -> None:
         if self.trace is not None:

@@ -18,8 +18,7 @@ INDEX_DTYPE = np.int64
 def tril_flat(w: int) -> np.ndarray:
     """Positions of the lower triangle (diagonal included) of a C-ordered
     ``w x w`` array in its flattened form, in ``np.tril_indices`` order —
-    the packed layout of a diagonal block on the wire and in an arena
-    slot. ``a.take(tril_flat(w))`` packs a square of any memory layout,
+    the packed layout of a diagonal block on the wire. ``a.take(tril_flat(w))`` packs a square of any memory layout,
     ``flat[tril_flat(w)] = words`` unpacks. One shared, read-only array
     per width."""
     rows, cols = np.tril_indices(w)

@@ -104,7 +104,7 @@ def factored(w):
 
 def arena_view(L):
     """``L`` as a read-only C-ordered view into a larger buffer, the way
-    a block is read out of an arena slot."""
+    a block is read in the shm transport's shared store."""
     buf = np.concatenate([[0.0], L.ravel(), [0.0]])
     view = buf[1:-1].reshape(L.shape)
     view.flags.writeable = False

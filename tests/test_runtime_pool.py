@@ -2,6 +2,9 @@
 values-only warm dispatch, bitwise re-factorization on both transports,
 straggler frames, failure containment, and restart semantics."""
 
+import multiprocessing as mp
+import platform
+
 import numpy as np
 import pytest
 
@@ -17,9 +20,11 @@ from repro.runtime import (
     run_mp_fanout,
     shm_available,
 )
+from repro.runtime import pool as pool_module
 from repro.runtime.arena import BlockArena
 from repro.runtime.engine import _assemble, outcome_result
 from repro.runtime.faults import CrashSpec, FaultPlan
+from repro.util import heap
 
 
 @pytest.fixture(scope="module")
@@ -265,6 +270,19 @@ class TestPoolLifecycle:
         pool.close()
         pool.close()
         assert not pool.running
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="mallopt is glibc's")
+    def test_start_pins_the_malloc_thresholds(self, monkeypatch):
+        """A crew's driver re-allocates the factor's arrays every job, so
+        starting a crew pins glibc's malloc thresholds (repro.util.heap)
+        before it forks."""
+        calls = []
+        monkeypatch.setattr(pool_module, "pin_malloc_thresholds",
+                            lambda: calls.append(mp.active_children()))
+        with WorkerPool(nprocs=1):
+            assert calls == [[]]
+        assert heap.pin_malloc_thresholds()
 
     def test_evict_forces_reship(self, pool_problem):
         p = pool_problem

@@ -1,7 +1,8 @@
-"""The zero-copy shared-memory transport: descriptor wire format, arena
-layout/integrity, frame coalescing, inline-vs-shm equivalence (bitwise
-factors, identical logical accounting), the arena gather (a clean shm job
-ships no block home), chaos parity, and arena cleanup."""
+"""The zero-copy shared-memory transport: descriptor wire format, the
+arena's block table and integrity, the per-rank init maps, frame
+coalescing, inline-vs-shm equivalence (bitwise factors, identical logical
+accounting), the arena gather (a clean shm job ships no block home), chaos
+parity, and arena cleanup."""
 
 import os
 import pickle
@@ -18,9 +19,7 @@ from repro.numeric import BlockCholesky
 from repro.numeric.solve import solve_with_factor
 from repro.runtime import PatternContext, PoolJob, WorkerPool, wire
 from repro.runtime.arena import (
-    SLOT_ALIGN,
     TRANSPORTS,
-    ArenaLayout,
     BlockArena,
     resolve_transport,
     shm_available,
@@ -106,33 +105,51 @@ class TestBlockRefWire:
 
 
 # ----------------------------------------------------------------------
-# Arena layout and slot integrity
+# The arena's block table and block integrity
 # ----------------------------------------------------------------------
+def _diag(tg):
+    return np.asarray(tg.block_I) == np.asarray(tg.block_J)
+
+
+@needs_shm
 class TestArenaLayout:
-    def test_slots_disjoint_aligned_and_packed(self, grid12_pipeline):
-        _, _, part, _, _, tg = grid12_pipeline
-        lay = ArenaLayout(tg)
-        assert lay.nblocks == tg.nblocks
-        widths = np.asarray(part.widths)
-        for b in range(lay.nblocks):
-            assert lay.cols[b] == widths[tg.block_J[b]]
-            if lay.diag[b]:
-                assert lay.rows[b] == lay.cols[b]
-            # Slots store exactly the logical words (packed triangle for
-            # diagonal blocks), start cache-line aligned, and never overlap.
-            assert lay.offsets[b] % SLOT_ALIGN == 0
-            span = lay.offsets[b + 1] - lay.offsets[b]
-            assert span >= lay.logical_words[b] * 8
-            assert span - lay.logical_words[b] * 8 < SLOT_ALIGN
-        assert lay.total_bytes == int(lay.offsets[-1])
-        assert lay.payload_bytes == int(lay.logical_words.sum()) * 8
-        assert lay.padding_bytes == lay.total_bytes - lay.payload_bytes
-        assert 0 <= lay.padding_bytes < lay.nblocks * SLOT_ALIGN
+    def test_blocks_tile_the_store(self, grid12_pipeline):
+        """Every block is a contiguous run of the numeric plan's store — a
+        diagonal block its whole square, a subdiagonal one its slab rows —
+        and the runs tile the store: the layout ``BlockCholesky`` uses."""
+        _, sf, _, bs, _, tg = grid12_pipeline
+        arena = BlockArena.create(tg)
+        try:
+            plan = bs.numeric_plan()
+            assert arena.store.shape == (plan.size,)
+            spans = sorted((off // 8, off // 8 + rows * cols)
+                           for off, rows, cols, _ in arena.refs)
+            assert spans[0][0] == 0 and spans[-1][1] == plan.size
+            assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+            chol = arena.factor
+            for b, (off, rows, cols, _) in enumerate(arena.refs):
+                I, J = int(tg.block_I[b]), int(tg.block_J[b])
+                block = chol.diag[J] if I == J else chol.below[J][I]
+                assert block.shape == (rows, cols)
+                assert block.ctypes.data == arena.store.ctypes.data + off
+        finally:
+            arena.destroy()
 
     def test_logical_words_match_taskgraph(self, grid12_pipeline):
-        _, _, _, _, _, tg = grid12_pipeline
-        lay = ArenaLayout(tg)
-        np.testing.assert_array_equal(lay.logical_words, tg.block_words)
+        """Descriptors advertise the logical payload (``tg.block_words``,
+        the packed triangle of a diagonal block) and the logical extents."""
+        _, _, part, _, _, tg = grid12_pipeline
+        arena = BlockArena.create(tg)
+        try:
+            _, rows, cols, words = map(np.array, zip(*arena.refs))
+            np.testing.assert_array_equal(words, tg.block_words)
+            np.testing.assert_array_equal(
+                cols, np.asarray(part.widths)[tg.block_J]
+            )
+            diag = _diag(tg)
+            np.testing.assert_array_equal(rows[diag], cols[diag])
+        finally:
+            arena.destroy()
 
 
 @needs_shm
@@ -141,10 +158,10 @@ class TestBlockArena:
         _, _, _, _, _, tg = grid12_pipeline
         arena = BlockArena.create(tg)
         try:
-            b = int(np.flatnonzero(~ArenaLayout(tg).diag)[0])
+            b = int(np.flatnonzero(~_diag(tg))[0])
             rng = np.random.default_rng(0)
-            lay = arena.layout
-            arr = rng.random((int(lay.rows[b]), int(lay.cols[b])))
+            _, rows, cols, _ = arena.refs[b]
+            arr = rng.random((rows, cols))
             arena.write(b, arr)
             view = arena.view(b)
             np.testing.assert_array_equal(view, arr)
@@ -160,26 +177,26 @@ class TestBlockArena:
             arena.destroy()
 
     def test_diag_roundtrip_matches_inline_unpack(self, grid12_pipeline):
-        """Diagonal slots store the packed triangle but consumers get the
-        same C-contiguous zero-upper square the inline transport builds."""
+        """A diagonal block lies in the store as its C-contiguous square,
+        which is what the inline transport unpacks a packed triangle into:
+        a factored block (zero upper triangle) reads the same bytes on
+        both transports."""
         _, _, _, _, _, tg = grid12_pipeline
         arena = BlockArena.create(tg)
         try:
-            lay = arena.layout
-            b = int(np.flatnonzero(lay.diag)[0])
-            w = int(lay.cols[b])
+            b = int(np.flatnonzero(_diag(tg))[0])
+            w = arena.refs[b][2]
             rng = np.random.default_rng(7)
-            # bfac hands the arena an F-contiguous square; storage packs it.
+            # bfac's L in whatever order; the store holds it row-major.
             arr = np.asfortranarray(np.tril(rng.random((w, w))))
             arena.write(b, arr)
             got = arena.resolve(wire.unpack(arena.pack_ref(1, b))).payload
             inline = wire.unpack(
-                wire.pack_block(1, b, int(lay.block_I[b]),
-                                int(lay.block_J[b]), arr)
+                wire.pack_block(1, b, int(tg.block_I[b]),
+                                int(tg.block_J[b]), arr)
             ).payload
             assert got.flags.c_contiguous
             assert got.tobytes() == inline.tobytes()
-            np.testing.assert_array_equal(arena.read(b), inline)
         finally:
             arena.destroy()
 
@@ -188,11 +205,11 @@ class TestBlockArena:
         arena = BlockArena.create(tg)
         try:
             b = 0
-            lay = arena.layout
-            arena.write(b, np.ones((int(lay.rows[b]), int(lay.cols[b]))))
+            _, rows, cols, _ = arena.refs[b]
+            arena.write(b, np.ones((rows, cols)))
             msg = wire.unpack(arena.pack_ref(0, b))
-            # Slot mutated after the descriptor was built: CRC must fail.
-            arena.write(b, np.zeros((int(lay.rows[b]), int(lay.cols[b]))))
+            # Block mutated after the descriptor was built: CRC must fail.
+            arena.write(b, np.zeros((rows, cols)))
             with pytest.raises(CorruptFrameError):
                 arena.resolve(msg)
         finally:
@@ -202,14 +219,13 @@ class TestBlockArena:
         _, _, _, _, _, tg = grid12_pipeline
         arena = BlockArena.create(tg)
         try:
-            lay = arena.layout
-            b = int(np.flatnonzero(lay.diag)[0])
-            w = int(lay.cols[b])
+            b = int(np.flatnonzero(_diag(tg))[0])
+            w = arena.refs[b][2]
             rng = np.random.default_rng(1)
             arr = np.tril(rng.random((w, w)))
             arena.write(b, arr)
-            coords = int(lay.block_I[b]), int(lay.block_J[b])
-            inline = wire.pack_block(2, b, *coords, arena.read(b))
+            coords = int(tg.block_I[b]), int(tg.block_J[b])
+            inline = wire.pack_block(2, b, *coords, arena.view(b))
             assert inline == wire.pack_block(2, b, *coords, arr)
         finally:
             arena.destroy()
@@ -563,18 +579,18 @@ class TestArenaGather:
     def test_slot_byte_flipped_after_the_report_is_a_typed_error(
         self, arena_job, diagonal
     ):
-        """What a straggler of an aborted job writing a reused slot looks
-        like: the slot no longer holds the bytes its rank computed."""
+        """What a straggler of an aborted job writing the reused store
+        looks like: a final block no longer holds the bytes its rank
+        published."""
         bs, tg, owners, A, arena, results = arena_job
-        lay = arena.layout
-        b = int(np.flatnonzero((owners == 1) & (lay.diag == diagonal))[3])
-        arena.shm.buf[int(lay.offsets[b]) + 3] ^= 0x10
+        b = int(np.flatnonzero((owners == 1) & (_diag(tg) == diagonal))[3])
+        arena.shm.buf[arena.refs[b][0] + 3] ^= 0x10
         with pytest.raises(FanoutError) as err:
             _assemble(bs, tg, results, owners, arena)
         assert str(err.value) == (
-            f"factor gather: rank 1's arena slot of block {b} "
-            f"({tg.block_I[b]},{tg.block_J[b]}), owned by rank 1, does "
-            "not hold the bytes the rank computed (CRC mismatch)"
+            f"factor gather: block {b} ({tg.block_I[b]},{tg.block_J[b]}), "
+            "owned by rank 1, does not hold the bytes rank 1 published "
+            "(CRC mismatch)"
         )
         assert err.value.results is results
 
@@ -614,14 +630,72 @@ class TestArenaGather:
         )
 
     def test_compiled_map_never_pickles(self, grid12_pipeline):
+        """A rank's init map is compiled once per resident context and
+        never travels with it."""
         _, sf, _, bs, wm, tg = grid12_pipeline
         owners, _ = plan_owners(wm, tg, 2, "DW/CY")
         ctx = _context(bs, tg, owners, sf.A.tocsc(), "g")
         before = pickle.dumps(bs), pickle.dumps(ctx)
-        src, dest = bs.numeric_plan().arena_map(ArenaLayout(tg))
-        assert bs.numeric_plan().arena_map(ArenaLayout(tg))[0] is src
-        assert src.shape == dest.shape == (int(tg.block_words.sum()),)
+        runs, src, at = ctx.init_map(1)
+        assert ctx.init_map(1)[0] is runs
+        assert src.shape == at.shape
         assert (pickle.dumps(bs), pickle.dumps(ctx)) == before
+
+
+# ----------------------------------------------------------------------
+# Every word of the shared store has exactly one initializer
+# ----------------------------------------------------------------------
+class TestInitMaps:
+    @pytest.mark.parametrize("nprocs", [2, 3, 4, 6])
+    def test_init_maps_partition_the_store(self, gather_problems, nprocs):
+        """The ranks' init maps are disjoint and cover ``range(plan.size)``,
+        and each rank's entries of ``A`` are exactly the ones that land in
+        its words."""
+        for (name, policy), (bs, wm, tg, A, _) in gather_problems.items():
+            owners, _ = plan_owners(wm, tg, nprocs, "DW/CY")
+            ctx = _context(bs, tg, owners, A, "g")
+            plan = bs.numeric_plan()
+            maps = [ctx.init_map(r) for r in range(nprocs)]
+            words = [
+                np.concatenate([np.arange(lo, hi) for lo, hi, _ in runs])
+                for runs, _, _ in maps
+            ]
+            assert np.array_equal(np.sort(np.concatenate(words)),
+                                  np.arange(plan.size)), (name, policy)
+            src, dest = plan.scatter_map(A.indptr, A.indices)
+            assert sum(s.shape[0] for _, s, _ in maps) == src.shape[0]
+            for w, (runs, s, at) in zip(words, maps):
+                assert [off for _, _, off in runs] == np.cumsum(
+                    [0] + [hi - lo for lo, hi, _ in runs[:-1]]).tolist()
+                assert np.array_equal(w[at], dest[np.isin(dest, w)])
+                assert np.array_equal(s, src[np.isin(dest, w)])
+
+    @needs_shm
+    @pytest.mark.parametrize("nprocs", [2, 4, 6])
+    def test_a_store_full_of_nan_factors_clean(self, gather_problems,
+                                               nprocs):
+        """Nothing a job reads is left over from before it: a store filled
+        with NaN before dispatch yields a finite factor, bitwise the
+        sequential one on a 1 x 2 grid and the grouped oracle's on 2 x 2
+        and 2 x 3 — more ranks than cores, two owners writing one column's
+        slab in place."""
+        bs, wm, tg, A, ref = gather_problems["grid12", "uniform"]
+        owners, _ = plan_owners(wm, tg, nprocs, "DW/CY")
+        if nprocs > 2:  # oracle_grouped_factor, in a BlockCholesky
+            ref = oracle_grouped_cholesky(bs, A, owners).to_csc()
+        arena = BlockArena.create(tg)
+        try:
+            arena.store[:] = np.nan
+            with WorkerPool(nprocs=nprocs) as pool:
+                ctx = _context(bs, tg, owners, A, "g", arena)
+                out = _run(pool, 0, ctx, A.data)
+                assert out.ok, out.error
+                factor, _, _, _ = outcome_result(
+                    out, bs, tg, True, owners=owners, arena=arena,
+                )
+        finally:
+            arena.destroy()
+        assert _bitwise(factor.to_csc(), ref)  # to_csc: finite, or raises
 
 
 # ----------------------------------------------------------------------

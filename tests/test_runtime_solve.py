@@ -9,7 +9,7 @@ dynamic), P in {1, 2, 4} with 1/4/16 right-hand sides, and P in {3, 5, 6}
 block column has one owner (a ``1 x P`` grid: P = 1, 2, 3, 5) that is the
 sequential ``block_solve_permuted``; at P = 4 and 6 (two grid rows) it is
 ``oracle_grouped_solve`` over ``oracle_grouped_factor``, which agrees with
-sequential to rounding. On shm the factor never leaves its arena slots:
+sequential to rounding. On shm the factor never leaves the arena's store:
 every factor frame on the wire is exactly a 64-byte descriptor, and only
 RHS fragments carry payload.
 """

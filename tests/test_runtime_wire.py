@@ -61,21 +61,6 @@ class TestWireFormat:
         assert got.flags.c_contiguous and got.flags.writeable
         np.testing.assert_array_equal(got, a)
 
-    def test_running_crc_is_the_crc_of_the_payloads_end_to_end(self):
-        import zlib
-
-        rng = np.random.default_rng(3)
-        sub = rng.normal(size=(4, 3))
-        diag = np.asfortranarray(np.tril(rng.normal(size=(3, 3))))
-        payloads = [wire.payload_words(sub, False),
-                    wire.payload_words(diag, True)]
-        frames = [wire.pack_block(0, 0, 5, 1, sub),
-                  wire.pack_block(0, 1, 2, 2, diag)]
-        body = b"".join(f[wire.HEADER_BYTES:] for f in frames)
-        assert wire.running_crc(payloads) == [
-            zlib.crc32(frames[0][wire.HEADER_BYTES:]), zlib.crc32(body)
-        ]
-
     def test_one_by_one_diagonal(self):
         msg = wire.unpack(wire.pack_block(0, 5, 3, 3, np.array([[4.0]])))
         np.testing.assert_array_equal(msg.payload, [[4.0]])

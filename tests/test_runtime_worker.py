@@ -3,17 +3,19 @@ over an in-memory fabric (``LinkFabric(P, queue)``) and driven by hand —
 the handler table, the non-blocking ``step`` (two ranks interleaved in
 one thread, factor + solve, bitwise vs sequential; how soon a rank with a
 full ready queue reads its inbox), each control / steal handler on its
-own, and hypothesis-fuzzed input to the receive prologue.
+own, and hypothesis-fuzzed input to the receive prologue (an
+arena-attached rank's descriptor path included).
 
 Only the last class spawns processes: it pins that the per-operation
 fixed cost comes from the task graph's own work model on every path."""
 
 import dataclasses
+import gc
 import queue
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.analysis.comm_volume import (
     communication_volume,
@@ -35,6 +37,7 @@ from repro.runtime import (
     run_mp_fanout,
     wire,
 )
+from repro.runtime.arena import BlockArena, shm_available
 from repro.runtime.engine import outcome_result
 from repro.runtime.pool import JobOutcome
 from repro.runtime.worker import (
@@ -435,6 +438,100 @@ class TestReceivePrologueFuzz:
                                       index, bit):
         w, fabric = _fuzz_worker(grid12_pipeline)
         _rejects(w, fabric, _flipped(seq_chol, w, index, bit))
+
+
+@pytest.fixture(scope="module")
+def shm_rank(grid12_pipeline, seq_chol):
+    """Rank 0 of a P = 2 job, set up over an arena whose store holds the
+    sequential factor — rank 1's blocks final, as if rank 1 had published
+    them — shared by every hypothesis example; its fabric; the arena."""
+    if not shm_available():
+        pytest.skip("multiprocessing.shared_memory unavailable")
+    ctx, A = _context(grid12_pipeline, 2)
+    arena = BlockArena.create(ctx.tg)
+    try:
+        arena.store[:] = seq_chol.store
+        fabric = LinkFabric(2, queue)
+        w = Worker(0, ctx, PoolJob(seq=0, pattern_id="t", values=A.data),
+                   arena, fabric, queue.Queue())
+        w._setup(True)
+        yield w, fabric, arena
+        del w
+        gc.collect()  # the worker's views of the store, before the unmap
+    finally:
+        arena.destroy()
+
+
+def _peer_block(w, pick):
+    remote = np.flatnonzero(w.owners == 1)
+    return int(remote[pick % remote.shape[0]])
+
+
+def _rejects_in_place(w, fabric, arena, frame):
+    """:func:`_rejects`, and the store's bytes are unchanged too."""
+    store = arena.store.tobytes()
+    _rejects(w, fabric, frame)
+    assert arena.store.tobytes() == store
+
+
+class TestDescriptorFuzz:
+    """Once peers read each other's blocks in place, the descriptor check
+    is the only guard against reading the wrong words: a descriptor that
+    does not name a block exactly as the arena lays it out and holds it
+    raises a typed :class:`~repro.runtime.wire.WireError`, runs no
+    handler, sends nothing and changes no byte of the store."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pick=st.integers(0, 10_000), index=st.integers(0, 63),
+           bit=st.integers(0, 7))
+    def test_bit_flipped_descriptors(self, shm_rank, pick, index, bit):
+        w, fabric, arena = shm_rank
+        buf = bytearray(arena.pack_ref(1, _peer_block(w, pick)))
+        buf[index] ^= 1 << bit
+        _rejects_in_place(w, fabric, arena, bytes(buf))
+
+    @settings(max_examples=150, deadline=None)
+    @given(pick=st.integers(0, 10_000), other=st.integers(0, 10_000),
+           fields=st.sets(st.integers(0, 3), min_size=1),
+           far=st.booleans())
+    def test_resigned_descriptors(self, shm_rank, pick, other, fields,
+                                  far):
+        """Valid frame CRC and payload CRC, but the offset / rows / cols /
+        words (any of them) name another block or fall out of range."""
+        w, fabric, arena = shm_rank
+        b = _peer_block(w, pick)
+        ref = list(arena.refs[b])
+        if far:  # past the end of the store, or of any block's extents
+            beyond = 8 * arena.size + 8 * other
+            for f in fields:
+                ref[f] = beyond if f == 0 else beyond // 8 + ref[f]
+        else:
+            b2 = other % len(arena.refs)
+            for f in fields:
+                ref[f] = arena.refs[b2][f]
+        assume(tuple(ref) != arena.refs[b])
+        off, rows, cols, words = ref
+        _rejects_in_place(w, fabric, arena, wire.pack_block_ref(
+            1, b, rows, cols, words, off, arena.checksum(b)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(pick=st.integers(0, 10_000), delta=st.integers(1, 2**32 - 1))
+    def test_stale_payload_crc(self, shm_rank, pick, delta):
+        w, fabric, arena = shm_rank
+        b = _peer_block(w, pick)
+        off, rows, cols, words = arena.refs[b]
+        _rejects_in_place(w, fabric, arena, wire.pack_block_ref(
+            1, b, rows, cols, words, off, arena.checksum(b) ^ delta))
+
+    def test_a_valid_descriptor_is_taken_in_place(self, shm_rank):
+        """The control: the same rank takes an intact descriptor — no
+        byte of the store moves, the block counts as received."""
+        w, fabric, arena = shm_rank
+        b = _peer_block(w, 0)
+        store = arena.store.tobytes()
+        assert w.receive(arena.pack_ref(1, b)) is True
+        assert b in w.have and w.metrics.messages_received == 1
+        assert arena.store.tobytes() == store
 
 
 class TestWorkCostComesFromTheTaskGraph:
