@@ -3,7 +3,7 @@
 One process lifecycle, :class:`repro.runtime.pool.WorkerPool`, and one way
 to run a job on it: a :class:`PatternPlan` builds the
 :class:`~repro.runtime.pool.PoolJob`, the pool runs it (a factor job
-through :func:`repro.runtime.recovery.recover`), and the
+through :func:`repro.runtime.recovery.run_job`), and the
 :class:`~repro.runtime.pool.JobOutcome` becomes a result
 (:func:`outcome_result`) or the typed :class:`FanoutError` of
 :func:`raise_failure`. Three owners hold a pool: :func:`run_mp_fanout`

@@ -33,8 +33,8 @@ recovery loop (:mod:`repro.runtime.recovery`) re-runs the job from
 scratch. :class:`~repro.runtime.faults.FaultPlan` injection threads into
 individual jobs so every layer above is chaos-testable. Per-job
 deadlines are enforced driver-side: an expired job gets a seq-tagged
-ABORT injected into every inbox. Workers heartbeat on the result queue
-before every job; the driver only records it (:attr:`last_heartbeats`).
+ABORT injected into every inbox. Liveness is the driver's own check
+(:meth:`WorkerPool.dead_ranks`, every 10 ms while a job runs).
 
 Who replaces a crew: :meth:`WorkerPool.run` only *reports*. A dead
 process or the job's timeout ABORTs the job and is recorded in
@@ -64,16 +64,12 @@ from repro.runtime.worker import Worker, WorkerResult
 from repro.util.heap import pin_malloc_thresholds
 
 __all__ = [
-    "HEARTBEAT_SEQ",
     "PatternContext",
     "PoolJob",
     "JobOutcome",
     "WorkerPool",
 ]
 
-
-#: Result-queue tag used by worker heartbeats (never a valid job seq).
-HEARTBEAT_SEQ = -1
 
 #: ``fork`` shares the parent's imports with the crew for free; platforms
 #: without it get ``spawn``.
@@ -319,11 +315,6 @@ class _PoolWorker:
 
     # -- one job -------------------------------------------------------
     def _run_job(self, job: PoolJob, epoch: float) -> None:
-        # Heartbeat: tells the driver this rank is alive and which job it
-        # is about to run; rides the result queue under a reserved tag.
-        self.result_queue.put(
-            (HEARTBEAT_SEQ, (self.rank, job.seq, time.monotonic()))
-        )
         fabric = JobFabric(self.fabric, job.seq)
         results = _TaggedQueue(self.result_queue, job.seq)
         try:
@@ -432,9 +423,6 @@ class WorkerPool:
         #: from pool-level breakage; after a breakage the crew must be
         #: replaced (:meth:`restart`) or released (:meth:`close`).
         self.last_error: str | None = None
-        #: rank -> last heartbeat instant (``time.monotonic``), updated
-        #: as jobs run; survives restarts for post-mortem inspection.
-        self.last_heartbeats: dict[int, float] = {}
         self._procs: list = []
         self._commands: list = []
         self._results = None
@@ -617,10 +605,6 @@ class WorkerPool:
                     break_pool(
                         f"pool worker process(es) died: {names}", dead, True
                     )
-                continue
-            if seq == HEARTBEAT_SEQ:
-                rank, _jseq, t = res
-                self.last_heartbeats[rank] = t
                 continue
             if seq != job.seq:  # pragma: no cover - stale result
                 continue

@@ -6,23 +6,23 @@ once, and anything off that script — a raised error, a corrupt or
 repeated frame, a dead process, a stall — aborts the attempt. The job
 then re-runs from scratch, and the sequential factorization comes last.
 So a successful attempt is always an ordinary run, and its factor is
-bitwise the clean one at that width. :func:`recover` is that idea written
-once, over a :class:`~repro.runtime.pool.WorkerPool` the caller owns and
-one :class:`RecoveryJob` — :func:`run_job`'s or a factor job of the
-factorization service. Each round it runs the attempt and settles with
-the pool (:func:`settle`, the one place a crew is replaced, by one rule:
-a rank that merely raised stays, a broken crew is restarted at its own
-width): a finished or expired job leaves; a failed one has its traces
-kept and a :class:`FailedAttempt` recorded, and runs again unless its
-error is deterministic, the attempt budget is spent or the caller stops
-the loop — then it leaves for :func:`last_resort`. Every caller builds
-attempt ``k``'s job one way: the fault plan's
-:meth:`~repro.runtime.faults.FaultPlan.for_attempt` plus the deadline.
-Every job leaves with a :class:`FailureReport`, so a result can always
-say whether its factor came from a clean run, a recovered restart or the
-sequential fallback. :func:`run_job` is one factorization through the
-loop, on a ``SparseCholesky`` instance's crew (with the fallback) or on
-``run_mp_fanout``'s one-call crew (one attempt, no fallback).
+bitwise the clean one at that width. :func:`run_job` is that idea
+written once: it takes one factor job, on a
+:class:`~repro.runtime.pool.WorkerPool` its caller owns, from the first
+attempt to its result, for every pool owner — ``run_mp_fanout`` (one
+attempt, no fallback), a ``SparseCholesky(backend="mp")`` instance and
+the factorization service. Each round it runs the attempt and settles
+with the pool (:func:`settle`, the one place a crew is replaced, by one
+rule: a rank that merely raised stays, a broken crew is restarted at its
+own width): a finished or expired attempt ends the loop; a failed one has
+its traces kept and a :class:`FailedAttempt` recorded, and runs again
+unless its error is deterministic, the attempt budget is spent or the
+caller stops the loop. Attempt ``k`` carries the fault plan's
+:meth:`~repro.runtime.faults.FaultPlan.for_attempt` and the deadline.
+Then the finished attempt is assembled, or the sequential factorization
+stands in — never past the deadline. Every job leaves with a
+:class:`FailureReport`, so a result can always say whether its factor
+came from a clean run, a recovered restart or the sequential fallback.
 Failed attempts, restarts, fallbacks and recoveries are logged here.
 """
 
@@ -36,10 +36,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from repro.numeric.blockfact import BlockCholesky
-from repro.runtime.engine import MPRuntimeResult, PatternPlan, job_result
+from repro.runtime.engine import (
+    MPRuntimeResult, PatternPlan, RuntimeTimeoutError, job_result,
+)
 from repro.runtime.faults import FaultPlan
 from repro.runtime.metrics import RuntimeMetrics
-from repro.runtime.pool import JobOutcome, PoolJob, WorkerPool
+from repro.runtime.pool import WorkerPool
 from repro.runtime.trace import RunTrace
 
 log = logging.getLogger(__name__)
@@ -108,31 +110,6 @@ class FailureReport:
         return "\n".join(lines)
 
 
-class RecoveryJob:
-    """One factorization on its way through :func:`recover`: the permuted
-    csc matrix ``A``, a ``label`` for the log and the pattern's
-    :class:`~repro.runtime.engine.PatternPlan` — plus what the loop keeps:
-    the ``traces`` of failed attempts, the last attempt's
-    :class:`~repro.runtime.pool.PoolJob` (``shipped``) and ``outcome``, and
-    the ``report``, which says degraded — owed the last resort — until an
-    attempt finishes."""
-
-    def __init__(self, plan, A, label: str = "one-shot"):
-        self.plan, self.A, self.label = plan, A, label
-        self.report = FailureReport(OUTCOME_DEGRADED)
-        self.traces: list[RunTrace] = []
-        self.shipped: PoolJob | None = None
-        self.outcome: JobOutcome | None = None
-        self._entered = time.perf_counter()
-
-    def _leave(self, outcome: str = OUTCOME_DEGRADED):
-        rep = self.report
-        rep.outcome = outcome
-        rep.restarts = len(rep.attempts)
-        rep.wall_s = time.perf_counter() - self._entered
-        return self
-
-
 def settle(pool: WorkerPool) -> bool:
     """Settle with the pool after a job; returns whether the crew was
     replaced. It is, at its own width, exactly when the job broke it
@@ -146,46 +123,65 @@ def settle(pool: WorkerPool) -> bool:
     return True
 
 
-def recover(pool: WorkerPool, job: RecoveryJob, make_spec, attempts: int,
-            timeout_s: float, settled=None) -> RecoveryJob:
-    """Run ``job`` on ``pool`` until it finishes or is out of its
-    ``attempts`` parallel attempts, and return it.
+def run_job(pool: WorkerPool, plan: PatternPlan, A, attempts: int, seqs, *,
+            rhs=None, fault_plan: FaultPlan | None = None, deadline=None,
+            settled=None, label: str | None = None,
+            fallback_sequential=True) -> MPRuntimeResult:
+    """Factor ``A`` (permuted csc) on ``pool``, started first, in up to
+    ``attempts`` parallel attempts over ``plan``'s job, numbered from
+    ``seqs``; attempt ``k`` carries ``fault_plan.for_attempt(k)`` and the
+    ``deadline`` (``time.monotonic()``; ``rhs`` appends the distributed
+    solve). ``settled(restarted)``, if given, hears after each attempt
+    whether :func:`settle` replaced the crew and answers whether the pool
+    may run another (a circuit breaker's seat). ``label`` names the job
+    in the log (default: the pattern id).
 
-    ``make_spec(attempt)`` returns the attempt's
-    :class:`~repro.runtime.pool.PoolJob`, kept as ``job.shipped``, over
-    the owners ``job.plan`` planned once for ``pool.nprocs`` workers.
-    ``timeout_s`` bounds one attempt. ``settled(restarted)``, if given,
-    hears after each attempt whether the crew had to be replaced and
-    answers whether the pool may run another (a circuit breaker's seat).
-    A job that leaves with neither ``report.ok`` nor an expired
-    ``outcome`` is owed the last resort.
+    Returns the finished attempt's result or, when none finished, the
+    sequential fallback's (no ``solution``; what it raises — a
+    ``LinAlgError`` for a matrix that is not positive definite — is the
+    job's canonical error). Never falls back past the ``deadline``: that
+    raises :class:`~repro.runtime.engine.RuntimeTimeoutError`; with
+    ``fallback_sequential`` off the last attempt's typed error is raised.
+    Both errors and the result carry the job's :class:`FailureReport` as
+    ``failure_report``; a gather that fails its checks raises the plain
+    :class:`~repro.runtime.engine.FanoutError` of
+    :func:`~repro.runtime.engine.outcome_result`.
     """
+    label = label or plan.pattern_id
+    report = FailureReport(OUTCOME_DEGRADED)
+    traces: list[RunTrace] = []
+    job = out = None
+    epoch = time.perf_counter()
+    pool.start()
+    launch_s = time.perf_counter() - epoch
     width = pool.nprocs
     for attempt in range(attempts):
-        job.shipped = make_spec(attempt)
+        job = plan.job(
+            pool, A, next(seqs), rhs=rhs, deadline=deadline,
+            fault_plan=fault_plan and fault_plan.for_attempt(attempt),
+        )
         t0 = time.perf_counter()
-        out = job.outcome = pool.run(job.shipped, timeout_s)
+        out = pool.run(job, plan.config.timeout_s)
         out.attempt = attempt
         wall_s = time.perf_counter() - t0
         retry = False
         if out.ok:
-            outcome = OUTCOME_RECOVERED if attempt else OUTCOME_CLEAN
+            report.outcome = OUTCOME_RECOVERED if attempt else OUTCOME_CLEAN
             if attempt:
                 log.info("job %s recovered on attempt %d (P=%d)",
-                         job.label, attempt, width)
+                         label, attempt, width)
         else:
-            outcome = OUTCOME_DEGRADED
             if any(res.trace is not None for res in out.results.values()):
-                job.traces.append(RunTrace.from_workers(
+                traces.append(RunTrace.from_workers(
                     {r: res.trace for r, res in out.results.items()},
                     meta={"nprocs": width, "attempt": attempt, "failed": True},
                     attempt=attempt,
                 ))
-            job.report.attempts.append(FailedAttempt(
+            report.attempts.append(FailedAttempt(
                 attempt, width, list(out.failed_ranks),
                 out.error or "aborted", wall_s,
             ))
-            log.warning("job %s: %s", job.label, job.report.attempts[-1])
+            log.warning("job %s: %s", label, report.attempts[-1])
             retry = not out.expired and not any(
                 out.results[r].metrics.error_type in NOT_RETRYABLE
                 for r in out.failed_ranks if r in out.results
@@ -194,58 +190,33 @@ def recover(pool: WorkerPool, job: RecoveryJob, make_spec, attempts: int,
         go = settled is None or settled(restarted)
         if not (retry and attempt + 1 < attempts and go):
             break
-    return job._leave(outcome)
-
-
-def last_resort(job: RecoveryJob) -> tuple[BlockCholesky, RuntimeMetrics]:
-    """The sequential factorization that stands in for a job no parallel
-    attempt finished: always correct, and bitwise the factor of any
-    ``1 x P`` crew (to rounding on other grids). What it raises
-    (``LinAlgError`` for a matrix that is not positive definite) is the
-    job's canonical error."""
-    log.warning("job %s: sequential fallback after %d failed attempt(s)",
-                job.label, len(job.report.attempts))
-    t0 = time.perf_counter()
-    factor = BlockCholesky(job.plan.structure, job.A).factor()
-    job._leave()
-    wall_s = time.perf_counter() - t0
-    return factor, RuntimeMetrics(1, wall_s, [], SEQUENTIAL_MAPPING)
-
-
-def run_job(pool: WorkerPool, plan: PatternPlan, A, attempts: int, seqs, *,
-            rhs=None, fault_plan: FaultPlan | None = None,
-            fallback_sequential=True) -> MPRuntimeResult:
-    """Factor ``A`` (permuted csc) on ``pool``, started first:
-    :func:`recover` over ``plan``'s job for ``attempts`` parallel attempts
-    numbered from ``seqs``, each with ``fault_plan``'s faults for it
-    (``rhs`` appends the distributed solve).
-    Returns the last attempt's result, or the :func:`last_resort`'s (no
-    ``solution``; what it raises propagates), or — ``fallback_sequential``
-    off — raises the attempt's typed error. Either carries the job's
-    ``FailureReport``."""
-    job = RecoveryJob(plan, A, plan.pattern_id)
-    report = job.report
-    epoch = time.perf_counter()
-    pool.start()
-    launch_s = time.perf_counter() - epoch
-
-    def spec(attempt):
-        return plan.job(
-            pool, A, next(seqs), rhs=rhs,
-            fault_plan=fault_plan and fault_plan.for_attempt(attempt),
-        )
-
-    recover(pool, job, spec, attempts, plan.config.timeout_s)
+    report.restarts = len(report.attempts)
+    report.wall_s = time.perf_counter() - epoch
     if report.ok or not fallback_sequential:
-        res = job_result(plan, job.shipped, job.outcome, launch_s, report)
+        res = job_result(plan, job, out, launch_s, report)
         report.faults_injected = res.metrics.faults_injected_total
+    elif deadline is not None and time.monotonic() > deadline:
+        error = RuntimeTimeoutError(
+            f"job {label} missed its deadline after {report.restarts} "
+            "failed attempt(s); no sequential fallback"
+        )
+        error.failure_report = report
+        raise error
     else:
-        factor, metrics = last_resort(job)
+        log.warning("job %s: sequential fallback after %d failed attempt(s)",
+                    label, report.restarts)
+        t0 = time.perf_counter()
+        # Always correct, and bitwise the factor of any 1 x P crew (to
+        # rounding on other grids).
+        factor = BlockCholesky(plan.structure, A).factor()
+        report.wall_s = time.perf_counter() - epoch
         res = MPRuntimeResult(
-            factor, metrics, np.zeros(plan.tg.nblocks, dtype=np.int64),
-            SEQUENTIAL_MAPPING, {"fallback": True}, report,
+            factor,
+            RuntimeMetrics(1, time.perf_counter() - t0, [], SEQUENTIAL_MAPPING),
+            np.zeros(plan.tg.nblocks, dtype=np.int64), SEQUENTIAL_MAPPING,
+            {"fallback": True}, report,
         )
     # Failed attempts' events first, so the trace tells the whole
     # multi-attempt story.
-    res.trace = RunTrace.concat([*job.traces, res.trace])
+    res.trace = RunTrace.concat([*traces, res.trace])
     return res

@@ -78,11 +78,15 @@ class PatternEntry(PatternPlan):
 
 
 class PatternCache:
-    """LRU cache of :class:`PatternEntry`, with observable hit/miss
-    counters."""
+    """LRU cache of :class:`PatternEntry`, with observable counters: a
+    hit is a :meth:`lookup` that found its entry, a miss an entry built
+    and :meth:`put`. Not thread-safe: the service's dispatcher is its only
+    writer (other threads :meth:`peek`)."""
 
     def __init__(self, capacity: int = 8):
-        self.capacity = max(2, int(capacity))
+        if capacity < 1:
+            raise ValueError(f"cache_capacity must be >= 1, got {capacity!r}")
+        self.capacity = int(capacity)
         self._entries: OrderedDict[str, PatternEntry] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -95,7 +99,6 @@ class PatternCache:
         """Hit-counting lookup; refreshes LRU recency."""
         entry = self._entries.get(pattern_id)
         if entry is None:
-            self.misses += 1
             return None
         self.hits += 1
         entry.uses += 1
@@ -107,9 +110,10 @@ class PatternCache:
         return self._entries.get(pattern_id)
 
     def put(self, entry: PatternEntry) -> list[PatternEntry]:
-        """Insert ``entry``; evict LRU entries beyond capacity and return
-        them — the caller drops worker attachments and destroys their
-        arenas."""
+        """Insert ``entry`` (a miss); evict LRU entries beyond capacity
+        and return them — the caller drops worker attachments and destroys
+        their arenas."""
+        self.misses += 1
         self._entries[entry.pattern_id] = entry
         self._entries.move_to_end(entry.pattern_id)
         evicted = []

@@ -8,12 +8,17 @@ Lifecycle of a job (a factorization or a warm solve)::
                   (bounded: wait, then reject)             │ resolve
                                                            │ pattern
                                                            ▼
-                   WorkerPool.run(PoolJob), through recover() for a factor
+             a factor: recovery.run_job; a solve: WorkerPool.run
                                                            │
-                  JobHandle ◀── assemble + validate ◀──────┘
+                  JobHandle ◀── to_csc + validate ◀────────┘
 
-The dispatcher thread is the only caller of the pool: one job is in
-flight, the next is taken when its handle has been answered.
+The dispatcher thread is the only caller of the pool and the only writer
+of the pattern cache: one job is in flight, the next is taken when its
+handle has been answered. A factor job runs through the runtime's one
+job driver, :func:`~repro.runtime.recovery.run_job`, on the pattern's
+:class:`PatternEntry` — attempts, crew restarts, the sequential fallback —
+and the service adds its record, its typed errors and the retained
+factor.
 Cold jobs (pattern never seen) pay symbolic analysis, owner planning,
 and arena creation once; the resulting :class:`PatternEntry` is cached
 and its context shipped to the resident workers with the first job.
@@ -37,15 +42,12 @@ from scipy import sparse
 from repro.config import RunConfig
 from repro.numeric.solve import permute_rhs
 from repro.runtime.arena import resolve_transport
-from repro.runtime.engine import FanoutError, RunTrace, outcome_result
+from repro.runtime.engine import (
+    FanoutError, RuntimeTimeoutError, outcome_result,
+)
 from repro.runtime.pool import PoolJob, WorkerPool
 from repro.runtime.recovery import (
-    OUTCOME_CLEAN,
-    OUTCOME_DEGRADED,
-    RecoveryJob,
-    last_resort,
-    recover,
-    settle,
+    OUTCOME_CLEAN, OUTCOME_DEGRADED, run_job, settle,
 )
 from repro.service.admission import JobQueue
 from repro.service.cache import PatternCache, PatternEntry, pattern_digest
@@ -57,6 +59,7 @@ from repro.service.jobs import (
     JobHandle,
     JobResult,
     ServiceClosed,
+    ServiceError,
     ServiceUnavailable,
     SolveJob,
     SolveResult,
@@ -75,6 +78,11 @@ _PER_JOB_ERRORS = (UnknownPatternError, JobFailed)
 #: Completed results of caller-named jobs (factor and solve alike) kept
 #: for idempotent retries, least recently used dropped first.
 DEDUP_CAPACITY = 64
+
+
+def _kind(job_or_result) -> str:
+    return ("solve" if isinstance(job_or_result, (SolveJob, SolveResult))
+            else "factor")
 
 
 class _Queued:
@@ -129,8 +137,8 @@ class FactorService:
         self.transport = resolve_transport(self.config.transport, self.nprocs)
         self.validate = validate
         self.queue = JobQueue(queue_capacity)
-        self.pool = WorkerPool(self.nprocs)
         self.cache = PatternCache(cache_capacity)
+        self.pool = WorkerPool(self.nprocs)
         self.metrics = ServiceMetrics()
         self.default_deadline_s = default_deadline_s
         self.breaker = CircuitBreaker(breaker_threshold, breaker_cooldown_s)
@@ -243,6 +251,8 @@ class FactorService:
         completion returns the cached result — so client retries after a
         broken connection never run a job twice. (A job the service had
         to name itself cannot be retried, so its result is not kept.)
+        Reusing a solve's ``job_id`` for a factor job (or the other way
+        round) raises :class:`ServiceError`.
         ``fault_plan`` injects deterministic faults into the job's parallel
         attempts: ``fault_plan.for_attempt(k)`` into attempt ``k``.
         """
@@ -267,6 +277,13 @@ class FactorService:
         handle = JobHandle(job)
         with self._dedup_lock:
             existing = self._outstanding.get(job.job_id)
+            prior = (existing.job if existing is not None
+                     else self._completed.get(job.job_id))
+            if prior is not None and _kind(prior) != _kind(job):
+                raise ServiceError(
+                    f"job id {job.job_id!r} names a {_kind(prior)} job; "
+                    f"a {_kind(job)} job cannot reuse it"
+                )
             if existing is not None:
                 self.metrics.count_deduped()
                 return existing
@@ -329,7 +346,8 @@ class FactorService:
             raise ServiceClosed("service is shut down")
         named = job_id is not None
         job_id = job_id or uuid.uuid4().hex[:12]
-        entry = self.cache.lookup(pattern_id)
+        # Counter-neutral: the dispatcher is the cache's only writer.
+        entry = self.cache.peek(pattern_id)
         if entry is None:
             raise UnknownPatternError(
                 f"pattern {pattern_id!r} is not cached (evicted, or from "
@@ -383,7 +401,6 @@ class FactorService:
             else "degraded" if breaker["state"] != CircuitBreaker.CLOSED
             else "ok"
         )
-        now = time.monotonic()
         return {
             "status": status,
             "breaker": breaker,
@@ -392,12 +409,6 @@ class FactorService:
                 "alive": self.pool.alive,
                 "nprocs": self.pool.nprocs,
                 "generation": self.pool.generation,
-                "heartbeat_age_s": {
-                    str(rank): round(now - t, 3)
-                    for rank, t in sorted(
-                        self.pool.last_heartbeats.items()
-                    )
-                },
             },
             "queue": {
                 "depth": len(self.queue),
@@ -443,40 +454,83 @@ class FactorService:
             self._run_factor(queued, record)
 
     def _run_factor(self, queued: _Queued, record: JobRecord) -> None:
+        job = queued.job
+
+        def settled(restarted):  # after each parallel attempt
+            record.attempts += 1
+            return self._pool_settled(restarted)
+
         try:
-            entry, record.cache, A_full = self._resolve_entry(
-                queued.job, record
-            )
-            A_perm = self._job_matrix(queued.job, entry, A_full)
-        except _PER_JOB_ERRORS as exc:
+            entry, record.cache, A_full = self._resolve_entry(job, record)
+            A_perm = self._job_matrix(job, entry, A_full)
+            # Breaker open: no parallel attempt; the job runs on the
+            # sequential last resort — degraded but correct.
+            attempts = (self.config.max_restarts + 1
+                        if self.breaker.allow() else 0)
+            record.attempts = 0
+            try:
+                res = run_job(
+                    self.pool, entry, A_perm, attempts, self._seq,
+                    fault_plan=job.fault_plan, deadline=job.deadline,
+                    settled=settled, label=job.job_id,
+                )
+            except np.linalg.LinAlgError as exc:
+                # The fallback's error (a matrix that is not positive
+                # definite) is the job's canonical one.
+                raise JobFailed(
+                    job.job_id, f"sequential fallback failed: {exc!r}"
+                ) from exc
+            ok = res.failure_report.ok
+            t0 = time.monotonic()
+            L = res.factor.to_csc()
+            if ok and self.validate:
+                self._validate(job.job_id, entry, A_perm, L)
+        except RuntimeTimeoutError:  # past the deadline: no fallback
+            self._finish_expired(queued, record)
+            return
+        except (*_PER_JOB_ERRORS, FanoutError, np.linalg.LinAlgError) as exc:
+            # A gather that does not cover every block, or a NaN/Inf found
+            # at assembly, fails the job like a failed validation: never
+            # release a factor with holes.
+            if isinstance(exc, (FanoutError, np.linalg.LinAlgError)):
+                exc = JobFailed(job.job_id, str(exc))
             record.status = "failed"
             record.error = str(exc)
             self._finish_failed(queued, exc, record)
             return
-        # The recovery loop's job: the plan is the pattern entry.
-        p = RecoveryJob(entry, A_perm, queued.job.job_id)
-
-        faults = queued.job.fault_plan
-
-        def spec(attempt):
-            # Fresh seqs each attempt; the context re-ships to a new crew.
-            return entry.job(
-                self.pool, A_perm, next(self._seq),
-                deadline=queued.job.deadline,
-                fault_plan=faults and faults.for_attempt(attempt),
-            )
-
-        # Breaker open: don't touch the pool; the job runs on the
-        # sequential last resort — degraded but correct.
-        if self.breaker.allow():
-            recover(self.pool, p, spec, self.config.max_restarts + 1,
-                    self.config.timeout_s, self._pool_settled)
-        self._finish_job(queued, record, p)
+        gather = res.metrics.extra.get("gather", {})
+        record.assemble_s = (time.monotonic() - t0 + gather.get("copy_s", 0.0)
+                             + gather.get("check_s", 0.0))
+        record.run_s = res.metrics.wall_s
+        record.outcome = res.failure_report.outcome
+        record.e2e_s = time.monotonic() - job.submitted_at
+        res.metrics.problem = entry.pattern_id
+        self._tag_metrics(res.metrics, record)
+        # Retain the factor for solve requests: the driver-side copy is
+        # the sequential fallback, and the pool workers that ran the job
+        # keep their blocks resident for warm distributed solves (no
+        # worker holds a last-resort factor).
+        entry.last_factor = res.factor
+        entry.resident_generation = self.pool.generation if ok else -1
+        self._finish_ok(queued, JobResult(
+            job_id=job.job_id,
+            pattern_id=entry.pattern_id,
+            cache=record.cache,
+            L=L,
+            perm=entry.perm,
+            factor=res.factor,
+            metrics=res.metrics,
+            trace=res.trace,
+            record=record,
+        ))
 
     def _run_solve(self, queued: _Queued, record: JobRecord) -> None:
         job, entry = queued.job, queued.job.entry
         record.pattern_id = entry.pattern_id
-        record.cache = "hit"
+        # Counts the hit and refreshes recency; a miss when the pattern
+        # was evicted while the solve was queued.
+        found = self.cache.lookup(entry.pattern_id) is not None
+        record.cache = "hit" if found else "miss"
         x_perm = metrics = trace = None
         # Warm only on the crew that factored the pattern (a restart or an
         # eviction ends residency), and only with the breaker's leave.
@@ -500,9 +554,12 @@ class FactorService:
             if out.ok:
                 record.run_s = out.wall_s
                 try:
-                    _, x_perm, metrics, trace = self._outcome_result(
-                        out, entry, record, rhs=job.panel
+                    _, x_perm, metrics, trace = outcome_result(
+                        out, entry.structure, entry.tg, rhs=job.panel,
+                        mapping=entry.mapping_name, arena=entry.arena,
+                        config=entry.config, problem=entry.pattern_id,
                     )
+                    self._tag_metrics(metrics, record)
                 except FanoutError as exc:
                     # A panel is missing: fall back rather than release
                     # a wrong answer.
@@ -569,7 +626,6 @@ class FactorService:
         if job.pattern_id is not None:
             entry = self.cache.lookup(job.pattern_id)
             if entry is None:
-                self.cache.misses -= 1  # not a buildable miss
                 raise UnknownPatternError(
                     f"pattern {job.pattern_id!r} is not cached "
                     "(evicted, or from a previous service run); "
@@ -658,77 +714,6 @@ class FactorService:
                 while len(self._completed) > DEDUP_CAPACITY:
                     self._completed.popitem(last=False)
 
-    def _finish_job(self, queued, record: JobRecord, p: RecoveryJob) -> None:
-        """Release a job as the recovery loop left it (or, with the
-        breaker open, never saw it): assemble the parallel factor or run
-        the sequential last resort, and answer the handle. The record's
-        ``outcome`` / ``attempts`` / ``error`` are read off the job's
-        :class:`~repro.runtime.recovery.FailureReport`."""
-        entry, rep = p.plan, p.report
-        ok = rep.ok
-        record.attempts = len(rep.attempts) + ok
-        if not ok and (
-            queued.job.expired
-            or (p.outcome is not None and p.outcome.expired)
-        ):
-            self._finish_expired(queued, record)
-            return
-        t0 = time.monotonic()
-        trace = None
-        try:
-            if ok:
-                record.run_s = p.outcome.wall_s
-                factor, _, metrics, trace = self._outcome_result(
-                    p.outcome, entry, record, factor=True
-                )
-            else:
-                try:
-                    factor, metrics = last_resort(p)
-                except Exception as exc:  # noqa: BLE001 - typed per-job failure
-                    # Its error (``LinAlgError`` for a matrix that is not
-                    # positive definite) is the job's canonical one.
-                    raise JobFailed(
-                        queued.job.job_id,
-                        f"sequential fallback failed: {exc!r}",
-                    ) from exc
-                record.run_s = metrics.wall_s
-                metrics.problem = entry.pattern_id
-                self._tag_metrics(metrics, record)
-                t0 = time.monotonic()  # assembly starts here
-            L = factor.to_csc()
-            if ok and self.validate:
-                self._validate(queued.job.job_id, entry, p.A, L)
-        except (JobFailed, FanoutError, np.linalg.LinAlgError) as exc:
-            # A gather that does not cover every block, or a NaN/Inf found
-            # at assembly, fails the job like a failed validation: never
-            # release a factor with holes.
-            if not isinstance(exc, JobFailed):
-                exc = JobFailed(queued.job.job_id, str(exc))
-            record.status = "failed"
-            record.error = exc.detail
-            self._finish_failed(queued, exc, record)
-            return
-        record.outcome = rep.outcome
-        record.assemble_s = time.monotonic() - t0
-        record.e2e_s = time.monotonic() - queued.job.submitted_at
-        # Retain the factor for solve requests: the driver-side copy is
-        # the sequential fallback, and the pool workers that ran the job
-        # keep their blocks resident for warm distributed solves (no
-        # worker holds a last-resort factor).
-        entry.last_factor = factor
-        entry.resident_generation = self.pool.generation if ok else -1
-        self._finish_ok(queued, JobResult(
-            job_id=queued.job.job_id,
-            pattern_id=entry.pattern_id,
-            cache=record.cache,
-            L=L,
-            perm=entry.perm,
-            factor=factor,
-            metrics=metrics,
-            trace=RunTrace.concat([*p.traces, trace]),
-            record=record,
-        ))
-
     def _validate(self, job_id, entry: PatternEntry, A_perm, L) -> None:
         """Check against the sequential baseline: bit for bit when each
         block column has one owner (the panel ops then stack whole columns
@@ -746,21 +731,6 @@ class FactorService:
         if not same:
             raise ValidationFailed(job_id, "parallel factor differs from "
                                    "the sequential baseline")
-
-    def _outcome_result(self, outcome, entry, record, factor=False,
-                        rhs=None):
-        """:func:`~repro.runtime.engine.outcome_result` for a job of
-        ``entry``'s pattern, with the service context on the metrics."""
-        assembled, solution, metrics, trace = outcome_result(
-            outcome, entry.structure, entry.tg, factor, rhs,
-            owners=entry.owners,
-            mapping=entry.mapping_name,
-            arena=entry.arena,
-            config=entry.config,
-            problem=entry.pattern_id,
-        )
-        self._tag_metrics(metrics, record)
-        return assembled, solution, metrics, trace
 
     @staticmethod
     def _tag_metrics(metrics, record: JobRecord) -> None:

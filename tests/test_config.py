@@ -131,6 +131,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("knob", [
         dict(breaker_cooldown_s=-1.0),
+        dict(cache_capacity=0),
+        dict(cache_capacity=-3),
     ], ids=lambda k: next(iter(k)))
     def test_service_only_knobs_reject_before_a_pool_exists(
         self, knob, monkeypatch

@@ -1,35 +1,34 @@
-"""The recovery loop on a scripted pool: no process is spawned.
+"""The one factor-job driver, ``run_job``, on a scripted pool: no process
+is spawned.
 
 ``ScriptedPool`` is a real :class:`WorkerPool` whose crew is imaginary —
 ``start`` / ``close`` only count generations, ``run`` replays the next
-scripted step — so ``restart`` does its real work and :func:`recover`
-sees exactly the surface it uses in production: ``run``, ``restart``,
-``nprocs``, ``last_error``.
+scripted step — so ``restart`` does its real work and :func:`run_job`
+sees exactly the surface it uses in production: ``start``, ``run``,
+``restart``, ``nprocs``, ``last_error``. An ``ok`` step ships the
+sequential factor's blocks as inline frames, each from its owner, so a
+finished attempt assembles like a real one.
 """
 
 import logging
-from types import SimpleNamespace
+import time
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.config import RunConfig
 from repro.numeric import BlockCholesky
-from repro.runtime import engine
+from repro.runtime import engine, wire
 from repro.runtime.metrics import WorkerMetrics
 from repro.runtime.pool import JobOutcome, PoolJob, WorkerPool
-from repro.runtime.recovery import (
-    RecoveryJob,
-    last_resort,
-    recover,
-    settle,
-)
+from repro.runtime.recovery import run_job, settle
 from repro.runtime.worker import WorkerResult
 
-#: The attempt budgets of the recovery loop's callers: ``run_mp_fanout``
-#: and a resident crew (the façade's, the service's) at the default
-#: ``max_restarts``.
-ONE_CALL = dict(attempts=1)
+#: The attempt budgets of the pool owners: ``run_mp_fanout`` (one
+#: attempt, no fallback) and a resident crew (the façade's, the
+#: service's) at the default ``max_restarts``.
+ONE_CALL = dict(attempts=1, fallback_sequential=False)
 RESIDENT = dict(attempts=3)
 
 
@@ -42,12 +41,14 @@ class ScriptedPool(WorkerPool):
         self.start()
 
     def start(self):
-        self.generation += 1
-        self.dead = []
+        if not self.running:
+            self._procs = [None] * self.nprocs
+            self.generation += 1
+            self.dead = []
         return self
 
     def close(self):
-        pass
+        self._procs = []
 
     def dead_ranks(self):
         return list(self.dead)
@@ -58,15 +59,29 @@ class ScriptedPool(WorkerPool):
         return self.script.pop(0)(self, job)
 
 
-def _result(rank, error=None, error_type=None, aborted=False):
+def _result(rank, error=None, error_type=None, aborted=False, frames=()):
     m = WorkerMetrics(rank=rank)
     m.error, m.error_type, m.aborted = error, error_type, aborted
-    return WorkerResult(rank, m, [])
+    return WorkerResult(rank, m, list(frames))
+
+
+def _sequential(ctx, values):
+    A = sparse.csc_matrix((values, ctx.indices, ctx.indptr), shape=ctx.shape)
+    return BlockCholesky(ctx.structure, A).factor()
 
 
 def ok(pool, job):
+    """Every rank ships the blocks the job's context says it owns."""
+    ctx = job.context
+    seq = _sequential(ctx, job.values)
+    frames = {r: [] for r in range(pool.nprocs)}
+    for b, r in enumerate(ctx.owners):
+        I, J = int(ctx.tg.block_I[b]), int(ctx.tg.block_J[b])
+        block = seq.diag[J] if I == J else seq.below[J][I]
+        frames[int(r)].append(wire.pack_block(int(r), b, I, J, block))
     return JobOutcome(
-        job.seq, {r: _result(r) for r in range(pool.nprocs)}, wall_s=0.01
+        job.seq, {r: _result(r, frames=frames[r]) for r in frames},
+        wall_s=0.01,
     )
 
 
@@ -120,74 +135,88 @@ def expired(pool, job):
 
 
 @pytest.fixture
-def make_job(grid12_pipeline):
+def sequential(grid12_pipeline):
+    """The sequential factor of the scripted job's matrix."""
+    _, sf, _, bs, _, _ = grid12_pipeline
+    return BlockCholesky(bs, sf.A).factor().to_csc()
+
+
+@pytest.fixture
+def drive(grid12_pipeline):
+    """``drive(pool, attempts, **kw)``: ``run_job`` over grid12's plan
+    for the pool's width. Returns the result, or the typed error it
+    raised; either carries the job's ``failure_report``."""
     _, sf, _, bs, _, tg = grid12_pipeline
 
-    def make(label="j", nprocs=4):
-        owners, name = engine.plan_owners(tg.workmodel, tg, nprocs, "DW/CY")
-        plan = SimpleNamespace(
-            structure=bs, tg=tg, owners=owners, mapping_name=name,
-            config=RunConfig(nprocs=nprocs, mapping="DW/CY"),
+    def run(pool, attempts, label="j", **kw):
+        owners, name = engine.plan_owners(
+            tg.workmodel, tg, pool.nprocs, "DW/CY"
         )
-        return RecoveryJob(plan, sf.A, label)
-
-    return make
-
-
-def _run(pool, job, attempts, settled=None):
-    seqs = iter(range(1000))
-    owners = job.plan.owners
-
-    def spec(attempt):
-        # every attempt runs on the owners planned once, for this width
-        assert job.plan.owners is owners
+        plan = engine.PatternPlan(
+            "p", bs, tg, owners, name,
+            RunConfig(nprocs=pool.nprocs, mapping="DW/CY", transport="inline"),
+        )
+        try:
+            res = run_job(pool, plan, sf.A, attempts, iter(range(1000)),
+                          label=label, **kw)
+        except engine.FanoutError as exc:
+            res = exc
+        # every attempt ran on the owners planned once, for this width,
+        # each with a fresh seq
+        assert plan.owners is owners
         assert int(owners.max()) == pool.nprocs - 1
-        return PoolJob(next(seqs), "p", None)
+        assert [s for _, s in pool.runs] == list(range(len(pool.runs)))
+        return res
 
-    left = recover(pool, job, spec, attempts, 60.0, settled)
-    # the job comes back, holding the PoolJob its last attempt shipped
-    assert left is job and job.shipped.seq == pool.runs[-1][1]
-    return job
+    return run
+
+
+def _bitwise(res, ref):
+    L = res.to_csc()
+    return all(np.array_equal(getattr(L, part), getattr(ref, part))
+               for part in ("indptr", "indices", "data"))
 
 
 class TestBudgetAndOutcomes:
-    def test_clean_first_attempt(self, make_job):
+    def test_clean_first_attempt(self, drive, sequential):
         pool = ScriptedPool(4, ok)
-        job = _run(pool, make_job(), 3)
-        rep = job.report
-        assert job.report.ok and rep.outcome == "clean"
+        res = drive(pool, 3)
+        rep = res.failure_report
+        assert rep.ok and rep.outcome == "clean"
         assert (rep.restarts, rep.attempts) == (0, [])
         assert pool.generation == 1 and pool.runs == [(4, 0)]
+        assert res.metrics.nprocs == 4 and _bitwise(res, sequential)
+        assert res.metrics.extra["gather"]["mode"] == "frames"
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_ok_on_attempt_k_is_recovered(self, make_job, k, caplog):
+    def test_ok_on_attempt_k_is_recovered(self, drive, sequential, k,
+                                          caplog):
         caplog.set_level(logging.INFO, logger="repro.runtime.recovery")
         pool = ScriptedPool(4, *[raising()] * k, ok)
-        job = _run(pool, make_job("J7"), 3)
-        rep = job.report
-        assert job.report.ok and rep.outcome == "recovered"
+        res = drive(pool, 3, "J7")
+        rep = res.failure_report
+        assert rep.ok and rep.outcome == "recovered"
         assert rep.restarts == k == len(rep.attempts)
         assert [a.attempt for a in rep.attempts] == list(range(k))
         assert "RuntimeError: boom on 1" in rep.attempts[0].error
+        assert pool.runs == [(4, s) for s in range(k + 1)]
+        assert _bitwise(res, sequential)
         infos = [r for r in caplog.records if r.levelno == logging.INFO]
         assert len(infos) == 1 and "J7 recovered" in infos[0].getMessage()
 
     def test_budget_exhausted_goes_to_the_last_resort(
-        self, make_job, grid12_pipeline, caplog
+        self, drive, sequential, caplog
     ):
         caplog.set_level(logging.INFO, logger="repro.runtime.recovery")
-        _, sf, _, bs, _, _ = grid12_pipeline
         pool = ScriptedPool(4, raising(), raising())
-        job = _run(pool, make_job("J1"), 2)
-        rep = job.report
-        assert not job.report.ok and not job.outcome.expired
+        res = drive(pool, 2, "J1")
+        rep = res.failure_report
         assert rep.outcome == "degraded_sequential" and not rep.ok
         assert (len(rep.attempts), rep.restarts) == (2, 2)
-        assert len(pool.runs) == 2
-        factor, metrics = last_resort(job)
-        ref = BlockCholesky(bs, sf.A).factor().to_csc()
-        assert np.array_equal(factor.to_csc().data, ref.data)
-        assert metrics.mapping == "sequential-fallback"
+        assert pool.runs == [(4, 0), (4, 1)]
+        assert np.array_equal(res.to_csc().data, sequential.data)
+        assert res.metrics.mapping == "sequential-fallback"
+        assert res.meta == {"fallback": True} and res.solution is None
         assert (rep.restarts, rep.degraded) == (2, True)
         warnings = [
             r.getMessage() for r in caplog.records
@@ -199,23 +228,52 @@ class TestBudgetAndOutcomes:
         assert "ms: RuntimeError: boom on 1" in warnings[0]
         assert "J1: sequential fallback after 2 failed" in warnings[2]
 
-    def test_expired_is_never_retried(self, make_job):
+    def test_no_attempt_goes_straight_to_the_last_resort(
+        self, drive, sequential
+    ):
+        """``attempts=0`` — the service's open breaker: the pool is left
+        alone and the job is the sequential factor."""
+        pool = ScriptedPool(4)
+        res = drive(pool, 0)
+        rep = res.failure_report
+        assert rep.outcome == "degraded_sequential"
+        assert (rep.attempts, rep.restarts) == ([], 0)
+        assert pool.runs == [] and pool.generation == 1
+        assert _bitwise(res, sequential)
+
+    def test_expired_is_never_retried(self, drive):
         pool = ScriptedPool(4, expired)
-        job = _run(pool, make_job(), 3)
-        assert not job.report.ok and job.outcome.expired
-        assert len(pool.runs) == 1 and len(job.report.attempts) == 1
-        assert pool.generation == 1
+        err = drive(pool, 3, deadline=time.monotonic() - 1.0)
+        rep = err.failure_report
+        assert not rep.ok and len(rep.attempts) == 1
+        assert pool.runs == [(4, 0)] and pool.generation == 1
+
+    @pytest.mark.parametrize("script", [[expired], []], ids=["ran", "queued"])
+    def test_expired_is_typed_and_never_falls_back(self, drive, script,
+                                                   caplog):
+        """Past the deadline no sequential fallback runs, whether an
+        attempt expired or none ran: a typed error carrying the report."""
+        caplog.set_level(logging.INFO, logger="repro.runtime.recovery")
+        pool = ScriptedPool(4, *script)
+        err = drive(pool, len(script), deadline=time.monotonic() - 1.0)
+        assert isinstance(err, engine.RuntimeTimeoutError)
+        assert "missed its deadline" in str(err)
+        rep = err.failure_report
+        assert rep.outcome == "degraded_sequential"
+        assert rep.restarts == len(script) == len(pool.runs)
+        assert not [r for r in caplog.records if "fallback" in r.msg]
 
     def test_deterministic_error_gets_one_attempt_and_no_heal(
-        self, make_job
+        self, drive, sequential
     ):
         pool = ScriptedPool(4, raising(error_type="LinAlgError"))
-        job = _run(pool, make_job(), 3)
-        rep = job.report
-        assert not job.report.ok and rep.outcome == "degraded_sequential"
-        assert len(pool.runs) == 1 and len(rep.attempts) == 1
+        res = drive(pool, 3)
+        rep = res.failure_report
+        assert not rep.ok and rep.outcome == "degraded_sequential"
+        assert pool.runs == [(4, 0)] and len(rep.attempts) == 1
         assert (pool.generation, pool.nprocs) == (1, 4)
-        assert job.outcome.failed_ranks == [1]
+        assert rep.attempts[0].failed_ranks == [1]
+        assert _bitwise(res, sequential)
 
 
 class TestCrewShrinkRule:
@@ -223,51 +281,53 @@ class TestCrewShrinkRule:
     merely raised stays, a broken crew (a dead process, a stall) is
     restarted at its own width, whether another attempt follows or not."""
 
-    def test_raising_rank_stays_in_a_resident_crew(self, make_job):
+    def test_raising_rank_stays_in_a_resident_crew(self, drive):
         pool = ScriptedPool(4, raising(), ok)
-        job = _run(pool, make_job(), 3)
-        assert job.report.outcome == "recovered"
-        assert [w for w, _ in pool.runs] == [4, 4]
+        res = drive(pool, 3)
+        assert res.failure_report.outcome == "recovered"
+        assert pool.runs == [(4, 0), (4, 1)]
         assert pool.generation == 1
 
     @pytest.mark.parametrize("policy", [ONE_CALL, RESIDENT])
-    def test_dead_process_restarts_either_crew(self, make_job, caplog,
+    def test_dead_process_restarts_either_crew(self, drive, caplog,
                                                policy):
         """``run_mp_fanout``'s one-attempt crew is restarted too (then
         closed by its caller); a resident one retries on a new crew of
         the same width, with the same owners."""
         caplog.set_level(logging.WARNING, logger="repro.runtime.recovery")
         pool = ScriptedPool(4, died(1), ok)
-        job = _run(pool, make_job(), **policy)
-        assert [w for w, _ in pool.runs] == [4, 4][:policy["attempts"]]
+        res = drive(pool, **policy)
+        rep = res.failure_report
+        assert pool.runs == [(4, 0), (4, 1)][:policy["attempts"]]
         assert (pool.generation, pool.nprocs) == (2, 4)
-        assert job.report.attempts[0].failed_ranks == [1]
-        assert "died" in job.report.attempts[0].error
+        assert rep.attempts[0].failed_ranks == [1]
+        assert "died" in rep.attempts[0].error
         restarts = [r.getMessage() for r in caplog.records
                     if "restarted" in r.msg]
         assert len(restarts) == 1
         assert "(4 workers, generation 2)" in restarts[0]
 
-    def test_stall_restarts_a_resident_crew_at_the_same_width(self, make_job):
+    def test_stall_restarts_a_resident_crew_at_the_same_width(self, drive):
         pool = ScriptedPool(4, stalled, ok)
-        job = _run(pool, make_job(), 3)
-        assert [w for w, _ in pool.runs] == [4, 4]
-        assert pool.generation == 2 and job.report.outcome == "recovered"
+        res = drive(pool, 3)
+        assert pool.runs == [(4, 0), (4, 1)]
+        assert pool.generation == 2
+        assert res.failure_report.outcome == "recovered"
 
     def test_no_ranks_are_shed_for_an_attempt_that_will_not_follow(
-        self, make_job
+        self, drive
     ):
         """Budget spent: a crew a rank merely raised in is left alone; a
         broken one is replaced whatever follows (it may serve the next
         job), at its own width."""
         pool = ScriptedPool(4, raising())
-        _run(pool, make_job(), 1)
+        drive(pool, 1)
         assert (pool.generation, pool.nprocs) == (1, 4)
         pool = ScriptedPool(4, died(1), died(2))
-        job = _run(pool, make_job(), 2)
+        res = drive(pool, 2)
         assert (pool.generation, pool.nprocs) == (3, 4)
-        assert [w for w, _ in pool.runs] == [4, 4]
-        assert [a.nprocs for a in job.report.attempts] == [4, 4]
+        assert pool.runs == [(4, 0), (4, 1)]
+        assert [a.nprocs for a in res.failure_report.attempts] == [4, 4]
 
     def test_settle_alone(self):
         """What ``FactorService.solve`` calls after its warm solve job."""
@@ -279,7 +339,7 @@ class TestCrewShrinkRule:
 
 
 class TestCallerStop:
-    def test_stop_predicate_is_honoured_between_attempts(self, make_job):
+    def test_stop_predicate_is_honoured_between_attempts(self, drive):
         heard = []
 
         def settled(healed):
@@ -287,17 +347,17 @@ class TestCallerStop:
             return False
 
         pool = ScriptedPool(4, died(1), ok)
-        job = _run(pool, make_job(), 3, settled)
+        res = drive(pool, 3, settled=settled)
         assert heard == [True]
-        assert len(pool.runs) == 1 and not job.report.ok
-        assert job.report.outcome == "degraded_sequential"
+        assert pool.runs == [(4, 0)]
+        assert res.failure_report.outcome == "degraded_sequential"
         # the crew was still replaced: the pool is fit for the next job
         assert (pool.generation, pool.nprocs) == (2, 4)
 
-    def test_predicate_hears_every_attempt(self, make_job):
+    def test_predicate_hears_every_attempt(self, drive):
         heard = []
         pool = ScriptedPool(4, raising(), died(1), ok)
-        _run(pool, make_job(), 3, lambda h: heard.append(h) or True)
+        drive(pool, 3, settled=lambda h: heard.append(h) or True)
         assert heard == [False, True, False]
 
 
@@ -324,12 +384,12 @@ class TestTypedError:
         with pytest.raises(engine.RuntimeTimeoutError, match="timeout"):
             engine.raise_failure(out)
 
-    def test_a_healed_crew_keeps_the_dead_workers_error(self, make_job):
+    def test_a_healed_crew_keeps_the_dead_workers_error(self, drive):
         """The crew the last attempt's dead process broke is replaced
         before the job's error is typed; the error still names the
         death."""
         pool = ScriptedPool(4, died(1))
-        job = _run(pool, make_job(), 1)
+        err = drive(pool, **ONE_CALL)
         assert pool.dead_ranks() == [] and pool.nprocs == 4
-        with pytest.raises(engine.DeadWorkerError):
-            engine.raise_failure(job.outcome)
+        assert isinstance(err, engine.DeadWorkerError)
+        assert err.failure_report.outcome == "degraded_sequential"

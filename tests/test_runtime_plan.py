@@ -161,8 +161,8 @@ class TestDispatchPlanLifetime:
             pool_worker._run_job(PoolJob(
                 seq=seq, pattern_id="t", values=A.data, context=context,
             ), 0.0)
-            tag, res = results.get_nowait()       # the heartbeat
-            tag, res = results.get_nowait()
+            tag, res = results.get_nowait()       # the job's one result
+            assert results.empty()
             assert tag == seq and res.metrics.error is None
             assert not res.metrics.aborted
 

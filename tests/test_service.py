@@ -291,6 +291,38 @@ class TestFactorService:
             assert _bitwise(r.L, _cold_L(pats[0]))
 
 
+class TestCacheThreading:
+    def test_the_dispatcher_is_the_caches_only_writer(
+        self, grid_A, grid_A2, monkeypatch
+    ):
+        """``solve()`` reads the cache with the counter-neutral ``peek``
+        on the caller's thread; every ``lookup`` and ``put`` runs on the
+        dispatcher thread, the hit count is the number of jobs that hit,
+        and an unknown pattern id counts no miss."""
+        b = np.ones(grid_A.shape[0])
+        with FactorService(**SVC_KW) as svc:
+            threads = []
+            for name in ("lookup", "put"):
+                def spy(*args, _real=getattr(svc.cache, name)):
+                    threads.append(threading.current_thread())
+                    return _real(*args)
+
+                monkeypatch.setattr(svc.cache, name, spy)
+            r = svc.factor(grid_A)
+            svc.solve(b, r.pattern_id)
+            svc.factor(pattern_id=r.pattern_id, values=grid_A2.data)
+            svc.factor(grid_A2)
+            svc.solve(b, r.pattern_id)
+            with pytest.raises(UnknownPatternError):
+                svc.solve(b, "deadbeefdeadbeef")
+            with pytest.raises(UnknownPatternError):
+                svc.factor(pattern_id="deadbeefdeadbeef", values=grid_A.data)
+            assert threads and set(threads) == {svc._dispatcher}
+            hits = [rec for rec in svc.metrics.records if rec.cache == "hit"]
+            assert svc.cache.hits == len(hits) == 4
+            assert svc.cache.misses == 1
+
+
 class TestPatternCacheUnit:
     def _entry(self, pid, arena=None):
         return PatternEntry(
@@ -320,7 +352,14 @@ class TestPatternCacheUnit:
         evicted = cache.put(self._entry("c"))  # b is now LRU
         assert [e.pattern_id for e in evicted] == ["b"]
         assert cache.lookup("b") is None
-        assert (cache.hits, cache.misses, cache.evictions) == (1, 1, 1)
+        # a miss is an entry built and put; an unknown id counts nothing
+        assert (cache.hits, cache.misses, cache.evictions) == (1, 3, 1)
+
+    def test_a_capacity_of_one_is_honoured(self):
+        cache = PatternCache(1)
+        assert cache.put(self._entry("a")) == []
+        assert [e.pattern_id for e in cache.put(self._entry("b"))] == ["a"]
+        assert cache.stats()["capacity"] == 1 and len(cache) == 1
 
 class TestAdmission:
     """The admission queue never hangs: a full queue holds a submitter for

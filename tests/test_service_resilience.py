@@ -27,10 +27,11 @@ from repro.service import (
     RetryPolicy,
     ServiceClient,
     ServiceClosed,
+    ServiceError,
     ServiceServer,
     ServiceUnavailable,
 )
-from repro.service.jobs import FactorJob, JobHandle
+from repro.service.jobs import FactorJob, JobHandle, SolveJob
 from repro.solver import SparseCholesky
 
 SVC_KW = dict(
@@ -128,13 +129,6 @@ class TestPoolSelfHealing:
             assert r2.record.outcome == "recovered"
             assert (svc.pool.nprocs, r2.metrics.nprocs) == (2, 2)
             assert svc.health()["pool"]["alive"]
-
-    def test_heartbeats_reported_in_health(self, grid_A):
-        with FactorService(**SVC_KW) as svc:
-            svc.factor(grid_A)
-            ages = svc.health()["pool"]["heartbeat_age_s"]
-            assert set(ages) == {"0", "1"}
-            assert all(age >= 0.0 for age in ages.values())
 
 
 class TestDeadlines:
@@ -291,6 +285,35 @@ class TestDedup:
             assert svc.submit(grid_A, job_id="inflight") is stuck
             assert svc.metrics.deduped == 1
             svc._retire("inflight")
+
+    def test_a_job_id_names_one_kind_of_job(self, grid_A):
+        """Reusing a named id for the other kind of job is a typed error,
+        whether the first job is in flight or completed; a same-kind
+        retry still gets the first job's answer."""
+        b = np.ones(grid_A.shape[0])
+        with FactorService(**SVC_KW) as svc:
+            r = svc.factor(grid_A, job_id="f")
+            s = svc.solve(b, r.pattern_id, job_id="s")
+            with pytest.raises(ServiceError, match="names a factor job"):
+                svc.solve(b, r.pattern_id, job_id="f")
+            with pytest.raises(ServiceError, match="names a solve job"):
+                svc.submit(grid_A, job_id="s")
+            assert svc.factor(grid_A, job_id="f") is r
+            assert svc.solve(b, r.pattern_id, job_id="s") is s
+            entry = svc.cache.peek(r.pattern_id)
+            live = {
+                "f-live": JobHandle(FactorJob(job_id="f-live", A=grid_A)),
+                "s-live": JobHandle(SolveJob("s-live", entry, b[:, None])),
+            }
+            svc._outstanding.update(live)
+            with pytest.raises(ServiceError, match="names a factor job"):
+                svc.solve(b, r.pattern_id, job_id="f-live")
+            with pytest.raises(ServiceError, match="names a solve job"):
+                svc.submit(grid_A, job_id="s-live")
+            assert svc.submit(grid_A, job_id="f-live") is live["f-live"]
+            assert svc.metrics.deduped == 3
+            for job_id in live:
+                svc._retire(job_id)
 
     def test_failed_jobs_are_not_cached(self, grid_A):
         """A retry of a failed job_id must re-run, not replay the
