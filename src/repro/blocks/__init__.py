@@ -12,7 +12,6 @@ from repro.blocks.supernodal import (
     BLOCK_POLICIES,
     SupernodalPartition,
     make_partition,
-    supernodal_clamps,
 )
 from repro.blocks.workmodel import WorkModel, chol_flops
 
@@ -24,5 +23,4 @@ __all__ = [
     "WorkModel",
     "chol_flops",
     "make_partition",
-    "supernodal_clamps",
 ]

@@ -44,34 +44,11 @@ from repro.symbolic.structure import SymbolicFactor
 #: ``block_policy`` knob threaded through the solver, service, and CLI).
 BLOCK_POLICIES = ("uniform", "supernodal")
 
-#: Default clamps for the supernodal policy. ``max_width`` defaults to
-#: ``2 * block_size`` (clamped to ``>= 2 * min_width``) so the policy's
-#: widest panels stay comparable to the uniform sweep it is benched against.
+#: The supernodal policy's minimum panel width. Under
+#: :func:`make_partition` the maximum is ``2 * block_size`` (at least
+#: ``2 * SUPERNODAL_MIN_WIDTH``), so the policy's widest panels stay
+#: comparable to the uniform sweep it is benched against.
 SUPERNODAL_MIN_WIDTH = 16
-
-
-def supernodal_clamps(
-    min_width: int | None = None,
-    max_width: int | None = None,
-    block_size: int = 48,
-) -> tuple[int, int]:
-    """The ``(min_width, max_width)`` the supernodal policy runs under:
-    ``min_width`` defaults to :data:`SUPERNODAL_MIN_WIDTH`, ``max_width``
-    to ``2 * block_size`` clamped to ``>= 2 * min_width``. The one clamp
-    rule — the partition, :func:`make_partition` and
-    :class:`repro.config.RunConfig` all check through here."""
-    lo = SUPERNODAL_MIN_WIDTH if min_width is None else int(min_width)
-    hi = max(2 * lo, 2 * int(block_size)) if max_width is None else int(max_width)
-    if lo < 1:
-        raise ValueError("min_width must be positive")
-    if hi < 2 * lo:
-        raise ValueError(
-            "max_width must be >= 2 * min_width "
-            f"(got min_width={lo}, max_width={hi}); the "
-            "thin-trailing-panel re-split guarantees both halves stay "
-            "within the clamps only under that condition"
-        )
-    return lo, hi
 
 
 class SupernodalPartition(BlockPartition):
@@ -92,9 +69,16 @@ class SupernodalPartition(BlockPartition):
         min_width: int = SUPERNODAL_MIN_WIDTH,
         max_width: int = 96,
     ):
-        self.min_width, self.max_width = supernodal_clamps(
-            min_width, max_width
-        )
+        self.min_width, self.max_width = int(min_width), int(max_width)
+        if self.min_width < 1:
+            raise ValueError("min_width must be positive")
+        if self.max_width < 2 * self.min_width:
+            raise ValueError(
+                "max_width must be >= 2 * min_width (got min_width="
+                f"{self.min_width}, max_width={self.max_width}); the "
+                "thin-trailing-panel re-split guarantees both halves stay "
+                "within the clamps only under that condition"
+            )
         # ``block_size`` doubles as the effective width cap for layers that
         # report a single scalar (traces, bench metadata).
         self.block_size = self.max_width
@@ -138,17 +122,15 @@ def make_partition(
     sf: SymbolicFactor,
     block_policy: str = "uniform",
     block_size: int = 48,
-    min_width: int | None = None,
-    max_width: int | None = None,
 ) -> BlockPartition:
     """Build the partition a ``block_policy`` knob names.
 
-    ``uniform`` honours ``block_size`` and ignores the clamps; ``supernodal``
-    honours the clamps (``min_width`` defaults to
-    :data:`SUPERNODAL_MIN_WIDTH`, ``max_width`` to ``2 * block_size``
-    clamped to ``>= 2 * min_width``) and uses ``block_size`` only for that
-    default. Every layer that plans independently (driver, workers, service)
-    must call this with identical knobs to derive the identical layout.
+    ``uniform`` cuts panels of ``block_size``; ``supernodal`` follows the
+    supernodes, clamped to ``[SUPERNODAL_MIN_WIDTH, max(2 *
+    SUPERNODAL_MIN_WIDTH, 2 * block_size)]`` (explicit clamps are a
+    :class:`SupernodalPartition` of one's own). Every layer that plans
+    independently (driver, workers, service) must call this with identical
+    knobs to derive the identical layout.
     """
     if block_policy not in BLOCK_POLICIES:
         raise ValueError(
@@ -157,5 +139,6 @@ def make_partition(
         )
     if block_policy == "uniform":
         return BlockPartition(sf, block_size)
-    lo, hi = supernodal_clamps(min_width, max_width, block_size)
-    return SupernodalPartition(sf, min_width=lo, max_width=hi)
+    return SupernodalPartition(
+        sf, max_width=max(2 * SUPERNODAL_MIN_WIDTH, 2 * int(block_size))
+    )

@@ -139,7 +139,7 @@ def _add_service_knobs(p: argparse.ArgumentParser) -> None:
     then one flag per :data:`_SERVICE_ONLY` keyword."""
     RunConfig.add_arguments(
         p, "nprocs", "ordering", "block_size", "block_policy", "mapping",
-        "transport", "schedule", "steal_seed", "max_restarts", nprocs=2,
+        "transport", "schedule", "max_restarts", nprocs=2,
     )
     p.add_argument("--queue-capacity", type=int, default=64,
                    help="admission queue bound")

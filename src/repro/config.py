@@ -1,17 +1,20 @@
 """One configuration object for every knob that crosses a layer boundary.
 
-The paper's experiment is a sweep over mapping heuristic x P x block size x
-domains; the runtime that grew around it added transport, schedule, blocking
-policy and a restart budget. :class:`RunConfig` declares each of those once
-— default, validation, CLI spelling, and whether it shapes a cached
-:class:`~repro.service.cache.PatternEntry` — and every layer
+The paper's sweep over mapping heuristic x P x block size x domains runs in
+the simulator, under its own parameters; the runtime added transport,
+schedule, blocking policy and a restart budget. :class:`RunConfig` declares
+each knob once — default, validation, CLI spelling, and whether it shapes a
+cached :class:`~repro.service.cache.PatternEntry` — and every layer
 (``SparseCholesky``, ``run_mp_fanout``, the pool's ``PatternContext``,
 ``FactorService``, the CLI) holds and passes the object whole. A façade
 takes ``config=None, **overrides``: the overrides are applied with
 :func:`dataclasses.replace`, so an unknown keyword is a ``TypeError`` and a
 bad value a ``ValueError`` — at construction, before any analysis or process
 spawn. Adding a knob is one field here plus the one place that reads it;
-``docs/ARCHITECTURE.md`` carries the table.
+``docs/ARCHITECTURE.md`` carries the table. What no caller varies is a
+constant where it is read: owners are planned without domains, supernodal
+clamps follow ``block_size``, a thief's victim hashes ``(round, rank)``,
+the stall watchdog is ``worker.STALL_S``, a trace ring its default size.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from repro.blocks.supernodal import BLOCK_POLICIES, supernodal_clamps
+from repro.blocks.supernodal import BLOCK_POLICIES
 from repro.mapping.heuristics import mapping_heuristics
 
 #: Block payload transports (``"auto"`` resolves per run, see
@@ -31,13 +34,30 @@ TRANSPORTS = ("auto", "shm", "inline")
 SCHEDULES = ("static", "dynamic")
 
 
+def check_number(name: str, value, kind, low=None):
+    """``value`` as ``kind`` (bool, int or float), at least ``low``, or a
+    ``ValueError`` naming ``name``: ``2.5`` is no int, ``16`` no bool, NaN
+    no float. The number rule of :class:`RunConfig` and the service."""
+    try:
+        number = kind(value)
+        ok = number == value and (low is None or number >= low)
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(
+            f"{name} must be {kind.__name__}"
+            + ("" if low is None else f" >= {low}") + f", got {value!r}"
+        )
+    return number
+
+
 def _knob(default, help: str, *, plan: bool = False, flags: str = "",
           kind=None, low=None, among=None, **cli):
     """One :class:`RunConfig` field. ``plan`` says whether the knob shapes
     a cached ``PatternEntry`` (and so enters :meth:`RunConfig.plan_key`);
-    ``kind`` (int / float, at least ``low``) and ``among`` are checked at
-    construction; ``flags`` + ``cli`` are its ``argparse`` spelling (no
-    flags: not on any command line)."""
+    ``kind`` (at least ``low``, see :func:`check_number`) and ``among`` are
+    checked at construction; ``flags`` + ``cli`` are its ``argparse``
+    spelling (no flags: not on any command line)."""
     if kind is not None:
         cli["type"] = kind
     if among is not None:
@@ -63,22 +83,14 @@ class RunConfig:
         plan=True, flags="--ordering", choices=("auto", "nd", "mmd", "natural"),
     )
     block_size: int = _knob(
-        48, "panel width B; under the supernodal policy it only seeds the "
-        "default max_width (2 * block_size)",
+        48, "panel width B; under the supernodal policy panels are at most "
+        "max(32, 2 * block_size) wide (docs/BLOCKING.md)",
         plan=True, flags="--block-size", kind=int, low=1,
     )
     block_policy: str = _knob(
         "uniform", "panel blocking policy: fixed-width panels or "
         "supernode-following panels (docs/BLOCKING.md)",
         plan=True, flags="--block-policy", among=BLOCK_POLICIES,
-    )
-    min_width: int | None = _knob(
-        None, "supernodal clamp (None = 16); ignored under uniform",
-        plan=True, kind=int,
-    )
-    max_width: int | None = _knob(
-        None, "supernodal clamp (None = 2 * block_size, at least "
-        "2 * min_width); ignored under uniform", plan=True, kind=int,
     )
     # -- placement -----------------------------------------------------
     nprocs: int = _knob(
@@ -89,10 +101,6 @@ class RunConfig:
         "DW/CY", 'block mapping: "cyclic" or a "<row>/<col>" heuristic '
         "pair over CY, DW, IN, DN, ID (column defaults to CY)",
         plan=True, flags="--mapping",
-    )
-    use_domains: bool = _knob(
-        False, "apply the domain (subtree) portion of the ownership",
-        plan=True,
     )
     # -- execution -----------------------------------------------------
     transport: str = _knob(
@@ -105,21 +113,13 @@ class RunConfig:
         "dynamic work stealing (docs/SCHEDULING.md)",
         plan=True, flags="--schedule", among=SCHEDULES,
     )
-    steal_seed: int = _knob(
-        0, "victim-selection seed for the dynamic schedule",
-        flags="--steal-seed", kind=int,
-    )
-    trace: bool | int | None = _knob(
-        None, "structured event tracing: True for the default per-worker "
-        "ring capacity, an int for an explicit one, None/False for off",
+    trace: bool = _knob(
+        False, "structured event tracing, trace.DEFAULT_CAPACITY events "
+        "per worker", kind=bool,
     )
     timeout_s: float = _knob(
         300.0, "wall-clock bound in seconds on one pool job (one "
         "parallel attempt), whoever owns the pool", kind=float, low=0,
-    )
-    stall_timeout_s: float = _knob(
-        30.0, "per-worker no-progress watchdog in seconds",
-        kind=float, low=0,
     )
     # -- recovery ------------------------------------------------------
     max_restarts: int = _knob(
@@ -132,20 +132,9 @@ class RunConfig:
         put = lambda name, value: object.__setattr__(self, name, value)
         for f in fields(self):
             meta, value = f.metadata, getattr(self, f.name)
-            kind, low = meta["kind"], meta["low"]
-            if kind and not (value is None and f.default is None):
-                try:
-                    number = kind(value)
-                    ok = number == value and (low is None or number >= low)
-                except (TypeError, ValueError):
-                    ok = False
-                if not ok:
-                    raise ValueError(
-                        f"{f.name} must be {kind.__name__}"
-                        + ("" if low is None else f" >= {low}")
-                        + f", got {value!r}"
-                    )
-                put(f.name, number)
+            if meta["kind"]:
+                put(f.name, check_number(f.name, value, meta["kind"],
+                                         meta["low"]))
             elif meta["among"] and value not in meta["among"]:
                 raise ValueError(
                     f"{f.name} must be one of {meta['among']}, got {value!r}"
@@ -158,14 +147,7 @@ class RunConfig:
                     "permutation"
                 )
             put("ordering", tuple(perm.tolist()))
-        if not isinstance(self.use_domains, (bool, np.bool_)):
-            raise ValueError(
-                f"use_domains must be a bool, got {self.use_domains!r}"
-            )
-        if self.block_policy == "supernodal":
-            supernodal_clamps(self.min_width, self.max_width, self.block_size)
         mapping_heuristics(self.mapping)
-        self.trace_capacity  # raises on a negative capacity
 
     # ------------------------------------------------------------------
     @classmethod
@@ -181,13 +163,9 @@ class RunConfig:
     @property
     def trace_capacity(self) -> int:
         """Events per worker ``trace`` asks for (0 = tracing off)."""
-        if self.trace is True:
-            from repro.runtime.trace import DEFAULT_CAPACITY
+        from repro.runtime.trace import DEFAULT_CAPACITY
 
-            return DEFAULT_CAPACITY
-        if int(self.trace or 0) < 0:
-            raise ValueError("trace capacity must be non-negative")
-        return int(self.trace or 0)
+        return DEFAULT_CAPACITY if self.trace else 0
 
     def plan_key(self) -> tuple:
         """``(name, value)`` of every plan-shaping field — *the* knob input

@@ -27,7 +27,6 @@ from scipy import sparse
 
 from repro.blocks.structure import BlockStructure
 from repro.config import RunConfig
-from repro.fanout.domains import assign_domains
 from repro.fanout.ownership import block_owners
 from repro.fanout.tasks import TaskGraph
 from repro.mapping import best_grid, named_map
@@ -104,13 +103,12 @@ class MPRuntimeResult:
         return self.factor.to_csc()
 
 
-def plan_owners(wm, tg: TaskGraph, nprocs: int, mapping: str = "DW/CY",
-                use_domains: bool = False) -> tuple[np.ndarray, str]:
+def plan_owners(wm, tg: TaskGraph, nprocs: int,
+                mapping: str = "DW/CY") -> tuple[np.ndarray, str]:
     """Block ownership for ``nprocs`` workers under a named mapping
-    (names as :func:`repro.mapping.named_map` spells them)."""
+    (names as :func:`repro.mapping.named_map` spells them), no domains."""
     cmap = named_map(wm, nprocs, mapping)
-    domains = assign_domains(wm, nprocs) if use_domains else None
-    return block_owners(tg, cmap, domains), cmap.name
+    return block_owners(tg, cmap), cmap.name
 
 
 @dataclass
@@ -137,8 +135,7 @@ class PatternPlan:
         ``owners`` it plans them for ``config.nprocs`` workers."""
         if fields.get("owners") is None:
             fields["owners"], fields["mapping_name"] = plan_owners(
-                tg.workmodel, tg, config.nprocs, config.mapping,
-                config.use_domains,
+                tg.workmodel, tg, config.nprocs, config.mapping
             )
         shm = resolve_transport(config.transport, config.nprocs) == "shm"
         return cls(pattern_id, structure, tg, config=config,

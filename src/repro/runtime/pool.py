@@ -102,8 +102,7 @@ class PatternContext(PlanHolder):
     indices: np.ndarray
     shape: tuple
     arena_name: str | None = None
-    #: The knobs the pattern's jobs run under; workers read ``schedule``,
-    #: ``steal_seed`` and the stall watchdog from here.
+    #: The knobs the pattern's jobs run under (workers read ``schedule``).
     config: RunConfig = field(default_factory=RunConfig)
 
     def init_map(self, rank: int):

@@ -75,9 +75,10 @@ POLL_S = 0.002
 #: A rank with ready tasks reads its inbox (a ``poll()`` syscall, about
 #: one 25 us task) every this many steps: the wait of ABORT and steal.
 DRAIN_EVERY = 16
-#: The no-progress watchdog, in seconds, of a job whose links inject
-#: message faults (``config.stall_timeout_s`` otherwise): a dropped frame
-#: ends the attempt this soon, and the job re-runs from scratch.
+#: The per-worker no-progress watchdog, in seconds.
+STALL_S = 30.0
+#: The watchdog of a job whose links inject message faults: a dropped
+#: frame ends the attempt this soon, and the job re-runs from scratch.
 FAULTY_STALL_S = 0.5
 
 
@@ -137,14 +138,14 @@ class Worker:
                  epoch: float = 0.0):
         self.rank = rank
         self.context = context
-        self.config = config = context.config
         self.tg = context.tg
         self.owners = np.asarray(context.owners)
         self.arena = arena
         self.epoch = epoch
         #: ``"dynamic"`` adds work stealing on top of the owner-computes
         #: map (see ``docs/SCHEDULING.md``).
-        self.dynamic = config.schedule == "dynamic" and fabric.nprocs > 1
+        self.dynamic = (context.config.schedule == "dynamic"
+                        and fabric.nprocs > 1)
         #: Blocks whose final factored value is present locally (owned
         #: completions, received frames): a second frame for one is a
         #: protocol breach, and an inline thief skips installing it as a
@@ -166,7 +167,7 @@ class Worker:
         self.links = fabric.outgoing(self.rank)
         plan = job.fault_plan
         self.injector = None
-        self.stall_s = self.config.stall_timeout_s
+        self.stall_s = STALL_S
         if plan is not None and plan.active:
             self.injector = FaultInjector(plan, self.rank)
             self.links = self.injector.wrap_links(self.links)
@@ -715,20 +716,16 @@ class Worker:
         """Idle and out of ready work (the factor phase's idle hook): ask
         one peer for a task. At most one outstanding request; a DENY
         advances the round and backs off briefly before the next attempt.
-        The victim is a deterministic seeded choice keyed on (seed, round,
-        rank): reproducible given the same knobs, uncorrelated between
-        thieves so they don't dog-pile one victim."""
+        The victim is a deterministic choice keyed on (round, rank):
+        reproducible, and uncorrelated between thieves so they don't
+        dog-pile one victim."""
         now = self._now()
         if self._steal_victim is not None or now < self._steal_backoff_until:
             return
         peers = sorted(d for d in self.links if d not in self.done_peers)
         if not peers:
             return
-        seed = (
-            self.config.steal_seed * 2654435761
-            + self._steal_round * 40503
-            + self.rank
-        ) & 0xFFFFFFFF
+        seed = (self._steal_round * 40503 + self.rank) & 0xFFFFFFFF
         victim = peers[random.Random(seed).randrange(len(peers))]
         self._steal_victim = victim  # at most one outstanding request
         self.metrics.steal_reqs_sent += 1

@@ -18,6 +18,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
+from repro.config import check_number
 from repro.service.jobs import AdmissionRejected, ServiceClosed
 
 
@@ -41,9 +42,7 @@ class JobQueue:
     """Bounded FIFO of pending jobs."""
 
     def __init__(self, capacity: int = 64):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
+        self.capacity = check_number("queue_capacity", capacity, int, 1)
         self._items: deque = deque()
         self._cond = threading.Condition()
         self._closed = False

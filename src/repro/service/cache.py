@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
+from repro.config import check_number
 from repro.runtime.engine import PatternPlan
 
 
@@ -84,9 +85,7 @@ class PatternCache:
     writer (other threads :meth:`peek`)."""
 
     def __init__(self, capacity: int = 8):
-        if capacity < 1:
-            raise ValueError(f"cache_capacity must be >= 1, got {capacity!r}")
-        self.capacity = int(capacity)
+        self.capacity = check_number("cache_capacity", capacity, int, 1)
         self._entries: OrderedDict[str, PatternEntry] = OrderedDict()
         self.hits = 0
         self.misses = 0

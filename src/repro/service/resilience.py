@@ -21,6 +21,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.config import check_number
+
 __all__ = ["CircuitBreaker", "RetryPolicy"]
 
 
@@ -42,8 +44,9 @@ class CircuitBreaker:
         cooldown_s: float = 5.0,
         clock=time.monotonic,
     ):
-        self.threshold = int(threshold)
-        self.cooldown_s = float(cooldown_s)
+        self.threshold = check_number("breaker_threshold", threshold, int)
+        self.cooldown_s = check_number("breaker_cooldown_s", cooldown_s,
+                                       float, 0)
         self._clock = clock
         self._lock = threading.Lock()
         self._state = self.CLOSED

@@ -39,7 +39,7 @@ from collections import OrderedDict
 import numpy as np
 from scipy import sparse
 
-from repro.config import RunConfig
+from repro.config import RunConfig, check_number
 from repro.numeric.solve import permute_rhs
 from repro.runtime.arena import resolve_transport
 from repro.runtime.engine import (
@@ -127,10 +127,6 @@ class FactorService:
         **overrides,
     ):
         self.config = RunConfig.of(config, overrides, nprocs=2)
-        if breaker_cooldown_s < 0:
-            raise ValueError(
-                f"breaker_cooldown_s must be >= 0, got {breaker_cooldown_s!r}"
-            )
         #: The pool width: every job of every pattern runs this wide.
         self.nprocs = self.config.nprocs
         #: The transport ``config.transport`` resolves to on this platform.
@@ -138,10 +134,11 @@ class FactorService:
         self.validate = validate
         self.queue = JobQueue(queue_capacity)
         self.cache = PatternCache(cache_capacity)
+        self.breaker = CircuitBreaker(breaker_threshold, breaker_cooldown_s)
+        self.default_deadline_s = None if default_deadline_s is None else (
+            check_number("default_deadline_s", default_deadline_s, float, 0))
         self.pool = WorkerPool(self.nprocs)
         self.metrics = ServiceMetrics()
-        self.default_deadline_s = default_deadline_s
-        self.breaker = CircuitBreaker(breaker_threshold, breaker_cooldown_s)
         self._seq = itertools.count()
         self._lock = threading.Lock()
         self._closed = False
@@ -267,7 +264,9 @@ class FactorService:
         return self._admit(job, job_id is not None, timeout)
 
     def _budget(self, deadline_s: float | None) -> float | None:
-        return self.default_deadline_s if deadline_s is None else deadline_s
+        if deadline_s is None:
+            return self.default_deadline_s
+        return check_number("deadline_s", deadline_s, float, 0)
 
     def _admit(self, job, named: bool, timeout=None) -> JobHandle:
         """Answer a retried job id from the dedup table, or queue the job
@@ -663,8 +662,7 @@ class FactorService:
         perm = resolve_ordering(A, cfg.ordering)
         symbolic = symbolic_factor(A, perm)
         structure = BlockStructure(make_partition(
-            symbolic, cfg.block_policy, cfg.block_size,
-            cfg.min_width, cfg.max_width,
+            symbolic, cfg.block_policy, cfg.block_size
         ))
         return PatternEntry.create(
             structure, TaskGraph(WorkModel(structure)), cfg, pid,

@@ -129,8 +129,7 @@ class SparseCholesky:
         perm = self._resolve_ordering(A, config.ordering)
         self.symbolic = symbolic_factor(A, perm)
         self.partition = make_partition(
-            self.symbolic, config.block_policy, config.block_size,
-            config.min_width, config.max_width,
+            self.symbolic, config.block_policy, config.block_size
         )
         self.structure = BlockStructure(self.partition)
         self.workmodel = WorkModel(self.structure)
@@ -260,19 +259,20 @@ class SparseCholesky:
         P: int,
         mapping: str = "ID/CY",
         machine: MachineParams = PARAGON,
-        use_domains: bool = True,
+        domains: bool = True,
     ) -> ParallelPlan:
         """Simulate the block fan-out factorization on ``P`` processors.
 
-        ``mapping`` is ``"cyclic"`` or a ``"<row>/<col>"`` heuristic pair.
+        ``mapping`` is ``"cyclic"`` or a ``"<row>/<col>"`` heuristic pair;
+        ``domains`` gives each subtree domain to one processor (§3).
         """
         wm = self.workmodel
         cmap = named_map(wm, P, mapping)
         grid = cmap.grid
-        domains = assign_domains(wm, grid.P) if use_domains else None
-        owners = block_owners(self.taskgraph, cmap, domains)
+        dom = assign_domains(wm, grid.P) if domains else None
+        owners = block_owners(self.taskgraph, cmap, dom)
         res = run_fanout(
-            self.taskgraph, cmap, machine=machine, domains=domains,
+            self.taskgraph, cmap, machine=machine, domains=dom,
             factor_ops=self.symbolic.factor_ops,
         )
         return ParallelPlan(
@@ -294,27 +294,3 @@ class SparseCholesky:
     ) -> dict[str, ParallelPlan]:
         """Plan several mappings at once (the paper's comparison, one call)."""
         return {m: self.plan_parallel(P, m, machine) for m in mappings}
-
-    def recommend_processors(
-        self,
-        target_efficiency: float = 0.5,
-        candidates: tuple[int, ...] = (1, 4, 9, 16, 25, 36, 64, 100, 144, 196),
-        mapping: str = "ID/CY",
-        machine: MachineParams = PARAGON,
-    ) -> ParallelPlan:
-        """Largest machine that still achieves ``target_efficiency``.
-
-        Sweeps the candidate machine sizes (ascending) and returns the plan
-        for the largest P whose simulated efficiency meets the target; if
-        none does, returns the single-processor plan.
-        """
-        if not 0 < target_efficiency <= 1:
-            raise ValueError("target_efficiency must be in (0, 1]")
-        best = self.plan_parallel(1, mapping, machine)
-        for P in sorted(candidates):
-            if P == 1:
-                continue
-            plan = self.plan_parallel(P, mapping, machine)
-            if plan.efficiency >= target_efficiency:
-                best = plan
-        return best

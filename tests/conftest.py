@@ -83,13 +83,12 @@ def dense_cholesky_reference(A):
     return np.linalg.cholesky(Ad)
 
 
-def mp_fanout(structure, A, tg, nprocs, mapping="DW/CY", use_domains=False,
-              **kwargs):
+def mp_fanout(structure, A, tg, nprocs, mapping="DW/CY", **kwargs):
     """``run_mp_fanout`` on the block map ``plan_owners`` plans for
     ``mapping``; ``kwargs`` are its other arguments and knobs."""
     from repro.runtime import plan_owners, run_mp_fanout
 
-    owners, name = plan_owners(tg.workmodel, tg, nprocs, mapping, use_domains)
+    owners, name = plan_owners(tg.workmodel, tg, nprocs, mapping)
     return run_mp_fanout(structure, A, tg, owners, nprocs, mapping=name,
                          **kwargs)
 

@@ -155,10 +155,12 @@ class TestFactory:
         assert part.max_width == 96
 
     def test_explicit_clamps_win(self):
+        """Explicit clamps are a partition of one's own: the factory takes
+        only the policy and ``block_size``."""
         sf = _fake_symbolic([300])
-        part = make_partition(
-            sf, "supernodal", block_size=48, min_width=8, max_width=32
-        )
+        with pytest.raises(TypeError):
+            make_partition(sf, "supernodal", 48, min_width=8)
+        part = SupernodalPartition(sf, min_width=8, max_width=32)
         assert part.min_width == 8
         assert part.max_width == 32
         assert (part.widths <= 32).all()

@@ -26,19 +26,32 @@ FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 #: The defaults every façade had before there was a RunConfig.
 PARENT_DEFAULTS = dict(
-    ordering="auto", block_size=48, block_policy="uniform", min_width=None,
-    max_width=None, nprocs=4, mapping="DW/CY", use_domains=False,
-    transport="auto", schedule="static", steal_seed=0, trace=None,
-    timeout_s=300.0, stall_timeout_s=30.0, max_restarts=2,
+    ordering="auto", block_size=48, block_policy="uniform", nprocs=4,
+    mapping="DW/CY", transport="auto", schedule="static", trace=False,
+    timeout_s=300.0, max_restarts=2,
+)
+
+#: Fields no caller set, now the constants every run used: owners without
+#: domains, clamps from ``block_size``, the ``(round, rank)`` victim hash,
+#: ``worker.STALL_S``.
+RETIRED = ("use_domains", "steal_seed", "min_width", "max_width",
+           "stall_timeout_s")
+
+#: Values each retired field once had to refuse: now refused by name.
+RETIRED_VALUES = dict(
+    min_width=[1.5, "8"],
+    max_width=[2.5],
+    use_domains=["False", 1],
+    steal_seed=[1.5, "x"],
+    stall_timeout_s=[-0.1, None],
 )
 
 #: One valid non-default value per field. A new field without an entry
 #: fails `test_every_field_is_classified`.
 OTHER = dict(
-    ordering="nd", block_size=16, block_policy="supernodal", min_width=8,
-    max_width=64, nprocs=3, mapping="ID/CY", use_domains=True,
-    transport="inline", schedule="dynamic", steal_seed=7, trace=True,
-    timeout_s=60.0, stall_timeout_s=5.0, max_restarts=1,
+    ordering="nd", block_size=16, block_policy="supernodal", nprocs=3,
+    mapping="ID/CY", transport="inline", schedule="dynamic", trace=True,
+    timeout_s=60.0, max_restarts=1,
 )
 
 #: Values `__post_init__` must refuse, per field.
@@ -46,17 +59,12 @@ INVALID = dict(
     ordering=[np.eye(2), [0.5, 1.5]],
     block_size=[0, -1, 2.5, "48"],
     block_policy=["variable", None],
-    min_width=[1.5, "8"],
-    max_width=[2.5],
     nprocs=[0, -2, 1.5, None],
     mapping=["XX/YY", "DW/ZZ", "CYCLIC", ""],
-    use_domains=["False", 1],
     transport=["bogus", None],
     schedule=["both", "Static"],
-    steal_seed=[1.5, "x"],
-    trace=[-5],
-    timeout_s=[-1.0, None, "300"],
-    stall_timeout_s=[-0.1, None],
+    trace=[-5, 16, None, "True"],
+    timeout_s=[-1.0, None, "300", float("nan")],
     max_restarts=[-1, 0.5],
 )
 
@@ -67,7 +75,6 @@ NAMED = [
     dict(transport="bogus"),
     dict(mapping="XX/YY"),
     dict(trace=-5),
-    dict(block_policy="supernodal", min_width=64, max_width=32),
 ]
 
 
@@ -89,6 +96,7 @@ class TestValidation:
             assert isinstance(f.metadata.get("plan"), bool), name
             assert f.metadata.get("help"), name
         assert set(OTHER) == set(INVALID) == set(PARENT_DEFAULTS) == set(FIELDS)
+        assert set(RETIRED_VALUES) == set(RETIRED)
 
     @pytest.mark.parametrize(
         "name,value",
@@ -99,11 +107,25 @@ class TestValidation:
             RunConfig(**{name: value})
         assert _no_children()
 
-    def test_supernodal_clamps_use_the_partition_rule(self):
-        with pytest.raises(ValueError, match="max_width must be >= 2"):
-            RunConfig(block_policy="supernodal", min_width=64, max_width=32)
-        # ignored under uniform, as make_partition ignores them
-        RunConfig(block_policy="uniform", min_width=64, max_width=32)
+    @pytest.mark.parametrize(
+        "name,value",
+        [(n, v) for n, values in RETIRED_VALUES.items() for v in values],
+    )
+    def test_retired_field_is_a_type_error(self, A, name, value):
+        """Every façade refuses a retired name as an unknown keyword,
+        whatever its value, before any analysis, pool or process."""
+        from repro.runtime import run_mp_fanout
+
+        with pytest.raises(TypeError):
+            RunConfig(**{name: value})
+        with pytest.raises(TypeError):
+            SparseCholesky(A, backend="mp", **{name: value})
+        with pytest.raises(TypeError):
+            FactorService(**{name: value})
+        with pytest.raises(TypeError):
+            run_mp_fanout(None, A, None, nprocs=2, **{name: value})
+        assert name not in FIELDS
+        assert _no_children()
 
     def test_mapping_spellings_named_map_accepts(self):
         for ok in ("cyclic", "DW/CY", "dw/cy", "ID", "in/dn", "CY/CY"):
@@ -133,6 +155,11 @@ class TestValidation:
         dict(breaker_cooldown_s=-1.0),
         dict(cache_capacity=0),
         dict(cache_capacity=-3),
+        *(pytest.param({k: v}, id=f"{k}={v}") for k, v in (
+            ("queue_capacity", 2.5), ("cache_capacity", 2.5),
+            ("breaker_threshold", 1.5), ("breaker_cooldown_s", float("nan")),
+            ("default_deadline_s", -1), ("default_deadline_s", float("nan")),
+        )),
     ], ids=lambda k: next(iter(k)))
     def test_service_only_knobs_reject_before_a_pool_exists(
         self, knob, monkeypatch
@@ -147,6 +174,31 @@ class TestValidation:
             FactorService(**knob)
         assert mp.active_children() == []
 
+    def test_nan_budget_is_refused_before_anything_is_queued(
+        self, A, monkeypatch
+    ):
+        """A NaN deadline never expires, and ``result()`` would wait NaN
+        seconds: ``submit`` and ``solve`` refuse it on the calling
+        thread."""
+        from repro.runtime.pool import JobOutcome
+
+        svc = FactorService(max_restarts=0)
+        monkeypatch.setattr(svc.pool, "start", lambda: svc.pool)
+        monkeypatch.setattr(svc.pool, "run", lambda job, timeout_s: (
+            JobOutcome(job.seq, error="refused", aborted=True)
+        ))
+        try:  # no crew: the factor is the sequential last resort
+            pid = svc.factor(A).pattern_id
+            queued = svc.queue.stats.submitted
+            with pytest.raises(ValueError, match="deadline_s"):
+                svc.submit(A, deadline_s=float("nan"))
+            with pytest.raises(ValueError, match="deadline_s"):
+                svc.solve(np.ones(A.shape[0]), pid, deadline_s=float("nan"))
+            assert svc.queue.stats.submitted == queued
+        finally:
+            svc.close()
+        assert _no_children()
+
     @pytest.mark.parametrize("argv", [
         ["serve", "-p", "0"],
         ["serve", "--transport", "bogus"],
@@ -155,6 +207,7 @@ class TestValidation:
         ["serve", "--max-restarts", "-1"],
         ["serve", "--schedule", "both"],
         ["info", "GRID150", "--block-size", "0"],
+        ["serve", "--steal-seed", "3"],
     ])
     def test_cli_rejects_with_exit_code_2(self, argv, capsys):
         with pytest.raises(SystemExit) as info:
@@ -314,7 +367,7 @@ class TestCommandLine:
 # ----------------------------------------------------------------------
 # (e) locality: nobody else declares these knobs
 # ----------------------------------------------------------------------
-LOCAL = {"steal_seed", "min_width", "max_width", "stall_timeout_s", "schedule"}
+LOCAL = {"schedule", *RETIRED}
 
 #: (module, qualified name, parameter/field) -> why it may stay.
 EXEMPT = {

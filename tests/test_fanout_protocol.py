@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.comm_volume import communication_volume
 from repro.analysis.memory import memory_usage
-from repro.blocks import BlockStructure, WorkModel, make_partition
+from repro.blocks import BlockStructure, SupernodalPartition, WorkModel
 from repro.fanout import TaskGraph
 from repro.fanout.dispatch import DispatchPlan, Readiness
 from repro.fanout.protocol import FanoutState, remote_ranks
@@ -35,10 +35,7 @@ from repro.machine.params import PARAGON
 @pytest.fixture(scope="module")
 def grid12_supernodal(grid12_pipeline):
     """The grid12 problem under the structure-following block policy."""
-    part = make_partition(
-        grid12_pipeline[1], "supernodal", block_size=4, min_width=2,
-        max_width=8,
-    )
+    part = SupernodalPartition(grid12_pipeline[1], min_width=2, max_width=8)
     return (TaskGraph(WorkModel(BlockStructure(part))),)
 
 

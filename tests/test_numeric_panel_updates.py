@@ -25,7 +25,12 @@ from scipy import sparse
 
 from repro.analysis.comm_volume import communication_volume
 from repro.analysis.trace_replay import validate_trace
-from repro.blocks import BlockStructure, WorkModel, make_partition
+from repro.blocks import (
+    BlockStructure,
+    SupernodalPartition,
+    WorkModel,
+    make_partition,
+)
 from repro.config import RunConfig
 from repro.fanout import TaskGraph
 from repro.fanout.dispatch import PanelUpdates
@@ -122,9 +127,7 @@ def problem(request, grid12_pipeline):
     """``(structure, tg, A, sequential L)`` of one test problem."""
     _, sf, _, bs, _, tg = grid12_pipeline
     if request.param == "grid12-supernodal":
-        bs = BlockStructure(make_partition(
-            sf, "supernodal", block_size=4, min_width=2, max_width=8
-        ))
+        bs = BlockStructure(SupernodalPartition(sf, min_width=2, max_width=8))
     elif request.param == "grid30-b32":
         sf, bs = _grid30()
     if request.param != "grid12-uniform":

@@ -59,10 +59,16 @@ class TestCorrectness:
         assert abs(res.to_csc() @ res.to_csc().T - sf.A).max() < 1e-9
 
     def test_domains_ownership(self, grid12_pipeline):
+        """A domain map is built by the caller and run as ``owners``."""
+        from repro.fanout import assign_domains, block_owners
+        from repro.mapping import named_map
+
         _, sf, _, bs, wm, tg = grid12_pipeline
-        res = mp_fanout(
-            bs, sf.A, tg, nprocs=4, mapping="DW/CY", use_domains=True
+        owners = block_owners(
+            tg, named_map(wm, 4, "DW/CY"), assign_domains(wm, 4)
         )
+        assert (owners != plan_owners(wm, tg, 4, "DW/CY")[0]).any()
+        res = run_mp_fanout(bs, sf.A, tg, owners, 4, mapping="DW/CY")
         assert abs(res.to_csc() @ res.to_csc().T - sf.A).max() < 1e-10
 
     def test_rejects_bad_arguments(self, grid12_pipeline):
@@ -155,7 +161,7 @@ class TestShutdown:
         with pytest.raises(WorkerError, match="injected failure"):
             mp_fanout(
                 bs, sf.A, tg, nprocs=4, mapping="cyclic",
-                **_soft_crash(1, 3), stall_timeout_s=10, timeout_s=60,
+                **_soft_crash(1, 3), timeout_s=60,
             )
         assert _no_orphans()
 
@@ -171,8 +177,7 @@ class TestShutdown:
         caplog.set_level(logging.INFO, logger="repro.runtime.recovery")
         with pytest.raises(WorkerError, match="injected failure") as info:
             run_mp_fanout(bs, sf.A, tg, owners, 2, mapping=name,
-                          **_soft_crash(1, 3), stall_timeout_s=10,
-                          timeout_s=60)
+                          **_soft_crash(1, 3), timeout_s=60)
         rep = info.value.failure_report
         assert rep.outcome == "degraded_sequential"
         assert len(rep.attempts) == 1
@@ -186,7 +191,7 @@ class TestShutdown:
         with pytest.raises(WorkerError, match="NotPositiveDefiniteError"):
             mp_fanout(
                 bs, bad, tg, nprocs=4, mapping="cyclic",
-                stall_timeout_s=10, timeout_s=60,
+                timeout_s=60,
             )
         assert _no_orphans()
 
@@ -302,7 +307,7 @@ class TestShutdown:
         with pytest.raises(WorkerError) as info:
             mp_fanout(
                 bs, sf.A, tg, nprocs=4, mapping="cyclic",
-                **_soft_crash(2, 3), stall_timeout_s=10, timeout_s=60,
+                **_soft_crash(2, 3), timeout_s=60,
             )
         exc = info.value
         text = str(exc)
@@ -320,7 +325,7 @@ class TestShutdown:
         with pytest.raises(WorkerError) as info:
             mp_fanout(
                 bs, sf.A, tg, nprocs=4, mapping="cyclic",
-                **_soft_crash(1, 3), stall_timeout_s=10, timeout_s=60,
+                **_soft_crash(1, 3), timeout_s=60,
             )
         exc = info.value
         assert set(exc.results) == {0, 1, 2, 3}

@@ -28,7 +28,7 @@ from repro.runtime.worker import WorkerResult
 
 def _context(pipeline, nprocs=2):
     _, sf, _, bs, wm, tg = pipeline
-    owners, _ = plan_owners(wm, tg, nprocs, "DW/CY", False)
+    owners, _ = plan_owners(wm, tg, nprocs, "DW/CY")
     A = sf.A.tocsc()
     return PatternContext(
         pattern_id="t", structure=bs, tg=tg, owners=owners,
@@ -225,7 +225,7 @@ class TestAssembleProvesCoverage:
     def gathered(self, grid12_pipeline):
         """A factored problem's blocks as the two ranks would ship them."""
         _, sf, _, bs, wm, tg = grid12_pipeline
-        owners, _ = plan_owners(wm, tg, 2, "DW/CY", False)
+        owners, _ = plan_owners(wm, tg, 2, "DW/CY")
         chol = BlockCholesky(bs, sf.A).factor()
         frames = {0: [], 1: []}
         for b in range(tg.nblocks):

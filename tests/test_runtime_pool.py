@@ -31,7 +31,7 @@ from repro.util import heap
 def pool_problem(grid12_pipeline):
     """Owner plan + permuted matrices (two value sets, one pattern)."""
     _, sf, _, bs, wm, tg = grid12_pipeline
-    owners, _ = plan_owners(wm, tg, 2, "DW/CY", False)
+    owners, _ = plan_owners(wm, tg, 2, "DW/CY")
     A_perm = sf.A.tocsc()
     A2 = sf.A.copy().tocsc()
     A2.setdiag(A2.diagonal() + 1.5)
@@ -312,7 +312,7 @@ class TestWarmEqualsCold:
         if transport == "shm" and not shm_available():
             pytest.skip("no POSIX shared memory")
         problem, sf, _, bs, wm, tg = grid12_pipeline
-        owners, _ = plan_owners(wm, tg, 2, "DW/CY", False)
+        owners, _ = plan_owners(wm, tg, 2, "DW/CY")
         # "new values": the original matrix with a shifted diagonal,
         # permuted exactly as the cold path permutes it.
         A_new = problem.A.tocsc().copy()

@@ -25,7 +25,7 @@ from repro.runtime import (
 from tests.conftest import facade_job, mp_fanout
 
 #: Tight-but-safe watchdogs for the tiny test problems.
-FAST = dict(timeout_s=120.0, stall_timeout_s=15.0)
+FAST = dict(timeout_s=120.0)
 
 
 def _no_orphans():
@@ -282,7 +282,7 @@ class TestInRunRecovery:
             run_mp_fanout(
                 bs, sf.A, tg,
                 plan_owners(tg.workmodel, tg, 2, "DW/CY")[0], 2,
-                fault_plan=plan, stall_timeout_s=10, timeout_s=60,
+                fault_plan=plan, timeout_s=60,
             )
         exc = info.value
         assert exc.results[exc.rank].metrics.error_type == "CorruptFrameError"
@@ -309,7 +309,7 @@ class TestDriverWatchdogs:
         with pytest.raises(RuntimeTimeoutError):
             run_mp_fanout(
                 bs, sf.A, tg, owners, 2, mapping=name,
-                fault_plan=plan, timeout_s=1.0, stall_timeout_s=30.0,
+                fault_plan=plan, timeout_s=1.0,
             )
         assert _no_orphans()
 

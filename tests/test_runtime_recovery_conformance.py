@@ -20,7 +20,7 @@ from repro.service import FactorService, JobFailed
 from repro.solver import SparseCholesky
 from tests.conftest import facade_job, mp_fanout
 
-FAST = dict(timeout_s=120.0, stall_timeout_s=15.0)
+FAST = dict(timeout_s=120.0)
 SOFT = FaultPlan(seed=0, crash=(CrashSpec(1, 1),))
 HARD = FaultPlan(seed=0, crash=(CrashSpec(1, 1, hard=True),))
 PERSISTENT = FaultPlan(seed=0, crash=(CrashSpec(1, 1, every_attempt=True),))
@@ -129,7 +129,7 @@ def test_service(grid12_pipeline, pools, scenario):
     A, A_perm = _matrices(grid12_pipeline, not_spd)
     with FactorService(
         nprocs=2, ordering=np.asarray(sf.ordering.perm), block_size=8,
-        mapping="DW/CY", timeout_s=120, stall_timeout_s=10.0, **kw,
+        mapping="DW/CY", timeout_s=120, **kw,
     ) as svc:
         if not_spd:
             with pytest.raises(JobFailed, match="not positive definite"):
@@ -158,7 +158,7 @@ def test_the_service_budget_is_max_restarts(grid12_pipeline, pools):
     A, A_perm = _matrices(grid12_pipeline, False)
     with FactorService(
         nprocs=2, ordering=np.asarray(sf.ordering.perm), block_size=8,
-        mapping="DW/CY", max_restarts=0, timeout_s=120, stall_timeout_s=10.0,
+        mapping="DW/CY", max_restarts=0, timeout_s=120,
     ) as svc:
         r = svc.factor(A, fault_plan=SOFT)
         assert (r.record.outcome, r.record.attempts) == (

@@ -12,7 +12,7 @@ import pytest
 
 from repro.analysis.comm_volume import communication_volume
 from repro.analysis.trace_replay import validate_trace
-from repro.blocks import BlockStructure, WorkModel, make_partition
+from repro.blocks import BlockStructure, SupernodalPartition, WorkModel
 from repro.config import RunConfig
 from repro.fanout import TaskGraph
 from repro.numeric import BlockCholesky
@@ -408,9 +408,7 @@ def gather_problems(grid12_pipeline, random_spd_pipeline):
         _, sf, _, bs, wm, tg = pipeline
         A = sf.A.tocsc()
         problems[name, "uniform"] = (bs, wm, tg, A)
-        sn = BlockStructure(make_partition(
-            sf, "supernodal", block_size=4, min_width=2, max_width=8
-        ))
+        sn = BlockStructure(SupernodalPartition(sf, min_width=2, max_width=8))
         wm_sn = WorkModel(sn)
         problems[name, "supernodal"] = (sn, wm_sn, TaskGraph(wm_sn), A)
     return {
@@ -712,7 +710,7 @@ class TestChaosOverShm:
         factors = {}
         for transport in ("inline", "shm"):
             res = facade_job(sf.A, nprocs=2, mapping="DW/CY", fault_plan=plan,
-                             transport=transport, stall_timeout_s=15.0)
+                             transport=transport)
             report = res.failure_report
             assert (report.outcome, report.restarts) == ("recovered", 1)
             assert "arrived again from rank" in report.attempts[0].error
@@ -728,7 +726,7 @@ class TestChaosOverShm:
         _, sf, _, bs, wm, tg = grid12_pipeline
         plan = FaultPlan(seed=5, corrupt=0.4)
         res = facade_job(sf.A, nprocs=2, mapping="DW/CY", fault_plan=plan,
-                         transport="shm", stall_timeout_s=15.0)
+                         transport="shm")
         report = res.failure_report
         assert (report.outcome, report.restarts) == ("recovered", 1)
         assert "CorruptFrameError" in report.attempts[0].error
@@ -740,7 +738,7 @@ class TestChaosOverShm:
         _, sf, _, bs, wm, tg = grid12_pipeline
         plan = FaultPlan(seed=7, drop=0.15, corrupt=0.2, duplicate=0.15)
         res = facade_job(sf.A, nprocs=2, mapping="DW/CY", fault_plan=plan,
-                         transport="shm", stall_timeout_s=15.0)
+                         transport="shm")
         assert res.failure_report.ok
         rep = validate_runtime(bs, sf.A, tg, result=res, strict=True)
         assert rep.ok
@@ -765,7 +763,7 @@ class TestArenaCleanup:
         )
         before = _shm_segments()
         res = facade_job(sf.A, nprocs=2, mapping="DW/CY", fault_plan=plan,
-                         transport="shm", stall_timeout_s=15.0)
+                         transport="shm")
         assert _shm_segments() == before
         assert res.failure_report.ok or res.failure_report.degraded
         L = res.to_csc()
@@ -781,7 +779,7 @@ class TestArenaCleanup:
         )
         before = _shm_segments()
         res = facade_job(sf.A, nprocs=2, mapping="DW/CY", fault_plan=plan,
-                         transport="shm", stall_timeout_s=15.0)
+                         transport="shm")
         assert _shm_segments() == before
         report = res.failure_report
         assert report.outcome == "recovered"

@@ -52,7 +52,7 @@ def grid_ref(grid12_pipeline):
     }
     grouped = {}
     for nprocs in TWO_ROWS:
-        owners, _ = plan_owners(wm, tg, nprocs, "DW/CY", False)
+        owners, _ = plan_owners(wm, tg, nprocs, "DW/CY")
         diag, below = oracle_grouped_factor(bs, sf.A, owners)
         for nrhs in NRHS_SWEEP:
             grouped[nprocs, nrhs] = oracle_grouped_solve(
@@ -147,7 +147,7 @@ class TestSolveWire:
         predictor exactly, sent and received, on fault-free runs."""
         res = _run(grid_ref, nrhs, nprocs, "inline", "static")
         owners, _ = plan_owners(
-            grid_ref["wm"], grid_ref["tg"], nprocs, "DW/CY", False
+            grid_ref["wm"], grid_ref["tg"], nprocs, "DW/CY"
         )
         pred = solve_communication_volume(
             grid_ref["tg"], owners, nrhs=nrhs
@@ -180,8 +180,7 @@ class TestSolveTasks:
         columns = len(set(tg.block_J[sub].tolist()))
         for nprocs in (2, 4):
             res = _run(grid_ref, 1, nprocs, "inline", "static")
-            owners, _ = plan_owners(grid_ref["wm"], tg, nprocs, "DW/CY",
-                                    False)
+            owners, _ = plan_owners(grid_ref["wm"], tg, nprocs, "DW/CY")
             counts = {"FSOLVE": 0, "FUPD": 0, "BSOLVE": 0, "BUPD": 0}
             for w in res.metrics.workers:
                 for k, v in w.solve_task_counts.items():
@@ -208,7 +207,7 @@ class TestEngineSurface:
         """1-D rhs in, (n, 1) solution out of the engine; the facade
         squeezes it back — exercised via run_mp_fanout directly."""
         _, sf, _, bs, wm, tg = grid12_pipeline
-        owners, name = plan_owners(wm, tg, 2, "DW/CY", False)
+        owners, name = plan_owners(wm, tg, 2, "DW/CY")
         b = _rhs(sf.A.shape[0], 1)[:, 0]
         res = run_mp_fanout(
             bs, sf.A, tg, owners, 2, mapping=name, rhs=b
@@ -220,7 +219,7 @@ class TestEngineSurface:
 
     def test_bad_rhs_shape_is_typed(self, grid12_pipeline):
         _, sf, _, bs, wm, tg = grid12_pipeline
-        owners, name = plan_owners(wm, tg, 2, "DW/CY", False)
+        owners, name = plan_owners(wm, tg, 2, "DW/CY")
         with pytest.raises(ValueError, match="rhs"):
             run_mp_fanout(
                 bs, sf.A, tg, owners, 2, mapping=name,

@@ -87,12 +87,6 @@ class TestBitwiseIdentity:
         assert _bitwise(dy.to_csc(), st.to_csc())
         assert dy.metrics.tasks_stolen_total > 0
 
-    def test_steal_seed_changes_victims_not_factor(self, grid12_pipeline):
-        st = _run(grid12_pipeline, "static", "inline")
-        for seed in (0, 7):
-            dy = _run(grid12_pipeline, "dynamic", "inline", steal_seed=seed)
-            assert _bitwise(dy.to_csc(), st.to_csc())
-
     def test_rejects_unknown_schedule(self, grid12_pipeline):
         with pytest.raises(ValueError):
             _run(grid12_pipeline, "stochastic", "inline")

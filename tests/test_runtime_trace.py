@@ -237,10 +237,11 @@ class TestTracingOff:
         assert all(w.trace_events == 0 for w in res.metrics.workers)
 
     def test_capacity_validation(self, grid12_pipeline):
+        """``trace`` is on/off: a capacity is refused before any spawn."""
         _, sf, _, bs, wm, tg = grid12_pipeline
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="trace must be bool"):
             mp_fanout(
-                bs, sf.A, tg, nprocs=2, mapping="cyclic", trace=-4
+                bs, sf.A, tg, nprocs=2, mapping="cyclic", trace=16
             )
 
     def test_ring_drops_oldest(self):

@@ -20,7 +20,7 @@ from repro.analysis.comm_volume import (
     solve_communication_volume,
 )
 from repro.analysis.trace_replay import validate_trace
-from repro.blocks import BlockStructure, WorkModel, make_partition
+from repro.blocks import BlockStructure, SupernodalPartition, WorkModel
 from repro.fanout import TaskGraph
 from repro.matrices import grid2d_matrix
 from repro.numeric import BlockCholesky
@@ -50,9 +50,7 @@ def varblock_ref():
     factor/solve references."""
     problem = grid2d_matrix(20)
     sf = symbolic_factor(problem.A, order_problem(problem, "nd"))
-    part = make_partition(
-        sf, "supernodal", block_size=4, min_width=2, max_width=8
-    )
+    part = SupernodalPartition(sf, min_width=2, max_width=8)
     # The point of the suite: the partition must be genuinely variable.
     assert np.unique(part.widths).size > 1
     bs = BlockStructure(part)
@@ -159,9 +157,11 @@ class TestServiceDigestSeparation:
         assert pattern_digest(A, k_uni) != pattern_digest(A, k_sup)
 
     def test_digests_differ_across_clamps(self):
+        """The supernodal clamps follow ``block_size`` (max width 48 vs
+        96 here), which is a plan field."""
         A = grid2d_matrix(8).A.tocsc()
-        a = self._knobs(block_policy="supernodal", min_width=8)
-        b = self._knobs(block_policy="supernodal", min_width=16)
+        a = self._knobs(block_policy="supernodal", block_size=24)
+        b = self._knobs(block_policy="supernodal", block_size=48)
         assert pattern_digest(A, a) != pattern_digest(A, b)
 
     def test_entry_records_policy(self):

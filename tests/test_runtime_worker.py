@@ -55,7 +55,7 @@ KIND_NAMES = (
 
 def _context(pipeline, nprocs, schedule="static"):
     _, sf, _, bs, wm, tg = pipeline
-    owners, _ = plan_owners(wm, tg, nprocs, "DW/CY", False)
+    owners, _ = plan_owners(wm, tg, nprocs, "DW/CY")
     A = sf.A.tocsc()
     ctx = PatternContext(
         pattern_id="t", structure=bs, tg=tg, owners=owners,

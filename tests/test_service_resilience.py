@@ -36,7 +36,7 @@ from repro.solver import SparseCholesky
 
 SVC_KW = dict(
     nprocs=2, ordering="nd", block_size=8,
-    timeout_s=120, stall_timeout_s=10.0,
+    timeout_s=120,
 )
 
 #: A crash plan that hard-kills rank 1 after one task — the SIGKILL /

@@ -28,7 +28,7 @@ from repro.service import (
 
 SVC_KW = dict(
     nprocs=2, ordering="nd", block_size=8,
-    timeout_s=120, stall_timeout_s=10.0,
+    timeout_s=120,
 )
 
 #: Hard-kills rank 1 at its first solve task (the worker's crash

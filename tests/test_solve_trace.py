@@ -46,7 +46,7 @@ def _rhs(n: int) -> np.ndarray:
 
 def _run_traced(pipeline, schedule="static"):
     _, sf, _, bs, wm, tg = pipeline
-    owners, name = plan_owners(wm, tg, 2, "DW/CY", False)
+    owners, name = plan_owners(wm, tg, 2, "DW/CY")
     res = run_mp_fanout(
         bs, sf.A, tg, owners, 2, mapping=name, trace=True,
         schedule=schedule, rhs=_rhs(sf.A.shape[0]),

@@ -141,24 +141,3 @@ class TestPlanning:
         s = SparseCholesky(grid2d_matrix(12).A)
         plan = s.plan_parallel(9)
         assert plan.mflops > 0
-
-    def test_recommend_processors_meets_target(self, grid_solver):
-        plan = grid_solver.recommend_processors(
-            target_efficiency=0.5, candidates=(1, 4, 9, 16)
-        )
-        assert plan.efficiency >= 0.5 or plan.P == 1
-
-    def test_recommend_prefers_larger_p(self, grid_solver):
-        loose = grid_solver.recommend_processors(
-            target_efficiency=0.05, candidates=(1, 4, 9, 16)
-        )
-        strict = grid_solver.recommend_processors(
-            target_efficiency=0.99, candidates=(1, 4, 9, 16)
-        )
-        assert loose.P >= strict.P
-
-    def test_recommend_rejects_bad_target(self, grid_solver):
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError):
-            grid_solver.recommend_processors(target_efficiency=0.0)
