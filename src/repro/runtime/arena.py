@@ -12,8 +12,8 @@ attachment): a rank sets the words of the blocks it owns to its share of
 place on them, and reads a peer's final block where its owner wrote it.
 No block is ever copied between ranks.
 
-Descriptors: a rank that finishes a block takes its CRC32 once
-(:meth:`BlockArena.checksum`) and fans out a 64-byte ``BLOCK_REF``
+Descriptors: a rank that finishes a block takes its CRC32 once and fans
+out a 64-byte ``BLOCK_REF``
 (:meth:`BlockArena.pack_ref`, :func:`repro.runtime.wire.pack_block_ref`)
 naming it: the byte offset of its first word, its ``rows x cols`` and its
 *logical* payload words (``tg.block_words``, what the static predictor
@@ -35,8 +35,9 @@ The store is also the gather: a clean job ships no block home. Each rank
 reports the ids of its blocks and the CRC it took of each when it
 published it; the driver makes one copy of the store into private memory
 (the next job of the pattern factors in the segment again) and checks
-every block against its CRC (:meth:`BlockArena.checksums`) — the
-segment is quiescent between two jobs, so the copy holds the same bytes.
+every block of that copy against its CRC
+(:func:`repro.runtime.engine._assemble`, the check an inline gather
+passes too) — the segment is quiescent between two jobs.
 
 Lifecycle: a pattern's plan creates the segment (:meth:`BlockArena.create`);
 its owner — a one-shot call, a façade instance, the service — unlinks it
@@ -220,13 +221,6 @@ class BlockArena:
         """CRC32 of block ``b``'s stored bytes — the descriptor's payload
         CRC."""
         return zlib.crc32(self._blocks[b])
-
-    def checksums(self, blocks) -> np.ndarray:
-        """:meth:`checksum` of each of ``blocks``, as a ``uint32`` array."""
-        return np.fromiter(
-            map(zlib.crc32, map(self._blocks.__getitem__, blocks)),
-            np.uint32, len(blocks),
-        )
 
     # -- wire integration ----------------------------------------------
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import time
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,6 @@ from repro.fanout.tasks import TaskGraph
 from repro.mapping import best_grid, named_map
 from repro.numeric.blockfact import BlockCholesky
 from repro.numeric.solve import permute_rhs
-from repro.runtime import wire
 from repro.runtime.arena import BlockArena, resolve_transport
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.pool import (
@@ -145,7 +145,7 @@ class PatternPlan:
         """The context to ship, over ``A``'s (permuted csc) pattern."""
         return PatternContext(
             self.pattern_id, self.structure, self.tg, self.owners,
-            A.indptr, A.indices, tuple(A.shape),
+            A.indptr, A.indices,
             None if self.arena is None else self.arena.name, self.config,
         )
 
@@ -306,7 +306,7 @@ def outcome_result(
 
     ``factor`` asks for the assembled factor (see
     :func:`_assemble`: copied out of ``arena``, the pattern's shared store
-    on the shm transport, else built from the gathered frames; ``owners``
+    on the shm transport, else built from the ranks' shipped words; ``owners``
     lets a gather error name the rank a block was due from); ``rhs`` (the
     permuted panel the job solved) asks for the stitched solution; a warm
     solve job passes only the latter. ``wall_s`` defaults to the job's
@@ -367,79 +367,71 @@ def _assemble(structure, tg, results, owners=None, arena=None):
     """The factor out of a clean job's results, and the ``gather`` record
     of how it got here (``RuntimeMetrics.extra["gather"]``).
 
-    With an ``arena`` (shm) the ranks factored its store in place: one
-    copy of it into private memory (the pattern's next job factors in the
-    segment again), then every block is checked against the CRC its rank
-    took when it published it
-    (:attr:`~repro.runtime.worker.WorkerResult.held`).
-    Without one, every owned block came home as a CRC-checked frame.
-    Either way every block of ``tg`` must be reported exactly once — a
-    hole would read as zeros — and any breach is a :class:`FanoutError`
-    naming the block and the rank."""
+    The store it returns is built one of two ways: with an ``arena``
+    (shm), where the ranks factored in place, one copy of it into private
+    memory (the pattern's next job factors in the segment again); without
+    one (inline), each rank's shipped
+    :attr:`~repro.runtime.worker.WorkerResult.words` written at its
+    ``held`` blocks' ``block_spans``. Then one check on that copy, for
+    both: every block of ``tg`` is reported exactly once — a hole would
+    read as zeros — and holds the bytes whose CRC its rank took when it
+    published it. Any breach is a :class:`FanoutError` naming the block
+    and the rank."""
     clock = time.perf_counter
     t0 = clock()
-    #: rank -> the block ids it reported, in the order it reported them.
+    plan = structure.numeric_plan()
+    store = np.zeros(plan.size) if arena is None else np.array(arena.store)
+    nbytes = 0 if arena is None else store.nbytes
+    #: rank -> ``(blocks, crcs, starts, stops)``: what it reported and
+    #: where those blocks lie in the store.
     reported: dict = {}
-    if arena is not None:
-        factor = BlockCholesky.shell(structure, np.array(arena.store))
-        for rank, res in results.items():
-            reported[rank] = () if res.held is None else res.held[0]
-        nbytes = factor.store.nbytes
-    else:
-        factor = BlockCholesky.shell(structure)
-        nbytes = 0
-        for rank, res in results.items():
-            blocks = reported[rank] = []
-            for frame in res.frames:
-                try:
-                    msg = wire.unpack(frame)
-                except wire.WireError as exc:
-                    # A CRC mismatch or a short payload leaves the header,
-                    # and so the block id, readable.
-                    b = (wire.frame_block(frame)
-                         if len(frame) >= wire.HEADER_BYTES else -1)
-                    raise FanoutError(
-                        f"factor gather: rank {rank} sent a bad frame for "
-                        f"block {b}: {exc}", results=results,
-                    ) from exc
-                b = msg.block
-                factor.install(
-                    int(tg.block_I[b]), int(tg.block_J[b]), msg.payload
+    for rank, res in results.items():
+        blocks, crcs = (res.held if res.held is not None
+                        else (np.empty(0, np.int32), np.empty(0, np.uint32)))
+        start, size = plan.block_spans(tg.block_I[blocks], tg.block_J[blocks])
+        stop = start + size
+        reported[rank] = (blocks, crcs, start.tolist(), stop.tolist())
+        if res.words is not None:
+            if res.words.shape != (int(size.sum()),):
+                raise FanoutError(
+                    f"factor gather: rank {rank} shipped {res.words.size} "
+                    f"words for {int(size.sum())} in its blocks",
+                    results=results,
                 )
-                blocks.append(b)
-                nbytes += len(frame)
+            at = np.cumsum(size) - size
+            for lo, hi, a in zip(start.tolist(), stop.tolist(), at.tolist()):
+                store[lo:hi] = res.words[a : a + hi - lo]
+            nbytes += res.words.nbytes
+    factor = BlockCholesky.shell(structure, store)
     t1 = clock()
 
     def where(b):
         due = "" if owners is None else f", owned by rank {owners[b]},"
         return f"block {b} ({tg.block_I[b]},{tg.block_J[b]}){due}"
 
-    ids = np.concatenate(
-        [np.asarray(blocks, dtype=np.int64) for blocks in reported.values()]
-    )
+    ids = np.concatenate([np.asarray(r[0], dtype=np.int64)
+                          for r in reported.values()])
     off = np.flatnonzero(np.bincount(ids, minlength=tg.nblocks) != 1)
     if off.size:
         b = int(off[0])
         senders = [r for r in sorted(reported)
-                   for x in reported[r] if x == b]
+                   for x in reported[r][0] if x == b]
         raise FanoutError(
             f"factor gather: {len(off)}/{tg.nblocks} blocks did not arrive "
             f"exactly once; {where(b)} came from ranks {senders}",
             results=results,
         )
-    for rank, res in results.items():
-        if arena is not None and res.held is not None:
-            blocks, crcs = res.held
-            got = arena.checksums(blocks.tolist())
-            bad = np.flatnonzero(got != crcs)
-            if bad.size:
+    for rank, (blocks, crcs, starts, stops) in reported.items():
+        for b, crc, lo, hi in zip(blocks.tolist(), crcs.tolist(), starts,
+                                  stops):
+            if zlib.crc32(store[lo:hi]) != crc:
                 raise FanoutError(
-                    f"factor gather: {where(int(blocks[bad[0]]))} does not "
-                    f"hold the bytes rank {rank} published (CRC mismatch)",
+                    f"factor gather: {where(b)} does not hold the bytes "
+                    f"rank {rank} published (CRC mismatch)",
                     results=results,
                 )
     return factor, {
-        "mode": "frames" if arena is None else "arena",
+        "mode": "words" if arena is None else "arena",
         "blocks": int(ids.shape[0]),
         "bytes": nbytes,
         "copy_s": t1 - t0,

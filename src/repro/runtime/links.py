@@ -19,11 +19,11 @@ Two byte ledgers per link:
     Equal to ``bytes`` on the inline transport; collapses to 64 bytes per
     message on the shared-memory transport (header-only descriptors).
 
-Coalescing: with ``coalesce`` enabled (the shm transport), data and solve
-frames accumulate in a per-link pending batch and ship as **one** queue
-put per drain (:meth:`flush_pending`) — one pickling round-trip per
-``(src, dst)`` burst instead of one per frame. Control frames flush the
-batch first so data-before-control ordering is preserved.
+Coalescing: on every transport, data and solve frames accumulate in a
+per-link pending batch and ship as **one** queue put per drain
+(:meth:`flush_pending`) — one pickling round-trip per ``(src, dst)`` burst
+instead of one per frame. Control and steal frames flush the batch first
+so data-before-control ordering is preserved.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ class Link:
 
     __slots__ = ("src", "dst", "queue", "messages", "bytes", "wire_bytes",
                  "control_messages", "steal_messages",
-                 "steal_bytes", "solve_messages", "solve_bytes",
-                 "coalesce", "_pending")
+                 "steal_bytes", "solve_messages", "solve_bytes", "_pending")
 
     def __init__(self, src: int, dst: int, queue):
         self.src = src
@@ -60,7 +59,6 @@ class Link:
         self.steal_bytes = 0
         self.solve_messages = 0
         self.solve_bytes = 0
-        self.coalesce = False
         self._pending: list[bytes] = []
 
     def _count(self, frame: bytes, nbytes: int | None) -> None:
@@ -69,16 +67,13 @@ class Link:
         self.wire_bytes += len(frame)
 
     def _put(self, frame: bytes) -> None:
-        if self.coalesce:
-            self._pending.append(frame)
-            if len(self._pending) >= COALESCE_MAX:
-                self.flush_pending()
-        else:
-            self.queue.put(frame)
+        self._pending.append(frame)
+        if len(self._pending) >= COALESCE_MAX:
+            self.flush_pending()
 
     def send(self, frame: bytes, nbytes: int | None = None) -> None:
-        """Put one data (block) frame on the link (never blocks: queues
-        are unbounded, buffered by a feeder thread).
+        """Put one data (block) frame in the link's batch (never blocks:
+        queues are unbounded, buffered by a feeder thread).
 
         ``nbytes`` is the frame's *logical* byte size; it defaults to
         ``len(frame)``, which is exact for the inline transport.
@@ -115,8 +110,8 @@ class Link:
         the factor-phase ``messages``/``bytes`` stay exactly equal to the
         static predictor, and the solve ledger reconciles against the
         solve predictor. RHS fragments always carry their payload (even
-        on the shm transport), so logical bytes equal ``len(frame)``; on
-        shm they ride the coalesced batch like data frames."""
+        on the shm transport), so logical bytes equal ``len(frame)``; they
+        ride the coalesced batch like data frames."""
         self._put(frame)
         self.solve_messages += 1
         self.solve_bytes += len(frame)

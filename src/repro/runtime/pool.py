@@ -21,10 +21,10 @@ job is built by its pattern's :class:`~repro.runtime.engine.PatternPlan`:
 * **Job-tagged frames.** Every queue item is ``(seq, item)`` where ``seq``
   is the job number. A frame whose tag is not the running job's is a
   straggler of a finished one (a late DONE, an ABORT that lost the race
-  with the result) and is dropped on read. The inline transport's result
-  gather ships frames that carry their payload; a clean shm job ships no
-  block: the driver copies the factor out of the pattern's arena before
-  it dispatches the next job, the only writer that store can have.
+  with the result) and is dropped on read. Every rank of a clean factor
+  job reports its blocks' ids and CRCs; inline it also ships their words,
+  while on shm the driver copies the factor out of the pattern's arena
+  before it dispatches the next job, the only writer that store can have.
 
 Failure containment: a worker error poisons only its own job — the
 erroring worker broadcasts ABORT for that job's tag, peers abort that
@@ -100,18 +100,18 @@ class PatternContext(PlanHolder):
     owners: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-    shape: tuple
     arena_name: str | None = None
     #: The knobs the pattern's jobs run under (workers read ``schedule``).
     config: RunConfig = field(default_factory=RunConfig)
 
     def init_map(self, rank: int):
-        """The rank's share of a job's initial state over the shared store
-        (shm): the store words of the blocks it owns and the entries of
-        ``A`` that land there (:meth:`~repro.blocks.plan.NumericPlan.init_map`;
-        applied by :meth:`~repro.numeric.blockfact.BlockCholesky.scatter`).
-        Over all ranks the words partition the store, so every word has
-        exactly one initializer."""
+        """The rank's share of a job's initial state over its factor store
+        (a private one inline, the arena's on shm): the store words of the
+        blocks it owns and the entries of ``A`` that land there
+        (:meth:`~repro.blocks.plan.NumericPlan.init_map`; applied by
+        :meth:`~repro.numeric.blockfact.BlockCholesky.scatter`). Over all
+        ranks the words partition the store, so every word has exactly one
+        initializer."""
         def build():
             plan = self.structure.numeric_plan()
             own = np.flatnonzero(np.asarray(self.owners) == rank)
@@ -366,7 +366,7 @@ class _PoolWorker:
         metrics = WorkerMetrics(rank=self.rank)
         metrics.error = text
         self.result_queue.put(
-            (seq, WorkerResult(self.rank, metrics, []))
+            (seq, WorkerResult(self.rank, metrics))
         )
 
 

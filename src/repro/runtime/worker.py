@@ -24,10 +24,11 @@ op or an arrived block, run it, fan the result out block by block — and
 * ``_account`` is the post-task step every executed task passes through,
   ``_span`` the only timeline / trace-span emitter, ``_block`` / ``_store``
   the block accessor pair, and :meth:`Worker.run` ends in the one ship-home
-  epilogue: one :class:`WorkerResult` (owned blocks as frames on the inline
-  transport; on shm the ranks factor the arena's one store in place, so
-  only the ids of the owned blocks and their CRCs travel), after an ABORT
-  broadcast on error so peers exit promptly instead of deadlocking.
+  epilogue: one :class:`WorkerResult` — the ids of the owned blocks and the
+  CRC each had when published, plus their words on the inline transport
+  (on shm the ranks factor the arena's one store in place, and the driver
+  copies it) — after an ABORT broadcast on error so peers exit promptly
+  instead of deadlocking.
 
 State and handlers are grouped by *plane* — factor, control (ABORT,
 DONE), steal (the dynamic schedule), solve — each
@@ -45,11 +46,11 @@ import queue as queue_mod
 import random
 import time
 import traceback
+import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.numeric.blockfact import BlockCholesky
 from repro.numeric.solve import (
@@ -88,21 +89,23 @@ class _Abort(Exception):
 
 @dataclass
 class WorkerResult:
-    """What a worker sends home: metrics plus its owned factor blocks —
-    as wire frames on the inline transport, as ``held`` on shm, where the
-    blocks stay in the arena's store; none on error or abort."""
+    """What a worker sends home: metrics plus, from a clean factor job,
+    its owned blocks — ``held`` on both transports, their ``words`` too on
+    inline, where the store is private; none on error or abort."""
 
     rank: int
     metrics: WorkerMetrics
-    frames: list[bytes]
     trace: WorkerTrace | None = None
     #: Solve-phase output: owned panel id -> dense ``w x nrhs`` solution
     #: fragment (permuted coordinates). ``None`` when no solve ran.
     solution: dict[int, np.ndarray] | None = None
-    #: A clean shm factor job: ``(blocks, crcs)`` — the owned block ids,
+    #: A clean factor job: ``(blocks, crcs)`` — the owned block ids,
     #: ascending, and the CRC32 of each block's stored bytes as the rank
-    #: published it (:meth:`repro.runtime.arena.BlockArena.checksum`).
+    #: published it.
     held: tuple[np.ndarray, np.ndarray] | None = None
+    #: Inline only: the stored words of the ``held`` blocks, laid end to
+    #: end in their order (on shm they stay in the arena's store).
+    words: np.ndarray | None = None
 
 
 class Phase(NamedTuple):
@@ -173,11 +176,6 @@ class Worker:
             self.links = self.injector.wrap_links(self.links)
             if plan.message_faults_active:
                 self.stall_s = FAULTY_STALL_S
-        if self.arena is not None:
-            # Descriptors are cheap and uniform — batch them per link and
-            # ship one queue put per drain instead of one per block.
-            for link in self.links.values():
-                link.coalesce = True
         spec = plan.crash_for(self.rank) if plan is not None else None
         self._crash_after = None if spec is None else int(spec.after_tasks)
         self._crash_hard = spec is not None and bool(spec.hard)
@@ -201,8 +199,7 @@ class Worker:
         """Run the armed job and ship the one result home; never raises."""
         m = self.metrics
         factor = self.job.kind == "factor"
-        frames: list[bytes] = []
-        solution = held = None
+        solution = held = words = None
         try:
             t0 = self._now()
             self._setup(factor)
@@ -211,10 +208,7 @@ class Worker:
                 self._pump(phase)
             if factor:
                 t0 = self._now()
-                if self.arena is None:
-                    frames = self._frames(self.plan.owned)
-                else:
-                    held = self._held(self.plan.owned)
+                held, words = self._gather(self.plan.owned)
                 m.gather_s = self._now() - t0
             if self.job.rhs is not None:
                 solution = self._solution_panels
@@ -228,7 +222,7 @@ class Worker:
         self._finalize()
         trace = None if self.trace is None else self.trace.snapshot(self.rank)
         self.result_queue.put(
-            WorkerResult(self.rank, m, frames, trace, solution, held)
+            WorkerResult(self.rank, m, trace, solution, held, words)
         )
         if failed:
             # Don't hang at exit flushing frames to peers that may be gone.
@@ -236,23 +230,18 @@ class Worker:
                 link.queue.cancel_join_thread()
 
     def _setup(self, factor: bool) -> None:
-        """Arm the planes of this job. A factor job scatters ``A`` — into
-        a private store inline; on shm into the words of its own blocks of
-        the arena's store, which every rank factors in place — and starts
-        factor and steal state afresh; a warm solve keeps the resident
-        factor and arms only a new solve plane."""
+        """Arm the planes of this job. A factor job scatters its share of
+        ``A`` into the words of its own blocks of its store — a private,
+        zeroed one inline; on shm the arena's, which every rank factors in
+        place — and starts factor and steal state afresh; a warm solve
+        keeps the resident factor and arms only a new solve plane."""
         ctx, job = self.context, self.job
         if factor:
-            if self.arena is None:
-                self.chol = BlockCholesky(ctx.structure, sparse.csc_matrix(
-                    (job.values, ctx.indices, ctx.indptr),
-                    shape=tuple(ctx.shape),
-                ))
-            else:
-                if job.values.shape != ctx.indices.shape:
-                    raise ValueError("values disagree with the pattern")
-                self.chol = self.arena.factor
-                self.chol.scatter(*ctx.init_map(self.rank), job.values)
+            if job.values.shape != ctx.indices.shape:
+                raise ValueError("values disagree with the pattern")
+            self.chol = (BlockCholesky.shell(ctx.structure)
+                         if self.arena is None else self.arena.factor)
+            self.chol.scatter(*ctx.init_map(self.rank), job.values)
             self._arm_factor()
             self._arm_steal()
         # Armed during factor setup because solve frames may arrive while
@@ -298,7 +287,7 @@ class Worker:
             progressed = True
             if not phase.ready:
                 # About to go idle (or wait on the inbox): ship any
-                # coalesced descriptor batches so consumers proceed.
+                # coalesced frame batches so consumers proceed.
                 self._flush_pending()
         elif not progressed and phase.idle is not None:
             phase.idle()
@@ -496,7 +485,7 @@ class Worker:
                               wire.BLOCK_REF: self._on_block})
         self.plan = plan = self.context.dispatch_plan(self.rank)
         self.n_owned = plan.n_owned
-        #: Per published block, the CRC32 of its stored bytes (shm).
+        #: Per published block, the CRC32 of its stored bytes.
         self._crc: dict[int, int] = {}
         self.scheduler = ReadyScheduler()
         #: Owned tasks finished: run here or returned by a thief.
@@ -598,15 +587,14 @@ class Worker:
         self.readiness.finished(self.plan.updates.of[item] if o < 0 else o)
 
     def _publish(self, blocks) -> None:
-        """``blocks`` are final here. Mark each held and, on the shm
-        transport, take the CRC of its stored bytes — what its descriptors
-        carry and the driver's gather checks — then fan it out; ship the
-        coalesced batches at once, a share's frames in one put per peer:
-        a peer waiting for the share has nothing else to wait for."""
+        """``blocks`` are final here. Mark each held and take the CRC of
+        its stored bytes — what a shm descriptor carries and the driver's
+        gather checks — then fan it out; ship the coalesced batches at
+        once, a share's frames in one put per peer: a peer waiting for the
+        share has nothing else to wait for."""
         for b in blocks:
             self.have.add(b)
-            if self.arena is not None:
-                self._crc[b] = self.arena.checksum(b)
+            self._crc[b] = zlib.crc32(self._block(b))
             self._fan_out(b)
         self._flush_pending()
 
@@ -1016,19 +1004,18 @@ class Worker:
     # ------------------------------------------------------------------
     # Shutdown
     # ------------------------------------------------------------------
-    def _frames(self, blocks) -> list[bytes]:
-        """The inline transport's result gather: driver-bound frames for
-        ``blocks``, carrying their payload."""
-        return [self._frame_for(int(b)) for b in blocks]
-
-    def _held(self, blocks: list[int]):
-        """The shm transport's result gather: the blocks stay in the
-        arena's store and the driver reads them there; home go their ids
-        and the CRC each had when this rank published it, so the driver's
-        check of its copy holds them to what was published."""
-        return (np.asarray(blocks, dtype=np.int32),
+    def _gather(self, blocks: list[int]):
+        """The result gather, ``(held, words)``: home go the ids of
+        ``blocks`` and the CRC each had when this rank published it, which
+        the driver holds its assembled copy to, and on inline their words
+        (on shm they stay in the arena's store, which the driver copies)."""
+        held = (np.asarray(blocks, dtype=np.int32),
                 np.fromiter(map(self._crc.__getitem__, blocks), np.uint32,
                             len(blocks)))
+        if self.arena is not None:
+            return held, None
+        return held, np.concatenate(
+            [self._block(b).ravel() for b in blocks] or [np.empty(0)])
 
     def _broadcast_abort(self) -> None:
         if self.trace is not None:

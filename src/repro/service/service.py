@@ -49,6 +49,7 @@ from repro.runtime.pool import PoolJob, WorkerPool
 from repro.runtime.recovery import (
     OUTCOME_CLEAN, OUTCOME_DEGRADED, run_job, settle,
 )
+from repro.runtime.validation import factor_bound
 from repro.service.admission import JobQueue
 from repro.service.cache import PatternCache, PatternEntry, pattern_digest
 from repro.service.jobs import (
@@ -713,20 +714,13 @@ class FactorService:
                     self._completed.popitem(last=False)
 
     def _validate(self, job_id, entry: PatternEntry, A_perm, L) -> None:
-        """Check against the sequential baseline: bit for bit when each
-        block column has one owner (the panel ops then stack whole columns
-        and (K, J) pairs, as sequential does), else to rounding."""
+        """Check against the sequential baseline, within
+        :func:`~repro.runtime.validation.factor_bound`."""
         from repro.numeric import BlockCholesky
 
         ref = BlockCholesky(entry.structure, A_perm).factor().to_csc()
-        own, tg = np.asarray(entry.owners), entry.tg
-        whole = np.array_equal(own, own[tg.diag_block[tg.block_J]])
-        same = (np.array_equal(L.indptr, ref.indptr)
-                and np.array_equal(L.indices, ref.indices))
-        if same:
-            err = np.abs(L.data - ref.data).max(initial=0.0)
-            same = err <= (0.0 if whole else 1e-12 * abs(ref).max())
-        if not same:
+        bound = factor_bound(entry.owners, entry.tg, ref)
+        if not abs(L - ref).max() <= bound:
             raise ValidationFailed(job_id, "parallel factor differs from "
                                    "the sequential baseline")
 

@@ -453,7 +453,7 @@ SURFACE = {
     },
     "PatternContext": {
         "pattern_id", "structure", "tg", "owners", "indptr", "indices",
-        "shape", "arena_name", "config",
+        "arena_name", "config",
     },
     "WorkerPool": {"nprocs"},
     "Worker": {

@@ -295,7 +295,7 @@ class TestStealing:
         A = sf.A.tocsc()
         ctx = PatternContext(
             pattern_id="t", structure=bs, tg=tg, owners=owners,
-            indptr=A.indptr, indices=A.indices, shape=tuple(A.shape),
+            indptr=A.indptr, indices=A.indices,
             config=RunConfig(schedule="dynamic"),
         )
         fabric = LinkFabric(2, queue)

@@ -6,12 +6,13 @@ is spawned.
 scripted step — so ``restart`` does its real work and :func:`run_job`
 sees exactly the surface it uses in production: ``start``, ``run``,
 ``restart``, ``nprocs``, ``last_error``. An ``ok`` step ships the
-sequential factor's blocks as inline frames, each from its owner, so a
-finished attempt assembles like a real one.
+sequential factor's blocks as an inline rank does — ids, CRCs and words,
+each from its owner — so a finished attempt assembles like a real one.
 """
 
 import logging
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from scipy import sparse
 
 from repro.config import RunConfig
 from repro.numeric import BlockCholesky
-from repro.runtime import engine, wire
+from repro.runtime import engine
 from repro.runtime.metrics import WorkerMetrics
 from repro.runtime.pool import JobOutcome, PoolJob, WorkerPool
 from repro.runtime.recovery import run_job, settle
@@ -59,30 +60,32 @@ class ScriptedPool(WorkerPool):
         return self.script.pop(0)(self, job)
 
 
-def _result(rank, error=None, error_type=None, aborted=False, frames=()):
+def _result(rank, error=None, error_type=None, aborted=False, **shipped):
     m = WorkerMetrics(rank=rank)
     m.error, m.error_type, m.aborted = error, error_type, aborted
-    return WorkerResult(rank, m, list(frames))
+    return WorkerResult(rank, m, **shipped)
 
 
 def _sequential(ctx, values):
-    A = sparse.csc_matrix((values, ctx.indices, ctx.indptr), shape=ctx.shape)
+    n = len(ctx.indptr) - 1
+    A = sparse.csc_matrix((values, ctx.indices, ctx.indptr), shape=(n, n))
     return BlockCholesky(ctx.structure, A).factor()
 
 
 def ok(pool, job):
     """Every rank ships the blocks the job's context says it owns."""
-    ctx = job.context
+    ctx, results = job.context, {}
     seq = _sequential(ctx, job.values)
-    frames = {r: [] for r in range(pool.nprocs)}
-    for b, r in enumerate(ctx.owners):
-        I, J = int(ctx.tg.block_I[b]), int(ctx.tg.block_J[b])
-        block = seq.diag[J] if I == J else seq.below[J][I]
-        frames[int(r)].append(wire.pack_block(int(r), b, I, J, block))
-    return JobOutcome(
-        job.seq, {r: _result(r, frames=frames[r]) for r in frames},
-        wall_s=0.01,
-    )
+    for r in range(pool.nprocs):
+        own = np.flatnonzero(ctx.owners == r)
+        blocks = [seq.diag[J] if I == J else seq.below[J][I]
+                  for I, J in zip(ctx.tg.block_I[own], ctx.tg.block_J[own])]
+        results[r] = _result(
+            r, held=(own.astype(np.int32), np.array(
+                [zlib.crc32(b) for b in blocks], dtype=np.uint32)),
+            words=np.concatenate([b.ravel() for b in blocks]),
+        )
+    return JobOutcome(job.seq, results, wall_s=0.01)
 
 
 def raising(rank=1, error_type="RuntimeError"):
@@ -186,7 +189,7 @@ class TestBudgetAndOutcomes:
         assert (rep.restarts, rep.attempts) == (0, [])
         assert pool.generation == 1 and pool.runs == [(4, 0)]
         assert res.metrics.nprocs == 4 and _bitwise(res, sequential)
-        assert res.metrics.extra["gather"]["mode"] == "frames"
+        assert res.metrics.extra["gather"]["mode"] == "words"
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_ok_on_attempt_k_is_recovered(self, drive, sequential, k,

@@ -128,6 +128,23 @@ class TestAccounting:
         assert rep.messages_measured == rep.messages_predicted
         assert "OK" in rep.summary()
 
+    def test_validation_harness_checks_the_factor(self, grid12_pipeline):
+        """One stored entry of ``L`` moved by 2e-9 keeps the residual
+        (4e-9) under its 1e-8 tolerance, but a 1 x 2 grid's factor must
+        be the sequential one bit for bit."""
+        _, sf, _, bs, wm, tg = grid12_pipeline
+        res = mp_fanout(bs, sf.A, tg, nprocs=2, mapping="DW/CY")
+        assert validate_runtime(bs, sf.A, tg, res).ok
+        res.factor.diag[0][1, 0] += 2e-9
+        rep = validate_runtime(bs, sf.A, tg, res, strict=False)
+        assert rep.residual < 1e-8
+        assert rep.failures == [
+            f"factor differs from the sequential one by "
+            f"{rep.factor_diff:.3e} (allowed 0.000e+00)"
+        ]
+        with pytest.raises(ValidationError, match="factor differs"):
+            validate_runtime(bs, sf.A, tg, res)
+
     def test_validation_harness_catches_lies(self, grid12_pipeline):
         """Validating a result against ownership it did not run under must
         fail the communication check."""

@@ -18,13 +18,19 @@ from repro.runtime.wire import CorruptFrameError, WireError
 
 
 class _ListQueue:
-    """A queue stand-in capturing every put frame in order."""
+    """A queue stand-in capturing every put item in order."""
 
     def __init__(self):
         self.items = []
 
-    def put(self, frame):
-        self.items.append(frame)
+    def put(self, item):
+        self.items.append(item)
+
+    @property
+    def frames(self):
+        """Every frame put, in order, a batch's frames laid out flat."""
+        return [f for item in self.items
+                for f in (item if isinstance(item, list) else (item,))]
 
 
 def _block_frame(src=0, block=5, I=2, J=1, shape=(3, 3)):
@@ -175,24 +181,27 @@ class TestFaultyLink:
         link, q, injector = _faulty_link(FaultPlan(duplicate=1.0))
         frame = _block_frame()
         link.send(frame)
-        assert len(q.items) == 2
-        assert q.items[0] == q.items[1]
+        link.flush()
+        assert len(q.frames) == 2
+        assert q.frames[0] == q.frames[1]
         assert link.messages == 1 and link.bytes == len(frame)
         assert injector.injected["duplicate"] == 1
 
     def test_corrupt_payload_fails_crc(self):
         link, q, injector = _faulty_link(FaultPlan(corrupt=1.0))
         link.send(_block_frame())
+        link.flush()
         assert injector.injected["corrupt"] == 1
         with pytest.raises(CorruptFrameError):
-            wire.unpack(q.items[0])
+            wire.unpack(q.frames[0])
 
     def test_corrupt_header_fails_decode(self):
         link, q, injector = _faulty_link(FaultPlan(corrupt_header=1.0))
         link.send(_block_frame())
+        link.flush()
         assert injector.injected["corrupt_header"] == 1
         with pytest.raises(WireError):
-            wire.unpack(q.items[0])
+            wire.unpack(q.frames[0])
 
     def test_delay_reorders_and_flush_releases(self):
         link, q, _ = _faulty_link(FaultPlan(delay=1.0, delay_messages=2))
@@ -227,7 +236,8 @@ class TestFaultyLink:
             )
             for i in range(30):
                 link.send(_block_frame(block=i % 7, I=i % 7, J=0))
-            return [bytes(f) for f in q.items], dict(injector.injected)
+            link.flush()
+            return [bytes(f) for f in q.frames], dict(injector.injected)
 
         frames_a, counts_a = run(seed=5)
         frames_b, counts_b = run(seed=5)
@@ -242,5 +252,6 @@ class TestFaultyLink:
         link, q, injector = _faulty_link(plan)
         for _ in range(40):
             link.send(_block_frame(block=3))
+        link.flush()
         assert 0 < injector.injected["drop"] < 40
-        assert len(q.items) == 40 - injector.injected["drop"]
+        assert len(q.frames) == 40 - injector.injected["drop"]

@@ -6,6 +6,7 @@ received every block exactly once before it hands out a factor."""
 
 import pickle
 import queue
+import zlib
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from repro.runtime import (
     PoolJob,
     Worker,
     plan_owners,
-    wire,
 )
 from repro.runtime.engine import FanoutError, _assemble
 from repro.runtime.pool import _PoolWorker
@@ -32,7 +32,7 @@ def _context(pipeline, nprocs=2):
     A = sf.A.tocsc()
     return PatternContext(
         pattern_id="t", structure=bs, tg=tg, owners=owners,
-        indptr=A.indptr, indices=A.indices, shape=tuple(A.shape),
+        indptr=A.indptr, indices=A.indices,
     ), A
 
 
@@ -56,7 +56,8 @@ class TestPlanStaysHome:
         self, grid12_pipeline, monkeypatch
     ):
         """Each rank holds its own unpickled context, as a pool worker
-        does; two factor jobs on it build one plan and one scatter map."""
+        does; two factor jobs on it build one plan and one scatter map,
+        and each scatters ``A`` into the diagonal blocks it owns only."""
         ctx, A = _context(grid12_pipeline)
         nprocs = 2
         contexts = [pickle.loads(pickle.dumps(ctx)) for _ in range(nprocs)]
@@ -87,7 +88,8 @@ class TestPlanStaysHome:
                 )
                 w._setup(True)
                 for k, D in enumerate(ref.diag):
-                    assert np.array_equal(w.chol.diag[k], scale * D)
+                    mine = ctx.owners[ctx.tg.diag_block[k]] == rank
+                    assert np.array_equal(w.chol.diag[k], scale * D * mine)
         assert len(compiled) == nprocs
         assert {id(s) for s in compiled} == {
             id(c.structure) for c in contexts
@@ -223,32 +225,38 @@ class TestSolvePlanLifetime:
 class TestAssembleProvesCoverage:
     @pytest.fixture()
     def gathered(self, grid12_pipeline):
-        """A factored problem's blocks as the two ranks would ship them."""
+        """A factored problem's blocks as the two ranks of an inline job
+        would ship them, and ``ship(rank, blocks)``, the result of a rank
+        that reports ``blocks``: each one's id and CRC, and its words."""
         _, sf, _, bs, wm, tg = grid12_pipeline
         owners, _ = plan_owners(wm, tg, 2, "DW/CY")
         chol = BlockCholesky(bs, sf.A).factor()
-        frames = {0: [], 1: []}
-        for b in range(tg.nblocks):
-            I, J = int(tg.block_I[b]), int(tg.block_J[b])
-            arr = chol.diag[J] if I == J else chol.below[J][I]
-            frames[int(owners[b])].append(
-                wire.pack_block(int(owners[b]), b, I, J, arr)
+
+        def ship(rank, blocks):
+            arrs = [chol.diag[J] if I == J else chol.below[J][I]
+                    for I, J in zip(tg.block_I[blocks], tg.block_J[blocks])]
+            return WorkerResult(
+                rank, None,
+                held=(np.asarray(blocks, dtype=np.int32), np.array(
+                    [zlib.crc32(a) for a in arrs], dtype=np.uint32)),
+                words=np.concatenate([a.ravel() for a in arrs]),
             )
-        results = {
-            r: WorkerResult(r, None, frames[r]) for r in frames
-        }
-        return bs, tg, owners, results, chol.to_csc()
+
+        results = {r: ship(r, np.flatnonzero(owners == r)) for r in (0, 1)}
+        return bs, tg, owners, results, chol.to_csc(), ship
 
     def test_complete_gather_assembles_the_factor(self, gathered):
-        bs, tg, owners, results, ref = gathered
+        bs, tg, owners, results, ref, _ = gathered
         L = _assemble(bs, tg, results, owners)[0].to_csc()
         assert np.array_equal(L.indptr, ref.indptr)
         assert np.array_equal(L.indices, ref.indices)
         assert np.array_equal(L.data, ref.data)
 
     def test_missing_frame_is_a_typed_error(self, gathered):
-        bs, tg, owners, results, _ = gathered
-        lost = wire.unpack(results[1].frames.pop(0)).block
+        """A rank that reports one owned block short."""
+        bs, tg, owners, results, _, ship = gathered
+        lost, *kept = results[1].held[0].tolist()
+        results[1] = ship(1, kept)
         I, J = int(tg.block_I[lost]), int(tg.block_J[lost])
         with pytest.raises(FanoutError) as err:
             _assemble(bs, tg, results, owners)
@@ -266,30 +274,34 @@ class TestAssembleProvesCoverage:
 
     @pytest.mark.parametrize("damage", ["bit flip", "truncation"])
     def test_bad_frame_is_a_typed_error(self, gathered, damage):
-        """A frame that does not decode names its rank and block in the
-        ``FanoutError`` every other gather failure raises — never a bare
-        ``WireError``."""
-        bs, tg, owners, results, _ = gathered
-        frame = results[1].frames[2]
-        b = wire.frame_block(frame)
+        """Shipped words that are not what the rank published — one bit
+        flipped, one word short — name the rank (and a flipped block) in
+        the ``FanoutError`` every other gather failure raises."""
+        bs, tg, owners, results, _, _ = gathered
+        words = results[1].words
         if damage == "bit flip":
-            bad = bytearray(frame)
-            bad[-1] ^= 0x40
-            results[1].frames[2] = bytes(bad)
+            # A word of rank 1's third block: past its first two blocks.
+            first = results[1].held[0][:3]
+            _, size = bs.numeric_plan().block_spans(tg.block_I[first],
+                                                    tg.block_J[first])
+            words.view(np.uint64)[size[:2].sum()] ^= 1 << 40
+            b = int(first[2])
+            match = (rf"^factor gather: block {b} \({tg.block_I[b]},"
+                     rf"{tg.block_J[b]}\), owned by rank 1, does not hold "
+                     r"the bytes rank 1 published \(CRC mismatch\)$")
         else:
-            results[1].frames[2] = frame[:-8]
-        with pytest.raises(
-            FanoutError, match=rf"rank 1 sent a bad frame for block {b}: "
-        ) as err:
+            results[1].words = words[:-1]
+            match = (rf"^factor gather: rank 1 shipped {words.size - 1} "
+                     rf"words for {words.size} in its blocks$")
+        with pytest.raises(FanoutError, match=match) as err:
             _assemble(bs, tg, results, owners)
-        assert isinstance(err.value.__cause__, wire.WireError)
         assert err.value.results is results
 
     def test_duplicated_frame_is_a_typed_error(self, gathered):
-        bs, tg, owners, results, _ = gathered
-        again = results[0].frames[0]
-        b = wire.unpack(again).block
-        results[1].frames.append(again)
+        """A block reported by its owner and by another rank too."""
+        bs, tg, owners, results, _, ship = gathered
+        b = int(results[0].held[0][0])
+        results[1] = ship(1, [*results[1].held[0].tolist(), b])
         with pytest.raises(
             FanoutError,
             match=rf"block {b} .*owned by rank 0, came from ranks \[0, 1\]",

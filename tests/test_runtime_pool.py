@@ -19,6 +19,7 @@ from repro.runtime import (
     plan_owners,
     run_mp_fanout,
     shm_available,
+    wire,
 )
 from repro.runtime import pool as pool_module
 from repro.runtime.arena import BlockArena
@@ -55,13 +56,12 @@ def _context(p, pattern_id, arena_name=None):
         owners=p["owners"],
         indptr=A.indptr,
         indices=A.indices,
-        shape=tuple(A.shape),
         arena_name=arena_name,
     )
 
 
 def _factor_of(p, outcome, arena=None):
-    """The job's factor: from its gather frames, or (shm) out of
+    """The job's factor: from its shipped words, or (shm) out of
     ``arena`` — which holds the blocks of the job that ran last."""
     assert outcome.ok, (outcome.error, outcome.aborted)
     factor, _ = _assemble(
@@ -166,7 +166,7 @@ class TestShmPool:
                             values=p["A2_perm"].data),
                 )]
                 assert out[0].ok
-                assert not any(r.frames for r in out[0].results.values())
+                assert all(r.words is None for r in out[0].results.values())
                 assert _bitwise(_factor_of(p, out[1], arena), p["L2"])
         finally:
             arena.destroy()
@@ -216,12 +216,17 @@ class TestStragglerFrames:
                 assert first.ok, first.error
                 # A block frame as rank 0 fanned it out in job 0: the
                 # block itself inline, its slot descriptor on shm.
+                b = int(first.results[0].held[0][0])
                 if arena is None:
-                    stale = first.results[0].frames[0]
-                else:
-                    stale = arena.pack_ref(
-                        0, int(first.results[0].held[0][0])
+                    I, J = int(p["tg"].block_I[b]), int(p["tg"].block_J[b])
+                    factor, _ = _assemble(p["structure"], p["tg"],
+                                          first.results)
+                    stale = wire.pack_block(
+                        0, b, I, J,
+                        factor.diag[J] if I == J else factor.below[J][I],
                     )
+                else:
+                    stale = arena.pack_ref(0, b)
                 for inbox in pool._fabric.inboxes:
                     inbox.put((0, stale))
                 pool.abort_job(0)
@@ -326,7 +331,6 @@ class TestWarmEqualsCold:
             pattern_id="warm",
             structure=bs, tg=tg, owners=owners,
             indptr=A_perm.indptr, indices=A_perm.indices,
-            shape=tuple(A_perm.shape),
             arena_name=None if arena is None else arena.name,
         )
         try:

@@ -1,8 +1,8 @@
 """The zero-copy shared-memory transport: descriptor wire format, the
 arena's block table and integrity, the per-rank init maps, frame
-coalescing, inline-vs-shm equivalence (bitwise factors, identical logical
-accounting), the arena gather (a clean shm job ships no block home), chaos
-parity, and arena cleanup."""
+coalescing (every link's), inline-vs-shm equivalence (bitwise factors,
+identical logical accounting), the arena gather (a clean shm job ships no
+block home) beside the inline one, chaos parity, and arena cleanup."""
 
 import os
 import pickle
@@ -255,7 +255,6 @@ class TestCoalescing:
     def test_batched_frames_ship_as_one_put(self):
         q = _ListQueue()
         link = Link(0, 1, q)
-        link.coalesce = True
         frames = [wire.pack_block_ref(0, b, 2, 2, 3, b * 32, 0)
                   for b in range(3)]
         for f in frames:
@@ -270,7 +269,6 @@ class TestCoalescing:
     def test_lone_frame_ships_bare(self):
         q = _ListQueue()
         link = Link(0, 1, q)
-        link.coalesce = True
         frame = wire.pack_block_ref(0, 1, 2, 2, 3, 0, 0)
         link.send(frame)
         link.flush_pending()
@@ -279,7 +277,6 @@ class TestCoalescing:
     def test_control_frame_flushes_pending_first(self):
         q = _ListQueue()
         link = Link(0, 1, q)
-        link.coalesce = True
         data = wire.pack_block_ref(0, 1, 2, 2, 3, 0, 0)
         done = wire.pack_done(0)
         link.send(data)
@@ -292,19 +289,11 @@ class TestCoalescing:
 
         q = _ListQueue()
         link = Link(0, 1, q)
-        link.coalesce = True
         for b in range(COALESCE_MAX + 1):
             link.send(wire.pack_block_ref(0, b, 2, 2, 3, 0, 0))
         assert len(q.items) == 1 and len(q.items[0]) == COALESCE_MAX
         link.flush_pending()
         assert len(q.items) == 2
-
-    def test_uncoalesced_link_ships_immediately(self):
-        q = _ListQueue()
-        link = Link(0, 1, q)
-        frame = wire.pack_block_ref(0, 1, 2, 2, 3, 0, 0)
-        link.send(frame)
-        assert q.items == [frame]
 
 
 # ----------------------------------------------------------------------
@@ -420,7 +409,7 @@ def gather_problems(grid12_pipeline, random_spd_pipeline):
 def _context(bs, tg, owners, A, pattern_id, arena=None, **config):
     return PatternContext(
         pattern_id=pattern_id, structure=bs, tg=tg, owners=owners,
-        indptr=A.indptr, indices=A.indices, shape=tuple(A.shape),
+        indptr=A.indptr, indices=A.indices,
         arena_name=None if arena is None else arena.name,
         config=RunConfig(**config),
     )
@@ -458,11 +447,12 @@ class TestArenaGather:
         self, gather_problems, nprocs
     ):
         """Bitwise on (indptr, indices, data): the factor copied out of
-        the arena, the one installed from gather frames, the sequential
-        one — both problems, both block policies, both schedules. At P = 4
-        (a 2 x 2 grid) a rank's panel updates stack its share of the rows,
-        so the third is the grouped oracle. A clean shm result carries no
-        frame, an inline one every owned block."""
+        the arena, the one written from an inline job's shipped words, the
+        sequential one — both problems, both block policies, both
+        schedules. At P = 4 (a 2 x 2 grid) a rank's panel updates stack its
+        share of the rows, so the third is the grouped oracle. Every clean
+        result reports its owned block ids; an inline one ships their
+        words too, a shm one none."""
         seq = 0
         with WorkerPool(nprocs=nprocs) as pool:
             for (name, policy), (bs, wm, tg, A, ref) in (
@@ -491,24 +481,20 @@ class TestArenaGather:
                             res = out.results
                             gather = metrics.extra["gather"]
                             assert gather["blocks"] == tg.nblocks
+                            for rank, r in res.items():
+                                assert np.array_equal(
+                                    r.held[0], np.flatnonzero(owners == rank)
+                                )
                             if transport is None:
-                                assert gather["mode"] == "frames"
+                                assert gather["mode"] == "words"
                                 assert metrics.transport == "inline"
-                                assert all(r.held is None
-                                           for r in res.values())
-                                assert sum(len(r.frames)
-                                           for r in res.values()
-                                           ) == tg.nblocks
+                                assert sum(r.words.size for r in res.values()
+                                           ) == bs.numeric_plan().size
                             else:
                                 assert gather["mode"] == "arena"
                                 assert metrics.transport == "shm"
-                                assert not any(r.frames
-                                               for r in res.values())
-                                for rank, r in res.items():
-                                    assert np.array_equal(
-                                        r.held[0],
-                                        np.flatnonzero(owners == rank),
-                                    )
+                                assert all(r.words is None
+                                           for r in res.values())
                     finally:
                         arena.destroy()
 
@@ -524,7 +510,7 @@ class TestArenaGather:
 
     def test_an_aborted_job_ships_no_blocks_home(self, grid12_pipeline):
         """A soft-crashed shm job fails whole: no rank reports a block,
-        as a frame or as a held slot — the job re-runs from scratch."""
+        as held ids or as words — the job re-runs from scratch."""
         _, sf, _, bs, wm, tg = grid12_pipeline
         owners, _ = plan_owners(wm, tg, 2, "DW/CY")
         A = sf.A.tocsc()
@@ -538,7 +524,7 @@ class TestArenaGather:
         finally:
             arena.destroy()
         assert not out.ok and len(out.results) == 2
-        assert all(r.held is None and r.frames == []
+        assert all(r.held is None and r.words is None
                    for r in out.results.values())
 
     def test_one_block_short_is_a_typed_error(self, arena_job):

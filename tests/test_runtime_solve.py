@@ -323,7 +323,7 @@ class TestFacade:
         owners, _ = plan_owners(wm, tg, 2, "cyclic")
         context = PatternContext(
             pattern_id="t", structure=bs, tg=tg, owners=owners,
-            indptr=sf.A.indptr, indices=sf.A.indices, shape=sf.A.shape,
+            indptr=sf.A.indptr, indices=sf.A.indices,
         )
         job = PoolJob(seq=0, pattern_id="t", values=sf.A.data,
                       rhs=np.ones(shape))

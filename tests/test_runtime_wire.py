@@ -103,8 +103,9 @@ class TestLinks:
         assert links[1].messages == 2
         assert links[1].bytes == 2 * len(frame)
         assert links[2].messages == 0
+        links[1].flush()  # a link batches its frames: one put per flush
         got = fabric.inbox(1).get(timeout=5)
-        assert got == frame
+        assert got == [frame, frame]
         fabric.shutdown()
 
     def test_rejects_bad_nprocs(self):

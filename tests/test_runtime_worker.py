@@ -59,7 +59,7 @@ def _context(pipeline, nprocs, schedule="static"):
     A = sf.A.tocsc()
     ctx = PatternContext(
         pattern_id="t", structure=bs, tg=tg, owners=owners,
-        indptr=A.indptr, indices=A.indices, shape=tuple(A.shape),
+        indptr=A.indptr, indices=A.indices,
         config=RunConfig(schedule=schedule),
     )
     return ctx, A
@@ -159,6 +159,23 @@ class TestHandlerTable:
 class TestInterleavedRanks:
     """Two ranks stepped alternately in one thread run the whole job."""
 
+    def test_setup_scatters_only_the_owned_blocks(self, grid12_pipeline):
+        """An inline rank starts from its own blocks of ``A``, as a shm
+        rank does: every word of its private store outside them is zero,
+        and together the ranks hold exactly the sequential scatter."""
+        _, sf, _, bs, _, tg = grid12_pipeline
+        workers, _ = _crew(grid12_pipeline, 3)
+        start, size = bs.numeric_plan().block_spans(tg.block_I, tg.block_J)
+        total = np.zeros_like(workers[0].chol.store)
+        for w in workers:
+            mine = np.zeros(w.chol.store.shape, dtype=bool)
+            for b in w.plan.owned:
+                mine[start[b] : start[b] + size[b]] = True
+            assert not w.chol.store[~mine].any()
+            assert w.chol.store[mine].any()
+            total += w.chol.store
+        assert np.array_equal(total, BlockCholesky(bs, sf.A).store)
+
     @pytest.mark.parametrize("schedule", ["static", "dynamic"])
     def test_factor_and_solve_bitwise(self, grid12_pipeline, seq_chol,
                                       schedule):
@@ -189,9 +206,9 @@ class TestInterleavedRanks:
         results = {}
         for w in workers:
             w._finalize()
-            frames = w._frames(np.flatnonzero(w.owners == w.rank))
+            held, words = w._gather(w.plan.owned)
             results[w.rank] = WorkerResult(
-                w.rank, w.metrics, frames, None, w._solution_panels
+                w.rank, w.metrics, None, w._solution_panels, held, words
             )
         factor, solution, metrics, _ = outcome_result(
             JobOutcome(seq=0, results=results), bs, tg, True, rhs,

@@ -200,9 +200,10 @@ class TestFactorService:
     def test_a_bad_gather_fails_the_job_through_the_normal_path(
         self, grid_A, grid_A2, transport
     ):
-        """A gather the driver cannot trust — a corrupt frame (inline), a
-        slot that fails its rank's CRC (shm) — is a ``JobFailed`` with a
-        record, not a crashed handler; the next job is served."""
+        """A gather the driver cannot trust — a block that fails its
+        rank's CRC: a flipped shipped word (inline), a CRC that is not the
+        one published (shm) — is a ``JobFailed`` with a record, not a
+        crashed handler; the next job is served."""
         from repro.runtime.arena import shm_available
 
         if transport == "shm" and not shm_available():
@@ -215,9 +216,7 @@ class TestFactorService:
                 outcome = run(job, timeout_s)
                 res = outcome.results[0]
                 if transport == "inline":
-                    frame = bytearray(res.frames[0])
-                    frame[-1] ^= 0x01
-                    res.frames[0] = bytes(frame)
+                    res.words.view(np.uint64)[0] ^= 1
                 else:
                     res.held[1][0] ^= 1
                 return outcome
@@ -225,8 +224,8 @@ class TestFactorService:
             svc.pool.run = tampered
             with pytest.raises(JobFailed) as err:
                 svc.factor(pattern_id=pid, values=grid_A2.data)
-            what = "bad frame" if transport == "inline" else "CRC mismatch"
-            assert what in err.value.detail and "rank 0" in err.value.detail
+            assert "CRC mismatch" in err.value.detail
+            assert "rank 0" in err.value.detail
             record = svc.metrics.records[-1]
             assert (record.status, record.attempts) == ("failed", 1)
             svc.pool.run = run
