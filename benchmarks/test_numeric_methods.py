@@ -1,17 +1,15 @@
 """Host-machine numeric factorization benchmarks.
 
-Races the three sequential organizations — simplicial, block fan-out
-(right-looking), and multifrontal — over the same symbolic structure, the
-comparison the paper's companion work [13] studies. Each result is verified
-against A before timing counts.
+Times the sequential block fan-out (right-looking) factor against dense
+LAPACK on the same permuted matrix. Each result is verified against A before
+timing counts.
 """
 
 import numpy as np
 import pytest
 
-from repro.blocks import BlockPartition, BlockStructure
 from repro.experiments.pipeline import prepare_problem
-from repro.numeric import BlockCholesky, MultifrontalCholesky, simplicial_cholesky
+from repro.numeric import BlockCholesky
 
 
 @pytest.fixture(scope="module")
@@ -28,24 +26,6 @@ def test_block_fanout_numeric(benchmark, prepared):
         return BlockCholesky(bs, sf.A).factor().to_csc()
 
     L = benchmark(run)
-    assert abs(L @ L.T - sf.A).max() < 1e-7
-
-
-def test_multifrontal_numeric(benchmark, prepared):
-    sf = prepared.symbolic
-
-    def run():
-        return MultifrontalCholesky(sf).factor().to_csc()
-
-    L = benchmark(run)
-    assert abs(L @ L.T - sf.A).max() < 1e-7
-
-
-def test_simplicial_numeric(benchmark, prepared):
-    sf = prepared.symbolic
-    L = benchmark.pedantic(
-        lambda: simplicial_cholesky(sf.A), rounds=1, iterations=1
-    )
     assert abs(L @ L.T - sf.A).max() < 1e-7
 
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env python
 """The high-level API: factor, solve, and plan parallel execution in a few
-lines, then look inside the machine with the utilization profile.
+lines.
 
 Run:  python examples/solver_api.py
 """
@@ -8,8 +8,6 @@ Run:  python examples/solver_api.py
 import numpy as np
 
 import repro
-from repro.fanout import block_owners, simulate_fanout
-from repro.mapping import heuristic_map, square_grid
 from repro.solver import SparseCholesky
 
 
@@ -31,25 +29,6 @@ def main() -> None:
             f"{name:>8s} {plan.mflops:8.1f} {plan.efficiency:6.2f} "
             f"{plan.balance_bound:6.2f} {plan.comm_megabytes:6.1f}"
         )
-
-    # Where does the time go? Trace the heuristic run and bin utilization.
-    wm, tg = chol.workmodel, chol.taskgraph
-    grid = repro.square_grid(64)
-    cmap = heuristic_map(wm, grid, "ID", "CY")
-    owners = block_owners(tg, cmap, repro.assign_domains(wm, 64))
-    res = simulate_fanout(tg, owners, 64, record_trace=True)
-    prof = repro.utilization_profile(res.trace, 64, res.t_parallel, nbins=10)
-    print(f"\nutilization over time (10 bins): "
-          + " ".join(f"{u:.2f}" for u in prof.busy_fraction))
-    print(f"tail utilization (last quarter): {prof.tail_utilization():.2f}")
-    k = prof.kind_seconds
-    total = sum(k.values()) or 1.0
-    print(
-        "work split: "
-        + ", ".join(f"{name} {100 * sec / total:.0f}%" for name, sec in k.items())
-    )
-    print("\nthe tail starvation is the paper's Sec. 5 observation: idle time")
-    print("waiting for data, not lack of total work.")
 
 
 if __name__ == "__main__":

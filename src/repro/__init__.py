@@ -60,17 +60,11 @@ from repro.fanout import (
     run_fanout,
     simulate_fanout,
 )
-from repro.numeric import (
-    BlockCholesky,
-    MultifrontalCholesky,
-    simplicial_cholesky,
-    solve_with_factor,
-)
+from repro.numeric import BlockCholesky, solve_with_factor
 from repro.analysis import (
     communication_volume,
     critical_path,
     tree_statistics,
-    utilization_profile,
     work_by_depth,
 )
 from repro.solver import ParallelPlan, SparseCholesky
@@ -115,14 +109,11 @@ __all__ = [
     "run_fanout",
     "simulate_fanout",
     "BlockCholesky",
-    "MultifrontalCholesky",
-    "simplicial_cholesky",
     "solve_with_factor",
     "critical_path",
     "communication_volume",
     "tree_statistics",
     "work_by_depth",
-    "utilization_profile",
     "SparseCholesky",
     "ParallelPlan",
     "__version__",

@@ -26,7 +26,6 @@ from repro.analysis.trace_replay import (
     validate_trace,
 )
 from repro.analysis.tree_stats import tree_statistics, work_by_depth
-from repro.analysis.utilization import utilization_profile
 
 __all__ = [
     "arena_padding_stats",
@@ -45,5 +44,4 @@ __all__ = [
     "validate_trace",
     "tree_statistics",
     "work_by_depth",
-    "utilization_profile",
 ]

@@ -80,18 +80,15 @@ def simulate_fanout(
     record_schedule: bool = False,
     record_trace: bool = False,
     factor_ops: int | None = None,
-    topology=None,
     priorities: np.ndarray | None = None,
 ) -> FanoutResult:
     """Run the block fan-out factorization on the simulated machine.
 
     ``owners[b]`` is the processor rank of block b (see
-    :func:`repro.fanout.ownership.block_owners`). ``topology`` is an
-    optional :class:`~repro.machine.network.MeshTopology`; combined with a
-    nonzero ``machine.hop_latency`` it charges per-hop distance.
-    ``priorities`` (one value per task, lower runs first) switches ready
-    queues from FIFO to priority order — see
-    :mod:`repro.fanout.priorities` for the candidate policies.
+    :func:`repro.fanout.ownership.block_owners`). ``priorities`` (one
+    value per task, lower runs first) switches ready queues from FIFO to
+    priority order — see :mod:`repro.fanout.priorities` for the candidate
+    policies.
     """
     if priorities is not None:
         priority_mode = True
@@ -185,18 +182,8 @@ def simulate_fanout(
             p.bytes_sent += nbytes * nmsg
             p.messages_sent += nmsg
         wire_arrival = sim.now + send_cost + machine.transfer_time(words)
-        if topology is not None and machine.hop_latency > 0.0:
-            hop = {
-                int(o): machine.hop_latency * topology.hops(p.rank, int(o))
-                for o in remote
-            }
-        else:
-            hop = None
         if rx_free is None:
-            arrival = {
-                int(o): wire_arrival + (hop[int(o)] if hop else 0.0)
-                for o in remote
-            }
+            arrival = {int(o): wire_arrival for o in remote}
         else:
             # Serialize deliveries through each receiver's NIC; messages from
             # this send depart together, so each receiver pays one rx slot.
@@ -204,8 +191,7 @@ def simulate_fanout(
             rx = machine.rx_time(words)
             for o in remote:
                 o = int(o)
-                wa = wire_arrival + (hop[o] if hop else 0.0)
-                delivered = max(float(rx_free[o]), wa) + rx
+                delivered = max(float(rx_free[o]), wire_arrival) + rx
                 rx_free[o] = delivered
                 arrival[o] = delivered
         for t, o in zip(targets, target_owners):
@@ -257,7 +243,6 @@ def run_fanout(
     domains: DomainAssignment | None = None,
     priority_mode: bool = False,
     factor_ops: int | None = None,
-    topology=None,
 ) -> FanoutResult:
     """Convenience wrapper: derive block ownership from a mapping (plus an
     optional domain assignment) and simulate."""
@@ -269,7 +254,6 @@ def run_fanout(
         machine=machine,
         priority_mode=priority_mode,
         factor_ops=factor_ops,
-        topology=topology,
     )
     result.meta["mapping"] = cmap.name
     result.meta["domains"] = domains is not None

@@ -10,13 +10,11 @@ task and message structure against it.
 
 from repro.machine.params import MachineParams, PARAGON
 from repro.machine.event_sim import DiscreteEventSimulator
-from repro.machine.network import MeshTopology
 from repro.machine.processor import SimProcessor
 
 __all__ = [
     "MachineParams",
     "PARAGON",
     "DiscreteEventSimulator",
-    "MeshTopology",
     "SimProcessor",
 ]

@@ -27,10 +27,6 @@ class MachineParams:
     #: default (infinity) is the contention-free model; set it to e.g.
     #: ``bandwidth`` to model incast congestion on column broadcasts.
     rx_bandwidth: float = float("inf")
-    #: Per-mesh-hop latency. Zero (the default) is the paper's
-    #: distance-insensitive wormhole model; nonzero values charge Manhattan
-    #: distance on a physical 2-D mesh (see machine.network.MeshTopology).
-    hop_latency: float = 0.0
 
     def task_time(self, flops: float) -> float:
         """Execution time of one block operation."""

@@ -10,7 +10,6 @@ choose ``mapI`` and ``mapJ`` independently by greedy number partitioning.
 from repro.mapping.grid import ProcessorGrid, square_grid, best_grid
 from repro.mapping.base import BlockMap, CartesianMap
 from repro.mapping.cyclic import cyclic_map
-from repro.mapping.block_cyclic import block_cyclic_map
 from repro.mapping.heuristics import (
     HEURISTICS,
     heuristic_map,
@@ -30,7 +29,6 @@ __all__ = [
     "BlockMap",
     "CartesianMap",
     "cyclic_map",
-    "block_cyclic_map",
     "HEURISTICS",
     "heuristic_map",
     "heuristic_vector",

@@ -26,7 +26,6 @@ from repro.matrices.synthetic import (
     copter_like_matrix,
     fleet_like_matrix,
 )
-from repro.matrices.io import read_matrix_market, write_matrix_market
 
 __all__ = [
     "ProblemMatrix",
@@ -40,8 +39,6 @@ __all__ = [
     "random_spd_sparse",
     "symmetric_csc",
     "is_symmetric_pattern",
-    "read_matrix_market",
-    "write_matrix_market",
     "BENCHMARK_SUITE",
     "LARGE_SUITE",
     "get_problem",

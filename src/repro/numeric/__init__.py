@@ -4,8 +4,9 @@ The block kernels (BFAC/BDIV/BMOD) operate on the dense blocks of the
 supernodal structure; :class:`BlockCholesky` performs the full sequential
 block factorization, its BFAC and BDIVs grouped into one panel factor per
 column and its BMODs into one panel update per (source panel, destination
-panel), and the thread pool runs the same operations in parallel. A simplicial reference factorization and triangular solves
-complete the layer; everything is verified against scipy in the test suite.
+panel), and the thread pool runs the same operations in parallel.
+Triangular solves complete the layer; everything is verified against scipy
+in the test suite.
 """
 
 from repro.numeric.dense_kernels import (
@@ -15,10 +16,7 @@ from repro.numeric.dense_kernels import (
     bmod_kernel,
 )
 from repro.numeric.blockfact import BlockCholesky
-from repro.numeric.multifrontal import MultifrontalCholesky
 from repro.numeric.parallel import parallel_block_cholesky
-from repro.numeric.schedules import leftlooking_schedule, rightlooking_schedule
-from repro.numeric.simplicial import simplicial_cholesky
 from repro.numeric.solve import solve_with_factor
 
 __all__ = [
@@ -27,10 +25,6 @@ __all__ = [
     "bmod_kernel",
     "NotPositiveDefiniteError",
     "BlockCholesky",
-    "MultifrontalCholesky",
     "parallel_block_cholesky",
-    "leftlooking_schedule",
-    "rightlooking_schedule",
-    "simplicial_cholesky",
     "solve_with_factor",
 ]

@@ -21,7 +21,12 @@ The substitution has the same pair: :func:`oracle_block_solve` runs one
 update per block, as the sweeps did before they were grouped by panel
 (to rounding only), and :func:`oracle_grouped_solve` groups each panel's
 updates by owner as the sweeps and the distributed solve do (bit for
-bit)."""
+bit).
+
+Last, the two sequential orders of the task DAG, left-looking and
+right-looking (:func:`leftlooking_schedule`, :func:`rightlooking_schedule`),
+which :func:`oracle_run_schedule` replays to show that both execute the
+same BFAC/BDIV/BMOD operations."""
 
 from __future__ import annotations
 
@@ -30,7 +35,7 @@ from scipy import linalg as sla
 from scipy import sparse
 
 from repro.blocks import WorkModel
-from repro.fanout.tasks import BDIV, BFAC
+from repro.fanout.tasks import BDIV, BFAC, BMOD
 from repro.numeric import BlockCholesky
 from repro.numeric.dense_kernels import bmod_kernel, bmod_kernel_into
 
@@ -262,6 +267,39 @@ def oracle_run_schedule(chol, tg, schedule):
         else:
             oracle_bmod(chol, I, J, int(tg.block_J[tg.task_src1[tid]]))
     return chol
+
+
+def rightlooking_schedule(tg) -> np.ndarray:
+    """Task order of the right-looking (fan-out) sequential factorization.
+
+    For each source panel K ascending: BFAC(K), the BDIVs of its column,
+    then every BMOD sourced from column K.
+    """
+    kinds = tg.task_kind
+    src_panel = np.where(
+        kinds == BMOD,
+        tg.block_J[np.maximum(tg.task_src1, 0)],
+        tg.block_J[tg.task_block],
+    )
+    kind_rank = np.choose(kinds, [0, 1, 2])  # BFAC, BDIV, BMOD
+    dest_key = tg.block_I[tg.task_block]
+    order = np.lexsort((dest_key, kind_rank, src_panel))
+    return order.astype(np.int64)
+
+
+def leftlooking_schedule(tg) -> np.ndarray:
+    """Task order of the left-looking (fan-in) sequential factorization.
+
+    For each destination panel J ascending: all BMODs into column J first,
+    then BFAC(J), then the BDIVs of column J.
+    """
+    kinds = tg.task_kind
+    dest_panel = tg.block_J[tg.task_block]
+    # BMOD before BFAC before BDIV within a destination column.
+    kind_rank = np.choose(kinds, [1, 2, 0])
+    dest_row = tg.block_I[tg.task_block]
+    order = np.lexsort((dest_row, kind_rank, dest_panel))
+    return order.astype(np.int64)
 
 
 def oracle_bmod_factor(structure, A):

@@ -1,16 +1,17 @@
-"""Supernodal multifrontal Cholesky factorization.
+"""Supernodal multifrontal Cholesky factorization: an independent
+reference for the block fan-out factor.
 
 The third classical organization of sparse Cholesky (after left-looking and
-right-looking/fan-out), included because the paper's lineage explicitly
-compares the three (Rothberg & Gupta [13]; Ashcraft-Grimes amalgamation [1]
-was developed for the multifrontal method). Each supernode assembles a dense
-*frontal matrix* from the original entries plus its children's *update
-matrices*, factors its pivot block, and passes the Schur complement up the
-supernode tree.
+right-looking/fan-out), which the paper's lineage compares against the other
+two (Rothberg & Gupta [13]; Ashcraft-Grimes amalgamation [1] was developed
+for the multifrontal method). Each supernode assembles a dense *frontal
+matrix* from the original entries plus its children's *update matrices*,
+factors its pivot block, and passes the Schur complement up the supernode
+tree.
 
-The result is numerically identical (up to rounding) to
-:class:`~repro.numeric.blockfact.BlockCholesky`, which the test suite
-verifies — three independent drivers over one symbolic structure.
+It shares no numeric code with :class:`~repro.numeric.blockfact.BlockCholesky`
+— only the symbolic structure — so the tests that find the two factors equal
+to rounding check the block fan-out factor against a second driver.
 """
 
 from __future__ import annotations

@@ -92,3 +92,22 @@ class TestReader:
         path.write_text(content)
         with pytest.raises(ValueError):
             read_harwell_boeing(path)
+
+
+class TestScipyHasNoSymmetricReader:
+    def test_scipy_hb_read_refuses_rsa(self, tmp_path):
+        """Why this module exists: the paper's BCSSTK matrices ship as RSA
+        (real symmetric assembled) files, and scipy.io.hb_read reads
+        unsymmetric files only. If this test fails because scipy now reads
+        the file, read_harwell_boeing can be deleted in favour of it."""
+        from scipy import io as sio
+
+        A = random_spd_sparse(20, density=0.2, seed=3)
+        path = tmp_path / "s.rsa"
+        write_harwell_boeing(path, A)
+        with pytest.raises(ValueError):
+            sio.hb_read(str(path))
+        B = read_harwell_boeing(path)
+        assert B.nnz == A.nnz  # both triangles, not the stored lower one
+        assert abs(B - B.T).max() == 0
+        assert abs(A - B).max() < 1e-12

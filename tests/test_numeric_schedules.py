@@ -1,6 +1,9 @@
 from repro.numeric import BlockCholesky
-from repro.numeric.schedules import leftlooking_schedule, rightlooking_schedule
-from tests.blockfact_oracle import oracle_run_schedule
+from tests.blockfact_oracle import (
+    leftlooking_schedule,
+    oracle_run_schedule,
+    rightlooking_schedule,
+)
 
 
 def _replay(pipeline, schedule):

@@ -13,9 +13,9 @@ from repro.mapping import ProcessorGrid, cyclic_map
 from repro.matrices.hb import read_harwell_boeing, write_harwell_boeing
 from repro.matrices.spd import random_spd_sparse
 from repro.numeric import BlockCholesky
-from repro.numeric.multifrontal import MultifrontalCholesky
 from repro.symbolic import symbolic_factor
 from tests.blockfact_oracle import oracle_run_schedule
+from tests.multifrontal_oracle import MultifrontalCholesky
 
 
 @settings(deadline=None, max_examples=10)
