@@ -78,16 +78,14 @@ def cmd_factor(args) -> int:
 
 def cmd_simulate(args) -> int:
     from repro.experiments.pipeline import prepare_problem
-    from repro.fanout import assign_domains, run_fanout
+    from repro.fanout import plan_block_owners, simulate_fanout
     from repro.mapping import named_map
 
     prep = prepare_problem(args.problem, args.scale, args.block_size)
-    wm = prep.workmodel
-    cmap = named_map(wm, args.P, args.mapping)
+    cmap = named_map(prep.workmodel, args.P, args.mapping)
     grid = cmap.grid
-    domains = assign_domains(wm, grid.P) if not args.no_domains else None
-    res = run_fanout(
-        prep.taskgraph, cmap, domains=domains,
+    res = simulate_fanout(
+        prep.taskgraph, plan_block_owners(prep.taskgraph, cmap), grid.P,
         priority_mode=args.priority, factor_ops=prep.factor_ops,
     )
     print(f"{prep.name} on {grid} ({cmap.name}):")
@@ -189,7 +187,7 @@ def cmd_analyze(args) -> int:
         work_by_depth,
     )
     from repro.experiments.pipeline import prepare_problem
-    from repro.fanout import assign_domains, block_owners
+    from repro.fanout import plan_block_owners
     from repro.mapping import named_map
 
     prep = prepare_problem(args.problem, args.scale, args.block_size)
@@ -202,10 +200,8 @@ def cmd_analyze(args) -> int:
     cp = critical_path(prep.taskgraph)
     print(f"  critical path          : {cp.length_seconds * 1e3:.2f} ms "
           f"(max speedup {cp.max_speedup:.1f}x)")
-    owners = block_owners(
-        prep.taskgraph,
-        named_map(prep.workmodel, args.P, "ID/CY"),
-        assign_domains(prep.workmodel, args.P),
+    owners = plan_block_owners(
+        prep.taskgraph, named_map(prep.workmodel, args.P, "ID/CY")
     )
     mem = memory_usage(prep.taskgraph, owners, args.P)
     print(f"  per-node factor storage: max {mem.max_owned / 2**20:.2f} MiB "
@@ -254,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-P", type=int, default=64, help="processor count")
     p.add_argument("--mapping", default="ID/CY",
                    help='"cyclic" or "<row>/<col>" heuristic pair, e.g. ID/CY')
-    p.add_argument("--no-domains", action="store_true")
     p.add_argument("--priority", action="store_true",
                    help="priority scheduling instead of FIFO")
     _add_common(p)

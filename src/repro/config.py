@@ -12,9 +12,9 @@ takes ``config=None, **overrides``: the overrides are applied with
 bad value a ``ValueError`` — at construction, before any analysis or process
 spawn. Adding a knob is one field here plus the one place that reads it;
 ``docs/ARCHITECTURE.md`` carries the table. What no caller varies is a
-constant where it is read: owners are planned without domains, supernodal
-clamps follow ``block_size``, a thief's victim hashes ``(round, rank)``,
-the stall watchdog is ``worker.STALL_S``, a trace ring its default size.
+constant where it is read: owners follow §2.3 (domains whole to one rank),
+supernodal clamps follow ``block_size``, a thief's victim hashes ``(round,
+rank)``, the stall watchdog is ``worker.STALL_S``, a trace ring its size.
 """
 
 from __future__ import annotations

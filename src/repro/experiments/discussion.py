@@ -125,16 +125,15 @@ def run_priority_scheduling(
     deepest-destination, and bottom-level (critical-path/HLF) scheduling.
     """
     from repro.fanout.priorities import task_priorities
-    from repro.fanout import block_owners, simulate_fanout
+    from repro.fanout import plan_block_owners, simulate_fanout
 
     grid = square_grid(P)
     rows = []
     data = {}
     for name in problem_names("table1"):
         prep = prepare_problem(name, scale)
-        domains = assign_domains(prep.workmodel, P)
         cmap = heuristic_map(prep.workmodel, grid, "ID", "CY")
-        owners = block_owners(prep.taskgraph, cmap, domains)
+        owners = plan_block_owners(prep.taskgraph, cmap)
         depth = prep.partition.panel_depths()
         mflops = {}
         for policy in policies:

@@ -43,7 +43,6 @@ def performance_grid(
     P: int,
     matrices: tuple[str, ...],
     machine=PARAGON,
-    use_domains: bool = True,
 ) -> dict[tuple[str, str], float]:
     """Mean % Mflops improvement over cyclic for every heuristic pair."""
     grid = square_grid(P)
@@ -52,7 +51,7 @@ def performance_grid(
     }
     for name in matrices:
         prep = prepare_problem(name, scale)
-        domains = assign_domains(prep.workmodel, P) if use_domains else None
+        domains = assign_domains(prep.workmodel, P)
         base = run_fanout(
             prep.taskgraph,
             cyclic_map(prep.partition.npanels, grid),

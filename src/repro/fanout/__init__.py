@@ -8,13 +8,13 @@ counters per share — the blocks of one column a rank owns — for the mp
 worker's and the thread pool's panel ops); ``simulate_fanout``
 runs the data-driven algorithm — block completions trigger messages,
 message arrivals enable tasks — on the discrete-event machine and reports
-runtime, efficiency, Mflops, and communication statistics. ``assign_domains`` implements the
-domain (subtree-to-processor) portion of the method.
+runtime, efficiency, Mflops, and communication statistics. ``plan_block_owners``
+is the one owner rule: ``assign_domains``' subtrees whole, the root 2-D mapped.
 """
 
 from repro.fanout.tasks import TaskGraph
 from repro.fanout.domains import DomainAssignment, assign_domains
-from repro.fanout.ownership import block_owners
+from repro.fanout.ownership import block_owners, plan_block_owners
 from repro.fanout.priorities import task_priorities
 from repro.fanout.simulator import FanoutResult, simulate_fanout, run_fanout
 
@@ -23,6 +23,7 @@ __all__ = [
     "DomainAssignment",
     "assign_domains",
     "block_owners",
+    "plan_block_owners",
     "task_priorities",
     "FanoutResult",
     "simulate_fanout",

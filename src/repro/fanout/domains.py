@@ -29,15 +29,6 @@ class DomainAssignment:
 
     panel_owner: np.ndarray
 
-    @property
-    def is_root_panel(self) -> np.ndarray:
-        return self.panel_owner < 0
-
-    @property
-    def domain_fraction(self) -> float:
-        n = self.panel_owner.shape[0]
-        return float((self.panel_owner >= 0).sum()) / max(1, n)
-
 
 def no_domains(npanels: int) -> DomainAssignment:
     """Everything in the root portion (pure 2-D mapping)."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fanout.domains import DomainAssignment
+from repro.fanout.domains import DomainAssignment, assign_domains
 from repro.fanout.tasks import TaskGraph
 from repro.mapping.base import BlockMap
 
@@ -32,3 +32,9 @@ def block_owners(
         dom = domains.panel_owner[tg.block_J]
         owners = np.where(dom >= 0, dom, owners)
     return owners.astype(np.int64)
+
+
+def plan_block_owners(tg: TaskGraph, cmap: BlockMap) -> np.ndarray:
+    """§2.3's owners, the rule every planner uses: each elimination-tree
+    domain whole to one processor, the root portion 2-D mapped by ``cmap``."""
+    return block_owners(tg, cmap, assign_domains(tg.workmodel, cmap.grid.P))

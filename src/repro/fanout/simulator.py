@@ -256,5 +256,4 @@ def run_fanout(
         factor_ops=factor_ops,
     )
     result.meta["mapping"] = cmap.name
-    result.meta["domains"] = domains is not None
     return result

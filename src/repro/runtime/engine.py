@@ -11,9 +11,9 @@ for one call, a ``SparseCholesky(backend="mp")`` instance across its
 calls, and the factorization service.
 
 ``plan_owners`` turns the mapping names used everywhere else in the repo
-(``"cyclic"``, ``"DW/CY"``, ...) into a block ownership array, so the
-exact configurations studied by the simulator and the balance metrics can
-be executed for real and timed.
+(``"cyclic"``, ``"DW/CY"``, ...) into a block ownership array by the same
+rule the simulator plans with (§2.3 domains plus the 2-D root map), so
+the configurations it studies run for real and are timed.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from scipy import sparse
 
 from repro.blocks.structure import BlockStructure
 from repro.config import RunConfig
-from repro.fanout.ownership import block_owners
+from repro.fanout.ownership import plan_block_owners
 from repro.fanout.tasks import TaskGraph
 from repro.mapping import best_grid, named_map
 from repro.numeric.blockfact import BlockCholesky
@@ -105,10 +105,10 @@ class MPRuntimeResult:
 
 def plan_owners(wm, tg: TaskGraph, nprocs: int,
                 mapping: str = "DW/CY") -> tuple[np.ndarray, str]:
-    """Block ownership for ``nprocs`` workers under a named mapping
-    (names as :func:`repro.mapping.named_map` spells them), no domains."""
+    """Block ownership for ``nprocs`` workers under a named mapping (names
+    as :func:`repro.mapping.named_map` spells them), by §2.3's one rule."""
     cmap = named_map(wm, nprocs, mapping)
-    return block_owners(tg, cmap), cmap.name
+    return plan_block_owners(tg, cmap), cmap.name
 
 
 @dataclass

@@ -34,7 +34,7 @@ from scipy import sparse
 
 from repro.blocks import BlockStructure, WorkModel, make_partition
 from repro.config import RunConfig
-from repro.fanout import TaskGraph, assign_domains, block_owners, run_fanout
+from repro.fanout import TaskGraph, plan_block_owners, simulate_fanout
 from repro.machine.params import PARAGON, MachineParams
 from repro.mapping import named_map
 from repro.mapping.balance import overall_balance_from_owners
@@ -259,20 +259,19 @@ class SparseCholesky:
         P: int,
         mapping: str = "ID/CY",
         machine: MachineParams = PARAGON,
-        domains: bool = True,
     ) -> ParallelPlan:
         """Simulate the block fan-out factorization on ``P`` processors.
 
-        ``mapping`` is ``"cyclic"`` or a ``"<row>/<col>"`` heuristic pair;
-        ``domains`` gives each subtree domain to one processor (§3).
+        ``mapping`` is ``"cyclic"`` or a ``"<row>/<col>"`` heuristic pair
+        for the root portion; each subtree domain goes whole to one
+        processor (§2.3), as in the runtime's owners.
         """
         wm = self.workmodel
         cmap = named_map(wm, P, mapping)
         grid = cmap.grid
-        dom = assign_domains(wm, grid.P) if domains else None
-        owners = block_owners(self.taskgraph, cmap, dom)
-        res = run_fanout(
-            self.taskgraph, cmap, machine=machine, domains=dom,
+        owners = plan_block_owners(self.taskgraph, cmap)
+        res = simulate_fanout(
+            self.taskgraph, owners, grid.P, machine=machine,
             factor_ops=self.symbolic.factor_ops,
         )
         return ParallelPlan(

@@ -56,9 +56,9 @@ class TestCommands:
         assert rc == 0
         assert "DW/ID" in out
 
-    def test_simulate_priority_no_domains(self, capsys):
+    def test_simulate_priority(self, capsys):
         rc = main(["simulate", "BCSSTK15", "--scale", "small", "-P", "16",
-                   "--priority", "--no-domains"])
+                   "--priority"])
         assert rc == 0
 
     def test_experiment_table3(self, capsys):

@@ -75,5 +75,4 @@ class TestAssignDomains:
 
     def test_no_domains_helper(self):
         dom = no_domains(7)
-        assert dom.domain_fraction == 0.0
-        assert dom.is_root_panel.all()
+        assert (dom.panel_owner == -1).all() and dom.panel_owner.shape == (7,)

@@ -20,7 +20,7 @@ from repro.runtime import (
 )
 from repro.runtime.faults import CrashSpec, FaultPlan
 from repro.runtime.validation import ValidationError
-from tests.conftest import mp_fanout
+from tests.conftest import facade_job, mp_fanout
 
 
 def _no_orphans():
@@ -59,17 +59,38 @@ class TestCorrectness:
         assert abs(res.to_csc() @ res.to_csc().T - sf.A).max() < 1e-9
 
     def test_domains_ownership(self, grid12_pipeline):
-        """A domain map is built by the caller and run as ``owners``."""
-        from repro.fanout import assign_domains, block_owners
+        """One owner rule: the runtime runs the owners the simulator
+        models (§2.3 domains plus the 2-D root map), and the mp façade's
+        factor at P = 2 is bitwise sequential with exactly the predicted
+        messages."""
+        from repro.fanout import assign_domains, block_owners, run_fanout
         from repro.mapping import named_map
+        from repro.solver import SparseCholesky
 
         _, sf, _, bs, wm, tg = grid12_pipeline
-        owners = block_owners(
-            tg, named_map(wm, 4, "DW/CY"), assign_domains(wm, 4)
-        )
-        assert (owners != plan_owners(wm, tg, 4, "DW/CY")[0]).any()
-        res = run_mp_fanout(bs, sf.A, tg, owners, 4, mapping="DW/CY")
-        assert abs(res.to_csc() @ res.to_csc().T - sf.A).max() < 1e-10
+        chol = SparseCholesky(sf.A, ordering="natural", block_size=8)
+        for P in (2, 4):
+            cmap = named_map(wm, P, "DW/CY")
+            owners, _ = plan_owners(wm, tg, P, "DW/CY")
+            domains = assign_domains(wm, P)
+            assert (domains.panel_owner >= 0).any()
+            np.testing.assert_array_equal(
+                owners, block_owners(tg, cmap, domains))
+            simulated = run_fanout(tg, cmap, domains=domains)
+            planned = chol.plan_parallel(P, "DW/CY")
+            assert planned.meta["messages"] == simulated.comm_messages
+            assert planned.balance_bound == overall_balance_from_owners(
+                wm, owners, P)
+
+        res = facade_job(sf.A, nprocs=2, mapping="DW/CY")
+        seq = BlockCholesky(bs, sf.A).factor().to_csc()
+        L = res.to_csc()
+        for part in ("indptr", "indices", "data"):
+            assert getattr(L, part).tobytes() == getattr(seq, part).tobytes()
+        np.testing.assert_array_equal(
+            res.owners, plan_owners(wm, tg, 2, "DW/CY")[0])
+        assert (res.metrics.messages_total
+                == communication_volume(tg, res.owners).messages)
 
     def test_rejects_bad_arguments(self, grid12_pipeline):
         _, sf, _, bs, wm, tg = grid12_pipeline

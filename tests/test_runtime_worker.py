@@ -24,7 +24,8 @@ from repro.analysis.comm_volume import (
 from repro.analysis.trace_replay import validate_trace
 from repro.blocks import WorkModel
 from repro.config import RunConfig
-from repro.fanout import TaskGraph
+from repro.fanout import TaskGraph, block_owners
+from repro.mapping import named_map
 from repro.numeric import BlockCholesky
 from repro.numeric.solve import block_solve_permuted
 from repro.runtime import (
@@ -53,9 +54,10 @@ KIND_NAMES = (
 ).split()
 
 
-def _context(pipeline, nprocs, schedule="static"):
+def _context(pipeline, nprocs, schedule="static", owners=None):
     _, sf, _, bs, wm, tg = pipeline
-    owners, _ = plan_owners(wm, tg, nprocs, "DW/CY")
+    if owners is None:
+        owners, _ = plan_owners(wm, tg, nprocs, "DW/CY")
     A = sf.A.tocsc()
     ctx = PatternContext(
         pattern_id="t", structure=bs, tg=tg, owners=owners,
@@ -65,9 +67,10 @@ def _context(pipeline, nprocs, schedule="static"):
     return ctx, A
 
 
-def _crew(pipeline, nprocs=2, schedule="static", **job):
-    """``nprocs`` set-up Workers of one job over ``queue.Queue`` inboxes."""
-    ctx, A = _context(pipeline, nprocs, schedule)
+def _crew(pipeline, nprocs=2, schedule="static", owners=None, **job):
+    """``nprocs`` set-up Workers of one job over ``queue.Queue`` inboxes,
+    on ``owners`` (default: the ones ``plan_owners`` plans)."""
+    ctx, A = _context(pipeline, nprocs, schedule, owners)
     spec = PoolJob(seq=0, pattern_id="t", values=A.data, **job)
     fabric = LinkFabric(nprocs, queue)
     workers = [
@@ -241,7 +244,16 @@ class TestInterleavedRanks:
 
 class TestShareReadiness:
     """Readiness is tracked per share — the blocks of one column a rank
-    owns — on a 2 x 2 grid, one rank fed frames by hand."""
+    owns — on a 2 x 2 grid, one rank fed frames by hand. The crew runs the
+    DW/CY map with no domains, so that every column is 2-D mapped and has
+    shares on two ranks (under ``plan_owners`` grid12's domain columns
+    have one owner each)."""
+
+    @staticmethod
+    def _crew_2d(pipeline):
+        _, _, _, _, wm, tg = pipeline
+        return _crew(pipeline, 4,
+                     owners=block_owners(tg, named_map(wm, 4, "DW/CY")))
 
     @staticmethod
     def _queued(w, o):
@@ -256,7 +268,7 @@ class TestShareReadiness:
 
     def test_a_pfac_off_the_diagonal_waits_for_l_kk(self, grid12_pipeline,
                                                      seq_chol):
-        workers, _ = _crew(grid12_pipeline, 4)
+        workers, _ = self._crew_2d(grid12_pipeline)
         w, o = next(
             (w, w.plan.nupdates + f) for w in workers
             for f, op in enumerate(w.plan.factors)
@@ -271,7 +283,7 @@ class TestShareReadiness:
 
     def test_a_pmod_reading_two_shares_waits_for_both(self, grid12_pipeline,
                                                       seq_chol):
-        workers, _ = _crew(grid12_pipeline, 4)
+        workers, _ = self._crew_2d(grid12_pipeline)
 
         def shares(w, o):
             tids = w.plan.updates.ops[o][3]
