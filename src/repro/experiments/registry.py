@@ -62,8 +62,10 @@ EXPERIMENTS: dict[str, tuple[Callable[[str], ExperimentResult], str]] = {
 
 def run_suite(scale: str, skip=()) -> Path:
     """Run every experiment not in ``skip``, printing each table and
-    writing ``<name>.txt`` / ``<name>.json`` plus a combined ``ALL.txt``
-    under ``results/<scale>/`` of the working directory."""
+    writing ``<name>.txt`` / ``<name>.json`` plus ``ALL.txt`` (the
+    ``.txt`` tables joined by blank lines) under ``results/<scale>/`` of
+    the working directory. Wall times go to stdout only, so two runs of
+    one tree write the same bytes."""
     outdir = Path("results") / scale
     outdir.mkdir(parents=True, exist_ok=True)
     combined = []
@@ -72,14 +74,13 @@ def run_suite(scale: str, skip=()) -> Path:
             continue
         t0 = time.time()
         res = run(scale)
-        rendered = res.render(fmt)
+        table = res.render(fmt) + "\n"
         wall = time.time() - t0
-        (outdir / f"{name}.txt").write_text(rendered + "\n")
+        (outdir / f"{name}.txt").write_text(table)
         (outdir / f"{name}.json").write_text(res.to_json() + "\n")
-        combined.append(rendered + f"\n[{wall:.1f}s]\n")
+        combined.append(table)
         print(f"== {name} ({wall:.1f}s)")
-        print(rendered)
-        print()
+        print(table)
     (outdir / "ALL.txt").write_text("\n".join(combined))
     print(f"written to {outdir}/")
     return outdir

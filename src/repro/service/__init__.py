@@ -29,14 +29,18 @@ The service is self-healing: dead or stalled workers are detected
 mid-job, the pool restarts at its configured width, and the job in
 flight is re-run from scratch (bounded attempts) before falling back to
 the always-correct sequential path — outcomes are tagged per job.
-Per-job deadlines, idempotent job-id dedup, a :class:`~repro.service.resilience.CircuitBreaker`
-guarding the pool, and client-side :class:`~repro.service.resilience.RetryPolicy`
-backoff round out the failure surface; every failure is a typed
-:class:`ServiceError` subclass, never a hang. A job's faults are
+Per-job deadlines and a :class:`~repro.service.resilience.CircuitBreaker`
+guarding the pool round out the failure surface; every failure is a
+typed :class:`ServiceError` subclass, never a hang. A job's faults are
 injected with ``submit(fault_plan=)``.
+
+One submit, one run: the service names every job it admits, and each
+``submit`` or ``solve`` runs its job once. Every job is deterministic, so
+a resubmission (say, after a broken connection) re-runs the job and the
+answer is bitwise the same.
 """
 
-from repro.service.admission import JobQueue, QueueStats
+from repro.service.admission import JobQueue
 from repro.service.cache import PatternCache, PatternEntry, pattern_digest
 from repro.service.client import ClientResult, ServiceClient
 from repro.service.jobs import (
@@ -53,7 +57,7 @@ from repro.service.jobs import (
     UnknownPatternError,
     ValidationFailed,
 )
-from repro.service.resilience import CircuitBreaker, RetryPolicy
+from repro.service.resilience import CircuitBreaker
 from repro.service.metrics import JobRecord, ServiceMetrics
 from repro.service.server import ServiceServer
 from repro.service.service import FactorService
@@ -72,8 +76,6 @@ __all__ = [
     "JobResult",
     "PatternCache",
     "PatternEntry",
-    "QueueStats",
-    "RetryPolicy",
     "ServiceClient",
     "ServiceClosed",
     "ServiceError",

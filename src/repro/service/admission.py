@@ -4,7 +4,9 @@ Capacity is bounded, and a full queue has one rule: the submitter waits
 for room, up to its ``timeout``, then gets a typed
 :class:`~repro.service.jobs.AdmissionRejected` (``"queue_full"``) —
 never a hang. ``timeout=0`` is the immediate refusal, ``None`` waits
-for as long as it takes.
+for as long as it takes. The queue keeps no counters: the service counts
+what it submits, and what is refused or expires, in
+:class:`~repro.service.metrics.ServiceMetrics`.
 
 Everything is a plain condition variable over a deque, so a seeded load
 trace drains deterministically: same arrivals, same capacity → same
@@ -16,26 +18,9 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 
 from repro.config import check_number
 from repro.service.jobs import AdmissionRejected, ServiceClosed
-
-
-@dataclass
-class QueueStats:
-    """Admission counters (monotonic over the queue's life)."""
-
-    submitted: int = 0
-    admitted: int = 0
-    rejected: int = 0
-    #: Jobs whose per-job deadline passed while still queued (the
-    #: dispatcher fails them with ``DeadlineExceeded`` before dispatch).
-    expired: int = 0
-    high_water: int = 0
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 class JobQueue:
@@ -46,7 +31,6 @@ class JobQueue:
         self._items: deque = deque()
         self._cond = threading.Condition()
         self._closed = False
-        self.stats = QueueStats()
 
     def __len__(self) -> int:
         with self._cond:
@@ -64,7 +48,6 @@ class JobQueue:
         the end of the wait, :class:`ServiceClosed` after :meth:`close`.
         """
         with self._cond:
-            self.stats.submitted += 1
             deadline = None if timeout is None else time.monotonic() + timeout
             while True:
                 if self._closed:
@@ -75,7 +58,6 @@ class JobQueue:
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
-                        self.stats.rejected += 1
                         raise AdmissionRejected(
                             "queue_full",
                             f"admission queue full ({self.capacity} jobs "
@@ -83,10 +65,6 @@ class JobQueue:
                         )
                 self._cond.wait(remaining)
             self._items.append(item)
-            self.stats.admitted += 1
-            self.stats.high_water = max(
-                self.stats.high_water, len(self._items)
-            )
             self._cond.notify_all()
 
     # ------------------------------------------------------------------
@@ -100,11 +78,6 @@ class JobQueue:
                 return None
             self._cond.notify_all()
             return self._items.popleft()
-
-    def note_expired(self) -> None:
-        """Count one job that expired in the queue (dispatcher calls)."""
-        with self._cond:
-            self.stats.expired += 1
 
     def drain(self) -> list:
         """Remove and return every pending item (used at shutdown)."""

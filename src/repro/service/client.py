@@ -9,20 +9,16 @@ caller. Server-side failures arrive as the service's typed errors
 Resilience: connects (and reads) under the client's
 ``timeout`` — a down server is a typed
 :class:`~repro.service.jobs.ServiceUnavailable`, never a hang — and a
-broken connection triggers reconnect plus, when a
-:class:`~repro.service.resilience.RetryPolicy` is configured,
-exponential-backoff retries of ``retryable`` errors. Retries are safe
-because every ``factor`` carries a stable ``job_id`` and the server
-dedups on it: a retry of an in-flight or completed job never runs it
-twice.
+broken connection drops the socket, so the client's next call
+reconnects. The client never retries on its own: the caller resubmits,
+the service re-runs the job (it names every job itself), and the answer
+is bitwise the same.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
-import time
-import uuid
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +34,6 @@ from repro.service.jobs import (
     UnknownPatternError,
     ValidationFailed,
 )
-from repro.service.resilience import RetryPolicy
 
 #: Wire ``kind`` tag -> exception type raised client-side.
 _ERROR_TYPES = {
@@ -80,23 +75,15 @@ class ServiceClient:
     >>> client = ServiceClient(address=("host", 9876))
     >>> res = client.factor(A)
     >>> res2 = client.factor(pattern_id=res.pattern_id, values=new_data)
-
-    ``retry`` (a :class:`~repro.service.resilience.RetryPolicy`, or None
-    to disable) governs reconnect-and-retry of transient failures;
-    :attr:`retry_count` tallies retries actually taken.
     """
 
     def __init__(
         self,
         address: tuple[str, int],
         timeout: float | None = 120.0,
-        retry: RetryPolicy | None = None,
     ):
         self.address = address
         self.timeout = timeout
-        self.retry = retry
-        #: Total transient-error retries this client has taken.
-        self.retry_count = 0
         self._sock: socket.socket | None = None
         self._lock = threading.Lock()
         self._connect()
@@ -127,10 +114,10 @@ class ServiceClient:
             self._sock = None
 
     # ------------------------------------------------------------------
-    def _request_once(self, msg: dict) -> dict:
+    def _request(self, msg: dict) -> dict:
         """One request/response round trip. Connection-level failures
         (broken pipe, timeout, dead server) drop the socket and surface
-        as the retryable :class:`ServiceUnavailable`."""
+        as :class:`ServiceUnavailable`; the next call reconnects."""
         with self._lock:
             try:
                 if self._sock is None:
@@ -152,23 +139,6 @@ class ServiceClient:
             raise make(response.get("error", "unknown server error"))
         return response
 
-    def _request(self, msg: dict) -> dict:
-        """Round trip with the retry policy applied: ``retryable`` typed
-        errors back off and go again (reconnecting if the socket
-        dropped); everything else raises immediately."""
-        attempt = 0
-        while True:
-            try:
-                return self._request_once(msg)
-            except ServiceError as exc:
-                if self.retry is None or not self.retry.should_retry(
-                    attempt, exc
-                ):
-                    raise
-                time.sleep(self.retry.delay(attempt))
-                attempt += 1
-                self.retry_count += 1
-
     # ------------------------------------------------------------------
     def ping(self) -> bool:
         return bool(self._request({"op": "ping"})["ok"])
@@ -183,7 +153,6 @@ class ServiceClient:
         A=None,
         pattern_id: str | None = None,
         values: np.ndarray | None = None,
-        job_id: str | None = None,
         timeout: float | None = None,
         deadline_s: float | None = None,
     ) -> ClientResult:
@@ -191,14 +160,11 @@ class ServiceClient:
         the job completes. Raises the service's typed errors.
         ``deadline_s`` is the job's end-to-end budget — past it the call
         raises :class:`~repro.service.jobs.DeadlineExceeded`, never
-        hangs. A stable ``job_id`` is generated when not given, so
-        retries of the same call are idempotent."""
+        hangs. The service names the job (``ClientResult.job_id``)."""
         timeout = self.timeout if timeout is None else timeout
         msg = {
             "op": "factor",
             "pattern_id": pattern_id,
-            # Stable across retries: the server dedups on it.
-            "job_id": job_id or uuid.uuid4().hex[:12],
             "timeout": timeout,
             "deadline_s": deadline_s,
         }

@@ -20,18 +20,13 @@ class ServiceError(RuntimeError):
 
     #: Stable wire tag (socket protocol maps errors back to types by it).
     kind = "error"
-    #: Whether an idempotent retry of the same job may succeed (clients
-    #: branch on this for backoff-retry; see ``ServiceClient``).
-    retryable = False
 
 
 class AdmissionRejected(ServiceError):
     """The admission queue stayed full for the submitter's whole wait.
-    The job never entered the queue — nothing ran, so an idempotent
-    retry after backoff is always safe."""
+    The job never entered the queue: nothing ran."""
 
     kind = "rejected"
-    retryable = True
 
     def __init__(self, reason: str, message: str | None = None):
         super().__init__(message or f"job rejected: {reason}")
@@ -55,19 +50,18 @@ class DeadlineExceeded(ServiceError):
 
     Raised server-side (the dispatcher seq-aborts the expired job and
     goes on to the next) and client-side (``JobHandle.result`` raises it
-    once the deadline passes even if the server is still working). Not
-    retryable: the budget is spent."""
+    once the deadline passes even if the server is still working)."""
 
     kind = "deadline"
 
 
 class ServiceUnavailable(ServiceError):
     """The client could not reach the service (connect/request failed or
-    timed out). Retries are idempotent thanks to server-side job-id
-    dedup, so this is retryable."""
+    timed out), or the circuit breaker refused a solve. The client's next
+    call reconnects. A resubmission re-runs the job — whether or not the
+    lost one ran — and its answer is bitwise the same."""
 
     kind = "unavailable"
-    retryable = True
 
 
 class JobFailed(ServiceError):

@@ -73,7 +73,8 @@ def _pct(values: list[float]) -> dict:
 
 @dataclass
 class ServiceMetrics:
-    """Thread-safe aggregate of every job the service has seen."""
+    """Thread-safe aggregate of every job the service has seen: the one
+    count of what was submitted, refused, completed, failed and expired."""
 
     records: list = field(default_factory=list)
     submitted: int = 0
@@ -81,9 +82,6 @@ class ServiceMetrics:
     failed: int = 0
     rejected: int = 0
     expired: int = 0
-    #: Submissions answered from the job-id dedup table (idempotent
-    #: client retries of an in-flight or completed job).
-    deduped: int = 0
     #: Jobs that completed via a re-run after a failed attempt.
     recovered: int = 0
     #: Jobs that completed via the per-job sequential fallback.
@@ -102,10 +100,6 @@ class ServiceMetrics:
     def count_rejected(self) -> None:
         with self._lock:
             self.rejected += 1
-
-    def count_deduped(self) -> None:
-        with self._lock:
-            self.deduped += 1
 
     def count_pool_restart(self) -> None:
         with self._lock:
@@ -144,7 +138,6 @@ class ServiceMetrics:
                     "expired": self.expired,
                 },
                 "resilience": {
-                    "deduped": self.deduped,
                     "recovered": self.recovered,
                     "degraded": self.degraded,
                     "pool_restarts": self.pool_restarts,
@@ -181,8 +174,7 @@ class ServiceMetrics:
             f"(of {j['submitted']} submitted)",
             f"resilience: {r['recovered']} recovered / "
             f"{r['degraded']} degraded-sequential / "
-            f"{r['pool_restarts']} pool restarts / "
-            f"{r['deduped']} deduped retries",
+            f"{r['pool_restarts']} pool restarts",
             f"cache: {s['cache']['hit']} hits / {s['cache']['miss']} misses",
             "e2e latency: "
             + " ".join(

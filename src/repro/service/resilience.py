@@ -1,29 +1,25 @@
-"""Resilience primitives: circuit breaker and retry backoff policy.
+"""The service's circuit breaker.
 
-Two small, independently testable pieces the service layer composes:
+:class:`CircuitBreaker` guards the worker pool. Closed while the pool is
+healthy; ``threshold`` consecutive pool-level failures open it, after
+which the dispatcher routes jobs to the sequential fallback (degraded but
+correct — the fallback is bitwise-identical to the parallel path) instead
+of hammering a crew that keeps dying. After ``cooldown_s`` the breaker
+goes half-open: exactly one job probes the pool, and its outcome closes
+the breaker again or re-opens it.
 
-* :class:`CircuitBreaker` — guards the worker pool. Closed while the
-  pool is healthy; ``threshold`` consecutive pool-level failures open it,
-  after which the dispatcher routes jobs to the sequential fallback
-  (degraded but correct — the fallback is bitwise-identical to the
-  parallel path) instead of hammering a crew that keeps dying. After
-  ``cooldown_s`` the breaker goes half-open: exactly one job probes the
-  pool, and its outcome closes the breaker again or re-opens it.
-* :class:`RetryPolicy` — client-side exponential backoff with seeded
-  jitter for transient typed errors (``retryable`` ones) and broken
-  connections. Seeding keeps a client's retry schedule deterministic.
+A caller that lost an answer resubmits: every job is deterministic, so
+the service re-runs it and the answer is bitwise the same.
 """
 
 from __future__ import annotations
 
-import random
 import threading
 import time
-from dataclasses import dataclass, field
 
 from repro.config import check_number
 
-__all__ = ["CircuitBreaker", "RetryPolicy"]
+__all__ = ["CircuitBreaker"]
 
 
 class CircuitBreaker:
@@ -115,34 +111,3 @@ class CircuitBreaker:
                 "trips": self.trips,
             }
 
-
-@dataclass
-class RetryPolicy:
-    """Exponential backoff with jitter: ``delay(k)`` for retry ``k``.
-
-    ``retries`` is the number of *re*-attempts after the first try.
-    Jitter subtracts up to ``jitter`` fraction of the delay (seeded, so
-    two policies with the same seed back off identically — chaos runs
-    stay reproducible). ``retries=0`` disables retrying.
-    """
-
-    retries: int = 3
-    base_s: float = 0.05
-    cap_s: float = 2.0
-    jitter: float = 0.5
-    seed: int | None = None
-    _rng: random.Random = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._rng = random.Random(self.seed)
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before retry ``attempt`` (0-based)."""
-        d = min(self.cap_s, self.base_s * (2.0 ** attempt))
-        return d * (1.0 - self.jitter * self._rng.random())
-
-    def should_retry(self, attempt: int, exc: BaseException) -> bool:
-        """Retry ``attempt`` (0-based) after ``exc``?"""
-        if attempt >= self.retries:
-            return False
-        return bool(getattr(exc, "retryable", False))

@@ -98,7 +98,6 @@ class ServiceServer:
                 A=None if A is None else protocol.unpack_csc(A),
                 pattern_id=msg.get("pattern_id"),
                 values=msg.get("values"),
-                job_id=msg.get("job_id"),
                 timeout=msg.get("timeout"),
                 deadline_s=msg.get("deadline_s"),
             )

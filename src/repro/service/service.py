@@ -34,7 +34,6 @@ import logging
 import threading
 import time
 import uuid
-from collections import OrderedDict
 
 import numpy as np
 from scipy import sparse
@@ -60,7 +59,6 @@ from repro.service.jobs import (
     JobHandle,
     JobResult,
     ServiceClosed,
-    ServiceError,
     ServiceUnavailable,
     SolveJob,
     SolveResult,
@@ -76,27 +74,20 @@ log = logging.getLogger("repro.service")
 #: (``ValidationFailed`` subclasses ``JobFailed``).
 _PER_JOB_ERRORS = (UnknownPatternError, JobFailed)
 
-#: Completed results of caller-named jobs (factor and solve alike) kept
-#: for idempotent retries, least recently used dropped first.
-DEDUP_CAPACITY = 64
 
-
-def _kind(job_or_result) -> str:
-    return ("solve" if isinstance(job_or_result, (SolveJob, SolveResult))
-            else "factor")
+def _job_id() -> str:
+    """A fresh job id: the service names every job it admits."""
+    return uuid.uuid4().hex[:12]
 
 
 class _Queued:
-    """A job waiting for dispatch: handle, admission timestamp, and
-    whether the caller ``named`` it (supplied the job id) — only then can
-    anyone retry it, so only then is its result kept for replay."""
+    """A job waiting for dispatch: its handle and admission timestamp."""
 
-    __slots__ = ("job", "handle", "enqueued_at", "named")
+    __slots__ = ("job", "handle", "enqueued_at")
 
-    def __init__(self, job, handle: JobHandle, named: bool):
+    def __init__(self, job, handle: JobHandle):
         self.job = job
         self.handle = handle
-        self.named = named
         self.enqueued_at = time.monotonic()
 
 
@@ -145,13 +136,9 @@ class FactorService:
         self._closed = False
         self._started = False
         self._dispatcher: threading.Thread | None = None
-        # Job-id dedup: outstanding handles (submitted, not finished) and
-        # a bounded map of the completed results of caller-named jobs
-        # (factor and solve alike), so an idempotent client retry of the
-        # same job_id never runs the job twice.
-        self._dedup_lock = threading.Lock()
-        self._outstanding: dict[str, JobHandle] = {}
-        self._completed: OrderedDict[str, object] = OrderedDict()
+        #: The handle of the one job the dispatcher has taken and not yet
+        #: answered (None while it waits on the queue).
+        self._running: JobHandle | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -175,10 +162,10 @@ class FactorService:
     def close(self, timeout: float = 30.0) -> None:
         """Graceful drain, bounded by ``timeout``: stop admission, let
         the dispatcher finish the running and the queued jobs, then fail
-        every handle still outstanding with a typed
-        :class:`ServiceClosed` — a caller blocked in ``result()`` always
-        gets an answer, never a hang. The pool and every arena are
-        released. Idempotent."""
+        every job it did not reach (still queued, or the one it holds)
+        with a typed :class:`ServiceClosed` — a caller blocked in
+        ``result()`` always gets an answer, never a hang. The pool and
+        every arena are released. Idempotent."""
         with self._lock:
             if self._closed:
                 return
@@ -195,14 +182,12 @@ class FactorService:
             self._finish_failed(queued, ServiceClosed(why), JobRecord(
                 job_id=job_id, status="failed", error=why,
             ))
-        # Stragglers the drain did not reach — a job the dispatcher took
-        # and never completed (hung pool, stuck dispatcher). Without
-        # this, their callers block in result() forever.
-        with self._dedup_lock:
-            stragglers = list(self._outstanding.values())
-            self._outstanding.clear()
-        for handle in stragglers:
-            if not handle.done():
+        # The straggler the drain did not reach — the job the dispatcher
+        # took and never completed (hung pool, stuck dispatcher). Without
+        # this, its caller blocks in result() forever.
+        with self._lock:
+            handle = self._running
+            if handle is not None and not handle.done():
                 why = (
                     "service is shut down"
                     if drained
@@ -229,7 +214,6 @@ class FactorService:
         A: sparse.spmatrix | None = None,
         pattern_id: str | None = None,
         values: np.ndarray | None = None,
-        job_id: str | None = None,
         timeout: float | None = None,
         deadline_s: float | None = None,
         fault_plan=None,
@@ -244,66 +228,38 @@ class FactorService:
         :class:`DeadlineExceeded` wherever it is (queued, running, or
         waited on), without disturbing the jobs behind it.
 
-        Submitting an explicit ``job_id`` is idempotent: a resubmission
-        while the job is in flight returns the same handle; one after
-        completion returns the cached result — so client retries after a
-        broken connection never run a job twice. (A job the service had
-        to name itself cannot be retried, so its result is not kept.)
-        Reusing a solve's ``job_id`` for a factor job (or the other way
-        round) raises :class:`ServiceError`.
+        The service names the job (``handle.job_id``). Every call runs
+        one job: a resubmission runs the job again, and its factor is
+        bitwise the first one's.
         ``fault_plan`` injects deterministic faults into the job's parallel
         attempts: ``fault_plan.for_attempt(k)`` into attempt ``k``.
         """
         job = FactorJob(
-            job_id=job_id or uuid.uuid4().hex[:12],
+            job_id=_job_id(),
             A=A,
             pattern_id=pattern_id,
             values=values,
             deadline_s=self._budget(deadline_s),
             fault_plan=fault_plan,
         )
-        return self._admit(job, job_id is not None, timeout)
+        return self._admit(job, timeout)
 
     def _budget(self, deadline_s: float | None) -> float | None:
         if deadline_s is None:
             return self.default_deadline_s
         return check_number("deadline_s", deadline_s, float, 0)
 
-    def _admit(self, job, named: bool, timeout=None) -> JobHandle:
-        """Answer a retried job id from the dedup table, or queue the job
-        (waiting up to ``timeout`` for room)."""
+    def _admit(self, job, timeout=None) -> JobHandle:
+        """Queue the job, waiting up to ``timeout`` for room."""
         if not self._started:
             self.start()
         handle = JobHandle(job)
-        with self._dedup_lock:
-            existing = self._outstanding.get(job.job_id)
-            prior = (existing.job if existing is not None
-                     else self._completed.get(job.job_id))
-            if prior is not None and _kind(prior) != _kind(job):
-                raise ServiceError(
-                    f"job id {job.job_id!r} names a {_kind(prior)} job; "
-                    f"a {_kind(job)} job cannot reuse it"
-                )
-            if existing is not None:
-                self.metrics.count_deduped()
-                return existing
-            cached = self._completed.get(job.job_id)
-            if cached is not None:
-                self.metrics.count_deduped()
-                handle.set_result(cached)
-                return handle
-            # Register before the queue put: the dispatcher may finish
-            # (and retire) the job before put() even returns.
-            self._outstanding[job.job_id] = handle
         self.metrics.count_submitted()
         try:
-            self.queue.put(_Queued(job, handle, named), timeout=timeout)
-        except (AdmissionRejected, ServiceClosed) as exc:
-            if isinstance(exc, AdmissionRejected):
-                self.metrics.count_rejected()
-                log.warning("job %s rejected: %s", job.job_id, exc.reason)
-            with self._dedup_lock:
-                self._outstanding.pop(job.job_id, None)
+            self.queue.put(_Queued(job, handle), timeout=timeout)
+        except AdmissionRejected as exc:
+            self.metrics.count_rejected()
+            log.warning("job %s rejected: %s", job.job_id, exc.reason)
             raise
         return handle
 
@@ -315,7 +271,6 @@ class FactorService:
         self,
         b: np.ndarray,
         pattern_id: str,
-        job_id: str | None = None,
         deadline_s: float | None = None,
         fault_plan=None,
     ) -> SolveResult:
@@ -338,14 +293,13 @@ class FactorService:
         :class:`ServiceUnavailable` while the circuit breaker is open (all
         before anything is queued), :class:`DeadlineExceeded` past
         ``deadline_s``; a full queue holds the solve until there is room.
-        An explicit ``job_id`` is idempotent, as for :meth:`submit`.
+        Every call runs one job, as for :meth:`submit`.
         ``fault_plan`` injects deterministic faults into the warm solve's
         workers.
         """
         if self._closed:
             raise ServiceClosed("service is shut down")
-        named = job_id is not None
-        job_id = job_id or uuid.uuid4().hex[:12]
+        job_id = _job_id()
         # Counter-neutral: the dispatcher is the cache's only writer.
         entry = self.cache.peek(pattern_id)
         if entry is None:
@@ -373,7 +327,7 @@ class FactorService:
             job_id, entry, np.ascontiguousarray(panel),
             pb.ndim == 1, self._budget(deadline_s), fault_plan,
         )
-        return self._admit(job, named).result()
+        return self._admit(job).result()
 
     def stats(self) -> dict:
         """Service-level counters + aggregates (JSON-safe)."""
@@ -383,7 +337,6 @@ class FactorService:
             "mapping": self.config.mapping,
             "pool_generation": self.pool.generation,
             "breaker": self.breaker.to_dict(),
-            "queue": self.queue.stats.to_dict(),
             "pattern_cache": self.cache.stats(),
             "service": self.metrics.to_dict(include_records=False),
         }
@@ -421,21 +374,22 @@ class FactorService:
     # ------------------------------------------------------------------
     def _dispatch_loop(self) -> None:
         while (queued := self.queue.get()) is not None:
+            self._running = queued.handle
             try:
                 self._run_job(queued)
             except Exception as exc:  # noqa: BLE001 - keep serving
                 log.exception("job %s crashed the dispatcher's handler",
                               queued.job.job_id)
-                if not queued.handle.done():
-                    self._finish_failed(
-                        queued,
-                        JobFailed(queued.job.job_id, repr(exc)),
-                        record=JobRecord(
-                            job_id=queued.job.job_id,
-                            status="failed",
-                            error=repr(exc),
-                        ),
-                    )
+                self._finish_failed(
+                    queued,
+                    JobFailed(queued.job.job_id, repr(exc)),
+                    record=JobRecord(
+                        job_id=queued.job.job_id,
+                        status="failed",
+                        error=repr(exc),
+                    ),
+                )
+            self._running = None
 
     def _run_job(self, queued: _Queued) -> None:
         job = queued.job
@@ -446,7 +400,6 @@ class FactorService:
         )
         if job.expired:
             # Died waiting in the queue — typed error, nothing runs.
-            self.queue.note_expired()
             self._finish_expired(queued, record)
         elif isinstance(job, SolveJob):
             self._run_solve(queued, record)
@@ -700,19 +653,6 @@ class FactorService:
         return permute_spd(A_full, entry.perm)
 
     # -- completion -----------------------------------------------------
-    def _retire(self, job_id: str, result=None) -> None:
-        """Retire a job from the dedup registry. A ``result`` is kept
-        (bounded LRU) so a late idempotent retry of the same job_id gets
-        the answer instead of a re-run; failures are dropped so a retry
-        re-runs the job."""
-        with self._dedup_lock:
-            self._outstanding.pop(job_id, None)
-            if result is not None:
-                self._completed[job_id] = result
-                self._completed.move_to_end(job_id)
-                while len(self._completed) > DEDUP_CAPACITY:
-                    self._completed.popitem(last=False)
-
     def _validate(self, job_id, entry: PatternEntry, A_perm, L) -> None:
         """Check against the sequential baseline, within
         :func:`~repro.runtime.validation.factor_bound`."""
@@ -733,13 +673,16 @@ class FactorService:
             "queue_wait_s": record.queue_wait_s,
         }
 
+    # A handle is answered, and its job counted, once: close() may have
+    # failed the job the dispatcher still holds before the job ends.
     def _finish_ok(self, queued, result) -> None:
-        self.metrics.add(result.record)
-        # Nobody can retry an id the service made up: keep named jobs only.
-        self._retire(queued.job.job_id, result if queued.named else None)
-        queued.handle.set_result(result)
+        with self._lock:
+            if not queued.handle.done():
+                self.metrics.add(result.record)
+                queued.handle.set_result(result)
 
     def _finish_failed(self, queued, exc, record) -> None:
-        self.metrics.add(record)
-        self._retire(queued.job.job_id)
-        queued.handle.set_exception(exc)
+        with self._lock:
+            if not queued.handle.done():
+                self.metrics.add(record)
+                queued.handle.set_exception(exc)

@@ -1,4 +1,6 @@
 import argparse
+import itertools
+import types
 
 import pytest
 
@@ -107,6 +109,8 @@ class TestSuite:
     def test_runs_the_registry_in_process_from_any_directory(
         self, tmp_path, monkeypatch, fake_registry
     ):
+        import repro.experiments.registry as registry
+
         monkeypatch.chdir(tmp_path)
         assert main(["suite", "--scale", "small"]) == 0
         assert fake_registry == [("first", "small"), ("second", "small")]
@@ -115,6 +119,18 @@ class TestSuite:
             "first.txt", "first.json", "second.txt", "second.json",
             "ALL.txt",
         }
+        # ALL.txt is the tables joined, with no wall-time stamp, so a
+        # second run of the same tree, slower this time, writes the same
+        # bytes.
+        tables = [(out / f"{n}.txt").read_text() for n in ("first", "second")]
+        assert (out / "ALL.txt").read_text() == "\n".join(tables)
+        written = {p.name: p.read_bytes() for p in out.iterdir()}
+        ticks = itertools.count()
+        monkeypatch.setattr(registry, "time", types.SimpleNamespace(
+            time=lambda: next(ticks) ** 2
+        ))
+        assert main(["suite", "--scale", "small"]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == written
 
     def test_installed_package_runs_the_suite(
         self, tmp_path, monkeypatch, fake_registry

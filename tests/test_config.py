@@ -189,12 +189,12 @@ class TestValidation:
         ))
         try:  # no crew: the factor is the sequential last resort
             pid = svc.factor(A).pattern_id
-            queued = svc.queue.stats.submitted
+            queued = svc.metrics.submitted
             with pytest.raises(ValueError, match="deadline_s"):
                 svc.submit(A, deadline_s=float("nan"))
             with pytest.raises(ValueError, match="deadline_s"):
                 svc.solve(np.ones(A.shape[0]), pid, deadline_s=float("nan"))
-            assert svc.queue.stats.submitted == queued
+            assert svc.metrics.submitted == queued
         finally:
             svc.close()
         assert _no_children()
@@ -440,8 +440,9 @@ def test_the_deleted_threading_is_gone():
 #: ``inject_failure``, ``record_timeline``, ``unpack(verify=)``, the
 #: arena barrier's ``wait_for`` / ``announce``, the batching window's
 #: ``max_batch`` / ``batch_wait_s``, the service's dispatch-index
-#: ``fault_plan`` / ``fault_jobs``, the ``recovery`` knob and resuming
-#: from a ``checkpoint``) cannot come back without this table changing.
+#: ``fault_plan`` / ``fault_jobs``, the ``recovery`` knob, resuming
+#: from a ``checkpoint``, the client's ``retry`` policy and caller-chosen
+#: ``job_id``s) cannot come back without this table changing.
 SURFACE = {
     "run_mp_fanout": {
         "structure", "A", "tg", "owners", "nprocs", "config", "mapping",
@@ -468,7 +469,15 @@ SURFACE = {
         "breaker_cooldown_s",
     },
     "SparseCholesky": {"A", "config", "backend", "fault_plan", "overrides"},
-    "ServiceClient": {"address", "timeout", "retry"},
+    "ServiceClient": {"address", "timeout"},
+    # The service names every job: no caller-chosen job id.
+    "FactorService.submit": {
+        "A", "pattern_id", "values", "timeout", "deadline_s", "fault_plan",
+    },
+    "FactorService.solve": {"b", "pattern_id", "deadline_s", "fault_plan"},
+    "ServiceClient.factor": {
+        "A", "pattern_id", "values", "timeout", "deadline_s",
+    },
 }
 
 
@@ -483,14 +492,15 @@ def test_the_runtime_surface_is_exactly_this():
         if dataclasses.is_dataclass(obj):
             return {f.name for f in dataclasses.fields(obj)}
         if inspect.isclass(obj):
-            return set(inspect.signature(obj.__init__).parameters) - {"self"}
-        return set(inspect.signature(obj).parameters)
+            obj = obj.__init__
+        return set(inspect.signature(obj).parameters) - {"self"}
 
     found = {
-        obj.__name__: keywords(obj)
+        obj.__qualname__.removesuffix(".__init__"): keywords(obj)
         for obj in (run_mp_fanout, PoolJob, PatternContext, WorkerPool,
                     Worker, ReadyScheduler, wire.unpack, FactorService,
-                    SparseCholesky, ServiceClient)
+                    SparseCholesky, ServiceClient, FactorService.submit,
+                    FactorService.solve, ServiceClient.factor)
     }
     assert found == SURFACE
     assert SparseCholesky.BACKENDS == ("sequential", "mp")
@@ -536,6 +546,14 @@ def test_retired_entry_points_stay_gone():
         "result"
     ]
     assert result.default is inspect.Parameter.empty
+    # One submit, one run: no retry policy, no job-id dedup table, and the
+    # service's one admission ledger is its metrics.
+    from repro.service import admission, service
+
+    assert not hasattr(repro.service, "RetryPolicy")
+    assert "RetryPolicy" not in repro.service.__all__
+    assert not hasattr(service, "DEDUP_CAPACITY")
+    assert not hasattr(admission.JobQueue(), "stats")
 
 
 def test_worker_metrics_load_a_dump_with_a_legacy_timeline():

@@ -1,6 +1,6 @@
 """The self-healing service: worker death mid-batch (hard and soft, on
-both transports), per-job deadlines, the circuit breaker, job-id dedup,
-client reconnect/retry and graceful drain.
+both transports), per-job deadlines, the circuit breaker, one run per
+submit, client reconnect and graceful drain.
 
 The acceptance bar throughout: every submitted job either completes —
 with its survival path tagged in the record — or raises a typed
@@ -11,6 +11,7 @@ factors are bitwise identical to the fault-free run; nothing leaks shm.
 import glob
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -24,14 +25,12 @@ from repro.service import (
     DeadlineExceeded,
     FactorService,
     JobFailed,
-    RetryPolicy,
     ServiceClient,
     ServiceClosed,
-    ServiceError,
     ServiceServer,
     ServiceUnavailable,
 )
-from repro.service.jobs import FactorJob, JobHandle, SolveJob
+from repro.service.jobs import FactorJob, JobHandle
 from repro.solver import SparseCholesky
 
 SVC_KW = dict(
@@ -249,117 +248,46 @@ class TestCircuitBreaker:
             assert svc.breaker.state == CircuitBreaker.CLOSED
 
 
-class TestRetryPolicy:
-    def test_seeded_backoff_is_deterministic_and_capped(self):
-        a = RetryPolicy(retries=5, base_s=0.05, cap_s=0.2, seed=3)
-        b = RetryPolicy(retries=5, base_s=0.05, cap_s=0.2, seed=3)
-        delays = [a.delay(k) for k in range(5)]
-        assert delays == [b.delay(k) for k in range(5)]
-        assert all(0.0 < d <= 0.2 for d in delays)
-
-    def test_should_retry_respects_budget_and_retryable(self):
-        p = RetryPolicy(retries=2)
-        assert p.should_retry(0, ServiceUnavailable("down"))
-        assert p.should_retry(1, ServiceUnavailable("down"))
-        assert not p.should_retry(2, ServiceUnavailable("down"))
-        # not retryable: the budget is spent / the job itself failed
-        assert not p.should_retry(0, DeadlineExceeded("late"))
-        assert not p.should_retry(0, JobFailed("j", "boom"))
-
-
 class TestDedup:
-    def test_completed_job_id_returns_cached_result(self, grid_A):
-        with FactorService(**SVC_KW) as svc:
-            r1 = svc.factor(grid_A, job_id="job-42")
-            r2 = svc.factor(grid_A, job_id="job-42")
-            assert r2 is r1  # the very same result object, no re-run
-            assert svc.metrics.deduped == 1
-            assert svc.metrics.submitted == 1
+    """There is no dedup: the service names every job, and each submit
+    runs its job once. A resubmission runs again, bitwise the same."""
 
-    def test_inflight_job_id_returns_same_handle(self, grid_A):
-        with FactorService(**SVC_KW) as svc:
-            svc.factor(grid_A)  # make sure the dispatcher is warm
-            job = FactorJob(job_id="inflight", A=grid_A)
-            stuck = JobHandle(job)
-            svc._outstanding["inflight"] = stuck
-            assert svc.submit(grid_A, job_id="inflight") is stuck
-            assert svc.metrics.deduped == 1
-            svc._retire("inflight")
-
-    def test_a_job_id_names_one_kind_of_job(self, grid_A):
-        """Reusing a named id for the other kind of job is a typed error,
-        whether the first job is in flight or completed; a same-kind
-        retry still gets the first job's answer."""
+    def test_a_resubmission_runs_again_bitwise(self, grid_A):
         b = np.ones(grid_A.shape[0])
         with FactorService(**SVC_KW) as svc:
-            r = svc.factor(grid_A, job_id="f")
-            s = svc.solve(b, r.pattern_id, job_id="s")
-            with pytest.raises(ServiceError, match="names a factor job"):
-                svc.solve(b, r.pattern_id, job_id="f")
-            with pytest.raises(ServiceError, match="names a solve job"):
-                svc.submit(grid_A, job_id="s")
-            assert svc.factor(grid_A, job_id="f") is r
-            assert svc.solve(b, r.pattern_id, job_id="s") is s
-            entry = svc.cache.peek(r.pattern_id)
-            live = {
-                "f-live": JobHandle(FactorJob(job_id="f-live", A=grid_A)),
-                "s-live": JobHandle(SolveJob("s-live", entry, b[:, None])),
-            }
-            svc._outstanding.update(live)
-            with pytest.raises(ServiceError, match="names a factor job"):
-                svc.solve(b, r.pattern_id, job_id="f-live")
-            with pytest.raises(ServiceError, match="names a solve job"):
-                svc.submit(grid_A, job_id="s-live")
-            assert svc.submit(grid_A, job_id="f-live") is live["f-live"]
-            assert svc.metrics.deduped == 3
-            for job_id in live:
-                svc._retire(job_id)
+            r1 = svc.factor(grid_A)
+            r2 = svc.factor(grid_A)
+            assert r1.job_id != r2.job_id and r2 is not r1
+            assert _bitwise(r1.L, r2.L) and _bitwise(r2.L, _cold_L(grid_A))
+            s1 = svc.solve(b, r1.pattern_id)
+            s2 = svc.solve(b, r1.pattern_id)
+            assert s1.job_id != s2.job_id
+            assert np.array_equal(s1.x, s2.x)
+            jobs = svc.stats()["service"]["jobs"]
+            assert (jobs["submitted"], jobs["completed"]) == (4, 4)
+            assert [r.job_id for r in svc.metrics.records] == [
+                r1.job_id, r2.job_id, s1.job_id, s2.job_id,
+            ]
 
     def test_failed_jobs_are_not_cached(self, grid_A):
-        """A retry of a failed job_id must re-run, not replay the
-        failure."""
+        """A failed values-only job does not poison the next factor of
+        the same matrix, which stays bitwise."""
         with FactorService(**SVC_KW) as svc:
             r = svc.factor(grid_A)
-            with pytest.raises(JobFailed):
-                svc.factor(pattern_id=r.pattern_id,
-                           values=grid_A.data[:-3], job_id="flaky")
-            r2 = svc.factor(grid_A, job_id="flaky")
+            with pytest.raises(JobFailed, match="values array"):
+                svc.factor(pattern_id=r.pattern_id, values=grid_A.data[:-3])
+            r2 = svc.factor(grid_A)
             assert _bitwise(r2.L, _cold_L(grid_A))
-            assert svc.metrics.deduped == 0
-
-    def test_the_dedup_table_is_bounded(self, grid_A, monkeypatch):
-        monkeypatch.setattr("repro.service.service.DEDUP_CAPACITY", 2)
-        with FactorService(**SVC_KW) as svc:
-            for i in range(4):
-                svc.factor(_shifted(grid_A, 0.1 * (i + 1)),
-                           job_id=f"job-{i}")
-            assert len(svc._completed) == 2
-            assert set(svc._completed) == {"job-2", "job-3"}
-
-    def test_only_named_results_are_kept_in_the_one_table(
-        self, grid_A, monkeypatch
-    ):
-        """A job the service named itself can be retried by nobody, so
-        its result (a whole factor) is not retained; named factor and
-        solve results share the one bounded table."""
-        b = np.ones(grid_A.shape[0])
-        monkeypatch.setattr("repro.service.service.DEDUP_CAPACITY", 2)
-        with FactorService(**SVC_KW) as svc:
-            r = svc.factor(grid_A)
-            svc.solve(b, pattern_id=r.pattern_id)
-            assert not svc._completed and not svc._outstanding
-            svc.factor(grid_A, job_id="f-1")
-            s1 = svc.solve(b, pattern_id=r.pattern_id, job_id="s-1")
-            assert list(svc._completed) == ["f-1", "s-1"]
-            assert svc.solve(b, pattern_id=r.pattern_id, job_id="s-1") is s1
-            svc.solve(b, pattern_id=r.pattern_id, job_id="s-2")
-            assert list(svc._completed) == ["s-1", "s-2"]
+            assert r2.record.outcome == "clean" and r2.cache == "hit"
+            jobs = svc.stats()["service"]["jobs"]
+            assert (jobs["submitted"], jobs["completed"], jobs["failed"]) \
+                == (3, 2, 1)
 
 
 class TestClientResilience:
     def test_connect_refused_is_typed_and_prompt(self):
-        """Satellite regression: a down server is a typed, retryable
-        error under the configured timeout — never an unbounded hang."""
+        """Satellite regression: a down server is a typed error under the
+        configured timeout — never an unbounded hang."""
         import socket as socket_mod
 
         probe = socket_mod.socket()
@@ -370,7 +298,7 @@ class TestClientResilience:
         with pytest.raises(ServiceUnavailable) as exc:
             ServiceClient(address=("127.0.0.1", dead_port), timeout=2.0)
         assert time.monotonic() - t0 < 10.0
-        assert exc.value.retryable
+        assert exc.value.kind == "unavailable"
 
     def test_connect_timeout_none_still_works(self, grid_A):
         """timeout=None means unbounded, not broken: connect and factor
@@ -386,42 +314,22 @@ class TestClientResilience:
             finally:
                 server.close()
 
-    def test_reconnect_and_retry_after_broken_socket(self, grid_A):
-        """A broken connection surfaces as retryable ServiceUnavailable;
-        with a RetryPolicy the client reconnects and the request
-        succeeds (idempotent thanks to server-side job-id dedup)."""
-        with FactorService(**SVC_KW) as svc:
-            server = ServiceServer(svc, port=0).start_background()
-            try:
-                retry = RetryPolicy(retries=2, base_s=0.01, seed=0)
-                with ServiceClient(address=server.address,
-                                   retry=retry) as client:
-                    client.factor(grid_A, timeout=120)
-                    client._sock.close()  # snap the pipe under the client
-                    r = client.factor(grid_A, timeout=120)
-                    assert _bitwise(r.L, _cold_L(grid_A))
-                    assert client.retry_count >= 1
-                # without a policy the same breakage is a typed error
-                with ServiceClient(address=server.address) as bare:
-                    bare.ping()
-                    bare._sock.close()
-                    with pytest.raises(ServiceUnavailable):
-                        bare.ping()
-            finally:
-                server.close()
-
-    def test_socket_retry_dedups_on_job_id(self, grid_A):
+    def test_reconnect_after_broken_socket(self, grid_A):
+        """A broken connection surfaces as a typed ServiceUnavailable; the
+        same client's next call reconnects, and the resubmitted job runs
+        again to a bitwise factor."""
         with FactorService(**SVC_KW) as svc:
             server = ServiceServer(svc, port=0).start_background()
             try:
                 with ServiceClient(address=server.address) as client:
-                    client.factor(grid_A, job_id="wire-1", timeout=120)
-                    client.factor(grid_A, job_id="wire-1", timeout=120)
-                    assert svc.metrics.deduped == 1
-                    # The socket client names every job, so a retry after
-                    # a broken pipe finds the result of an "unnamed" call.
+                    first = client.factor(grid_A, timeout=120)
+                    client._sock.close()  # snap the pipe under the client
+                    with pytest.raises(ServiceUnavailable):
+                        client.factor(grid_A, timeout=120)
                     r = client.factor(grid_A, timeout=120)
-                assert set(svc._completed) == {"wire-1", r.job_id}
+                    assert _bitwise(r.L, _cold_L(grid_A))
+                    assert r.job_id != first.job_id
+                    assert svc.metrics.submitted == 2
             finally:
                 server.close()
 
@@ -447,13 +355,46 @@ class TestGracefulDrain:
         svc = FactorService(**SVC_KW).start()
         svc.factor(grid_A)
         stuck = JobHandle(FactorJob(job_id="stuck", A=grid_A))
-        svc._outstanding["stuck"] = stuck
+        svc._running = stuck  # the dispatcher's one job, never answered
         svc.close()
         assert stuck.done()
         with pytest.raises(ServiceClosed):
             stuck.result(0)
         assert svc.metrics.records[-1].job_id == "stuck"
         svc.close()  # idempotent
+
+    def test_a_job_the_drain_gave_up_on_is_counted_once(self, grid_A):
+        """close() fails the job the dispatcher still holds once the
+        drain times out; when that job ends later, it is not counted (or
+        answered) a second time."""
+        svc = FactorService(**SVC_KW).start()
+        first = svc.factor(grid_A)
+        run_job, release = svc._run_job, threading.Event()
+
+        def held(queued):
+            release.wait(60)
+            run_job(queued)
+
+        svc._run_job = held
+        # Fails at dispatch without touching the crew (unknown pattern).
+        late = svc.submit(pattern_id="nope", values=grid_A.data)
+        give_up = time.monotonic() + 30.0
+        while svc._running is not late and time.monotonic() < give_up:
+            time.sleep(0.001)
+        svc.close(timeout=0.05)
+        with pytest.raises(ServiceClosed, match="timed out"):
+            late.result(0)
+        release.set()
+        svc._dispatcher.join(60)
+        assert not svc._dispatcher.is_alive()
+        assert [r.job_id for r in svc.metrics.records] == [
+            first.job_id, late.job_id,
+        ]
+        jobs = svc.stats()["service"]["jobs"]
+        assert (jobs["submitted"], jobs["completed"], jobs["failed"]) \
+            == (2, 1, 1)
+        with pytest.raises(ServiceClosed):
+            late.result(0)
 
     def test_queued_jobs_fail_typed_on_close(self, grid_A):
         """Jobs still in the admission queue at close() resolve typed."""

@@ -71,18 +71,6 @@ class TestWarmSolve:
             assert sres.x.shape == b.shape
             assert np.array_equal(sres.x, jr.solve(b))
 
-    def test_solve_jobs_dedup_by_job_id(self, grid_A):
-        """An idempotent retry returns the cached result — the same
-        object — without re-running anything."""
-        with FactorService(**SVC_KW) as svc:
-            jr = svc.factor(grid_A)
-            b = _rhs(grid_A.shape[0])
-            before = svc.metrics.deduped
-            first = svc.solve(b, pattern_id=jr.pattern_id, job_id="s-1")
-            again = svc.solve(b, pattern_id=jr.pattern_id, job_id="s-1")
-            assert again is first
-            assert svc.metrics.deduped == before + 1
-
 
 class TestSolvesShareTheQueue:
     def test_solves_racing_a_refactor_see_the_factor_before_them(
@@ -93,27 +81,27 @@ class TestSolvesShareTheQueue:
         that preceded it in the queue — bitwise."""
         b = _rhs(grid_A.shape[0])
         with FactorService(**SVC_KW) as svc:
-            factors = {"f0": svc.factor(grid_A, job_id="f0")}
-            pid = factors["f0"].pattern_id
+            first = svc.factor(grid_A)
+            factors = {first.job_id: first}
+            pid = first.pattern_id
             solves = {}
 
             def refactor():
                 for i in (1, 2, 3):
                     M = grid_A.copy()
                     M.setdiag(M.diagonal() + i)
-                    factors[f"f{i}"] = svc.factor(
-                        pattern_id=pid, values=M.data, job_id=f"f{i}"
-                    )
+                    r = svc.factor(pattern_id=pid, values=M.data)
+                    factors[r.job_id] = r
 
-            def solver(tag):
-                for i in range(4):
-                    r = svc.solve(b, pattern_id=pid, job_id=f"{tag}{i}")
+            def solver():
+                for _ in range(4):
+                    r = svc.solve(b, pattern_id=pid)
                     solves[r.job_id] = r
 
             threads = [
                 threading.Thread(target=refactor),
-                threading.Thread(target=solver, args=("a",)),
-                threading.Thread(target=solver, args=("b",)),
+                threading.Thread(target=solver),
+                threading.Thread(target=solver),
             ]
             for t in threads:
                 t.start()
@@ -183,7 +171,7 @@ class TestTypedErrors:
         with FactorService(**SVC_KW) as svc:
             jr = svc.factor(grid_A)
             entry = svc.cache.peek(jr.pattern_id)
-            seen = svc.queue.stats.submitted
+            seen = svc.metrics.submitted
             svc.queue.put = lambda *a, **k: pytest.fail("queued")
             with pytest.raises(UnknownPatternError):
                 svc.solve(b, pattern_id="nope")
@@ -208,7 +196,7 @@ class TestTypedErrors:
             svc.breaker.record_failure()
             with pytest.raises(ServiceUnavailable):
                 svc.solve(b, pattern_id=jr.pattern_id)
-            assert svc.queue.stats.submitted == seen
+            assert svc.metrics.submitted == seen
             del svc.queue.put
 
     def test_unknown_pattern(self, grid_A):
@@ -261,11 +249,10 @@ class TestMidSolveFailure:
         with FactorService(**SVC_KW) as svc:
             jr = svc.factor(grid_A)
             b = _rhs(grid_A.shape[0])
-            clean = svc.solve(b, pattern_id=jr.pattern_id, job_id="s-ok")
+            clean = svc.solve(b, pattern_id=jr.pattern_id)
             assert clean.outcome == "clean"
             hurt = svc.solve(
-                b, pattern_id=jr.pattern_id, job_id="s-kill",
-                fault_plan=MID_SOLVE_KILL,
+                b, pattern_id=jr.pattern_id, fault_plan=MID_SOLVE_KILL,
             )
             assert hurt.outcome == "degraded_sequential"
             assert np.array_equal(hurt.x, clean.x)
@@ -277,14 +264,13 @@ class TestMidSolveFailure:
         with FactorService(**SVC_KW) as svc:
             jr = svc.factor(grid_A)
             b = _rhs(grid_A.shape[0])
-            ref = svc.solve(b, pattern_id=jr.pattern_id, job_id="s-a")
-            svc.solve(b, pattern_id=jr.pattern_id, job_id="s-b",
-                      fault_plan=MID_SOLVE_KILL)
-            after = svc.solve(b, pattern_id=jr.pattern_id, job_id="s-c")
+            ref = svc.solve(b, pattern_id=jr.pattern_id)
+            svc.solve(b, pattern_id=jr.pattern_id, fault_plan=MID_SOLVE_KILL)
+            after = svc.solve(b, pattern_id=jr.pattern_id)
             assert after.outcome == "degraded_sequential"
             assert np.array_equal(after.x, ref.x)
             svc.factor(pattern_id=jr.pattern_id, values=grid_A.data)
-            warm = svc.solve(b, pattern_id=jr.pattern_id, job_id="s-d")
+            warm = svc.solve(b, pattern_id=jr.pattern_id)
             assert warm.outcome == "clean"
             assert np.array_equal(warm.x, ref.x)
 
