@@ -52,10 +52,7 @@ def main() -> None:
     )
 
     # --- 3. the full 5x5 study -------------------------------------------
-    domains = repro.assign_domains(wm, grid.P)
-    base_perf = repro.run_fanout(
-        tg, cyc, domains=domains, factor_ops=sf.factor_ops
-    ).mflops
+    base_perf = repro.run_fanout(tg, cyc, factor_ops=sf.factor_ops).mflops
     base_bal = repro.balance_metrics(wm, cyc).overall
     print(f"\ncyclic baseline: balance {base_bal:.2f}, {base_perf:.0f} Mflops")
     print("\nrows = row heuristic, cols = column heuristic")
@@ -67,9 +64,7 @@ def main() -> None:
         for ch in HEURISTICS:
             m = repro.heuristic_map(wm, grid, rh, ch)
             bal = repro.balance_metrics(wm, m).overall
-            perf = repro.run_fanout(
-                tg, m, domains=domains, factor_ops=sf.factor_ops
-            ).mflops
+            perf = repro.run_fanout(tg, m, factor_ops=sf.factor_ops).mflops
             cells.append(
                 f"{100 * (bal / base_bal - 1):+4.0f}/{100 * (perf / base_perf - 1):+4.0f}"
             )
@@ -78,8 +73,7 @@ def main() -> None:
     # --- 4. the prime-grid shortcut --------------------------------------
     g63 = repro.best_grid(63)
     prime = repro.run_fanout(
-        tg, repro.cyclic_map(N, g63),
-        domains=repro.assign_domains(wm, 63), factor_ops=sf.factor_ops,
+        tg, repro.cyclic_map(N, g63), factor_ops=sf.factor_ops,
     ).mflops
     print(
         f"\ncyclic on a relatively-prime {g63} grid (63 procs): "

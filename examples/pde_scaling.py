@@ -48,14 +48,13 @@ def main() -> None:
     )
     for P in (4, 16, 36, 64, 100, 144, 196):
         grid = repro.square_grid(P)
-        domains = repro.assign_domains(wm, P)
         cyc = repro.run_fanout(
             tg, repro.cyclic_map(part.npanels, grid),
-            domains=domains, factor_ops=sf.factor_ops,
+            factor_ops=sf.factor_ops,
         )
         heur = repro.run_fanout(
             tg, repro.heuristic_map(wm, grid, "ID", "CY"),
-            domains=domains, factor_ops=sf.factor_ops,
+            factor_ops=sf.factor_ops,
         )
         gain = 100 * (heur.mflops / cyc.mflops - 1)
         print(

@@ -49,18 +49,14 @@ def main() -> None:
     # ---- 5. parallel simulation: cyclic vs heuristic mapping ------------
     grid = repro.square_grid(64)
     tg = repro.TaskGraph(wm)
-    domains = repro.assign_domains(wm, grid.P)
-
     cyclic = repro.run_fanout(
         tg,
         repro.cyclic_map(partition.npanels, grid),
-        domains=domains,
         factor_ops=sf.factor_ops,
     )
     heuristic = repro.run_fanout(
         tg,
         repro.heuristic_map(wm, grid, "ID", "CY"),
-        domains=domains,
         factor_ops=sf.factor_ops,
     )
     print(f"\nsimulated Intel Paragon, P={grid.P}:")

@@ -59,14 +59,13 @@ def main() -> None:
     print(f"{'P':>5s} {'cyclic':>9s} {'heuristic':>10s} {'gain':>6s}")
     for P in (16, 36, 64, 100):
         grid = repro.square_grid(P)
-        domains = repro.assign_domains(wm, P)
         cyc = repro.run_fanout(
             tg, repro.cyclic_map(partition.npanels, grid),
-            domains=domains, factor_ops=sf.factor_ops,
+            factor_ops=sf.factor_ops,
         ).mflops
         heur = repro.run_fanout(
             tg, repro.heuristic_map(wm, grid, "ID", "CY"),
-            domains=domains, factor_ops=sf.factor_ops,
+            factor_ops=sf.factor_ops,
         ).mflops
         print(f"{P:5d} {cyc:9.1f} {heur:10.1f} {100 * (heur / cyc - 1):+5.0f}%")
 
@@ -75,7 +74,7 @@ def main() -> None:
     cp = repro.critical_path(tg)
     res = repro.run_fanout(
         tg, repro.heuristic_map(wm, grid, "ID", "CY"),
-        domains=repro.assign_domains(wm, 64), factor_ops=sf.factor_ops,
+        factor_ops=sf.factor_ops,
     )
     print(
         f"\nat P=64: efficiency {res.efficiency:.2f}, "

@@ -123,8 +123,8 @@ def cmd_trace(args) -> int:
 #: ``FactorService`` keywords that are not :class:`RunConfig` fields; each
 #: is a flag of ``serve`` whose ``dest`` is the keyword.
 _SERVICE_ONLY = (
-    "queue_capacity", "cache_capacity", "validate", "default_deadline_s",
-    "breaker_threshold", "breaker_cooldown_s",
+    "queue_capacity", "cache_capacity", "validate", "breaker_threshold",
+    "breaker_cooldown_s",
 )
 
 
@@ -146,10 +146,6 @@ def _add_service_knobs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--validate", action="store_true",
                    help="check every factor against the sequential "
                         "baseline (bitwise on a 1 x P grid)")
-    p.add_argument("--deadline", dest="default_deadline_s", type=float,
-                   default=None, metavar="S",
-                   help="default per-job deadline in seconds "
-                        "(None = unbounded)")
     p.add_argument("--breaker-threshold", type=int, default=3,
                    help="consecutive pool failures that trip the "
                         "circuit breaker (0 disables)")

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from repro.experiments.pipeline import prepare_problem
 from repro.experiments.runner import ExperimentResult, pct
-from repro.fanout import assign_domains, run_fanout
+from repro.fanout import (
+    block_owners, plan_block_owners, run_fanout, simulate_fanout,
+)
 from repro.machine.params import PARAGON, ZERO_COMM, MachineParams
 from repro.mapping import balance_metrics, heuristic_map, square_grid
 from repro.mapping.balance import overall_balance_from_owners
-from repro.fanout.ownership import block_owners
 
 
 def run_block_size(
@@ -32,9 +33,7 @@ def run_block_size(
         prep = prepare_problem(matrix, scale, block_size=B)
         cmap = heuristic_map(prep.workmodel, grid, "ID", "CY")
         res = run_fanout(
-            prep.taskgraph, cmap, machine=machine,
-            domains=assign_domains(prep.workmodel, P),
-            factor_ops=prep.factor_ops,
+            prep.taskgraph, cmap, machine=machine, factor_ops=prep.factor_ops,
         )
         bal = balance_metrics(prep.workmodel, cmap).overall
         data[B] = {"mflops": res.mflops, "balance": bal,
@@ -61,13 +60,11 @@ def run_domains_ablation(
         prep = prepare_problem(name, scale)
         cmap = heuristic_map(prep.workmodel, grid, "ID", "CY")
         with_dom = run_fanout(
-            prep.taskgraph, cmap, machine=machine,
-            domains=assign_domains(prep.workmodel, P),
-            factor_ops=prep.factor_ops,
+            prep.taskgraph, cmap, machine=machine, factor_ops=prep.factor_ops,
         )
-        without = run_fanout(
-            prep.taskgraph, cmap, machine=machine, domains=None,
-            factor_ops=prep.factor_ops,
+        without = simulate_fanout(  # every block where cmap puts it
+            prep.taskgraph, block_owners(prep.taskgraph, cmap), P,
+            machine=machine, factor_ops=prep.factor_ops,
         )
         saved = pct(without.comm_bytes, max(1, with_dom.comm_bytes))
         data[name] = {
@@ -103,11 +100,10 @@ def run_zero_comm(
     for name in problem_names("table1"):
         prep = prepare_problem(name, scale)
         cmap = heuristic_map(prep.workmodel, grid, "ID", "CY")
-        domains = assign_domains(prep.workmodel, P)
-        owners = block_owners(prep.taskgraph, cmap, domains)
+        owners = plan_block_owners(prep.taskgraph, cmap)
         bound = overall_balance_from_owners(prep.workmodel, owners, P)
-        res = run_fanout(
-            prep.taskgraph, cmap, machine=ZERO_COMM, domains=domains,
+        res = simulate_fanout(
+            prep.taskgraph, owners, P, machine=ZERO_COMM,
             factor_ops=prep.factor_ops,
         )
         data[name] = {"efficiency": res.efficiency, "bound": bound}
@@ -135,15 +131,14 @@ def run_contention(
     data = {}
     for name in problem_names("table1"):
         prep = prepare_problem(name, scale)
-        domains = assign_domains(prep.workmodel, P)
         cyc_map = heuristic_map(prep.workmodel, grid, "CY", "CY")
         heu_map = heuristic_map(prep.workmodel, grid, "ID", "CY")
         cyc = run_fanout(prep.taskgraph, cyc_map, machine=congested,
-                         domains=domains, factor_ops=prep.factor_ops)
+                         factor_ops=prep.factor_ops)
         heu = run_fanout(prep.taskgraph, heu_map, machine=congested,
-                         domains=domains, factor_ops=prep.factor_ops)
+                         factor_ops=prep.factor_ops)
         free = run_fanout(prep.taskgraph, heu_map, machine=PARAGON,
-                          domains=domains, factor_ops=prep.factor_ops)
+                          factor_ops=prep.factor_ops)
         gain = pct(heu.mflops, cyc.mflops)
         slowdown = pct(free.mflops, heu.mflops)
         data[name] = {"gain_under_contention": gain,

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.experiments.pipeline import prepare_problem
 from repro.experiments.runner import ExperimentResult, pct
-from repro.fanout import assign_domains, run_fanout
+from repro.fanout import run_fanout
 from repro.machine.params import PARAGON
 from repro.mapping import (
     balance_metrics,
@@ -38,17 +38,16 @@ def run(scale: str = "medium", P: int = 64, machine=PARAGON) -> ExperimentResult
     bal_improvs, perf_improvs = [], []
     for name in problem_names("table1"):
         prep = prepare_problem(name, scale)
-        domains = assign_domains(prep.workmodel, P)
         basic = heuristic_map(prep.workmodel, grid, "DW", "CY")
         alt = processor_aware_row_map(prep.workmodel, grid, "CY", "DW")
         bal_b = balance_metrics(prep.workmodel, basic).overall
         bal_a = balance_metrics(prep.workmodel, alt).overall
         perf_b = run_fanout(
-            prep.taskgraph, basic, machine=machine, domains=domains,
+            prep.taskgraph, basic, machine=machine,
             factor_ops=prep.factor_ops,
         ).mflops
         perf_a = run_fanout(
-            prep.taskgraph, alt, machine=machine, domains=domains,
+            prep.taskgraph, alt, machine=machine,
             factor_ops=prep.factor_ops,
         ).mflops
         bal_improvs.append(pct(bal_a, bal_b))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.experiments.pipeline import prepare_problem
 from repro.experiments.runner import ExperimentResult, pct
-from repro.fanout import run_fanout
+from repro.fanout import block_owners, simulate_fanout
 from repro.machine.params import PARAGON
 from repro.mapping import best_grid, cyclic_map, heuristic_map, square_grid
 
@@ -33,13 +33,16 @@ def run(
     for name in DENSE_PROBLEMS:
         prep = prepare_problem(name, scale)
         tg, wm = prep.taskgraph, prep.workmodel
-        # Dense matrices have no domain portion (one giant supernode).
-        cyc = run_fanout(tg, cyclic_map(tg.npanels, sq), machine=machine,
-                         factor_ops=prep.factor_ops)
-        prime = run_fanout(tg, cyclic_map(tg.npanels, pg), machine=machine,
-                           factor_ops=prep.factor_ops)
-        heur = run_fanout(tg, heuristic_map(wm, sq, "ID", "CY"),
-                          machine=machine, factor_ops=prep.factor_ops)
+
+        def sim(cmap):
+            # Every block where the map puts it: a dense matrix is one
+            # giant supernode, with no domain portion to plan.
+            return simulate_fanout(tg, block_owners(tg, cmap), cmap.grid.P,
+                                   machine=machine, factor_ops=prep.factor_ops)
+
+        cyc = sim(cyclic_map(tg.npanels, sq))
+        prime = sim(cyclic_map(tg.npanels, pg))
+        heur = sim(heuristic_map(wm, sq, "ID", "CY"))
         gain = pct(heur.mflops, cyc.mflops)
         data[name] = {
             "cyclic": cyc.mflops,

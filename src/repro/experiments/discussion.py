@@ -18,7 +18,9 @@ from __future__ import annotations
 from repro.analysis import communication_volume, critical_path
 from repro.experiments.pipeline import prepare_problem
 from repro.experiments.runner import ExperimentResult, pct
-from repro.fanout import assign_domains, block_owners, run_fanout
+from repro.fanout import (
+    block_owners, plan_block_owners, run_fanout, simulate_fanout,
+)
 from repro.machine.params import PARAGON
 from repro.mapping import (
     balance_metrics,
@@ -45,7 +47,6 @@ def run_critical_path(
             prep.taskgraph,
             heuristic_map(prep.workmodel, grid, "ID", "CY"),
             machine=machine,
-            domains=assign_domains(prep.workmodel, P),
             factor_ops=prep.factor_ops,
         )
         headroom = pct(cp.max_efficiency(P), res.efficiency)
@@ -82,11 +83,13 @@ def run_subcube(
         comm_s = communication_volume(prep.taskgraph, own_s, machine)
         bal_h = balance_metrics(prep.workmodel, heur).overall
         bal_s = balance_metrics(prep.workmodel, sub).overall
-        perf_h = run_fanout(
-            prep.taskgraph, heur, machine=machine, factor_ops=prep.factor_ops
+        perf_h = simulate_fanout(
+            prep.taskgraph, own_h, P, machine=machine,
+            factor_ops=prep.factor_ops,
         ).mflops
-        perf_s = run_fanout(
-            prep.taskgraph, sub, machine=machine, factor_ops=prep.factor_ops
+        perf_s = simulate_fanout(
+            prep.taskgraph, own_s, P, machine=machine,
+            factor_ops=prep.factor_ops,
         ).mflops
         vol_delta = pct(comm_s.bytes, comm_h.bytes)
         data[name] = {
@@ -125,7 +128,6 @@ def run_priority_scheduling(
     deepest-destination, and bottom-level (critical-path/HLF) scheduling.
     """
     from repro.fanout.priorities import task_priorities
-    from repro.fanout import plan_block_owners, simulate_fanout
 
     grid = square_grid(P)
     rows = []

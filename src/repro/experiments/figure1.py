@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.experiments.pipeline import prepare_problem
 from repro.experiments.runner import ExperimentResult
-from repro.fanout import assign_domains, block_owners, run_fanout
+from repro.fanout import plan_block_owners, simulate_fanout
 from repro.machine.params import PARAGON
 from repro.mapping import cyclic_map, square_grid
 from repro.mapping.balance import overall_balance_from_owners
@@ -32,14 +32,10 @@ def run(
         for P in Ps:
             grid = square_grid(P)
             cmap = cyclic_map(prep.partition.npanels, grid)
-            domains = assign_domains(prep.workmodel, P)
-            owners = block_owners(prep.taskgraph, cmap, domains)
+            owners = plan_block_owners(prep.taskgraph, cmap)
             bal = overall_balance_from_owners(prep.workmodel, owners, P)
-            res = run_fanout(
-                prep.taskgraph,
-                cmap,
-                machine=machine,
-                domains=domains,
+            res = simulate_fanout(
+                prep.taskgraph, owners, P, machine=machine,
                 factor_ops=prep.factor_ops,
             )
             rows.append((name, P, res.efficiency, bal))

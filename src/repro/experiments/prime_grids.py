@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.experiments.pipeline import prepare_problem
 from repro.experiments.runner import ExperimentResult, pct
-from repro.fanout import assign_domains, run_fanout
+from repro.fanout import run_fanout
 from repro.machine.params import PARAGON
 from repro.mapping import best_grid, cyclic_map, heuristic_map, square_grid
 from repro.matrices.registry import problem_names
@@ -43,22 +43,20 @@ def run(
         for P in Ps:
             sq = square_grid(P)
             pg = best_grid(P - 1)
-            domains_sq = assign_domains(prep.workmodel, P)
-            domains_pg = assign_domains(prep.workmodel, P - 1)
             base = run_fanout(
                 prep.taskgraph,
                 cyclic_map(prep.partition.npanels, sq),
-                machine=machine, domains=domains_sq, factor_ops=prep.factor_ops,
+                machine=machine, factor_ops=prep.factor_ops,
             ).mflops
             prime = run_fanout(
                 prep.taskgraph,
                 cyclic_map(prep.partition.npanels, pg),
-                machine=machine, domains=domains_pg, factor_ops=prep.factor_ops,
+                machine=machine, factor_ops=prep.factor_ops,
             ).mflops
             heur = run_fanout(
                 prep.taskgraph,
                 heuristic_map(prep.workmodel, sq, "ID", "CY"),
-                machine=machine, domains=domains_sq, factor_ops=prep.factor_ops,
+                machine=machine, factor_ops=prep.factor_ops,
             ).mflops
             prime_means[P].append(pct(prime, base))
             heur_means[P].append(pct(heur, base))

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.experiments.pipeline import prepare_problem
 from repro.experiments.runner import ExperimentResult, pct
-from repro.fanout import assign_domains, run_fanout
+from repro.fanout import run_fanout
 from repro.machine.params import PARAGON
 from repro.mapping import cyclic_map, heuristic_map, square_grid
 from repro.mapping.heuristics import HEURISTICS
@@ -51,12 +51,10 @@ def performance_grid(
     }
     for name in matrices:
         prep = prepare_problem(name, scale)
-        domains = assign_domains(prep.workmodel, P)
         base = run_fanout(
             prep.taskgraph,
             cyclic_map(prep.partition.npanels, grid),
             machine=machine,
-            domains=domains,
             factor_ops=prep.factor_ops,
         ).mflops
         for rh in HEURISTICS:
@@ -66,7 +64,6 @@ def performance_grid(
                     prep.taskgraph,
                     cmap,
                     machine=machine,
-                    domains=domains,
                     factor_ops=prep.factor_ops,
                 )
                 improvements[(rh, ch)].append(pct(res.mflops, base))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.experiments.pipeline import prepare_problem
 from repro.experiments.runner import ExperimentResult, pct
-from repro.fanout import assign_domains, run_fanout
+from repro.fanout import run_fanout
 from repro.machine.params import PARAGON
 from repro.mapping import cyclic_map, heuristic_map, square_grid
 from repro.matrices.registry import problem_names
@@ -57,19 +57,16 @@ def run(
         grid = square_grid(P)
         for name in problem_names("table7"):
             prep = prepare_problem(name, scale)
-            domains = assign_domains(prep.workmodel, P)
             base = run_fanout(
                 prep.taskgraph,
                 cyclic_map(prep.partition.npanels, grid),
                 machine=machine,
-                domains=domains,
                 factor_ops=prep.factor_ops,
             )
             heur = run_fanout(
                 prep.taskgraph,
                 heuristic_map(prep.workmodel, grid, "ID", "CY"),
                 machine=machine,
-                domains=domains,
                 factor_ops=prep.factor_ops,
             )
             improv = pct(heur.mflops, base.mflops)

@@ -21,7 +21,7 @@ from repro.blocks import BlockStructure, WorkModel
 from repro.blocks.variable import VariableBlockPartition, stage_varying_policy
 from repro.experiments.pipeline import prepare_problem
 from repro.experiments.runner import ExperimentResult
-from repro.fanout import TaskGraph, assign_domains, run_fanout
+from repro.fanout import TaskGraph, run_fanout
 from repro.machine.params import PARAGON
 from repro.mapping import balance_metrics, heuristic_map, square_grid
 from repro.matrices.registry import problem_names
@@ -82,10 +82,7 @@ def _evaluate(wm, tg, grid, machine, factor_ops, P):
     cmap = heuristic_map(wm, grid, "ID", "CY")
     bal = balance_metrics(wm, cmap).overall
     cp = critical_path(tg, machine)
-    res = run_fanout(
-        tg, cmap, machine=machine, domains=assign_domains(wm, P),
-        factor_ops=factor_ops,
-    )
+    res = run_fanout(tg, cmap, machine=machine, factor_ops=factor_ops)
     return {
         "balance": bal,
         "cp_eff": cp.max_efficiency(P),

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.fanout.domains import DomainAssignment
-from repro.fanout.ownership import block_owners
+from repro.fanout.ownership import plan_block_owners
 from repro.fanout.protocol import FanoutState, remote_ranks
 from repro.fanout.tasks import BMOD, TaskGraph
 from repro.machine.event_sim import DiscreteEventSimulator
@@ -240,16 +239,15 @@ def run_fanout(
     tg: TaskGraph,
     cmap: BlockMap,
     machine: MachineParams = PARAGON,
-    domains: DomainAssignment | None = None,
     priority_mode: bool = False,
     factor_ops: int | None = None,
 ) -> FanoutResult:
-    """Convenience wrapper: derive block ownership from a mapping (plus an
-    optional domain assignment) and simulate."""
-    owners = block_owners(tg, cmap, domains)
+    """Simulate ``cmap`` with §2.3's owners, the rule every planner uses
+    (:func:`~repro.fanout.ownership.plan_block_owners`); other owners go
+    to :func:`simulate_fanout` directly."""
     result = simulate_fanout(
         tg,
-        owners,
+        plan_block_owners(tg, cmap),
         cmap.grid.P,
         machine=machine,
         priority_mode=priority_mode,

@@ -78,7 +78,7 @@ class DeadWorkerError(FanoutError):
 
 
 class RuntimeTimeoutError(FanoutError):
-    """The run exceeded its global deadline."""
+    """A pool job ran past its ``timeout_s`` (``RunConfig.timeout_s``)."""
 
 
 @dataclass
@@ -200,7 +200,7 @@ def run_mp_fanout(
     with no fallback, so any fault that fails the attempt raises.
     Raises :class:`WorkerError` if a worker fails (a corrupt frame
     included), :class:`DeadWorkerError` if one dies without reporting and
-    :class:`RuntimeTimeoutError` on the global timeout. Every exit path
+    :class:`RuntimeTimeoutError` past ``config.timeout_s``. Every exit path
     reaps the children and unlinks the arena; the raised
     :class:`FanoutError` carries every ``WorkerResult`` that reported,
     the attempt's ``failure_report``, and ``failed_ranks`` names the

@@ -31,17 +31,16 @@ erroring worker broadcasts ABORT for that job's tag, peers abort that
 job, and the driver reports it failed; the crew serves the next, and the
 recovery loop (:mod:`repro.runtime.recovery`) re-runs the job from
 scratch. :class:`~repro.runtime.faults.FaultPlan` injection threads into
-individual jobs so every layer above is chaos-testable. Per-job
-deadlines are enforced driver-side: an expired job gets a seq-tagged
-ABORT injected into every inbox. Liveness is the driver's own check
-(:meth:`WorkerPool.dead_ranks`, every 10 ms while a job runs).
+individual jobs so every layer above is chaos-testable. Liveness is the
+driver's own check (:meth:`WorkerPool.dead_ranks`, every 10 ms while a
+job runs).
 
 Who replaces a crew: :meth:`WorkerPool.run` only *reports*. A dead
 process or the job's timeout ABORTs the job and is recorded in
 :attr:`WorkerPool.last_error` and in the job's :attr:`JobOutcome.broke`
 and :attr:`JobOutcome.failed_ranks`; the crew is then in an unknown state,
 and :func:`repro.runtime.recovery.settle` restarts it at its own width,
-or the caller closes the pool. A pool's width never changes.
+or the caller closes the pool, for good. A pool's width never changes.
 """
 
 from __future__ import annotations
@@ -126,10 +125,7 @@ class PoolJob:
 
     ``values`` is the csc ``data`` array of the permuted input matrix.
     ``context`` is present exactly when this pool incarnation has not seen
-    the pattern yet. ``deadline`` is an absolute
-    ``time.monotonic()`` instant past which the driver aborts the job
-    (``time.monotonic`` is system-wide on Linux, so workers and driver
-    agree on it). ``fault_plan`` injects deterministic faults into this
+    the pattern yet. ``fault_plan`` injects deterministic faults into this
     job's workers. ``rhs`` on a factor job appends the distributed
     triangular solve to the factor phase.
 
@@ -147,7 +143,6 @@ class PoolJob:
     values: np.ndarray
     context: PatternContext | None = None
     trace_capacity: int = 0
-    deadline: float | None = None
     fault_plan: object | None = None
     kind: str = "factor"
     rhs: np.ndarray | None = None
@@ -161,7 +156,6 @@ class JobOutcome:
     results: dict = field(default_factory=dict)  # rank -> WorkerResult
     error: str | None = None
     aborted: bool = False
-    expired: bool = False
     wall_s: float = 0.0
     #: The ranks the failure is attributed to: a rank is here iff its
     #: process died, it never reported before the job timed out, or it
@@ -409,6 +403,8 @@ class WorkerPool:
     :class:`PatternContext` exactly when its pattern is not in that set.
     :meth:`restart` replaces the crew, at the same width, with a fresh
     fabric and clears the set, so contexts are re-shipped lazily.
+    :meth:`close` is final: a later :meth:`start`, :meth:`run` or
+    :meth:`restart` raises :class:`~repro.runtime.engine.FanoutError`.
     """
 
     def __init__(self, nprocs: int):
@@ -426,6 +422,7 @@ class WorkerPool:
         self._commands: list = []
         self._results = None
         self._fabric: LinkFabric | None = None
+        self._closed = False
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -443,6 +440,9 @@ class WorkerPool:
         ]
 
     def start(self) -> "WorkerPool":
+        if self._closed:
+            from repro.runtime.engine import FanoutError  # imports us
+            raise FanoutError("the pool is closed: no crew starts again")
         if self.running:
             return self
         pin_malloc_thresholds()  # the driver's and, forked, the crew's
@@ -469,7 +469,11 @@ class WorkerPool:
         return self
 
     def close(self) -> None:
-        """Stop the workers and release every queue. Idempotent."""
+        """Stop the workers and release every queue, for good. Idempotent."""
+        self._closed = True
+        self._stop()
+
+    def _stop(self) -> None:
         if not self.running:
             return
         for q in self._commands:
@@ -496,7 +500,7 @@ class WorkerPool:
         """Tear down (terminating stragglers) and bring up a fresh crew of
         the same width — the cure for a dead or stalled one. Clears
         ``seen_patterns``, so contexts re-ship lazily."""
-        self.close()
+        self._stop()
         return self.start()
 
     def __enter__(self) -> "WorkerPool":
@@ -536,8 +540,7 @@ class WorkerPool:
     def run(self, job: PoolJob, timeout_s: float = 300.0) -> JobOutcome:
         """Run ``job`` on the resident crew: dispatch it, collect every
         rank's result. A job whose workers errored or aborted is reported
-        failed; one past its ``deadline`` is seq-aborted and reported
-        ``expired``.
+        failed.
 
         A dead worker process or ``timeout_s`` breaks the pool: the job is
         ABORTed and failed, the casualties land in its ``failed_ranks``
@@ -545,8 +548,7 @@ class WorkerPool:
         and :attr:`last_error` records why; the job is over at once.
         Nothing is restarted here — the caller restarts or closes.
         """
-        if not self.running:
-            self.start()
+        self.start()
         self.last_error = None
         out = JobOutcome(seq=job.seq)
         epoch = time.perf_counter()
@@ -561,49 +563,31 @@ class WorkerPool:
 
         def break_pool(why: str, lost, died: bool) -> None:
             self.last_error = out.broke = why
-            out.died = out.died or died
+            out.died = died
             if out.error is None:
                 out.error = why
-            lost = [r for r in lost if r in waiting]
-            out.failed_ranks.extend(lost)
+            out.failed_ranks.extend(r for r in lost if r in waiting)
             self.abort_job(job.seq)
-            waiting.difference_update(lost)
 
         while waiting:
             now = time.monotonic()
             if now >= stop_at:
-                if self.last_error is None:
-                    break_pool(f"pool job timeout after {timeout_s:.0f}s",
-                               range(self.nprocs), False)
+                break_pool(f"pool job timeout after {timeout_s:.0f}s",
+                           range(self.nprocs), False)
                 break
             # A dead process sends nothing: wake every 10 ms to look for
-            # one, so a re-run starts at once. The job's own deadline:
-            # abort exactly this job. The outcome stays failed even if
-            # stragglers later succeed.
-            wait = min(0.01, stop_at - now)
-            dl = job.deadline
-            if dl is not None and not out.expired:
-                if now > dl:
-                    out.expired = True
-                    if out.error is None:
-                        out.error = (
-                            f"job {job.seq} deadline exceeded "
-                            f"({now - dl:.3f}s past)"
-                        )
-                    self.abort_job(job.seq)
-                else:
-                    wait = min(wait, max(dl - now, 0.005))
+            # one, so a re-run starts at once.
             try:
-                seq, res = self._results.get(timeout=max(wait, 0.001))
+                seq, res = self._results.get(
+                    timeout=max(min(0.01, stop_at - now), 0.001))
             except queue_mod.Empty:
                 dead = [r for r in self.dead_ranks() if r in waiting]
                 if dead:
-                    if self.last_error is None:
-                        stop_at = time.monotonic()
                     names = [self._procs[r].name for r in dead]
                     break_pool(
                         f"pool worker process(es) died: {names}", dead, True
                     )
+                    break
                 continue
             if seq != job.seq:  # pragma: no cover - stale result
                 continue
@@ -614,8 +598,7 @@ class WorkerPool:
                 out.failed_ranks.append(res.rank)
                 if out.error is None:
                     out.error = res.metrics.error
-            if res.metrics.aborted:
-                out.aborted = True
+            out.aborted |= res.metrics.aborted
             waiting.discard(res.rank)
             if not waiting:
                 out.wall_s = time.monotonic() - t0

@@ -14,14 +14,14 @@ attempt, no fallback), a ``SparseCholesky(backend="mp")`` instance and
 the factorization service. Each round it runs the attempt and settles
 with the pool (:func:`settle`, the one place a crew is replaced, by one
 rule: a rank that merely raised stays, a broken crew is restarted at its
-own width): a finished or expired attempt ends the loop; a failed one has
-its traces kept and a :class:`FailedAttempt` recorded, and runs again
-unless its error is deterministic, the attempt budget is spent or the
-caller stops the loop. Attempt ``k`` carries the fault plan's
-:meth:`~repro.runtime.faults.FaultPlan.for_attempt` and the deadline.
-Then the finished attempt is assembled, or the sequential factorization
-stands in — never past the deadline. Every job leaves with a
-:class:`FailureReport`, so a result can always say whether its factor
+own width): a finished attempt ends the loop; a failed one has its
+traces kept and a :class:`FailedAttempt` recorded, and runs again unless
+its error is deterministic, the attempt budget is spent or the caller
+stops the loop. Attempt ``k`` carries the fault plan's
+:meth:`~repro.runtime.faults.FaultPlan.for_attempt`, and each is bounded
+by the plan's ``config.timeout_s``. Then the finished attempt is
+assembled, or the sequential factorization stands in. Every job leaves
+with a :class:`FailureReport`, so a result can always say whether its factor
 came from a clean run, a recovered restart or the sequential fallback.
 Failed attempts, restarts, fallbacks and recoveries are logged here.
 """
@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.numeric.blockfact import BlockCholesky
 from repro.runtime.engine import (
-    MPRuntimeResult, PatternPlan, RuntimeTimeoutError, job_result,
+    MPRuntimeResult, PatternPlan, job_result,
 )
 from repro.runtime.faults import FaultPlan
 from repro.runtime.metrics import RuntimeMetrics
@@ -124,26 +124,24 @@ def settle(pool: WorkerPool) -> bool:
 
 
 def run_job(pool: WorkerPool, plan: PatternPlan, A, attempts: int, seqs, *,
-            rhs=None, fault_plan: FaultPlan | None = None, deadline=None,
-            settled=None, label: str | None = None,
+            rhs=None, fault_plan: FaultPlan | None = None, settled=None,
+            label: str | None = None,
             fallback_sequential=True) -> MPRuntimeResult:
     """Factor ``A`` (permuted csc) on ``pool``, started first, in up to
     ``attempts`` parallel attempts over ``plan``'s job, numbered from
-    ``seqs``; attempt ``k`` carries ``fault_plan.for_attempt(k)`` and the
-    ``deadline`` (``time.monotonic()``; ``rhs`` appends the distributed
-    solve). ``settled(restarted)``, if given, hears after each attempt
-    whether :func:`settle` replaced the crew and answers whether the pool
-    may run another (a circuit breaker's seat). ``label`` names the job
-    in the log (default: the pattern id).
+    ``seqs``; attempt ``k`` carries ``fault_plan.for_attempt(k)`` (``rhs``
+    appends the distributed solve). ``settled(restarted)``, if given,
+    hears after each attempt whether :func:`settle` replaced the crew and
+    answers whether the pool may run another (a circuit breaker's seat).
+    ``label`` names the job in the log (default: the pattern id).
 
     Returns the finished attempt's result or, when none finished, the
     sequential fallback's (no ``solution``; what it raises — a
     ``LinAlgError`` for a matrix that is not positive definite — is the
-    job's canonical error). Never falls back past the ``deadline``: that
-    raises :class:`~repro.runtime.engine.RuntimeTimeoutError`; with
-    ``fallback_sequential`` off the last attempt's typed error is raised.
-    Both errors and the result carry the job's :class:`FailureReport` as
-    ``failure_report``; a gather that fails its checks raises the plain
+    job's canonical error). With ``fallback_sequential`` off the last
+    attempt's typed error is raised, carrying the job's
+    :class:`FailureReport` as ``failure_report`` like the result; a
+    gather that fails its checks raises the plain
     :class:`~repro.runtime.engine.FanoutError` of
     :func:`~repro.runtime.engine.outcome_result`.
     """
@@ -157,7 +155,7 @@ def run_job(pool: WorkerPool, plan: PatternPlan, A, attempts: int, seqs, *,
     width = pool.nprocs
     for attempt in range(attempts):
         job = plan.job(
-            pool, A, next(seqs), rhs=rhs, deadline=deadline,
+            pool, A, next(seqs), rhs=rhs,
             fault_plan=fault_plan and fault_plan.for_attempt(attempt),
         )
         t0 = time.perf_counter()
@@ -182,7 +180,7 @@ def run_job(pool: WorkerPool, plan: PatternPlan, A, attempts: int, seqs, *,
                 out.error or "aborted", wall_s,
             ))
             log.warning("job %s: %s", label, report.attempts[-1])
-            retry = not out.expired and not any(
+            retry = not any(
                 out.results[r].metrics.error_type in NOT_RETRYABLE
                 for r in out.failed_ranks if r in out.results
             )
@@ -195,13 +193,6 @@ def run_job(pool: WorkerPool, plan: PatternPlan, A, attempts: int, seqs, *,
     if report.ok or not fallback_sequential:
         res = job_result(plan, job, out, launch_s, report)
         report.faults_injected = res.metrics.faults_injected_total
-    elif deadline is not None and time.monotonic() > deadline:
-        error = RuntimeTimeoutError(
-            f"job {label} missed its deadline after {report.restarts} "
-            "failed attempt(s); no sequential fallback"
-        )
-        error.failure_report = report
-        raise error
     else:
         log.warning("job %s: sequential fallback after %d failed attempt(s)",
                     label, report.restarts)

@@ -29,9 +29,10 @@ The service is self-healing: dead or stalled workers are detected
 mid-job, the pool restarts at its configured width, and the job in
 flight is re-run from scratch (bounded attempts) before falling back to
 the always-correct sequential path — outcomes are tagged per job.
-Per-job deadlines and a :class:`~repro.service.resilience.CircuitBreaker`
-guarding the pool round out the failure surface; every failure is a
-typed :class:`ServiceError` subclass, never a hang. A job's faults are
+A :class:`~repro.service.resilience.CircuitBreaker` guarding the pool
+rounds out the failure surface; every failure is a typed
+:class:`ServiceError` subclass, and a caller's ``timeout`` bounds its
+wait. A job's faults are
 injected with ``submit(fault_plan=)``.
 
 One submit, one run: the service names every job it admits, and each
@@ -45,7 +46,6 @@ from repro.service.cache import PatternCache, PatternEntry, pattern_digest
 from repro.service.client import ClientResult, ServiceClient
 from repro.service.jobs import (
     AdmissionRejected,
-    DeadlineExceeded,
     FactorJob,
     JobFailed,
     JobHandle,
@@ -66,7 +66,6 @@ __all__ = [
     "AdmissionRejected",
     "CircuitBreaker",
     "ClientResult",
-    "DeadlineExceeded",
     "FactorJob",
     "FactorService",
     "JobFailed",

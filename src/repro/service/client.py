@@ -26,7 +26,6 @@ import numpy as np
 from repro.service import protocol
 from repro.service.jobs import (
     AdmissionRejected,
-    DeadlineExceeded,
     JobFailed,
     ServiceClosed,
     ServiceError,
@@ -40,7 +39,6 @@ _ERROR_TYPES = {
     "rejected": lambda m: AdmissionRejected("remote", m),
     "closed": ServiceClosed,
     "unknown_pattern": UnknownPatternError,
-    "deadline": DeadlineExceeded,
     "unavailable": ServiceUnavailable,
     "failed": lambda m: JobFailed("<remote>", m),
     "validation": lambda m: ValidationFailed("<remote>", m),
@@ -154,19 +152,16 @@ class ServiceClient:
         pattern_id: str | None = None,
         values: np.ndarray | None = None,
         timeout: float | None = None,
-        deadline_s: float | None = None,
     ) -> ClientResult:
         """Factor a matrix (or pattern handle + values); blocks until
-        the job completes. Raises the service's typed errors.
-        ``deadline_s`` is the job's end-to-end budget — past it the call
-        raises :class:`~repro.service.jobs.DeadlineExceeded`, never
-        hangs. The service names the job (``ClientResult.job_id``)."""
+        the job completes or ``timeout`` (default: the client's) runs
+        out. Raises the service's typed errors. The service names the
+        job (``ClientResult.job_id``)."""
         timeout = self.timeout if timeout is None else timeout
         msg = {
             "op": "factor",
             "pattern_id": pattern_id,
             "timeout": timeout,
-            "deadline_s": deadline_s,
         }
         if A is not None:
             msg["A"] = protocol.pack_csc(A)

@@ -45,16 +45,6 @@ class UnknownPatternError(ServiceError):
     kind = "unknown_pattern"
 
 
-class DeadlineExceeded(ServiceError):
-    """The job's per-job deadline passed before a factor was released.
-
-    Raised server-side (the dispatcher seq-aborts the expired job and
-    goes on to the next) and client-side (``JobHandle.result`` raises it
-    once the deadline passes even if the server is still working)."""
-
-    kind = "deadline"
-
-
 class ServiceUnavailable(ServiceError):
     """The client could not reach the service (connect/request failed or
     timed out), or the circuit breaker refused a solve. The client's next
@@ -85,25 +75,8 @@ class ValidationFailed(JobFailed):
 # ----------------------------------------------------------------------
 # Jobs and results
 # ----------------------------------------------------------------------
-class _Budgeted:
-    """The deadline arithmetic of a job with ``deadline_s`` (seconds from
-    ``submitted_at``; None = no deadline)."""
-
-    @property
-    def deadline(self) -> float | None:
-        """Absolute ``time.monotonic()`` deadline (None when unbounded)."""
-        if self.deadline_s is None:
-            return None
-        return self.submitted_at + self.deadline_s
-
-    @property
-    def expired(self) -> bool:
-        dl = self.deadline
-        return dl is not None and time.monotonic() > dl
-
-
 @dataclass
-class FactorJob(_Budgeted):
+class FactorJob:
     """One client request: a full matrix, or a pattern handle + values.
 
     Exactly one of ``A`` / (``pattern_id`` + ``values``) is given. A full
@@ -117,8 +90,6 @@ class FactorJob(_Budgeted):
     A: sparse.csc_matrix | None = None
     pattern_id: str | None = None
     values: np.ndarray | None = None
-    #: Per-job budget in seconds from submission; None = no deadline.
-    deadline_s: float | None = None
     #: Faults of every parallel attempt, via ``for_attempt`` (chaos testing).
     fault_plan: object | None = None
     submitted_at: float = field(default_factory=time.monotonic)
@@ -137,7 +108,7 @@ class FactorJob(_Budgeted):
 
 
 @dataclass
-class SolveJob(_Budgeted):
+class SolveJob:
     """One solve request as :meth:`FactorService.solve` queues it, already
     validated on the calling thread: the pattern's cache entry and the
     permuted right-hand-side panel (``vector``: the client's ``b`` was
@@ -147,7 +118,6 @@ class SolveJob(_Budgeted):
     entry: object
     panel: np.ndarray
     vector: bool = False
-    deadline_s: float | None = None
     fault_plan: object | None = None
     submitted_at: float = field(default_factory=time.monotonic)
 
@@ -233,24 +203,10 @@ class JobHandle:
         self._event.set()
 
     def result(self, timeout: float | None = None):
-        """Block for the result.
-
-        The wait is additionally bounded by the job's own deadline:
-        whatever the server is doing, a deadlined job's ``result()``
-        returns or raises the typed :class:`DeadlineExceeded` by its
-        deadline — a client never hangs past the budget it asked for.
-        """
-        deadline = self.job.deadline
-        wait = timeout
-        if deadline is not None:
-            remaining = max(deadline - time.monotonic(), 0.0)
-            wait = remaining if wait is None else min(wait, remaining)
-        if not self._event.wait(wait):
-            if deadline is not None and time.monotonic() >= deadline:
-                raise DeadlineExceeded(
-                    f"job {self.job_id!r} missed its "
-                    f"{self.job.deadline_s}s deadline"
-                )
+        """Block for the result. ``timeout`` (seconds, None = no bound)
+        is the one bound on the wait: past it :class:`TimeoutError`, while
+        the job itself runs on and answers a later ``result()``."""
+        if not self._event.wait(timeout):
             raise TimeoutError(
                 f"job {self.job_id!r} not done within {timeout}s"
             )

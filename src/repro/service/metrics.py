@@ -30,7 +30,7 @@ class JobRecord:
     pattern_id: str = ""
     #: ``"hit"`` / ``"miss"`` (empty for jobs that never reached the cache).
     cache: str = ""
-    #: ``"ok"``, ``"failed"`` or ``"expired"``.
+    #: ``"ok"`` or ``"failed"``.
     status: str = "ok"
     #: How the job survived: ``"clean"`` (first parallel attempt),
     #: ``"recovered"`` (re-run after a failed attempt), or
@@ -41,8 +41,6 @@ class JobRecord:
     attempts: int = 1
     #: Seconds spent in the admission queue before dispatch.
     queue_wait_s: float = 0.0
-    #: Per-job deadline budget the client asked for (0 = none).
-    deadline_s: float = 0.0
     #: Cold-path setup: symbolic analysis + owner planning + arena
     #: creation. ~0 on a cache hit — that drop *is* the service's point.
     setup_s: float = 0.0
@@ -74,14 +72,13 @@ def _pct(values: list[float]) -> dict:
 @dataclass
 class ServiceMetrics:
     """Thread-safe aggregate of every job the service has seen: the one
-    count of what was submitted, refused, completed, failed and expired."""
+    count of what was submitted, refused, completed and failed."""
 
     records: list = field(default_factory=list)
     submitted: int = 0
     completed: int = 0
     failed: int = 0
     rejected: int = 0
-    expired: int = 0
     #: Jobs that completed via a re-run after a failed attempt.
     recovered: int = 0
     #: Jobs that completed via the per-job sequential fallback.
@@ -114,8 +111,6 @@ class ServiceMetrics:
                     self.recovered += 1
                 elif record.outcome == "degraded_sequential":
                     self.degraded += 1
-            elif record.status == "expired":
-                self.expired += 1
             else:
                 self.failed += 1
 
@@ -135,7 +130,6 @@ class ServiceMetrics:
                     "completed": self.completed,
                     "failed": self.failed,
                     "rejected": self.rejected,
-                    "expired": self.expired,
                 },
                 "resilience": {
                     "recovered": self.recovered,
@@ -170,7 +164,7 @@ class ServiceMetrics:
         r = s["resilience"]
         lines = [
             f"jobs: {j['completed']} ok / {j['failed']} failed / "
-            f"{j['expired']} expired / {j['rejected']} rejected "
+            f"{j['rejected']} rejected "
             f"(of {j['submitted']} submitted)",
             f"resilience: {r['recovered']} recovered / "
             f"{r['degraded']} degraded-sequential / "

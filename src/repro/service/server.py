@@ -99,7 +99,6 @@ class ServiceServer:
                 pattern_id=msg.get("pattern_id"),
                 values=msg.get("values"),
                 timeout=msg.get("timeout"),
-                deadline_s=msg.get("deadline_s"),
             )
             result = handle.result(msg.get("timeout"))
             return {

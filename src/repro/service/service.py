@@ -41,9 +41,7 @@ from scipy import sparse
 from repro.config import RunConfig, check_number
 from repro.numeric.solve import permute_rhs
 from repro.runtime.arena import resolve_transport
-from repro.runtime.engine import (
-    FanoutError, RuntimeTimeoutError, outcome_result,
-)
+from repro.runtime.engine import FanoutError, outcome_result
 from repro.runtime.pool import PoolJob, WorkerPool
 from repro.runtime.recovery import (
     OUTCOME_CLEAN, OUTCOME_DEGRADED, run_job, settle,
@@ -53,7 +51,6 @@ from repro.service.admission import JobQueue
 from repro.service.cache import PatternCache, PatternEntry, pattern_digest
 from repro.service.jobs import (
     AdmissionRejected,
-    DeadlineExceeded,
     FactorJob,
     JobFailed,
     JobHandle,
@@ -100,10 +97,11 @@ class FactorService:
     ``docs/ARCHITECTURE.md``): a job gets ``config.max_restarts + 1``
     parallel attempts, each bounded by ``config.timeout_s``. The
     service-only knobs stay keywords: the queue and cache bounds, the
-    default per-job deadline, the circuit breaker, ``validate`` (check
-    every factor against the sequential baseline before releasing it). A
-    bad value raises ``ValueError`` before a pool exists. Faults are
-    injected per job: ``submit(fault_plan=)`` and ``solve(fault_plan=)``.
+    circuit breaker, ``validate`` (check every factor against the
+    sequential baseline before releasing it). A bad value raises
+    ``ValueError`` before a pool exists. Faults are injected per job:
+    ``submit(fault_plan=)`` and ``solve(fault_plan=)``. A caller bounds
+    its own wait: ``result(timeout)`` on a handle.
     """
 
     def __init__(
@@ -113,7 +111,6 @@ class FactorService:
         queue_capacity: int = 64,
         cache_capacity: int = 8,
         validate: bool = False,
-        default_deadline_s: float | None = None,
         breaker_threshold: int = 3,
         breaker_cooldown_s: float = 5.0,
         **overrides,
@@ -127,8 +124,6 @@ class FactorService:
         self.queue = JobQueue(queue_capacity)
         self.cache = PatternCache(cache_capacity)
         self.breaker = CircuitBreaker(breaker_threshold, breaker_cooldown_s)
-        self.default_deadline_s = None if default_deadline_s is None else (
-            check_number("default_deadline_s", default_deadline_s, float, 0))
         self.pool = WorkerPool(self.nprocs)
         self.metrics = ServiceMetrics()
         self._seq = itertools.count()
@@ -164,8 +159,9 @@ class FactorService:
         the dispatcher finish the running and the queued jobs, then fail
         every job it did not reach (still queued, or the one it holds)
         with a typed :class:`ServiceClosed` — a caller blocked in
-        ``result()`` always gets an answer, never a hang. The pool and
-        every arena are released. Idempotent."""
+        ``result()`` always gets an answer, never a hang. The pool is
+        closed for good; the dispatcher releases every arena when it
+        ends. Idempotent."""
         with self._lock:
             if self._closed:
                 return
@@ -191,14 +187,13 @@ class FactorService:
                 why = (
                     "service is shut down"
                     if drained
-                    else f"shutdown drain timed out after {timeout:.0f}s"
+                    else f"shutdown drain timed out after {timeout:g}s"
                 )
                 self.metrics.add(JobRecord(
                     job_id=handle.job_id, status="failed", error=why,
                 ))
                 handle.set_exception(ServiceClosed(why))
         self.pool.close()
-        self.cache.close()
 
     def __enter__(self) -> "FactorService":
         return self.start()
@@ -215,18 +210,16 @@ class FactorService:
         pattern_id: str | None = None,
         values: np.ndarray | None = None,
         timeout: float | None = None,
-        deadline_s: float | None = None,
         fault_plan=None,
     ) -> JobHandle:
         """Queue one factorization; returns immediately with a handle.
 
         ``timeout`` bounds the wait for room in a full queue (``0``
-        refuses at once). Raises :class:`AdmissionRejected` /
+        refuses at once; a NaN or negative one is a ``ValueError``, raised
+        before the job is counted). Raises :class:`AdmissionRejected` /
         :class:`ServiceClosed` at submit time — a full queue is a typed
-        error, never a hang. ``deadline_s`` is the job's end-to-end
-        budget: past it, the job fails with a typed
-        :class:`DeadlineExceeded` wherever it is (queued, running, or
-        waited on), without disturbing the jobs behind it.
+        error, never a hang. The caller bounds its wait for the answer
+        with ``handle.result(timeout)``.
 
         The service names the job (``handle.job_id``). Every call runs
         one job: a resubmission runs the job again, and its factor is
@@ -234,20 +227,16 @@ class FactorService:
         ``fault_plan`` injects deterministic faults into the job's parallel
         attempts: ``fault_plan.for_attempt(k)`` into attempt ``k``.
         """
+        if timeout is not None:  # a NaN wait would spin on a full queue
+            timeout = check_number("timeout", timeout, float, 0)
         job = FactorJob(
             job_id=_job_id(),
             A=A,
             pattern_id=pattern_id,
             values=values,
-            deadline_s=self._budget(deadline_s),
             fault_plan=fault_plan,
         )
         return self._admit(job, timeout)
-
-    def _budget(self, deadline_s: float | None) -> float | None:
-        if deadline_s is None:
-            return self.default_deadline_s
-        return check_number("deadline_s", deadline_s, float, 0)
 
     def _admit(self, job, timeout=None) -> JobHandle:
         """Queue the job, waiting up to ``timeout`` for room."""
@@ -271,7 +260,6 @@ class FactorService:
         self,
         b: np.ndarray,
         pattern_id: str,
-        deadline_s: float | None = None,
         fault_plan=None,
     ) -> SolveResult:
         """Solve ``A x = b`` against the pattern's resident factor.
@@ -291,8 +279,8 @@ class FactorService:
         uncached pattern, :class:`JobFailed` for a pattern with no
         completed factor, a bad RHS shape or a NaN/Inf in the RHS,
         :class:`ServiceUnavailable` while the circuit breaker is open (all
-        before anything is queued), :class:`DeadlineExceeded` past
-        ``deadline_s``; a full queue holds the solve until there is room.
+        before anything is queued); a full queue holds the solve until
+        there is room.
         Every call runs one job, as for :meth:`submit`.
         ``fault_plan`` injects deterministic faults into the warm solve's
         workers.
@@ -325,7 +313,7 @@ class FactorService:
         panel = pb.reshape(-1, 1) if pb.ndim == 1 else pb
         job = SolveJob(
             job_id, entry, np.ascontiguousarray(panel),
-            pb.ndim == 1, self._budget(deadline_s), fault_plan,
+            pb.ndim == 1, fault_plan,
         )
         return self._admit(job).result()
 
@@ -390,18 +378,17 @@ class FactorService:
                     ),
                 )
             self._running = None
+        # The cache's only writer releases it, after the last job: one
+        # that outlived close()'s drain may have cached a pattern.
+        self.cache.close()
 
     def _run_job(self, queued: _Queued) -> None:
         job = queued.job
         record = JobRecord(
             job_id=job.job_id,
             queue_wait_s=time.monotonic() - queued.enqueued_at,
-            deadline_s=job.deadline_s or 0.0,
         )
-        if job.expired:
-            # Died waiting in the queue — typed error, nothing runs.
-            self._finish_expired(queued, record)
-        elif isinstance(job, SolveJob):
+        if isinstance(job, SolveJob):
             self._run_solve(queued, record)
         else:
             self._run_factor(queued, record)
@@ -424,8 +411,8 @@ class FactorService:
             try:
                 res = run_job(
                     self.pool, entry, A_perm, attempts, self._seq,
-                    fault_plan=job.fault_plan, deadline=job.deadline,
-                    settled=settled, label=job.job_id,
+                    fault_plan=job.fault_plan, settled=settled,
+                    label=job.job_id,
                 )
             except np.linalg.LinAlgError as exc:
                 # The fallback's error (a matrix that is not positive
@@ -438,9 +425,6 @@ class FactorService:
             L = res.factor.to_csc()
             if ok and self.validate:
                 self._validate(job.job_id, entry, A_perm, L)
-        except RuntimeTimeoutError:  # past the deadline: no fallback
-            self._finish_expired(queued, record)
-            return
         except (*_PER_JOB_ERRORS, FanoutError, np.linalg.LinAlgError) as exc:
             # A gather that does not cover every block, or a NaN/Inf found
             # at assembly, fails the job like a failed validation: never
@@ -498,7 +482,6 @@ class FactorService:
                 values=None,
                 kind="solve",
                 rhs=job.panel,
-                deadline=job.deadline,
                 trace_capacity=self.config.trace_capacity,
                 fault_plan=job.fault_plan,
             )
@@ -519,9 +502,6 @@ class FactorService:
                     record.error = str(exc)
             else:
                 record.error = out.error or "aborted"
-        if x_perm is None and job.expired:
-            self._finish_expired(queued, record)
-            return
         record.outcome = OUTCOME_CLEAN
         if x_perm is None:
             # Sequential fallback on the retained factor — the same
@@ -559,15 +539,6 @@ class FactorService:
         else:
             self.breaker.record_success()
         return self.breaker.state == CircuitBreaker.CLOSED
-
-    def _finish_expired(self, queued, record: JobRecord) -> None:
-        job = queued.job
-        record.status = "expired"
-        record.error = f"deadline of {job.deadline_s}s exceeded"
-        log.warning("job %s expired: %s", job.job_id, record.error)
-        self._finish_failed(queued, DeadlineExceeded(
-            f"job {job.job_id!r} missed its {job.deadline_s}s deadline"
-        ), record)
 
     # -- pattern resolution --------------------------------------------
     def _resolve_entry(self, job: FactorJob, record: JobRecord):

@@ -5,7 +5,9 @@ from scipy import sparse
 from repro.analysis import communication_volume
 from repro.analysis.comm_volume import solve_communication_volume
 from repro.blocks import BlockPartition, BlockStructure, WorkModel
-from repro.fanout import TaskGraph, assign_domains, block_owners, run_fanout
+from repro.fanout import (
+    TaskGraph, block_owners, plan_block_owners, run_fanout, simulate_fanout,
+)
 from repro.mapping import ProcessorGrid, cyclic_map, square_grid
 from repro.symbolic import symbolic_factor
 
@@ -24,18 +26,17 @@ class TestCommunicationVolume:
             cmap = cyclic_map(tg.npanels, square_grid(P))
             owners = block_owners(tg, cmap)
             static = communication_volume(tg, owners)
-            dynamic = run_fanout(tg, cmap)
+            dynamic = simulate_fanout(tg, owners, P)
             assert static.messages == dynamic.comm_messages
             assert static.bytes == dynamic.comm_bytes
 
     def test_matches_simulator_with_domains(self, random_spd_pipeline):
-        wm, tg = random_spd_pipeline[4], random_spd_pipeline[5]
+        tg = random_spd_pipeline[5]
         g = square_grid(4)
         cmap = cyclic_map(tg.npanels, g)
-        dom = assign_domains(wm, g.P)
-        owners = block_owners(tg, cmap, dom)
+        owners = plan_block_owners(tg, cmap)
         static = communication_volume(tg, owners)
-        dynamic = run_fanout(tg, cmap, domains=dom)
+        dynamic = run_fanout(tg, cmap)
         assert static.messages == dynamic.comm_messages
         assert static.bytes == dynamic.comm_bytes
 

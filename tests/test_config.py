@@ -158,7 +158,6 @@ class TestValidation:
         *(pytest.param({k: v}, id=f"{k}={v}") for k, v in (
             ("queue_capacity", 2.5), ("cache_capacity", 2.5),
             ("breaker_threshold", 1.5), ("breaker_cooldown_s", float("nan")),
-            ("default_deadline_s", -1), ("default_deadline_s", float("nan")),
         )),
     ], ids=lambda k: next(iter(k)))
     def test_service_only_knobs_reject_before_a_pool_exists(
@@ -177,9 +176,9 @@ class TestValidation:
     def test_nan_budget_is_refused_before_anything_is_queued(
         self, A, monkeypatch
     ):
-        """A NaN deadline never expires, and ``result()`` would wait NaN
-        seconds: ``submit`` and ``solve`` refuse it on the calling
-        thread."""
+        """A NaN admission ``timeout`` would spin on a full queue, never
+        running out: ``submit`` refuses it on the calling thread, before
+        the job is counted."""
         from repro.runtime.pool import JobOutcome
 
         svc = FactorService(max_restarts=0)
@@ -188,12 +187,11 @@ class TestValidation:
             JobOutcome(job.seq, error="refused", aborted=True)
         ))
         try:  # no crew: the factor is the sequential last resort
-            pid = svc.factor(A).pattern_id
+            svc.factor(A)
             queued = svc.metrics.submitted
-            with pytest.raises(ValueError, match="deadline_s"):
-                svc.submit(A, deadline_s=float("nan"))
-            with pytest.raises(ValueError, match="deadline_s"):
-                svc.solve(np.ones(A.shape[0]), pid, deadline_s=float("nan"))
+            for bad in (float("nan"), -1.0):
+                with pytest.raises(ValueError, match="timeout"):
+                    svc.submit(A, timeout=bad)
             assert svc.metrics.submitted == queued
         finally:
             svc.close()
@@ -441,8 +439,9 @@ def test_the_deleted_threading_is_gone():
 #: arena barrier's ``wait_for`` / ``announce``, the batching window's
 #: ``max_batch`` / ``batch_wait_s``, the service's dispatch-index
 #: ``fault_plan`` / ``fault_jobs``, the ``recovery`` knob, resuming
-#: from a ``checkpoint``, the client's ``retry`` policy and caller-chosen
-#: ``job_id``s) cannot come back without this table changing.
+#: from a ``checkpoint``, the client's ``retry`` policy, caller-chosen
+#: ``job_id``s and per-job deadlines) cannot come back without this
+#: table changing.
 SURFACE = {
     "run_mp_fanout": {
         "structure", "A", "tg", "owners", "nprocs", "config", "mapping",
@@ -450,7 +449,7 @@ SURFACE = {
     },
     "PoolJob": {
         "seq", "pattern_id", "values", "context", "trace_capacity",
-        "deadline", "fault_plan", "kind", "rhs",
+        "fault_plan", "kind", "rhs",
     },
     "PatternContext": {
         "pattern_id", "structure", "tg", "owners", "indptr", "indices",
@@ -464,20 +463,17 @@ SURFACE = {
     "unpack": {"frame", "copy"},
     "FactorService": {
         "config", "overrides", "queue_capacity",
-        "cache_capacity", "validate",
-        "default_deadline_s", "breaker_threshold",
+        "cache_capacity", "validate", "breaker_threshold",
         "breaker_cooldown_s",
     },
     "SparseCholesky": {"A", "config", "backend", "fault_plan", "overrides"},
     "ServiceClient": {"address", "timeout"},
     # The service names every job: no caller-chosen job id.
     "FactorService.submit": {
-        "A", "pattern_id", "values", "timeout", "deadline_s", "fault_plan",
+        "A", "pattern_id", "values", "timeout", "fault_plan",
     },
-    "FactorService.solve": {"b", "pattern_id", "deadline_s", "fault_plan"},
-    "ServiceClient.factor": {
-        "A", "pattern_id", "values", "timeout", "deadline_s",
-    },
+    "FactorService.solve": {"b", "pattern_id", "fault_plan"},
+    "ServiceClient.factor": {"A", "pattern_id", "values", "timeout"},
 }
 
 
@@ -554,6 +550,10 @@ def test_retired_entry_points_stay_gone():
     assert "RetryPolicy" not in repro.service.__all__
     assert not hasattr(service, "DEDUP_CAPACITY")
     assert not hasattr(admission.JobQueue(), "stats")
+    # A caller's timeout is the one bound on its wait: no per-job deadline.
+    assert not hasattr(repro.service, "DeadlineExceeded")
+    assert "DeadlineExceeded" not in repro.service.__all__
+    assert "deadline" not in params
 
 
 def test_worker_metrics_load_a_dump_with_a_legacy_timeline():

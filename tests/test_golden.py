@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.pipeline import prepare_problem
-from repro.fanout import assign_domains, run_fanout
+from repro.fanout import run_fanout
 from repro.mapping import balance_metrics, cyclic_map, heuristic_map, square_grid
 
 
@@ -44,12 +44,10 @@ class TestGoldenSymbolic:
 class TestGoldenSimulation:
     def test_simulation_bitwise_reproducible(self, prep):
         g = square_grid(16)
-        dom = assign_domains(prep.workmodel, 16)
         results = [
             run_fanout(
                 prep.taskgraph,
                 cyclic_map(prep.partition.npanels, g),
-                domains=dom,
                 factor_ops=prep.factor_ops,
             )
             for _ in range(2)

@@ -79,11 +79,10 @@ class TestPaperClaims:
         g = square_grid(16)
         wins = 0
         for name, (p, sf, part, wm, tg) in small_suite.items():
-            dom = assign_domains(wm, g.P)
-            cyc = run_fanout(tg, cyclic_map(tg.npanels, g), domains=dom,
+            cyc = run_fanout(tg, cyclic_map(tg.npanels, g),
                              factor_ops=sf.factor_ops).mflops
             heur = run_fanout(tg, heuristic_map(wm, g, "ID", "CY"),
-                              domains=dom, factor_ops=sf.factor_ops).mflops
+                              factor_ops=sf.factor_ops).mflops
             wins += heur > cyc
         assert wins >= 2  # majority at this tiny scale
 
@@ -105,11 +104,11 @@ class TestPaperClaims:
         for name, (p, sf, part, wm, tg) in small_suite.items():
             sq = run_fanout(
                 tg, cyclic_map(tg.npanels, square_grid(16)),
-                domains=assign_domains(wm, 16), factor_ops=sf.factor_ops,
+                factor_ops=sf.factor_ops,
             ).mflops
             pr = run_fanout(
                 tg, cyclic_map(tg.npanels, best_grid(15)),
-                domains=assign_domains(wm, 15), factor_ops=sf.factor_ops,
+                factor_ops=sf.factor_ops,
             ).mflops
             wins += pr > sq
         assert wins >= 2
@@ -119,8 +118,7 @@ class TestPaperClaims:
         simulated wire time is a modest fraction of the parallel runtime."""
         g = square_grid(16)
         for name, (p, sf, part, wm, tg) in small_suite.items():
-            dom = assign_domains(wm, g.P)
-            r = run_fanout(tg, heuristic_map(wm, g, "ID", "CY"), domains=dom)
+            r = run_fanout(tg, heuristic_map(wm, g, "ID", "CY"))
             wire_seconds = (
                 r.comm_messages * PARAGON.latency
                 + r.comm_bytes / PARAGON.bandwidth

@@ -11,7 +11,6 @@ each from its owner — so a finished attempt assembles like a real one.
 """
 
 import logging
-import time
 import zlib
 
 import numpy as np
@@ -48,7 +47,7 @@ class ScriptedPool(WorkerPool):
             self.dead = []
         return self
 
-    def close(self):
+    def _stop(self):  # the crew teardown of close() and restart()
         self._procs = []
 
     def dead_ranks(self):
@@ -127,13 +126,6 @@ def stalled(pool, job):
     return JobOutcome(
         job.seq, {}, error=pool.last_error, aborted=True,
         failed_ranks=list(range(pool.nprocs)), broke=pool.last_error,
-    )
-
-
-def expired(pool, job):
-    return JobOutcome(
-        job.seq, {r: _result(r, aborted=True) for r in range(pool.nprocs)},
-        error=f"job {job.seq} deadline exceeded", aborted=True, expired=True,
     )
 
 
@@ -243,28 +235,6 @@ class TestBudgetAndOutcomes:
         assert (rep.attempts, rep.restarts) == ([], 0)
         assert pool.runs == [] and pool.generation == 1
         assert _bitwise(res, sequential)
-
-    def test_expired_is_never_retried(self, drive):
-        pool = ScriptedPool(4, expired)
-        err = drive(pool, 3, deadline=time.monotonic() - 1.0)
-        rep = err.failure_report
-        assert not rep.ok and len(rep.attempts) == 1
-        assert pool.runs == [(4, 0)] and pool.generation == 1
-
-    @pytest.mark.parametrize("script", [[expired], []], ids=["ran", "queued"])
-    def test_expired_is_typed_and_never_falls_back(self, drive, script,
-                                                   caplog):
-        """Past the deadline no sequential fallback runs, whether an
-        attempt expired or none ran: a typed error carrying the report."""
-        caplog.set_level(logging.INFO, logger="repro.runtime.recovery")
-        pool = ScriptedPool(4, *script)
-        err = drive(pool, len(script), deadline=time.monotonic() - 1.0)
-        assert isinstance(err, engine.RuntimeTimeoutError)
-        assert "missed its deadline" in str(err)
-        rep = err.failure_report
-        assert rep.outcome == "degraded_sequential"
-        assert rep.restarts == len(script) == len(pool.runs)
-        assert not [r for r in caplog.records if "fallback" in r.msg]
 
     def test_deterministic_error_gets_one_attempt_and_no_heal(
         self, drive, sequential

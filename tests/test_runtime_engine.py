@@ -76,7 +76,7 @@ class TestCorrectness:
             assert (domains.panel_owner >= 0).any()
             np.testing.assert_array_equal(
                 owners, block_owners(tg, cmap, domains))
-            simulated = run_fanout(tg, cmap, domains=domains)
+            simulated = run_fanout(tg, cmap)
             planned = chol.plan_parallel(P, "DW/CY")
             assert planned.meta["messages"] == simulated.comm_messages
             assert planned.balance_bound == overall_balance_from_owners(

@@ -23,7 +23,7 @@ from repro.runtime import (
 )
 from repro.runtime import pool as pool_module
 from repro.runtime.arena import BlockArena
-from repro.runtime.engine import _assemble, outcome_result
+from repro.runtime.engine import FanoutError, _assemble, outcome_result
 from repro.runtime.faults import CrashSpec, FaultPlan
 from repro.util import heap
 
@@ -271,10 +271,17 @@ class TestPoolLifecycle:
             pool.close()
 
     def test_close_is_idempotent(self):
+        """And final: nothing brings a crew back after close()."""
         pool = WorkerPool(nprocs=2).start()
         pool.close()
         pool.close()
         assert not pool.running
+        for revive in (pool.start, pool.restart,
+                       lambda: pool.run(PoolJob(seq=0, pattern_id="g",
+                                                values=np.zeros(1)))):
+            with pytest.raises(FanoutError, match="closed"):
+                revive()
+        assert not pool.running and mp.active_children() == []
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="mallopt is glibc's")

@@ -13,7 +13,6 @@ import pytest
 from repro.matrices import fleet_like_matrix, grid2d_matrix
 from repro.service import (
     AdmissionRejected,
-    DeadlineExceeded,
     FactorService,
     JobFailed,
     JobQueue,
@@ -512,17 +511,6 @@ class TestServiceLogging:
         assert kept.job_id not in refused.getMessage()
         assert not self._logged(caplog, logging.WARNING, kept.job_id)
         svc.close()
-
-    def test_queued_expiry_is_logged(self, grid_A, caplog):
-        with FactorService(**SVC_KW) as svc:
-            doomed = svc.submit(grid_A, deadline_s=1e-4)
-            with pytest.raises(DeadlineExceeded):
-                doomed.result(120)
-            # The client-side deadline fires first; wait for the dispatcher.
-            give_up = time.monotonic() + 30.0
-            while not svc.metrics.records and time.monotonic() < give_up:
-                time.sleep(0.01)
-        assert self._logged(caplog, logging.WARNING, doomed.job_id, "expired")
 
     def test_pattern_eviction_is_logged(self, caplog):
         caplog.set_level(logging.INFO, logger="repro.service")

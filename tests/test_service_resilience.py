@@ -1,14 +1,16 @@
 """The self-healing service: worker death mid-batch (hard and soft, on
-both transports), per-job deadlines, the circuit breaker, one run per
+both transports), the caller's timeout, the circuit breaker, one run per
 submit, client reconnect and graceful drain.
 
 The acceptance bar throughout: every submitted job either completes —
 with its survival path tagged in the record — or raises a typed
-:class:`~repro.service.jobs.ServiceError` within its deadline; completed
+:class:`~repro.service.jobs.ServiceError`, and a caller's ``timeout``
+bounds its wait; completed
 factors are bitwise identical to the fault-free run; nothing leaks shm.
 """
 
 import glob
+import multiprocessing as mp
 import os
 import signal
 import threading
@@ -22,7 +24,6 @@ from repro.runtime import shm_available
 from repro.runtime.faults import CrashSpec, FaultPlan
 from repro.service import (
     CircuitBreaker,
-    DeadlineExceeded,
     FactorService,
     JobFailed,
     ServiceClient,
@@ -130,43 +131,22 @@ class TestPoolSelfHealing:
             assert svc.health()["pool"]["alive"]
 
 
-class TestDeadlines:
-    def test_expired_job_is_typed_and_batch_unharmed(self, grid_A):
-        """A job whose deadline passes in the queue raises the typed
-        error; the job queued behind it completes bitwise."""
-        M = _shifted(grid_A, 1.0)
+class TestCallerTimeout:
+    def test_result_wait_bounded_by_timeout(self, grid_A):
+        """A caller never hangs: ``result(timeout)`` raises
+        ``TimeoutError`` on time while a slowed job runs on, and the job
+        then completes bitwise."""
+        M = _shifted(grid_A, 2.0)
+        slow = FaultPlan(seed=0, slow={0: 0.01, 1: 0.01})  # ~1 s of sleep
         with FactorService(**SVC_KW) as svc:
             svc.factor(grid_A)  # warm the pattern
-            doomed = svc.submit(_shifted(grid_A, 2.0), deadline_s=1e-4)
-            mate = svc.submit(M)
-            with pytest.raises(DeadlineExceeded):
-                doomed.result(120)
-            assert _bitwise(mate.result(120).L, _cold_L(M))
-            assert svc.metrics.expired >= 1
-
-    def test_result_wait_bounded_by_deadline(self):
-        """``JobHandle.result()`` never outlives the job's budget, even
-        when the server goes silent (nothing ever completes this job)."""
-        job = FactorJob(job_id="silent", A=grid2d_matrix(6).A.tocsc(),
-                        deadline_s=0.2)
-        handle = JobHandle(job)
-        t0 = time.monotonic()
-        with pytest.raises(DeadlineExceeded):
-            handle.result()  # no timeout arg: the deadline is the bound
-        assert time.monotonic() - t0 < 5.0
-
-    def test_default_deadline_applies(self, grid_A):
-        with FactorService(default_deadline_s=1e-4, **SVC_KW) as svc:
-            with pytest.raises(DeadlineExceeded):
-                svc.factor(grid_A)
-            # the client-side deadline fires first; the dispatcher's
-            # record lands moments later
-            deadline = time.monotonic() + 30.0
-            while not svc.metrics.records and time.monotonic() < deadline:
-                time.sleep(0.01)
-            rec = svc.metrics.records[-1]
-            assert rec.status == "expired"
-            assert rec.deadline_s == pytest.approx(1e-4)
+            handle = svc.submit(M, fault_plan=slow)
+            t0 = time.monotonic()
+            with pytest.raises(TimeoutError):
+                handle.result(timeout=0.2)
+            assert 0.2 <= time.monotonic() - t0 < 1.0
+            assert not handle.done()
+            assert _bitwise(handle.result(120).L, _cold_L(M))
 
 
 class _FakeClock:
@@ -395,6 +375,37 @@ class TestGracefulDrain:
             == (2, 1, 1)
         with pytest.raises(ServiceClosed):
             late.result(0)
+
+    def test_a_late_job_brings_no_crew_back(self, grid_A):
+        """A job that outlives close()'s drain finds the pool closed for
+        good: no crew starts behind the closed service, and the
+        dispatcher, the cache's only writer, releases what the late job
+        cached when its loop ends."""
+        svc = FactorService(**SVC_KW).start()
+        run_job = svc._run_job
+
+        def late(queued):
+            time.sleep(1.0)
+            run_job(queued)
+
+        svc._run_job = late
+        try:
+            handle = svc.submit(grid_A)
+            give_up = time.monotonic() + 30.0
+            while svc._running is not handle and time.monotonic() < give_up:
+                time.sleep(0.001)
+            svc.close(timeout=0.1)
+            with pytest.raises(ServiceClosed, match=r"after 0\.1s"):
+                handle.result(0)
+            svc._dispatcher.join(60)
+            assert not svc._dispatcher.is_alive()
+            assert not [p.name for p in mp.active_children()
+                        if p.name.startswith("repro-pool-")]
+            assert not svc.pool.running
+            assert len(svc.cache) == 0
+        finally:  # release whatever a late job may have brought back
+            svc.pool.close()
+            svc.cache.close()
 
     def test_queued_jobs_fail_typed_on_close(self, grid_A):
         """Jobs still in the admission queue at close() resolve typed."""

@@ -19,7 +19,6 @@ from repro.runtime.faults import CrashSpec, FaultPlan
 from repro.service import (
     AdmissionRejected,
     CircuitBreaker,
-    DeadlineExceeded,
     FactorService,
     JobFailed,
     ServiceUnavailable,
@@ -212,18 +211,6 @@ class TestTypedErrors:
                 svc.solve(
                     np.ones(grid_A.shape[0] + 1),
                     pattern_id=jr.pattern_id,
-                )
-
-    def test_deadline_exceeded(self, grid_A):
-        """A zero budget can never be met — the typed error fires
-        before any answer is fabricated."""
-        with FactorService(**SVC_KW) as svc:
-            jr = svc.factor(grid_A)
-            with pytest.raises(DeadlineExceeded):
-                svc.solve(
-                    _rhs(grid_A.shape[0]),
-                    pattern_id=jr.pattern_id,
-                    deadline_s=0.0,
                 )
 
     def test_breaker_open_refuses_solves(self, grid_A):
