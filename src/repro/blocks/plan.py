@@ -309,7 +309,7 @@ class NumericPlan:
         stop = start + np.asarray(size, dtype=np.int64)[order]
         head = np.ones(start.shape[0], dtype=bool)
         head[1:] = start[1:] != stop[:-1]  # a block that starts a run
-        lo, hi = start[head], stop[np.append(head[1:], True)]
+        lo, hi = start[head], stop[np.roll(head, -1)]
         off = np.cumsum(hi - lo) - (hi - lo)
         dtype = _index_dtype(self.size + 1)
         local = np.full(self.size, -1, dtype=dtype)

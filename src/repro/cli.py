@@ -122,10 +122,7 @@ def cmd_trace(args) -> int:
 
 #: ``FactorService`` keywords that are not :class:`RunConfig` fields; each
 #: is a flag of ``serve`` whose ``dest`` is the keyword.
-_SERVICE_ONLY = (
-    "queue_capacity", "cache_capacity", "validate", "breaker_threshold",
-    "breaker_cooldown_s",
-)
+_SERVICE_ONLY = ("queue_capacity", "cache_capacity", "validate")
 
 
 def _service_only(args) -> dict:
@@ -146,13 +143,6 @@ def _add_service_knobs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--validate", action="store_true",
                    help="check every factor against the sequential "
                         "baseline (bitwise on a 1 x P grid)")
-    p.add_argument("--breaker-threshold", type=int, default=3,
-                   help="consecutive pool failures that trip the "
-                        "circuit breaker (0 disables)")
-    p.add_argument("--breaker-cooldown", dest="breaker_cooldown_s",
-                   type=float, default=5.0, metavar="S",
-                   help="seconds the breaker stays open before the "
-                        "half-open probe")
 
 
 def cmd_serve(args) -> int:

@@ -16,8 +16,8 @@ with the pool (:func:`settle`, the one place a crew is replaced, by one
 rule: a rank that merely raised stays, a broken crew is restarted at its
 own width): a finished attempt ends the loop; a failed one has its
 traces kept and a :class:`FailedAttempt` recorded, and runs again unless
-its error is deterministic, the attempt budget is spent or the caller
-stops the loop. Attempt ``k`` carries the fault plan's
+its error is deterministic or the attempt budget is spent. Attempt ``k``
+carries the fault plan's
 :meth:`~repro.runtime.faults.FaultPlan.for_attempt`, and each is bounded
 by the plan's ``config.timeout_s``. Then the finished attempt is
 assembled, or the sequential factorization stands in. Every job leaves
@@ -124,16 +124,15 @@ def settle(pool: WorkerPool) -> bool:
 
 
 def run_job(pool: WorkerPool, plan: PatternPlan, A, attempts: int, seqs, *,
-            rhs=None, fault_plan: FaultPlan | None = None, settled=None,
+            rhs=None, fault_plan: FaultPlan | None = None,
             label: str | None = None,
             fallback_sequential=True) -> MPRuntimeResult:
     """Factor ``A`` (permuted csc) on ``pool``, started first, in up to
     ``attempts`` parallel attempts over ``plan``'s job, numbered from
     ``seqs``; attempt ``k`` carries ``fault_plan.for_attempt(k)`` (``rhs``
-    appends the distributed solve). ``settled(restarted)``, if given,
-    hears after each attempt whether :func:`settle` replaced the crew and
-    answers whether the pool may run another (a circuit breaker's seat).
-    ``label`` names the job in the log (default: the pattern id).
+    appends the distributed solve); after each one, :func:`settle`
+    replaces the crew if the attempt broke it. ``label`` names the job in
+    the log (default: the pattern id).
 
     Returns the finished attempt's result or, when none finished, the
     sequential fallback's (no ``solution``; what it raises — a
@@ -184,9 +183,8 @@ def run_job(pool: WorkerPool, plan: PatternPlan, A, attempts: int, seqs, *,
                 out.results[r].metrics.error_type in NOT_RETRYABLE
                 for r in out.failed_ranks if r in out.results
             )
-        restarted = settle(pool)
-        go = settled is None or settled(restarted)
-        if not (retry and attempt + 1 < attempts and go):
+        settle(pool)
+        if not (retry and attempt + 1 < attempts):
             break
     report.restarts = len(report.attempts)
     report.wall_s = time.perf_counter() - epoch

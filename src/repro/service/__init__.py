@@ -28,12 +28,11 @@ baseline (``validate=True``; bitwise on a ``1 x P`` grid).
 The service is self-healing: dead or stalled workers are detected
 mid-job, the pool restarts at its configured width, and the job in
 flight is re-run from scratch (bounded attempts) before falling back to
-the always-correct sequential path — outcomes are tagged per job.
-A :class:`~repro.service.resilience.CircuitBreaker` guarding the pool
-rounds out the failure surface; every failure is a typed
-:class:`ServiceError` subclass, and a caller's ``timeout`` bounds its
-wait. A job's faults are
-injected with ``submit(fault_plan=)``.
+the always-correct sequential path — outcomes are tagged per job. That
+loop, :func:`~repro.runtime.recovery.run_job`, is the one failure policy:
+each job gets its own ``max_restarts + 1`` attempts. Every failure is a
+typed :class:`ServiceError` subclass, and a caller's ``timeout`` bounds
+its wait. A job's faults are injected with ``submit(fault_plan=)``.
 
 One submit, one run: the service names every job it admits, and each
 ``submit`` or ``solve`` runs its job once. Every job is deterministic, so
@@ -57,14 +56,12 @@ from repro.service.jobs import (
     UnknownPatternError,
     ValidationFailed,
 )
-from repro.service.resilience import CircuitBreaker
 from repro.service.metrics import JobRecord, ServiceMetrics
 from repro.service.server import ServiceServer
 from repro.service.service import FactorService
 
 __all__ = [
     "AdmissionRejected",
-    "CircuitBreaker",
     "ClientResult",
     "FactorJob",
     "FactorService",

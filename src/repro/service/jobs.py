@@ -47,9 +47,9 @@ class UnknownPatternError(ServiceError):
 
 class ServiceUnavailable(ServiceError):
     """The client could not reach the service (connect/request failed or
-    timed out), or the circuit breaker refused a solve. The client's next
-    call reconnects. A resubmission re-runs the job — whether or not the
-    lost one ran — and its answer is bitwise the same."""
+    timed out). The client's next call reconnects. A resubmission re-runs
+    the job — whether or not the lost one ran — and its answer is bitwise
+    the same."""
 
     kind = "unavailable"
 

@@ -98,9 +98,9 @@ class ServiceMetrics:
         with self._lock:
             self.rejected += 1
 
-    def count_pool_restart(self) -> None:
+    def count_pool_restarts(self, n: int) -> None:
         with self._lock:
-            self.pool_restarts += 1
+            self.pool_restarts += n
 
     def add(self, record: JobRecord) -> None:
         with self._lock:

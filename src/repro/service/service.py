@@ -56,14 +56,12 @@ from repro.service.jobs import (
     JobHandle,
     JobResult,
     ServiceClosed,
-    ServiceUnavailable,
     SolveJob,
     SolveResult,
     UnknownPatternError,
     ValidationFailed,
 )
 from repro.service.metrics import JobRecord, ServiceMetrics
-from repro.service.resilience import CircuitBreaker
 
 log = logging.getLogger("repro.service")
 
@@ -96,10 +94,10 @@ class FactorService:
     keyword, ``nprocs`` defaulting to 2 here; table in
     ``docs/ARCHITECTURE.md``): a job gets ``config.max_restarts + 1``
     parallel attempts, each bounded by ``config.timeout_s``. The
-    service-only knobs stay keywords: the queue and cache bounds, the
-    circuit breaker, ``validate`` (check every factor against the
-    sequential baseline before releasing it). A bad value raises
-    ``ValueError`` before a pool exists. Faults are injected per job:
+    service-only knobs stay keywords: the queue and cache bounds and
+    ``validate`` (check every factor against the sequential baseline
+    before releasing it). A bad value raises ``ValueError`` before a pool
+    exists. Faults are injected per job:
     ``submit(fault_plan=)`` and ``solve(fault_plan=)``. A caller bounds
     its own wait: ``result(timeout)`` on a handle.
     """
@@ -111,8 +109,6 @@ class FactorService:
         queue_capacity: int = 64,
         cache_capacity: int = 8,
         validate: bool = False,
-        breaker_threshold: int = 3,
-        breaker_cooldown_s: float = 5.0,
         **overrides,
     ):
         self.config = RunConfig.of(config, overrides, nprocs=2)
@@ -123,7 +119,6 @@ class FactorService:
         self.validate = validate
         self.queue = JobQueue(queue_capacity)
         self.cache = PatternCache(cache_capacity)
-        self.breaker = CircuitBreaker(breaker_threshold, breaker_cooldown_s)
         self.pool = WorkerPool(self.nprocs)
         self.metrics = ServiceMetrics()
         self._seq = itertools.count()
@@ -277,8 +272,7 @@ class FactorService:
 
         Typed errors, never hangs: :class:`UnknownPatternError` for an
         uncached pattern, :class:`JobFailed` for a pattern with no
-        completed factor, a bad RHS shape or a NaN/Inf in the RHS,
-        :class:`ServiceUnavailable` while the circuit breaker is open (all
+        completed factor, a bad RHS shape or a NaN/Inf in the RHS (all
         before anything is queued); a full queue holds the solve until
         there is room.
         Every call runs one job, as for :meth:`submit`.
@@ -305,11 +299,6 @@ class FactorService:
             pb, _ = permute_rhs(b, entry.shape[0], entry.perm)
         except ValueError as exc:
             raise JobFailed(job_id, str(exc)) from None
-        if self.breaker.refusing:
-            raise ServiceUnavailable(
-                "circuit breaker open: solve refused while the pool "
-                "recovers"
-            )
         panel = pb.reshape(-1, 1) if pb.ndim == 1 else pb
         job = SolveJob(
             job_id, entry, np.ascontiguousarray(panel),
@@ -324,27 +313,15 @@ class FactorService:
             "transport": self.transport,
             "mapping": self.config.mapping,
             "pool_generation": self.pool.generation,
-            "breaker": self.breaker.to_dict(),
             "pattern_cache": self.cache.stats(),
             "service": self.metrics.to_dict(include_records=False),
         }
 
     def health(self) -> dict:
-        """Cheap liveness/degradation probe (JSON-safe).
-
-        ``status`` is ``"ok"`` (breaker closed), ``"degraded"`` (breaker
-        open or half-open: jobs run on the sequential last resort) or
-        ``"closed"``.
-        """
-        breaker = self.breaker.to_dict()
-        status = (
-            "closed" if self._closed
-            else "degraded" if breaker["state"] != CircuitBreaker.CLOSED
-            else "ok"
-        )
+        """Cheap liveness probe (JSON-safe): ``status`` is ``"ok"`` or
+        ``"closed"``."""
         return {
-            "status": status,
-            "breaker": breaker,
+            "status": "closed" if self._closed else "ok",
             "pool": {
                 "running": self.pool.running,
                 "alive": self.pool.alive,
@@ -395,24 +372,14 @@ class FactorService:
 
     def _run_factor(self, queued: _Queued, record: JobRecord) -> None:
         job = queued.job
-
-        def settled(restarted):  # after each parallel attempt
-            record.attempts += 1
-            return self._pool_settled(restarted)
-
         try:
             entry, record.cache, A_full = self._resolve_entry(job, record)
             A_perm = self._job_matrix(job, entry, A_full)
-            # Breaker open: no parallel attempt; the job runs on the
-            # sequential last resort — degraded but correct.
-            attempts = (self.config.max_restarts + 1
-                        if self.breaker.allow() else 0)
-            record.attempts = 0
+            generation = self.pool.generation
             try:
                 res = run_job(
-                    self.pool, entry, A_perm, attempts, self._seq,
-                    fault_plan=job.fault_plan, settled=settled,
-                    label=job.job_id,
+                    self.pool, entry, A_perm, self.config.max_restarts + 1,
+                    self._seq, fault_plan=job.fault_plan, label=job.job_id,
                 )
             except np.linalg.LinAlgError as exc:
                 # The fallback's error (a matrix that is not positive
@@ -420,7 +387,13 @@ class FactorService:
                 raise JobFailed(
                     job.job_id, f"sequential fallback failed: {exc!r}"
                 ) from exc
-            ok = res.failure_report.ok
+            finally:
+                self.metrics.count_pool_restarts(
+                    self.pool.generation - generation
+                )
+            report = res.failure_report
+            ok = report.ok
+            record.attempts = len(report.attempts) + ok
             t0 = time.monotonic()
             L = res.factor.to_csc()
             if ok and self.validate:
@@ -439,7 +412,7 @@ class FactorService:
         record.assemble_s = (time.monotonic() - t0 + gather.get("copy_s", 0.0)
                              + gather.get("check_s", 0.0))
         record.run_s = res.metrics.wall_s
-        record.outcome = res.failure_report.outcome
+        record.outcome = report.outcome
         record.e2e_s = time.monotonic() - job.submitted_at
         res.metrics.problem = entry.pattern_id
         self._tag_metrics(res.metrics, record)
@@ -470,12 +443,9 @@ class FactorService:
         record.cache = "hit" if found else "miss"
         x_perm = metrics = trace = None
         # Warm only on the crew that factored the pattern (a restart or an
-        # eviction ends residency), and only with the breaker's leave.
-        if (
-            self.pool.running
-            and entry.resident_generation == self.pool.generation
-            and self.breaker.allow()
-        ):
+        # eviction ends residency).
+        if (self.pool.running
+                and entry.resident_generation == self.pool.generation):
             spec = PoolJob(
                 seq=next(self._seq),
                 pattern_id=entry.pattern_id,
@@ -486,7 +456,7 @@ class FactorService:
                 fault_plan=job.fault_plan,
             )
             out = self.pool.run(spec, self.config.timeout_s)
-            self._pool_settled(settle(self.pool))
+            self.metrics.count_pool_restarts(settle(self.pool))
             if out.ok:
                 record.run_s = out.wall_s
                 try:
@@ -526,19 +496,6 @@ class FactorService:
             trace=trace,
             record=record,
         ))
-
-    def _pool_settled(self, restarted: bool) -> bool:
-        """Tell the breaker how a pool job left the pool (call after
-        :func:`~repro.runtime.recovery.settle`, so the cooldown counts
-        from when the new crew is up). Answers whether the pool may run a
-        retry: only while the breaker is closed — a half-open probe is
-        one attempt, never a retry."""
-        if restarted:
-            self.metrics.count_pool_restart()
-            self.breaker.record_failure()
-        else:
-            self.breaker.record_success()
-        return self.breaker.state == CircuitBreaker.CLOSED
 
     # -- pattern resolution --------------------------------------------
     def _resolve_entry(self, job: FactorJob, record: JobRecord):

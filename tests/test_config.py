@@ -152,12 +152,10 @@ class TestValidation:
         assert _no_children()
 
     @pytest.mark.parametrize("knob", [
-        dict(breaker_cooldown_s=-1.0),
         dict(cache_capacity=0),
         dict(cache_capacity=-3),
         *(pytest.param({k: v}, id=f"{k}={v}") for k, v in (
             ("queue_capacity", 2.5), ("cache_capacity", 2.5),
-            ("breaker_threshold", 1.5), ("breaker_cooldown_s", float("nan")),
         )),
     ], ids=lambda k: next(iter(k)))
     def test_service_only_knobs_reject_before_a_pool_exists(
@@ -462,9 +460,7 @@ SURFACE = {
     "ReadyScheduler": set(),
     "unpack": {"frame", "copy"},
     "FactorService": {
-        "config", "overrides", "queue_capacity",
-        "cache_capacity", "validate", "breaker_threshold",
-        "breaker_cooldown_s",
+        "config", "overrides", "queue_capacity", "cache_capacity", "validate",
     },
     "SparseCholesky": {"A", "config", "backend", "fault_plan", "overrides"},
     "ServiceClient": {"address", "timeout"},
@@ -554,6 +550,10 @@ def test_retired_entry_points_stay_gone():
     assert not hasattr(repro.service, "DeadlineExceeded")
     assert "DeadlineExceeded" not in repro.service.__all__
     assert "deadline" not in params
+    # One failure policy per job: the recovery loop's, with no breaker.
+    assert not hasattr(repro.service, "CircuitBreaker")
+    assert "CircuitBreaker" not in repro.service.__all__
+    assert "settled" not in params
 
 
 def test_worker_metrics_load_a_dump_with_a_legacy_timeline():

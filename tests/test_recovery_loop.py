@@ -226,8 +226,8 @@ class TestBudgetAndOutcomes:
     def test_no_attempt_goes_straight_to_the_last_resort(
         self, drive, sequential
     ):
-        """``attempts=0`` — the service's open breaker: the pool is left
-        alone and the job is the sequential factor."""
+        """``attempts=0``: the pool is left alone and the job is the
+        sequential factor."""
         pool = ScriptedPool(4)
         res = drive(pool, 0)
         rep = res.failure_report
@@ -302,6 +302,15 @@ class TestCrewShrinkRule:
         assert pool.runs == [(4, 0), (4, 1)]
         assert [a.nprocs for a in res.failure_report.attempts] == [4, 4]
 
+    def test_every_attempt_is_settled(self, drive):
+        """Whichever way an attempt ends, the crew is settled after it:
+        only the attempt that broke it gets a new one."""
+        pool = ScriptedPool(4, raising(), died(1), ok)
+        res = drive(pool, 3)
+        assert res.failure_report.outcome == "recovered"
+        assert pool.runs == [(4, 0), (4, 1), (4, 2)]
+        assert (pool.generation, pool.nprocs) == (2, 4)
+
     def test_settle_alone(self):
         """What ``FactorService.solve`` calls after its warm solve job."""
         pool = ScriptedPool(2, ok)
@@ -309,29 +318,6 @@ class TestCrewShrinkRule:
         died(1)(pool, PoolJob(0, "p", None))
         assert settle(pool) is True
         assert (pool.generation, pool.nprocs) == (2, 2)
-
-
-class TestCallerStop:
-    def test_stop_predicate_is_honoured_between_attempts(self, drive):
-        heard = []
-
-        def settled(healed):
-            heard.append(healed)
-            return False
-
-        pool = ScriptedPool(4, died(1), ok)
-        res = drive(pool, 3, settled=settled)
-        assert heard == [True]
-        assert pool.runs == [(4, 0)]
-        assert res.failure_report.outcome == "degraded_sequential"
-        # the crew was still replaced: the pool is fit for the next job
-        assert (pool.generation, pool.nprocs) == (2, 4)
-
-    def test_predicate_hears_every_attempt(self, drive):
-        heard = []
-        pool = ScriptedPool(4, raising(), died(1), ok)
-        drive(pool, 3, settled=lambda h: heard.append(h) or True)
-        assert heard == [False, True, False]
 
 
 class TestTypedError:

@@ -20,8 +20,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis import communication_volume
+from repro.mapping import best_grid
+from repro.matrices import random_spd_sparse
 from repro.runtime import WorkerPool, shm_available
 from repro.solver import SparseCholesky
 
@@ -88,6 +91,34 @@ class TestOneCrewPerInstance:
             pool = chol._crew[1]
             chol.factor()
             assert chol._crew[1] is pool and pool.generation == 1
+
+
+class TestEveryCrewShape:
+    """A crew may be wider than its owner set: a rank that owns no block
+    sets up, runs and gathers an empty share, so the job is clean."""
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @example(n=1, nprocs=2, block_size=8, density=0.0)
+    @example(n=10, nprocs=8, block_size=8, density=0.0)
+    @given(n=st.integers(1, 40), nprocs=st.integers(1, 8),
+           block_size=st.sampled_from((1, 3, 8)),
+           density=st.sampled_from((0.0, 0.1)))
+    def test_every_rank_sets_up_even_without_blocks(
+        self, n, nprocs, block_size, density
+    ):
+        A = random_spd_sparse(n, density, seed=n)
+        ref = SparseCholesky(A, block_size=block_size).factor().L
+        with SparseCholesky(A, backend="mp", nprocs=nprocs,
+                            block_size=block_size) as chol:
+            L = chol.factor().L
+            report = chol.failure_report
+        assert (report.outcome, report.attempts) == ("clean", [])
+        if best_grid(nprocs).Pr == 1:  # whole columns, as sequential
+            assert np.array_equal(L.indptr, ref.indptr)
+            assert np.array_equal(L.indices, ref.indices)
+            assert np.array_equal(L.data, ref.data)
+        else:
+            assert abs(L - ref).max() <= 1e-12 * abs(ref).max()
 
 
 class TestRelease:

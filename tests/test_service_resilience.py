@@ -1,6 +1,6 @@
 """The self-healing service: worker death mid-batch (hard and soft, on
-both transports), the caller's timeout, the circuit breaker, one run per
-submit, client reconnect and graceful drain.
+both transports), the caller's timeout, one failure policy per job, one
+run per submit, client reconnect and graceful drain.
 
 The acceptance bar throughout: every submitted job either completes —
 with its survival path tagged in the record — or raises a typed
@@ -20,10 +20,10 @@ import numpy as np
 import pytest
 
 from repro.matrices import grid2d_matrix
+from repro.numeric.solve import block_solve_permuted, permute_rhs
 from repro.runtime import shm_available
 from repro.runtime.faults import CrashSpec, FaultPlan
 from repro.service import (
-    CircuitBreaker,
     FactorService,
     JobFailed,
     ServiceClient,
@@ -149,83 +149,38 @@ class TestCallerTimeout:
             assert _bitwise(handle.result(120).L, _cold_L(M))
 
 
-class _FakeClock:
-    def __init__(self):
-        self.now = 100.0
+class TestOneFailurePolicy:
+    """A job's failure handling is the recovery loop's alone: a crew that
+    breaks on every attempt costs that job its ``max_restarts + 1``
+    attempts and the sequential fallback, and nothing after it."""
 
-    def __call__(self):
-        return self.now
-
-
-class TestCircuitBreaker:
-    def test_threshold_opens_and_cooldown_half_opens(self):
-        clk = _FakeClock()
-        b = CircuitBreaker(threshold=2, cooldown_s=5.0, clock=clk)
-        assert b.allow()
-        b.record_failure()
-        assert b.state == CircuitBreaker.CLOSED
-        b.record_failure()
-        assert b.state == CircuitBreaker.OPEN
-        assert b.trips == 1
-        assert not b.allow()
-        clk.now += 5.0
-        assert b.allow()  # the half-open probe
-        assert b.state == CircuitBreaker.HALF_OPEN
-        assert not b.allow()  # exactly one probe in flight
-
-    def test_probe_outcome_decides(self):
-        clk = _FakeClock()
-        b = CircuitBreaker(threshold=1, cooldown_s=1.0, clock=clk)
-        b.record_failure()
-        clk.now += 1.0
-        assert b.allow()
-        b.record_failure()  # the probe failed: straight back open
-        assert b.state == CircuitBreaker.OPEN
-        assert b.trips == 2
-        clk.now += 1.0
-        assert b.allow()
-        b.record_success()
-        assert b.state == CircuitBreaker.CLOSED
-        assert b.allow()
-
-    def test_success_resets_failure_streak(self):
-        b = CircuitBreaker(threshold=3, cooldown_s=1.0)
-        b.record_failure()
-        b.record_failure()
-        b.record_success()
-        b.record_failure()
-        b.record_failure()
-        assert b.state == CircuitBreaker.CLOSED
-
-    def test_disabled_breaker_never_opens(self):
-        b = CircuitBreaker(threshold=0, cooldown_s=1.0)
-        for _ in range(10):
-            b.record_failure()
-        assert b.allow() and b.state == CircuitBreaker.CLOSED
-
-    def test_service_breaker_degrades_then_recovers(self, grid_A):
-        """End to end: a kill on the first job trips a
-        threshold-1 breaker; the stream continues degraded-sequential
-        (still bitwise); after the cooldown a probe closes it again."""
-        mats = [_shifted(grid_A, 0.2 * (i + 1)) for i in range(3)]
-        with FactorService(
-            breaker_threshold=1, breaker_cooldown_s=0.3,
-            max_restarts=0, **SVC_KW,
-        ) as svc:
-            handles = [
-                svc.submit(M, fault_plan=HARD_KILL if i == 0 else None)
-                for i, M in enumerate(mats)
-            ]
-            results = [h.result(120) for h in handles]
-            for M, r in zip(mats, results):
-                assert _bitwise(r.L, _cold_L(M))
-            assert svc.breaker.trips >= 1
-            assert svc.metrics.degraded >= 1
-            assert svc.health()["status"] == "degraded"
-            time.sleep(0.4)  # past the cooldown: next job is the probe
-            r = svc.factor(_shifted(grid_A, 9.0))
-            assert r.record.outcome in ("clean", "recovered")
-            assert svc.breaker.state == CircuitBreaker.CLOSED
+    def test_the_next_requests_are_served_as_usual(self, grid_A):
+        every = FaultPlan(
+            crash=(CrashSpec(1, 1, hard=True, every_attempt=True),)
+        )
+        with FactorService(max_restarts=2, **SVC_KW) as svc:
+            r = svc.factor(grid_A, fault_plan=every)
+            assert (r.record.outcome, r.record.attempts) == (
+                "degraded_sequential", 3
+            )
+            assert svc.metrics.pool_restarts == 3
+            assert svc.health()["status"] == "ok"
+            # The retained factor answers the solve, bitwise.
+            entry = svc.cache.peek(r.pattern_id)
+            b = np.linspace(1.0, 2.0, grid_A.shape[0])
+            pb, _ = permute_rhs(b, grid_A.shape[0], entry.perm)
+            x = np.empty_like(b)
+            x[entry.perm] = block_solve_permuted(
+                entry.last_factor, pb.reshape(-1, 1)
+            )[:, 0]
+            s = svc.solve(b, r.pattern_id)
+            assert s.outcome == "degraded_sequential"
+            assert np.array_equal(s.x, x)
+            # A fault-free job runs on the crew again.
+            M = _shifted(grid_A, 1.0)
+            r2 = svc.factor(M)
+            assert (r2.record.outcome, r2.record.attempts) == ("clean", 1)
+            assert _bitwise(r2.L, _cold_L(M))
 
 
 class TestDedup:
@@ -322,7 +277,6 @@ class TestClientResilience:
                     h = client.health()
                     assert h["status"] == "ok"
                     assert h["pool"]["nprocs"] == 2
-                    assert h["breaker"]["state"] == "closed"
             finally:
                 server.close()
 

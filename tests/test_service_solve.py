@@ -18,10 +18,8 @@ from repro.matrices import grid2d_matrix
 from repro.runtime.faults import CrashSpec, FaultPlan
 from repro.service import (
     AdmissionRejected,
-    CircuitBreaker,
     FactorService,
     JobFailed,
-    ServiceUnavailable,
     UnknownPatternError,
 )
 
@@ -164,7 +162,7 @@ class TestTypedErrors:
         self, grid_A, caplog
     ):
         """Unknown pattern, no factor, bad rhs shape, a NaN or an Inf in
-        the rhs, open breaker: the calling thread raises; the admission
+        the rhs: the calling thread raises; the admission
         queue never sees the job, so nothing is dispatched for it."""
         b = _rhs(grid_A.shape[0])
         with FactorService(**SVC_KW) as svc:
@@ -190,11 +188,6 @@ class TestTypedErrors:
             with pytest.raises(JobFailed, match="no completed factor"):
                 svc.solve(b, pattern_id=jr.pattern_id)
             entry.last_factor = factor
-            svc.breaker.threshold = 1
-            svc.breaker.cooldown_s = 60.0
-            svc.breaker.record_failure()
-            with pytest.raises(ServiceUnavailable):
-                svc.solve(b, pattern_id=jr.pattern_id)
             assert svc.metrics.submitted == seen
             del svc.queue.put
 
@@ -212,20 +205,6 @@ class TestTypedErrors:
                     np.ones(grid_A.shape[0] + 1),
                     pattern_id=jr.pattern_id,
                 )
-
-    def test_breaker_open_refuses_solves(self, grid_A):
-        """Unlike factor jobs (which degrade sequentially), a solve
-        against an open breaker is refused with the typed
-        ServiceUnavailable — the client owns the retry."""
-        with FactorService(**SVC_KW) as svc:
-            jr = svc.factor(grid_A)
-            svc.breaker.threshold = 1
-            svc.breaker.cooldown_s = 60.0
-            svc.breaker.record_failure()
-            assert svc.breaker.state == CircuitBreaker.OPEN
-            with pytest.raises(ServiceUnavailable):
-                svc.solve(_rhs(grid_A.shape[0]),
-                          pattern_id=jr.pattern_id)
 
 
 class TestMidSolveFailure:
