@@ -1,7 +1,7 @@
-"""Blocking-policy diagnostics: dgemm tile shapes and arena padding.
+"""Blocking diagnostics: dgemm tile shapes and arena padding.
 
-The payoff of structure-aware variable blocking is geometric, so these
-metrics measure geometry directly:
+What a panel width buys or costs is geometric, so these metrics measure
+geometry directly:
 
 * :func:`dgemm_tile_stats` — per BMOD task, the update it performs is
   ``L(I,K) @ L(J,K)^T``: an ``m x k`` by ``k x n`` product where
@@ -16,7 +16,7 @@ metrics measure geometry directly:
   wider panels cost more of them.
 
 :func:`blocking_report` bundles both with the partition's width profile —
-the dict the bench sweep records per (problem, policy).
+the dict the bench records per workload.
 """
 
 from __future__ import annotations
@@ -92,11 +92,10 @@ def arena_padding_stats(tg) -> dict:
 
 
 def blocking_report(tg) -> dict:
-    """Per-policy geometry summary: widths + tiles + padding."""
+    """Geometry summary of a partition: widths + tiles + padding."""
     part = tg.workmodel.structure.partition
     widths = np.asarray(part.widths, dtype=np.int64)
     return {
-        "block_policy": getattr(part, "policy_name", "uniform"),
         "npanels": int(widths.size),
         "width_min": int(widths.min()) if widths.size else 0,
         "width_median": float(np.median(widths)) if widths.size else 0.0,

@@ -27,26 +27,34 @@ class BlockPartition:
         Inverse map, length n.
     block_size:
         The requested B.
-    policy_name:
-        Which blocking policy produced the partition ("uniform" here;
-        subclasses override).
     """
-
-    policy_name = "uniform"
 
     def __init__(self, sf: SymbolicFactor, block_size: int = 48):
         if block_size < 1:
             raise ValueError("block_size must be positive")
         self.block_size = block_size
+        self._split(sf)
+
+    def target_width(self, depth: int, width: int) -> int:
+        """The panel width B a supernode of ``width`` columns, whose first
+        column sits at elimination-tree ``depth``, is split by: the
+        constant B here (§5's variable B overrides this alone)."""
+        return self.block_size
+
+    def _split(self, sf: SymbolicFactor) -> None:
+        """Cut each supernode into ``ceil(w / B)`` panels, B its
+        :meth:`target_width` (at least 1), widths differing by at most
+        one, and build the panel arrays."""
         self.symbolic = sf
+        ptr = sf.snode_ptr.tolist()
+        depths = sf.depth[sf.snode_ptr[:-1]].tolist()
         boundaries: list[int] = [0]
         snode_ids: list[int] = []
-        ptr = sf.snode_ptr
-        for s in range(sf.nsupernodes):
-            a, b = int(ptr[s]), int(ptr[s + 1])
+        for s, depth in enumerate(depths):
+            a, b = ptr[s], ptr[s + 1]
             w = b - a
-            npanels = max(1, -(-w // block_size))  # ceil
-            # Split as evenly as possible: widths differ by at most one.
+            B = max(1, int(self.target_width(depth, w)))
+            npanels = max(1, -(-w // B))  # ceil
             base, extra = divmod(w, npanels)
             pos = a
             for k in range(npanels):
@@ -54,17 +62,11 @@ class BlockPartition:
                 boundaries.append(pos)
                 snode_ids.append(s)
             assert pos == b
-        self._set_panels(boundaries, snode_ids)
-
-    def _set_panels(self, boundaries: list[int], snode_ids: list[int]) -> None:
-        """Finalize panel arrays from boundary/supernode lists (shared with
-        subclasses that build their own boundaries)."""
         self.panel_ptr = np.asarray(boundaries, dtype=INDEX_DTYPE)
         self.panel_snode = np.asarray(snode_ids, dtype=INDEX_DTYPE)
-        n = self.symbolic.n
-        self.panel_of_col = np.zeros(n, dtype=INDEX_DTYPE)
+        self.panel_of_col = np.zeros(sf.n, dtype=INDEX_DTYPE)
         if self.npanels > 0:
-            marks = np.zeros(n, dtype=INDEX_DTYPE)
+            marks = np.zeros(sf.n, dtype=INDEX_DTYPE)
             marks[self.panel_ptr[1:-1]] = 1
             self.panel_of_col = np.cumsum(marks)
 
@@ -89,3 +91,21 @@ class BlockPartition:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BlockPartition(N={self.npanels}, B={self.block_size})"
+
+
+def make_partition(
+    sf: SymbolicFactor,
+    block_policy: str = "uniform",
+    block_size: int = 48,
+) -> BlockPartition:
+    """``BlockPartition(sf, block_size)``, the one panel rule.
+
+    ``block_policy`` survives only because the benchmark's analysis row
+    still passes ``"uniform"``; any other value is a ``ValueError``. The
+    next change to the benchmark drops the keyword (ROADMAP item 19).
+    """
+    if block_policy != "uniform":
+        raise ValueError(
+            f"unknown block_policy {block_policy!r}; expected 'uniform'"
+        )
+    return BlockPartition(sf, block_size)

@@ -11,14 +11,16 @@ The paper tried two refinements of the fixed block size B:
 
 Both are expressed here as panel-width policies: a callable mapping a
 supernode's elimination-tree depth (and width) to the panel width used when
-splitting that supernode. The result is an ordinary
-:class:`~repro.blocks.partition.BlockPartition`-compatible object, so every
-downstream stage (structure, work model, task graph, simulator) runs
-unchanged — that is exactly the ablation the experiment module runs.
+splitting that supernode. The result is a
+:class:`~repro.blocks.partition.BlockPartition` whose target width is the
+policy's, so every downstream stage (structure, work model, task graph,
+simulator) runs unchanged — that is exactly the ablation the experiment
+module runs.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from repro.blocks.partition import BlockPartition
@@ -28,6 +30,11 @@ from repro.symbolic.structure import SymbolicFactor
 SizePolicy = Callable[[int, int], int]
 
 
+def _stage_varying(early: int, late: int, depth_cutoff: int,
+                   depth: int, width: int) -> int:
+    return early if depth > depth_cutoff else late
+
+
 def stage_varying_policy(
     early: int = 96, late: int = 24, depth_cutoff: int = 4
 ) -> SizePolicy:
@@ -35,56 +42,26 @@ def stage_varying_policy(
     factorization means *deep* in the tree (leaves eliminate first).
 
     Supernodes deeper than ``depth_cutoff`` (eliminated early) get ``early``;
-    shallow supernodes near the root (eliminated last) get ``late``.
+    shallow supernodes near the root (eliminated last) get ``late``. The
+    policy pickles, so a partition built on it ships to worker processes.
     """
-
-    def policy(depth: int, width: int) -> int:
-        return early if depth > depth_cutoff else late
-
-    return policy
-
-
-def uniform_policy(B: int = 48) -> SizePolicy:
-    """The paper's baseline fixed block size."""
-
-    def policy(depth: int, width: int) -> int:
-        return B
-
-    return policy
+    return partial(_stage_varying, early, late, depth_cutoff)
 
 
 class VariableBlockPartition(BlockPartition):
-    """Panel partition whose width varies per supernode via a policy.
+    """Panel partition whose target width varies per supernode via a policy.
 
-    Subclasses :class:`BlockPartition` so the entire block/fan-out stack
-    accepts it unchanged; only the splitting loop differs.
+    Only :meth:`target_width` differs from :class:`BlockPartition`: the
+    splitting loop, and the attribute contract every downstream stage
+    reads, are the base class's.
     """
 
-    policy_name = "variable"
-
     def __init__(self, sf: SymbolicFactor, policy: SizePolicy):
-        # Deliberately do NOT call super().__init__ — we replace the
-        # splitting loop but keep the same attribute contract.
-        self.block_size = -1  # sentinel: variable
         self.policy = policy
-        self.symbolic = sf
-        snode_depth = sf.depth[sf.snode_ptr[:-1]]
-        boundaries: list[int] = [0]
-        snode_ids: list[int] = []
-        ptr = sf.snode_ptr
-        for s in range(sf.nsupernodes):
-            a, b = int(ptr[s]), int(ptr[s + 1])
-            w = b - a
-            B = max(1, int(self.policy(int(snode_depth[s]), w)))
-            npanels = max(1, -(-w // B))
-            base, extra = divmod(w, npanels)
-            pos = a
-            for k in range(npanels):
-                pos += base + (1 if k < extra else 0)
-                boundaries.append(pos)
-                snode_ids.append(s)
-            assert pos == b
-        self._set_panels(boundaries, snode_ids)
+        self._split(sf)
+
+    def target_width(self, depth: int, width: int) -> int:
+        return self.policy(depth, width)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"VariableBlockPartition(N={self.npanels})"

@@ -35,10 +35,23 @@ from repro.config import RunConfig
 from repro.experiments.registry import EXPERIMENTS, run_suite
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _positive(text: str) -> int:
+    """``-P``'s type: a positive int, else a usage error (exit 2)."""
+    P = int(text)
+    if P < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {P}")
+    return P
+
+
+def _add_common(p: argparse.ArgumentParser, fn, problem: bool = True) -> None:
+    """An offline command: its ``problem``, ``--scale``, ``--block-size``
+    and handler ``fn``."""
+    if problem:
+        p.add_argument("problem")
     p.add_argument("--scale", default="medium",
                    choices=("small", "medium", "paper"))
     RunConfig.add_arguments(p, "block_size")
+    p.set_defaults(fn=fn)
 
 
 def cmd_info(args) -> int:
@@ -125,15 +138,11 @@ def cmd_trace(args) -> int:
 _SERVICE_ONLY = ("queue_capacity", "cache_capacity", "validate")
 
 
-def _service_only(args) -> dict:
-    return {name: getattr(args, name) for name in _SERVICE_ONLY}
-
-
 def _add_service_knobs(p: argparse.ArgumentParser) -> None:
     """The ``serve`` flags: the :class:`RunConfig` fields a service reads,
     then one flag per :data:`_SERVICE_ONLY` keyword."""
     RunConfig.add_arguments(
-        p, "nprocs", "ordering", "block_size", "block_policy", "mapping",
+        p, "nprocs", "ordering", "block_size", "mapping",
         "transport", "schedule", "max_restarts", nprocs=2,
     )
     p.add_argument("--queue-capacity", type=int, default=64,
@@ -148,7 +157,9 @@ def _add_service_knobs(p: argparse.ArgumentParser) -> None:
 def cmd_serve(args) -> int:
     from repro.service import FactorService, ServiceServer
 
-    service = FactorService(args.config, **_service_only(args)).start()
+    service = FactorService(
+        args.config, **{name: getattr(args, name) for name in _SERVICE_ONLY}
+    ).start()
     server = ServiceServer(service, host=args.host, port=args.port)
     host, port = server.address
     print(f"repro service listening on {host}:{port} "
@@ -221,25 +232,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(config_fields=())
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("info", help="problem statistics")
-    p.add_argument("problem")
-    _add_common(p)
-    p.set_defaults(fn=cmd_info)
-
-    p = sub.add_parser("factor", help="numeric factorization + verification")
-    p.add_argument("problem")
-    _add_common(p)
-    p.set_defaults(fn=cmd_factor)
+    _add_common(sub.add_parser("info", help="problem statistics"), cmd_info)
+    _add_common(sub.add_parser(
+        "factor", help="numeric factorization + verification"
+    ), cmd_factor)
 
     p = sub.add_parser("simulate", help="parallel fan-out simulation")
-    p.add_argument("problem")
-    p.add_argument("-P", type=int, default=64, help="processor count")
+    p.add_argument("-P", type=_positive, default=64, help="processor count")
     p.add_argument("--mapping", default="ID/CY",
                    help='"cyclic" or "<row>/<col>" heuristic pair, e.g. ID/CY')
     p.add_argument("--priority", action="store_true",
                    help="priority scheduling instead of FIFO")
-    _add_common(p)
-    p.set_defaults(fn=cmd_simulate)
+    _add_common(p, cmd_simulate)
 
     p = sub.add_parser(
         "trace",
@@ -268,19 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser("analyze", help="structure/memory/critical-path report")
-    p.add_argument("problem")
-    p.add_argument("-P", type=int, default=64)
-    _add_common(p)
-    p.set_defaults(fn=cmd_analyze)
+    p.add_argument("-P", type=_positive, default=64, help="processor count")
+    _add_common(p, cmd_analyze)
 
     p = sub.add_parser("experiment", help="run one paper experiment")
     p.add_argument("name", help=", ".join(EXPERIMENTS))
-    _add_common(p)
-    p.set_defaults(fn=cmd_experiment)
-
-    p = sub.add_parser("suite", help="run every experiment")
-    _add_common(p)
-    p.set_defaults(fn=cmd_suite)
+    _add_common(p, cmd_experiment, problem=False)
+    _add_common(sub.add_parser("suite", help="run every experiment"),
+                cmd_suite, problem=False)
     return parser
 
 

@@ -2,7 +2,7 @@
 
 The paper's sweep over mapping heuristic x P x block size x domains runs in
 the simulator, under its own parameters; the runtime added transport,
-schedule, blocking policy and a restart budget. :class:`RunConfig` declares
+schedule and a restart budget. :class:`RunConfig` declares
 each knob once — default, validation, CLI spelling, and whether it shapes a
 cached :class:`~repro.service.cache.PatternEntry` — and every layer
 (``SparseCholesky``, ``run_mp_fanout``, the pool's ``PatternContext``,
@@ -13,8 +13,9 @@ bad value a ``ValueError`` — at construction, before any analysis or process
 spawn. Adding a knob is one field here plus the one place that reads it;
 ``docs/ARCHITECTURE.md`` carries the table. What no caller varies is a
 constant where it is read: owners follow §2.3 (domains whole to one rank),
-supernodal clamps follow ``block_size``, a thief's victim hashes ``(round,
-rank)``, the stall watchdog is ``worker.STALL_S``, a trace ring its size.
+panels are §3.2's (every supernode cut by ``block_size``), a thief's victim
+hashes ``(round, rank)``, the stall watchdog is ``worker.STALL_S``, a trace
+ring its size.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from repro.blocks.supernodal import BLOCK_POLICIES
 from repro.mapping.heuristics import mapping_heuristics
 
 #: Block payload transports (``"auto"`` resolves per run, see
@@ -83,14 +83,9 @@ class RunConfig:
         plan=True, flags="--ordering", choices=("auto", "nd", "mmd", "natural"),
     )
     block_size: int = _knob(
-        48, "panel width B; under the supernodal policy panels are at most "
-        "max(32, 2 * block_size) wide (docs/BLOCKING.md)",
+        48, "panel width B: every supernode is cut into near-even panels "
+        "at most B wide (docs/BLOCKING.md)",
         plan=True, flags="--block-size", kind=int, low=1,
-    )
-    block_policy: str = _knob(
-        "uniform", "panel blocking policy: fixed-width panels or "
-        "supernode-following panels (docs/BLOCKING.md)",
-        plan=True, flags="--block-policy", among=BLOCK_POLICIES,
     )
     # -- placement -----------------------------------------------------
     nprocs: int = _knob(

@@ -57,6 +57,8 @@ def best_grid(P: int) -> ProcessorGrid:
     For P = 63 this yields 7 x 9 — the relatively-prime grid of §4.2, whose
     cyclic mapping scatters block diagonals over all processors.
     """
+    if P < 1:
+        raise ValueError(f"P must be a positive processor count, got {P!r}")
     r = math.isqrt(P)
     while P % r:
         r -= 1

@@ -274,8 +274,6 @@ def job_result(plan: PatternPlan, job: PoolJob, outcome: JobOutcome,
     meta = dict(
         start_method=START_METHOD,
         transport=metrics.transport, schedule=plan.config.schedule,
-        block_policy=getattr(plan.structure.partition, "policy_name",
-                             "uniform"),
     )
     if job.rhs is not None:
         meta["nrhs"] = int(job.rhs.shape[1])

@@ -14,7 +14,7 @@ a values array and runs.
 The digest also covers the service's plan-shaping knobs —
 :meth:`repro.config.RunConfig.plan_key`, i.e. every field whose metadata
 says it shapes an entry — so a service restarted with different knobs
-never aliases stale entries, and uniform vs supernodal plans for the same
+never aliases stale entries, and plans at two block sizes for the same
 pattern never collide.
 """
 

@@ -535,7 +535,7 @@ class FactorService:
     def _build_entry(self, pid: str, A: sparse.csc_matrix) -> PatternEntry:
         """Cold setup: symbolic analysis, owner plan, arena — once per
         pattern."""
-        from repro.blocks import BlockStructure, WorkModel, make_partition
+        from repro.blocks import BlockPartition, BlockStructure, WorkModel
         from repro.fanout import TaskGraph
         from repro.ordering import resolve_ordering
         from repro.symbolic import symbolic_factor
@@ -543,9 +543,7 @@ class FactorService:
         cfg = self.config
         perm = resolve_ordering(A, cfg.ordering)
         symbolic = symbolic_factor(A, perm)
-        structure = BlockStructure(make_partition(
-            symbolic, cfg.block_policy, cfg.block_size
-        ))
+        structure = BlockStructure(BlockPartition(symbolic, cfg.block_size))
         return PatternEntry.create(
             structure, TaskGraph(WorkModel(structure)), cfg, pid,
             symbolic=symbolic,

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from repro.blocks import BlockStructure, WorkModel, make_partition
-from repro.config import RunConfig
+from repro.blocks import BlockPartition, BlockStructure, WorkModel
+from repro.config import RunConfig, check_number
 from repro.fanout import TaskGraph, plan_block_owners, simulate_fanout
 from repro.machine.params import PARAGON, MachineParams
 from repro.mapping import named_map
@@ -128,9 +128,7 @@ class SparseCholesky:
         self.failure_report = None
         perm = self._resolve_ordering(A, config.ordering)
         self.symbolic = symbolic_factor(A, perm)
-        self.partition = make_partition(
-            self.symbolic, config.block_policy, config.block_size
-        )
+        self.partition = BlockPartition(self.symbolic, config.block_size)
         self.structure = BlockStructure(self.partition)
         self.workmodel = WorkModel(self.structure)
         self._taskgraph: TaskGraph | None = None
@@ -228,8 +226,7 @@ class SparseCholesky:
         always computed and reported in :attr:`solve_residual` (history
         in :attr:`solve_residuals`).
         """
-        if refine < 0:
-            raise ValueError("refine must be non-negative")
+        refine = check_number("refine", refine, int, 0)
         b = np.asarray(b, dtype=np.float64)
         if self.backend == "mp" and self._numeric is None:
             permute_rhs(b, self.A.shape[0], None)  # refused before a spawn

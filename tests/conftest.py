@@ -18,6 +18,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from repro.blocks import BlockPartition, BlockStructure, WorkModel
+from repro.blocks.variable import VariableBlockPartition, stage_varying_policy
 from repro.fanout import TaskGraph
 from repro.matrices import grid2d_matrix, random_spd_sparse
 from repro.ordering import order_problem
@@ -48,6 +49,23 @@ def no_leaked_workers_or_shm(request):
     assert not orphans, f"orphan worker processes: {orphans}"
     leaked = sorted(set(glob.glob("/dev/shm/psm_*")) - before)
     assert not leaked, f"leaked shared-memory segments: {leaked}"
+
+
+def variable_partition(sf, block_size=8):
+    """§5's stage-varying B, set so that the widths really vary: ``2 *
+    block_size`` for the supernodes eliminated first (at least as deep as
+    the median supernode), ``block_size // 2`` for those nearer the
+    root."""
+    depths = sf.depth[sf.snode_ptr[:-1]]
+    cutoff = int(np.median(depths)) - 1 if depths.size else 0
+    return VariableBlockPartition(sf, stage_varying_policy(
+        2 * block_size, max(1, block_size // 2), cutoff
+    ))
+
+
+#: The two ways a suite cuts panels, by test id: the paper's one B, and a
+#: B chosen per supernode.
+PARTITIONS = {"uniform": BlockPartition, "supernodal": variable_partition}
 
 
 @pytest.fixture(scope="session")

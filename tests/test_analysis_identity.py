@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
-from repro.blocks import BlockStructure, WorkModel, make_partition
+from repro.blocks import BlockStructure, WorkModel
 from repro.graph import (
     AdjacencyGraph,
     bfs_levels,
@@ -49,6 +49,7 @@ from repro.symbolic.etree import relabel_tree, subtree_sizes
 from repro.symbolic.structure import supernode_structures
 
 from tests import analysis_oracle as oracle
+from tests.conftest import PARTITIONS
 
 MMD_SETTINGS = (
     {},
@@ -365,13 +366,16 @@ WORK_MODEL_ARRAYS = (
 )
 
 
-@pytest.mark.parametrize("block_policy", ["uniform", "supernodal"])
+@pytest.mark.parametrize("rule", ["uniform", "supernodal"])
 @pytest.mark.parametrize("make", fixed_inputs())
-def test_work_model_matches_oracle(make, block_policy):
+def test_work_model_matches_oracle(make, rule):
     A = make()
     sf = symbolic_factor(A, resolve_ordering(A, "auto"))
     for block_size in (8, 48):
-        structure = BlockStructure(make_partition(sf, block_policy, block_size))
+        structure = BlockStructure(PARTITIONS[rule](sf, block_size))
+        if rule == "supernodal" and block_size == 8 and sf.n >= 100:
+            # Widths that really vary wherever the input is big enough.
+            assert np.unique(structure.partition.widths).size >= 3
         for op_fixed_cost in (1000, 0):
             wm = WorkModel(structure, op_fixed_cost=op_fixed_cost)
             ref = oracle.oracle_work_model(structure, op_fixed_cost=op_fixed_cost)

@@ -1,12 +1,14 @@
-"""Property suite for the structure-aware (supernodal) partitioner.
+"""Property suite for the per-supernode panel split.
 
-Hypothesis drives random supernode width profiles and clamp settings
-through :class:`SupernodalPartition` and checks the guarantees every
-downstream layer (block structure, task graph, arena layout) relies on:
+Hypothesis drives random supernode width profiles through the one
+splitting loop — :class:`BlockPartition`'s, at a random B, and
+:class:`VariableBlockPartition`'s, at a random B per supernode — and checks
+the guarantees every downstream layer (block structure, task graph, arena
+layout) relies on:
 
 * totality — panel widths sum to n and panels tile the columns;
-* clamps — no panel exceeds ``max_width``, and no panel is thinner than
-  ``min(min_width, its supernode's width)``;
+* the target — no panel is wider than its supernode's B, and the panels of
+  one supernode differ in width by at most one;
 * determinism — the same symbolic factor yields identical panel arrays;
 * the §3.2 invariant — every supernode boundary is a panel boundary
   (panels never straddle supernodes).
@@ -24,65 +26,76 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.blocks import (  # noqa: E402
-    BLOCK_POLICIES,
     BlockPartition,
     BlockStructure,
-    SupernodalPartition,
     WorkModel,
     make_partition,
 )
-from repro.blocks.supernodal import SUPERNODAL_MIN_WIDTH  # noqa: E402
+from repro.blocks.variable import VariableBlockPartition  # noqa: E402
 from repro.matrices import grid2d_matrix  # noqa: E402
 from repro.ordering import order_problem  # noqa: E402
 from repro.symbolic import symbolic_factor  # noqa: E402
+from tests.conftest import variable_partition  # noqa: E402
 
 
 def _fake_symbolic(snode_widths: list[int]) -> SimpleNamespace:
-    """A minimal stand-in exposing exactly what the partitioner reads."""
+    """A minimal stand-in exposing exactly what the partitioner reads; the
+    depth of supernode s's first column is s, so a policy can tell the
+    supernodes apart by depth."""
     ptr = np.concatenate([[0], np.cumsum(snode_widths)]).astype(np.int64)
     n = int(ptr[-1])
+    depth = np.zeros(n, dtype=np.int64)
+    depth[ptr[:-1]] = np.arange(len(snode_widths))
     return SimpleNamespace(
         n=n,
         nsupernodes=len(snode_widths),
         snode_ptr=ptr,
-        depth=np.zeros(n, dtype=np.int64),
+        depth=depth,
     )
 
 
 #: Random supernode width profiles: a mix of thin fringes and wide
-#: separator-like supernodes (up to 4x a typical max_width).
+#: separator-like supernodes.
 snode_widths = st.lists(
     st.integers(min_value=1, max_value=400), min_size=1, max_size=40
 )
 
-clamps = st.tuples(
-    st.integers(min_value=1, max_value=48),      # min_width
-    st.integers(min_value=2, max_value=8),       # max_width multiplier
-).map(lambda t: (t[0], t[0] * t[1]))
 
-
-@given(snode_widths, clamps)
-@settings(max_examples=200, deadline=None)
-def test_widths_sum_and_clamps(widths, clamp):
-    lo, hi = clamp
+@st.composite
+def split_cases(draw):
+    """``(fake symbolic factor, partition, B of each supernode)``: one B
+    for all (``BlockPartition``) or one per supernode
+    (``VariableBlockPartition``, its policy reading the depth)."""
+    widths = draw(snode_widths)
     sf = _fake_symbolic(widths)
-    part = SupernodalPartition(sf, min_width=lo, max_width=hi)
+    if draw(st.booleans()):
+        B = draw(st.integers(min_value=1, max_value=128))
+        return sf, BlockPartition(sf, B), np.full(len(widths), B)
+    targets = draw(st.lists(st.integers(min_value=1, max_value=128),
+                            min_size=len(widths), max_size=len(widths)))
+    part = VariableBlockPartition(sf, lambda depth, width: targets[depth])
+    return sf, part, np.asarray(targets)
+
+
+@given(split_cases())
+@settings(max_examples=200, deadline=None)
+def test_widths_sum_and_clamps(case):
+    sf, part, targets = case
     w = part.widths
     assert int(w.sum()) == sf.n
     assert (w >= 1).all()
-    assert (w <= hi).all()
-    # Min clamp: a panel may be thinner than min_width only when its whole
-    # supernode is (a thin supernode becomes its own panel).
-    snode_w = np.diff(sf.snode_ptr)[part.panel_snode]
-    assert (w >= np.minimum(lo, snode_w)).all()
+    # No panel is wider than its supernode's B, and a supernode's panels
+    # are as even as its width allows.
+    assert (w <= targets[part.panel_snode]).all()
+    for s in range(sf.nsupernodes):
+        mine = w[part.panel_snode == s]
+        assert int(mine.max()) - int(mine.min()) <= 1
 
 
-@given(snode_widths, clamps)
+@given(split_cases())
 @settings(max_examples=200, deadline=None)
-def test_supernode_boundaries_are_panel_boundaries(widths, clamp):
-    lo, hi = clamp
-    sf = _fake_symbolic(widths)
-    part = SupernodalPartition(sf, min_width=lo, max_width=hi)
+def test_supernode_boundaries_are_panel_boundaries(case):
+    sf, part, _ = case
     panel_bounds = set(part.panel_ptr.tolist())
     assert set(sf.snode_ptr.tolist()) <= panel_bounds
     # ... equivalently, no panel straddles a supernode (§3.2: column
@@ -93,45 +106,28 @@ def test_supernode_boundaries_are_panel_boundaries(widths, clamp):
         assert part.panel_ptr[k + 1] <= sf.snode_ptr[s + 1]
 
 
-@given(snode_widths, clamps)
+@given(split_cases())
 @settings(max_examples=100, deadline=None)
-def test_deterministic(widths, clamp):
-    lo, hi = clamp
-    sf = _fake_symbolic(widths)
-    a = SupernodalPartition(sf, min_width=lo, max_width=hi)
-    b = SupernodalPartition(sf, min_width=lo, max_width=hi)
+def test_deterministic(case):
+    sf, a, _ = case
+    # A second split to the same targets, through the variable subclass
+    # whichever class made the first.
+    b = VariableBlockPartition(sf, a.target_width)
     np.testing.assert_array_equal(a.panel_ptr, b.panel_ptr)
     np.testing.assert_array_equal(a.panel_snode, b.panel_snode)
     np.testing.assert_array_equal(a.panel_of_col, b.panel_of_col)
 
 
-@given(snode_widths, clamps)
+@given(split_cases())
 @settings(max_examples=100, deadline=None)
-def test_panel_of_col_inverts_panel_ptr(widths, clamp):
-    lo, hi = clamp
-    sf = _fake_symbolic(widths)
-    part = SupernodalPartition(sf, min_width=lo, max_width=hi)
+def test_panel_of_col_inverts_panel_ptr(case):
+    _, part, _ = case
     for k in range(part.npanels):
         cols = np.arange(part.panel_ptr[k], part.panel_ptr[k + 1])
         assert (part.panel_of_col[cols] == k).all()
 
 
-class TestClampValidation:
-    def test_max_must_be_twice_min(self):
-        sf = _fake_symbolic([100])
-        with pytest.raises(ValueError, match="max_width"):
-            SupernodalPartition(sf, min_width=20, max_width=30)
-
-    def test_min_positive(self):
-        sf = _fake_symbolic([10])
-        with pytest.raises(ValueError, match="min_width"):
-            SupernodalPartition(sf, min_width=0, max_width=10)
-
-
 class TestFactory:
-    def test_policies_registry(self):
-        assert BLOCK_POLICIES == ("uniform", "supernodal")
-
     def test_unknown_policy_rejected(self):
         sf = _fake_symbolic([10])
         with pytest.raises(ValueError, match="block_policy"):
@@ -143,36 +139,26 @@ class TestFactory:
         a = make_partition(sf, "uniform", block_size=8)
         b = BlockPartition(sf, 8)
         assert type(a) is BlockPartition
-        assert a.policy_name == "uniform"
         np.testing.assert_array_equal(a.panel_ptr, b.panel_ptr)
 
-    def test_supernodal_defaults_track_block_size(self):
-        sf = _fake_symbolic([300])
-        part = make_partition(sf, "supernodal", block_size=48)
-        assert isinstance(part, SupernodalPartition)
-        assert part.policy_name == "supernodal"
-        assert part.min_width == SUPERNODAL_MIN_WIDTH
-        assert part.max_width == 96
-
     def test_explicit_clamps_win(self):
-        """Explicit clamps are a partition of one's own: the factory takes
-        only the policy and ``block_size``."""
+        """The factory takes only the policy name and ``block_size``:
+        other widths are a partition of one's own."""
         sf = _fake_symbolic([300])
         with pytest.raises(TypeError):
-            make_partition(sf, "supernodal", 48, min_width=8)
-        part = SupernodalPartition(sf, min_width=8, max_width=32)
-        assert part.min_width == 8
-        assert part.max_width == 32
-        assert (part.widths <= 32).all()
+            make_partition(sf, "uniform", 48, min_width=8)
+        part = VariableBlockPartition(sf, lambda depth, width: 32)
+        assert part.widths.tolist() == [30] * 10
 
 
 class TestRealPipeline:
     def test_downstream_layers_accept_supernodal(self):
-        """BlockStructure/WorkModel consume a supernodal partition and the
-        §3.2 invariant survives amalgamation + clamping end to end."""
+        """BlockStructure/WorkModel consume a per-supernode partition and
+        the §3.2 invariant survives amalgamation end to end."""
         problem = grid2d_matrix(20)
         sf = symbolic_factor(problem.A, order_problem(problem, "nd"))
-        part = make_partition(sf, "supernodal", block_size=8)
+        part = variable_partition(sf, 8)
+        assert np.unique(part.widths).size >= 3
         structure = BlockStructure(part)
         wm = WorkModel(structure)
         assert structure.npanels == part.npanels
@@ -181,11 +167,13 @@ class TestRealPipeline:
         assert int(part.widths.sum()) == sf.n
 
     def test_wide_supernodes_get_wider_panels(self):
-        """On a problem with supernodes wider than the uniform B, the
-        supernodal policy produces strictly wider max panels."""
+        """A B equal to each supernode's width makes every supernode one
+        panel: on a problem with supernodes wider than the uniform B, its
+        widest panel is strictly wider."""
         problem = grid2d_matrix(40)
         sf = symbolic_factor(problem.A, order_problem(problem, "nd"))
-        uni = make_partition(sf, "uniform", block_size=16)
-        sup = make_partition(sf, "supernodal", block_size=16)
-        if int(np.diff(sf.snode_ptr).max()) > 16:
-            assert int(sup.widths.max()) > int(uni.widths.max())
+        uni = BlockPartition(sf, 16)
+        whole = VariableBlockPartition(sf, lambda depth, width: width)
+        assert np.array_equal(whole.panel_ptr, sf.snode_ptr)
+        assert int(np.diff(sf.snode_ptr).max()) > 16
+        assert int(whole.widths.max()) > int(uni.widths.max())

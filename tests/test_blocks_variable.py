@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from repro.blocks import BlockPartition, BlockStructure, WorkModel
 from repro.blocks.variable import (
     VariableBlockPartition,
     stage_varying_policy,
-    uniform_policy,
 )
 from repro.fanout import TaskGraph
 from repro.matrices import grid2d_matrix
@@ -24,7 +25,7 @@ def sf():
 class TestVariableBlockPartition:
     def test_uniform_matches_fixed(self, sf):
         fixed = BlockPartition(sf, 8)
-        var = VariableBlockPartition(sf, uniform_policy(8))
+        var = VariableBlockPartition(sf, lambda depth, width: 8)
         assert np.array_equal(fixed.panel_ptr, var.panel_ptr)
         assert np.array_equal(fixed.panel_snode, var.panel_snode)
 
@@ -56,17 +57,37 @@ class TestVariableBlockPartition:
         L = BlockCholesky(bs, sf.A).factor().to_csc()
         assert abs(L @ L.T - sf.A).max() < 1e-10
 
+    def test_only_the_target_width_is_its_own(self, sf):
+        """One splitting loop: the subclass overrides the target width and
+        nothing else of the split, and carries no ``block_size``
+        sentinel."""
+        own = set(vars(VariableBlockPartition)) - {"__module__", "__doc__"}
+        assert own == {"__init__", "target_width", "__repr__"}
+        var = VariableBlockPartition(sf, stage_varying_policy(8, 8))
+        assert not hasattr(var, "block_size")
+        assert var.target_width(0, 100) == 8
+
+    def test_a_stage_varying_partition_pickles(self, sf):
+        """A worker process receives the structure by pickle."""
+        var = VariableBlockPartition(sf, stage_varying_policy(12, 3, 3))
+        back = pickle.loads(pickle.dumps(var))
+        assert np.array_equal(back.panel_ptr, var.panel_ptr)
+        assert back.target_width(4, 10) == 12
+
     def test_degenerate_policy_clamped(self, sf):
         var = VariableBlockPartition(sf, lambda d, w: 0)  # clamped to 1
         assert var.npanels == sf.n
 
     def test_labelled_variable_with_the_shared_panel_map(self, sf):
-        """Its own policy label in the blocking report, and the column ->
-        panel map the base class builds from the same boundaries."""
+        """The blocking report reads its widths like any partition's, and
+        the column -> panel map is the one the base class builds from the
+        same boundaries."""
         var = VariableBlockPartition(sf, stage_varying_policy(12, 3, 3))
-        assert var.policy_name == "variable"
         tg = TaskGraph(WorkModel(BlockStructure(var)))
-        assert blocking_report(tg)["block_policy"] == "variable"
+        report = blocking_report(tg)
+        assert "block_policy" not in report
+        assert report["npanels"] == var.npanels
+        assert report["width_max"] == int(var.widths.max())
         widths = np.diff(var.panel_ptr)
         assert np.array_equal(
             var.panel_of_col, np.repeat(np.arange(var.npanels), widths)

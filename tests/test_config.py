@@ -26,16 +26,16 @@ FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 #: The defaults every façade had before there was a RunConfig.
 PARENT_DEFAULTS = dict(
-    ordering="auto", block_size=48, block_policy="uniform", nprocs=4,
+    ordering="auto", block_size=48, nprocs=4,
     mapping="DW/CY", transport="auto", schedule="static", trace=False,
     timeout_s=300.0, max_restarts=2,
 )
 
 #: Fields no caller set, now the constants every run used: owners without
 #: domains, clamps from ``block_size``, the ``(round, rank)`` victim hash,
-#: ``worker.STALL_S``.
+#: ``worker.STALL_S``, and §3.2's one panel rule.
 RETIRED = ("use_domains", "steal_seed", "min_width", "max_width",
-           "stall_timeout_s")
+           "stall_timeout_s", "block_policy")
 
 #: Values each retired field once had to refuse: now refused by name.
 RETIRED_VALUES = dict(
@@ -44,12 +44,13 @@ RETIRED_VALUES = dict(
     use_domains=["False", 1],
     steal_seed=[1.5, "x"],
     stall_timeout_s=[-0.1, None],
+    block_policy=["uniform", "supernodal"],
 )
 
 #: One valid non-default value per field. A new field without an entry
 #: fails `test_every_field_is_classified`.
 OTHER = dict(
-    ordering="nd", block_size=16, block_policy="supernodal", nprocs=3,
+    ordering="nd", block_size=16, nprocs=3,
     mapping="ID/CY", transport="inline", schedule="dynamic", trace=True,
     timeout_s=60.0, max_restarts=1,
 )
@@ -58,7 +59,6 @@ OTHER = dict(
 INVALID = dict(
     ordering=[np.eye(2), [0.5, 1.5]],
     block_size=[0, -1, 2.5, "48"],
-    block_policy=["variable", None],
     nprocs=[0, -2, 1.5, None],
     mapping=["XX/YY", "DW/ZZ", "CYCLIC", ""],
     transport=["bogus", None],
@@ -204,6 +204,8 @@ class TestValidation:
         ["serve", "--schedule", "both"],
         ["info", "GRID150", "--block-size", "0"],
         ["serve", "--steal-seed", "3"],
+        ["simulate", "GRID150", "--scale", "small", "-P", "0"],
+        ["analyze", "GRID150", "--scale", "small", "-P", "-3"],
     ])
     def test_cli_rejects_with_exit_code_2(self, argv, capsys):
         with pytest.raises(SystemExit) as info:
@@ -554,6 +556,20 @@ def test_retired_entry_points_stay_gone():
     assert not hasattr(repro.service, "CircuitBreaker")
     assert "CircuitBreaker" not in repro.service.__all__
     assert "settled" not in params
+    # One panel rule, §3.2's: no block policy, no supernodal partition.
+    from repro import blocks
+    from repro.symbolic import symbolic_factor
+
+    with pytest.raises(TypeError):
+        RunConfig(block_policy="uniform")
+    with pytest.raises(SystemExit) as info:
+        main(["serve", "--block-policy", "uniform"])
+    assert info.value.code == 2
+    for name in ("SupernodalPartition", "BLOCK_POLICIES"):
+        assert not hasattr(blocks, name), name
+    sf = symbolic_factor(grid2d_matrix(4).A, None)
+    with pytest.raises(ValueError, match="block_policy"):
+        blocks.make_partition(sf, "supernodal")
 
 
 def test_worker_metrics_load_a_dump_with_a_legacy_timeline():

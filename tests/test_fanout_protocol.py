@@ -24,18 +24,20 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.comm_volume import communication_volume
 from repro.analysis.memory import memory_usage
-from repro.blocks import BlockStructure, SupernodalPartition, WorkModel
+from repro.blocks import BlockStructure, WorkModel
 from repro.fanout import TaskGraph
 from repro.fanout.dispatch import DispatchPlan, Readiness
 from repro.fanout.protocol import FanoutState, remote_ranks
 from repro.fanout.tasks import BDIV, BFAC, BMOD
 from repro.machine.params import PARAGON
+from tests.conftest import variable_partition
 
 
 @pytest.fixture(scope="module")
 def grid12_supernodal(grid12_pipeline):
-    """The grid12 problem under the structure-following block policy."""
-    part = SupernodalPartition(grid12_pipeline[1], min_width=2, max_width=8)
+    """The grid12 problem under a per-supernode B (§5)."""
+    part = variable_partition(grid12_pipeline[1], 8)
+    assert np.unique(part.widths).size >= 3
     return (TaskGraph(WorkModel(BlockStructure(part))),)
 
 

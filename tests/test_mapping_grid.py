@@ -51,3 +51,10 @@ class TestBestGrid:
     def test_prime(self):
         g = best_grid(13)
         assert (g.Pr, g.Pc) == (1, 13)
+
+    @pytest.mark.parametrize("P", [0, -3])
+    def test_rejects_fewer_than_one_processor(self, P):
+        """A ``ValueError`` naming ``P``, not the arithmetic error of a
+        division by zero or of ``isqrt`` on a negative number."""
+        with pytest.raises(ValueError, match="P must be"):
+            best_grid(P)

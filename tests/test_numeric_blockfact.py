@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.blocks import (
-    BlockPartition,
-    BlockStructure,
-    WorkModel,
-    make_partition,
-)
+from repro.blocks import BlockPartition, BlockStructure, WorkModel
 from repro.matrices import (
     bcsstk_like_matrix,
     cube3d_matrix,
@@ -34,6 +29,7 @@ from tests.blockfact_oracle import (
     oracle_scatter,
     oracle_to_csc,
 )
+from tests.conftest import PARTITIONS, variable_partition
 
 
 def factor_and_check(A, sf, B):
@@ -167,7 +163,7 @@ def assert_plan_matches_the_oracle(bs, A):
 @pytest.mark.parametrize("triangles", ["both", "lower"])
 def test_plan_matches_the_interpreted_oracle(analysed, policy, triangles):
     sf = analysed
-    bs = BlockStructure(make_partition(sf, policy, block_size=8))
+    bs = BlockStructure(PARTITIONS[policy](sf, 8))
     A = sf.A if triangles == "both" else sparse.tril(sf.A).tocsc()
     assert_plan_matches_the_oracle(bs, A)
 
@@ -185,7 +181,7 @@ EDGE_CASES = {
 @pytest.mark.parametrize("case", sorted(EDGE_CASES))
 def test_plan_matches_the_oracle_on_edge_patterns(case, policy):
     sf = symbolic_factor(EDGE_CASES[case](), None)
-    bs = BlockStructure(make_partition(sf, policy, block_size=8))
+    bs = BlockStructure(PARTITIONS[policy](sf, 8))
     assert bs.numeric_plan()._rows.size == 0
     assert_plan_matches_the_oracle(bs, sf.A)
 
@@ -199,7 +195,7 @@ def test_factor_is_bit_equal_to_the_wrapper_kernels(analysed, policy):
     calls them. The per-block factor, bit-equal to the wrapper loop,
     agrees to rounding."""
     sf = analysed
-    bs = BlockStructure(make_partition(sf, policy, block_size=8))
+    bs = BlockStructure(PARTITIONS[policy](sf, 8))
     nblocks = WorkModel(bs).dest_I.shape[0]
     want = oracle_grouped_factor(bs, sf.A, np.zeros(nblocks, np.int64))
     chol = BlockCholesky(bs, sf.A).factor()
@@ -486,7 +482,7 @@ class TestPlanCost:
         the plan it never enters the structure's pickle."""
         p = grid2d_matrix(9)
         sf = symbolic_factor(p.A, order_problem(p, "nd"))
-        bs = BlockStructure(make_partition(sf, "supernodal", block_size=6))
+        bs = BlockStructure(variable_partition(sf, 6))
         before = pickle.dumps(bs)
         plan = bs.numeric_plan()
         assert pickle.dumps(bs) == before

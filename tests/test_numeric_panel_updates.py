@@ -25,12 +25,7 @@ from scipy import sparse
 
 from repro.analysis.comm_volume import communication_volume
 from repro.analysis.trace_replay import validate_trace
-from repro.blocks import (
-    BlockStructure,
-    SupernodalPartition,
-    WorkModel,
-    make_partition,
-)
+from repro.blocks import BlockPartition, BlockStructure, WorkModel
 from repro.config import RunConfig
 from repro.fanout import TaskGraph
 from repro.fanout.dispatch import PanelUpdates
@@ -65,6 +60,7 @@ from tests.blockfact_oracle import (
     oracle_bmod_factor,
     oracle_grouped_cholesky,
 )
+from tests.conftest import PARTITIONS, variable_partition
 
 TRANSPORTS = ["inline"] + (["shm"] if shm_available() else [])
 
@@ -83,7 +79,7 @@ def _structure(name, policy):
     problem = ProblemMatrix(name, sparse.csc_matrix(A))
     ordering = None if method is None else order_problem(problem, method)
     sf = symbolic_factor(problem.A, ordering)
-    return BlockStructure(make_partition(sf, policy, block_size=8)), sf.A
+    return BlockStructure(PARTITIONS[policy](sf, 8)), sf.A
 
 
 def _bitwise(L, ref):
@@ -117,7 +113,7 @@ def _grid30():
     the sequential factor in disguise, as it is on grid12."""
     p = grid2d_matrix(30)
     sf = symbolic_factor(p.A, order_problem(p, "nd"))
-    return sf, BlockStructure(make_partition(sf, "uniform", block_size=32))
+    return sf, BlockStructure(BlockPartition(sf, 32))
 
 
 @pytest.fixture(scope="module", params=[
@@ -127,7 +123,8 @@ def problem(request, grid12_pipeline):
     """``(structure, tg, A, sequential L)`` of one test problem."""
     _, sf, _, bs, _, tg = grid12_pipeline
     if request.param == "grid12-supernodal":
-        bs = BlockStructure(SupernodalPartition(sf, min_width=2, max_width=8))
+        bs = BlockStructure(variable_partition(sf, 8))
+        assert np.unique(bs.partition.widths).size >= 3
     elif request.param == "grid30-b32":
         sf, bs = _grid30()
     if request.param != "grid12-uniform":

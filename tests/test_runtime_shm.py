@@ -12,7 +12,7 @@ import pytest
 
 from repro.analysis.comm_volume import communication_volume
 from repro.analysis.trace_replay import validate_trace
-from repro.blocks import BlockStructure, SupernodalPartition, WorkModel
+from repro.blocks import BlockStructure, WorkModel
 from repro.config import RunConfig
 from repro.fanout import TaskGraph
 from repro.numeric import BlockCholesky
@@ -37,7 +37,7 @@ from repro.runtime.pool import JobOutcome
 from repro.runtime.validation import validate_runtime
 from repro.runtime.wire import CorruptFrameError, WireError
 from tests.blockfact_oracle import oracle_grouped_cholesky
-from tests.conftest import facade_job
+from tests.conftest import facade_job, variable_partition
 
 needs_shm = pytest.mark.skipif(
     not shm_available(), reason="multiprocessing.shared_memory unavailable"
@@ -389,15 +389,16 @@ def _bitwise(L, ref):
 
 @pytest.fixture(scope="module")
 def gather_problems(grid12_pipeline, random_spd_pipeline):
-    """grid12 and random_spd under the uniform and the supernodal block
-    policy: ``(structure, work model, task graph, A, sequential L)``."""
+    """grid12 and random_spd under their uniform B and a per-supernode B:
+    ``(structure, work model, task graph, A, sequential L)``."""
     problems = {}
     for name, pipeline in (("grid12", grid12_pipeline),
                            ("random_spd", random_spd_pipeline)):
-        _, sf, _, bs, wm, tg = pipeline
+        _, sf, part, bs, wm, tg = pipeline
         A = sf.A.tocsc()
         problems[name, "uniform"] = (bs, wm, tg, A)
-        sn = BlockStructure(SupernodalPartition(sf, min_width=2, max_width=8))
+        sn = BlockStructure(variable_partition(sf, part.block_size))
+        assert np.unique(sn.partition.widths).size >= 3
         wm_sn = WorkModel(sn)
         problems[name, "supernodal"] = (sn, wm_sn, TaskGraph(wm_sn), A)
     return {

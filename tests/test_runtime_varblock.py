@@ -1,13 +1,12 @@
-"""Variable-block (supernodal policy) runtime conformance.
+"""Variable-block (a B chosen per supernode, §5) runtime conformance.
 
 The whole validation story must hold when panel widths are heterogeneous:
 factors and solves bitwise-identical to the sequential baseline (at P = 4,
 a 2 x 2 grid, to the grouped oracles of the factor and the solve), measured
 messages/bytes equal to the static predictors, and strict trace replay —
 across inline/shm transports, static/dynamic schedules, and P in
-{1, 2, 4}. The fixture problem is chosen so the supernodal partition is
-genuinely non-uniform (distinct panel widths), not a relabeled uniform
-one.
+{1, 2, 4}. The fixture's policy is chosen so the partition is genuinely
+non-uniform (distinct panel widths), not a relabeled uniform one.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from repro.analysis.comm_volume import (
     solve_communication_volume,
 )
 from repro.analysis.trace_replay import validate_trace
-from repro.blocks import BlockStructure, SupernodalPartition, WorkModel
+from repro.blocks import BlockPartition, BlockStructure, WorkModel
 from repro.fanout import TaskGraph
 from repro.matrices import grid2d_matrix
 from repro.numeric import BlockCholesky
@@ -36,6 +35,7 @@ from tests.blockfact_oracle import (
     oracle_grouped_factor,
     oracle_grouped_solve,
 )
+from tests.conftest import variable_partition
 
 needs_shm = pytest.mark.skipif(
     not shm_available(), reason="multiprocessing.shared_memory unavailable"
@@ -46,13 +46,14 @@ P_SWEEP = (1, 2, 4)
 
 @pytest.fixture(scope="module")
 def varblock_ref():
-    """A 20x20 grid under the supernodal policy, plus sequential
-    factor/solve references."""
+    """A 20x20 grid under a per-supernode B, plus sequential factor/solve
+    references."""
     problem = grid2d_matrix(20)
     sf = symbolic_factor(problem.A, order_problem(problem, "nd"))
-    part = SupernodalPartition(sf, min_width=2, max_width=8)
+    part = variable_partition(sf, 8)
     # The point of the suite: the partition must be genuinely variable.
-    assert np.unique(part.widths).size > 1
+    assert np.unique(part.widths).size >= 3
+    assert not np.array_equal(part.panel_ptr, BlockPartition(sf, 8).panel_ptr)
     bs = BlockStructure(part)
     wm = WorkModel(bs)
     tg = TaskGraph(wm)
@@ -99,7 +100,6 @@ class TestConformanceMatrix:
                 schedule=schedule, rhs=r["rhs"],
             )
             met = res.metrics
-            assert res.meta["block_policy"] == "supernodal"
             # Factor and solve land bitwise on the reference.
             L = res.to_csc()
             assert (L != L_ref).nnz == 0
@@ -137,8 +137,8 @@ class TestTransportBitwiseEquality:
 
 
 class TestServiceDigestSeparation:
-    """Uniform and supernodal plans for one csc pattern never collide in
-    the pattern cache (the same treatment ``schedule`` got in PR 8)."""
+    """Plans at two block sizes for one csc pattern never collide in the
+    pattern cache, as no two values of a plan field do."""
 
     def _knobs(self, **kw):
         from repro.service import FactorService
@@ -149,37 +149,19 @@ class TestServiceDigestSeparation:
         finally:
             svc.close()
 
-    def test_digests_differ_across_policies(self):
-        A = grid2d_matrix(8).A.tocsc()
-        k_uni = self._knobs(block_policy="uniform")
-        k_sup = self._knobs(block_policy="supernodal")
-        assert k_uni != k_sup
-        assert pattern_digest(A, k_uni) != pattern_digest(A, k_sup)
-
     def test_digests_differ_across_clamps(self):
-        """The supernodal clamps follow ``block_size`` (max width 48 vs
-        96 here), which is a plan field."""
+        """The panel width ``block_size`` is a plan field: the entry's
+        partition, so its digest, follows it."""
         A = grid2d_matrix(8).A.tocsc()
-        a = self._knobs(block_policy="supernodal", block_size=24)
-        b = self._knobs(block_policy="supernodal", block_size=48)
+        a = self._knobs(block_size=24)
+        b = self._knobs(block_size=48)
+        assert ("block_size", 24) in a and ("block_size", 48) in b
         assert pattern_digest(A, a) != pattern_digest(A, b)
 
-    def test_entry_records_policy(self):
-        from repro.service import FactorService
-
-        svc = FactorService(nprocs=1, block_policy="supernodal")
-        try:
-            A = grid2d_matrix(8).A.tocsc()
-            entry = svc._build_entry("pid-test", A)
-            assert entry.config.block_policy == "supernodal"
-            assert (
-                entry.structure.partition.policy_name == "supernodal"
-            )
-        finally:
-            svc.close()
-
     def test_invalid_policy_rejected(self):
+        """There is one panel rule, so no policy to name: the keyword is
+        unknown."""
         from repro.service import FactorService
 
-        with pytest.raises(ValueError, match="block_policy"):
-            FactorService(nprocs=1, block_policy="variable")
+        with pytest.raises(TypeError, match="block_policy"):
+            FactorService(nprocs=1, block_policy="uniform")

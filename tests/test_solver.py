@@ -97,6 +97,19 @@ class TestSparseCholesky:
         with pytest.raises(ValueError, match="empty"):
             SparseCholesky(sparse.csc_matrix((0, 0)))
 
+    @pytest.mark.parametrize("refine", [-1, 1.5, float("nan"), "1"])
+    def test_bad_refine_is_a_value_error_before_any_solve(
+        self, grid_solver, refine, monkeypatch
+    ):
+        """``refine`` is checked by ``RunConfig``'s number rule: a
+        fraction, NaN or a string is refused as a negative count is."""
+        def solved(*a, **k):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(grid_solver, "_base_solve", solved)
+        with pytest.raises(ValueError, match="refine"):
+            grid_solver.solve(np.ones(grid_solver.A.shape[0]), refine=refine)
+
     def test_one_by_one(self):
         s = SparseCholesky(sparse.csc_matrix(np.array([[4.0]]))).factor()
         assert s.solve(np.array([2.0])) == pytest.approx([0.5])
@@ -135,6 +148,11 @@ class TestPlanning:
         assert set(plans) == {"cyclic", "ID/CY", "DW/CY"}
         # heuristic should not lose badly to cyclic
         assert plans["ID/CY"].mflops > 0.8 * plans["cyclic"].mflops
+
+    @pytest.mark.parametrize("P", [0, -1])
+    def test_fewer_than_one_processor_is_a_value_error(self, grid_solver, P):
+        with pytest.raises(ValueError, match="P must be"):
+            grid_solver.plan_parallel(P)
 
     def test_plan_without_factor(self):
         """Planning is symbolic-only: no numeric factorization required."""
