@@ -9,6 +9,11 @@ scheduling problem, not a concurrency shortage).
 BMODs targeting the same block are treated as concurrent (each needs only
 its sources), which makes the bound optimistic, i.e. still a valid lower
 bound on runtime.
+
+The path is one forward sweep over the task graph's panel runs
+(``TaskGraph.task_ptr``): every task of panel K reads only blocks finished
+in earlier runs or earlier in its own, so block completion times are final
+when the sweep reaches them.
 """
 
 from __future__ import annotations
@@ -40,51 +45,20 @@ def critical_path(
     tg: TaskGraph, machine: MachineParams = PARAGON
 ) -> CriticalPathReport:
     """Longest chain through the task DAG, in seconds of task time."""
-    wm = tg.workmodel
-    structure = wm.structure
-    N = tg.npanels
-    key = wm._key_lookup
-    widths = structure.partition.widths.astype(np.int64)
-
+    dur = (tg.task_flops + machine.op_fixed_flops) / machine.flop_rate
+    block, src1 = tg.task_block, tg.task_src1
+    src2 = np.where(tg.task_src2 >= 0, tg.task_src2, src1)
     avail = np.zeros(tg.nblocks)  # completion time of each block
     mod_ready = np.zeros(tg.nblocks)  # latest BMOD finish per destination
 
-    def dur(flops):
-        return (flops + machine.op_fixed_flops) / machine.flop_rate
-
-    from repro.blocks.workmodel import chol_flops
-
-    for k in range(N):
-        w = int(widths[k])
-        diag_b = key[k * N + k]
-        avail[diag_b] = mod_ready[diag_b] + dur(chol_flops(w))
-        brows = structure.block_rows[k]
-        counts = structure.block_counts[k].astype(np.int64)
-        m = brows.shape[0]
-        if m == 0:
-            continue
-        bid = np.fromiter(
-            (key[int(i) * N + k] for i in brows), count=m, dtype=np.int64
-        )
-        avail[bid] = (
-            np.maximum(mod_ready[bid], avail[diag_b]) + dur(counts * w * w)
-        )
-        ii, jj = np.tril_indices(m)
-        bmod_flops = np.where(
-            ii == jj,
-            counts[ii] * (counts[ii] + 1) * w,
-            2 * counts[ii] * counts[jj] * w,
-        )
-        finish = np.maximum(avail[bid[ii]], avail[bid[jj]]) + dur(bmod_flops)
-        dest = np.fromiter(
-            (
-                key[int(brows[a]) * N + int(brows[b])]
-                for a, b in zip(ii, jj)
-            ),
-            count=ii.shape[0],
-            dtype=np.int64,
-        )
-        np.maximum.at(mod_ready, dest, finish)
+    for fac, mod, end in tg.panel_runs():
+        diag_b = block[fac]
+        avail[diag_b] = mod_ready[diag_b] + dur[fac]
+        divs, mods = slice(fac + 1, mod), slice(mod, end)
+        bid = block[divs]
+        avail[bid] = np.maximum(mod_ready[bid], avail[diag_b]) + dur[divs]
+        finish = np.maximum(avail[src1[mods]], avail[src2[mods]]) + dur[mods]
+        np.maximum.at(mod_ready, block[mods], finish)
 
     t_seq = float(np.sum(tg.task_flops + machine.op_fixed_flops) / machine.flop_rate)
     return CriticalPathReport(

@@ -20,7 +20,10 @@ BMOD(I, J, K)  (I, J), K < J <= I      2 * r_I * r_J * w
 Every operation of every panel is enumerated in one set of array passes
 (the block pairs of all panels at once, by ``repeat`` and ``cumsum``), never
 in a Python loop over panels or block pairs; the interpreted per-panel loop
-is kept as the reference in ``tests/analysis_oracle.py``.
+is kept as the reference in ``tests/analysis_oracle.py``. This is the one
+enumeration of the block operations: the task graph
+(:class:`repro.fanout.tasks.TaskGraph`) reorders it into tasks, and the
+critical path and bottom-level priorities sweep those tasks.
 """
 
 from __future__ import annotations
@@ -55,6 +58,16 @@ class WorkModel:
         BMOD count doubles as the DES dependency counter).
     work:
         ``flops + OP_FIXED_COST * nops`` — the paper's measure.
+    op_block, op_flops:
+        The enumeration: per block operation, the block it writes and its
+        flops — every BFAC(K) in panel order, then every BDIV(I, K) panel
+        by panel in ``block_rows`` order, then every BMOD(I, J, K) panel by
+        panel in row-major lower-triangle order of the panel's blocks.
+    div_panel, div_count:
+        Per BDIV: its panel K and the dense row count of its block.
+    mod_i, mod_j:
+        Per BMOD: the BDIVs (indices into the BDIV run) of its sources
+        (I, K) and (J, K); ``mod_i == mod_j`` for a diagonal destination.
     """
 
     def __init__(self, structure: BlockStructure, op_fixed_cost: int = OP_FIXED_COST):
@@ -112,15 +125,9 @@ class WorkModel:
         self.total_work = float(self.work.sum())
         self.total_flops = int(self.flops.sum())
         self.total_ops = int(self.nops.sum())
-        self._key_lookup = dict(zip(ukeys.tolist(), range(ukeys.shape[0])))
-
-    def block_index(self, I: int, J: int) -> int:
-        """Index of block (I, J) into the per-block arrays; KeyError if zero."""
-        return self._key_lookup[I * self.npanels + J]
-
-    def block_nmod(self, I: int, J: int) -> int:
-        """Number of BMOD operations targeting block (I, J)."""
-        return int(self.nmod[self.block_index(I, J)])
+        self.op_block, self.op_flops = inv, flops
+        self.div_panel, self.div_count = panel, counts
+        self.mod_i, self.mod_j = ii, jj
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.config import RunConfig
 from repro.experiments.registry import EXPERIMENTS, run_suite
+from repro.matrices.registry import REGISTRY
 
 
 def _positive(text: str) -> int:
@@ -47,7 +48,7 @@ def _add_common(p: argparse.ArgumentParser, fn, problem: bool = True) -> None:
     """An offline command: its ``problem``, ``--scale``, ``--block-size``
     and handler ``fn``."""
     if problem:
-        p.add_argument("problem")
+        p.add_argument("problem", choices=sorted(REGISTRY))
     p.add_argument("--scale", default="medium",
                    choices=("small", "medium", "paper"))
     RunConfig.add_arguments(p, "block_size")
@@ -239,8 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="parallel fan-out simulation")
     p.add_argument("-P", type=_positive, default=64, help="processor count")
-    p.add_argument("--mapping", default="ID/CY",
-                   help='"cyclic" or "<row>/<col>" heuristic pair, e.g. ID/CY')
+    RunConfig.add_arguments(p, "mapping", mapping="ID/CY")
     p.add_argument("--priority", action="store_true",
                    help="priority scheduling instead of FIFO")
     _add_common(p, cmd_simulate)

@@ -14,14 +14,15 @@ this module provides the candidate policies:
     domains busy);
 ``bottom_level``
     classic HLF/critical-path scheduling: tasks with the longest remaining
-    dependence chain first. Computed by a reverse sweep over the task DAG.
+    dependence chain first. Computed by a reverse sweep over the task
+    graph's panel runs, the mirror of :func:`repro.analysis.critical_path`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.fanout.tasks import BDIV, BFAC, BMOD, TaskGraph
+from repro.fanout.tasks import TaskGraph
 from repro.machine.params import PARAGON, MachineParams
 
 POLICIES = ("fifo", "column", "depth", "bottom_level")
@@ -50,52 +51,30 @@ def bottom_level_priorities(
     level among its successors. Successor structure of the fan-out DAG:
 
     * ``BMOD`` into block b  ->  the BFAC/BDIV task of block b;
-    * ``BDIV`` of block b    ->  every BMOD consuming b (``dep_tasks``);
+    * ``BDIV`` of block b    ->  every BMOD consuming b;
     * ``BFAC`` of panel K    ->  the BDIV tasks of panel K's blocks.
 
-    Every successor lives in the same or a later panel, and within a panel
-    the stage order is BDIVs' consumers (later panels) -> BDIV -> BFAC, so
-    one reverse sweep over panels computes exact levels.
+    A BMOD's sources are BDIVs of its own panel run (``TaskGraph.task_ptr``)
+    and its destination's factor task lies in a later run, so one reverse
+    sweep over the runs — BMODs, then BDIVs, then the BFAC — computes exact
+    levels.
     """
     dur = (tg.task_flops + machine.op_fixed_flops) / machine.flop_rate
     level = np.zeros(tg.ntasks)
-    N = tg.npanels
-
-    # Group BMOD tasks by source panel (panel of src1).
-    mod_ids = np.flatnonzero(tg.task_kind == BMOD)
-    mod_src_panel = tg.block_J[tg.task_src1[mod_ids]]
-    order = np.argsort(mod_src_panel, kind="stable")
-    mod_ids = mod_ids[order]
-    mod_src_panel = mod_src_panel[order]
-    panel_start = np.searchsorted(mod_src_panel, np.arange(N + 1))
-
-    # Per-block: its factor task (BFAC for diagonal, BDIV for subdiagonal).
+    # Per block: its factor task, and the longest level of a BMOD it feeds.
     factor_task = np.where(tg.bfac_task >= 0, tg.bfac_task, tg.bdiv_task)
-    # Per-panel BFAC task id.
-    fac_ids = np.flatnonzero(tg.task_kind == BFAC)
-    bfac_of_panel = np.full(N, -1, dtype=np.int64)
-    bfac_of_panel[tg.block_J[tg.task_block[fac_ids]]] = fac_ids
+    fed = np.zeros(tg.nblocks)
+    block, src1 = tg.task_block, tg.task_src1
+    src2 = np.where(tg.task_src2 >= 0, tg.task_src2, src1)
 
-    for k in range(N - 1, -1, -1):
-        # 1. BMODs sourced from panel k: successor = dest block's factor task
-        #    (in panel > k, already leveled).
-        mods = mod_ids[panel_start[k] : panel_start[k + 1]]
-        if mods.size:
-            succ = factor_task[tg.task_block[mods]]
-            level[mods] = dur[mods] + level[succ]
-        # 2. BDIVs of panel k: successors = BMODs consuming the block.
-        sub = tg.subdiag_blocks[tg.subdiag_ptr[k] : tg.subdiag_ptr[k + 1]]
-        best_bdiv = 0.0
-        for b in sub:
-            deps = tg.dep_tasks[tg.dep_ptr[b] : tg.dep_ptr[b + 1]]
-            t = int(tg.bdiv_task[b])
-            succ_level = level[deps].max() if deps.size else 0.0
-            level[t] = dur[t] + succ_level
-            if level[t] > best_bdiv:
-                best_bdiv = float(level[t])
-        # 3. BFAC of panel k: successors = the panel's BDIVs.
-        t = int(bfac_of_panel[k])
-        level[t] = dur[t] + best_bdiv
+    for fac, mod, end in reversed(tg.panel_runs()):
+        mods = slice(mod, end)
+        level[mods] = dur[mods] + level[factor_task[block[mods]]]
+        np.maximum.at(fed, src1[mods], level[mods])
+        np.maximum.at(fed, src2[mods], level[mods])
+        divs = slice(fac + 1, mod)
+        level[divs] = dur[divs] + fed[block[divs]]
+        level[fac] = dur[fac] + level[divs].max(initial=0.0)
     return -level
 
 

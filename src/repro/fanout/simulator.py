@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.fanout.ownership import plan_block_owners
+from repro.fanout.priorities import column_priorities
 from repro.fanout.protocol import FanoutState, remote_ranks
 from repro.fanout.tasks import BMOD, TaskGraph
 from repro.machine.event_sim import DiscreteEventSimulator
@@ -44,7 +45,6 @@ class FanoutResult:
     events: int
     factor_ops: int | None = None
     schedule: list | None = None
-    trace: list | None = None  # (rank, start, end, kind, block) per task
     meta: dict = field(default_factory=dict)
 
     @property
@@ -77,7 +77,6 @@ def simulate_fanout(
     machine: MachineParams = PARAGON,
     priority_mode: bool = False,
     record_schedule: bool = False,
-    record_trace: bool = False,
     factor_ops: int | None = None,
     priorities: np.ndarray | None = None,
 ) -> FanoutResult:
@@ -106,19 +105,15 @@ def simulate_fanout(
     task_block = tg.task_block
     state = FanoutState(tg)
     completed = np.zeros(tg.nblocks, dtype=bool)
-    # Default priority: earlier block columns first, then earlier rows.
     if priorities is not None:
         if priorities.shape[0] != tg.ntasks:
             raise ValueError("priorities must have one entry per task")
         prio = np.asarray(priorities, dtype=np.float64)
     else:
-        prio = (
-            tg.block_J[task_block] * tg.npanels + tg.block_I[task_block]
-        ).astype(np.float64)
+        prio = column_priorities(tg)
 
     stats = {"bytes": 0, "messages": 0}
     schedule: list | None = [] if record_schedule else None
-    trace: list | None = [] if record_trace else None
     # Receive-side NIC availability per processor (contention model).
     rx_free = np.zeros(P) if machine.has_rx_contention else None
 
@@ -146,8 +141,6 @@ def simulate_fanout(
         b = int(task_block[tid])
         if schedule is not None:
             schedule.append(tid)
-        if trace is not None:
-            trace.append((p.rank, sim.now - dur, sim.now, int(kind), b))
         p.tasks_done += 1
 
         send_cost = 0.0
@@ -231,7 +224,6 @@ def simulate_fanout(
         events=sim.events_processed,
         factor_ops=factor_ops,
         schedule=schedule,
-        trace=trace,
     )
 
 

@@ -5,13 +5,21 @@ subdiagonal block against the factored diagonal, ``BMOD(I,J,K)`` applies an
 outer-product update. Every task runs at the *owner of its destination
 block*; a task graph is therefore independent of the block mapping, and one
 graph is reused across all mapping experiments.
+
+The tasks are the :class:`~repro.blocks.workmodel.WorkModel`'s enumeration
+of the block operations, put in task order by one stable sort on panel.
+Panel K's tasks are one run, ``task_ptr[K]:task_ptr[K + 1]``: BFAC(K), then
+BDIV(I, K) in ``block_rows`` order, then BMOD(I, J, K) in row-major
+lower-triangle order of the panel's blocks. Every BMOD's sources are
+BDIVs of its own run, so the critical path and the bottom-level priorities
+are one sweep over the runs, forward and in reverse.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.blocks.workmodel import WorkModel, chol_flops
+from repro.blocks.workmodel import WorkModel
 from repro.util.arrays import INDEX_DTYPE
 
 BFAC, BDIV, BMOD = 0, 1, 2
@@ -28,6 +36,9 @@ class TaskGraph:
     task_src1, task_src2:
         BMOD source block indices (``src2 == -1`` for the single-source
         diagonal update BMOD(I,I,K)); -1 for BFAC/BDIV.
+    task_ptr:
+        Per panel K, where its run of tasks starts (length N + 1): the one
+        statement of task order.
     dep_ptr, dep_tasks:
         CSR linkage: completing block b feeds tasks
         ``dep_tasks[dep_ptr[b]:dep_ptr[b+1]]``.
@@ -45,104 +56,48 @@ class TaskGraph:
 
     def __init__(self, wm: WorkModel):
         self.workmodel = wm
-        structure = wm.structure
-        part = structure.partition
-        N = part.npanels
-        widths = part.widths.astype(np.int64)
-        self.npanels = N
+        widths = wm.structure.partition.widths.astype(np.int64)
+        N = self.npanels = wm.npanels
         self.nblocks = wm.dest_I.shape[0]
-        key_lookup = wm._key_lookup
+        ndiv, nmod = wm.div_panel.shape[0], wm.mod_i.shape[0]
+        div_block = wm.op_block[N:N + ndiv]
 
-        kinds: list[np.ndarray] = []
-        blocks: list[np.ndarray] = []
-        flops: list[np.ndarray] = []
-        src1: list[np.ndarray] = []
-        src2: list[np.ndarray] = []
+        # The enumeration is BFACs, BDIVs, BMODs, each panel by panel: a
+        # stable sort on panel makes each panel one run in that order.
+        panel = np.concatenate([
+            np.arange(N, dtype=np.int64), wm.div_panel, wm.div_panel[wm.mod_i],
+        ])
+        order = np.argsort(panel, kind="stable")
+        self.task_ptr = np.searchsorted(
+            panel[order], np.arange(N + 1)
+        ).astype(INDEX_DTYPE)
+        self.task_kind = np.repeat(
+            np.array([BFAC, BDIV, BMOD], dtype=np.int8), [N, ndiv, nmod]
+        )[order]
+        self.task_block = wm.op_block[order]
+        self.task_flops = wm.op_flops[order]
+        none = np.full(N + ndiv, -1, dtype=np.int64)
+        self.task_src1 = np.concatenate([none, div_block[wm.mod_i]])[order]
+        self.task_src2 = np.concatenate([
+            none, np.where(wm.mod_i == wm.mod_j, -1, div_block[wm.mod_j]),
+        ])[order]
+        self.ntasks = self.task_kind.shape[0]
+        self.subdiag_ptr = np.searchsorted(
+            wm.div_panel, np.arange(N + 1)
+        ).astype(INDEX_DTYPE)
+        self.subdiag_blocks = div_block
 
         # Per-block message size.
+        self.diag_block = wm.op_block[:N]
         self.block_words = np.zeros(self.nblocks, dtype=np.int64)
-        diag_mask = wm.dest_I == wm.dest_J
-        w_of = widths[wm.dest_J]
-        self.block_words[diag_mask] = (
-            w_of[diag_mask] * (w_of[diag_mask] + 1) // 2
-        )
-
-        subdiag_ptr = np.zeros(N + 1, dtype=INDEX_DTYPE)
-        subdiag_chunks: list[np.ndarray] = []
-
-        for k in range(N):
-            w = int(widths[k])
-            brows = structure.block_rows[k]
-            counts = structure.block_counts[k].astype(np.int64)
-            m = brows.shape[0]
-            bid = np.fromiter(
-                (key_lookup[int(i) * N + k] for i in brows),
-                count=m,
-                dtype=np.int64,
-            )
-            diag_bid = key_lookup[k * N + k]
-            self.block_words[bid] = counts * w
-
-            # BFAC(K, K)
-            kinds.append(np.array([BFAC], dtype=np.int8))
-            blocks.append(np.array([diag_bid], dtype=np.int64))
-            flops.append(np.array([chol_flops(w)], dtype=np.int64))
-            src1.append(np.array([-1], dtype=np.int64))
-            src2.append(np.array([-1], dtype=np.int64))
-
-            subdiag_ptr[k + 1] = subdiag_ptr[k] + m
-            subdiag_chunks.append(bid)
-            if m == 0:
-                continue
-            # BDIV(I, K)
-            kinds.append(np.full(m, BDIV, dtype=np.int8))
-            blocks.append(bid)
-            flops.append(counts * w * w)
-            src1.append(np.full(m, -1, dtype=np.int64))
-            src2.append(np.full(m, -1, dtype=np.int64))
-            # BMOD(I, J, K) for i >= j
-            ii, jj = np.tril_indices(m)
-            dest = np.fromiter(
-                (
-                    key_lookup[int(brows[a]) * N + int(brows[b])]
-                    for a, b in zip(ii, jj)
-                ),
-                count=ii.shape[0],
-                dtype=np.int64,
-            )
-            kinds.append(np.full(ii.shape[0], BMOD, dtype=np.int8))
-            blocks.append(dest)
-            flops.append(
-                np.where(
-                    ii == jj,
-                    counts[ii] * (counts[ii] + 1) * w,
-                    2 * counts[ii] * counts[jj] * w,
-                )
-            )
-            s1 = bid[ii]
-            s2 = np.where(ii == jj, -1, bid[jj])
-            src1.append(s1)
-            src2.append(s2)
-
-        self.task_kind = np.concatenate(kinds)
-        self.task_block = np.concatenate(blocks)
-        self.task_flops = np.concatenate(flops)
-        self.task_src1 = np.concatenate(src1)
-        self.task_src2 = np.concatenate(src2)
-        self.ntasks = self.task_kind.shape[0]
-        self.subdiag_ptr = subdiag_ptr
-        self.subdiag_blocks = (
-            np.concatenate(subdiag_chunks)
-            if subdiag_chunks
-            else np.empty(0, dtype=np.int64)
-        )
+        self.block_words[self.diag_block] = widths * (widths + 1) // 2
+        self.block_words[div_block] = wm.div_count * widths[wm.div_panel]
 
         # Per-block special task ids.
-        self.bfac_task = np.full(self.nblocks, -1, dtype=np.int64)
-        self.bdiv_task = np.full(self.nblocks, -1, dtype=np.int64)
         tids = np.arange(self.ntasks, dtype=np.int64)
-        fac = self.task_kind == BFAC
-        self.bfac_task[self.task_block[fac]] = tids[fac]
+        self.bfac_task = np.full(self.nblocks, -1, dtype=np.int64)
+        self.bfac_task[self.diag_block] = self.task_ptr[:-1]
+        self.bdiv_task = np.full(self.nblocks, -1, dtype=np.int64)
         div = self.task_kind == BDIV
         self.bdiv_task[self.task_block[div]] = tids[div]
 
@@ -170,21 +125,13 @@ class TaskGraph:
         self.block_I = wm.dest_I
         self.block_J = wm.dest_J
         self.nmod = wm.nmod
-        self.diag_block = np.full(N, -1, dtype=np.int64)
-        self.diag_block[wm.dest_J[diag_mask]] = np.flatnonzero(diag_mask)
 
-    def validate(self) -> None:
-        """Internal consistency checks (used by the test suite)."""
-        mod_counts = np.bincount(
-            self.task_block[self.task_kind == BMOD], minlength=self.nblocks
-        )
-        if not np.array_equal(mod_counts, self.nmod):
-            raise AssertionError("BMOD task count disagrees with WorkModel.nmod")
-        diag = self.block_I == self.block_J
-        if not (self.bfac_task[diag] >= 0).all():
-            raise AssertionError("missing BFAC task for a diagonal block")
-        if not (self.bdiv_task[~diag] >= 0).all():
-            raise AssertionError("missing BDIV task for a subdiagonal block")
+    def panel_runs(self) -> list[tuple[int, int, int]]:
+        """Per panel K, ``(fac, mod, end)``: task ``fac`` is BFAC(K), tasks
+        ``fac + 1:mod`` its BDIVs and ``mod:end`` its BMODs."""
+        start, end = self.task_ptr[:-1], self.task_ptr[1:]
+        mod = start + 1 + np.diff(self.subdiag_ptr)
+        return list(zip(start.tolist(), mod.tolist(), end.tolist()))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TaskGraph(N={self.npanels}, blocks={self.nblocks}, tasks={self.ntasks})"

@@ -1,6 +1,7 @@
 """The interpreted analysis phase — minimum degree, BFS levels, nested
 dissection, elimination tree, column counts, supernode structures,
-amalgamation and the per-block work model — exactly as the package ran it
+amalgamation, the per-block work model, the task graph, its critical path
+and its bottom-level priorities — exactly as the package ran it
 before the array-pass rewrites, kept loop for loop as the reference the new
 passes are compared against (``test_analysis_identity``).
 
@@ -8,6 +9,8 @@ Nothing here imports an implementation from ``repro``: only the graph
 container and the index dtype."""
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import sparse
@@ -631,3 +634,238 @@ def oracle_work_model(structure, op_fixed_cost=1000):
     out["total_ops"] = int(out["nops"].sum())
     out["lookup"] = {int(k): i for i, k in enumerate(ukeys)}
     return out
+
+
+# ---------------------------------------------------------------- tasks
+ORACLE_BFAC, ORACLE_BDIV, ORACLE_BMOD = 0, 1, 2
+
+
+def oracle_task_graph(structure):
+    """The fan-out task graph panel by panel, one ``(I, J)`` dict lookup
+    per task. Returns a namespace of the arrays ``TaskGraph`` exposes."""
+    BFAC, BDIV, BMOD = ORACLE_BFAC, ORACLE_BDIV, ORACLE_BMOD
+    wm = oracle_work_model(structure)
+    tg = SimpleNamespace()
+    part = structure.partition
+    N = part.npanels
+    widths = part.widths.astype(np.int64)
+    tg.npanels = N
+    tg.nblocks = wm["dest_I"].shape[0]
+    key_lookup = wm["lookup"]
+
+    kinds = []
+    blocks = []
+    flops = []
+    src1 = []
+    src2 = []
+
+    # Per-block message size.
+    tg.block_words = np.zeros(tg.nblocks, dtype=np.int64)
+    diag_mask = wm["dest_I"] == wm["dest_J"]
+    w_of = widths[wm["dest_J"]]
+    tg.block_words[diag_mask] = w_of[diag_mask] * (w_of[diag_mask] + 1) // 2
+
+    subdiag_ptr = np.zeros(N + 1, dtype=INDEX_DTYPE)
+    subdiag_chunks = []
+    task_ptr = np.zeros(N + 1, dtype=INDEX_DTYPE)
+
+    for k in range(N):
+        w = int(widths[k])
+        brows = structure.block_rows[k]
+        counts = structure.block_counts[k].astype(np.int64)
+        m = brows.shape[0]
+        bid = np.fromiter(
+            (key_lookup[int(i) * N + k] for i in brows),
+            count=m,
+            dtype=np.int64,
+        )
+        diag_bid = key_lookup[k * N + k]
+        tg.block_words[bid] = counts * w
+
+        # BFAC(K, K)
+        kinds.append(np.array([BFAC], dtype=np.int8))
+        blocks.append(np.array([diag_bid], dtype=np.int64))
+        flops.append(np.array([oracle_chol_flops(w)], dtype=np.int64))
+        src1.append(np.array([-1], dtype=np.int64))
+        src2.append(np.array([-1], dtype=np.int64))
+
+        subdiag_ptr[k + 1] = subdiag_ptr[k] + m
+        subdiag_chunks.append(bid)
+        task_ptr[k + 1] = task_ptr[k] + 1 + m + m * (m + 1) // 2
+        if m == 0:
+            continue
+        # BDIV(I, K)
+        kinds.append(np.full(m, BDIV, dtype=np.int8))
+        blocks.append(bid)
+        flops.append(counts * w * w)
+        src1.append(np.full(m, -1, dtype=np.int64))
+        src2.append(np.full(m, -1, dtype=np.int64))
+        # BMOD(I, J, K) for i >= j
+        ii, jj = np.tril_indices(m)
+        dest = np.fromiter(
+            (
+                key_lookup[int(brows[a]) * N + int(brows[b])]
+                for a, b in zip(ii, jj)
+            ),
+            count=ii.shape[0],
+            dtype=np.int64,
+        )
+        kinds.append(np.full(ii.shape[0], BMOD, dtype=np.int8))
+        blocks.append(dest)
+        flops.append(
+            np.where(
+                ii == jj,
+                counts[ii] * (counts[ii] + 1) * w,
+                2 * counts[ii] * counts[jj] * w,
+            )
+        )
+        s1 = bid[ii]
+        s2 = np.where(ii == jj, -1, bid[jj])
+        src1.append(s1)
+        src2.append(s2)
+
+    tg.task_kind = np.concatenate(kinds)
+    tg.task_block = np.concatenate(blocks)
+    tg.task_flops = np.concatenate(flops)
+    tg.task_src1 = np.concatenate(src1)
+    tg.task_src2 = np.concatenate(src2)
+    tg.ntasks = tg.task_kind.shape[0]
+    tg.task_ptr = task_ptr
+    tg.subdiag_ptr = subdiag_ptr
+    tg.subdiag_blocks = (
+        np.concatenate(subdiag_chunks)
+        if subdiag_chunks
+        else np.empty(0, dtype=np.int64)
+    )
+
+    # Per-block special task ids.
+    tg.bfac_task = np.full(tg.nblocks, -1, dtype=np.int64)
+    tg.bdiv_task = np.full(tg.nblocks, -1, dtype=np.int64)
+    tids = np.arange(tg.ntasks, dtype=np.int64)
+    fac = tg.task_kind == BFAC
+    tg.bfac_task[tg.task_block[fac]] = tids[fac]
+    div = tg.task_kind == BDIV
+    tg.bdiv_task[tg.task_block[div]] = tids[div]
+
+    # Source-block -> dependent-BMOD-task CSR.
+    mod = tg.task_kind == BMOD
+    mod_ids = tids[mod]
+    pairs_src = np.concatenate([tg.task_src1[mod], tg.task_src2[mod]])
+    pairs_tid = np.concatenate([mod_ids, mod_ids])
+    keep = pairs_src >= 0
+    pairs_src, pairs_tid = pairs_src[keep], pairs_tid[keep]
+    order = np.argsort(pairs_src, kind="stable")
+    pairs_src, pairs_tid = pairs_src[order], pairs_tid[order]
+    tg.dep_ptr = np.searchsorted(
+        pairs_src, np.arange(tg.nblocks + 1)
+    ).astype(INDEX_DTYPE)
+    tg.dep_tasks = pairs_tid
+
+    tg.task_missing_init = np.zeros(tg.ntasks, dtype=np.int32)
+    tg.task_missing_init[mod] = np.where(tg.task_src2[mod] >= 0, 2, 1)
+
+    tg.block_I = wm["dest_I"]
+    tg.block_J = wm["dest_J"]
+    tg.nmod = wm["nmod"]
+    tg.diag_block = np.full(N, -1, dtype=np.int64)
+    tg.diag_block[wm["dest_J"][diag_mask]] = np.flatnonzero(diag_mask)
+    return tg
+
+
+def oracle_critical_path(structure, machine):
+    """Longest chain through the task DAG panel by panel, each block op's
+    flops recomputed and its block found by ``(I, J)`` lookup. Returns
+    ``(length_seconds, t_sequential)``."""
+    wm = oracle_work_model(structure)
+    tg = oracle_task_graph(structure)
+    N = tg.npanels
+    key = wm["lookup"]
+    widths = structure.partition.widths.astype(np.int64)
+
+    avail = np.zeros(tg.nblocks)  # completion time of each block
+    mod_ready = np.zeros(tg.nblocks)  # latest BMOD finish per destination
+
+    def dur(flops):
+        return (flops + machine.op_fixed_flops) / machine.flop_rate
+
+    for k in range(N):
+        w = int(widths[k])
+        diag_b = key[k * N + k]
+        avail[diag_b] = mod_ready[diag_b] + dur(oracle_chol_flops(w))
+        brows = structure.block_rows[k]
+        counts = structure.block_counts[k].astype(np.int64)
+        m = brows.shape[0]
+        if m == 0:
+            continue
+        bid = np.fromiter(
+            (key[int(i) * N + k] for i in brows), count=m, dtype=np.int64
+        )
+        avail[bid] = (
+            np.maximum(mod_ready[bid], avail[diag_b]) + dur(counts * w * w)
+        )
+        ii, jj = np.tril_indices(m)
+        bmod_flops = np.where(
+            ii == jj,
+            counts[ii] * (counts[ii] + 1) * w,
+            2 * counts[ii] * counts[jj] * w,
+        )
+        finish = np.maximum(avail[bid[ii]], avail[bid[jj]]) + dur(bmod_flops)
+        dest = np.fromiter(
+            (
+                key[int(brows[a]) * N + int(brows[b])]
+                for a, b in zip(ii, jj)
+            ),
+            count=ii.shape[0],
+            dtype=np.int64,
+        )
+        np.maximum.at(mod_ready, dest, finish)
+
+    t_seq = float(np.sum(tg.task_flops + machine.op_fixed_flops) / machine.flop_rate)
+    return float(avail.max()) if avail.size else 0.0, t_seq
+
+
+def oracle_bottom_level_priorities(tg, machine):
+    """Negative bottom level by a reverse sweep over panels, the BMODs
+    regrouped by source panel and each BDIV levelled in a Python loop.
+    ``tg`` is any object with the ``TaskGraph`` arrays."""
+    BFAC, BMOD = ORACLE_BFAC, ORACLE_BMOD
+    dur = (tg.task_flops + machine.op_fixed_flops) / machine.flop_rate
+    level = np.zeros(tg.ntasks)
+    N = tg.npanels
+
+    # Group BMOD tasks by source panel (panel of src1).
+    mod_ids = np.flatnonzero(tg.task_kind == BMOD)
+    mod_src_panel = tg.block_J[tg.task_src1[mod_ids]]
+    order = np.argsort(mod_src_panel, kind="stable")
+    mod_ids = mod_ids[order]
+    mod_src_panel = mod_src_panel[order]
+    panel_start = np.searchsorted(mod_src_panel, np.arange(N + 1))
+
+    # Per-block: its factor task (BFAC for diagonal, BDIV for subdiagonal).
+    factor_task = np.where(tg.bfac_task >= 0, tg.bfac_task, tg.bdiv_task)
+    # Per-panel BFAC task id.
+    fac_ids = np.flatnonzero(tg.task_kind == BFAC)
+    bfac_of_panel = np.full(N, -1, dtype=np.int64)
+    bfac_of_panel[tg.block_J[tg.task_block[fac_ids]]] = fac_ids
+
+    for k in range(N - 1, -1, -1):
+        # 1. BMODs sourced from panel k: successor = dest block's factor task
+        #    (in panel > k, already leveled).
+        mods = mod_ids[panel_start[k] : panel_start[k + 1]]
+        if mods.size:
+            succ = factor_task[tg.task_block[mods]]
+            level[mods] = dur[mods] + level[succ]
+        # 2. BDIVs of panel k: successors = BMODs consuming the block.
+        sub = tg.subdiag_blocks[tg.subdiag_ptr[k] : tg.subdiag_ptr[k + 1]]
+        best_bdiv = 0.0
+        for b in sub:
+            deps = tg.dep_tasks[tg.dep_ptr[b] : tg.dep_ptr[b + 1]]
+            t = int(tg.bdiv_task[b])
+            succ_level = level[deps].max() if deps.size else 0.0
+            level[t] = dur[t] + succ_level
+            if level[t] > best_bdiv:
+                best_bdiv = float(level[t])
+        # 3. BFAC of panel k: successors = the panel's BDIVs.
+        t = int(bfac_of_panel[k])
+        level[t] = dur[t] + best_bdiv
+    return -level

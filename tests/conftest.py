@@ -95,6 +95,23 @@ def random_spd_pipeline():
     return problem, sf, part, structure, wm, tg
 
 
+def validate_task_graph(tg):
+    """Internal consistency of a ``TaskGraph``: one BMOD per ``nmod`` count,
+    one BFAC per diagonal block, one BDIV per subdiagonal block."""
+    from repro.fanout.tasks import BMOD
+
+    mod_counts = np.bincount(
+        tg.task_block[tg.task_kind == BMOD], minlength=tg.nblocks
+    )
+    if not np.array_equal(mod_counts, tg.nmod):
+        raise AssertionError("BMOD task count disagrees with WorkModel.nmod")
+    diag = tg.block_I == tg.block_J
+    if not (tg.bfac_task[diag] >= 0).all():
+        raise AssertionError("missing BFAC task for a diagonal block")
+    if not (tg.bdiv_task[~diag] >= 0).all():
+        raise AssertionError("missing BDIV task for a subdiagonal block")
+
+
 def dense_cholesky_reference(A):
     """Dense lower Cholesky of a (sparse or dense) SPD matrix."""
     Ad = A.toarray() if hasattr(A, "toarray") else np.asarray(A)

@@ -1,6 +1,7 @@
 """The array-pass analysis phase returns, bit for bit, what the interpreted
 loops in ``tests/analysis_oracle.py`` return: the same permutation, levels,
-tree, counts, supernodes, structures and per-block work — plus
+tree, counts, supernodes, structures, per-block work, task graph, critical
+path and bottom-level priorities — plus
 deterministic guards against per-nonzero Python and repeated subgraph
 extraction coming back (call counts, no wall clock)."""
 
@@ -13,7 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
-from repro.blocks import BlockStructure, WorkModel
+from repro.analysis.critical_path import critical_path
+from repro.blocks import BlockPartition, BlockStructure, WorkModel
+from repro.fanout import TaskGraph
+from repro.fanout.priorities import bottom_level_priorities
 from repro.graph import (
     AdjacencyGraph,
     bfs_levels,
@@ -28,6 +32,7 @@ from repro.matrices import (
     get_problem,
     grid2d_matrix,
 )
+from repro.machine.params import PARAGON
 from repro.ordering import (
     minimum_degree,
     nested_dissection,
@@ -386,10 +391,54 @@ def test_work_model_matches_oracle(make, rule):
             for name in ("total_work", "total_flops", "total_ops"):
                 assert type(getattr(wm, name)) is type(ref[name]), name
                 assert getattr(wm, name) == ref[name], name
-            N = structure.partition.npanels
-            for I, J in zip(ref["dest_I"].tolist(), ref["dest_J"].tolist()):
-                assert wm.block_index(I, J) == ref["lookup"][I * N + J]
-            assert len(wm._key_lookup) == len(ref["lookup"])
+
+
+TASK_GRAPH_ARRAYS = (
+    "task_kind", "task_block", "task_flops", "task_src1", "task_src2",
+    "task_ptr", "subdiag_ptr", "subdiag_blocks", "bfac_task", "bdiv_task",
+    "dep_ptr", "dep_tasks", "task_missing_init", "block_words", "diag_block",
+    "block_I", "block_J", "nmod",
+)
+
+
+def task_graph_cases(make):
+    """``(structure, TaskGraph)`` of every partition rule at B = 8 and 48."""
+    A = make()
+    sf = symbolic_factor(A, resolve_ordering(A, "auto"))
+    for rule in PARTITIONS.values():
+        for block_size in (8, 48):
+            structure = BlockStructure(rule(sf, block_size))
+            yield structure, TaskGraph(WorkModel(structure))
+
+
+@pytest.mark.parametrize("make", fixed_inputs())
+def test_task_graph_matches_oracle(make):
+    for structure, tg in task_graph_cases(make):
+        ref = oracle.oracle_task_graph(structure)
+        for name in TASK_GRAPH_ARRAYS:
+            got, want = getattr(tg, name), getattr(ref, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        assert (tg.ntasks, tg.nblocks) == (ref.ntasks, ref.nblocks)
+
+
+@pytest.mark.parametrize("make", fixed_inputs())
+def test_critical_path_matches_oracle(make):
+    for structure, tg in task_graph_cases(make):
+        report = critical_path(tg, PARAGON)
+        length, t_seq = oracle.oracle_critical_path(structure, PARAGON)
+        assert report.length_seconds == length
+        assert report.t_sequential == t_seq
+
+
+@pytest.mark.parametrize("make", fixed_inputs())
+def test_bottom_level_matches_oracle(make):
+    for structure, tg in task_graph_cases(make):
+        ref = oracle.oracle_task_graph(structure)
+        assert np.array_equal(
+            bottom_level_priorities(tg, PARAGON),
+            oracle.oracle_bottom_level_priorities(ref, PARAGON),
+        )
 
 
 def test_nested_dissection_extracts_each_piece_once(monkeypatch):
@@ -455,10 +504,12 @@ def count_calls(fn) -> int:
 
 
 # Each bound is twice the count measured when the array passes landed
-# (numpy 2.4, scipy 1.17: 8 173 and 1 969); the loops they replaced made
-# 40 291 and 4 382 calls on the same inputs, growing with nnz(L).
+# (numpy 2.4, scipy 1.17: 8 173, 1 969 and 68); the loops they replaced
+# made 40 291, 4 382 and 1 274 calls on the same inputs, growing with
+# nnz(L) (the task graph's with its panels: 38 051 on grid2d).
 MMD_CALLS_LP_SMOKE = 2 * 8_180
 SYMBOLIC_CALLS_CUBE_SMOKE = 2 * 1_970
+TASK_GRAPH_CALLS = 2 * 68
 
 
 def test_minimum_degree_makes_no_per_nonzero_calls():
@@ -476,3 +527,12 @@ def test_symbolic_makes_no_per_nonzero_calls():
     assert (
         count_calls(lambda: symbolic_factor(A, perm)) < SYMBOLIC_CALLS_CUBE_SMOKE
     )
+
+
+@pytest.mark.parametrize("name", ["cube3d-smoke", "grid2d"])
+def test_task_graph_makes_no_per_task_calls(name):
+    A = BENCH_PATTERNS[name]()
+    sf = symbolic_factor(A, resolve_ordering(A, "auto"))
+    wm = WorkModel(BlockStructure(BlockPartition(sf, 48)))
+    TaskGraph(wm)
+    assert count_calls(lambda: TaskGraph(wm)) < TASK_GRAPH_CALLS

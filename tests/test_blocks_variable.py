@@ -14,6 +14,7 @@ from repro.matrices import grid2d_matrix
 from repro.numeric import BlockCholesky
 from repro.ordering import order_problem
 from repro.symbolic import symbolic_factor
+from tests.conftest import validate_task_graph
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +49,7 @@ class TestVariableBlockPartition:
         var = VariableBlockPartition(sf, stage_varying_policy(12, 3, 3))
         wm = WorkModel(BlockStructure(var))
         tg = TaskGraph(wm)
-        tg.validate()
+        validate_task_graph(tg)
         assert tg.ntasks > 0
 
     def test_numerically_correct(self, sf):

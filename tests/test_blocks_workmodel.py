@@ -64,12 +64,6 @@ class TestWorkModel:
         )
         assert total_mods == expect
 
-    def test_block_index_lookup(self, grid12_pipeline):
-        wm = grid12_pipeline[4]
-        for t in range(0, wm.dest_I.shape[0], 7):
-            b = wm.block_index(int(wm.dest_I[t]), int(wm.dest_J[t]))
-            assert b == t
-
     def test_custom_fixed_cost(self, grid12_pipeline):
         bs = grid12_pipeline[3]
         wm0 = WorkModel(bs, op_fixed_cost=0)

@@ -18,6 +18,26 @@ class TestParser:
         assert args.mapping == "ID/CY"
         assert args.scale == "medium"
 
+    def test_an_unknown_mapping_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["simulate", "GRID150", "--scale", "small",
+                  "--mapping", "bogus"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown mapping 'bogus'" in err and "'cyclic'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["info", "factor", "simulate",
+                                         "analyze"])
+    def test_an_unknown_problem_is_a_usage_error(self, command, capsys):
+        argv = [command, "NOPE", "--scale", "small"]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "'NOPE'" in err and "'GRID150'" in err and "'BCSSTK31'" in err
+        assert "Traceback" not in err
+
     def test_the_commands_are_exactly_these(self):
         """A retired command cannot come back without this set changing."""
         (sub,) = [

@@ -12,6 +12,7 @@ from repro.matrices.problem import ProblemMatrix
 from repro.ordering import Ordering, order_problem
 from repro.symbolic import symbolic_factor
 from tests.blockfact_oracle import oracle_run_schedule
+from tests.conftest import validate_task_graph
 
 
 class TestTinyProblems:
@@ -32,7 +33,7 @@ class TestTinyProblems:
         bs = BlockStructure(BlockPartition(sf, 1))
         wm = WorkModel(bs)
         tg = TaskGraph(wm)
-        tg.validate()
+        validate_task_graph(tg)
         # panels: 2; tasks: 2 BFAC + 1 BDIV + 1 BMOD
         assert tg.ntasks == 4
 

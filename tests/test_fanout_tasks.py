@@ -2,12 +2,13 @@ import numpy as np
 
 from repro.fanout import TaskGraph
 from repro.fanout.tasks import BDIV, BFAC, BMOD
+from tests.conftest import validate_task_graph
 
 
 class TestTaskGraph:
     def test_validate_passes(self, grid12_pipeline):
         tg = grid12_pipeline[5]
-        tg.validate()
+        validate_task_graph(tg)
 
     def test_task_counts(self, grid12_pipeline):
         wm, tg = grid12_pipeline[4], grid12_pipeline[5]

@@ -7,6 +7,7 @@ from repro.experiments.figure1 import run as figure1_run
 from repro.experiments.runner import ExperimentResult
 from repro.fanout import TaskGraph
 from repro.machine import DiscreteEventSimulator, SimProcessor
+from tests.conftest import validate_task_graph
 
 
 class TestEventSimExtras:
@@ -40,7 +41,7 @@ class TestTaskGraphFailureInjection:
         broken.nmod = broken.nmod.copy()
         broken.nmod[0] += 1
         with pytest.raises(AssertionError):
-            broken.validate()
+            validate_task_graph(broken)
 
     def test_validate_detects_missing_bfac(self, grid12_pipeline):
         wm = grid12_pipeline[4]
@@ -49,21 +50,7 @@ class TestTaskGraphFailureInjection:
         diag = np.flatnonzero(broken.block_I == broken.block_J)
         broken.bfac_task[diag[0]] = -1
         with pytest.raises(AssertionError):
-            broken.validate()
-
-
-class TestWorkModelLookups:
-    def test_block_nmod_lookup(self, grid12_pipeline):
-        wm = grid12_pipeline[4]
-        t = wm.dest_I.shape[0] // 2
-        I, J = int(wm.dest_I[t]), int(wm.dest_J[t])
-        assert wm.block_nmod(I, J) == int(wm.nmod[t])
-
-    def test_block_index_missing_raises(self, grid12_pipeline):
-        wm = grid12_pipeline[4]
-        with pytest.raises(KeyError):
-            # block (0, last) is structurally zero (lower triangular only)
-            wm.block_index(0, wm.npanels - 1)
+            validate_task_graph(broken)
 
 
 class TestDomainsSplitFactor:

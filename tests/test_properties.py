@@ -14,6 +14,7 @@ from repro.numeric import BlockCholesky
 from repro.symbolic import symbolic_factor
 from repro.util.arrays import invert_permutation, sorted_unique
 from tests.blockfact_oracle import oracle_run_schedule
+from tests.conftest import validate_task_graph
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +124,7 @@ def test_simulation_efficiency_bounded(n, seed, pr, pc):
     sf = symbolic_factor(A, None)
     wm = WorkModel(BlockStructure(BlockPartition(sf, 4)))
     tg = TaskGraph(wm)
-    tg.validate()
+    validate_task_graph(tg)
     g = ProcessorGrid(pr, pc)
     owners = block_owners(tg, cyclic_map(tg.npanels, g))
     r = simulate_fanout(tg, owners, g.P)
