@@ -24,7 +24,6 @@ def _survey(problem):
         "nd": nested_dissection(g, coords=problem.coords),
         "nd-refined": nested_dissection(g, refine=True),
         "mmd": minimum_degree(g),
-        "amd-approx": minimum_degree(g, approximate=True),
     }
     rows = []
     for name, perm in orderings.items():

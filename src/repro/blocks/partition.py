@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.symbolic.etree import tree_depths
 from repro.symbolic.structure import SymbolicFactor
+from repro.symbolic.supernodes import supernode_parents
 from repro.util.arrays import INDEX_DTYPE
 
 
@@ -36,8 +38,8 @@ class BlockPartition:
         self._split(sf)
 
     def target_width(self, depth: int, width: int) -> int:
-        """The panel width B a supernode of ``width`` columns, whose first
-        column sits at elimination-tree ``depth``, is split by: the
+        """The panel width B a supernode of ``width`` columns at
+        ``depth`` in the supernode tree (roots at 0) is split by: the
         constant B here (§5's variable B overrides this alone)."""
         return self.block_size
 
@@ -47,7 +49,8 @@ class BlockPartition:
         one, and build the panel arrays."""
         self.symbolic = sf
         ptr = sf.snode_ptr.tolist()
-        depths = sf.depth[sf.snode_ptr[:-1]].tolist()
+        sparent = supernode_parents(sf.snode_ptr, sf.parent)
+        depths = tree_depths(sparent).tolist()
         boundaries: list[int] = [0]
         snode_ids: list[int] = []
         for s, depth in enumerate(depths):

@@ -10,8 +10,8 @@ The paper tried two refinements of the fixed block size B:
   block lands on. Finding: small improvement, much less than remapping.
 
 Both are expressed here as panel-width policies: a callable mapping a
-supernode's elimination-tree depth (and width) to the panel width used when
-splitting that supernode. The result is a
+supernode's depth in the supernode tree (and its width) to the panel width
+used when splitting that supernode. The result is a
 :class:`~repro.blocks.partition.BlockPartition` whose target width is the
 policy's, so every downstream stage (structure, work model, task graph,
 simulator) runs unchanged — that is exactly the ablation the experiment
@@ -26,7 +26,8 @@ from typing import Callable
 from repro.blocks.partition import BlockPartition
 from repro.symbolic.structure import SymbolicFactor
 
-#: A policy maps (snode_depth, snode_width) -> panel width for that supernode.
+#: A policy maps (snode_depth, snode_width) -> panel width for that supernode;
+#: the depth counts supernode-tree levels, roots at 0.
 SizePolicy = Callable[[int, int], int]
 
 
@@ -38,12 +39,13 @@ def _stage_varying(early: int, late: int, depth_cutoff: int,
 def stage_varying_policy(
     early: int = 96, late: int = 24, depth_cutoff: int = 4
 ) -> SizePolicy:
-    """Large blocks near the elimination-tree root... wait — *early* in the
-    factorization means *deep* in the tree (leaves eliminate first).
+    """Large blocks early in the factorization, small blocks late.
 
-    Supernodes deeper than ``depth_cutoff`` (eliminated early) get ``early``;
-    shallow supernodes near the root (eliminated last) get ``late``. The
-    policy pickles, so a partition built on it ships to worker processes.
+    Early means deep in the supernode tree (leaves eliminate first):
+    supernodes more than ``depth_cutoff`` levels below their root get
+    ``early``; the root and the levels just below it (eliminated last) get
+    ``late``. The policy pickles, so a partition built on it ships to
+    worker processes.
     """
     return partial(_stage_varying, early, late, depth_cutoff)
 

@@ -92,17 +92,16 @@ def cmd_factor(args) -> int:
 
 def cmd_simulate(args) -> int:
     from repro.experiments.pipeline import prepare_problem
-    from repro.fanout import plan_block_owners, simulate_fanout
+    from repro.fanout import plan_block_owners, simulate_fanout, task_priorities
     from repro.mapping import named_map
 
     prep = prepare_problem(args.problem, args.scale, args.block_size)
+    tg = prep.taskgraph
     cmap = named_map(prep.workmodel, args.P, args.mapping)
-    grid = cmap.grid
-    res = simulate_fanout(
-        prep.taskgraph, plan_block_owners(prep.taskgraph, cmap), grid.P,
-        priority_mode=args.priority, factor_ops=prep.factor_ops,
-    )
-    print(f"{prep.name} on {grid} ({cmap.name}):")
+    prio = task_priorities(tg, "column" if args.priority else "fifo")
+    res = simulate_fanout(tg, plan_block_owners(tg, cmap), cmap.grid.P,
+                          priorities=prio, factor_ops=prep.factor_ops)
+    print(f"{prep.name} on {cmap.grid} ({cmap.name}):")
     print(f"  runtime    : {res.t_parallel * 1e3:.2f} ms (simulated)")
     print(f"  efficiency : {res.efficiency:.3f}")
     print(f"  Mflops     : {res.mflops:.1f}")

@@ -2,7 +2,7 @@
 
 The owner of block (I, J) performs every block operation whose destination
 is (I, J) (§2.3). Domain panels are column-owned by their domain processor;
-root-portion blocks follow the :class:`BlockMap`.
+root-portion blocks follow the :class:`~repro.mapping.base.CartesianMap`.
 """
 
 from __future__ import annotations
@@ -11,12 +11,12 @@ import numpy as np
 
 from repro.fanout.domains import DomainAssignment, assign_domains
 from repro.fanout.tasks import TaskGraph
-from repro.mapping.base import BlockMap
+from repro.mapping.base import CartesianMap
 
 
 def block_owners(
     tg: TaskGraph,
-    cmap: BlockMap,
+    cmap: CartesianMap,
     domains: DomainAssignment | None = None,
 ) -> np.ndarray:
     """Linear processor rank of every block in the task graph.
@@ -34,7 +34,7 @@ def block_owners(
     return owners.astype(np.int64)
 
 
-def plan_block_owners(tg: TaskGraph, cmap: BlockMap) -> np.ndarray:
+def plan_block_owners(tg: TaskGraph, cmap: CartesianMap) -> np.ndarray:
     """§2.3's owners, the rule every planner uses: each elimination-tree
     domain whole to one processor, the root portion 2-D mapped by ``cmap``."""
     return block_owners(tg, cmap, assign_domains(tg.workmodel, cmap.grid.P))

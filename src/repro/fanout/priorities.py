@@ -1,14 +1,15 @@
-"""Task priority policies for the simulator's dynamic-scheduling mode.
+"""Task priority policies for the simulator's ready queues.
 
 §5 leaves open whether scheduling "more sensitive to some measures of
 priority of tasks than the purely data-driven approach" would close the gap
-between achieved efficiency and the critical-path bound. The simulator's
-priority mode takes a per-task priority array (lower value = run first);
-this module provides the candidate policies:
+between achieved efficiency and the critical-path bound.
+``simulate_fanout(..., priorities=)`` takes a per-task priority array
+(lower value = run first, ties in arrival order; None is the data-driven
+FIFO); this module provides the candidate policies:
 
 ``column``
     earliest destination block column first (eliminate early columns
-    eagerly — the simulator's built-in default priority);
+    eagerly; ``repro simulate --priority``);
 ``depth``
     deepest destination first (drain the elimination-tree leaves, keeping
     domains busy);

@@ -2,9 +2,10 @@
 
 The readiness and recipient rules are §2.3's, kept in
 :mod:`repro.fanout.protocol`; this module adds what only a simulated
-machine has: virtual time, one serial ready queue per processor (FIFO
-arrival order — "data-driven" — or smallest-destination-first with
-``priority_mode``), and the wire. Every block operation executes at the
+machine has: virtual time, one serial ready queue per processor, and the
+wire. The queue is a heap on (priority, arrival): with no priorities
+every task has priority 0, so tasks run in arrival order — §2.3's
+"data-driven" FIFO. Every block operation executes at the
 owner of its destination block; a remote consumer learns of a finished
 block at the time its owner's copy arrives, a local one at once.
 
@@ -17,18 +18,18 @@ paper.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.fanout.ownership import plan_block_owners
-from repro.fanout.priorities import column_priorities
 from repro.fanout.protocol import FanoutState, remote_ranks
 from repro.fanout.tasks import BMOD, TaskGraph
 from repro.machine.event_sim import DiscreteEventSimulator
 from repro.machine.params import PARAGON, MachineParams
-from repro.machine.processor import SimProcessor
-from repro.mapping.base import BlockMap
+from repro.mapping.base import CartesianMap
 
 
 @dataclass
@@ -75,7 +76,6 @@ def simulate_fanout(
     owners: np.ndarray,
     P: int,
     machine: MachineParams = PARAGON,
-    priority_mode: bool = False,
     record_schedule: bool = False,
     factor_ops: int | None = None,
     priorities: np.ndarray | None = None,
@@ -84,20 +84,29 @@ def simulate_fanout(
 
     ``owners[b]`` is the processor rank of block b (see
     :func:`repro.fanout.ownership.block_owners`). ``priorities`` (one
-    value per task, lower runs first) switches ready queues from FIFO to
-    priority order — see :mod:`repro.fanout.priorities` for the candidate
-    policies.
+    value per task, lower runs first, ties in arrival order) orders the
+    ready queues; None is FIFO. :mod:`repro.fanout.priorities` has the
+    candidate policies.
     """
-    if priorities is not None:
-        priority_mode = True
     owners = np.asarray(owners)
     if owners.shape[0] != tg.nblocks:
         raise ValueError("owners must have one entry per block")
     if owners.size and (owners.min() < 0 or owners.max() >= P):
         raise ValueError("block owner out of range")
+    if priorities is None:
+        priorities = np.zeros(tg.ntasks)
+    prio = np.asarray(priorities, dtype=np.float64)
+    if prio.shape != (tg.ntasks,):
+        raise ValueError("priorities must have one entry per task")
+    prio = prio.tolist()
 
     sim = DiscreteEventSimulator()
-    procs = [SimProcessor(r, priority_mode) for r in range(P)]
+    # Per rank: its ready heap of (priority, arrival, task), whether it is
+    # running a task, and its busy time.
+    ready: list[list] = [[] for _ in range(P)]
+    running = [False] * P
+    busy = [0.0] * P
+    arrivals = itertools.count()
 
     task_owner = owners[tg.task_block]
     task_flops = tg.task_flops
@@ -105,12 +114,6 @@ def simulate_fanout(
     task_block = tg.task_block
     state = FanoutState(tg)
     completed = np.zeros(tg.nblocks, dtype=bool)
-    if priorities is not None:
-        if priorities.shape[0] != tg.ntasks:
-            raise ValueError("priorities must have one entry per task")
-        prio = np.asarray(priorities, dtype=np.float64)
-    else:
-        prio = column_priorities(tg)
 
     stats = {"bytes": 0, "messages": 0}
     schedule: list | None = [] if record_schedule else None
@@ -118,61 +121,57 @@ def simulate_fanout(
     rx_free = np.zeros(P) if machine.has_rx_contention else None
 
     def enqueue(tid: int) -> None:
-        p = procs[task_owner[tid]]
-        p.push(tid, prio[tid])
-        if not p.running:
-            start_next(p)
+        r = int(task_owner[tid])
+        heapq.heappush(ready[r], (prio[tid], next(arrivals), tid))
+        if not running[r]:
+            start_next(r)
 
-    def start_next(p: SimProcessor) -> None:
-        if not p.has_work():
-            p.running = False
+    def start_next(r: int) -> None:
+        if not ready[r]:
+            running[r] = False
             return
-        tid = p.pop()
-        p.running = True
+        tid = heapq.heappop(ready[r])[2]
+        running[r] = True
         dur = machine.task_time(float(task_flops[tid]))
-        sim.schedule_after(dur, lambda: complete(p, int(tid), dur))
+        sim.schedule_after(dur, lambda: complete(r, int(tid), dur))
 
     def release(tid: int | None) -> None:
         if tid is not None:
             enqueue(tid)
 
-    def complete(p: SimProcessor, tid: int, dur: float) -> None:
+    def complete(r: int, tid: int, dur: float) -> None:
         kind = task_kind[tid]
         b = int(task_block[tid])
         if schedule is not None:
             schedule.append(tid)
-        p.tasks_done += 1
 
         send_cost = 0.0
         if kind == BMOD:
             release(state.mod_finished(b))
         else:  # BFAC / BDIV: block b is final
             completed[b] = True
-            send_cost = _deliver(p, b, *state.consumers(b))
+            send_cost = _deliver(r, b, *state.consumers(b))
 
-        p.busy_time += dur + send_cost
+        busy[r] += dur + send_cost
         if send_cost > 0:
-            sim.schedule_after(send_cost, lambda: start_next(p))
+            sim.schedule_after(send_cost, lambda: start_next(r))
         else:
-            start_next(p)
+            start_next(r)
 
-    def _deliver(p, src_block, targets, target_blocks):
+    def _deliver(rank, src_block, targets, target_blocks):
         """Send block ``src_block`` where needed; report it delivered to
         each target at that target's arrival time. Returns the sender CPU
         cost."""
         if len(targets) == 0:
             return 0.0
         target_owners = owners[target_blocks]
-        remote = remote_ranks(target_owners, p.rank)
+        remote = remote_ranks(target_owners, rank)
         nmsg = remote.shape[0]
         send_cost = nmsg * machine.send_overhead
         words = float(tg.block_words[src_block])
         if nmsg:
-            nbytes = machine.message_bytes(words)
-            stats["bytes"] += nbytes * nmsg
+            stats["bytes"] += machine.message_bytes(words) * nmsg
             stats["messages"] += nmsg
-            p.bytes_sent += nbytes * nmsg
-            p.messages_sent += nmsg
         wire_arrival = sim.now + send_cost + machine.transfer_time(words)
         if rx_free is None:
             arrival = {int(o): wire_arrival for o in remote}
@@ -188,7 +187,7 @@ def simulate_fanout(
                 arrival[o] = delivered
         for t, o in zip(targets, target_owners):
             t = int(t)
-            if o == p.rank:
+            if o == rank:
                 release(state.delivered(src_block, t))
             else:
                 sim.schedule_at(
@@ -212,12 +211,11 @@ def simulate_fanout(
     t_seq = float(
         np.sum(task_flops + machine.op_fixed_flops) / machine.flop_rate
     )
-    busy = np.array([q.busy_time for q in procs])
     return FanoutResult(
         P=P,
         t_parallel=sim.now,
         t_sequential=t_seq,
-        busy_times=busy,
+        busy_times=np.array(busy),
         comm_bytes=int(stats["bytes"]),
         comm_messages=int(stats["messages"]),
         ntasks=tg.ntasks,
@@ -229,9 +227,8 @@ def simulate_fanout(
 
 def run_fanout(
     tg: TaskGraph,
-    cmap: BlockMap,
+    cmap: CartesianMap,
     machine: MachineParams = PARAGON,
-    priority_mode: bool = False,
     factor_ops: int | None = None,
 ) -> FanoutResult:
     """Simulate ``cmap`` with §2.3's owners, the rule every planner uses
@@ -242,7 +239,6 @@ def run_fanout(
         plan_block_owners(tg, cmap),
         cmap.grid.P,
         machine=machine,
-        priority_mode=priority_mode,
         factor_ops=factor_ops,
     )
     result.meta["mapping"] = cmap.name

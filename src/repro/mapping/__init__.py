@@ -8,7 +8,7 @@ choose ``mapI`` and ``mapJ`` independently by greedy number partitioning.
 """
 
 from repro.mapping.grid import ProcessorGrid, square_grid, best_grid
-from repro.mapping.base import BlockMap, CartesianMap
+from repro.mapping.base import CartesianMap
 from repro.mapping.cyclic import cyclic_map
 from repro.mapping.heuristics import (
     HEURISTICS,
@@ -26,7 +26,6 @@ __all__ = [
     "ProcessorGrid",
     "square_grid",
     "best_grid",
-    "BlockMap",
     "CartesianMap",
     "cyclic_map",
     "HEURISTICS",

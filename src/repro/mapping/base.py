@@ -1,15 +1,13 @@
-"""Block mapping interfaces.
+"""The block mapping.
 
 The paper's taxonomy (§2.4): an *arbitrary* mapping sends each block
 anywhere; a *Cartesian product* (CP) mapping factors through independent row
 and column maps; a *symmetric Cartesian* (SC) mapping additionally has
 ``Pr == Pc`` and ``mapI == mapJ``. Only CP structure is needed to bound the
-communication fan-out at ``Pr + Pc``.
+communication fan-out at ``Pr + Pc``, and every mapping here is CP.
 """
 
 from __future__ import annotations
-
-from abc import ABC, abstractmethod
 
 import numpy as np
 
@@ -17,27 +15,7 @@ from repro.mapping.grid import ProcessorGrid
 from repro.util.arrays import INDEX_DTYPE
 
 
-class BlockMap(ABC):
-    """Maps blocks (I, J) to processor ranks."""
-
-    def __init__(self, grid: ProcessorGrid, npanels: int):
-        self.grid = grid
-        self.npanels = npanels
-
-    @abstractmethod
-    def owner(self, I: int, J: int) -> int:
-        """Linear rank of the processor owning block (I, J)."""
-
-    @abstractmethod
-    def owner_array(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`owner`."""
-
-    @property
-    def name(self) -> str:
-        return type(self).__name__
-
-
-class CartesianMap(BlockMap):
+class CartesianMap:
     """CP mapping: ``owner(I, J) = grid.rank(mapI[I], mapJ[J])``."""
 
     def __init__(
@@ -55,15 +33,18 @@ class CartesianMap(BlockMap):
             raise ValueError("mapI out of range for grid rows")
         if mapJ.size and (mapJ.min() < 0 or mapJ.max() >= grid.Pc):
             raise ValueError("mapJ out of range for grid columns")
-        super().__init__(grid, mapI.shape[0])
+        self.grid = grid
+        self.npanels = mapI.shape[0]
         self.mapI = mapI
         self.mapJ = mapJ
         self.label = label
 
     def owner(self, I: int, J: int) -> int:
+        """Linear rank of the processor owning block (I, J)."""
         return self.grid.rank(int(self.mapI[I]), int(self.mapJ[J]))
 
     def owner_array(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`owner`."""
         return self.mapI[I] * self.grid.Pc + self.mapJ[J]
 
     @property

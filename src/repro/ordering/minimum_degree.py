@@ -44,34 +44,24 @@ _REACH_BUDGET = 1 << 22
 _DENSE_FILL = 1 / 64
 
 
-def minimum_degree(
-    graph: AdjacencyGraph,
-    multiple: bool = True,
-    approximate: bool = False,
-) -> np.ndarray:
-    """Return the (M)MD permutation: ``perm[k]`` = original vertex placed k-th.
+def minimum_degree(graph: AdjacencyGraph) -> np.ndarray:
+    """Return the MMD permutation: ``perm[k]`` = original vertex placed k-th.
 
-    ``multiple=False`` degrades to classical single-elimination minimum
-    degree (useful for comparing fill). ``approximate=True`` replaces the
-    exact external degree (a set union per update) with the Amestoy-Davis-
-    Duff style upper bound ``|A_u| + sum_e |L_e \\ {u}|`` — cheaper per
-    update, slightly worse fill, the trade every modern AMD code makes.
+    Every degree is the exact external degree of its supervariable.
     """
     n = graph.n
     if n == 0:
         return np.empty(0, dtype=INDEX_DTYPE)
     if graph.indices.shape[0] >= _DENSE_FILL * n * n:
-        order = _bitset_minimum_degree(graph, multiple, approximate)
+        order = _bitset_minimum_degree(graph)
     else:
-        order = _set_minimum_degree(graph, multiple, approximate)
+        order = _set_minimum_degree(graph)
     perm = np.asarray(order, dtype=INDEX_DTYPE)
     assert perm.shape[0] == n
     return perm
 
 
-def _set_minimum_degree(
-    graph: AdjacencyGraph, multiple: bool, approximate: bool
-) -> list[int]:
+def _set_minimum_degree(graph: AdjacencyGraph) -> list[int]:
     """The elimination order over a quotient graph of Python sets."""
     n = graph.n
     # Quotient graph state. adj_vars[v]/adj_elts[v] are sets of plain ints,
@@ -105,7 +95,6 @@ def _set_minimum_degree(
         var_ptr, var_idx = gather(adj_vars, rows)
         elt_ptr, elt_idx = gather(adj_elts, rows)
         elts, elt_col = np.unique(elt_idx, return_inverse=True)
-        nelts = np.diff(elt_ptr)
         # left = [incidence of rows on their elements | I]; right stacks the
         # element boundaries on the rows' own variable adjacency, so
         # left @ right lists, with multiplicity, everything a row reaches.
@@ -129,11 +118,6 @@ def _set_minimum_degree(
             (np.ones_like(right_idx), right_idx, right_ptr),
             shape=(elts.shape[0] + k, n),
         )
-        own_weight = weight[rows]
-        if approximate:
-            # ADD-style bound: element boundaries counted with multiplicity,
-            # the row itself taken out of each of its elements.
-            return left @ (right @ weight) - nelts * own_weight
         # Reach sets a run of rows at a time, so the product in flight holds
         # about _REACH_BUDGET entries at most: a row's reach is no longer
         # than everything it lists, nor than n.
@@ -147,18 +131,16 @@ def _set_minimum_degree(
             reached[a:b] = reach @ weight
         # A row is on the boundary of each of its elements, so it reaches
         # itself exactly once after the union.
-        return reached - own_weight
+        return reached - weight[rows]
 
     order: list[int] = []
     next_elt = n  # element ids disjoint from vertex ids
     while len(order) < n:
         live = np.flatnonzero(alive)
         dmin = degree[live].min()
-        # Candidates at minimum degree; with multiple elimination take an
+        # Candidates at minimum degree; multiple elimination takes an
         # independent set of them (no two adjacent in the quotient graph).
         candidates = live[degree[live] == dmin]
-        if not multiple:
-            candidates = candidates[:1]
         pivots: list[int] = []
         blocked: set[int] = set()
         for v in candidates.tolist():
@@ -229,9 +211,7 @@ def _set_minimum_degree(
     return order
 
 
-def _bitset_minimum_degree(
-    graph: AdjacencyGraph, multiple: bool, approximate: bool
-) -> list[int]:
+def _bitset_minimum_degree(graph: AdjacencyGraph) -> list[int]:
     """The elimination order over a quotient graph of n-bit masks.
 
     Every decision is the set version's: the same candidates in ascending
@@ -295,24 +275,7 @@ def _bitset_minimum_degree(
 
     def external_degrees(rows: list[int]) -> np.ndarray:
         """The set version's ``external_degrees``: a weighted popcount of
-        each row's reach, or the ADD bound summed over its elements."""
-        own_weight = weight[rows]
-        if approximate:
-            elts = 0
-            for u in rows:
-                elts |= adj_elts[u]
-            ids = bits(elts)
-            elt_weight = np.zeros(n, dtype=INDEX_DTYPE)
-            elt_weight[ids] = weighted_counts([elt_vars[e] for e in ids], weight)
-            incidence = [adj_elts[u] for u in rows]
-            nelts = np.fromiter(
-                map(int.bit_count, incidence), dtype=INDEX_DTYPE, count=len(rows)
-            )
-            return (
-                weighted_counts([adj_vars[u] for u in rows], weight)
-                + weighted_counts(incidence, elt_weight)
-                - nelts * own_weight
-            )
+        each row's reach."""
         reach = []
         for u in rows:
             r = adj_vars[u]
@@ -321,15 +284,13 @@ def _bitset_minimum_degree(
             reach.append(r)
         # A row is on the boundary of each of its elements, so it is in
         # its own reach once.
-        return weighted_counts(reach, weight) - own_weight
+        return weighted_counts(reach, weight) - weight[rows]
 
     order: list[int] = []
     while len(order) < n:
-        # Candidates at minimum degree; with multiple elimination take an
+        # Candidates at minimum degree; multiple elimination takes an
         # independent set of them (no two adjacent in the quotient graph).
         candidates = np.flatnonzero(degree == degree.min())
-        if not multiple:
-            candidates = candidates[:1]
         pivots: list[int] = []
         blocked = 0
         for v in candidates.tolist():

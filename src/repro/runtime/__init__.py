@@ -2,7 +2,7 @@
 
 Where :mod:`repro.fanout.simulator` *predicts* how the block fan-out method
 behaves on a message-passing machine, this package *executes* it: N worker
-processes each own the blocks a :class:`~repro.mapping.base.BlockMap`
+processes each own the blocks a :class:`~repro.mapping.base.CartesianMap`
 assigns to them, run BFAC/BDIV/BMOD locally per §2.3's protocol, and fan
 completed blocks out as serialized messages over per-link channels. The
 metrics layer records per-worker busy/idle/comm seconds and per-link

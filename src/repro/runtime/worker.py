@@ -1,6 +1,6 @@
 """The worker: §2.3's fan-out protocol as one event loop over real processes.
 
-Each worker owns the blocks a :class:`~repro.mapping.base.BlockMap` (via
+Each worker owns the blocks a :class:`~repro.mapping.base.CartesianMap` (via
 ``block_owners``) assigned to it and executes every block operation whose
 destination it owns, grouped by share — the blocks of one column it owns:
 one panel factor PFAC(K) per share, one panel update PMOD(K,J) per source

@@ -19,8 +19,8 @@ INDEX_DTYPE = np.int64
 
 
 # ---------------------------------------------------------------- ordering
-def oracle_minimum_degree(graph, multiple=True, approximate=False):
-    """Quotient-graph (M)MD over Python sets, one numpy scalar at a time."""
+def oracle_minimum_degree(graph):
+    """Quotient-graph MMD over Python sets, one numpy scalar at a time."""
     n = graph.n
     if n == 0:
         return np.empty(0, dtype=INDEX_DTYPE)
@@ -37,11 +37,6 @@ def oracle_minimum_degree(graph, multiple=True, approximate=False):
     next_elt = n
 
     def exact_degree(v):
-        if approximate:
-            total = sum(weight[u] for u in adj_vars[v])
-            for e in adj_elts[v]:
-                total += sum(weight[u] for u in elt_vars[e] if u != v)
-            return int(total)
         seen = set(adj_vars[v])
         for e in adj_elts[v]:
             seen.update(elt_vars[e])
@@ -60,8 +55,6 @@ def oracle_minimum_degree(graph, multiple=True, approximate=False):
         live = np.flatnonzero(alive)
         dmin = degree[live].min()
         candidates = live[degree[live] == dmin]
-        if not multiple:
-            candidates = candidates[:1]
         blocked = set()
         touched = set()
         for v in candidates.tolist():

@@ -22,7 +22,7 @@ from repro.blocks.variable import VariableBlockPartition, stage_varying_policy
 from repro.fanout import TaskGraph
 from repro.matrices import grid2d_matrix, random_spd_sparse
 from repro.ordering import order_problem
-from repro.symbolic import symbolic_factor
+from repro.symbolic import supernode_parents, symbolic_factor, tree_depths
 
 #: Suites that create worker processes and shared-memory arenas.
 _PROCESS_SUITES = ("test_runtime_", "test_service")
@@ -53,11 +53,12 @@ def no_leaked_workers_or_shm(request):
 
 def variable_partition(sf, block_size=8):
     """§5's stage-varying B, set so that the widths really vary: ``2 *
-    block_size`` for the supernodes eliminated first (at least as deep as
-    the median supernode), ``block_size // 2`` for those nearer the
-    root."""
-    depths = sf.depth[sf.snode_ptr[:-1]]
-    cutoff = int(np.median(depths)) - 1 if depths.size else 0
+    block_size`` for the supernodes eliminated first (in the supernode
+    tree, at least as deep as the median column's supernode),
+    ``block_size // 2`` for those nearer the root."""
+    depths = tree_depths(supernode_parents(sf.snode_ptr, sf.parent))
+    column_depths = np.repeat(depths, np.diff(sf.snode_ptr))
+    cutoff = int(np.median(column_depths)) - 1 if depths.size else 0
     return VariableBlockPartition(sf, stage_varying_policy(
         2 * block_size, max(1, block_size // 2), cutoff
     ))

@@ -56,24 +56,17 @@ from repro.symbolic.structure import supernode_structures
 from tests import analysis_oracle as oracle
 from tests.conftest import PARTITIONS
 
-MMD_SETTINGS = (
-    {},
-    {"approximate": True},
-    {"multiple": False},
-    {"multiple": False, "approximate": True},
-)
-
 MMD_MODULE = sys.modules["repro.ordering.minimum_degree"]
 # A ``_DENSE_FILL`` that forces each quotient graph: no graph stores more
 # than the whole n * n adjacency, and every graph stores at least none.
 MMD_PATHS = {"sets": 2.0, "bitsets": 0.0}
 
 
-def forced_minimum_degree(path, graph, **kw):
+def forced_minimum_degree(path, graph):
     """``minimum_degree`` on the named quotient-graph representation."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(MMD_MODULE, "_DENSE_FILL", MMD_PATHS[path])
-        return minimum_degree(graph, **kw)
+        return minimum_degree(graph)
 
 
 # ---------------------------------------------------------------- inputs
@@ -168,14 +161,11 @@ def same_arrays(new, old):
         assert np.array_equal(a, b)
 
 
-def check_ordering(A, mmd_settings=MMD_SETTINGS):
+def check_ordering(A):
     graph = AdjacencyGraph.from_sparse(A)
-    for kw in mmd_settings:
-        expected = oracle.oracle_minimum_degree(graph, **kw)
-        for path in MMD_PATHS:
-            assert np.array_equal(
-                forced_minimum_degree(path, graph, **kw), expected
-            ), (path, kw)
+    expected = oracle.oracle_minimum_degree(graph)
+    for path in MMD_PATHS:
+        assert np.array_equal(forced_minimum_degree(path, graph), expected), path
     n = graph.n
     rng = np.random.default_rng(n)
     mask = rng.random(n) < 0.7
@@ -271,10 +261,7 @@ def check_symbolic(A, perm):
 # ---------------------------------------------------------------- identity
 @pytest.mark.parametrize("make", fixed_inputs())
 def test_ordering_matches_oracle(make):
-    A = make()
-    # Single elimination on the two big meshes is minutes of oracle time.
-    big_mesh = A.shape[0] > 2000
-    check_ordering(A, MMD_SETTINGS[:2] if big_mesh else MMD_SETTINGS)
+    check_ordering(make())
 
 
 @pytest.mark.parametrize("make", fixed_inputs())
@@ -289,14 +276,13 @@ def test_degree_update_in_runs_matches_oracle(monkeypatch):
     of rows, on either representation; the degrees, hence the permutation,
     do not depend on the cut."""
     graph = AdjacencyGraph.from_sparse(FLEET["fleet-seed0"]())
-    for kw in MMD_SETTINGS[:2]:
-        expected = oracle.oracle_minimum_degree(graph, **kw)
-        for budget in (1, 97, 5_000):
-            monkeypatch.setattr(MMD_MODULE, "_REACH_BUDGET", budget)
-            for path in MMD_PATHS:
-                assert np.array_equal(
-                    forced_minimum_degree(path, graph, **kw), expected
-                ), (path, kw, budget)
+    expected = oracle.oracle_minimum_degree(graph)
+    for budget in (1, 97, 5_000):
+        monkeypatch.setattr(MMD_MODULE, "_REACH_BUDGET", budget)
+        for path in MMD_PATHS:
+            assert np.array_equal(
+                forced_minimum_degree(path, graph), expected
+            ), (path, budget)
 
 
 REPRESENTATION = {

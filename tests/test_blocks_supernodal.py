@@ -39,18 +39,19 @@ from tests.conftest import variable_partition  # noqa: E402
 
 
 def _fake_symbolic(snode_widths: list[int]) -> SimpleNamespace:
-    """A minimal stand-in exposing exactly what the partitioner reads; the
-    depth of supernode s's first column is s, so a policy can tell the
-    supernodes apart by depth."""
+    """A minimal stand-in exposing exactly what the partitioner reads. The
+    elimination tree is a path, so the supernodes are a chain with the
+    last one the root: supernode s sits ``nsupernodes - 1 - s`` levels
+    deep, and a policy can tell the supernodes apart by depth."""
     ptr = np.concatenate([[0], np.cumsum(snode_widths)]).astype(np.int64)
     n = int(ptr[-1])
-    depth = np.zeros(n, dtype=np.int64)
-    depth[ptr[:-1]] = np.arange(len(snode_widths))
+    parent = np.arange(1, n + 1, dtype=np.int64)
+    parent[-1] = -1
     return SimpleNamespace(
         n=n,
         nsupernodes=len(snode_widths),
         snode_ptr=ptr,
-        depth=depth,
+        parent=parent,
     )
 
 
@@ -73,7 +74,7 @@ def split_cases(draw):
         return sf, BlockPartition(sf, B), np.full(len(widths), B)
     targets = draw(st.lists(st.integers(min_value=1, max_value=128),
                             min_size=len(widths), max_size=len(widths)))
-    part = VariableBlockPartition(sf, lambda depth, width: targets[depth])
+    part = VariableBlockPartition(sf, lambda depth, width: targets[-1 - depth])
     return sf, part, np.asarray(targets)
 
 

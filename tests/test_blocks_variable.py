@@ -13,7 +13,7 @@ from repro.fanout import TaskGraph
 from repro.matrices import grid2d_matrix
 from repro.numeric import BlockCholesky
 from repro.ordering import order_problem
-from repro.symbolic import symbolic_factor
+from repro.symbolic import supernode_parents, symbolic_factor, tree_depths
 from tests.conftest import validate_task_graph
 
 
@@ -37,12 +37,23 @@ class TestVariableBlockPartition:
 
     def test_policy_respected(self, sf):
         var = VariableBlockPartition(sf, stage_varying_policy(16, 4, 2))
-        snode_depth = sf.depth[sf.snode_ptr[:-1]]
+        snode_depth = tree_depths(supernode_parents(sf.snode_ptr, sf.parent))
         widths = np.diff(var.panel_ptr)
         for k in range(var.npanels):
             s = int(var.panel_snode[k])
             limit = 16 if snode_depth[s] > 2 else 4
             assert widths[k] <= limit
+
+    def test_late_width_reaches_the_shallow_supernodes(self):
+        """The policy is keyed on supernode-tree depth: on GRID150 the
+        supernodes near the root get the late B = 24 and split into more
+        panels than B = 96 alone gives. (Keyed on a column's etree depth,
+        which runs far deeper, no supernode got the late B.)"""
+        from repro.experiments.pipeline import prepare_problem
+
+        sf = prepare_problem("GRID150", "small").symbolic
+        var = VariableBlockPartition(sf, stage_varying_policy())
+        assert var.npanels > BlockPartition(sf, 96).npanels
 
     def test_downstream_stack_runs(self, sf):
         """The whole pipeline must accept a variable partition unchanged."""

@@ -79,9 +79,19 @@ class TestCommands:
         assert "DW/ID" in out
 
     def test_simulate_priority(self, capsys):
+        """``--priority`` is column order; these are the numbers it printed
+        when priority order was a queue structure of its own."""
         rc = main(["simulate", "BCSSTK15", "--scale", "small", "-P", "16",
                    "--priority"])
+        out = capsys.readouterr().out
         assert rc == 0
+        assert out.splitlines()[1:] == [
+            "  runtime    : 12.05 ms (simulated)",
+            "  efficiency : 0.235",
+            "  Mflops     : 112.8",
+            "  messages   : 259 (0.4 MB)",
+            "  idle       : 0.75",
+        ]
 
     def test_experiment_table3(self, capsys):
         rc = main(["experiment", "table3", "--scale", "small"])

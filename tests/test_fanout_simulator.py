@@ -1,9 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.fanout import TaskGraph, assign_domains, block_owners, run_fanout, simulate_fanout
+from repro.experiments.pipeline import prepare_problem
+from repro.fanout import (
+    TaskGraph, assign_domains, block_owners, plan_block_owners, run_fanout,
+    simulate_fanout, task_priorities,
+)
 from repro.machine.params import PARAGON, ZERO_COMM, MachineParams
-from repro.mapping import ProcessorGrid, cyclic_map, heuristic_map, square_grid
+from repro.mapping import (
+    ProcessorGrid, cyclic_map, heuristic_map, named_map, square_grid,
+)
 from repro.mapping.balance import overall_balance_from_owners
 
 
@@ -87,11 +95,15 @@ class TestSimulateFanout:
         slow = run_fanout(tg, cmap, machine=slow_machine)
         assert slow.t_parallel > base.t_parallel
 
-    def test_priority_mode_completes(self, grid12_pipeline):
+    def test_priorities_complete(self, grid12_pipeline):
         tg = grid12_pipeline[5]
-        cmap = cyclic_map(tg.npanels, square_grid(9))
-        r = run_fanout(tg, cmap, priority_mode=True)
+        owners = plan_block_owners(tg, cyclic_map(tg.npanels, square_grid(9)))
+        r = simulate_fanout(
+            tg, owners, 9, priorities=task_priorities(tg, "column"),
+            record_schedule=True,
+        )
         assert r.t_parallel > 0
+        assert sorted(r.schedule) == list(range(tg.ntasks))
 
     def test_mflops_property(self, grid12_pipeline):
         _, sf, _, _, _, tg = grid12_pipeline
@@ -117,3 +129,57 @@ class TestSimulateFanout:
         compute = wm.total_work / PARAGON.flop_rate
         assert r.busy_times.sum() >= compute - 1e-12
         assert 0 <= r.idle_fraction < 1
+
+
+def schedule_hash(result) -> str:
+    data = np.asarray(result.schedule, dtype=np.int64).tobytes()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+class TestReadyQueue:
+    """Each processor has one ready heap keyed on (priority, arrival):
+    no priorities is every priority 0, i.e. §2.3's arrival order."""
+
+    @pytest.mark.parametrize("name", ["BCSSTK15", "GRID150", "CUBE30",
+                                      "DENSE1024"])
+    @pytest.mark.parametrize("P, mapping", [(16, "ID/CY"), (64, "cyclic"),
+                                            (64, "DW/CY")])
+    def test_fifo_is_all_zero_priorities(self, name, P, mapping):
+        prep = prepare_problem(name, "medium")
+        tg = prep.taskgraph
+        owners = plan_block_owners(tg, named_map(prep.workmodel, P, mapping))
+        fifo = simulate_fanout(tg, owners, P, record_schedule=True)
+        zero = simulate_fanout(tg, owners, P, record_schedule=True,
+                               priorities=np.zeros(tg.ntasks))
+        assert fifo.schedule == zero.schedule
+        assert fifo.t_parallel == zero.t_parallel
+        assert np.array_equal(fifo.busy_times, zero.busy_times)
+        assert fifo.comm_bytes == zero.comm_bytes
+        assert fifo.events == zero.events
+
+    @pytest.mark.parametrize("policy, golden", [
+        ("fifo", "471a3f89b516760e"),
+        ("column", "deb85f417ad46a94"),
+    ])
+    def test_schedule_is_pinned(self, policy, golden):
+        """The order each queue ran BCSSTK15 in, as recorded when FIFO and
+        priority order were two queue structures."""
+        prep = prepare_problem("BCSSTK15", "small")
+        tg = prep.taskgraph
+        owners = plan_block_owners(tg, named_map(prep.workmodel, 16, "ID/CY"))
+        r = simulate_fanout(tg, owners, 16, record_schedule=True,
+                            priorities=task_priorities(tg, policy))
+        assert schedule_hash(r) == golden
+
+    def test_ties_run_in_arrival_order(self, grid12_pipeline):
+        """Priorities order the queue; equal ones keep arrival order, so
+        one constant priority is FIFO too."""
+        tg = grid12_pipeline[5]
+        owners = block_owners(tg, cyclic_map(tg.npanels, square_grid(4)))
+        fifo = simulate_fanout(tg, owners, 4, record_schedule=True)
+        flat = simulate_fanout(tg, owners, 4, record_schedule=True,
+                               priorities=np.full(tg.ntasks, 7.0))
+        assert flat.schedule == fifo.schedule
+        column = simulate_fanout(tg, owners, 4, record_schedule=True,
+                                 priorities=task_priorities(tg, "column"))
+        assert column.schedule != fifo.schedule

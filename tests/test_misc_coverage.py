@@ -6,7 +6,7 @@ import pytest
 from repro.experiments.figure1 import run as figure1_run
 from repro.experiments.runner import ExperimentResult
 from repro.fanout import TaskGraph
-from repro.machine import DiscreteEventSimulator, SimProcessor
+from repro.machine import DiscreteEventSimulator
 from tests.conftest import validate_task_graph
 
 
@@ -25,13 +25,6 @@ class TestEventSimExtras:
         assert sim.pending == 2
         sim.run()
         assert sim.pending == 0
-
-
-class TestProcessorCounters:
-    def test_traffic_counters_start_zero(self):
-        p = SimProcessor(3)
-        assert p.bytes_sent == 0 and p.messages_sent == 0
-        assert p.rank == 3
 
 
 class TestTaskGraphFailureInjection:

@@ -14,11 +14,6 @@ class TestMinimumDegree:
         g = AdjacencyGraph.from_sparse(A)
         assert is_permutation(minimum_degree(g))
 
-    def test_single_elimination_variant(self):
-        A = random_spd_sparse(60, density=0.08, seed=2)
-        g = AdjacencyGraph.from_sparse(A)
-        assert is_permutation(minimum_degree(g, multiple=False))
-
     def test_reduces_fill_vs_natural(self):
         p = bcsstk_like_matrix(240, seed=4)
         g = AdjacencyGraph.from_sparse(p.A)
@@ -63,25 +58,3 @@ class TestMinimumDegree:
         g = AdjacencyGraph.from_sparse(A)
         assert is_permutation(minimum_degree(g))
 
-    def test_approximate_mode_valid(self):
-        A = random_spd_sparse(90, density=0.06, seed=12)
-        g = AdjacencyGraph.from_sparse(A)
-        assert is_permutation(minimum_degree(g, approximate=True))
-
-    def test_approximate_fill_close_to_exact(self):
-        """The ADD degree bound costs a little fill, not a blowup."""
-        p = bcsstk_like_matrix(300, seed=13)
-        g = AdjacencyGraph.from_sparse(p.A)
-        exact = symbolic_factor(p.A, minimum_degree(g)).factor_nnz
-        approx = symbolic_factor(
-            p.A, minimum_degree(g, approximate=True)
-        ).factor_nnz
-        assert approx <= 1.5 * exact
-
-    def test_approximate_deterministic(self):
-        A = random_spd_sparse(60, density=0.08, seed=14)
-        g = AdjacencyGraph.from_sparse(A)
-        assert np.array_equal(
-            minimum_degree(g, approximate=True),
-            minimum_degree(g, approximate=True),
-        )
