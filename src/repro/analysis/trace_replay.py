@@ -97,20 +97,17 @@ def replay_trace(trace, attempt: int | None = None) -> RuntimeMetrics:
             setattr(w, name, getattr(w, name) + (e.t1 - e.t0))
         if cat == "task":
             # A panel update (PMOD) ran the BMODs it lists in one span, a
-            # panel factor (PFAC) its BFAC, if ``bfac``, and BDIVs.
-            tids = args.get("tids")
-            n = 1 if tids is None else len(tids)
-            w.ops_executed += 1
+            # panel factor (PFAC) its BFAC, if ``bfac``, and BDIVs, the
+            # local pass (LOCAL, no dispatched op) the ``bfac`` BFACs and
+            # the BDIVs of its ``blocks``, and the BMODs into them.
+            kind, n = e.name.partition("(")[0], len(args["tids"])
+            nb = 0 if kind == "PMOD" else len(args["blocks"])
+            bfac = int(args.get("bfac", 0))
+            w.ops_executed += kind != "LOCAL"
             w.tasks_executed += n
-            kind = e.name.partition("(")[0]
-            if kind == "PFAC":
-                bfac = int(args.get("bfac", 0))
-                w.task_counts["BFAC"] += bfac
-                w.task_counts["BDIV"] += n - bfac
-            else:
-                kind = "BMOD" if kind == "PMOD" else kind
-                if kind in w.task_counts:
-                    w.task_counts[kind] += n
+            w.task_counts["BFAC"] += bfac
+            w.task_counts["BDIV"] += nb - bfac
+            w.task_counts["BMOD"] += n - nb
             work = int(args.get("work", 0))
             w.work_executed += work
             w.flops_executed += int(args.get("flops", 0))
@@ -289,11 +286,9 @@ def validate_trace(
 
     seen_tids: dict[int, int] = {}
     for e in trace.events:
-        if e.attempt != attempt or e.cat != "task" or not e.args:
-            continue
-        tid = e.args.get("tid")
-        for t in e.args.get("tids", () if tid is None else (tid,)):
-            seen_tids[t] = seen_tids.get(t, 0) + 1
+        if e.attempt == attempt and e.cat == "task":
+            for t in e.args["tids"]:
+                seen_tids[t] = seen_tids.get(t, 0) + 1
     repeated = {t: c for t, c in seen_tids.items() if c > 1}
     if repeated:
         failures.append(

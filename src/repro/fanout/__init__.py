@@ -5,7 +5,7 @@ fan-out dependency counters; ``protocol.FanoutState`` is the one statement
 of when a task is ready and who needs a finished block (``dispatch.
 DispatchPlan`` compiles its answers for one rank of one owner map into
 counters per share — the blocks of one column a rank owns — for the mp
-worker's and the thread pool's panel ops); ``simulate_fanout``
+worker's panel ops, past its local pass); ``simulate_fanout``
 runs the data-driven algorithm — block completions trigger messages,
 message arrivals enable tasks — on the discrete-event machine and reports
 runtime, efficiency, Mflops, and communication statistics. ``plan_block_owners``

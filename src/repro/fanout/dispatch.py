@@ -1,36 +1,36 @@
 """The per-rank dispatch plan: what one rank's event loop looks up per op.
 
-:mod:`repro.fanout.protocol` states §2.3's rules over numpy arrays, which
-suits an executor that asks once per event. A message-passing worker asks
-a few thousand times per job and always gets the same answers, because
-they depend on ``(task graph, owners, rank)`` alone. :class:`DispatchPlan`
-asks every question once — through ``FanoutState.consumers`` and
-``remote_ranks``, never by restating a rule — and keeps the answers as
-plain Python ints and lists, the types an interpreter loop reads fastest.
+:mod:`repro.fanout.protocol` states §2.3's rules over numpy arrays. A
+worker asks them thousands of times per job and always gets the same
+answers, which depend on ``(task graph, owners, rank)`` alone.
+:class:`DispatchPlan` asks every question once — through
+``FanoutState.consumers`` and ``remote_ranks``, never by restating a rule
+— and keeps the answers as plain Python ints and lists.
 
-The task graph is the paper's, one task per block; what an executor
-*dispatches*, and tracks readiness for, is the **share** — the blocks of
-one column a rank owns. The BFAC and BDIVs of a rank's share of column K
-run as one panel factor, ``PFAC(K)`` (one dtrsm over the share's stacked
-rows, :meth:`repro.numeric.blockfact.BlockCholesky.pfac`); the BMODs from
-source panel K into destination panel J whose destinations it owns run as
-one panel update, ``PMOD(K, J)`` (:class:`PanelUpdates`). The protocol's
-rules are only coarsened:
+A column is **local** to a rank that owns all of it and whose every update
+comes from a local column — every domain column of §2.3's owners. The
+rank factors its local columns in one sequential pass before its event
+loop (``BlockCholesky.factor(cols)``): no op, counter or message among
+them. What an executor *dispatches*, and tracks readiness for, is the
+rest, by **share** — the blocks of one column a rank owns. The
+BFAC and BDIVs of a share of column K run as one panel factor,
+``PFAC(K)`` (one dtrsm over its stacked rows,
+:meth:`repro.numeric.blockfact.BlockCholesky.pfac`); the BMODs from source
+panel K into destination panel J whose destinations it owns as one panel
+update, ``PMOD(K, J)`` (:class:`PanelUpdates`). The protocol's rules are
+only coarsened:
 
 * a ``PFAC(K)`` waits for the rank's updates into column K and, where
   another rank owns ``L_KK``, for ``L_KK``;
-* a ``PMOD(K, J)`` waits for the shares of column K it reads, then for
-  every earlier update of the rank into panel J, so a block's updates are
-  applied in ascending K on every executor;
+* a ``PMOD(K, J)`` waits for the shares of column K it reads (a local
+  share is final before it starts), then for every earlier update of the
+  rank into panel J, so a block's updates are applied in ascending K;
 * a remote share has arrived once every block of it this rank needs has.
 
-One ordered chain per destination panel — its updates in ascending K, then
-its panel factor — carries the last two rules: each op waits for the one
-before it. The block stays the unit of data: one frame per finished block.
-
-It is derived state, like :class:`repro.blocks.plan.NumericPlan`: built
-where it is used, kept by whoever holds the pattern, never shipped. The
-counters are a per-job :class:`Readiness`.
+One chain per destination panel — its updates in ascending K, then its
+panel factor — carries the last two rules. The block stays the unit of
+data. The plan is derived state, kept by whoever holds the pattern, never
+shipped; the counters are a per-job :class:`Readiness`.
 """
 
 from __future__ import annotations
@@ -63,18 +63,24 @@ class DispatchPlan:
     recipients:
         Per owned block: the distinct remote ranks its final value travels
         to, ascending; ``None`` for a block this rank does not own.
+    local_cols, local_pass:
+        The rank's local columns, ascending, and what its one pass over
+        them runs, ``(tids, blocks, counts, flops, work, nops)``: their
+        tasks and blocks, ascending, the tasks per kind name, the sums of
+        their counts, and the ops it stands for (one per column and per
+        (K, J) pair among them). No op below holds any of those tasks.
     updates, factors:
-        The rank's ops. Op ``o < nupdates`` is ``updates.ops[o]``, a panel
-        update; op ``nupdates + f`` is ``factors[f]``, a panel factor
+        The rank's dispatched ops. Op ``o < nupdates`` is
+        ``updates.ops[o]``, a panel update; op ``nupdates + f`` is
+        ``factors[f]``, a panel factor
         ``(K, rows, tids, blocks, bfac, flops, work)``: its stacked rows of
         column K (a slice when contiguous, an index array, or None), its
         BFAC (when ``bfac``) and BDIVs with their blocks, diagonal first,
         and the sums of their counts. Ascending K.
-    wait, after, pred, wakes:
-        Per op: the events it waits for, the next op of its panel's chain
-        (-1 for none), whether an op of that chain comes before it, and
-        the ops its finishing releases besides the next one (a panel
-        factor's: the updates that read its share).
+    wait, pred, wakes:
+        Per op: the events it waits for, whether an op of its panel's chain
+        comes before it, and the ops its finishing releases: the next op of
+        the chain, then (a panel factor's) the updates that read its share.
     event, need, event_wakes:
         Per block, the arrival event it counts toward here (-1 for none):
         a remote block's share, or a remote ``L_KK``'s panel factor. Per
@@ -93,9 +99,8 @@ class DispatchPlan:
         # BFAC/BDIV carry ``src1 == -1``; their source panel is their own.
         K = np.where(kind == BMOD, tg.block_J[tg.task_src1], J)
         work = flops + int(tg.workmodel.op_fixed_cost)
-        self.task = list(zip(*(
-            a.tolist() for a in (kind, block, I, J, K, flops, work)
-        )))
+        self.task = list(zip(*(a.tolist() for a in (
+            kind, block, I, J, K, flops, work))))
         self.coords = list(zip(tg.block_I.tolist(), tg.block_J.tolist()))
         self.mine = mine = owners[block] == rank
         self.n_owned = int(mine.sum())
@@ -105,9 +110,8 @@ class DispatchPlan:
         asked = [state.consumers(b) for b in range(tg.nblocks)]
         ids = np.concatenate([ids for ids, _ in asked])
         target_owners = owners[np.concatenate([blocks for _, blocks in asked])]
-        of_block = np.repeat(
-            np.arange(tg.nblocks), [ids.shape[0] for ids, _ in asked]
-        )
+        of_block = np.repeat(np.arange(tg.nblocks),
+                             [ids.shape[0] for ids, _ in asked])
         here = target_owners == rank
         self.local = _split(ids[here], of_block[here], tg.nblocks)
         # One ``remote_ranks`` call for all owned blocks: a target elsewhere
@@ -117,24 +121,37 @@ class DispatchPlan:
         tagged = np.where(here, rank, (of_block + 1) * P + target_owners)
         pairs = remote_ranks(tagged[owners[of_block] == rank], rank)
         recipients = _split(pairs % P, pairs // P - 1, tg.nblocks)
-        self.recipients = [
-            dsts if owner == rank else None
-            for dsts, owner in zip(recipients, owners.tolist())
-        ]
+        self.recipients = [dsts if owner == rank else None for dsts, owner
+                           in zip(recipients, owners.tolist())]
+        # Local columns in one ascending pass: a column is updated only by
+        # columns before it.
+        local = np.bincount(tg.block_J, owners != rank, tg.npanels) == 0
+        for k, span in enumerate(tg.workmodel.structure.numeric_plan().spans):
+            if not local[k]:
+                local[list(span)] = False
+        ran = local[J]
+        n = np.bincount(kind[ran], minlength=3).tolist()
+        self.local_cols = np.flatnonzero(local).tolist()
+        self.local_pass = (
+            np.flatnonzero(ran).tolist(),
+            np.flatnonzero(local[tg.block_J]).tolist(),
+            dict(zip(("BFAC", "BDIV", "BMOD"), n)),
+            int(flops[ran].sum()), int(work[ran].sum()),
+            len(self.local_cols) + np.unique(
+                (K * tg.npanels + J)[ran & (kind == BMOD)]).size,
+        )
         self._tg = tg
-        self.updates = updates = PanelUpdates(tg, mine)
+        self.updates = updates = PanelUpdates(tg, mine & ~ran)
         self.nupdates = len(updates.ops)
-        self.factors = _panel_factors(tg, owners, rank)
-        self._compile_readiness(owners.tolist(), rank)
-        self.grantable = {
-            tg.ntasks + o: tids[0]
-            for o, (*_, tids, _, _, _) in enumerate(updates.ops)
-            if len(tids) == 1
-        }
+        self.factors = _panel_factors(tg, owners, rank, local)
+        self._compile_readiness(owners.tolist(), rank, local.tolist())
+        self.grantable = {tg.ntasks + o: op[3][0] for o, op in
+                          enumerate(updates.ops) if len(op[3]) == 1}
 
-    def _compile_readiness(self, owners: list, rank: int) -> None:
+    def _compile_readiness(self, owners: list, rank: int, local: list) -> None:
         """The per-op and per-event counters of the rules in the module
-        docstring, from ``local``: who here consumes which block."""
+        docstring, from ``local``: who here consumes which block. A local
+        column's share is final before any op runs: no op waits for it."""
         tg, nu, of = self._tg, self.nupdates, self.updates.of
         block_J, diag = tg.block_J.tolist(), tg.diag_block.tolist()
         fac_of = {f[0]: nu + i for i, f in enumerate(self.factors)}
@@ -146,12 +163,11 @@ class DispatchPlan:
         self.event_wakes: list[list[int]] = []
         events: dict[tuple, int] = {}
         for b, consumers in enumerate(self.local):
-            if not consumers:
-                continue
             k, g = block_J[b], owners[b]
+            if not consumers or local[k]:
+                continue
             if b == diag[k]:
-                # L_KK: its consumers here are this rank's blocks of
-                # column K, which its own panel factor computes.
+                # L_KK: consumed here by this rank's PFAC(K).
                 if g != rank:
                     self.event[b] = len(self.need)
                     self.need.append(1)
@@ -175,8 +191,16 @@ class DispatchPlan:
                     released.append(o)
         for released in (*self.wakes, *self.event_wakes):
             released.sort()
-        self.after, first = _chains(self)
-        self.pred = [o not in first for o in range(nops)]
+        # Each destination panel's chain: the rank's updates into it in
+        # ascending K, then its panel factor.
+        chains: dict[int, list[int]] = {}
+        for o, op in enumerate((*self.updates.ops, *self.factors)):
+            chains.setdefault(op[1] if o < nu else op[0], []).append(o)
+        self.pred = [False] * nops
+        for chain in chains.values():
+            for a, b in zip(chain, chain[1:]):
+                self.wakes[a].insert(0, b)
+                self.pred[b] = True
         self.wait = [len(r) + p for r, p in zip(reads, self.pred)]
         for k, o in fac_of.items():
             self.wait[o] += self.event[diag[k]] >= 0
@@ -188,24 +212,22 @@ class DispatchPlan:
         return [s for i, s in enumerate(srcs) if s >= 0 and s not in srcs[:i]]
 
 
-def _panel_factors(tg: TaskGraph, owners: np.ndarray, rank: int) -> list:
-    """Rank ``rank``'s panel factors, one per column it owns blocks of,
-    ascending (see :attr:`DispatchPlan.factors`)."""
+def _panel_factors(tg: TaskGraph, owners: np.ndarray, rank: int,
+                   local: np.ndarray) -> list:
+    """Rank ``rank``'s panel factors, one per column it owns blocks of and
+    that is not ``local``, ascending (see :attr:`DispatchPlan.factors`)."""
     structure = tg.workmodel.structure
     cost = int(tg.workmodel.op_fixed_cost)
     task_flops = tg.task_flops.tolist()
     factors = []
-    for k in np.unique(tg.block_J[owners == rank]).tolist():
+    held_cols = tg.block_J[(owners == rank) & ~local[tg.block_J]]
+    for k in np.unique(held_cols).tolist():
         d = int(tg.diag_block[k])
         sub = tg.subdiag_blocks[tg.subdiag_ptr[k] : tg.subdiag_ptr[k + 1]]
         held = np.flatnonzero(owners[sub] == rank).tolist()
         splits = structure.row_splits[k].tolist()
-        rows = None
-        if held and held[-1] - held[0] + 1 == len(held):
-            rows = slice(splits[held[0]], splits[held[-1] + 1])
-        elif held:
-            rows = np.concatenate(
-                [np.arange(splits[t], splits[t + 1]) for t in held])
+        rows = None if not held else _rows(
+            [(splits[t], splits[t + 1]) for t in held])
         bfac = bool(owners[d] == rank)
         blocks = [d] * bfac + sub[held].tolist()
         tids = [int(tg.bfac_task[d])] * bfac + tg.bdiv_task[
@@ -214,6 +236,14 @@ def _panel_factors(tg: TaskGraph, owners: np.ndarray, rank: int) -> list:
         factors.append((k, rows, tuple(tids), tuple(blocks), bfac, f,
                         f + cost * len(tids)))
     return factors
+
+
+def _rows(pieces: list):
+    """The slab rows of ``(lo, hi)`` spans, stacked: a slice when they are
+    contiguous, else an index array."""
+    if all(a[1] == b[0] for a, b in zip(pieces, pieces[1:])):
+        return slice(pieces[0][0], pieces[-1][1])
+    return np.concatenate([np.arange(*p) for p in pieces])
 
 
 def _split(values: np.ndarray, group: np.ndarray, ngroups: int) -> list[list]:
@@ -254,18 +284,12 @@ class PanelUpdates:
         order = np.lexsort((mods, K, J))
         cut = np.flatnonzero(np.diff(J[order]) | np.diff(K[order])) + 1
         bounds = [0, *cut.tolist(), mods.shape[0]] if mods.size else []
-        tids, blocks, I, J, K, flops = (
-            a[order].tolist()
-            for a in (mods, blocks, I, J, K, tg.task_flops[mods])
-        )
+        tids, blocks, I, J, K, flops = (a[order].tolist() for a in (
+            mods, blocks, I, J, K, tg.task_flops[mods]))
         self.ops: list[tuple] = []
         self.of: dict[int, int] = {}
         for lo, hi in zip(bounds, bounds[1:]):
-            pieces = [spans[K[lo]][i] for i in I[lo:hi]]
-            if all(a[1] == b[0] for a, b in zip(pieces, pieces[1:])):
-                rows = slice(pieces[0][0], pieces[-1][1])
-            else:
-                rows = np.concatenate([np.arange(*p) for p in pieces])
+            rows = _rows([spans[K[lo]][i] for i in I[lo:hi]])
             f = sum(flops[lo:hi])
             self.of.update(dict.fromkeys(tids[lo:hi], len(self.ops)))
             self.ops.append((
@@ -285,24 +309,6 @@ class PanelUpdates:
                 f + self._op_cost)
 
 
-def _chains(plan: DispatchPlan) -> tuple[list, set]:
-    """Each destination panel's chain — the rank's updates into it in
-    ascending K, then its panel factor: per op the next one (-1 for none),
-    and the ops no op precedes."""
-    nu = plan.nupdates
-    chains: dict[int, list[int]] = {}
-    for o, op in enumerate(plan.updates.ops):
-        chains.setdefault(op[1], []).append(o)
-    for f, op in enumerate(plan.factors):
-        chains.setdefault(op[0], []).append(nu + f)
-    after, first = [-1] * (nu + len(plan.factors)), set()
-    for chain in chains.values():
-        first.add(chain[0])
-        for a, b in zip(chain, chain[1:]):
-            after[a] = b
-    return after, first
-
-
 class Readiness:
     """One job's progress through a rank's :class:`DispatchPlan` ops.
 
@@ -317,7 +323,6 @@ class Readiness:
         self._push = push
         self.wait = list(plan.wait)
         self.need = list(plan.need)
-        self.after = plan.after
         for o, n in enumerate(self.wait):
             if not n:
                 push(o)
@@ -340,9 +345,6 @@ class Readiness:
     def finished(self, o: int) -> None:
         """Op ``o`` ran: release the next op of its chain and, for a panel
         factor, the updates that read its share."""
-        nxt = self.after[o]
-        if nxt >= 0:
-            self._release((nxt,))
         self._release(self._plan.wakes[o])
 
 
@@ -362,10 +364,8 @@ class PlanHolder:
         return plans[rank]
 
     def dispatch_plan(self, rank: int) -> DispatchPlan:
-        return self._compiled(
-            "_dispatch_plans", rank,
-            lambda: DispatchPlan(self.tg, self.owners, rank),
-        )
+        return self._compiled("_dispatch_plans", rank, lambda: DispatchPlan(
+            self.tg, self.owners, rank))
 
     def solve_plan(self, rank: int, build):
         """The rank's solve-phase tables — whatever ``build()`` compiles

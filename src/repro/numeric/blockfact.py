@@ -212,15 +212,21 @@ class BlockCholesky:
     # ------------------------------------------------------------------
     # Driver
     # ------------------------------------------------------------------
-    def factor(self) -> "BlockCholesky":
-        """Sequential right-looking block fan-out factorization (§2.1),
-        one panel factor per K (the whole column) and one panel update per
-        (K, J): the rows of K at or below block J, stacked."""
-        for k, span in enumerate(self._plan.spans):
+    def factor(self, cols=None) -> "BlockCholesky":
+        """Sequential right-looking block fan-out factorization (§2.1) of
+        the columns ``cols`` (ascending, every update into one from one of
+        them, as a rank's local columns; None for all): one panel factor
+        per K and one panel update per (K, J), J among them: the rows of K
+        at or below block J, stacked."""
+        spans = self._plan.spans
+        cols = range(len(spans)) if cols is None else cols
+        run = set(cols)
+        for k in cols:
             self.pfac(k)
             end = self._slabs[k].shape[0]
-            for j, (lo, _) in span.items():
-                self.pmod(k, j, slice(lo, end))
+            for j, (lo, _) in spans[k].items():
+                if j in run:
+                    self.pmod(k, j, slice(lo, end))
         return self
 
     # ------------------------------------------------------------------

@@ -1,20 +1,14 @@
 """Real shared-memory parallel block Cholesky (thread pool).
 
-The simulator answers "what would the Paragon do"; this module actually
-runs the same task DAG in parallel on the host: a dependency-driven
-executor dispatches panel factors and panel updates to a thread pool as
-their inputs complete. numpy's BLAS kernels release the GIL, so genuine
-multicore speedups are achievable for matrices with enough block-level
-concurrency — the shared-memory analogue of the paper's message-passing
-method, with the same dependency structure the tests already proved
-correct.
-
-With one shared memory a single rank owns every block: one panel factor
-per column and one panel update per (K, J), as in the sequential factor,
-released by the one-rank :class:`~repro.fanout.dispatch.DispatchPlan`'s
-share counters. Each panel's chain runs its updates in ascending K and its
-panel factor last, one op at a time, so the factor is bitwise the
-sequential one and no two threads ever write one panel's slab at once.
+The simulator answers "what would the Paragon do"; this module runs the
+same dependency structure on the host: panel factors and panel updates go
+to a thread pool as their inputs complete (numpy's BLAS kernels release
+the GIL). With one shared memory every block is at hand: one panel factor
+per column and one panel update per (K, J), as in the sequential factor.
+Each panel's chain runs its updates in ascending K, each once panel K is
+factored, and its panel factor last, one op at a time, so the factor is
+bitwise the sequential one and no two threads ever write one panel's slab
+at once.
 """
 
 from __future__ import annotations
@@ -23,11 +17,9 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import sparse
 
 from repro.blocks.structure import BlockStructure
-from repro.fanout.dispatch import DispatchPlan, Readiness
 from repro.fanout.tasks import TaskGraph
 from repro.numeric.blockfact import BlockCholesky
 
@@ -48,52 +40,59 @@ def parallel_block_cholesky(
     tg: TaskGraph,
     nthreads: int = 4,
 ) -> ParallelFactorResult:
-    """Factor ``A`` with ``nthreads`` worker threads over the task DAG.
-
-    The dependency protocol is the fan-out method's, coarsened to panels
-    (:mod:`repro.fanout.dispatch`); with one shared memory, a finished
-    panel reaches all its consumers at once. A pool item is an op of the
-    one-rank plan.
-    """
+    """Factor ``A`` with ``nthreads`` worker threads. A pool item is
+    ``(k, -1)``, PFAC(k), or ``(k, j)``, PMOD(k, j)."""
     if nthreads < 1:
         raise ValueError("nthreads must be positive")
     chol = BlockCholesky(structure, A)
-    plan = DispatchPlan(tg, np.zeros(tg.nblocks, dtype=np.int64), 0)
-    nu = plan.nupdates
-
-    state_lock = threading.Lock()
-    done = threading.Event()
+    spans = structure.numeric_plan().spans
+    # Per panel J, the panels that update it, ascending: its chain.
+    chain: list[list[int]] = [[] for _ in spans]
+    for k, span in enumerate(spans):
+        for j in span:
+            chain[j].append(k)
+    applied, factored = [0] * len(spans), [False] * len(spans)
+    state_lock, done = threading.Lock(), threading.Event()
     error: list[BaseException] = []
-    remaining = [nu + len(plan.factors)]
-
+    remaining = [len(spans)]
     pool = ThreadPoolExecutor(max_workers=nthreads)
 
-    def run(o: int) -> None:
+    def run(k: int, j: int) -> None:
+        """PFAC(k) when ``j < 0``, else PMOD(k, j); then submit what that
+        released."""
         if error:
             return
         try:
-            if o < nu:
-                K, J, rows, *_ = plan.updates.ops[o]
-                chol.pmod(K, J, rows)
+            if j < 0:
+                chol.pfac(k)
             else:
-                K, rows, *_ = plan.factors[o - nu]
-                chol.pfac(K, rows)
+                end = len(chol.diag[k]) + len(chol.stacked[k])
+                chol.pmod(k, j, slice(spans[k][j][0], end))
             with state_lock:
-                ready.finished(o)
-                remaining[0] -= 1
-                if remaining[0] == 0:
+                if j < 0:
+                    factored[k] = True
+                    remaining[0] -= 1
+                    ops = [(k, i) for i in spans[k]
+                           if chain[i][applied[i]] == k]
+                else:
+                    applied[j] += 1
+                    nxt = chain[j][applied[j]:applied[j] + 1]
+                    ops = ([(j, -1)] if not nxt else
+                           [(nxt[0], j)] if factored[nxt[0]] else [])
+                for op in ops:
+                    pool.submit(run, *op)
+                if not remaining[0]:
                     done.set()
         except BaseException as exc:  # noqa: BLE001 - propagated to caller
             error.append(exc)
             done.set()
 
-    with state_lock:
-        ready = Readiness(plan, lambda o: pool.submit(run, o))
-
+    for k, into in enumerate(chain):
+        if not into:
+            pool.submit(run, k, -1)
     done.wait()
     pool.shutdown(wait=True)
     if error:
         raise error[0]
-    return ParallelFactorResult(
-        factor=chol, nthreads=nthreads, tasks_executed=tg.ntasks
-    )
+    return ParallelFactorResult(factor=chol, nthreads=nthreads,
+                                tasks_executed=tg.ntasks)

@@ -1,10 +1,11 @@
 """The worker: §2.3's fan-out protocol as one event loop over real processes.
 
-Each worker owns the blocks a :class:`~repro.mapping.base.CartesianMap` (via
-``block_owners``) assigned to it and executes every block operation whose
-destination it owns, grouped by share — the blocks of one column it owns:
-one panel factor PFAC(K) per share, one panel update PMOD(K,J) per source
-and destination panel — and tracks readiness per share, not per block
+Each worker executes every block operation whose destination block it
+owns. Its *local* columns (owned whole and updated only from local columns,
+as every domain column is) it factors first, in one sequential pass
+(``_run_local``); the rest it runs grouped by share — the blocks of one
+column it owns: one panel factor PFAC(K) per share, one panel update
+PMOD(K,J) per source and destination panel — tracking readiness per share
 (:mod:`repro.fanout.dispatch`). A processor does one thing — take a ready
 op or an arrived block, run it, fan the result out block by block — and
 :class:`Worker` writes that loop once:
@@ -21,7 +22,8 @@ op or an arrived block, run it, fan the result out block by block — and
   drain the inbox when that can matter (nothing ready, or every
   ``DRAIN_EVERY`` steps), run one ready task, else the phase's idle hook;
   then wait ``POLL_S`` for a frame, then check for a stall;
-* ``_account`` is the post-task step every executed task passes through,
+* ``_account`` is the post-task step every executed run of tasks passes
+  through,
   ``_span`` the only timeline / trace-span emitter, ``_block`` / ``_store``
   the block accessor pair, and :meth:`Worker.run` ends in the one ship-home
   epilogue: one :class:`WorkerResult` — the ids of the owned blocks and the
@@ -127,14 +129,12 @@ class Worker:
 
     Takes the job as the pool shipped it: the pattern's
     :class:`~repro.runtime.pool.PatternContext` (block structure, task
-    graph, owners, the :class:`~repro.config.RunConfig`, and
-    the permuted matrix's index arrays — scattering ``job.values`` into
-    initial block data is the runtime's stand-in for the host
-    distributing ``A``), the
+    graph, owners, the :class:`~repro.config.RunConfig`, and the permuted
+    matrix's index arrays — scattering ``job.values`` into initial block
+    data stands in for the host distributing ``A``), the
     :class:`~repro.runtime.pool.PoolJob` (values, rhs, the fault plan and
-    the trace capacity) and the pattern's attached
-    ``arena`` (shm transport, whose store this rank factors in place;
-    None means inline, a private store).
+    the trace capacity) and the pattern's attached ``arena`` (shm, whose
+    store this rank factors in place; None means inline, a private store).
     """
 
     def __init__(self, rank: int, context, job, arena, fabric, result_queue,
@@ -222,8 +222,7 @@ class Worker:
         self._finalize()
         trace = None if self.trace is None else self.trace.snapshot(self.rank)
         self.result_queue.put(
-            WorkerResult(self.rank, m, trace, solution, held, words)
-        )
+            WorkerResult(self.rank, m, trace, solution, held, words))
         if failed:
             # Don't hang at exit flushing frames to peers that may be gone.
             for link in self.links.values():
@@ -254,6 +253,7 @@ class Worker:
         """The armed job's phases, in order. Advancing the generator
         *enters* the next phase (the linger broadcasts DONE first)."""
         if self.job.kind == "factor":
+            self._run_local()
             yield Phase(
                 "owned tasks to run", lambda: self.n_owned - self.executed,
                 self.scheduler, self._execute,
@@ -342,27 +342,29 @@ class Worker:
         if self.trace is not None:
             self.trace.span(cat, name, t0, t1, args)
 
-    def _account(self, seg: str, kind: str, t0: float, t1: float, work: int,
-                 flops: int, name: str, args: dict | None, n: int = 1,
-                 bfac: int = 0) -> None:
-        """Post-task accounting, the one step every locally executed op
-        passes through — owned and stolen factor ops of ``n`` tasks, a
-        panel factor's ``bfac`` of them its BFAC (``seg="busy"``), solve
-        tasks (``"solve_busy"``): ledger, busy span, injected faults. The
-        crash trigger counts the tasks this rank completed as owner or
-        solver and fires at the next op run here."""
+    def _account(self, seg: str, kinds, t0: float, t1: float, work: int,
+                 flops: int, name: str, args: dict | None,
+                 ops: int = 1) -> None:
+        """Post-task accounting: ``kinds`` is a factor run's task count
+        per kind — an owned or stolen op, or the local pass (``ops=0``;
+        ``seg="busy"``) — or one solve task's kind (``"solve_busy"``):
+        ledger, busy span, injected faults. The crash trigger counts the
+        tasks this rank completed as owner or solver and fires at the next
+        run here."""
         m = self.metrics
         if seg == "busy":
-            m.ops_executed += 1
+            n = sum(kinds.values())
+            m.ops_executed += ops
             m.tasks_executed += n
-            m.task_counts[kind] += n - bfac
-            m.task_counts["BFAC"] += bfac
+            for kind, c in kinds.items():
+                m.task_counts[kind] += c
             m.flops_executed += flops
             m.work_executed += work
             self._span(seg, t0, "task", name, args, t1)
         else:
+            n = 1
             m.solve_tasks_executed += 1
-            m.solve_task_counts[kind] += 1
+            m.solve_task_counts[kinds] += 1
             m.solve_work_executed += work
             self._span(seg, t0, "solve_task", name, args, t1)
         if self._slow_s > 0.0:  # the plan's sleep is per task, not per op
@@ -397,17 +399,6 @@ class Worker:
         for a block already in place in the shared store. ``final=False``
         installs a migrated task's *partial* destination state."""
         self.chol.install(*self.plan.coords[b], array, final)
-
-    def _logical_nbytes(self, b: int) -> int:
-        """Logical frame bytes for block ``b`` — exactly what the static
-        predictor charges, independent of the transport."""
-        return wire.HEADER_BYTES + 8 * int(self.tg.block_words[b])
-
-    def _frame_for(self, b: int) -> bytes:
-        if self.arena is not None:
-            return self.arena.pack_ref(self.rank, b, self._crc[b])
-        I, J = self.plan.coords[b]
-        return wire.pack_block(self.rank, b, I, J, self._block(b))
 
     # ------------------------------------------------------------------
     # Receiving: one prologue, then the table
@@ -470,15 +461,12 @@ class Worker:
     # ------------------------------------------------------------------
     # Factor plane: executing and fanning out
     # ------------------------------------------------------------------
-    # Readiness and recipients are ``repro.fanout.protocol``'s — the same
-    # rules the simulator drives, so the same mapping yields the same
-    # message set, now with real wall-clock time — coarsened to the share
-    # (the blocks of one column a rank owns) by the context's compiled
-    # ``DispatchPlan``: the rank runs one panel factor PFAC(K) per share
-    # and one panel update PMOD(K,J) per (source, destination) pair, and
-    # ``self.readiness`` counts the few share events each one waits for.
-    # The block stays the unit of data: each finished block travels in
-    # its own frame.
+    # Readiness and recipients are ``repro.fanout.protocol``'s — the
+    # simulator's rules, so a mapping yields the same message set — past
+    # the local pass coarsened to the share by the context's compiled
+    # ``DispatchPlan``, whose ``self.readiness`` counts the few share
+    # events each op waits for. Each finished block travels in its own
+    # frame.
 
     def _arm_factor(self) -> None:
         self.handlers.update({wire.BLOCK: self._on_block,
@@ -546,13 +534,13 @@ class Worker:
                 self._publish(sent)
                 pub = self._now() - pub
             chol.pfac(K, rows, bfac and not sent)
-            kind, name = "BDIV", tr and "PFAC(%d)" % K
+            counts = {"BFAC": bfac, "BDIV": len(tids) - bfac}
+            name = tr and "PFAC(%d)" % K
         else:
             K, J, rows, tids, blocks, flops, work = (
-                plan.updates.single(item) if o < 0 else plan.updates.ops[o]
-            )
+                plan.updates.single(item) if o < 0 else plan.updates.ops[o])
             chol.pmod(K, J, rows)
-            bfac, kind, name = False, "BMOD", tr and "PMOD(%d,%d)" % (K, J)
+            counts, name = {"BMOD": len(tids)}, tr and "PMOD(%d,%d)" % (K, J)
         t1 = self._now()
         args = None
         if tr is not None:
@@ -570,11 +558,26 @@ class Worker:
             self.metrics.tasks_stolen += 1
             self.metrics.work_stolen += work
         self.timeline.totals["busy"] -= pub
-        self._account("busy", kind, t0, t1, work, flops, name, args,
-                      len(tids), bfac)
+        self._account("busy", counts, t0, t1, work, flops, name, args)
         if victim is None:
             self._completed(item, blocks[len(sent):] if pfac else ())
         return work
+
+    def _run_local(self) -> None:
+        """Before the event loop, factor the rank's local columns in one
+        sequential pass (pump time): one ``_account``, one publish."""
+        tids, blocks, counts, flops, work, nops = self.plan.local_pass
+        if tids:
+            t0 = self._now()
+            self.chol.factor(self.plan.local_cols)
+            self.executed += len(tids)
+            self._account("busy", counts, t0, self._now(), work, flops,
+                          "LOCAL", self.trace and {
+                              "tids": tids, "blocks": blocks, "flops": flops,
+                              "work": work, "bfac": counts["BFAC"],
+                              "ops": nops}, ops=0)
+            self._publish(blocks)
+            self.metrics.pump_s += self._now() - t0
 
     def _completed(self, item: int, blocks=()) -> None:
         """Owned ``item`` is done (here, or at a thief whose RESULT just
@@ -600,13 +603,16 @@ class Worker:
 
     def _fan_out(self, b: int) -> None:
         """Send completed block ``b`` once to each distinct remote owner
-        of a consumer."""
+        of a consumer; its logical bytes are what the static predictor
+        charges, whatever the transport."""
         remote = self.plan.recipients[b]
         if not remote:
             return
         t0 = self._now()
-        frame = self._frame_for(b)
-        nbytes = self._logical_nbytes(b)
+        frame = (wire.pack_block(self.rank, b, *self.plan.coords[b],
+                                 self._block(b)) if self.arena is None
+                 else self.arena.pack_ref(self.rank, b, self._crc[b]))
+        nbytes = wire.HEADER_BYTES + 8 * int(self.tg.block_words[b])
         for dst in remote:
             self.links[dst].send(frame, nbytes)
         tr = self.trace
@@ -718,8 +724,7 @@ class Worker:
         self._steal_victim = victim  # at most one outstanding request
         self.metrics.steal_reqs_sent += 1
         self.links[victim].send_steal(
-            wire.pack_steal_req(self.rank, self._steal_round)
-        )
+            wire.pack_steal_req(self.rank, self._steal_round))
         self._span("comm", now, "steal", "steal_req",
                    self.trace and {"victim": victim,
                                    "round": self._steal_round})
@@ -771,8 +776,7 @@ class Worker:
         t2 = self._now()
         I, J = self.plan.coords[b]
         self.links[victim].send_steal(
-            wire.pack_steal_result(self.rank, tid, I == J, self._block(b))
-        )
+            wire.pack_steal_result(self.rank, tid, I == J, self._block(b)))
         self._span("comm", t2, "steal", "steal_result",
                    tr and {"tid": tid, "victim": victim, "work": work})
         return True
@@ -788,13 +792,11 @@ class Worker:
         tid = None
         if self.dynamic and thief in self.links and len(self.scheduler) >= 2:
             tid = grantable.get(self.scheduler.steal(grantable.__contains__))
-        m = self.metrics
-        tr = self.trace
+        m, tr = self.metrics, self.trace
         if tid is None:
             m.steal_denies += 1
             self.links[thief].send_steal(
-                wire.pack_steal_deny(self.rank, msg.block)
-            )
+                wire.pack_steal_deny(self.rank, msg.block))
             self._span("comm", t0, "steal", "steal_deny",
                        tr and {"thief": thief})
             return False
@@ -805,12 +807,10 @@ class Worker:
             # them in the shared store, where their owners wrote them.
             for s in self.plan.sources(tid):
                 self.links[thief].send_steal(wire.pack_steal_ship(
-                    self.rank, s, *self.plan.coords[s], self._block(s)
-                ))
+                    self.rank, s, *self.plan.coords[s], self._block(s)))
         I, J = self.plan.coords[b]
         self.links[thief].send_steal(
-            wire.pack_steal_grant(self.rank, tid, I == J, self._block(b))
-        )
+            wire.pack_steal_grant(self.rank, tid, I == J, self._block(b)))
         m.steal_grants += 1
         m.tasks_shipped += 1
         m.work_shipped += work

@@ -10,12 +10,17 @@ rules it was compiled from, asked block by block, and against the loop the
 worker used to run per job — its panel updates cover the per-block BMOD
 order that loop gave, its panel factors the owned BFAC/BDIVs. (d) Its
 share-level counters, driven for every rank of a random map through a
-random interleaving of ops and deliveries, release every op exactly once
-and never before the per-block rules allow. Release *order* is pinned
-elsewhere: schedule replay through ``tests/blockfact_oracle.py``'s
-``oracle_run_schedule`` and the simulator goldens.
+random interleaving of ops and deliveries (after each rank's local pass),
+release every op exactly once and never before the per-block rules allow.
+(e) Over drawn shapes, P <= 6 and maps, the local columns are exactly the
+wholly owned, closed ones, every domain column is local to its owner, and
+each task runs once across the local passes and the dispatched ops.
+Release *order* is pinned elsewhere: schedule replay through
+``tests/blockfact_oracle.py``'s ``oracle_run_schedule`` and the
+simulator goldens.
 """
 
+import functools
 import random
 
 import numpy as np
@@ -24,12 +29,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.comm_volume import communication_volume
 from repro.analysis.memory import memory_usage
-from repro.blocks import BlockStructure, WorkModel
-from repro.fanout import TaskGraph
+from repro.blocks import BlockPartition, BlockStructure, WorkModel
+from repro.fanout import TaskGraph, assign_domains, plan_block_owners
 from repro.fanout.dispatch import DispatchPlan, Readiness
 from repro.fanout.protocol import FanoutState, remote_ranks
 from repro.fanout.tasks import BDIV, BFAC, BMOD
 from repro.machine.params import PARAGON
+from repro.mapping import named_map
+from repro.matrices import grid2d_matrix
+from repro.matrices.problem import ProblemMatrix
+from repro.matrices.spd import random_spd_sparse
+from repro.ordering import order_problem
+from repro.symbolic import symbolic_factor
 from tests.conftest import variable_partition
 
 
@@ -188,11 +199,12 @@ def _check_updates(tg, updates, bmod_order):
     assert len(updates.of) == sum(map(len, bmod_order.values()))
 
 
-def _check_factors(tg, owners, rank, factors):
+def _check_factors(tg, owners, rank, factors, local):
     """``factors`` (a rank's panel factors) against the owned BFAC / BDIV
-    tasks: one per column the rank owns blocks of, ascending, the BFAC
-    first where it owns the diagonal, the BDIVs in the column's block
-    order, its rows their stacked rows, its counts their sums."""
+    tasks: one per column the rank owns blocks of and that is not
+    ``local``, ascending, the BFAC first where it owns the diagonal, the
+    BDIVs in the column's block order, its rows their stacked rows, its
+    counts their sums."""
     st = tg.workmodel.structure
     cost = int(tg.workmodel.op_fixed_cost)
     got = []
@@ -217,7 +229,38 @@ def _check_factors(tg, owners, rank, factors):
         assert flops == int(tg.task_flops[list(tids)].sum())
         assert work == flops + cost * len(tids)
         got.append(K)
-    assert got == sorted(set(tg.block_J[owners == rank].tolist()))
+    assert got == sorted(set(tg.block_J[owners == rank].tolist()) - local)
+
+
+def _check_local_pass(tg, owners, rank, plan):
+    """The rank's local pass: its columns are exactly those owned whole
+    and closed (every update into one comes from one of them), and it runs
+    exactly the owned tasks into them — their blocks, per-kind counts,
+    flop and work sums, and one op per column and per (K, J) pair among
+    its BMODs. Returns the local columns."""
+    local = set(plan.local_cols)
+    assert plan.local_cols == sorted(local)
+    mods = tg.task_kind == BMOD
+    src, dst = tg.block_J[tg.task_src1], tg.block_J[tg.task_block]
+    for k in range(tg.npanels):
+        # Local exactly when owned whole and updated only from local columns.
+        assert (k in local) == (
+            bool((owners[tg.block_J == k] == rank).all())
+            and set(src[mods & (dst == k)].tolist()) <= local)
+    tids = [t for t in range(tg.ntasks) if int(dst[t]) in local]
+    tids_, blocks, counts, flops, work, nops = plan.local_pass
+    assert tids_ == tids
+    assert blocks == [b for b in range(tg.nblocks)
+                      if int(tg.block_J[b]) in local]
+    assert counts == {name: int((tg.task_kind[tids] == code).sum())
+                      for name, code in (("BFAC", BFAC), ("BDIV", BDIV),
+                                         ("BMOD", BMOD))}
+    assert counts["BFAC"] == len(local)
+    assert flops == int(tg.task_flops[tids].sum())
+    assert work == flops + int(tg.workmodel.op_fixed_cost) * len(tids)
+    pairs = {(int(src[t]), int(dst[t])) for t in tids if mods[t]}
+    assert nops == len(local) + len(pairs)
+    return local
 
 
 @pytest.mark.parametrize("P", [2, 3, 4, 6])
@@ -243,8 +286,11 @@ def test_compiled_plan_equals_the_protocol(any_policy_tg, P, seed):
         mine, n_owned, bmod_order = _old_arm_factor(tg, owners, rank)
         assert np.array_equal(plan.mine, mine)
         assert plan.n_owned == n_owned
-        _check_updates(tg, plan.updates, bmod_order)
-        _check_factors(tg, owners, rank, plan.factors)
+        local = _check_local_pass(tg, owners, rank, plan)
+        _check_updates(tg, plan.updates, {
+            b: ts for b, ts in bmod_order.items()
+            if int(tg.block_J[b]) not in local})
+        _check_factors(tg, owners, rank, plan.factors, local)
         for tid, (kind, b, I, J, K, flops, work) in enumerate(plan.task):
             assert (kind, b) == (tg.task_kind[tid], tg.task_block[tid])
             assert (I, J) == (tg.block_I[b], tg.block_J[b])
@@ -268,7 +314,8 @@ def test_share_readiness_implies_the_protocol(any_policy_tg, P, seed):
     task in it is ready by the per-block rules (a BMOD's sources are held
     here and the BMODs into its block before it ran in ascending K; a
     BFAC / BDIV's block has absorbed every BMOD and ``L_KK`` is held
-    here), and the whole factor runs."""
+    here), and the whole factor runs — each rank's local pass first, whose
+    blocks are then held there and on their way to their recipients."""
     tg = any_policy_tg
     rng = random.Random(seed)
     owners = np.random.default_rng(seed).integers(0, P, tg.nblocks)
@@ -280,6 +327,11 @@ def test_share_readiness_implies_the_protocol(any_policy_tg, P, seed):
     applied: dict[int, list[int]] = {}
     pending: list[tuple[int, int]] = []
     ran: list[int] = []
+    for r, plan in enumerate(plans):
+        tids, blocks, *_ = plan.local_pass
+        ran += tids
+        held[r].update(blocks)
+        pending += [(dst, b) for b in blocks for dst in plan.recipients[b]]
     while any(ready) or pending:
         runnable = [r for r in range(P) if ready[r]]
         if runnable and (not pending or rng.random() < 0.5):
@@ -312,3 +364,53 @@ def test_share_readiness_implies_the_protocol(any_policy_tg, P, seed):
             states[dst].arrived(b)
     assert sorted(ran) == list(range(tg.ntasks))
     assert all(s.need == [0] * len(s.need) for s in states)
+
+
+@functools.lru_cache(maxsize=None)
+def _shape(kind, n, B):
+    """A small task graph: an ``n x n`` grid (nested dissection) or a
+    random SPD matrix of order ``6 n`` (minimum degree), panels of ``B``."""
+    if kind == "grid":
+        problem = grid2d_matrix(n)
+        sf = symbolic_factor(problem.A, order_problem(problem, "nd"))
+    else:
+        A = random_spd_sparse(6 * n, density=0.08, seed=n)
+        sf = symbolic_factor(A, order_problem(ProblemMatrix("R", A), "mmd"))
+    return TaskGraph(WorkModel(BlockStructure(BlockPartition(sf, B))))
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(kind=st.sampled_from(["grid", "random"]), n=st.integers(3, 9),
+       B=st.sampled_from([2, 4, 8]), P=st.integers(1, 6),
+       mapping=st.sampled_from(["planned", "DW/CY", "cyclic", "random"]),
+       seed=st.integers(0, 2**16))
+def test_local_columns_are_closed_and_run_each_task_once(
+        kind, n, B, P, mapping, seed):
+    """Over shapes, P <= 6 and maps: every rank's local columns are owned
+    whole and closed (:func:`_check_local_pass`); under §2.3's owners
+    (``plan_block_owners``) every domain column is local to its owner;
+    and across the ranks' local passes and dispatched ops each task runs
+    exactly once, at its owner."""
+    tg = _shape(kind, n, B)
+    if mapping == "random":
+        owners = np.random.default_rng(seed).integers(0, P, tg.nblocks)
+    elif mapping == "planned":
+        owners = plan_block_owners(tg, named_map(tg.workmodel, P, "DW/CY"))
+    else:
+        owners = np.asarray(named_map(tg.workmodel, P, mapping).owner_array(
+            tg.block_I, tg.block_J))
+    runs = np.zeros(tg.ntasks, dtype=np.int64)
+    local_cols = {}
+    for rank in range(P):
+        plan = DispatchPlan(tg, owners, rank)
+        local_cols[rank] = _check_local_pass(tg, owners, rank, plan)
+        tids = [plan.local_pass[0]] + [op[3] for op in plan.updates.ops] + [
+            op[2] for op in plan.factors]
+        for t in tids:
+            np.add.at(runs, list(t), 1)
+            assert (owners[tg.task_block[list(t)]] == rank).all()
+    assert (runs == 1).all()
+    if mapping == "planned":
+        dom = assign_domains(tg.workmodel, P).panel_owner
+        for k in np.flatnonzero(dom >= 0).tolist():
+            assert k in local_cols[int(dom[k])]

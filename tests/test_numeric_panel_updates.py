@@ -28,7 +28,7 @@ from repro.analysis.trace_replay import validate_trace
 from repro.blocks import BlockPartition, BlockStructure, WorkModel
 from repro.config import RunConfig
 from repro.fanout import TaskGraph
-from repro.fanout.dispatch import PanelUpdates
+from repro.fanout.dispatch import DispatchPlan, PanelUpdates
 from repro.fanout.tasks import BMOD
 from repro.matrices import (
     cube3d_matrix,
@@ -182,13 +182,16 @@ def test_every_owned_bmod_runs_once_in_ascending_k(problem):
     """A traced P = 4 run: the panel-update spans of a rank cover each of
     its BMODs once, and its updates into one panel come in ascending K and
     before the panel factor of its share of that panel; the panel-factor
-    spans cover each BFAC and BDIV once, one per (column, owner)."""
+    spans cover each BFAC and BDIV once, one per (column, owner). A rank's
+    local pass (one ``LOCAL`` span, its first) runs the rest, and the ops
+    it stands for plus the dispatched ones are one per update and share."""
     bs, tg, A, _ = problem
     owners, name = plan_owners(tg.workmodel, tg, 4, "DW/CY")
     res = run_mp_fanout(bs, A, tg, owners, 4, mapping=name, trace=True)
     validate_trace(res.trace, res.metrics, tg=tg, owners=owners, strict=True)
     seen: list[int] = []
     factored: list[int] = []
+    local_ops = 0
     for rank, events in res.trace.per_worker(0).items():
         last: dict[int, int] = {}
         ran: set[int] = set()
@@ -197,6 +200,13 @@ def test_every_owned_bmod_runs_once_in_ascending_k(problem):
                 continue
             tids = e.args["tids"]
             assert (owners[tg.task_block[tids]] == rank).all()
+            if e.name == "LOCAL":
+                assert not ran and not last
+                mods = tg.task_kind[tids] == BMOD
+                seen += np.asarray(tids)[mods].tolist()
+                factored += np.asarray(tids)[~mods].tolist()
+                local_ops += e.args["ops"]
+                continue
             if e.name.startswith("PFAC"):
                 (K,) = set(tg.block_J[tg.task_block[tids]].tolist())
                 assert e.name == f"PFAC({K})" and K not in ran
@@ -216,14 +226,16 @@ def test_every_owned_bmod_runs_once_in_ascending_k(problem):
     ops = sum(len(PanelUpdates(tg, owners[tg.task_block] == r).ops)
               for r in range(4))
     shares = len(set(zip(owners.tolist(), tg.block_J.tolist())))
-    assert res.metrics.ops_total == ops + shares
+    assert local_ops > 0
+    assert res.metrics.ops_total + local_ops == ops + shares
 
 
 @pytest.mark.parametrize("nprocs", [1, 2, 3])
 def test_ops_per_factor_on_a_1xp_grid(problem, nprocs):
-    """Every column has one owner on a ``1 x P`` grid, so a factor
-    dispatches one panel factor per panel and one panel update per (K, J)
-    pair, whatever P; the task-graph and message ledgers are the
+    """Every column has one owner on a ``1 x P`` grid, so a factor runs
+    one panel factor per panel and one panel update per (K, J) pair,
+    whatever P — in the ranks' local passes or dispatched, exactly the
+    ops their plans hold; the task-graph and message ledgers are the
     paper's."""
     bs, tg, A, _ = problem
     owners, name = plan_owners(tg.workmodel, tg, nprocs, "DW/CY")
@@ -232,7 +244,13 @@ def test_ops_per_factor_on_a_1xp_grid(problem, nprocs):
     pairs = set(zip(tg.block_J[tg.task_src1[mods]].tolist(),
                     tg.block_J[tg.task_block[mods]].tolist()))
     m = res.metrics
-    assert sum(w.ops_executed for w in m.workers) == tg.npanels + len(pairs)
+    plans = [DispatchPlan(tg, owners, r) for r in range(nprocs)]
+    assert [w.ops_executed for w in m.workers] == [
+        p.nupdates + len(p.factors) for p in plans]
+    local = sum(p.local_pass[5] for p in plans)
+    assert local > 0
+    assert sum(w.ops_executed for w in m.workers) + local == (
+        tg.npanels + len(pairs))
     assert m.tasks_total == tg.ntasks
     pred = communication_volume(tg, owners)
     assert (m.messages_total, m.bytes_total) == (pred.messages, pred.bytes)
@@ -332,7 +350,10 @@ class TestStealing:
         w, fabric = self._victim(grid12_pipeline)
         n = w.tg.ntasks
         ops = w.plan.updates.ops
-        single = next(o for o, op in enumerate(ops) if len(op[3]) == 1)
+        # Not a seed: the set-up pushed the seeds, ``_victim`` popped them,
+        # and the queue never takes an item twice.
+        single = next(o for o, op in enumerate(ops)
+                      if len(op[3]) == 1 and w.plan.wait[o])
         multi = next(o for o, op in enumerate(ops) if len(op[3]) > 1)
         w.scheduler.push(n + multi)
         w.scheduler.push(n + single)

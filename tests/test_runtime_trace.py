@@ -15,6 +15,7 @@ import pytest
 
 from repro.analysis.comm_volume import communication_volume
 from repro.analysis.trace_replay import REPLAYED, replay_trace, validate_trace
+from repro.fanout.tasks import BMOD
 from repro.runtime import (
     CrashSpec,
     FaultPlan,
@@ -47,8 +48,11 @@ class TestFaultFreeConformance:
         assert tr.meta["mapping"] == "DW/CY"
 
     def test_every_task_exactly_once(self, traced_run):
-        """A BFAC / BDIV span names its task, a panel update (PMOD) span
-        its member BMODs; together, every task once."""
+        """A panel factor (PFAC) span names its BFAC / BDIVs, a panel
+        update (PMOD) span its member BMODs, a rank's local pass (LOCAL)
+        span every task of its local columns; together, every task once.
+        Each rank runs one local pass, and on this 1 x 2 grid its ops and
+        the dispatched ones are one per panel and per (K, J) pair."""
         res, tg, owners = traced_run
         tids = [
             t for e in res.trace.events if e.cat == "task"
@@ -58,7 +62,14 @@ class TestFaultFreeConformance:
         assert len(set(tids)) == tg.ntasks
         assert sorted(tids) == list(range(tg.ntasks))
         spans = [e for e in res.trace.events if e.cat == "task"]
-        assert len(spans) == res.metrics.ops_total < tg.ntasks
+        local = [e for e in spans if e.name == "LOCAL"]
+        assert sorted(e.rank for e in local) == [0, 1]
+        assert len(spans) - len(local) == res.metrics.ops_total < tg.ntasks
+        mods = tg.task_kind == BMOD
+        pairs = set(zip(tg.block_J[tg.task_src1[mods]].tolist(),
+                        tg.block_J[tg.task_block[mods]].tolist()))
+        assert res.metrics.ops_total + sum(e.args["ops"] for e in local) == (
+            tg.npanels + len(pairs))
 
     def test_tasks_ran_on_their_owner(self, traced_run):
         res, tg, owners = traced_run

@@ -25,6 +25,7 @@ from repro.analysis.trace_replay import validate_trace
 from repro.blocks import WorkModel
 from repro.config import RunConfig
 from repro.fanout import TaskGraph, block_owners
+from repro.fanout.tasks import BMOD
 from repro.mapping import named_map
 from repro.numeric import BlockCholesky
 from repro.numeric.solve import block_solve_permuted
@@ -182,9 +183,16 @@ class TestInterleavedRanks:
     @pytest.mark.parametrize("schedule", ["static", "dynamic"])
     def test_factor_and_solve_bitwise(self, grid12_pipeline, seq_chol,
                                       schedule):
-        _, sf, _, bs, _, tg = grid12_pipeline
+        """Each rank's local pass, then its dispatched ops. Under §2.3's
+        owners grid12's two ranks dispatch 17 and 38 ops, and a thief is
+        granted none of them; the dynamic case runs the DW/CY map without
+        domains, which leaves enough dispatched that one is."""
+        _, sf, _, bs, wm, tg = grid12_pipeline
         rhs = np.random.default_rng(3).standard_normal((sf.A.shape[0], 2))
-        workers, _ = _crew(grid12_pipeline, 2, schedule, rhs=rhs)
+        owners = (block_owners(tg, named_map(wm, 2, "DW/CY"))
+                  if schedule == "dynamic" else None)
+        workers, _ = _crew(grid12_pipeline, 2, schedule, owners=owners,
+                           rhs=rhs)
         gens = [w.phases() for w in workers]
         nphases = 0
         while True:
@@ -235,6 +243,14 @@ class TestInterleavedRanks:
         assert sum(w.work_executed for w in metrics.workers) == int(
             tg.workmodel.work.sum()
         )
+        # A 1 x 2 grid: one op per panel and per (K, J) pair, run in a
+        # local pass or dispatched.
+        mods = tg.task_kind == BMOD
+        pairs = set(zip(tg.block_J[tg.task_src1[mods]].tolist(),
+                        tg.block_J[tg.task_block[mods]].tolist()))
+        local = sum(w.plan.local_pass[5] for w in workers)
+        assert local > 0
+        assert metrics.ops_total + local == tg.npanels + len(pairs)
         if schedule == "static":
             assert metrics.steal_reqs_total == 0
         else:

@@ -2,8 +2,9 @@
 
 A seeded GRID problem (12x12 grid, nd ordering, B=8) factored on P=2
 workers with the DW/CY mapping produces a deterministic *trace skeleton*:
-which ops (the panel factors PFAC(K) that run a column's BFAC and BDIVs,
-and the panel updates PMOD(K,J) that run the BMODs) ran on which rank,
+which ops (each rank's local pass LOCAL, the panel factors PFAC(K) that
+run a column's BFAC and BDIVs, and the panel updates PMOD(K,J) that run
+the BMODs) ran on which rank,
 which blocks each rank sent and received, and which event categories
 appeared. Timestamps and the interleaving of events *across* workers are
 timing-dependent and are deliberately NOT part of the skeleton; per-rank
@@ -14,7 +15,7 @@ panel factor of their source when that ran on the same rank).
 The skeleton is checked in at ``tests/golden/trace_skeleton_grid12_p2.json``.
 Regenerate after an intentional protocol change with::
 
-    PYTHONPATH=src python tests/test_trace_golden.py --regen
+    PYTHONPATH=src:. python tests/test_trace_golden.py --regen
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def test_skeleton_matches_golden(golden_run):
     res, tg = golden_run
     assert GOLDEN.exists(), (
         f"golden skeleton missing; regenerate with "
-        f"PYTHONPATH=src python {__file__} --regen"
+        f"PYTHONPATH=src:. python {__file__} --regen"
     )
     want = json.loads(GOLDEN.read_text())
     got = _skeleton(res.trace)
@@ -110,16 +111,19 @@ def test_chrome_export_matches_golden_tasks(golden_run):
 
 
 def test_per_rank_dependency_order(golden_run):
-    """Within each worker's recorded order: the panel updates PMOD(K,J)
-    into one panel come in ascending K and before the panel factor
-    PFAC(J) of the rank's share of that panel, and after PFAC(K) when
-    that ran on the same rank."""
+    """Within each worker's recorded order: the local pass comes first;
+    the panel updates PMOD(K,J) into one panel come in ascending K and
+    before the panel factor PFAC(J) of the rank's share of that panel,
+    and after PFAC(K) when that ran on the same rank."""
     res, tg = golden_run
     for rank, events in res.trace.per_worker(0).items():
         spans = [e for e in events if e.cat == "task"]
         position = {e.name: i for i, e in enumerate(spans)}
         last_source: dict[str, int] = {}
         for i, e in enumerate(spans):
+            if e.name == "LOCAL":
+                assert i == 0, f"w{rank}: local pass at {i}"
+                continue
             if _PFAC.match(e.name):
                 continue
             kind, K, J = _COORD.match(e.name).group(1, 2, 3)
