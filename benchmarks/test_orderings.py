@@ -2,7 +2,10 @@
 this repository implements, on one irregular and one grid problem.
 
 Not a paper table — a substrate-quality check: MMD should dominate on the
-irregular matrix, ND on the grid (the paper's per-family choices)."""
+irregular matrix, ND on the grid (the paper's per-family choices). ``nd``
+cuts coordinate planes when the problem has coordinates; ``nd-levels`` is
+the coordinate-free level-set ND that ``"auto"`` runs, so the grid's two
+rows show what the missing coordinates cost."""
 
 import time
 
@@ -11,7 +14,6 @@ import pytest
 from repro.graph import AdjacencyGraph
 from repro.matrices import get_problem
 from repro.ordering import minimum_degree, nested_dissection
-from repro.graph.rcm import reverse_cuthill_mckee
 from repro.symbolic import symbolic_factor
 from repro.util.formatting import format_table
 
@@ -20,9 +22,8 @@ def _survey(problem):
     g = AdjacencyGraph.from_sparse(problem.A)
     orderings = {
         "natural": None,
-        "rcm": reverse_cuthill_mckee(g),
         "nd": nested_dissection(g, coords=problem.coords),
-        "nd-refined": nested_dissection(g, refine=True),
+        "nd-levels": nested_dissection(g),
         "mmd": minimum_degree(g),
     }
     rows = []
@@ -44,7 +45,6 @@ def test_ordering_quality_irregular(benchmark, scale):
                        title=f"ordering quality, {problem.name}"))
     stats = {r[0]: r[1] for r in rows}
     assert stats["mmd"] < stats["natural"]
-    assert stats["mmd"] < stats["rcm"]
 
 
 def test_ordering_quality_grid(benchmark, scale):

@@ -100,13 +100,5 @@ class BlockStructure:
         state.pop("_numeric_plan", None)
         return state
 
-    def supernodal_nnz(self) -> int:
-        """Dense entries stored by the block representation of L."""
-        widths = self.partition.widths
-        total = int(np.sum(widths * (widths + 1) // 2))
-        for k in range(self.npanels):
-            total += int(self.rows_below[k].shape[0]) * int(widths[k])
-        return total
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BlockStructure(N={self.npanels}, blocks={self.num_blocks})"

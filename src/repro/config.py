@@ -1,10 +1,8 @@
 """One configuration object for every knob that crosses a layer boundary.
 
-The paper's sweep over mapping heuristic x P x block size x domains runs in
-the simulator, under its own parameters; the runtime added transport,
-schedule and a restart budget. :class:`RunConfig` declares
-each knob once — default, validation, CLI spelling, and whether it shapes a
-cached :class:`~repro.service.cache.PatternEntry` — and every layer
+:class:`RunConfig` declares each knob once — default, validation, CLI
+spelling, and whether it shapes a cached
+:class:`~repro.service.cache.PatternEntry` — and every layer
 (``SparseCholesky``, ``run_mp_fanout``, the pool's ``PatternContext``,
 ``FactorService``, the CLI) holds and passes the object whole. A façade
 takes ``config=None, **overrides``: the overrides are applied with
@@ -26,6 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from repro.mapping.heuristics import mapping_heuristics
+from repro.ordering.base import ORDERINGS
 
 #: Block payload transports (``"auto"`` resolves per run, see
 #: :func:`repro.runtime.arena.resolve_transport`).
@@ -78,9 +77,9 @@ class RunConfig:
     # -- analysis ------------------------------------------------------
     ordering: str | tuple = _knob(
         "auto", "fill-reducing ordering (auto: nested dissection on "
-        "mesh-like graphs, else minimum degree); from Python also rcm or "
-        "an explicit permutation",
-        plan=True, flags="--ordering", choices=("auto", "nd", "mmd", "natural"),
+        "mesh-like graphs, else minimum degree); from Python also an "
+        "explicit permutation",
+        plan=True, flags="--ordering", choices=ORDERINGS,
     )
     block_size: int = _knob(
         48, "panel width B: every supernode is cut into near-even panels "
@@ -137,11 +136,12 @@ class RunConfig:
         if not isinstance(self.ordering, (str, tuple)):
             perm = np.asarray(self.ordering)
             if perm.ndim != 1 or perm.dtype.kind not in "iu":
-                raise ValueError(
-                    "ordering must be a method name or a 1-D integer "
-                    "permutation"
-                )
+                raise ValueError("ordering must be a method name or a 1-D "
+                                 "integer permutation")
             put("ordering", tuple(perm.tolist()))
+        elif isinstance(self.ordering, str) and self.ordering not in ORDERINGS:
+            raise ValueError(f"ordering must be one of {ORDERINGS} or a "
+                             f"permutation, got {self.ordering!r}")
         mapping_heuristics(self.mapping)
 
     # ------------------------------------------------------------------

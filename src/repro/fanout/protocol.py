@@ -13,10 +13,10 @@ needs a finished block.
 reports what happened — ``delivered`` once per (finished block, consumer
 whose owner now holds it), ``mod_finished`` once per executed BMOD — and
 schedules the task it gets back; the order of those reports is the order
-its ready queues see. The simulator, the thread executor and the mp worker
-each drive one (``docs/ARCHITECTURE.md``, "The fan-out protocol"); the
-static predictors in :mod:`repro.analysis` deliberately do not import this
-module — they are the oracle the executors are held to.
+its ready queues see. The simulator drives one; ``dispatch.DispatchPlan``
+compiles the mp worker's tables from one; the thread executor drives none
+(``docs/ARCHITECTURE.md``, "The fan-out protocol"). The static predictors
+in :mod:`repro.analysis` never import this module: they are the oracle.
 """
 
 from __future__ import annotations

@@ -1,22 +1,11 @@
 """Graph substrate: adjacency structures, traversals, separators.
 
-The ordering layer (nested dissection, minimum degree, RCM) works on the
+The ordering layer (nested dissection, minimum degree) works on the
 undirected adjacency graph of the matrix pattern; this package provides that
-graph and the traversal primitives.
+graph, and :mod:`repro.graph.traversal` / :mod:`repro.graph.separators` the
+breadth-first and separator cores nested dissection calls on each piece.
 """
 
 from repro.graph.adjacency import AdjacencyGraph
-from repro.graph.traversal import bfs_levels, connected_components, pseudo_peripheral_node
-from repro.graph.separators import vertex_separator_from_levels
-from repro.graph.refinement import refine_separator
-from repro.graph.rcm import reverse_cuthill_mckee
 
-__all__ = [
-    "AdjacencyGraph",
-    "bfs_levels",
-    "connected_components",
-    "pseudo_peripheral_node",
-    "vertex_separator_from_levels",
-    "refine_separator",
-    "reverse_cuthill_mckee",
-]
+__all__ = ["AdjacencyGraph"]

@@ -46,9 +46,6 @@ class AdjacencyGraph:
         """Sorted neighbour indices of vertex ``v`` (a view, do not mutate)."""
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     @property
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)

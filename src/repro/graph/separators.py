@@ -12,64 +12,43 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from repro.graph.adjacency import AdjacencyGraph
-from repro.graph.traversal import csgraph_matrix, peripheral_levels
+from repro.graph.traversal import peripheral_levels
 from repro.util.arrays import INDEX_DTYPE
 
 
-def vertex_separator_from_levels(
-    graph: AdjacencyGraph,
-    vertices: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split ``vertices`` (one connected component) into (part_a, separator, part_b).
+def level_separator(
+    csr: sparse.csr_matrix, degrees: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """Split the connected graph ``csr`` into (part_a, separator, part_b).
 
     The separator is a true vertex separator: no edge joins ``part_a`` and
-    ``part_b`` in the induced subgraph. Either part may be empty for tiny or
-    pathological components; callers treat that as "stop recursing".
+    ``part_b``. Either part may be empty for tiny or pathological graphs;
+    callers treat that as "stop recursing". ``degrees`` holds the degree
+    the pseudo-peripheral search, started at vertex 0, reads for each
+    vertex. Each part is ascending vertex ids of ``csr``; the fourth value,
+    ``level_cut``, says the split is a cut of the level structure, whose
+    ``part_a`` is connected: each of its vertices reaches the root through
+    the levels below the cut.
     """
-    vertices = np.asarray(vertices)
-    ids = np.sort(vertices)
-    local, _ = graph.subgraph(ids)
-    lower, sep, upper, _ = level_separator(
-        csgraph_matrix(local), graph.degrees[ids], np.searchsorted(ids, vertices)
-    )
-    return vertices[lower], vertices[sep], vertices[upper]
-
-
-def level_separator(
-    csr: sparse.csr_matrix, degrees: np.ndarray, order: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """:func:`vertex_separator_from_levels` on the graph ``csr``.
-
-    ``order`` lists the vertices (ids of ``csr``) in the caller's order and
-    ``degrees`` holds the degree the pseudo-peripheral search reads for
-    each id. Returns ``(part_a, separator, part_b, level_cut)``, each part
-    as positions into ``order``, ascending; ``level_cut`` says the split
-    is a cut of the level structure, whose ``part_a`` is connected: each of
-    its vertices reaches the root through the levels below the cut.
-    """
-    m = order.shape[0]
+    m = csr.shape[0]
     if m <= 2:
         empty = np.empty(0, dtype=INDEX_DTYPE)
         return np.arange(m, dtype=INDEX_DTYPE), empty, empty, False
 
-    _, levels = peripheral_levels(csr, degrees, int(order[0]))
+    _, levels = peripheral_levels(csr, degrees, 0)
     if (levels < 0).any():
-        raise ValueError(
-            "vertex_separator_from_levels requires a connected vertex set"
-        )
+        raise ValueError("level_separator requires a connected graph")
 
     max_level = int(levels.max())
     if max_level < 2:
         # Graph too shallow for a level cut; fall back to a degree-based cut:
         # take the highest-degree vertex as separator.
-        sep_at = int(np.argmax(degrees[order]))
+        sep_at = int(np.argmax(degrees))
         rest = np.delete(np.arange(m, dtype=INDEX_DTYPE), sep_at)
         half = rest.shape[0] // 2
         return rest[:half], np.array([sep_at], dtype=INDEX_DTYPE), rest[half:], False
 
     # Choose the cut level so the vertex counts on each side are balanced.
-    levels = levels[order]
     counts = np.bincount(levels, minlength=max_level + 1)
     below = np.cumsum(counts)
     total = below[-1]

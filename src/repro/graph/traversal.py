@@ -3,12 +3,10 @@
 A traversal runs on the scipy CSR matrix of a graph
 (:func:`csgraph_matrix`), and the breadth-first search itself is
 :func:`scipy.sparse.csgraph.breadth_first_order`; levels are graph
-distances, so they do not depend on who walks the graph. A ``mask``
-restricts the public routines to the induced subgraph of the masked
-vertices: one extraction and one CSR build per call. Nested dissection
-keeps each piece's subgraph and CSR instead and calls the local cores
-(:func:`peripheral_levels`, :func:`component_ids`) directly, so a piece
-is extracted once, from its parent piece, not once per traversal.
+distances, so they do not depend on who walks the graph. Nested dissection
+keeps each piece's subgraph and CSR and calls :func:`peripheral_levels`
+and :func:`component_ids` on them, so a piece is extracted once, from its
+parent piece, not once per traversal.
 """
 
 from __future__ import annotations
@@ -37,17 +35,6 @@ def csgraph_matrix(graph: AdjacencyGraph) -> sparse.csr_matrix:
     )
 
 
-def _restrict(
-    graph: AdjacencyGraph, mask: np.ndarray | None
-) -> tuple[sparse.csr_matrix, np.ndarray | None]:
-    """``(csr, verts)``: the graph induced on ``mask`` as scipy sees it and
-    the ascending original ids of its vertices (None = all of them)."""
-    verts = None
-    if mask is not None:
-        graph, verts = graph.subgraph(np.flatnonzero(mask))
-    return csgraph_matrix(graph), verts
-
-
 def _levels(csr: sparse.csr_matrix, root: int) -> np.ndarray:
     """Distance of every vertex of ``csr`` from ``root``; unreachable = -1."""
     order, pred = csgraph.breadth_first_order(
@@ -68,30 +55,6 @@ def _levels(csr: sparse.csr_matrix, root: int) -> np.ndarray:
     levels = np.full(csr.shape[0], -1, dtype=INDEX_DTYPE)
     levels[order] = hops
     return levels
-
-
-def _spread(local: np.ndarray, verts: np.ndarray | None, n: int) -> np.ndarray:
-    """Levels of a restricted graph as a length-``n`` array (-1 outside)."""
-    if verts is None:
-        return local
-    levels = np.full(n, -1, dtype=INDEX_DTYPE)
-    levels[verts] = local
-    return levels
-
-
-def bfs_levels(
-    graph: AdjacencyGraph, root: int, mask: np.ndarray | None = None
-) -> np.ndarray:
-    """Level (distance) of every vertex from ``root``; unreachable = -1.
-
-    ``mask`` restricts traversal to vertices where ``mask`` is True.
-    """
-    if mask is not None and not mask[root]:
-        raise ValueError("root excluded by mask")
-    csr, verts = _restrict(graph, mask)
-    if verts is not None:
-        root = int(np.searchsorted(verts, root))
-    return _spread(_levels(csr, root), verts, graph.n)
 
 
 def component_ids(csr: sparse.csr_matrix) -> list[np.ndarray]:
@@ -115,24 +78,16 @@ def component_ids(csr: sparse.csr_matrix) -> list[np.ndarray]:
     return np.split(by_label, cuts)
 
 
-def connected_components(
-    graph: AdjacencyGraph, mask: np.ndarray | None = None
-) -> list[np.ndarray]:
-    """Vertex sets of the connected components (restricted to ``mask``),
-    each ascending, ordered by their smallest vertex."""
-    csr, verts = _restrict(graph, mask)
-    comps = component_ids(csr)
-    if verts is None:
-        return comps
-    return [verts[comp] for comp in comps]
-
-
 def peripheral_levels(
     csr: sparse.csr_matrix, degrees: np.ndarray, start: int
 ) -> tuple[int, np.ndarray]:
-    """:func:`pseudo_peripheral_node` on the vertices of ``csr``, whose
-    ``degrees`` the caller chooses; ``start`` and the result are ids of
-    ``csr``."""
+    """George-Liu pseudo-peripheral node search on the graph ``csr``.
+
+    Repeatedly roots a BFS at a minimum-degree vertex of the deepest level
+    until eccentricity stops growing. ``degrees`` (the caller's choice) are
+    what the search minimises; ``start`` and the returned ``(node, levels
+    from it)`` are ids of ``csr``.
+    """
     node = start
     levels = _levels(csr, node)
     ecc = int(levels.max())
@@ -145,25 +100,3 @@ def peripheral_levels(
             return node, levels
         node, levels, ecc = cand, new_levels, new_ecc
 
-
-def pseudo_peripheral_node(
-    graph: AdjacencyGraph, start: int, mask: np.ndarray | None = None
-) -> tuple[int, np.ndarray]:
-    """George-Liu pseudo-peripheral node search.
-
-    Repeatedly roots a BFS at a minimum-degree vertex of the deepest level
-    until eccentricity stops growing. Returns (node, its level array).
-    Degrees are those of ``graph``, not of the masked subgraph.
-    """
-    if mask is not None and not mask[start]:
-        raise ValueError("root excluded by mask")
-    csr, verts = _restrict(graph, mask)
-    degrees = graph.degrees
-    node = start
-    if verts is not None:
-        degrees = degrees[verts]
-        node = int(np.searchsorted(verts, start))
-    node, levels = peripheral_levels(csr, degrees, node)
-    if verts is not None:
-        node = int(verts[node])
-    return node, _spread(levels, verts, graph.n)

@@ -8,8 +8,11 @@ import numpy as np
 from scipy import sparse
 
 from repro.graph.adjacency import AdjacencyGraph
-from repro.graph.rcm import reverse_cuthill_mckee
 from repro.util.arrays import as_index_array, invert_permutation, is_permutation
+
+#: The ordering methods by name: what :func:`resolve_ordering` dispatches
+#: on, ``RunConfig`` accepts and ``--ordering`` offers.
+ORDERINGS = ("auto", "nd", "mmd", "natural")
 
 
 @dataclass
@@ -45,17 +48,16 @@ def permute_spd(A: sparse.spmatrix, ordering: Ordering | np.ndarray) -> sparse.c
 
 
 def resolve_ordering(
-    A: sparse.spmatrix, method, coords: np.ndarray | None = None, **kwargs
+    A: sparse.spmatrix, method, coords: np.ndarray | None = None
 ) -> np.ndarray | None:
     """The permutation ``method`` gives for SPD matrix ``A`` (None = identity).
 
     ``method`` is an explicit permutation (array, list or tuple, passed
-    through),
-    ``"natural"``, ``"rcm"``, ``"nd"`` (nested dissection, geometric when
-    ``coords`` are given), ``"mmd"`` (multiple minimum degree), or
-    ``"auto"``: nested dissection when the graph is mesh-like — bounded
-    degree — else minimum degree, mirroring the paper's per-family choices.
-    ``kwargs`` go to the ordering routine chosen.
+    through) or one of :data:`ORDERINGS`: ``"natural"``, ``"nd"`` (nested
+    dissection, geometric when ``coords`` are given), ``"mmd"`` (multiple
+    minimum degree), or ``"auto"``: nested dissection when the graph is
+    mesh-like — bounded degree — else minimum degree, mirroring the
+    paper's per-family choices. Any other name is a ``ValueError``.
     """
     # Imported here to avoid an import cycle at package-init time.
     from repro.ordering.minimum_degree import minimum_degree
@@ -63,30 +65,28 @@ def resolve_ordering(
 
     if isinstance(method, (np.ndarray, list, tuple)):
         return np.asarray(method)
+    if method not in ORDERINGS:
+        raise ValueError(f"ordering must be one of {ORDERINGS}, got {method!r}")
     if method == "natural":
         return None
-    if method not in ("rcm", "nd", "mmd", "auto"):
-        raise KeyError(f"unknown ordering {method!r}")
     graph = AdjacencyGraph.from_sparse(A)
-    if method == "rcm":
-        return reverse_cuthill_mckee(graph)
     if method == "auto":
         deg = graph.degrees
         mesh_like = deg.size and deg.max() <= max(32, 3 * int(np.median(deg)))
         method = "nd" if mesh_like else "mmd"
     if method == "nd":
-        return nested_dissection(graph, coords=coords, **kwargs)
-    return minimum_degree(graph, **kwargs)
+        return nested_dissection(graph, coords=coords)
+    return minimum_degree(graph)
 
 
-def order_problem(problem, method: str | None = None, **kwargs) -> Ordering:
+def order_problem(problem, method: str | None = None) -> Ordering:
     """Compute an ordering for a :class:`ProblemMatrix`.
 
     ``method`` defaults to the problem's ``recommended_ordering``; see
     :func:`resolve_ordering` for the choices.
     """
     method = method or problem.recommended_ordering
-    perm = resolve_ordering(problem.A, method, coords=problem.coords, **kwargs)
+    perm = resolve_ordering(problem.A, method, coords=problem.coords)
     if perm is None:
         perm = np.arange(problem.n)
     return Ordering(perm, method=method)

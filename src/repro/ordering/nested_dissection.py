@@ -38,15 +38,11 @@ def nested_dissection(
     graph: AdjacencyGraph,
     coords: np.ndarray | None = None,
     leaf_size: int = 32,
-    refine: bool = False,
 ) -> np.ndarray:
     """Return the nested-dissection permutation of ``graph``.
 
     ``perm[k]`` is the original vertex placed k-th. Components of size at
     most ``leaf_size`` are ordered as-is (they become domain subtrees).
-    ``refine=True`` post-processes every separator with the
-    Fiduccia-Mattheyses pass of :mod:`repro.graph.refinement` (useful for
-    irregular graphs; geometric grid separators are already minimal).
     """
     if leaf_size < 1:
         raise ValueError("leaf_size must be >= 1")
@@ -79,13 +75,8 @@ def nested_dissection(
             a_connected = False
         else:
             part_a, sep, part_b, a_connected = level_separator(
-                csr, degrees[ids], np.arange(m, dtype=INDEX_DTYPE)
+                csr, degrees[ids]
             )
-        if refine and sep.size and part_a.size and part_b.size:
-            from repro.graph.refinement import refine_separator
-
-            part_a, sep, part_b = refine_separator(sub, part_a, sep, part_b)
-            a_connected = False
         if part_a.size == 0 or part_b.size == 0:
             # No useful split found; order the set directly.
             perm[end - m : end] = ids

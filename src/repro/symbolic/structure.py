@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -64,10 +63,6 @@ class SymbolicFactor:
     @property
     def nsupernodes(self) -> int:
         return self.snode_ptr.shape[0] - 1
-
-    @cached_property
-    def col2snode(self) -> np.ndarray:
-        return snode_of_column(self.snode_ptr, self.n)
 
     @property
     def factor_nnz(self) -> int:

@@ -18,12 +18,13 @@ from repro.analysis.critical_path import critical_path
 from repro.blocks import BlockPartition, BlockStructure, WorkModel
 from repro.fanout import TaskGraph
 from repro.fanout.priorities import bottom_level_priorities
-from repro.graph import (
-    AdjacencyGraph,
-    bfs_levels,
-    connected_components,
-    pseudo_peripheral_node,
-    vertex_separator_from_levels,
+from repro.graph import AdjacencyGraph
+from repro.graph.separators import level_separator
+from repro.graph.traversal import (
+    _levels,
+    component_ids,
+    csgraph_matrix,
+    peripheral_levels,
 )
 from repro.matrices import (
     cube3d_matrix,
@@ -162,40 +163,30 @@ def same_arrays(new, old):
 
 
 def check_ordering(A):
+    """Both minimum-degree paths, and the traversal and separator cores
+    nested dissection calls on each piece, against the oracle on the whole
+    graph; nested dissection itself, whose pieces the oracle walks through
+    masks, at two leaf sizes."""
     graph = AdjacencyGraph.from_sparse(A)
     expected = oracle.oracle_minimum_degree(graph)
     for path in MMD_PATHS:
         assert np.array_equal(forced_minimum_degree(path, graph), expected), path
     n = graph.n
-    rng = np.random.default_rng(n)
-    mask = rng.random(n) < 0.7
+    csr = csgraph_matrix(graph)
     for root in {0, n // 2, n - 1}:
         assert np.array_equal(
-            bfs_levels(graph, root), oracle.oracle_bfs_levels(graph, root)
+            _levels(csr, root), oracle.oracle_bfs_levels(graph, root)
         )
-        node, levels = pseudo_peripheral_node(graph, root)
+        node, levels = peripheral_levels(csr, graph.degrees, root)
         onode, olevels = oracle.oracle_pseudo_peripheral_node(graph, root)
         assert node == onode and np.array_equal(levels, olevels)
-        if mask[root]:
-            assert np.array_equal(
-                bfs_levels(graph, root, mask=mask),
-                oracle.oracle_bfs_levels(graph, root, mask=mask),
-            )
-            node, levels = pseudo_peripheral_node(graph, root, mask=mask)
-            onode, olevels = oracle.oracle_pseudo_peripheral_node(
-                graph, root, mask=mask
-            )
-            assert node == onode and np.array_equal(levels, olevels)
-    same_arrays(
-        connected_components(graph), oracle.oracle_connected_components(graph)
-    )
-    same_arrays(
-        connected_components(graph, mask=mask),
-        oracle.oracle_connected_components(graph, mask=mask),
-    )
-    for comp in oracle.oracle_connected_components(graph):
+    components = oracle.oracle_connected_components(graph)
+    same_arrays(component_ids(csr), components)
+    for comp in components:
+        sub, _ = graph.subgraph(comp)
+        *parts, _ = level_separator(csgraph_matrix(sub), graph.degrees[comp])
         same_arrays(
-            vertex_separator_from_levels(graph, comp),
+            [comp[part] for part in parts],
             oracle.oracle_vertex_separator_from_levels(graph, comp),
         )
     for leaf_size in (32, 4):

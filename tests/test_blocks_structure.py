@@ -54,5 +54,5 @@ class TestBlockStructure:
             assert r in bs.rows_below[k]
 
     def test_supernodal_nnz_ge_simplicial(self, grid12_pipeline):
-        _, sf, _, bs, *_ = grid12_pipeline
-        assert bs.supernodal_nnz() >= sf.factor_nnz
+        _, sf, *_ = grid12_pipeline
+        assert sf.supernodal_nnz >= sf.factor_nnz

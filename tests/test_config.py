@@ -18,6 +18,7 @@ import repro.service
 from repro.cli import build_parser, main
 from repro.config import RunConfig
 from repro.matrices import grid2d_matrix
+from repro.ordering import ORDERINGS
 from repro.service import FactorService, ServiceClient
 from repro.service.cache import pattern_digest
 from repro.solver import SparseCholesky
@@ -149,6 +150,27 @@ class TestValidation:
         monkeypatch.setattr("repro.service.service.WorkerPool", pool_built)
         with pytest.raises(ValueError):
             FactorService(**knobs)
+        assert _no_children()
+
+    @pytest.mark.parametrize("name", ["rcm", "bogus"])
+    def test_unknown_ordering_rejects_before_analysis(
+        self, A, name, monkeypatch
+    ):
+        """An ordering name outside ``ORDERINGS`` — the one tuple
+        ``resolve_ordering`` dispatches on and ``--ordering`` offers — is a
+        ``ValueError`` from ``RunConfig``, the façade and the service
+        constructor, before any analysis or pool."""
+        def ran(*a, **k):
+            raise AssertionError("analysis or pool ran")
+
+        monkeypatch.setattr("repro.solver.resolve_ordering", ran)
+        monkeypatch.setattr("repro.service.service.WorkerPool", ran)
+        assert FIELDS["ordering"].metadata["cli"]["choices"] is ORDERINGS
+        assert name not in ORDERINGS
+        for build in (RunConfig, FactorService,
+                      lambda **k: SparseCholesky(A, backend="mp", **k)):
+            with pytest.raises(ValueError, match=name):
+                build(ordering=name)
         assert _no_children()
 
     @pytest.mark.parametrize("knob", [

@@ -1,7 +1,13 @@
 import numpy as np
 from scipy import sparse
 
-from repro.graph import AdjacencyGraph, bfs_levels, connected_components, pseudo_peripheral_node
+from repro.graph import AdjacencyGraph
+from repro.graph.traversal import (
+    _levels,
+    component_ids,
+    csgraph_matrix,
+    peripheral_levels,
+)
 from repro.matrices import grid2d_matrix
 
 
@@ -19,63 +25,68 @@ def two_components(n1, n2):
     return AdjacencyGraph.from_sparse(A + A.T)
 
 
+def piece(graph, keep):
+    """The CSR of the subgraph on the vertices ``keep`` marks, as nested
+    dissection extracts a piece, and their ids."""
+    sub, ids = graph.subgraph(np.flatnonzero(keep))
+    return csgraph_matrix(sub), ids
+
+
 class TestBfsLevels:
     def test_path_distances(self):
-        g = path_graph(6)
-        lv = bfs_levels(g, 0)
+        lv = _levels(csgraph_matrix(path_graph(6)), 0)
         assert lv.tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_unreachable(self):
-        g = two_components(3, 3)
-        lv = bfs_levels(g, 0)
+        lv = _levels(csgraph_matrix(two_components(3, 3)), 0)
         assert (lv[3:] == -1).all()
 
     def test_mask_blocks(self):
-        g = path_graph(5)
-        mask = np.array([True, True, False, True, True])
-        lv = bfs_levels(g, 0, mask=mask)
-        assert lv[1] == 1
-        assert lv[3] == -1  # blocked by masked-out vertex 2
+        """A traversal of an extracted piece does not leave it: a vertex
+        left out cuts the path."""
+        keep = np.array([True, True, False, True, True])
+        csr, ids = piece(path_graph(5), keep)
+        assert ids.tolist() == [0, 1, 3, 4]
+        lv = _levels(csr, 0)
+        assert lv.tolist() == [0, 1, -1, -1]  # vertex 3 blocked by vertex 2
 
     def test_grid_distance(self):
         p = grid2d_matrix(5)
-        g = AdjacencyGraph.from_sparse(p.A)
-        lv = bfs_levels(g, 0)
+        lv = _levels(csgraph_matrix(AdjacencyGraph.from_sparse(p.A)), 0)
         # 9-point stencil: Chebyshev distance
         assert lv[4 * 5 + 4] == 4
 
 
 class TestConnectedComponents:
     def test_two(self):
-        g = two_components(4, 3)
-        comps = connected_components(g)
-        sizes = sorted(c.shape[0] for c in comps)
-        assert sizes == [3, 4]
+        comps = component_ids(csgraph_matrix(two_components(4, 3)))
+        assert [c.tolist() for c in comps] == [[0, 1, 2, 3], [4, 5, 6]]
 
     def test_partition(self):
-        g = two_components(4, 5)
-        comps = connected_components(g)
+        comps = component_ids(csgraph_matrix(two_components(4, 5)))
         allv = np.sort(np.concatenate(comps))
         assert allv.tolist() == list(range(9))
 
     def test_masked(self):
-        g = path_graph(7)
-        mask = np.ones(7, dtype=bool)
-        mask[3] = False
-        comps = connected_components(g, mask=mask)
-        assert sorted(c.shape[0] for c in comps) == [3, 3]
+        """An extracted piece falls apart where a vertex was left out."""
+        keep = np.ones(7, dtype=bool)
+        keep[3] = False
+        csr, ids = piece(path_graph(7), keep)
+        comps = [ids[c].tolist() for c in component_ids(csr)]
+        assert comps == [[0, 1, 2], [4, 5, 6]]
 
 
 class TestPseudoPeripheral:
     def test_path_ends(self):
         g = path_graph(9)
-        node, levels = pseudo_peripheral_node(g, 4)
+        node, levels = peripheral_levels(csgraph_matrix(g), g.degrees, 4)
         assert node in (0, 8)
         assert levels.max() == 8
+        assert np.array_equal(levels, _levels(csgraph_matrix(g), node))
 
     def test_deterministic(self):
-        p = grid2d_matrix(6)
-        g = AdjacencyGraph.from_sparse(p.A)
-        n1, _ = pseudo_peripheral_node(g, 17)
-        n2, _ = pseudo_peripheral_node(g, 17)
+        g = AdjacencyGraph.from_sparse(grid2d_matrix(6).A)
+        csr = csgraph_matrix(g)
+        n1, _ = peripheral_levels(csr, g.degrees, 17)
+        n2, _ = peripheral_levels(csr, g.degrees, 17)
         assert n1 == n2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repro.matrices import grid2d_matrix
-from repro.ordering import Ordering, order_problem, permute_spd
+from repro.ordering import ORDERINGS, Ordering, order_problem, permute_spd
 
 
 class TestOrdering:
@@ -54,9 +54,9 @@ class TestOrderProblem:
         from repro.util.arrays import is_permutation
 
         p = grid2d_matrix(6)
-        for m in ("natural", "rcm", "nd", "mmd"):
+        for m in ORDERINGS:
             assert is_permutation(order_problem(p, m).perm), m
 
     def test_unknown_method(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="magic"):
             order_problem(grid2d_matrix(3), "magic")

@@ -69,7 +69,7 @@ class TestSparseCholesky:
             SparseCholesky(sparse.random(4, 5, density=0.5).tocsc())
 
     def test_unknown_ordering(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="zorder"):
             SparseCholesky(grid2d_matrix(4).A, ordering="zorder")
 
     @pytest.mark.parametrize("triangle", [sparse.tril, sparse.triu])
@@ -118,7 +118,7 @@ class TestSparseCholesky:
         from repro.ordering import resolve_ordering
 
         A = grid2d_matrix(8).A
-        for method in ("auto", "nd", "mmd", "rcm"):
+        for method in ("auto", "nd", "mmd"):
             assert np.array_equal(
                 SparseCholesky._resolve_ordering(A, method),
                 resolve_ordering(A, method),
