@@ -123,8 +123,7 @@ def replay_trace(trace, attempt: int | None = None) -> RuntimeMetrics:
             nb = int(args.get("bytes", 0))
             w.messages_sent += n
             w.bytes_sent += n * nb
-            # Traces recorded before the transport split carry no
-            # ``wire_bytes``: inline, wire == logical.
+            # Older traces carry no ``wire_bytes``: inline, wire == logical.
             w.wire_bytes_sent += n * int(args.get("wire_bytes", nb))
         elif cat == "recv":
             nb = int(args.get("bytes", 0))
@@ -137,10 +136,11 @@ def replay_trace(trace, attempt: int | None = None) -> RuntimeMetrics:
             if counter is not None:
                 setattr(w, counter, getattr(w, counter) + 1)
         elif cat == "solve_task":
-            w.solve_tasks_executed += 1
-            kind = e.name.partition("(")[0]
-            if kind in w.solve_task_counts:
-                w.solve_task_counts[kind] += 1
+            counts = args.get("counts") or {e.name.partition("(")[0]: 1}
+            for kind, n in counts.items():  # FLOCAL / BLOCAL: several
+                w.solve_tasks_executed += n
+                c = w.solve_task_counts  # an unknown kind fails the check
+                c[kind] = c.get(kind, 0) + n
             w.solve_work_executed += int(args.get("work", 0))
         elif cat == "solve_send":
             n = len(args.get("targets", ()))

@@ -226,7 +226,7 @@ def _panel_factors(tg: TaskGraph, owners: np.ndarray, rank: int,
         sub = tg.subdiag_blocks[tg.subdiag_ptr[k] : tg.subdiag_ptr[k + 1]]
         held = np.flatnonzero(owners[sub] == rank).tolist()
         splits = structure.row_splits[k].tolist()
-        rows = None if not held else _rows(
+        rows = None if not held else stacked_rows(
             [(splits[t], splits[t + 1]) for t in held])
         bfac = bool(owners[d] == rank)
         blocks = [d] * bfac + sub[held].tolist()
@@ -238,7 +238,7 @@ def _panel_factors(tg: TaskGraph, owners: np.ndarray, rank: int,
     return factors
 
 
-def _rows(pieces: list):
+def stacked_rows(pieces: list):
     """The slab rows of ``(lo, hi)`` spans, stacked: a slice when they are
     contiguous, else an index array."""
     if all(a[1] == b[0] for a, b in zip(pieces, pieces[1:])):
@@ -289,7 +289,7 @@ class PanelUpdates:
         self.ops: list[tuple] = []
         self.of: dict[int, int] = {}
         for lo, hi in zip(bounds, bounds[1:]):
-            rows = _rows([spans[K[lo]][i] for i in I[lo:hi]])
+            rows = stacked_rows([spans[K[lo]][i] for i in I[lo:hi]])
             f = sum(flops[lo:hi])
             self.of.update(dict.fromkeys(tids[lo:hi], len(self.ops)))
             self.ops.append((

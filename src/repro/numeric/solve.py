@@ -115,16 +115,17 @@ def block_forward(chol: BlockCholesky, Y: np.ndarray) -> np.ndarray:
     return Y
 
 
-def block_backward(chol: BlockCholesky, X: np.ndarray) -> np.ndarray:
-    """In-place backward substitution ``L^T X = Y`` over block panels.
+def block_backward(chol: BlockCholesky, X: np.ndarray,
+                   cols=None) -> np.ndarray:
+    """In-place backward substitution ``L^T X = Y`` over block panels
+    ``cols`` (ascending; None for all), their rows below final in ``X``.
 
     Panels complete in descending order; panel K absorbs one product of
     its stacked subdiagonal rows' transpose with ``X[rows_below[K]]``
-    before the triangular solve — the one share a distributed rank that
-    owns all of column K sends itself.
+    before the triangular solve (a distributed rank's local pass).
     """
     panel_rows = chol.structure.numeric_plan().panel_rows
-    for k in range(len(panel_rows) - 1, -1, -1):
+    for k in reversed(range(len(panel_rows)) if cols is None else cols):
         c0, c1, rows = panel_rows[k]
         B = X[c0:c1]
         B -= bupd_kernel(chol.stacked[k], X[rows])
@@ -154,12 +155,17 @@ def permute_rhs(b: np.ndarray, n: int, ordering):
     ``b``'s row order and ``ndim``. ``ordering`` is an
     :class:`~repro.ordering.base.Ordering`, a permutation array, or None
     for identity. Raises ``ValueError`` for a ``b`` that is not ``n`` rows
-    of one or two dimensions, or holds a NaN or an Inf (the solve kernels
-    do not scan for them) — before any substitution or worker process.
+    of one or two dimensions, has no column, is complex or holds a NaN or
+    an Inf (the solve kernels do not scan for them) — before any
+    substitution or worker process.
     """
+    if np.iscomplexobj(b):  # casting would drop the imaginary part
+        raise ValueError("rhs is complex; the factor solves real systems")
     b = np.asarray(b, dtype=np.float64)
     if b.ndim not in (1, 2) or b.shape[0] != n:
         raise ValueError(f"rhs has shape {b.shape}; matrix has {n} rows")
+    if not b.size:
+        raise ValueError(f"rhs has shape {b.shape}: no column to solve")
     if not np.isfinite(b).all():
         raise ValueError("array must not contain infs or NaNs")
     if ordering is None:

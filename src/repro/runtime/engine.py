@@ -314,7 +314,7 @@ def outcome_result(
     the ``config``'s schedule label the metrics and the trace (attempt
     ``outcome.attempt``, merged whenever the workers shipped one). Raises
     :class:`FanoutError` when the gather does not cover every block
-    exactly once, fails its integrity check, or the solution panels miss a row.
+    exactly once, fails its integrity check, or the solved rows miss one.
     """
     results = outcome.results
     nprocs = len(results)
@@ -326,13 +326,11 @@ def outcome_result(
         assembled, gather = _assemble(structure, tg, results, owners, arena)
     solution = None
     if rhs is not None:
-        ptr = np.asarray(structure.partition.panel_ptr, dtype=np.int64)
-        solution = np.empty_like(rhs)
-        seen = 0
+        solution, seen = np.empty_like(rhs), 0
         for res in results.values():
-            for k, panel in (res.solution or {}).items():
-                solution[int(ptr[k]) : int(ptr[k + 1])] = panel
-                seen += int(ptr[k + 1] - ptr[k])
+            rows, x = res.solution
+            solution[rows] = x
+            seen += rows.shape[0]
         if seen != rhs.shape[0]:
             raise FanoutError(
                 f"solve gather incomplete: {seen}/{rhs.shape[0]} rows "

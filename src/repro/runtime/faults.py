@@ -215,20 +215,17 @@ class FaultyLink(Link):
             self._tick_held()
             return
         if u[1] < plan.corrupt:
-            if wire.frame_kind(frame) == wire.BLOCK_REF:
-                # The descriptor carries no payload bytes — the logical
-                # payload's integrity words are the block metadata (offset
-                # + block CRC), so that is what "payload corruption" flips.
-                # The frame CRC covers the region, so the receiver rejects
-                # it exactly like an inline payload flip.
+            # A descriptor carries no payload bytes — the logical payload's
+            # integrity words are the block metadata (offset + block CRC),
+            # so that is what "payload corruption" flips. The frame CRC
+            # covers the region, so the receiver rejects it exactly like
+            # an inline payload flip.
+            base, span = ((wire.REF_REGION_START, wire.REF_REGION_LEN)
+                          if wire.frame_kind(frame) == wire.BLOCK_REF else
+                          (wire.HEADER_BYTES, len(frame) - wire.HEADER_BYTES))
+            if span > 0:
                 self.injector.injected["corrupt"] += 1
-                span = wire.REF_REGION_LEN
-                offset = wire.REF_REGION_START + int(u[5] * span) % span
-                frame = self._flip_bit(frame, offset, int(u[5] * 8) % 8)
-            elif len(frame) > wire.HEADER_BYTES:
-                self.injector.injected["corrupt"] += 1
-                span = len(frame) - wire.HEADER_BYTES
-                offset = wire.HEADER_BYTES + int(u[5] * span) % span
+                offset = base + int(u[5] * span) % span
                 frame = self._flip_bit(frame, offset, int(u[5] * 8) % 8)
         elif u[2] < plan.corrupt_header:
             self.injector.injected["corrupt_header"] += 1

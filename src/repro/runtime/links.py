@@ -91,27 +91,18 @@ class Link:
 
     def send_steal(self, frame: bytes) -> None:
         """Put one work-stealing frame (REQ/GRANT/DENY/SHIP/RESULT) on
-        the link. Stealing rides a *reliable* plane outside the data
-        ledgers: it is never coalesced, never fault-injected (the kinds
-        are outside ``wire.DATA_KINDS``), and counted in its own steal
-        ledger so ``messages``/``bytes`` keep reconciling exactly with
-        the static communication-volume predictor. Flushes coalesced
-        data first so a grant never overtakes the blocks it refers to."""
+        the link, on its own ledger: never coalesced, never fault-injected
+        (outside ``wire.DATA_KINDS``). Flushes coalesced data first so a
+        grant never overtakes the blocks it refers to."""
         self.flush_pending()
         self.queue.put(frame)
         self.steal_messages += 1
         self.steal_bytes += len(frame)
 
     def send_solve(self, frame: bytes) -> None:
-        """Put one triangular-solve frame (Y/FUP/X/BUP) on the link.
-
-        The solve phase moves right-hand sides, not factor blocks, so
-        these frames ride their own ledger outside the data counters —
-        the factor-phase ``messages``/``bytes`` stay exactly equal to the
-        static predictor, and the solve ledger reconciles against the
-        solve predictor. RHS fragments always carry their payload (even
-        on the shm transport), so logical bytes equal ``len(frame)``; they
-        ride the coalesced batch like data frames."""
+        """Put one triangular-solve frame (Y/FUP/X/BUP) in the link's
+        batch, on its own ledger (the solve predictor's). RHS fragments
+        always carry their payload, so logical bytes are ``len(frame)``."""
         self._put(frame)
         self.solve_messages += 1
         self.solve_bytes += len(frame)

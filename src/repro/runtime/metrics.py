@@ -28,6 +28,11 @@ CATEGORIES = ("busy", "comm", "idle", "solve_busy", "solve_comm",
               "solve_idle")
 
 
+def _imbalance(x: np.ndarray) -> float:
+    mean = float(x.mean()) if x.size else 0.0
+    return float(x.max() / mean) if mean > 0 else 1.0
+
+
 class TimelineRecorder:
     """Accumulates the seconds spent per category, one span at a time."""
 
@@ -304,19 +309,11 @@ class RuntimeMetrics:
     @property
     def imbalance(self) -> float:
         """``max busy / mean busy`` — 1.0 is perfect, larger is worse."""
-        b = self.busy
-        mean = float(b.mean()) if b.size else 0.0
-        if mean <= 0:
-            return 1.0
-        return float(b.max() / mean)
+        return _imbalance(self.busy)
 
     @property
     def work_imbalance(self) -> float:
-        w = self.work
-        mean = float(w.mean()) if w.size else 0.0
-        if mean <= 0:
-            return 1.0
-        return float(w.max() / mean)
+        return _imbalance(self.work)
 
     def link_matrix(self) -> np.ndarray:
         """``[src, dst] -> messages`` over the whole run."""

@@ -127,15 +127,10 @@ class PoolJob:
     ``context`` is present exactly when this pool incarnation has not seen
     the pattern yet. ``fault_plan`` injects deterministic faults into this
     job's workers. ``rhs`` on a factor job appends the distributed
-    triangular solve to the factor phase.
-
-    ``kind="solve"`` runs the distributed triangular solve against the
-    rank's *resident* factor — the :class:`~repro.runtime.worker.Worker`
-    retained from the pattern's last clean factor job. Only ``rhs`` (the
-    permuted right-hand-side panel) travels; no pattern context, no
-    matrix values, no factor blocks. A solve job on a rank with no
-    resident factor fails with a typed protocol error rather than
-    recomputing anything.
+    triangular solve to the factor phase; ``kind="solve"`` runs it alone
+    on the worker retained from the pattern's last clean factor job, and
+    only ``rhs`` (the permuted right-hand-side panel) travels. A rank with
+    no resident factor fails it with a typed protocol error.
     """
 
     seq: int

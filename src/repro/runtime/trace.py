@@ -365,12 +365,7 @@ class RunTrace:
             f"attempt {attempt}: {span * 1e3:.1f} ms "
             f"({'#'} busy, {'~'} comm, {'.'} idle, {'!'} fault/recovery)"
         ]
-        prio = {MARK: 3, "task": 2, "send": 1, "recv": 1, "comm": 1,
-                "steal": 1, "idle": 0, "solve_task": 2, "solve_send": 1,
-                "solve_recv": 1, "solve_idle": 0}
-        glyph = {MARK: "!", "task": "#", "send": "~", "recv": "~",
-                 "comm": "~", "steal": "~", "idle": ".", "solve_task": "#",
-                 "solve_send": "~", "solve_recv": "~", "solve_idle": "."}
+        look = {"busy": (2, "#"), "comm": (1, "~"), "idle": (0, ".")}
         for rank in sorted(lanes):
             best = [-1] * width
             chars = [" "] * width
@@ -379,8 +374,8 @@ class RunTrace:
                 hi = int((e.t1 - t0) / span * width)
                 lo = min(max(lo, 0), width - 1)
                 hi = min(max(hi, lo), width - 1)
-                p = prio.get(e.cat, 0)
-                g = glyph.get(e.cat, "?")
+                b = TIMELINE_BUCKET.get(e.cat, "").removeprefix("solve_")
+                p, g = (3, "!") if e.cat == MARK else look.get(b, (0, "?"))
                 for i in range(lo, hi + 1):
                     if p > best[i]:
                         best[i] = p

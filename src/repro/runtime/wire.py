@@ -307,38 +307,15 @@ def pack_steal_ship(src: int, block: int, I: int, J: int,
     return _pack_state(STEAL_SHIP, src, block, I == J, array)
 
 
-def _pack_solve(kind: int, src: int, ref: int, array: np.ndarray) -> bytes:
-    """Frame a solve-phase payload: always the full ``rows x nrhs``
-    fragment (never triangle-packed — these are right-hand sides)."""
+def pack_solve(kind: int, src: int, ref: int, array: np.ndarray) -> bytes:
+    """Serialize a solve frame (``kind`` in ``SOLVE_KINDS``, ``ref`` its
+    panel or block as above): always the full ``rows x nrhs`` fragment
+    (never triangle-packed — these are right-hand sides)."""
     arr = np.ascontiguousarray(array, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("solve payload must be a 2-D array")
     rows, cols = arr.shape
     return _frame(kind, src, ref, rows, cols, arr.ravel().tobytes())
-
-
-def pack_solve_y(src: int, panel: int, array: np.ndarray) -> bytes:
-    """Serialize a SOLVE_Y: forward-solved panel ``panel`` fanned out to
-    the owners of the subdiagonal blocks in its column."""
-    return _pack_solve(SOLVE_Y, src, panel, array)
-
-
-def pack_solve_fup(src: int, block: int, array: np.ndarray) -> bytes:
-    """Serialize a SOLVE_FUP: block ``block``'s forward update shipped to
-    its destination panel's diagonal owner."""
-    return _pack_solve(SOLVE_FUP, src, block, array)
-
-
-def pack_solve_x(src: int, panel: int, array: np.ndarray) -> bytes:
-    """Serialize a SOLVE_X: backward-solved panel ``panel`` fanned out to
-    the owners of the blocks in its row."""
-    return _pack_solve(SOLVE_X, src, panel, array)
-
-
-def pack_solve_bup(src: int, block: int, array: np.ndarray) -> bytes:
-    """Serialize a SOLVE_BUP: the backward share of a column whose first
-    block is ``block``, shipped to that column's diagonal owner."""
-    return _pack_solve(SOLVE_BUP, src, block, array)
 
 
 def unpack(frame: bytes, copy: bool = True) -> WireMessage:

@@ -3,42 +3,34 @@
 Each worker executes every block operation whose destination block it
 owns. Its *local* columns (owned whole and updated only from local columns,
 as every domain column is) it factors first, in one sequential pass
-(``_run_local``); the rest it runs grouped by share — the blocks of one
-column it owns: one panel factor PFAC(K) per share, one panel update
-PMOD(K,J) per source and destination panel — tracking readiness per share
-(:mod:`repro.fanout.dispatch`). A processor does one thing — take a ready
-op or an arrived block, run it, fan the result out block by block — and
-:class:`Worker` writes that loop once:
+(``_run_local``), and solves in one pass per direction (``_sweep``); the
+rest it runs grouped by share — the blocks of one column it owns: one
+panel factor PFAC(K) per share, one panel update PMOD(K,J) per source and
+destination panel, one solve task per panel or share — tracking readiness
+per share (:mod:`repro.fanout.dispatch`, :mod:`repro.runtime.solve_plan`).
+:class:`Worker` writes the loop once:
 
 * :meth:`Worker.arm` wires a rank to one job — a factor job or a warm
   solve on a retained worker — and starts its wire-kind → handler table;
 * :meth:`Worker.receive` is the one receive prologue (decode, CRC check,
   ``BLOCK_REF`` descriptor checked against the arena; an undecodable
-  frame raises its typed
-  :class:`~repro.runtime.wire.WireError`), then a lookup in that table;
-* ``_pump`` runs every phase of a job (factor, the dynamic schedule's
-  DONE linger, solve — see :meth:`Worker.phases`) on the non-blocking
-  :meth:`Worker.step`:
-  drain the inbox when that can matter (nothing ready, or every
-  ``DRAIN_EVERY`` steps), run one ready task, else the phase's idle hook;
-  then wait ``POLL_S`` for a frame, then check for a stall;
-* ``_account`` is the post-task step every executed run of tasks passes
-  through,
-  ``_span`` the only timeline / trace-span emitter, ``_block`` / ``_store``
-  the block accessor pair, and :meth:`Worker.run` ends in the one ship-home
-  epilogue: one :class:`WorkerResult` — the ids of the owned blocks and the
-  CRC each had when published, plus their words on the inline transport
-  (on shm the ranks factor the arena's one store in place, and the driver
-  copies it) — after an ABORT broadcast on error so peers exit promptly
-  instead of deadlocking.
+  frame raises its :class:`~repro.runtime.wire.WireError`), then a lookup
+  in that table;
+* ``_pump`` runs every phase of a job (:meth:`Worker.phases`) on the
+  non-blocking :meth:`Worker.step`: drain the inbox when that can matter,
+  run one ready task, else the phase's idle hook; then wait ``POLL_S``
+  for a frame, then check for a stall;
+* ``_account`` is the post-task step of every run of tasks, ``_span`` the
+  only timeline / trace-span emitter, and :meth:`Worker.run` ends in the
+  one ship-home epilogue, one :class:`WorkerResult`, after an ABORT
+  broadcast on error so peers exit promptly instead of deadlocking.
 
 State and handlers are grouped by *plane* — factor, control (ABORT,
-DONE), steal (the dynamic schedule), solve — each
-registering its wire kinds when armed; the sections below describe their
-protocols, ``docs/ARCHITECTURE.md`` tabulates *wire kind → plane →
-handler → what it may unblock*. Because ``step`` never blocks, tests drive
-several ranks in one thread over an in-memory fabric (``LinkFabric(P,
-queue)``) and reach every handler without a process.
+DONE), steal (the dynamic schedule), solve — each registering its wire
+kinds when armed; ``docs/ARCHITECTURE.md`` tabulates *wire kind → plane
+→ handler → what it may unblock*. Because ``step`` never blocks, tests
+drive several ranks in one thread over an in-memory fabric
+(``LinkFabric(P, queue)``) and reach every handler without a process.
 """
 
 from __future__ import annotations
@@ -56,6 +48,7 @@ import numpy as np
 
 from repro.numeric.blockfact import BlockCholesky
 from repro.numeric.solve import (
+    block_backward,
     bsolve_kernel,
     bupd_kernel,
     fsolve_kernel,
@@ -69,7 +62,7 @@ from repro.runtime.faults import FaultInjector
 from repro.runtime.metrics import TimelineRecorder, WorkerMetrics
 from repro.runtime.scheduler import ReadyScheduler
 from repro.runtime.solve_plan import (
-    BSOLVE, BUPD, FSOLVE, FUPD, SOLVE_KIND_NAMES, SolvePlan,
+    BSOLVE, BUPD, FSOLVE, FUPD, SOLVE_KIND_NAMES, SWEEP, SolvePlan,
 )
 from repro.runtime.trace import TraceRecorder, WorkerTrace
 
@@ -98,9 +91,10 @@ class WorkerResult:
     rank: int
     metrics: WorkerMetrics
     trace: WorkerTrace | None = None
-    #: Solve-phase output: owned panel id -> dense ``w x nrhs`` solution
-    #: fragment (permuted coordinates). ``None`` when no solve ran.
-    solution: dict[int, np.ndarray] | None = None
+    #: Solve-phase output, ``(rows, x)``: the rows of the panels whose
+    #: diagonal the rank owns (permuted coordinates) and their solution,
+    #: ``len(rows) x nrhs``. ``None`` when no solve ran.
+    solution: tuple[np.ndarray, np.ndarray] | None = None
     #: A clean factor job: ``(blocks, crcs)`` — the owned block ids,
     #: ascending, and the CRC32 of each block's stored bytes as the rank
     #: published it.
@@ -211,7 +205,7 @@ class Worker:
                 held, words = self._gather(self.plan.owned)
                 m.gather_s = self._now() - t0
             if self.job.rhs is not None:
-                solution = self._solution_panels
+                solution = (self.splan.rows, self._z[self.splan.rows])
         except _Abort:
             m.aborted = True
         except BaseException as exc:  # noqa: BLE001 - reported to the driver
@@ -266,7 +260,7 @@ class Worker:
         if self.job.rhs is not None:
             yield Phase(
                 "solve tasks to run",
-                lambda: self.n_solve_owned - self.solve_executed,
+                lambda: self.splan.ntasks - self.solve_executed,
                 self.solve_scheduler, self._solve_execute,
                 idle_cat="solve_idle",
             )
@@ -345,28 +339,26 @@ class Worker:
     def _account(self, seg: str, kinds, t0: float, t1: float, work: int,
                  flops: int, name: str, args: dict | None,
                  ops: int = 1) -> None:
-        """Post-task accounting: ``kinds`` is a factor run's task count
-        per kind — an owned or stolen op, or the local pass (``ops=0``;
-        ``seg="busy"``) — or one solve task's kind (``"solve_busy"``):
-        ledger, busy span, injected faults. The crash trigger counts the
-        tasks this rank completed as owner or solver and fires at the next
-        run here."""
-        m = self.metrics
+        """Post-task accounting of a run of tasks, ``kinds`` its count
+        per kind — an owned or stolen op or the local pass (``ops=0``), or
+        (``seg="solve_busy"``) a solve task or sweep: ledger, busy span,
+        injected faults. The crash trigger counts the tasks this rank
+        completed as owner or solver and fires at the next run here."""
+        m, n = self.metrics, sum(kinds.values())
         if seg == "busy":
-            n = sum(kinds.values())
             m.ops_executed += ops
             m.tasks_executed += n
-            for kind, c in kinds.items():
-                m.task_counts[kind] += c
+            counts = m.task_counts
             m.flops_executed += flops
             m.work_executed += work
             self._span(seg, t0, "task", name, args, t1)
         else:
-            n = 1
-            m.solve_tasks_executed += 1
-            m.solve_task_counts[kinds] += 1
+            m.solve_tasks_executed += n
+            counts = m.solve_task_counts
             m.solve_work_executed += work
             self._span(seg, t0, "solve_task", name, args, t1)
+        for kind, c in kinds.items():
+            counts[kind] += c
         if self._slow_s > 0.0:  # the plan's sleep is per task, not per op
             if self.injector is not None:
                 self.injector.injected["slow"] += n
@@ -836,19 +828,15 @@ class Worker:
     # ------------------------------------------------------------------
     # Solve plane: distributed triangular solve (see docs/SOLVING.md)
     # ------------------------------------------------------------------
-    # The factor never moves: FSOLVE/BSOLVE(K) run where the diagonal
-    # block lives, FUPD/BUPD(K, g) over the rows of column K rank g owns,
-    # stacked, and only right-hand-side fragments cross the wire (SOLVE_Y/X
-    # panel broadcasts, one SOLVE_FUP per block, one SOLVE_BUP per remote
-    # share). A panel absorbs its updates in the plan's fixed order, so
-    # the solution is bitwise the sequential sweeps' wherever the grouping
-    # is theirs: on every 1 x P grid. Solve frames have their own ledger
-    # and always carry their payload, so logical bytes == wire bytes.
+    # The factor never moves; only right-hand-side fragments cross the
+    # wire, on a ledger of their own. A panel absorbs its updates in the
+    # plan's fixed order, so the solution is bitwise the sequential
+    # sweeps' wherever the grouping is theirs: on every 1 x P grid.
 
     def _arm_solve(self, rhs: np.ndarray) -> None:
         """``rhs`` is the right-hand side panel stack (already permuted,
-        full ``n x nrhs``); the owned solution panels it yields ship home
-        in :attr:`WorkerResult.solution`."""
+        full ``n x nrhs``); the rows of it this rank solves ship home in
+        :attr:`WorkerResult.solution`."""
         self.handlers.update({wire.SOLVE_Y: self._on_y,
                               wire.SOLVE_X: self._on_x,
                               wire.SOLVE_FUP: self._on_fup,
@@ -856,7 +844,8 @@ class Worker:
         #: The rank's :class:`SolvePlan`: compiled by its first job with
         #: an rhs, then read off the resident context.
         self.splan = sp = self.context.solve_plan(self.rank, lambda: SolvePlan(
-            self.context.structure, self.tg, self.owners, self.rank))
+            self.context.structure, self.tg, self.owners, self.rank,
+            self.plan.local_cols))
         rhs, _ = permute_rhs(rhs, sp.panel_cols[-1][1], None)
         #: This rank's copy of the right-hand side, solved in place as the
         #: sequential sweeps do: a panel's rows hold ``B``, then ``Y``,
@@ -868,10 +857,7 @@ class Worker:
         self._fwd: dict[int, np.ndarray] = {}
         self._bwd: dict[int, np.ndarray] = {}
         self._waiting = list(sp.wait)
-        #: Owned solution panels shipped home in the WorkerResult.
-        self._solution_panels: dict[int, np.ndarray] = {}
         self.solve_scheduler = ReadyScheduler()
-        self.n_solve_owned = sp.ntasks
         for stid in sp.seeds:
             self.solve_scheduler.push(stid)
 
@@ -882,15 +868,11 @@ class Worker:
         if not self._waiting[stid]:
             self.solve_scheduler.push(stid)
 
-    def _y_ready(self, k: int) -> None:
-        """``Y_k`` is final here: it feeds this rank's FUPD of column k."""
-        if k in self.splan.shares:
-            self._solve_dep(FUPD, k)
-
     def _x_ready(self, i: int) -> None:
-        """``X_i`` is final here: it feeds the BUPDs that read row i."""
-        for k in self.splan.x_wake[i]:
-            self._solve_dep(BUPD, k)
+        """``X_i`` is final here: it feeds the BUPDs (and the backward
+        pass) that read row i."""
+        for kind, k in self.splan.x_wake[i]:
+            self._solve_dep(kind, k)
 
     def _solve_received(self, msg: wire.WireMessage, nbytes: int, t0: float,
                         name: str) -> bool:
@@ -903,7 +885,8 @@ class Worker:
     def _on_y(self, msg: wire.WireMessage, nbytes: int, t0: float) -> bool:
         c0, c1 = self.splan.panel_cols[msg.block]
         self._z[c0:c1] = msg.payload
-        self._y_ready(msg.block)
+        if msg.block in self.splan.shares:  # Y_K feeds this rank's FUPD
+            self._solve_dep(FUPD, msg.block)
         return self._solve_received(msg, nbytes, t0,
                                     self.trace and f"y({msg.block})")
 
@@ -928,22 +911,69 @@ class Worker:
             msg, nbytes, t0,
             self.trace and "bup(%d,%d)" % self.plan.coords[msg.block])
 
-    def _solve_send(self, frame: bytes, dsts, name: str) -> None:
-        """Send one solve frame to each of the (distinct, remote) ranks."""
+    def _solve_send(self, kind: int, ref: int, out: np.ndarray, dsts,
+                    name: str) -> None:
+        """Send ``out`` as one solve frame to each of the (distinct,
+        remote) ranks ``dsts``."""
         if not dsts:
             return
         t0 = self._now()
+        frame = wire.pack_solve(kind, self.rank, ref, out)
         for dst in dsts:
             self.links[dst].send_solve(frame)
         self._span("solve_comm", t0, "solve_send", name,
                    self.trace and {"bytes": len(frame), "targets": dsts})
 
+    def _fup(self, share, out: np.ndarray) -> None:
+        """Deliver a forward product's parts: park one whose row this rank
+        solves, send the others, one ``SOLVE_FUP`` frame per block."""
+        for b, lo, hi, dst in share.parts:
+            I, J = self.plan.coords[b]
+            if dst == self.rank:
+                self._fwd[b] = out[lo:hi]
+                self._solve_dep(FSOLVE, I)
+            else:
+                self._solve_send(wire.SOLVE_FUP, b, out[lo:hi], [dst],
+                                 self.trace and f"fup({I},{J})")
+
+    def _sweep(self, backward: bool) -> None:
+        """One pass over the rank's local columns, one span. Forward: per
+        panel a solve and one product, applied at once to its local rows
+        (a prefix), the rest delivered after the span as a FUPD's."""
+        sp, chol, z, tr = self.splan, self.chol, self._z, self.trace
+        products = []
+        t0 = self._now()
+        if backward:
+            block_backward(chol, z, sp.local_cols)
+        for k in () if backward else sp.local_cols:
+            c0, c1 = sp.panel_cols[k]
+            Y = z[c0:c1] = fsolve_kernel(chol.diag[k], z[c0:c1])
+            share = sp.shares.get(k)
+            if share is not None:
+                U = fupd_kernel(chol.stacked[k], Y)
+                z[share.rows[:share.m]] -= U[:share.m]
+                products.append((share, U))
+        counts = dict(zip(SOLVE_KIND_NAMES[2 * backward:], sp.sweep_counts))
+        work = sp.sweep_work * self.nrhs
+        self.solve_executed += sum(sp.sweep_counts)
+        self._account("solve_busy", counts, t0, self._now(), work, 0,
+                      tr and ("BLOCAL" if backward else "FLOCAL"),
+                      tr and {"counts": counts, "work": work,
+                              "panels": sp.local_cols})
+        for share, U in products:
+            self._fup(share, U)
+        if not backward:
+            self._solve_dep(SWEEP, 1)
+
     def _solve_execute(self, stid: int) -> None:
-        """Run one solve task, account for it, then deliver its output —
-        locally when this rank absorbs it, else over the wire."""
+        """Run one solve task (or local sweep), account for it, then
+        deliver its output — locally when this rank absorbs it, else over
+        the wire."""
         sp, chol, tr, rank, z = (
             self.splan, self.chol, self.trace, self.rank, self._z)
         kind, k = divmod(stid, sp.npanels)
+        if stid >= SWEEP * sp.npanels:
+            return self._sweep(stid > SWEEP * sp.npanels)
         c0, c1 = sp.panel_cols[k]
         share = sp.shares.get(k)
         t0 = self._now()
@@ -965,40 +995,31 @@ class Worker:
         work = solve_flops(c1 - c0 if diag else share.rows.shape[0],
                            c1 - c0, self.nrhs, diag=diag)
         self.solve_executed += 1
+        name = SOLVE_KIND_NAMES[kind]
         self._account(
-            "solve_busy", SOLVE_KIND_NAMES[kind], t0, t1, work, 0,
-            tr and (f"{SOLVE_KIND_NAMES[kind]}({k})" if diag
-                    else f"{SOLVE_KIND_NAMES[kind]}({k},{rank})"),
+            "solve_busy", {name: 1}, t0, t1, work, 0,
+            tr and (f"{name}({k})" if diag else f"{name}({k},{rank})"),
             tr and {"id": k, "work": work})
         # Post-task bookkeeping and fan-out.
         if kind == FSOLVE:
-            self._solve_send(wire.pack_solve_y(rank, k, out),
-                             self.plan.recipients[self.tg.diag_block[k]],
-                             tr and f"y({k})")
-            self._y_ready(k)
+            self._solve_send(wire.SOLVE_Y, k, out, self.plan.recipients[
+                self.tg.diag_block[k]], tr and f"y({k})")
+            if share is not None:
+                self._solve_dep(FUPD, k)
             self._solve_dep(BSOLVE, k)
         elif kind == BSOLVE:
-            self._solution_panels[k] = out
-            self._solve_send(wire.pack_solve_x(rank, k, out), sp.x_dsts[k],
+            self._solve_send(wire.SOLVE_X, k, out, sp.x_dsts[k],
                              tr and f"x({k})")
             self._x_ready(k)
         elif kind == FUPD:
-            for b, lo, hi, dst in share.parts:
-                if dst == rank:
-                    self._fwd[b] = out[lo:hi]
-                    self._solve_dep(FSOLVE, self.plan.coords[b][0])
-                else:
-                    self._solve_send(
-                        wire.pack_solve_fup(rank, b, out[lo:hi]), [dst],
-                        tr and "fup(%d,%d)" % self.plan.coords[b])
+            self._fup(share, out)
         else:
             b = share.parts[0][0]
             if sp.diag_owner[k] == rank:
                 self._bwd[b] = out
                 self._solve_dep(BSOLVE, k)
             else:
-                self._solve_send(wire.pack_solve_bup(rank, b, out),
-                                 [sp.diag_owner[k]],
+                self._solve_send(wire.SOLVE_BUP, b, out, [sp.diag_owner[k]],
                                  tr and "bup(%d,%d)" % self.plan.coords[b])
 
     # ------------------------------------------------------------------

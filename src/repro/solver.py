@@ -227,9 +227,8 @@ class SparseCholesky:
         in :attr:`solve_residuals`).
         """
         refine = check_number("refine", refine, int, 0)
-        b = np.asarray(b, dtype=np.float64)
+        b, _ = permute_rhs(b, self.A.shape[0], None)  # before any spawn
         if self.backend == "mp" and self._numeric is None:
-            permute_rhs(b, self.A.shape[0], None)  # refused before a spawn
             self.factor()
         x = self._base_solve(b)
         residuals = [self._residual(b, x)]

@@ -19,11 +19,18 @@ import queue
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.comm_volume import solve_communication_volume
+from repro.fanout.dispatch import DispatchPlan
+from repro.mapping import best_grid
+from repro.matrices import random_spd_sparse
 from repro.numeric import BlockCholesky
-from repro.numeric.solve import block_solve_permuted, solve_with_factor
+from repro.numeric.solve import (
+    block_solve_permuted, fsolve_kernel, fupd_kernel, solve_with_factor,
+)
 from repro.runtime import plan_owners, shm_available
+from repro.runtime.solve_plan import SolvePlan
 from repro.runtime.engine import run_mp_fanout
 from repro.runtime.wire import HEADER_BYTES
 from tests.blockfact_oracle import oracle_grouped_factor, oracle_grouped_solve
@@ -202,6 +209,133 @@ class TestSolveTasks:
         assert len(works) == 1
 
 
+def _rank_kinds(tg, owners, nprocs) -> set:
+    """What kinds of rank ``owners`` gives ``nprocs`` workers."""
+    kinds = set()
+    for r in range(nprocs):
+        plan = DispatchPlan(tg, owners, r)
+        held = set(tg.block_J[owners == r].tolist())
+        kinds.add("blockless" if not plan.owned else "no local column"
+                  if not plan.local_cols else "all local"
+                  if set(plan.local_cols) == held else "some local")
+    return kinds
+
+
+class TestEveryCrewShapeSolves:
+    """Every crew shape runs a distributed solve too: a blockless rank, a
+    rank none of whose columns is local and a rank whose columns all are
+    among them. The outcome is clean, ``x`` is bitwise the sequential
+    substitution on a ``1 x P`` grid (to rounding on two grid rows), and
+    the solve ledger is ``solve_communication_volume``'s."""
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @example(n=1, nprocs=2, block_size=8, density=0.0)
+    @example(n=24, nprocs=2, block_size=8, density=1.0)
+    @example(n=10, nprocs=8, block_size=8, density=0.0)
+    @given(n=st.integers(1, 40), nprocs=st.integers(1, 8),
+           block_size=st.sampled_from((1, 3, 8)),
+           density=st.sampled_from((0.0, 0.1, 1.0)))
+    def test_every_shape_solves(self, n, nprocs, block_size, density):
+        from repro.solver import SparseCholesky
+
+        chol = SparseCholesky(random_spd_sparse(n, density, seed=n),
+                              block_size=block_size)
+        bs, tg, A = chol.structure, chol.taskgraph, chol.symbolic.A
+        b = np.random.default_rng(n).standard_normal((n, 2))
+        res = mp_fanout(bs, A, tg, nprocs=nprocs, rhs=b)
+        assert res.failure_report.outcome == "clean"
+        ref = block_solve_permuted(BlockCholesky(bs, A).factor(), b)
+        if best_grid(nprocs).Pr == 1:
+            assert np.array_equal(res.solution, ref)
+        else:
+            assert abs(res.solution - ref).max() <= 1e-12 * abs(ref).max()
+        pred = solve_communication_volume(tg, res.owners, nrhs=2)
+        assert (res.metrics.solve_messages_total,
+                res.metrics.solve_bytes_total) == (pred.messages, pred.bytes)
+
+    def test_the_examples_hold_every_kind_of_rank(self):
+        from repro.solver import SparseCholesky
+
+        kinds = set()
+        for n, nprocs, density in ((1, 2, 0.0), (24, 2, 1.0)):
+            chol = SparseCholesky(random_spd_sparse(n, density, seed=n),
+                                  block_size=8)
+            owners, _ = plan_owners(chol.workmodel, chol.taskgraph, nprocs)
+            kinds |= _rank_kinds(chol.taskgraph, owners, nprocs)
+        assert {"blockless", "no local column", "all local"} <= kinds
+
+
+class TestLocalPassOrder:
+    """A non-local row panel absorbs its forward updates in ascending
+    source column, local ones included: on grid12 at P = 2 a non-local
+    column K' < a local column K both update one non-local row panel, and
+    subtracting K's part before K''s there changes the bits."""
+
+    def test_local_parts_wait_their_turn(self, grid_ref):
+        sf, bs, wm, tg = (grid_ref[k] for k in ("sf", "bs", "wm", "tg"))
+        owners, _ = plan_owners(wm, tg, 2, "DW/CY")
+        b = _rhs(sf.A.shape[0], 4)
+        chol = BlockCholesky(bs, sf.A).factor()
+        Y = b.copy()  # the sequential forward sweep, keeping its parts
+        panel_rows = bs.numeric_plan().panel_rows
+        parts = {}  # (row panel I, source column K) -> (rows, product)
+        for k, (c0, c1, rows) in enumerate(panel_rows):
+            Y[c0:c1] = Yk = fsolve_kernel(chol.diag[k], Y[c0:c1])
+            U = fupd_kernel(chol.stacked[k], Yk)
+            Y[rows] -= U
+            splits = bs.row_splits[k]
+            sub = tg.subdiag_blocks[tg.subdiag_ptr[k]:tg.subdiag_ptr[k + 1]]
+            for t, I in enumerate(tg.block_I[sub].tolist()):
+                lo, hi = splits[t], splits[t + 1]
+                parts[I, k] = rows[lo:hi], U[lo:hi]
+        cases = []
+        for rank in (0, 1):
+            local = DispatchPlan(tg, owners, rank).local_cols
+            sp = SolvePlan(bs, tg, owners, rank, local)
+            for I, order in sp.fwd_order.items():
+                ks = [int(tg.block_J[blk]) for blk, _ in order]
+                early = [k for k in ks if k in local]
+                if early and min(ks) not in local:
+                    cases.append((I, ks, early))
+        assert cases
+        changed = False
+        for I, ks, early in cases:
+            late = [k for k in ks if k not in early]
+            z_in_order, z_early = b.copy(), b.copy()
+            for z, order in ((z_in_order, ks), (z_early, early + late)):
+                for k in order:
+                    rows, U = parts[I, k]
+                    z[rows] -= U
+            changed |= not np.array_equal(z_in_order, z_early)
+        assert changed
+        res = mp_fanout(bs, sf.A, tg, nprocs=2, rhs=b)
+        assert np.array_equal(res.solution, grid_ref["refs"][4])
+
+    @pytest.mark.parametrize("nprocs", [2, 4])
+    def test_local_columns_leave_the_task_tables(self, grid_ref, nprocs):
+        """A local column has no solve task, wait count or ordering entry
+        of its own; its rows below are its local rows first (applied by
+        the forward pass), then one part per non-local block."""
+        bs, wm, tg = grid_ref["bs"], grid_ref["wm"], grid_ref["tg"]
+        owners, _ = plan_owners(wm, tg, nprocs, "DW/CY")
+        ptr, N = np.asarray(bs.partition.panel_ptr), tg.npanels
+        for rank in range(nprocs):
+            local = DispatchPlan(tg, owners, rank).local_cols
+            sp = SolvePlan(bs, tg, owners, rank, local)
+            assert local and sp.seeds[0] == 4 * N
+            for k in local:
+                assert k not in sp.fwd_order and k not in sp.bup_order
+                assert not any(sp.wait[kind * N + k] for kind in range(4))
+                share = sp.shares.get(k)
+                if share is None:
+                    continue
+                panel = np.searchsorted(ptr, share.rows, "right") - 1
+                assert set(panel[:share.m].tolist()) <= set(local)
+                assert not set(panel[share.m:].tolist()) & set(local)
+                assert sum(hi - lo for _, lo, hi, _ in share.parts) == (
+                    len(share.rows) - share.m)
+
+
 class TestEngineSurface:
     def test_vector_rhs_roundtrip(self, grid12_pipeline):
         """1-D rhs in, (n, 1) solution out of the engine; the facade
@@ -276,6 +410,35 @@ class TestFacade:
         with pytest.raises(ValueError) as err:
             chol.factor().solve(np.ones(shape))  # factor-then-solve route
         assert str(err.value) == want
+
+    @pytest.mark.parametrize("b, match", [
+        (np.ones(144) + 1j * np.arange(144), "complex"),
+        (np.zeros((144, 0)), r"shape \(144, 0\)"),
+    ])
+    def test_complex_or_columnless_rhs_is_refused_before_any_spawn(
+        self, grid12_pipeline, b, match, monkeypatch
+    ):
+        """A complex ``b`` was solved as its real part (a ComplexWarning
+        only), an ``(n, 0)`` one substituted nothing and failed in the
+        residual: both are a ``ValueError`` on both mp routes."""
+        import warnings
+
+        from repro.solver import SparseCholesky
+
+        chol = SparseCholesky(grid12_pipeline[0].A, ordering="nd",
+                              block_size=8, backend="mp", nprocs=2)
+        monkeypatch.setattr(
+            chol, "_run_mp", lambda **kw: pytest.fail("runtime launched")
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                chol.solve(b)  # combined factor+solve route
+            monkeypatch.undo()
+            with pytest.raises(ValueError, match=match):
+                chol.factor().solve(b)  # factor-then-solve route
+        chol.close()
+        assert mp.active_children() == []
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rhs_is_refused_before_any_spawn(

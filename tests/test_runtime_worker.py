@@ -136,7 +136,7 @@ class TestHandlerTable:
 
     def test_unarmed_solve_kind_is_refused(self, grid12_pipeline):
         (w, _), _ = _crew(grid12_pipeline)  # no rhs: no solve plane
-        frame = wire.pack_solve_y(1, 0, np.zeros((8, 1)))
+        frame = wire.pack_solve(wire.SOLVE_Y, 1, 0, np.zeros((8, 1)))
         with pytest.raises(RuntimeError, match="no right-hand side"):
             w.receive(frame)
 
@@ -219,7 +219,8 @@ class TestInterleavedRanks:
             w._finalize()
             held, words = w._gather(w.plan.owned)
             results[w.rank] = WorkerResult(
-                w.rank, w.metrics, None, w._solution_panels, held, words
+                w.rank, w.metrics, None, (w.splan.rows, w._z[w.splan.rows]),
+                held, words
             )
         factor, solution, metrics, _ = outcome_result(
             JobOutcome(seq=0, results=results), bs, tg, True, rhs,

@@ -191,6 +191,20 @@ class TestTypedErrors:
             assert svc.metrics.submitted == seen
             del svc.queue.put
 
+    def test_complex_or_columnless_rhs_fails_before_queueing(self, grid_A):
+        """The service checks ``b`` with the façade's ``permute_rhs``: a
+        complex or an ``(n, 0)`` right-hand side is ``JobFailed`` on the
+        calling thread, and no job is queued for it."""
+        n = grid_A.shape[0]
+        with FactorService(**SVC_KW) as svc:
+            jr = svc.factor(grid_A)
+            seen = svc.metrics.submitted
+            for b, match in ((np.ones(n) + 1j * np.arange(n), "complex"),
+                             (np.zeros((n, 0)), rf"shape \({n}, 0\)")):
+                with pytest.raises(JobFailed, match=match):
+                    svc.solve(b, pattern_id=jr.pattern_id)
+            assert svc.metrics.submitted == seen
+
     def test_unknown_pattern(self, grid_A):
         with FactorService(**SVC_KW) as svc:
             svc.factor(grid_A)

@@ -56,8 +56,9 @@ def _run_traced(pipeline, schedule="static"):
 
 def _solve_skeleton(trace) -> dict:
     """Deterministic shape of the solve phase: per-rank sorted
-    solve_task/solve_send/solve_recv names + the run identity. No
-    timestamps, no cross-worker interleaving, no idle spans."""
+    solve_task/solve_send/solve_recv names (a local pass with the panels
+    it swept) + the run identity. No timestamps, no cross-worker
+    interleaving, no idle spans."""
     per_rank: dict[str, dict[str, list[str]]] = {}
     for e in trace.events:
         if e.cat not in ("solve_task", "solve_send", "solve_recv"):
@@ -65,7 +66,8 @@ def _solve_skeleton(trace) -> dict:
         lane = per_rank.setdefault(str(e.rank), {
             "solve_task": [], "solve_send": [], "solve_recv": [],
         })
-        lane[e.cat].append(e.name)
+        panels = e.args.get("panels") if e.args else None
+        lane[e.cat].append(e.name if panels is None else f"{e.name}{panels}")
     for lane in per_rank.values():
         for names in lane.values():
             names.sort()
@@ -180,12 +182,25 @@ class TestGoldenSkeleton:
     def test_forward_before_backward_per_panel(self, traced_solve):
         """Per rank: FSOLVE(k) precedes BSOLVE(k); FUPD(k, g) follows
         FSOLVE(k) and precedes BUPD(k, g) when they ran on the same
-        rank (g is that rank)."""
+        rank (g is that rank). A local pass stands for its panels'
+        tasks in the order it ran them: FLOCAL ascending, FSOLVE(k) then
+        FUPD(k, g); BLOCAL descending, BUPD(k, g) then BSOLVE(k)."""
         res, tg, owners = traced_solve
+        below = np.diff(tg.subdiag_ptr) > 0  # columns with a FUPD / BUPD
         for rank, events in res.trace.per_worker(0).items():
-            tasks = [
-                e.name for e in events if e.cat == "solve_task"
-            ]
+            tasks = []
+            for e in events:
+                if e.cat != "solve_task":
+                    continue
+                for k in (e.args["panels"] if e.name == "FLOCAL" else
+                          e.args["panels"][::-1] if e.name == "BLOCAL"
+                          else ()):
+                    run = [f"FSOLVE({k})", f"FUPD({k},{rank})"][:1 + below[k]]
+                    tasks += run if e.name == "FLOCAL" else [
+                        f"BUPD({k},{rank})", f"BSOLVE({k})"][1 - below[k]:]
+                if e.name not in ("FLOCAL", "BLOCAL"):
+                    tasks.append(e.name)
+            assert len(tasks) == res.metrics.workers[rank].solve_tasks_executed
             pos = {name: i for i, name in enumerate(tasks)}
             for name, i in pos.items():
                 kind, a, g = _SOLVE_TASK.match(name).group(1, 2, 3)

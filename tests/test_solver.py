@@ -42,6 +42,23 @@ class TestSparseCholesky:
             solve(np.ones(shape))
         assert str(err.value) == f"rhs has shape {shape}; matrix has 16 rows"
 
+    @pytest.mark.parametrize("b, match", [
+        (np.ones(144) + 1j * np.arange(144), "complex"),
+        (np.zeros((144, 0)), r"shape \(144, 0\)"),
+    ])
+    def test_complex_or_columnless_rhs_is_refused(self, b, match):
+        """A complex ``b`` was solved as its real part (residual 143 on
+        this grid, a ComplexWarning only), an ``(n, 0)`` one failed in the
+        residual after a whole substitution: both are a ``ValueError``
+        before any substitution."""
+        import warnings
+
+        chol = SparseCholesky(grid2d_matrix(12).A).factor()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                chol.solve(b)
+
     def test_L_before_factor_raises(self):
         s = SparseCholesky(grid2d_matrix(6).A)
         with pytest.raises(RuntimeError):
