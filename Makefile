@@ -15,7 +15,7 @@ bench:
 	REPRO_SCALE=$(SCALE) $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 experiments:
-	$(PYTHON) scripts/run_all_experiments.py $(SCALE)
+	$(PYTHON) -m repro suite --scale $(SCALE)
 
 examples:
 	$(PYTHON) examples/quickstart.py

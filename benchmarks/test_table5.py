@@ -7,13 +7,14 @@ Shape assertions: remapping helps, but by less than it helps balance
 
 import numpy as np
 
-from repro.experiments.table4 import overall_balance_grid
-from repro.experiments.table5 import run
+from repro.experiments.table4 import (
+    mflops, overall_balance, pair_grid, run_table5,
+)
 from repro.matrices.registry import problem_names
 
 
 def test_table5(run_experiment, scale):
-    res = run_experiment(run, scale, floatfmt="{:.0f}")
+    res = run_experiment(run_table5, scale, floatfmt="{:.0f}")
     for P, means in res.data.items():
         assert means[("CY", "CY")] == 0.0
         remapped = [means[(rh, "CY")] for rh in ("DW", "DN", "ID")]
@@ -25,10 +26,8 @@ def test_performance_gains_smaller_than_balance_gains(scale, benchmark):
     matrices = problem_names("table1")
 
     def compute():
-        bal = overall_balance_grid(scale, 64, matrices)
-        from repro.experiments.table5 import performance_grid
-
-        perf = performance_grid(scale, 64, matrices)
+        bal = pair_grid(overall_balance, scale, 64, matrices)
+        perf = pair_grid(mflops, scale, 64, matrices)
         return bal, perf
 
     bal, perf = benchmark.pedantic(compute, rounds=1, iterations=1)

@@ -1,8 +1,8 @@
 """Regenerates Table 6: large benchmark matrix statistics."""
 
-from repro.experiments.table6 import run
+from repro.experiments.table1 import run_table6
 
 
 def test_table6(run_experiment, scale):
-    res = run_experiment(run, scale, floatfmt="{:.1f}")
+    res = run_experiment(run_table6, scale, floatfmt="{:.1f}")
     assert len(res.rows) == 4

@@ -7,12 +7,26 @@ from repro.experiments.variable_block import run
 
 def test_variable_block(run_experiment, scale):
     res = run_experiment(run, scale)
-    # Paper finding: stage-varying B does not improve overall balance on
-    # average, and it does not beat fixed B's performance on average.
-    bal_fixed = np.mean([d["fixed"]["balance"] for d in res.data.values()])
-    bal_var = np.mean([d["varying"]["balance"] for d in res.data.values()])
-    perf_fixed = np.mean([d["fixed"]["mflops"] for d in res.data.values()])
-    perf_var = np.mean([d["varying"]["mflops"] for d in res.data.values()])
-    print(f"\nbalance fixed {bal_fixed:.2f} vs varying {bal_var:.2f}; "
-          f"Mflops fixed {perf_fixed:.0f} vs varying {perf_var:.0f}")
-    assert bal_var <= bal_fixed + 0.1
+    # Paper finding: stage-varying B does not improve overall balance, and
+    # it reduces the parallelism available. The varying B runs its late
+    # B (24) at and near the roots, where balance is decided, so its gain
+    # over fixed B = 48 is the smaller root B. Fixed B = 24 has the same
+    # root blocks: the paper's claim is held against it, on the matrices
+    # where the varying partition is not simply the B = 24 one. It is on a
+    # DENSE matrix (one root supernode), and wherever the supernodes below
+    # the cutoff depth are at most 24 columns wide; there the two columns
+    # are the same run.
+    varied = {name: d for name, d in res.data.items()
+              if d["varying"]["npanels"] != d["fixed24"]["npanels"]}
+    assert varied, "the varying partition is the B = 24 one on every matrix"
+
+    def mean(column, key):
+        return np.mean([d[column][key] for d in varied.values()])
+
+    print(f"\n{len(varied)} matrices vary; mean balance there: "
+          f"B=48 {mean('fixed', 'balance'):.2f}, "
+          f"B=24 {mean('fixed24', 'balance'):.2f}, "
+          f"varying {mean('varying', 'balance'):.2f}")
+    assert mean("varying", "balance") <= mean("fixed24", "balance")
+    for name, d in varied.items():
+        assert d["varying"]["cp_eff"] <= d["fixed24"]["cp_eff"], name

@@ -16,12 +16,11 @@ Commands
     pattern cache, admission control) as a TCP server.
 ``analyze <problem>``
     Report tree structure, critical path and per-node memory.
-``experiment <name>``
+``experiment <name> --scale S``
     Run one experiment of ``repro.experiments.registry`` (table1..table7,
-    figure1, the ablations, ...).
-``suite``
-    Run every experiment at the chosen scale into ``results/<scale>/``
-    (as ``scripts/run_all_experiments.py`` does).
+    figure1, the ablations, ...) and print its table.
+``suite --scale S``
+    Run every experiment of the registry into ``results/<scale>/``.
 """
 
 from __future__ import annotations
@@ -45,13 +44,13 @@ def _positive(text: str) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, fn, problem: bool = True) -> None:
-    """An offline command: its ``problem``, ``--scale``, ``--block-size``
-    and handler ``fn``."""
+    """An offline command: its ``--scale`` and handler ``fn``, and on one
+    benchmark ``problem`` its ``--block-size`` (an experiment has its own)."""
     if problem:
         p.add_argument("problem", choices=sorted(REGISTRY))
+        RunConfig.add_arguments(p, "block_size")
     p.add_argument("--scale", default="medium",
                    choices=("small", "medium", "paper"))
-    RunConfig.add_arguments(p, "block_size")
     p.set_defaults(fn=fn)
 
 

@@ -1,8 +1,11 @@
-"""Experiment harness: one module per table/figure of the paper.
+"""Experiment harness: the paper's tables and figures.
 
-Every module exposes ``run(scale=..., ...) -> ExperimentResult``; the
-benchmark suite under ``benchmarks/`` wraps these, and the modules are
-runnable directly (``python -m repro.experiments.table2``).
+Each experiment is a ``run*(scale=..., ...) -> ExperimentResult`` function
+of a module here, named in :data:`repro.experiments.registry.EXPERIMENTS`.
+The registry is the only way one runs: ``python -m repro experiment <name>
+--scale S`` prints one table, ``python -m repro suite --scale S`` writes
+them all under ``results/<scale>/``. The benchmark suite under
+``benchmarks/`` calls the functions directly.
 """
 
 from repro.experiments.pipeline import PreparedProblem, prepare_problem, clear_cache

@@ -152,16 +152,3 @@ def run_contention(
         data=data,
         notes="The remapping win should survive receiver congestion.",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    scale = sys.argv[1] if len(sys.argv) > 1 else "medium"
-    print(run_block_size(scale).render())
-    print()
-    print(run_domains_ablation(scale).render())
-    print()
-    print(run_zero_comm(scale).render("{:.3f}"))
-    print()
-    print(run_contention(scale).render())

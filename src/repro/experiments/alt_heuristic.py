@@ -67,9 +67,3 @@ def run(scale: str = "medium", P: int = 64, machine=PARAGON) -> ExperimentResult
             "Paper: balance improves a further 10-15%, performance does not."
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    print(run(*(sys.argv[1:] or ["medium"])).render())

@@ -63,9 +63,3 @@ def run(
             "is the answer within this model."
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    print(run(*(sys.argv[1:] or ["medium"])).render("{:.0f}"))

@@ -159,14 +159,3 @@ def run_priority_scheduling(
             "work; bottom_level is classic critical-path (HLF) scheduling."
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    scale = sys.argv[1] if len(sys.argv) > 1 else "medium"
-    print(run_critical_path(scale).render("{:.3f}"))
-    print()
-    print(run_subcube(scale).render())
-    print()
-    print(run_priority_scheduling(scale).render("{:.1f}"))

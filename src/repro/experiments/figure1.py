@@ -61,9 +61,3 @@ def run(
         charts.append(f"P = {P}\n{chart}")
     result.notes += "\n\n" + "\n\n".join(charts)
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    print(run(*(sys.argv[1:] or ["medium"])).render("{:.3f}"))

@@ -126,14 +126,3 @@ def run_performance(
         data=data,
         notes="Expected: 2-D wins broadly; 1-D moves far more data.",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    scale = sys.argv[1] if len(sys.argv) > 1 else "medium"
-    print(run_volume_scaling(scale).render())
-    print()
-    print(run_critical_path_scaling().render())
-    print()
-    print(run_performance(scale).render("{:.1f}"))

@@ -80,9 +80,3 @@ def run(
             "Paper: prime grids gain 17-18% mean; heuristics gain 20-24%."
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    print(run(*(sys.argv[1:] or ["medium"])).render("{:.0f}"))

@@ -1,8 +1,8 @@
-"""Every experiment, in suite order.
+"""Every experiment, in suite order: the only way one runs.
 
-``repro experiment <name>`` runs one entry of :data:`EXPERIMENTS`;
-``repro suite`` and ``scripts/run_all_experiments.py`` run them all
-through :func:`run_suite`.
+``python -m repro experiment <name> --scale S`` runs one entry of
+:data:`EXPERIMENTS` and prints its table; ``python -m repro suite --scale
+S`` runs them all through :func:`run_suite`.
 """
 
 from __future__ import annotations
@@ -31,13 +31,13 @@ def _runner(module: str, fn: str = "run",
 #: name -> (runner taking the scale, float format of its rendered table).
 EXPERIMENTS: dict[str, tuple[Callable[[str], ExperimentResult], str]] = {
     "table1": (_runner("table1"), "{:.1f}"),
-    "table6": (_runner("table6"), "{:.1f}"),
+    "table6": (_runner("table1", "run_table6"), "{:.1f}"),
     "table2": (_runner("table2"), "{:.2f}"),
     "table3": (_runner("table3"), "{:.2f}"),
     "figure1": (_runner("figure1"), "{:.3f}"),
     "table4": (_runner("table4"), "{:.0f}"),
     "table7": (_runner("table7"), "{:.0f}"),
-    "table5": (_runner("table5"), "{:.0f}"),
+    "table5": (_runner("table4", "run_table5"), "{:.0f}"),
     "prime_grids": (_runner("prime_grids"), "{:.0f}"),
     "alt_heuristic": (_runner("alt_heuristic"), "{:.2f}"),
     "critical_path": (_runner("discussion", "run_critical_path"), "{:.3f}"),
@@ -60,18 +60,16 @@ EXPERIMENTS: dict[str, tuple[Callable[[str], ExperimentResult], str]] = {
 }
 
 
-def run_suite(scale: str, skip=()) -> Path:
-    """Run every experiment not in ``skip``, printing each table and
-    writing ``<name>.txt`` / ``<name>.json`` plus ``ALL.txt`` (the
-    ``.txt`` tables joined by blank lines) under ``results/<scale>/`` of
-    the working directory. Wall times go to stdout only, so two runs of
+def run_suite(scale: str) -> Path:
+    """Run every experiment, printing each table and writing
+    ``<name>.txt`` / ``<name>.json`` plus ``ALL.txt`` (the ``.txt``
+    tables joined by blank lines) under ``results/<scale>/`` of the
+    working directory. Wall times go to stdout only, so two runs of
     one tree write the same bytes."""
     outdir = Path("results") / scale
     outdir.mkdir(parents=True, exist_ok=True)
     combined = []
     for name, (run, fmt) in EXPERIMENTS.items():
-        if name in skip:
-            continue
         t0 = time.time()
         res = run(scale)
         table = res.render(fmt) + "\n"

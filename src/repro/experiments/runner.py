@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any, Sequence
+
+import numpy as np
 
 from repro.util.formatting import format_table
 
@@ -31,22 +34,16 @@ class ExperimentResult:
         return out
 
     def to_json(self) -> str:
-        """Machine-readable form (rows + paper reference; data omitted when
-        not JSON-serializable)."""
-        import json
+        """Machine-readable form: the table, the paper reference and the
+        notes (``data`` is left out)."""
 
         def default(obj):
-            try:
-                import numpy as np
-
-                if isinstance(obj, np.integer):
-                    return int(obj)
-                if isinstance(obj, np.floating):
-                    return float(obj)
-                if isinstance(obj, np.ndarray):
-                    return obj.tolist()
-            except ImportError:  # pragma: no cover
-                pass
+            if isinstance(obj, np.integer):
+                return int(obj)
+            if isinstance(obj, np.floating):
+                return float(obj)
+            if isinstance(obj, np.ndarray):
+                return obj.tolist()
             return str(obj)
 
         payload = {

@@ -51,9 +51,3 @@ def run(scale: str = "medium", P: int = 64) -> ExperimentResult:
             "overall below all three."
         ),
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    print(run(*(sys.argv[1:] or ["medium"])).render())

@@ -49,9 +49,3 @@ def run(
         data=data,
         paper_reference=PAPER_TABLE3,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    print(run(*(sys.argv[1:] or ["medium"])).render())

@@ -83,9 +83,3 @@ def run(
         paper_reference=PAPER_TABLE7,
         notes="Expected shape: heuristic wins on every problem, ~10-25%.",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    print(run(*(sys.argv[1:] or ["medium"])).render("{:.0f}"))

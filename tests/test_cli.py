@@ -38,6 +38,18 @@ class TestParser:
         assert "'NOPE'" in err and "'GRID150'" in err and "'BCSSTK31'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [["experiment", "table2"], ["suite"]],
+                             ids=["experiment", "suite"])
+    def test_the_experiment_commands_take_no_block_size(self, argv, capsys):
+        """An experiment runs at its own block sizes: a ``--block-size``
+        it would ignore is a usage error, not a table at B = 48."""
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args(
+                argv + ["--scale", "small", "--block-size", "16"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --block-size 16" in (
+            capsys.readouterr().err)
+
     def test_the_commands_are_exactly_these(self):
         """A retired command cannot come back without this set changing."""
         (sub,) = [

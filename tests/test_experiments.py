@@ -8,8 +8,7 @@ from repro.experiments import runner
 from repro.experiments.table1 import run as table1
 from repro.experiments.table2 import run as table2
 from repro.experiments.table3 import run as table3
-from repro.experiments.table4 import overall_balance_grid
-from repro.experiments.table5 import performance_grid
+from repro.experiments.table4 import mflops, overall_balance, pair_grid
 from repro.experiments.table7 import run as table7
 from repro.experiments.figure1 import run as figure1
 from repro.experiments.ablations import run_block_size, run_zero_comm
@@ -63,12 +62,13 @@ class TestTables:
         assert overall["DW"] > overall["CY"]
 
     def test_table4_grid_cyclic_zero(self):
-        means = overall_balance_grid("small", 16, ("GRID150", "BCSSTK15"))
+        means = pair_grid(overall_balance, "small", 16,
+                          ("GRID150", "BCSSTK15"))
         assert means[("CY", "CY")] == pytest.approx(0.0)
         assert means[("ID", "CY")] > 0
 
     def test_table5_grid_runs(self):
-        means = performance_grid("small", 16, ("BCSSTK15",))
+        means = pair_grid(mflops, "small", 16, ("BCSSTK15",))
         assert means[("CY", "CY")] == pytest.approx(0.0)
         assert len(means) == len(HEURISTICS) ** 2
 

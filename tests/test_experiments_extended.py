@@ -62,6 +62,7 @@ class TestAblationsAndStudies:
         assert len(res.rows) == 1
         d = res.data["GRID150"]
         assert d["fixed"]["mflops"] > 0 and d["varying"]["mflops"] > 0
+        assert d["fixed24"]["mflops"] > 0 and len(res.rows[0]) == 10
 
     def test_alt_heuristic_means_present(self):
         res = alt_run("small", P=16)
