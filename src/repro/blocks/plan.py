@@ -16,10 +16,9 @@ From that layout the plan derives, with whole-matrix array operations only:
   destination block of panel J (:attr:`rel`, :attr:`rel_of`) and inside
   panel J's slab flattened (:attr:`slab_flat`) — so that every update
   from K into J is one scatter, a panel update,
-* per panel, its column range and the global rows of its stacked
-  subdiagonal blocks, which is all the block substitution reads
-  (:attr:`panel_rows`),
-* the CSC pattern of ``L`` and the gather out of the slab layout
+* per panel, its columns and the global rows of its stacked subdiagonal
+  blocks, all the block substitution reads (:attr:`panel_rows`),
+* the CSC pattern of ``L`` and its gather out of the store
   (:meth:`csc_pattern`),
 * where each block lies in the store (:meth:`block_spans`) and, for a
   set of blocks, the runs of words they span and the entries of ``A``
@@ -96,14 +95,13 @@ class NumericPlan:
 
     def __init__(self, structure):
         part = structure.partition
-        self.n = n = int(part.symbolic.n)
+        self.n = int(part.symbolic.n)
         N = part.npanels
         self._panel_of_col = np.asarray(part.panel_of_col, dtype=np.int64)
         self._ptr = ptr = np.asarray(part.panel_ptr, dtype=np.int64)
         self._widths = widths = np.diff(ptr)
-        self._nbelow = nbelow = np.fromiter(
-            (rows.shape[0] for rows in structure.rows_below), np.int64, N
-        )
+        self._nbelow = nbelow = np.array(
+            [rows.shape[0] for rows in structure.rows_below], np.int64)
         self._slab_ptr = slab_ptr = np.concatenate(
             [[0], np.cumsum((widths + nbelow) * widths)]
         )
@@ -112,13 +110,17 @@ class NumericPlan:
             widths.tolist(), slab_ptr[:-1].tolist(), slab_ptr[1:].tolist()
         ))
         self._below_ptr = below_ptr = np.concatenate([[0], np.cumsum(nbelow)])
-        # Every panel's rows_below, end to end, and the same rows as keys
-        # ``K * n + row`` — sorted, so one searchsorted locates any
-        # (panel, row) pair of the structure.
+        # Every panel's rows_below, end to end; per panel the span from
+        # its first to its last, and each row's slot in the spans' table.
         self._rows = rows_cat = np.concatenate(
             [np.empty(0, np.int64), *structure.rows_below]
         )
-        self._below_keys = np.repeat(np.arange(N) * n, nbelow) + rows_cat
+        edge, has = np.concatenate([[0], rows_cat, [-1]]), nbelow > 0
+        self._lo = lo = np.where(has, edge[below_ptr[:-1] + 1], 0)
+        self._span = span = np.where(has, edge[below_ptr[1:]] + 1 - lo, 0)
+        self._tptr = tptr = np.cumsum(span) - span
+        owner = np.repeat(np.arange(N), nbelow)
+        self._slot = tptr[owner] + rows_cat - lo[owner]
         self.spans = [
             dict(zip(brows.tolist(), zip(
                 (w + splits[:-1]).tolist(), (w + splits[1:]).tolist()
@@ -135,20 +137,23 @@ class NumericPlan:
 
     def _locate(self, panel: np.ndarray, row: np.ndarray) -> np.ndarray | None:
         """Positions of the ``(panel, row)`` pairs in the end-to-end
-        ``rows_below``; ``None`` when any pair is not in the structure."""
-        keys, key = self._below_keys, panel * self.n + row
-        if not keys.size:
-            return None if key.size else key
-        pos = np.minimum(np.searchsorted(keys, key), keys.shape[0] - 1)
-        return pos if np.array_equal(keys[pos], key) else None
+        ``rows_below``; ``None`` when any pair is not in the structure.
+        One look-up each, in a table built for the call: at ``_tptr[K] +
+        row - _lo[K]``, the position of ``row`` among panel K's, or -1."""
+        at = row - self._lo[panel]
+        if not ((at >= 0) & (at < self._span[panel])).all():
+            return None
+        table = np.full(int(self._span.sum()), -1,
+                        _index_dtype(self._rows.shape[0] + 1))
+        table[self._slot] = np.arange(self._rows.shape[0])
+        pos = table[self._tptr[panel] + at]
+        return None if (pos < 0).any() else pos
 
     # ------------------------------------------------------------------
     def _compile_bmod(self, structure) -> None:
         ptr, below_ptr, rows_cat = self._ptr, self._below_ptr, self._rows
         N = len(self.slabs)
-        nblk = np.fromiter(
-            (b.shape[0] for b in structure.block_rows), np.int64, N
-        )
+        nblk = np.array([b.shape[0] for b in structure.block_rows], np.int64)
         empty = np.empty(0, np.int64)
         # One entry per block (I, K): its first row in rows_below[K], its
         # row count, and — per row of rows_cat — its block's first row.
@@ -157,12 +162,10 @@ class NumericPlan:
         )
         blk_cnt = np.concatenate([empty, *structure.block_counts])
         row_blk_lo = np.repeat(blk_lo, blk_cnt)
-        # One (K, J) pair per block: the tail of rows_below[K] from block
-        # (J, K) down.
+        # One (K, J) pair per block: rows_below[K] from block (J, K) down.
         pair_K = np.repeat(np.arange(N), nblk)
         pair_J = np.concatenate([empty, *structure.block_rows])
-        # Subdiagonal block (I, K), in (K, I) order: its key and where its
-        # rows start in the store.
+        # Block (I, K), in (K, I) order: its key and its first store word.
         self._sub_keys = pair_K * N + pair_J
         self._sub_start = (
             self._slab_ptr[pair_K]
@@ -208,11 +211,8 @@ class NumericPlan:
         seen, compared by content. Raises ``ValueError`` when an entry
         falls outside the symbolic structure."""
         cached = self._scatter
-        if (
-            cached is not None
-            and np.array_equal(cached[0], indptr)
-            and np.array_equal(cached[1], indices)
-        ):
+        if (cached is not None and np.array_equal(cached[0], indptr)
+                and np.array_equal(cached[1], indices)):
             return cached[2], cached[3]
         n, ptr = self.n, self._ptr
         cols = np.repeat(np.arange(n), np.diff(indptr))

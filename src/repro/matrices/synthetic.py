@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial import cKDTree
 
 from repro.matrices.problem import ProblemMatrix
 from repro.matrices.spd import make_spd
@@ -24,8 +23,9 @@ from repro.matrices.spd import make_spd
 
 def _knn_graph(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric k-nearest-neighbour edge list over ``points``."""
-    tree = cKDTree(points)
-    _, nbrs = tree.query(points, k=k + 1)
+    # Imported by its one user, so ``import repro`` skips scipy.spatial.
+    from scipy.spatial import cKDTree
+    _, nbrs = cKDTree(points).query(points, k=k + 1)
     src = np.repeat(np.arange(points.shape[0]), k)
     dst = nbrs[:, 1:].ravel()
     mask = src != dst

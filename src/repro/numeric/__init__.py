@@ -10,10 +10,7 @@ in the test suite.
 """
 
 from repro.numeric.dense_kernels import (
-    NotPositiveDefiniteError,
-    bdiv_kernel,
-    bfac_kernel,
-    bmod_kernel,
+    NotPositiveDefiniteError, bdiv_kernel, bfac_kernel, bmod_kernel,
 )
 from repro.numeric.blockfact import BlockCholesky
 from repro.numeric.parallel import parallel_block_cholesky

@@ -27,10 +27,7 @@ from scipy import sparse
 
 from repro.blocks.structure import BlockStructure
 from repro.numeric.dense_kernels import (
-    NotPositiveDefiniteError,
-    bdiv_kernel,
-    bfac_kernel,
-    bmod_kernel,
+    NotPositiveDefiniteError, bdiv_kernel, bfac_kernel, bmod_kernel,
     bmod_kernel_into,
 )
 
@@ -232,13 +229,13 @@ class BlockCholesky:
     # ------------------------------------------------------------------
     # Extraction
     # ------------------------------------------------------------------
-    def to_csc(self) -> sparse.csc_matrix:
-        """Assemble the factor L as a sparse matrix (explicit zeros kept).
-        Raises ``LinAlgError`` when an entry of it is NaN or Inf."""
-        plan = self._plan
-        indptr, indices, gather = plan.csc_pattern()
-        data = self.store[gather]
-        if not np.isfinite(data).all():
+    def check_finite(self) -> "BlockCholesky":
+        """Raise ``LinAlgError`` when a word of the store is NaN or Inf;
+        returns self. Every entry of ``L`` is a word of the store, and
+        every other word mirrors an entry of ``A``'s lower triangle (which
+        ``L`` then holds non-finite too) or is zero: the scan refuses
+        exactly the factors :meth:`to_csc` refuses, without assembling."""
+        if not np.isfinite(self.store).all():
             # The kernels do not scan their operands; a NaN/Inf of the
             # matrix (or an overflow) is caught here, once, before any
             # caller is handed the factor.
@@ -246,7 +243,15 @@ class BlockCholesky:
                 "the factor has non-finite entries: the matrix contains "
                 "infs or NaNs, or the factorization overflowed"
             )
+        return self
+
+    def to_csc(self) -> sparse.csc_matrix:
+        """Assemble the factor L as a sparse matrix (explicit zeros kept).
+        Raises ``LinAlgError`` when an entry of it is NaN or Inf
+        (:meth:`check_finite`)."""
+        plan = self.check_finite()._plan
+        indptr, indices, gather = plan.csc_pattern()
         n = plan.n
         return sparse.csc_matrix(
-            (data, indices.copy(), indptr.copy()), shape=(n, n)
+            (self.store[gather], indices.copy(), indptr.copy()), shape=(n, n)
         )

@@ -28,10 +28,7 @@ the one-call driver and the outcome-to-result step),
 """
 
 from repro.runtime.arena import (
-    TRANSPORTS,
-    BlockArena,
-    resolve_transport,
-    shm_available,
+    TRANSPORTS, BlockArena, resolve_transport, shm_available,
 )
 from repro.runtime.engine import (
     DeadWorkerError,
@@ -51,22 +48,11 @@ from repro.runtime.faults import (
 )
 from repro.runtime.links import Link, LinkFabric
 from repro.runtime.metrics import RuntimeMetrics, WorkerMetrics
-from repro.runtime.pool import (
-    JobOutcome,
-    PatternContext,
-    PoolJob,
-    WorkerPool,
-)
-from repro.runtime.recovery import (
-    FailedAttempt,
-    FailureReport,
-)
+from repro.runtime.pool import JobOutcome, PatternContext, PoolJob, WorkerPool
+from repro.runtime.recovery import FailedAttempt, FailureReport
 from repro.runtime.scheduler import ReadyScheduler
 from repro.runtime.trace import (
-    RunTrace,
-    TraceEvent,
-    TraceRecorder,
-    WorkerTrace,
+    RunTrace, TraceEvent, TraceRecorder, WorkerTrace,
 )
 from repro.runtime.validation import (
     ValidationError,

@@ -47,7 +47,9 @@ from __future__ import annotations
 
 import gc
 import multiprocessing as mp
+import os
 import queue as queue_mod
+import sys
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -360,7 +362,16 @@ class _PoolWorker:
 
 
 def pool_worker_main(rank: int, kwargs: dict) -> None:
-    """Process entry point (module-level for the spawn start method)."""
+    """Process entry point (module-level for the spawn start method). On
+    Linux, rank r first pins itself to the (r mod k)-th of the k CPUs it
+    may run on: where the cpuset does not balance load, a forked rank
+    would otherwise stay on its parent's CPU, and the ranks share one."""
+    if sys.platform.startswith("linux") and hasattr(os, "sched_setaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+        try:
+            os.sched_setaffinity(0, {cpus[rank % len(cpus)]})
+        except OSError:  # refused: run where the parent ran
+            pass
     _PoolWorker(rank, **kwargs).run()
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -132,12 +133,10 @@ class JobResult:
     pattern_id: str
     #: ``"hit"`` (warm: symbolic/plan/arena reused) or ``"miss"`` (cold).
     cache: str
-    #: The factor, permuted order (``L[perm][:, perm]`` space).
-    L: sparse.csc_matrix
     #: Composed fill-reducing permutation used for this pattern.
     perm: np.ndarray
-    #: Assembled :class:`~repro.numeric.BlockCholesky` (in-process only).
-    factor: object | None = None
+    #: The factor: an assembled :class:`~repro.numeric.BlockCholesky`.
+    factor: object
     #: Per-worker :class:`~repro.runtime.metrics.RuntimeMetrics`.
     metrics: object | None = None
     #: Merged :class:`~repro.runtime.trace.RunTrace` when tracing is on.
@@ -145,17 +144,19 @@ class JobResult:
     #: The service-side :class:`~repro.service.metrics.JobRecord`.
     record: object | None = None
 
+    @cached_property
+    def L(self) -> sparse.csc_matrix:
+        """The factor as CSC, permuted order (``L[perm][:, perm]`` space),
+        assembled on first read."""
+        return self.factor.to_csc()
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` with this factor (locally, in-process; for
         the distributed solve on the service's resident factor use
         :meth:`FactorService.solve <repro.service.FactorService.solve>`)."""
         from repro.numeric import solve_with_factor
 
-        return solve_with_factor(
-            self.factor if self.factor is not None else self.L,
-            b,
-            self.perm,
-        )
+        return solve_with_factor(self.factor, b, self.perm)
 
 
 @dataclass

@@ -10,7 +10,7 @@ Lifecycle of a job (a factorization or a warm solve)::
                                                            ▼
              a factor: recovery.run_job; a solve: WorkerPool.run
                                                            │
-                  JobHandle ◀── to_csc + validate ◀────────┘
+                  JobHandle ◀── finite + validate ◀────────┘
 
 The dispatcher thread is the only caller of the pool and the only writer
 of the pattern cache: one job is in flight, the next is taken when its
@@ -395,12 +395,12 @@ class FactorService:
             ok = report.ok
             record.attempts = len(report.attempts) + ok
             t0 = time.monotonic()
-            L = res.factor.to_csc()
+            res.factor.check_finite()
             if ok and self.validate:
-                self._validate(job.job_id, entry, A_perm, L)
+                self._validate(job.job_id, entry, A_perm, res.factor)
         except (*_PER_JOB_ERRORS, FanoutError, np.linalg.LinAlgError) as exc:
-            # A gather that does not cover every block, or a NaN/Inf found
-            # at assembly, fails the job like a failed validation: never
+            # A gather that does not cover every block, or a NaN/Inf in
+            # the factor, fails the job like a failed validation: never
             # release a factor with holes.
             if isinstance(exc, (FanoutError, np.linalg.LinAlgError)):
                 exc = JobFailed(job.job_id, str(exc))
@@ -426,7 +426,6 @@ class FactorService:
             job_id=job.job_id,
             pattern_id=entry.pattern_id,
             cache=record.cache,
-            L=L,
             perm=entry.perm,
             factor=res.factor,
             metrics=res.metrics,
@@ -579,14 +578,14 @@ class FactorService:
         return permute_spd(A_full, entry.perm)
 
     # -- completion -----------------------------------------------------
-    def _validate(self, job_id, entry: PatternEntry, A_perm, L) -> None:
+    def _validate(self, job_id, entry: PatternEntry, A_perm, factor) -> None:
         """Check against the sequential baseline, within
         :func:`~repro.runtime.validation.factor_bound`."""
         from repro.numeric import BlockCholesky
 
         ref = BlockCholesky(entry.structure, A_perm).factor().to_csc()
         bound = factor_bound(entry.owners, entry.tg, ref)
-        if not abs(L - ref).max() <= bound:
+        if not abs(factor.to_csc() - ref).max() <= bound:
             raise ValidationFailed(job_id, "parallel factor differs from "
                                    "the sequential baseline")
 

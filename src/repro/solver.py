@@ -83,10 +83,12 @@ class SparseCholesky:
     fault_plan:
         A :class:`repro.runtime.faults.FaultPlan` for the ``"mp"``
         backend (anything else raises ``TypeError`` before any analysis).
-        When given, the factorization runs under the chaos layer. Every
-        ``"mp"`` factor has bounded restart and the sequential fallback.
+        Every ``"mp"`` factor has bounded restart and the sequential
+        fallback.
 
-    After an ``"mp"`` :meth:`factor`, per-worker metrics land in
+    :meth:`factor` keeps the packed factor (one with a NaN or Inf is a
+    ``LinAlgError``, not kept), and :attr:`L` is assembled from it as CSC
+    on first read. After an ``"mp"`` factor, per-worker metrics land in
     :attr:`runtime_metrics`, the job's structured recovery outcome in
     :attr:`failure_report` and (with ``trace``) the merged
     :class:`repro.runtime.trace.RunTrace` in :attr:`run_trace`. The first
@@ -201,25 +203,23 @@ class SparseCholesky:
             numeric = BlockCholesky(self.structure, self.symbolic.A).factor()
         else:  # "mp"
             numeric = self._run_mp().factor
-        # Refused at assembly (NaN/Inf: LinAlgError), a factor is not kept.
-        self._L = numeric.to_csc()
-        self._numeric = numeric
+        self._numeric, self._L = numeric.check_finite(), None  # NaN/Inf raises
         return self
 
     @property
     def L(self) -> sparse.csc_matrix:
-        if self._L is None:
+        if self._numeric is None:
             raise RuntimeError("call factor() first")
+        if self._L is None:  # assembled on the first read of a factor
+            self._L = self._numeric.to_csc()
         return self._L
 
     def solve(self, b: np.ndarray, refine: int = 0) -> np.ndarray:
         """Solve ``A x = b`` using the computed factor.
 
-        Accepts a single vector or an ``n x nrhs`` panel of right-hand
-        sides (multi-RHS solves batch into block-column panels, not
-        ``nrhs`` separate sweeps) by block substitution on the held
-        factor. An ``"mp"`` instance not yet factored checks ``b`` and
-        then runs :meth:`factor` first.
+        Accepts a vector or an ``n x nrhs`` panel of right-hand sides
+        (one block substitution for the panel) on the held factor. An
+        ``"mp"`` instance not yet factored checks ``b``, then factors.
 
         ``refine`` adds that many steps of iterative refinement
         (``r = b - A x``; ``x += solve(r)``). The max-abs residual is

@@ -23,6 +23,11 @@ update per block, as the sweeps did before they were grouped by panel
 updates by owner as the sweeps and the distributed solve do (bit for
 bit).
 
+The numeric plan's ``(panel, row)`` look-up as it ran before its table,
+one ``searchsorted`` over sorted keys ``panel * n + row``
+(:func:`oracle_locate`): the table must return its positions, and miss
+where it misses.
+
 Last, the two sequential orders of the task DAG, left-looking and
 right-looking (:func:`leftlooking_schedule`, :func:`rightlooking_schedule`),
 which :func:`oracle_run_schedule` replays to show that both execute the
@@ -38,6 +43,19 @@ from repro.blocks import WorkModel
 from repro.fanout.tasks import BDIV, BFAC, BMOD
 from repro.numeric import BlockCholesky
 from repro.numeric.dense_kernels import bmod_kernel, bmod_kernel_into
+
+
+def oracle_locate(plan, panel, row):
+    """Positions of the ``(panel, row)`` pairs in the plan's end-to-end
+    ``rows_below`` by a binary search over every panel's rows as keys
+    ``K * n + row``; ``None`` when any pair is not there."""
+    keys = np.repeat(np.arange(len(plan.slabs)) * plan.n, plan._nbelow)
+    keys = keys + plan._rows
+    key = panel * plan.n + row
+    if not keys.size:
+        return None if key.size else key
+    pos = np.minimum(np.searchsorted(keys, key), keys.shape[0] - 1)
+    return pos if np.array_equal(keys[pos], key) else None
 
 
 def oracle_blocks(structure, A):

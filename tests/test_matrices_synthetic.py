@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from repro.matrices import (
@@ -70,3 +75,16 @@ class TestFleetLike:
         a = fleet_like_matrix(150, seed=11).A
         b = fleet_like_matrix(150, seed=11).A
         assert (a != b).nnz == 0
+
+
+def test_import_repro_leaves_scipy_spatial_unimported():
+    """``cKDTree`` is imported by its one user, ``_knn_graph``, when it
+    runs: ``import repro`` does not pay for ``scipy.spatial``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; print('scipy.spatial' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -3,7 +3,9 @@ values-only warm dispatch, bitwise re-factorization on both transports,
 straggler frames, failure containment, and restart semantics."""
 
 import multiprocessing as mp
+import os
 import platform
+import sys
 
 import numpy as np
 import pytest
@@ -295,6 +297,32 @@ class TestPoolLifecycle:
         with WorkerPool(nprocs=1):
             assert calls == [[]]
         assert heap.pin_malloc_thresholds()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or not hasattr(os, "sched_setaffinity"),
+                        reason="CPU affinity is pinned on Linux only")
+    @pytest.mark.parametrize("cpus", [None, 1], ids=["inherited", "one"])
+    def test_each_rank_runs_on_one_cpu_of_its_mask(self, pool_problem, cpus):
+        """Rank r pins itself to the (r mod k)-th of the k CPUs it
+        inherits: two distinct one-CPU masks on two CPUs or more, and
+        every rank on the one CPU of a one-CPU mask (``taskset -c 0``)."""
+        p, saved = pool_problem, os.sched_getaffinity(0)
+        allowed = sorted(saved)[:cpus]
+        if len(allowed) < 2 and cpus is None:
+            pytest.skip("one CPU allowed")
+        os.sched_setaffinity(0, allowed)  # the forking thread's mask
+        try:
+            with WorkerPool(nprocs=2) as pool:
+                # A job answered: every rank is past its pinning.
+                assert pool.run(PoolJob(
+                    seq=0, pattern_id="g", values=p["A_perm"].data,
+                    context=_context(p, "g"),
+                ), timeout_s=120).ok
+                masks = [os.sched_getaffinity(w.pid) for w in pool._procs]
+        finally:
+            os.sched_setaffinity(0, saved)
+        assert masks == [{allowed[r % len(allowed)]} for r in range(2)]
+        assert (masks[0] != masks[1]) == (len(allowed) > 1)
 
     def test_evict_forces_reship(self, pool_problem):
         p = pool_problem
